@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"emgo/internal/block"
+	"emgo/internal/feature"
 	"emgo/internal/umetrics"
 )
 
 // Scalability sweep: blocking and rule application across generator
-// scales (0.25x to 2x the paper's table sizes), with candidate counts
-// reported per run. Fixtures are built once per scale, outside the
-// timers.
+// scales (0.25x to 2x the paper's table sizes; rules to 4x), with
+// candidate counts reported per run. Fixtures are built once per scale,
+// outside the timers.
 type scaleFixture struct {
 	proj *umetrics.Projected
 }
@@ -47,6 +48,10 @@ func fixtureAtScale(b *testing.B, scale float64) *scaleFixture {
 
 var sweepScales = []float64{0.25, 0.5, 1.0, 2.0}
 
+// ruleScales goes one doubling further: the rule step is cheap enough,
+// and the blocking sweep at 4x is not.
+var ruleScales = []float64{0.25, 0.5, 1.0, 2.0, 4.0}
+
 // BenchmarkScale_Blocking sweeps the Section 7 blocking pipeline across
 // data scales.
 func BenchmarkScale_Blocking(b *testing.B) {
@@ -66,21 +71,60 @@ func BenchmarkScale_Blocking(b *testing.B) {
 	}
 }
 
-// BenchmarkScale_SureRules sweeps the positive-rule Cartesian scan (the
-// Figure 9 sure-match step) across data scales.
+// BenchmarkScale_SureRules sweeps the positive-rule step (the Figure 9
+// sure-match pull) across data scales, one doubling past the blocking
+// sweep: both rules are equalities, so the engine runs them as a keyed
+// join and time per doubling should stay near 2x (ROADMAP exit: <= 2.2x).
+// Each iteration binds a fresh engine, so the right-side index build is
+// inside the timing.
 func BenchmarkScale_SureRules(b *testing.B) {
-	for _, scale := range sweepScales {
+	for _, scale := range ruleScales {
 		b.Run(fmt.Sprintf("scale=%.2g", scale), func(b *testing.B) {
 			f := fixtureAtScale(b, scale)
-			engine, err := umetrics.SureMatchEngine(f.proj.UMETRICS, f.proj.USDA, true)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				engine, err := umetrics.SureMatchEngine(f.proj.UMETRICS, f.proj.USDA, true)
+				if err != nil {
+					b.Fatal(err)
+				}
 				sure := engine.SureMatches(f.proj.UMETRICS, f.proj.USDA)
 				b.ReportMetric(float64(sure.Len()), "sure_matches")
 			}
 		})
 	}
+}
+
+// BenchmarkVectorize turns the scale-1 candidate set into feature
+// vectors with the deployed feature set (auto-generated plus the
+// case-insensitive extension) — the per-pair rung under the Figure 8-10
+// workflows. Run with -benchmem: bytes and allocations per op divided by
+// the reported pair count are the per-pair garbage.
+func BenchmarkVectorize(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	left, right := f.proj.UMETRICS, f.proj.USDA
+	cand, err := block.UnionBlock(left, right, benchBlockers()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := feature.Generate(left, right, benchCorr, benchOrder)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := feature.AddCaseInsensitive(fs, left, benchCorr, []string{"AwardTitle", "EmployeeName"}); err != nil {
+		b.Fatal(err)
+	}
+	pairs := cand.Pairs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := fs.Vectorize(left, right, pairs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(x) != len(pairs) {
+			b.Fatalf("%d vectors for %d pairs", len(x), len(pairs))
+		}
+	}
+	b.ReportMetric(float64(len(pairs)), "pairs")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
 }

@@ -110,7 +110,9 @@ type Feature struct {
 	LeftCol, RightCol string
 	// Func is the registry key of the similarity ("jaccard_word",
 	// "lev_sim", ...); empty for custom closures, which cannot be
-	// serialized.
+	// serialized. A non-empty Func promises Compute is the registry's:
+	// VectorizeCtx computes set similarities from the key, not by
+	// calling Compute.
 	Func string
 	// Compute maps the two cell values to a similarity; it must return
 	// NaN when either value is null.
@@ -156,24 +158,13 @@ func strSim(fn func(a, b string) float64) func(a, b table.Value) float64 {
 	}
 }
 
-// tokSim wraps a token-set similarity with the given tokenizer.
+// tokSim wraps a token-sequence similarity with the given tokenizer.
 func tokSim(tok tokenize.Tokenizer, fn func(a, b []string) float64) func(a, b table.Value) float64 {
 	return func(a, b table.Value) float64 {
 		if a.IsNull() || b.IsNull() {
 			return math.NaN()
 		}
 		return fn(tok.Tokens(a.Str()), tok.Tokens(b.Str()))
-	}
-}
-
-// lowerTokSim is tokSim over lowercased text — the case-insensitive
-// variants added in Section 9.
-func lowerTokSim(tok tokenize.Tokenizer, fn func(a, b []string) float64) func(a, b table.Value) float64 {
-	return func(a, b table.Value) float64 {
-		if a.IsNull() || b.IsNull() {
-			return math.NaN()
-		}
-		return fn(tok.Tokens(tokenize.Lower(a.Str())), tok.Tokens(tokenize.Lower(b.Str())))
 	}
 }
 
@@ -197,48 +188,62 @@ func yearSim(fn func(a, b float64) float64) func(a, b table.Value) float64 {
 	}
 }
 
+// similarity is one registry entry: the per-pair computation every
+// Feature carries, plus — for the set similarities — the prepared form
+// VectorizeCtx computes them from (see prepared.go).
+type similarity struct {
+	compute func(a, b table.Value) float64
+	// form and ratio are set for set similarities only: the value is
+	// ratio(|A∩B|, |A|, |B|) over the cells' form tokens.
+	form  cellForm
+	ratio func(inter, la, lb int) float64
+}
+
+// direct is a similarity with no prepared form.
+func direct(fn func(a, b table.Value) float64) similarity { return similarity{compute: fn} }
+
 // Registry of named similarity computations. Every auto-generated
 // feature references one of these by key, which is what makes feature
 // sets serializable for deployment (internal/workflow's Spec).
-var computeRegistry = func() map[string]func(a, b table.Value) float64 {
+var computeRegistry = func() map[string]similarity {
 	word := tokenize.Word{}
 	qg3 := tokenize.QGram{Q: 3}
-	return map[string]func(a, b table.Value) float64{
-		"lev_sim":                  strSim(simfunc.LevenshteinSim),
-		"jaro":                     strSim(simfunc.Jaro),
-		"jaro_winkler":             strSim(simfunc.JaroWinkler),
-		"exact":                    strSim(simfunc.ExactString),
-		"exact_fold":               strSim(simfunc.ExactStringFold),
-		"jaccard_qgram3":           tokSim(qg3, simfunc.Jaccard),
-		"jaccard_word":             tokSim(word, simfunc.Jaccard),
-		"cosine_word":              tokSim(word, simfunc.Cosine),
-		"dice_word":                tokSim(word, simfunc.Dice),
-		"overlap_coeff_word":       tokSim(word, simfunc.OverlapCoefficient),
-		"monge_elkan":              tokSim(word, simfunc.MongeElkan),
-		"jaccard_word_lower":       lowerTokSim(word, simfunc.Jaccard),
-		"jaccard_qgram3_lower":     lowerTokSim(qg3, simfunc.Jaccard),
-		"exact_num":                numSim(simfunc.ExactNumeric),
-		"abs_diff":                 numSim(simfunc.AbsDiff),
-		"rel_diff":                 numSim(simfunc.RelDiff),
-		"year_diff":                yearSim(simfunc.YearDiff),
-		"year_exact":               yearSim(simfunc.ExactNumeric),
-		"generalized_jaccard_word": tokSim(word, simfunc.GeneralizedJaccard),
-		"prefix_sim":               strSim(simfunc.PrefixSim),
-		"affine_gap":               strSim(simfunc.AffineGap),
+	return map[string]similarity{
+		"lev_sim":                  direct(strSim(simfunc.LevenshteinSim)),
+		"jaro":                     direct(strSim(simfunc.Jaro)),
+		"jaro_winkler":             direct(strSim(simfunc.JaroWinkler)),
+		"exact":                    direct(strSim(simfunc.ExactString)),
+		"exact_fold":               direct(strSim(simfunc.ExactStringFold)),
+		"jaccard_qgram3":           setSim(cellForm{tok: qg3}, simfunc.JaccardSizes),
+		"jaccard_word":             setSim(cellForm{tok: word}, simfunc.JaccardSizes),
+		"cosine_word":              setSim(cellForm{tok: word}, simfunc.CosineSizes),
+		"dice_word":                setSim(cellForm{tok: word}, simfunc.DiceSizes),
+		"overlap_coeff_word":       setSim(cellForm{tok: word}, simfunc.OverlapCoefficientSizes),
+		"monge_elkan":              direct(tokSim(word, simfunc.MongeElkan)),
+		"jaccard_word_lower":       setSim(cellForm{tok: word, lower: true}, simfunc.JaccardSizes),
+		"jaccard_qgram3_lower":     setSim(cellForm{tok: qg3, lower: true}, simfunc.JaccardSizes),
+		"exact_num":                direct(numSim(simfunc.ExactNumeric)),
+		"abs_diff":                 direct(numSim(simfunc.AbsDiff)),
+		"rel_diff":                 direct(numSim(simfunc.RelDiff)),
+		"year_diff":                direct(yearSim(simfunc.YearDiff)),
+		"year_exact":               direct(yearSim(simfunc.ExactNumeric)),
+		"generalized_jaccard_word": direct(tokSim(word, simfunc.GeneralizedJaccard)),
+		"prefix_sim":               direct(strSim(simfunc.PrefixSim)),
+		"affine_gap":               direct(strSim(simfunc.AffineGap)),
 	}
 }()
 
 // Compute returns the registered similarity computation for key, and
 // whether it exists.
 func Compute(key string) (func(a, b table.Value) float64, bool) {
-	fn, ok := computeRegistry[key]
-	return fn, ok
+	sim, ok := computeRegistry[key]
+	return sim.compute, ok
 }
 
 // New builds a registry-backed feature; the feature name is
 // "<leftCol>_<funcKey>".
 func New(leftCol, rightCol, funcKey string) (Feature, error) {
-	fn, ok := computeRegistry[funcKey]
+	sim, ok := computeRegistry[funcKey]
 	if !ok {
 		return Feature{}, fmt.Errorf("feature: unknown similarity %q", funcKey)
 	}
@@ -246,7 +251,7 @@ func New(leftCol, rightCol, funcKey string) (Feature, error) {
 		Name:    leftCol + "_" + funcKey,
 		LeftCol: leftCol, RightCol: rightCol,
 		Func:    funcKey,
-		Compute: fn,
+		Compute: sim.compute,
 	}, nil
 }
 
@@ -344,19 +349,13 @@ func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float
 // instead of crashing the process — which is what lets a workflow
 // quarantine a poison pair and keep going. Each pair also passes the
 // "feature.vectorize" fault-injection site.
+//
+// The cells of the rows pairs reference are prepared once up front (see
+// prepared.go); the returned rows are windows of one backing array.
 func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs []block.Pair) ([][]float64, error) {
-	type cols struct{ lj, rj int }
-	resolved := make([]cols, len(s.Features))
-	for k, f := range s.Features {
-		lj, err := left.Col(f.LeftCol)
-		if err != nil {
-			return nil, err
-		}
-		rj, err := right.Col(f.RightCol)
-		if err != nil {
-			return nil, err
-		}
-		resolved[k] = cols{lj, rj}
+	pl, err := s.bind(left, right)
+	if err != nil {
+		return nil, err
 	}
 	vctx, sp := obs.StartSpan(ctx, "feature.vectorize")
 	defer sp.End()
@@ -367,20 +366,23 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	// monitored run armed one.
 	prof := drift.FromContext(ctx)
 	out := make([][]float64, len(pairs))
-	err := parallel.ForCtx(vctx, len(pairs), func(i int) error {
-		if err := fault.InjectIdx("feature.vectorize", i); err != nil {
-			return err
-		}
-		p := pairs[i]
-		row := make([]float64, len(s.Features))
-		for k, f := range s.Features {
-			row[k] = f.Compute(left.Row(p.A)[resolved[k].lj], right.Row(p.B)[resolved[k].rj])
-		}
-		out[i] = row
-		prof.ObserveVector(row)
-		vectors.Inc()
-		return nil
-	})
+	cells, err := pl.prepare(vctx, left, right, pairs)
+	if err == nil {
+		width := len(s.Features)
+		flat := make([]float64, len(pairs)*width)
+		err = parallel.ForWorkersCtx(vctx, len(pairs), fanOut(len(pairs)), func(i int) error {
+			if err := fault.InjectIdx("feature.vectorize", i); err != nil {
+				return err
+			}
+			// The capacity stops an append to one row reaching the next.
+			row := flat[i*width : (i+1)*width : (i+1)*width]
+			pl.vector(row, s.Features, cells, left, right, pairs[i])
+			out[i] = row
+			prof.ObserveVector(row)
+			vectors.Inc()
+			return nil
+		})
+	}
 	if err != nil {
 		sp.SetOutcome("aborted")
 		return nil, fmt.Errorf("feature: vectorize: %w", err)

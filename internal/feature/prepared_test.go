@@ -1,0 +1,276 @@
+package feature
+
+import (
+	"context"
+	"errors"
+	"math"
+	"runtime"
+	"sort"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"emgo/internal/block"
+	"emgo/internal/fault"
+	"emgo/internal/parallel"
+	"emgo/internal/simfunc"
+	"emgo/internal/table"
+	"emgo/internal/tokenize"
+)
+
+// naiveSetSims are the set similarities as they were computed before
+// cells were prepared: tokenise both texts for this one pair and hand
+// the raw token slices to simfunc's map-based definitions.
+var naiveSetSims = func() map[string]func(a, b string) float64 {
+	word, qg3 := tokenize.Word{}, tokenize.QGram{Q: 3}
+	over := func(tok tokenize.Tokenizer, lower bool, fn func(a, b []string) float64) func(a, b string) float64 {
+		return func(a, b string) float64 {
+			if lower {
+				a, b = tokenize.Lower(a), tokenize.Lower(b)
+			}
+			return fn(tok.Tokens(a), tok.Tokens(b))
+		}
+	}
+	return map[string]func(a, b string) float64{
+		"jaccard_qgram3":       over(qg3, false, simfunc.Jaccard),
+		"jaccard_word":         over(word, false, simfunc.Jaccard),
+		"cosine_word":          over(word, false, simfunc.Cosine),
+		"dice_word":            over(word, false, simfunc.Dice),
+		"overlap_coeff_word":   over(word, false, simfunc.OverlapCoefficient),
+		"jaccard_word_lower":   over(word, true, simfunc.Jaccard),
+		"jaccard_qgram3_lower": over(qg3, true, simfunc.Jaccard),
+	}
+}()
+
+// hardCells are the texts a prepared cell must get right: null (added by
+// the table builder), empty, shorter than q, repeated tokens, mixed
+// case, punctuation-only, non-ASCII, and invalid UTF-8.
+var hardCells = []string{
+	"", "a", "ab", "abc", "corn corn CORN corn", "Corn Fungicide Guidelines",
+	"corn fungicide guidelines", "  ;;; --- ", "Übergröße übergröße", "naïve café 東京 東京",
+	"\xff\xfe corn", "x", "2008-34103-19449", "WIS01560 WIS01560",
+}
+
+// registryTables builds one table pair with a column per value kind, so
+// every registry key has cells of the kind it reads: S string (hardCells
+// plus a null), N float, D date.
+func registryTables(t testing.TB) (*table.Table, *table.Table) {
+	t.Helper()
+	schema := table.MustSchema(
+		table.Field{Name: "S", Kind: table.String},
+		table.Field{Name: "N", Kind: table.Float},
+		table.Field{Name: "D", Kind: table.Date},
+	)
+	build := func(name string, shift int) *table.Table {
+		tb := table.New(name, schema)
+		for i := range hardCells {
+			s := table.S(hardCells[(i+shift)%len(hardCells)])
+			n := table.F(float64((i * 7) % 5))
+			d := table.D(time.Date(2000+(i+shift)%4, 1, 1, 0, 0, 0, 0, time.UTC))
+			if i%6 == 5 {
+				n, d = table.Null(table.Float), table.Null(table.Date)
+			}
+			tb.MustAppend(table.Row{s, n, d})
+		}
+		tb.MustAppend(table.Row{table.Null(table.String), table.F(1), table.Null(table.Date)})
+		return tb
+	}
+	return build("L", 0), build("R", 3)
+}
+
+func registryKeys() []string {
+	keys := make([]string, 0, len(computeRegistry))
+	for k := range computeRegistry {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// columnFor picks the fixture column whose kind a registry key reads.
+func columnFor(key string) string {
+	switch key {
+	case "exact_num", "abs_diff", "rel_diff":
+		return "N"
+	case "year_diff", "year_exact":
+		return "D"
+	}
+	return "S"
+}
+
+func allPairs(l, r *table.Table) []block.Pair {
+	var pairs []block.Pair
+	for i := 0; i < l.Len(); i++ {
+		for j := 0; j < r.Len(); j++ {
+			pairs = append(pairs, block.Pair{A: i, B: j})
+		}
+	}
+	return pairs
+}
+
+// TestVectorizeMatchesCompute: for every key of the registry, over every
+// pair of the hard cells, the vector VectorizeCtx builds (set features
+// from prepared cells, grouped by form) is bit-for-bit what
+// Feature.Compute returns for that pair, and the set features are
+// bit-for-bit the naive tokenise-per-pair definition.
+func TestVectorizeMatchesCompute(t *testing.T) {
+	l, r := registryTables(t)
+	set := &Set{}
+	for _, key := range registryKeys() {
+		f, err := New(columnFor(key), columnFor(key), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl, err := set.bind(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := 0
+	for _, g := range pl.groups {
+		prepared += len(g.feats)
+	}
+	if prepared != len(naiveSetSims) || prepared+len(pl.direct) != set.Len() {
+		t.Fatalf("plan prepares %d features and computes %d directly; want %d prepared of %d", prepared, len(pl.direct), len(naiveSetSims), set.Len())
+	}
+	if len(pl.groups) != 4 {
+		t.Fatalf("plan has %d cell groups, want 4 (word, qgram3, and their lower forms)", len(pl.groups))
+	}
+
+	pairs := allPairs(l, r)
+	x, err := set.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		for k, f := range set.Features {
+			lj, _ := l.Col(f.LeftCol)
+			rj, _ := r.Col(f.RightCol)
+			a, b := l.Row(p.A)[lj], r.Row(p.B)[rj]
+			if want := f.Compute(a, b); math.Float64bits(x[i][k]) != math.Float64bits(want) {
+				t.Fatalf("%s on pair %v (%q, %q): vectorized %v, Compute %v", f.Name, p, a.Str(), b.Str(), x[i][k], want)
+			}
+			naive, isSet := naiveSetSims[f.Func]
+			if !isSet {
+				continue
+			}
+			want := math.NaN()
+			if !a.IsNull() && !b.IsNull() {
+				want = naive(a.Str(), b.Str())
+			}
+			if math.Float64bits(x[i][k]) != math.Float64bits(want) {
+				t.Fatalf("%s on pair %v (%q, %q): vectorized %v, naive %v", f.Name, p, a.Str(), b.Str(), x[i][k], want)
+			}
+		}
+	}
+}
+
+// TestVectorizeRowsDoNotAlias: rows share one backing array, so an
+// append to one must not write into the next.
+func TestVectorizeRowsDoNotAlias(t *testing.T) {
+	l, r := registryTables(t)
+	f, _ := New("S", "S", "jaccard_word")
+	set := &Set{Features: []Feature{f}}
+	x, err := set.Vectorize(l, r, []block.Pair{{A: 0, B: 0}, {A: 4, B: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := x[1][0]
+	_ = append(x[0], 42)
+	if x[1][0] != next {
+		t.Fatalf("append to row 0 overwrote row 1: %v", x[1][0])
+	}
+}
+
+// FuzzSetSimilarity: for two arbitrary strings, every set similarity
+// computed from prepared cells equals the naive per-pair definition.
+func FuzzSetSimilarity(f *testing.F) {
+	for i, s := range hardCells {
+		f.Add(s, hardCells[(i+5)%len(hardCells)])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for key, naive := range naiveSetSims {
+			got := computeRegistry[key].compute(table.S(a), table.S(b))
+			if want := naive(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s(%q, %q) = %v from prepared cells, %v naive", key, a, b, got, want)
+			}
+		}
+	})
+}
+
+// manyPairs cycles the fixture's Cartesian product up to n pairs — more
+// than one dispatch chunk per worker, so chunking is really in play.
+func manyPairs(l, r *table.Table, n int) []block.Pair {
+	base := allPairs(l, r)
+	pairs := make([]block.Pair, n)
+	for i := range pairs {
+		pairs[i] = base[i%len(base)]
+	}
+	return pairs
+}
+
+// TestVectorizeFaultSitePerPair: under chunked dispatch the
+// "feature.vectorize" site is still passed once per pair with that
+// pair's index — a poison pair anywhere in a chunk is the index the
+// error names, in error mode and in panic mode.
+func TestVectorizeFaultSitePerPair(t *testing.T) {
+	defer fault.Reset()
+	l, r := registryTables(t)
+	set, err := Generate(l, r, map[string]string{"S": "S"}, []string{"S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5000
+	pairs := manyPairs(l, r, n)
+
+	fault.Enable("feature.vectorize", fault.Plan{OnCall: 1 << 30}) // counts, never fires
+	if _, err := set.VectorizeCtx(context.Background(), l, r, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if got := fault.Count("feature.vectorize"); got != n {
+		t.Fatalf("site passed %d times for %d pairs", got, n)
+	}
+
+	for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
+		for _, poison := range []int{0, 1, 255, 256, 257, 2600, n - 1} {
+			fault.Enable("feature.vectorize", fault.Plan{Mode: mode, Indices: []int{poison}})
+			_, err := set.VectorizeCtx(context.Background(), l, r, pairs)
+			if idx, ok := parallel.FailingIndex(err); !ok || idx != poison {
+				t.Fatalf("mode %v poison pair %d: FailingIndex = %d, %v (err %v)", mode, poison, idx, ok, err)
+			}
+		}
+	}
+}
+
+// TestVectorizeCancelStopsWithinOneChunk: once the context is cancelled
+// each worker finishes at most the chunk it holds.
+func TestVectorizeCancelStopsWithinOneChunk(t *testing.T) {
+	l, r := registryTables(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var after atomic.Int64
+	set := &Set{Features: []Feature{{
+		Name: "cancels", LeftCol: "S", RightCol: "S",
+		Compute: func(a, b table.Value) float64 {
+			if ctx.Err() != nil {
+				after.Add(1)
+			}
+			cancel()
+			return 0
+		},
+	}}}
+	const n = 200000
+	_, err := set.VectorizeCtx(ctx, l, r, manyPairs(l, r, n))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Each worker may finish the chunk it holds, and one more chunk may
+	// have been on offer at the moment the cancellation landed.
+	const maxChunk = 256 // parallel's dispatch bound
+	if limit := int64(maxChunk * (runtime.GOMAXPROCS(0) + 1)); after.Load() > limit {
+		t.Fatalf("%d pairs computed after cancellation, want at most %d of %d", after.Load(), limit, n)
+	}
+}

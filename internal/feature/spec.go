@@ -33,7 +33,7 @@ func (s *Set) Descriptors() ([]Descriptor, error) {
 func FromDescriptors(descs []Descriptor) (*Set, error) {
 	set := &Set{}
 	for _, d := range descs {
-		fn, ok := computeRegistry[d.Func]
+		sim, ok := computeRegistry[d.Func]
 		if !ok {
 			return nil, fmt.Errorf("feature: descriptor %q references unknown similarity %q", d.Name, d.Func)
 		}
@@ -43,7 +43,7 @@ func FromDescriptors(descs []Descriptor) (*Set, error) {
 		}
 		if err := set.Add(Feature{
 			Name: name, LeftCol: d.LeftCol, RightCol: d.RightCol,
-			Func: d.Func, Compute: fn,
+			Func: d.Func, Compute: sim.compute,
 		}); err != nil {
 			return nil, err
 		}

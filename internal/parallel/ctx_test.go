@@ -32,6 +32,28 @@ func TestForCtxMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestForCtxChunksCoverEveryIndexOnce: whatever n and the worker count
+// make of the chunk size — one index, a ragged last chunk, the cap — a
+// successful run calls fn exactly once per index.
+func TestForCtxChunksCoverEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 255, 256, 257, 1000, 4097, 70001} {
+		for _, workers := range []int{1, 2, 3, 8, 64} {
+			calls := make([]atomic.Int32, n)
+			if err := ForWorkersCtx(context.Background(), n, workers, func(i int) error {
+				calls[i].Add(1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d called %d times", n, workers, i, c)
+				}
+			}
+		}
+	}
+}
+
 func TestForCtxWorkerPanicBecomesError(t *testing.T) {
 	out := make([]int, 100)
 	err := ForWorkersCtx(context.Background(), 100, 4, func(i int) error {

@@ -5,7 +5,7 @@
 // output.
 //
 // The context-aware forms (ForCtx, ForWorkersCtx) are the hardened
-// runtime: they stop dispatching on cancellation or first failure,
+// runtime: they stop dispatching chunks on cancellation or first failure,
 // recover worker panics into errors carrying the failing index and
 // stack, and leak no goroutines — every worker has exited by the time
 // they return.
@@ -106,9 +106,20 @@ func ForCtx(ctx context.Context, n int, fn func(i int) error) error {
 	return ForWorkersCtx(ctx, n, runtime.GOMAXPROCS(0), fn)
 }
 
+// maxChunk bounds how many consecutive indices one dispatch hands a
+// worker, and with it how much work can still start after cancellation.
+const maxChunk = 256
+
 // ForWorkersCtx is ForCtx with an explicit worker count (values below 2
 // run serially). The deterministic-output guarantee holds: a successful
 // run executes fn for every index exactly once regardless of workers.
+//
+// Indices are dispatched in contiguous chunks — one channel send per
+// chunk, not per index — sized so every worker still gets several
+// (n/(8·workers), at most maxChunk, and 1 when n is small, so a few heavy
+// items spread evenly). fn still runs, recovers and fails per index; a
+// worker abandons the rest of its chunk on a failure, and cancellation
+// is honoured between chunks.
 func ForWorkersCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -146,16 +157,20 @@ func ForWorkersCtx(ctx context.Context, n, workers int, fn func(i int) error) er
 	abort := make(chan struct{}) // closed on first failure to stop dispatch
 	var closeAbort sync.Once
 
-	next := make(chan int)
+	chunk := min(max(n/(8*workers), 1), maxChunk)
+	next := make(chan int) // carries each chunk's first index
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if err := call(i, fn); err != nil {
-					record(i, err)
-					closeAbort.Do(func() { close(abort) })
+			for lo := range next {
+				for i := lo; i < min(lo+chunk, n); i++ {
+					if err := call(i, fn); err != nil {
+						record(i, err)
+						closeAbort.Do(func() { close(abort) })
+						break
+					}
 				}
 			}
 		}()
@@ -164,9 +179,19 @@ func ForWorkersCtx(ctx context.Context, n, workers int, fn func(i int) error) er
 	done := ctx.Done()
 	cancelled := false
 dispatch:
-	for i := 0; i < n; i++ {
+	for lo := 0; lo < n; lo += chunk {
+		// A ready worker must not win the race against a cancellation or
+		// failure that is already visible: look before offering a chunk.
 		select {
-		case next <- i:
+		case <-done:
+			cancelled = true
+			break dispatch
+		case <-abort:
+			break dispatch
+		default:
+		}
+		select {
+		case next <- lo:
 		case <-done:
 			cancelled = true
 			break dispatch

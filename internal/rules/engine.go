@@ -1,6 +1,9 @@
 package rules
 
 import (
+	"context"
+	"sync"
+
 	"emgo/internal/block"
 	"emgo/internal/parallel"
 	"emgo/internal/table"
@@ -10,6 +13,12 @@ import (
 // decides a pair.
 type Engine struct {
 	rules []Rule
+
+	// mu guards join, the keyed form of the rules against the right
+	// table last joined with (see keyed.go). It is built on first use or
+	// by Bind, shared by concurrent callers, and dropped by Add.
+	mu   sync.Mutex
+	join *keyedJoin
 }
 
 // NewEngine builds an engine over the given rules (evaluated in order).
@@ -18,7 +27,12 @@ func NewEngine(rs ...Rule) *Engine {
 }
 
 // Add appends a rule.
-func (e *Engine) Add(r Rule) { e.rules = append(e.rules, r) }
+func (e *Engine) Add(r Rule) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.rules = append(e.rules, r)
+	e.join = nil
+}
 
 // Len returns the rule count.
 func (e *Engine) Len() int { return len(e.rules) }
@@ -43,29 +57,63 @@ func (e *Engine) JudgeWithRule(left, right table.Row) (Verdict, string) {
 	return NoOpinion, ""
 }
 
-// SureMatches scans the full Cartesian product of left × right and returns
-// the pairs the engine declares Match — how the Figure 9 workflow pulls
-// sure matches directly from the input tables, bypassing blocking. The
-// scan parallelizes over left rows; rules must therefore be pure
-// functions of the row pair (every rule in this package is).
+// Hit is one sure match and the name of the rule that declared it — the
+// first rule, in engine order, with an opinion on the pair.
+type Hit struct {
+	Pair block.Pair
+	Rule string
+}
+
+// SureMatches returns the pairs of left × right the engine declares
+// Match — how the Figure 9 workflow pulls sure matches directly from the
+// input tables, bypassing blocking — in (A, then B) ascending order. See
+// SureHitsCtx for how they are found. Rules must be pure functions of
+// the row pair (every rule in this package is); a panicking rule panics
+// here.
 func (e *Engine) SureMatches(left, right *table.Table) *block.CandidateSet {
-	perRow := make([][]int, left.Len())
-	parallel.For(left.Len(), func(i int) {
-		var hits []int
-		for j := 0; j < right.Len(); j++ {
-			if e.Judge(left.Row(i), right.Row(j)) == Match {
-				hits = append(hits, j)
-			}
-		}
-		perRow[i] = hits
-	})
+	hits, err := e.SureHitsCtx(context.Background(), left, right)
+	if err != nil {
+		// Background context: the only possible error is a rule panic
+		// recovered on a scan worker.
+		panic(err)
+	}
 	out := block.NewCandidateSet(left, right)
-	for i, hits := range perRow {
-		for _, j := range hits {
-			out.Add(block.Pair{A: i, B: j})
-		}
+	for _, h := range hits {
+		out.Add(h.Pair)
 	}
 	return out
+}
+
+// SureHitsCtx is SureMatches with each pair's deciding rule, under ctx.
+// An engine whose rules are all equality rules with a Match verdict is a
+// keyed join: the right table's keys are indexed once (per engine and
+// right table, not per call) and each left row looks its keys up, so the
+// cost is linear in the tables plus the hits. Any other engine — a Func
+// rule, a NonMatch rule that could pre-empt a Match — scans every pair
+// with JudgeWithRule, in parallel over left rows. Both return the same
+// hits in the same order.
+func (e *Engine) SureHitsCtx(ctx context.Context, left, right *table.Table) ([]Hit, error) {
+	if join := e.joinFor(right); join != nil {
+		return join.hits(ctx, left)
+	}
+	perRow := make([][]Hit, left.Len())
+	err := parallel.ForCtx(ctx, left.Len(), func(i int) error {
+		row := left.Row(i)
+		for j := 0; j < right.Len(); j++ {
+			if v, name := e.JudgeWithRule(row, right.Row(j)); v == Match {
+				perRow[i] = append(perRow[i], Hit{Pair: block.Pair{A: i, B: j}, Rule: name})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Hit
+	for _, hits := range perRow {
+		out = append(out, hits...)
+	}
+	return out, nil
 }
 
 // FilterMatches applies the engine's negative rules to a predicted match

@@ -290,6 +290,7 @@ func TestAdmissionBurstShedsOnlyTheExcess(t *testing.T) {
 		shed, ok   int
 		unexpected []error
 	)
+	shedSeen := make(chan struct{}, burst)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < burst; i++ {
@@ -305,15 +306,22 @@ func TestAdmissionBurstShedsOnlyTheExcess(t *testing.T) {
 				rel()
 			case errors.Is(err, ErrShed):
 				shed++
+				shedSeen <- struct{}{}
 			default:
 				unexpected = append(unexpected, err)
 			}
 		}()
 	}
-	// Give the burst a moment to land, then free the slot so the two
-	// queued requests can run down.
-	for i := 0; i < 500 && a.Queued() < 2; i++ {
-		time.Sleep(time.Millisecond)
+	// The slot stays held until the whole burst has landed — until every
+	// arrival beyond the queue has shed. Freeing it as soon as two are
+	// queued lets the queue drain while the burst is still arriving, and
+	// late arrivals are then rightly admitted instead of shed.
+	for i := 0; i < burst-2; i++ {
+		select {
+		case <-shedSeen:
+		case <-ctx.Done():
+			t.Fatalf("only %d of the burst shed with the slot held, want %d", i, burst-2)
+		}
 	}
 	hold()
 	wg.Wait()

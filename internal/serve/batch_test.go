@@ -2,14 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
+	"emgo/internal/table"
 )
 
 // postBatch sends one batch request and returns the raw envelope.
@@ -165,5 +171,87 @@ func TestBatchRejections(t *testing.T) {
 				t.Fatalf("status = %d (%s), want %d", status, body, tc.want)
 			}
 		})
+	}
+}
+
+// TestConcurrentBatchesShareRuleIndex hits one server from 8 goroutines
+// with overlapping batches: every request reads the sure-rule index
+// bound at start-up, and every record must get the answer it gets alone
+// (run under -race -count=10).
+func TestConcurrentBatchesShareRuleIndex(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	_, ts := newTestServer(t, Config{})
+
+	shapes := []func(string) map[string]any{l0Record, l1Record, l2Record}
+	want := make([]string, len(shapes))
+	for k, shape := range shapes {
+		single, _ := json.Marshal(map[string]any{"record": shape("ref")})
+		st, _, data := postMatch(t, ts.URL, string(single))
+		if st != http.StatusOK {
+			t.Fatalf("reference single %d status = %d: %s", k, st, data)
+		}
+		var mr MatchResponse
+		if err := json.Unmarshal(data, &mr); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := json.Marshal(mr.Matches)
+		want[k] = string(m)
+	}
+	if !strings.Contains(want[0], "rule:M1") {
+		t.Fatalf("fixture: l0 should match through the sure rule, got %s", want[0])
+	}
+
+	const goroutines, rounds, size = 8, 5, 12
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				// Batches overlap: every goroutine sends all three record
+				// shapes, rotated by its number.
+				kinds := make([]int, size)
+				records := make([]map[string]any, size)
+				for i := range records {
+					kinds[i] = (g + round + i) % len(shapes)
+					records[i] = shapes[kinds[i]](fmt.Sprintf("g%d-r%d-%d", g, round, i))
+				}
+				req, _ := json.Marshal(map[string]any{"records": records})
+				resp, err := http.Post(ts.URL+"/v1/match/batch", "application/json", bytes.NewReader(req))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var br BatchResponse
+				err = json.NewDecoder(resp.Body).Decode(&br)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != size {
+					t.Errorf("goroutine %d round %d: status %d, %d results, err %v", g, round, resp.StatusCode, len(br.Results), err)
+					return
+				}
+				for i, res := range br.Results {
+					if m, _ := json.Marshal(res.Matches); string(m) != want[kinds[i]] {
+						t.Errorf("goroutine %d round %d record %d: matches %s, alone it gets %s", g, round, i, m, want[kinds[i]])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSureStageHonoursDeadDeadline: a request whose deadline is already
+// gone stops in the sure-rule stage with the context's error — it is
+// not answered from the index as if it were on time.
+func TestSureStageHonoursDeadDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	s, _ := newTestServer(t, Config{})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	left := table.New("request", s.left.Schema())
+	left.MustAppend(s.left.Row(0))
+	if _, _, err := s.matchSet(ctx, left, s.breaker, false); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("matchSet past its deadline = %v, want context.DeadlineExceeded", err)
 	}
 }

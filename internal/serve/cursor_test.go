@@ -98,13 +98,16 @@ func splitPayload(t *testing.T, key []byte, c Cursor) (string, error) {
 	return encodeCursor(key, c), nil
 }
 
-// flipLastChar swaps the token's final base64 character.
+// flipLastChar swaps the last base64 character of the token's MAC that
+// is all data. The very last one carries two padding bits the decoder
+// ignores ('A' and 'B' decode alike there), so it is the one before.
 func flipLastChar(s string) string {
 	b := []byte(s)
-	if b[len(b)-1] == 'A' {
-		b[len(b)-1] = 'B'
+	i := len(b) - 2
+	if b[i] == 'A' {
+		b[i] = 'B'
 	} else {
-		b[len(b)-1] = 'A'
+		b[i] = 'A'
 	}
 	return string(b)
 }

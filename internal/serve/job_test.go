@@ -14,6 +14,7 @@ import (
 
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
+	"emgo/internal/obs"
 )
 
 // jobPayload builds n deterministic job records alternating between the
@@ -295,11 +296,18 @@ func TestJobResumeAfterStopByteIdentical(t *testing.T) {
 func TestJobShardBreakerOpensOnPoisonedMatcher(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
+	obs.Enable()
+	defer obs.Disable()
 	cfg := jobConfig(t.TempDir())
 	cfg.Jobs.ShardAttempts = 3
 	cfg.Jobs.Breaker = BreakerConfig{Failures: 1, Cooldown: time.Hour}
 	s, ts := newTestServer(t, cfg)
 	fault.Enable("ml.predict", fault.Plan{})
+	// Every matcher call fails, so serve.ml_failures counts calls. The
+	// fault site itself is hit once per row scored, by however many
+	// workers reach it before the first failure stops the fan-out: its
+	// count depends on GOMAXPROCS and says nothing about retries.
+	callsBefore := obs.C("serve.ml_failures").Value()
 
 	// All learned-path records: every shard needs the matcher.
 	recs := []map[string]any{l1Record("q0"), l1Record("q1"), l1Record("q2"), l1Record("q3")}
@@ -309,7 +317,7 @@ func TestJobShardBreakerOpensOnPoisonedMatcher(t *testing.T) {
 	if done.DegradedRecords != len(recs) {
 		t.Fatalf("degraded %d/%d records: %+v", done.DegradedRecords, len(recs), done)
 	}
-	if n := fault.Count("ml.predict"); n != st.Shards {
+	if n := obs.C("serve.ml_failures").Value() - callsBefore; n != int64(st.Shards) {
 		t.Fatalf("matcher called %d times for %d shards — open breakers must short-circuit retries", n, st.Shards)
 	}
 	job := s.JobTier().Get(st.ID)

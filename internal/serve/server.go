@@ -42,7 +42,6 @@ import (
 	"emgo/internal/obs/slo"
 	"emgo/internal/obs/tail"
 	"emgo/internal/retry"
-	"emgo/internal/rules"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -269,6 +268,9 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	}
 	if wf.Features != nil {
 		s.collector.SetFeatureNames(wf.Features.Names())
+	}
+	if wf.SureRules != nil {
+		wf.SureRules.Bind(right)
 	}
 	// The right table is static for the server's lifetime: profile its
 	// columns once so the drift endpoint reports them without rescanning.
@@ -564,28 +566,20 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 
 	// Stage 1: positive rules straight against the right table — the
 	// always-available path that keeps the service useful when the
-	// learned matcher is down.
+	// learned matcher is down. The engine's keyed index over s.right was
+	// bound at start-up; a request only looks its own keys up.
 	sure := block.NewCandidateSet(left, s.right)
 	sureRule := map[block.Pair]string{}
-	_, spSure := obs.StartSpan(ctx, "serve.sure_rules")
+	sctx, spSure := obs.StartSpan(ctx, "serve.sure_rules")
 	if s.wf.SureRules != nil && s.wf.SureRules.Len() > 0 {
-		scanned := 0
-		for i := 0; i < n; i++ {
-			row := left.Row(i)
-			for j := 0; j < s.right.Len(); j++ {
-				if scanned%256 == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						spSure.End()
-						return nil, nil, cerr
-					}
-				}
-				scanned++
-				if v, name := s.wf.SureRules.JudgeWithRule(row, s.right.Row(j)); v == rules.Match {
-					p := block.Pair{A: i, B: j}
-					sure.Add(p)
-					sureRule[p] = name
-				}
-			}
+		hits, herr := s.wf.SureRules.SureHitsCtx(sctx, left, s.right)
+		if herr != nil {
+			spSure.End()
+			return nil, nil, herr
+		}
+		for _, h := range hits {
+			sure.Add(h.Pair)
+			sureRule[h.Pair] = h.Rule
 		}
 	}
 	spSure.SetItems(sure.Len())

@@ -11,9 +11,12 @@ func set(toks []string) map[string]struct{} {
 	return s
 }
 
-// intersectionSize returns |set(a) ∩ set(b)|.
+// intersectionSize returns |set(a) ∩ set(b)| with the two set sizes.
 func intersectionSize(a, b []string) (inter, sizeA, sizeB int) {
 	sa, sb := set(a), set(b)
+	sizeA, sizeB = len(sa), len(sb)
+	// Probe the larger set with the smaller; the sizes were read before
+	// the swap so they stay on their own side.
 	if len(sa) > len(sb) {
 		sa, sb = sb, sa
 	}
@@ -22,13 +25,40 @@ func intersectionSize(a, b []string) (inter, sizeA, sizeB int) {
 			inter++
 		}
 	}
-	return inter, len(set(a)), len(set(b))
+	return inter, sizeA, sizeB
 }
+
+// SortedIntersectionSize returns |A ∩ B| for two token sets given as
+// sorted distinct slices (tokenize.SortedSet order), by one merge pass:
+// no map, no allocation.
+func SortedIntersectionSize(a, b []string) int {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			inter++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return inter
+}
+
+// The set similarities are functions of three counts only — |A∩B|, |A|
+// and |B| over distinct tokens. Each has a *Sizes form taking the counts,
+// so a caller that already holds them (feature vectorization over
+// prepared cells) computes the identical float without rebuilding sets.
 
 // Jaccard returns |A∩B| / |A∪B| over the distinct tokens. Two empty sets
 // are fully similar.
-func Jaccard(a, b []string) float64 {
-	inter, la, lb := intersectionSize(a, b)
+func Jaccard(a, b []string) float64 { return JaccardSizes(intersectionSize(a, b)) }
+
+// JaccardSizes is Jaccard from |A∩B|, |A| and |B|.
+func JaccardSizes(inter, la, lb int) float64 {
 	union := la + lb - inter
 	if union == 0 {
 		return 1
@@ -46,7 +76,11 @@ func OverlapSize(a, b []string) int {
 // OverlapCoefficient returns |A∩B| / min(|A|, |B|) (Section 7 step 3).
 // Two empty sets are fully similar; one empty set scores 0.
 func OverlapCoefficient(a, b []string) float64 {
-	inter, la, lb := intersectionSize(a, b)
+	return OverlapCoefficientSizes(intersectionSize(a, b))
+}
+
+// OverlapCoefficientSizes is OverlapCoefficient from |A∩B|, |A| and |B|.
+func OverlapCoefficientSizes(inter, la, lb int) float64 {
 	m := la
 	if lb < m {
 		m = lb
@@ -61,8 +95,10 @@ func OverlapCoefficient(a, b []string) float64 {
 }
 
 // Dice returns 2|A∩B| / (|A|+|B|).
-func Dice(a, b []string) float64 {
-	inter, la, lb := intersectionSize(a, b)
+func Dice(a, b []string) float64 { return DiceSizes(intersectionSize(a, b)) }
+
+// DiceSizes is Dice from |A∩B|, |A| and |B|.
+func DiceSizes(inter, la, lb int) float64 {
 	if la+lb == 0 {
 		return 1
 	}
@@ -70,8 +106,10 @@ func Dice(a, b []string) float64 {
 }
 
 // Cosine returns |A∩B| / sqrt(|A|·|B|) over distinct tokens (set cosine).
-func Cosine(a, b []string) float64 {
-	inter, la, lb := intersectionSize(a, b)
+func Cosine(a, b []string) float64 { return CosineSizes(intersectionSize(a, b)) }
+
+// CosineSizes is Cosine from |A∩B|, |A| and |B|.
+func CosineSizes(inter, la, lb int) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}

@@ -24,6 +24,26 @@ func TestJaccard(t *testing.T) {
 	}
 }
 
+// TestIntersectionSizeKeepsSides pins the sizes to their own argument
+// when the larger set comes first (the probe swaps the maps internally),
+// and checks the merge form agrees on sorted distinct input.
+func TestIntersectionSizeKeepsSides(t *testing.T) {
+	big := []string{"a", "b", "b", "c", "d"}
+	small := []string{"c", "c", "z"}
+	if inter, la, lb := intersectionSize(big, small); inter != 1 || la != 4 || lb != 2 {
+		t.Errorf("big,small = %d,%d,%d, want 1,4,2", inter, la, lb)
+	}
+	if inter, la, lb := intersectionSize(small, big); inter != 1 || la != 2 || lb != 4 {
+		t.Errorf("small,big = %d,%d,%d, want 1,2,4", inter, la, lb)
+	}
+	if n := SortedIntersectionSize([]string{"a", "b", "c", "d"}, []string{"c", "z"}); n != 1 {
+		t.Errorf("sorted merge = %d, want 1", n)
+	}
+	if n := SortedIntersectionSize(nil, []string{"c"}); n != 0 {
+		t.Errorf("empty merge = %d", n)
+	}
+}
+
 func TestOverlapSize(t *testing.T) {
 	a := []string{"development", "of", "ipm", "based", "corn"}
 	b := []string{"ipm", "corn", "soy"}

@@ -6,6 +6,7 @@
 package tokenize
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -177,13 +178,15 @@ func Set(toks []string) map[string]struct{} {
 }
 
 // SortedSet returns the distinct tokens in lexicographic order (used by
-// prefix filtering in the overlap-coefficient blocker).
+// prefix filtering in the overlap-coefficient blocker). toks is left
+// untouched.
 func SortedSet(toks []string) []string {
-	set := Set(toks)
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return SortDistinct(append(make([]string, 0, len(toks)), toks...))
+}
+
+// SortDistinct sorts toks in place and returns its distinct prefix — the
+// SortedSet of a slice the caller owns, without the copy.
+func SortDistinct(toks []string) []string {
+	sort.Strings(toks)
+	return slices.Compact(toks)
 }
