@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race tier2 ci bench bench-baseline chaos monitor-smoke serve-smoke job-smoke obs-smoke load-smoke prof-smoke stream-smoke perf-gate
+.PHONY: all tier1 build test vet fmt-check race race-cpu tier2 ci bench bench-baseline chaos monitor-smoke serve-smoke job-smoke obs-smoke load-smoke prof-smoke stream-smoke perf-gate
 
 all: tier1
 
@@ -24,6 +24,14 @@ fmt-check:
 
 race:
 	$(GO) test -race ./...
+
+# race-cpu reruns, at one and at two CPUs, the packages whose requests and
+# runs share state built once — the rules' keyed join, the blockers' bound
+# indexes, the feature set's bound cells, the server over all three: a
+# cold-build race only shows when callers really do arrive together, and
+# a wait that never ends only when they cannot.
+race-cpu:
+	$(GO) test -race -cpu 1,2 ./internal/block ./internal/feature ./internal/rules ./internal/serve
 
 # chaos kills the case-study pipeline (built with -race) at every
 # checkpoint boundary and once mid-write, resumes each run, and asserts
@@ -121,7 +129,7 @@ perf-gate:
 # trustworthy race-clean), the kill/resume chaos harness, and the
 # quality-monitoring and serving smoke loops, and the perf-regression
 # gate over the committed BENCH trajectory.
-tier2: fmt-check vet race chaos monitor-smoke serve-smoke job-smoke obs-smoke load-smoke prof-smoke stream-smoke perf-gate
+tier2: fmt-check vet race race-cpu chaos monitor-smoke serve-smoke job-smoke obs-smoke load-smoke prof-smoke stream-smoke perf-gate
 
 ci: tier1 tier2
 

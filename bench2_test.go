@@ -48,8 +48,8 @@ func BenchmarkA4_ClusterAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkBlock_JaccardJoin times the prefix-filtered similarity join on
-// the projected titles.
+// BenchmarkBlock_JaccardJoin times the Jaccard similarity join on the
+// projected titles.
 func BenchmarkBlock_JaccardJoin(b *testing.B) {
 	w := benchWorld(b)
 	join := block.JaccardJoin{

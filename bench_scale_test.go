@@ -7,6 +7,7 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/feature"
+	"emgo/internal/table"
 	"emgo/internal/umetrics"
 )
 
@@ -127,4 +128,62 @@ func BenchmarkVectorize(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(pairs)), "pairs")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
+}
+
+// The three rungs below split a bound run into what is paid once per
+// reference table and what is paid per request, at scale 1 (the paper's
+// 1,915 USDA rows); BenchmarkScale_Blocking above is the two together, for
+// a left table that is not one row.
+
+// BenchmarkBlockBind builds everything the Figure-10 blockers prepare from
+// the right table: the key map and the one token column the two title
+// blockers share.
+func BenchmarkBlockBind(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		block.Bind(f.proj.USDA, benchBlockers()...)
+	}
+	b.ReportMetric(float64(f.proj.USDA.Len()), "right_rows")
+}
+
+// BenchmarkBlockProbeBound is one request's blocking: one left row against
+// the bound right table, all three blockers, cycling over the left rows.
+func BenchmarkBlockProbeBound(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	left, right := f.proj.UMETRICS, f.proj.USDA
+	bound := block.Bind(right, benchBlockers()...)
+	requests := make([]*table.Table, 256)
+	for i := range requests {
+		requests[i] = table.New("request", left.Schema())
+		requests[i].MustAppend(left.Row(i % left.Len()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := block.UnionBlock(requests[i%len(requests)], right, bound...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFeatureBind prepares the right table's cells for the deployed
+// feature set (auto-generated plus the case-insensitive extension).
+func BenchmarkFeatureBind(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	left, right := f.proj.UMETRICS, f.proj.USDA
+	fs, err := feature.Generate(left, right, benchCorr, benchOrder)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := feature.AddCaseInsensitive(fs, left, benchCorr, []string{"AwardTitle", "EmployeeName"}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs.Bind(right)
+	}
+	b.ReportMetric(float64(right.Len()), "right_rows")
 }

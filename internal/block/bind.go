@@ -1,0 +1,275 @@
+package block
+
+import (
+	"context"
+	"slices"
+
+	"emgo/internal/table"
+)
+
+// Bind returns the blockers bound to right: what each prepares from the
+// right table — a token column, a key index — is built here, once, and a
+// later Block over right only probes it. Blockers over the same column
+// and token form share one column. A server binds its reference table at
+// start-up; a blocker that was never bound binds itself for the length of
+// each Block call, through the same code.
+//
+// The binding follows the table, not the call: run against a right table
+// that has grown since, or against another table, a bound blocker prepares
+// that one first (and keeps it instead). Blockers with nothing to prepare
+// are returned as they are, and a blocker whose configuration is invalid
+// stays unbound, to report that from Block as before.
+func Bind(right *table.Table, blockers ...Blocker) []Blocker {
+	out := Bound(blockers...)
+	for _, b := range out {
+		if w, ok := b.(interface{ warm(*table.Table) }); ok {
+			w.warm(right)
+		}
+	}
+	return out
+}
+
+// Bound is Bind without the build: the blockers in bound form, each
+// preparing its right side the first time it is run against a table — and
+// keeping it, so whoever holds the returned blockers pays for a table
+// once. Blockers already bound are returned as they are.
+func Bound(blockers ...Blocker) []Blocker {
+	out := make([]Blocker, len(blockers))
+	for k, b := range blockers {
+		out[k] = b
+		switch b := b.(type) {
+		case AttrEquiv:
+			out[k] = newBoundKeys(b)
+		case tokenBlocker:
+			if j, err := b.join(); err == nil {
+				out[k] = newBoundTokens(b, j, out[:k])
+			}
+		}
+	}
+	return out
+}
+
+// tokenBlocker is a blocker that is a tokenJoin once its configuration
+// has been checked.
+type tokenBlocker interface {
+	Blocker
+	join() (tokenJoin, error)
+}
+
+// tokenJoin is what Overlap, OverlapCoefficient and JaccardJoin are made
+// of: a token column over the right table and a predicate on the three
+// counts every set similarity is a function of — |A∩B|, |A| and |B| over
+// the two cells' distinct tokens. keep is only asked about pairs sharing
+// at least one token.
+type tokenJoin struct {
+	leftCol, rightCol string
+	form              tokenForm
+	keep              func(inter, la, lb int) bool
+}
+
+// boundTokens is a token blocker in bound form.
+type boundTokens struct {
+	Blocker // the blocker this binds, for its name
+	join    tokenJoin
+	col     *bound[tokenColumn]
+}
+
+// newBoundTokens binds b, sharing the column of a blocker among others
+// that is over the same right column in the same form.
+func newBoundTokens(b Blocker, j tokenJoin, others []Blocker) *boundTokens {
+	for _, o := range others {
+		if o, ok := o.(*boundTokens); ok && o.join.rightCol == j.rightCol && o.join.form.same(j.form) {
+			return &boundTokens{Blocker: b, join: j, col: o.col}
+		}
+	}
+	return &boundTokens{Blocker: b, join: j, col: &bound[tokenColumn]{
+		build: func(ctx context.Context, right *table.Table) (*tokenColumn, error) {
+			rj, err := right.Col(j.rightCol)
+			if err != nil {
+				return nil, err
+			}
+			return buildTokenColumn(ctx, right, rj, j.form)
+		},
+	}}
+}
+
+// blockUnbound runs a token blocker nobody bound: bind, then probe.
+func blockUnbound(ctx context.Context, b tokenBlocker, left, right *table.Table) (*CandidateSet, error) {
+	j, err := b.join()
+	if err != nil {
+		return nil, err
+	}
+	return newBoundTokens(b, j, nil).BlockCtx(ctx, left, right)
+}
+
+func (b *boundTokens) warm(right *table.Table) {
+	// A failure here is reported by the Block call that meets it again.
+	_, _ = b.col.get(context.Background(), right)
+}
+
+// Block implements Blocker.
+func (b *boundTokens) Block(left, right *table.Table) (*CandidateSet, error) {
+	return b.BlockCtx(context.Background(), left, right)
+}
+
+// BlockCtx implements ContextBlocker.
+func (b *boundTokens) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+	sets, err := joinTokens(ctx, left, right, []*boundTokens{b})
+	if err != nil {
+		return nil, err
+	}
+	return sets[0], nil
+}
+
+// blockSharing runs blockers[k] into ready[k] and, when it is a token
+// blocker, fills in from the same pass the sets of the later blockers over
+// the same column and left column.
+func blockSharing(ctx context.Context, left, right *table.Table, blockers []Blocker, k int, ready []*CandidateSet) error {
+	lead, ok := blockers[k].(*boundTokens)
+	if !ok {
+		c, err := BlockWithContext(ctx, blockers[k], left, right)
+		ready[k] = c
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	group, at := []*boundTokens{lead}, []int{k}
+	for i := k + 1; i < len(blockers); i++ {
+		if o, ok := blockers[i].(*boundTokens); ok && o.col == lead.col && o.join.leftCol == lead.join.leftCol {
+			group, at = append(group, o), append(at, i)
+		}
+	}
+	sets, err := joinTokens(ctx, left, right, group)
+	if err != nil {
+		return err
+	}
+	for n, i := range at {
+		ready[i] = sets[n]
+	}
+	return nil
+}
+
+// joinTokens runs token blockers that share a column and a left column —
+// group[0]'s — and returns their candidate sets. Each left row is
+// tokenised and counted against the column once; every blocker then
+// judges the rows reached from the same counts. A blocker's pairs come out
+// as it would emit them alone: left rows ascending, and per left row the
+// right rows ascending — candidate-set insertion order feeds sampling,
+// and through it every downstream artifact.
+func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTokens) ([]*CandidateSet, error) {
+	lead := group[0]
+	lj, err := left.Col(lead.join.leftCol)
+	if err != nil {
+		return nil, err
+	}
+	col, err := lead.col.get(ctx, right)
+	if err != nil {
+		return nil, err
+	}
+	sets := make([]*CandidateSet, len(group))
+	for k := range sets {
+		sets[k] = NewCandidateSet(left, right)
+	}
+	s := col.newScratch()
+	kept := make([][]int32, len(group))
+	for i := 0; i < left.Len(); i++ {
+		if err := strideErr(ctx, i); err != nil {
+			return nil, err
+		}
+		toks := lead.join.form.tokens(left.Row(i)[lj])
+		col.probe(toks, s)
+		for _, r := range s.touched {
+			inter, lb := int(s.counts[r]), int(col.sizes[r])
+			for k, b := range group {
+				if b.join.keep(inter, len(toks), lb) {
+					kept[k] = append(kept[k], r)
+				}
+			}
+		}
+		s.reset()
+		for k, rows := range kept {
+			slices.Sort(rows)
+			for _, r := range rows {
+				sets[k].Add(Pair{A: i, B: int(r)})
+			}
+			kept[k] = rows[:0]
+		}
+	}
+	return sets, nil
+}
+
+// keyIndex is AttrEquiv's prepared right side: the right rows under each
+// non-empty blocking key, ascending.
+type keyIndex map[string][]int
+
+// boundKeys is AttrEquiv in bound form.
+type boundKeys struct {
+	AttrEquiv
+	idx *bound[keyIndex]
+}
+
+func newBoundKeys(b AttrEquiv) *boundKeys {
+	return &boundKeys{AttrEquiv: b, idx: &bound[keyIndex]{
+		build: func(ctx context.Context, right *table.Table) (*keyIndex, error) {
+			rj, err := right.Col(b.RightCol)
+			if err != nil {
+				return nil, err
+			}
+			idx := make(keyIndex)
+			for i := 0; i < right.Len(); i++ {
+				if err := strideErr(ctx, i); err != nil {
+					return nil, err
+				}
+				if k := blockingKey(right.Row(i)[rj], b.RightTransform); k != "" {
+					idx[k] = append(idx[k], i)
+				}
+			}
+			return &idx, nil
+		},
+	}}
+}
+
+// blockingKey is a cell's AttrEquiv key; "" for a null or dropped record.
+func blockingKey(v table.Value, transform func(string) string) string {
+	if v.IsNull() {
+		return ""
+	}
+	s := v.Str()
+	if transform != nil {
+		s = transform(s)
+	}
+	return s
+}
+
+func (b *boundKeys) warm(right *table.Table) {
+	// A failure here is reported by the Block call that meets it again.
+	_, _ = b.idx.get(context.Background(), right)
+}
+
+// Block implements Blocker.
+func (b *boundKeys) Block(left, right *table.Table) (*CandidateSet, error) {
+	return b.BlockCtx(context.Background(), left, right)
+}
+
+// BlockCtx implements ContextBlocker.
+func (b *boundKeys) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+	lj, err := left.Col(b.LeftCol)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := b.idx.get(ctx, right)
+	if err != nil {
+		return nil, err
+	}
+	out := NewCandidateSet(left, right)
+	for i := 0; i < left.Len(); i++ {
+		if err := strideErr(ctx, i); err != nil {
+			return nil, err
+		}
+		for _, ri := range (*idx)[blockingKey(left.Row(i)[lj], b.LeftTransform)] {
+			out.Add(Pair{A: i, B: ri})
+		}
+	}
+	return out, nil
+}

@@ -3,10 +3,10 @@ package block
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"emgo/internal/fault"
 	"emgo/internal/obs"
+	"emgo/internal/simfunc"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -51,57 +51,15 @@ func (b AttrEquiv) Block(left, right *table.Table) (*CandidateSet, error) {
 
 // BlockCtx implements ContextBlocker.
 func (b AttrEquiv) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
-	lj, err := left.Col(b.LeftCol)
-	if err != nil {
-		return nil, err
-	}
-	rj, err := right.Col(b.RightCol)
-	if err != nil {
-		return nil, err
-	}
-	key := func(v table.Value, transform func(string) string) string {
-		if v.IsNull() {
-			return ""
-		}
-		s := v.Str()
-		if transform != nil {
-			s = transform(s)
-		}
-		return s
-	}
-	index := make(map[string][]int)
-	for i := 0; i < right.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		k := key(right.Row(i)[rj], b.RightTransform)
-		if k == "" {
-			continue
-		}
-		index[k] = append(index[k], i)
-	}
-	out := NewCandidateSet(left, right)
-	for i := 0; i < left.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		k := key(left.Row(i)[lj], b.LeftTransform)
-		if k == "" {
-			continue
-		}
-		for _, ri := range index[k] {
-			out.Add(Pair{A: i, B: ri})
-		}
-	}
-	return out, nil
+	return newBoundKeys(b).BlockCtx(ctx, left, right)
 }
 
 // Overlap is the overlap blocker of Section 7 step 2: a pair survives when
 // the blocking attributes share at least Threshold distinct tokens. When
 // Normalize is true the attribute text is lowercased and special characters
-// stripped first (the paper's pre-blocking normalization). The blocker is
-// implemented with an inverted index over the right table so runtime is
-// proportional to the number of token collisions, not |left|×|right|.
+// stripped first (the paper's pre-blocking normalization). The blocker
+// probes an inverted index over the right table (see column.go), so runtime
+// is proportional to the number of token collisions, not |left|×|right|.
 type Overlap struct {
 	LeftCol, RightCol string
 	Tokenizer         tokenize.Tokenizer
@@ -114,18 +72,6 @@ func (b Overlap) Name() string {
 	return fmt.Sprintf("overlap(%s~%s,K=%d)", b.LeftCol, b.RightCol, b.Threshold)
 }
 
-// tokensOf extracts the (distinct) blocking tokens of a value.
-func (b Overlap) tokensOf(v table.Value) []string {
-	if v.IsNull() {
-		return nil
-	}
-	s := v.Str()
-	if b.Normalize {
-		s = tokenize.Normalize(s)
-	}
-	return tokenize.SortedSet(b.Tokenizer.Tokens(s))
-}
-
 // Block implements Blocker.
 func (b Overlap) Block(left, right *table.Table) (*CandidateSet, error) {
 	return b.BlockCtx(context.Background(), left, right)
@@ -133,70 +79,22 @@ func (b Overlap) Block(left, right *table.Table) (*CandidateSet, error) {
 
 // BlockCtx implements ContextBlocker.
 func (b Overlap) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
-	if b.Tokenizer == nil {
-		return nil, fmt.Errorf("block: overlap blocker needs a tokenizer")
-	}
-	if b.Threshold < 1 {
-		return nil, fmt.Errorf("block: overlap threshold must be >= 1, got %d", b.Threshold)
-	}
-	lj, err := left.Col(b.LeftCol)
-	if err != nil {
-		return nil, err
-	}
-	rj, err := right.Col(b.RightCol)
-	if err != nil {
-		return nil, err
-	}
-
-	// Inverted index: token -> right row ids containing it.
-	index := make(map[string][]int)
-	for i := 0; i < right.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		for _, t := range b.tokensOf(right.Row(i)[rj]) {
-			index[t] = append(index[t], i)
-		}
-	}
-
-	out := NewCandidateSet(left, right)
-	counts := make(map[int]int)
-	for i := 0; i < left.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		toks := b.tokensOf(left.Row(i)[lj])
-		if len(toks) < b.Threshold {
-			// Size filter: fewer tokens than the threshold can never
-			// reach the required overlap.
-			continue
-		}
-		clear(counts)
-		for _, t := range toks {
-			for _, ri := range index[t] {
-				counts[ri]++
-			}
-		}
-		for _, ri := range sortedKeys(counts) {
-			if counts[ri] >= b.Threshold {
-				out.Add(Pair{A: i, B: ri})
-			}
-		}
-	}
-	return out, nil
+	return blockUnbound(ctx, b, left, right)
 }
 
-// sortedKeys returns the keys of a row-count map in ascending order so
-// blockers emit pairs deterministically (map iteration order would leak
-// into candidate-set order and, through sampling, into every downstream
-// artifact).
-func sortedKeys(counts map[int]int) []int {
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
+func (b Overlap) join() (tokenJoin, error) {
+	if b.Tokenizer == nil {
+		return tokenJoin{}, fmt.Errorf("block: overlap blocker needs a tokenizer")
 	}
-	sort.Ints(keys)
-	return keys
+	if b.Threshold < 1 {
+		return tokenJoin{}, fmt.Errorf("block: overlap threshold must be >= 1, got %d", b.Threshold)
+	}
+	k := b.Threshold
+	return tokenJoin{
+		leftCol: b.LeftCol, rightCol: b.RightCol,
+		form: tokenForm{tok: b.Tokenizer, normalize: b.Normalize},
+		keep: func(inter, _, _ int) bool { return inter >= k },
+	}, nil
 }
 
 // OverlapCoefficient is the overlap-coefficient blocker of Section 7 step
@@ -215,17 +113,6 @@ func (b OverlapCoefficient) Name() string {
 	return fmt.Sprintf("overlap_coeff(%s~%s,t=%.2f)", b.LeftCol, b.RightCol, b.Threshold)
 }
 
-func (b OverlapCoefficient) tokensOf(v table.Value) []string {
-	if v.IsNull() {
-		return nil
-	}
-	s := v.Str()
-	if b.Normalize {
-		s = tokenize.Normalize(s)
-	}
-	return tokenize.SortedSet(b.Tokenizer.Tokens(s))
-}
-
 // Block implements Blocker.
 func (b OverlapCoefficient) Block(left, right *table.Table) (*CandidateSet, error) {
 	return b.BlockCtx(context.Background(), left, right)
@@ -233,65 +120,22 @@ func (b OverlapCoefficient) Block(left, right *table.Table) (*CandidateSet, erro
 
 // BlockCtx implements ContextBlocker.
 func (b OverlapCoefficient) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+	return blockUnbound(ctx, b, left, right)
+}
+
+func (b OverlapCoefficient) join() (tokenJoin, error) {
 	if b.Tokenizer == nil {
-		return nil, fmt.Errorf("block: overlap-coefficient blocker needs a tokenizer")
+		return tokenJoin{}, fmt.Errorf("block: overlap-coefficient blocker needs a tokenizer")
 	}
 	if b.Threshold <= 0 || b.Threshold > 1 {
-		return nil, fmt.Errorf("block: overlap-coefficient threshold must be in (0,1], got %v", b.Threshold)
+		return tokenJoin{}, fmt.Errorf("block: overlap-coefficient threshold must be in (0,1], got %v", b.Threshold)
 	}
-	lj, err := left.Col(b.LeftCol)
-	if err != nil {
-		return nil, err
-	}
-	rj, err := right.Col(b.RightCol)
-	if err != nil {
-		return nil, err
-	}
-
-	rightTokens := make([][]string, right.Len())
-	index := make(map[string][]int)
-	for i := 0; i < right.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		toks := b.tokensOf(right.Row(i)[rj])
-		rightTokens[i] = toks
-		for _, t := range toks {
-			index[t] = append(index[t], i)
-		}
-	}
-
-	out := NewCandidateSet(left, right)
-	counts := make(map[int]int)
-	for i := 0; i < left.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		toks := b.tokensOf(left.Row(i)[lj])
-		if len(toks) == 0 {
-			continue
-		}
-		clear(counts)
-		for _, t := range toks {
-			for _, ri := range index[t] {
-				counts[ri]++
-			}
-		}
-		for _, ri := range sortedKeys(counts) {
-			inter := counts[ri]
-			m := len(toks)
-			if len(rightTokens[ri]) < m {
-				m = len(rightTokens[ri])
-			}
-			if m == 0 {
-				continue
-			}
-			if float64(inter)/float64(m) >= b.Threshold {
-				out.Add(Pair{A: i, B: ri})
-			}
-		}
-	}
-	return out, nil
+	t := b.Threshold
+	return tokenJoin{
+		leftCol: b.LeftCol, rightCol: b.RightCol,
+		form: tokenForm{tok: b.Tokenizer, normalize: b.Normalize},
+		keep: func(inter, la, lb int) bool { return simfunc.OverlapCoefficientSizes(inter, la, lb) >= t },
+	}, nil
 }
 
 // Func is a black-box blocker evaluating a predicate over the full
@@ -339,20 +183,23 @@ func UnionBlock(left, right *table.Table, blockers ...Blocker) (*CandidateSet, e
 func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
 	out := NewCandidateSet(left, right)
 	pairsBlocked := obs.C("block.pairs_blocked")
-	for _, b := range blockers {
+	blockers = Bound(blockers...)
+	// ready[k] is blockers[k]'s candidate set when the pass of an earlier
+	// blocker over the same column has already produced it.
+	ready := make([]*CandidateSet, len(blockers))
+	for k, b := range blockers {
 		jctx, sp := obs.StartSpan(ctx, "block.join")
 		sp.Annotate("blocker", b.Name())
-		if err := fault.Inject("block.join"); err != nil {
-			sp.SetOutcome("aborted")
-			sp.End()
-			return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
+		err := fault.Inject("block.join")
+		if err == nil && ready[k] == nil {
+			err = blockSharing(jctx, left, right, blockers, k, ready)
 		}
-		c, err := BlockWithContext(jctx, b, left, right)
 		if err != nil {
 			sp.SetOutcome("aborted")
 			sp.End()
 			return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
 		}
+		c := ready[k]
 		sp.SetItems(c.Len())
 		sp.SetOutcome("ok")
 		sp.End()

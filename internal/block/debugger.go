@@ -1,12 +1,11 @@
 package block
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"emgo/internal/parallel"
 	"emgo/internal/simfunc"
-	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
 
@@ -32,11 +31,14 @@ type Debugger struct {
 	K int
 }
 
-// Run returns the top-K likely matches outside cand, most similar first.
+// Run returns the top-K likely matches outside cand, most similar first
+// (ties by left then right row).
 //
-// The search is pruned with a token inverted index: a pair with zero shared
-// tokens on every compared column has score 0 and cannot enter a non-empty
-// top-K, so only colliding pairs are scored.
+// The search goes through the blockers' token probe: a pair with zero
+// shared tokens on every compared column has score 0 and cannot enter the
+// top-K, so each left row is counted against a token column per compared
+// column and only the rows it reaches are scored — from the counts, with
+// no second tokenisation.
 func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 	if len(d.Cols) == 0 {
 		return nil, fmt.Errorf("block: debugger needs at least one column pair")
@@ -47,15 +49,21 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 	}
 	left, right := cand.Left, cand.Right
 
-	type colPair struct{ lj, rj int }
-	var cols []colPair
 	// Deterministic column order.
 	names := make([]string, 0, len(d.Cols))
 	for l := range d.Cols {
 		names = append(names, l)
 	}
 	sort.Strings(names)
-	for _, l := range names {
+	form := tokenForm{tok: tokenize.Word{}, normalize: true}
+	type compared struct {
+		lj   int
+		col  *tokenColumn
+		s    *scratch
+		size int // the current left cell's distinct tokens
+	}
+	cols := make([]compared, len(names))
+	for n, l := range names {
 		lj, err := left.Col(l)
 		if err != nil {
 			return nil, err
@@ -64,78 +72,71 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, colPair{lj, rj})
+		col, err := buildTokenColumn(context.Background(), right, rj, form)
+		if err != nil {
+			return nil, err
+		}
+		cols[n] = compared{lj: lj, col: col, s: col.newScratch()}
 	}
 
-	tok := tokenize.Word{}
-	tokensOf := func(v table.Value) []string {
-		if v.IsNull() {
-			return nil
+	// top holds the best pairs seen: at most 2k, cut back to the best k
+	// whenever it fills, after which floor is the k-th best and anything
+	// ranked behind it is dropped unexamined. Until then floor is the
+	// zero pair, which every scored pair (score > 0) outranks.
+	top := make([]DebugPair, 0, 2*k)
+	var floor DebugPair
+	cut := func() {
+		sort.Slice(top, func(i, j int) bool { return rankedBefore(top[i], top[j]) })
+		if len(top) >= k {
+			top = top[:k]
+			floor = top[k-1]
 		}
-		return tok.Tokens(tokenize.Normalize(v.Str()))
 	}
-
-	// Candidate generation: any pair sharing a token on any compared
-	// column.
-	collide := make(map[Pair]struct{})
-	for _, cp := range cols {
-		index := make(map[string][]int)
-		for j := 0; j < right.Len(); j++ {
-			for _, t := range tokenize.SortedSet(tokensOf(right.Row(j)[cp.rj])) {
-				index[t] = append(index[t], j)
-			}
+	for i := 0; i < left.Len(); i++ {
+		row := left.Row(i)
+		for n := range cols {
+			c := &cols[n]
+			toks := form.tokens(row[c.lj])
+			c.size = len(toks)
+			c.col.probe(toks, c.s)
 		}
-		for i := 0; i < left.Len(); i++ {
-			for _, t := range tokenize.SortedSet(tokensOf(left.Row(i)[cp.lj])) {
-				for _, j := range index[t] {
-					p := Pair{A: i, B: j}
-					if !cand.Contains(p) {
-						collide[p] = struct{}{}
+		for n := range cols {
+		reached:
+			for _, r := range cols[n].s.touched {
+				for _, earlier := range cols[:n] {
+					if earlier.s.counts[r] > 0 {
+						continue reached // scored under that column
 					}
+				}
+				p := DebugPair{Pair: Pair{A: i, B: int(r)}}
+				for _, c := range cols[n:] {
+					if inter := int(c.s.counts[r]); inter > 0 {
+						p.Score = max(p.Score, simfunc.JaccardSizes(inter, c.size, int(c.col.sizes[r])))
+					}
+				}
+				if !rankedBefore(p, floor) || cand.Contains(p.Pair) {
+					continue
+				}
+				if top = append(top, p); len(top) == 2*k {
+					cut()
 				}
 			}
 		}
+		for n := range cols {
+			cols[n].s.reset()
+		}
 	}
+	cut()
+	return top, nil
+}
 
-	// Score the colliding pairs in parallel (deterministic: results land
-	// by index, then one sort below).
-	pairs := make([]Pair, 0, len(collide))
-	for p := range collide {
-		pairs = append(pairs, p)
+// rankedBefore is the debugger's order: score descending, then (A, B).
+func rankedBefore(p, q DebugPair) bool {
+	if p.Score != q.Score {
+		return p.Score > q.Score
 	}
-	scores := make([]float64, len(pairs))
-	parallel.For(len(pairs), func(i int) {
-		p := pairs[i]
-		best := 0.0
-		for _, cp := range cols {
-			a := tokensOf(left.Row(p.A)[cp.lj])
-			b := tokensOf(right.Row(p.B)[cp.rj])
-			if len(a) == 0 || len(b) == 0 {
-				continue
-			}
-			if s := simfunc.Jaccard(a, b); s > best {
-				best = s
-			}
-		}
-		scores[i] = best
-	})
-	scored := make([]DebugPair, 0, len(pairs))
-	for i, p := range pairs {
-		if scores[i] > 0 {
-			scored = append(scored, DebugPair{Pair: p, Score: scores[i]})
-		}
+	if p.Pair.A != q.Pair.A {
+		return p.Pair.A < q.Pair.A
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].Score != scored[j].Score {
-			return scored[i].Score > scored[j].Score
-		}
-		if scored[i].Pair.A != scored[j].Pair.A {
-			return scored[i].Pair.A < scored[j].Pair.A
-		}
-		return scored[i].Pair.B < scored[j].Pair.B
-	})
-	if len(scored) > k {
-		scored = scored[:k]
-	}
-	return scored, nil
+	return p.Pair.B < q.Pair.B
 }

@@ -10,16 +10,17 @@ import (
 	"emgo/internal/tokenize"
 )
 
-// This file adds the scalable blocking machinery beyond the three
-// blockers the case study uses: a prefix-filtered Jaccard similarity join
-// (the "string filtering techniques" PyMatcher's blockers use under the
-// hood — footnote 4), a sorted-neighborhood blocker, and sequential
-// blocking over an existing candidate set.
+// This file adds the blocking machinery beyond the three blockers the case
+// study uses: a Jaccard similarity join (the "string filtering techniques"
+// PyMatcher's blockers use under the hood — footnote 4), a
+// sorted-neighborhood blocker, and sequential blocking over an existing
+// candidate set.
 
 // JaccardJoin is a similarity-join blocker: a pair survives when the
 // Jaccard similarity of the tokenized blocking attributes reaches
-// Threshold. It uses length and prefix filtering, so only pairs that can
-// possibly reach the threshold are verified.
+// Threshold. Like the overlap blockers it only looks at pairs that share a
+// token (a pair sharing none has similarity 0), and judges each from the
+// probe's counts by the comparison simfunc.Jaccard itself would make.
 type JaccardJoin struct {
 	LeftCol, RightCol string
 	Tokenizer         tokenize.Tokenizer
@@ -32,103 +33,29 @@ func (b JaccardJoin) Name() string {
 	return fmt.Sprintf("jaccard_join(%s~%s,t=%.2f)", b.LeftCol, b.RightCol, b.Threshold)
 }
 
-// tokensOf returns the record's distinct tokens in a fixed global order
-// (lexicographic), which prefix filtering requires.
-func (b JaccardJoin) tokensOf(v table.Value) []string {
-	if v.IsNull() {
-		return nil
-	}
-	s := v.Str()
-	if b.Normalize {
-		s = tokenize.Normalize(s)
-	}
-	return tokenize.SortedSet(b.Tokenizer.Tokens(s))
-}
-
 // Block implements Blocker.
-//
-// Filtering: for Jaccard >= t, |A ∩ B| >= t/(1+t) · (|A|+|B|), so
-// |B| must lie in [t·|A|, |A|/t] (length filter), and a record's prefix
-// of length |X| - ceil(t·|X|) + 1 must share a token with any partner
-// (prefix filter). Only prefix collisions are verified exactly.
 func (b JaccardJoin) Block(left, right *table.Table) (*CandidateSet, error) {
 	return b.BlockCtx(context.Background(), left, right)
 }
 
 // BlockCtx implements ContextBlocker.
 func (b JaccardJoin) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+	return blockUnbound(ctx, b, left, right)
+}
+
+func (b JaccardJoin) join() (tokenJoin, error) {
 	if b.Tokenizer == nil {
-		return nil, fmt.Errorf("block: jaccard join needs a tokenizer")
+		return tokenJoin{}, fmt.Errorf("block: jaccard join needs a tokenizer")
 	}
 	if b.Threshold <= 0 || b.Threshold > 1 {
-		return nil, fmt.Errorf("block: jaccard threshold must be in (0,1], got %v", b.Threshold)
-	}
-	lj, err := left.Col(b.LeftCol)
-	if err != nil {
-		return nil, err
-	}
-	rj, err := right.Col(b.RightCol)
-	if err != nil {
-		return nil, err
+		return tokenJoin{}, fmt.Errorf("block: jaccard threshold must be in (0,1], got %v", b.Threshold)
 	}
 	t := b.Threshold
-
-	prefixLen := func(n int) int {
-		keep := int(float64(n)*t + 0.9999999) // ceil(t*n)
-		p := n - keep + 1
-		if p < 0 {
-			p = 0
-		}
-		return p
-	}
-
-	rightTokens := make([][]string, right.Len())
-	index := make(map[string][]int) // prefix token -> right rows
-	for i := 0; i < right.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		toks := b.tokensOf(right.Row(i)[rj])
-		rightTokens[i] = toks
-		for _, tok := range toks[:prefixLen(len(toks))] {
-			index[tok] = append(index[tok], i)
-		}
-	}
-
-	out := NewCandidateSet(left, right)
-	seen := make(map[int]bool)
-	for i := 0; i < left.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		toks := b.tokensOf(left.Row(i)[lj])
-		if len(toks) == 0 {
-			continue
-		}
-		clear(seen)
-		var candidates []int
-		for _, tok := range toks[:prefixLen(len(toks))] {
-			for _, ri := range index[tok] {
-				if seen[ri] {
-					continue
-				}
-				seen[ri] = true
-				candidates = append(candidates, ri)
-			}
-		}
-		sort.Ints(candidates)
-		for _, ri := range candidates {
-			// Length filter.
-			la, lb := len(toks), len(rightTokens[ri])
-			if float64(lb) < t*float64(la) || float64(lb)*t > float64(la) {
-				continue
-			}
-			if simfunc.Jaccard(toks, rightTokens[ri]) >= t {
-				out.Add(Pair{A: i, B: ri})
-			}
-		}
-	}
-	return out, nil
+	return tokenJoin{
+		leftCol: b.LeftCol, rightCol: b.RightCol,
+		form: tokenForm{tok: b.Tokenizer, normalize: b.Normalize},
+		keep: func(inter, la, lb int) bool { return simfunc.JaccardSizes(inter, la, lb) >= t },
+	}, nil
 }
 
 // SortedNeighborhood is the classic sorted-neighborhood blocker: both

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -63,8 +64,8 @@ func TestJaccardJoinValidation(t *testing.T) {
 	}
 }
 
-// Property: the prefix-filtered join returns EXACTLY the pairs a naive
-// quadratic scan finds — filtering must never change the answer.
+// Property: the join returns EXACTLY the pairs a naive quadratic scan
+// finds — probing an index must never change the answer.
 func TestJaccardJoinEquivalentToNaive(t *testing.T) {
 	words := []string{"corn", "soy", "dairy", "rust", "blight", "soil", "weed", "farm"}
 	gen := func(rng *rand.Rand) string {
@@ -106,6 +107,34 @@ func TestJaccardJoinEquivalentToNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+
+	// A pair meeting the threshold exactly is kept: a 100-token cell
+	// against each of its suffixes, at thresholds where n/100 and t*100
+	// round apart in floating point (100*0.07 = 7.000000000000001).
+	toks := make([]string, 100)
+	for i := range toks {
+		toks[i] = fmt.Sprintf("t%02d", i)
+	}
+	var suffixes []string
+	for n := 1; n <= len(toks); n++ {
+		suffixes = append(suffixes, strings.Join(toks[len(toks)-n:], " "))
+	}
+	l, r := titleTables(t, []string{strings.Join(toks, " ")}, suffixes)
+	for _, threshold := range []float64{0.07, 0.29, 0.57, 0.58} {
+		join := JaccardJoin{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: threshold}
+		checkAgainstNaive(t, join, l, r, func(l, r *table.Table) []Pair {
+			return naivePairs(l, r, "Title", tokenize.Word{}, false, func(a, b []string) bool {
+				return simfunc.Jaccard(a, b) >= threshold
+			})
+		})
+		got, err := join.Block(l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(threshold*100 + 0.5); !got.Contains(Pair{A: 0, B: n - 1}) || got.Len() != 100-n+1 {
+			t.Fatalf("threshold %v: the %d-token suffix scores exactly %v and must be kept; got %d pairs", threshold, n, threshold, got.Len())
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"emgo/internal/block"
 	"emgo/internal/drift"
@@ -123,6 +124,9 @@ type Feature struct {
 // pair's schemas.
 type Set struct {
 	Features []Feature
+	// bound is the right table's cells prepared ahead by Bind (see
+	// prepared.go); nil for a set nobody bound.
+	bound atomic.Pointer[rightCells]
 }
 
 // Names returns the feature names in order.
@@ -353,7 +357,7 @@ func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float
 // The cells of the rows pairs reference are prepared once up front (see
 // prepared.go); the returned rows are windows of one backing array.
 func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs []block.Pair) ([][]float64, error) {
-	pl, err := s.bind(left, right)
+	pl, err := s.planFor(left, right)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +370,7 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	// monitored run armed one.
 	prof := drift.FromContext(ctx)
 	out := make([][]float64, len(pairs))
-	cells, err := pl.prepare(vctx, left, right, pairs)
+	cells, err := pl.prepare(vctx, left, right, pairs, s.boundTo(right))
 	if err == nil {
 		width := len(s.Features)
 		flat := make([]float64, len(pairs)*width)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 
 	"emgo/internal/block"
 	"emgo/internal/parallel"
@@ -78,18 +79,18 @@ type cellGroup struct {
 	ratios []func(inter, la, lb int) float64
 }
 
-// plan is a feature set bound to a table pair's schemas.
+// plan is a feature set resolved against a table pair's schemas.
 type plan struct {
 	lj, rj []int // per feature: left and right column index
 	groups []cellGroup
 	direct []int // features computed by Feature.Compute
 }
 
-// bind resolves the set's columns against left and right and splits its
+// planFor resolves the set's columns against left and right and splits its
 // features into prepared groups and direct computations. A feature is
 // prepared when its Func names a set similarity of the registry; custom
 // closures (empty Func) and every other similarity stay direct.
-func (s *Set) bind(left, right *table.Table) (*plan, error) {
+func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 	pl := &plan{lj: make([]int, len(s.Features)), rj: make([]int, len(s.Features))}
 	for k, f := range s.Features {
 		lj, err := left.Col(f.LeftCol)
@@ -126,40 +127,67 @@ func (s *Set) bind(left, right *table.Table) (*plan, error) {
 // batches fan out.
 func fanOut(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
 
-// prepared holds the cells of exactly the rows a pair list references.
-// Row slots are positions in the sorted distinct row lists, so nothing
-// here is sized by a table — a one-record request against a large right
-// table prepares only its own candidates.
+// prepared holds the cells a pair list's vectors are computed from: the
+// left cells of exactly the rows the pairs reference and, unless the set
+// is bound to the right table (Bind), the right cells likewise. Those row
+// slots are positions in the sorted distinct row lists, so nothing built
+// per call is sized by a table — a one-record request against a large
+// right table prepares only its own row.
 type prepared struct {
 	leftRows, rightRows []int
 	// cells is group-major: group g's left cells, then its right cells.
 	cells []cell
+	// bound, when set, holds per group the right cells of every row
+	// instead: rightRows and cells are empty, and left (group-major) has
+	// the left cells in the bound columns' ids.
+	bound []*boundCells
+	left  []idCell
 }
 
 func (p *prepared) stride() int { return len(p.leftRows) + len(p.rightRows) }
 
-// pair returns group g's two cells for the rows at the given slots.
-func (p *prepared) pair(g, leftSlot, rightSlot int) (cell, cell) {
+// slots returns where pair q's rows sit in every group's cells: positions
+// in the sorted row lists, or, for the right row of a bound set, the row
+// itself.
+func (p *prepared) slots(q block.Pair) (ls, rs int) {
+	ls = sort.SearchInts(p.leftRows, q.A)
+	if p.bound != nil {
+		return ls, q.B
+	}
+	return ls, sort.SearchInts(p.rightRows, q.B)
+}
+
+// counts returns |A∩B|, |A| and |B| over group g's two cells at the given
+// slots; ok is false when either cell is null.
+func (p *prepared) counts(g, ls, rs int) (inter, la, lb int, ok bool) {
+	if p.bound != nil {
+		a, b := p.left[g*len(p.leftRows)+ls], p.bound[g].cells[rs]
+		if a.null || b.null {
+			return 0, 0, 0, false
+		}
+		return simfunc.SortedIntersectionSize(a.ids, b.ids), a.n, b.n, true
+	}
 	base := g * p.stride()
-	return p.cells[base+leftSlot], p.cells[base+len(p.leftRows)+rightSlot]
+	a, b := p.cells[base+ls], p.cells[base+len(p.leftRows)+rs]
+	if a.null || b.null {
+		return 0, 0, 0, false
+	}
+	return simfunc.SortedIntersectionSize(a.toks, b.toks), len(a.toks), len(b.toks), true
 }
 
 // vector fills row with the feature values of pair p: one merge per cell
 // group, shared by the group's features, then the direct computations.
 func (pl *plan) vector(row []float64, feats []Feature, cells *prepared, left, right *table.Table, p block.Pair) {
 	if len(pl.groups) > 0 {
-		ls, rs := sort.SearchInts(cells.leftRows, p.A), sort.SearchInts(cells.rightRows, p.B)
+		ls, rs := cells.slots(p)
 		for g, grp := range pl.groups {
-			a, b := cells.pair(g, ls, rs)
-			if a.null || b.null {
-				for _, k := range grp.feats {
+			inter, la, lb, ok := cells.counts(g, ls, rs)
+			for n, k := range grp.feats {
+				if ok {
+					row[k] = grp.ratios[n](inter, la, lb)
+				} else {
 					row[k] = math.NaN()
 				}
-				continue
-			}
-			inter := simfunc.SortedIntersectionSize(a.toks, b.toks)
-			for n, k := range grp.feats {
-				row[k] = grp.ratios[n](inter, len(a.toks), len(b.toks))
 			}
 		}
 	}
@@ -168,28 +196,43 @@ func (pl *plan) vector(row []float64, feats []Feature, cells *prepared, left, ri
 	}
 }
 
+// sortedRows returns the distinct values of row over pairs, ascending.
+func sortedRows(pairs []block.Pair, row func(block.Pair) int) []int {
+	rows := make([]int, len(pairs))
+	for i, q := range pairs {
+		rows[i] = row(q)
+	}
+	slices.Sort(rows)
+	return slices.Compact(rows)
+}
+
 // prepare tokenises, in parallel, every cell the plan's groups need from
-// the rows pairs reference.
-func (pl *plan) prepare(ctx context.Context, left, right *table.Table, pairs []block.Pair) (*prepared, error) {
+// the rows pairs reference; right cells come from bound when the set has
+// them for this right table.
+func (pl *plan) prepare(ctx context.Context, left, right *table.Table, pairs []block.Pair, bound *rightCells) (*prepared, error) {
 	p := &prepared{}
 	if len(pl.groups) == 0 {
 		return p, nil
 	}
-	p.leftRows, p.rightRows = make([]int, len(pairs)), make([]int, len(pairs))
-	for i, q := range pairs {
-		p.leftRows[i], p.rightRows[i] = q.A, q.B
+	p.leftRows = sortedRows(pairs, func(q block.Pair) int { return q.A })
+	if p.bound = bound.of(pl.groups); p.bound == nil {
+		p.rightRows = sortedRows(pairs, func(q block.Pair) int { return q.B })
 	}
-	slices.Sort(p.leftRows)
-	slices.Sort(p.rightRows)
-	p.leftRows, p.rightRows = slices.Compact(p.leftRows), slices.Compact(p.rightRows)
 	stride := p.stride()
-	p.cells = make([]cell, len(pl.groups)*stride)
+	if p.bound != nil {
+		p.left = make([]idCell, len(pl.groups)*stride)
+	} else {
+		p.cells = make([]cell, len(pl.groups)*stride)
+	}
 	err := parallel.ForWorkersCtx(ctx, stride, fanOut(stride), func(slot int) error {
 		for g, grp := range pl.groups {
-			if slot < len(p.leftRows) {
-				p.cells[g*stride+slot] = grp.form.prepare(left.Row(p.leftRows[slot])[grp.lj])
-			} else {
+			switch {
+			case slot >= len(p.leftRows):
 				p.cells[g*stride+slot] = grp.form.prepare(right.Row(p.rightRows[slot-len(p.leftRows)])[grp.rj])
+			case p.bound == nil:
+				p.cells[g*stride+slot] = grp.form.prepare(left.Row(p.leftRows[slot])[grp.lj])
+			default:
+				p.left[g*stride+slot] = p.bound[g].cellOf(left.Row(p.leftRows[slot])[grp.lj])
 			}
 		}
 		return nil
@@ -203,4 +246,136 @@ func (pl *plan) prepare(ctx context.Context, left, right *table.Table, pairs []b
 	// Only a tokenizer bug can fail here, and the index it carries is a
 	// row slot: %v drops it so no caller mistakes it for a pair index.
 	return nil, fmt.Errorf("prepare cells: %v", err)
+}
+
+// rightCells is a feature set's prepared right side: for each (column,
+// form) its set features use, the cells of every row of one right table.
+// It is immutable once built.
+type rightCells struct {
+	right *table.Table
+	// rows is right.Len() at build: tables grow by Append, and the cells
+	// of a grown table are stale.
+	rows   int
+	groups []*boundCells
+}
+
+// boundCells is one right column under one form, every row prepared. Held
+// for a server's lifetime, the cells are kept small: a token is its id in
+// the column's dictionary (four bytes where a string header is sixteen,
+// and each distinct token's text is held once), sorted by id.
+type boundCells struct {
+	rj    int
+	form  cellForm
+	ids   map[string]uint32
+	cells []idCell
+}
+
+// idCell is a cell of a bound column, or one prepared to be compared with
+// it: its tokens as sorted ids in the column's dictionary. n counts the
+// cell's distinct tokens, those the dictionary lacks included — they can
+// match nothing in the column, so they have no id here.
+type idCell struct {
+	ids  []uint32
+	n    int
+	null bool
+}
+
+// build prepares every row of right; it is the only writer of ids.
+func (b *boundCells) build(right *table.Table) {
+	for i := range b.cells {
+		c := b.form.prepare(right.Row(i)[b.rj])
+		for _, t := range c.toks {
+			if _, ok := b.ids[t]; !ok {
+				// A token is a window of its cell's text; the clone
+				// keeps the dictionary from pinning every cell.
+				b.ids[strings.Clone(t)] = uint32(len(b.ids))
+			}
+		}
+		b.cells[i] = b.inIDs(c)
+	}
+}
+
+// cellOf prepares v, a cell to compare with this column's, in the
+// column's ids.
+func (b *boundCells) cellOf(v table.Value) idCell { return b.inIDs(b.form.prepare(v)) }
+
+func (b *boundCells) inIDs(c cell) idCell {
+	if c.null {
+		return idCell{null: true}
+	}
+	ids := make([]uint32, 0, len(c.toks))
+	for _, t := range c.toks {
+		if id, ok := b.ids[t]; ok {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return idCell{ids: ids, n: len(c.toks)}
+}
+
+// Bind prepares the right table's cells now, once, so VectorizeCtx over
+// right tokenises only the left rows of its pairs — what a server does
+// with its reference table at start-up. Against any other right table, or
+// this one after it has grown, VectorizeCtx prepares the right cells its
+// pairs reference per call, as an unbound set does; so it does when Bind
+// could not prepare them (a feature's column is missing from right — the
+// error is VectorizeCtx's to report) and for features added after Bind.
+func (s *Set) Bind(right *table.Table) {
+	rc := &rightCells{right: right, rows: right.Len()}
+	for _, f := range s.Features {
+		sim := computeRegistry[f.Func]
+		if sim.ratio == nil {
+			continue
+		}
+		rj, err := right.Col(f.RightCol)
+		if err != nil {
+			return
+		}
+		if rc.cellsOf(rj, sim.form) == nil {
+			rc.groups = append(rc.groups, &boundCells{rj: rj, form: sim.form, ids: map[string]uint32{}, cells: make([]idCell, rc.rows)})
+		}
+	}
+	// A column's dictionary grows row by row, so the fan-out is over
+	// columns.
+	err := parallel.ForWorkersCtx(context.Background(), len(rc.groups), runtime.GOMAXPROCS(0), func(g int) error {
+		rc.groups[g].build(right)
+		return nil
+	})
+	if err == nil {
+		s.bound.Store(rc)
+	}
+}
+
+// cellsOf returns the bound cells of column rj under form, or nil.
+func (rc *rightCells) cellsOf(rj int, form cellForm) *boundCells {
+	for _, g := range rc.groups {
+		if g.rj == rj && g.form == form {
+			return g
+		}
+	}
+	return nil
+}
+
+// of returns the bound cells of each plan group's right column, or nil
+// when rc (which may be nil) lacks any of them.
+func (rc *rightCells) of(groups []cellGroup) []*boundCells {
+	if rc == nil {
+		return nil
+	}
+	out := make([]*boundCells, len(groups))
+	for g, grp := range groups {
+		if out[g] = rc.cellsOf(grp.rj, grp.form); out[g] == nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// boundTo returns the set's bound right cells when they are right's as it
+// stands, else nil.
+func (s *Set) boundTo(right *table.Table) *rightCells {
+	if rc := s.bound.Load(); rc != nil && rc.right == right && rc.rows == right.Len() {
+		return rc
+	}
+	return nil
 }

@@ -125,7 +125,7 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pl, err := set.bind(l, r)
+	pl, err := set.planFor(l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,5 +272,153 @@ func TestVectorizeCancelStopsWithinOneChunk(t *testing.T) {
 	const maxChunk = 256 // parallel's dispatch bound
 	if limit := int64(maxChunk * (runtime.GOMAXPROCS(0) + 1)); after.Load() > limit {
 		t.Fatalf("%d pairs computed after cancellation, want at most %d of %d", after.Load(), limit, n)
+	}
+}
+
+// formCounter is a word tokenizer counting the cells it is handed; used by
+// pointer so a cellForm holding it compares equal to itself.
+type formCounter struct{ cells atomic.Int64 }
+
+func (c *formCounter) Tokens(s string) []string {
+	c.cells.Add(1)
+	return tokenize.Word{}.Tokens(s)
+}
+
+func (c *formCounter) Name() string { return "form_counter" }
+
+// sameVectors fails unless x and y agree bit for bit.
+func sameVectors(t *testing.T, what string, x, y [][]float64) {
+	t.Helper()
+	if len(x) != len(y) {
+		t.Fatalf("%s: %d vectors, want %d", what, len(x), len(y))
+	}
+	for i := range x {
+		for k := range x[i] {
+			if math.Float64bits(x[i][k]) != math.Float64bits(y[i][k]) {
+				t.Fatalf("%s: pair %d feature %d is %v, want %v", what, i, k, x[i][k], y[i][k])
+			}
+		}
+	}
+}
+
+// TestBoundVectorizeMatchesUnbound: a set bound to its right table builds
+// bit-for-bit the vectors an unbound set builds, tokenising no right cell
+// to do it — and goes on building them when the table behind the binding
+// is not the one it is asked about: it grew, it is another table, the set
+// gained a feature.
+func TestBoundVectorizeMatchesUnbound(t *testing.T) {
+	counter := &formCounter{}
+	computeRegistry["test_counted"] = setSim(cellForm{tok: counter}, simfunc.JaccardSizes)
+	defer delete(computeRegistry, "test_counted")
+
+	l, r := registryTables(t)
+	newSet := func(keys ...string) *Set {
+		set := &Set{}
+		for _, key := range keys {
+			f, err := New(columnFor(key), columnFor(key), key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := set.Add(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return set
+	}
+	pairs := allPairs(l, r)
+	want, err := newSet(registryKeys()...).Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	set := newSet(registryKeys()...)
+	counter.cells.Store(0)
+	set.Bind(r)
+	if n := counter.cells.Load(); n != int64(r.Len())-1 { // one right cell is null
+		t.Fatalf("Bind tokenised %d right cells, want %d", n, r.Len()-1)
+	}
+	for n := 0; n < 2; n++ {
+		counter.cells.Store(0)
+		got, err := set.Vectorize(l, r, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVectors(t, "bound", got, want)
+		if n := counter.cells.Load(); n != int64(l.Len())-1 {
+			t.Fatalf("bound Vectorize tokenised %d cells, want the %d left cells only", n, l.Len()-1)
+		}
+	}
+
+	// A feature the binding has no cells for.
+	extra, _ := New("S", "S", "dice_word")
+	small := newSet("jaccard_qgram3")
+	small.Bind(r)
+	if err := small.Add(extra); err != nil {
+		t.Fatal(err)
+	}
+	got, err := small.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := newSet("jaccard_qgram3", "dice_word").Vectorize(l, r, pairs)
+	sameVectors(t, "feature added after Bind", got, fresh)
+
+	// Another right table, then the bound one after it grew.
+	_, other := registryTables(t)
+	other.MustAppend(table.Row{table.S("corn soy CORN"), table.F(2), table.Null(table.Date)})
+	for _, right := range []*table.Table{other, r} {
+		if right == r {
+			r.MustAppend(table.Row{table.S("Corn Fungicide corn"), table.F(3), table.Null(table.Date)})
+		}
+		pairs := allPairs(l, right)
+		want, err := newSet(registryKeys()...).Vectorize(l, right, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := set.Vectorize(l, right, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVectors(t, "bound to a table that is not this one", got, want)
+	}
+	set.Bind(r)
+	got, err = set.Vectorize(l, r, allPairs(l, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ = newSet(registryKeys()...).Vectorize(l, r, allPairs(l, r))
+	sameVectors(t, "bound again", got, want)
+}
+
+// TestConcurrentVectorizeSharesBoundCells: goroutines vectorizing over one
+// bound set read the same prepared right cells (run under -race).
+func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
+	l, r := registryTables(t)
+	set, err := Generate(l, r, map[string]string{"S": "S"}, []string{"S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := allPairs(l, r)
+	want, err := set.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan [][]float64)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			if g == 0 {
+				set.Bind(r) // a re-bind racing the readers swaps in equal cells
+			}
+			x, err := set.Vectorize(l, r, pairs)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- x
+		}(g)
+	}
+	for g := 0; g < 8; g++ {
+		if x := <-done; x != nil {
+			sameVectors(t, "concurrent", x, want)
+		}
 	}
 }

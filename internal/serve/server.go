@@ -145,10 +145,13 @@ type Config struct {
 
 // Server is the online matching service.
 type Server struct {
-	cfg         Config
-	wf          *workflow.Workflow
-	left        *table.Table // schema donor for request records
-	right       *table.Table
+	cfg   Config
+	wf    *workflow.Workflow
+	left  *table.Table // schema donor for request records
+	right *table.Table
+	// blockers are wf.Blockers bound to right: their indexes are built
+	// once in New and shared, read-only, by every request.
+	blockers    []block.Blocker
 	rightIDs    []string
 	matcherPath string
 
@@ -269,8 +272,15 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	if wf.Features != nil {
 		s.collector.SetFeatureNames(wf.Features.Names())
 	}
+	// The right table is static for the server's lifetime: everything the
+	// pipeline prepares from it — rule keys, blocking indexes, feature
+	// cells — is built here, so a request only probes.
 	if wf.SureRules != nil {
 		wf.SureRules.Bind(right)
+	}
+	s.blockers = block.Bind(right, wf.Blockers...)
+	if wf.Features != nil {
+		wf.Features.Bind(right)
 	}
 	// The right table is static for the server's lifetime: profile its
 	// columns once so the drift endpoint reports them without rescanning.
@@ -591,7 +601,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	degraded, reason := false, ""
 	var candidates *block.CandidateSet
 	bctx, spBlock := obs.StartSpan(ctx, "serve.block")
-	blocked, berr := block.UnionBlockCtx(bctx, left, s.right, s.wf.Blockers...)
+	blocked, berr := block.UnionBlockCtx(bctx, left, s.right, s.blockers...)
 	spBlock.End()
 	switch {
 	case berr != nil && ctx.Err() != nil:

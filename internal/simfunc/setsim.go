@@ -1,6 +1,9 @@
 package simfunc
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
 // set materializes the distinct tokens of toks.
 func set(toks []string) map[string]struct{} {
@@ -29,9 +32,9 @@ func intersectionSize(a, b []string) (inter, sizeA, sizeB int) {
 }
 
 // SortedIntersectionSize returns |A ∩ B| for two token sets given as
-// sorted distinct slices (tokenize.SortedSet order), by one merge pass:
-// no map, no allocation.
-func SortedIntersectionSize(a, b []string) int {
+// sorted distinct slices — token strings in tokenize.SortedSet order, or
+// token ids ascending — by one merge pass: no map, no allocation.
+func SortedIntersectionSize[T cmp.Ordered](a, b []T) int {
 	inter, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

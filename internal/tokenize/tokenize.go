@@ -177,8 +177,9 @@ func Set(toks []string) map[string]struct{} {
 	return out
 }
 
-// SortedSet returns the distinct tokens in lexicographic order (used by
-// prefix filtering in the overlap-coefficient blocker). toks is left
+// SortedSet returns the distinct tokens in lexicographic order — the form
+// the merge-based set similarities (simfunc.SortedIntersectionSize) and
+// the token blockers' probe take a cell's tokens in. toks is left
 // untouched.
 func SortedSet(toks []string) []string {
 	return SortDistinct(append(make([]string, 0, len(toks)), toks...))

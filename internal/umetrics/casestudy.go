@@ -422,7 +422,21 @@ func (s *study) blocking() error {
 	um, us := s.proj.UMETRICS, s.proj.USDA
 	s.report.CartesianPairs = um.Len() * us.Len()
 
-	bs := s.blockers()
+	// The pipeline and the threshold sweep of Section 7 step 2 ("the
+	// threshold of 1 resulted in 200K record pairs, and a threshold of 7
+	// in a few hundred") are all over USDA's titles: bound together, the
+	// table is tokenised and indexed once for the lot.
+	sweepK := []int{1, 3, 7}
+	pipeline := s.blockers()
+	all := pipeline
+	for _, k := range sweepK {
+		all = append(all, block.Overlap{
+			LeftCol: "AwardTitle", RightCol: "AwardTitle",
+			Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true,
+		})
+	}
+	all = block.Bind(us, all...)
+	bs, sweep := all[:len(pipeline)], all[len(pipeline):]
 	c1, err := bs[0].Block(um, us)
 	if err != nil {
 		return err
@@ -451,14 +465,8 @@ func (s *study) blocking() error {
 	s.cand = cand
 	s.report.ConsolidatedC = cand.Len()
 
-	// The threshold sweep of Section 7 step 2 ("the threshold of 1
-	// resulted in 200K record pairs, and a threshold of 7 in a few
-	// hundred").
-	for _, k := range []int{1, 3, 7} {
-		ck, err := (block.Overlap{
-			LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true,
-		}).Block(um, us)
+	for n, k := range sweepK {
+		ck, err := sweep[n].Block(um, us)
 		if err != nil {
 			return err
 		}

@@ -238,6 +238,10 @@ func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transform
 		}
 		w.Blockers = append(w.Blockers, b)
 	}
+	// In bound form the blockers keep what they prepare from a right
+	// table: the first run over right builds it (serve.New does, before
+	// the first request), every later run or request only probes.
+	w.Blockers = block.Bound(w.Blockers...)
 	for _, rs := range s.SureRules {
 		r, err := buildRule(rs, left, right, resolver)
 		if err != nil {
