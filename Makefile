@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu tier2 ci bench bench-baseline chaos monitor-smoke serve-smoke job-smoke obs-smoke load-smoke prof-smoke stream-smoke perf-gate
+.PHONY: all tier1 build test vet fmt-check race race-cpu tier2 ci bench bench-baseline chaos smoke perf-gate
 
 all: tier1
 
@@ -13,8 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet runs twice: the second pass turns the smoke tag on, so the tagged
+# harness (internal/smoke) cannot rot outside tier-1.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags smoke ./...
 
 # fmt-check fails (listing the offenders) when any tracked Go file is not
 # gofmt-clean; it never rewrites files, so it is safe in CI.
@@ -40,72 +43,19 @@ race-cpu:
 chaos:
 	./scripts/chaos_run.sh
 
-# monitor-smoke exercises the quality-monitoring loop end to end: a
-# drift-capture run persists a baseline, an identical slice passes
-# `emmonitor check` (exit 0), and a perturbed slice fails it (exit 1) —
-# see scripts/monitor_smoke.sh and docs/OBSERVABILITY.md.
-monitor-smoke:
-	./scripts/monitor_smoke.sh
-
-# serve-smoke runs the online matching service under injected matcher
-# faults and latency with a race-built emserve: the burst must shed
-# (429 + Retry-After), matcher failures must degrade to rule-only
-# responses, hot reload must not drop in-flight requests, a corrupt
-# artifact must roll back, and SIGTERM must drain with zero leaked
-# goroutines — see scripts/serve_smoke.sh and docs/SERVING.md.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# job-smoke exercises the async batch-job tier's crash/resume contract
-# with a race-built emserve: a reference job runs clean, then two chaos
-# rounds kill the server at a shard-commit boundary and mid-write; each
-# restart must recover the job, resume the durable shards without
-# recomputing them, and produce byte-identical results — see
-# scripts/job_smoke.sh and docs/SERVING.md.
-job-smoke:
-	./scripts/job_smoke.sh
-
-# obs-smoke exercises the serving-observability stack end to end with a
-# race-built emserve: request IDs must echo on every response, each
-# request must emit exactly one parseable JSON wide event, an injected
-# 300ms latency outlier must be retained (span tree included) in
-# /debug/tail and the drain-time -tail-dump, and `emmonitor slo` must
-# exit 0 against a healthy server and 1 against one burning its error
-# budget — see scripts/obs_smoke.sh and docs/OBSERVABILITY.md.
-obs-smoke:
-	./scripts/obs_smoke.sh
-
-# load-smoke exercises the open-loop load generator and soak harness
-# with a race-built emserve: a clean soak must pass its gate (exit 0),
-# a short capacity search must find a non-zero sustainable rate, a
-# deliberately undersized server must trip the gate (exit exactly 1),
-# and a chaos-soak must trip and re-close the breaker, SIGKILL the
-# server at a shard boundary mid-load, and resume byte-identically —
-# see scripts/load_smoke.sh and docs/SERVING.md.
-load-smoke:
-	./scripts/load_smoke.sh
-
-# prof-smoke exercises continuous profiling end to end with a race-built
-# emserve: interval captures must land in the /debug/contprof ring,
-# manual triggers must schedule (and immediate repeats deduplicate),
-# fetched profiles must be valid gzip, the ring must prune to -prof-max
-# on disk, an SLO burn under -prof-on-breach must capture the fire, the
-# drain must write a final capture, and `emmonitor perf` must exit
-# exactly 1 on a deliberate 20% regression — see scripts/prof_smoke.sh
-# and docs/OBSERVABILITY.md.
-prof-smoke:
-	./scripts/prof_smoke.sh
-
-# stream-smoke exercises the resumable streaming result transport with a
-# race-built emserve: a cursor-persisted fetch is SIGKILL'd mid-stream
-# and resumed byte-identically after a restart over the same job dir, a
-# drain cuts another stream at a flush boundary and the access logs of
-# the cut and the resume must chain (stream_from = stream_end), every
-# stream outlives a hostile global -write-timeout via per-chunk
-# deadlines, and the stalled-reader/memory-bound harnesses run as go
-# tests — see scripts/stream_smoke.sh and docs/SERVING.md.
-stream-smoke:
-	./scripts/stream_smoke.sh
+# smoke is the end-to-end harness (internal/smoke): one tagged Go test
+# package builds the CLIs once (emserve with -race), generates one slice,
+# spec and matcher artifact once, and runs seven scenarios against the
+# real binaries — serve (degrade, shed, reload, rollback), job
+# (mid-write kill, byte-identical resume), stream (SIGKILL and drain cuts
+# resumed from a persisted cursor), obs (wide events, tail capture, SLO
+# gate), prof (capture ring, breach capture), load (soak 0/1, capacity,
+# chaos-soak) and monitor (drift check 0/1) — with every server drained
+# to exit 130, zero leaked goroutines, race-clean. One scenario:
+#   go test -tags smoke -count=1 -v ./internal/smoke -run TestSmoke/stream
+# See docs/SERVING.md ("The smoke test") and docs/OBSERVABILITY.md.
+smoke:
+	$(GO) test -tags smoke -count=1 -v ./internal/smoke
 
 # perf-gate diffs the two newest committed BENCH_pr*.json snapshots with
 # the noise-aware regression gate: exit 1 means the latest snapshot
@@ -126,10 +76,10 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), the kill/resume chaos harness, and the
-# quality-monitoring and serving smoke loops, and the perf-regression
-# gate over the committed BENCH trajectory.
-tier2: fmt-check vet race race-cpu chaos monitor-smoke serve-smoke job-smoke obs-smoke load-smoke prof-smoke stream-smoke perf-gate
+# trustworthy race-clean), the kill/resume chaos harness, the end-to-end
+# smoke harness, and the perf-regression gate over the committed BENCH
+# trajectory.
+tier2: fmt-check vet race race-cpu chaos smoke perf-gate
 
 ci: tier1 tier2
 

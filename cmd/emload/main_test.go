@@ -6,7 +6,8 @@ import (
 )
 
 // run returns 2 (usage) for argument errors, without touching the
-// network; these pin the CLI contract the smoke scripts rely on.
+// network; these pin the CLI contract the smoke harness
+// (internal/smoke) relies on.
 func TestRunUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -19,7 +19,6 @@
 //	        [-max-batch 256] [-job-dir jobs/] [-job-workers 2] [-job-shard-size 32] \
 //	        [-job-max-queued 8] [-job-attempts 3] \
 //	        [-stream-chunk-timeout 15s] [-max-streams 4] [-stream-flush 256] \
-//	        [-job-buffered-max 10000] \
 //	        [-access-log events.jsonl] [-access-sample 10] [-tail-n 16] \
 //	        [-slo availability=99.9,latency=250ms@99] [-tail-dump tail.json] \
 //	        [-prof-dir prof/] [-prof-interval 60s] [-prof-cpu 1s] [-prof-max 32] \
@@ -31,11 +30,11 @@
 // Endpoints (see docs/SERVING.md): POST /v1/match answers one record;
 // POST /v1/match/batch answers a bounded batch in one amortized pipeline
 // pass; POST /v1/jobs submits an async bulk job (poll GET /v1/jobs/{id},
-// fetch GET /v1/jobs/{id}/results — needs -job-dir; add ?stream=ndjson
-// for the resumable NDJSON stream with HMAC-signed cursors, which is
-// mandatory past -job-buffered-max records). Stream chunks carry their
-// own -stream-chunk-timeout write deadlines, so a global -write-timeout
-// bounds buffered responses without cutting healthy long streams; at
+// fetch GET /v1/jobs/{id}/results — needs -job-dir; results are a
+// resumable NDJSON stream with HMAC-signed cursors). Stream chunks carry
+// their own -stream-chunk-timeout write deadlines, so a global
+// -write-timeout bounds other responses without cutting healthy long
+// streams; at
 // most -max-streams streams hold shard files open at once (excess sheds
 // 429), and a drain ends active streams at a flush boundary with a
 // resumable cursor. GET /healthz,
@@ -186,7 +185,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	streamChunkTimeout := fs.Duration("stream-chunk-timeout", 0, "slow-reader budget: a results stream whose client absorbs no chunk for this long is cut at a resumable cursor (0 = default 15s)")
 	maxStreams := fs.Int("max-streams", 0, "concurrent result streams holding shard files open; excess sheds 429 (0 = default)")
 	streamFlushEvery := fs.Int("stream-flush", 0, "records per stream chunk between cursor commits (0 = default)")
-	jobBufferedMax := fs.Int("job-buffered-max", 0, "records the legacy buffered results fetch will assemble; larger jobs must use ?stream=ndjson (0 = default)")
 	noDebug := fs.Bool("no-debug", false, "do not mount /debug/ (expvar, pprof) and /metrics on the service")
 	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
 	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded always log)")
@@ -286,10 +284,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 			ShardAttempts: *jobAttempts,
 		},
 		Stream: serve.StreamConfig{
-			ChunkTimeout:       *streamChunkTimeout,
-			MaxStreams:         *maxStreams,
-			FlushEvery:         *streamFlushEvery,
-			BufferedMaxRecords: *jobBufferedMax,
+			ChunkTimeout: *streamChunkTimeout,
+			MaxStreams:   *maxStreams,
+			FlushEvery:   *streamFlushEvery,
 		},
 	}
 	if *driftBaseline != "" {

@@ -172,7 +172,7 @@ func TestContextPlumbing(t *testing.T) {
 }
 
 func TestIdenticalRunsProduceDriftFreeProfiles(t *testing.T) {
-	// The property monitor-smoke relies on: two runs over the same data
+	// The property TestSmoke/monitor relies on: two runs over the same data
 	// (below the sample cap) yield profiles that score zero drift, even
 	// when observation order differs (parallel stage workers).
 	build := func(seed int64, perm []int) *Profile {

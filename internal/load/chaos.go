@@ -13,10 +13,11 @@ import (
 	"time"
 )
 
-// ServerConfig describes how to spawn an emserve under the harness's
-// supervision: the binary, the base argument list (spec, tables,
-// matcher — everything EXCEPT the listen/addr-file/job-dir plumbing the
-// supervisor owns), and a scratch directory for logs and address files.
+// ServerConfig describes how to spawn an emserve under a harness's
+// supervision (emload's chaos mode, the smoke suite): the binary, the
+// base argument list (spec, tables, matcher — everything EXCEPT the
+// listen/addr-file/job-dir plumbing the supervisor owns), and a scratch
+// directory for logs and address files.
 type ServerConfig struct {
 	Bin     string
 	Args    []string
@@ -35,9 +36,10 @@ type ServerProc struct {
 	done chan error
 }
 
-// StartServer boots one emserve with the job tier rooted at jobDir,
-// plus any extra flags (fault plans, breaker tuning) and environment
-// (EMCKPT_KILL), and waits for its address file.
+// StartServer boots one emserve — with the job tier rooted at jobDir, or
+// without one when jobDir is empty — plus any extra flags (fault plans,
+// breaker tuning) and environment (EMCKPT_KILL), and waits for its
+// address file.
 func StartServer(ctx context.Context, cfg ServerConfig, jobDir, logName string, extraArgs, extraEnv []string) (*ServerProc, error) {
 	logPath := filepath.Join(cfg.WorkDir, logName)
 	addrFile := filepath.Join(cfg.WorkDir, logName+".addr")
@@ -48,11 +50,10 @@ func StartServer(ctx context.Context, cfg ServerConfig, jobDir, logName string, 
 	}
 
 	args := append([]string{}, cfg.Args...)
-	args = append(args,
-		"-addr", "127.0.0.1:0",
-		"-addr-file", addrFile,
-		"-job-dir", jobDir,
-	)
+	args = append(args, "-addr", "127.0.0.1:0", "-addr-file", addrFile)
+	if jobDir != "" {
+		args = append(args, "-job-dir", jobDir)
+	}
 	args = append(args, extraArgs...)
 	cmd := exec.Command(cfg.Bin, args...)
 	cmd.Env = append(os.Environ(), extraEnv...)
@@ -449,7 +450,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		if st.ResumedShards < cfg.MinResumed {
 			failf("job resumed %d shard(s), want >= %d — the restart recomputed durable work", st.ResumedShards, cfg.MinResumed)
 		}
-		gotBytes, ferr := await.JobResults(ctx, refID)
+		gotBytes, ferr := fetchResults(ctx, await, refID)
 		switch {
 		case ferr != nil:
 			failf("fetch resumed results: %v", ferr)
@@ -508,8 +509,17 @@ func runJob(ctx context.Context, c *Client, records []map[string]any, shardSize 
 	if _, err = c.AwaitJob(ctx, id, timeout); err != nil {
 		return nil, id, err
 	}
-	body, err = c.JobResults(ctx, id)
+	body, err = fetchResults(ctx, c, id)
 	return body, id, err
+}
+
+// fetchResults streams a completed job's results into memory. What
+// comes back is the stream's data lines — cursor tokens are signed per
+// job dir, the data lines are what "byte-identical" means across them.
+func fetchResults(ctx context.Context, c *Client, id string) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := c.StreamJobResults(ctx, id, &buf, StreamOptions{})
+	return buf.Bytes(), err
 }
 
 // submitWithRetry pushes one job submission through transient sheds —

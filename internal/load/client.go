@@ -187,7 +187,7 @@ func (c *Client) Do(ctx context.Context, i int, arr Arrival) Outcome {
 	}.Schedule()
 
 	for attempt := 0; ; attempt++ {
-		status, hdr, respBody, err := c.roundTrip(ctx, method, path, body)
+		status, hdr, respBody, err := c.Call(ctx, method, path, body, nil)
 		switch {
 		case err != nil:
 			if ctx.Err() != nil || isTimeout(err) {
@@ -276,9 +276,13 @@ func (c *Client) build(i int, arr Arrival) (body []byte, path, method string, ex
 	return nil, "/v1/status", http.MethodGet, http.StatusOK
 }
 
-// roundTrip performs one HTTP exchange, reading at most 1 MiB of the
-// answer (the classifier needs the envelope, not the payload).
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (int, http.Header, []byte, error) {
+// Call performs one HTTP exchange against the server under test and
+// returns the answer unclassified: status, headers, and at most 4 MiB of
+// body (the rest is drained so the connection stays reusable). Do
+// classifies on top of it; harnesses asserting on specific answers call
+// it directly. hdr adds request headers (nil for none); a non-nil body
+// is sent as JSON.
+func (c *Client) Call(ctx context.Context, method, path string, body []byte, hdr http.Header) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -286,6 +290,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -295,8 +302,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	// Drain any remainder so the connection is reusable.
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	return resp.StatusCode, resp.Header, data, nil
 }

@@ -218,7 +218,7 @@ func (w *jobWatcher) wait(ctx context.Context, timeout time.Duration) {
 			}
 			switch st.State {
 			case "completed":
-				if _, ferr := w.client.JobResults(ctx, id); ferr != nil {
+				if _, ferr := w.client.StreamJobResults(ctx, id, io.Discard, StreamOptions{}); ferr != nil {
 					w.failed.Add(1)
 				} else {
 					w.completed.Add(1)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	neturl "net/url"
 	"time"
@@ -35,23 +34,15 @@ type JobStatus struct {
 	Error         string `json:"error"`
 }
 
-// getJSON fetches one JSON document.
-func getJSON(ctx context.Context, hc *http.Client, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// GetJSON fetches one JSON document from the server; any status but
+// 200 is an error carrying the head of the answer.
+func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
+	status, _, data, err := c.Call(ctx, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, truncate(data, 200))
+	if status != http.StatusOK {
+		return fmt.Errorf("GET %s: %d: %s", path, status, truncate(data, 200))
 	}
 	return json.Unmarshal(data, v)
 }
@@ -59,7 +50,7 @@ func getJSON(ctx context.Context, hc *http.Client, url string, v any) error {
 // Status fetches the server's operational status document.
 func (c *Client) Status(ctx context.Context) (*ServerStatus, error) {
 	var st ServerStatus
-	if err := getJSON(ctx, c.http, c.cfg.BaseURL+"/v1/status", &st); err != nil {
+	if err := c.GetJSON(ctx, "/v1/status", &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -72,22 +63,16 @@ func (c *Client) Status(ctx context.Context) (*ServerStatus, error) {
 // the endpoint is absent (server started without -prof-dir) or
 // unreachable.
 func (c *Client) TriggerProfile(ctx context.Context, reason, detail string) (bool, error) {
-	url := c.cfg.BaseURL + "/debug/contprof/trigger?reason=" + neturl.QueryEscape(reason)
+	path := "/debug/contprof/trigger?reason=" + neturl.QueryEscape(reason)
 	if detail != "" {
-		url += "&detail=" + neturl.QueryEscape(detail)
+		path += "&detail=" + neturl.QueryEscape(detail)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
+	status, _, data, err := c.Call(ctx, http.MethodPost, path, nil, nil)
 	if err != nil {
 		return false, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("profile trigger: %d: %s", resp.StatusCode, truncate(data, 200))
+	if status != http.StatusAccepted && status != http.StatusOK {
+		return false, fmt.Errorf("profile trigger: %d: %s", status, truncate(data, 200))
 	}
 	var ans struct {
 		Scheduled bool `json:"scheduled"`
@@ -110,19 +95,12 @@ func (c *Client) SubmitJob(ctx context.Context, records []map[string]any, shardS
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/jobs", bytes.NewReader(body))
+	status, _, data, err := c.Call(ctx, http.MethodPost, "/v1/jobs", body, nil)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("job submit: %d: %s", resp.StatusCode, truncate(data, 200))
+	if status != http.StatusAccepted {
+		return nil, fmt.Errorf("job submit: %d: %s", status, truncate(data, 200))
 	}
 	var st JobStatus
 	if err := json.Unmarshal(data, &st); err != nil || st.ID == "" {
@@ -134,7 +112,7 @@ func (c *Client) SubmitJob(ctx context.Context, records []map[string]any, shardS
 // JobStatus polls one job.
 func (c *Client) JobStatus(ctx context.Context, id string) (*JobStatus, error) {
 	var st JobStatus
-	if err := getJSON(ctx, c.http, c.cfg.BaseURL+"/v1/jobs/"+id, &st); err != nil {
+	if err := c.GetJSON(ctx, "/v1/jobs/"+id, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -170,28 +148,6 @@ func (c *Client) AwaitJob(ctx context.Context, id string, timeout time.Duration)
 		state = last.State
 	}
 	return last, fmt.Errorf("job %s did not complete within %v (state %s)", id, timeout, state)
-}
-
-// JobResults fetches a completed job's raw result bytes — raw, so two
-// runs can be compared byte for byte.
-func (c *Client) JobResults(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/v1/jobs/"+id+"/results", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("job results: %d: %s", resp.StatusCode, truncate(data, 200))
-	}
-	return data, nil
 }
 
 func truncate(b []byte, n int) string {

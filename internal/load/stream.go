@@ -16,9 +16,9 @@ import (
 	"emgo/internal/ckpt"
 )
 
-// Streaming results client: fetches /v1/jobs/{id}/results?stream=ndjson
-// and survives everything the transport is built to survive — dropped
-// connections, a server restart, its own process being SIGKILLed. The
+// Streaming results client: fetches /v1/jobs/{id}/results and survives
+// everything the transport is built to survive — dropped connections, a
+// server restart, its own process being SIGKILLed. The
 // discipline that makes the output byte-identical to a one-shot fetch
 // is commit-on-cursor: data lines are buffered per chunk and written to
 // the output only when the chunk's trailing {"cursor":...} control line
@@ -144,9 +144,9 @@ func (e *shedError) Error() string { return fmt.Sprintf("stream shed: %d", e.sta
 // reports whether the stream is complete; an incomplete return's error
 // explains why this connection ended (the caller decides on resuming).
 func (c *Client) streamOnce(ctx context.Context, hc *http.Client, id string, w io.Writer, opt StreamOptions, stats *StreamStats) (bool, error) {
-	url := c.cfg.BaseURL + "/v1/jobs/" + id + "/results?stream=ndjson"
+	url := c.cfg.BaseURL + "/v1/jobs/" + id + "/results"
 	if stats.Cursor != "" {
-		url += "&cursor=" + neturl.QueryEscape(stats.Cursor)
+		url += "?cursor=" + neturl.QueryEscape(stats.Cursor)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

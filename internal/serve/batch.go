@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,32 +69,9 @@ func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequ
 	if maxRecords <= 0 {
 		maxRecords = DefaultMaxBatchRecords
 	}
-	data, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, &RequestError{Status: http.StatusRequestEntityTooLarge, Msg: "batch request body too large"}
-		}
-		return nil, badRequest("read batch request body: %v", err)
-	}
-	if int64(len(data)) > maxBytes {
-		return nil, &RequestError{
-			Status: http.StatusRequestEntityTooLarge,
-			Msg:    fmt.Sprintf("batch request body exceeds %d bytes", maxBytes),
-		}
-	}
-	if len(data) == 0 {
-		return nil, badRequest("empty batch request body")
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("parse batch request JSON: %v", err)
-	}
-	if dec.More() {
-		return nil, badRequest("batch request body has trailing data after the JSON document")
+	if err := decodeBody(r, maxBytes, "batch request", &req); err != nil {
+		return nil, err
 	}
 	if len(req.Records) == 0 {
 		return nil, badRequest(`batch request needs a non-empty "records" array`)
@@ -151,10 +127,7 @@ func (s *Server) rowsTable(name string, rows []table.Row) (*table.Table, error) 
 func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	obs.C("serve.batch.requests").Inc()
 	ev := eventFrom(r.Context())
-	if s.draining.Load() {
-		obs.C("serve.shed.draining").Inc()
-		annotateAdmission(ev, AdmissionShedDraining, 0)
-		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+	if s.refuseDraining(w, ev) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBodyBytes)
@@ -183,39 +156,18 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 
-	queued := time.Now()
-	release, err := s.adm.Acquire(ctx)
-	wait := time.Since(queued)
-	switch {
-	case errors.Is(err, ErrShed):
-		annotateAdmission(ev, AdmissionShedQueueFull, wait)
-		writeError(w, http.StatusTooManyRequests, "overloaded: admission queue full", s.adm.RetryAfter())
-		return
-	case errors.Is(err, ErrDraining):
-		annotateAdmission(ev, AdmissionShedDraining, wait)
-		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
-		return
-	case err != nil: // deadline expired while queued
-		annotateAdmission(ev, AdmissionDeadlineInQueue, wait)
-		writeError(w, http.StatusTooManyRequests, "overloaded: deadline expired in admission queue", s.adm.RetryAfter())
+	release := s.admit(ctx, w, ev)
+	if release == nil {
 		return
 	}
 	defer release()
-	annotateAdmission(ev, AdmissionAdmitted, wait)
 
 	start := time.Now()
 	resps, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
 	elapsed := time.Since(start)
 	obs.H("serve.batch.latency_ms", batchLatencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
-		annotateError(ev, err)
-		if ctx.Err() != nil {
-			obs.C("serve.timeouts").Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
-			return
-		}
-		obs.C("serve.errors").Inc()
-		writeError(w, http.StatusInternalServerError, "internal error: "+err.Error(), 0)
+		s.writeRunError(ctx, w, ev, err)
 		return
 	}
 	resp := &BatchResponse{

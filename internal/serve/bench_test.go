@@ -271,7 +271,7 @@ func BenchmarkStreamResults(b *testing.B) {
 	job := fabricateFatJob(b, s, 2000, 100, 500)
 
 	fetch := func() int64 {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/results?stream=ndjson")
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/results")
 		if err != nil {
 			b.Fatal(err)
 		}

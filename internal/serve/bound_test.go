@@ -251,10 +251,9 @@ func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 	// Meanwhile, on this goroutine, a job: its shards run matchSet too.
 	job := submitJob(t, ts.URL, jobPayload(6))
 	waitJobState(t, ts.URL, job.ID, JobCompleted, 10*time.Second)
-	code, data := fetchResults(t, ts.URL, job.ID)
-	var res JobResults
-	if err := json.Unmarshal(data, &res); code != http.StatusOK || err != nil || len(res.Results) != 6 {
-		t.Fatalf("job results: status %d, %v: %s", code, err, data)
+	res := decodeResults(t, fetchResults(t, ts.URL, job.ID))
+	if len(res.Results) != 6 {
+		t.Fatalf("job results carry %d records, want 6", len(res.Results))
 	}
 	for i, r := range res.Results {
 		// jobPayload alternates the l0 and l1 shapes.

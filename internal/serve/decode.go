@@ -48,6 +48,44 @@ func badRequest(format string, args ...any) *RequestError {
 	return &RequestError{Status: 400, Msg: fmt.Sprintf(format, args...)}
 }
 
+// decodeBody is the one body reader behind the three request decoders:
+// it reads one byte past maxBytes (so "exactly at the cap" and "over the
+// cap" are distinguishable), maps an http.MaxBytesReader underneath —
+// which errors before our own limit does — to the same 413, refuses an
+// empty body, and decodes exactly one JSON document into dst with
+// unknown fields rejected and numbers kept as json.Number. Trailing
+// data after the document is a malformed request, not an ignorable
+// suffix. noun names the request kind in the client-facing messages.
+func decodeBody(r io.Reader, maxBytes int64, noun string, dst any) error {
+	data, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return &RequestError{Status: http.StatusRequestEntityTooLarge, Msg: noun + " body too large"}
+		}
+		return badRequest("read %s body: %v", noun, err)
+	}
+	if int64(len(data)) > maxBytes {
+		return &RequestError{
+			Status: http.StatusRequestEntityTooLarge,
+			Msg:    fmt.Sprintf("%s body exceeds %d bytes", noun, maxBytes),
+		}
+	}
+	if len(data) == 0 {
+		return badRequest("empty %s body", noun)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	dec.UseNumber()
+	if err := dec.Decode(dst); err != nil {
+		return badRequest("parse %s JSON: %v", noun, err)
+	}
+	if dec.More() {
+		return badRequest("%s body has trailing data after the JSON document", noun)
+	}
+	return nil
+}
+
 // DecodeMatchRequest reads and validates one match request from r,
 // which should already be wrapped by http.MaxBytesReader (the decoder
 // additionally enforces maxBytes itself so it is safe on raw readers —
@@ -58,38 +96,9 @@ func DecodeMatchRequest(r io.Reader, maxBytes int64) (*MatchRequest, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBodyBytes
 	}
-	// Read one byte past the cap so "exactly at the cap" and "over the
-	// cap" are distinguishable.
-	data, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
-	if err != nil {
-		// An http.MaxBytesReader underneath errors before our own limit
-		// does; both shapes mean the same thing to the client.
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, &RequestError{Status: http.StatusRequestEntityTooLarge, Msg: "request body too large"}
-		}
-		return nil, badRequest("read request body: %v", err)
-	}
-	if int64(len(data)) > maxBytes {
-		return nil, &RequestError{
-			Status: http.StatusRequestEntityTooLarge,
-			Msg:    fmt.Sprintf("request body exceeds %d bytes", maxBytes),
-		}
-	}
-	if len(data) == 0 {
-		return nil, badRequest("empty request body")
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
 	var req MatchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("parse request JSON: %v", err)
-	}
-	// Trailing garbage after the JSON document is a malformed request,
-	// not an ignorable suffix.
-	if dec.More() {
-		return nil, badRequest("request body has trailing data after the JSON document")
+	if err := decodeBody(r, maxBytes, "request", &req); err != nil {
+		return nil, err
 	}
 	if len(req.Record) == 0 {
 		return nil, badRequest(`request needs a non-empty "record" object`)

@@ -208,17 +208,6 @@ type JobStatus struct {
 	Error           string `json:"error,omitempty"`
 }
 
-// JobResults is the fetch document: every record's answer, assembled
-// from the durable shard artifacts in shard order — byte-identical no
-// matter how many crashes and resumes produced the shards.
-type JobResults struct {
-	JobID       string             `json:"job_id"`
-	Records     int                `json:"records"`
-	Shards      int                `json:"shards"`
-	Quarantined []QuarantinedShard `json:"quarantined,omitempty"`
-	Results     []JobRecordResult  `json:"results"`
-}
-
 // Job is one submitted bulk-matching job.
 type Job struct {
 	ID string
@@ -996,47 +985,11 @@ func (jm *Jobs) commitShard(ctx context.Context, job *Job, idx int, name string,
 	return job.store.Write(name, data)
 }
 
-// Results assembles the fetch document from the durable shard
-// artifacts, verifying every checksum on the way. A corrupt shard is
-// quarantined by the store, and the job is re-queued to recompute it —
-// the caller gets a retryable error, never silently partial results.
-//
-// Deprecated for large jobs: the document scales server memory with
-// job size, so the HTTP layer caps it at Stream.BufferedMaxRecords and
-// points bigger fetches at the streaming transport (stream.go), which
-// shares readShard and therefore the same verification contract.
-func (jm *Jobs) Results(job *Job) (*JobResults, error) {
-	job.mu.Lock()
-	state := job.state
-	job.mu.Unlock()
-	if state != JobCompleted {
-		return nil, fmt.Errorf("job %s is %s, not completed", job.ID, state)
-	}
-	out := &JobResults{
-		JobID:   job.ID,
-		Records: len(job.rows),
-		Shards:  job.shards,
-		Results: make([]JobRecordResult, 0, len(job.rows)),
-	}
-	for i := 0; i < job.shards; i++ {
-		art, err := jm.readShard(job, i)
-		if err != nil {
-			return nil, err
-		}
-		if art.Quarantined {
-			out.Quarantined = append(out.Quarantined, QuarantinedShard{Shard: i, Reason: art.Reason})
-			continue
-		}
-		out.Results = append(out.Results, art.Records...)
-	}
-	return out, nil
-}
-
 // readShard reads, verifies, and decodes one durable shard artifact
-// through the store's streaming reader — the shared fetch-side read
-// path of the buffered document and the streaming transport, bounded
-// by one shard's bytes. The decoded value is trusted only after the
-// reader has been drained to EOF and delivered its checksum verdict.
+// through the store's streaming reader — the fetch-side read path of
+// the results stream, bounded by one shard's bytes. The decoded value
+// is trusted only after the reader has been drained to EOF and
+// delivered its checksum verdict.
 // Any failure quarantines the artifact and re-queues the job, so the
 // caller's error is retryable, never silently partial.
 func (jm *Jobs) readShard(job *Job, idx int) (*shardArtifact, error) {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -32,32 +30,9 @@ func DecodeJobRequest(r io.Reader, maxBytes int64, maxRecords int) (*JobSubmitRe
 	if maxRecords <= 0 {
 		maxRecords = DefaultJobMaxRecords
 	}
-	data, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, &RequestError{Status: http.StatusRequestEntityTooLarge, Msg: "job request body too large"}
-		}
-		return nil, badRequest("read job request body: %v", err)
-	}
-	if int64(len(data)) > maxBytes {
-		return nil, &RequestError{
-			Status: http.StatusRequestEntityTooLarge,
-			Msg:    fmt.Sprintf("job request body exceeds %d bytes", maxBytes),
-		}
-	}
-	if len(data) == 0 {
-		return nil, badRequest("empty job request body")
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
 	var req JobSubmitRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("parse job request JSON: %v", err)
-	}
-	if dec.More() {
-		return nil, badRequest("job request body has trailing data after the JSON document")
+	if err := decodeBody(r, maxBytes, "job request", &req); err != nil {
+		return nil, err
 	}
 	if len(req.Records) == 0 {
 		return nil, badRequest(`job needs a non-empty "records" array`)
@@ -98,9 +73,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if jm == nil {
 		return
 	}
-	if s.draining.Load() {
-		obs.C("serve.shed.draining").Inc()
-		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+	if s.refuseDraining(w, eventFrom(r.Context())) {
 		return
 	}
 	cfg := jm.Config()
@@ -156,15 +129,12 @@ func annotateJob(ev *obs.WideEvent, job *Job) {
 	ev.JobID = job.ID
 }
 
-// handleJobResults serves a completed job's results. Two transports
-// share the route: `?stream=ndjson` (or any `?cursor=`) streams NDJSON
-// shard by shard with resume cursors; the legacy buffered path
-// assembles the whole document, and is capped at
-// Stream.BufferedMaxRecords — above that it answers 413 pointing at
-// the streaming path, because its memory scales with job size. An
-// incomplete job answers 409 with its state; a shard found corrupt at
-// read time answers 503 (the job is already re-queued to recompute it,
-// so the fetch is retryable).
+// handleJobResults serves a completed job's results over the one
+// results transport: an NDJSON stream walked shard by shard, resumable
+// from any `?cursor=` a previous connection was handed (stream.go). An
+// incomplete job answers 409 with its state; a bad or foreign cursor is
+// the client's error; a draining server starts no stream — the client's
+// cursor stays valid for the next instance.
 func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	jm := s.jobsOrUnavailable(w)
 	if jm == nil {
@@ -175,48 +145,27 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job", 0)
 		return
 	}
-	annotateJob(eventFrom(r.Context()), job)
+	ev := eventFrom(r.Context())
+	annotateJob(ev, job)
 	if st := job.State(); st != JobCompleted {
 		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s, not completed", st), 0)
 		return
 	}
-
-	rawCursor := r.URL.Query().Get("cursor")
-	if rawCursor != "" || r.URL.Query().Get("stream") != "" {
-		cur := Cursor{Job: job.ID, Matcher: jm.matcherChecksum()}
-		if rawCursor != "" {
-			c, err := jm.parseCursorFor(job, rawCursor)
-			if err != nil {
-				obs.C("serve.stream.bad_cursor").Inc()
-				s.writeRequestError(w, err)
-				return
-			}
-			cur = c
-			obs.C("serve.stream.resumed").Inc()
-		}
-		if s.draining.Load() {
-			// Don't start (or resume) a stream on a draining server; the
-			// client's cursor stays valid for the next instance.
-			obs.C("serve.shed.draining").Inc()
-			writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+	cur := Cursor{Job: job.ID, Matcher: jm.matcherChecksum()}
+	if rawCursor := r.URL.Query().Get("cursor"); rawCursor != "" {
+		c, err := jm.parseCursorFor(job, rawCursor)
+		if err != nil {
+			obs.C("serve.stream.bad_cursor").Inc()
+			s.writeRequestError(w, err)
 			return
 		}
-		s.streamJobResults(w, r, jm, job, cur)
+		cur = c
+		obs.C("serve.stream.resumed").Inc()
+	}
+	if s.refuseDraining(w, ev) {
 		return
 	}
-
-	if n := len(job.rows); n > s.cfg.Stream.BufferedMaxRecords {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf(
-			"job has %d records, over the buffered-fetch cap of %d; fetch with ?stream=ndjson",
-			n, s.cfg.Stream.BufferedMaxRecords), 0)
-		return
-	}
-	res, err := jm.Results(job)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), s.adm.RetryAfter())
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	s.streamJobResults(w, r, jm, job, cur)
 }
 
 // handleJobCancel stops a job: a queued job never starts, a running job

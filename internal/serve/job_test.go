@@ -117,13 +117,6 @@ func waitJobState(t *testing.T, url, id, want string, timeout time.Duration) *Jo
 	return nil
 }
 
-// fetchResults GETs the results document raw (byte-identity assertions
-// compare these exact bytes).
-func fetchResults(t *testing.T, url, id string) (int, []byte) {
-	t.Helper()
-	return getBody(t, url, "/v1/jobs/"+id+"/results")
-}
-
 func TestJobLifecycle(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
@@ -141,18 +134,11 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// Fetching is read-only and deterministic: twice, byte-identical.
-	code, first := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch = %d: %s", code, first)
+	first := fetchResults(t, ts.URL, st.ID)
+	if second := fetchResults(t, ts.URL, st.ID); !bytes.Equal(first, second) {
+		t.Fatal("double fetch not byte-identical")
 	}
-	code, second := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK || !bytes.Equal(first, second) {
-		t.Fatalf("double fetch not byte-identical (%d)", code)
-	}
-	var res JobResults
-	if err := json.Unmarshal(first, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := decodeResults(t, first)
 	if len(res.Results) != 6 || len(res.Quarantined) != 0 {
 		t.Fatalf("results = %d records, %d quarantined: %s", len(res.Results), len(res.Quarantined), first)
 	}
@@ -209,10 +195,7 @@ func TestJobResumeAfterStopByteIdentical(t *testing.T) {
 	_, refTS := newTestServer(t, jobConfig(refDir))
 	refSt := submitJob(t, refTS.URL, body)
 	waitJobState(t, refTS.URL, refSt.ID, JobCompleted, 5*time.Second)
-	code, want := fetchResults(t, refTS.URL, refSt.ID)
-	if code != http.StatusOK {
-		t.Fatalf("reference fetch = %d: %s", code, want)
-	}
+	want := fetchResults(t, refTS.URL, refSt.ID)
 
 	// Interrupted run: slow shards down so the stop lands mid-job.
 	dir := t.TempDir()
@@ -279,11 +262,7 @@ func TestJobResumeAfterStopByteIdentical(t *testing.T) {
 		t.Fatalf("restart executed %d shards, want %d (completed shards must not be reprocessed)",
 			executed, interruptedAt.Shards-durable)
 	}
-	code, got := fetchResults(t, ts2.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch after resume = %d: %s", code, got)
-	}
-	if !bytes.Equal(got, want) {
+	if got := fetchResults(t, ts2.URL, st.ID); !bytes.Equal(got, want) {
 		t.Fatalf("resumed results are not byte-identical to the clean run:\nresumed: %s\nclean:   %s", got, want)
 	}
 }
@@ -326,14 +305,7 @@ func TestJobShardBreakerOpensOnPoisonedMatcher(t *testing.T) {
 			t.Fatalf("shard %d breaker = %v, want open", i, got)
 		}
 	}
-	code, data := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch = %d: %s", code, data)
-	}
-	var res JobResults
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
 	for _, r := range res.Results {
 		if !r.Degraded || r.DegradedReason != ReasonMatcherError {
 			t.Fatalf("record %d should be degraded matcher_error: %+v", r.Index, r)
@@ -375,14 +347,7 @@ func TestJobShardBreakerHalfOpenRecovery(t *testing.T) {
 	if gen := br.Generation(); gen != 3 {
 		t.Fatalf("breaker generation = %d, want 3 (open, half-open, re-close)", gen)
 	}
-	code, data := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch = %d: %s", code, data)
-	}
-	var res JobResults
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
 	for _, r := range res.Results {
 		if r.Degraded {
 			t.Fatalf("record %d degraded after breaker recovery: %+v", r.Index, r)
@@ -413,14 +378,7 @@ func TestJobQuarantineAfterExhaustedAttempts(t *testing.T) {
 	if done.Retries == 0 {
 		t.Fatal("quarantine must come after retry, not instead of it")
 	}
-	code, data := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch = %d: %s", code, data)
-	}
-	var res JobResults
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
 	if len(res.Quarantined) != 1 || res.Quarantined[0].Shard != 1 {
 		t.Fatalf("results quarantine = %+v", res.Quarantined)
 	}
@@ -454,23 +412,17 @@ func TestJobTornWriteRetried(t *testing.T) {
 	if len(done.Quarantined) != 0 {
 		t.Fatalf("transient write failure must not quarantine: %+v", done.Quarantined)
 	}
-	code, data := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch = %d: %s", code, data)
-	}
-	var res JobResults
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
 	if len(res.Results) != 4 {
 		t.Fatalf("results = %d records, want 4", len(res.Results))
 	}
 }
 
 // TestJobCorruptShardRecomputedOnFetch: bytes rotted after completion
-// are caught by the manifest checksum at fetch time; the fetch answers
-// 503 (retryable), the shard is quarantined and recomputed, and the
-// eventual results are byte-identical to the pre-corruption fetch.
+// are caught by the manifest checksum at fetch time; the stream ends
+// before the rotted shard without a summary line (never silently
+// partial), the shard is quarantined and recomputed, and the eventual
+// results are byte-identical to the pre-corruption fetch.
 func TestJobCorruptShardRecomputedOnFetch(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
@@ -479,26 +431,21 @@ func TestJobCorruptShardRecomputedOnFetch(t *testing.T) {
 
 	st := submitJob(t, ts.URL, jobPayload(4))
 	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	code, want := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch = %d: %s", code, want)
-	}
+	want := fetchResults(t, ts.URL, st.ID)
 
 	// Rot shard 0 on disk.
 	path := filepath.Join(dir, st.ID, shardName(0))
 	if err := os.WriteFile(path, []byte(`{"shard":0,"records":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, data := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("fetch of corrupt shard = %d (%s), want 503", code, data)
+	resp := getStream(t, ts.URL, st.ID, "", "")
+	data, _, done := readStream(t, resp.Body)
+	resp.Body.Close()
+	if done || len(data) != 0 {
+		t.Fatalf("fetch of a corrupt shard committed %d bytes (done=%v), want a stream cut before it", len(data), done)
 	}
 	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	code, got := fetchResults(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("fetch after recompute = %d: %s", code, got)
-	}
-	if !bytes.Equal(got, want) {
+	if got := fetchResults(t, ts.URL, st.ID); !bytes.Equal(got, want) {
 		t.Fatalf("recomputed results differ from the original:\nnew: %s\nold: %s", got, want)
 	}
 }
@@ -568,7 +515,7 @@ func TestJobCancel(t *testing.T) {
 	if done.DoneShards == st.Shards {
 		t.Fatalf("cancelled job ran to completion: %+v", done)
 	}
-	code, data := fetchResults(t, ts.URL, st.ID)
+	code, data := getBody(t, ts.URL, "/v1/jobs/"+st.ID+"/results")
 	if code != http.StatusConflict {
 		t.Fatalf("results of cancelled job = %d (%s), want 409", code, data)
 	}
@@ -646,7 +593,7 @@ func TestJobResultsBeforeCompletion(t *testing.T) {
 	fault.Enable("serve.job.exec", fault.Plan{Mode: fault.ModeSleep, Sleep: 80 * time.Millisecond})
 
 	st := submitJob(t, ts.URL, jobPayload(8))
-	code, data := fetchResults(t, ts.URL, st.ID)
+	code, data := getBody(t, ts.URL, "/v1/jobs/"+st.ID+"/results")
 	if code != http.StatusConflict {
 		t.Fatalf("early fetch = %d (%s), want 409", code, data)
 	}

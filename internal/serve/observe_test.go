@@ -180,6 +180,57 @@ func TestRequestIDEchoedOnShedAndDraining(t *testing.T) {
 	}
 }
 
+// TestDrainingRefusalsSayWhy: every route that takes on work answers a
+// draining server's 503 through one step, so each refusal carries
+// Retry-After and its wide event names the reason — a 503 with no
+// admission field reads as an outage, not as policy.
+func TestDrainingRefusalsSayWhy(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	sink := &syncBuffer{}
+	cfg := jobConfig(t.TempDir())
+	cfg.AccessLog = sink
+	s, ts := newTestServer(t, cfg)
+	st := submitJob(t, ts.URL, jobPayload(2))
+	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+	before := len(sink.waitEvents(t, 2))
+
+	s.StartDrain()
+	refused := []struct{ id, method, path, body string }{
+		{"drain-match", http.MethodPost, "/v1/match", l0Request},
+		{"drain-batch", http.MethodPost, "/v1/match/batch", jobPayload(2)},
+		{"drain-submit", http.MethodPost, "/v1/jobs", jobPayload(4)},
+		{"drain-results", http.MethodGet, "/v1/jobs/" + st.ID + "/results", ""},
+	}
+	for _, rq := range refused {
+		req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", rq.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s %s while draining = %d (Retry-After %q), want 503 with a hint",
+				rq.method, rq.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	evs := sink.waitEvents(t, before+len(refused))
+	for _, rq := range refused {
+		ev := eventFor(evs, rq.id)
+		if ev == nil {
+			t.Fatalf("no wide event for %s", rq.id)
+		}
+		if ev["admission"] != AdmissionShedDraining || ev["outcome"] != obs.OutcomeDraining {
+			t.Errorf("%s %s: admission=%v outcome=%v, want %s/%s",
+				rq.method, rq.path, ev["admission"], ev["outcome"], AdmissionShedDraining, obs.OutcomeDraining)
+		}
+	}
+}
+
 func TestWideEventPerRequest(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()

@@ -92,7 +92,7 @@ type Config struct {
 	// job endpoints answer 503).
 	Jobs JobConfig
 	// Stream tunes the streaming results transport (slow-reader budget,
-	// concurrent-stream cap, flush geometry, buffered-fetch cap).
+	// concurrent-stream cap, flush geometry).
 	Stream StreamConfig
 	// DrainTimeout bounds how long Drain waits for in-flight requests
 	// (default 10s).
@@ -422,15 +422,66 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfter time.D
 	writeJSON(w, status, ErrorResponse{Error: msg, Status: status})
 }
 
+// refuseDraining is the first step of every handler that takes on work
+// (match, batch, job submit, stream start): a draining server answers
+// 503 + Retry-After, and the wide event says why. It reports whether it
+// answered.
+func (s *Server) refuseDraining(w http.ResponseWriter, ev *obs.WideEvent) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	obs.C("serve.shed.draining").Inc()
+	annotateAdmission(ev, AdmissionShedDraining, 0)
+	writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+	return true
+}
+
+// admit takes a pipeline slot for the request, or answers the refusal
+// and returns nil: 429 when the wait line is full or the deadline
+// expired in it, 503 when a drain raced the admission. Either way the
+// verdict and the queue wait land on the wide event. A non-nil release
+// must be called exactly once.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent) (release func()) {
+	queued := time.Now()
+	release, err := s.adm.Acquire(ctx)
+	wait := time.Since(queued)
+	switch {
+	case errors.Is(err, ErrShed):
+		annotateAdmission(ev, AdmissionShedQueueFull, wait)
+		writeError(w, http.StatusTooManyRequests, "overloaded: admission queue full", s.adm.RetryAfter())
+		return nil
+	case errors.Is(err, ErrDraining):
+		annotateAdmission(ev, AdmissionShedDraining, wait)
+		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+		return nil
+	case err != nil: // deadline expired while queued
+		annotateAdmission(ev, AdmissionDeadlineInQueue, wait)
+		writeError(w, http.StatusTooManyRequests, "overloaded: deadline expired in admission queue", s.adm.RetryAfter())
+		return nil
+	}
+	annotateAdmission(ev, AdmissionAdmitted, wait)
+	return release
+}
+
+// writeRunError answers a failed pipeline pass: 504 when the request's
+// deadline is what ended it, 500 otherwise.
+func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent, err error) {
+	annotateError(ev, err)
+	if ctx.Err() != nil {
+		obs.C("serve.timeouts").Inc()
+		writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
+		return
+	}
+	obs.C("serve.errors").Inc()
+	writeError(w, http.StatusInternalServerError, "internal error: "+err.Error(), 0)
+}
+
 // handleMatch is the matching endpoint under the full admission /
 // deadline / degradation machinery.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	obs.C("serve.requests").Inc()
 	ev := eventFrom(r.Context())
-	if s.draining.Load() {
-		obs.C("serve.shed.draining").Inc()
-		annotateAdmission(ev, AdmissionShedDraining, 0)
-		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+	if s.refuseDraining(w, ev) {
 		return
 	}
 	// Decode before admission: a malformed request must never occupy a
@@ -458,39 +509,18 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 
-	queued := time.Now()
-	release, err := s.adm.Acquire(ctx)
-	wait := time.Since(queued)
-	switch {
-	case errors.Is(err, ErrShed):
-		annotateAdmission(ev, AdmissionShedQueueFull, wait)
-		writeError(w, http.StatusTooManyRequests, "overloaded: admission queue full", s.adm.RetryAfter())
-		return
-	case errors.Is(err, ErrDraining):
-		annotateAdmission(ev, AdmissionShedDraining, wait)
-		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
-		return
-	case err != nil: // deadline expired while queued
-		annotateAdmission(ev, AdmissionDeadlineInQueue, wait)
-		writeError(w, http.StatusTooManyRequests, "overloaded: deadline expired in admission queue", s.adm.RetryAfter())
+	release := s.admit(ctx, w, ev)
+	if release == nil {
 		return
 	}
 	defer release()
-	annotateAdmission(ev, AdmissionAdmitted, wait)
 
 	start := time.Now()
 	resp, err := s.matchOne(ctx, row, req.Trace)
 	elapsed := time.Since(start)
 	obs.H("serve.latency_ms", latencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
-		annotateError(ev, err)
-		if ctx.Err() != nil {
-			obs.C("serve.timeouts").Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
-			return
-		}
-		obs.C("serve.errors").Inc()
-		writeError(w, http.StatusInternalServerError, "internal error: "+err.Error(), 0)
+		s.writeRunError(ctx, w, ev, err)
 		return
 	}
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)

@@ -11,10 +11,10 @@ import (
 	"emgo/internal/obs"
 )
 
-// Streaming result transport: GET /v1/jobs/{id}/results?stream=ndjson
-// walks the job's durable shard artifacts one at a time and writes the
-// result records as NDJSON, so serving a multi-million-row job holds
-// one shard in memory, not the document. The transport is built to be
+// Streaming result transport: GET /v1/jobs/{id}/results — the one way
+// results leave the job tier — walks the job's durable shard artifacts
+// one at a time and writes the result records as NDJSON, so serving a
+// multi-million-row job holds one shard in memory, not the document. The transport is built to be
 // abandoned at any instant and picked back up:
 //
 //   - every flush boundary emits a control line {"cursor":"..."} whose
@@ -48,7 +48,6 @@ const (
 	DefaultStreamChunkTimeout = 15 * time.Second
 	DefaultStreamMaxStreams   = 4
 	DefaultStreamFlushEvery   = 256
-	DefaultBufferedMaxRecords = 10000
 )
 
 // streamCursorTrailer is the HTTP trailer carrying the final cursor.
@@ -69,11 +68,6 @@ type StreamConfig struct {
 	// FlushEvery is the records-per-flush boundary within a shard
 	// (default DefaultStreamFlushEvery). Shard boundaries always flush.
 	FlushEvery int
-	// BufferedMaxRecords caps the legacy buffered (non-streamed) fetch:
-	// a completed job larger than this answers 413 pointing at the
-	// streaming path, because assembling it would scale server memory
-	// with job size (default DefaultBufferedMaxRecords).
-	BufferedMaxRecords int
 }
 
 // withDefaults fills zero fields.
@@ -86,9 +80,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = DefaultStreamFlushEvery
-	}
-	if c.BufferedMaxRecords <= 0 {
-		c.BufferedMaxRecords = DefaultBufferedMaxRecords
 	}
 	return c
 }
@@ -104,8 +95,7 @@ type streamSummaryLine struct {
 }
 
 // streamQuarantineLine is the data line standing in for a quarantined
-// shard's records (the buffered document carries the same facts in its
-// "quarantined" list).
+// shard's records.
 type streamQuarantineLine struct {
 	Shard       int    `json:"shard"`
 	Quarantined bool   `json:"quarantined"`

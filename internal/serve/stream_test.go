@@ -30,13 +30,13 @@ func streamConfig(dir string) Config {
 	return cfg
 }
 
-// getStream GETs the streaming results endpoint, optionally resuming
-// from a cursor and tagging the connection with a request ID.
+// getStream GETs the results endpoint, optionally resuming from a
+// cursor and tagging the connection with a request ID.
 func getStream(t *testing.T, url, id, cursor, reqID string) *http.Response {
 	t.Helper()
-	u := url + "/v1/jobs/" + id + "/results?stream=ndjson"
+	u := url + "/v1/jobs/" + id + "/results"
 	if cursor != "" {
-		u += "&cursor=" + cursor
+		u += "?cursor=" + cursor
 	}
 	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {
@@ -92,54 +92,120 @@ func readStream(t *testing.T, r io.Reader) (data []byte, cursor string, done boo
 	return data, cursor, done
 }
 
-// TestStreamMatchesBufferedResults: the streamed data lines carry
-// exactly the records the buffered document carries, in order, plus a
-// terminal summary; the trailer holds the terminal cursor, and
-// resuming from it yields only the summary line again.
-func TestStreamMatchesBufferedResults(t *testing.T) {
+// fetchResults is the tests' one way to read a completed job's results:
+// a plain GET consumed commit-on-cursor. It returns the data lines —
+// control lines stripped, since their tokens are signed per job dir and
+// the data lines are what "byte-identical" means across servers — and
+// fails the test unless the stream answered 200 and committed its
+// summary line.
+func fetchResults(t *testing.T, url, id string) []byte {
+	t.Helper()
+	resp := getStream(t, url, id, "", "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("results fetch = %d: %s", resp.StatusCode, body)
+	}
+	data, _, done := readStream(t, resp.Body)
+	if !done {
+		t.Fatalf("results stream ended without the summary line: %s", data)
+	}
+	return data
+}
+
+// streamedResults is what a results stream's data lines say, decoded.
+type streamedResults struct {
+	Results     []JobRecordResult
+	Quarantined []streamQuarantineLine
+	Summary     streamSummaryLine
+}
+
+// decodeResults sorts fetchResults' data lines into record answers,
+// quarantined-shard markers and the terminal summary.
+func decodeResults(t *testing.T, data []byte) streamedResults {
+	t.Helper()
+	var out streamedResults
+	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+		var kind struct {
+			Done        bool `json:"done"`
+			Quarantined bool `json:"quarantined"`
+		}
+		err := json.Unmarshal(line, &kind)
+		switch {
+		case err != nil:
+		case kind.Done:
+			err = json.Unmarshal(line, &out.Summary)
+		case kind.Quarantined:
+			var q streamQuarantineLine
+			err = json.Unmarshal(line, &q)
+			out.Quarantined = append(out.Quarantined, q)
+		default:
+			var rec JobRecordResult
+			err = json.Unmarshal(line, &rec)
+			out.Results = append(out.Results, rec)
+		}
+		if err != nil {
+			t.Fatalf("results data line %q: %v", line, err)
+		}
+	}
+	return out
+}
+
+// TestResultsPlainFetchIsTheStream: there is one results transport. A
+// plain GET and the `?stream=ndjson` spelling older clients send answer
+// the same bytes, and the data lines carry every fact the buffered
+// document used to: each record's answer in submission order, a marker
+// where a quarantined shard's records would be, and a terminal summary.
+// The trailer holds the terminal cursor, and resuming from it yields
+// only the summary line again.
+func TestResultsPlainFetchIsTheStream(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
-	_, ts := newTestServer(t, jobConfig(t.TempDir()))
+	cfg := jobConfig(t.TempDir())
+	cfg.Jobs.ShardAttempts = 2
+	_, ts := newTestServer(t, cfg)
+	fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}}) // shard 1 is poisoned
 
 	st := submitJob(t, ts.URL, jobPayload(6)) // 3 shards of 2
 	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	code, buffered := fetchResults(t, ts.URL, st.ID)
+
+	code, plain := getBody(t, ts.URL, "/v1/jobs/"+st.ID+"/results")
 	if code != http.StatusOK {
-		t.Fatalf("buffered fetch = %d: %s", code, buffered)
+		t.Fatalf("plain fetch = %d: %s", code, plain)
 	}
-	var doc JobResults
-	if err := json.Unmarshal(buffered, &doc); err != nil {
-		t.Fatal(err)
+	if code, tagged := getBody(t, ts.URL, "/v1/jobs/"+st.ID+"/results?stream=ndjson"); code != http.StatusOK || !bytes.Equal(plain, tagged) {
+		t.Fatalf("?stream=ndjson (%d) differs from the plain fetch:\nplain:  %s\ntagged: %s", code, plain, tagged)
 	}
 
 	resp := getStream(t, ts.URL, st.ID, "", "")
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream = %d", resp.StatusCode)
-	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type = %q", ct)
+		t.Fatalf("results content type = %q", ct)
 	}
 	data, _, done := readStream(t, resp.Body)
 	if !done {
 		t.Fatal("stream ended without the summary line")
 	}
 	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	if len(lines) != len(doc.Results)+1 {
-		t.Fatalf("stream carried %d data lines, want %d records + summary", len(lines), len(doc.Results))
+	res := decodeResults(t, data)
+	var order []int
+	for _, r := range res.Results {
+		order = append(order, r.Index)
 	}
-	for i, rec := range doc.Results {
-		want, _ := json.Marshal(rec)
-		if !bytes.Equal(lines[i], want) {
-			t.Fatalf("stream line %d differs from buffered record:\nstream:   %s\nbuffered: %s", i, lines[i], want)
-		}
+	if fmt.Sprint(order) != "[0 1 4 5]" {
+		t.Fatalf("records arrived as %v, want the healthy shards' records in submission order", order)
 	}
-	var summary streamSummaryLine
-	if err := json.Unmarshal(lines[len(lines)-1], &summary); err != nil || !summary.Done {
-		t.Fatalf("last data line is not the summary: %s", lines[len(lines)-1])
+	if len(res.Results[0].Matches) == 0 || res.Results[0].Matches[0].Source != "rule:M1" {
+		t.Fatalf("record 0 missing its sure-rule match: %+v", res.Results[0])
 	}
-	if summary.JobID != st.ID || summary.Records != 6 || summary.Shards != 3 {
-		t.Fatalf("summary = %+v", summary)
+	if len(res.Quarantined) != 1 || res.Quarantined[0].Shard != 1 || res.Quarantined[0].Reason == "" {
+		t.Fatalf("quarantine markers = %+v, want shard 1 with a reason", res.Quarantined)
+	}
+	if len(lines) != 6 || !bytes.Contains(lines[2], []byte(`"quarantined":true`)) {
+		t.Fatalf("the quarantine marker is not where shard 1's records would be: %s", data)
+	}
+	if res.Summary.JobID != st.ID || res.Summary.Records != 6 || res.Summary.Shards != 3 {
+		t.Fatalf("summary = %+v", res.Summary)
 	}
 
 	// The trailer names the terminal position; resuming from it yields
@@ -534,7 +600,7 @@ func TestStreamSlowReaderCut(t *testing.T) {
 	}}
 	defer tr.CloseIdleConnections()
 	resp, err := (&http.Client{Transport: tr}).Get(
-		small.URL + "/v1/jobs/" + job.ID + "/results?stream=ndjson")
+		small.URL + "/v1/jobs/" + job.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,11 +703,10 @@ func streamPeakHeap(t *testing.T, url string, job *Job, shardSize int) (peakDelt
 	return peakDelta, streamed
 }
 
-// TestStreamMemoryBounded pins the reason the transport exists: the
-// buffered path refuses a job over its record cap (413, pointing at
-// the stream), and streaming holds live heap bounded by one shard, not
-// the job — a job six times the size, same shard size, peaks no higher
-// beyond measurement noise.
+// TestStreamMemoryBounded pins the reason results are a stream:
+// fetching holds live heap bounded by one shard, not the job — a job
+// six times the size, same shard size, peaks no higher beyond
+// measurement noise.
 func TestStreamMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabricates multi-megabyte jobs")
@@ -653,19 +718,10 @@ func TestStreamMemoryBounded(t *testing.T) {
 	defer fault.Reset()
 	s, ts := newTestServer(t, jobConfig(t.TempDir()))
 	// ~860 B per record in 2000-record shards: 4 shards ≈ 7 MB of result
-	// document against 24 shards ≈ 41 MB — the latter well past the
-	// 10k-record buffered cap.
+	// document against 24 shards ≈ 41 MB.
 	const shardSize = 2000
 	small := fabricateFatJob(t, s, 4*shardSize, shardSize, 800)
 	fat := fabricateFatJob(t, s, 24*shardSize, shardSize, 800)
-
-	code, body := fetchResults(t, ts.URL, fat.ID)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("buffered fetch of fat job = %d, want 413", code)
-	}
-	if !strings.Contains(string(body), "stream=ndjson") {
-		t.Fatalf("413 does not point at the streaming path: %s", body)
-	}
 
 	smallPeak, smallBytes := streamPeakHeap(t, ts.URL, small, shardSize)
 	fatPeak, fatBytes := streamPeakHeap(t, ts.URL, fat, shardSize)

@@ -8,7 +8,7 @@ import (
 	"emgo/internal/drift"
 )
 
-// TestRunCtxDriftCaptureAndCleanCheck is the monitor-smoke property at
+// TestRunCtxDriftCaptureAndCleanCheck is the TestSmoke/monitor property at
 // unit scope: a capture run persists a baseline, and a second run over
 // the same tables checked against that baseline scores zero drift.
 func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {

@@ -73,9 +73,9 @@ type DriftStage struct {
 	EstimatedPrecision []float64
 }
 
-// RunOptions configures the hardened runtime. The zero value behaves
-// like Run with cancellation: no per-stage deadlines, no retries, an
-// empty error budget.
+// RunOptions configures the hardened runtime. The zero value — what
+// Run passes — means no per-stage deadlines, no retries, an empty error
+// budget.
 type RunOptions struct {
 	// StageTimeout bounds every cancellable stage (blocking, matching,
 	// monitoring); 0 means no per-stage deadline. The caller's context
@@ -150,8 +150,8 @@ func (s stageObs) finish(outcome string, items int) {
 }
 
 // RunCtx executes the workflow on one (left, right) table pair under the
-// hardened runtime. Unlike Run, the returned Result is non-nil even on
-// failure: it carries the provenance log up to and including the aborted
+// hardened runtime — the one pipeline body; Run is this with the zero
+// options. The returned Result is non-nil even on failure: it carries the provenance log up to and including the aborted
 // stage, which is the record an operator needs, plus the run report
 // (Result.Report). Pairs quarantined under the error budget are listed
 // in Result.Quarantined and excluded from Learned (and therefore Final).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -46,28 +47,76 @@ func hardenedFixture(t *testing.T) (*Workflow, *tableTablePair) {
 
 type tableTablePair struct{ l, r *table.Table }
 
+// TestRunCtxMatchesRun pins Run ≡ RunCtx with the zero options on every
+// intermediate set, for the three shapes the case study's workflow took:
+// Figure 8 (one sure rule, blocking, matcher), Figure 9 (a second,
+// discovered sure rule), Figure 10 (negative rules vetoing the learner).
+// There is one pipeline body; Run differs only in returning nil on error.
 func TestRunCtxMatchesRun(t *testing.T) {
 	leakcheck.Check(t)
-	w, tp := hardenedFixture(t)
-	plain, err := w.Run(tp.l, tp.r)
+	full, tp := hardenedFixture(t)
+	m1, err := rules.NewEqual("M1", tp.l, "Num", nil, tp.r, "Num", nil, rules.Match)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hard.Final.Len() != plain.Final.Len() || hard.Vetoed != plain.Vetoed {
-		t.Fatalf("hardened run diverges: final %d vs %d, vetoed %d vs %d",
-			hard.Final.Len(), plain.Final.Len(), hard.Vetoed, plain.Vetoed)
-	}
-	for _, p := range plain.Final.Pairs() {
-		if !hard.Final.Contains(p) {
-			t.Fatalf("hardened final missing %v", p)
+	// The discovered rule decides the "swamp dodder" pair and withholds
+	// opinion elsewhere, so the learner and the veto still have work.
+	swampOnly := func(title string) string {
+		if strings.HasPrefix(title, "swamp") {
+			return title
 		}
+		return ""
 	}
-	if len(hard.Quarantined) != 0 {
-		t.Fatalf("quarantined without faults: %v", hard.Quarantined)
+	m2, err := rules.NewEqual("M2", tp.l, "Title", swampOnly, tp.r, "Title", swampOnly, rules.Match)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8 := *full
+	fig8.Name, fig8.NegativeRules = "figure8", nil
+	fig9 := fig8
+	fig9.Name, fig9.SureRules = "figure9", rules.NewEngine(m1, m2)
+	fig10 := fig9
+	fig10.Name, fig10.NegativeRules = "figure10", full.NegativeRules
+
+	for _, w := range []*Workflow{&fig8, &fig9, &fig10} {
+		t.Run(w.Name, func(t *testing.T) {
+			plain, err := w.Run(tp.l, tp.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hard, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, set := range []struct {
+				name        string
+				plain, hard *block.CandidateSet
+			}{
+				{"Sure", plain.Sure, hard.Sure},
+				{"Candidates", plain.Candidates, hard.Candidates},
+				{"Learned", plain.Learned, hard.Learned},
+				{"Final", plain.Final, hard.Final},
+			} {
+				if !reflect.DeepEqual(set.plain.Pairs(), set.hard.Pairs()) {
+					t.Errorf("%s: Run %v, RunCtx %v", set.name, set.plain.Pairs(), set.hard.Pairs())
+				}
+			}
+			if plain.Vetoed != hard.Vetoed {
+				t.Errorf("Vetoed: Run %d, RunCtx %d", plain.Vetoed, hard.Vetoed)
+			}
+			if plain.Final.Len() == 0 || len(hard.Quarantined) != 0 {
+				t.Fatalf("final %d pairs, quarantined %v — want matches and no quarantine", plain.Final.Len(), hard.Quarantined)
+			}
+		})
+	}
+
+	bad := fig8
+	bad.Features = nil
+	if res, err := bad.Run(tp.l, tp.r); err == nil || res != nil {
+		t.Fatalf("Run on a broken workflow = (%v, %v), want (nil, error)", res, err)
+	}
+	if res, err := bad.RunCtx(context.Background(), tp.l, tp.r, RunOptions{}); err == nil || res == nil || res.Log == nil {
+		t.Fatalf("RunCtx on a broken workflow must keep its partial result and log, got (%v, %v)", res, err)
 	}
 }
 

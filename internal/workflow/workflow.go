@@ -9,6 +9,7 @@
 package workflow
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -52,8 +53,7 @@ type Entry struct {
 	Detail string
 	Count  int
 	// Outcome is how the stage ended ("" or OutcomeOK for normal
-	// completion; see the Outcome* constants). Only RunCtx records
-	// non-ok outcomes.
+	// completion; see the Outcome* constants).
 	Outcome string
 }
 
@@ -143,9 +143,9 @@ type Result struct {
 	// Final is Sure ∪ (Learned minus vetoed) (S1/S2 unioned with sure
 	// matches).
 	Final *block.CandidateSet
-	// Quarantined are candidate pairs the hardened runtime (RunCtx)
-	// dropped under the error budget because vectorization or prediction
-	// failed on them; always empty for plain Run.
+	// Quarantined are candidate pairs dropped under RunOptions.ErrorBudget
+	// because vectorization or prediction failed on them (empty without
+	// a budget: the first failing pair aborts the run).
 	Quarantined []block.Pair
 	// Check is the production monitoring check RunCtx ran when its
 	// options asked for one (nil otherwise).
@@ -161,73 +161,19 @@ type Result struct {
 	// Log records each step.
 	Log *Log
 	// Report is the machine-readable run record (spans, metrics,
-	// provenance, quarantines) the hardened runtime builds on every
-	// RunCtx run, success or failure; nil for plain Run.
+	// provenance, quarantines) built on every run, success or failure.
 	Report *obs.Report
 }
 
-// Run executes the workflow on one (left, right) table pair.
+// Run executes the workflow on one (left, right) table pair: RunCtx
+// with no deadline and the zero options, for callers that want matches
+// or an error and nothing in between — on failure the result is nil
+// (RunCtx's partial result is the operator's record, not theirs).
 func (w *Workflow) Run(left, right *table.Table) (*Result, error) {
-	log := &Log{}
-	res := &Result{Log: log}
-
-	// Step 1: sure matches straight from the tables.
-	if w.SureRules != nil && w.SureRules.Len() > 0 {
-		res.Sure = w.SureRules.SureMatches(left, right)
-	} else {
-		res.Sure = block.NewCandidateSet(left, right)
-	}
-	log.Add("sure_matches", "positive rules over input tables", res.Sure.Len())
-
-	// Step 2: blocking.
-	blocked, err := block.UnionBlock(left, right, w.Blockers...)
+	res, err := w.RunCtx(context.Background(), left, right, RunOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("workflow %s: blocking: %w", w.Name, err)
+		return nil, err
 	}
-	log.Add("blocked", "union of blockers", blocked.Len())
-
-	// Step 3: remove sure matches from the candidate set.
-	res.Candidates, err = blocked.Minus(res.Sure)
-	if err != nil {
-		return nil, fmt.Errorf("workflow %s: %w", w.Name, err)
-	}
-	log.Add("candidates", "blocked minus sure matches", res.Candidates.Len())
-
-	// Step 4: learned predictions.
-	res.Learned = block.NewCandidateSet(left, right)
-	if w.Matcher != nil && res.Candidates.Len() > 0 {
-		if w.Features == nil || w.Imputer == nil {
-			return nil, fmt.Errorf("workflow %s: matcher set but features/imputer missing", w.Name)
-		}
-		x, err := w.Features.Vectorize(left, right, res.Candidates.Pairs())
-		if err != nil {
-			return nil, fmt.Errorf("workflow %s: vectorize: %w", w.Name, err)
-		}
-		x, err = w.Imputer.Transform(x)
-		if err != nil {
-			return nil, fmt.Errorf("workflow %s: impute: %w", w.Name, err)
-		}
-		for i, p := range res.Candidates.Pairs() {
-			if w.Matcher.Predict(x[i]) == 1 {
-				res.Learned.Add(p)
-			}
-		}
-	}
-	log.Add("learned", "matcher predictions on candidates", res.Learned.Len())
-
-	// Step 5: negative rules veto learned matches.
-	kept := res.Learned
-	if w.NegativeRules != nil && w.NegativeRules.Len() > 0 {
-		kept, res.Vetoed = w.NegativeRules.FilterMatches(res.Learned)
-	}
-	log.Add("vetoed", "negative rules flipped", res.Vetoed)
-
-	// Step 6: final = sure ∪ kept.
-	res.Final, err = res.Sure.Union(kept)
-	if err != nil {
-		return nil, fmt.Errorf("workflow %s: %w", w.Name, err)
-	}
-	log.Add("final", "sure matches plus surviving predictions", res.Final.Len())
 	return res, nil
 }
 
