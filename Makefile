@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu tier2 ci bench bench-baseline chaos smoke perf-gate
+.PHONY: all tier1 build test vet fmt-check race race-cpu tier2 ci bench bench-baseline smoke perf-gate
 
 all: tier1
 
@@ -36,24 +36,22 @@ race:
 race-cpu:
 	$(GO) test -race -cpu 1,2 ./internal/block ./internal/feature ./internal/rules ./internal/serve
 
-# chaos kills the case-study pipeline (built with -race) at every
-# checkpoint boundary and once mid-write, resumes each run, and asserts
-# byte-identical results plus corruption quarantine — see
-# scripts/chaos_run.sh and docs/RELIABILITY.md.
-chaos:
-	./scripts/chaos_run.sh
-
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
-# package builds the CLIs once (emserve with -race), generates one slice,
-# spec and matcher artifact once, and runs seven scenarios against the
-# real binaries — serve (degrade, shed, reload, rollback), job
-# (mid-write kill, byte-identical resume), stream (SIGKILL and drain cuts
-# resumed from a persisted cursor), obs (wide events, tail capture, SLO
-# gate), prof (capture ring, breach capture), load (soak 0/1, capacity,
-# chaos-soak) and monitor (drift check 0/1) — with every server drained
-# to exit 130, zero leaked goroutines, race-clean. One scenario:
+# package builds the CLIs once (emserve and emcasestudy with -race),
+# generates one slice, spec and matcher artifact once, and runs eight
+# scenarios against the real binaries — serve (degrade, shed, reload,
+# rollback), job (mid-write kill, byte-identical resume), stream (SIGKILL
+# and drain cuts resumed from a persisted cursor), obs (wide events, tail
+# capture, SLO gate), prof (capture ring, breach capture), load (soak 0/1,
+# capacity, chaos-soak), monitor (drift check 0/1) and chaos (the case
+# study killed at every checkpoint boundary and once mid-write, each
+# resume byte-identical, a corrupted artifact quarantined) — with every
+# server drained to exit 130, zero leaked goroutines, race-clean. Each
+# scenario prints one PASS line; a failing one shows its process's log
+# tail. One scenario:
 #   go test -tags smoke -count=1 -v ./internal/smoke -run TestSmoke/stream
-# See docs/SERVING.md ("The smoke test") and docs/OBSERVABILITY.md.
+# See docs/SERVING.md ("The smoke test"), docs/RELIABILITY.md ("The chaos
+# harness") and docs/OBSERVABILITY.md.
 smoke:
 	$(GO) test -tags smoke -count=1 -v ./internal/smoke
 
@@ -76,10 +74,10 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), the kill/resume chaos harness, the end-to-end
-# smoke harness, and the perf-regression gate over the committed BENCH
-# trajectory.
-tier2: fmt-check vet race race-cpu chaos smoke perf-gate
+# trustworthy race-clean), the end-to-end smoke harness (the kill/resume
+# chaos scenario among its eight), and the perf-regression gate over the
+# committed BENCH trajectory.
+tier2: fmt-check vet race race-cpu smoke perf-gate
 
 ci: tier1 tier2
 

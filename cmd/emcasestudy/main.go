@@ -29,42 +29,19 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
-	"emgo/internal/obs"
-	"emgo/internal/obs/history"
 	"emgo/internal/umetrics"
-	"emgo/internal/workflow"
 )
 
-func main() {
-	// SIGINT/SIGTERM cancel the study context: sections stop at their
-	// next cancellation check, completed-section checkpoints and the run
-	// report flush on the way out, and the interrupt exits distinctly.
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "emcasestudy:", err)
-		if interrupted {
-			os.Exit(cliutil.ExitInterrupted)
-		}
-		os.Exit(1)
-	}
-}
+// SIGINT/SIGTERM cancel the study context: sections stop at their next
+// cancellation check, completed-section checkpoints and the run report
+// flush on the way out, and the interrupt exits distinctly.
+func main() { cliutil.Main("emcasestudy", runCtx) }
 
 // run is runCtx without cancellation, kept as the testable seam.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -80,12 +57,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	out := fs.String("out", "", "optional CSV file for the final match ID pairs")
 	labelsOut := fs.String("labels", "", "optional CSV file for the released labeled pairs")
 	specOut := fs.String("spec", "", "optional JSON file for the packaged deployment workflow")
-	reportPath := fs.String("report", "", "write the observability run report JSON to this path")
-	tracePath := fs.String("trace", "", "write the span trace tree JSON to this path")
-	debugAddr := fs.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) at this address during the run, e.g. :6060")
-	ckptDir := fs.String("checkpoint-dir", "", "write crash-safe section checkpoints under this directory")
-	resume := fs.Bool("resume", false, "restore completed sections from -checkpoint-dir instead of recomputing them")
-	historyDir := fs.String("history", "", "append the run report to this run-history directory (for emmonitor)")
+	rec := cliutil.RunRecordFlags(fs,
+		"write the observability run report JSON to this path",
+		"write the span trace tree JSON to this path")
+	ckpts := cliutil.CheckpointFlags(fs, "section")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}
@@ -96,100 +71,25 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	cfg.Seed = *seed
 
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
+	if err := rec.CheckStdout(true, "would share stdout with the text report; name a file"); err != nil {
+		return err
 	}
-	if *ckptDir != "" {
-		store, err := ckpt.Open(*ckptDir, cfg.Fingerprint())
-		if err != nil {
-			return fmt.Errorf("checkpoint store: %w", err)
-		}
-		if reason := store.Discarded(); reason != "" {
-			fmt.Fprintf(stderr, "emcasestudy: prior checkpoints discarded: %s\n", reason)
-		}
-		if !*resume {
-			// A fresh run was requested: retire any prior artifacts to the
-			// quarantine directory so they cannot influence this run.
-			for _, name := range store.Names() {
-				store.Quarantine(name, "fresh run requested (-checkpoint-dir without -resume)")
-			}
-		} else if n := len(store.Names()); n > 0 {
-			fmt.Fprintf(stderr, "emcasestudy: resuming from %d checkpoint(s) in %s\n", n, *ckptDir)
-		}
-		cfg.Checkpoints = store
+	err := ckpts.Check()
+	if err != nil {
+		return err
+	}
+	// The store is bound to the full configuration: another -scale or
+	// -seed discards it.
+	if cfg.Checkpoints, err = ckpts.Open("emcasestudy", cfg.Fingerprint(), stderr); err != nil {
+		return err
+	}
+	if ctx, err = rec.Start(ctx, "emcasestudy", stdout, stderr); err != nil {
+		return err
 	}
 
-	if *reportPath != "" || *tracePath != "" || *debugAddr != "" || *historyDir != "" {
-		obs.Enable()
-	}
-	if *debugAddr != "" {
-		dbg, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(stderr, "emcasestudy: debug server on http://%s/debug/\n", dbg.Addr())
-	}
-	started := time.Now()
-	var root *obs.Span
-	if *reportPath != "" || *tracePath != "" || *historyDir != "" {
-		ctx, root = obs.NewTrace(ctx, "emcasestudy")
-	}
-
-	rep, runErr := umetrics.RunCtxStudy(ctx, cfg)
-	root.End()
-	if *tracePath != "" {
-		data, err := json.MarshalIndent(root.Snapshot(), "", "  ")
-		if err == nil {
-			err = os.WriteFile(*tracePath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "emcasestudy: writing trace:", err)
-		} else {
-			fmt.Fprintf(stderr, "emcasestudy: wrote trace to %s\n", *tracePath)
-		}
-	}
-	if *reportPath != "" || *historyDir != "" {
-		outcome := workflow.OutcomeOK
-		obsRep := &obs.Report{
-			Name:      "emcasestudy",
-			StartedAt: started, FinishedAt: time.Now(),
-			Trace: root.Snapshot(),
-		}
-		if runErr != nil {
-			outcome = workflow.OutcomeAborted
-			obsRep.Error = runErr.Error()
-		}
-		obsRep.Outcome = outcome
-		if obs.Enabled() {
-			snap := obs.Default().Snapshot()
-			obsRep.Metrics = &snap
-		}
-		if *reportPath != "" {
-			data, err := obsRep.Marshal()
-			if err == nil {
-				err = os.WriteFile(*reportPath, append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "emcasestudy: writing run report:", err)
-			} else {
-				fmt.Fprintf(stderr, "emcasestudy: wrote run report to %s\n", *reportPath)
-			}
-		}
-		if *historyDir != "" {
-			store, err := history.Open(*historyDir)
-			if err == nil {
-				err = store.Append(obsRep)
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "emcasestudy: appending run history:", err)
-			} else {
-				fmt.Fprintf(stderr, "emcasestudy: appended run report to %s\n", store.Path())
-			}
-		}
-	}
-	if runErr != nil {
-		return runErr
+	rep, err := umetrics.RunCtxStudy(ctx, cfg)
+	if err := rec.Finish(nil, err); err != nil {
+		return err
 	}
 	rep.Write(stdout)
 
@@ -222,51 +122,19 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 // the paper makes ("to serve as a good challenge problem for EM
 // researchers").
 func writeLabels(path string, rep *umetrics.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	rows := make([][]string, len(rep.LabeledPairs))
+	for i, lp := range rep.LabeledPairs {
+		rows[i] = []string{lp.UAN, lp.Accession, lp.Label.String(), lp.Phase}
 	}
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"UniqueAwardNumber", "AccessionNumber", "Label", "Phase"}); err != nil {
-		f.Close()
-		return err
-	}
-	for _, lp := range rep.LabeledPairs {
-		if err := w.Write([]string{lp.UAN, lp.Accession, lp.Label.String(), lp.Phase}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteCSV(path, []string{"UniqueAwardNumber", "AccessionNumber", "Label", "Phase"}, rows)
 }
 
 // writeMatches writes the final matches as (UniqueAwardNumber,
 // AccessionNumber) pairs — the deliverable format of Section 12.
 func writeMatches(path string, rep *umetrics.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	rows := make([][]string, len(rep.Matches))
+	for i, m := range rep.Matches {
+		rows[i] = []string{m.Left, m.Right}
 	}
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"UniqueAwardNumber", "AccessionNumber"}); err != nil {
-		f.Close()
-		return err
-	}
-	for _, m := range rep.Matches {
-		if err := w.Write([]string{m.Left, m.Right}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteCSV(path, []string{"UniqueAwardNumber", "AccessionNumber"}, rows)
 }

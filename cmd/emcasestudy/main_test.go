@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,5 +71,57 @@ func TestRunSmallScaleWithObservability(t *testing.T) {
 	}
 	if !strings.Contains(string(traceData), `"emcasestudy"`) {
 		t.Fatalf("trace file: %.200s", traceData)
+	}
+}
+
+// TestRunRefusesStdoutArtifacts: stdout is the text report's, so a
+// report or trace directed at "-" is refused before anything runs.
+func TestRunRefusesStdoutArtifacts(t *testing.T) {
+	for _, flagName := range []string{"-report", "-trace"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-scale", "0.15", flagName, "-"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), flagName+" - would share stdout") {
+			t.Fatalf("%s -: err = %v, want a refusal", flagName, err)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%s -: wrote %d bytes to stdout before refusing", flagName, stdout.Len())
+		}
+	}
+}
+
+// TestRunAbortedStillWritesRecord: a study that dies still leaves its
+// trace, its report (aborted, carrying the error) and its history row —
+// through the code emmatch writes them with.
+func TestRunAbortedStillWritesRecord(t *testing.T) {
+	dir := t.TempDir()
+	reportPath := filepath.Join(dir, "run.json")
+	tracePath := filepath.Join(dir, "trace.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout, stderr bytes.Buffer
+	err := runCtx(ctx, []string{"-scale", "0.15", "-report", reportPath, "-trace", tracePath,
+		"-history", filepath.Join(dir, "runs")}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("a cancelled study must fail")
+	}
+	data, rerr := os.ReadFile(reportPath)
+	if rerr != nil {
+		t.Fatalf("failed run must still write the report: %v", rerr)
+	}
+	rep, perr := obs.ParseReport(data)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if rep.Outcome != workflow.OutcomeAborted || rep.Error != err.Error() {
+		t.Fatalf("outcome=%q error=%q, want aborted with %q", rep.Outcome, rep.Error, err)
+	}
+	if _, serr := os.Stat(tracePath); serr != nil {
+		t.Fatalf("failed run must still write the trace: %v", serr)
+	}
+	if !strings.Contains(stderr.String(), "appended run report to") {
+		t.Fatalf("history row not appended:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("an aborted study printed a report:\n%.200s", stdout.String())
 	}
 }

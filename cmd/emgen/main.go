@@ -13,8 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,24 +25,9 @@ import (
 	"emgo/internal/umetrics"
 )
 
-func main() {
-	// SIGINT/SIGTERM stop the run between table writes (each write is
-	// atomic, so no truncated CSV is ever left behind) and exit 130.
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "emgen:", err)
-		if interrupted {
-			os.Exit(cliutil.ExitInterrupted)
-		}
-		os.Exit(1)
-	}
-}
+// SIGINT/SIGTERM stop the run between table writes (each write is
+// atomic, so no truncated CSV is ever left behind) and exit 130.
+func main() { cliutil.Main("emgen", runCtx) }
 
 // run is runCtx without cancellation, kept as the testable seam.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -148,15 +131,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 // writeTruth dumps the true (UniqueAwardNumber, AccessionNumber) pairs
 // and their classes.
 func writeTruth(path string, ds *umetrics.Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"UniqueAwardNumber", "AccessionNumber", "Class"}); err != nil {
-		f.Close()
-		return err
-	}
 	keys := ds.Truth.Matches()
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].UAN != keys[j].UAN {
@@ -164,17 +138,9 @@ func writeTruth(path string, ds *umetrics.Dataset) error {
 		}
 		return keys[i].Accession < keys[j].Accession
 	})
-	for _, k := range keys {
-		class := ds.Truth.MatchClass(k.UAN, k.Accession)
-		if err := w.Write([]string{k.UAN, k.Accession, class.String()}); err != nil {
-			f.Close()
-			return err
-		}
+	rows := make([][]string, len(keys))
+	for i, k := range keys {
+		rows[i] = []string{k.UAN, k.Accession, ds.Truth.MatchClass(k.UAN, k.Accession).String()}
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteCSV(path, []string{"UniqueAwardNumber", "AccessionNumber", "Class"}, rows)
 }

@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,24 +30,13 @@ import (
 	"emgo/internal/tokenize"
 )
 
+// SIGINT/SIGTERM end the labeling session gracefully: judgments recorded
+// so far are flushed to -out before exiting 130, so an interrupted
+// session never loses the labels already collected.
 func main() {
-	// SIGINT/SIGTERM end the labeling session gracefully: judgments
-	// recorded so far are flushed to -out before exiting 130, so an
-	// interrupted session never loses the labels already collected.
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "emlabel:", err)
-		if interrupted {
-			os.Exit(cliutil.ExitInterrupted)
-		}
-		os.Exit(1)
-	}
+	cliutil.Main("emlabel", func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+		return runCtx(ctx, args, os.Stdin, stdout, stderr)
+	})
 }
 
 // run is runCtx without cancellation, kept as the testable seam.

@@ -12,8 +12,7 @@
 //	       [-slo "availability=99.5,latency=500ms@99"] [-require-retry-after] \
 //	       [-max-unexpected 0] [-max-job-failures 0] [-check-server] \
 //	       [-start-qps 5] [-max-qps 0] [-factor 2] [-step-duration 10s] [-p99-target 500] \
-//	       [-server-bin ./emserve] [-workdir DIR] [-kill-spec after:shard_00001.json] \
-//	       [-fault-spec ml.predict:first=3,err=chaos-fault] [-min-resumed 1] \
+//	       [-server-bin ./emserve] [-workdir DIR] \
 //	       [-shard-size 4] [-job-timeout 120s] [-- emserve base args...]
 //
 // Modes:
@@ -108,13 +107,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	serverBin := fs.String("server-bin", "", "chaos: emserve binary to supervise (base args after --)")
 	workDir := fs.String("workdir", "", "chaos: scratch dir for job dirs, logs, address files (default: a temp dir)")
-	killSpec := fs.String("kill-spec", "after:shard_00001.json", "chaos: EMCKPT_KILL spec armed on the victim server")
-	faultSpec := fs.String("fault-spec", "ml.predict:first=3,err=chaos-fault", "chaos: -inject plan armed on the victim server")
-	breakerFailures := fs.Int("breaker-failures", 2, "chaos: victim's -breaker-failures")
-	breakerCooldown := fs.Duration("breaker-cooldown", 300*time.Millisecond, "chaos: victim's -breaker-cooldown")
-	minResumed := fs.Int("min-resumed", 1, "chaos: resumed-shard floor the restarted job must report")
 	shardSize := fs.Int("shard-size", 4, "chaos/stream: canonical job shard size")
-	chaosJobRecords := fs.Int("chaos-job-records", 24, "chaos: canonical job record count")
 	jobTimeout := fs.Duration("job-timeout", 120*time.Second, "chaos/stream: per-await job deadline")
 
 	disconnectEvery := fs.Int("disconnect-every", 1, "stream: drop the connection after this many committed chunks and resume (0 = no chaos)")
@@ -287,23 +280,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			wd = tmp
 		}
 		chres, err := load.RunChaos(ctx, load.ChaosConfig{
-			Server:          load.ServerConfig{Bin: *serverBin, Args: fs.Args(), WorkDir: wd},
-			Client:          clientCfg,
-			Pool:            pool,
-			JobRecords:      *chaosJobRecords,
-			ShardSize:       *shardSize,
-			JobTimeout:      *jobTimeout,
-			MinResumed:      *minResumed,
-			KillSpec:        *killSpec,
-			FaultSpec:       *faultSpec,
-			BreakerFailures: *breakerFailures,
-			BreakerCooldown: *breakerCooldown,
-			Rate:            *rate,
-			LoadDuration:    *duration,
-			Seed:            *seed,
-			Blend:           blend,
-			ReportEvery:     *reportEvery,
-			Report:          stderr,
+			Server:       load.ServerConfig{Bin: *serverBin, Args: fs.Args(), WorkDir: wd},
+			Client:       clientCfg,
+			Pool:         pool,
+			ShardSize:    *shardSize,
+			JobTimeout:   *jobTimeout,
+			Rate:         *rate,
+			LoadDuration: *duration,
+			Seed:         *seed,
+			Blend:        blend,
+			ReportEvery:  *reportEvery,
+			Report:       stderr,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "emload: chaos: %v\n", err)

@@ -46,44 +46,23 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"time"
 
 	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
 	"emgo/internal/drift"
 	"emgo/internal/obs"
-	"emgo/internal/obs/history"
-	"emgo/internal/table"
-	"emgo/internal/umetrics"
+	"emgo/internal/retry"
 	"emgo/internal/workflow"
 )
 
-func main() {
-	// SIGINT/SIGTERM cancel the run context: stages stop at their next
-	// cancellation check, checkpoints and run reports flush on the way
-	// out, and the process reports the interrupt distinctly (130).
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "emmatch:", err)
-		if interrupted {
-			os.Exit(cliutil.ExitInterrupted)
-		}
-		os.Exit(1)
-	}
-}
+// SIGINT/SIGTERM cancel the run context: stages stop at their next
+// cancellation check, checkpoints and run reports flush on the way out,
+// and the process reports the interrupt distinctly (130).
+func main() { cliutil.Main("emmatch", runCtx) }
 
 // run is runCtx without cancellation, kept as the testable seam.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -102,191 +81,40 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 	fs := flag.NewFlagSet("emmatch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	specPath := fs.String("spec", "", "packaged workflow spec (JSON)")
-	leftPath := fs.String("left", "", "left table CSV")
-	rightPath := fs.String("right", "", "right table CSV")
+	dep := cliutil.DeploymentFlags(fs, "left table CSV", "right table CSV")
 	leftID := fs.String("left-id", "RecordId", "left record-ID column for the output")
 	rightID := fs.String("right-id", "RecordId", "right record-ID column for the output")
 	out := fs.String("out", "", "output CSV (default: stdout)")
-	transformSet := fs.String("transforms", "umetrics", "transform registry the spec references: umetrics | none")
-	dateCols := fs.String("date-cols", "FirstTransDate,LastTransDate",
-		"comma-separated columns parsed as dates (needed by date features)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 	stageTimeout := fs.Duration("stage-timeout", 0, "deadline per workflow stage (0 = none)")
 	errorBudget := fs.Int("error-budget", 0, "candidate pairs that may be quarantined before aborting")
-	reportPath := fs.String("report", "", "write the run report JSON to this path ('-' = stdout)")
-	tracePath := fs.String("trace", "", "write the span trace tree JSON to this path ('-' = stdout)")
-	debugAddr := fs.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) at this address during the run, e.g. :6060")
-	ckptDir := fs.String("checkpoint-dir", "", "write crash-safe stage checkpoints under this directory")
-	resume := fs.Bool("resume", false, "restore completed stages from -checkpoint-dir instead of recomputing them")
+	rec := cliutil.RunRecordFlags(fs,
+		"write the run report JSON to this path ('-' = stdout)",
+		"write the span trace tree JSON to this path ('-' = stdout)")
+	ckpts := cliutil.CheckpointFlags(fs, "stage")
 	driftCapture := fs.String("drift-capture", "", "profile this run and write the quality baseline JSON to this path")
 	driftBaseline := fs.String("drift-baseline", "", "score this run's quality profile against the baseline at this path")
-	historyDir := fs.String("history", "", "append the run report to this run-history directory (for emmonitor)")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}
 
-	if *specPath == "" || *leftPath == "" || *rightPath == "" {
+	if !dep.Complete() {
 		fmt.Fprintln(stderr, "usage: emmatch -spec workflow.json -left a.csv -right b.csv")
 		return flag.ErrHelp
 	}
-	// Stdout carries exactly one data document. The match CSV defaults
-	// there, so a report or trace may take it over only when -out
-	// redirects the CSV to a file, and they cannot both claim it.
-	if *reportPath == "-" && *out == "" {
-		return fmt.Errorf("-report - needs -out so the match CSV does not share stdout")
+	// The match CSV defaults to stdout, so a report or trace may take it
+	// over only when -out redirects the CSV to a file.
+	if err := rec.CheckStdout(*out == "", "needs -out so the match CSV does not share stdout"); err != nil {
+		return err
 	}
-	if *tracePath == "-" && *out == "" {
-		return fmt.Errorf("-trace - needs -out so the match CSV does not share stdout")
-	}
-	if *reportPath == "-" && *tracePath == "-" {
-		return fmt.Errorf("-report and -trace cannot both write to stdout")
-	}
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
+	if err := ckpts.Check(); err != nil {
+		return err
 	}
 	if *driftCapture != "" && *driftBaseline != "" {
 		return fmt.Errorf("-drift-capture and -drift-baseline are mutually exclusive")
 	}
 
-	// Observability: any of these flags arms the metrics registry so
-	// hot-path counters (pairs blocked, vectors built, predictions,
-	// retries, fault trips) tick for this run.
-	if *reportPath != "" || *tracePath != "" || *debugAddr != "" || *historyDir != "" {
-		obs.Enable()
-	}
-	if *debugAddr != "" {
-		dbg, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(stderr, "emmatch: debug server on http://%s/debug/\n", dbg.Addr())
-	}
-
-	data, err := os.ReadFile(*specPath)
-	if err != nil {
-		return err
-	}
-	spec, err := workflow.ParseSpec(data)
-	if err != nil {
-		return err
-	}
-
-	var transforms workflow.Transforms
-	switch *transformSet {
-	case "umetrics":
-		transforms = umetrics.DeployTransforms()
-	case "none":
-		transforms = workflow.Transforms{}
-	default:
-		return fmt.Errorf("unknown transform set %q", *transformSet)
-	}
-
-	kinds := map[string]table.Kind{}
-	for _, c := range strings.Split(*dateCols, ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			kinds[c] = table.Date
-		}
-	}
-	left, err := table.ReadCSVFile(*leftPath, kinds)
-	if err != nil {
-		return err
-	}
-	right, err := table.ReadCSVFile(*rightPath, kinds)
-	if err != nil {
-		return err
-	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	started := time.Now()
-	var root *obs.Span
-	if *reportPath != "" || *tracePath != "" || *historyDir != "" {
-		// Root the process-wide trace so the workflow's stage spans nest
-		// under the binary's own span.
-		ctx, root = obs.NewTrace(ctx, "emmatch")
-	}
-
-	// writeDoc routes a data document to a file, or to stdout for "-".
-	writeDoc := func(path string, data []byte) error {
-		data = append(data, '\n')
-		if path == "-" {
-			_, err := stdout.Write(data)
-			return err
-		}
-		return os.WriteFile(path, data, 0o644)
-	}
-	// writeArtifacts emits the trace and run report, on success and on
-	// failure alike — an aborted run is exactly when the operator needs
-	// them.
-	writeArtifacts := func(res *workflow.Result, runErr error) error {
-		root.End()
-		if *tracePath != "" {
-			data, err := json.MarshalIndent(root.Snapshot(), "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := writeDoc(*tracePath, data); err != nil {
-				return err
-			}
-			if *tracePath != "-" {
-				fmt.Fprintf(stderr, "emmatch: wrote trace to %s\n", *tracePath)
-			}
-		}
-		if *reportPath != "" || *historyDir != "" {
-			var rep *obs.Report
-			if res != nil {
-				rep = res.Report
-			}
-			if rep == nil {
-				// The run died before RunCtx could build a report (spec
-				// or table errors): synthesize the abort record.
-				rep = &obs.Report{
-					Name: "emmatch", StartedAt: started, FinishedAt: time.Now(),
-					Outcome: workflow.OutcomeAborted, Trace: root.Snapshot(),
-				}
-				if runErr != nil {
-					rep.Error = runErr.Error()
-				}
-				if obs.Enabled() {
-					snap := obs.Default().Snapshot()
-					rep.Metrics = &snap
-				}
-			}
-			if *reportPath != "" {
-				data, err := rep.Marshal()
-				if err != nil {
-					return err
-				}
-				if err := writeDoc(*reportPath, data); err != nil {
-					return err
-				}
-				if *reportPath != "-" {
-					fmt.Fprintf(stderr, "emmatch: wrote run report to %s\n", *reportPath)
-				}
-			}
-			if *historyDir != "" {
-				store, err := history.Open(*historyDir)
-				if err != nil {
-					return err
-				}
-				if err := store.Append(rep); err != nil {
-					return err
-				}
-				fmt.Fprintf(stderr, "emmatch: appended run report to %s\n", store.Path())
-			}
-		}
-		return nil
-	}
-
-	opts := workflow.RunOptions{
-		StageTimeout: *stageTimeout,
-		ErrorBudget:  *errorBudget,
-	}
+	opts := workflow.RunOptions{StageTimeout: *stageTimeout, ErrorBudget: *errorBudget}
 	switch {
 	case *driftCapture != "":
 		// Capture mode: profile this run and persist the baseline.
@@ -298,45 +126,44 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		}
 		opts.Drift = &workflow.DriftStage{Baseline: base}
 	}
-	if *ckptDir != "" {
-		// The store is bound to the exact spec bytes and table contents:
-		// edit any of them and every prior checkpoint is discarded rather
-		// than resumed against the wrong inputs.
-		store, err := ckpt.Open(*ckptDir, ckpt.Fingerprint(
-			"emmatch", string(data), left.Fingerprint(), right.Fingerprint()))
-		if err != nil {
-			return fmt.Errorf("checkpoint store: %w", err)
-		}
-		if reason := store.Discarded(); reason != "" {
-			fmt.Fprintf(stderr, "emmatch: prior checkpoints discarded: %s\n", reason)
-		}
-		if !*resume {
-			for _, name := range store.Names() {
-				store.Quarantine(name, "fresh run requested (-checkpoint-dir without -resume)")
-			}
-		} else if n := len(store.Names()); n > 0 {
-			fmt.Fprintf(stderr, "emmatch: resuming from %d checkpoint(s) in %s\n", n, *ckptDir)
-		}
-		opts.Checkpoints = store
-	}
-	w, err := spec.BuildCtx(ctx, left, right, transforms, opts.Retry)
-	if err != nil {
-		if aerr := writeArtifacts(nil, err); aerr != nil {
-			fmt.Fprintln(stderr, "emmatch: writing observability artifacts:", aerr)
-		}
+
+	if ctx, err = rec.Start(ctx, "emmatch", stdout, stderr); err != nil {
 		return err
 	}
-	res, err := w.RunCtx(ctx, left, right, opts)
-	if res != nil && res.Log != nil {
-		fmt.Fprintf(stderr, "%s", res.Log)
-	}
-	if aerr := writeArtifacts(res, err); aerr != nil {
-		if err == nil {
-			return aerr
+	// The run proper: load what the flags name, open the checkpoint store
+	// over exactly those inputs (the spec bytes and both tables'
+	// contents), build the workflow, run it under the deadline.
+	res, err := func() (*workflow.Result, error) {
+		err := dep.Load()
+		if err != nil {
+			return nil, err
 		}
-		fmt.Fprintln(stderr, "emmatch: writing observability artifacts:", aerr)
+		if *timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeout)
+			defer cancel()
+		}
+		opts.Checkpoints, err = ckpts.Open("emmatch", ckpt.Fingerprint(
+			"emmatch", string(dep.SpecData), dep.Left.Fingerprint(), dep.Right.Fingerprint()), stderr)
+		if err != nil {
+			return nil, err
+		}
+		w, err := dep.Spec.BuildCtx(ctx, dep.Left, dep.Right, dep.Transforms, retry.Policy{})
+		if err != nil {
+			return nil, err
+		}
+		return w.RunCtx(ctx, dep.Left, dep.Right, opts)
+	}()
+	var rep *obs.Report
+	if res != nil {
+		if res.Log != nil {
+			fmt.Fprintf(stderr, "%s", res.Log)
+		}
+		rep = res.Report
 	}
-	if err != nil {
+	// A run that died before RunCtx could build a report (spec, table or
+	// build errors) still leaves the abort record.
+	if err := rec.Finish(rep, err); err != nil {
 		return err
 	}
 	if n := len(res.Quarantined); n > 0 {

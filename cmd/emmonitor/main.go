@@ -61,27 +61,15 @@ import (
 // itself could not run".
 var errBreach = errors.New("quality degraded")
 
+// SIGINT/SIGTERM cancel the run context before the next subcommand step;
+// an interrupt exits 130, never masquerading as a breach (1).
 func main() {
-	// SIGINT/SIGTERM cancel the run context before the next subcommand
-	// step; an interrupt exits 130, never masquerading as a breach.
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	switch {
-	case err == nil:
-	case interrupted:
-		fmt.Fprintln(os.Stderr, "emmonitor:", err)
-		os.Exit(cliutil.ExitInterrupted)
-	case errors.Is(err, errBreach):
-		fmt.Fprintln(os.Stderr, "emmonitor:", err)
-		os.Exit(1)
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "emmonitor:", err)
-		os.Exit(2)
-	}
+	cliutil.MainCodes("emmonitor", runCtx, func(err error) int {
+		if errors.Is(err, errBreach) {
+			return 1
+		}
+		return 2
+	})
 }
 
 // run is runCtx without cancellation, kept as the testable seam.

@@ -13,11 +13,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"emgo/internal/cliutil"
 	"emgo/internal/profile"
@@ -25,24 +23,9 @@ import (
 	"emgo/internal/table"
 )
 
-func main() {
-	// SIGINT/SIGTERM stop the run between files; the interrupt exits
-	// with the conventional 130 instead of a generic failure.
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "emprofile:", err)
-		if interrupted {
-			os.Exit(cliutil.ExitInterrupted)
-		}
-		os.Exit(1)
-	}
-}
+// SIGINT/SIGTERM stop the run between files; the interrupt exits with
+// the conventional 130 instead of a generic failure.
+func main() { cliutil.Main("emprofile", runCtx) }
 
 // run is runCtx without cancellation, kept as the testable seam.
 func run(args []string, stdout, stderr io.Writer) error {

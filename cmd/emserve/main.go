@@ -84,7 +84,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -106,27 +105,9 @@ import (
 	"emgo/internal/obs/slo"
 	"emgo/internal/retry"
 	"emgo/internal/serve"
-	"emgo/internal/table"
-	"emgo/internal/umetrics"
-	"emgo/internal/workflow"
 )
 
-func main() {
-	ctx, stop := cliutil.SignalContext(context.Background())
-	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	interrupted := cliutil.Interrupted(ctx, err)
-	stop()
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "emserve:", err)
-		if interrupted {
-			os.Exit(cliutil.ExitInterrupted)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cliutil.Main("emserve", runCtx) }
 
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
@@ -152,9 +133,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 	fs := flag.NewFlagSet("emserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	specPath := fs.String("spec", "", "packaged workflow spec (JSON)")
-	leftPath := fs.String("left", "", "left table CSV (request records use its schema)")
-	rightPath := fs.String("right", "", "right table CSV (the deployed corpus matched against)")
+	dep := cliutil.DeploymentFlags(fs,
+		"left table CSV (request records use its schema)",
+		"right table CSV (the deployed corpus matched against)")
 	matcherPath := fs.String("matcher", "", "standalone matcher artifact to serve (hot-reloadable; default: the spec-embedded matcher)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file (for scripts binding port 0)")
@@ -171,9 +152,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive matcher failures that trip the breaker (0 = default)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before probing (0 = default)")
 	breakerLatency := fs.Duration("breaker-latency", 0, "matcher calls slower than this count as failures (0 = off)")
-	transformSet := fs.String("transforms", "umetrics", "transform registry the spec references: umetrics | none")
-	dateCols := fs.String("date-cols", "FirstTransDate,LastTransDate",
-		"comma-separated columns parsed as dates (needed by date features)")
 	driftBaseline := fs.String("drift-baseline", "", "training-time baseline profile; arms GET /-/drift?check=1")
 	rightID := fs.String("right-id", "RecordId", "right-table ID column echoed in match responses")
 	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; larger inputs go through jobs)")
@@ -202,7 +180,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}
 
-	if *specPath == "" || *leftPath == "" || *rightPath == "" {
+	if !dep.Complete() {
 		fmt.Fprintln(stderr, "usage: emserve -spec workflow.json -left a.csv -right b.csv [-addr :8080]")
 		return flag.ErrHelp
 	}
@@ -214,41 +192,14 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		fmt.Fprintf(stderr, "emserve: fault injection armed at %s\n", site)
 	}
 
-	data, err := os.ReadFile(*specPath)
-	if err != nil {
+	if err := dep.Load(); err != nil {
 		return err
 	}
-	spec, err := workflow.ParseSpec(data)
-	if err != nil {
-		return err
-	}
-	var transforms workflow.Transforms
-	switch *transformSet {
-	case "umetrics":
-		transforms = umetrics.DeployTransforms()
-	case "none":
-		transforms = workflow.Transforms{}
-	default:
-		return fmt.Errorf("unknown transform set %q", *transformSet)
-	}
-	kinds := map[string]table.Kind{}
-	for _, c := range strings.Split(*dateCols, ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			kinds[c] = table.Date
-		}
-	}
-	left, err := table.ReadCSVFile(*leftPath, kinds)
-	if err != nil {
-		return err
-	}
-	right, err := table.ReadCSVFile(*rightPath, kinds)
-	if err != nil {
-		return err
-	}
+	left, right := dep.Left, dep.Right
 
 	// A served request must never trip a training pass: the spec is built
 	// here exactly as emmatch builds it, then only its fitted parts run.
-	wf, err := spec.BuildCtx(ctx, left, right, transforms, retry.Policy{})
+	wf, err := dep.Spec.BuildCtx(ctx, left, right, dep.Transforms, retry.Policy{})
 	if err != nil {
 		return err
 	}

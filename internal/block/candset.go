@@ -172,6 +172,31 @@ func (c *CandidateSet) Sorted() []Pair {
 	return out
 }
 
+// EncodePairs is the checkpoint form of a pair list: [left row, right
+// row] index pairs in the given order — order is part of the contract,
+// since downstream sampling indexes into a set's insertion order.
+func EncodePairs(pairs []Pair) [][2]int {
+	out := make([][2]int, 0, len(pairs))
+	for _, p := range pairs {
+		out = append(out, [2]int{p.A, p.B})
+	}
+	return out
+}
+
+// DecodePairs rebuilds, in order, a candidate set over left and right
+// from EncodePairs' form. Every index is bounds-checked, so arbitrary
+// bytes in a checkpoint can never turn into an out-of-range row access.
+func DecodePairs(pairs [][2]int, left, right *table.Table) (*CandidateSet, error) {
+	cs := NewCandidateSet(left, right)
+	for _, p := range pairs {
+		if p[0] < 0 || p[0] >= left.Len() || p[1] < 0 || p[1] >= right.Len() {
+			return nil, fmt.Errorf("pair (%d,%d) out of range for %dx%d tables", p[0], p[1], left.Len(), right.Len())
+		}
+		cs.Add(Pair{A: p[0], B: p[1]})
+	}
+	return cs, nil
+}
+
 // Blocker produces a candidate set from two tables.
 type Blocker interface {
 	// Block computes the candidate pairs of left × right that survive

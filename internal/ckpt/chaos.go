@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Chaos kill-points let the chaos harness (scripts/chaos_run.sh) kill
+// Chaos kill-points let the chaos harness (TestSmoke/chaos) kill
 // the process at exact checkpoint boundaries instead of racing a
 // sleep-and-SIGKILL against the pipeline. The EMCKPT_KILL environment
 // variable names one kill-point as "<mode>:<artifact>":

@@ -1,20 +1,62 @@
-// Package cliutil is the shared signal-handling seam for the repo's
-// binaries. Every CLI runs its work under a context cancelled by
-// SIGINT/SIGTERM, so an operator's Ctrl-C (or a supervisor's TERM
-// during redeploy) propagates through the same ctx plumbing the
-// pipeline already honors: stages stop at their next cancellation
-// check, pending checkpoints and run reports flush on the way out, and
-// the process exits with the conventional interrupted status instead of
-// dying mid-write.
+// Package cliutil is the kit under the repo's binaries: what more than
+// one of them does, written once. Main is main(): every CLI works under
+// a context cancelled by SIGINT/SIGTERM, so an operator's Ctrl-C (or a
+// supervisor's TERM) stops stages at their next cancellation check,
+// lets checkpoints and run reports flush, and exits with the interrupted
+// status instead of dying mid-write. Deployment loads a packaged
+// workflow and its two tables (emmatch, emserve); RunRecord and
+// Checkpoints are the observability and crash-safety flags of the
+// binaries that run a pipeline to completion (emmatch, emcasestudy).
 package cliutil
 
 import (
 	"context"
+	"encoding/csv"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 )
+
+// RunFunc is a binary's whole program behind its testable seam.
+type RunFunc func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+
+// Main is a binary's main(): it runs run under the signal context and
+// exits 0 on success, 2 on a wrong invocation (flag.ErrHelp — the FlagSet
+// already printed the diagnostic) and, after a "name: error" line on
+// stderr, ExitInterrupted when a signal stopped the run, else 1.
+func Main(name string, run RunFunc) { MainCodes(name, run, nil) }
+
+// MainCodes is Main for a binary whose failures do not all exit 1:
+// classify picks the status of an error that is neither a wrong
+// invocation nor an interrupt.
+func MainCodes(name string, run RunFunc, classify func(error) int) {
+	os.Exit(mainCode(name, run, classify, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func mainCode(name string, run RunFunc, classify func(error) int, args []string, stdout, stderr io.Writer) int {
+	ctx, stop := SignalContext(context.Background())
+	err := run(ctx, args, stdout, stderr)
+	interrupted := Interrupted(ctx, err)
+	stop()
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, flag.ErrHelp):
+		return 2
+	}
+	fmt.Fprintf(stderr, "%s: %v\n", name, err)
+	if interrupted {
+		return ExitInterrupted
+	}
+	if classify == nil {
+		return 1
+	}
+	return classify(err)
+}
 
 // ExitInterrupted is the exit status for a run stopped by SIGINT or
 // SIGTERM after flushing its state (128+SIGINT, the shell convention —
@@ -28,12 +70,9 @@ const ExitInterrupted = 130
 // the signal registration.
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		// Once cancelled (first signal or parent cancellation), drop the
-		// registration so the next signal gets default handling.
-		<-ctx.Done()
-		stop()
-	}()
+	// Once cancelled (first signal or parent cancellation), drop the
+	// registration so the next signal gets default handling.
+	context.AfterFunc(ctx, stop)
 	return ctx, stop
 }
 
@@ -46,4 +85,17 @@ func Interrupted(ctx context.Context, err error) bool {
 		return false
 	}
 	return err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// WriteCSV writes header and rows to a new file at path.
+func WriteCSV(path string, header []string, rows [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = csv.NewWriter(f).WriteAll(append([][]string{header}, rows...)) // flushes
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,9 +1,12 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"syscall"
 	"testing"
 	"time"
@@ -66,5 +69,76 @@ func TestInterrupted(t *testing.T) {
 		if got := Interrupted(tc.ctx, tc.err); got != tc.want {
 			t.Errorf("%s: Interrupted = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestMainExitCodes pins what every binary's main() relies on: the exit
+// status per kind of outcome and the "name: error" stderr line.
+func TestMainExitCodes(t *testing.T) {
+	leakcheck.Check(t)
+	breach := errors.New("quality degraded")
+	breachIsOne := func(err error) int {
+		if errors.Is(err, breach) {
+			return 1
+		}
+		return 2
+	}
+	returning := func(err error) RunFunc {
+		return func(context.Context, []string, io.Writer, io.Writer) error { return err }
+	}
+	// interrupted signals itself the way an operator's TERM would, waits
+	// for the cancellation to reach it, and reports it as its error.
+	interrupted := func(ctx context.Context, _ []string, _, _ io.Writer) error {
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("stage: %w", ctx.Err())
+		case <-time.After(2 * time.Second):
+			return errors.New("SIGTERM did not cancel the run context")
+		}
+	}
+	cases := []struct {
+		name     string
+		run      RunFunc
+		classify func(error) int
+		code     int
+		stderr   string
+	}{
+		{"success", returning(nil), nil, 0, ""},
+		{"wrong invocation", returning(flag.ErrHelp), nil, 2, ""},
+		{"failure", returning(errors.New("disk full")), nil, 1, "emtest: disk full\n"},
+		{"interrupt", interrupted, nil, ExitInterrupted, "emtest: stage: context canceled\n"},
+		{"classified breach", returning(fmt.Errorf("check: %w", breach)), breachIsOne, 1, "emtest: check: quality degraded\n"},
+		{"classified failure", returning(errors.New("no such file")), breachIsOne, 2, "emtest: no such file\n"},
+		{"classified wrong invocation", returning(flag.ErrHelp), breachIsOne, 2, ""},
+		{"classified interrupt", interrupted, breachIsOne, ExitInterrupted, "emtest: stage: context canceled\n"},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		code := mainCode("emtest", tc.run, tc.classify, []string{"-x"}, &stdout, &stderr)
+		if code != tc.code || stderr.String() != tc.stderr || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit %d, stderr %q, no stdout",
+				tc.name, code, stderr.String(), stdout.String(), tc.code, tc.stderr)
+		}
+	}
+}
+
+// TestMainHandsTheSeamItsArguments: run gets the args and streams main
+// was given, under a live context.
+func TestMainHandsTheSeamItsArguments(t *testing.T) {
+	leakcheck.Check(t)
+	var stdout, stderr bytes.Buffer
+	code := mainCode("emtest", func(ctx context.Context, args []string, out, errw io.Writer) error {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		fmt.Fprintf(out, "args=%v", args)
+		fmt.Fprint(errw, "progress")
+		return nil
+	}, nil, []string{"-a", "b"}, &stdout, &stderr)
+	if code != 0 || stdout.String() != "args=[-a b]" || stderr.String() != "progress" {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 }

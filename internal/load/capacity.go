@@ -19,20 +19,11 @@ type CapacityConfig struct {
 	// Factor multiplies the rate between steps (default 2; values closer
 	// to 1 trade wall clock for resolution).
 	Factor float64
-	// StepDuration is how long each step runs (default 10s). The first
-	// WarmupFrac of each step is discarded from the verdict... kept
-	// simple: the whole step counts; make steps long enough to amortize
-	// cold starts.
+	// StepDuration is how long each step runs (default 10s). The whole
+	// step counts; make steps long enough to amortize cold starts.
 	StepDuration time.Duration
 	// P99TargetMS is the latency bar a step must hold (default 500).
 	P99TargetMS float64
-	// MaxBadFrac caps (server errors + timeouts + net errors +
-	// unexpected) over non-shed completions per step (default 0.01).
-	MaxBadFrac float64
-	// MaxShedFrac caps shed answers over all completions per step
-	// (default 0.05): a box serving 1% of offered load at great latency
-	// is not "holding" that load.
-	MaxShedFrac float64
 	// TriggerProfile, after the search settles, asks the server's
 	// continuous profiler for a capture and replays one confirmation
 	// step at the max sustainable rate so the capture samples the
@@ -78,6 +69,15 @@ type CapacityResult struct {
 	ProfileTriggered bool `json:"profile_triggered,omitempty"`
 }
 
+// A step also fails on errors: maxBadFrac caps (server errors + timeouts
+// + net errors + unexpected) over non-shed completions, maxShedFrac caps
+// shed answers over all completions — a box serving 1% of offered load
+// at great latency is not "holding" that load.
+const (
+	maxBadFrac  = 0.01
+	maxShedFrac = 0.05
+)
+
 func (c CapacityConfig) withDefaults() CapacityConfig {
 	if c.StartQPS <= 0 {
 		c.StartQPS = 5
@@ -93,12 +93,6 @@ func (c CapacityConfig) withDefaults() CapacityConfig {
 	}
 	if c.P99TargetMS <= 0 {
 		c.P99TargetMS = 500
-	}
-	if c.MaxBadFrac <= 0 {
-		c.MaxBadFrac = 0.01
-	}
-	if c.MaxShedFrac <= 0 {
-		c.MaxShedFrac = 0.05
 	}
 	if c.Report == nil {
 		c.Report = io.Discard
@@ -200,12 +194,12 @@ func evaluateStep(cfg CapacityConfig, rate float64, res *Result) CapacityStep {
 	case step.Latency.P99MS > cfg.P99TargetMS:
 		step.Pass = false
 		step.Reason = fmt.Sprintf("p99 %s over target %s", fmtMS(step.Latency.P99MS), fmtMS(cfg.P99TargetMS))
-	case nonShed > 0 && float64(step.Bad)/float64(nonShed) > cfg.MaxBadFrac:
+	case nonShed > 0 && float64(step.Bad)/float64(nonShed) > maxBadFrac:
 		step.Pass = false
-		step.Reason = fmt.Sprintf("%d bad of %d non-shed answers over the %.1f%% budget", step.Bad, nonShed, 100*cfg.MaxBadFrac)
-	case float64(step.Shed)/float64(res.Completed) > cfg.MaxShedFrac:
+		step.Reason = fmt.Sprintf("%d bad of %d non-shed answers over the %.1f%% budget", step.Bad, nonShed, 100*maxBadFrac)
+	case float64(step.Shed)/float64(res.Completed) > maxShedFrac:
 		step.Pass = false
-		step.Reason = fmt.Sprintf("%d of %d answers shed over the %.1f%% budget", step.Shed, res.Completed, 100*cfg.MaxShedFrac)
+		step.Reason = fmt.Sprintf("%d of %d answers shed over the %.1f%% budget", step.Shed, res.Completed, 100*maxShedFrac)
 	case res.Scheduled > 0 && float64(res.Dropped)/float64(res.Scheduled) > 0.01:
 		step.Pass = false
 		step.Reason = fmt.Sprintf("generator dropped %d arrivals; measurement untrustworthy", res.Dropped)

@@ -177,32 +177,10 @@ type ChaosConfig struct {
 	Client ClientConfig
 	Pool   *RecordPool
 
-	// JobRecords/ShardSize shape the canonical async job (defaults 24/4;
-	// the kill-spec names shards, so the shard count must exceed the
-	// killed shard's index).
-	JobRecords int
-	ShardSize  int
+	// ShardSize is the canonical async job's shard size (default 4).
+	ShardSize int
 	// JobTimeout bounds each await (default 120s).
 	JobTimeout time.Duration
-	// MinResumed is the resumed-shard floor the restarted job must report
-	// (default 1): proof it resumed instead of recomputing from scratch.
-	MinResumed int
-
-	// KillSpec arms EMCKPT_KILL on the faulted server (default
-	// "after:shard_00001.json" — die exactly at a shard-commit boundary).
-	KillSpec string
-	// FaultSpec arms -inject on the faulted server (default
-	// "ml.predict:first=3,err=chaos-fault" — three matcher faults to trip
-	// the breaker, all consumed before the canonical job is submitted so
-	// shard results stay deterministic).
-	FaultSpec string
-	// BreakerFailures/BreakerCooldown tune the faulted server's breaker
-	// so the open -> re-close round trip fits a smoke budget (defaults
-	// 2 and 300ms).
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	// BreakerWait bounds the breaker exercise (default 30s).
-	BreakerWait time.Duration
 
 	// Rate/LoadDuration/Seed/Blend shape each load phase (defaults 25
 	// qps, 8s, seed 1, single-heavy with malformed/status probes and NO
@@ -235,33 +213,29 @@ type ChaosResult struct {
 	Pass                  bool           `json:"pass"`
 }
 
+// The choreography's fixed parts. They only work together, so none is
+// a setting: the canonical job (six shards at the default size) must
+// have the shard EMCKPT_KILL names — die exactly at its commit — and the
+// -inject plan's three matcher faults must trip a two-failure breaker
+// yet all be spent before the job is submitted. The cooldown lets the
+// open -> re-close round trip fit a smoke budget; chaosMinResumed is the
+// resumed-shard floor proving the restart did not recompute from scratch.
+const (
+	chaosJobRecords      = 24
+	chaosKillSpec        = "after:shard_00001.json"
+	chaosFaultSpec       = "ml.predict:first=3,err=chaos-fault"
+	chaosBreakerFailures = "2"
+	chaosBreakerCooldown = "300ms"
+	chaosBreakerWait     = 30 * time.Second
+	chaosMinResumed      = 1
+)
+
 func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.JobRecords <= 0 {
-		c.JobRecords = 24
-	}
 	if c.ShardSize <= 0 {
 		c.ShardSize = 4
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 120 * time.Second
-	}
-	if c.MinResumed <= 0 {
-		c.MinResumed = 1
-	}
-	if c.KillSpec == "" {
-		c.KillSpec = "after:shard_00001.json"
-	}
-	if c.FaultSpec == "" {
-		c.FaultSpec = "ml.predict:first=3,err=chaos-fault"
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 2
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 300 * time.Millisecond
-	}
-	if c.BreakerWait <= 0 {
-		c.BreakerWait = 30 * time.Second
 	}
 	if c.Rate <= 0 {
 		c.Rate = 25
@@ -310,7 +284,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	say := func(format string, args ...any) {
 		fmt.Fprintf(cfg.Report, "emload: chaos: "+format+"\n", args...)
 	}
-	records := cfg.Pool.JobRecords(cfg.JobRecords)
+	records := cfg.Pool.JobRecords(chaosJobRecords)
 
 	// Phase 1: reference bytes from an unmolested server.
 	say("reference server starting")
@@ -337,25 +311,25 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	// Phase 2: the faulted, kill-armed server.
-	say("faulted server starting (kill %s, inject %s)", cfg.KillSpec, cfg.FaultSpec)
+	say("faulted server starting (kill %s, inject %s)", chaosKillSpec, chaosFaultSpec)
 	chaosDir := filepath.Join(cfg.Server.WorkDir, "jobs_chaos")
 	victim, err := StartServer(ctx, cfg.Server, chaosDir, "chaos_kill.err",
 		[]string{
 			"-job-shard-size", fmt.Sprint(cfg.ShardSize), "-job-workers", "1",
-			"-inject", cfg.FaultSpec,
-			"-breaker-failures", fmt.Sprint(cfg.BreakerFailures),
-			"-breaker-cooldown", cfg.BreakerCooldown.String(),
+			"-inject", chaosFaultSpec,
+			"-breaker-failures", chaosBreakerFailures,
+			"-breaker-cooldown", chaosBreakerCooldown,
 		},
-		[]string{"EMCKPT_KILL=" + cfg.KillSpec})
+		[]string{"EMCKPT_KILL=" + chaosKillSpec})
 	if err != nil {
 		return res, err
 	}
 	exercise := NewClient(clientFor(cfg.Client, victim), cfg.Pool)
-	opened, reclosed := exerciseBreaker(ctx, exercise, cfg.BreakerWait)
+	opened, reclosed := exerciseBreaker(ctx, exercise, chaosBreakerWait)
 	exercise.CloseIdle()
 	res.BreakerOpened, res.BreakerReclosed = opened, reclosed
 	if !opened {
-		failf("breaker never opened under %s", cfg.FaultSpec)
+		failf("breaker never opened under %s", chaosFaultSpec)
 	}
 	if !reclosed {
 		failf("breaker never re-closed after the faults were consumed")
@@ -363,13 +337,13 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	say("breaker exercised: opened=%v re-closed=%v", opened, reclosed)
 
 	// Phase 3: open-loop load with the canonical job submitted mid-phase.
+	schedule := func(seed int64) ScheduleConfig {
+		return ScheduleConfig{Profile: ProfilePoisson, Rate: cfg.Rate, Duration: cfg.LoadDuration, Seed: seed, Blend: cfg.Blend}
+	}
 	loadA := make(chan *Result, 1)
 	go func() {
 		r, _ := Run(ctx, RunConfig{
-			Schedule: ScheduleConfig{
-				Profile: ProfilePoisson, Rate: cfg.Rate, Duration: cfg.LoadDuration,
-				Seed: cfg.Seed, Blend: cfg.Blend,
-			},
+			Schedule:    schedule(cfg.Seed),
 			Client:      clientFor(cfg.Client, victim),
 			Pool:        cfg.Pool,
 			ReportEvery: cfg.ReportEvery,
@@ -399,7 +373,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		res.Killed, res.KillExit = true, code
 		if code == 0 || code == 130 {
 			res.Killed = false
-			failf("server exited %d, expected a SIGKILL at %s", code, cfg.KillSpec)
+			failf("server exited %d, expected a SIGKILL at %s", code, chaosKillSpec)
 		}
 		if !victim.LogContains("chaos kill at") {
 			failf("kill marker missing from %s", victim.LogPath)
@@ -408,10 +382,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	say("server down (exit %d); mid-load kill delivered", code)
 	if r := <-loadA; r != nil {
 		res.ShedMissingRetryAfter += r.ShedNoRetryAfter
-		res.Phases = append(res.Phases, NewPhaseSummary("chaos_load_kill", ScheduleConfig{
-			Profile: ProfilePoisson, Rate: cfg.Rate, Duration: cfg.LoadDuration,
-			Seed: cfg.Seed, Blend: cfg.Blend,
-		}, r))
+		res.Phases = append(res.Phases, NewPhaseSummary("chaos_load_kill", schedule(cfg.Seed), r))
 	}
 
 	// Phase 4: restart over the same job dir, resume under fresh load.
@@ -428,10 +399,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	loadB := make(chan *Result, 1)
 	go func() {
 		r, _ := Run(ctx, RunConfig{
-			Schedule: ScheduleConfig{
-				Profile: ProfilePoisson, Rate: cfg.Rate, Duration: cfg.LoadDuration,
-				Seed: cfg.Seed + 1, Blend: cfg.Blend,
-			},
+			Schedule:    schedule(cfg.Seed + 1),
 			Client:      clientFor(cfg.Client, heir),
 			Pool:        cfg.Pool,
 			ReportEvery: cfg.ReportEvery,
@@ -447,8 +415,8 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		failf("resumed job did not complete: %v", aerr)
 	default:
 		res.ResumedShards = st.ResumedShards
-		if st.ResumedShards < cfg.MinResumed {
-			failf("job resumed %d shard(s), want >= %d — the restart recomputed durable work", st.ResumedShards, cfg.MinResumed)
+		if st.ResumedShards < chaosMinResumed {
+			failf("job resumed %d shard(s), want >= %d — the restart recomputed durable work", st.ResumedShards, chaosMinResumed)
 		}
 		gotBytes, ferr := fetchResults(ctx, await, refID)
 		switch {
@@ -464,10 +432,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 
 	if r := <-loadB; r != nil {
 		res.ShedMissingRetryAfter += r.ShedNoRetryAfter
-		res.Phases = append(res.Phases, NewPhaseSummary("chaos_load_resume", ScheduleConfig{
-			Profile: ProfilePoisson, Rate: cfg.Rate, Duration: cfg.LoadDuration,
-			Seed: cfg.Seed + 1, Blend: cfg.Blend,
-		}, r))
+		res.Phases = append(res.Phases, NewPhaseSummary("chaos_load_resume", schedule(cfg.Seed+1), r))
 		if n := r.Classes[ClassUnexpected]; n > 0 {
 			failf("%d unexpected answer(s) in the resume-phase load", n)
 		}

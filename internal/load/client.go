@@ -116,10 +116,11 @@ type ClientConfig struct {
 	BatchSize int
 	// JobRecords is records per KindJob submission (default 16).
 	JobRecords int
-	// OversizedBytes is the body size of KindOversized requests
-	// (default 2 MiB — past the server's 1 MiB default cap).
-	OversizedBytes int
 }
+
+// oversizedBytes is the body size of KindOversized requests: 2 MiB,
+// past the server's 1 MiB default cap.
+const oversizedBytes = 2 << 20
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Timeout <= 0 {
@@ -133,9 +134,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.JobRecords <= 0 {
 		c.JobRecords = 16
-	}
-	if c.OversizedBytes <= 0 {
-		c.OversizedBytes = 2 << 20
 	}
 	return c
 }
@@ -266,7 +264,7 @@ func (c *Client) build(i int, arr Arrival) (body []byte, path, method string, ex
 	case KindOversized:
 		// A body past the server's cap: must be refused 413 without
 		// buffering the world.
-		doc := bytes.Repeat([]byte("x"), c.cfg.OversizedBytes)
+		doc := bytes.Repeat([]byte("x"), oversizedBytes)
 		body = append([]byte(`{"record": {"AwardTitle": "`), doc...)
 		body = append(body, []byte(`"}}`)...)
 		return body, "/v1/match", http.MethodPost, http.StatusRequestEntityTooLarge

@@ -88,7 +88,7 @@ func newTestClient(t *testing.T, f *fakeServer, cfg ClientConfig) (*Client, *htt
 
 func TestClientClassifiesKinds(t *testing.T) {
 	leakcheck.Check(t)
-	c, _ := newTestClient(t, &fakeServer{}, ClientConfig{OversizedBytes: 2 << 20})
+	c, _ := newTestClient(t, &fakeServer{}, ClientConfig{})
 	ctx := context.Background()
 
 	cases := []struct {

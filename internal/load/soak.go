@@ -35,9 +35,6 @@ type Gate struct {
 	// CheckServer, when set, also fetches /v1/status from this client
 	// and fails the gate when the server reports a breached SLO.
 	CheckServer *Client
-	// RequireBreakerClosed additionally demands the server's breaker be
-	// "closed" at gate time (chaos-soak's recovery proof).
-	RequireBreakerClosed bool
 }
 
 // GateCheck is one named verdict.
@@ -129,9 +126,6 @@ func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
 					}
 				}
 				out.check("server_slo", !st.SLO.Breached, "%s", detail)
-			}
-			if gate.RequireBreakerClosed {
-				out.check("breaker_closed", st.Breaker == "closed", "breaker is %q", st.Breaker)
 			}
 		}
 	}

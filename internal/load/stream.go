@@ -41,9 +41,6 @@ type StreamOptions struct {
 	// DisconnectEvery is a chaos hook: drop the connection after this
 	// many committed chunks and resume (0 = off).
 	DisconnectEvery int
-	// ReadDelay is a chaos hook: sleep this long between line reads to
-	// impersonate a slow reader (0 = off).
-	ReadDelay time.Duration
 }
 
 func (o StreamOptions) withDefaults() StreamOptions {
@@ -174,13 +171,6 @@ func (c *Client) streamOnce(ctx context.Context, hc *http.Client, id string, w i
 	pendingDone := false
 	chunksThisConn := 0
 	for sc.Scan() {
-		if opt.ReadDelay > 0 {
-			select {
-			case <-ctx.Done():
-				return false, ctx.Err()
-			case <-time.After(opt.ReadDelay):
-			}
-		}
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue

@@ -9,7 +9,7 @@
 //
 // The tracker is a fixed ring of 10-second buckets covering the slow
 // window; Observe is O(1) under a mutex and Evaluate is a linear scan
-// of at most slowWindow/10s buckets, cheap enough to run on every
+// of at most SlowWindow/10s buckets, cheap enough to run on every
 // status request.
 package slo
 
@@ -30,13 +30,14 @@ const (
 	KindLatency      = "latency"
 )
 
-// Defaults for the evaluation windows and the paging burn threshold.
-// 14.4 is the classic fast-burn factor: at that rate a 30-day error
-// budget is gone in ~2 days.
+// The multi-window burn-rate horizons and the paging burn rate: an
+// objective breaches only when BOTH windows burn at or above the
+// threshold. 14.4 is the classic fast-burn factor: at that rate a
+// 30-day error budget is gone in ~2 days.
 const (
-	DefaultFastWindow    = 5 * time.Minute
-	DefaultSlowWindow    = time.Hour
-	DefaultBurnThreshold = 14.4
+	FastWindow    = 5 * time.Minute
+	SlowWindow    = time.Hour
+	BurnThreshold = 14.4
 
 	bucketSize = 10 * time.Second
 )
@@ -142,11 +143,6 @@ func parseTarget(s string) (float64, error) {
 type Config struct {
 	// Objectives to track; nil selects DefaultObjectives.
 	Objectives []Objective
-	// FastWindow / SlowWindow are the multi-window burn-rate horizons.
-	FastWindow, SlowWindow time.Duration
-	// BurnThreshold is the paging burn rate; an objective breaches only
-	// when BOTH windows burn at or above it.
-	BurnThreshold float64
 }
 
 // bucket is one 10-second slice of the request stream.
@@ -170,27 +166,15 @@ type Tracker struct {
 	buckets []bucket
 }
 
-// New builds a Tracker; zero Config fields take package defaults.
+// New builds a Tracker.
 func New(cfg Config) *Tracker {
 	if len(cfg.Objectives) == 0 {
 		cfg.Objectives = DefaultObjectives()
 	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = DefaultFastWindow
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = DefaultSlowWindow
-	}
-	if cfg.FastWindow > cfg.SlowWindow {
-		cfg.FastWindow = cfg.SlowWindow
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = DefaultBurnThreshold
-	}
 	t := &Tracker{
 		cfg:     cfg,
 		now:     time.Now,
-		buckets: make([]bucket, int(cfg.SlowWindow/bucketSize)+1),
+		buckets: make([]bucket, int(SlowWindow/bucketSize)+1),
 	}
 	for i, o := range cfg.Objectives {
 		if o.Kind == KindLatency {
@@ -265,8 +249,8 @@ func (t *Tracker) Evaluate() *Report {
 	}
 	now := t.now()
 	nowStamp := now.UnixNano() / int64(bucketSize)
-	fastN := int64(t.cfg.FastWindow / bucketSize)
-	slowN := int64(t.cfg.SlowWindow / bucketSize)
+	fastN := int64(FastWindow / bucketSize)
+	slowN := int64(SlowWindow / bucketSize)
 
 	type agg struct{ fastBad, fastTotal, slowBad, slowTotal int64 }
 	sums := make([]agg, len(t.cfg.Objectives))
@@ -306,9 +290,9 @@ func (t *Tracker) Evaluate() *Report {
 
 	rep := &Report{
 		GeneratedAt:   now,
-		FastWindowMS:  float64(t.cfg.FastWindow) / float64(time.Millisecond),
-		SlowWindowMS:  float64(t.cfg.SlowWindow) / float64(time.Millisecond),
-		BurnThreshold: t.cfg.BurnThreshold,
+		FastWindowMS:  float64(FastWindow) / float64(time.Millisecond),
+		SlowWindowMS:  float64(SlowWindow) / float64(time.Millisecond),
+		BurnThreshold: BurnThreshold,
 	}
 	for oi, o := range t.cfg.Objectives {
 		st := ObjectiveStatus{
@@ -318,7 +302,7 @@ func (t *Tracker) Evaluate() *Report {
 		}
 		st.FastBurn = burn(st.FastBad, st.FastTotal, o.budget())
 		st.SlowBurn = burn(st.SlowBad, st.SlowTotal, o.budget())
-		st.Breached = st.FastBurn >= t.cfg.BurnThreshold && st.SlowBurn >= t.cfg.BurnThreshold
+		st.Breached = st.FastBurn >= BurnThreshold && st.SlowBurn >= BurnThreshold
 		if st.Breached {
 			rep.Breached = true
 		}

@@ -106,15 +106,13 @@ func TestAvailabilityBreachNeedsBothWindows(t *testing.T) {
 func TestOldErrorsAgeOutOfFastWindow(t *testing.T) {
 	tr, clk := newTestTracker(Config{
 		Objectives: []Objective{{Name: "availability", Kind: KindAvailability, Target: 99}},
-		FastWindow: time.Minute,
-		SlowWindow: 10 * time.Minute,
 	})
 	for i := 0; i < 100; i++ {
 		tr.Observe(1, true)
 	}
 	// Past the fast window, with healthy traffic since: fast burn falls
 	// to zero, slow burn still sees the spike — no page.
-	clk.advance(2 * time.Minute)
+	clk.advance(2 * FastWindow)
 	for i := 0; i < 100; i++ {
 		tr.Observe(1, false)
 	}
@@ -131,7 +129,7 @@ func TestOldErrorsAgeOutOfFastWindow(t *testing.T) {
 	}
 
 	// Past the slow window too: everything healthy.
-	clk.advance(11 * time.Minute)
+	clk.advance(SlowWindow + time.Minute)
 	tr.Observe(1, false)
 	rep = tr.Evaluate()
 	if st := rep.Objectives[0]; st.SlowBurn != 0 || st.SlowBad != 0 {

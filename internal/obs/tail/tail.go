@@ -37,10 +37,11 @@ const (
 type Config struct {
 	// SlowN is how many slowest requests to retain per window.
 	SlowN int
-	// ErrN caps the errored and the degraded/shed sets per window; when
-	// a window overflows, the oldest entries are evicted and counted in
-	// the snapshot's Dropped fields.
-	ErrN int
+	// errN caps the errored and the degraded/shed sets per window
+	// (DefaultErrN; only tests shrink it); when a window overflows, the
+	// oldest entries are evicted and counted in the snapshot's Dropped
+	// fields.
+	errN int
 	// Window is the rotation period; the buffer exposes the current and
 	// the previous window.
 	Window time.Duration
@@ -76,7 +77,7 @@ type Snapshot struct {
 	// Seen counts every request offered to the buffer since creation.
 	Seen int64 `json:"seen"`
 	// DroppedErrored / DroppedDegraded count cap evictions in the
-	// retained windows (a high number means ErrN is too small for the
+	// retained windows (a high number means DefaultErrN is too small for the
 	// failure rate).
 	DroppedErrored  int64 `json:"dropped_errored,omitempty"`
 	DroppedDegraded int64 `json:"dropped_degraded,omitempty"`
@@ -114,8 +115,8 @@ func New(cfg Config) *Buffer {
 	if cfg.SlowN <= 0 {
 		cfg.SlowN = DefaultSlowN
 	}
-	if cfg.ErrN <= 0 {
-		cfg.ErrN = DefaultErrN
+	if cfg.errN <= 0 {
+		cfg.errN = DefaultErrN
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
@@ -162,10 +163,10 @@ func (b *Buffer) Add(ev *obs.WideEvent, span *obs.Span) {
 	w := b.rotateLocked()
 	retained := errored || degraded
 	if errored {
-		w.errs = appendBounded(w.errs, entry, b.cfg.ErrN, &w.droppedErr)
+		w.errs = appendBounded(w.errs, entry, b.cfg.errN, &w.droppedErr)
 	}
 	if degraded {
-		w.degr = appendBounded(w.degr, entry, b.cfg.ErrN, &w.droppedDegr)
+		w.degr = appendBounded(w.degr, entry, b.cfg.errN, &w.droppedDegr)
 	}
 	// An admission that displaces an entry from a *full* heap is a true
 	// outlier — slower than everything already retained — as opposed to

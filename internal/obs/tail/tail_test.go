@@ -67,7 +67,7 @@ func TestSlowestRetainsTopN(t *testing.T) {
 }
 
 func TestErroredAndDegradedAlwaysKept(t *testing.T) {
-	b, _ := newTestBuffer(Config{SlowN: 2, ErrN: 8})
+	b, _ := newTestBuffer(Config{SlowN: 2, errN: 8})
 	b.Add(ev(obs.OutcomeError, 0.1), nil)
 	b.Add(ev(obs.OutcomeTimeout, 0.2), nil)
 	b.Add(ev(obs.OutcomeShed, 0.01), nil)
@@ -83,7 +83,7 @@ func TestErroredAndDegradedAlwaysKept(t *testing.T) {
 }
 
 func TestErroredCapEvictsOldest(t *testing.T) {
-	b, _ := newTestBuffer(Config{ErrN: 2})
+	b, _ := newTestBuffer(Config{errN: 2})
 	for i := 0; i < 5; i++ {
 		e := ev(obs.OutcomeError, float64(i))
 		e.RequestID = fmt.Sprintf("e%d", i)
@@ -177,7 +177,7 @@ func TestHandlerServesJSON(t *testing.T) {
 }
 
 func TestConcurrentAdds(t *testing.T) {
-	b, _ := newTestBuffer(Config{SlowN: 8, ErrN: 8})
+	b, _ := newTestBuffer(Config{SlowN: 8, errN: 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -29,10 +29,9 @@ type Policy struct {
 	// BaseDelay is the sleep before the first retry (default 10ms when
 	// retries are enabled).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 1s).
+	// MaxDelay caps the backoff (default 1s); the delay doubles between
+	// retries until it gets there.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between retries (default 2).
-	Multiplier float64
 	// Seed, when non-zero, scales each delay by a deterministic
 	// pseudo-jitter factor in [0.5, 1.5) drawn from a rand stream seeded
 	// with it. Zero means jitter-free.
@@ -48,9 +47,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
 	}
 	return p
 }
@@ -77,7 +73,7 @@ func (p Policy) Schedule() []time.Duration {
 			v *= 0.5 + rng.Float64()
 		}
 		out[i] = time.Duration(v)
-		d *= p.Multiplier
+		d *= 2
 	}
 	return out
 }

@@ -25,7 +25,7 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 }
 
 func TestScheduleDeterministicAndCapped(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Multiplier: 2}
+	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 40}
 	got := p.Schedule()
 	if len(got) != len(want) {

@@ -130,8 +130,8 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w, ev) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBodyBytes)
-	req, err := DecodeBatchRequest(r.Body, s.cfg.MaxBatchBodyBytes, s.cfg.MaxBatchRecords)
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBodyBytes)
+	req, err := DecodeBatchRequest(r.Body, s.cfg.maxBatchBodyBytes, s.cfg.MaxBatchRecords)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
@@ -147,7 +147,8 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	budget := s.cfg.BatchTimeout
+	// The batch deadline; a batch's timeout_ms may lower it, never raise it.
+	budget := DefaultBatchTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < budget {
 			budget = d

@@ -147,7 +147,7 @@ func TestBatchDegradesOnMatcherFault(t *testing.T) {
 func TestBatchRejections(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
-	_, ts := newTestServer(t, Config{MaxBatchRecords: 2, MaxBatchBodyBytes: 2048})
+	_, ts := newTestServer(t, Config{MaxBatchRecords: 2, maxBatchBodyBytes: 2048})
 
 	over, _ := json.Marshal(map[string]any{"records": []map[string]any{
 		l0Record("q0"), l1Record("q1"), l2Record("q2"),

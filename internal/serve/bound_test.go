@@ -16,12 +16,26 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
 )
+
+// matchOne answers one row the way handleMatch does under its HTTP layer:
+// a one-row request table through matchSet.
+func (s *Server) matchOne(ctx context.Context, row table.Row, wantTrace bool) (*MatchResponse, error) {
+	left, err := s.rowsTable("request", []table.Row{row})
+	if err != nil {
+		return nil, err
+	}
+	resps, trace, err := s.matchSet(ctx, left, s.breaker, wantTrace)
+	if err != nil {
+		return nil, err
+	}
+	resps[0].Trace = trace
+	return resps[0], nil
+}
 
 // cellCounter is a word tokenizer counting the cells it is handed; used by
 // pointer so the blockers holding it are over one token form.
@@ -39,8 +53,13 @@ func (c *cellCounter) Name() string { return "cell_counter" }
 // feature set with its case-insensitive extension, a small tree — over
 // generated tables of the paper's size: 1,915 reference rows.
 func paperWorkflow(t testing.TB, tok tokenize.Tokenizer) (*workflow.Workflow, *table.Table, *table.Table) {
+	return paperWorkflowAt(t, tok, 1)
+}
+
+// paperWorkflowAt is paperWorkflow over a slice scaled from the paper's.
+func paperWorkflowAt(t testing.TB, tok tokenize.Tokenizer, scale float64) (*workflow.Workflow, *table.Table, *table.Table) {
 	t.Helper()
-	ds, err := umetrics.Generate(umetrics.TestParams(1))
+	ds, err := umetrics.Generate(umetrics.TestParams(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +290,7 @@ func TestReloadIdenticalArtifactKeepsAnswers(t *testing.T) {
 	leakcheck.Check(t)
 	path := saveFixtureMatcher(t, t.TempDir(), "model.json")
 	w, l, r := fixtureWorkflow(t)
-	s, err := New(context.Background(), Config{MatcherPath: path, RetryPolicy: retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond}}, w, l, r)
+	s, err := New(context.Background(), Config{MatcherPath: path}, w, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}

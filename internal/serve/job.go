@@ -94,21 +94,19 @@ type JobConfig struct {
 	// MaxQueued bounds jobs queued or running at once; submissions
 	// beyond it are shed with ErrJobShed (default DefaultJobMaxQueued).
 	MaxQueued int
-	// MaxRecords caps records per job (default DefaultJobMaxRecords).
-	MaxRecords int
+	// maxRecords caps records per job (DefaultJobMaxRecords; only tests
+	// shrink it).
+	maxRecords int
 	// MaxBodyBytes caps job-submission bodies (default
 	// DefaultJobMaxBodyBytes).
 	MaxBodyBytes int64
 	// ShardAttempts is how many times a shard is attempted before it is
 	// quarantined (default DefaultJobShardAttempts).
 	ShardAttempts int
-	// ShardTimeout bounds one shard execution attempt (default
-	// DefaultJobShardTimeout); a timed-out attempt is retried.
-	ShardTimeout time.Duration
-	// RetryBackoff is the pause between shard attempts (default
-	// DefaultJobRetryBackoff); it also gives a tripped per-shard breaker
-	// time to half-open.
-	RetryBackoff time.Duration
+	// retryBackoff is the pause between shard attempts
+	// (DefaultJobRetryBackoff; only tests shorten it); it also gives a
+	// tripped per-shard breaker time to half-open.
+	retryBackoff time.Duration
 	// Breaker tunes the per-shard circuit breakers around the learned
 	// matcher (zero = the same defaults the online breaker uses).
 	Breaker BreakerConfig
@@ -125,8 +123,8 @@ func (c JobConfig) withDefaults() JobConfig {
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = DefaultJobMaxQueued
 	}
-	if c.MaxRecords <= 0 {
-		c.MaxRecords = DefaultJobMaxRecords
+	if c.maxRecords <= 0 {
+		c.maxRecords = DefaultJobMaxRecords
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultJobMaxBodyBytes
@@ -134,11 +132,8 @@ func (c JobConfig) withDefaults() JobConfig {
 	if c.ShardAttempts <= 0 {
 		c.ShardAttempts = DefaultJobShardAttempts
 	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = DefaultJobShardTimeout
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = DefaultJobRetryBackoff
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = DefaultJobRetryBackoff
 	}
 	return c
 }
@@ -372,10 +367,10 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 	if len(records) == 0 {
 		return nil, badRequest(`job needs a non-empty "records" array`)
 	}
-	if len(records) > jm.cfg.MaxRecords {
+	if len(records) > jm.cfg.maxRecords {
 		return nil, &RequestError{
 			Status: 413,
-			Msg:    fmt.Sprintf("job has %d records, cap is %d", len(records), jm.cfg.MaxRecords),
+			Msg:    fmt.Sprintf("job has %d records, cap is %d", len(records), jm.cfg.maxRecords),
 		}
 	}
 	rows, err := recordRows(jm.srv.left.Schema(), records)
@@ -823,7 +818,7 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 			case <-ctx.Done():
 				job.interrupted.Store(true)
 				return nil
-			case <-time.After(jm.cfg.RetryBackoff):
+			case <-time.After(jm.cfg.retryBackoff):
 			}
 		}
 		art, err := jm.execShardOnce(ctx, job, idx, lo, hi)
@@ -912,7 +907,7 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (*
 		return nil, err
 	}
 	defer release()
-	shardCtx, cancel := context.WithTimeout(ctx, jm.cfg.ShardTimeout)
+	shardCtx, cancel := context.WithTimeout(ctx, DefaultJobShardTimeout)
 	defer cancel()
 	sub, err := jm.srv.rowsTable("job:"+job.ID, job.rows[lo:hi])
 	if err != nil {
@@ -961,7 +956,7 @@ func (jm *Jobs) acquireSlot(ctx context.Context) (func(), error) {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(jm.cfg.RetryBackoff):
+			case <-time.After(jm.cfg.retryBackoff):
 			}
 		case errors.Is(err, ErrDraining):
 			return nil, errJobStopped

@@ -78,7 +78,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := jm.Config()
 	r.Body = http.MaxBytesReader(w, r.Body, cfg.MaxBodyBytes)
-	req, err := DecodeJobRequest(r.Body, cfg.MaxBodyBytes, cfg.MaxRecords)
+	req, err := DecodeJobRequest(r.Body, cfg.MaxBodyBytes, cfg.maxRecords)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return

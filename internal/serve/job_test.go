@@ -44,7 +44,7 @@ func jobConfig(dir string) Config {
 		Dir:          dir,
 		ShardSize:    2,
 		Workers:      1,
-		RetryBackoff: 2 * time.Millisecond,
+		retryBackoff: 2 * time.Millisecond,
 	}}
 }
 
@@ -323,7 +323,7 @@ func TestJobShardBreakerHalfOpenRecovery(t *testing.T) {
 	cfg := jobConfig(t.TempDir())
 	cfg.Jobs.ShardSize = 4
 	cfg.Jobs.ShardAttempts = 3
-	cfg.Jobs.RetryBackoff = 5 * time.Millisecond
+	cfg.Jobs.retryBackoff = 5 * time.Millisecond
 	cfg.Jobs.Breaker = BreakerConfig{Failures: 1, Cooldown: time.Nanosecond}
 	s, ts := newTestServer(t, cfg)
 	fault.Enable("ml.predict", fault.Plan{FailFirst: 1})
@@ -544,7 +544,7 @@ func TestJobBadRequests(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.MaxRecords = 4
+	cfg.Jobs.maxRecords = 4
 	_, ts := newTestServer(t, cfg)
 
 	cases := []struct {

@@ -515,7 +515,13 @@ func TestJobEventsCarryRequestAndJobIdentity(t *testing.T) {
 
 	// The submit and fetch events carry the job ID; the job's own wide
 	// event (route "job") carries the submitter's request ID as origin.
+	// The status polls log events too and a request's event is written
+	// after its response, so wait for the fetch's event, not for a count.
 	evs := sink.waitEvents(t, 3)
+	for deadline := time.Now().Add(2 * time.Second); eventFor(evs, "job-fetch") == nil && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		evs = sink.events(t)
+	}
 	submit := eventFor(evs, "job-origin")
 	if submit == nil || submit["job_id"] != st.ID {
 		t.Fatalf("submit event wrong: %v", submit)

@@ -101,7 +101,7 @@ func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 	// with and are never torn.
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	art, err := LoadArtifact(ctx, path, s.featureWidth(), s.cfg.RetryPolicy)
+	art, err := LoadArtifact(ctx, path, s.featureWidth(), artifactRetry)
 	if err != nil {
 		obs.C("serve.reload.failed").Inc()
 		return nil, err

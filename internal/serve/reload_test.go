@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,10 +94,7 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	path := saveFixtureMatcher(t, dir, "model.json")
 
 	w, l, r := fixtureWorkflow(t)
-	s, err := New(context.Background(), Config{
-		MatcherPath: path,
-		RetryPolicy: retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-	}, w, l, r)
+	s, err := New(context.Background(), Config{MatcherPath: path}, w, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +146,72 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	}
 	if resp.Degraded {
 		t.Fatalf("post-rollback request degraded: %+v", resp)
+	}
+}
+
+// TestReloadRetriesTransientRead: a server built from the zero Config
+// reads artifacts under artifactRetry, so one failed read costs a retry
+// and only a read that fails every attempt rolls the reload back.
+func TestReloadRetriesTransientRead(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	dir := t.TempDir()
+	pathA := saveFixtureMatcher(t, dir, "a.json")
+	data, err := os.ReadFile(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same model under other bytes: another checksum to tell apart.
+	pathB := filepath.Join(dir, "b.json")
+	if err := os.WriteFile(pathB, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{MatcherPath: pathA})
+	first := s.Artifact().Checksum
+	reload := func(path string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/-/reload", "application/json", strings.NewReader(`{"path":"`+path+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	serving := func() string {
+		t.Helper()
+		if st, _, body := postMatch(t, ts.URL, l1Request); st != http.StatusOK {
+			t.Fatalf("match = %d: %s", st, body)
+		}
+		return s.Artifact().Checksum
+	}
+
+	fault.Enable("serve.reload", fault.Plan{FailFirst: 1})
+	status, body := reload(pathB)
+	second, _ := body["checksum"].(string)
+	if status != http.StatusOK || second == "" || second == first {
+		t.Fatalf("reload with one failed read = %d %v, want 200 and a checksum other than %s", status, body, first)
+	}
+	if n := fault.Count("serve.reload"); n != 2 {
+		t.Fatalf("reload site reached %d times, want 2 (one failure, one success)", n)
+	}
+	if got := serving(); got != second {
+		t.Fatalf("serving checksum %s after the retried reload, want %s", got, second)
+	}
+
+	fault.Enable("serve.reload", fault.Plan{FailFirst: artifactRetry.MaxAttempts})
+	status, body = reload(pathA)
+	if status != http.StatusUnprocessableEntity || body["active_checksum"] != second {
+		t.Fatalf("reload failing every read = %d %v, want 422 with %s still active", status, body, second)
+	}
+	if n := fault.Count("serve.reload"); n != artifactRetry.MaxAttempts {
+		t.Fatalf("reload site reached %d times, want every one of %d attempts", n, artifactRetry.MaxAttempts)
+	}
+	if got := serving(); got != second {
+		t.Fatalf("serving checksum %s after the rolled-back reload, want %s", got, second)
 	}
 }
 

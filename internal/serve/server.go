@@ -63,6 +63,16 @@ const (
 	ReasonBlockerError = "blocker_error"
 )
 
+// mlBudgetFrac is the fraction of a request's remaining deadline budget
+// granted to the learned-matcher stage, so a slow matcher times out with
+// room left to fall back to rules.
+const mlBudgetFrac = 0.7
+
+// artifactRetry is the artifact retry policy: New and Reload read the
+// matcher artifact under it, so a transient read failure costs a retry,
+// not a rollback.
+var artifactRetry = retry.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond}
+
 // Config tunes the service. The zero value serves with defaults.
 type Config struct {
 	// Admission bounds concurrency and the wait line.
@@ -72,22 +82,14 @@ type Config struct {
 	// RequestTimeout is the per-request deadline (default 5s). A
 	// request's timeout_ms may lower it, never raise it.
 	RequestTimeout time.Duration
-	// MLBudgetFrac is the fraction of the request's remaining deadline
-	// budget granted to the learned-matcher stage, so a slow matcher
-	// times out with room left to fall back to rules (default 0.7).
-	MLBudgetFrac float64
 	// MaxBodyBytes caps request bodies (default DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// MaxBatchRecords caps how many records one /v1/match/batch request
 	// may carry (default DefaultMaxBatchRecords).
 	MaxBatchRecords int
-	// MaxBatchBodyBytes caps batch request bodies (default
-	// DefaultMaxBatchBodyBytes).
-	MaxBatchBodyBytes int64
-	// BatchTimeout is the per-batch deadline (default
-	// DefaultBatchTimeout). A batch's timeout_ms may lower it, never
-	// raise it.
-	BatchTimeout time.Duration
+	// maxBatchBodyBytes caps batch request bodies
+	// (DefaultMaxBatchBodyBytes; only tests shrink it).
+	maxBatchBodyBytes int64
 	// Jobs configures the async job tier; a zero Dir disables it (the
 	// job endpoints answer 503).
 	Jobs JobConfig
@@ -97,8 +99,6 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight requests
 	// (default 10s).
 	DrainTimeout time.Duration
-	// RetryPolicy governs artifact-read retries during hot reload.
-	RetryPolicy retry.Policy
 	// MatcherPath is the standalone matcher artifact to load and serve
 	// (hot-reloadable). Empty uses the spec-embedded matcher, if any.
 	MatcherPath string
@@ -106,9 +106,6 @@ type Config struct {
 	// responses (default "RecordId"; missing column falls back to row
 	// indices).
 	RightIDCol string
-	// DriftSampleCap and DriftSeed size the per-request drift reservoirs.
-	DriftSampleCap int
-	DriftSeed      int64
 	// DriftBaseline, when set, lets GET /-/drift?check=1 score the live
 	// serving profile against the training-time baseline.
 	DriftBaseline *drift.Profile
@@ -124,10 +121,8 @@ type Config struct {
 	// are always logged.
 	AccessSampleN int
 	// TailN is how many slowest requests the tail buffer retains per
-	// window (default tail.DefaultSlowN); TailWindow is its rotation
-	// period (default tail.DefaultWindow).
-	TailN      int
-	TailWindow time.Duration
+	// window (default tail.DefaultSlowN).
+	TailN int
 	// SLOs are the service objectives evaluated into burn rates on
 	// /v1/status, /metrics, and emmonitor slo; nil selects
 	// slo.DefaultObjectives.
@@ -201,20 +196,14 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.MLBudgetFrac <= 0 || cfg.MLBudgetFrac > 1 {
-		cfg.MLBudgetFrac = 0.7
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.MaxBatchRecords <= 0 {
 		cfg.MaxBatchRecords = DefaultMaxBatchRecords
 	}
-	if cfg.MaxBatchBodyBytes <= 0 {
-		cfg.MaxBatchBodyBytes = DefaultMaxBatchBodyBytes
-	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = DefaultBatchTimeout
+	if cfg.maxBatchBodyBytes <= 0 {
+		cfg.maxBatchBodyBytes = DefaultMaxBatchBodyBytes
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
@@ -223,7 +212,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		cfg.RightIDCol = "RecordId"
 	}
 	cfg.Stream = cfg.Stream.withDefaults()
-	tailCfg := tail.Config{SlowN: cfg.TailN, Window: cfg.TailWindow}
+	tailCfg := tail.Config{SlowN: cfg.TailN}
 	if prof := cfg.Profiler; prof != nil {
 		// A request slow enough to displace the retained slow set is
 		// worth a profile of the process while whatever slowed it down
@@ -245,7 +234,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		matcherPath: cfg.MatcherPath,
 		breaker:     NewBreaker(cfg.Breaker),
 		adm:         NewAdmission(cfg.Admission),
-		collector:   drift.NewCollector(cfg.DriftSampleCap, cfg.DriftSeed),
+		collector:   drift.NewCollector(drift.DefaultSampleCap, 0),
 		events:      obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		tailBuf:     tail.New(tailCfg),
 		sloTrk:      slo.New(slo.Config{Objectives: cfg.SLOs}),
@@ -295,7 +284,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	}
 	switch {
 	case cfg.MatcherPath != "":
-		art, err := LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth(), cfg.RetryPolicy)
+		art, err := LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth(), artifactRetry)
 		if err != nil {
 			return nil, err
 		}
@@ -497,6 +486,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
+	// The single-record endpoint is the batch engine at n=1.
+	left, err := s.rowsTable("request", []table.Row{row})
+	if err != nil {
+		s.writeRequestError(w, badRequest("%v", err))
+		return
+	}
 
 	// Per-request deadline: the server's budget, lowered (never raised)
 	// by the request's own timeout_ms.
@@ -516,13 +511,15 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	resp, err := s.matchOne(ctx, row, req.Trace)
+	resps, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
 	elapsed := time.Since(start)
 	obs.H("serve.latency_ms", latencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
 		s.writeRunError(ctx, w, ev, err)
 		return
 	}
+	resp := resps[0]
+	resp.Trace = trace
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	if resp.Degraded {
 		obs.C("serve.degraded").Inc()
@@ -548,21 +545,6 @@ func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, err.Error(), 0)
-}
-
-// matchOne runs the deployed workflow for one request record — the
-// single-record endpoint is the batch engine at n=1.
-func (s *Server) matchOne(ctx context.Context, row table.Row, wantTrace bool) (*MatchResponse, error) {
-	leftOne := table.New("request", s.left.Schema())
-	if err := leftOne.Append(row); err != nil {
-		return nil, err
-	}
-	resps, trace, err := s.matchSet(ctx, leftOne, s.breaker, wantTrace)
-	if err != nil {
-		return nil, err
-	}
-	resps[0].Trace = trace
-	return resps[0], nil
 }
 
 // matchSet runs the deployed workflow for every row of a request-shaped
@@ -752,38 +734,36 @@ func (s *Server) predict(ctx context.Context, left *table.Table, candidates *blo
 	mlCtx := ctx
 	var cancel context.CancelFunc = func() {}
 	if deadline, ok := ctx.Deadline(); ok {
-		sub := time.Duration(float64(time.Until(deadline)) * s.cfg.MLBudgetFrac)
+		sub := time.Duration(float64(time.Until(deadline)) * mlBudgetFrac)
 		mlCtx, cancel = context.WithTimeout(ctx, sub)
 	}
 	defer cancel()
 
 	start := time.Now()
-	preds, scored, err := s.predictVectors(mlCtx, left, candidates.Pairs(), art.Matcher)
+	preds, x, err := s.wf.PredictPairs(mlCtx, art.Matcher, left, s.right, candidates.Pairs())
 	latency := time.Since(start)
 	gen := br.Generation()
-	if err != nil {
-		if ctx.Err() != nil {
-			// The whole request deadline died: the caller turns this
-			// into 504; the slow call still counts against the breaker.
-			br.Record(err, latency)
-			s.noteBreakerTransition(ctx, br, gen)
-			return learned, scores, ReasonMatcherError
-		}
-		br.Record(err, latency)
-		s.noteBreakerTransition(ctx, br, gen)
+	br.Record(err, latency)
+	s.noteBreakerTransition(ctx, br, gen)
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		// The whole request deadline died: the caller turns this into
+		// 504; the slow call has still counted against the breaker.
+		return learned, scores, ReasonMatcherError
+	default:
 		obs.C("serve.ml_failures").Inc()
 		if errors.Is(err, context.DeadlineExceeded) {
 			return learned, scores, ReasonMatcherSlow
 		}
 		return learned, scores, ReasonMatcherError
 	}
-	br.Record(nil, latency)
-	s.noteBreakerTransition(ctx, br, gen)
+	pm, _ := art.Matcher.(ml.ProbabilisticMatcher)
 	for i, p := range candidates.Pairs() {
 		if preds[i] == 1 {
 			learned.Add(p)
-			if sc, ok := scored[i]; ok {
-				scores[p] = sc
+			if pm != nil {
+				scores[p] = pm.Proba(x[i])
 			}
 		}
 	}
@@ -804,32 +784,6 @@ func (s *Server) noteBreakerTransition(ctx context.Context, br *Breaker, genBefo
 		detail += " request_id=" + id
 	}
 	obs.AddEvent(ctx, "breaker_transition", detail)
-}
-
-// predictVectors vectorizes, imputes, and predicts one candidate list,
-// also collecting per-row probabilities when the matcher reports them.
-func (s *Server) predictVectors(ctx context.Context, left *table.Table, pairs []block.Pair, m ml.Matcher) ([]int, map[int]float64, error) {
-	x, err := s.wf.Features.VectorizeCtx(ctx, left, s.right, pairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err = s.wf.Imputer.Transform(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	preds, err := ml.PredictAllCtx(ctx, m, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	scored := map[int]float64{}
-	if pm, ok := m.(ml.ProbabilisticMatcher); ok {
-		for i, p := range preds {
-			if p == 1 {
-				scored[i] = pm.Proba(x[i])
-			}
-		}
-	}
-	return preds, scored, nil
 }
 
 // rightID maps a right row index to its identifier.

@@ -1,0 +1,151 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"emgo/internal/leakcheck"
+	"emgo/internal/table"
+	"emgo/internal/tokenize"
+	"emgo/internal/workflow"
+)
+
+// TestOfflineEqualsOnlineModes: the four execution modes give one answer.
+// On one seeded slice, per left row, the offline Workflow.RunCtx's Final
+// pairs are what POST /v1/match answers for that record, what its entry
+// in a POST /v1/match/batch answer says, and what its JobRecordResult in
+// a committed job shard holds — the same right rows, in the same order,
+// and between the three online modes from the same source (run by make
+// race-cpu at one and two CPUs).
+func TestOfflineEqualsOnlineModes(t *testing.T) {
+	leakcheck.Check(t)
+	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
+
+	// Offline: the right rows of each left row's final matches, sure
+	// matches first, both in (A, B) order — the order a response lists.
+	res, err := w.RunCtx(context.Background(), l, r, workflow.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := make([][]int, l.Len())
+	for _, p := range res.Sure.Sorted() {
+		offline[p.A] = append(offline[p.A], p.B)
+	}
+	learned := 0
+	for _, p := range res.Final.Sorted() {
+		if !res.Sure.Contains(p) {
+			offline[p.A] = append(offline[p.A], p.B)
+			learned++
+		}
+	}
+	if res.Sure.Len() == 0 || learned == 0 {
+		t.Fatalf("fixture: %d sure and %d learned matches; the comparison needs both kinds", res.Sure.Len(), learned)
+	}
+
+	t.Logf("%d left x %d right rows, %d sure + %d learned matches", l.Len(), r.Len(), res.Sure.Len(), learned)
+	const shard = 16
+	s, err := New(context.Background(), Config{Jobs: JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1}}, w, l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	records := make([]map[string]any, l.Len())
+	for i := range records {
+		records[i] = rowRecord(l, i)
+	}
+	post := func(path string, body, into any) {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	single := make([][]Match, l.Len())
+	for i, rec := range records {
+		var mr MatchResponse
+		post("/v1/match", map[string]any{"record": rec}, &mr)
+		if mr.Degraded {
+			t.Fatalf("record %d answered degraded (%s)", i, mr.DegradedReason)
+		}
+		single[i] = mr.Matches
+	}
+	var batch [][]Match
+	for lo := 0; lo < len(records); lo += DefaultMaxBatchRecords {
+		var br BatchResponse
+		post("/v1/match/batch", map[string]any{"records": records[lo:min(lo+DefaultMaxBatchRecords, len(records))]}, &br)
+		for _, mr := range br.Results {
+			batch = append(batch, mr.Matches)
+		}
+	}
+	body, err := json.Marshal(map[string]any{"records": records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := submitJob(t, ts.URL, string(body))
+	if st := waitJobState(t, ts.URL, job.ID, JobCompleted, 60*time.Second); st.Shards < 2 {
+		t.Fatalf("job ran as %d shard(s); the comparison needs records from several", st.Shards)
+	}
+	jobRes := decodeResults(t, fetchResults(t, ts.URL, job.ID)).Results
+	if len(batch) != l.Len() || len(jobRes) != l.Len() {
+		t.Fatalf("%d batch and %d job answers for %d records", len(batch), len(jobRes), l.Len())
+	}
+
+	sameAnswer := func(a, b []Match) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for k := range a {
+			if a[k].RightIndex != b[k].RightIndex || a[k].Source != b[k].Source {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range records {
+		rights := make([]int, len(single[i]))
+		for k, m := range single[i] {
+			rights[k] = m.RightIndex
+		}
+		if fmt.Sprint(rights) != fmt.Sprint(offline[i]) {
+			t.Errorf("record %d: /v1/match answers right rows %v, offline RunCtx %v", i, rights, offline[i])
+		}
+		if !sameAnswer(single[i], batch[i]) {
+			t.Errorf("record %d: /v1/match %+v, in a batch %+v", i, single[i], batch[i])
+		}
+		if jobRes[i].Index != i || !sameAnswer(single[i], jobRes[i].Matches) {
+			t.Errorf("record %d: /v1/match %+v, in job shard %d %+v", i, single[i], i/shard, jobRes[i])
+		}
+	}
+}
+
+// rowRecord renders row i of t as a request record.
+func rowRecord(t *table.Table, i int) map[string]any {
+	rec := map[string]any{}
+	for c, v := range t.Row(i) {
+		if !v.IsNull() {
+			rec[t.Schema().Field(c).Name] = v.Str()
+		}
+	}
+	return rec
+}

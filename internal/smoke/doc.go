@@ -1,10 +1,10 @@
 // Package smoke is the tier-2 end-to-end harness: one tagged test
-// package that builds the CLIs once (emserve with -race), generates one
-// projected slice, spec and matcher artifact once, and then runs the
-// serving, job, stream, observability, profiling, load and monitoring
-// contracts against the real binaries — every emserve started, killed
-// and drained through load.ServerProc, every request sent through
-// load.Client.
+// package that builds the CLIs once (emserve and emcasestudy with
+// -race), generates one projected slice, spec and matcher artifact once,
+// and then runs the serving, job, stream, observability, profiling, load,
+// monitoring and kill/resume contracts against the real binaries — every
+// emserve started, killed and drained through load.ServerProc, every
+// request sent through load.Client.
 //
 //	go test -tags smoke -count=1 -v ./internal/smoke                       # make smoke
 //	go test -tags smoke -count=1 -v ./internal/smoke -run TestSmoke/stream # one scenario

@@ -64,8 +64,8 @@ func setup(work string) error {
 		return err
 	}
 	steps := [][]string{
-		{"go", "build", "-o", binDir + "/", "./cmd/emgen", "./cmd/emcasestudy", "./cmd/emmatch", "./cmd/emmonitor", "./cmd/emload"},
-		{"go", "build", "-race", "-o", binDir + "/", "./cmd/emserve"},
+		{"go", "build", "-o", binDir + "/", "./cmd/emgen", "./cmd/emmatch", "./cmd/emmonitor", "./cmd/emload"},
+		{"go", "build", "-race", "-o", binDir + "/", "./cmd/emserve", "./cmd/emcasestudy"},
 		{bin("emgen"), "-scale", dataScale, "-seed", dataSeed, "-projected", "-out", data},
 		{bin("emcasestudy"), "-scale", dataScale, "-seed", dataSeed, "-spec", spec},
 		{bin("emserve"), "-spec", spec, "-left", left, "-right", right, "-export-matcher", matcher},
@@ -94,7 +94,7 @@ func setup(work string) error {
 
 func bin(name string) string { return filepath.Join(binDir, name) }
 
-// TestSmoke runs the seven scenarios in sequence, printing one PASS line
+// TestSmoke runs the eight scenarios in sequence, printing one PASS line
 // each; `-run TestSmoke/<name>` runs one.
 func TestSmoke(t *testing.T) {
 	for _, sc := range []struct {
@@ -108,6 +108,7 @@ func TestSmoke(t *testing.T) {
 		{"prof", smokeProf},
 		{"load", smokeLoad},
 		{"monitor", smokeMonitor},
+		{"chaos", smokeChaos},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			start := time.Now()

@@ -35,29 +35,12 @@ import (
 // fallback is always "do the work again", never "use a stream in the
 // wrong position".
 
-// Checkpoint artifact names inside the study's run store.
-const (
-	ckptBlocking   = "study.blocking.json"
-	ckptLabeling   = "study.labeling.json"
-	ckptMatching   = "study.matching.json"
-	ckptUpdating   = "study.updating.json"
-	ckptEstimating = "study.estimating.json"
-)
-
-// sectionCkpt maps a step name to its artifact name ("" = not
-// checkpointed).
+// sectionCkpt maps a step name to its artifact name inside the study's
+// run store ("" = not checkpointed).
 func sectionCkpt(step string) string {
 	switch step {
-	case "blocking":
-		return ckptBlocking
-	case "labeling":
-		return ckptLabeling
-	case "matching":
-		return ckptMatching
-	case "updating":
-		return ckptUpdating
-	case "estimating":
-		return ckptEstimating
+	case "blocking", "labeling", "matching", "updating", "estimating":
+		return "study." + step + ".json"
 	}
 	return ""
 }
@@ -173,67 +156,60 @@ type sectionArt struct {
 	Iris2 [][2]int  `json:"iris2,omitempty"`
 }
 
-func pairsOf(cs *block.CandidateSet) [][2]int {
-	out := make([][2]int, 0, cs.Len())
-	for _, p := range cs.Pairs() {
-		out = append(out, [2]int{p.A, p.B})
+func newResultArt(res *workflow.Result) *resultArt {
+	return &resultArt{
+		Sure:       block.EncodePairs(res.Sure.Pairs()),
+		Candidates: block.EncodePairs(res.Candidates.Pairs()),
+		Learned:    block.EncodePairs(res.Learned.Pairs()),
+		Final:      block.EncodePairs(res.Final.Pairs()),
 	}
-	return out
 }
 
-func setOf(pairs [][2]int, left, right *table.Table) *block.CandidateSet {
-	cs := block.NewCandidateSet(left, right)
-	for _, p := range pairs {
-		cs.Add(block.Pair{A: p[0], B: p[1]})
+// artDecoder decodes the parts of a section artifact against the tables
+// they index, bounds-checking everything and keeping the first error:
+// nothing a checkpoint holds is trusted before it has been through here.
+type artDecoder struct{ err error }
+
+func (d *artDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (d *artDecoder) set(what string, pairs [][2]int, left, right *table.Table) *block.CandidateSet {
+	cs, err := block.DecodePairs(pairs, left, right)
+	if err != nil {
+		d.fail("%s: %w", what, err)
 	}
 	return cs
 }
 
-func newResultArt(res *workflow.Result) *resultArt {
-	return &resultArt{
-		Sure:       pairsOf(res.Sure),
-		Candidates: pairsOf(res.Candidates),
-		Learned:    pairsOf(res.Learned),
-		Final:      pairsOf(res.Final),
-	}
+func (d *artDecoder) pair(what string, p [2]int, left, right *table.Table) block.Pair {
+	d.set(what, [][2]int{p}, left, right)
+	return block.Pair{A: p[0], B: p[1]}
 }
 
-func (a *resultArt) toResult(left, right *table.Table) *workflow.Result {
+func (d *artDecoder) label(what string, l int) label.Label {
+	switch label.Label(l) {
+	case label.Yes, label.No, label.Unsure:
+	default:
+		d.fail("%s %d out of range", what, l)
+	}
+	return label.Label(l)
+}
+
+func (d *artDecoder) result(what string, a *resultArt, left, right *table.Table) *workflow.Result {
+	if a == nil {
+		d.fail("%s result missing", what)
+		return nil
+	}
 	return &workflow.Result{
-		Sure:       setOf(a.Sure, left, right),
-		Candidates: setOf(a.Candidates, left, right),
-		Learned:    setOf(a.Learned, left, right),
-		Final:      setOf(a.Final, left, right),
+		Sure:       d.set(what+".sure", a.Sure, left, right),
+		Candidates: d.set(what+".candidates", a.Candidates, left, right),
+		Learned:    d.set(what+".learned", a.Learned, left, right),
+		Final:      d.set(what+".final", a.Final, left, right),
 		Log:        &workflow.Log{},
 	}
-}
-
-func checkPairs(what string, pairs [][2]int, left, right *table.Table) error {
-	for _, p := range pairs {
-		if p[0] < 0 || p[0] >= left.Len() || p[1] < 0 || p[1] >= right.Len() {
-			return fmt.Errorf("%s pair (%d,%d) out of range for %dx%d tables",
-				what, p[0], p[1], left.Len(), right.Len())
-		}
-	}
-	return nil
-}
-
-func (a *resultArt) check(what string, left, right *table.Table) error {
-	if a == nil {
-		return fmt.Errorf("%s result missing", what)
-	}
-	for _, seg := range []struct {
-		name  string
-		pairs [][2]int
-	}{
-		{"sure", a.Sure}, {"candidates", a.Candidates},
-		{"learned", a.Learned}, {"final", a.Final},
-	} {
-		if err := checkPairs(what+"."+seg.name, seg.pairs, left, right); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rngState snapshots both stream positions.
@@ -251,7 +227,7 @@ func (s *study) saveSection(step string) {
 	art := sectionArt{Section: step, Rng: s.rngState(), Report: s.report}
 	switch step {
 	case "blocking":
-		art.Cand = pairsOf(s.cand)
+		art.Cand = block.EncodePairs(s.cand.Pairs())
 	case "labeling":
 		for _, p := range s.labels.Pairs() {
 			art.Labels = append(art.Labels, labelArt{Pair: [2]int{p.A, p.B}, Label: int(s.labels.Get(p))})
@@ -263,8 +239,8 @@ func (s *study) saveSection(step string) {
 		art.Res1 = newResultArt(s.res1)
 		art.Res2 = newResultArt(s.res2)
 	case "estimating":
-		art.Iris1 = pairsOf(s.iris1)
-		art.Iris2 = pairsOf(s.iris2)
+		art.Iris1 = block.EncodePairs(s.iris1.Pairs())
+		art.Iris2 = block.EncodePairs(s.iris2.Pairs())
 		for _, it := range s.eval {
 			art.Eval = append(art.Eval, evalArt{Slice: it.slice, Pair: [2]int{it.pair.A, it.pair.B}, Label: int(it.label)})
 		}
@@ -291,7 +267,8 @@ func (s *study) tryRestore(step string, sp *obs.Span) bool {
 		sp.Event("ckpt", fmt.Sprintf("checkpoint %s unreadable, recomputing: %v", name, err))
 		return false
 	}
-	if err := s.validateArt(step, &art); err != nil {
+	install, err := s.decodeArt(step, &art)
+	if err != nil {
 		store.Quarantine(name, err.Error())
 		sp.Event("ckpt", fmt.Sprintf("checkpoint %s failed validation, quarantined; recomputing: %v", name, err))
 		return false
@@ -304,7 +281,7 @@ func (s *study) tryRestore(step string, sp *obs.Span) bool {
 		sp.Event("ckpt", fmt.Sprintf("checkpoint %s rng position unreachable, recomputing", name))
 		return false
 	}
-	s.restoreArt(step, &art)
+	install()
 	s.mainSrc.ffwd(art.Rng.Main)
 	s.expertSrc.ffwd(art.Rng.Expert)
 	sp.Event("ckpt", "restored "+name)
@@ -312,107 +289,73 @@ func (s *study) tryRestore(step string, sp *obs.Span) bool {
 	return true
 }
 
-// validateArt bounds- and consistency-checks an artifact against the
-// replayed base state before any of it is trusted.
-func (s *study) validateArt(step string, art *sectionArt) error {
+// decodeArt bounds- and consistency-checks an artifact against the
+// replayed base state and decodes it into the section's live state; the
+// study is untouched until the returned install runs. Derived state a
+// checkpoint cannot carry (feature sets, imputers, fitted matchers) is
+// rebuilt afterwards, deterministically, by rebuildDerived.
+func (s *study) decodeArt(step string, art *sectionArt) (func(), error) {
 	if art.Section != step {
-		return fmt.Errorf("artifact is for section %q, not %q", art.Section, step)
+		return nil, fmt.Errorf("artifact is for section %q, not %q", art.Section, step)
 	}
 	if art.Report == nil {
-		return fmt.Errorf("artifact has no report")
+		return nil, fmt.Errorf("artifact has no report")
 	}
 	um, us := s.proj.UMETRICS, s.proj.USDA
+	var d artDecoder
+	var install func()
 	switch step {
 	case "blocking":
-		return checkPairs("cand", art.Cand, um, us)
+		cand := d.set("cand", art.Cand, um, us)
+		install = func() { s.cand = cand }
 	case "labeling":
+		// Set on a fresh store in artifact order reproduces the original
+		// labeling order exactly.
+		labels := label.NewStore()
 		for _, l := range art.Labels {
-			if err := checkPairs("label", [][2]int{l.Pair}, um, us); err != nil {
-				return err
-			}
-			switch label.Label(l.Label) {
-			case label.Yes, label.No, label.Unsure:
-			default:
-				return fmt.Errorf("label %d out of range", l.Label)
-			}
+			_ = labels.Set(d.pair("label", l.Pair, um, us), d.label("label", l.Label))
 		}
-		return nil
+		install = func() { s.labels = labels }
 	case "matching":
-		return art.Fig8.check("fig8", um, us)
+		fig8 := d.result("fig8", art.Fig8, um, us)
+		install = func() { s.fig8 = fig8 }
 	case "updating":
 		if _, err := s.factoryFor(art.Winner); err != nil {
-			return fmt.Errorf("winner: %w", err)
+			return nil, fmt.Errorf("winner: %w", err)
 		}
-		if err := art.Res1.check("res1", um, us); err != nil {
-			return err
-		}
-		return art.Res2.check("res2", s.extra.UMETRICS, s.extra.USDA)
+		res1 := d.result("res1", art.Res1, um, us)
+		res2 := d.result("res2", art.Res2, s.extra.UMETRICS, s.extra.USDA)
+		install = func() { s.winner, s.res1, s.res2 = art.Winner, res1, res2 }
 	case "estimating":
-		if err := checkPairs("iris1", art.Iris1, um, us); err != nil {
-			return err
-		}
-		if err := checkPairs("iris2", art.Iris2, s.extra.UMETRICS, s.extra.USDA); err != nil {
-			return err
-		}
+		iris1 := d.set("iris1", art.Iris1, um, us)
+		iris2 := d.set("iris2", art.Iris2, s.extra.UMETRICS, s.extra.USDA)
+		var eval []evalItem
 		for _, it := range art.Eval {
+			left, right := um, us
 			switch it.Slice {
 			case 0:
-				if err := checkPairs("eval", [][2]int{it.Pair}, um, us); err != nil {
-					return err
-				}
 			case 1:
-				if err := checkPairs("eval", [][2]int{it.Pair}, s.extra.UMETRICS, s.extra.USDA); err != nil {
-					return err
-				}
+				left, right = s.extra.UMETRICS, s.extra.USDA
 			default:
-				return fmt.Errorf("eval slice %d out of range", it.Slice)
+				return nil, fmt.Errorf("eval slice %d out of range", it.Slice)
 			}
-			switch label.Label(it.Label) {
-			case label.Yes, label.No, label.Unsure:
-			default:
-				return fmt.Errorf("eval label %d out of range", it.Label)
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("section %q has no checkpoint", step)
-}
-
-// restoreArt installs a validated artifact as the section's live state.
-// Derived state a checkpoint cannot carry (feature sets, imputers,
-// fitted matchers) is rebuilt deterministically from what it can.
-func (s *study) restoreArt(step string, art *sectionArt) {
-	um, us := s.proj.UMETRICS, s.proj.USDA
-	switch step {
-	case "blocking":
-		s.cand = setOf(art.Cand, um, us)
-	case "labeling":
-		s.labels = label.NewStore()
-		for _, l := range art.Labels {
-			// Set on a fresh store in artifact order reproduces the
-			// original labeling order exactly; it cannot fail on a valid
-			// artifact (bounds were checked above).
-			_ = s.labels.Set(block.Pair{A: l.Pair[0], B: l.Pair[1]}, label.Label(l.Label))
-		}
-	case "matching":
-		s.fig8 = art.Fig8.toResult(um, us)
-	case "updating":
-		s.winner = art.Winner
-		s.res1 = art.Res1.toResult(um, us)
-		s.res2 = art.Res2.toResult(s.extra.UMETRICS, s.extra.USDA)
-	case "estimating":
-		s.iris1 = setOf(art.Iris1, um, us)
-		s.iris2 = setOf(art.Iris2, s.extra.UMETRICS, s.extra.USDA)
-		s.eval = nil
-		for _, it := range art.Eval {
-			s.eval = append(s.eval, evalItem{
+			eval = append(eval, evalItem{
 				slice: it.Slice,
-				pair:  block.Pair{A: it.Pair[0], B: it.Pair[1]},
-				label: label.Label(it.Label),
+				pair:  d.pair("eval", it.Pair, left, right),
+				label: d.label("eval label", it.Label),
 			})
 		}
+		install = func() { s.iris1, s.iris2, s.eval = iris1, iris2, eval }
+	default:
+		return nil, fmt.Errorf("section %q has no checkpoint", step)
 	}
-	*s.report = *art.Report
+	if d.err != nil {
+		return nil, d.err
+	}
+	return func() {
+		install()
+		*s.report = *art.Report
+	}, nil
 }
 
 // rebuildDerived reconstructs the unserializable state later sections

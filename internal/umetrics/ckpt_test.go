@@ -125,7 +125,7 @@ func TestCaseStudyResumeCorruptArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, ckptLabeling)
+	path := filepath.Join(dir, sectionCkpt("labeling"))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

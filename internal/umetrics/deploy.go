@@ -7,6 +7,7 @@ import (
 	"emgo/internal/drift"
 	"emgo/internal/feature"
 	"emgo/internal/ml"
+	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -91,9 +92,9 @@ func BuildDeploymentSpec(fs *feature.Set, im *feature.Imputer, matcher ml.Matche
 // RunDeployed executes a packaged workflow spec against one data slice
 // under the hardened runtime — the production entry point the UMETRICS
 // repository calls per slice. The spec is rebuilt with the standard
-// deployment transform registry (lookups retried on opts.Retry), then
-// run with RunCtx so the slice gets per-stage deadlines, the error
-// budget, and a provenance log even when it fails. On a build failure
+// deployment transform registry, then run with RunCtx so the slice gets
+// per-stage deadlines, the error budget, and a provenance log even when
+// it fails. On a build failure
 // the returned Result is nil; on a run failure it carries the log.
 //
 // Every run emits a machine-readable report by default: RunCtx roots an
@@ -104,7 +105,7 @@ func RunDeployed(ctx context.Context, spec *workflow.Spec, left, right *table.Ta
 	if spec == nil {
 		return nil, fmt.Errorf("umetrics: deployment needs a workflow spec")
 	}
-	w, err := spec.BuildCtx(ctx, left, right, DeployTransforms(), opts.Retry)
+	w, err := spec.BuildCtx(ctx, left, right, DeployTransforms(), retry.Policy{})
 	if err != nil {
 		return nil, fmt.Errorf("umetrics: build deployed workflow: %w", err)
 	}

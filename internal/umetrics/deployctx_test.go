@@ -49,20 +49,20 @@ func TestRunDeployedRetriesTransformLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The registry's first lookup fails transiently; the run's retry
-	// policy covers the build too.
+	// The registry's first lookup fails transiently; a build given a retry
+	// policy covers it and the workflow it returns runs.
 	fault.Enable("workflow.spec.transform", fault.Plan{FailFirst: 1})
-	res, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA, workflow.RunOptions{
-		Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-	})
+	w, err := spec.BuildCtx(context.Background(), proj.UMETRICS, proj.USDA, DeployTransforms(),
+		retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatalf("transient lookup fault should be retried: %v", err)
 	}
-	if res.Final.Len() == 0 {
-		t.Fatal("deployed run found nothing")
+	res, err := w.RunCtx(context.Background(), proj.UMETRICS, proj.USDA, workflow.RunOptions{})
+	if err != nil || res.Final.Len() == 0 {
+		t.Fatalf("deployed run found nothing (err %v)", err)
 	}
-	// Without a retry policy the same fault kills the build before any
-	// stage runs.
+	// RunDeployed builds without one: the same fault kills the build
+	// before any stage runs.
 	fault.Enable("workflow.spec.transform", fault.Plan{FailFirst: 1})
 	res, err = RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA, workflow.RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "build deployed workflow") {

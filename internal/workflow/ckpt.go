@@ -46,70 +46,32 @@ type learnedArtifact struct {
 	Quarantined [][2]int `json:"quarantined,omitempty"`
 }
 
-// newPairsArtifact snapshots a candidate set in insertion order —
-// order is part of the contract, since downstream sampling indexes
-// into it.
+// newPairsArtifact snapshots a candidate set in insertion order.
 func newPairsArtifact(cs *block.CandidateSet) pairsArtifact {
-	a := pairsArtifact{
+	return pairsArtifact{
 		LeftName:  cs.Left.Name(),
 		RightName: cs.Right.Name(),
 		LeftRows:  cs.Left.Len(),
 		RightRows: cs.Right.Len(),
-		Pairs:     make([][2]int, 0, cs.Len()),
+		Pairs:     block.EncodePairs(cs.Pairs()),
 	}
-	for _, p := range cs.Pairs() {
-		a.Pairs = append(a.Pairs, [2]int{p.A, p.B})
-	}
-	return a
 }
 
-// validate checks the artifact against the live tables; any mismatch
-// means the checkpoint belongs to different inputs (or was tampered
-// with) and must be recomputed.
-func (a *pairsArtifact) validate(left, right *table.Table) error {
+// decode checks the artifact against the live tables and rebuilds its
+// candidate set; any mismatch means the checkpoint belongs to different
+// inputs (or was tampered with) and must be recomputed.
+func (a *pairsArtifact) decode(left, right *table.Table) (*block.CandidateSet, error) {
 	if a.LeftName != left.Name() || a.RightName != right.Name() {
-		return fmt.Errorf("tables %q/%q, checkpoint has %q/%q", left.Name(), right.Name(), a.LeftName, a.RightName)
+		return nil, fmt.Errorf("tables %q/%q, checkpoint has %q/%q", left.Name(), right.Name(), a.LeftName, a.RightName)
 	}
 	if a.LeftRows != left.Len() || a.RightRows != right.Len() {
-		return fmt.Errorf("table shapes %dx%d, checkpoint has %dx%d", left.Len(), right.Len(), a.LeftRows, a.RightRows)
+		return nil, fmt.Errorf("table shapes %dx%d, checkpoint has %dx%d", left.Len(), right.Len(), a.LeftRows, a.RightRows)
 	}
-	return validPairs(a.Pairs, left.Len(), right.Len())
+	return block.DecodePairs(a.Pairs, left, right)
 }
 
-// validPairs bounds-checks serialized pairs so arbitrary bytes in a
-// checkpoint can never turn into an out-of-range row access later.
-func validPairs(pairs [][2]int, leftRows, rightRows int) error {
-	for _, p := range pairs {
-		if p[0] < 0 || p[0] >= leftRows || p[1] < 0 || p[1] >= rightRows {
-			return fmt.Errorf("pair (%d,%d) out of range for %dx%d tables", p[0], p[1], leftRows, rightRows)
-		}
-	}
-	return nil
-}
-
-// toSet rebuilds a candidate set in the artifact's order.
-func (a *pairsArtifact) toSet(left, right *table.Table) *block.CandidateSet {
-	cs := block.NewCandidateSet(left, right)
-	for _, p := range a.Pairs {
-		cs.Add(block.Pair{A: p[0], B: p[1]})
-	}
-	return cs
-}
-
-// toPairs converts a serialized pair list.
-func toPairs(raw [][2]int) []block.Pair {
-	if len(raw) == 0 {
-		return nil
-	}
-	out := make([]block.Pair, len(raw))
-	for i, p := range raw {
-		out[i] = block.Pair{A: p[0], B: p[1]}
-	}
-	return out
-}
-
-// loadStageCkpt reads and validates one stage artifact into dst (which
-// must embed or be a pairsArtifact; validate runs the semantic check).
+// loadStageCkpt reads one stage artifact into dst (which must embed or
+// be a pairsArtifact); validate decodes it and runs the semantic check.
 // It returns false — after quarantining when appropriate — whenever
 // the stage must be recomputed, recording why on the span.
 func loadStageCkpt(store *ckpt.Store, name string, span *obs.Span, dst any, validate func() error) bool {

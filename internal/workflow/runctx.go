@@ -8,11 +8,9 @@ import (
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
 	"emgo/internal/drift"
-	"emgo/internal/label"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 )
 
@@ -21,27 +19,15 @@ import (
 // bounded stage execution (per-stage deadlines on top of the caller's
 // context), failure isolation (worker panics surface as indexed errors;
 // a bounded error budget quarantines poison pairs instead of aborting
-// the batch), deterministic retries for the human/labeler boundary, and
-// a provenance log that records how each stage ended (ok / retried /
-// degraded / aborted) so an operator can reconstruct a bad run.
+// the batch), and a provenance log that records how each stage ended
+// (ok / resumed / degraded / aborted) so an operator can reconstruct a
+// bad run.
 //
 // RunCtx is also the observability anchor: every stage runs under an
 // obs span recording wall time, item count, and outcome, and every run
 // finishes with a machine-readable obs.Report on the Result (spans +
 // metrics snapshot + provenance log + quarantine decisions) — the
 // document -report flags write and perf work diffs against.
-
-// CheckStage asks RunCtx to finish with a production monitoring check
-// over the final matches (footnote 11's sample-label-estimate loop).
-type CheckStage struct {
-	// Monitor performs the check; required.
-	Monitor *Monitor
-	// Batch names the data slice in the monitor's history.
-	Batch string
-	// Label is the human (or service) in the loop; transient failures
-	// are retried on the run's retry policy.
-	Label func(block.Pair) (label.Label, error)
-}
 
 // DriftStage asks RunCtx to run the quality-observability layer
 // (internal/drift): a collector rides along the run profiling feature
@@ -74,26 +60,16 @@ type DriftStage struct {
 }
 
 // RunOptions configures the hardened runtime. The zero value — what
-// Run passes — means no per-stage deadlines, no retries, an empty error
-// budget.
+// Run passes — means no per-stage deadlines and an empty error budget.
 type RunOptions struct {
-	// StageTimeout bounds every cancellable stage (blocking, matching,
-	// monitoring); 0 means no per-stage deadline. The caller's context
-	// still bounds the whole run.
+	// StageTimeout bounds every cancellable stage (blocking, matching);
+	// 0 means no per-stage deadline. The caller's context still bounds
+	// the whole run.
 	StageTimeout time.Duration
-	// StageTimeouts overrides StageTimeout for individual stages by log
-	// step name ("blocked", "learned", "monitor").
-	StageTimeouts map[string]time.Duration
-	// Retry is the deterministic backoff policy for retryable stages
-	// (the monitoring check's labeler). The zero policy tries once.
-	Retry retry.Policy
 	// ErrorBudget is how many candidate pairs the matching stage may
 	// quarantine (vectorization or prediction failed on them) before the
 	// run aborts. 0 aborts on the first failing pair.
 	ErrorBudget int
-	// Check, when set, runs a production monitoring check as the final
-	// stage and stores its result on the Result.
-	Check *CheckStage
 	// Drift, when non-nil, arms quality observability: the run is
 	// profiled and finishes with a "quality" stage that captures a
 	// baseline snapshot or checks the live profile against one (see
@@ -110,16 +86,12 @@ type RunOptions struct {
 	Checkpoints *ckpt.Store
 }
 
-// stageCtx derives the context for one named stage.
-func (o RunOptions) stageCtx(ctx context.Context, stage string) (context.Context, context.CancelFunc) {
-	d := o.StageTimeout
-	if override, ok := o.StageTimeouts[stage]; ok {
-		d = override
-	}
-	if d <= 0 {
+// stageCtx derives the context for one cancellable stage.
+func (o RunOptions) stageCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if o.StageTimeout <= 0 {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, d)
+	return context.WithTimeout(ctx, o.StageTimeout)
 }
 
 // stageMSBuckets are the upper bounds (milliseconds) of the per-stage
@@ -220,14 +192,14 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	st = startStage(ctx, "blocked", stageMS)
 	var blocked *block.CandidateSet
 	var blockedArt pairsArtifact
-	if loadStageCkpt(opts.Checkpoints, ckptBlocked, st.span, &blockedArt, func() error {
-		return blockedArt.validate(left, right)
+	if loadStageCkpt(opts.Checkpoints, ckptBlocked, st.span, &blockedArt, func() (err error) {
+		blocked, err = blockedArt.decode(left, right)
+		return err
 	}) {
-		blocked = blockedArt.toSet(left, right)
 		st.finish(OutcomeResumed, blocked.Len())
 		log.AddOutcome("blocked", "union of blockers (restored from checkpoint)", blocked.Len(), OutcomeResumed)
 	} else {
-		bctx, cancel := opts.stageCtx(st.ctx, "blocked")
+		bctx, cancel := opts.stageCtx(st.ctx)
 		var berr error
 		blocked, berr = block.UnionBlockCtx(bctx, left, right, w.Blockers...)
 		cancel()
@@ -256,14 +228,15 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// prediction cost nor re-admits poison pairs.
 	st = startStage(ctx, "learned", stageMS)
 	var learnedArt learnedArtifact
-	if loadStageCkpt(opts.Checkpoints, ckptLearned, st.span, &learnedArt, func() error {
-		if err := learnedArt.validate(left, right); err != nil {
+	var quarantined *block.CandidateSet
+	if loadStageCkpt(opts.Checkpoints, ckptLearned, st.span, &learnedArt, func() (err error) {
+		if res.Learned, err = learnedArt.decode(left, right); err != nil {
 			return err
 		}
-		return validPairs(learnedArt.Quarantined, left.Len(), right.Len())
+		quarantined, err = block.DecodePairs(learnedArt.Quarantined, left, right)
+		return err
 	}) {
-		res.Learned = learnedArt.toSet(left, right)
-		res.Quarantined = toPairs(learnedArt.Quarantined)
+		res.Quarantined = quarantined.Pairs()
 		st.finish(OutcomeResumed, res.Learned.Len())
 		detail := "matcher predictions on candidates (restored from checkpoint)"
 		if n := len(res.Quarantined); n > 0 {
@@ -281,8 +254,10 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 			quarantined := obs.C("workflow.quarantined")
 			var preds []int
 			for {
+				pctx, cancel := opts.stageCtx(st.ctx)
 				var perr error
-				preds, perr = w.predictPairs(st.ctx, opts, left, right, pairs)
+				preds, _, perr = w.PredictPairs(pctx, w.Matcher, left, right, pairs)
+				cancel()
 				if perr == nil {
 					break
 				}
@@ -308,11 +283,10 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 				}
 			}
 		}
-		art := learnedArtifact{pairsArtifact: newPairsArtifact(res.Learned)}
-		for _, p := range res.Quarantined {
-			art.Quarantined = append(art.Quarantined, [2]int{p.A, p.B})
-		}
-		saveStageCkpt(opts.Checkpoints, ckptLearned, st.span, art)
+		saveStageCkpt(opts.Checkpoints, ckptLearned, st.span, learnedArtifact{
+			pairsArtifact: newPairsArtifact(res.Learned),
+			Quarantined:   block.EncodePairs(res.Quarantined),
+		})
 		if len(res.Quarantined) > 0 {
 			st.finish(OutcomeDegraded, res.Learned.Len())
 			log.AddOutcome("learned",
@@ -342,31 +316,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	st.finish(OutcomeOK, res.Final.Len())
 	log.Add("final", "sure matches plus surviving predictions", res.Final.Len())
 
-	// Step 7 (optional): production monitoring check, retried on the
-	// run's policy when the labeler fails transiently.
-	if opts.Check != nil {
-		st = startStage(ctx, "monitor", stageMS)
-		if opts.Check.Monitor == nil {
-			return abort(st, "monitor", fmt.Errorf("check stage needs a monitor"))
-		}
-		mctx, cancel := opts.stageCtx(st.ctx, "monitor")
-		cr, attempts, merr := opts.Check.Monitor.CheckCtx(mctx, opts.Retry, opts.Check.Batch, res.Final, opts.Check.Label)
-		cancel()
-		if merr != nil {
-			return abort(st, "monitor", merr)
-		}
-		res.Check = &cr
-		detail := fmt.Sprintf("precision [%.2f,%.2f] alarm=%v", cr.Precision.Lo, cr.Precision.Hi, cr.Alarm)
-		if attempts > 1 {
-			st.finish(OutcomeRetried, cr.Labeled)
-			log.AddOutcome("monitor", fmt.Sprintf("%s after %d attempts", detail, attempts), cr.Labeled, OutcomeRetried)
-		} else {
-			st.finish(OutcomeOK, cr.Labeled)
-			log.Add("monitor", detail, cr.Labeled)
-		}
-	}
-
-	// Step 8 (optional): quality stage — assemble the statistical profile
+	// Step 7 (optional): quality stage — assemble the statistical profile
 	// the collector gathered and either snapshot it as the baseline or
 	// check it against one. A breach is not an error: the run completed;
 	// the degraded_quality outcome in spans and provenance (and the
@@ -450,20 +400,22 @@ func buildReport(name string, started time.Time, root *obs.Span, res *Result, ru
 	return rep
 }
 
-// predictPairs runs the vectorize → impute → predict chain for one set
-// of candidate pairs under the "learned" stage deadline.
-func (w *Workflow) predictPairs(ctx context.Context, opts RunOptions, left, right *table.Table, pairs []block.Pair) ([]int, error) {
-	sctx, cancel := opts.stageCtx(ctx, "learned")
-	defer cancel()
-	x, err := w.Features.VectorizeCtx(sctx, left, right, pairs)
+// PredictPairs is the vectorize → impute → predict chain over one list
+// of candidate pairs, the one copy RunCtx and the serving tier share. m
+// is the matcher to ask — the serving tier hot-swaps its own — and the
+// imputed vectors come back beside the predictions so a caller can read
+// a probabilistic matcher's scores off them.
+func (w *Workflow) PredictPairs(ctx context.Context, m ml.Matcher, left, right *table.Table, pairs []block.Pair) ([]int, [][]float64, error) {
+	x, err := w.Features.VectorizeCtx(ctx, left, right, pairs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	x, err = w.Imputer.Transform(x)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ml.PredictAllCtx(sctx, w.Matcher, x)
+	preds, err := ml.PredictAllCtx(ctx, m, x)
+	return preds, x, err
 }
 
 // unwrapIndexed strips the parallel index wrapper for log detail text,

@@ -5,12 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
 	"emgo/internal/fault"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 )
 
@@ -178,7 +176,6 @@ func TestRunCtxCheckpointRestoresQuarantineList(t *testing.T) {
 	fresh, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
 		Checkpoints: openTestStore(t, dir),
 		ErrorBudget: 2,
-		Retry:       retry.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,47 +120,52 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	}
 }
 
+// flakyLabeler says yes to everything once the armed "label.judge" fault
+// (a flaky human-in-the-loop backend) is spent.
+func flakyLabeler(block.Pair) (label.Label, error) {
+	if ferr := fault.Inject("label.judge"); ferr != nil {
+		return 0, ferr
+	}
+	return label.Yes, nil
+}
+
+// TestRunCtxTransientLabelerFaultRetried: the monitoring check over a
+// run's final matches is the caller's step (RunCtx has no monitor stage);
+// under a retry policy a labeler whose first call fails costs one more
+// attempt, not the check.
 func TestRunCtxTransientLabelerFaultRetried(t *testing.T) {
 	defer fault.Reset()
 	w, tp := hardenedFixture(t)
 	mon := &Monitor{SampleSize: 2, MinPrecision: 0.5, Rng: rand.New(rand.NewSource(7))}
-	// The labeler's first call fails (flaky human-in-the-loop backend);
-	// the retry policy must recover and the log must say so.
-	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
-	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Check: &CheckStage{
-			Monitor: mon,
-			Batch:   "batch-1",
-			Label: func(p block.Pair) (label.Label, error) {
-				if ferr := fault.Inject("label.judge"); ferr != nil {
-					return 0, ferr
-				}
-				return label.Yes, nil
-			},
-		},
-	})
+	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err != nil {
-		t.Fatalf("run with transient labeler fault should succeed after retry: %v", err)
+		t.Fatal(err)
 	}
-	if res.Check == nil || res.Check.Batch != "batch-1" {
-		t.Fatalf("check result missing: %+v", res.Check)
+	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
+	cr, attempts, err := mon.CheckCtx(context.Background(),
+		retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "batch-1", res.Final, flakyLabeler)
+	if err != nil {
+		t.Fatalf("check with transient labeler fault should succeed after retry: %v", err)
 	}
-	var entry *Entry
-	for _, e := range res.Log.Entries() {
-		if e.Step == "monitor" {
-			entry = &e
-			break
-		}
+	if attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (one fault, one success)", attempts)
 	}
-	if entry == nil {
-		t.Fatalf("no monitor entry:\n%s", res.Log)
+	if cr.Batch != "batch-1" || cr.Labeled != 2 || cr.Alarm {
+		t.Fatalf("check result: %+v", cr)
 	}
-	if entry.Outcome != OutcomeRetried || !strings.Contains(entry.Detail, "2 attempts") {
-		t.Fatalf("retry not recorded: %+v", entry)
+	if cr.Precision.Hi != 1 || cr.Precision.Lo < 0 || cr.Precision.Lo > cr.Precision.Hi {
+		t.Fatalf("precision interval [%g,%g] for an all-yes sample", cr.Precision.Lo, cr.Precision.Hi)
 	}
 	if len(mon.History()) != 1 {
-		t.Fatalf("monitor history = %d", len(mon.History()))
+		t.Fatalf("monitor history = %d, want 1 (the failed attempt records nothing)", len(mon.History()))
+	}
+	// Without a policy the same fault fails the check and records nothing.
+	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
+	if _, attempts, err = mon.CheckCtx(context.Background(), retry.Policy{}, "batch-2", res.Final, flakyLabeler); err == nil || attempts != 1 {
+		t.Fatalf("unretried check = (%d attempts, %v), want one failed attempt", attempts, err)
+	}
+	if len(mon.History()) != 1 {
+		t.Fatalf("a failed check was recorded: history = %d", len(mon.History()))
 	}
 }
 
@@ -222,7 +227,7 @@ func TestRunCtxStageDeadlineAborts(t *testing.T) {
 	leakcheck.Check(t)
 	w, tp := hardenedFixture(t)
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		StageTimeouts: map[string]time.Duration{"blocked": time.Nanosecond},
+		StageTimeout: time.Nanosecond,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err: %v", err)

@@ -28,9 +28,6 @@ import (
 const (
 	// OutcomeOK marks a stage that completed normally.
 	OutcomeOK = "ok"
-	// OutcomeRetried marks a stage that succeeded only after one or more
-	// retries of a transient fault.
-	OutcomeRetried = "retried"
 	// OutcomeAborted marks the stage a failed run stopped at.
 	OutcomeAborted = "aborted"
 	// OutcomeDegraded marks a stage that completed by quarantining
@@ -147,9 +144,6 @@ type Result struct {
 	// because vectorization or prediction failed on them (empty without
 	// a budget: the first failing pair aborts the run).
 	Quarantined []block.Pair
-	// Check is the production monitoring check RunCtx ran when its
-	// options asked for one (nil otherwise).
-	Check *CheckResult
 	// DriftProfile is the statistical profile the quality stage captured
 	// when RunOptions.Drift armed a collector (nil otherwise). In capture
 	// mode it is the baseline snapshot; in check mode it is the live
