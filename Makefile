@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu tier2 ci bench bench-baseline smoke perf-gate
+.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check tier2 ci bench bench-baseline smoke perf-gate
 
 all: tier1
 
@@ -35,6 +35,13 @@ race:
 # a wait that never ends only when they cannot.
 race-cpu:
 	$(GO) test -race -cpu 1,2 ./internal/block ./internal/feature ./internal/rules ./internal/serve
+
+# bench-check vets and tests the nested benchmark module (bench/, its own
+# go.mod with a replace onto this tree): tier-1 never compiles it, so a
+# rename next to a symbol embench imports would otherwise go unnoticed
+# until the benchmark is run. Offline, a few seconds.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
 # package builds the CLIs once (emserve and emcasestudy with -race),
@@ -74,10 +81,11 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), the end-to-end smoke harness (the kill/resume
-# chaos scenario among its eight), and the perf-regression gate over the
-# committed BENCH trajectory.
-tier2: fmt-check vet race race-cpu smoke perf-gate
+# trustworthy race-clean), the nested benchmark module's own vet and
+# tests, the end-to-end smoke harness (the kill/resume chaos scenario
+# among its eight), and the perf-regression gate over the committed BENCH
+# trajectory.
+tier2: fmt-check vet race race-cpu bench-check smoke perf-gate
 
 ci: tier1 tier2
 

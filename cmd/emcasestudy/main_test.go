@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"emgo/internal/obs"
-	"emgo/internal/workflow"
 )
 
 // TestRunSmallScaleWithObservability runs the whole case study at a
@@ -43,7 +42,7 @@ func TestRunSmallScaleWithObservability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report does not parse: %v", err)
 	}
-	if rep.Name != "emcasestudy" || rep.Outcome != workflow.OutcomeOK {
+	if rep.Name != "emcasestudy" || rep.Outcome != obs.OutcomeOK {
 		t.Fatalf("report header: name=%q outcome=%q error=%q", rep.Name, rep.Outcome, rep.Error)
 	}
 	if rep.Trace == nil {
@@ -93,9 +92,28 @@ func TestRunRefusesStdoutArtifacts(t *testing.T) {
 // trace, its report (aborted, carrying the error) and its history row —
 // through the code emmatch writes them with.
 func TestRunAbortedStillWritesRecord(t *testing.T) {
+	abortedRunRecord(t, "trace.json", true)
+}
+
+// TestRunAbortedBadTracePathKeepsTheRest: one unwritable destination
+// costs that artifact only — the report file and the history row of the
+// aborted run are still written, and the failure is named on stderr.
+func TestRunAbortedBadTracePathKeepsTheRest(t *testing.T) {
+	stderr := abortedRunRecord(t, filepath.Join("no-such-dir", "trace.json"), false)
+	if !strings.Contains(stderr, "writing observability artifacts") || !strings.Contains(stderr, "no-such-dir") {
+		t.Fatalf("the unwritable -trace path is not reported:\n%s", stderr)
+	}
+}
+
+// abortedRunRecord runs a cancelled study with -report, -history and
+// -trace (relative to a fresh directory), checks the report and the
+// history row of the aborted run — and the trace when it is writable —
+// and returns stderr.
+func abortedRunRecord(t *testing.T, traceRel string, traceWritable bool) string {
+	t.Helper()
 	dir := t.TempDir()
 	reportPath := filepath.Join(dir, "run.json")
-	tracePath := filepath.Join(dir, "trace.json")
+	tracePath := filepath.Join(dir, traceRel)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var stdout, stderr bytes.Buffer
@@ -112,16 +130,21 @@ func TestRunAbortedStillWritesRecord(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	if rep.Outcome != workflow.OutcomeAborted || rep.Error != err.Error() {
+	if rep.Outcome != obs.OutcomeAborted || rep.Error != err.Error() {
 		t.Fatalf("outcome=%q error=%q, want aborted with %q", rep.Outcome, rep.Error, err)
 	}
-	if _, serr := os.Stat(tracePath); serr != nil {
-		t.Fatalf("failed run must still write the trace: %v", serr)
+	if _, serr := os.Stat(tracePath); (serr == nil) != traceWritable {
+		t.Fatalf("trace written = %v, want %v (%v)", serr == nil, traceWritable, serr)
+	}
+	row, herr := os.ReadFile(filepath.Join(dir, "runs", "runs.jsonl"))
+	if herr != nil || !bytes.Contains(row, []byte(`"outcome":"aborted"`)) {
+		t.Fatalf("history row not appended (%v): %s", herr, row)
 	}
 	if !strings.Contains(stderr.String(), "appended run report to") {
-		t.Fatalf("history row not appended:\n%s", stderr.String())
+		t.Fatalf("history row not announced:\n%s", stderr.String())
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("an aborted study printed a report:\n%.200s", stdout.String())
 	}
+	return stderr.String()
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"emgo/internal/obs"
-	"emgo/internal/workflow"
 )
 
 // TestRunReportFlag is the acceptance test for -report: a run must
@@ -45,7 +44,7 @@ func TestRunReportFlag(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report does not parse: %v", err)
 	}
-	if rep.Outcome != workflow.OutcomeOK {
+	if rep.Outcome != obs.OutcomeOK {
 		t.Fatalf("outcome = %q, error = %q", rep.Outcome, rep.Error)
 	}
 	if rep.Trace == nil || rep.Trace.Name != "emmatch" {
@@ -67,7 +66,7 @@ func TestRunReportFlag(t *testing.T) {
 	}
 	walk(rep.Trace)
 	for _, want := range []string{"stage.sure_matches", "stage.blocked", "stage.final"} {
-		if stages[want] != workflow.OutcomeOK {
+		if stages[want] != obs.OutcomeOK {
 			t.Fatalf("span %s outcome = %q (have %v)", want, stages[want], stages)
 		}
 	}
@@ -144,7 +143,7 @@ func TestRunReportOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != workflow.OutcomeAborted || !strings.Contains(rep.Error, "unknown transform") {
+	if rep.Outcome != obs.OutcomeAborted || !strings.Contains(rep.Error, "unknown transform") {
 		t.Fatalf("outcome=%q error=%q", rep.Outcome, rep.Error)
 	}
 }

@@ -71,7 +71,7 @@ type tokenJoin struct {
 type boundTokens struct {
 	Blocker // the blocker this binds, for its name
 	join    tokenJoin
-	col     *bound[tokenColumn]
+	col     *Prepared[tokenColumn]
 }
 
 // newBoundTokens binds b, sharing the column of a blocker among others
@@ -82,15 +82,15 @@ func newBoundTokens(b Blocker, j tokenJoin, others []Blocker) *boundTokens {
 			return &boundTokens{Blocker: b, join: j, col: o.col}
 		}
 	}
-	return &boundTokens{Blocker: b, join: j, col: &bound[tokenColumn]{
-		build: func(ctx context.Context, right *table.Table) (*tokenColumn, error) {
-			rj, err := right.Col(j.rightCol)
-			if err != nil {
-				return nil, err
-			}
-			return buildTokenColumn(ctx, right, rj, j.form)
-		},
-	}}
+	return &boundTokens{Blocker: b, join: j, col: &Prepared[tokenColumn]{}}
+}
+
+func (b *boundTokens) buildColumn(ctx context.Context, right *table.Table) (*tokenColumn, error) {
+	rj, err := right.Col(b.join.rightCol)
+	if err != nil {
+		return nil, err
+	}
+	return buildTokenColumn(ctx, right, rj, b.join.form)
 }
 
 // blockUnbound runs a token blocker nobody bound: bind, then probe.
@@ -104,7 +104,7 @@ func blockUnbound(ctx context.Context, b tokenBlocker, left, right *table.Table)
 
 func (b *boundTokens) warm(right *table.Table) {
 	// A failure here is reported by the Block call that meets it again.
-	_, _ = b.col.get(context.Background(), right)
+	_, _ = b.col.Get(context.Background(), right, b.buildColumn)
 }
 
 // Block implements Blocker.
@@ -163,7 +163,7 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 	if err != nil {
 		return nil, err
 	}
-	col, err := lead.col.get(ctx, right)
+	col, err := lead.col.Get(ctx, right, lead.buildColumn)
 	if err != nil {
 		return nil, err
 	}
@@ -199,39 +199,28 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 	return sets, nil
 }
 
-// keyIndex is AttrEquiv's prepared right side: the right rows under each
-// non-empty blocking key, ascending.
-type keyIndex map[string][]int
+// KeyIndex is a keyed-equality join's prepared right side: the right rows
+// under each non-empty key text, ascending — AttrEquiv's index, and a
+// sure rule's (the paper's C1 is the M1 rule run as a blocker).
+type KeyIndex map[string][]int
 
-// boundKeys is AttrEquiv in bound form.
-type boundKeys struct {
-	AttrEquiv
-	idx *bound[keyIndex]
+// BuildKeyIndex indexes column rj of right under transform.
+func BuildKeyIndex(ctx context.Context, right *table.Table, rj int, transform func(string) string) (KeyIndex, error) {
+	idx := make(KeyIndex)
+	for i := 0; i < right.Len(); i++ {
+		if err := strideErr(ctx, i); err != nil {
+			return nil, err
+		}
+		if k := KeyText(right.Row(i)[rj], transform); k != "" {
+			idx[k] = append(idx[k], i)
+		}
+	}
+	return idx, nil
 }
 
-func newBoundKeys(b AttrEquiv) *boundKeys {
-	return &boundKeys{AttrEquiv: b, idx: &bound[keyIndex]{
-		build: func(ctx context.Context, right *table.Table) (*keyIndex, error) {
-			rj, err := right.Col(b.RightCol)
-			if err != nil {
-				return nil, err
-			}
-			idx := make(keyIndex)
-			for i := 0; i < right.Len(); i++ {
-				if err := strideErr(ctx, i); err != nil {
-					return nil, err
-				}
-				if k := blockingKey(right.Row(i)[rj], b.RightTransform); k != "" {
-					idx[k] = append(idx[k], i)
-				}
-			}
-			return &idx, nil
-		},
-	}}
-}
-
-// blockingKey is a cell's AttrEquiv key; "" for a null or dropped record.
-func blockingKey(v table.Value, transform func(string) string) string {
+// KeyText is a cell's key under transform; "" — no key, the record joins
+// nothing — for a null cell or one the transform drops.
+func KeyText(v table.Value, transform func(string) string) string {
 	if v.IsNull() {
 		return ""
 	}
@@ -242,9 +231,28 @@ func blockingKey(v table.Value, transform func(string) string) string {
 	return s
 }
 
+// boundKeys is AttrEquiv in bound form.
+type boundKeys struct {
+	AttrEquiv
+	idx *Prepared[KeyIndex]
+}
+
+func newBoundKeys(b AttrEquiv) *boundKeys {
+	return &boundKeys{AttrEquiv: b, idx: &Prepared[KeyIndex]{}}
+}
+
+func (b *boundKeys) buildIndex(ctx context.Context, right *table.Table) (*KeyIndex, error) {
+	rj, err := right.Col(b.RightCol)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := BuildKeyIndex(ctx, right, rj, b.RightTransform)
+	return &idx, err
+}
+
 func (b *boundKeys) warm(right *table.Table) {
 	// A failure here is reported by the Block call that meets it again.
-	_, _ = b.idx.get(context.Background(), right)
+	_, _ = b.idx.Get(context.Background(), right, b.buildIndex)
 }
 
 // Block implements Blocker.
@@ -258,7 +266,7 @@ func (b *boundKeys) BlockCtx(ctx context.Context, left, right *table.Table) (*Ca
 	if err != nil {
 		return nil, err
 	}
-	idx, err := b.idx.get(ctx, right)
+	idx, err := b.idx.Get(ctx, right, b.buildIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +275,7 @@ func (b *boundKeys) BlockCtx(ctx context.Context, left, right *table.Table) (*Ca
 		if err := strideErr(ctx, i); err != nil {
 			return nil, err
 		}
-		for _, ri := range (*idx)[blockingKey(left.Row(i)[lj], b.LeftTransform)] {
+		for _, ri := range (*idx)[KeyText(left.Row(i)[lj], b.LeftTransform)] {
 			out.Add(Pair{A: i, B: ri})
 		}
 	}

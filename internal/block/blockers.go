@@ -195,13 +195,13 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 			err = blockSharing(jctx, left, right, blockers, k, ready)
 		}
 		if err != nil {
-			sp.SetOutcome("aborted")
+			sp.SetOutcome(obs.OutcomeAborted)
 			sp.End()
 			return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
 		}
 		c := ready[k]
 		sp.SetItems(c.Len())
-		sp.SetOutcome("ok")
+		sp.SetOutcome(obs.OutcomeOK)
 		sp.End()
 		pairsBlocked.Add(int64(c.Len()))
 		out, err = out.Union(c)

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,7 +13,6 @@ import (
 	"emgo/internal/ckpt"
 	"emgo/internal/obs"
 	"emgo/internal/obs/history"
-	"emgo/internal/workflow"
 )
 
 // RunRecord is the -report -trace -debug-addr -history flag set: what an
@@ -97,45 +97,31 @@ func (r *RunRecord) Finish(rep *obs.Report, runErr error) error {
 	return runErr
 }
 
+// write attempts every artifact the flags name and joins the failures:
+// a bad -trace path must not cost the report and the history row.
 func (r *RunRecord) write(rep *obs.Report, runErr error) error {
 	r.root.End()
+	var errs []error
 	if r.trace != "" {
-		if err := r.writeDoc(r.trace, "trace", r.root.Snapshot()); err != nil {
-			return err
-		}
+		errs = append(errs, r.writeDoc(r.trace, "trace", r.root.Snapshot()))
 	}
-	if r.report == "" && r.history == "" {
-		return nil
-	}
-	if rep == nil {
-		rep = &obs.Report{
-			Name: r.name, StartedAt: r.started, FinishedAt: time.Now(),
-			Outcome: workflow.OutcomeOK, Trace: r.root.Snapshot(),
-		}
-		if runErr != nil {
-			rep.Outcome, rep.Error = workflow.OutcomeAborted, runErr.Error()
-		}
-		if obs.Enabled() {
-			snap := obs.Default().Snapshot()
-			rep.Metrics = &snap
-		}
+	if rep == nil && (r.report != "" || r.history != "") {
+		rep = obs.NewReport(r.name, r.started, r.root, runErr)
 	}
 	if r.report != "" {
-		if err := r.writeDoc(r.report, "run report", rep); err != nil {
-			return err
-		}
+		errs = append(errs, r.writeDoc(r.report, "run report", rep))
 	}
 	if r.history != "" {
 		store, err := history.Open(r.history)
-		if err != nil {
-			return err
+		if err == nil {
+			err = store.Append(rep)
 		}
-		if err := store.Append(rep); err != nil {
-			return err
+		if err == nil {
+			fmt.Fprintf(r.stderr, "%s: appended run report to %s\n", r.name, store.Path())
 		}
-		fmt.Fprintf(r.stderr, "%s: appended run report to %s\n", r.name, store.Path())
+		errs = append(errs, err)
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // writeDoc routes a JSON document to a file, or to stdout for "-".

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"emgo/internal/block"
 	"emgo/internal/drift"
@@ -125,8 +124,8 @@ type Feature struct {
 type Set struct {
 	Features []Feature
 	// bound is the right table's cells prepared ahead by Bind (see
-	// prepared.go); nil for a set nobody bound.
-	bound atomic.Pointer[rightCells]
+	// prepared.go); empty for a set nobody bound.
+	bound block.Prepared[rightCells]
 }
 
 // Names returns the feature names in order.
@@ -370,7 +369,7 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	// monitored run armed one.
 	prof := drift.FromContext(ctx)
 	out := make([][]float64, len(pairs))
-	cells, err := pl.prepare(vctx, left, right, pairs, s.boundTo(right))
+	cells, err := pl.prepare(vctx, left, right, pairs, s.bound.Current(right))
 	if err == nil {
 		width := len(s.Features)
 		flat := make([]float64, len(pairs)*width)
@@ -388,9 +387,9 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 		})
 	}
 	if err != nil {
-		sp.SetOutcome("aborted")
+		sp.SetOutcome(obs.OutcomeAborted)
 		return nil, fmt.Errorf("feature: vectorize: %w", err)
 	}
-	sp.SetOutcome("ok")
+	sp.SetOutcome(obs.OutcomeOK)
 	return out, nil
 }

@@ -252,10 +252,6 @@ func (pl *plan) prepare(ctx context.Context, left, right *table.Table, pairs []b
 // form) its set features use, the cells of every row of one right table.
 // It is immutable once built.
 type rightCells struct {
-	right *table.Table
-	// rows is right.Len() at build: tables grow by Append, and the cells
-	// of a grown table are stale.
-	rows   int
 	groups []*boundCells
 }
 
@@ -321,7 +317,12 @@ func (b *boundCells) inIDs(c cell) idCell {
 // could not prepare them (a feature's column is missing from right — the
 // error is VectorizeCtx's to report) and for features added after Bind.
 func (s *Set) Bind(right *table.Table) {
-	rc := &rightCells{right: right, rows: right.Len()}
+	s.bound.Drop()
+	_, _ = s.bound.Get(context.Background(), right, s.prepareRight)
+}
+
+func (s *Set) prepareRight(ctx context.Context, right *table.Table) (*rightCells, error) {
+	rc := &rightCells{}
 	for _, f := range s.Features {
 		sim := computeRegistry[f.Func]
 		if sim.ratio == nil {
@@ -329,21 +330,18 @@ func (s *Set) Bind(right *table.Table) {
 		}
 		rj, err := right.Col(f.RightCol)
 		if err != nil {
-			return
+			return nil, err
 		}
 		if rc.cellsOf(rj, sim.form) == nil {
-			rc.groups = append(rc.groups, &boundCells{rj: rj, form: sim.form, ids: map[string]uint32{}, cells: make([]idCell, rc.rows)})
+			rc.groups = append(rc.groups, &boundCells{rj: rj, form: sim.form, ids: map[string]uint32{}, cells: make([]idCell, right.Len())})
 		}
 	}
 	// A column's dictionary grows row by row, so the fan-out is over
 	// columns.
-	err := parallel.ForWorkersCtx(context.Background(), len(rc.groups), runtime.GOMAXPROCS(0), func(g int) error {
+	return rc, parallel.ForWorkersCtx(ctx, len(rc.groups), runtime.GOMAXPROCS(0), func(g int) error {
 		rc.groups[g].build(right)
 		return nil
 	})
-	if err == nil {
-		s.bound.Store(rc)
-	}
 }
 
 // cellsOf returns the bound cells of column rj under form, or nil.
@@ -369,13 +367,4 @@ func (rc *rightCells) of(groups []cellGroup) []*boundCells {
 		}
 	}
 	return out
-}
-
-// boundTo returns the set's bound right cells when they are right's as it
-// stands, else nil.
-func (s *Set) boundTo(right *table.Table) *rightCells {
-	if rc := s.bound.Load(); rc != nil && rc.right == right && rc.rows == right.Len() {
-		return rc
-	}
-	return nil
 }

@@ -148,7 +148,7 @@ func (t *Tool) LabelAllCtx(ctx context.Context, user string, policy retry.Policy
 	queueGauge.Set(int64(len(pending)))
 	for _, p := range pending {
 		if err := dctx.Err(); err != nil {
-			sp.SetOutcome("aborted")
+			sp.SetOutcome(obs.OutcomeAborted)
 			return err
 		}
 		var l Label
@@ -158,19 +158,19 @@ func (t *Tool) LabelAllCtx(ctx context.Context, user string, policy retry.Policy
 			return jerr
 		})
 		if err != nil {
-			sp.SetOutcome("aborted")
+			sp.SetOutcome(obs.OutcomeAborted)
 			return fmt.Errorf("label: judging pair (%d,%d): %w", p.A, p.B, err)
 		}
 		err = retry.Do(dctx, policy, func() error {
 			return t.Submit(user, p, l)
 		})
 		if err != nil {
-			sp.SetOutcome("aborted")
+			sp.SetOutcome(obs.OutcomeAborted)
 			return fmt.Errorf("label: submitting pair (%d,%d): %w", p.A, p.B, err)
 		}
 		labeled.Inc()
 		queueGauge.Set(int64(len(t.pending)))
 	}
-	sp.SetOutcome("ok")
+	sp.SetOutcome(obs.OutcomeOK)
 	return nil
 }

@@ -157,9 +157,9 @@ func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error)
 		return nil
 	})
 	if err != nil {
-		sp.SetOutcome("aborted")
+		sp.SetOutcome(obs.OutcomeAborted)
 		return nil, fmt.Errorf("ml: predict: %w", err)
 	}
-	sp.SetOutcome("ok")
+	sp.SetOutcome(obs.OutcomeOK)
 	return out, nil
 }

@@ -89,10 +89,10 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	})
 	if err != nil {
 		f.trees = nil
-		sp.SetOutcome("aborted")
+		sp.SetOutcome(obs.OutcomeAborted)
 		return fmt.Errorf("ml: random forest: %w", err)
 	}
-	sp.SetOutcome("ok")
+	sp.SetOutcome(obs.OutcomeOK)
 	return nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -159,18 +160,15 @@ type Diff struct {
 	Signals []DeltaRow `json:"signals,omitempty"`
 }
 
-// stageDurations flattens a span tree into name → duration, keeping the
-// first occurrence of each name (stage spans are unique per run).
-func stageDurations(sd *obs.SpanData, into map[string]float64) {
-	if sd == nil {
-		return
+// stagesOf is a report's span tree as name → duration, the root — the
+// first occurrence of its own name — included.
+func stagesOf(root *obs.SpanData) map[string]float64 {
+	out := map[string]float64{}
+	if root != nil {
+		maps.Copy(out, root.StageDurations())
+		out[root.Name] = root.DurationMS
 	}
-	if _, seen := into[sd.Name]; !seen {
-		into[sd.Name] = sd.DurationMS
-	}
-	for _, c := range sd.Children {
-		stageDurations(c, into)
-	}
+	return out
 }
 
 // deltas builds sorted DeltaRows from two name → value maps, keeping
@@ -211,11 +209,7 @@ func deltas(prefix string, a, b map[string]float64) []DeltaRow {
 func DiffReports(a, b *obs.Report) *Diff {
 	d := &Diff{NameA: a.Name, NameB: b.Name, OutcomeA: a.Outcome, OutcomeB: b.Outcome}
 
-	sa := map[string]float64{}
-	sb := map[string]float64{}
-	stageDurations(a.Trace, sa)
-	stageDurations(b.Trace, sb)
-	d.Stages = deltas("", sa, sb)
+	d.Stages = deltas("", stagesOf(a.Trace), stagesOf(b.Trace))
 
 	ca := map[string]float64{}
 	cb := map[string]float64{}

@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// ProvEntry is one provenance-log record in a run report — the neutral
-// form of workflow.Log entries, kept here so the report schema has no
-// dependency on the workflow package.
+// ProvEntry is one provenance record: what a workflow step did, to how
+// many items, and how it ended. A workflow.Log holds them while the run
+// goes; the run report carries the same values.
 type ProvEntry struct {
-	Step    string `json:"step"`
-	Detail  string `json:"detail,omitempty"`
-	Count   int    `json:"count"`
+	Step   string `json:"step"`
+	Detail string `json:"detail,omitempty"`
+	Count  int    `json:"count"`
+	// Outcome is how the step ended; empty means OutcomeOK.
 	Outcome string `json:"outcome,omitempty"`
 }
 
@@ -47,6 +48,25 @@ type Report struct {
 	// internal/drift fills it — so reports stay parseable without that
 	// package.
 	Quality *QualityData `json:"quality,omitempty"`
+}
+
+// NewReport is the record of a run that has just ended, as whoever ran it
+// saw it: ok, or aborted with err, over root's span tree and — when the
+// registry is on — the metrics as they stand. A pipeline that knows more
+// (quarantines, provenance, quality) adds it to the result.
+func NewReport(name string, started time.Time, root *Span, err error) *Report {
+	rep := &Report{
+		Name: name, StartedAt: started, FinishedAt: time.Now(),
+		Outcome: OutcomeOK, Trace: root.Snapshot(),
+	}
+	if err != nil {
+		rep.Outcome, rep.Error = OutcomeAborted, err.Error()
+	}
+	if Enabled() {
+		snap := Default().Snapshot()
+		rep.Metrics = &snap
+	}
+	return rep
 }
 
 // QualitySignal is one scored drift indicator in a run report.

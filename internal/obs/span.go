@@ -83,8 +83,8 @@ func (s *Span) SetItems(n int) {
 	s.trace.mu.Unlock()
 }
 
-// SetOutcome records how the span ended (the workflow outcome
-// vocabulary: ok / retried / degraded / aborted). Safe on nil.
+// SetOutcome records how the span ended, in the Outcome* vocabulary.
+// Safe on nil.
 func (s *Span) SetOutcome(outcome string) {
 	if s == nil {
 		return
@@ -159,14 +159,11 @@ func (s *Span) Snapshot() *SpanData {
 }
 
 func (s *Span) snapshotLocked() *SpanData {
-	end := s.end
-	if end.IsZero() {
-		end = time.Now()
-	}
+	_, ms, _ := s.stage()
 	d := &SpanData{
 		Name:       s.name,
 		Start:      s.start,
-		DurationMS: float64(end.Sub(s.start)) / float64(time.Millisecond),
+		DurationMS: ms,
 		Items:      s.items,
 		Outcome:    s.outcome,
 	}
@@ -185,41 +182,59 @@ func (s *Span) snapshotLocked() *SpanData {
 	return d
 }
 
+// stage reads a live span as the flattening walk sees a node; the caller
+// holds the trace lock. An unfinished span is measured to now.
+func (s *Span) stage() (name string, ms float64, children []*Span) {
+	end := s.end
+	if end.IsZero() {
+		end = time.Now()
+	}
+	return s.name, float64(end.Sub(s.start)) / float64(time.Millisecond), s.children
+}
+
+func (d *SpanData) stage() (string, float64, []*SpanData) {
+	return d.Name, d.DurationMS, d.Children
+}
+
+// stageDurations is the one flattening walk, over a span tree in either
+// form: stage-name → wall-ms of every node under roots, the first
+// occurrence of a name winning.
+func stageDurations[N any](roots []N, stage func(N) (string, float64, []N)) map[string]float64 {
+	if len(roots) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(roots))
+	var walk func([]N)
+	walk = func(nodes []N) {
+		for _, n := range nodes {
+			name, ms, children := stage(n)
+			if _, seen := out[name]; !seen {
+				out[name] = ms
+			}
+			walk(children)
+		}
+	}
+	walk(roots)
+	return out
+}
+
 // StageDurations flattens the span's descendants into stage-name →
-// wall-ms for a wide event's Stages field, without materializing a full
-// Snapshot tree — the per-request path calls this on every request, so
-// it allocates only the result map. Semantics match the package-level
-// StageDurations: first occurrence of each name wins, the receiver
-// (root) is skipped, unfinished spans are measured to now. Safe on nil.
+// wall-ms — a wide event's Stages — without materializing a Snapshot
+// tree. The receiver (the root, whose duration is the event's own) is
+// skipped and unfinished spans are measured to now. Safe on nil.
 func (s *Span) StageDurations() map[string]float64 {
 	if s == nil {
 		return nil
 	}
 	s.trace.mu.Lock()
 	defer s.trace.mu.Unlock()
-	if len(s.children) == 0 {
+	return stageDurations(s.children, (*Span).stage)
+}
+
+// StageDurations is the same flattening of an exported tree. Safe on nil.
+func (d *SpanData) StageDurations() map[string]float64 {
+	if d == nil {
 		return nil
 	}
-	var now time.Time
-	out := make(map[string]float64, len(s.children))
-	var walk func(*Span)
-	walk = func(sp *Span) {
-		if _, seen := out[sp.name]; !seen {
-			end := sp.end
-			if end.IsZero() {
-				if now.IsZero() {
-					now = time.Now()
-				}
-				end = now
-			}
-			out[sp.name] = float64(end.Sub(sp.start)) / float64(time.Millisecond)
-		}
-		for _, c := range sp.children {
-			walk(c)
-		}
-	}
-	for _, c := range s.children {
-		walk(c)
-	}
-	return out
+	return stageDurations(d.Children, (*SpanData).stage)
 }

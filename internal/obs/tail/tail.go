@@ -139,10 +139,11 @@ func classify(outcome string) (errored, degraded bool) {
 }
 
 // Add offers one finished request to the buffer. The span is the
-// request's live root: its tree is materialized with Snapshot only when
-// the buffer actually retains the entry, so the steady-state request
-// pays no tree copy. Safe on nil and for concurrent use; the common
-// non-tail case returns without locking.
+// request's live root: its tree is materialized with Snapshot — and the
+// event's Stages read from it — only when the buffer actually retains
+// the entry, so the steady-state request pays no tree copy. Safe on nil
+// and for concurrent use; the common non-tail case returns without
+// locking.
 func (b *Buffer) Add(ev *obs.WideEvent, span *obs.Span) {
 	if b == nil || ev == nil {
 		return
@@ -179,8 +180,12 @@ func (b *Buffer) Add(ev *obs.WideEvent, span *obs.Span) {
 	}
 	if retained {
 		// Under b.mu so a concurrent Snapshot never observes the entry
-		// with its trace half-assigned.
+		// with its trace half-assigned. The event's stages are read off
+		// the same copy: only a kept event carries them.
 		entry.Trace = span.Snapshot()
+		if ev.Stages == nil {
+			ev.Stages = entry.Trace.StageDurations()
+		}
 	}
 	b.mu.Unlock()
 

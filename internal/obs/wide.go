@@ -27,19 +27,6 @@ import (
 // responses are always logged — the traffic you page on is never the
 // traffic that was sampled away.
 
-// Wide-event outcome vocabulary. Derived from the HTTP status plus the
-// degradation flag; "ok" is the only outcome eligible for sampling.
-const (
-	OutcomeOK         = "ok"
-	OutcomeDegraded   = "degraded"
-	OutcomeShed       = "shed"        // 429: admission or job queue full
-	OutcomeDraining   = "draining"    // 503 while the server drains
-	OutcomeTimeout    = "timeout"     // 504: request deadline exceeded
-	OutcomeError      = "error"       // 5xx other than the above
-	OutcomeBadRequest = "bad_request" // 4xx client errors
-	OutcomeStreamCut  = "stream_cut"  // result stream cut mid-flight (slow reader / disconnect)
-)
-
 // WideEvent is one request's complete record. Zero-valued fields are
 // omitted from the log line, so cheap routes emit short documents.
 type WideEvent struct {
@@ -75,10 +62,9 @@ type WideEvent struct {
 	// BytesIn / BytesOut are request/response body sizes.
 	BytesIn  int64 `json:"bytes_in,omitempty"`
 	BytesOut int64 `json:"bytes_out,omitempty"`
-	// JobID and Shard tie the event to the async job tier ("" / -1 when
-	// not job traffic; Shard is meaningful only on shard events).
+	// JobID ties the event to the async job tier ("" when not job
+	// traffic).
 	JobID string `json:"job_id,omitempty"`
-	Shard int    `json:"shard,omitempty"`
 	// Streamed marks a streaming results fetch; StreamFrom/StreamEnd are
 	// its start and end positions as "shard/offset", so a multi-
 	// connection fetch is reconstructable from the access log alone (the
@@ -91,15 +77,13 @@ type WideEvent struct {
 	StreamChunks   int  `json:"stream_chunks,omitempty"`
 	StreamComplete bool `json:"stream_complete,omitempty"`
 	// Stages maps pipeline stage names to wall milliseconds, from the
-	// request's span tree.
+	// request's span tree. It is filled in where the event is kept — the
+	// tail buffer sets it on the entries it retains, the access log
+	// renders it off the live span as it writes the line — so a request
+	// nobody keeps never builds the map.
 	Stages map[string]float64 `json:"stages,omitempty"`
 	// Err is the terminal error message, when the request failed.
 	Err string `json:"error,omitempty"`
-}
-
-// alwaysLog reports whether the event must bypass success sampling.
-func (e *WideEvent) alwaysLog() bool {
-	return e.Outcome != OutcomeOK
 }
 
 // EventLog is the wide-event sink. The nil *EventLog is valid and every
@@ -129,18 +113,23 @@ func NewEventLog(w io.Writer, sampleN int) *EventLog {
 	return &EventLog{w: w, sampleN: int64(sampleN)}
 }
 
-// Log writes one wide event (or samples it away). Safe on nil and safe
-// for concurrent use.
-func (l *EventLog) Log(ev *WideEvent) {
+// Log writes one wide event (or samples it away); root is the request's
+// span tree, the source of the line's stages when the event carries none
+// yet. Safe on nil and safe for concurrent use.
+func (l *EventLog) Log(ev *WideEvent, root *Span) {
 	if l == nil || ev == nil {
 		return
 	}
-	if !ev.alwaysLog() && l.sampleN > 1 && l.seen.Add(1)%l.sampleN != 1 {
+	if ev.Outcome == OutcomeOK && l.sampleN > 1 && l.seen.Add(1)%l.sampleN != 1 {
 		C("obs.events_sampled_out").Inc()
 		return
 	}
+	stages := ev.Stages
+	if stages == nil {
+		stages = root.StageDurations()
+	}
 	l.mu.Lock()
-	l.buf = ev.appendJSON(l.buf[:0])
+	l.buf = ev.appendJSON(l.buf[:0], stages)
 	l.buf = append(l.buf, '\n')
 	l.w.Write(l.buf)
 	l.mu.Unlock()
@@ -149,17 +138,14 @@ func (l *EventLog) Log(ev *WideEvent) {
 
 // appendJSON renders the event as one JSON document, omitting zero
 // fields, in the slog JSON-handler line shape (leading "msg").
-func (e *WideEvent) appendJSON(b []byte) []byte {
+func (e *WideEvent) appendJSON(b []byte, stages map[string]float64) []byte {
 	b = append(b, `{"msg":"request","time":"`...)
 	b = e.Time.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, `","request_id":`...)
 	b = appendJSONString(b, e.RequestID)
 	b = append(b, `,"route":`...)
 	b = appendJSONString(b, e.Route)
-	if e.Method != "" {
-		b = append(b, `,"method":`...)
-		b = appendJSONString(b, e.Method)
-	}
+	b = appendStr(b, `,"method":`, e.Method)
 	b = append(b, `,"status":`...)
 	b = strconv.AppendInt(b, int64(e.Status), 10)
 	b = append(b, `,"outcome":`...)
@@ -170,67 +156,30 @@ func (e *WideEvent) appendJSON(b []byte) []byte {
 		b = append(b, `,"queue_wait_ms":`...)
 		b = appendJSONFloat(b, e.QueueWaitMS)
 	}
-	if e.Admission != "" {
-		b = append(b, `,"admission":`...)
-		b = appendJSONString(b, e.Admission)
-	}
+	b = appendStr(b, `,"admission":`, e.Admission)
 	if e.Degraded {
 		b = append(b, `,"degraded":true,"degraded_reason":`...)
 		b = appendJSONString(b, e.DegradedReason)
 	}
-	if e.Breaker != "" {
-		b = append(b, `,"breaker":`...)
-		b = appendJSONString(b, e.Breaker)
-	}
-	if e.Records > 0 {
-		b = append(b, `,"records":`...)
-		b = strconv.AppendInt(b, int64(e.Records), 10)
-	}
-	if e.Candidates > 0 {
-		b = append(b, `,"candidates":`...)
-		b = strconv.AppendInt(b, int64(e.Candidates), 10)
-	}
-	if e.Matches > 0 {
-		b = append(b, `,"matches":`...)
-		b = strconv.AppendInt(b, int64(e.Matches), 10)
-	}
-	if e.BytesIn > 0 {
-		b = append(b, `,"bytes_in":`...)
-		b = strconv.AppendInt(b, e.BytesIn, 10)
-	}
-	if e.BytesOut > 0 {
-		b = append(b, `,"bytes_out":`...)
-		b = strconv.AppendInt(b, e.BytesOut, 10)
-	}
-	if e.JobID != "" {
-		b = append(b, `,"job_id":`...)
-		b = appendJSONString(b, e.JobID)
-	}
-	if e.Shard > 0 {
-		b = append(b, `,"shard":`...)
-		b = strconv.AppendInt(b, int64(e.Shard), 10)
-	}
+	b = appendStr(b, `,"breaker":`, e.Breaker)
+	b = appendInt(b, `,"records":`, int64(e.Records))
+	b = appendInt(b, `,"candidates":`, int64(e.Candidates))
+	b = appendInt(b, `,"matches":`, int64(e.Matches))
+	b = appendInt(b, `,"bytes_in":`, e.BytesIn)
+	b = appendInt(b, `,"bytes_out":`, e.BytesOut)
+	b = appendStr(b, `,"job_id":`, e.JobID)
 	if e.Streamed {
 		b = append(b, `,"streamed":true`...)
 	}
-	if e.StreamFrom != "" {
-		b = append(b, `,"stream_from":`...)
-		b = appendJSONString(b, e.StreamFrom)
-	}
-	if e.StreamEnd != "" {
-		b = append(b, `,"stream_end":`...)
-		b = appendJSONString(b, e.StreamEnd)
-	}
-	if e.StreamChunks > 0 {
-		b = append(b, `,"stream_chunks":`...)
-		b = strconv.AppendInt(b, int64(e.StreamChunks), 10)
-	}
+	b = appendStr(b, `,"stream_from":`, e.StreamFrom)
+	b = appendStr(b, `,"stream_end":`, e.StreamEnd)
+	b = appendInt(b, `,"stream_chunks":`, int64(e.StreamChunks))
 	if e.StreamComplete {
 		b = append(b, `,"stream_complete":true`...)
 	}
-	if len(e.Stages) > 0 {
-		names := make([]string, 0, len(e.Stages))
-		for name := range e.Stages {
+	if len(stages) > 0 {
+		names := make([]string, 0, len(stages))
+		for name := range stages {
 			names = append(names, name)
 		}
 		sort.Strings(names)
@@ -241,15 +190,28 @@ func (e *WideEvent) appendJSON(b []byte) []byte {
 			}
 			b = appendJSONString(b, name)
 			b = append(b, ':')
-			b = appendJSONFloat(b, e.Stages[name])
+			b = appendJSONFloat(b, stages[name])
 		}
 		b = append(b, '}')
 	}
-	if e.Err != "" {
-		b = append(b, `,"error":`...)
-		b = appendJSONString(b, e.Err)
-	}
+	b = appendStr(b, `,"error":`, e.Err)
 	return append(b, '}')
+}
+
+// appendStr and appendInt render one optional field — key is its
+// `,"name":` prefix — and nothing at the zero value.
+func appendStr(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return appendJSONString(append(b, key...), v)
+}
+
+func appendInt(b []byte, key string, v int64) []byte {
+	if v <= 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
 }
 
 // appendJSONFloat renders f in the shortest decimal form; JSON has no
@@ -307,27 +269,4 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[from:]...)
 	return append(b, '"')
-}
-
-// StageDurations flattens a span tree into stage-name → wall-ms for the
-// wide event's Stages field, keeping the first occurrence of each name
-// and skipping the root (its duration is the event's DurationMS).
-func StageDurations(sd *SpanData) map[string]float64 {
-	if sd == nil || len(sd.Children) == 0 {
-		return nil
-	}
-	out := make(map[string]float64)
-	var walk func(*SpanData)
-	walk = func(d *SpanData) {
-		if _, seen := out[d.Name]; !seen {
-			out[d.Name] = d.DurationMS
-		}
-		for _, c := range d.Children {
-			walk(c)
-		}
-	}
-	for _, c := range sd.Children {
-		walk(c)
-	}
-	return out
 }

@@ -18,6 +18,6 @@ func BenchmarkEventLogLog(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Log(ev)
+		l.Log(ev, nil)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +19,10 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		Status: 200, Outcome: OutcomeOK, DurationMS: 12.5, QueueWaitMS: 0.25,
 		Admission: "admitted", Breaker: "closed",
 		Records: 1, Candidates: 3, Matches: 2, BytesIn: 120, BytesOut: 340,
-		JobID: "j0011223344556677", Shard: 2,
+		JobID:  "j0011223344556677",
 		Stages: map[string]float64{"serve.match": 11.25, "serve.block": 3},
 	}
-	l.Log(ev)
+	l.Log(ev, nil)
 
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -33,7 +34,7 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		"duration_ms": 12.5, "queue_wait_ms": 0.25, "admission": "admitted",
 		"breaker": "closed", "records": float64(1), "candidates": float64(3),
 		"matches": float64(2), "bytes_in": float64(120), "bytes_out": float64(340),
-		"job_id": "j0011223344556677", "shard": float64(2),
+		"job_id": "j0011223344556677",
 	}
 	for k, v := range want {
 		if doc[k] != v {
@@ -59,7 +60,7 @@ func TestWideEventJSONEscapesHostileStrings(t *testing.T) {
 		Status: 500, Outcome: OutcomeError, Err: hostile,
 		DegradedReason: hostile, Degraded: true,
 		Stages: map[string]float64{hostile: 1},
-	})
+	}, nil)
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("hostile strings broke the JSON line: %v\n%q", err, buf.String())
@@ -82,10 +83,10 @@ func TestWideEventNonFiniteDurations(t *testing.T) {
 	bad := 1.0
 	bad /= 0.0000000000000000000000001 // huge but finite is fine
 	l.Log(&WideEvent{Time: time.Unix(0, 0), RequestID: "r", Route: "/x",
-		Status: 200, Outcome: OutcomeOK, DurationMS: bad})
+		Status: 200, Outcome: OutcomeOK, DurationMS: bad}, nil)
 	inf := bad * bad * bad * bad // overflows to +Inf at runtime
 	l.Log(&WideEvent{Time: time.Unix(0, 0), RequestID: "r2", Route: "/x",
-		Status: 500, Outcome: OutcomeError, DurationMS: inf - inf, QueueWaitMS: inf})
+		Status: 500, Outcome: OutcomeError, DurationMS: inf - inf, QueueWaitMS: inf}, nil)
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var doc map[string]any
 		if err := json.Unmarshal([]byte(line), &doc); err != nil {
@@ -99,11 +100,11 @@ func TestEventLogSampling(t *testing.T) {
 	l := NewEventLog(&buf, 5)
 	for i := 0; i < 20; i++ {
 		l.Log(&WideEvent{Time: time.Unix(0, 0), RequestID: "ok", Route: "/x",
-			Status: 200, Outcome: OutcomeOK})
+			Status: 200, Outcome: OutcomeOK}, nil)
 	}
 	for i := 0; i < 3; i++ {
 		l.Log(&WideEvent{Time: time.Unix(0, 0), RequestID: "bad", Route: "/x",
-			Status: 500, Outcome: OutcomeError})
+			Status: 500, Outcome: OutcomeError}, nil)
 	}
 	var okN, errN int
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
@@ -128,9 +129,9 @@ func TestEventLogSampling(t *testing.T) {
 
 func TestEventLogNilSafety(t *testing.T) {
 	var l *EventLog
-	l.Log(&WideEvent{})                   // nil log
-	NewEventLog(nil, 1).Log(&WideEvent{}) // nil writer yields nil log
-	NewEventLog(&bytes.Buffer{}, 1).Log(nil)
+	l.Log(&WideEvent{}, nil)                   // nil log
+	NewEventLog(nil, 1).Log(&WideEvent{}, nil) // nil writer yields nil log
+	NewEventLog(&bytes.Buffer{}, 1).Log(nil, nil)
 }
 
 func TestStageDurations(t *testing.T) {
@@ -143,7 +144,10 @@ func TestStageDurations(t *testing.T) {
 	predict.End()
 	root.End()
 
-	stages := StageDurations(root.Snapshot())
+	stages := root.StageDurations()
+	if !reflect.DeepEqual(stages, root.Snapshot().StageDurations()) {
+		t.Fatalf("live and exported trees flatten differently: %v vs %v", stages, root.Snapshot().StageDurations())
+	}
 	if _, has := stages["serve.block"]; !has {
 		t.Fatalf("stages missing serve.block: %v", stages)
 	}
@@ -153,7 +157,7 @@ func TestStageDurations(t *testing.T) {
 	if _, has := stages["serve.http"]; has {
 		t.Fatalf("root leaked into stages: %v", stages)
 	}
-	if StageDurations(nil) != nil {
+	if (*Span)(nil).StageDurations() != nil || (*SpanData)(nil).StageDurations() != nil {
 		t.Fatal("nil span tree should yield nil stages")
 	}
 }

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"context"
-	"sync"
 
 	"emgo/internal/block"
 	"emgo/internal/parallel"
@@ -14,11 +13,10 @@ import (
 type Engine struct {
 	rules []Rule
 
-	// mu guards join, the keyed form of the rules against the right
-	// table last joined with (see keyed.go). It is built on first use or
-	// by Bind, shared by concurrent callers, and dropped by Add.
-	mu   sync.Mutex
-	join *keyedJoin
+	// join is the keyed form of the rules against the right table last
+	// joined with (see keyed.go): built on first use or by Bind, shared
+	// by concurrent callers, and dropped by Add.
+	join block.Prepared[keyedJoin]
 }
 
 // NewEngine builds an engine over the given rules (evaluated in order).
@@ -28,10 +26,8 @@ func NewEngine(rs ...Rule) *Engine {
 
 // Add appends a rule.
 func (e *Engine) Add(r Rule) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.rules = append(e.rules, r)
-	e.join = nil
+	e.join.Drop()
 }
 
 // Len returns the rule count.
@@ -93,11 +89,15 @@ func (e *Engine) SureMatches(left, right *table.Table) *block.CandidateSet {
 // with JudgeWithRule, in parallel over left rows. Both return the same
 // hits in the same order.
 func (e *Engine) SureHitsCtx(ctx context.Context, left, right *table.Table) ([]Hit, error) {
-	if join := e.joinFor(right); join != nil {
+	join, err := e.join.Get(ctx, right, e.buildJoin)
+	if err != nil {
+		return nil, err
+	}
+	if join != nil {
 		return join.hits(ctx, left)
 	}
 	perRow := make([][]Hit, left.Len())
-	err := parallel.ForCtx(ctx, left.Len(), func(i int) error {
+	err = parallel.ForCtx(ctx, left.Len(), func(i int) error {
 		row := left.Row(i)
 		for j := 0; j < right.Len(); j++ {
 			if v, name := e.JudgeWithRule(row, right.Row(j)); v == Match {

@@ -9,16 +9,12 @@ import (
 )
 
 // keyedJoin is an engine of equality-Match rules compiled against one
-// right table: per rule, the right rows under each non-empty key text,
-// ascending. The right transform runs once per right row here instead of
-// once per pair in Apply. It is immutable once built.
+// right table: per rule, block's keyed-equality index of it. The right
+// transform runs once per right row there instead of once per pair in
+// Apply. It is immutable once built.
 type keyedJoin struct {
-	right *table.Table
-	// rows is right.Len() when the index was built: tables grow by
-	// Append, and a grown table needs a new index.
-	rows  int
 	rules []*equalRule
-	index []map[string][]int
+	index []block.KeyIndex
 }
 
 // keyable returns the engine's rules as equality-Match rules, or nil when
@@ -41,33 +37,26 @@ func keyable(rs []Rule) []*equalRule {
 // SureMatches/SureHitsCtx call over it does not pay for the index (a
 // server binds its reference table at start-up). It is a no-op for an
 // engine that cannot be keyed.
-func (e *Engine) Bind(right *table.Table) { e.joinFor(right) }
+func (e *Engine) Bind(right *table.Table) {
+	_, _ = e.join.Get(context.Background(), right, e.buildJoin)
+}
 
-// joinFor returns the keyed join against right, building it when the
-// engine has none for this table; nil when the engine is not keyable.
-// Callers racing on a cold engine wait for one build.
-func (e *Engine) joinFor(right *table.Table) *keyedJoin {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if j := e.join; j != nil && j.right == right && j.rows == right.Len() {
-		return j
-	}
+// buildJoin compiles the engine against right; nil when it is not
+// keyable.
+func (e *Engine) buildJoin(ctx context.Context, right *table.Table) (*keyedJoin, error) {
 	eqs := keyable(e.rules)
 	if len(eqs) == 0 {
-		return nil
+		return nil, nil
 	}
-	j := &keyedJoin{right: right, rows: right.Len(), rules: eqs, index: make([]map[string][]int, len(eqs))}
+	j := &keyedJoin{rules: eqs, index: make([]block.KeyIndex, len(eqs))}
 	for k, r := range eqs {
-		idx := make(map[string][]int)
-		for b := 0; b < right.Len(); b++ {
-			if key := keyText(right.Row(b)[r.rj], r.rightTransform); key != "" {
-				idx[key] = append(idx[key], b)
-			}
+		idx, err := block.BuildKeyIndex(ctx, right, r.rj, r.rightTransform)
+		if err != nil {
+			return nil, err
 		}
 		j.index[k] = idx
 	}
-	e.join = j
-	return j
+	return j, nil
 }
 
 // hits returns the join's matches over left: per left row, B ascending,
@@ -84,7 +73,7 @@ func (j *keyedJoin) hits(ctx context.Context, left *table.Table) ([]Hit, error) 
 		}
 		row, start, fired := left.Row(i), len(out), 0
 		for k, r := range j.rules {
-			key := keyText(row[r.lj], r.leftTransform)
+			key := block.KeyText(row[r.lj], r.leftTransform)
 			if key == "" {
 				continue
 			}

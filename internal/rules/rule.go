@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 
+	"emgo/internal/block"
 	"emgo/internal/table"
 )
 
@@ -74,8 +75,8 @@ func NewEqual(name string, left *table.Table, leftCol string, lt func(string) st
 func (r *equalRule) Name() string { return r.name }
 
 func (r *equalRule) Apply(left, right table.Row) Verdict {
-	a := keyText(left[r.lj], r.leftTransform)
-	b := keyText(right[r.rj], r.rightTransform)
+	a := block.KeyText(left[r.lj], r.leftTransform)
+	b := block.KeyText(right[r.rj], r.rightTransform)
 	if a == "" || b == "" {
 		return NoOpinion
 	}
@@ -117,8 +118,8 @@ func NewComparableMismatch(name string, left *table.Table, leftCol string, lt fu
 func (r *comparableMismatchRule) Name() string { return r.name }
 
 func (r *comparableMismatchRule) Apply(left, right table.Row) Verdict {
-	a := keyText(left[r.lj], r.leftTransform)
-	b := keyText(right[r.rj], r.rightTransform)
+	a := block.KeyText(left[r.lj], r.leftTransform)
+	b := block.KeyText(right[r.rj], r.rightTransform)
 	if a == "" || b == "" {
 		return NoOpinion
 	}
@@ -150,15 +151,4 @@ func (r Func) Apply(left, right table.Row) Verdict {
 		return r.Verdict
 	}
 	return NoOpinion
-}
-
-func keyText(v table.Value, transform func(string) string) string {
-	if v.IsNull() {
-		return ""
-	}
-	s := v.Str()
-	if transform != nil {
-		s = transform(s)
-	}
-	return s
 }

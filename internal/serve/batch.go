@@ -147,13 +147,7 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The batch deadline; a batch's timeout_ms may lower it, never raise it.
-	budget := DefaultBatchTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
+	budget := requestBudget(DefaultBatchTimeout, req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 
@@ -164,41 +158,21 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	resps, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
+	resps, tally, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
 	elapsed := time.Since(start)
 	obs.H("serve.batch.latency_ms", batchLatencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
 		s.writeRunError(ctx, w, ev, err)
 		return
 	}
-	resp := &BatchResponse{
+	tally.record(ev)
+	obs.C("serve.batch.records").Add(int64(tally.records))
+	writeJSON(w, http.StatusOK, &BatchResponse{
 		Results:   resps,
-		Count:     len(resps),
+		Count:     tally.records,
+		Degraded:  tally.degraded,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		Breaker:   s.breaker.State().String(),
+		Breaker:   tally.breaker,
 		Trace:     trace,
-	}
-	for _, r := range resps {
-		if r.Degraded {
-			resp.Degraded++
-		}
-		obs.C("serve.matches").Add(int64(len(r.Matches)))
-	}
-	obs.C("serve.batch.records").Add(int64(resp.Count))
-	if resp.Degraded > 0 {
-		obs.C("serve.degraded").Add(int64(resp.Degraded))
-	}
-	if ev != nil {
-		ev.Records = resp.Count
-		ev.Breaker = resp.Breaker
-		for _, r := range resps {
-			ev.Candidates += r.Candidates
-			ev.Matches += len(r.Matches)
-		}
-		if resp.Degraded > 0 {
-			ev.Degraded = true
-			ev.DegradedReason = resps[0].DegradedReason
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }

@@ -251,7 +251,7 @@ func TestSureStageHonoursDeadDeadline(t *testing.T) {
 	defer cancel()
 	left := table.New("request", s.left.Schema())
 	left.MustAppend(s.left.Row(0))
-	if _, _, err := s.matchSet(ctx, left, s.breaker, false); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, _, err := s.matchSet(ctx, left, s.breaker, false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("matchSet past its deadline = %v, want context.DeadlineExceeded", err)
 	}
 }

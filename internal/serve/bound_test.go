@@ -29,7 +29,7 @@ func (s *Server) matchOne(ctx context.Context, row table.Row, wantTrace bool) (*
 	if err != nil {
 		return nil, err
 	}
-	resps, trace, err := s.matchSet(ctx, left, s.breaker, wantTrace)
+	resps, _, trace, err := s.matchSet(ctx, left, s.breaker, wantTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ func TestReloadIdenticalArtifactKeepsAnswers(t *testing.T) {
 			}
 			out = append(out, data...)
 		}
-		resps, _, err := s.matchSet(context.Background(), l, s.breaker, false)
+		resps, _, _, err := s.matchSet(context.Background(), l, s.breaker, false)
 		if err != nil {
 			t.Fatal(err)
 		}

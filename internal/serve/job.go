@@ -670,7 +670,10 @@ func (jm *Jobs) runJob(job *Job) {
 	job.quarantined = nil
 	job.degraded = 0
 	job.mu.Unlock()
-	jobStart := time.Now()
+	// One wide event per job execution — the async mirror of the
+	// per-request contract, joined to the submitting request by the
+	// propagated ID.
+	ev := &obs.WideEvent{Time: time.Now(), RequestID: job.origin, Route: jobRoute, Records: len(job.rows), JobID: job.ID}
 	ctx, span := obs.NewTrace(jm.ctx, "serve.job")
 	span.Annotate("job", job.ID)
 	if job.origin != "" {
@@ -678,7 +681,6 @@ func (jm *Jobs) runJob(job *Job) {
 		ctx = obs.WithRequestID(ctx, job.origin)
 	}
 	span.SetItems(job.shards)
-	defer span.End()
 
 	err := parallel.ForWorkersCtx(ctx, job.shards, jm.cfg.Workers, func(i int) error {
 		return jm.runShard(ctx, job, i)
@@ -689,53 +691,33 @@ func (jm *Jobs) runJob(job *Job) {
 	switch {
 	case job.cancelled.Load():
 		job.state = JobCancelled
-		span.SetOutcome("cancelled")
+		span.SetOutcome(obs.OutcomeCancelled)
 	case err == nil && job.done == job.shards:
 		job.state = JobCompleted
-		span.SetOutcome("ok")
+		span.SetOutcome(obs.OutcomeOK)
 		obs.C("serve.job.completed").Inc()
 	case stopped:
 		// Drain or shutdown: everything committed so far is durable;
 		// Recover (or a resubmit) picks the job back up.
 		job.state = JobInterrupted
-		span.SetOutcome("interrupted")
+		span.SetOutcome(obs.OutcomeInterrupted)
 		obs.C("serve.job.interrupted").Inc()
-	case err != nil:
-		job.state = JobFailed
-		job.errMsg = err.Error()
-		span.SetOutcome("failed")
-		obs.C("serve.job.failed").Inc()
 	default:
-		// No error but shards are missing — should be impossible; fail
-		// loudly rather than report a hole-ridden job as complete.
+		// A store failure — or no error yet shards missing, which should
+		// be impossible: fail loudly rather than report a hole-ridden job
+		// as complete.
 		job.state = JobFailed
-		job.errMsg = fmt.Sprintf("job finished with %d/%d shards committed", job.done, job.shards)
-		span.SetOutcome("failed")
+		if err != nil {
+			job.errMsg = err.Error()
+		} else {
+			job.errMsg = fmt.Sprintf("job finished with %d/%d shards committed", job.done, job.shards)
+		}
+		span.SetOutcome(obs.OutcomeFailed)
 		obs.C("serve.job.failed").Inc()
 	}
-	state, errMsg, degraded := job.state, job.errMsg, job.degraded
+	ev.Outcome, ev.Err = jobOutcome(job.state, job.degraded), job.errMsg
 	job.mu.Unlock()
-
-	// One wide event per job execution — the async mirror of the
-	// per-request contract, joined to the submitting request by the
-	// propagated ID. Unhealthy outcomes also land in the tail buffer so
-	// a failed overnight job is inspectable from /debug/tail.
-	span.End()
-	ev := &obs.WideEvent{
-		Time:       jobStart,
-		RequestID:  job.origin,
-		Route:      "job",
-		Outcome:    jobOutcome(state, degraded),
-		DurationMS: float64(time.Since(jobStart)) / float64(time.Millisecond),
-		Records:    len(job.rows),
-		JobID:      job.ID,
-		Err:        errMsg,
-	}
-	ev.Stages = span.StageDurations()
-	jm.srv.events.Log(ev)
-	if ev.Outcome != obs.OutcomeOK {
-		jm.srv.tailBuf.Add(ev, span)
-	}
+	jm.srv.finish(ev, span, false)
 }
 
 // jobOutcome maps a settled job state onto the wide-event vocabulary.
@@ -821,7 +803,7 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 			case <-time.After(jm.cfg.retryBackoff):
 			}
 		}
-		art, err := jm.execShardOnce(ctx, job, idx, lo, hi)
+		art, tally, err := jm.execShardOnce(ctx, job, idx, lo, hi)
 		if err != nil {
 			if errors.Is(err, errJobStopped) || ctx.Err() != nil {
 				job.interrupted.Store(true)
@@ -833,9 +815,9 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 		// A transiently-degraded shard is retried while its breaker
 		// still believes in the matcher (closed, or half-open probing);
 		// once the breaker opens, the rule-only answer is the answer.
-		if art.degradedReason() != "" && transientReason(art.degradedReason()) &&
+		if transientReason(tally.reason) &&
 			attempt < jm.cfg.ShardAttempts && job.breaker(idx).State() != BreakerOpen {
-			lastErr = fmt.Errorf("shard %d degraded (%s)", idx, art.degradedReason())
+			lastErr = fmt.Errorf("shard %d degraded (%s)", idx, tally.reason)
 			continue
 		}
 		if err := jm.commitShard(ctx, job, idx, name, art); err != nil {
@@ -848,11 +830,7 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 		}
 		job.mu.Lock()
 		job.done++
-		for _, rec := range art.Records {
-			if rec.Degraded {
-				job.degraded++
-			}
-		}
+		job.degraded += tally.degraded
 		job.mu.Unlock()
 		obs.C("serve.job.shards_done").Inc()
 		return nil
@@ -882,51 +860,42 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	return nil
 }
 
-// degradedReason returns the shard's uniform degradation reason ("" when
-// the learned path served it).
-func (a *shardArtifact) degradedReason() string {
-	if len(a.Records) == 0 || !a.Records[0].Degraded {
-		return ""
-	}
-	return a.Records[0].DegradedReason
-}
-
 // execShardOnce runs one shard attempt: take an admission slot (the
 // backpressure coupling with online traffic), run the amortized match
 // pipeline under the shard's breaker and a per-attempt deadline, and
 // shape the deterministic result records.
-func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (*shardArtifact, error) {
+func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (art *shardArtifact, tally matchTally, err error) {
 	if err := fault.InjectIdx("serve.job.exec", idx); err != nil {
-		return nil, err
+		return nil, tally, err
 	}
 	ctx, spShard := obs.StartSpan(ctx, "serve.job.shard")
 	spShard.Annotate("shard", strconv.Itoa(idx))
 	defer spShard.End()
 	release, err := jm.acquireSlot(ctx)
 	if err != nil {
-		return nil, err
+		return nil, tally, err
 	}
 	defer release()
 	shardCtx, cancel := context.WithTimeout(ctx, DefaultJobShardTimeout)
 	defer cancel()
 	sub, err := jm.srv.rowsTable("job:"+job.ID, job.rows[lo:hi])
 	if err != nil {
-		return nil, err
+		return nil, tally, err
 	}
 	var resps []*MatchResponse
 	if jm.srv.cfg.Profiler != nil {
 		// Label shard work so CPU captures separate batch-job cycles
 		// from interactive traffic (`go tool pprof -tags`).
 		contprof.Do(shardCtx, func(ctx context.Context) {
-			resps, _, err = jm.srv.matchSet(ctx, sub, job.breaker(idx), false)
+			resps, tally, _, err = jm.srv.matchSet(ctx, sub, job.breaker(idx), false)
 		}, "job", job.ID, "shard", strconv.Itoa(idx))
 	} else {
-		resps, _, err = jm.srv.matchSet(shardCtx, sub, job.breaker(idx), false)
+		resps, tally, _, err = jm.srv.matchSet(shardCtx, sub, job.breaker(idx), false)
 	}
 	if err != nil {
-		return nil, err
+		return nil, tally, err
 	}
-	art := &shardArtifact{Shard: idx, Records: make([]JobRecordResult, len(resps))}
+	art = &shardArtifact{Shard: idx, Records: make([]JobRecordResult, len(resps))}
 	for i, r := range resps {
 		art.Records[i] = JobRecordResult{
 			Index:          lo + i,
@@ -937,7 +906,7 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (*
 			Vetoed:         r.Vetoed,
 		}
 	}
-	return art, nil
+	return art, tally, nil
 }
 
 // acquireSlot takes a pipeline slot from the shared admission gate.

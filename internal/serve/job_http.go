@@ -92,7 +92,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
-	annotateJob(eventFrom(r.Context()), job)
+	eventFrom(r.Context()).JobID = job.ID
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
@@ -116,17 +116,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job", 0)
 		return
 	}
-	annotateJob(eventFrom(r.Context()), job)
+	eventFrom(r.Context()).JobID = job.ID
 	writeJSON(w, http.StatusOK, job.Status())
-}
-
-// annotateJob records the job identity on the request's wide event.
-// Safe on nil event and nil job.
-func annotateJob(ev *obs.WideEvent, job *Job) {
-	if ev == nil || job == nil {
-		return
-	}
-	ev.JobID = job.ID
 }
 
 // handleJobResults serves a completed job's results over the one
@@ -146,7 +137,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ev := eventFrom(r.Context())
-	annotateJob(ev, job)
+	ev.JobID = job.ID
 	if st := job.State(); st != JobCompleted {
 		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s, not completed", st), 0)
 		return
@@ -180,6 +171,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job", 0)
 		return
 	}
-	annotateJob(eventFrom(r.Context()), job)
+	eventFrom(r.Context()).JobID = job.ID
 	writeJSON(w, http.StatusOK, job.Status())
 }

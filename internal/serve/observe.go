@@ -13,11 +13,11 @@ import (
 // Request-scoped observability: every route is wrapped in observe(),
 // which assigns (or propagates) the request ID, opens the request's
 // root span, carries a mutable wide event through context for handlers
-// to annotate, and — once the response is written — emits exactly one
-// wide event to the access log, offers the request to the tail-capture
-// buffer, and feeds the SLO tracker. Handlers never log; they annotate
-// the event and the middleware owns emission, which is what guarantees
-// the one-event-per-request invariant.
+// to annotate, and — once the response is written — hands both to
+// finish, which emits exactly one wide event to the access log, offers
+// the request to the tail-capture buffer, and feeds the SLO tracker.
+// Handlers never log; they annotate the event and finish owns emission,
+// which is what guarantees the one-event-per-request invariant.
 
 type eventKey struct{}
 
@@ -26,9 +26,9 @@ func withEvent(ctx context.Context, ev *obs.WideEvent) context.Context {
 	return context.WithValue(ctx, eventKey{}, ev)
 }
 
-// eventFrom returns the request's wide event (nil outside a request).
-// Handlers annotate it in place; nil checks keep non-HTTP callers of
-// shared code (the job tier) safe.
+// eventFrom returns the request's wide event, for the handler to
+// annotate in place. Every route is mounted through observe, so a
+// handler always has one.
 func eventFrom(ctx context.Context) *obs.WideEvent {
 	ev, _ := ctx.Value(eventKey{}).(*obs.WideEvent)
 	return ev
@@ -91,8 +91,7 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		// sheds, timeouts — carries the client's join key.
 		w.Header().Set("X-Request-Id", id)
 
-		start := time.Now()
-		ev := &obs.WideEvent{Time: start, RequestID: id, Route: route, Method: r.Method}
+		ev := &obs.WideEvent{Time: time.Now(), RequestID: id, Route: route, Method: r.Method}
 		if r.ContentLength > 0 {
 			ev.BytesIn = r.ContentLength
 		}
@@ -109,31 +108,43 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		labels.Do(ctx, func(ctx context.Context) {
 			h(sw, r.WithContext(ctx))
 		})
-		root.End()
-
 		if sw.status == 0 {
 			// The handler wrote nothing; net/http will send 200.
 			sw.status = http.StatusOK
 		}
 		ev.Status = sw.status
 		ev.BytesOut = sw.bytes
-		ev.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 		if ev.Outcome == "" {
 			ev.Outcome = deriveOutcome(sw.status, ev.Degraded, s.draining.Load())
 		}
-		// Stage timings come off the live tree; the tail materializes the
-		// full span snapshot only for the entries it retains.
-		ev.Stages = root.StageDurations()
+		s.finish(ev, root, trackSLO)
+	}
+}
 
-		s.events.Log(ev)
+// jobRoute is the route a job execution's wide event carries.
+const jobRoute = "job"
+
+// finish closes the record of one unit of work — a request, a job
+// execution — and is its only writer: it ends the root span, times the
+// event from its own start, offers it to the tail buffer, writes the
+// access-log line and, for SLO-tracked traffic, feeds the tracker. The
+// event's stages come off root wherever the event is kept; a request
+// that is neither logged nor retained never builds them.
+func (s *Server) finish(ev *obs.WideEvent, root *obs.Span, trackSLO bool) {
+	root.End()
+	ev.DurationMS = float64(time.Since(ev.Time)) / float64(time.Millisecond)
+	// A job's wall time is the size of its input, not a latency: only an
+	// unhealthy one is worth a tail slot.
+	if ev.Route != jobRoute || ev.Outcome != obs.OutcomeOK {
 		s.tailBuf.Add(ev, root)
-		if trackSLO && !ev.Streamed {
-			// Sheds (429) are deliberate policy, not availability failures;
-			// 5xx of any kind burns the budget. Streamed fetches are
-			// exempt: their duration is the client's read pace, and a
-			// multi-minute healthy stream is not a latency breach.
-			s.sloTrk.Observe(ev.DurationMS, sw.status >= 500)
-		}
+	}
+	s.events.Log(ev, root)
+	if trackSLO && !ev.Streamed {
+		// Sheds (429) are deliberate policy, not availability failures;
+		// 5xx of any kind burns the budget. Streamed fetches are
+		// exempt: their duration is the client's read pace, and a
+		// multi-minute healthy stream is not a latency breach.
+		s.sloTrk.Observe(ev.DurationMS, ev.Status >= 500)
 	}
 }
 
@@ -169,20 +180,8 @@ const (
 )
 
 // annotateAdmission records the admission verdict and queue wait on the
-// request's wide event. Safe on nil.
+// request's wide event.
 func annotateAdmission(ev *obs.WideEvent, verdict string, wait time.Duration) {
-	if ev == nil {
-		return
-	}
 	ev.Admission = verdict
 	ev.QueueWaitMS = float64(wait) / float64(time.Millisecond)
-}
-
-// annotateError records the terminal error on the wide event. Safe on
-// nil event and nil error.
-func annotateError(ev *obs.WideEvent, err error) {
-	if ev == nil || err == nil {
-		return
-	}
-	ev.Err = err.Error()
 }

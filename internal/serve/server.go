@@ -455,7 +455,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, ev *obs.WideE
 // writeRunError answers a failed pipeline pass: 504 when the request's
 // deadline is what ended it, 500 otherwise.
 func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent, err error) {
-	annotateError(ev, err)
+	ev.Err = err.Error()
 	if ctx.Err() != nil {
 		obs.C("serve.timeouts").Inc()
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
@@ -493,14 +493,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-request deadline: the server's budget, lowered (never raised)
-	// by the request's own timeout_ms.
-	budget := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
+	budget := requestBudget(s.cfg.RequestTimeout, req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 
@@ -511,29 +504,50 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	resps, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
+	resps, tally, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
 	elapsed := time.Since(start)
 	obs.H("serve.latency_ms", latencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
 		s.writeRunError(ctx, w, ev, err)
 		return
 	}
+	tally.record(ev)
 	resp := resps[0]
 	resp.Trace = trace
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	if resp.Degraded {
-		obs.C("serve.degraded").Inc()
-	}
-	obs.C("serve.matches").Add(int64(len(resp.Matches)))
-	if ev != nil {
-		ev.Records = 1
-		ev.Candidates = resp.Candidates
-		ev.Matches = len(resp.Matches)
-		ev.Degraded = resp.Degraded
-		ev.DegradedReason = resp.DegradedReason
-		ev.Breaker = resp.Breaker
-	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// requestBudget is a route's deadline, lowered — never raised — by the
+// request's own timeout_ms.
+func requestBudget(route time.Duration, timeoutMS int) time.Duration {
+	if d := time.Duration(timeoutMS) * time.Millisecond; timeoutMS > 0 && d < route {
+		return d
+	}
+	return route
+}
+
+// matchTally is what one matchSet pass returned, counted once: the
+// serving counters, the wide event, BatchResponse.Degraded, a job's
+// degraded-record count and the drift coverage all read this.
+type matchTally struct {
+	records, candidates, matches int
+	// degraded is how many records were answered without the learned
+	// matcher — all of the set or none — and reason is why.
+	degraded int
+	reason   string
+	breaker  string
+}
+
+// record counts an online answer on the serving counters and writes it on
+// the request's wide event.
+func (t matchTally) record(ev *obs.WideEvent) {
+	obs.C("serve.matches").Add(int64(t.matches))
+	if t.degraded > 0 {
+		obs.C("serve.degraded").Add(int64(t.degraded))
+	}
+	ev.Records, ev.Candidates, ev.Matches = t.records, t.candidates, t.matches
+	ev.Degraded, ev.DegradedReason, ev.Breaker = t.degraded > 0, t.reason, t.breaker
 }
 
 // writeRequestError maps a decode/validation failure to its status.
@@ -556,7 +570,7 @@ func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
 // for online traffic, a per-shard breaker inside jobs. A recovered
 // panic is returned as an error: one poison record must never take the
 // service (or a job worker) down.
-func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, wantTrace bool) (resps []*MatchResponse, trace json.RawMessage, err error) {
+func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, wantTrace bool) (resps []*MatchResponse, tally matchTally, trace json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: match panicked: %v", r)
@@ -574,7 +588,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	defer root.End()
 	root.SetItems(left.Len())
 	if err := fault.Inject("serve.match"); err != nil {
-		return nil, nil, err
+		return nil, tally, nil, err
 	}
 	// Per-request drift capture: the armed collector makes vectorize and
 	// predict feed the serving-distribution reservoirs.
@@ -597,7 +611,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 		hits, herr := s.wf.SureRules.SureHitsCtx(sctx, left, s.right)
 		if herr != nil {
 			spSure.End()
-			return nil, nil, herr
+			return nil, tally, nil, herr
 		}
 		for _, h := range hits {
 			sure.Add(h.Pair)
@@ -617,7 +631,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	spBlock.End()
 	switch {
 	case berr != nil && ctx.Err() != nil:
-		return nil, nil, berr
+		return nil, tally, nil, berr
 	case berr != nil:
 		degraded = true
 		reason = ReasonBlockerError
@@ -625,7 +639,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	default:
 		candidates, berr = blocked.Minus(sure)
 		if berr != nil {
-			return nil, nil, berr
+			return nil, tally, nil, berr
 		}
 	}
 	perRow := candidates.PerLeftCounts()
@@ -640,12 +654,12 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 		learned, scores, reason = s.predict(pctx, left, candidates, br)
 		spPredict.SetItems(candidates.Len())
 		if reason != "" {
-			spPredict.SetOutcome("degraded")
+			spPredict.SetOutcome(obs.OutcomeDegraded)
 		}
 		spPredict.End()
 		degraded = reason != ""
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
+			return nil, tally, nil, cerr
 		}
 	} else if art := s.artifact.Load(); art == nil && !degraded {
 		degraded = true
@@ -666,13 +680,19 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 
 	// Assemble per row: sure matches first, then surviving learned
 	// matches, both in deterministic (A, B) order.
-	brState := br.State().String()
+	tally = matchTally{
+		records: n, candidates: candidates.Len(), matches: sure.Len() + kept.Len(),
+		reason: reason, breaker: br.State().String(),
+	}
+	if degraded {
+		tally.degraded = n
+	}
 	for i := 0; i < n; i++ {
 		resps[i].Candidates = perRow[i]
 		resps[i].Degraded = degraded
 		resps[i].DegradedReason = reason
 		resps[i].Vetoed = learnedPer[i] - keptPer[i]
-		resps[i].Breaker = brState
+		resps[i].Breaker = tally.breaker
 	}
 	for _, p := range sure.Sorted() {
 		resps[p.A].Matches = append(resps[p.A].Matches, Match{
@@ -694,13 +714,9 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	// and job traffic feed the same serving profile single requests do.
 	s.mu.Lock()
 	s.requests += int64(n)
-	for i := 0; i < n; i++ {
-		if resps[i].Degraded {
-			s.degraded++
-		}
-		if len(s.perRow) < 65536 {
-			s.perRow = append(s.perRow, resps[i].Candidates)
-		}
+	s.degraded += int64(tally.degraded)
+	if room := 65536 - len(s.perRow); room > 0 {
+		s.perRow = append(s.perRow, perRow[:min(n, room)]...)
 	}
 	s.mu.Unlock()
 
@@ -710,7 +726,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 			trace = data
 		}
 	}
-	return resps, trace, nil
+	return resps, tally, trace, nil
 }
 
 // predict runs vectorize + impute + predict under br and an ML

@@ -120,10 +120,8 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, jm *Jo
 	obs.G("serve.stream.active").Add(1)
 	defer obs.G("serve.stream.active").Add(-1)
 	obs.C("serve.stream.started").Inc()
-	if ev != nil {
-		ev.Streamed = true
-		ev.StreamFrom = fmt.Sprintf("%d/%d", cur.Shard, cur.Offset)
-	}
+	ev.Streamed = true
+	ev.StreamFrom = fmt.Sprintf("%d/%d", cur.Shard, cur.Offset)
 
 	// Trailers must be declared before the first byte of the body; the
 	// final cursor lands there for clients that read to the end, and in
@@ -148,11 +146,9 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, jm *Jo
 	w.Header().Set(streamCursorTrailer, jm.cursorFor(job, end.Shard, end.Offset))
 	obs.C("serve.stream.chunks").Add(int64(st.chunks))
 	obs.C("serve.stream.bytes").Add(st.bytes)
-	if ev != nil {
-		ev.StreamChunks = st.chunks
-		ev.StreamEnd = fmt.Sprintf("%d/%d", end.Shard, end.Offset)
-		ev.Records = st.records
-	}
+	ev.StreamChunks = st.chunks
+	ev.StreamEnd = fmt.Sprintf("%d/%d", end.Shard, end.Offset)
+	ev.Records = st.records
 	switch {
 	case err != nil:
 		// The write path failed: slow reader past its budget, client
@@ -160,21 +156,15 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, jm *Jo
 		// long since written, so the "408" is a cut connection whose
 		// last flushed chunk ended with a valid cursor.
 		obs.C("serve.stream.cut").Inc()
-		if ev != nil {
-			ev.Outcome = obs.OutcomeStreamCut
-			annotateError(ev, err)
-		}
+		ev.Outcome = obs.OutcomeStreamCut
+		ev.Err = err.Error()
 	case end.Shard >= job.shards:
 		obs.C("serve.stream.completed").Inc()
-		if ev != nil {
-			ev.StreamComplete = true
-		}
+		ev.StreamComplete = true
 	default:
 		// Ended early at a flush boundary without a write error: drain.
 		obs.C("serve.stream.drained").Inc()
-		if ev != nil {
-			ev.Outcome = obs.OutcomeDraining
-		}
+		ev.Outcome = obs.OutcomeDraining
 	}
 }
 

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"emgo/internal/leakcheck"
+	"emgo/internal/ml"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 	"emgo/internal/workflow"
@@ -22,7 +25,10 @@ import (
 // in a POST /v1/match/batch answer says, and what its JobRecordResult in
 // a committed job shard holds — the same right rows, in the same order,
 // and between the three online modes from the same source (run by make
-// race-cpu at one and two CPUs).
+// race-cpu at one and two CPUs). The job's answers are read twice: in one
+// fetch, and reassembled from a fetch cut mid-stream and resumed from its
+// last cursor. And the verdict survives a hot reload to a byte-identical
+// matcher artifact.
 func TestOfflineEqualsOnlineModes(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
@@ -50,7 +56,12 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 
 	t.Logf("%d left x %d right rows, %d sure + %d learned matches", l.Len(), r.Len(), res.Sure.Len(), learned)
 	const shard = 16
-	s, err := New(context.Background(), Config{Jobs: JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1}}, w, l, r)
+	matcherPath := filepath.Join(t.TempDir(), "model.json")
+	if err := ml.SaveMatcherFile(matcherPath, w.Matcher); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(context.Background(), Config{MatcherPath: matcherPath,
+		Jobs: JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1}}, w, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +92,19 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 		}
 	}
 
-	single := make([][]Match, l.Len())
-	for i, rec := range records {
-		var mr MatchResponse
-		post("/v1/match", map[string]any{"record": rec}, &mr)
-		if mr.Degraded {
-			t.Fatalf("record %d answered degraded (%s)", i, mr.DegradedReason)
+	singles := func() [][]Match {
+		out := make([][]Match, l.Len())
+		for i, rec := range records {
+			var mr MatchResponse
+			post("/v1/match", map[string]any{"record": rec}, &mr)
+			if mr.Degraded {
+				t.Fatalf("record %d answered degraded (%s)", i, mr.DegradedReason)
+			}
+			out[i] = mr.Matches
 		}
-		single[i] = mr.Matches
+		return out
 	}
+	single := singles()
 	var batch [][]Match
 	for lo := 0; lo < len(records); lo += DefaultMaxBatchRecords {
 		var br BatchResponse
@@ -106,9 +121,30 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 	if st := waitJobState(t, ts.URL, job.ID, JobCompleted, 60*time.Second); st.Shards < 2 {
 		t.Fatalf("job ran as %d shard(s); the comparison needs records from several", st.Shards)
 	}
-	jobRes := decodeResults(t, fetchResults(t, ts.URL, job.ID)).Results
+	whole := fetchResults(t, ts.URL, job.ID)
+	jobRes := decodeResults(t, whole).Results
 	if len(batch) != l.Len() || len(jobRes) != l.Len() {
 		t.Fatalf("%d batch and %d job answers for %d records", len(batch), len(jobRes), l.Len())
+	}
+	// The same fetch cut about half-way and resumed from the last cursor
+	// the client committed: the two connections' data lines are the one
+	// fetch's, byte for byte, so they reassemble into the same answers.
+	cut := getStream(t, ts.URL, job.ID, "", "")
+	got, err := io.ReadAll(io.LimitReader(cut.Body, int64(len(whole)/2)))
+	cut.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The line the cut tore is no line; its chunk never commits anyway.
+	head, cursor, done := readStream(t, bytes.NewReader(got[:bytes.LastIndexByte(got, '\n')+1]))
+	if len(head) == 0 || cursor == "" || done {
+		t.Fatalf("cut fetch committed %d bytes, cursor %q, done %v; want a mid-stream cut", len(head), cursor, done)
+	}
+	rest := getStream(t, ts.URL, job.ID, cursor, "")
+	tail, _, done := readStream(t, rest.Body)
+	rest.Body.Close()
+	if !done || !bytes.Equal(append(head, tail...), whole) {
+		t.Fatalf("cut at %d bytes + resumed %d bytes (done %v) is not the one-fetch stream of %d bytes", len(head), len(tail), done, len(whole))
 	}
 
 	sameAnswer := func(a, b []Match) bool {
@@ -135,6 +171,17 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 		}
 		if jobRes[i].Index != i || !sameAnswer(single[i], jobRes[i].Matches) {
 			t.Errorf("record %d: /v1/match %+v, in job shard %d %+v", i, single[i], i/shard, jobRes[i])
+		}
+	}
+
+	before := s.Artifact()
+	after, err := s.Reload(context.Background(), "")
+	if err != nil || after == before || after.Checksum != before.Checksum {
+		t.Fatalf("reload of identical bytes: %v, artifact %p -> %p", err, before, after)
+	}
+	for i, reloaded := range singles() {
+		if !sameAnswer(single[i], reloaded) {
+			t.Errorf("record %d: /v1/match %+v before the reload, %+v after", i, single[i], reloaded)
 		}
 	}
 }

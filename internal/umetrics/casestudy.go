@@ -293,25 +293,25 @@ func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
 		_, sp := obs.StartSpan(ctx, "casestudy."+step.name)
 		if s.tryRestore(step.name, sp) {
 			pendingRebuild = step.name
-			sp.SetOutcome(workflow.OutcomeResumed)
+			sp.SetOutcome(obs.OutcomeResumed)
 			sp.End()
 			continue
 		}
 		if pendingRebuild != "" {
 			if err := s.rebuildDerived(pendingRebuild); err != nil {
-				sp.SetOutcome(workflow.OutcomeAborted)
+				sp.SetOutcome(obs.OutcomeAborted)
 				sp.End()
 				return nil, err
 			}
 			pendingRebuild = ""
 		}
 		if err := step.fn(); err != nil {
-			sp.SetOutcome(workflow.OutcomeAborted)
+			sp.SetOutcome(obs.OutcomeAborted)
 			sp.End()
 			return nil, err
 		}
 		s.saveSection(step.name)
-		sp.SetOutcome(workflow.OutcomeOK)
+		sp.SetOutcome(obs.OutcomeOK)
 		sp.End()
 		if s.cfg.haltAfter == step.name {
 			return nil, errHalted
@@ -559,7 +559,7 @@ func (s *study) labeling() error {
 
 	// Label debugging with leave-one-out cross-validation (minus unsure
 	// and sure matches), then the D1-D3 revision meeting.
-	ds, pairs, err := s.trainingSet()
+	ds, pairs, err := s.trainingSet(false)
 	if err != nil {
 		return err
 	}
@@ -604,10 +604,10 @@ func (s *study) corrOrder() (map[string]string, []string) {
 }
 
 // trainingSet vectorizes the decided labeled pairs, excluding pairs the
-// M1 rule already decides (Section 9: "we removed the pairs labeled
-// Unsure and sure matches"). The returned pair slice aligns with dataset
-// rows.
-func (s *study) trainingSet() (*ml.Dataset, []block.Pair, error) {
+// positive rules already decide (Section 9: "we removed the pairs labeled
+// Unsure and sure matches") — M1 alone, or with projectRule also the rule
+// Section 10 discovered. The returned pair slice aligns with dataset rows.
+func (s *study) trainingSet(projectRule bool) (*ml.Dataset, []block.Pair, error) {
 	if s.features == nil {
 		corr, order := s.corrOrder()
 		fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
@@ -616,11 +616,10 @@ func (s *study) trainingSet() (*ml.Dataset, []block.Pair, error) {
 		}
 		s.features = fs
 	}
-	m1, err := M1Rule(s.proj.UMETRICS, s.proj.USDA)
+	sure, err := SureMatchEngine(s.proj.UMETRICS, s.proj.USDA, projectRule)
 	if err != nil {
 		return nil, nil, err
 	}
-	sure := rules.NewEngine(m1)
 
 	decidedPairs, y := s.labels.Decided()
 	var pairs []block.Pair

@@ -46,7 +46,7 @@ func (s *study) fitImputerAndTrain(name string, ds *ml.Dataset) (ml.Matcher, err
 // workflow totals.
 func (s *study) matching() error {
 	// Initial selection on the auto-generated features.
-	ds, _, err := s.trainingSet()
+	ds, _, err := s.trainingSet(false)
 	if err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func (s *study) matching() error {
 	}
 
 	// Re-select with the extended feature set.
-	ds, _, err = s.trainingSet()
+	ds, _, err = s.trainingSet(false)
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func (s *study) updating() error {
 	// Retrain the matcher on labels with BOTH positive rules' sure pairs
 	// removed ("we removed the sure matches from the labeled set and
 	// selected the best matcher").
-	ds, _, err := s.trainingSetExcludingRule2()
+	ds, _, err := s.trainingSet(true)
 	if err != nil {
 		return err
 	}
@@ -193,29 +193,6 @@ func (s *study) updating() error {
 	s.report.LearnedExtra = s.res2.Learned.Len()
 	s.report.TotalFig9 = s.res1.Final.Len() + s.res2.Final.Len()
 	return nil
-}
-
-// trainingSetExcludingRule2 is trainingSet with both positive rules'
-// pairs removed.
-func (s *study) trainingSetExcludingRule2() (*ml.Dataset, []block.Pair, error) {
-	sure, err := SureMatchEngine(s.proj.UMETRICS, s.proj.USDA, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	decidedPairs, y := s.labels.Decided()
-	var pairs []block.Pair
-	var labels []int
-	for i, p := range decidedPairs {
-		if sure.Judge(s.proj.UMETRICS.Row(p.A), s.proj.USDA.Row(p.B)) == rules.Match {
-			continue
-		}
-		pairs = append(pairs, p)
-		labels = append(labels, y[i])
-	}
-	if len(pairs) == 0 {
-		return nil, nil, fmt.Errorf("umetrics: no non-sure decided labels to train on")
-	}
-	return s.vectorize(pairs, labels)
 }
 
 // evalItem is one element of the consolidated estimation universe E.

@@ -383,7 +383,7 @@ func (s *study) rebuildDerived(lastRestored string) error {
 		// Refit the Section 10 winner on the deterministic training set;
 		// this also restores s.imputer (vectorize fits it) and
 		// s.lastTrain, which refining's deployment packaging needs.
-		ds, _, err := s.trainingSetExcludingRule2()
+		ds, _, err := s.trainingSet(true)
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,133 @@
+package workflow
+
+import (
+	"context"
+	"encoding/json"
+	"sort"
+	"strings"
+	"testing"
+
+	"emgo/internal/fault"
+	"emgo/internal/rules"
+)
+
+// The run record's formats, pinned through what a reader sees — the
+// rendered log and the report's JSON — not through the types behind them.
+
+// figure9 is the hardened fixture in the Figure 9 shape: a second,
+// discovered sure rule beside M1, blocking, the matcher, no veto.
+func figure9(t *testing.T) (*Workflow, *tableTablePair) {
+	t.Helper()
+	w, tp := hardenedFixture(t)
+	m1, err := rules.NewEqual("M1", tp.l, "Num", nil, tp.r, "Num", nil, rules.Match)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swampOnly := func(title string) string {
+		if strings.HasPrefix(title, "swamp") {
+			return title
+		}
+		return ""
+	}
+	m2, err := rules.NewEqual("M2", tp.l, "Title", swampOnly, tp.r, "Title", swampOnly, rules.Match)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Name, w.SureRules, w.NegativeRules = "figure9", rules.NewEngine(m1, m2), nil
+	return w, tp
+}
+
+func TestGoldenFigure9Log(t *testing.T) {
+	w, tp := figure9(t)
+	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "" +
+		"sure_matches                  2  positive rules over input tables\n" +
+		"blocked                       3  union of blockers\n" +
+		"candidates                    1  blocked minus sure matches\n" +
+		"learned                       1  matcher predictions on candidates\n" +
+		"vetoed                        0  negative rules flipped\n" +
+		"final                         3  sure matches plus surviving predictions\n"
+	if got := res.Log.String(); got != want {
+		t.Fatalf("Figure 9 log:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestGoldenQuarantinedRunReport(t *testing.T) {
+	defer fault.Reset()
+	w, tp := hardenedFixture(t)
+	fault.Enable("feature.vectorize", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
+	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{ErrorBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.Report.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc {
+		// "metrics" rides along only when some earlier test turned the
+		// registry on.
+		if k != "metrics" {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "finished_at name outcome provenance quarantined started_at trace"; got != want {
+		t.Errorf("report keys = %q, want %q", got, want)
+	}
+	if got := string(doc["outcome"]); got != `"degraded"` {
+		t.Errorf("report outcome = %s, want \"degraded\"", got)
+	}
+	if got := string(doc["quarantined"]); !strings.Contains(got, `"`) {
+		t.Errorf("report quarantined = %s, want one \"row,row\" string", got)
+	}
+
+	// The provenance array, entry by entry as written: an ok stage carries
+	// no outcome key, the quarantine decision sits inside the stage that
+	// made it, and the stage's own entry follows.
+	var prov []json.RawMessage
+	if err := json.Unmarshal(doc["provenance"], &prov); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, raw := range prov {
+		var e struct {
+			Step    string `json:"step"`
+			Outcome string `json:"outcome"`
+		}
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		json.Unmarshal(raw, &fields) //nolint:errcheck // parsed just above
+		var names []string
+		for k := range fields {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		got = append(got, e.Step+":"+e.Outcome+"{"+strings.Join(names, ",")+"}")
+	}
+	want := []string{
+		"sure_matches:{count,detail,step}",
+		"blocked:{count,detail,step}",
+		"candidates:{count,detail,step}",
+		"learned:degraded{count,detail,outcome,step}",
+		"learned:degraded{count,detail,outcome,step}",
+		"vetoed:{count,detail,step}",
+		"final:{count,detail,step}",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("provenance sequence:\n got %v\nwant %v", got, want)
+	}
+	if log := res.Log.String(); strings.Count(log, "\n") != len(want) || !strings.Contains(log, "[degraded] quarantined pair (") {
+		t.Errorf("log does not tell the same story as the report:\n%s", log)
+	}
+}

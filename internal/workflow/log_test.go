@@ -24,9 +24,9 @@ func TestLogConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				if i%2 == 0 {
-					l.Add("step", "detail", i)
+					l.AddOutcome("step", "detail", i, "")
 				} else {
-					l.AddOutcome("step", "detail", i, OutcomeDegraded)
+					l.AddOutcome("step", "detail", i, obs.OutcomeDegraded)
 				}
 				// Readers race with the appends: Entries and String must
 				// stay safe while stage workers are still logging.
@@ -47,7 +47,7 @@ func TestLogConcurrentAppends(t *testing.T) {
 		if e.Step != "step" || e.Detail != "detail" {
 			t.Fatalf("entry %d corrupted: %+v", i, e)
 		}
-		if e.Outcome != "" && e.Outcome != OutcomeDegraded {
+		if e.Outcome != "" && e.Outcome != obs.OutcomeDegraded {
 			t.Fatalf("entry %d unexpected outcome: %+v", i, e)
 		}
 	}
@@ -55,8 +55,8 @@ func TestLogConcurrentAppends(t *testing.T) {
 
 func TestLogEntriesCopySemantics(t *testing.T) {
 	l := &Log{}
-	l.Add("first", "a", 1)
-	l.AddOutcome("second", "b", 2, OutcomeDegraded)
+	l.AddOutcome("first", "a", 1, "")
+	l.AddOutcome("second", "b", 2, obs.OutcomeDegraded)
 
 	snap := l.Entries()
 	if len(snap) != 2 {
@@ -64,16 +64,16 @@ func TestLogEntriesCopySemantics(t *testing.T) {
 	}
 
 	// Later appends must not grow an earlier snapshot.
-	l.Add("third", "c", 3)
+	l.AddOutcome("third", "c", 3, "")
 	if len(snap) != 2 {
 		t.Fatalf("snapshot grew after append: %d entries", len(snap))
 	}
 
 	// Mutating the snapshot must not touch the log.
 	snap[0].Step = "hacked"
-	snap[1].Outcome = OutcomeAborted
+	snap[1].Outcome = obs.OutcomeAborted
 	fresh := l.Entries()
-	if fresh[0].Step != "first" || fresh[1].Outcome != OutcomeDegraded {
+	if fresh[0].Step != "first" || fresh[1].Outcome != obs.OutcomeDegraded {
 		t.Fatalf("snapshot mutation leaked into log: %+v", fresh[:2])
 	}
 }
@@ -85,7 +85,7 @@ func outcomeSequence(l *Log) []string {
 	for _, e := range l.Entries() {
 		o := e.Outcome
 		if o == "" {
-			o = OutcomeOK
+			o = obs.OutcomeOK
 		}
 		seq = append(seq, e.Step+":"+o)
 	}
@@ -177,7 +177,7 @@ func TestRunCtxReportRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}
-	if rep.Name != "workflow.hardened" || rep.Outcome != OutcomeOK {
+	if rep.Name != "workflow.hardened" || rep.Outcome != obs.OutcomeOK {
 		t.Fatalf("report header: name=%q outcome=%q", rep.Name, rep.Outcome)
 	}
 	if rep.Trace == nil {
@@ -186,7 +186,7 @@ func TestRunCtxReportRoundTrips(t *testing.T) {
 	stages := map[string]bool{}
 	for _, child := range rep.Trace.Children {
 		stages[child.Name] = true
-		if child.Outcome != OutcomeOK {
+		if child.Outcome != obs.OutcomeOK {
 			t.Fatalf("stage %s outcome = %q", child.Name, child.Outcome)
 		}
 		if child.DurationMS < 0 {
@@ -221,7 +221,7 @@ func TestRunCtxAbortedReportCarriesError(t *testing.T) {
 	if res.Report == nil {
 		t.Fatal("aborted run must still build a report")
 	}
-	if res.Report.Outcome != OutcomeAborted {
+	if res.Report.Outcome != obs.OutcomeAborted {
 		t.Fatalf("report outcome = %q", res.Report.Outcome)
 	}
 	if !strings.Contains(res.Report.Error, "blocked") {

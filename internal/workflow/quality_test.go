@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"emgo/internal/drift"
+	"emgo/internal/obs"
 )
 
 // TestRunCtxDriftCaptureAndCleanCheck is the TestSmoke/monitor property at
@@ -76,7 +77,7 @@ func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 		t.Fatalf("report does not embed the live profile: %v", err)
 	}
 	for _, e := range chkRes.Log.Entries() {
-		if e.Step == "quality" && e.Outcome != "" && e.Outcome != OutcomeOK {
+		if e.Step == "quality" && e.Outcome != "" && e.Outcome != obs.OutcomeOK {
 			t.Fatalf("clean check logged outcome %q", e.Outcome)
 		}
 	}
@@ -108,23 +109,23 @@ func TestRunCtxDriftCheckDegradedQuality(t *testing.T) {
 		t.Fatalf("expected a breach: %+v", res.Quality)
 	}
 
-	var prov *Entry
+	var prov *obs.ProvEntry
 	for _, e := range res.Log.Entries() {
 		if e.Step == "quality" {
 			cp := e
 			prov = &cp
 		}
 	}
-	if prov == nil || prov.Outcome != OutcomeDegradedQuality {
-		t.Fatalf("quality provenance = %+v, want outcome %q", prov, OutcomeDegradedQuality)
+	if prov == nil || prov.Outcome != obs.OutcomeDegradedQuality {
+		t.Fatalf("quality provenance = %+v, want outcome %q", prov, obs.OutcomeDegradedQuality)
 	}
 
 	foundSpan := false
 	for _, c := range res.Report.Trace.Children {
 		if c.Name == "stage.quality" {
 			foundSpan = true
-			if c.Outcome != OutcomeDegradedQuality {
-				t.Fatalf("quality span outcome = %q, want %q", c.Outcome, OutcomeDegradedQuality)
+			if c.Outcome != obs.OutcomeDegradedQuality {
+				t.Fatalf("quality span outcome = %q, want %q", c.Outcome, obs.OutcomeDegradedQuality)
 			}
 		}
 	}

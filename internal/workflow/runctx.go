@@ -80,7 +80,7 @@ type RunOptions struct {
 	// store after their stages complete (temp file + fsync + atomic
 	// rename, checksummed in the store's manifest), and a later run
 	// over the same inputs restores them instead of recomputing —
-	// recorded in provenance and spans as OutcomeResumed. Corrupt or
+	// recorded in provenance and spans as obs.OutcomeResumed. Corrupt or
 	// stale artifacts are quarantined and the stage recomputed; the
 	// store never makes a run fail.
 	Checkpoints *ckpt.Store
@@ -98,27 +98,36 @@ func (o RunOptions) stageCtx(ctx context.Context) (context.Context, context.Canc
 // duration histogram "workflow.stage_ms".
 var stageMSBuckets = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
 
-// stageObs tracks one RunCtx stage's span and duration sample.
-type stageObs struct {
+// stage is one RunCtx stage being recorded: its span, its place in the
+// provenance log and its duration sample.
+type stage struct {
 	ctx   context.Context
+	name  string
 	span  *obs.Span
+	log   *Log
 	hist  *obs.Histogram
 	start time.Time
 }
 
-// startStage opens the "stage.<name>" span under ctx.
-func startStage(ctx context.Context, name string, hist *obs.Histogram) stageObs {
-	sctx, sp := obs.StartSpan(ctx, "stage."+name)
-	return stageObs{ctx: sctx, span: sp, hist: hist, start: time.Now()}
-}
-
-// finish closes the stage span with its outcome and item count and
-// feeds the duration histogram.
-func (s stageObs) finish(outcome string, items int) {
+// finish is the stage's one record: it closes the "stage.<name>" span
+// with the outcome and item count, feeds "workflow.stage_ms" and appends
+// the provenance entry — an ok one, as ever, without an outcome of its own.
+func (s stage) finish(outcome, detail string, items int) {
 	s.span.SetItems(items)
 	s.span.SetOutcome(outcome)
 	s.span.End()
 	s.hist.Observe(float64(time.Since(s.start)) / float64(time.Millisecond))
+	if outcome == obs.OutcomeOK {
+		outcome = ""
+	}
+	s.log.AddOutcome(s.name, detail, items, outcome)
+}
+
+// quarantine records a decision to go on without a failing pair, made
+// inside the still-open stage: a span event and a degraded entry.
+func (s stage) quarantine(detail string, remaining int) {
+	s.span.Event("quarantine", detail)
+	s.log.AddOutcome(s.name, detail, remaining, obs.OutcomeDegraded)
 }
 
 // RunCtx executes the workflow on one (left, right) table pair under the
@@ -155,70 +164,71 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	stageMS := obs.H("workflow.stage_ms", stageMSBuckets)
 	defer func() {
 		if ownRoot {
-			outcome := OutcomeOK
-			switch {
-			case err != nil:
-				outcome = OutcomeAborted
-			case len(res.Quarantined) > 0:
-				outcome = OutcomeDegraded
-			}
-			root.SetOutcome(outcome)
+			root.SetOutcome(runOutcome(res, err))
 			root.End()
 		}
 		res.Report = buildReport("workflow."+w.Name, started, root, res, err)
 	}()
 
-	abort := func(st stageObs, stage string, aerr error) (*Result, error) {
-		st.finish(OutcomeAborted, 0)
-		log.AddOutcome(stage, aerr.Error(), 0, OutcomeAborted)
-		return res, fmt.Errorf("workflow %s: %s: %w", w.Name, stage, aerr)
+	startStage := func(name string) stage {
+		sctx, sp := obs.StartSpan(ctx, "stage."+name)
+		return stage{ctx: sctx, name: name, span: sp, log: log, hist: stageMS, start: time.Now()}
+	}
+	abort := func(st stage, aerr error) (*Result, error) {
+		st.finish(obs.OutcomeAborted, aerr.Error(), 0)
+		return res, fmt.Errorf("workflow %s: %s: %w", w.Name, st.name, aerr)
 	}
 
-	// Step 1: sure matches straight from the tables.
-	st := startStage(ctx, "sure_matches", stageMS)
+	// Step 1: sure matches straight from the tables, under the stage
+	// deadline like every stage that can take long: an engine with a
+	// Func rule scans every pair.
+	st := startStage("sure_matches")
 	if cerr := ctx.Err(); cerr != nil {
-		return abort(st, "sure_matches", cerr)
+		return abort(st, cerr)
 	}
+	res.Sure = block.NewCandidateSet(left, right)
 	if w.SureRules != nil && w.SureRules.Len() > 0 {
-		res.Sure = w.SureRules.SureMatches(left, right)
-	} else {
-		res.Sure = block.NewCandidateSet(left, right)
+		sctx, cancel := opts.stageCtx(st.ctx)
+		hits, herr := w.SureRules.SureHitsCtx(sctx, left, right)
+		cancel()
+		if herr != nil {
+			return abort(st, herr)
+		}
+		for _, h := range hits {
+			res.Sure.Add(h.Pair)
+		}
 	}
-	st.finish(OutcomeOK, res.Sure.Len())
-	log.Add("sure_matches", "positive rules over input tables", res.Sure.Len())
+	st.finish(obs.OutcomeOK, "positive rules over input tables", res.Sure.Len())
 
 	// Step 2: blocking, under its stage deadline — or restored from a
 	// checkpoint written by a previous run over the same inputs.
-	st = startStage(ctx, "blocked", stageMS)
+	st = startStage("blocked")
 	var blocked *block.CandidateSet
 	var blockedArt pairsArtifact
 	if loadStageCkpt(opts.Checkpoints, ckptBlocked, st.span, &blockedArt, func() (err error) {
 		blocked, err = blockedArt.decode(left, right)
 		return err
 	}) {
-		st.finish(OutcomeResumed, blocked.Len())
-		log.AddOutcome("blocked", "union of blockers (restored from checkpoint)", blocked.Len(), OutcomeResumed)
+		st.finish(obs.OutcomeResumed, "union of blockers (restored from checkpoint)", blocked.Len())
 	} else {
 		bctx, cancel := opts.stageCtx(st.ctx)
 		var berr error
 		blocked, berr = block.UnionBlockCtx(bctx, left, right, w.Blockers...)
 		cancel()
 		if berr != nil {
-			return abort(st, "blocked", berr)
+			return abort(st, berr)
 		}
 		saveStageCkpt(opts.Checkpoints, ckptBlocked, st.span, newPairsArtifact(blocked))
-		st.finish(OutcomeOK, blocked.Len())
-		log.Add("blocked", "union of blockers", blocked.Len())
+		st.finish(obs.OutcomeOK, "union of blockers", blocked.Len())
 	}
 
 	// Step 3: remove sure matches from the candidate set.
-	st = startStage(ctx, "candidates", stageMS)
+	st = startStage("candidates")
 	res.Candidates, err = blocked.Minus(res.Sure)
 	if err != nil {
-		return abort(st, "candidates", err)
+		return abort(st, err)
 	}
-	st.finish(OutcomeOK, res.Candidates.Len())
-	log.Add("candidates", "blocked minus sure matches", res.Candidates.Len())
+	st.finish(obs.OutcomeOK, "blocked minus sure matches", res.Candidates.Len())
 
 	// Step 4: learned predictions, with the error budget. A pair whose
 	// vectorization or prediction fails (panic or error) is quarantined
@@ -226,7 +236,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// checkpoint from a previous run restores both the predictions and
 	// the quarantine list, so a resumed run neither re-pays the
 	// prediction cost nor re-admits poison pairs.
-	st = startStage(ctx, "learned", stageMS)
+	st = startStage("learned")
 	var learnedArt learnedArtifact
 	var quarantined *block.CandidateSet
 	if loadStageCkpt(opts.Checkpoints, ckptLearned, st.span, &learnedArt, func() (err error) {
@@ -237,17 +247,16 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 		return err
 	}) {
 		res.Quarantined = quarantined.Pairs()
-		st.finish(OutcomeResumed, res.Learned.Len())
 		detail := "matcher predictions on candidates (restored from checkpoint)"
 		if n := len(res.Quarantined); n > 0 {
 			detail = fmt.Sprintf("%s; %d pairs quarantined by the checkpointed run", detail, n)
 		}
-		log.AddOutcome("learned", detail, res.Learned.Len(), OutcomeResumed)
+		st.finish(obs.OutcomeResumed, detail, res.Learned.Len())
 	} else {
 		res.Learned = block.NewCandidateSet(left, right)
 		if w.Matcher != nil && res.Candidates.Len() > 0 {
 			if w.Features == nil || w.Imputer == nil {
-				return abort(st, "learned", fmt.Errorf("matcher set but features/imputer missing"))
+				return abort(st, fmt.Errorf("matcher set but features/imputer missing"))
 			}
 			pairs := res.Candidates.Pairs()
 			budget := opts.ErrorBudget
@@ -263,15 +272,13 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 				}
 				idx, indexed := parallel.FailingIndex(perr)
 				if !indexed || budget <= 0 || ctx.Err() != nil {
-					return abort(st, "learned", perr)
+					return abort(st, perr)
 				}
 				budget--
 				bad := pairs[idx]
 				res.Quarantined = append(res.Quarantined, bad)
 				quarantined.Inc()
-				detail := fmt.Sprintf("quarantined pair (%d,%d) after failure: %v", bad.A, bad.B, unwrapIndexed(perr))
-				st.span.Event("quarantine", detail)
-				log.AddOutcome("learned", detail, len(pairs)-1, OutcomeDegraded)
+				st.quarantine(fmt.Sprintf("quarantined pair (%d,%d) after failure: %v", bad.A, bad.B, unwrapIndexed(perr)), len(pairs)-1)
 				trimmed := make([]block.Pair, 0, len(pairs)-1)
 				trimmed = append(trimmed, pairs[:idx]...)
 				trimmed = append(trimmed, pairs[idx+1:]...)
@@ -287,34 +294,28 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 			pairsArtifact: newPairsArtifact(res.Learned),
 			Quarantined:   block.EncodePairs(res.Quarantined),
 		})
-		if len(res.Quarantined) > 0 {
-			st.finish(OutcomeDegraded, res.Learned.Len())
-			log.AddOutcome("learned",
-				fmt.Sprintf("matcher predictions on candidates (%d pairs quarantined)", len(res.Quarantined)),
-				res.Learned.Len(), OutcomeDegraded)
+		if n := len(res.Quarantined); n > 0 {
+			st.finish(obs.OutcomeDegraded, fmt.Sprintf("matcher predictions on candidates (%d pairs quarantined)", n), res.Learned.Len())
 		} else {
-			st.finish(OutcomeOK, res.Learned.Len())
-			log.Add("learned", "matcher predictions on candidates", res.Learned.Len())
+			st.finish(obs.OutcomeOK, "matcher predictions on candidates", res.Learned.Len())
 		}
 	}
 
 	// Step 5: negative rules veto learned matches.
-	st = startStage(ctx, "vetoed", stageMS)
+	st = startStage("vetoed")
 	kept := res.Learned
 	if w.NegativeRules != nil && w.NegativeRules.Len() > 0 {
 		kept, res.Vetoed = w.NegativeRules.FilterMatches(res.Learned)
 	}
-	st.finish(OutcomeOK, res.Vetoed)
-	log.Add("vetoed", "negative rules flipped", res.Vetoed)
+	st.finish(obs.OutcomeOK, "negative rules flipped", res.Vetoed)
 
 	// Step 6: final = sure ∪ kept.
-	st = startStage(ctx, "final", stageMS)
+	st = startStage("final")
 	res.Final, err = res.Sure.Union(kept)
 	if err != nil {
-		return abort(st, "final", err)
+		return abort(st, err)
 	}
-	st.finish(OutcomeOK, res.Final.Len())
-	log.Add("final", "sure matches plus surviving predictions", res.Final.Len())
+	st.finish(obs.OutcomeOK, "sure matches plus surviving predictions", res.Final.Len())
 
 	// Step 7 (optional): quality stage — assemble the statistical profile
 	// the collector gathered and either snapshot it as the baseline or
@@ -323,22 +324,21 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// report's quality section) is the signal operators and emmonitor
 	// act on.
 	if opts.Drift != nil {
-		st = startStage(ctx, "quality", stageMS)
+		st = startStage("quality")
 		cols := append(prof.ObserveTable("left", left), prof.ObserveTable("right", right)...)
 		res.DriftProfile = prof.Profile("workflow."+w.Name, left.Len(), right.Len(), blocked.PerLeftCounts(), cols)
 		if d := opts.Drift; d.Baseline == nil {
 			res.DriftProfile.EstimatedPrecision = d.EstimatedPrecision
 			if d.BaselinePath != "" {
 				if werr := res.DriftProfile.WriteFile(d.BaselinePath); werr != nil {
-					return abort(st, "quality", werr)
+					return abort(st, werr)
 				}
 			}
-			st.finish(OutcomeOK, len(res.DriftProfile.Features))
-			log.Add("quality", "captured baseline quality profile", len(res.DriftProfile.Features))
+			st.finish(obs.OutcomeOK, "captured baseline quality profile", len(res.DriftProfile.Features))
 		} else {
 			asmt, aerr := drift.Evaluate(d.Baseline, res.DriftProfile, d.Thresholds)
 			if aerr != nil {
-				return abort(st, "quality", aerr)
+				return abort(st, aerr)
 			}
 			res.Quality = asmt
 			asmt.Gauges()
@@ -346,48 +346,36 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 			if asmt.EstimatedPrecision != nil {
 				detail += " est precision " + asmt.EstimatedPrecision.String()
 			}
-			if asmt.Verdict == drift.StatusOK {
-				st.finish(OutcomeOK, len(asmt.Signals))
-				log.Add("quality", detail, len(asmt.Signals))
-			} else {
-				st.finish(OutcomeDegradedQuality, len(asmt.Signals))
-				log.AddOutcome("quality", detail, len(asmt.Signals), OutcomeDegradedQuality)
+			outcome := obs.OutcomeOK
+			if asmt.Verdict != drift.StatusOK {
+				outcome = obs.OutcomeDegradedQuality
 			}
+			st.finish(outcome, detail, len(asmt.Signals))
 		}
 	}
 	return res, nil
 }
 
-// buildReport assembles the machine-readable run report: the span tree,
-// the global metrics snapshot (when enabled), the provenance log, and
-// the quarantine list, in one JSON-serializable document.
-func buildReport(name string, started time.Time, root *obs.Span, res *Result, runErr error) *obs.Report {
-	rep := &obs.Report{
-		Name:       name,
-		StartedAt:  started,
-		FinishedAt: time.Now(),
-	}
+// runOutcome is how a run ended: aborted on an error, degraded when it
+// went on without quarantined pairs, else ok.
+func runOutcome(res *Result, runErr error) string {
 	switch {
 	case runErr != nil:
-		rep.Outcome = OutcomeAborted
-		rep.Error = runErr.Error()
+		return obs.OutcomeAborted
 	case len(res.Quarantined) > 0:
-		rep.Outcome = OutcomeDegraded
-	default:
-		rep.Outcome = OutcomeOK
+		return obs.OutcomeDegraded
 	}
-	rep.Trace = root.Snapshot()
-	if obs.Enabled() {
-		snap := obs.Default().Snapshot()
-		rep.Metrics = &snap
-	}
-	if res.Log != nil {
-		for _, e := range res.Log.Entries() {
-			rep.Provenance = append(rep.Provenance, obs.ProvEntry{
-				Step: e.Step, Detail: e.Detail, Count: e.Count, Outcome: e.Outcome,
-			})
-		}
-	}
+	return obs.OutcomeOK
+}
+
+// buildReport assembles the machine-readable run report: obs.NewReport's
+// record of the run plus what only the pipeline knows — the provenance
+// log (the stage records, in order), the quarantine list, the quality
+// section.
+func buildReport(name string, started time.Time, root *obs.Span, res *Result, runErr error) *obs.Report {
+	rep := obs.NewReport(name, started, root, runErr)
+	rep.Outcome = runOutcome(res, runErr)
+	rep.Provenance = res.Log.Entries()
 	for _, p := range res.Quarantined {
 		rep.Quarantined = append(rep.Quarantined, fmt.Sprintf("%d,%d", p.A, p.B))
 	}

@@ -9,6 +9,7 @@ import (
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
 	"emgo/internal/fault"
+	"emgo/internal/obs"
 	"emgo/internal/table"
 )
 
@@ -56,7 +57,7 @@ func TestRunCtxCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []string{"blocked", "learned"} {
-		if out := outcomeOf(t, fresh, step); out != "" && out != OutcomeOK {
+		if out := outcomeOf(t, fresh, step); out != "" && out != obs.OutcomeOK {
 			t.Fatalf("fresh run %s outcome = %q", step, out)
 		}
 	}
@@ -74,8 +75,8 @@ func TestRunCtxCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []string{"blocked", "learned"} {
-		if out := outcomeOf(t, resumed, step); out != OutcomeResumed {
-			t.Fatalf("resumed run %s outcome = %q, want %q", step, out, OutcomeResumed)
+		if out := outcomeOf(t, resumed, step); out != obs.OutcomeResumed {
+			t.Fatalf("resumed run %s outcome = %q, want %q", step, out, obs.OutcomeResumed)
 		}
 	}
 	sameFinal(t, fresh, resumed)
@@ -83,7 +84,7 @@ func TestRunCtxCheckpointResume(t *testing.T) {
 	// Resume decisions show up in the machine-readable report too.
 	var sawResumed bool
 	for _, e := range resumed.Report.Provenance {
-		if e.Outcome == OutcomeResumed {
+		if e.Outcome == obs.OutcomeResumed {
 			sawResumed = true
 		}
 	}
@@ -120,11 +121,11 @@ func TestRunCtxCheckpointCorruptionRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt checkpoint must fall back to recomputing, not fail: %v", err)
 	}
-	if out := outcomeOf(t, res, "blocked"); out == OutcomeResumed {
+	if out := outcomeOf(t, res, "blocked"); out == obs.OutcomeResumed {
 		t.Fatal("corrupt blocked checkpoint was trusted")
 	}
 	// The learned artifact was untouched and still restores.
-	if out := outcomeOf(t, res, "learned"); out != OutcomeResumed {
+	if out := outcomeOf(t, res, "learned"); out != obs.OutcomeResumed {
 		t.Fatalf("learned outcome = %q, want resumed", out)
 	}
 	sameFinal(t, fresh, res)
@@ -160,7 +161,7 @@ func TestRunCtxCheckpointValidationRejectsForeignTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []string{"blocked", "learned"} {
-		if out := outcomeOf(t, res, step); out == OutcomeResumed {
+		if out := outcomeOf(t, res, step); out == obs.OutcomeResumed {
 			t.Fatalf("%s checkpoint for different tables was trusted", step)
 		}
 	}
@@ -193,7 +194,7 @@ func TestRunCtxCheckpointRestoresQuarantineList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := outcomeOf(t, res, "learned"); out != OutcomeResumed {
+	if out := outcomeOf(t, res, "learned"); out != obs.OutcomeResumed {
 		t.Fatalf("learned outcome = %q, want resumed", out)
 	}
 	if len(res.Quarantined) != len(fresh.Quarantined) {

@@ -13,6 +13,7 @@ import (
 	"emgo/internal/fault"
 	"emgo/internal/label"
 	"emgo/internal/leakcheck"
+	"emgo/internal/obs"
 	"emgo/internal/retry"
 	"emgo/internal/rules"
 	"emgo/internal/table"
@@ -234,6 +235,41 @@ func TestRunCtxStageDeadlineAborts(t *testing.T) {
 	}
 	if !strings.Contains(res.Log.String(), "[aborted]") {
 		t.Fatalf("abort not logged:\n%s", res.Log)
+	}
+}
+
+// TestRunCtxSureStageInsideHardenedRuntime: the first stage is bounded and
+// isolated like the rest. A sure-rule engine that has to scan (a Func
+// rule) and is slow about it aborts sure_matches at the stage deadline
+// instead of running to the end outside it, and a rule that panics is an
+// aborted run with its record, not a dead process.
+func TestRunCtxSureStageInsideHardenedRuntime(t *testing.T) {
+	leakcheck.Check(t)
+	for _, tc := range []struct {
+		name string
+		fire func(a, b table.Row) bool
+		opts RunOptions
+		is   error
+	}{
+		{"slow rule meets the stage deadline",
+			func(a, b table.Row) bool { time.Sleep(30 * time.Millisecond); return false },
+			RunOptions{StageTimeout: 20 * time.Millisecond}, context.DeadlineExceeded},
+		{"panicking rule", func(a, b table.Row) bool { panic("poison rule") }, RunOptions{}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, tp := hardenedFixture(t)
+			w.SureRules = rules.NewEngine(rules.Func{Label: "scan", Verdict: rules.Match, Fire: tc.fire})
+			res, err := w.RunCtx(context.Background(), tp.l, tp.r, tc.opts)
+			if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
+				t.Fatalf("err = %v, want an abort (%v)", err, tc.is)
+			}
+			if got := outcomeSequence(res.Log); len(got) != 1 || got[0] != "sure_matches:aborted" {
+				t.Fatalf("outcome sequence %v, want [sure_matches:aborted]\n%s", got, res.Log)
+			}
+			if res.Report == nil || res.Report.Outcome != obs.OutcomeAborted {
+				t.Fatalf("aborted run's report: %+v", res.Report)
+			}
+		})
 	}
 }
 

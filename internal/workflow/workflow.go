@@ -23,68 +23,31 @@ import (
 	"emgo/internal/table"
 )
 
-// Stage outcomes recorded by the hardened runtime (RunCtx). An empty
-// Outcome on an Entry means the same as OutcomeOK.
-const (
-	// OutcomeOK marks a stage that completed normally.
-	OutcomeOK = "ok"
-	// OutcomeAborted marks the stage a failed run stopped at.
-	OutcomeAborted = "aborted"
-	// OutcomeDegraded marks a stage that completed by quarantining
-	// failing pairs under the error budget.
-	OutcomeDegraded = "degraded"
-	// OutcomeResumed marks a stage whose result was restored from a
-	// crash-safe checkpoint instead of recomputed — the record that
-	// distinguishes "this run did the work" from "a previous run did".
-	OutcomeResumed = "resumed"
-	// OutcomeDegradedQuality marks the quality stage of a monitored run
-	// whose live profile drifted past the configured warn/fail thresholds
-	// relative to its training baseline: the run completed, but its
-	// training-time accuracy claim should be re-examined for this slice.
-	OutcomeDegradedQuality = "degraded_quality"
-)
-
-// Entry is one provenance record.
-type Entry struct {
-	Step   string
-	Detail string
-	Count  int
-	// Outcome is how the stage ended ("" or OutcomeOK for normal
-	// completion; see the Outcome* constants).
-	Outcome string
-}
-
 // Log collects the steps a workflow executed, in order — the record the
 // two teams shared when discussing results. Appends and reads are safe
 // from concurrent goroutines: parallel stage workers may log while an
 // operator (or the debug endpoint) renders the log mid-run.
 type Log struct {
 	mu      sync.Mutex
-	entries []Entry
+	entries []obs.ProvEntry
 }
 
-// Add appends an entry with the default ok outcome.
-func (l *Log) Add(step, detail string, count int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append(l.entries, Entry{Step: step, Detail: detail, Count: count})
-}
-
-// AddOutcome appends an entry with an explicit stage outcome — the
-// hardened runtime's record of retries, quarantines, and aborts.
+// AddOutcome appends an entry; outcome is one of obs.Outcome*, or empty
+// for ok — the hardened runtime's record of resumes, quarantines, and
+// aborts.
 func (l *Log) AddOutcome(step, detail string, count int, outcome string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = append(l.entries, Entry{Step: step, Detail: detail, Count: count, Outcome: outcome})
+	l.entries = append(l.entries, obs.ProvEntry{Step: step, Detail: detail, Count: count, Outcome: outcome})
 }
 
 // Entries returns a copy of the log: later appends do not grow the
 // returned slice, and mutating the returned entries does not touch the
 // log.
-func (l *Log) Entries() []Entry {
+func (l *Log) Entries() []obs.ProvEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
+	out := make([]obs.ProvEntry, len(l.entries))
 	copy(out, l.entries)
 	return out
 }
@@ -94,7 +57,7 @@ func (l *Log) Entries() []Entry {
 func (l *Log) String() string {
 	var b strings.Builder
 	for _, e := range l.Entries() {
-		if e.Outcome != "" && e.Outcome != OutcomeOK {
+		if e.Outcome != "" && e.Outcome != obs.OutcomeOK {
 			fmt.Fprintf(&b, "%-24s %6d  [%s] %s\n", e.Step, e.Count, e.Outcome, e.Detail)
 			continue
 		}
