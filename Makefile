@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check tier2 ci bench bench-baseline smoke perf-gate
+.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check tier2 ci bench bench-baseline smoke perf-gate loc
 
 all: tier1
 
@@ -88,6 +88,12 @@ perf-gate:
 tier2: fmt-check vet race race-cpu bench-check smoke perf-gate
 
 ci: tier1 tier2
+
+# loc prints the measure ROADMAP aim 2 and open item 9 count in: lines of
+# non-test Go outside bench/ and internal/smoke (tracked files plus new
+# ones not yet added, so it reads the same before and after `git add`).
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/smoke/' | xargs cat | wc -l
 
 # bench runs every benchmark (no unit tests) with allocation counts.
 # BENCHTIME shortens or lengthens each measurement (e.g. BENCHTIME=10x

@@ -10,11 +10,13 @@
 // reusing bad bytes.
 //
 // The store is deliberately value-agnostic: artifacts are []byte (or
-// JSON via WriteJSON/ReadJSON); the pipeline layers (workflow, umetrics)
-// own their artifact schemas and their semantic validation. Fault
-// sites ckpt.write, ckpt.read, and ckpt.rename let tests inject torn
-// writes and checksum mismatches; the EMCKPT_KILL environment variable
-// lets the chaos harness kill the process at exact write boundaries.
+// JSON via WriteJSON/ReadJSON); the pipeline layers (workflow, umetrics,
+// serve's job tier) own their artifact schemas and hand their semantic
+// validation to the one restore-or-recompute protocol, Do (step.go).
+// Fault sites ckpt.write, ckpt.read, and ckpt.rename let tests inject
+// torn writes and checksum mismatches; the EMCKPT_KILL environment
+// variable lets the chaos harness kill the process at exact write
+// boundaries.
 package ckpt
 
 import (
@@ -26,6 +28,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 
@@ -130,8 +133,8 @@ func (s *Store) Has(name string) bool {
 	return ok
 }
 
-// Names returns the completed artifact names in manifest order
-// (sorted, since the manifest is a map rendered deterministically).
+// Names returns the completed artifact names, sorted — the order the
+// manifest renders them in.
 func (s *Store) Names() []string {
 	if s == nil {
 		return nil
@@ -142,6 +145,7 @@ func (s *Store) Names() []string {
 	for name := range s.manifest.Artifacts {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -215,40 +219,22 @@ func (s *Store) commitManifestLocked() error {
 	return AtomicWriteFile(filepath.Join(s.dir, manifestFile), data, 0o644)
 }
 
-// Read returns an artifact's bytes after verifying its size and
-// checksum against the manifest. A missing entry returns ErrNotFound;
-// bad bytes (or an injected ckpt.read fault) quarantine the artifact,
-// drop it from the manifest, and return an ErrCorrupt-wrapped error so
-// the caller recomputes the stage.
+// Read returns an artifact's bytes once they verify: OpenArtifact
+// drained to its verdict, so the size and checksum comparison exists in
+// reader.go only. A missing entry returns ErrNotFound; bad bytes (or an
+// injected ckpt.read fault) quarantine the artifact, drop it from the
+// manifest, and return an ErrCorrupt-wrapped error so the caller
+// recomputes the stage.
 func (s *Store) Read(name string) ([]byte, error) {
-	if s == nil {
-		return nil, ErrNotFound
-	}
-	s.mu.Lock()
-	a, ok := s.manifest.Artifacts[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if err := fault.Inject("ckpt.read"); err != nil {
-		s.Quarantine(name, err.Error())
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, a.File))
+	rd, err := s.OpenArtifact(name)
 	if err != nil {
-		s.Quarantine(name, err.Error())
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
+		return nil, err
 	}
-	if int64(len(data)) != a.Size {
-		s.Quarantine(name, "size mismatch")
-		return nil, fmt.Errorf("%w: %s: size %d, manifest says %d", ErrCorrupt, name, len(data), a.Size)
+	defer rd.Close()
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, err
 	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != a.SHA256 {
-		s.Quarantine(name, "checksum mismatch")
-		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, name)
-	}
-	obs.C("ckpt.hits").Inc()
 	return data, nil
 }
 
@@ -273,7 +259,7 @@ func (s *Store) ReadJSON(name string, v any) error {
 		return err
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		s.Quarantine(name, "undecodable JSON")
+		s.condemn(name, "undecodable JSON")
 		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	return nil
@@ -281,9 +267,11 @@ func (s *Store) ReadJSON(name string, v any) error {
 
 // Quarantine moves an artifact into the quarantine/ subdirectory and
 // removes it from the manifest — the evidence survives for a
-// post-mortem, but the resume path will recompute the stage. Callers
-// use it directly when an artifact decodes but fails semantic
-// validation (out-of-range row indices, wrong table shape).
+// post-mortem, but the resume path will recompute the stage. Called
+// directly it retires an artifact whose bytes are sound but which must
+// not be used (a fresh run over an old directory, a validator's verdict
+// in Restore) and counts ckpt.quarantined only; reason is for the call
+// site's reader, callers record it in their spans.
 func (s *Store) Quarantine(name, reason string) {
 	if s == nil {
 		return
@@ -302,9 +290,14 @@ func (s *Store) Quarantine(name, reason string) {
 		file = a.File
 	}
 	s.quarantineLocked(name, filepath.Join(s.dir, file))
-	obs.C("ckpt.corrupt").Inc()
 	obs.C("ckpt.quarantined").Inc()
-	_ = reason // recorded by callers in spans/logs; kept for call-site readability
+}
+
+// condemn quarantines an artifact whose bytes failed verification or
+// decoding — the only thing ckpt.corrupt counts.
+func (s *Store) condemn(name, reason string) {
+	obs.C("ckpt.corrupt").Inc()
+	s.Quarantine(name, reason)
 }
 
 // quarantineLocked moves src into quarantine/ under a unique name;

@@ -13,13 +13,12 @@ import (
 	"emgo/internal/obs"
 )
 
-// Streaming artifact access: Read materializes a whole artifact to
-// verify it, which is exactly wrong for a transport that exists so the
-// server never holds a whole result set in memory. OpenArtifact returns
-// an io.ReadCloser that hashes bytes as they flow and delivers the
-// manifest verdict at EOF — same trust contract as Read (nothing is
-// believed until size and SHA-256 match; corruption quarantines), paid
-// in one artifact-sized pass instead of one artifact-sized allocation.
+// The one verifying read path. OpenArtifact returns an io.ReadCloser
+// that hashes bytes as they flow and delivers the manifest verdict at
+// EOF: nothing is believed until size and SHA-256 match, and corruption
+// quarantines. Store.Read is this reader drained into memory, and
+// ReadJSON and Restore sit on Read, so no other code compares a size or
+// a checksum.
 //
 // The verdict arrives only at EOF, so a caller that decodes
 // incrementally MUST drain the reader and check its error before acting
@@ -43,7 +42,7 @@ type ArtifactReader struct {
 // OpenArtifact opens a manifest-listed artifact for streaming reads.
 // A missing entry returns ErrNotFound; an entry whose file cannot be
 // opened (or an injected ckpt.read fault) is quarantined and returns
-// ErrCorrupt, the same posture as Read. The caller owns Close.
+// ErrCorrupt. The caller owns Close.
 func (s *Store) OpenArtifact(name string) (*ArtifactReader, error) {
 	if s == nil {
 		return nil, ErrNotFound
@@ -55,12 +54,12 @@ func (s *Store) OpenArtifact(name string) (*ArtifactReader, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if err := fault.Inject("ckpt.read"); err != nil {
-		s.Quarantine(name, err.Error())
+		s.condemn(name, err.Error())
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	f, err := os.Open(filepath.Join(s.dir, a.File))
 	if err != nil {
-		s.Quarantine(name, err.Error())
+		s.condemn(name, err.Error())
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	return &ArtifactReader{
@@ -112,7 +111,7 @@ func (r *ArtifactReader) Read(p []byte) (int, error) {
 
 // fail quarantines the artifact and latches the corrupt verdict.
 func (r *ArtifactReader) fail(reason string) error {
-	r.store.Quarantine(r.name, reason)
+	r.store.condemn(r.name, reason)
 	r.err = fmt.Errorf("%w: %s: %s", ErrCorrupt, r.name, reason)
 	return r.err
 }

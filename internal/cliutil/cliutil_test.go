@@ -7,11 +7,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
 
+	"emgo/internal/ckpt"
 	"emgo/internal/leakcheck"
+	"emgo/internal/obs"
 )
 
 func TestSignalContextCancelsOnSIGTERM(t *testing.T) {
@@ -140,5 +144,45 @@ func TestMainHandsTheSeamItsArguments(t *testing.T) {
 	}, nil, []string{"-a", "b"}, &stdout, &stderr)
 	if code != 0 || stdout.String() != "args=[-a b]" || stderr.String() != "progress" {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestFreshRunRetiresWithoutCryingCorrupt: -checkpoint-dir without
+// -resume moves every prior artifact to quarantine, and
+// none of that is corruption — the run report's ckpt.corrupt stays 0.
+func TestFreshRunRetiresWithoutCryingCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	old, err := ckpt.Open(dir, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"stage.learned.json", "stage.blocked.json", "extra.json"}
+	for _, n := range names {
+		if err := old.Write(n, []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs.Enable()
+	defer obs.Disable()
+
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	c := CheckpointFlags(fs, "stage")
+	if err := fs.Parse([]string{"-checkpoint-dir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := c.Open("t", "fp", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := store.Names(); len(left) != 0 {
+		t.Fatalf("a fresh run kept %v", left)
+	}
+	if cr, q := obs.C("ckpt.corrupt").Value(), obs.C("ckpt.quarantined").Value(); cr != 0 || q != int64(len(names)) {
+		t.Fatalf("ckpt.corrupt=%d ckpt.quarantined=%d, want 0 and %d", cr, q, len(names))
+	}
+	for _, n := range names {
+		if _, err := os.Stat(filepath.Join(dir, "quarantine", n+".0")); err != nil {
+			t.Fatalf("%s not retired: %v", n, err)
+		}
 	}
 }

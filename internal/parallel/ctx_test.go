@@ -199,29 +199,6 @@ func TestForCtxNoLeakAfterPanic(t *testing.T) {
 	}
 }
 
-func TestForPanicPropagatesToCaller(t *testing.T) {
-	// The non-ctx For no longer kills the process on a worker panic: the
-	// panic resurfaces on the calling goroutine where recover works.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected propagated panic")
-		}
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T: %v", r, r)
-		}
-		if pe.Index != 5 || fmt.Sprint(pe.Value) != "ouch" {
-			t.Fatalf("panic error: %v", pe)
-		}
-	}()
-	For(10, func(i int) {
-		if i == 5 {
-			panic("ouch")
-		}
-	})
-}
-
 func TestForCtxZeroAndNegativeN(t *testing.T) {
 	if err := ForCtx(context.Background(), 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@
 // results land in preallocated slots, so concurrency never changes any
 // output.
 //
-// The context-aware forms (ForCtx, ForWorkersCtx) are the hardened
-// runtime: they stop dispatching chunks on cancellation or first failure,
+// ForCtx and ForWorkersCtx are the hardened runtime: they stop
+// dispatching chunks on cancellation or first failure,
 // recover worker panics into errors carrying the failing index and
 // stack, and leak no goroutines — every worker has exited by the time
 // they return.
@@ -68,31 +68,6 @@ func FailingIndex(err error) (idx int, ok bool) {
 		err = u.Unwrap()
 	}
 	return 0, false
-}
-
-// For runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n) workers.
-// fn must only write to state owned by index i (e.g. out[i]); For returns
-// when all calls finish. n <= 0 is a no-op. A panicking fn no longer
-// kills the process: the panic is recovered, remaining work stops, and
-// the panic is re-raised on the calling goroutine as a *PanicError, so a
-// deferred recover in the caller can observe it.
-func For(n int, fn func(i int)) {
-	ForWorkers(n, runtime.GOMAXPROCS(0), fn)
-}
-
-// ForWorkers is For with an explicit worker count (values below 2 run
-// serially).
-func ForWorkers(n, workers int, fn func(i int)) {
-	err := ForWorkersCtx(context.Background(), n, workers, func(i int) error {
-		fn(i)
-		return nil
-	})
-	if err != nil {
-		// Background context and nil-returning fn: the only possible
-		// error is a recovered worker panic. Re-raise it where the
-		// caller can recover it.
-		panic(err)
-	}
 }
 
 // ForCtx runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n)

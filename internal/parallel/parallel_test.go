@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -10,9 +11,12 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	f := func(n uint8) bool {
 		nn := int(n)
 		counts := make([]int32, nn)
-		For(nn, func(i int) {
+		if err := ForCtx(context.Background(), nn, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
-		})
+			return nil
+		}); err != nil {
+			return false
+		}
 		for _, c := range counts {
 			if c != 1 {
 				return false
@@ -25,37 +29,21 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForZeroAndNegative(t *testing.T) {
-	called := false
-	For(0, func(int) { called = true })
-	For(-3, func(int) { called = true })
-	if called {
-		t.Fatal("fn must not be called for n <= 0")
-	}
-}
-
+// TestForWorkersBothPaths: a worker count below 2 takes the serial path,
+// one above n is cut to n; either way every index runs once.
 func TestForWorkersBothPaths(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 100} {
 		out := make([]int32, 50)
-		ForWorkers(50, workers, func(i int) {
+		if err := ForWorkersCtx(context.Background(), 50, workers, func(i int) error {
 			atomic.AddInt32(&out[i], 1)
-		})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range out {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
 			}
-		}
-	}
-}
-
-func TestForDeterministicOutput(t *testing.T) {
-	out1 := make([]int, 1000)
-	out2 := make([]int, 1000)
-	For(1000, func(i int) { out1[i] = i * i })
-	For(1000, func(i int) { out2[i] = i * i })
-	for i := range out1 {
-		if out1[i] != out2[i] || out1[i] != i*i {
-			t.Fatal("per-index results must be deterministic")
 		}
 	}
 }

@@ -104,26 +104,19 @@ func IsPermanent(err error) bool {
 // It returns nil on the first success, the unwrapped error behind a
 // Permanent marker, ctx's error when cancelled mid-backoff, or the last
 // attempt's error once the schedule is exhausted.
-func Do(ctx context.Context, p Policy, fn func() error) error {
-	_, err := DoCount(ctx, p, fn)
-	return err
-}
-
-// DoCount is Do, additionally reporting how many attempts ran — the
-// number provenance logs record for retried stages.
-func DoCount(ctx context.Context, p Policy, fn func() error) (attempts int, err error) {
+func Do(ctx context.Context, p Policy, fn func() error) (err error) {
 	p = p.withDefaults()
 	schedule := p.Schedule()
-	for attempt := 0; ; attempt++ {
+	for attempts := 0; ; {
 		if cerr := ctx.Err(); cerr != nil {
 			if err != nil {
-				return attempts, fmt.Errorf("retry: cancelled after %d attempts: %w (last error: %v)", attempts, cerr, err)
+				return fmt.Errorf("retry: cancelled after %d attempts: %w (last error: %v)", attempts, cerr, err)
 			}
-			return attempts, cerr
+			return cerr
 		}
 		attempts++
 		obs.C("retry.attempts").Inc()
-		if attempt > 0 {
+		if attempts > 1 {
 			// A retry beyond the first attempt is the signal operators
 			// count; it also lands on the active trace span so a run
 			// report shows where the backoff time went.
@@ -132,23 +125,23 @@ func DoCount(ctx context.Context, p Policy, fn func() error) (attempts int, err 
 		}
 		err = fn()
 		if err == nil {
-			return attempts, nil
+			return nil
 		}
 		var pe *permanentError
 		if errors.As(err, &pe) {
-			return attempts, pe.err
+			return pe.err
 		}
-		if attempt >= len(schedule) {
+		if attempts > len(schedule) {
 			if attempts > 1 {
-				return attempts, fmt.Errorf("retry: %d attempts exhausted: %w", attempts, err)
+				return fmt.Errorf("retry: %d attempts exhausted: %w", attempts, err)
 			}
-			return attempts, err
+			return err
 		}
-		timer := time.NewTimer(schedule[attempt])
+		timer := time.NewTimer(schedule[attempts-1])
 		select {
 		case <-ctx.Done():
 			timer.Stop()
-			return attempts, fmt.Errorf("retry: cancelled after %d attempts: %w (last error: %v)", attempts, ctx.Err(), err)
+			return fmt.Errorf("retry: cancelled after %d attempts: %w (last error: %v)", attempts, ctx.Err(), err)
 		case <-timer.C:
 		}
 	}

@@ -12,12 +12,12 @@ import (
 func TestZeroPolicySingleAttempt(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("boom")
-	n, err := DoCount(context.Background(), Policy{}, func() error {
+	err := Do(context.Background(), Policy{}, func() error {
 		calls++
 		return sentinel
 	})
-	if n != 1 || calls != 1 {
-		t.Fatalf("attempts=%d calls=%d", n, calls)
+	if calls != 1 {
+		t.Fatalf("calls=%d", calls)
 	}
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err: %v", err)
@@ -66,23 +66,24 @@ func TestSeededJitterDeterministicPerSeed(t *testing.T) {
 func TestTransientThenSuccess(t *testing.T) {
 	calls := 0
 	p := Policy{MaxAttempts: 4, BaseDelay: time.Millisecond}
-	n, err := DoCount(context.Background(), p, func() error {
+	err := Do(context.Background(), p, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
 		}
 		return nil
 	})
-	if err != nil || n != 3 {
-		t.Fatalf("attempts=%d err=%v", n, err)
+	if err != nil || calls != 3 {
+		t.Fatalf("calls=%d err=%v", calls, err)
 	}
 }
 
 func TestExhaustedReportsAttempts(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	n, err := DoCount(context.Background(), p, func() error { return errors.New("always") })
-	if n != 3 {
-		t.Fatalf("attempts = %d", n)
+	calls := 0
+	err := Do(context.Background(), p, func() error { calls++; return errors.New("always") })
+	if calls != 3 {
+		t.Fatalf("calls = %d", calls)
 	}
 	if err == nil || !strings.Contains(err.Error(), "3 attempts") {
 		t.Fatalf("err: %v", err)
@@ -122,12 +123,13 @@ func TestCancelledDuringBackoff(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	n, err := DoCount(ctx, p, func() error { return errors.New("transient") })
+	calls := 0
+	err := Do(ctx, p, func() error { calls++; return errors.New("transient") })
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancel did not interrupt backoff")
 	}
-	if n != 1 {
-		t.Fatalf("attempts = %d", n)
+	if calls != 1 {
+		t.Fatalf("calls = %d", calls)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
@@ -138,9 +140,9 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	n, err := DoCount(ctx, Policy{MaxAttempts: 3}, func() error { calls++; return nil })
-	if calls != 0 || n != 0 {
-		t.Fatalf("calls=%d attempts=%d", calls, n)
+	err := Do(ctx, Policy{MaxAttempts: 3}, func() error { calls++; return nil })
+	if calls != 0 {
+		t.Fatalf("calls=%d", calls)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -212,15 +211,13 @@ type Job struct {
 	// the submit wide event and the job's execution trace.
 	origin string
 
-	spec        jobSpec
-	rows        []table.Row
-	fingerprint string
-	store       *ckpt.Store
-	shards      int
+	spec   jobSpec
+	rows   []table.Row
+	store  *ckpt.Store
+	shards int
 
 	mu          sync.Mutex
 	state       string
-	done        int
 	resumed     int
 	retries     int
 	quarantined []QuarantinedShard
@@ -251,6 +248,20 @@ func (j *Job) shardLen(idx int) int {
 		return 0
 	}
 	return hi - lo
+}
+
+// doneShards counts the shards committed durably (quarantine markers
+// included). The store's manifest is the one record of that: a commit
+// adds to it and a shard found corrupt at fetch time leaves it, so no
+// counter has to be kept in step.
+func (j *Job) doneShards() int {
+	n := 0
+	for i := 0; i < j.shards; i++ {
+		if j.store.Has(shardName(i)) {
+			n++
+		}
+	}
+	return n
 }
 
 // jobArtifact is the durable job-spec artifact name.
@@ -423,7 +434,7 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 }
 
 // openJob opens (or creates) a job's durable store, persists its spec,
-// and counts the shards a previous process already committed.
+// and notes the shards a previous process already committed.
 func (jm *Jobs) openJob(id string, spec jobSpec, rows []table.Row, fp string) (*Job, error) {
 	store, err := ckpt.Open(filepath.Join(jm.cfg.Dir, id), fp)
 	if err != nil {
@@ -436,23 +447,17 @@ func (jm *Jobs) openJob(id string, spec jobSpec, rows []table.Row, fp string) (*
 	}
 	shards := (len(rows) + spec.ShardSize - 1) / spec.ShardSize
 	job := &Job{
-		ID:          id,
-		spec:        spec,
-		rows:        rows,
-		fingerprint: fp,
-		store:       store,
-		shards:      shards,
-		state:       JobQueued,
-		breakers:    make(map[int]*Breaker),
-		brCfg:       jm.cfg.Breaker,
+		ID:       id,
+		spec:     spec,
+		rows:     rows,
+		store:    store,
+		shards:   shards,
+		state:    JobQueued,
+		breakers: make(map[int]*Breaker),
+		brCfg:    jm.cfg.Breaker,
 	}
-	for i := 0; i < shards; i++ {
-		if store.Has(shardName(i)) {
-			job.done++
-			job.resumed++
-		}
-	}
-	if job.done == shards {
+	job.resumed = job.doneShards()
+	if job.resumed == shards {
 		job.state = JobCompleted
 	}
 	return job, nil
@@ -661,12 +666,9 @@ func (jm *Jobs) runJob(job *Job) {
 		job.setState(JobCancelled)
 		return
 	}
-	// Progress is recounted from the durable store as shards run (the
-	// Has fast path re-tallies inherited shards), so the open-time
-	// snapshot must not double-count.
 	job.mu.Lock()
 	job.state = JobRunning
-	job.done, job.resumed = 0, 0
+	job.resumed = job.doneShards() // what this execution inherits
 	job.quarantined = nil
 	job.degraded = 0
 	job.mu.Unlock()
@@ -692,7 +694,7 @@ func (jm *Jobs) runJob(job *Job) {
 	case job.cancelled.Load():
 		job.state = JobCancelled
 		span.SetOutcome(obs.OutcomeCancelled)
-	case err == nil && job.done == job.shards:
+	case err == nil && job.doneShards() == job.shards:
 		job.state = JobCompleted
 		span.SetOutcome(obs.OutcomeOK)
 		obs.C("serve.job.completed").Inc()
@@ -710,7 +712,7 @@ func (jm *Jobs) runJob(job *Job) {
 		if err != nil {
 			job.errMsg = err.Error()
 		} else {
-			job.errMsg = fmt.Sprintf("job finished with %d/%d shards committed", job.done, job.shards)
+			job.errMsg = fmt.Sprintf("job finished with %d/%d shards committed", job.doneShards(), job.shards)
 		}
 		span.SetOutcome(obs.OutcomeFailed)
 		obs.C("serve.job.failed").Inc()
@@ -767,10 +769,6 @@ func transientReason(reason string) bool {
 func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	name := shardName(idx)
 	if job.store.Has(name) {
-		job.mu.Lock()
-		job.done++
-		job.resumed++
-		job.mu.Unlock()
 		obs.C("serve.job.shards_resumed").Inc()
 		return nil
 	}
@@ -820,7 +818,13 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 			lastErr = fmt.Errorf("shard %d degraded (%s)", idx, tally.reason)
 			continue
 		}
-		if err := jm.commitShard(ctx, job, idx, name, art); err != nil {
+		// Commit through the crash-safe store (and the serve.job.write
+		// fault site); a failed commit is one more failed attempt.
+		err = fault.InjectIdx("serve.job.write", idx)
+		if err == nil {
+			err = job.store.WriteJSON(name, art)
+		}
+		if err != nil {
 			if ctx.Err() != nil {
 				job.interrupted.Store(true)
 				return nil
@@ -829,7 +833,6 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 			continue
 		}
 		job.mu.Lock()
-		job.done++
 		job.degraded += tally.degraded
 		job.mu.Unlock()
 		obs.C("serve.job.shards_done").Inc()
@@ -842,18 +845,12 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	if lastErr != nil {
 		reason = lastErr.Error()
 	}
-	q := &shardArtifact{Shard: idx, Quarantined: true, Reason: reason}
-	data, err := json.Marshal(q)
-	if err == nil {
-		err = job.store.Write(name, data)
-	}
-	if err != nil {
+	if err := job.store.WriteJSON(name, &shardArtifact{Shard: idx, Quarantined: true, Reason: reason}); err != nil {
 		// Even the quarantine marker would not persist: the store is
 		// broken, which is a job-level failure.
 		return fmt.Errorf("shard %d: quarantine after %q: %w", idx, reason, err)
 	}
 	job.mu.Lock()
-	job.done++
 	job.quarantined = append(job.quarantined, QuarantinedShard{Shard: idx, Reason: reason})
 	job.mu.Unlock()
 	obs.C("serve.job.shards_quarantined").Inc()
@@ -935,68 +932,6 @@ func (jm *Jobs) acquireSlot(ctx context.Context) (func(), error) {
 	}
 }
 
-// commitShard writes one shard artifact through the crash-safe store
-// (and the serve.job.write fault site).
-func (jm *Jobs) commitShard(ctx context.Context, job *Job, idx int, name string, art *shardArtifact) error {
-	if err := fault.InjectIdx("serve.job.write", idx); err != nil {
-		return err
-	}
-	_ = ctx
-	data, err := json.Marshal(art)
-	if err != nil {
-		return fmt.Errorf("shard %d: encode: %w", idx, err)
-	}
-	return job.store.Write(name, data)
-}
-
-// readShard reads, verifies, and decodes one durable shard artifact
-// through the store's streaming reader — the fetch-side read path of
-// the results stream, bounded by one shard's bytes. The decoded value
-// is trusted only after the reader has been drained to EOF and
-// delivered its checksum verdict.
-// Any failure quarantines the artifact and re-queues the job, so the
-// caller's error is retryable, never silently partial.
-func (jm *Jobs) readShard(job *Job, idx int) (*shardArtifact, error) {
-	name := shardName(idx)
-	rd, err := job.store.OpenArtifact(name)
-	if err != nil {
-		jm.requeueShard(job, idx)
-		return nil, fmt.Errorf("shard %d unreadable (%v); job re-queued for recompute", idx, err)
-	}
-	defer rd.Close()
-	var art shardArtifact
-	derr := json.NewDecoder(rd).Decode(&art)
-	// Drain to EOF: the reader's verdict arrives there, and the decoder
-	// stops at the value's closing brace.
-	_, verr := io.Copy(io.Discard, rd)
-	switch {
-	case verr != nil:
-		jm.requeueShard(job, idx)
-		return nil, fmt.Errorf("shard %d unreadable (%v); job re-queued for recompute", idx, verr)
-	case derr != nil:
-		if !errors.Is(derr, ckpt.ErrCorrupt) {
-			// Bytes verified but do not decode: schema drift or a bug.
-			job.store.Quarantine(name, "undecodable shard artifact")
-		}
-		jm.requeueShard(job, idx)
-		return nil, fmt.Errorf("shard %d undecodable; job re-queued for recompute", idx)
-	}
-	return &art, nil
-}
-
-// requeueShard accounts for a shard lost after completion (corruption
-// found at fetch time) and puts the job back on the queue.
-func (jm *Jobs) requeueShard(job *Job, idx int) {
-	job.mu.Lock()
-	if job.done > 0 {
-		job.done--
-	}
-	job.mu.Unlock()
-	_ = idx
-	obs.C("serve.job.shards_recomputed").Inc()
-	jm.enqueue(job)
-}
-
 // setState transitions the job's state.
 func (j *Job) setState(st string) {
 	j.mu.Lock()
@@ -1020,7 +955,7 @@ func (j *Job) Status() *JobStatus {
 		State:           j.state,
 		Records:         len(j.rows),
 		Shards:          j.shards,
-		DoneShards:      j.done,
+		DoneShards:      j.doneShards(),
 		ResumedShards:   j.resumed,
 		Retries:         j.retries,
 		DegradedRecords: j.degraded,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"emgo/internal/ckpt"
 	"emgo/internal/fault"
 	"emgo/internal/obs"
 )
@@ -197,12 +198,17 @@ func (st *streamState) run(r *http.Request) (Cursor, error) {
 		if err := r.Context().Err(); err != nil {
 			return st.last, err
 		}
-		art, err := jm.readShard(job, shard)
+		// The fetch-side read, bounded by one shard's bytes: nothing is
+		// sent that has not verified and decoded.
+		art, err := ckpt.Restore[shardArtifact](job.store, shardName(shard), nil)
 		if err != nil {
-			// The shard went corrupt under us; it is quarantined and the
-			// job re-queued. The stream ends here — the client resumes
-			// once the shard is recomputed and gets identical bytes.
-			return st.last, err
+			// The shard went corrupt under us; the store has quarantined
+			// it and the job is re-queued to recompute it. The stream ends
+			// here, never silently partial — the client resumes once the
+			// shard is back and gets identical bytes.
+			obs.C("serve.job.shards_recomputed").Inc()
+			jm.enqueue(job)
+			return st.last, fmt.Errorf("shard %d unreadable (%v); job re-queued for recompute", shard, err)
 		}
 		offset := 0
 		if shard == st.last.Shard {

@@ -269,51 +269,49 @@ func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
 		report:    &Report{OverlapSweep: make(map[int]int)},
 	}
 	s.rng = rand.New(s.mainSrc)
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"generate", s.generate},     // Sections 3-4
-		{"preprocess", s.preprocess}, // Sections 5-6
-		{"blocking", s.blocking},     // Section 7
-		{"labeling", s.labeling},     // Section 8
-		{"matching", s.matching},     // Section 9 (Figure 8)
-		{"updating", s.updating},     // Section 10 (Figure 9)
-		{"estimating", s.estimating}, // Section 11
-		{"refining", s.refining},     // Section 12 (Figure 10)
-	}
-	// pendingRebuild names the most recently restored section whose
-	// derived state (feature sets, fitted matchers) has not been rebuilt
-	// yet; it is rebuilt lazily right before the next live section.
-	pendingRebuild := ""
-	for _, step := range steps {
+	// pending is the most recently restored section whose derived state
+	// has not been rebuilt yet; it is rebuilt lazily right before the next
+	// live section.
+	var pending *section
+	for i := range sections {
+		sec := &sections[i]
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, sp := obs.StartSpan(ctx, "casestudy."+step.name)
-		if s.tryRestore(step.name, sp) {
-			pendingRebuild = step.name
-			sp.SetOutcome(obs.OutcomeResumed)
-			sp.End()
-			continue
+		_, sp := obs.StartSpan(ctx, "casestudy."+sec.name)
+		store := cfg.Checkpoints
+		if sec.snapshot == nil {
+			store = nil
 		}
-		if pendingRebuild != "" {
-			if err := s.rebuildDerived(pendingRebuild); err != nil {
-				sp.SetOutcome(obs.OutcomeAborted)
-				sp.End()
-				return nil, err
-			}
-			pendingRebuild = ""
+		resumed, note, err := ckpt.Do(store, sec.artifact(),
+			func(art *sectionArt) error { return s.restore(sec, art) },
+			func() error {
+				if pending != nil && pending.rebuild != nil {
+					if err := pending.rebuild(s); err != nil {
+						return err
+					}
+				}
+				pending = nil
+				return sec.run(s)
+			},
+			func() sectionArt { return s.snapshot(sec) })
+		if note != "" {
+			sp.Event("ckpt", note)
 		}
-		if err := step.fn(); err != nil {
+		switch {
+		case err != nil:
 			sp.SetOutcome(obs.OutcomeAborted)
-			sp.End()
+		case resumed:
+			pending = sec
+			sp.SetOutcome(obs.OutcomeResumed)
+		default:
+			sp.SetOutcome(obs.OutcomeOK)
+		}
+		sp.End()
+		if err != nil {
 			return nil, err
 		}
-		s.saveSection(step.name)
-		sp.SetOutcome(obs.OutcomeOK)
-		sp.End()
-		if s.cfg.haltAfter == step.name {
+		if !resumed && cfg.haltAfter == sec.name {
 			return nil, errHalted
 		}
 	}

@@ -8,13 +8,12 @@ import (
 	"emgo/internal/ckpt"
 	"emgo/internal/feature"
 	"emgo/internal/label"
-	"emgo/internal/obs"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
 
 // This file makes the case study resumable. Each expensive section
-// (blocking through estimating) persists a checkpoint artifact to an
+// (blocking through estimating) is a durable step (ckpt.Do) over an
 // optional ckpt.Store; a later run over the same Config restores the
 // section's outputs — after bounds and consistency validation — instead
 // of recomputing them. generate and preprocess are always replayed
@@ -34,16 +33,6 @@ import (
 // the recorded position) is rejected and the section recomputed — the
 // fallback is always "do the work again", never "use a stream in the
 // wrong position".
-
-// sectionCkpt maps a step name to its artifact name inside the study's
-// run store ("" = not checkpointed).
-func sectionCkpt(step string) string {
-	switch step {
-	case "blocking", "labeling", "matching", "updating", "estimating":
-		return "study." + step + ".json"
-	}
-	return ""
-}
 
 // countedSource wraps a rand.Source64 and counts draws per method, so a
 // stream's position can be recorded in a checkpoint and replayed on
@@ -212,189 +201,188 @@ func (d *artDecoder) result(what string, a *resultArt, left, right *table.Table)
 	}
 }
 
-// rngState snapshots both stream positions.
-func (s *study) rngState() studyRng {
-	return studyRng{Main: s.mainSrc.counts, Expert: s.expertSrc.counts}
+// section is one row of the study: the live computation and, for the
+// five sections worth a checkpoint, what the durable step needs to know
+// about it. A row without a snapshot is always replayed.
+type section struct {
+	name string
+	run  func(*study) error
+	// snapshot fills in the section's own fields of its artifact.
+	snapshot func(*study, *sectionArt)
+	// decode bounds-checks those fields against the replayed tables; the
+	// study is untouched until the install it returns runs.
+	decode func(*study, *sectionArt, *artDecoder) (install func())
+	// rebuild reconstructs the derived state no checkpoint carries
+	// (feature sets, imputers, fitted matchers) when this is the last
+	// section restored before a live one.
+	rebuild func(*study) error
 }
 
-// saveSection persists the checkpoint for a completed section; write
-// failures are recorded on the metrics registry but never fail the run.
-func (s *study) saveSection(step string) {
-	name := sectionCkpt(step)
-	if name == "" || s.cfg.Checkpoints == nil {
-		return
-	}
-	art := sectionArt{Section: step, Rng: s.rngState(), Report: s.report}
-	switch step {
-	case "blocking":
-		art.Cand = block.EncodePairs(s.cand.Pairs())
-	case "labeling":
-		for _, p := range s.labels.Pairs() {
-			art.Labels = append(art.Labels, labelArt{Pair: [2]int{p.A, p.B}, Label: int(s.labels.Get(p))})
-		}
-	case "matching":
-		art.Fig8 = newResultArt(s.fig8)
-	case "updating":
-		art.Winner = s.winner
-		art.Res1 = newResultArt(s.res1)
-		art.Res2 = newResultArt(s.res2)
-	case "estimating":
-		art.Iris1 = block.EncodePairs(s.iris1.Pairs())
-		art.Iris2 = block.EncodePairs(s.iris2.Pairs())
-		for _, it := range s.eval {
-			art.Eval = append(art.Eval, evalArt{Slice: it.slice, Pair: [2]int{it.pair.A, it.pair.B}, Label: int(it.label)})
-		}
-	}
-	if err := s.cfg.Checkpoints.WriteJSON(name, art); err != nil {
-		obs.C("umetrics.ckpt.write_failed").Inc()
-		return
-	}
-	obs.C("umetrics.ckpt.saved").Inc()
+// artifact is the section's name inside the study's run store.
+func (sec *section) artifact() string { return "study." + sec.name + ".json" }
+
+// sections is the case study, in order. generate and preprocess are pure
+// functions of Params and Seed and refining assembles the report from
+// whatever state precedes it, so those three carry no checkpoint.
+var sections = []section{
+	{name: "generate", run: (*study).generate},     // Sections 3-4
+	{name: "preprocess", run: (*study).preprocess}, // Sections 5-6
+	{
+		name: "blocking", run: (*study).blocking, // Section 7
+		snapshot: func(s *study, art *sectionArt) { art.Cand = block.EncodePairs(s.cand.Pairs()) },
+		decode: func(s *study, art *sectionArt, d *artDecoder) func() {
+			cand := d.set("cand", art.Cand, s.proj.UMETRICS, s.proj.USDA)
+			return func() { s.cand = cand }
+		},
+	},
+	{
+		name: "labeling", run: (*study).labeling, // Section 8
+		snapshot: func(s *study, art *sectionArt) {
+			for _, p := range s.labels.Pairs() {
+				art.Labels = append(art.Labels, labelArt{Pair: [2]int{p.A, p.B}, Label: int(s.labels.Get(p))})
+			}
+		},
+		decode: func(s *study, art *sectionArt, d *artDecoder) func() {
+			// Set on a fresh store in artifact order reproduces the original
+			// labeling order exactly.
+			labels := label.NewStore()
+			for _, l := range art.Labels {
+				_ = labels.Set(d.pair("label", l.Pair, s.proj.UMETRICS, s.proj.USDA), d.label("label", l.Label))
+			}
+			return func() { s.labels = labels }
+		},
+	},
+	{
+		name: "matching", run: (*study).matching, // Section 9 (Figure 8)
+		snapshot: func(s *study, art *sectionArt) { art.Fig8 = newResultArt(s.fig8) },
+		decode: func(s *study, art *sectionArt, d *artDecoder) func() {
+			fig8 := d.result("fig8", art.Fig8, s.proj.UMETRICS, s.proj.USDA)
+			return func() { s.fig8 = fig8 }
+		},
+		rebuild: (*study).rebuildFeatures,
+	},
+	{
+		name: "updating", run: (*study).updating, // Section 10 (Figure 9)
+		snapshot: func(s *study, art *sectionArt) {
+			art.Winner, art.Res1, art.Res2 = s.winner, newResultArt(s.res1), newResultArt(s.res2)
+		},
+		decode: func(s *study, art *sectionArt, d *artDecoder) func() {
+			if _, err := s.factoryFor(art.Winner); err != nil {
+				d.fail("winner: %w", err)
+			}
+			res1 := d.result("res1", art.Res1, s.proj.UMETRICS, s.proj.USDA)
+			res2 := d.result("res2", art.Res2, s.extra.UMETRICS, s.extra.USDA)
+			return func() { s.winner, s.res1, s.res2 = art.Winner, res1, res2 }
+		},
+		rebuild: (*study).rebuildMatcher,
+	},
+	{
+		name: "estimating", run: (*study).estimating, // Section 11
+		snapshot: func(s *study, art *sectionArt) {
+			art.Iris1 = block.EncodePairs(s.iris1.Pairs())
+			art.Iris2 = block.EncodePairs(s.iris2.Pairs())
+			for _, it := range s.eval {
+				art.Eval = append(art.Eval, evalArt{Slice: it.slice, Pair: [2]int{it.pair.A, it.pair.B}, Label: int(it.label)})
+			}
+		},
+		decode: func(s *study, art *sectionArt, d *artDecoder) func() {
+			slices := []*Projected{s.proj, s.extra}
+			iris1 := d.set("iris1", art.Iris1, s.proj.UMETRICS, s.proj.USDA)
+			iris2 := d.set("iris2", art.Iris2, s.extra.UMETRICS, s.extra.USDA)
+			var eval []evalItem
+			for _, it := range art.Eval {
+				if it.Slice < 0 || it.Slice >= len(slices) {
+					d.fail("eval slice %d out of range", it.Slice)
+					break
+				}
+				on := slices[it.Slice]
+				eval = append(eval, evalItem{
+					slice: it.Slice,
+					pair:  d.pair("eval", it.Pair, on.UMETRICS, on.USDA),
+					label: d.label("eval label", it.Label),
+				})
+			}
+			return func() { s.iris1, s.iris2, s.eval = iris1, iris2, eval }
+		},
+		rebuild: (*study).rebuildMatcher,
+	},
+	{name: "refining", run: (*study).refining}, // Section 12 (Figure 10)
 }
 
-// tryRestore attempts to satisfy one section from its checkpoint. It
-// returns false — after quarantining an artifact that failed semantic
-// validation — whenever the section must run live.
-func (s *study) tryRestore(step string, sp *obs.Span) bool {
-	name := sectionCkpt(step)
-	store := s.cfg.Checkpoints
-	if name == "" || store == nil || !store.Has(name) {
-		return false
+// snapshot is the artifact of a section that has just run: the report
+// accumulated so far, the stream positions, and the section's own state.
+func (s *study) snapshot(sec *section) sectionArt {
+	art := sectionArt{
+		Section: sec.name,
+		Rng:     studyRng{Main: s.mainSrc.counts, Expert: s.expertSrc.counts},
+		Report:  s.report,
 	}
-	var art sectionArt
-	if err := store.ReadJSON(name, &art); err != nil {
-		// Corrupt artifacts are already quarantined by the store.
-		sp.Event("ckpt", fmt.Sprintf("checkpoint %s unreadable, recomputing: %v", name, err))
-		return false
-	}
-	install, err := s.decodeArt(step, &art)
-	if err != nil {
-		store.Quarantine(name, err.Error())
-		sp.Event("ckpt", fmt.Sprintf("checkpoint %s failed validation, quarantined; recomputing: %v", name, err))
-		return false
-	}
-	if !s.mainSrc.canReach(art.Rng.Main) || !s.expertSrc.canReach(art.Rng.Expert) {
-		// Not corruption — the artifact is internally consistent but the
-		// run's random streams cannot be positioned to match it (e.g. an
-		// earlier section was recomputed along a different path). Leave
-		// the artifact in place and recompute.
-		sp.Event("ckpt", fmt.Sprintf("checkpoint %s rng position unreachable, recomputing", name))
-		return false
-	}
-	install()
-	s.mainSrc.ffwd(art.Rng.Main)
-	s.expertSrc.ffwd(art.Rng.Expert)
-	sp.Event("ckpt", "restored "+name)
-	obs.C("umetrics.ckpt.resumed").Inc()
-	return true
+	sec.snapshot(s, &art)
+	return art
 }
 
-// decodeArt bounds- and consistency-checks an artifact against the
-// replayed base state and decodes it into the section's live state; the
-// study is untouched until the returned install runs. Derived state a
-// checkpoint cannot carry (feature sets, imputers, fitted matchers) is
-// rebuilt afterwards, deterministically, by rebuildDerived.
-func (s *study) decodeArt(step string, art *sectionArt) (func(), error) {
-	if art.Section != step {
-		return nil, fmt.Errorf("artifact is for section %q, not %q", art.Section, step)
+// restore is the study's validator for the durable step. It condemns an
+// artifact that is not this section's or indexes outside the replayed
+// tables, and declines — the artifact stays — one whose stream positions
+// this run cannot reach (an earlier section was recomputed along another
+// path). Accepting installs the section's state and report and
+// fast-forwards both streams.
+func (s *study) restore(sec *section, art *sectionArt) error {
+	if art.Section != sec.name {
+		return fmt.Errorf("artifact is for section %q, not %q", art.Section, sec.name)
 	}
 	if art.Report == nil {
-		return nil, fmt.Errorf("artifact has no report")
+		return fmt.Errorf("artifact has no report")
 	}
-	um, us := s.proj.UMETRICS, s.proj.USDA
 	var d artDecoder
-	var install func()
-	switch step {
-	case "blocking":
-		cand := d.set("cand", art.Cand, um, us)
-		install = func() { s.cand = cand }
-	case "labeling":
-		// Set on a fresh store in artifact order reproduces the original
-		// labeling order exactly.
-		labels := label.NewStore()
-		for _, l := range art.Labels {
-			_ = labels.Set(d.pair("label", l.Pair, um, us), d.label("label", l.Label))
-		}
-		install = func() { s.labels = labels }
-	case "matching":
-		fig8 := d.result("fig8", art.Fig8, um, us)
-		install = func() { s.fig8 = fig8 }
-	case "updating":
-		if _, err := s.factoryFor(art.Winner); err != nil {
-			return nil, fmt.Errorf("winner: %w", err)
-		}
-		res1 := d.result("res1", art.Res1, um, us)
-		res2 := d.result("res2", art.Res2, s.extra.UMETRICS, s.extra.USDA)
-		install = func() { s.winner, s.res1, s.res2 = art.Winner, res1, res2 }
-	case "estimating":
-		iris1 := d.set("iris1", art.Iris1, um, us)
-		iris2 := d.set("iris2", art.Iris2, s.extra.UMETRICS, s.extra.USDA)
-		var eval []evalItem
-		for _, it := range art.Eval {
-			left, right := um, us
-			switch it.Slice {
-			case 0:
-			case 1:
-				left, right = s.extra.UMETRICS, s.extra.USDA
-			default:
-				return nil, fmt.Errorf("eval slice %d out of range", it.Slice)
-			}
-			eval = append(eval, evalItem{
-				slice: it.Slice,
-				pair:  d.pair("eval", it.Pair, left, right),
-				label: d.label("eval label", it.Label),
-			})
-		}
-		install = func() { s.iris1, s.iris2, s.eval = iris1, iris2, eval }
-	default:
-		return nil, fmt.Errorf("section %q has no checkpoint", step)
-	}
+	install := sec.decode(s, art, &d)
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
-	return func() {
-		install()
-		*s.report = *art.Report
-	}, nil
+	if !s.mainSrc.canReach(art.Rng.Main) || !s.expertSrc.canReach(art.Rng.Expert) {
+		return fmt.Errorf("%w: rng position unreachable", ckpt.ErrDeclined)
+	}
+	install()
+	*s.report = *art.Report
+	s.mainSrc.ffwd(art.Rng.Main)
+	s.expertSrc.ffwd(art.Rng.Expert)
+	return nil
 }
 
-// rebuildDerived reconstructs the unserializable state later sections
-// need, after the last restored section. Everything here is a
-// deterministic function of restored state, so a rebuilt object is
+// rebuildFeatures regenerates the feature set with the case-insensitive
+// extension of Section 9, which must be present before any further
+// training or deployment packaging. Like rebuildMatcher it is a
+// deterministic function of restored state, so the rebuilt object is
 // byte-equivalent to the one the original run held.
-func (s *study) rebuildDerived(lastRestored string) error {
-	switch lastRestored {
-	case "matching", "updating", "estimating":
-		// The case-insensitive feature extension of Section 9 must be
-		// present before any further training or deployment packaging.
-		corr, order := s.corrOrder()
-		fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
-		if err != nil {
-			return err
-		}
-		if err := feature.AddCaseInsensitive(fs, s.proj.UMETRICS, corr,
-			[]string{"AwardTitle", "EmployeeName"}); err != nil {
-			return err
-		}
-		s.features = fs
+func (s *study) rebuildFeatures() error {
+	corr, order := s.corrOrder()
+	fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
+	if err != nil {
+		return err
 	}
-	switch lastRestored {
-	case "updating", "estimating":
-		// Refit the Section 10 winner on the deterministic training set;
-		// this also restores s.imputer (vectorize fits it) and
-		// s.lastTrain, which refining's deployment packaging needs.
-		ds, _, err := s.trainingSet(true)
-		if err != nil {
-			return err
-		}
-		s.lastTrain = ds
-		matcher, err := s.fitImputerAndTrain(s.winner, ds)
-		if err != nil {
-			return err
-		}
-		s.matcher = matcher
+	if err := feature.AddCaseInsensitive(fs, s.proj.UMETRICS, corr,
+		[]string{"AwardTitle", "EmployeeName"}); err != nil {
+		return err
 	}
+	s.features = fs
 	return nil
+}
+
+// rebuildMatcher refits the Section 10 winner on the deterministic
+// training set over rebuilt features; this also restores s.imputer
+// (vectorize fits it) and s.lastTrain, which refining's deployment
+// packaging needs.
+func (s *study) rebuildMatcher() error {
+	if err := s.rebuildFeatures(); err != nil {
+		return err
+	}
+	ds, _, err := s.trainingSet(true)
+	if err != nil {
+		return err
+	}
+	s.lastTrain = ds
+	s.matcher, err = s.fitImputerAndTrain(s.winner, ds)
+	return err
 }
 
 // Fingerprint returns the checkpoint-store fingerprint for this

@@ -1,10 +1,14 @@
 package umetrics
 
 import (
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"emgo/internal/ckpt"
@@ -125,7 +129,7 @@ func TestCaseStudyResumeCorruptArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, sectionCkpt("labeling"))
+	path := filepath.Join(dir, "study.labeling.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -229,5 +233,130 @@ func TestCountedSource(t *testing.T) {
 	d.Uint64()
 	if !d.canReach(rngCounts{Int63: 1, Uint64: 7}) {
 		t.Fatal("single-method delta from a mixed position is replayable")
+	}
+}
+
+// TestGoldenSectionArtifactKeys pins the shape of the study's store: the
+// five artifact names and the top-level keys each carries (the common
+// envelope plus the section's own state). The byte-level guard is the
+// resume equivalence above and TestSmoke/chaos; this one fails when a
+// field is renamed or moves between sections, which an old store on disk
+// would not survive.
+func TestGoldenSectionArtifactKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a study; skipped with -short")
+	}
+	dir := t.TempDir()
+	cfg := studyTestConfig()
+	cfg.Checkpoints = openStudyStore(t, dir)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"study.blocking.json":   "cand report rng section",
+		"study.labeling.json":   "labels report rng section",
+		"study.matching.json":   "fig8 report rng section",
+		"study.updating.json":   "report res1 res2 rng section winner",
+		"study.estimating.json": "eval iris1 iris2 report rng section",
+	}
+	names := openStudyStore(t, dir).Names()
+	if len(names) != len(want) {
+		t.Fatalf("store holds %v, want the five section artifacts", names)
+	}
+	for name, keys := range want {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &top); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		for k := range top {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != keys {
+			t.Errorf("%s keys = %v, want %s", name, got, keys)
+		}
+	}
+}
+
+// TestSectionValidator is the one thing the study brings to the durable
+// step — restore, its validator — over every verdict it can give: it
+// condemns an artifact that is another section's or indexes outside the
+// replayed tables, declines (ckpt.ErrDeclined, artifact kept) one whose
+// stream positions this run cannot reach, and on accepting installs the
+// state and the report and fast-forwards the streams. A refused artifact
+// leaves the study untouched.
+func TestSectionValidator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a slice; skipped with -short")
+	}
+	cfg := studyTestConfig()
+	s := &study{
+		cfg:       cfg,
+		mainSrc:   newCountedSource(cfg.Seed),
+		expertSrc: newCountedSource(cfg.Seed + 1),
+		report:    &Report{},
+	}
+	s.rng = rand.New(s.mainSrc)
+	if err := s.generate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	row := func(name string) *section {
+		for i := range sections {
+			if sections[i].name == name {
+				return &sections[i]
+			}
+		}
+		t.Fatalf("no section %q", name)
+		return nil
+	}
+	s.mainSrc.Int63() // the run stands at main = {1, 0}
+	here := studyRng{Main: s.mainSrc.counts}
+	huge := [2]int{1 << 30, 0}
+	okRes := &resultArt{}
+	condemned := []struct {
+		what, section string
+		art           sectionArt
+	}{
+		{"another section's artifact", "blocking", sectionArt{Section: "labeling", Rng: here, Report: &Report{}}},
+		{"no report", "blocking", sectionArt{Section: "blocking", Rng: here}},
+		{"candidate outside the tables", "blocking", sectionArt{Section: "blocking", Rng: here, Report: &Report{}, Cand: [][2]int{huge}}},
+		{"label outside the vocabulary", "labeling", sectionArt{Section: "labeling", Rng: here, Report: &Report{}, Labels: []labelArt{{Pair: [2]int{0, 0}, Label: 9}}}},
+		{"result missing", "matching", sectionArt{Section: "matching", Rng: here, Report: &Report{}}},
+		{"unknown CV winner", "updating", sectionArt{Section: "updating", Rng: here, Report: &Report{}, Winner: "no-such-learner", Res1: okRes, Res2: okRes}},
+		{"eval slice out of range", "estimating", sectionArt{Section: "estimating", Rng: here, Report: &Report{}, Eval: []evalArt{{Slice: 2}}}},
+	}
+	for _, tc := range condemned {
+		err := s.restore(row(tc.section), &tc.art)
+		if err == nil || errors.Is(err, ckpt.ErrDeclined) {
+			t.Errorf("%s: verdict %v, want a condemning error", tc.what, err)
+		}
+	}
+
+	behind := sectionArt{Section: "blocking", Report: &Report{FinalMatches: 7}, Cand: [][2]int{{0, 0}}}
+	if err := s.restore(row("blocking"), &behind); !errors.Is(err, ckpt.ErrDeclined) {
+		t.Fatalf("stream already past the artifact's position: verdict %v, want ErrDeclined", err)
+	}
+	if s.cand != nil || s.labels != nil || s.report.FinalMatches != 0 || s.mainSrc.counts != here.Main {
+		t.Fatal("a refused artifact touched the study")
+	}
+
+	ahead := behind
+	ahead.Rng = studyRng{Main: rngCounts{Int63: 4}, Expert: rngCounts{Int63: 2}}
+	if err := s.restore(row("blocking"), &ahead); err != nil {
+		t.Fatalf("sound artifact refused: %v", err)
+	}
+	if s.cand == nil || s.cand.Len() != 1 || s.report.FinalMatches != 7 {
+		t.Fatalf("accepted artifact not installed: cand=%v report=%+v", s.cand, s.report.FinalMatches)
+	}
+	if s.mainSrc.counts != ahead.Rng.Main || s.expertSrc.counts != ahead.Rng.Expert {
+		t.Fatalf("streams at %+v / %+v, want the artifact's positions", s.mainSrc.counts, s.expertSrc.counts)
 	}
 }

@@ -111,8 +111,7 @@ func TestRunCtxRetriedRunOutcomeSequence(t *testing.T) {
 	}
 	// The monitoring check follows the run; its retry leaves the run's
 	// own trajectory alone and is reported as the attempt count.
-	_, attempts, err := mon.CheckCtx(context.Background(),
-		retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "seq-batch", res.Final, flakyLabeler)
+	_, attempts, err := checkRetried(mon, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "seq-batch", res.Final)
 	if err != nil || attempts != 2 {
 		t.Fatalf("retried check = (%d attempts, %v), want 2 attempts and success", attempts, err)
 	}

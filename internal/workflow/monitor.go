@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -9,7 +8,6 @@ import (
 	"emgo/internal/estimate"
 	"emgo/internal/fault"
 	"emgo/internal/label"
-	"emgo/internal/retry"
 )
 
 // Monitor implements production accuracy monitoring — footnote 11 of the
@@ -63,7 +61,7 @@ func (m *Monitor) Check(batch string, predicted *block.CandidateSet, labelFn fun
 // CheckErr is Check with a labeler that can fail — the shape of a real
 // human-in-the-loop or networked labeling backend. A labeler error aborts
 // the check without recording anything, leaving the caller free to retry
-// the whole check (see CheckCtx). Each invocation passes the
+// the whole check (retry.Do around it). Each invocation passes the
 // "workflow.monitor" fault-injection site.
 func (m *Monitor) CheckErr(batch string, predicted *block.CandidateSet, labelFn func(block.Pair) (label.Label, error)) (CheckResult, error) {
 	if m.Rng == nil {
@@ -127,23 +125,6 @@ func (m *Monitor) CheckErr(batch string, predicted *block.CandidateSet, labelFn 
 	}
 	m.history = append(m.history, res)
 	return res, nil
-}
-
-// CheckCtx runs CheckErr under a retry policy: transient labeler faults
-// are retried on the policy's deterministic backoff schedule until ctx is
-// done or the schedule is exhausted. It reports how many attempts ran so
-// provenance logs can record retried checks.
-func (m *Monitor) CheckCtx(ctx context.Context, policy retry.Policy, batch string, predicted *block.CandidateSet, labelFn func(block.Pair) (label.Label, error)) (CheckResult, int, error) {
-	var res CheckResult
-	attempts, err := retry.DoCount(ctx, policy, func() error {
-		var cerr error
-		res, cerr = m.CheckErr(batch, predicted, labelFn)
-		return cerr
-	})
-	if err != nil {
-		return CheckResult{}, attempts, err
-	}
-	return res, attempts, nil
 }
 
 // History returns all checks in order.

@@ -130,6 +130,13 @@ func (s stage) quarantine(detail string, remaining int) {
 	s.log.AddOutcome(s.name, detail, remaining, obs.OutcomeDegraded)
 }
 
+// checkpoint puts the durable step's note on the still-open stage span.
+func (s stage) checkpoint(note string) {
+	if note != "" {
+		s.span.Event("ckpt", note)
+	}
+}
+
 // RunCtx executes the workflow on one (left, right) table pair under the
 // hardened runtime — the one pipeline body; Run is this with the zero
 // options. The returned Result is non-nil even on failure: it carries the provenance log up to and including the aborted
@@ -204,21 +211,25 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// checkpoint written by a previous run over the same inputs.
 	st = startStage("blocked")
 	var blocked *block.CandidateSet
-	var blockedArt pairsArtifact
-	if loadStageCkpt(opts.Checkpoints, ckptBlocked, st.span, &blockedArt, func() (err error) {
-		blocked, err = blockedArt.decode(left, right)
-		return err
-	}) {
+	resumed, note, serr := ckpt.Do(opts.Checkpoints, ckptBlocked,
+		func(a *pairsArtifact) (err error) {
+			blocked, err = a.decode(left, right)
+			return err
+		},
+		func() (err error) {
+			bctx, cancel := opts.stageCtx(st.ctx)
+			defer cancel()
+			blocked, err = block.UnionBlockCtx(bctx, left, right, w.Blockers...)
+			return err
+		},
+		func() pairsArtifact { return newPairsArtifact(blocked) })
+	st.checkpoint(note)
+	switch {
+	case serr != nil:
+		return abort(st, serr)
+	case resumed:
 		st.finish(obs.OutcomeResumed, "union of blockers (restored from checkpoint)", blocked.Len())
-	} else {
-		bctx, cancel := opts.stageCtx(st.ctx)
-		var berr error
-		blocked, berr = block.UnionBlockCtx(bctx, left, right, w.Blockers...)
-		cancel()
-		if berr != nil {
-			return abort(st, berr)
-		}
-		saveStageCkpt(opts.Checkpoints, ckptBlocked, st.span, newPairsArtifact(blocked))
+	default:
 		st.finish(obs.OutcomeOK, "union of blockers", blocked.Len())
 	}
 
@@ -237,68 +248,38 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// the quarantine list, so a resumed run neither re-pays the
 	// prediction cost nor re-admits poison pairs.
 	st = startStage("learned")
-	var learnedArt learnedArtifact
-	var quarantined *block.CandidateSet
-	if loadStageCkpt(opts.Checkpoints, ckptLearned, st.span, &learnedArt, func() (err error) {
-		if res.Learned, err = learnedArt.decode(left, right); err != nil {
+	resumed, note, serr = ckpt.Do(opts.Checkpoints, ckptLearned,
+		func(a *learnedArtifact) (err error) {
+			if res.Learned, err = a.decode(left, right); err != nil {
+				return err
+			}
+			quarantined, err := block.DecodePairs(a.Quarantined, left, right)
+			if err == nil {
+				res.Quarantined = quarantined.Pairs()
+			}
 			return err
-		}
-		quarantined, err = block.DecodePairs(learnedArt.Quarantined, left, right)
-		return err
-	}) {
-		res.Quarantined = quarantined.Pairs()
-		detail := "matcher predictions on candidates (restored from checkpoint)"
-		if n := len(res.Quarantined); n > 0 {
-			detail = fmt.Sprintf("%s; %d pairs quarantined by the checkpointed run", detail, n)
-		}
-		st.finish(obs.OutcomeResumed, detail, res.Learned.Len())
-	} else {
-		res.Learned = block.NewCandidateSet(left, right)
-		if w.Matcher != nil && res.Candidates.Len() > 0 {
-			if w.Features == nil || w.Imputer == nil {
-				return abort(st, fmt.Errorf("matcher set but features/imputer missing"))
+		},
+		func() error { return w.learn(st, left, right, res, opts) },
+		func() learnedArtifact {
+			return learnedArtifact{
+				pairsArtifact: newPairsArtifact(res.Learned),
+				Quarantined:   block.EncodePairs(res.Quarantined),
 			}
-			pairs := res.Candidates.Pairs()
-			budget := opts.ErrorBudget
-			quarantined := obs.C("workflow.quarantined")
-			var preds []int
-			for {
-				pctx, cancel := opts.stageCtx(st.ctx)
-				var perr error
-				preds, _, perr = w.PredictPairs(pctx, w.Matcher, left, right, pairs)
-				cancel()
-				if perr == nil {
-					break
-				}
-				idx, indexed := parallel.FailingIndex(perr)
-				if !indexed || budget <= 0 || ctx.Err() != nil {
-					return abort(st, perr)
-				}
-				budget--
-				bad := pairs[idx]
-				res.Quarantined = append(res.Quarantined, bad)
-				quarantined.Inc()
-				st.quarantine(fmt.Sprintf("quarantined pair (%d,%d) after failure: %v", bad.A, bad.B, unwrapIndexed(perr)), len(pairs)-1)
-				trimmed := make([]block.Pair, 0, len(pairs)-1)
-				trimmed = append(trimmed, pairs[:idx]...)
-				trimmed = append(trimmed, pairs[idx+1:]...)
-				pairs = trimmed
-			}
-			for i, p := range pairs {
-				if preds[i] == 1 {
-					res.Learned.Add(p)
-				}
-			}
-		}
-		saveStageCkpt(opts.Checkpoints, ckptLearned, st.span, learnedArtifact{
-			pairsArtifact: newPairsArtifact(res.Learned),
-			Quarantined:   block.EncodePairs(res.Quarantined),
 		})
-		if n := len(res.Quarantined); n > 0 {
-			st.finish(obs.OutcomeDegraded, fmt.Sprintf("matcher predictions on candidates (%d pairs quarantined)", n), res.Learned.Len())
-		} else {
-			st.finish(obs.OutcomeOK, "matcher predictions on candidates", res.Learned.Len())
-		}
+	st.checkpoint(note)
+	detail := "matcher predictions on candidates"
+	n := len(res.Quarantined)
+	switch {
+	case serr != nil:
+		return abort(st, serr)
+	case resumed && n > 0:
+		st.finish(obs.OutcomeResumed, fmt.Sprintf("%s (restored from checkpoint); %d pairs quarantined by the checkpointed run", detail, n), res.Learned.Len())
+	case resumed:
+		st.finish(obs.OutcomeResumed, detail+" (restored from checkpoint)", res.Learned.Len())
+	case n > 0:
+		st.finish(obs.OutcomeDegraded, fmt.Sprintf("%s (%d pairs quarantined)", detail, n), res.Learned.Len())
+	default:
+		st.finish(obs.OutcomeOK, detail, res.Learned.Len())
 	}
 
 	// Step 5: negative rules veto learned matches.
@@ -423,4 +404,48 @@ func unwrapIndexed(err error) error {
 		}
 		target = u.Unwrap()
 	}
+}
+
+// learn is the live body of the "learned" stage: res.Candidates through
+// the matcher into res.Learned, under the error budget (see Step 4).
+func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts RunOptions) error {
+	res.Learned = block.NewCandidateSet(left, right)
+	if w.Matcher == nil || res.Candidates.Len() == 0 {
+		return nil
+	}
+	if w.Features == nil || w.Imputer == nil {
+		return fmt.Errorf("matcher set but features/imputer missing")
+	}
+	pairs := res.Candidates.Pairs()
+	budget := opts.ErrorBudget
+	quarantined := obs.C("workflow.quarantined")
+	var preds []int
+	for {
+		pctx, cancel := opts.stageCtx(st.ctx)
+		var perr error
+		preds, _, perr = w.PredictPairs(pctx, w.Matcher, left, right, pairs)
+		cancel()
+		if perr == nil {
+			break
+		}
+		idx, indexed := parallel.FailingIndex(perr)
+		if !indexed || budget <= 0 || st.ctx.Err() != nil {
+			return perr
+		}
+		budget--
+		bad := pairs[idx]
+		res.Quarantined = append(res.Quarantined, bad)
+		quarantined.Inc()
+		st.quarantine(fmt.Sprintf("quarantined pair (%d,%d) after failure: %v", bad.A, bad.B, unwrapIndexed(perr)), len(pairs)-1)
+		trimmed := make([]block.Pair, 0, len(pairs)-1)
+		trimmed = append(trimmed, pairs[:idx]...)
+		trimmed = append(trimmed, pairs[idx+1:]...)
+		pairs = trimmed
+	}
+	for i, p := range pairs {
+		if preds[i] == 1 {
+			res.Learned.Add(p)
+		}
+	}
+	return nil
 }

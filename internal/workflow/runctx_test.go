@@ -130,6 +130,17 @@ func flakyLabeler(block.Pair) (label.Label, error) {
 	return label.Yes, nil
 }
 
+// checkRetried is what a caller that wants its monitoring check retried
+// writes: retry.Do around CheckErr. It reports how many checks ran.
+func checkRetried(mon *Monitor, policy retry.Policy, batch string, predicted *block.CandidateSet) (cr CheckResult, attempts int, err error) {
+	err = retry.Do(context.Background(), policy, func() (cerr error) {
+		attempts++
+		cr, cerr = mon.CheckErr(batch, predicted, flakyLabeler)
+		return cerr
+	})
+	return cr, attempts, err
+}
+
 // TestRunCtxTransientLabelerFaultRetried: the monitoring check over a
 // run's final matches is the caller's step (RunCtx has no monitor stage);
 // under a retry policy a labeler whose first call fails costs one more
@@ -143,8 +154,7 @@ func TestRunCtxTransientLabelerFaultRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
-	cr, attempts, err := mon.CheckCtx(context.Background(),
-		retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "batch-1", res.Final, flakyLabeler)
+	cr, attempts, err := checkRetried(mon, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "batch-1", res.Final)
 	if err != nil {
 		t.Fatalf("check with transient labeler fault should succeed after retry: %v", err)
 	}
@@ -162,7 +172,7 @@ func TestRunCtxTransientLabelerFaultRetried(t *testing.T) {
 	}
 	// Without a policy the same fault fails the check and records nothing.
 	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
-	if _, attempts, err = mon.CheckCtx(context.Background(), retry.Policy{}, "batch-2", res.Final, flakyLabeler); err == nil || attempts != 1 {
+	if _, attempts, err = checkRetried(mon, retry.Policy{}, "batch-2", res.Final); err == nil || attempts != 1 {
 		t.Fatalf("unretried check = (%d attempts, %v), want one failed attempt", attempts, err)
 	}
 	if len(mon.History()) != 1 {
