@@ -95,18 +95,10 @@ func BenchmarkScale_SureRules(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorize turns the scale-1 candidate set into feature
-// vectors with the deployed feature set (auto-generated plus the
-// case-insensitive extension) — the per-pair rung under the Figure 8-10
-// workflows. Run with -benchmem: bytes and allocations per op divided by
-// the reported pair count are the per-pair garbage.
-func BenchmarkVectorize(b *testing.B) {
-	f := fixtureAtScale(b, 1.0)
-	left, right := f.proj.UMETRICS, f.proj.USDA
-	cand, err := block.UnionBlock(left, right, benchBlockers()...)
-	if err != nil {
-		b.Fatal(err)
-	}
+// deployedFeatures is the deployed feature set over left and right:
+// auto-generated plus the case-insensitive extension.
+func deployedFeatures(b *testing.B, left, right *table.Table) *feature.Set {
+	b.Helper()
 	fs, err := feature.Generate(left, right, benchCorr, benchOrder)
 	if err != nil {
 		b.Fatal(err)
@@ -114,20 +106,73 @@ func BenchmarkVectorize(b *testing.B) {
 	if err := feature.AddCaseInsensitive(fs, left, benchCorr, []string{"AwardTitle", "EmployeeName"}); err != nil {
 		b.Fatal(err)
 	}
-	pairs := cand.Pairs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, err := fs.Vectorize(left, right, pairs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(x) != len(pairs) {
-			b.Fatalf("%d vectors for %d pairs", len(x), len(pairs))
-		}
+	return fs
+}
+
+// BenchmarkVectorize turns the scale-1 candidate set into feature
+// vectors with the deployed feature set — the per-pair rung under the
+// Figure 8-10 workflows, in the two forms they run it: unbound, as
+// RunDeployed and the study do (the right cells the pairs reference are
+// prepared inside the call), and bound, as a server does (left cells
+// only). Run with -benchmem: bytes and allocations per op divided by the
+// reported pair count are the per-pair garbage.
+func BenchmarkVectorize(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	left, right := f.proj.UMETRICS, f.proj.USDA
+	cand, err := block.UnionBlock(left, right, benchBlockers()...)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(len(pairs)), "pairs")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
+	pairs := cand.Pairs()
+	for _, bound := range []bool{false, true} {
+		name := "unbound"
+		if bound {
+			name = "bound"
+		}
+		b.Run(name, func(b *testing.B) {
+			fs := deployedFeatures(b, left, right)
+			if bound {
+				fs.Bind(right)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x, err := fs.Vectorize(left, right, pairs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(x) != len(pairs) {
+					b.Fatalf("%d vectors for %d pairs", len(x), len(pairs))
+				}
+			}
+			b.ReportMetric(float64(len(pairs)), "pairs")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkPrepareCell prepares the scale-1 USDA titles under each cell
+// form of the deployed set, one form at a time: binding a one-feature set
+// prepares every right cell and nothing else. ns/cell is one cell's
+// scan, sort and — for the word forms — dictionary look-ups.
+func BenchmarkPrepareCell(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	right := f.proj.USDA
+	for _, form := range []string{"qgram3", "qgram3_lower", "word", "word_lower"} {
+		b.Run(form, func(b *testing.B) {
+			ft, err := feature.New("AwardTitle", "AwardTitle", "jaccard_"+form)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fs := &feature.Set{Features: []feature.Feature{ft}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs.Bind(right)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(right.Len()), "ns/cell")
+		})
+	}
 }
 
 // The three rungs below split a bound run into what is paid once per
@@ -172,14 +217,8 @@ func BenchmarkBlockProbeBound(b *testing.B) {
 // feature set (auto-generated plus the case-insensitive extension).
 func BenchmarkFeatureBind(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
-	left, right := f.proj.UMETRICS, f.proj.USDA
-	fs, err := feature.Generate(left, right, benchCorr, benchOrder)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := feature.AddCaseInsensitive(fs, left, benchCorr, []string{"AwardTitle", "EmployeeName"}); err != nil {
-		b.Fatal(err)
-	}
+	right := f.proj.USDA
+	fs := deployedFeatures(b, f.proj.UMETRICS, right)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -369,7 +369,7 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	// monitored run armed one.
 	prof := drift.FromContext(ctx)
 	out := make([][]float64, len(pairs))
-	cells, err := pl.prepare(vctx, left, right, pairs, s.bound.Current(right))
+	cells, err := pl.prepare(vctx, s, left, right, pairs)
 	if err == nil {
 		width := len(s.Features)
 		flat := make([]float64, len(pairs)*width)

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -19,9 +20,11 @@ import (
 // A set similarity is a ratio of three counts over the distinct tokens of
 // the two cells. Tokenising a cell and building its set costs far more
 // than comparing two sets, and a row appears in many candidate pairs, so
-// VectorizeCtx prepares each referenced cell once per call — its sorted
-// distinct tokens under each form the feature set uses — and every pair
-// is then one merge over two prepared cells: no map, no allocation.
+// VectorizeCtx prepares each referenced cell once per call — its distinct
+// tokens under each form the feature set uses, as sorted integer keys —
+// and every pair is then one merge over two prepared cells: no map, no
+// allocation. Only the counts enter a ratio, so any integers will do that
+// equal tokens, and only they, share.
 
 // cellForm says how a cell's text becomes a token set: optional
 // lowercasing (the Section 9 case-insensitive variants), then tok.
@@ -30,38 +33,116 @@ type cellForm struct {
 	lower bool
 }
 
-// tokens returns the sorted distinct form tokens of s.
-func (f cellForm) tokens(s string) []string {
-	if f.lower {
-		s = tokenize.Lower(s)
-	}
-	return tokenize.SortDistinct(f.tok.Tokens(s))
-}
-
-// cell is one prepared table cell.
+// cell is one prepared table cell: a key per distinct token, ascending.
 type cell struct {
-	toks []string
+	keys []uint64
 	null bool
 }
 
-func (f cellForm) prepare(v table.Value) cell {
-	if v.IsNull() {
-		return cell{null: true}
+// column is one right-table column under one form: the cells of the rows
+// it was built over and, unless a token of the form is its own key
+// (tokenize.QGram.Packs), the dictionary numbering them. Built, it is
+// immutable.
+type column struct {
+	rj    int
+	form  cellForm
+	ids   map[string]uint64 // nil when tokens are their own keys
+	cells []cell
+}
+
+func newColumn(rj int, form cellForm) *column {
+	c := &column{rj: rj, form: form}
+	if g, ok := form.tok.(tokenize.QGram); !ok || !g.Packs() {
+		c.ids = map[string]uint64{}
 	}
-	return cell{toks: f.tokens(v.Str())}
+	return c
+}
+
+// appendKeys appends the keys of v's cell to dst, sorted; null reports a
+// null cell, which has none. With add — build's, the only writer of ids —
+// a token new to the dictionary joins it. Without, v is a cell to compare
+// with the column's: a token the dictionary lacks matches nothing there,
+// so each gets a key past the dictionary's and a cell's size stays
+// len(keys).
+func (c *column) appendKeys(dst []uint64, v table.Value, add bool) (_ []uint64, null bool) {
+	if v.IsNull() {
+		return dst, true
+	}
+	start, s := len(dst), v.Str()
+	if c.ids == nil {
+		dst = c.form.tok.(tokenize.QGram).AppendKeys(dst, s, c.form.lower)
+		return dst[:start+len(tokenize.SortDistinct(dst[start:]))], false
+	}
+	if c.form.lower {
+		s = tokenize.Lower(s)
+	}
+	var buf [32]string // room for most cells' tokens without allocating
+	toks := buf[:0]
+	if w, ok := c.form.tok.(tokenize.Word); ok {
+		toks = w.AppendTokens(toks, s)
+	} else {
+		toks = c.form.tok.Tokens(s)
+	}
+	unseen := 0
+	for _, t := range tokenize.SortDistinct(toks) {
+		id, ok := c.ids[t]
+		switch {
+		case ok:
+		case add:
+			// A token is a window of its cell's text; the clone keeps
+			// the dictionary from pinning every cell.
+			id = uint64(len(c.ids))
+			c.ids[strings.Clone(t)] = id
+		default:
+			unseen++
+			continue
+		}
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[start:])
+	for k := 0; k < unseen; k++ {
+		dst = append(dst, uint64(len(c.ids)+k))
+	}
+	return dst, false
+}
+
+// arenaChunk is how many keys a column's cells share an array in.
+const arenaChunk = 4096
+
+// build prepares the cells of rows of right, each a window of an array
+// shared with its neighbours; a cancelled ctx cuts it short.
+func (c *column) build(ctx context.Context, right *table.Table, rows []int) {
+	c.cells = make([]cell, len(rows))
+	var arena []uint64
+	for i, row := range rows {
+		if i%1024 == 0 && ctx.Err() != nil {
+			return
+		}
+		v := right.Row(row)[c.rj]
+		// No built-in form has more tokens than bytes; past one that
+		// does, append grows the array and earlier windows keep theirs.
+		if need := len(v.Str()); cap(arena)-len(arena) < need {
+			arena = make([]uint64, 0, max(need, min(arenaChunk, need*(len(rows)-i))))
+		}
+		start, null := len(arena), false
+		arena, null = c.appendKeys(arena, v, true)
+		c.cells[i] = cell{keys: arena[start:len(arena):len(arena)], null: null}
+	}
 }
 
 // setSim builds the registry entry of a set similarity. Its per-pair
-// compute is the prepared computation on two freshly prepared cells, so
-// Feature.Compute and VectorizeCtx share one definition.
+// compute is the prepared computation over a column of the one right cell,
+// so Feature.Compute and VectorizeCtx share one definition.
 func setSim(form cellForm, ratio func(inter, la, lb int) float64) similarity {
 	return similarity{
 		compute: func(a, b table.Value) float64 {
-			ca, cb := form.prepare(a), form.prepare(b)
-			if ca.null || cb.null {
+			col := newColumn(0, form)
+			kb, nullB := col.appendKeys(nil, b, true)
+			ka, nullA := col.appendKeys(nil, a, false)
+			if nullA || nullB {
 				return math.NaN()
 			}
-			return ratio(simfunc.SortedIntersectionSize(ca.toks, cb.toks), len(ca.toks), len(cb.toks))
+			return ratio(simfunc.SortedIntersectionSize(ka, kb), len(ka), len(kb))
 		},
 		form:  form,
 		ratio: ratio,
@@ -127,31 +208,24 @@ func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 // batches fan out.
 func fanOut(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
 
-// prepared holds the cells a pair list's vectors are computed from: the
-// left cells of exactly the rows the pairs reference and, unless the set
-// is bound to the right table (Bind), the right cells likewise. Those row
-// slots are positions in the sorted distinct row lists, so nothing built
-// per call is sized by a table — a one-record request against a large
-// right table prepares only its own row.
+// prepared holds the cells a pair list's vectors are computed from: per
+// group the column of its right cells — the set's bound one (Bind), which
+// has every row, or one built for this call over exactly the right rows
+// the pairs reference — and the left cells of the rows they reference, in
+// that column's keys. Row slots are positions in the sorted distinct row
+// lists, so nothing built per call is sized by a table.
 type prepared struct {
-	leftRows, rightRows []int
-	// cells is group-major: group g's left cells, then its right cells.
-	cells []cell
-	// bound, when set, holds per group the right cells of every row
-	// instead: rightRows and cells are empty, and left (group-major) has
-	// the left cells in the bound columns' ids.
-	bound []*boundCells
-	left  []idCell
+	leftRows  []int
+	rightRows []int // nil when cols hold every row of the right table
+	cols      []*column
+	left      []cell // group-major: left[g*len(leftRows)+slot]
 }
 
-func (p *prepared) stride() int { return len(p.leftRows) + len(p.rightRows) }
-
 // slots returns where pair q's rows sit in every group's cells: positions
-// in the sorted row lists, or, for the right row of a bound set, the row
-// itself.
+// in the sorted row lists, or, in a column of every row, the row itself.
 func (p *prepared) slots(q block.Pair) (ls, rs int) {
 	ls = sort.SearchInts(p.leftRows, q.A)
-	if p.bound != nil {
+	if p.rightRows == nil {
 		return ls, q.B
 	}
 	return ls, sort.SearchInts(p.rightRows, q.B)
@@ -160,19 +234,11 @@ func (p *prepared) slots(q block.Pair) (ls, rs int) {
 // counts returns |A∩B|, |A| and |B| over group g's two cells at the given
 // slots; ok is false when either cell is null.
 func (p *prepared) counts(g, ls, rs int) (inter, la, lb int, ok bool) {
-	if p.bound != nil {
-		a, b := p.left[g*len(p.leftRows)+ls], p.bound[g].cells[rs]
-		if a.null || b.null {
-			return 0, 0, 0, false
-		}
-		return simfunc.SortedIntersectionSize(a.ids, b.ids), a.n, b.n, true
-	}
-	base := g * p.stride()
-	a, b := p.cells[base+ls], p.cells[base+len(p.leftRows)+rs]
+	a, b := &p.left[g*len(p.leftRows)+ls], &p.cols[g].cells[rs]
 	if a.null || b.null {
 		return 0, 0, 0, false
 	}
-	return simfunc.SortedIntersectionSize(a.toks, b.toks), len(a.toks), len(b.toks), true
+	return simfunc.SortedIntersectionSize(a.keys, b.keys), len(a.keys), len(b.keys), true
 }
 
 // vector fills row with the feature values of pair p: one merge per cell
@@ -180,7 +246,8 @@ func (p *prepared) counts(g, ls, rs int) (inter, la, lb int, ok bool) {
 func (pl *plan) vector(row []float64, feats []Feature, cells *prepared, left, right *table.Table, p block.Pair) {
 	if len(pl.groups) > 0 {
 		ls, rs := cells.slots(p)
-		for g, grp := range pl.groups {
+		for g := range pl.groups {
+			grp := &pl.groups[g]
 			inter, la, lb, ok := cells.counts(g, ls, rs)
 			for n, k := range grp.feats {
 				if ok {
@@ -206,107 +273,54 @@ func sortedRows(pairs []block.Pair, row func(block.Pair) int) []int {
 	return slices.Compact(rows)
 }
 
-// prepare tokenises, in parallel, every cell the plan's groups need from
-// the rows pairs reference; right cells come from bound when the set has
-// them for this right table.
-func (pl *plan) prepare(ctx context.Context, left, right *table.Table, pairs []block.Pair, bound *rightCells) (*prepared, error) {
+// prepare readies every cell the plan's groups need from the rows pairs
+// reference: the right columns — the set's bound ones when it has them
+// for this right table, else built now, as Bind builds them, over those
+// rows only — then, in parallel, each left row's cells, one array a row.
+func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, pairs []block.Pair) (*prepared, error) {
 	p := &prepared{}
 	if len(pl.groups) == 0 {
 		return p, nil
 	}
+	var err error
 	p.leftRows = sortedRows(pairs, func(q block.Pair) int { return q.A })
-	if p.bound = bound.of(pl.groups); p.bound == nil {
+	if p.cols = s.bound.Current(right).of(pl.groups); p.cols == nil {
 		p.rightRows = sortedRows(pairs, func(q block.Pair) int { return q.B })
+		var rc *rightCells
+		rc, err = s.prepareRight(ctx, right, p.rightRows)
+		p.cols = rc.of(pl.groups)
 	}
-	stride := p.stride()
-	if p.bound != nil {
-		p.left = make([]idCell, len(pl.groups)*stride)
-	} else {
-		p.cells = make([]cell, len(pl.groups)*stride)
-	}
-	err := parallel.ForWorkersCtx(ctx, stride, fanOut(stride), func(slot int) error {
-		for g, grp := range pl.groups {
-			switch {
-			case slot >= len(p.leftRows):
-				p.cells[g*stride+slot] = grp.form.prepare(right.Row(p.rightRows[slot-len(p.leftRows)])[grp.rj])
-			case p.bound == nil:
-				p.cells[g*stride+slot] = grp.form.prepare(left.Row(p.leftRows[slot])[grp.lj])
-			default:
-				p.left[g*stride+slot] = p.bound[g].cellOf(left.Row(p.leftRows[slot])[grp.lj])
-			}
-		}
-		return nil
-	})
 	if err == nil {
-		return p, nil
-	}
-	if ctx.Err() != nil {
-		return nil, err
-	}
-	// Only a tokenizer bug can fail here, and the index it carries is a
-	// row slot: %v drops it so no caller mistakes it for a pair index.
-	return nil, fmt.Errorf("prepare cells: %v", err)
-}
-
-// rightCells is a feature set's prepared right side: for each (column,
-// form) its set features use, the cells of every row of one right table.
-// It is immutable once built.
-type rightCells struct {
-	groups []*boundCells
-}
-
-// boundCells is one right column under one form, every row prepared. Held
-// for a server's lifetime, the cells are kept small: a token is its id in
-// the column's dictionary (four bytes where a string header is sixteen,
-// and each distinct token's text is held once), sorted by id.
-type boundCells struct {
-	rj    int
-	form  cellForm
-	ids   map[string]uint32
-	cells []idCell
-}
-
-// idCell is a cell of a bound column, or one prepared to be compared with
-// it: its tokens as sorted ids in the column's dictionary. n counts the
-// cell's distinct tokens, those the dictionary lacks included — they can
-// match nothing in the column, so they have no id here.
-type idCell struct {
-	ids  []uint32
-	n    int
-	null bool
-}
-
-// build prepares every row of right; it is the only writer of ids.
-func (b *boundCells) build(right *table.Table) {
-	for i := range b.cells {
-		c := b.form.prepare(right.Row(i)[b.rj])
-		for _, t := range c.toks {
-			if _, ok := b.ids[t]; !ok {
-				// A token is a window of its cell's text; the clone
-				// keeps the dictionary from pinning every cell.
-				b.ids[strings.Clone(t)] = uint32(len(b.ids))
+		n := len(p.leftRows)
+		p.left = make([]cell, len(pl.groups)*n)
+		err = parallel.ForWorkersCtx(ctx, n, fanOut(n), func(slot int) error {
+			row := left.Row(p.leftRows[slot])
+			size := 0
+			for g := range pl.groups {
+				size += len(row[pl.groups[g].lj].Str())
 			}
-		}
-		b.cells[i] = b.inIDs(c)
+			keys := make([]uint64, 0, size)
+			for g := range pl.groups {
+				start, null := len(keys), false
+				keys, null = p.cols[g].appendKeys(keys, row[pl.groups[g].lj], false)
+				p.left[g*n+slot] = cell{keys: keys[start:len(keys):len(keys)], null: null}
+			}
+			return nil
+		})
 	}
+	if err != nil && ctx.Err() == nil {
+		// Only a tokenizer bug can fail here, and the index it carries is
+		// a row slot or a column: %v drops it so no caller mistakes it
+		// for a pair index.
+		err = fmt.Errorf("prepare cells: %v", err)
+	}
+	return p, err
 }
 
-// cellOf prepares v, a cell to compare with this column's, in the
-// column's ids.
-func (b *boundCells) cellOf(v table.Value) idCell { return b.inIDs(b.form.prepare(v)) }
-
-func (b *boundCells) inIDs(c cell) idCell {
-	if c.null {
-		return idCell{null: true}
-	}
-	ids := make([]uint32, 0, len(c.toks))
-	for _, t := range c.toks {
-		if id, ok := b.ids[t]; ok {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	return idCell{ids: ids, n: len(c.toks)}
+// rightCells is a feature set's prepared right side: a column for each
+// (column, form) its set features use, all over the same rows of one table.
+type rightCells struct {
+	cols []*column
 }
 
 // Bind prepares the right table's cells now, once, so VectorizeCtx over
@@ -318,10 +332,17 @@ func (b *boundCells) inIDs(c cell) idCell {
 // error is VectorizeCtx's to report) and for features added after Bind.
 func (s *Set) Bind(right *table.Table) {
 	s.bound.Drop()
-	_, _ = s.bound.Get(context.Background(), right, s.prepareRight)
+	_, _ = s.bound.Get(context.Background(), right, func(ctx context.Context, right *table.Table) (*rightCells, error) {
+		rows := make([]int, right.Len())
+		for i := range rows {
+			rows[i] = i
+		}
+		return s.prepareRight(ctx, right, rows)
+	})
 }
 
-func (s *Set) prepareRight(ctx context.Context, right *table.Table) (*rightCells, error) {
+// prepareRight builds the set's right columns over rows of right.
+func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) (*rightCells, error) {
 	rc := &rightCells{}
 	for _, f := range s.Features {
 		sim := computeRegistry[f.Func]
@@ -332,37 +353,38 @@ func (s *Set) prepareRight(ctx context.Context, right *table.Table) (*rightCells
 		if err != nil {
 			return nil, err
 		}
-		if rc.cellsOf(rj, sim.form) == nil {
-			rc.groups = append(rc.groups, &boundCells{rj: rj, form: sim.form, ids: map[string]uint32{}, cells: make([]idCell, right.Len())})
+		if rc.column(rj, sim.form) == nil {
+			rc.cols = append(rc.cols, newColumn(rj, sim.form))
 		}
 	}
 	// A column's dictionary grows row by row, so the fan-out is over
 	// columns.
-	return rc, parallel.ForWorkersCtx(ctx, len(rc.groups), runtime.GOMAXPROCS(0), func(g int) error {
-		rc.groups[g].build(right)
+	err := parallel.ForWorkersCtx(ctx, len(rc.cols), fanOut(len(rows)), func(g int) error {
+		rc.cols[g].build(ctx, right, rows)
 		return nil
 	})
+	return rc, cmp.Or(err, ctx.Err()) // a build cut short is no column
 }
 
-// cellsOf returns the bound cells of column rj under form, or nil.
-func (rc *rightCells) cellsOf(rj int, form cellForm) *boundCells {
-	for _, g := range rc.groups {
-		if g.rj == rj && g.form == form {
-			return g
+// column returns the column of right column rj under form, or nil.
+func (rc *rightCells) column(rj int, form cellForm) *column {
+	for _, c := range rc.cols {
+		if c.rj == rj && c.form == form {
+			return c
 		}
 	}
 	return nil
 }
 
-// of returns the bound cells of each plan group's right column, or nil
-// when rc (which may be nil) lacks any of them.
-func (rc *rightCells) of(groups []cellGroup) []*boundCells {
+// of returns the column of each plan group, or nil when rc (which may be
+// nil) lacks any of them.
+func (rc *rightCells) of(groups []cellGroup) []*column {
 	if rc == nil {
 		return nil
 	}
-	out := make([]*boundCells, len(groups))
+	out := make([]*column, len(groups))
 	for g, grp := range groups {
-		if out[g] = rc.cellsOf(grp.rj, grp.form); out[g] == nil {
+		if out[g] = rc.column(grp.rj, grp.form); out[g] == nil {
 			return nil
 		}
 	}

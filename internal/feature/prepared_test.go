@@ -201,6 +201,133 @@ func FuzzSetSimilarity(f *testing.F) {
 	})
 }
 
+// unicodeCells are what a packed key must keep apart or together beyond
+// hardCells: runes past U+FFFF, invalid bytes next to the U+FFFD they
+// decode to, runes whose lower case is another length in bytes, and cells
+// of one and two runes next to grams that start the same way.
+var unicodeCells = []string{
+	"𝒜𝒷𝒸 𝒜𝒷𝒸𝒹", "😀😀😀😀", "😀", "\xff\xfe\xfd", "\ufffd\ufffd\ufffd", "\xf0\x9fab", "ab\xf0",
+	"İstanbul ISTANBUL", "ǅ ǆ Ǆ", "ẞ ß", "\U0010ffff\U0010ffff\U0010ffff", "\x00\x00\x00", "\x00\x00", "aB", "Ab", "abC",
+}
+
+// gramCells is every text the packed-key oracles compare pairwise.
+var gramCells = append(append([]string{}, hardCells...), unicodeCells...)
+
+// gramCounts returns |A∩B|, |A| and |B| of a and b twice: from the packed
+// cells of form, and from the token strings its tokenizer returns.
+func gramCounts(form cellForm, a, b string) (packed, tokens [3]int) {
+	col := newColumn(0, form)
+	kb, _ := col.appendKeys(nil, table.S(b), true)
+	ka, _ := col.appendKeys(nil, table.S(a), false)
+	packed = [3]int{simfunc.SortedIntersectionSize(ka, kb), len(ka), len(kb)}
+	if form.lower {
+		a, b = tokenize.Lower(a), tokenize.Lower(b)
+	}
+	ta, tb := tokenize.SortedSet(form.tok.Tokens(a)), tokenize.SortedSet(form.tok.Tokens(b))
+	return packed, [3]int{simfunc.SortedIntersectionSize(ta, tb), len(ta), len(tb)}
+}
+
+// packedForms are the forms whose tokens are their own keys: the
+// registry's 3-grams, and the shorter grams that pack the same way.
+var packedForms = func() (forms []cellForm) {
+	for q := 1; q <= 3; q++ {
+		forms = append(forms, cellForm{tok: tokenize.QGram{Q: q}}, cellForm{tok: tokenize.QGram{Q: q}, lower: true})
+	}
+	return forms
+}()
+
+// TestPackedKeysMatchTokenSets: over every pair of the hard cells, raw and
+// lower-cased, packed q-gram cells have the sizes and the intersection of
+// the token sets they stand for.
+func TestPackedKeysMatchTokenSets(t *testing.T) {
+	for _, form := range packedForms {
+		if col := newColumn(0, form); col.ids != nil {
+			t.Fatalf("%s has a dictionary: its grams should be their own keys", form.tok.Name())
+		}
+		for _, a := range gramCells {
+			for _, b := range gramCells {
+				if packed, tokens := gramCounts(form, a, b); packed != tokens {
+					t.Fatalf("%s lower=%v (%q, %q): packed cells count %v, token sets %v", form.tok.Name(), form.lower, a, b, packed, tokens)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPackedKeys is TestPackedKeysMatchTokenSets over arbitrary strings.
+func FuzzPackedKeys(f *testing.F) {
+	for i, s := range gramCells {
+		f.Add(s, gramCells[(i+7)%len(gramCells)])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, form := range packedForms {
+			if packed, tokens := gramCounts(form, a, b); packed != tokens {
+				t.Fatalf("%s lower=%v (%q, %q): packed cells count %v, token sets %v", form.tok.Name(), form.lower, a, b, packed, tokens)
+			}
+		}
+	})
+}
+
+// TestDictionaryFormsMatchCompute: grams that do not fit a key — four
+// runes, padded — and a tokenizer of a type this package has never seen
+// go through a column's dictionary, and a set of them, unbound and bound,
+// still builds what Feature.Compute and the naive definition return.
+func TestDictionaryFormsMatchCompute(t *testing.T) {
+	toks := map[string]tokenize.Tokenizer{
+		"test_qgram4":  tokenize.QGram{Q: 4},
+		"test_qgram3p": tokenize.QGram{Q: 3, Pad: true},
+		"test_custom":  &formCounter{},
+	}
+	l, r := registryTables(t)
+	set := &Set{}
+	for key, tok := range toks {
+		form := cellForm{tok: tok, lower: key == "test_qgram4"}
+		if newColumn(0, form).ids == nil {
+			t.Fatalf("%s has no dictionary", tok.Name())
+		}
+		computeRegistry[key] = setSim(form, simfunc.JaccardSizes)
+		defer delete(computeRegistry, key)
+		f, err := New("S", "S", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := allPairs(l, r)
+	unbound, err := set.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Bind(r)
+	bound, err := set.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVectors(t, "bound", bound, unbound)
+	sj, _ := l.Col("S")
+	for i, p := range pairs {
+		a, b := l.Row(p.A)[sj], r.Row(p.B)[sj]
+		for k, f := range set.Features {
+			want := math.NaN()
+			if !a.IsNull() && !b.IsNull() {
+				sa, sb := a.Str(), b.Str()
+				if f.Func == "test_qgram4" {
+					sa, sb = tokenize.Lower(sa), tokenize.Lower(sb)
+				}
+				want = simfunc.Jaccard(toks[f.Func].Tokens(sa), toks[f.Func].Tokens(sb))
+			}
+			if got := f.Compute(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s Compute(%q, %q) = %v, naive %v", f.Name, a.Str(), b.Str(), got, want)
+			}
+			if math.Float64bits(unbound[i][k]) != math.Float64bits(want) {
+				t.Fatalf("%s on pair %v (%q, %q): vectorized %v, naive %v", f.Name, p, a.Str(), b.Str(), unbound[i][k], want)
+			}
+		}
+	}
+}
+
 // manyPairs cycles the fixture's Cartesian product up to n pairs — more
 // than one dispatch chunk per worker, so chunking is really in play.
 func manyPairs(l, r *table.Table, n int) []block.Pair {

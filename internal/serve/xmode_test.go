@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -75,21 +76,7 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 	}
 	post := func(path string, body, into any) {
 		t.Helper()
-		data, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s = %d", path, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			t.Fatal(err)
-		}
+		postJSON(t, ts.URL+path, body, into)
 	}
 
 	singles := func() [][]Match {
@@ -147,17 +134,6 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 		t.Fatalf("cut at %d bytes + resumed %d bytes (done %v) is not the one-fetch stream of %d bytes", len(head), len(tail), done, len(whole))
 	}
 
-	sameAnswer := func(a, b []Match) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if a[k].RightIndex != b[k].RightIndex || a[k].Source != b[k].Source {
-				return false
-			}
-		}
-		return true
-	}
 	for i := range records {
 		rights := make([]int, len(single[i]))
 		for k, m := range single[i] {
@@ -182,6 +158,123 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 	for i, reloaded := range singles() {
 		if !sameAnswer(single[i], reloaded) {
 			t.Errorf("record %d: /v1/match %+v before the reload, %+v after", i, single[i], reloaded)
+		}
+	}
+}
+
+// postJSON posts body to url and decodes the 200 answer into into.
+func postJSON(t *testing.T, url string, body, into any) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s = %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameAnswer: the same right rows from the same source, in the same order.
+func sameAnswer(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].RightIndex != b[k].RightIndex || a[k].Source != b[k].Source {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAnswersInvariantUnderShardingAndBatching: how records are grouped
+// on their way in does not reach their answers. Against each record's
+// /v1/match answer: the same records as a job cut into shards of one, of
+// sixteen and of the whole table, and — permuted by a seeded shuffle, so
+// no record keeps its neighbours — re-cut into batches of 1, 7 and 32
+// (make race-cpu runs this at 1, 2 and 4 CPUs).
+func TestAnswersInvariantUnderShardingAndBatching(t *testing.T) {
+	leakcheck.Check(t)
+	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
+	records := make([]map[string]any, l.Len())
+	for i := range records {
+		records[i] = rowRecord(l, i)
+	}
+	jobBody, err := json.Marshal(map[string]any{"records": records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(shard int) string {
+		s, err := New(context.Background(), Config{Jobs: JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1}}, w, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	shards := []int{16, 1, l.Len()}
+	url := start(shards[0])
+
+	single := make([][]Match, len(records))
+	matched := 0
+	for i, rec := range records {
+		var mr MatchResponse
+		postJSON(t, url+"/v1/match", map[string]any{"record": rec}, &mr)
+		single[i] = mr.Matches
+		matched += min(len(mr.Matches), 1)
+	}
+	if matched == 0 {
+		t.Fatal("fixture: no record has a match")
+	}
+
+	perm := rand.New(rand.NewSource(7)).Perm(len(records))
+	for _, size := range []int{1, 7, 32} {
+		for lo := 0; lo < len(perm); lo += size {
+			cut := perm[lo:min(lo+size, len(perm))]
+			batch := make([]map[string]any, len(cut))
+			for k, i := range cut {
+				batch[k] = records[i]
+			}
+			var br BatchResponse
+			postJSON(t, url+"/v1/match/batch", map[string]any{"records": batch}, &br)
+			if len(br.Results) != len(cut) {
+				t.Fatalf("batch of %d answered %d records", len(cut), len(br.Results))
+			}
+			for k, i := range cut {
+				if !sameAnswer(single[i], br.Results[k].Matches) {
+					t.Errorf("record %d: /v1/match %+v, at %d in a shuffled batch of %d %+v", i, single[i], k, size, br.Results[k].Matches)
+				}
+			}
+		}
+	}
+
+	for k, shard := range shards {
+		if k > 0 {
+			url = start(shard)
+		}
+		job := submitJob(t, url, string(jobBody))
+		want := (len(records) + shard - 1) / shard
+		if st := waitJobState(t, url, job.ID, JobCompleted, 60*time.Second); st.Shards != want {
+			t.Fatalf("shard size %d: job ran as %d shards, want %d", shard, st.Shards, want)
+		}
+		res := decodeResults(t, fetchResults(t, url, job.ID)).Results
+		if len(res) != len(records) {
+			t.Fatalf("shard size %d: %d job answers for %d records", shard, len(res), len(records))
+		}
+		for i := range records {
+			if res[i].Index != i || !sameAnswer(single[i], res[i].Matches) {
+				t.Errorf("record %d: /v1/match %+v, in a job of %d-record shards %+v", i, single[i], shard, res[i])
+			}
 		}
 	}
 }

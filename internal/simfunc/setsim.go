@@ -32,8 +32,9 @@ func intersectionSize(a, b []string) (inter, sizeA, sizeB int) {
 }
 
 // SortedIntersectionSize returns |A ∩ B| for two token sets given as
-// sorted distinct slices — token strings in tokenize.SortedSet order, or
-// token ids ascending — by one merge pass: no map, no allocation.
+// sorted distinct slices — integer token keys ascending, which is how
+// feature vectorization prepares every cell, or token strings in
+// tokenize.SortedSet order — by one merge pass: no map, no allocation.
 func SortedIntersectionSize[T cmp.Ordered](a, b []T) int {
 	inter, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {

@@ -6,8 +6,8 @@
 package tokenize
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -34,9 +34,15 @@ func (Whitespace) Name() string { return "ws" }
 // is a separator. This is the "word-level tokenizer" of Section 7.
 type Word struct{}
 
-// Tokens implements Tokenizer.
-func (Word) Tokens(s string) []string {
-	var out []string
+// Tokens implements Tokenizer. The words collect on the stack and leave as
+// one allocation of their number, not a nil slice grown token by token.
+func (w Word) Tokens(s string) []string {
+	var buf [16]string
+	return append([]string(nil), w.AppendTokens(buf[:0], s)...)
+}
+
+// AppendTokens is Tokens into a slice the caller owns and can reuse.
+func (Word) AppendTokens(dst []string, s string) []string {
 	start := -1
 	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -46,34 +52,39 @@ func (Word) Tokens(s string) []string {
 			continue
 		}
 		if start >= 0 {
-			out = append(out, s[start:i])
+			dst = append(dst, s[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		out = append(out, s[start:])
+		dst = append(dst, s[start:])
 	}
-	return out
+	return dst
 }
 
 // Name implements Tokenizer.
 func (Word) Name() string { return "word" }
 
 // QGram tokenizes into overlapping character q-grams. When Pad is true the
-// string is padded with q-1 '#' markers on each side (the usual convention
-// for edit-distance-style filtering); otherwise plain sliding windows are
-// used and strings shorter than Q yield a single token of the whole string.
+// string is padded with q-1 '#' markers on the left and q-1 '$' markers on
+// the right (the usual convention for edit-distance-style filtering);
+// otherwise plain sliding windows are used and strings shorter than Q yield
+// a single token of the whole string.
 type QGram struct {
 	Q   int
 	Pad bool
 }
 
+func (g QGram) q() int {
+	if g.Q <= 0 {
+		return 3
+	}
+	return g.Q
+}
+
 // Tokens implements Tokenizer.
 func (g QGram) Tokens(s string) []string {
-	q := g.Q
-	if q <= 0 {
-		q = 3
-	}
+	q := g.q()
 	runes := []rune(s)
 	if g.Pad {
 		pad := make([]rune, 0, len(runes)+2*(q-1))
@@ -101,15 +112,40 @@ func (g QGram) Tokens(s string) []string {
 
 // Name implements Tokenizer.
 func (g QGram) Name() string {
-	q := g.Q
-	if q <= 0 {
-		q = 3
-	}
-	name := "qgram" + itoa(q)
+	name := "qgram" + itoa(g.q())
 	if g.Pad {
 		name += "p"
 	}
 	return name
+}
+
+// Packs reports whether every token of g fits one integer key: unpadded
+// grams of at most three runes, 21 bits (any rune plus one) apiece.
+func (g QGram) Packs() bool { return !g.Pad && g.q() <= 3 }
+
+// AppendKeys appends one key per token Tokens(s) would return, in order,
+// without building the tokens: a gram's key is its runes, each plus one,
+// packed — so two keys are equal exactly when their grams are, and the
+// one token of a string shorter than q, slots to spare, equals no full
+// gram's. With lower, s is read as Lower(s), rune by rune and uncopied.
+func (g QGram) AppendKeys(dst []uint64, s string, lower bool) []uint64 {
+	if !g.Packs() {
+		panic("tokenize: AppendKeys on " + g.Name() + ", whose grams do not pack")
+	}
+	q, key, n := g.q(), uint64(0), 0
+	for _, r := range s {
+		if lower {
+			r = unicode.ToLower(r)
+		}
+		key = (key<<21 | uint64(r+1)) & (1<<(21*q) - 1)
+		if n++; n >= q {
+			dst = append(dst, key)
+		}
+	}
+	if 0 < n && n < q {
+		dst = append(dst, key)
+	}
+	return dst
 }
 
 // Delimiter tokenizes on any of the runes in Delims.
@@ -186,8 +222,9 @@ func SortedSet(toks []string) []string {
 }
 
 // SortDistinct sorts toks in place and returns its distinct prefix — the
-// SortedSet of a slice the caller owns, without the copy.
-func SortDistinct(toks []string) []string {
-	sort.Strings(toks)
+// SortedSet of a slice the caller owns, without the copy; toks are token
+// strings or integer token keys.
+func SortDistinct[T cmp.Ordered](toks []T) []T {
+	slices.Sort(toks)
 	return slices.Compact(toks)
 }

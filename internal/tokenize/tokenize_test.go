@@ -184,3 +184,74 @@ func TestWordTokensAlnumProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// keyCells are the texts a packed gram key must get right: empty, shorter
+// than q, repeats, mixed case, non-ASCII, runes past U+FFFF, and invalid
+// bytes next to the U+FFFD they decode to.
+var keyCells = []string{
+	"", "a", "ab", "abc", "abcabc", "Corn CORN corn", "Übergröße", "東京東京", "😀😀😀😀",
+	"\xff\xfe corn", "�� corn", "İstanbul", "\U0010ffff\U0010ffffa", "\x00\x00\x00",
+}
+
+// TestQGramAppendKeys: AppendKeys returns one key per token of Tokens, in
+// order, and two keys — of one cell or of two — are equal exactly when
+// their tokens are; with lower, the tokens are those of Lower(s).
+func TestQGramAppendKeys(t *testing.T) {
+	for q := 0; q <= 3; q++ {
+		for _, lower := range []bool{false, true} {
+			g := QGram{Q: q}
+			var toks []string
+			var keys []uint64
+			for _, s := range keyCells {
+				keys = g.AppendKeys(keys, s, lower)
+				if lower {
+					s = Lower(s)
+				}
+				toks = append(toks, g.Tokens(s)...)
+			}
+			if len(keys) != len(toks) {
+				t.Fatalf("q=%d lower=%v: %d keys for %d tokens", q, lower, len(keys), len(toks))
+			}
+			for i := range toks {
+				for j := range toks {
+					if (keys[i] == keys[j]) != (toks[i] == toks[j]) {
+						t.Fatalf("q=%d lower=%v: tokens %q, %q have keys %#x, %#x", q, lower, toks[i], toks[j], keys[i], keys[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestQGramPacks(t *testing.T) {
+	for g, want := range map[QGram]bool{{}: true, {Q: 1}: true, {Q: 3}: true, {Q: 4}: false, {Q: 3, Pad: true}: false} {
+		if g.Packs() != want {
+			t.Fatalf("%s.Packs() = %v", g.Name(), !want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AppendKeys on grams that do not pack should panic")
+		}
+	}()
+	QGram{Q: 4}.AppendKeys(nil, "abcde", false)
+}
+
+// TestWordAppendTokens: AppendTokens adds Tokens' tokens after what dst
+// holds, into dst's own array when it has the room.
+func TestWordAppendTokens(t *testing.T) {
+	buf := make([]string, 1, 8)
+	buf[0] = "kept"
+	for _, s := range append(keyCells, "IPM-based (corn) fungicide, 2008!", "  ;; ") {
+		got := Word{}.AppendTokens(buf, s)
+		if want := append([]string{"kept"}, Word{}.Tokens(s)...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendTokens(%q) = %q, want %q", s, got, want)
+		}
+		if len(got) <= cap(buf) && &got[0] != &buf[0] {
+			t.Fatalf("AppendTokens(%q) left a buffer with room for its %d tokens", s, len(got))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Word{}.Tokens("corn fungicide guidelines for the north central states 2008") }); n != 1 {
+		t.Fatalf("Tokens allocates %v times, want once", n)
+	}
+}
