@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check tier2 ci bench bench-baseline smoke perf-gate loc
+.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check api-check tier2 ci bench bench-baseline smoke perf-gate loc
 
 all: tier1
 
@@ -46,6 +46,19 @@ race-cpu:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# api-check runs the surface test (internal/surface): every exported
+# function, method, type, constant, variable and struct field of the
+# operational packages must be used — and every config field set — by
+# non-test code somewhere in the repository (a binary, an example,
+# bench/embench, the smoke harness), or sit in the test's allowlist with
+# its reason. Its failure message names each orphan, where it is declared
+# and the three ways out (wire it in, unexport it, delete it). It
+# type-checks the module and bench/ from source in a few seconds, so
+# `go test ./...` runs it too; this target is the uncached, verbose form
+# (it logs how many exports it checked).
+api-check:
+	$(GO) test -count=1 -v ./internal/surface
+
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
 # package builds the CLIs once (emserve and emcasestudy with -race),
 # generates one slice, spec and matcher artifact once, and runs eight
@@ -85,10 +98,10 @@ perf-gate:
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
 # trustworthy race-clean), the nested benchmark module's own vet and
-# tests, the end-to-end smoke harness (the kill/resume chaos scenario
-# among its eight), and the perf-regression gate over the committed BENCH
-# trajectory.
-tier2: fmt-check vet race race-cpu bench-check smoke perf-gate
+# tests, the exported-surface check, the end-to-end smoke harness (the
+# kill/resume chaos scenario among its eight), and the perf-regression
+# gate over the committed BENCH trajectory.
+tier2: fmt-check vet race race-cpu bench-check api-check smoke perf-gate
 
 ci: tier1 tier2
 

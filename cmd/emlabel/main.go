@@ -15,7 +15,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -184,35 +183,17 @@ func writeLabels(path string, left, right *table.Table, leftID, rightID string, 
 		}
 		return v.Str(), nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"left", "right", "label"}); err != nil {
-		f.Close()
-		return err
-	}
+	var rows [][]string
 	for _, p := range store.Pairs() {
 		l, err := idOf(left, leftID, p.A)
 		if err != nil {
-			f.Close()
 			return err
 		}
 		r, err := idOf(right, rightID, p.B)
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if err := w.Write([]string{l, r, store.Get(p).String()}); err != nil {
-			f.Close()
-			return err
-		}
+		rows = append(rows, []string{l, r, store.Get(p).String()})
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteCSV(path, []string{"left", "right", "label"}, rows)
 }

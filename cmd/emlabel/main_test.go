@@ -99,9 +99,13 @@ func TestWriteLabels(t *testing.T) {
 		t.Fatalf("index output: %s", data)
 	}
 
-	// Unknown ID column errors.
+	// Unknown ID column errors — and the failed write leaves the labels
+	// already on disk as they were, not a truncated file.
 	if err := writeLabels(path, l, r, "Nope", "ID", store); err == nil {
 		t.Fatal("unknown ID column should error")
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(data) {
+		t.Fatalf("failed write changed the previous label file:\n%s", after)
 	}
 }
 

@@ -3,26 +3,30 @@
 //
 //	emload -addr 127.0.0.1:8080 -right USDAProjected.csv \
 //	       [-mode run|soak|capacity|chaos|stream] \
-//	       [-profile uniform|poisson|burst|ramp] [-rate 50] [-duration 30s] \
+//	       [-profile uniform|poisson] [-rate 50] [-duration 30s] \
 //	       [-seed 1] [-blend single=88,batch=5,job=0,malformed=2,oversized=1,status=4] \
-//	       [-pick zipf|uniform] [-zipf-s 1.2] \
-//	       [-burst-factor 4] [-burst-every 10s] [-burst-len 2s] [-ramp-to 200] \
 //	       [-timeout 10s] [-shed-retries 0] [-max-retry-after 2s] \
 //	       [-report-every 5s] [-summary out.json] \
-//	       [-slo "availability=99.5,latency=500ms@99"] [-require-retry-after] \
-//	       [-max-unexpected 0] [-max-job-failures 0] [-check-server] \
+//	       [-slo "availability=99.5,latency=500ms@99"] \
 //	       [-start-qps 5] [-max-qps 0] [-factor 2] [-step-duration 10s] [-p99-target 500] \
-//	       [-server-bin ./emserve] [-workdir DIR] \
-//	       [-shard-size 4] [-job-timeout 120s] [-- emserve base args...]
+//	       [-prof-capture] [-server-bin ./emserve] [-workdir DIR] \
+//	       [-shard-size 4] [-job-timeout 120s] \
+//	       [-disconnect-every 1] [-cursor-file FILE] [-- emserve base args...]
+//
+// Record indices are Zipf-distributed (s = 1.2), a batch carries 8
+// records, a blend-submitted or stream-mode job 16, at most 4096
+// requests are in flight (an arrival past that is dropped and counted,
+// never delayed).
 //
 // Modes:
 //
 //	run       one load phase, summary JSON out; exit 0 unless the run
 //	          itself could not execute.
 //	soak      run + gate: client-side SLOs, zero unexpected answers,
-//	          Retry-After on every shed, async-job health, and the
-//	          server's own /v1/status burn rates. Exit 1 on any breach —
-//	          a CI gate, not a report.
+//	          Retry-After on every shed, no failed async job, at most
+//	          1% of arrivals dropped by the generator, and the server's
+//	          own /v1/status burn rates. Exit 1 on any breach — a CI
+//	          gate, not a report.
 //	capacity  stepped-QPS search for the max sustainable rate at the p99
 //	          target; the staircase lands in the summary JSON (and from
 //	          there in BENCH_*.json via scripts/bench_snapshot.sh).
@@ -71,32 +75,18 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	right := fs.String("right", "", "right-table CSV the record pool is mined from")
 	summaryPath := fs.String("summary", "", "write the summary JSON here instead of stdout")
 
-	profile := fs.String("profile", load.ProfilePoisson, "arrival profile: uniform | poisson | burst | ramp")
+	profile := fs.String("profile", load.ProfilePoisson, "arrival profile: uniform | poisson")
 	rate := fs.Float64("rate", 50, "mean arrival rate (requests/second)")
 	duration := fs.Duration("duration", 30*time.Second, "load phase length")
 	seed := fs.Int64("seed", 1, "seed for every schedule draw (same seed = same schedule)")
 	blendSpec := fs.String("blend", "", "request blend, e.g. single=88,batch=5,malformed=2,oversized=1,status=4 (empty = default)")
-	pick := fs.String("pick", load.PickZipf, "record pick distribution: zipf | uniform")
-	zipfS := fs.Float64("zipf-s", 1.2, "zipf skew exponent (>1)")
-	burstFactor := fs.Float64("burst-factor", 4, "rate multiplier inside bursts (profile burst)")
-	burstEvery := fs.Duration("burst-every", 10*time.Second, "burst period (profile burst)")
-	burstLen := fs.Duration("burst-len", 2*time.Second, "burst length (profile burst)")
-	rampTo := fs.Float64("ramp-to", 0, "final rate of profile ramp (0 = 4x -rate)")
 
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request client deadline")
 	shedRetries := fs.Int("shed-retries", 0, "extra attempts for shed answers, honoring Retry-After under jittered backoff")
 	maxRetryAfter := fs.Duration("max-retry-after", 2*time.Second, "cap on how long one Retry-After hint may stall a retry")
-	batchSize := fs.Int("batch-size", 8, "records per batch request")
-	jobRecords := fs.Int("job-records", 16, "records per blend-submitted async job")
-	maxOutstanding := fs.Int("max-outstanding", 4096, "in-flight cap; arrivals past it are dropped (never delayed)")
 	reportEvery := fs.Duration("report-every", 5*time.Second, "live eps/percentile line period (0 = silent)")
 
 	sloSpec := fs.String("slo", "availability=99.5,latency=500ms@99", "client-side objectives the soak gate asserts (emserve -slo syntax)")
-	maxUnexpected := fs.Int64("max-unexpected", 0, "allowed unexpected answers (wrong status for the request kind)")
-	requireRetryAfter := fs.Bool("require-retry-after", true, "fail the gate when any shed answer lacks Retry-After")
-	maxJobFailures := fs.Int64("max-job-failures", 0, "allowed async job failures")
-	maxDropFrac := fs.Float64("max-drop-frac", 0.01, "allowed fraction of arrivals dropped at the outstanding cap")
-	checkServer := fs.Bool("check-server", true, "also assert the server's /v1/status SLO burn rates")
 
 	startQPS := fs.Float64("start-qps", 5, "capacity search: first step rate")
 	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling (0 = 4096x start)")
@@ -141,17 +131,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	sched := load.ScheduleConfig{
-		Profile:     *profile,
-		Rate:        *rate,
-		Duration:    *duration,
-		Seed:        *seed,
-		BurstFactor: *burstFactor,
-		BurstEvery:  *burstEvery,
-		BurstLen:    *burstLen,
-		RampTo:      *rampTo,
-		Pick:        *pick,
-		ZipfS:       *zipfS,
-		Blend:       blend,
+		Profile:  *profile,
+		Rate:     *rate,
+		Duration: *duration,
+		Seed:     *seed,
+		Blend:    blend,
 	}
 	if pool != nil {
 		sched.PickN = pool.Size()
@@ -162,8 +146,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Seed:          *seed,
 		ShedRetries:   *shedRetries,
 		MaxRetryAfter: *maxRetryAfter,
-		BatchSize:     *batchSize,
-		JobRecords:    *jobRecords,
 	}
 
 	summary := &load.Summary{GeneratedBy: "emload", Mode: *mode, Target: clientCfg.BaseURL, Pass: true}
@@ -180,12 +162,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		res, err := load.Run(ctx, load.RunConfig{
-			Schedule:       sched,
-			Client:         clientCfg,
-			Pool:           pool,
-			MaxOutstanding: *maxOutstanding,
-			ReportEvery:    *reportEvery,
-			Report:         stderr,
+			Schedule:    sched,
+			Client:      clientCfg,
+			Pool:        pool,
+			ReportEvery: *reportEvery,
+			Report:      stderr,
 		})
 		if res == nil {
 			fmt.Fprintf(stderr, "emload: %v\n", err)
@@ -193,16 +174,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		summary.Phases = append(summary.Phases, load.NewPhaseSummary(*mode, sched, res))
 		if *mode == "soak" {
-			gate := load.Gate{
-				Objectives:        objectives,
-				MaxUnexpected:     *maxUnexpected,
-				RequireRetryAfter: *requireRetryAfter,
-				MaxJobFailures:    *maxJobFailures,
-				MaxDropFrac:       *maxDropFrac,
-			}
-			if *checkServer {
-				gate.CheckServer = load.NewClient(clientCfg, pool)
-			}
+			gate := load.Gate{Objectives: objectives, CheckServer: load.NewClient(clientCfg, pool)}
 			summary.Gate = gate.Evaluate(ctx, res)
 			summary.Pass = summary.Gate.Pass
 			for _, c := range summary.Gate.Checks {
@@ -229,7 +201,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Schedule:       sched,
 			Client:         clientCfg,
 			Pool:           pool,
-			MaxOutstanding: *maxOutstanding,
 			ReportEvery:    *reportEvery,
 			Report:         stderr,
 		})
@@ -250,7 +221,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		sres, err := load.RunStream(ctx, load.StreamRunConfig{
 			Client:          clientCfg,
 			Pool:            pool,
-			JobRecords:      *jobRecords,
 			ShardSize:       *shardSize,
 			DisconnectEvery: *disconnectEvery,
 			CursorPath:      *cursorPath,

@@ -50,7 +50,7 @@ func writeRunReport(t *testing.T, dir string, live *drift.Profile) string {
 		Quality: drift.CaptureQuality(live),
 	}
 	path := filepath.Join(dir, "run.json")
-	if err := rep.WriteFile(path); err != nil {
+	if err := rep.WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -152,7 +152,7 @@ func TestCheckRejectsReportWithoutProfile(t *testing.T) {
 	}
 	rep := &obs.Report{Name: "plain", Outcome: "ok"}
 	runPath := filepath.Join(dir, "run.json")
-	if err := rep.WriteFile(runPath); err != nil {
+	if err := rep.WriteFile(runPath, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
@@ -170,10 +170,10 @@ func TestDiffSubcommand(t *testing.T) {
 		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"ml.predictions": 30}}}
 	pa := filepath.Join(dir, "a.json")
 	pb := filepath.Join(dir, "b.json")
-	if err := a.WriteFile(pa); err != nil {
+	if err := a.WriteFile(pa, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteFile(pb); err != nil {
+	if err := b.WriteFile(pb, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder

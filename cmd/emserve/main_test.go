@@ -20,6 +20,7 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
+	"emgo/internal/serve"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -159,11 +160,11 @@ func TestExportMatcherWritesLoadableArtifact(t *testing.T) {
 	if !strings.Contains(stdout.String(), artifact) {
 		t.Fatalf("stdout: %s", stdout.String())
 	}
-	m, err := ml.LoadMatcherFile(artifact)
+	art, err := serve.LoadArtifact(context.Background(), artifact, 0)
 	if err != nil {
 		t.Fatalf("exported artifact does not load: %v", err)
 	}
-	if m.Name() == "" {
+	if art.Matcher.Name() == "" {
 		t.Fatal("loaded matcher has no name")
 	}
 }

@@ -204,9 +204,14 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		sp.SetOutcome(obs.OutcomeOK)
 		sp.End()
 		pairsBlocked.Add(int64(c.Len()))
-		out, err = out.Union(c)
-		if err != nil {
+		// Grow the union in place, in Union's order (earlier pairs, then
+		// c's new ones): rebuilding it per blocker re-hashed every pair
+		// already in it.
+		if err := out.sameTables(c); err != nil {
 			return nil, err
+		}
+		for _, p := range c.pairs {
+			out.Add(p)
 		}
 	}
 	obs.G("block.candidates").Set(int64(out.Len()))

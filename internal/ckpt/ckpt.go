@@ -104,14 +104,6 @@ func Open(dir, fingerprint string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the run directory ("" for the nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // Discarded reports why Open did not resume a pre-existing directory
 // ("" when the directory was fresh or resumed cleanly).
 func (s *Store) Discarded() string {

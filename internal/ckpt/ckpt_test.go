@@ -173,7 +173,7 @@ func TestNilStoreIsInert(t *testing.T) {
 		t.Fatal("nil store read should be ErrNotFound")
 	}
 	s.Quarantine("a", "reason")
-	if s.Dir() != "" || s.Discarded() != "" || s.Names() != nil {
+	if s.Discarded() != "" || s.Names() != nil {
 		t.Fatal("nil store accessors should be zero")
 	}
 }

@@ -72,9 +72,6 @@ func (s *Store) OpenArtifact(name string) (*ArtifactReader, error) {
 	}, nil
 }
 
-// Size returns the manifest-recorded artifact size.
-func (r *ArtifactReader) Size() int64 { return r.size }
-
 // Read streams the next bytes, folding them into the running hash. At
 // the underlying EOF the byte count and digest are checked against the
 // manifest: a clean match returns io.EOF, anything else quarantines the

@@ -21,8 +21,8 @@ func TestOpenArtifactStreamsAndVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Size() != int64(len(payload)) {
-		t.Fatalf("Size() = %d, want %d", r.Size(), len(payload))
+	if r.size != int64(len(payload)) {
+		t.Fatalf("manifest size = %d, want %d", r.size, len(payload))
 	}
 	// Tiny reads force the hash to fold incrementally across calls.
 	got, err := io.ReadAll(io.NopCloser(&slowReader{r: r, max: 5}))

@@ -31,7 +31,7 @@ func TestDoTable(t *testing.T) {
 	onDisk := func(edit func(path string) error) func(*testing.T, *Store) {
 		return func(t *testing.T, s *Store) {
 			good(t, s)
-			if err := edit(filepath.Join(s.Dir(), name)); err != nil {
+			if err := edit(filepath.Join(s.dir, name)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,7 +217,7 @@ func TestQuarantineCountsCorruptOnlyForBadBytes(t *testing.T) {
 	if err := s.Write("d.json", []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(filepath.Join(s.Dir(), "d.json"), 2); err != nil {
+	if err := os.Truncate(filepath.Join(s.dir, "d.json"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Read("d.json"); !errors.Is(err, ErrCorrupt) {

@@ -19,6 +19,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+
+	"emgo/internal/ckpt"
 )
 
 // RunFunc is a binary's whole program behind its testable seam.
@@ -87,15 +89,11 @@ func Interrupted(ctx context.Context, err error) bool {
 	return err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// WriteCSV writes header and rows to a new file at path.
+// WriteCSV writes header and rows to path atomically (temp file, fsync,
+// rename): a run killed or failing mid-write leaves the previous file,
+// never a torn one.
 func WriteCSV(path string, header []string, rows [][]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = csv.NewWriter(f).WriteAll(append([][]string{header}, rows...)) // flushes
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return ckpt.AtomicWriteTo(path, 0o644, func(w io.Writer) error {
+		return csv.NewWriter(w).WriteAll(append([][]string{header}, rows...)) // flushes
+	})
 }

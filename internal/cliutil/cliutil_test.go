@@ -186,3 +186,33 @@ func TestFreshRunRetiresWithoutCryingCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteCSVReplacesTheFileAtomically: the new document is renamed
+// over path, never written through it. A second name for the previous
+// file's bytes (a hard link) still reads them after the overwrite, so a
+// write that dies at any point before the rename leaves the previous
+// file intact; no temp file survives a completed one.
+func TestWriteCSVReplacesTheFileAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "labels.csv")
+	if err := WriteCSV(path, []string{"left", "right"}, [][]string{{"a", "b"}}); err != nil {
+		t.Fatal(err)
+	}
+	kept := filepath.Join(dir, "previous")
+	if err := os.Link(path, kept); err != nil {
+		t.Skipf("hard links unavailable: %v", err)
+	}
+	if err := WriteCSV(path, []string{"left", "right"}, [][]string{{"c", "d"}, {"e", "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	if prev, _ := os.ReadFile(kept); string(prev) != "left,right\na,b\n" {
+		t.Fatalf("the overwrite wrote through the previous file: %q", prev)
+	}
+	if now, _ := os.ReadFile(path); string(now) != "left,right\nc,d\ne,f\n" {
+		t.Fatalf("new file: %q", now)
+	}
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != 2 {
+		t.Fatalf("temp file left behind: %v", entries)
+	}
+}

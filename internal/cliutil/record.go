@@ -2,12 +2,10 @@ package cliutil
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"emgo/internal/ckpt"
@@ -65,7 +63,7 @@ func (r *RunRecord) Start(ctx context.Context, name string, stdout, stderr io.Wr
 		obs.Enable()
 	}
 	if r.debugAddr != "" {
-		dbg, err := obs.StartDebugServer(r.debugAddr)
+		dbg, err := obs.StartDebugServer(ctx, r.debugAddr)
 		if err != nil {
 			return ctx, fmt.Errorf("debug server: %w", err)
 		}
@@ -103,13 +101,13 @@ func (r *RunRecord) write(rep *obs.Report, runErr error) error {
 	r.root.End()
 	var errs []error
 	if r.trace != "" {
-		errs = append(errs, r.writeDoc(r.trace, "trace", r.root.Snapshot()))
+		errs = append(errs, r.writeDoc(r.trace, "trace", r.root.Snapshot().WriteFile))
 	}
 	if rep == nil && (r.report != "" || r.history != "") {
 		rep = obs.NewReport(r.name, r.started, r.root, runErr)
 	}
 	if r.report != "" {
-		errs = append(errs, r.writeDoc(r.report, "run report", rep))
+		errs = append(errs, r.writeDoc(r.report, "run report", rep.WriteFile))
 	}
 	if r.history != "" {
 		store, err := history.Open(r.history)
@@ -125,20 +123,13 @@ func (r *RunRecord) write(rep *obs.Report, runErr error) error {
 }
 
 // writeDoc routes a JSON document to a file, or to stdout for "-".
-func (r *RunRecord) writeDoc(path, what string, doc any) error {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+func (r *RunRecord) writeDoc(path, what string, write func(path string, stdout io.Writer) error) error {
+	if err := write(path, r.stdout); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err := r.stdout.Write(data)
-		return err
+	if path != "-" {
+		fmt.Fprintf(r.stderr, "%s: wrote %s to %s\n", r.name, what, path)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(r.stderr, "%s: wrote %s to %s\n", r.name, what, path)
 	return nil
 }
 

@@ -227,9 +227,6 @@ func (p *Project) Train(matcherName string) error {
 	return fmt.Errorf("core: unknown matcher %q", matcherName)
 }
 
-// TrainMatcher installs a caller-supplied fitted matcher instead.
-func (p *Project) TrainMatcher(m ml.Matcher) { p.matcher = m }
-
 // DebugLabels runs leave-one-out label debugging and returns the pairs
 // whose labels disagree with the model's prediction (Section 8's
 // label-debugging step).

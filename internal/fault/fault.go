@@ -18,7 +18,6 @@
 //	ml.forest.fit            each tree trained by RandomForest.FitCtx
 //	ml.predict               each row scored by PredictAllCtx
 //	label.submit             each label submitted through Tool.Submit
-//	label.judge              each judge call in Tool.LabelAllCtx
 //	workflow.spec.transform  each transform lookup in Spec.BuildCtx
 //	workflow.monitor         each Monitor.CheckErr invocation
 //	ckpt.write               each checkpoint artifact write (ckpt.Store.Write)
@@ -83,7 +82,6 @@ type Plan struct {
 type site struct {
 	plan  Plan
 	calls int
-	fired int
 	idx   map[int]bool
 	rng   *rand.Rand
 }
@@ -145,16 +143,6 @@ func Count(name string) int {
 	return 0
 }
 
-// Fired returns how many of those calls actually fired.
-func Fired(name string) int {
-	mu.Lock()
-	defer mu.Unlock()
-	if s, ok := sites[name]; ok {
-		return s.fired
-	}
-	return 0
-}
-
 // Inject is the injection point for sites without a natural work-item
 // index. It returns nil unless the site is armed and its plan fires.
 func Inject(name string) error {
@@ -176,9 +164,6 @@ func InjectIdx(name string, idx int) error {
 	}
 	s.calls++
 	fire := s.shouldFire(idx)
-	if fire {
-		s.fired++
-	}
 	p := s.plan
 	mu.Unlock()
 	if !fire {

@@ -142,7 +142,7 @@ func TestToolSingleWriterProtocol(t *testing.T) {
 	if err := tool.OpenSession("professor"); err == nil {
 		t.Fatal("second session must be rejected while first is active")
 	}
-	if tool.ActiveSession() != "student" {
+	if tool.session != "student" {
 		t.Fatal("active session")
 	}
 	if err := tool.Submit("professor", p1, Yes); err == nil {

@@ -78,9 +78,6 @@ func (t *Tool) CloseSession(user string) error {
 	return nil
 }
 
-// ActiveSession returns the current labeler ("" when free).
-func (t *Tool) ActiveSession() string { return t.session }
-
 // Submit records user's label for p. The pair must be in the queue and
 // the user must hold the session. The pair leaves the queue. Each submit
 // passes the "label.submit" fault-injection site (the cloud tool's flaky
@@ -111,19 +108,13 @@ func (t *Tool) Submit(user string, p block.Pair, l Label) error {
 }
 
 // LabelAll drains the queue by asking judge for each pending pair —
-// the programmatic path used when the simulated expert labels a batch.
-// The caller must hold the session.
+// the programmatic path used when the simulated expert labels a batch:
+// LabelAllCtx with a judge that cannot fail, one attempt a pair. The
+// caller must hold the session.
 func (t *Tool) LabelAll(user string, judge func(block.Pair) Label) error {
-	if t.session != user {
-		return fmt.Errorf("label: %s does not hold the session", user)
-	}
-	pending := t.Pending()
-	for _, p := range pending {
-		if err := t.Submit(user, p, judge(p)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.LabelAllCtx(context.Background(), user, retry.Policy{}, func(p block.Pair) (Label, error) {
+		return judge(p), nil
+	})
 }
 
 // LabelAllCtx drains the queue under the hardened runtime: both the

@@ -33,14 +33,13 @@ type CapacityConfig struct {
 	TriggerProfile bool
 
 	// Schedule is the per-step schedule template; Rate and Duration are
-	// overwritten per step. Client, Pool, MaxOutstanding, Report, and
-	// ReportEvery behave as in RunConfig.
-	Schedule       ScheduleConfig
-	Client         ClientConfig
-	Pool           *RecordPool
-	MaxOutstanding int
-	ReportEvery    time.Duration
-	Report         io.Writer
+	// overwritten per step. Client, Pool, Report, and ReportEvery behave
+	// as in RunConfig.
+	Schedule    ScheduleConfig
+	Client      ClientConfig
+	Pool        *RecordPool
+	ReportEvery time.Duration
+	Report      io.Writer
 }
 
 // CapacityStep is one step's verdict.
@@ -119,12 +118,11 @@ func SearchCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityResult, e
 		sched.Duration = cfg.StepDuration
 		fmt.Fprintf(cfg.Report, "emload: capacity step %.1f qps (%v)\n", rate, cfg.StepDuration)
 		res, err := Run(ctx, RunConfig{
-			Schedule:       sched,
-			Client:         cfg.Client,
-			Pool:           cfg.Pool,
-			MaxOutstanding: cfg.MaxOutstanding,
-			ReportEvery:    cfg.ReportEvery,
-			Report:         cfg.Report,
+			Schedule:    sched,
+			Client:      cfg.Client,
+			Pool:        cfg.Pool,
+			ReportEvery: cfg.ReportEvery,
+			Report:      cfg.Report,
 		})
 		if err != nil && res == nil {
 			return out, err
@@ -164,12 +162,11 @@ func capturePlateau(ctx context.Context, cfg CapacityConfig, out *CapacityResult
 	sched.Rate = out.MaxSustainableQPS
 	sched.Duration = cfg.StepDuration
 	if _, err := Run(ctx, RunConfig{
-		Schedule:       sched,
-		Client:         cfg.Client,
-		Pool:           cfg.Pool,
-		MaxOutstanding: cfg.MaxOutstanding,
-		ReportEvery:    cfg.ReportEvery,
-		Report:         cfg.Report,
+		Schedule:    sched,
+		Client:      cfg.Client,
+		Pool:        cfg.Pool,
+		ReportEvery: cfg.ReportEvery,
+		Report:      cfg.Report,
 	}); err != nil {
 		fmt.Fprintf(cfg.Report, "emload: plateau replay: %v\n", err)
 	}

@@ -112,15 +112,16 @@ type ClientConfig struct {
 	// MaxRetryAfter caps how long one Retry-After hint can stall a
 	// retry (default 2s — a 60s hint must not wedge a short soak).
 	MaxRetryAfter time.Duration
-	// BatchSize is records per KindBatch request (default 8).
-	BatchSize int
-	// JobRecords is records per KindJob submission (default 16).
-	JobRecords int
 }
 
-// oversizedBytes is the body size of KindOversized requests: 2 MiB,
-// past the server's 1 MiB default cap.
-const oversizedBytes = 2 << 20
+// Request shapes: records per KindBatch request, records per submitted
+// job (a KindJob arrival's and stream mode's), and the body size of a
+// KindOversized request — 2 MiB, past the server's 1 MiB default cap.
+const (
+	batchSize      = 8
+	jobRecords     = 16
+	oversizedBytes = 2 << 20
+)
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Timeout <= 0 {
@@ -128,12 +129,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.MaxRetryAfter <= 0 {
 		c.MaxRetryAfter = 2 * time.Second
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.JobRecords <= 0 {
-		c.JobRecords = 16
 	}
 	return c
 }
@@ -241,7 +236,7 @@ func (c *Client) build(i int, arr Arrival) (body []byte, path, method string, ex
 		body, _ = json.Marshal(doc)
 		return body, "/v1/match", http.MethodPost, http.StatusOK
 	case KindBatch:
-		recs := make([]map[string]any, c.cfg.BatchSize)
+		recs := make([]map[string]any, batchSize)
 		for j := range recs {
 			recs[j] = c.pool.record(fmt.Sprintf("load-%d-%d", i, j), arr.Record+j)
 		}
@@ -249,7 +244,7 @@ func (c *Client) build(i int, arr Arrival) (body []byte, path, method string, ex
 		body, _ = json.Marshal(doc)
 		return body, "/v1/match/batch", http.MethodPost, http.StatusOK
 	case KindJob:
-		recs := make([]map[string]any, c.cfg.JobRecords)
+		recs := make([]map[string]any, jobRecords)
 		for j := range recs {
 			// Ids carry the arrival index so distinct arrivals submit
 			// distinct (content-addressed) jobs.

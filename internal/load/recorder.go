@@ -112,13 +112,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	return snap
 }
 
-// Class returns one class's current count.
-func (r *Recorder) Class(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.classes[name]
-}
-
 // diffHist subtracts an earlier histogram snapshot from a later one,
 // yielding the interval histogram live reporting quotes percentiles
 // from.

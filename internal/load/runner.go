@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// defaultMaxOutstanding is the in-flight cap every emload run uses.
+const defaultMaxOutstanding = 4096
+
 // RunConfig drives one open-loop load phase.
 type RunConfig struct {
 	// Schedule describes the arrivals; Client the server and request
@@ -16,11 +19,12 @@ type RunConfig struct {
 	Schedule ScheduleConfig
 	Client   ClientConfig
 	Pool     *RecordPool
-	// MaxOutstanding caps concurrently in-flight requests — generator
-	// self-protection, not pacing (default 4096). An arrival finding the
-	// cap full is counted as dropped, never delayed: delaying it would
-	// re-introduce coordinated omission through the back door.
-	MaxOutstanding int
+	// maxOutstanding caps concurrently in-flight requests — generator
+	// self-protection, not pacing (0 = defaultMaxOutstanding; only tests
+	// lower it). An arrival finding the cap full is counted as dropped,
+	// never delayed: delaying it would re-introduce coordinated omission
+	// through the back door.
+	maxOutstanding int
 	// ReportEvery prints a live eps/percentile line to Report at this
 	// period (0 = silent).
 	ReportEvery time.Duration
@@ -63,8 +67,8 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 4096
+	if cfg.maxOutstanding <= 0 {
+		cfg.maxOutstanding = defaultMaxOutstanding
 	}
 	if cfg.Report == nil {
 		cfg.Report = io.Discard
@@ -108,7 +112,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 
 	rec.Start()
 	start := time.Now()
-	sem := make(chan struct{}, cfg.MaxOutstanding)
+	sem := make(chan struct{}, cfg.maxOutstanding)
 	var wg sync.WaitGroup
 	var sent, dropped int64
 

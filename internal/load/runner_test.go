@@ -71,7 +71,7 @@ func TestRunDropsAtOutstandingCapInsteadOfDelaying(t *testing.T) {
 		},
 		Client:         ClientConfig{BaseURL: ts.URL, Timeout: 3 * time.Second},
 		Pool:           testPool(8),
-		MaxOutstanding: 4,
+		maxOutstanding: 4,
 	})
 	close(stall)
 	if err != nil {

@@ -18,7 +18,6 @@ package load
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -27,25 +26,20 @@ import (
 const (
 	ProfileUniform = "uniform"
 	ProfilePoisson = "poisson"
-	ProfileBurst   = "burst"
-	ProfileRamp    = "ramp"
 )
 
-// Record-pick distributions.
-const (
-	PickUniform = "uniform"
-	PickZipf    = "zipf"
-)
+// zipfS is the skew exponent record indices are drawn under: real
+// traffic is skewed, and a skewed key distribution is what exercises
+// caches and hot rows.
+const zipfS = 1.2
 
 // ScheduleConfig describes one deterministic arrival schedule. The same
 // config always yields the same schedule: send times, request kinds,
 // and record indices are all drawn from rngs seeded with Seed, so a
 // soak run (or a failure it found) is replayable bit for bit.
 type ScheduleConfig struct {
-	// Profile is the inter-arrival shape: ProfileUniform (evenly spaced),
-	// ProfilePoisson (exponential gaps, the classic open-system model),
-	// ProfileBurst (uniform base with periodic bursts), or ProfileRamp
-	// (rate climbing linearly from Rate to RampTo).
+	// Profile is the inter-arrival shape: ProfileUniform (evenly spaced)
+	// or ProfilePoisson (exponential gaps, the classic open-system model).
 	Profile string
 	// Rate is the mean arrival rate in requests/second (> 0).
 	Rate float64
@@ -55,25 +49,9 @@ type ScheduleConfig struct {
 	// still deterministic).
 	Seed int64
 
-	// BurstFactor multiplies Rate inside a burst window (default 4).
-	BurstFactor float64
-	// BurstEvery is the burst period (default 10s).
-	BurstEvery time.Duration
-	// BurstLen is how long each burst lasts (default 2s).
-	BurstLen time.Duration
-
-	// RampTo is the final rate of ProfileRamp (default 4x Rate).
-	RampTo float64
-
-	// Pick selects how record indices are drawn: PickUniform or PickZipf
-	// (default PickZipf — real traffic is skewed, and a skewed key
-	// distribution is what exercises caches and hot rows).
-	Pick string
-	// PickN is the record-pool size indices are drawn from (> 0 when the
-	// blend carries record-bearing requests).
+	// PickN is the record-pool size the Zipf-distributed record indices
+	// are drawn from (> 0 when the blend carries record-bearing requests).
 	PickN int
-	// ZipfS is the Zipf skew exponent (> 1, default 1.2).
-	ZipfS float64
 
 	// Blend weights the request kinds; the zero Blend is all single
 	// matches.
@@ -94,24 +72,6 @@ func (c ScheduleConfig) withDefaults() ScheduleConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.BurstFactor <= 1 {
-		c.BurstFactor = 4
-	}
-	if c.BurstEvery <= 0 {
-		c.BurstEvery = 10 * time.Second
-	}
-	if c.BurstLen <= 0 || c.BurstLen >= c.BurstEvery {
-		c.BurstLen = c.BurstEvery / 5
-	}
-	if c.RampTo <= 0 {
-		c.RampTo = 4 * c.Rate
-	}
-	if c.Pick == "" {
-		c.Pick = PickZipf
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
 	}
 	return c
 }
@@ -140,13 +100,9 @@ func BuildSchedule(cfg ScheduleConfig) ([]Arrival, error) {
 		times = uniformTimes(cfg.Rate, cfg.Duration)
 	case ProfilePoisson:
 		times = poissonTimes(rng, cfg.Rate, cfg.Duration)
-	case ProfileBurst:
-		times = burstTimes(cfg)
-	case ProfileRamp:
-		times = rampTimes(cfg)
 	default:
-		return nil, fmt.Errorf("load: unknown arrival profile %q (want %s|%s|%s|%s)",
-			cfg.Profile, ProfileUniform, ProfilePoisson, ProfileBurst, ProfileRamp)
+		return nil, fmt.Errorf("load: unknown arrival profile %q (want %s|%s)",
+			cfg.Profile, ProfileUniform, ProfilePoisson)
 	}
 	if len(times) == 0 {
 		return nil, fmt.Errorf("load: schedule %gqps x %v yields no arrivals", cfg.Rate, cfg.Duration)
@@ -156,14 +112,13 @@ func BuildSchedule(cfg ScheduleConfig) ([]Arrival, error) {
 	if err != nil {
 		return nil, err
 	}
-	picker, err := newPicker(cfg.Pick, cfg.Seed, cfg.PickN, cfg.ZipfS)
-	if err != nil {
-		return nil, err
-	}
+	// Offset the seed so the pick stream is independent of the arrival
+	// stream even though both derive from cfg.Seed.
+	picks := rand.NewZipf(rand.New(rand.NewSource(cfg.Seed+0x9e3779b9)), zipfS, 1, uint64(max(cfg.PickN, 1)-1))
 
 	out := make([]Arrival, len(times))
 	for i, at := range times {
-		out[i] = Arrival{At: at, Kind: kinds[i], Record: picker.pick()}
+		out[i] = Arrival{At: at, Kind: kinds[i], Record: int(picks.Uint64())}
 	}
 	return out, nil
 }
@@ -196,73 +151,4 @@ func poissonTimes(rng *rand.Rand, rate float64, d time.Duration) []time.Duration
 		}
 		out = append(out, at)
 	}
-}
-
-// burstTimes lays a uniform base rate, multiplied by BurstFactor inside
-// each [k*BurstEvery, k*BurstEvery+BurstLen) window — the thundering
-// herd the admission gate exists for.
-func burstTimes(cfg ScheduleConfig) []time.Duration {
-	var out []time.Duration
-	at := 0.0
-	dur := cfg.Duration.Seconds()
-	for at < dur {
-		out = append(out, time.Duration(at*float64(time.Second)))
-		rate := cfg.Rate
-		phase := math.Mod(at, cfg.BurstEvery.Seconds())
-		if phase < cfg.BurstLen.Seconds() {
-			rate *= cfg.BurstFactor
-		}
-		at += 1 / rate
-	}
-	return out
-}
-
-// rampTimes climbs the instantaneous rate linearly from Rate to RampTo
-// across the run — the capacity staircase compressed into one schedule.
-func rampTimes(cfg ScheduleConfig) []time.Duration {
-	var out []time.Duration
-	at := 0.0
-	dur := cfg.Duration.Seconds()
-	for at < dur {
-		out = append(out, time.Duration(at*float64(time.Second)))
-		frac := at / dur
-		rate := cfg.Rate + (cfg.RampTo-cfg.Rate)*frac
-		at += 1 / rate
-	}
-	return out
-}
-
-// picker draws record-pool indices under a distribution.
-type picker struct {
-	n    int
-	zipf *rand.Zipf // nil = uniform
-	rng  *rand.Rand
-}
-
-func newPicker(dist string, seed int64, n int, s float64) (*picker, error) {
-	if n <= 0 {
-		n = 1
-	}
-	// Offset the seed so the pick stream is independent of the arrival
-	// stream even though both derive from cfg.Seed.
-	rng := rand.New(rand.NewSource(seed + 0x9e3779b9))
-	switch dist {
-	case PickUniform:
-		return &picker{n: n, rng: rng}, nil
-	case PickZipf:
-		z := rand.NewZipf(rng, s, 1, uint64(n-1))
-		if z == nil {
-			return nil, fmt.Errorf("load: bad zipf parameters (s=%g n=%d)", s, n)
-		}
-		return &picker{n: n, zipf: z, rng: rng}, nil
-	default:
-		return nil, fmt.Errorf("load: unknown pick distribution %q (want %s|%s)", dist, PickUniform, PickZipf)
-	}
-}
-
-func (p *picker) pick() int {
-	if p.zipf != nil {
-		return int(p.zipf.Uint64())
-	}
-	return p.rng.Intn(p.n)
 }

@@ -15,21 +15,14 @@ import (
 // ServerStatus is the subset of emserve's /v1/status document the
 // harness asserts against.
 type ServerStatus struct {
-	Requests int64       `json:"requests"`
-	Degraded int64       `json:"degraded"`
-	InFlight int         `json:"inflight"`
-	Queued   int64       `json:"queued"`
-	Breaker  string      `json:"breaker"`
-	Draining bool        `json:"draining"`
-	SLO      *slo.Report `json:"slo"`
+	Breaker string      `json:"breaker"`
+	SLO     *slo.Report `json:"slo"`
 }
 
 // JobStatus is the subset of the job poll document the harness reads.
 type JobStatus struct {
 	ID            string `json:"id"`
 	State         string `json:"state"`
-	Shards        int    `json:"shards"`
-	DoneShards    int    `json:"done_shards"`
 	ResumedShards int    `json:"resumed_shards"`
 	Error         string `json:"error"`
 }

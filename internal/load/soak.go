@@ -20,22 +20,17 @@ type Gate struct {
 	// failures); latency objectives are judged over every completed
 	// request — a shed answer is an answer the client waited for.
 	Objectives []slo.Objective
-	// MaxUnexpected caps ClassUnexpected outcomes (default 0: a 200 to a
-	// malformed body is a bug, not noise).
-	MaxUnexpected int64
-	// RequireRetryAfter fails the gate when any shed answer arrived
-	// without a Retry-After hint.
-	RequireRetryAfter bool
-	// MaxJobFailures caps failed blend-submitted jobs (default 0).
-	MaxJobFailures int64
-	// MaxDropFrac caps the fraction of arrivals the generator itself
-	// dropped at the outstanding cap; past it the measurement is not
-	// trustworthy (default 0.01).
-	MaxDropFrac float64
 	// CheckServer, when set, also fetches /v1/status from this client
 	// and fails the gate when the server reports a breached SLO.
 	CheckServer *Client
 }
+
+// maxDropFrac caps the fraction of arrivals the generator itself dropped
+// at the outstanding cap; past it the measurement is not trustworthy.
+// The gate's other bars are zero: no unexpected answer (a 200 to a
+// malformed body is a bug, not noise), no shed answer without a
+// Retry-After hint, no failed blend-submitted job.
+const maxDropFrac = 0.01
 
 // GateCheck is one named verdict.
 type GateCheck struct {
@@ -87,27 +82,18 @@ func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
 		}
 	}
 
-	if gate.MaxUnexpected >= 0 {
-		n := res.Classes[ClassUnexpected]
-		out.check("unexpected_answers", n <= gate.MaxUnexpected,
-			"%d unexpected answer(s) (allowed %d)", n, gate.MaxUnexpected)
-	}
-	if gate.RequireRetryAfter {
-		out.check("shed_retry_after", res.ShedNoRetryAfter == 0,
-			"%d shed answer(s) missing Retry-After", res.ShedNoRetryAfter)
-	}
-	if res.JobsSubmitted > 0 || gate.MaxJobFailures > 0 {
-		out.check("jobs", res.JobsFailed <= gate.MaxJobFailures,
-			"%d of %d async job(s) failed (allowed %d)", res.JobsFailed, res.JobsSubmitted, gate.MaxJobFailures)
-	}
-	maxDrop := gate.MaxDropFrac
-	if maxDrop <= 0 {
-		maxDrop = 0.01
+	n := res.Classes[ClassUnexpected]
+	out.check("unexpected_answers", n == 0, "%d unexpected answer(s) (allowed 0)", n)
+	out.check("shed_retry_after", res.ShedNoRetryAfter == 0,
+		"%d shed answer(s) missing Retry-After", res.ShedNoRetryAfter)
+	if res.JobsSubmitted > 0 {
+		out.check("jobs", res.JobsFailed == 0,
+			"%d of %d async job(s) failed (allowed 0)", res.JobsFailed, res.JobsSubmitted)
 	}
 	if res.Scheduled > 0 {
 		dropFrac := float64(res.Dropped) / float64(res.Scheduled)
-		out.check("generator_drops", dropFrac <= maxDrop,
-			"dropped %.2f%% of arrivals at the outstanding cap (allowed %.2f%%)", 100*dropFrac, 100*maxDrop)
+		out.check("generator_drops", dropFrac <= maxDropFrac,
+			"dropped %.2f%% of arrivals at the outstanding cap (allowed %.2f%%)", 100*dropFrac, 100*maxDropFrac)
 	}
 
 	if gate.CheckServer != nil {

@@ -29,11 +29,9 @@ import (
 
 // StreamOptions tunes one streaming fetch.
 type StreamOptions struct {
-	// Cursor resumes from an explicit token ("" starts fresh — unless
-	// CursorPath holds one from a previous run).
-	Cursor string
 	// CursorPath persists the last committed cursor after every chunk
-	// ("" keeps it in memory only). The file is written atomically so a
+	// ("" keeps it in memory only), and a fetch resumes from the cursor
+	// it holds from a previous run. The file is written atomically so a
 	// kill between chunks leaves a valid resume point.
 	CursorPath string
 	// MaxResumes caps reconnections before giving up (default 8).
@@ -78,8 +76,8 @@ type streamLine struct {
 // written to w are exactly the data lines of a one-shot stream.
 func (c *Client) StreamJobResults(ctx context.Context, id string, w io.Writer, opt StreamOptions) (*StreamStats, error) {
 	opt = opt.withDefaults()
-	stats := &StreamStats{Cursor: opt.Cursor}
-	if stats.Cursor == "" && opt.CursorPath != "" {
+	stats := &StreamStats{}
+	if opt.CursorPath != "" {
 		if b, err := os.ReadFile(opt.CursorPath); err == nil {
 			stats.Cursor = strings.TrimSpace(string(b))
 		}

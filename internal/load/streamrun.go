@@ -19,10 +19,9 @@ import (
 type StreamRunConfig struct {
 	Client ClientConfig
 	Pool   *RecordPool
-	// JobRecords sizes the submitted job; ShardSize its shards (0 = the
-	// server's default).
-	JobRecords int
-	ShardSize  int
+	// ShardSize cuts the submitted job (jobRecords records) into shards
+	// (0 = the server's default).
+	ShardSize int
 	// DisconnectEvery injects a client disconnect after this many
 	// committed chunks on the chaos fetch (0 = no injection).
 	DisconnectEvery int
@@ -53,9 +52,6 @@ type StreamResult struct {
 
 // RunStream executes one stream-mode run.
 func RunStream(ctx context.Context, cfg StreamRunConfig) (*StreamResult, error) {
-	if cfg.JobRecords <= 0 {
-		cfg.JobRecords = 64
-	}
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 2 * time.Minute
 	}
@@ -66,11 +62,11 @@ func RunStream(ctx context.Context, cfg StreamRunConfig) (*StreamResult, error) 
 	c := NewClient(cfg.Client, cfg.Pool)
 	defer c.CloseIdle()
 
-	st, err := c.SubmitJob(ctx, cfg.Pool.JobRecords(cfg.JobRecords), cfg.ShardSize)
+	st, err := c.SubmitJob(ctx, cfg.Pool.JobRecords(jobRecords), cfg.ShardSize)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(report, "emload: stream: job %s submitted (%d records)\n", st.ID, cfg.JobRecords)
+	fmt.Fprintf(report, "emload: stream: job %s submitted (%d records)\n", st.ID, jobRecords)
 	if _, err := c.AwaitJob(ctx, st.ID, cfg.JobTimeout); err != nil {
 		return nil, err
 	}
@@ -97,7 +93,7 @@ func RunStream(ctx context.Context, cfg StreamRunConfig) (*StreamResult, error) 
 
 	res := &StreamResult{
 		JobID:     st.ID,
-		Records:   cfg.JobRecords,
+		Records:   jobRecords,
 		Bytes:     stats.Bytes,
 		Lines:     stats.Lines,
 		Chunks:    stats.Chunks,
@@ -111,8 +107,8 @@ func RunStream(ctx context.Context, cfg StreamRunConfig) (*StreamResult, error) 
 	res.Pass = res.ByteIdentical && stats.Complete && refStats.Complete
 
 	// A healthy job's stream is one line per record plus the summary.
-	if stats.Lines != cfg.JobRecords+1 {
-		fmt.Fprintf(report, "emload: stream: %d data lines for %d records + summary\n", stats.Lines, cfg.JobRecords)
+	if stats.Lines != jobRecords+1 {
+		fmt.Fprintf(report, "emload: stream: %d data lines for %d records + summary\n", stats.Lines, jobRecords)
 		res.Pass = false
 	}
 	fmt.Fprintf(report, "emload: stream: %d bytes in %d chunks, %d resumes, %.2f MB/s, byte_identical=%v\n",

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
 )
 
@@ -173,22 +172,4 @@ func ImportMatcher(spec *MatcherSpec) (Matcher, error) {
 	default:
 		return nil, fmt.Errorf("ml: unknown matcher kind %q", spec.Kind)
 	}
-}
-
-// MarshalTree is a convenience JSON round trip for one tree.
-func MarshalTree(t *DecisionTree) ([]byte, error) {
-	spec, err := t.Export()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(spec)
-}
-
-// UnmarshalTree parses a tree serialized with MarshalTree.
-func UnmarshalTree(data []byte) (*DecisionTree, error) {
-	var spec TreeSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("ml: parse tree: %w", err)
-	}
-	return ImportTree(&spec)
 }

@@ -3,7 +3,6 @@ package ml
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"emgo/internal/ckpt"
 )
@@ -25,20 +24,11 @@ func SaveMatcherFile(path string, m Matcher) error {
 	return ckpt.AtomicWriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadMatcherFile rebuilds a matcher saved with SaveMatcherFile. A
-// file that does not decode into a valid matcher spec reports a
-// descriptive error rather than a zero-value model.
-func LoadMatcherFile(path string) (Matcher, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return LoadMatcherBytes(path, data)
-}
-
-// LoadMatcherBytes rebuilds a matcher from artifact bytes already read
-// (the serving hot-reload path reads once so it can checksum and decode
-// the same bytes). name labels errors, usually the source path.
+// LoadMatcherBytes rebuilds a matcher from the bytes of a file saved
+// with SaveMatcherFile (the serving hot-reload path reads once so it can
+// checksum and decode the same bytes). name labels errors, usually the
+// source path; bytes that do not decode into a valid matcher spec report
+// a descriptive error rather than a zero-value model.
 func LoadMatcherBytes(name string, data []byte) (Matcher, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("ml: model file %s is empty", name)

@@ -26,7 +26,11 @@ func TestSaveLoadMatcherFile(t *testing.T) {
 	if err := SaveMatcherFile(path, tree); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadMatcherFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadMatcherBytes(path, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,29 +63,13 @@ func TestSaveMatcherFileAtomicOverwrite(t *testing.T) {
 }
 
 func TestLoadMatcherFileErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadMatcherFile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file should error")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadMatcherFile(empty); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, err := LoadMatcherBytes("empty.json", nil); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty model file should be a descriptive error, got %v", err)
 	}
-	torn := filepath.Join(dir, "torn.json")
-	if err := os.WriteFile(torn, []byte(`{"kind":"decision_tr`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadMatcherFile(torn); err == nil {
+	if _, err := LoadMatcherBytes("torn.json", []byte(`{"kind":"decision_tr`)); err == nil {
 		t.Fatal("torn model file should error")
 	}
-	badKind := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(badKind, []byte(`{"kind":"martian"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadMatcherFile(badKind); err == nil {
+	if _, err := LoadMatcherBytes("bad.json", []byte(`{"kind":"martian"}`)); err == nil {
 		t.Fatal("unknown matcher kind should error")
 	}
 }

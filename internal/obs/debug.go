@@ -46,9 +46,9 @@ func NewDebugMux() *http.ServeMux {
 	return mux
 }
 
-// DefaultDrainTimeout bounds how long a context-tied debug server waits
-// for in-flight scrapes before closing their connections.
-const DefaultDrainTimeout = 2 * time.Second
+// drainTimeout bounds how long a debug server whose run context ended
+// waits for in-flight scrapes before closing their connections.
+const drainTimeout = 2 * time.Second
 
 // DebugServer is a live operational endpoint serving expvar metrics at
 // /debug/vars, Prometheus text exposition at /metrics, and the standard
@@ -64,8 +64,12 @@ type DebugServer struct {
 
 // StartDebugServer listens on addr (e.g. ":6060", or "127.0.0.1:0" for
 // an ephemeral port) and serves expvar + prometheus + pprof in a
-// background goroutine until Close/Shutdown.
-func StartDebugServer(addr string) (*DebugServer, error) {
+// background goroutine until Close/Shutdown. The server is tied to the
+// run's context: when ctx is cancelled (the run timed out or was
+// interrupted) it drains in-flight requests for up to drainTimeout and
+// then stops, so a cancelled run never leaks the listener.
+// Close/Shutdown remain safe to call as well.
+func StartDebugServer(ctx context.Context, addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -76,26 +80,10 @@ func StartDebugServer(addr string) (*DebugServer, error) {
 		srv.Serve(ln) //nolint:errcheck // Serve always returns on Close/Shutdown
 		close(d.done)
 	}()
-	return d, nil
-}
-
-// StartDebugServerCtx is StartDebugServer tied to a run context: when
-// ctx is cancelled (the run finished, timed out, or was interrupted)
-// the server drains in-flight requests for up to drain and then stops,
-// so a cancelled run never leaks the listener. drain <= 0 selects
-// DefaultDrainTimeout. Close/Shutdown remain safe to call as well.
-func StartDebugServerCtx(ctx context.Context, addr string, drain time.Duration) (*DebugServer, error) {
-	d, err := StartDebugServer(addr)
-	if err != nil {
-		return nil, err
-	}
-	if drain <= 0 {
-		drain = DefaultDrainTimeout
-	}
 	go func() {
 		select {
 		case <-ctx.Done():
-			d.Shutdown(drain) //nolint:errcheck // best-effort drain on cancellation
+			d.Shutdown(drainTimeout) //nolint:errcheck // best-effort drain on cancellation
 		case <-d.done:
 		}
 	}()
@@ -104,9 +92,6 @@ func StartDebugServerCtx(ctx context.Context, addr string, drain time.Duration) 
 
 // Addr returns the bound address (useful with ":0").
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
-
-// Done returns a channel closed once the server has fully stopped.
-func (d *DebugServer) Done() <-chan struct{} { return d.done }
 
 // Shutdown stops accepting new connections and waits up to timeout for
 // in-flight requests to finish before closing the rest. Safe on nil and

@@ -20,7 +20,7 @@ func TestDebugServerServesExpvarAndPprof(t *testing.T) {
 	defer Disable()
 	reg.Counter("block.pairs_blocked").Add(7)
 
-	srv, err := StartDebugServer("127.0.0.1:0")
+	srv, err := StartDebugServer(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDebugServerServesPrometheus(t *testing.T) {
 	reg.Counter("ml.predictions").Add(11)
 	reg.FloatGauge("drift.psi").Set(0.5)
 
-	srv, err := StartDebugServer("127.0.0.1:0")
+	srv, err := StartDebugServer(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDebugServerServesPrometheus(t *testing.T) {
 func TestDebugServerShutdownOnContextCancel(t *testing.T) {
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := StartDebugServerCtx(ctx, "127.0.0.1:0", time.Second)
+	srv, err := StartDebugServer(ctx, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDebugServerShutdownOnContextCancel(t *testing.T) {
 
 	cancel()
 	select {
-	case <-srv.Done():
+	case <-srv.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not stop within 5s of context cancellation")
 	}
@@ -146,7 +146,7 @@ func TestDebugServerShutdownOnContextCancel(t *testing.T) {
 
 func TestDebugServerShutdownDrainsInFlight(t *testing.T) {
 	leakcheck.Check(t)
-	srv, err := StartDebugServer("127.0.0.1:0")
+	srv, err := StartDebugServer(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

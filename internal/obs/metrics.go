@@ -151,22 +151,6 @@ func (h *Histogram) Observe(v float64) {
 	h.max.storeMax(v)
 }
 
-// Count returns the number of samples observed (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed samples (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.load()
-}
-
 // HistogramSnapshot is the JSON form of a histogram at one instant.
 type HistogramSnapshot struct {
 	// Bounds are the upper bounds of the first len(Bounds) buckets; the

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -112,15 +113,28 @@ func ParseReport(data []byte) (*Report, error) {
 	return r, nil
 }
 
-// WriteFile writes the report to path as JSON ("-" writes to stdout).
-func (r *Report) WriteFile(path string) error {
+// WriteFile writes the report to path as JSON; "-" writes it to stdout.
+func (r *Report) WriteFile(path string, stdout io.Writer) error {
 	data, err := r.Marshal()
 	if err != nil {
 		return err
 	}
+	return writeDoc(path, stdout, data)
+}
+
+// WriteFile writes the span tree to path as JSON; "-" writes it to stdout.
+func (d *SpanData) WriteFile(path string, stdout io.Writer) error {
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeDoc(path, stdout, data)
+}
+
+func writeDoc(path string, stdout io.Writer, data []byte) error {
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err := stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

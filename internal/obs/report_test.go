@@ -67,7 +67,7 @@ func TestReportRoundTrip(t *testing.T) {
 func TestReportWriteFile(t *testing.T) {
 	rep := &Report{Name: "x", Outcome: "ok"}
 	path := filepath.Join(t.TempDir(), "report.json")
-	if err := rep.WriteFile(path); err != nil {
+	if err := rep.WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

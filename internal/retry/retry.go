@@ -93,12 +93,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err was wrapped by Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Do runs fn under the policy: on a transient error it sleeps the next
 // scheduled delay (abandoning the wait if ctx is done) and tries again.
 // It returns nil on the first success, the unwrapped error behind a

@@ -104,11 +104,12 @@ func TestPermanentStopsImmediately(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err: %v", err)
 	}
-	if IsPermanent(err) {
+	var pe *permanentError
+	if errors.As(err, &pe) {
 		t.Fatal("Do should unwrap the permanent marker")
 	}
-	if !IsPermanent(Permanent(sentinel)) {
-		t.Fatal("IsPermanent")
+	if !errors.As(Permanent(sentinel), &pe) {
+		t.Fatal("Permanent should mark the error")
 	}
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil)")

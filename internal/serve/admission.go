@@ -172,9 +172,6 @@ func (a *Admission) RetryAfter() time.Duration {
 // their slots; Drain waits for them.
 func (a *Admission) StartDrain() { a.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (a *Admission) Draining() bool { return a.draining.Load() }
-
 // Drain blocks until every admitted request has released its slot or
 // the timeout elapses; it reports whether the drain completed clean.
 // Call StartDrain first or new arrivals will keep the slots busy.

@@ -106,9 +106,11 @@ type JobConfig struct {
 	// (DefaultJobRetryBackoff; only tests shorten it); it also gives a
 	// tripped per-shard breaker time to half-open.
 	retryBackoff time.Duration
-	// Breaker tunes the per-shard circuit breakers around the learned
-	// matcher (zero = the same defaults the online breaker uses).
-	Breaker BreakerConfig
+	// breaker tunes the per-shard circuit breakers around the learned
+	// matcher (zero = the online breaker's defaults, under which a
+	// shard's ShardAttempts run out before a breaker can trip; only
+	// tests lower the threshold).
+	breaker BreakerConfig
 }
 
 // withDefaults fills zero fields.
@@ -454,7 +456,7 @@ func (jm *Jobs) openJob(id string, spec jobSpec, rows []table.Row, fp string) (*
 		shards:   shards,
 		state:    JobQueued,
 		breakers: make(map[int]*Breaker),
-		brCfg:    jm.cfg.Breaker,
+		brCfg:    jm.cfg.breaker,
 	}
 	job.resumed = job.doneShards()
 	if job.resumed == shards {

@@ -279,7 +279,7 @@ func TestJobShardBreakerOpensOnPoisonedMatcher(t *testing.T) {
 	defer obs.Disable()
 	cfg := jobConfig(t.TempDir())
 	cfg.Jobs.ShardAttempts = 3
-	cfg.Jobs.Breaker = BreakerConfig{Failures: 1, Cooldown: time.Hour}
+	cfg.Jobs.breaker = BreakerConfig{Failures: 1, Cooldown: time.Hour}
 	s, ts := newTestServer(t, cfg)
 	fault.Enable("ml.predict", fault.Plan{})
 	// Every matcher call fails, so serve.ml_failures counts calls. The
@@ -324,7 +324,7 @@ func TestJobShardBreakerHalfOpenRecovery(t *testing.T) {
 	cfg.Jobs.ShardSize = 4
 	cfg.Jobs.ShardAttempts = 3
 	cfg.Jobs.retryBackoff = 5 * time.Millisecond
-	cfg.Jobs.Breaker = BreakerConfig{Failures: 1, Cooldown: time.Nanosecond}
+	cfg.Jobs.breaker = BreakerConfig{Failures: 1, Cooldown: time.Nanosecond}
 	s, ts := newTestServer(t, cfg)
 	fault.Enable("ml.predict", fault.Plan{FailFirst: 1})
 

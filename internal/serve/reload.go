@@ -31,13 +31,13 @@ type Artifact struct {
 
 // LoadArtifact reads, verifies, and validates a matcher artifact file.
 // Reads pass the "serve.reload" fault site and transient failures are
-// retried under policy; decode and validation failures are permanent.
+// retried under artifactRetry; decode and validation failures are permanent.
 // wantFeatures > 0 additionally probes the model with a zero vector of
 // that width — a matcher trained against a different feature set must
 // be rejected at load time, not panic on the first request.
-func LoadArtifact(ctx context.Context, path string, wantFeatures int, policy retry.Policy) (*Artifact, error) {
+func LoadArtifact(ctx context.Context, path string, wantFeatures int) (*Artifact, error) {
 	var data []byte
-	err := retry.Do(ctx, policy, func() error {
+	err := retry.Do(ctx, artifactRetry, func() error {
 		if ferr := fault.Inject("serve.reload"); ferr != nil {
 			return ferr
 		}
@@ -101,7 +101,7 @@ func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 	// with and are never torn.
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	art, err := LoadArtifact(ctx, path, s.featureWidth(), artifactRetry)
+	art, err := LoadArtifact(ctx, path, s.featureWidth())
 	if err != nil {
 		obs.C("serve.reload.failed").Inc()
 		return nil, err

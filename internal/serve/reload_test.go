@@ -8,12 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
-	"emgo/internal/retry"
 )
 
 // saveFixtureMatcher trains the fixture matcher and persists it as an
@@ -31,7 +29,7 @@ func saveFixtureMatcher(t *testing.T, dir, name string) string {
 func TestLoadArtifactChecksumAndProbe(t *testing.T) {
 	dir := t.TempDir()
 	path := saveFixtureMatcher(t, dir, "model.json")
-	art, err := LoadArtifact(context.Background(), path, 2, retry.Policy{})
+	art, err := LoadArtifact(context.Background(), path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +37,7 @@ func TestLoadArtifactChecksumAndProbe(t *testing.T) {
 		t.Fatalf("artifact = %+v", art)
 	}
 	// Same bytes load to the same checksum (the provenance contract).
-	art2, err := LoadArtifact(context.Background(), path, 2, retry.Policy{})
+	art2, err := LoadArtifact(context.Background(), path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +58,11 @@ func TestLoadArtifactRejectsCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadArtifact(context.Background(), path, 2, retry.Policy{}); err == nil {
+		if _, err := LoadArtifact(context.Background(), path, 2); err == nil {
 			t.Fatalf("%s: corrupt artifact loaded without error", name)
 		}
 	}
-	if _, err := LoadArtifact(context.Background(), filepath.Join(dir, "missing.json"), 2, retry.Policy{}); err == nil {
+	if _, err := LoadArtifact(context.Background(), filepath.Join(dir, "missing.json"), 2); err == nil {
 		t.Fatal("missing artifact loaded without error")
 	}
 }
@@ -74,8 +72,7 @@ func TestLoadArtifactRetriesTransientReads(t *testing.T) {
 	dir := t.TempDir()
 	path := saveFixtureMatcher(t, dir, "model.json")
 	fault.Enable("serve.reload", fault.Plan{FailFirst: 2})
-	art, err := LoadArtifact(context.Background(), path, 2,
-		retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond})
+	art, err := LoadArtifact(context.Background(), path, 2)
 	if err != nil {
 		t.Fatalf("transient read faults should be retried away: %v", err)
 	}
@@ -104,11 +101,11 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	}
 
 	// Trip the breaker so we can verify a successful reload resets it.
-	s.Breaker().Record(errBoom, 0)
-	s.Breaker().Record(errBoom, 0)
-	s.Breaker().Record(errBoom, 0)
-	s.Breaker().Record(errBoom, 0)
-	s.Breaker().Record(errBoom, 0)
+	s.breaker.Record(errBoom, 0)
+	s.breaker.Record(errBoom, 0)
+	s.breaker.Record(errBoom, 0)
+	s.breaker.Record(errBoom, 0)
+	s.breaker.Record(errBoom, 0)
 
 	// Reload the same file: succeeds, same checksum, breaker re-closed.
 	art, err := s.Reload(context.Background(), "")
@@ -118,7 +115,7 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	if art.Checksum != first.Checksum {
 		t.Fatalf("checksum changed on identical bytes: %s vs %s", art.Checksum, first.Checksum)
 	}
-	if st := s.Breaker().State(); st != BreakerClosed {
+	if st := s.breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker after successful reload = %v, want closed", st)
 	}
 

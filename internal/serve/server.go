@@ -284,7 +284,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	}
 	switch {
 	case cfg.MatcherPath != "":
-		art, err := LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth(), artifactRetry)
+		art, err := LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth())
 		if err != nil {
 			return nil, err
 		}
@@ -346,15 +346,9 @@ func (s *Server) featureWidth() int {
 // Artifact returns the live matcher artifact (nil = rule-only service).
 func (s *Server) Artifact() *Artifact { return s.artifact.Load() }
 
-// Breaker returns the matcher circuit breaker (test/status surface).
-func (s *Server) Breaker() *Breaker { return s.breaker }
-
 // TailSnapshot returns the tail-capture buffer's current contents, the
 // same document /debug/tail serves; emserve dumps it on drain.
 func (s *Server) TailSnapshot() tail.Snapshot { return s.tailBuf.Snapshot() }
-
-// SLOReport evaluates the configured objectives now.
-func (s *Server) SLOReport() *slo.Report { return s.sloTrk.Evaluate() }
 
 // Handler builds the service's HTTP routes, each wrapped in the
 // request-observability middleware (request IDs, wide events, tail
@@ -989,9 +983,6 @@ func (s *Server) StartDrain() {
 		}()
 	})
 }
-
-// Draining reports whether a drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drained returns a channel closed once in-flight work has finished
 // (or the drain timeout passed) after StartDrain.

@@ -257,7 +257,7 @@ func TestBreakerTripsAndRecoversUnderInjectedFaults(t *testing.T) {
 			t.Fatalf("request %d: want matcher_error, got %s", i, body)
 		}
 	}
-	if st := s.Breaker().State(); st != BreakerOpen {
+	if st := s.breaker.State(); st != BreakerOpen {
 		t.Fatalf("breaker after trip threshold = %v, want open", st)
 	}
 
@@ -292,7 +292,7 @@ func TestBreakerTripsAndRecoversUnderInjectedFaults(t *testing.T) {
 	if mr.Degraded {
 		t.Fatalf("probe request should serve the learned path: %s", body)
 	}
-	if st := s.Breaker().State(); st != BreakerClosed {
+	if st := s.breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker after successful probe = %v, want closed", st)
 	}
 }

@@ -10,9 +10,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
 	"emgo/internal/table"
@@ -274,6 +276,140 @@ func TestAnswersInvariantUnderShardingAndBatching(t *testing.T) {
 		for i := range records {
 			if res[i].Index != i || !sameAnswer(single[i], res[i].Matches) {
 				t.Errorf("record %d: /v1/match %+v, in a job of %d-record shards %+v", i, single[i], shard, res[i])
+			}
+		}
+	}
+}
+
+// TestDegradedAnswersWeakenNeverFlip: an answer given without the learned
+// matcher is the full answer made weaker, never a different one. With
+// ml.predict faulted behind a breaker that stays closed, with the breaker
+// tripped by the first failure, and with no matcher deployed, every
+// record's answer over /v1/match, inside a batch and inside a job shard
+// keeps exactly the full answer's sure-rule matches, adds no learned match
+// the full answer lacks, and says why whenever it is short of one (make
+// race-cpu runs this at 1, 2 and 4 CPUs).
+func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
+	records := make([]map[string]any, l.Len())
+	for i := range records {
+		records[i] = rowRecord(l, i)
+	}
+	jobBody, err := json.Marshal(map[string]any{"records": records})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		matches []Match
+		reason  string // "" = not degraded
+	}
+	answerOf := func(matches []Match, degraded bool, reason string) answer {
+		if degraded && reason == "" {
+			t.Errorf("a degraded answer carries no degraded_reason: %+v", matches)
+		}
+		if !degraded {
+			reason = ""
+		}
+		return answer{matches, reason}
+	}
+	// collect asks one server for every record three ways.
+	collect := func(wf *workflow.Workflow, breaker BreakerConfig) map[string][]answer {
+		s, err := New(context.Background(), Config{Breaker: breaker, Jobs: JobConfig{
+			Dir: t.TempDir(), ShardSize: 16, Workers: 1, retryBackoff: time.Millisecond, breaker: breaker}}, wf, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		out := map[string][]answer{}
+		for _, rec := range records {
+			var mr MatchResponse
+			postJSON(t, ts.URL+"/v1/match", map[string]any{"record": rec}, &mr)
+			out["/v1/match"] = append(out["/v1/match"], answerOf(mr.Matches, mr.Degraded, mr.DegradedReason))
+		}
+		for lo := 0; lo < len(records); lo += DefaultMaxBatchRecords {
+			var br BatchResponse
+			postJSON(t, ts.URL+"/v1/match/batch", map[string]any{"records": records[lo:min(lo+DefaultMaxBatchRecords, len(records))]}, &br)
+			for _, mr := range br.Results {
+				out["batch"] = append(out["batch"], answerOf(mr.Matches, mr.Degraded, mr.DegradedReason))
+			}
+		}
+		job := submitJob(t, ts.URL, string(jobBody))
+		if st := waitJobState(t, ts.URL, job.ID, JobCompleted, 60*time.Second); len(st.Quarantined) > 0 {
+			t.Fatalf("job quarantined shards %+v; a degraded shard is an answer, not a hole", st.Quarantined)
+		}
+		for _, rr := range decodeResults(t, fetchResults(t, ts.URL, job.ID)).Results {
+			out["job shard"] = append(out["job shard"], answerOf(rr.Matches, rr.Degraded, rr.DegradedReason))
+		}
+		return out
+	}
+	// split cuts an answer into its sure-rule matches and its learned ones.
+	split := func(ms []Match) (sure, learned []Match) {
+		for _, m := range ms {
+			if m.Source == "matcher" {
+				learned = append(learned, m)
+			} else {
+				sure = append(sure, m)
+			}
+		}
+		return sure, learned
+	}
+
+	full := collect(w, BreakerConfig{})["/v1/match"]
+	ruleOnly := *w
+	ruleOnly.Matcher = nil
+	cases := []struct {
+		name    string
+		wf      *workflow.Workflow
+		breaker BreakerConfig
+		faulted bool
+		reasons []string
+	}{
+		{"ml.predict faulted", w, BreakerConfig{Failures: 1 << 30}, true, []string{ReasonMatcherError}},
+		{"breaker open", w, BreakerConfig{Failures: 1, Cooldown: time.Hour}, true, []string{ReasonMatcherError, ReasonBreakerOpen}},
+		{"no matcher", &ruleOnly, BreakerConfig{}, false, []string{ReasonNoMatcher}},
+	}
+	for _, tc := range cases {
+		if tc.faulted {
+			fault.Enable("ml.predict", fault.Plan{})
+		}
+		got := collect(tc.wf, tc.breaker)
+		fault.Reset()
+		for mode, answers := range got {
+			if len(answers) != len(records) {
+				t.Fatalf("%s, %s: %d answers for %d records", tc.name, mode, len(answers), len(records))
+			}
+			weakened := 0
+			for i, a := range answers {
+				fullSure, fullLearned := split(full[i].matches)
+				sure, learned := split(a.matches)
+				if !sameAnswer(fullSure, sure) {
+					t.Errorf("%s, %s, record %d: sure-rule matches %+v, the full answer's %+v", tc.name, mode, i, sure, fullSure)
+				}
+				for _, m := range learned {
+					if !slices.ContainsFunc(fullLearned, func(f Match) bool { return f.RightIndex == m.RightIndex }) {
+						t.Errorf("%s, %s, record %d: learned match %+v is not in the full answer %+v", tc.name, mode, i, m, fullLearned)
+					}
+				}
+				if a.reason != "" && !slices.Contains(tc.reasons, a.reason) {
+					t.Errorf("%s, %s, record %d: degraded_reason %q, want one of %v", tc.name, mode, i, a.reason, tc.reasons)
+				}
+				if len(learned) < len(fullLearned) {
+					weakened++
+					if a.reason == "" {
+						t.Errorf("%s, %s, record %d: answer lacks %d learned match(es) and is not marked degraded", tc.name, mode, i, len(fullLearned)-len(learned))
+					}
+				}
+				if tc.wf.Matcher == nil && a.reason != ReasonNoMatcher {
+					t.Errorf("%s, %s, record %d: degraded_reason %q from a rule-only server", tc.name, mode, i, a.reason)
+				}
+			}
+			if weakened == 0 {
+				t.Errorf("%s, %s: no answer lost a learned match; the condition did not bite", tc.name, mode)
 			}
 		}
 	}

@@ -87,16 +87,6 @@ func (s *Schema) Has(name string) bool {
 	return ok
 }
 
-// KindOf returns the kind of the named column; it returns an error for an
-// unknown column.
-func (s *Schema) KindOf(name string) (Kind, error) {
-	i, ok := s.index[name]
-	if !ok {
-		return 0, fmt.Errorf("table: unknown column %q", name)
-	}
-	return s.fields[i].Kind, nil
-}
-
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	out, _ := NewSchema(s.fields...)

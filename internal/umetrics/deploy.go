@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"emgo/internal/drift"
 	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/retry"
@@ -110,25 +109,4 @@ func RunDeployed(ctx context.Context, spec *workflow.Spec, left, right *table.Ta
 		return nil, fmt.Errorf("umetrics: build deployed workflow: %w", err)
 	}
 	return w.RunCtx(ctx, left, right, opts)
-}
-
-// CaptureDeployBaseline runs the packaged workflow over its training
-// slice in drift-capture mode and persists the resulting baseline
-// profile to path (crash-safe atomic write) — the snapshot later
-// deployed runs are checked against. Any drift options already on opts
-// (sample cap, seed, estimated precision) are respected; Baseline and
-// BaselinePath are overridden for capture.
-func CaptureDeployBaseline(ctx context.Context, spec *workflow.Spec, left, right *table.Table, opts workflow.RunOptions, path string) (*drift.Profile, error) {
-	d := workflow.DriftStage{}
-	if opts.Drift != nil {
-		d = *opts.Drift
-	}
-	d.Baseline = nil
-	d.BaselinePath = path
-	opts.Drift = &d
-	res, err := RunDeployed(ctx, spec, left, right, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.DriftProfile, nil
 }

@@ -230,12 +230,12 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "baseline.json")
-	base, err := CaptureDeployBaseline(context.Background(), spec,
-		proj.UMETRICS, proj.USDA, workflow.RunOptions{}, path)
+	capRes, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA,
+		workflow.RunOptions{Drift: &workflow.DriftStage{BaselinePath: path}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base == nil || len(base.Features) == 0 {
+	if base := capRes.DriftProfile; base == nil || len(base.Features) == 0 {
 		t.Fatalf("baseline missing feature distributions: %+v", base)
 	}
 	loaded, err := drift.LoadProfile(path)

@@ -104,14 +104,17 @@ func TestGenerateTruthClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byClass := ds.Truth.CountByClass()
+	byClass := make(map[PairClass]int)
+	for _, c := range ds.Truth.matches {
+		byClass[c]++
+	}
 	if byClass[ClassFederal] == 0 || byClass[ClassState] == 0 || byClass[ClassTitle] == 0 {
 		t.Fatalf("missing match classes: %v", byClass)
 	}
 	if byClass[ClassTitleVeto] == 0 {
 		t.Fatalf("expected some veto-prone title matches: %v", byClass)
 	}
-	if ds.Truth.NumTraps() == 0 {
+	if len(ds.Truth.traps) == 0 {
 		t.Fatal("expected trap pairs")
 	}
 	// Every grant contributes at least one match; totals exceed grant

@@ -122,18 +122,6 @@ func (t *Truth) MatchClass(uan, accession string) PairClass {
 // NumMatches returns the number of true matching pairs.
 func (t *Truth) NumMatches() int { return len(t.matches) }
 
-// NumTraps returns the number of trap pairs.
-func (t *Truth) NumTraps() int { return len(t.traps) }
-
-// CountByClass tallies true matches per class.
-func (t *Truth) CountByClass() map[PairClass]int {
-	out := make(map[PairClass]int)
-	for _, c := range t.matches {
-		out[c]++
-	}
-	return out
-}
-
 // Matches returns all true-match keys (order unspecified).
 func (t *Truth) Matches() []IDKey {
 	out := make([]IDKey, 0, len(t.matches))

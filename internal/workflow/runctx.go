@@ -39,24 +39,13 @@ import (
 // persisted to BaselinePath with the crash-safe write protocol.
 type DriftStage struct {
 	// Baseline, when non-nil, switches the stage from capture to check:
-	// the live profile is evaluated against it under Thresholds.
+	// the live profile is evaluated against it under
+	// drift.DefaultThresholds.
 	Baseline *drift.Profile
 	// BaselinePath, in capture mode, is where the snapshot is persisted
 	// (temp file + fsync + atomic rename); empty keeps it in memory only
 	// (Result.DriftProfile).
 	BaselinePath string
-	// Thresholds are the warn/fail cut points for a check; the zero value
-	// selects drift.DefaultThresholds.
-	Thresholds drift.Thresholds
-	// SampleCap is the reservoir capacity per profiled distribution
-	// (<= 0 selects drift.DefaultSampleCap); Seed makes subsampling
-	// reproducible.
-	SampleCap int
-	Seed      int64
-	// EstimatedPrecision optionally embeds a capture-time labeled
-	// accuracy estimate ([lo, point, hi], Section 11) in the baseline so
-	// later checks can report a drift-discounted version of it.
-	EstimatedPrecision []float64
 }
 
 // RunOptions configures the hardened runtime. The zero value — what
@@ -162,7 +151,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// once per stage) see it.
 	var prof *drift.Collector
 	if opts.Drift != nil {
-		prof = drift.NewCollector(opts.Drift.SampleCap, opts.Drift.Seed)
+		prof = drift.NewCollector(drift.DefaultSampleCap, 0)
 		if w.Features != nil {
 			prof.SetFeatureNames(w.Features.Names())
 		}
@@ -309,7 +298,6 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 		cols := append(prof.ObserveTable("left", left), prof.ObserveTable("right", right)...)
 		res.DriftProfile = prof.Profile("workflow."+w.Name, left.Len(), right.Len(), blocked.PerLeftCounts(), cols)
 		if d := opts.Drift; d.Baseline == nil {
-			res.DriftProfile.EstimatedPrecision = d.EstimatedPrecision
 			if d.BaselinePath != "" {
 				if werr := res.DriftProfile.WriteFile(d.BaselinePath); werr != nil {
 					return abort(st, werr)
@@ -317,7 +305,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 			}
 			st.finish(obs.OutcomeOK, "captured baseline quality profile", len(res.DriftProfile.Features))
 		} else {
-			asmt, aerr := drift.Evaluate(d.Baseline, res.DriftProfile, d.Thresholds)
+			asmt, aerr := drift.Evaluate(d.Baseline, res.DriftProfile, drift.DefaultThresholds())
 			if aerr != nil {
 				return abort(st, aerr)
 			}
