@@ -107,9 +107,14 @@ ci: tier1 tier2
 
 # loc prints the measure ROADMAP aim 2 and open item 9 count in: lines of
 # non-test Go outside bench/ and internal/smoke (tracked files plus new
-# ones not yet added, so it reads the same before and after `git add`).
+# ones not yet added, so it reads the same before and after `git add`) —
+# the total on the first line, then one line per top-level package
+# directory (internal/serve, cmd/emload, …; "." is the module root), which
+# is where item 9's "shape" figures come from.
 loc:
-	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/smoke/' | xargs cat | wc -l
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/smoke/' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[1] "/" p[2] : "."; s[d] += $$1; t += $$1 } \
+			END { print t; fflush(); for (d in s) printf "%7d %s\n", s[d], d | "sort -k2" }'
 
 # bench runs every benchmark (no unit tests) with allocation counts.
 # BENCHTIME shortens or lengthens each measurement (e.g. BENCHTIME=10x

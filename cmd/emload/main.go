@@ -57,6 +57,7 @@ import (
 	"syscall"
 	"time"
 
+	"emgo/internal/ckpt"
 	"emgo/internal/load"
 	"emgo/internal/obs/slo"
 )
@@ -272,21 +273,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		summary.Pass = chres.Pass
 
 	default:
-		fmt.Fprintf(stderr, "emload: unknown mode %q (want run|soak|capacity|chaos)\n", *mode)
+		fmt.Fprintf(stderr, "emload: unknown mode %q (want run|soak|capacity|stream|chaos)\n", *mode)
 		return 2
 	}
 
-	out := io.Writer(stdout)
-	if *summaryPath != "" {
-		f, err := os.Create(*summaryPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "emload: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := summary.Write(out); err != nil {
+	if err := writeSummary(*summaryPath, stdout, summary); err != nil {
 		fmt.Fprintf(stderr, "emload: write summary: %v\n", err)
 		return 2
 	}
@@ -297,6 +288,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return code
+}
+
+// writeSummary renders the summary to stdout or, given a path, into that
+// file atomically: a failing write leaves the previous summary — which
+// scripts/bench_snapshot.sh and the smoke harness read — as it was.
+func writeSummary(path string, stdout io.Writer, summary *load.Summary) error {
+	if path == "" {
+		return summary.Write(stdout)
+	}
+	return ckpt.AtomicWriteTo(path, 0o644, summary.Write)
 }
 
 // normalizeURL accepts host:port or a full URL.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"emgo/internal/table"
+	"emgo/internal/tokenize"
 )
 
 // Bind returns the blockers bound to right: what each prepares from the
@@ -63,8 +64,19 @@ type tokenBlocker interface {
 // at least one token.
 type tokenJoin struct {
 	leftCol, rightCol string
-	form              tokenForm
+	form              Form
 	keep              func(inter, la, lb int) bool
+}
+
+// newTokenJoin is a token blocker's join: its columns, its tokenizer —
+// under the Section 7 normalization when it asks for it — and its
+// predicate.
+func newTokenJoin(leftCol, rightCol string, tok tokenize.Tokenizer, normalize bool, keep func(inter, la, lb int) bool) tokenJoin {
+	j := tokenJoin{leftCol: leftCol, rightCol: rightCol, form: Form{Tok: tok}, keep: keep}
+	if normalize {
+		j.form.Fold = FoldNormalize
+	}
+	return j
 }
 
 // boundTokens is a token blocker in bound form.
@@ -78,7 +90,7 @@ type boundTokens struct {
 // that is over the same right column in the same form.
 func newBoundTokens(b Blocker, j tokenJoin, others []Blocker) *boundTokens {
 	for _, o := range others {
-		if o, ok := o.(*boundTokens); ok && o.join.rightCol == j.rightCol && o.join.form.same(j.form) {
+		if o, ok := o.(*boundTokens); ok && o.join.rightCol == j.rightCol && o.join.form.Same(j.form) {
 			return &boundTokens{Blocker: b, join: j, col: o.col}
 		}
 	}
@@ -86,11 +98,7 @@ func newBoundTokens(b Blocker, j tokenJoin, others []Blocker) *boundTokens {
 }
 
 func (b *boundTokens) buildColumn(ctx context.Context, right *table.Table) (*tokenColumn, error) {
-	rj, err := right.Col(b.join.rightCol)
-	if err != nil {
-		return nil, err
-	}
-	return buildTokenColumn(ctx, right, rj, b.join.form)
+	return buildTokenColumn(ctx, right, b.join.rightCol, b.join.form)
 }
 
 // blockUnbound runs a token blocker nobody bound: bind, then probe.
@@ -172,17 +180,18 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 		sets[k] = NewCandidateSet(left, right)
 	}
 	s := col.newScratch()
+	var keys []uint64 // the current left cell's, reused row after row
 	kept := make([][]int32, len(group))
 	for i := 0; i < left.Len(); i++ {
 		if err := strideErr(ctx, i); err != nil {
 			return nil, err
 		}
-		toks := lead.join.form.tokens(left.Row(i)[lj])
-		col.probe(toks, s)
+		keys, _ = col.AppendKeys(keys[:0], left.Row(i)[lj], false)
+		col.probe(keys, s)
 		for _, r := range s.touched {
-			inter, lb := int(s.counts[r]), int(col.sizes[r])
+			inter, lb := int(s.counts[r]), len(col.cells[r].Keys)
 			for k, b := range group {
-				if b.join.keep(inter, len(toks), lb) {
+				if b.join.keep(inter, len(keys), lb) {
 					kept[k] = append(kept[k], r)
 				}
 			}

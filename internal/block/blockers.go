@@ -90,11 +90,8 @@ func (b Overlap) join() (tokenJoin, error) {
 		return tokenJoin{}, fmt.Errorf("block: overlap threshold must be >= 1, got %d", b.Threshold)
 	}
 	k := b.Threshold
-	return tokenJoin{
-		leftCol: b.LeftCol, rightCol: b.RightCol,
-		form: tokenForm{tok: b.Tokenizer, normalize: b.Normalize},
-		keep: func(inter, _, _ int) bool { return inter >= k },
-	}, nil
+	return newTokenJoin(b.LeftCol, b.RightCol, b.Tokenizer, b.Normalize,
+		func(inter, _, _ int) bool { return inter >= k }), nil
 }
 
 // OverlapCoefficient is the overlap-coefficient blocker of Section 7 step
@@ -131,11 +128,8 @@ func (b OverlapCoefficient) join() (tokenJoin, error) {
 		return tokenJoin{}, fmt.Errorf("block: overlap-coefficient threshold must be in (0,1], got %v", b.Threshold)
 	}
 	t := b.Threshold
-	return tokenJoin{
-		leftCol: b.LeftCol, rightCol: b.RightCol,
-		form: tokenForm{tok: b.Tokenizer, normalize: b.Normalize},
-		keep: func(inter, la, lb int) bool { return simfunc.OverlapCoefficientSizes(inter, la, lb) >= t },
-	}, nil
+	return newTokenJoin(b.LeftCol, b.RightCol, b.Tokenizer, b.Normalize,
+		func(inter, la, lb int) bool { return simfunc.OverlapCoefficientSizes(inter, la, lb) >= t }), nil
 }
 
 // Func is a black-box blocker evaluating a predicate over the full

@@ -3,6 +3,7 @@ package block
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 
@@ -10,88 +11,207 @@ import (
 	"emgo/internal/tokenize"
 )
 
-// Everything a token blocker needs from the right table — its cells'
-// distinct tokens and the rows holding each token — depends on the table,
-// the column and how a cell becomes tokens, not on the left rows or the
-// blocker's threshold. This file prepares that once as a token column and
-// answers every blocker, and the blocking debugger, from one probe over it.
+// Every verdict of a token blocker and every set-similarity feature is a
+// function of three counts over two cells' distinct tokens — |A∩B|, |A|
+// and |B| — so any integers will do for tokens that equal tokens, and only
+// they, share. This file is that data format, once: a right-table column
+// under a token form is a dictionary numbering its tokens plus each row's
+// distinct token keys, ascending. The blockers derive postings from it
+// (tokenColumn) and probe; a feature set merges its cells pair by pair.
 
-// tokenForm says how a cell's text becomes its blocking tokens: the
-// optional Section 7 normalization, then tok.
-type tokenForm struct {
-	tok       tokenize.Tokenizer
-	normalize bool
+// Fold is what happens to a cell's text before it is tokenised.
+type Fold uint8
+
+const (
+	// FoldNone tokenises the text as it stands.
+	FoldNone Fold = iota
+	// FoldLower lowercases it: the Section 9 case-insensitive features.
+	FoldLower
+	// FoldNormalize lowercases it and strips special characters: the
+	// Section 7 pre-blocking normalization.
+	FoldNormalize
+)
+
+// Form says how a cell's text becomes its token set: Fold, then Tok.
+type Form struct {
+	Tok  tokenize.Tokenizer
+	Fold Fold
 }
 
-// tokens returns the sorted distinct tokens of v; a null has none.
-func (f tokenForm) tokens(v table.Value) []string {
+// Same reports whether f and g turn every cell into the same tokens, so
+// that one column serves both. Tokenizers of a type that cannot be
+// compared never share — not even one with itself.
+func (f Form) Same(g Form) bool {
+	t := reflect.TypeOf(f.Tok)
+	return f.Fold == g.Fold && t != nil && t == reflect.TypeOf(g.Tok) && t.Comparable() && f.Tok == g.Tok
+}
+
+// Cell is one prepared table cell: a key per distinct token, ascending. A
+// null cell has none, and says so: an empty cell is a set of size 0, a
+// null one is no set.
+type Cell struct {
+	Keys []uint64
+	Null bool
+}
+
+// Column is one right-table column under one form: the dictionary
+// numbering its tokens — unless a token is its own key — and the cells of
+// the rows it was built over. Built, it is immutable, so any number of
+// readers may share it.
+type Column struct {
+	form  Form
+	ids   map[string]uint64 // nil when tokens are their own keys
+	cells []Cell
+}
+
+// NewColumn returns an empty column under form. With pack, a form whose
+// tokens each fit a key (tokenize.QGram.Packs) gets no dictionary: a
+// feature set's 3-gram columns. Without, tokens are numbered densely from
+// 0 in order of first appearance, which is what postings index by.
+func NewColumn(form Form, pack bool) *Column {
+	c := &Column{form: form}
+	if g, ok := form.Tok.(tokenize.QGram); !pack || !ok || !g.Packs() {
+		c.ids = map[string]uint64{}
+	}
+	return c
+}
+
+// Form returns the form the column was made under.
+func (c *Column) Form() Form { return c.form }
+
+// Packed reports whether the column's tokens are their own keys.
+func (c *Column) Packed() bool { return c.ids == nil }
+
+// Cell returns the cell of the i-th row the column was built over.
+func (c *Column) Cell(i int) Cell { return c.cells[i] }
+
+// AppendKeys appends the keys of v's cell to dst, sorted; null reports a
+// null cell, which has none. With add — Build's, and whoever prepares a
+// lone cell in a column of its own — a token new to the dictionary joins
+// it; never on a built column. Without, v is a cell to compare with the
+// column's: a token the dictionary lacks matches nothing there, so each
+// gets a key past the dictionary's — after every key that can match — and
+// a cell's size stays len(keys).
+func (c *Column) AppendKeys(dst []uint64, v table.Value, add bool) (_ []uint64, null bool) {
 	if v.IsNull() {
-		return nil
+		return dst, true
 	}
-	s := v.Str()
-	if f.normalize {
+	start, s := len(dst), v.Str()
+	switch {
+	case c.form.Fold == FoldNormalize:
 		s = tokenize.Normalize(s)
+	case c.form.Fold == FoldLower && !c.Packed():
+		s = tokenize.Lower(s)
 	}
-	return tokenize.SortDistinct(f.tok.Tokens(s))
+	if c.Packed() {
+		// Packed grams read their lower case rune by rune, uncopied.
+		dst = c.form.Tok.(tokenize.QGram).AppendKeys(dst, s, c.form.Fold == FoldLower)
+		return dst[:start+len(tokenize.SortDistinct(dst[start:]))], false
+	}
+	var buf [32]string // room for most cells' tokens without allocating
+	toks := buf[:0]
+	if w, ok := c.form.Tok.(tokenize.Word); ok {
+		toks = w.AppendTokens(toks, s)
+	} else {
+		toks = c.form.Tok.Tokens(s)
+	}
+	toks = tokenize.SortDistinct(toks)
+	dst = slices.Grow(dst, len(toks))
+	unseen := 0
+	for _, t := range toks {
+		id, ok := c.ids[t]
+		switch {
+		case ok:
+		case add:
+			// A token is a window of its cell's text; the clone keeps
+			// the dictionary from pinning every cell.
+			id = uint64(len(c.ids))
+			c.ids[strings.Clone(t)] = id
+		default:
+			unseen++
+			continue
+		}
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[start:])
+	for k := 0; k < unseen; k++ {
+		dst = append(dst, uint64(len(c.ids)+k))
+	}
+	return dst, false
 }
 
-// same reports whether f and g turn every cell into the same tokens.
-// Tokenizers of a type that cannot be compared never share.
-func (f tokenForm) same(g tokenForm) bool {
-	t := reflect.TypeOf(f.tok)
-	return f.normalize == g.normalize && t == reflect.TypeOf(g.tok) && t.Comparable() && f.tok == g.tok
+// arenaChunk is how many keys a column's cells share an array in.
+const arenaChunk = 4096
+
+// Build prepares the cells of column rj of right over rows — nil for
+// every row, in order — each a window of an array shared with its
+// neighbours. A build cut short by ctx is an error, never a partial
+// column.
+func (c *Column) Build(ctx context.Context, right *table.Table, rj int, rows []int) error {
+	n := len(rows)
+	if rows == nil {
+		n = right.Len()
+	}
+	cells := make([]Cell, n)
+	var arena []uint64
+	for i := range cells {
+		if err := strideErr(ctx, i); err != nil {
+			return err
+		}
+		row := i
+		if rows != nil {
+			row = rows[i]
+		}
+		v := right.Row(row)[rj]
+		// No built-in form has more tokens than bytes; past one that
+		// does, append grows the array and earlier windows keep theirs.
+		if need := len(v.Str()); cap(arena)-len(arena) < need {
+			arena = make([]uint64, 0, max(need, min(arenaChunk, need*(n-i))))
+		}
+		start, null := len(arena), false
+		arena, null = c.AppendKeys(arena, v, true)
+		cells[i] = Cell{Keys: arena[start:len(arena):len(arena)], Null: null}
+	}
+	c.cells = cells
+	return nil
 }
 
-// tokenColumn is one right-table column under one form: a dictionary of
-// its tokens, each row's distinct token count, and each token's postings
-// (the rows holding it, ascending). It is never written after build, so
-// any number of probes may share it.
+// tokenColumn is a column as the blockers and the blocking debugger read
+// it: every row of the right table, numbered densely, plus what is derived
+// from its cells — each token's postings (the rows holding it, ascending).
 type tokenColumn struct {
-	ids   map[string]uint32
-	sizes []int32
+	*Column
 	// Token id's postings are rows[start[id]:start[id+1]].
 	start []int32
 	rows  []int32
 }
 
-// buildTokenColumn tokenises column rj of right once.
-func buildTokenColumn(ctx context.Context, right *table.Table, rj int, form tokenForm) (*tokenColumn, error) {
-	n := right.Len()
-	c := &tokenColumn{ids: make(map[string]uint32), sizes: make([]int32, n)}
-	var cells []uint32 // every row's token ids, row after row
-	var df []int32     // per token id: how many rows hold it
-	for i := 0; i < n; i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
-		}
-		toks := form.tokens(right.Row(i)[rj])
-		c.sizes[i] = int32(len(toks))
-		for _, t := range toks {
-			id, ok := c.ids[t]
-			if !ok {
-				id = uint32(len(df))
-				// A token is a window of its cell's text; the clone
-				// keeps the dictionary from pinning every cell.
-				c.ids[strings.Clone(t)] = id
-				df = append(df, 0)
-			}
-			df[id]++
-			cells = append(cells, id)
+// buildTokenColumn tokenises the named column of right once.
+func buildTokenColumn(ctx context.Context, right *table.Table, col string, form Form) (*tokenColumn, error) {
+	rj, err := right.Col(col)
+	if err != nil {
+		return nil, err
+	}
+	c := &tokenColumn{Column: NewColumn(form, false)}
+	if err := c.Build(ctx, right, rj, nil); err != nil {
+		return nil, err
+	}
+	c.start = make([]int32, len(c.ids)+1)
+	for _, cell := range c.cells {
+		for _, id := range cell.Keys {
+			c.start[id+1]++ // how many rows hold the token, for now
 		}
 	}
-	c.start = make([]int32, len(df)+1)
-	for id, d := range df {
-		c.start[id+1] = c.start[id] + d
+	for id := 1; id < len(c.start); id++ {
+		c.start[id] += c.start[id-1]
 	}
-	c.rows = make([]int32, len(cells))
-	next := append([]int32(nil), c.start[:len(df)]...)
-	at := 0
-	for i, size := range c.sizes {
-		for _, id := range cells[at : at+int(size)] {
+	c.rows = make([]int32, c.start[len(c.ids)])
+	next := slices.Clone(c.start[:len(c.ids)])
+	for i, cell := range c.cells {
+		for _, id := range cell.Keys {
 			c.rows[next[id]] = int32(i)
 			next[id]++
 		}
-		at += int(size)
 	}
 	return c, nil
 }
@@ -103,16 +223,16 @@ type scratch struct {
 	touched []int32
 }
 
-func (c *tokenColumn) newScratch() *scratch { return &scratch{counts: make([]int32, len(c.sizes))} }
+func (c *tokenColumn) newScratch() *scratch { return &scratch{counts: make([]int32, len(c.cells))} }
 
-// probe counts, for every right row, the tokens it shares with toks (a
-// cell's distinct tokens). The rows reached are s.touched, in no
-// particular order; the caller reads their counts and then resets.
-func (c *tokenColumn) probe(toks []string, s *scratch) {
-	for _, t := range toks {
-		id, ok := c.ids[t]
-		if !ok {
-			continue
+// probe counts, for every right row, the tokens it shares with keys (a
+// cell's, from AppendKeys without add). The rows reached are s.touched, in
+// no particular order; the caller reads their counts and then resets.
+func (c *tokenColumn) probe(keys []uint64, s *scratch) {
+	known := uint64(len(c.ids))
+	for _, id := range keys {
+		if id >= known {
+			break // the rest are tokens the column lacks
 		}
 		for _, r := range c.rows[c.start[id]:c.start[id+1]] {
 			if s.counts[r] == 0 {

@@ -55,12 +55,12 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 		names = append(names, l)
 	}
 	sort.Strings(names)
-	form := tokenForm{tok: tokenize.Word{}, normalize: true}
+	form := Form{Tok: tokenize.Word{}, Fold: FoldNormalize}
 	type compared struct {
 		lj   int
 		col  *tokenColumn
 		s    *scratch
-		size int // the current left cell's distinct tokens
+		keys []uint64 // the current left cell's
 	}
 	cols := make([]compared, len(names))
 	for n, l := range names {
@@ -68,11 +68,7 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		rj, err := right.Col(d.Cols[l])
-		if err != nil {
-			return nil, err
-		}
-		col, err := buildTokenColumn(context.Background(), right, rj, form)
+		col, err := buildTokenColumn(context.Background(), right, d.Cols[l], form)
 		if err != nil {
 			return nil, err
 		}
@@ -96,9 +92,8 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 		row := left.Row(i)
 		for n := range cols {
 			c := &cols[n]
-			toks := form.tokens(row[c.lj])
-			c.size = len(toks)
-			c.col.probe(toks, c.s)
+			c.keys, _ = c.col.AppendKeys(c.keys[:0], row[c.lj], false)
+			c.col.probe(c.keys, c.s)
 		}
 		for n := range cols {
 		reached:
@@ -111,7 +106,7 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 				p := DebugPair{Pair: Pair{A: i, B: int(r)}}
 				for _, c := range cols[n:] {
 					if inter := int(c.s.counts[r]); inter > 0 {
-						p.Score = max(p.Score, simfunc.JaccardSizes(inter, c.size, int(c.col.sizes[r])))
+						p.Score = max(p.Score, simfunc.JaccardSizes(inter, len(c.keys), len(c.col.cells[r].Keys)))
 					}
 				}
 				if !rankedBefore(p, floor) || cand.Contains(p.Pair) {

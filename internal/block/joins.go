@@ -51,11 +51,8 @@ func (b JaccardJoin) join() (tokenJoin, error) {
 		return tokenJoin{}, fmt.Errorf("block: jaccard threshold must be in (0,1], got %v", b.Threshold)
 	}
 	t := b.Threshold
-	return tokenJoin{
-		leftCol: b.LeftCol, rightCol: b.RightCol,
-		form: tokenForm{tok: b.Tokenizer, normalize: b.Normalize},
-		keep: func(inter, la, lb int) bool { return simfunc.JaccardSizes(inter, la, lb) >= t },
-	}, nil
+	return newTokenJoin(b.LeftCol, b.RightCol, b.Tokenizer, b.Normalize,
+		func(inter, la, lb int) bool { return simfunc.JaccardSizes(inter, la, lb) >= t }), nil
 }
 
 // SortedNeighborhood is the classic sorted-neighborhood blocker: both

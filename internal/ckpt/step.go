@@ -9,8 +9,10 @@ import (
 
 // This file is the one durable step: "restore this step's artifact if it
 // verifies and validates against the live inputs, else recompute and
-// save, fail-open both ways". The workflow stages, the case-study
-// sections and the job shards all run through it; a layer brings its
+// save, fail-open both ways". The workflow stages and the case-study
+// sections run through Do; the job shards use its halves — Restore when
+// a fetch reads a shard back, Store.WriteJSON when an attempt commits
+// one, the retry loop between them being theirs. A layer brings its
 // validator and nothing else.
 
 // ErrDeclined is what a validator wraps to refuse an artifact without

@@ -198,7 +198,7 @@ type similarity struct {
 	compute func(a, b table.Value) float64
 	// form and ratio are set for set similarities only: the value is
 	// ratio(|A∩B|, |A|, |B|) over the cells' form tokens.
-	form  cellForm
+	form  block.Form
 	ratio func(inter, la, lb int) float64
 }
 
@@ -217,14 +217,14 @@ var computeRegistry = func() map[string]similarity {
 		"jaro_winkler":             direct(strSim(simfunc.JaroWinkler)),
 		"exact":                    direct(strSim(simfunc.ExactString)),
 		"exact_fold":               direct(strSim(simfunc.ExactStringFold)),
-		"jaccard_qgram3":           setSim(cellForm{tok: qg3}, simfunc.JaccardSizes),
-		"jaccard_word":             setSim(cellForm{tok: word}, simfunc.JaccardSizes),
-		"cosine_word":              setSim(cellForm{tok: word}, simfunc.CosineSizes),
-		"dice_word":                setSim(cellForm{tok: word}, simfunc.DiceSizes),
-		"overlap_coeff_word":       setSim(cellForm{tok: word}, simfunc.OverlapCoefficientSizes),
+		"jaccard_qgram3":           setSim(block.Form{Tok: qg3}, simfunc.JaccardSizes),
+		"jaccard_word":             setSim(block.Form{Tok: word}, simfunc.JaccardSizes),
+		"cosine_word":              setSim(block.Form{Tok: word}, simfunc.CosineSizes),
+		"dice_word":                setSim(block.Form{Tok: word}, simfunc.DiceSizes),
+		"overlap_coeff_word":       setSim(block.Form{Tok: word}, simfunc.OverlapCoefficientSizes),
 		"monge_elkan":              direct(tokSim(word, simfunc.MongeElkan)),
-		"jaccard_word_lower":       setSim(cellForm{tok: word, lower: true}, simfunc.JaccardSizes),
-		"jaccard_qgram3_lower":     setSim(cellForm{tok: qg3, lower: true}, simfunc.JaccardSizes),
+		"jaccard_word_lower":       setSim(block.Form{Tok: word, Fold: block.FoldLower}, simfunc.JaccardSizes),
+		"jaccard_qgram3_lower":     setSim(block.Form{Tok: qg3, Fold: block.FoldLower}, simfunc.JaccardSizes),
 		"exact_num":                direct(numSim(simfunc.ExactNumeric)),
 		"abs_diff":                 direct(numSim(simfunc.AbsDiff)),
 		"rel_diff":                 direct(numSim(simfunc.RelDiff)),

@@ -8,145 +8,40 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 
 	"emgo/internal/block"
 	"emgo/internal/parallel"
 	"emgo/internal/simfunc"
 	"emgo/internal/table"
-	"emgo/internal/tokenize"
 )
 
 // A set similarity is a ratio of three counts over the distinct tokens of
 // the two cells. Tokenising a cell and building its set costs far more
 // than comparing two sets, and a row appears in many candidate pairs, so
 // VectorizeCtx prepares each referenced cell once per call — its distinct
-// tokens under each form the feature set uses, as sorted integer keys —
-// and every pair is then one merge over two prepared cells: no map, no
-// allocation. Only the counts enter a ratio, so any integers will do that
-// equal tokens, and only they, share.
-
-// cellForm says how a cell's text becomes a token set: optional
-// lowercasing (the Section 9 case-insensitive variants), then tok.
-type cellForm struct {
-	tok   tokenize.Tokenizer
-	lower bool
-}
-
-// cell is one prepared table cell: a key per distinct token, ascending.
-type cell struct {
-	keys []uint64
-	null bool
-}
-
-// column is one right-table column under one form: the cells of the rows
-// it was built over and, unless a token of the form is its own key
-// (tokenize.QGram.Packs), the dictionary numbering them. Built, it is
-// immutable.
-type column struct {
-	rj    int
-	form  cellForm
-	ids   map[string]uint64 // nil when tokens are their own keys
-	cells []cell
-}
-
-func newColumn(rj int, form cellForm) *column {
-	c := &column{rj: rj, form: form}
-	if g, ok := form.tok.(tokenize.QGram); !ok || !g.Packs() {
-		c.ids = map[string]uint64{}
-	}
-	return c
-}
-
-// appendKeys appends the keys of v's cell to dst, sorted; null reports a
-// null cell, which has none. With add — build's, the only writer of ids —
-// a token new to the dictionary joins it. Without, v is a cell to compare
-// with the column's: a token the dictionary lacks matches nothing there,
-// so each gets a key past the dictionary's and a cell's size stays
-// len(keys).
-func (c *column) appendKeys(dst []uint64, v table.Value, add bool) (_ []uint64, null bool) {
-	if v.IsNull() {
-		return dst, true
-	}
-	start, s := len(dst), v.Str()
-	if c.ids == nil {
-		dst = c.form.tok.(tokenize.QGram).AppendKeys(dst, s, c.form.lower)
-		return dst[:start+len(tokenize.SortDistinct(dst[start:]))], false
-	}
-	if c.form.lower {
-		s = tokenize.Lower(s)
-	}
-	var buf [32]string // room for most cells' tokens without allocating
-	toks := buf[:0]
-	if w, ok := c.form.tok.(tokenize.Word); ok {
-		toks = w.AppendTokens(toks, s)
-	} else {
-		toks = c.form.tok.Tokens(s)
-	}
-	unseen := 0
-	for _, t := range tokenize.SortDistinct(toks) {
-		id, ok := c.ids[t]
-		switch {
-		case ok:
-		case add:
-			// A token is a window of its cell's text; the clone keeps
-			// the dictionary from pinning every cell.
-			id = uint64(len(c.ids))
-			c.ids[strings.Clone(t)] = id
-		default:
-			unseen++
-			continue
-		}
-		dst = append(dst, id)
-	}
-	slices.Sort(dst[start:])
-	for k := 0; k < unseen; k++ {
-		dst = append(dst, uint64(len(c.ids)+k))
-	}
-	return dst, false
-}
-
-// arenaChunk is how many keys a column's cells share an array in.
-const arenaChunk = 4096
-
-// build prepares the cells of rows of right, each a window of an array
-// shared with its neighbours; a cancelled ctx cuts it short.
-func (c *column) build(ctx context.Context, right *table.Table, rows []int) {
-	c.cells = make([]cell, len(rows))
-	var arena []uint64
-	for i, row := range rows {
-		if i%1024 == 0 && ctx.Err() != nil {
-			return
-		}
-		v := right.Row(row)[c.rj]
-		// No built-in form has more tokens than bytes; past one that
-		// does, append grows the array and earlier windows keep theirs.
-		if need := len(v.Str()); cap(arena)-len(arena) < need {
-			arena = make([]uint64, 0, max(need, min(arenaChunk, need*(len(rows)-i))))
-		}
-		start, null := len(arena), false
-		arena, null = c.appendKeys(arena, v, true)
-		c.cells[i] = cell{keys: arena[start:len(arena):len(arena)], null: null}
-	}
-}
+// tokens under each form the feature set uses, as the sorted integer keys
+// of a block.Column, the token column the blockers probe — and every pair
+// is then one merge over two prepared cells: no map, no allocation.
 
 // setSim builds the registry entry of a set similarity. Its per-pair
 // compute is the prepared computation over a column of the one right cell,
 // so Feature.Compute and VectorizeCtx share one definition.
-func setSim(form cellForm, ratio func(inter, la, lb int) float64) similarity {
-	return similarity{
-		compute: func(a, b table.Value) float64 {
-			col := newColumn(0, form)
-			kb, nullB := col.appendKeys(nil, b, true)
-			ka, nullA := col.appendKeys(nil, a, false)
-			if nullA || nullB {
-				return math.NaN()
-			}
-			return ratio(simfunc.SortedIntersectionSize(ka, kb), len(ka), len(kb))
-		},
-		form:  form,
-		ratio: ratio,
+func setSim(form block.Form, ratio func(inter, la, lb int) float64) similarity {
+	sim := similarity{compute: func(a, b table.Value) float64 {
+		col := block.NewColumn(form, true)
+		kb, nullB := col.AppendKeys(nil, b, true)
+		ka, nullA := col.AppendKeys(nil, a, false)
+		if nullA || nullB {
+			return math.NaN()
+		}
+		return ratio(simfunc.SortedIntersectionSize(ka, kb), len(ka), len(kb))
+	}}
+	// Under a form no column can be shared for (block.Form.Same), the
+	// per-pair compute is all there is.
+	if form.Same(form) {
+		sim.form, sim.ratio = form, ratio
 	}
+	return sim
 }
 
 // cellGroup is the set features of a feature set that share one prepared
@@ -154,7 +49,7 @@ func setSim(form cellForm, ratio func(inter, la, lb int) float64) similarity {
 // per candidate pair.
 type cellGroup struct {
 	lj, rj int
-	form   cellForm
+	form   block.Form
 	// feats and ratios align: feature index in the set, and its ratio.
 	feats  []int
 	ratios []func(inter, la, lb int) float64
@@ -189,7 +84,7 @@ func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 			continue
 		}
 		g := 0
-		for g < len(pl.groups) && (pl.groups[g].lj != lj || pl.groups[g].rj != rj || pl.groups[g].form != sim.form) {
+		for g < len(pl.groups) && (pl.groups[g].lj != lj || pl.groups[g].rj != rj || !pl.groups[g].form.Same(sim.form)) {
 			g++
 		}
 		if g == len(pl.groups) {
@@ -217,8 +112,8 @@ func fanOut(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
 type prepared struct {
 	leftRows  []int
 	rightRows []int // nil when cols hold every row of the right table
-	cols      []*column
-	left      []cell // group-major: left[g*len(leftRows)+slot]
+	cols      []*block.Column
+	left      []block.Cell // group-major: left[g*len(leftRows)+slot]
 }
 
 // slots returns where pair q's rows sit in every group's cells: positions
@@ -234,11 +129,11 @@ func (p *prepared) slots(q block.Pair) (ls, rs int) {
 // counts returns |A∩B|, |A| and |B| over group g's two cells at the given
 // slots; ok is false when either cell is null.
 func (p *prepared) counts(g, ls, rs int) (inter, la, lb int, ok bool) {
-	a, b := &p.left[g*len(p.leftRows)+ls], &p.cols[g].cells[rs]
-	if a.null || b.null {
+	a, b := p.left[g*len(p.leftRows)+ls], p.cols[g].Cell(rs)
+	if a.Null || b.Null {
 		return 0, 0, 0, false
 	}
-	return simfunc.SortedIntersectionSize(a.keys, b.keys), len(a.keys), len(b.keys), true
+	return simfunc.SortedIntersectionSize(a.Keys, b.Keys), len(a.Keys), len(b.Keys), true
 }
 
 // vector fills row with the feature values of pair p: one merge per cell
@@ -292,7 +187,7 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 	}
 	if err == nil {
 		n := len(p.leftRows)
-		p.left = make([]cell, len(pl.groups)*n)
+		p.left = make([]block.Cell, len(pl.groups)*n)
 		err = parallel.ForWorkersCtx(ctx, n, fanOut(n), func(slot int) error {
 			row := left.Row(p.leftRows[slot])
 			size := 0
@@ -302,8 +197,8 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 			keys := make([]uint64, 0, size)
 			for g := range pl.groups {
 				start, null := len(keys), false
-				keys, null = p.cols[g].appendKeys(keys, row[pl.groups[g].lj], false)
-				p.left[g*n+slot] = cell{keys: keys[start:len(keys):len(keys)], null: null}
+				keys, null = p.cols[g].AppendKeys(keys, row[pl.groups[g].lj], false)
+				p.left[g*n+slot] = block.Cell{Keys: keys[start:len(keys):len(keys)], Null: null}
 			}
 			return nil
 		})
@@ -318,9 +213,11 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 }
 
 // rightCells is a feature set's prepared right side: a column for each
-// (column, form) its set features use, all over the same rows of one table.
+// (right column, form) its set features use, all over the same rows of one
+// table. cols[i] is over right column rj[i].
 type rightCells struct {
-	cols []*column
+	rj   []int
+	cols []*block.Column
 }
 
 // Bind prepares the right table's cells now, once, so VectorizeCtx over
@@ -333,15 +230,12 @@ type rightCells struct {
 func (s *Set) Bind(right *table.Table) {
 	s.bound.Drop()
 	_, _ = s.bound.Get(context.Background(), right, func(ctx context.Context, right *table.Table) (*rightCells, error) {
-		rows := make([]int, right.Len())
-		for i := range rows {
-			rows[i] = i
-		}
-		return s.prepareRight(ctx, right, rows)
+		return s.prepareRight(ctx, right, nil)
 	})
 }
 
-// prepareRight builds the set's right columns over rows of right.
+// prepareRight builds the set's right columns over rows of right — nil
+// for every row.
 func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) (*rightCells, error) {
 	rc := &rightCells{}
 	for _, f := range s.Features {
@@ -354,22 +248,27 @@ func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) 
 			return nil, err
 		}
 		if rc.column(rj, sim.form) == nil {
-			rc.cols = append(rc.cols, newColumn(rj, sim.form))
+			rc.rj, rc.cols = append(rc.rj, rj), append(rc.cols, block.NewColumn(sim.form, true))
 		}
 	}
+	n := len(rows)
+	if rows == nil {
+		n = right.Len()
+	}
 	// A column's dictionary grows row by row, so the fan-out is over
-	// columns.
-	err := parallel.ForWorkersCtx(ctx, len(rc.cols), fanOut(len(rows)), func(g int) error {
-		rc.cols[g].build(ctx, right, rows)
+	// columns. Only ctx cuts a build short; it is reported here, bare, not
+	// under a column's index, which is no pair's.
+	err := parallel.ForWorkersCtx(ctx, len(rc.cols), fanOut(n), func(g int) error {
+		_ = rc.cols[g].Build(ctx, right, rc.rj[g], rows)
 		return nil
 	})
-	return rc, cmp.Or(err, ctx.Err()) // a build cut short is no column
+	return rc, cmp.Or(err, ctx.Err())
 }
 
 // column returns the column of right column rj under form, or nil.
-func (rc *rightCells) column(rj int, form cellForm) *column {
-	for _, c := range rc.cols {
-		if c.rj == rj && c.form == form {
+func (rc *rightCells) column(rj int, form block.Form) *block.Column {
+	for i, c := range rc.cols {
+		if rc.rj[i] == rj && c.Form().Same(form) {
 			return c
 		}
 	}
@@ -378,11 +277,11 @@ func (rc *rightCells) column(rj int, form cellForm) *column {
 
 // of returns the column of each plan group, or nil when rc (which may be
 // nil) lacks any of them.
-func (rc *rightCells) of(groups []cellGroup) []*column {
+func (rc *rightCells) of(groups []cellGroup) []*block.Column {
 	if rc == nil {
 		return nil
 	}
-	out := make([]*column, len(groups))
+	out := make([]*block.Column, len(groups))
 	for g, grp := range groups {
 		if out[g] = rc.column(grp.rj, grp.form); out[g] == nil {
 			return nil

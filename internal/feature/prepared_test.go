@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -215,23 +216,23 @@ var gramCells = append(append([]string{}, hardCells...), unicodeCells...)
 
 // gramCounts returns |A∩B|, |A| and |B| of a and b twice: from the packed
 // cells of form, and from the token strings its tokenizer returns.
-func gramCounts(form cellForm, a, b string) (packed, tokens [3]int) {
-	col := newColumn(0, form)
-	kb, _ := col.appendKeys(nil, table.S(b), true)
-	ka, _ := col.appendKeys(nil, table.S(a), false)
+func gramCounts(form block.Form, a, b string) (packed, tokens [3]int) {
+	col := block.NewColumn(form, true)
+	kb, _ := col.AppendKeys(nil, table.S(b), true)
+	ka, _ := col.AppendKeys(nil, table.S(a), false)
 	packed = [3]int{simfunc.SortedIntersectionSize(ka, kb), len(ka), len(kb)}
-	if form.lower {
+	if form.Fold == block.FoldLower {
 		a, b = tokenize.Lower(a), tokenize.Lower(b)
 	}
-	ta, tb := tokenize.SortedSet(form.tok.Tokens(a)), tokenize.SortedSet(form.tok.Tokens(b))
+	ta, tb := tokenize.SortedSet(form.Tok.Tokens(a)), tokenize.SortedSet(form.Tok.Tokens(b))
 	return packed, [3]int{simfunc.SortedIntersectionSize(ta, tb), len(ta), len(tb)}
 }
 
 // packedForms are the forms whose tokens are their own keys: the
 // registry's 3-grams, and the shorter grams that pack the same way.
-var packedForms = func() (forms []cellForm) {
+var packedForms = func() (forms []block.Form) {
 	for q := 1; q <= 3; q++ {
-		forms = append(forms, cellForm{tok: tokenize.QGram{Q: q}}, cellForm{tok: tokenize.QGram{Q: q}, lower: true})
+		forms = append(forms, block.Form{Tok: tokenize.QGram{Q: q}}, block.Form{Tok: tokenize.QGram{Q: q}, Fold: block.FoldLower})
 	}
 	return forms
 }()
@@ -241,13 +242,13 @@ var packedForms = func() (forms []cellForm) {
 // the token sets they stand for.
 func TestPackedKeysMatchTokenSets(t *testing.T) {
 	for _, form := range packedForms {
-		if col := newColumn(0, form); col.ids != nil {
-			t.Fatalf("%s has a dictionary: its grams should be their own keys", form.tok.Name())
+		if !block.NewColumn(form, true).Packed() {
+			t.Fatalf("%s has a dictionary: its grams should be their own keys", form.Tok.Name())
 		}
 		for _, a := range gramCells {
 			for _, b := range gramCells {
 				if packed, tokens := gramCounts(form, a, b); packed != tokens {
-					t.Fatalf("%s lower=%v (%q, %q): packed cells count %v, token sets %v", form.tok.Name(), form.lower, a, b, packed, tokens)
+					t.Fatalf("%s fold=%v (%q, %q): packed cells count %v, token sets %v", form.Tok.Name(), form.Fold, a, b, packed, tokens)
 				}
 			}
 		}
@@ -262,27 +263,39 @@ func FuzzPackedKeys(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b string) {
 		for _, form := range packedForms {
 			if packed, tokens := gramCounts(form, a, b); packed != tokens {
-				t.Fatalf("%s lower=%v (%q, %q): packed cells count %v, token sets %v", form.tok.Name(), form.lower, a, b, packed, tokens)
+				t.Fatalf("%s fold=%v (%q, %q): packed cells count %v, token sets %v", form.Tok.Name(), form.Fold, a, b, packed, tokens)
 			}
 		}
 	})
 }
 
+// fieldsTokenizer is a tokenizer of a type Go cannot compare, so no column
+// is ever shared under it (block.Form.Same).
+type fieldsTokenizer []string
+
+func (fieldsTokenizer) Tokens(s string) []string { return strings.Fields(s) }
+func (fieldsTokenizer) Name() string             { return "fields" }
+
 // TestDictionaryFormsMatchCompute: grams that do not fit a key — four
 // runes, padded — and a tokenizer of a type this package has never seen
-// go through a column's dictionary, and a set of them, unbound and bound,
-// still builds what Feature.Compute and the naive definition return.
+// go through a column's dictionary, one of a type that cannot be compared
+// through a column a pair, and a set of them, unbound and bound, still
+// builds what Feature.Compute and the naive definition return.
 func TestDictionaryFormsMatchCompute(t *testing.T) {
 	toks := map[string]tokenize.Tokenizer{
 		"test_qgram4":  tokenize.QGram{Q: 4},
 		"test_qgram3p": tokenize.QGram{Q: 3, Pad: true},
 		"test_custom":  &formCounter{},
+		"test_fields":  fieldsTokenizer{},
 	}
 	l, r := registryTables(t)
 	set := &Set{}
 	for key, tok := range toks {
-		form := cellForm{tok: tok, lower: key == "test_qgram4"}
-		if newColumn(0, form).ids == nil {
+		form := block.Form{Tok: tok}
+		if key == "test_qgram4" {
+			form.Fold = block.FoldLower
+		}
+		if block.NewColumn(form, true).Packed() {
 			t.Fatalf("%s has no dictionary", tok.Name())
 		}
 		computeRegistry[key] = setSim(form, simfunc.JaccardSizes)
@@ -403,7 +416,7 @@ func TestVectorizeCancelStopsWithinOneChunk(t *testing.T) {
 }
 
 // formCounter is a word tokenizer counting the cells it is handed; used by
-// pointer so a cellForm holding it compares equal to itself.
+// pointer so a block.Form holding it compares equal to itself.
 type formCounter struct{ cells atomic.Int64 }
 
 func (c *formCounter) Tokens(s string) []string {
@@ -435,7 +448,7 @@ func sameVectors(t *testing.T, what string, x, y [][]float64) {
 // gained a feature.
 func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 	counter := &formCounter{}
-	computeRegistry["test_counted"] = setSim(cellForm{tok: counter}, simfunc.JaccardSizes)
+	computeRegistry["test_counted"] = setSim(block.Form{Tok: counter}, simfunc.JaccardSizes)
 	defer delete(computeRegistry, "test_counted")
 
 	l, r := registryTables(t)

@@ -32,10 +32,10 @@ import (
 //     binding), so a SIGKILL at any instant loses at most the shard in
 //     flight and a restart resumes from the last durable shard with
 //     byte-identical output;
-//   - each shard carries its own circuit breaker around the learned
-//     matcher plus a bounded retry loop; a poisoned shard degrades to
-//     the rule-only path or is quarantined with an explicit reason
-//     instead of failing the job;
+//   - each shard has a bounded retry loop around the learned matcher,
+//     apart from the online circuit breaker in both directions; a
+//     poisoned shard degrades to the rule-only path or is quarantined
+//     with an explicit reason instead of failing the job;
 //   - shard executors take slots from the same admission gate online
 //     requests use, so batch work is backpressured by interactive
 //     traffic (and shows up in the same EWMA Retry-After hints) instead
@@ -103,14 +103,8 @@ type JobConfig struct {
 	// quarantined (default DefaultJobShardAttempts).
 	ShardAttempts int
 	// retryBackoff is the pause between shard attempts
-	// (DefaultJobRetryBackoff; only tests shorten it); it also gives a
-	// tripped per-shard breaker time to half-open.
+	// (DefaultJobRetryBackoff; only tests shorten it).
 	retryBackoff time.Duration
-	// breaker tunes the per-shard circuit breakers around the learned
-	// matcher (zero = the online breaker's defaults, under which a
-	// shard's ShardAttempts run out before a breaker can trip; only
-	// tests lower the threshold).
-	breaker BreakerConfig
 }
 
 // withDefaults fills zero fields.
@@ -213,10 +207,12 @@ type Job struct {
 	// the submit wide event and the job's execution trace.
 	origin string
 
-	spec   jobSpec
-	rows   []table.Row
-	store  *ckpt.Store
-	shards int
+	// shardSize and rows are all a job keeps of its submission; the
+	// record maps are durable in job.json and are not held beside them.
+	shardSize int
+	rows      []table.Row
+	store     *ckpt.Store
+	shards    int
 
 	mu          sync.Mutex
 	state       string
@@ -225,8 +221,6 @@ type Job struct {
 	quarantined []QuarantinedShard
 	degraded    int
 	errMsg      string
-	breakers    map[int]*Breaker
-	brCfg       BreakerConfig
 
 	cancelled atomic.Bool
 	// interrupted records that at least one shard was skipped because
@@ -241,8 +235,8 @@ func shardName(idx int) string { return fmt.Sprintf("shard_%05d.json", idx) }
 // shardLen is how many records shard idx carries (the last shard may
 // be short).
 func (j *Job) shardLen(idx int) int {
-	lo := idx * j.spec.ShardSize
-	hi := lo + j.spec.ShardSize
+	lo := idx * j.shardSize
+	hi := lo + j.shardSize
 	if hi > len(j.rows) {
 		hi = len(j.rows)
 	}
@@ -449,14 +443,12 @@ func (jm *Jobs) openJob(id string, spec jobSpec, rows []table.Row, fp string) (*
 	}
 	shards := (len(rows) + spec.ShardSize - 1) / spec.ShardSize
 	job := &Job{
-		ID:       id,
-		spec:     spec,
-		rows:     rows,
-		store:    store,
-		shards:   shards,
-		state:    JobQueued,
-		breakers: make(map[int]*Breaker),
-		brCfg:    jm.cfg.breaker,
+		ID:        id,
+		shardSize: spec.ShardSize,
+		rows:      rows,
+		store:     store,
+		shards:    shards,
+		state:     JobQueued,
 	}
 	job.resumed = job.doneShards()
 	if job.resumed == shards {
@@ -739,22 +731,9 @@ func jobOutcome(state string, degraded int) string {
 	return obs.OutcomeOK
 }
 
-// breaker returns shard idx's circuit breaker, creating it on first use.
-func (j *Job) breaker(idx int) *Breaker {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	b := j.breakers[idx]
-	if b == nil {
-		b = NewBreaker(j.brCfg)
-		j.breakers[idx] = b
-	}
-	return b
-}
-
 // transientReason reports whether a degradation reason is worth
-// retrying: a matcher error or timeout may be a passing fault (and the
-// per-shard breaker decides when to stop believing that); an open
-// breaker or a missing matcher will not improve within this shard.
+// retrying: a matcher error or timeout may be a passing fault; a missing
+// matcher will not improve within this shard.
 func transientReason(reason string) bool {
 	switch reason {
 	case ReasonMatcherError, ReasonMatcherSlow, ReasonBlockerError:
@@ -764,8 +743,8 @@ func transientReason(reason string) bool {
 }
 
 // runShard makes shard idx durable: skip if already committed, else
-// attempt-execute-commit with bounded retries, degrading through the
-// shard's breaker and quarantining as a last resort. It returns an
+// attempt-execute-commit with bounded retries, degrading to the
+// rule-only answer and quarantining as a last resort. It returns an
 // error only for stop conditions (drain, shutdown, cancel, store
 // failure); a quarantined shard is a handled outcome, not an error.
 func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
@@ -774,11 +753,8 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 		obs.C("serve.job.shards_resumed").Inc()
 		return nil
 	}
-	lo := idx * job.spec.ShardSize
-	hi := lo + job.spec.ShardSize
-	if hi > len(job.rows) {
-		hi = len(job.rows)
-	}
+	lo := idx * job.shardSize
+	hi := lo + job.shardLen(idx)
 
 	var lastErr error
 	for attempt := 1; attempt <= jm.cfg.ShardAttempts; attempt++ {
@@ -812,11 +788,9 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 			lastErr = err
 			continue
 		}
-		// A transiently-degraded shard is retried while its breaker
-		// still believes in the matcher (closed, or half-open probing);
-		// once the breaker opens, the rule-only answer is the answer.
-		if transientReason(tally.reason) &&
-			attempt < jm.cfg.ShardAttempts && job.breaker(idx).State() != BreakerOpen {
+		// A transiently-degraded shard is retried while it has attempts
+		// left; the last attempt's rule-only answer is the answer.
+		if transientReason(tally.reason) && attempt < jm.cfg.ShardAttempts {
 			lastErr = fmt.Errorf("shard %d degraded (%s)", idx, tally.reason)
 			continue
 		}
@@ -861,8 +835,10 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 
 // execShardOnce runs one shard attempt: take an admission slot (the
 // backpressure coupling with online traffic), run the amortized match
-// pipeline under the shard's breaker and a per-attempt deadline, and
-// shape the deterministic result records.
+// pipeline under a per-attempt deadline, and shape the deterministic
+// result records. The breaker lives for this attempt: a poisoned shard
+// must not open the online one, an open online one must never be
+// committed into a durable shard, and runShard bounds the matcher calls.
 func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (art *shardArtifact, tally matchTally, err error) {
 	if err := fault.InjectIdx("serve.job.exec", idx); err != nil {
 		return nil, tally, err
@@ -882,14 +858,15 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (a
 		return nil, tally, err
 	}
 	var resps []*MatchResponse
+	br := NewBreaker(BreakerConfig{})
 	if jm.srv.cfg.Profiler != nil {
 		// Label shard work so CPU captures separate batch-job cycles
 		// from interactive traffic (`go tool pprof -tags`).
 		contprof.Do(shardCtx, func(ctx context.Context) {
-			resps, tally, _, err = jm.srv.matchSet(ctx, sub, job.breaker(idx), false)
+			resps, tally, _, err = jm.srv.matchSet(ctx, sub, br, false)
 		}, "job", job.ID, "shard", strconv.Itoa(idx))
 	} else {
-		resps, tally, _, err = jm.srv.matchSet(shardCtx, sub, job.breaker(idx), false)
+		resps, tally, _, err = jm.srv.matchSet(shardCtx, sub, br, false)
 	}
 	if err != nil {
 		return nil, tally, err

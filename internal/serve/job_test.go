@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -267,91 +268,114 @@ func TestJobResumeAfterStopByteIdentical(t *testing.T) {
 	}
 }
 
-// TestJobShardBreakerOpensOnPoisonedMatcher: a matcher failing every
-// call trips each shard's breaker on the first attempt; the breaker
-// then short-circuits the retries, the shard commits its rule-only
-// answer, and the job completes degraded instead of failing or
-// retry-storming the matcher.
-func TestJobShardBreakerOpensOnPoisonedMatcher(t *testing.T) {
+// TestJobShardRetriesBoundMatcherCalls: at the shipped defaults (breaker
+// and attempts) it is a shard's retry loop that bounds its matcher calls,
+// apart from the online breaker. A matcher failing every call is asked
+// exactly ShardAttempts times a shard; the last attempt's rule-only
+// answer commits as matcher_error and the online breaker never hears of
+// it. A matcher failing once costs one retry and degrades nothing.
+func TestJobShardRetriesBoundMatcherCalls(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	obs.Enable()
 	defer obs.Disable()
-	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.ShardAttempts = 3
-	cfg.Jobs.breaker = BreakerConfig{Failures: 1, Cooldown: time.Hour}
-	s, ts := newTestServer(t, cfg)
-	fault.Enable("ml.predict", fault.Plan{})
+	s, ts := newTestServer(t, jobConfig(t.TempDir()))
+	// All learned-path records: every shard needs the matcher.
+	submit := func(ids ...string) JobStatus {
+		recs := make([]map[string]any, len(ids))
+		for i, id := range ids {
+			recs[i] = l1Record(id)
+		}
+		body, _ := json.Marshal(map[string]any{"records": recs})
+		st := submitJob(t, ts.URL, string(body))
+		return *waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+	}
+
 	// Every matcher call fails, so serve.ml_failures counts calls. The
 	// fault site itself is hit once per row scored, by however many
 	// workers reach it before the first failure stops the fan-out: its
 	// count depends on GOMAXPROCS and says nothing about retries.
+	fault.Enable("ml.predict", fault.Plan{})
 	callsBefore := obs.C("serve.ml_failures").Value()
-
-	// All learned-path records: every shard needs the matcher.
-	recs := []map[string]any{l1Record("q0"), l1Record("q1"), l1Record("q2"), l1Record("q3")}
-	body, _ := json.Marshal(map[string]any{"records": recs})
-	st := submitJob(t, ts.URL, string(body))
-	done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	if done.DegradedRecords != len(recs) {
-		t.Fatalf("degraded %d/%d records: %+v", done.DegradedRecords, len(recs), done)
+	done := submit("q0", "q1", "q2", "q3")
+	if done.DegradedRecords != 4 || len(done.Quarantined) != 0 {
+		t.Fatalf("poisoned matcher: %+v, want 4 degraded records and no quarantine", done)
 	}
-	if n := obs.C("serve.ml_failures").Value() - callsBefore; n != int64(st.Shards) {
-		t.Fatalf("matcher called %d times for %d shards — open breakers must short-circuit retries", n, st.Shards)
+	if n, want := obs.C("serve.ml_failures").Value()-callsBefore, int64(done.Shards*DefaultJobShardAttempts); n != want {
+		t.Fatalf("matcher called %d times for %d shards, want %d each", n, done.Shards, DefaultJobShardAttempts)
 	}
-	job := s.JobTier().Get(st.ID)
-	for i := 0; i < st.Shards; i++ {
-		if got := job.breaker(i).State(); got != BreakerOpen {
-			t.Fatalf("shard %d breaker = %v, want open", i, got)
-		}
-	}
-	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
-	for _, r := range res.Results {
+	for _, r := range decodeResults(t, fetchResults(t, ts.URL, done.ID)).Results {
 		if !r.Degraded || r.DegradedReason != ReasonMatcherError {
 			t.Fatalf("record %d should be degraded matcher_error: %+v", r.Index, r)
 		}
 	}
+	if st, gen := s.breaker.State(), s.breaker.Generation(); st != BreakerClosed || gen != 0 {
+		t.Fatalf("online breaker %v at generation %d after poisoned shards, want closed at 0", st, gen)
+	}
+
+	fault.Enable("ml.predict", fault.Plan{FailFirst: 1})
+	done = submit("r0", "r1") // one shard
+	if done.Retries != 1 || done.DegradedRecords != 0 {
+		t.Fatalf("matcher failing once: %+v, want exactly 1 retry and nothing degraded", done)
+	}
+	for _, r := range decodeResults(t, fetchResults(t, ts.URL, done.ID)).Results {
+		if r.Degraded {
+			t.Fatalf("record %d degraded after the retry succeeded: %+v", r.Index, r)
+		}
+	}
 }
 
-// TestJobShardBreakerHalfOpenRecovery: a transiently-failing matcher
-// trips the shard breaker, the retry backoff outlives the cooldown, and
-// the half-open probe on the second attempt recovers the learned
-// answer — the committed shard is NOT degraded.
-func TestJobShardBreakerHalfOpenRecovery(t *testing.T) {
-	leakcheck.Check(t)
-	defer fault.Reset()
-	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.ShardSize = 4
-	cfg.Jobs.ShardAttempts = 3
-	cfg.Jobs.retryBackoff = 5 * time.Millisecond
-	cfg.Jobs.breaker = BreakerConfig{Failures: 1, Cooldown: time.Nanosecond}
-	s, ts := newTestServer(t, cfg)
-	fault.Enable("ml.predict", fault.Plan{FailFirst: 1})
-
-	recs := []map[string]any{l1Record("q0"), l1Record("q1")} // one shard
-	body, _ := json.Marshal(map[string]any{"records": recs})
-	st := submitJob(t, ts.URL, string(body))
-	done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	if done.Retries != 1 {
-		t.Fatalf("retries = %d, want exactly 1 (fail, re-probe, succeed)", done.Retries)
+// holdsRecords reports whether a value of type t can hold a submission's
+// decoded records (map[string]any), however deep.
+func holdsRecords(t reflect.Type, seen map[reflect.Type]bool) bool {
+	if seen[t] {
+		return false
 	}
-	if done.DegradedRecords != 0 {
-		t.Fatalf("recovered shard still degraded: %+v", done)
+	seen[t] = true
+	if t == reflect.TypeOf(map[string]any(nil)) {
+		return true
 	}
-	job := s.JobTier().Get(st.ID)
-	br := job.breaker(0)
-	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("breaker after recovery = %v, want closed", got)
-	}
-	// closed -> open -> half_open -> closed is three transitions.
-	if gen := br.Generation(); gen != 3 {
-		t.Fatalf("breaker generation = %d, want 3 (open, half-open, re-close)", gen)
-	}
-	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
-	for _, r := range res.Results {
-		if r.Degraded {
-			t.Fatalf("record %d degraded after breaker recovery: %+v", r.Index, r)
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map, reflect.Chan:
+		return holdsRecords(t.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsRecords(t.Field(i).Type, seen) {
+				return true
+			}
 		}
+	}
+	return false
+}
+
+// TestJobKeepsRowsNotRecords: once job.json is durable a registered job
+// — submitted, or recovered by a later process — holds its parsed rows
+// and its shard size, and nowhere the submission's record maps: up to
+// MaxQueued jobs of maxRecords maps each would stay for the life of the
+// server.
+func TestJobKeepsRowsNotRecords(t *testing.T) {
+	leakcheck.Check(t)
+	if holdsRecords(reflect.TypeOf(Job{}), map[reflect.Type]bool{}) {
+		t.Fatal("a Job has room for its submission's record maps beside its rows")
+	}
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, jobConfig(dir))
+	st := submitJob(t, ts1.URL, jobPayload(5))
+	waitJobState(t, ts1.URL, st.ID, JobCompleted, 5*time.Second)
+	want := fetchResults(t, ts1.URL, st.ID)
+	s1.Close()
+	s2, ts2 := newTestServer(t, jobConfig(dir))
+	for how, s := range map[string]*Server{"submitted": s1, "recovered": s2} {
+		job := s.JobTier().Get(st.ID)
+		if job == nil {
+			t.Fatalf("%s: job %s is not registered", how, st.ID)
+		}
+		if len(job.rows) != 5 || job.shardSize != 2 || job.shards != 3 {
+			t.Fatalf("%s: %d rows in %d shards of %d, want 5 in 3 of 2", how, len(job.rows), job.shards, job.shardSize)
+		}
+	}
+	if got := fetchResults(t, ts2.URL, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("recovered results differ from the submitting process's:\n%s\n%s", got, want)
 	}
 }
 

@@ -561,9 +561,9 @@ func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
 // candidate, then the veto layer — the amortization that makes the bulk
 // endpoint and the async job shards cheaper than len(left) one-record
 // requests. br guards the learned-matcher stage: the server's breaker
-// for online traffic, a per-shard breaker inside jobs. A recovered
-// panic is returned as an error: one poison record must never take the
-// service (or a job worker) down.
+// for online traffic, one that lives for a single attempt inside a job
+// shard. A recovered panic is returned as an error: one poison record
+// must never take the service (or a job worker) down.
 func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, wantTrace bool) (resps []*MatchResponse, tally matchTally, trace json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -198,7 +198,6 @@ func TestOutcomeVocabulary(t *testing.T) {
 		sink := &syncBuffer{}
 		cfg := jobConfig(t.TempDir())
 		cfg.AccessLog = sink
-		cfg.Jobs.breaker = BreakerConfig{Failures: 1, Cooldown: time.Hour}
 		s, ts := newTestServer(t, cfg)
 		learned := func(n int) string { // distinct learned-path jobs: the ID is the content
 			recs := make([]map[string]any, n)

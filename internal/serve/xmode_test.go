@@ -318,7 +318,7 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 	// collect asks one server for every record three ways.
 	collect := func(wf *workflow.Workflow, breaker BreakerConfig) map[string][]answer {
 		s, err := New(context.Background(), Config{Breaker: breaker, Jobs: JobConfig{
-			Dir: t.TempDir(), ShardSize: 16, Workers: 1, retryBackoff: time.Millisecond, breaker: breaker}}, wf, l, r)
+			Dir: t.TempDir(), ShardSize: 16, Workers: 1, retryBackoff: time.Millisecond}}, wf, l, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -213,10 +213,8 @@ func Set(toks []string) map[string]struct{} {
 	return out
 }
 
-// SortedSet returns the distinct tokens in lexicographic order — the form
-// the merge-based set similarities (simfunc.SortedIntersectionSize) and
-// the token blockers' probe take a cell's tokens in. toks is left
-// untouched.
+// SortedSet returns the distinct tokens in lexicographic order, the form
+// simfunc.SortedIntersectionSize merges; toks is left untouched.
 func SortedSet(toks []string) []string {
 	return SortDistinct(append(make([]string, 0, len(toks)), toks...))
 }
