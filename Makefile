@@ -52,10 +52,17 @@ bench-check:
 # non-test code somewhere in the repository (a binary, an example,
 # bench/embench, the smoke harness), or sit in the test's allowlist with
 # its reason. Its failure message names each orphan, where it is declared
-# and the three ways out (wire it in, unexport it, delete it). It
+# and the three ways out (wire it in, unexport it, delete it). The same
+# scan holds telemetry to the same rule (TestMetricNamesHaveReaders):
+# every metric name the code writes has a reader — a run report
+# emmonitor diff compares, code that reads it back, a test that asserts
+# on it, or a docs recipe named in the allowlist — the "Metric names"
+# table of docs/OBSERVABILITY.md is exactly the set written, and every
+# fault site is armed by a test and listed in internal/fault. It
 # type-checks the module and bench/ from source in a few seconds, so
 # `go test ./...` runs it too; this target is the uncached, verbose form
-# (it logs how many exports it checked).
+# (it logs the exports, metric names and fault sites checked and how many
+# of each are allowlisted).
 api-check:
 	$(GO) test -count=1 -v ./internal/surface
 

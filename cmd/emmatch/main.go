@@ -27,11 +27,11 @@
 // Observability: -report writes the machine-readable run report
 // (per-stage spans with durations and outcomes, hot-path counters,
 // provenance log, quarantine decisions); -trace writes just the span
-// tree; -debug-addr serves live expvar metrics (/debug/vars), pprof
-// (/debug/pprof/), and Prometheus text exposition (/metrics) for the
-// duration of the run. Stream discipline: only data (the match CSV, or
-// a report/trace directed at "-") goes to stdout; every diagnostic and
-// progress line goes to stderr, so reports can be piped.
+// tree; -debug-addr serves live expvar metrics (/debug/vars) and pprof
+// (/debug/pprof/) for the duration of the run. Stream discipline: only
+// data (the match CSV, or a report/trace directed at "-") goes to
+// stdout; every diagnostic and progress line goes to stderr, so reports
+// can be piped.
 //
 // Quality monitoring (see docs/OBSERVABILITY.md): -drift-capture
 // profiles this run's inputs, features, candidates, and scores and

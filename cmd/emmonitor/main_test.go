@@ -213,6 +213,65 @@ func TestHistorySubcommand(t *testing.T) {
 	}
 }
 
+// pr25Report is a run report as PR 25's emmatch wrote it (trace and
+// provenance cut): its metrics carry the float_gauges kind, gone since.
+const pr25Report = `{"name":"workflow.v","started_at":"2026-10-05T10:00:00Z","finished_at":"2026-10-05T10:00:01Z","outcome":"ok",` +
+	`"metrics":{"counters":{"block.candset.ops":2,"block.pairs_blocked":1},"gauges":{"block.candidates":1},` +
+	`"float_gauges":{"drift.coverage_drop":0,"drift.ks":0,"drift.match_rate_delta":0,"drift.null_rate":0,"drift.psi":0},` +
+	`"histograms":{"workflow.stage_ms":{"bounds":[1,5],"counts":[7,0,0],"count":7,"sum":0.048139,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.020494,"max":0.020494}}}}`
+
+// TestSnapshotHasThreeKinds pins the keys of a metrics snapshot — what a
+// report's "metrics" section and /debug/vars' em_metrics are — and that a
+// report written with a fourth kind still loads: diff compares its
+// counters and histograms, history lists it, the unknown key is ignored.
+func TestSnapshotHasThreeKinds(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("c").Inc()
+	reg.Gauge("g").Set(1)
+	reg.Histogram("h", []float64{1}).Observe(1)
+	data, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds map[string]json.RawMessage
+	if err := json.Unmarshal(data, &kinds); err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) != 3 || kinds["counters"] == nil || kinds["gauges"] == nil || kinds["histograms"] == nil {
+		t.Fatalf("snapshot keys = %s, want counters, gauges, histograms", data)
+	}
+
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, []byte(pr25Report), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	now := &obs.Report{Name: "workflow.v", Outcome: "ok",
+		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"block.pairs_blocked": 4}}}
+	cur := filepath.Join(dir, "now.json")
+	if err := now.WriteFile(cur, nil); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if err := run([]string{"diff", old, cur}, &out, &errOut); err != nil {
+		t.Fatalf("diff against a PR 25 report: %v", err)
+	}
+	if !strings.Contains(out.String(), "block.pairs_blocked") || !strings.Contains(out.String(), "+3") || !strings.Contains(out.String(), "workflow.stage_ms") {
+		t.Fatalf("diff output:\n%s", out.String())
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, history.FileName), []byte(pr25Report+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"history", "-dir", dir}, &out, &errOut); err != nil {
+		t.Fatalf("history over a PR 25 report: %v", err)
+	}
+	if !strings.Contains(out.String(), "workflow.v") || strings.Contains(errOut.String(), "skipped") {
+		t.Fatalf("history output:\n%s%s", out.String(), errOut.String())
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var out, errOut strings.Builder
 	if err := run(nil, &out, &errOut); !errors.Is(err, flag.ErrHelp) {

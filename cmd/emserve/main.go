@@ -41,8 +41,8 @@
 // /readyz and /-/status report liveness, readiness and the live
 // breaker/queue counters; POST /-/reload hot-swaps the matcher
 // artifact; POST /-/drain starts a graceful drain; GET /-/drift serves the
-// live serving-traffic profile; /debug/ and /metrics expose expvar, pprof
-// and Prometheus text (disable with -no-debug).
+// live serving-traffic profile; /debug/ exposes expvar and pprof (disable
+// with -no-debug).
 //
 // Observability: every request carries a request ID (minted, or a
 // sanitized client X-Request-Id) echoed on the response and threaded
@@ -53,8 +53,8 @@
 // the current and previous windows, full span trees included — and
 // -tail-dump writes that snapshot to a file on drain. -slo declares
 // availability/latency objectives whose multi-window burn rates surface
-// on /v1/status (alias of /-/status) and /metrics; emmonitor slo turns
-// them into a check that exits non-zero on budget burn.
+// on /v1/status (alias of /-/status); emmonitor slo turns them into a
+// check that exits non-zero on budget burn.
 //
 // Continuous profiling: -prof-dir arms internal/contprof — periodic
 // CPU/heap/goroutine/mutex/block captures into a bounded on-disk ring
@@ -163,7 +163,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	streamChunkTimeout := fs.Duration("stream-chunk-timeout", 0, "slow-reader budget: a results stream whose client absorbs no chunk for this long is cut at a resumable cursor (0 = default 15s)")
 	maxStreams := fs.Int("max-streams", 0, "concurrent result streams holding shard files open; excess sheds 429 (0 = default)")
 	streamFlushEvery := fs.Int("stream-flush", 0, "records per stream chunk between cursor commits (0 = default)")
-	noDebug := fs.Bool("no-debug", false, "do not mount /debug/ (expvar, pprof) and /metrics on the service")
+	noDebug := fs.Bool("no-debug", false, "do not mount /debug/ (expvar, pprof) on the service")
 	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
 	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded always log)")
 	tailN := fs.Int("tail-n", 0, "slowest requests retained per window in the /debug/tail buffer (0 = default)")
@@ -267,8 +267,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		cfg.AccessLog = f
 	}
 
-	// Serving always counts: the status/drift endpoints and /metrics are
-	// only as good as the counters behind them.
+	// Serving always counts: the registry is what /debug/vars shows, the
+	// library counters under a live server included. (The status and
+	// drift endpoints read Server fields, not the registry.)
 	obs.Enable()
 
 	var prof *contprof.Profiler

@@ -208,6 +208,5 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 			out.Add(p)
 		}
 	}
-	obs.G("block.candidates").Set(int64(out.Len()))
 	return out, nil
 }

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"emgo/internal/ckpt"
-	"emgo/internal/obs"
 )
 
 // Defaults used when Config fields are zero.
@@ -386,9 +385,7 @@ func (p *Profiler) loop() {
 			}
 			if now.After(nextInterval) {
 				nextInterval = now.Add(p.cfg.Interval)
-				if _, err := p.CaptureNow(TriggerInterval, "", ""); err != nil {
-					obs.C("contprof.capture_errors").Inc()
-				}
+				p.CaptureNow(TriggerInterval, "", "") //nolint:errcheck // a failed capture leaves no ring entry; the next interval tries again
 			}
 		}
 	}
@@ -460,7 +457,6 @@ func (p *Profiler) trigger(reason string, detail func() string, requestID string
 	p.mu.Lock()
 	if last, ok := p.lastByReason[reason]; ok && now.Sub(last) < p.cfg.TriggerCooldown {
 		p.mu.Unlock()
-		obs.C("contprof.trigger.deduped").Inc()
 		return false
 	}
 	p.lastByReason[reason] = now
@@ -469,16 +465,13 @@ func (p *Profiler) trigger(reason string, detail func() string, requestID string
 	if !p.captureMu.TryLock() {
 		// A capture is already running; this trigger's fire is being
 		// profiled right now. Do not queue a second one behind it.
-		obs.C("contprof.trigger.coalesced").Inc()
 		return false
 	}
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		defer p.captureMu.Unlock()
-		if _, err := p.captureLocked(reason, detail(), requestID); err != nil {
-			obs.C("contprof.capture_errors").Inc()
-		}
+		p.captureLocked(reason, detail(), requestID) //nolint:errcheck // as for an interval capture
 	}()
 	return true
 }
@@ -563,11 +556,8 @@ func (p *Profiler) captureLocked(trigger, detail, requestID string) (*Meta, erro
 
 	p.mu.Lock()
 	p.captures = append(p.captures, m)
-	n := len(p.captures)
 	p.mu.Unlock()
 	p.pruneToCap()
-	obs.C("contprof.captures").Inc()
-	obs.G("contprof.ring_size").Set(int64(min(n, p.cfg.MaxCaptures)))
 	return m, nil
 }
 
@@ -627,7 +617,6 @@ func (p *Profiler) pruneToCap() {
 			os.Remove(filepath.Join(p.cfg.Dir, f)) //nolint:errcheck // best-effort prune
 		}
 		os.Remove(filepath.Join(p.cfg.Dir, victim.ID+".meta.json")) //nolint:errcheck
-		obs.C("contprof.pruned").Inc()
 	}
 }
 

@@ -362,23 +362,3 @@ func ProfileFromQuality(qd *obs.QualityData) (*Profile, error) {
 	}
 	return ParseProfile(qd.Profile)
 }
-
-// Gauges publishes the assessment's headline signals as obs float
-// gauges (drift.psi, drift.ks, drift.null_rate, drift.coverage_drop,
-// drift.match_rate_delta) so the debug server's /metrics endpoint can
-// be scraped while a monitored process runs.
-func (a *Assessment) Gauges() {
-	if a == nil {
-		return
-	}
-	for _, s := range a.Signals {
-		name := s.Name
-		if i := strings.IndexByte(name, '.'); i > 0 {
-			name = name[:i]
-		}
-		g := obs.FG("drift." + name)
-		if g.Value() < s.Value {
-			g.Set(s.Value)
-		}
-	}
-}

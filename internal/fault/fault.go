@@ -19,7 +19,6 @@
 //	ml.predict               each row scored by PredictAllCtx
 //	label.submit             each label submitted through Tool.Submit
 //	workflow.spec.transform  each transform lookup in Spec.BuildCtx
-//	workflow.monitor         each Monitor.CheckErr invocation
 //	ckpt.write               each checkpoint artifact write (ckpt.Store.Write)
 //	ckpt.rename              the atomic rename committing an artifact
 //	ckpt.read                each checkpoint artifact read (treated as corruption)
@@ -27,6 +26,8 @@
 //	serve.reload             each matcher-artifact read during serve hot reload
 //	serve.job.exec           each async-job shard execution attempt (idx = shard)
 //	serve.job.write          each async-job shard-result commit (idx = shard)
+//	serve.stream.cursor      each resume-cursor parse on a results fetch
+//	serve.stream.write       each chunk flushed by a results stream
 package fault
 
 import (

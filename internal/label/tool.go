@@ -135,8 +135,6 @@ func (t *Tool) LabelAllCtx(ctx context.Context, user string, policy retry.Policy
 	defer sp.End()
 	sp.SetItems(len(pending))
 	labeled := obs.C("label.labeled")
-	queueGauge := obs.G("label.pending")
-	queueGauge.Set(int64(len(pending)))
 	for _, p := range pending {
 		if err := dctx.Err(); err != nil {
 			sp.SetOutcome(obs.OutcomeAborted)
@@ -160,7 +158,6 @@ func (t *Tool) LabelAllCtx(ctx context.Context, user string, policy retry.Policy
 			return fmt.Errorf("label: submitting pair (%d,%d): %w", p.A, p.B, err)
 		}
 		labeled.Inc()
-		queueGauge.Set(int64(len(t.pending)))
 	}
 	sp.SetOutcome(obs.OutcomeOK)
 	return nil

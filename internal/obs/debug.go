@@ -21,23 +21,20 @@ var publishOnce sync.Once
 func publishMetrics() {
 	publishOnce.Do(func() {
 		expvar.Publish("em_metrics", expvar.Func(func() any {
-			SampleRuntime()
 			return Default().Snapshot()
 		}))
 	})
 }
 
 // NewDebugMux builds the standard debug mux — expvar metrics at
-// /debug/vars, Prometheus text exposition at /metrics, pprof under
-// /debug/pprof/ — and registers the metrics expvar. It is how a binary
-// that already runs its own HTTP server (the matching service) mounts
-// the debug surface alongside its application routes instead of opening
-// a second port.
+// /debug/vars, pprof under /debug/pprof/ — and registers the metrics
+// expvar. It is how a binary that already runs its own HTTP server (the
+// matching service) mounts the debug surface alongside its application
+// routes instead of opening a second port.
 func NewDebugMux() *http.ServeMux {
 	publishMetrics()
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", promHandler)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -51,8 +48,7 @@ func NewDebugMux() *http.ServeMux {
 const drainTimeout = 2 * time.Second
 
 // DebugServer is a live operational endpoint serving expvar metrics at
-// /debug/vars, Prometheus text exposition at /metrics, and the standard
-// pprof handlers under /debug/pprof/.
+// /debug/vars and the standard pprof handlers under /debug/pprof/.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -63,12 +59,12 @@ type DebugServer struct {
 }
 
 // StartDebugServer listens on addr (e.g. ":6060", or "127.0.0.1:0" for
-// an ephemeral port) and serves expvar + prometheus + pprof in a
-// background goroutine until Close/Shutdown. The server is tied to the
-// run's context: when ctx is cancelled (the run timed out or was
-// interrupted) it drains in-flight requests for up to drainTimeout and
-// then stops, so a cancelled run never leaks the listener.
-// Close/Shutdown remain safe to call as well.
+// an ephemeral port) and serves expvar + pprof in a background goroutine
+// until Close/Shutdown. The server is tied to the run's context: when
+// ctx is cancelled (the run timed out or was interrupted) it drains
+// in-flight requests for up to drainTimeout and then stops, so a
+// cancelled run never leaks the listener. Close/Shutdown remain safe to
+// call as well.
 func StartDebugServer(ctx context.Context, addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -75,38 +75,6 @@ func TestDebugServerCloseNil(t *testing.T) {
 	}
 }
 
-func TestDebugServerServesPrometheus(t *testing.T) {
-	Disable()
-	reg := Enable()
-	defer Disable()
-	reg.Counter("ml.predictions").Add(11)
-	reg.FloatGauge("drift.psi").Set(0.5)
-
-	srv, err := StartDebugServer(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("content type = %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"em_ml_predictions 11", "em_drift_psi 0.5"} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
 func TestDebugServerShutdownOnContextCancel(t *testing.T) {
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())

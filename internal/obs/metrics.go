@@ -80,25 +80,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// FloatGauge is a last-value-wins float metric (drift scores, rates).
-// Reads and writes are atomic over the float's bit pattern.
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set stores the gauge value. Safe on nil.
-func (g *FloatGauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(floatBits(v))
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *FloatGauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return floatFrom(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket histogram. Bounds are upper bounds of the
 // first len(bounds) buckets; one extra overflow bucket catches the rest.
 // Observe is lock-free: a binary search over the (immutable) bounds and
@@ -229,30 +210,27 @@ func (h *HistogramSnapshot) fillQuantiles() {
 
 // MetricsSnapshot is the JSON form of a registry at one instant.
 type MetricsSnapshot struct {
-	Counters    map[string]int64             `json:"counters,omitempty"`
-	Gauges      map[string]int64             `json:"gauges,omitempty"`
-	FloatGauges map[string]float64           `json:"float_gauges,omitempty"`
-	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]int64             `json:"gauges,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
 // Registry holds named metrics. Lookups take a lock, so instrumented
 // code fetches handles once per stage and holds them across the loop.
 // The nil registry is valid: every lookup returns the nil handle.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	floatGauges map[string]*FloatGauge
-	histograms  map[string]*Histogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		floatGauges: make(map[string]*FloatGauge),
-		histograms:  make(map[string]*Histogram),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		histograms: make(map[string]*Histogram),
 	}
 }
 
@@ -284,22 +262,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
-	}
-	return g
-}
-
-// FloatGauge returns the named float gauge, creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.floatGauges[name]
-	if !ok {
-		g = &FloatGauge{}
-		r.floatGauges[name] = g
 	}
 	return g
 }
@@ -342,12 +304,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 		snap.Gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
 			snap.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.floatGauges) > 0 {
-		snap.FloatGauges = make(map[string]float64, len(r.floatGauges))
-		for name, g := range r.floatGauges {
-			snap.FloatGauges[name] = g.Value()
 		}
 	}
 	if len(r.histograms) > 0 {
@@ -405,10 +361,6 @@ func C(name string) *Counter { return global.Load().Counter(name) }
 // G returns the named gauge from the global registry (nil when
 // disabled).
 func G(name string) *Gauge { return global.Load().Gauge(name) }
-
-// FG returns the named float gauge from the global registry (nil when
-// disabled).
-func FG(name string) *FloatGauge { return global.Load().FloatGauge(name) }
 
 // H returns the named histogram from the global registry (nil when
 // disabled).

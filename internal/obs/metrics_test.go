@@ -108,3 +108,39 @@ func TestGlobalEnableDisable(t *testing.T) {
 		t.Fatal("global counter must write into the default registry")
 	}
 }
+
+func TestHistogramSnapshotQuantiles(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("q", []float64{10, 100, 1000})
+	for i := 0; i < 90; i++ {
+		h.Observe(5) // first bucket
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(50) // second bucket
+	}
+	snap := r.Snapshot().Histograms["q"]
+	if snap.P50 <= 0 || snap.P50 > 10 {
+		t.Fatalf("p50 = %g, want in (0, 10]", snap.P50)
+	}
+	if snap.P90 > 10 {
+		t.Fatalf("p90 = %g, want inside the first bucket (rank 90 of 100)", snap.P90)
+	}
+	if snap.P99 <= 10 || snap.P99 > 100 {
+		t.Fatalf("p99 = %g, want in the second bucket", snap.P99)
+	}
+
+	// Quantiles landing in the overflow bucket report the last bound.
+	h2 := r.Histogram("q2", []float64{10})
+	h2.Observe(9999)
+	snap2 := r.Snapshot().Histograms["q2"]
+	if snap2.P50 != 10 {
+		t.Fatalf("overflow p50 = %g, want last bound 10", snap2.P50)
+	}
+
+	// Empty histogram: no quantiles exported.
+	r.Histogram("q3", []float64{10})
+	snap3 := r.Snapshot().Histograms["q3"]
+	if snap3.P50 != 0 || snap3.P90 != 0 || snap3.P99 != 0 {
+		t.Fatalf("empty histogram exported quantiles: %+v", snap3)
+	}
+}

@@ -4,8 +4,8 @@
 // rates — the Google-SRE alerting idiom where a page requires the error
 // budget to be burning fast over BOTH a short window (you are on fire
 // right now) and a long window (it is not a blip). The output feeds
-// /v1/status, /metrics, and the emmonitor slo check, so the same
-// numbers drive dashboards, scrapes, and CI gates.
+// /v1/status and the emmonitor slo check, so the same numbers drive
+// dashboards and CI gates.
 //
 // The tracker is a fixed ring of 10-second buckets covering the slow
 // window; Observe is O(1) under a mutex and Evaluate is a linear scan
@@ -20,8 +20,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"emgo/internal/obs"
 )
 
 // Objective kinds.
@@ -241,8 +239,8 @@ type Report struct {
 	Breached bool `json:"breached"`
 }
 
-// Evaluate computes burn rates over both windows and exports them as
-// slo.* float gauges. Returns nil on a nil tracker.
+// Evaluate computes burn rates over both windows. Returns nil on a nil
+// tracker.
 func (t *Tracker) Evaluate() *Report {
 	if t == nil {
 		return nil
@@ -306,13 +304,6 @@ func (t *Tracker) Evaluate() *Report {
 		if st.Breached {
 			rep.Breached = true
 		}
-		obs.FG("slo." + o.Name + ".fast_burn").Set(st.FastBurn)
-		obs.FG("slo." + o.Name + ".slow_burn").Set(st.SlowBurn)
-		breachedVal := 0.0
-		if st.Breached {
-			breachedVal = 1
-		}
-		obs.FG("slo." + o.Name + ".breached").Set(breachedVal)
 		rep.Objectives = append(rep.Objectives, st)
 	}
 	sort.SliceStable(rep.Objectives, func(i, j int) bool {

@@ -121,7 +121,6 @@ func (l *EventLog) Log(ev *WideEvent, root *Span) {
 		return
 	}
 	if ev.Outcome == OutcomeOK && l.sampleN > 1 && l.seen.Add(1)%l.sampleN != 1 {
-		C("obs.events_sampled_out").Inc()
 		return
 	}
 	stages := ev.Stages
@@ -133,7 +132,6 @@ func (l *EventLog) Log(ev *WideEvent, root *Span) {
 	l.buf = append(l.buf, '\n')
 	l.w.Write(l.buf)
 	l.mu.Unlock()
-	C("obs.events_logged").Inc()
 }
 
 // appendJSON renders the event as one JSON document, omitting zero

@@ -93,16 +93,11 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 			obs.C("serve.shed.queue_full").Inc()
 			return nil, ErrShed
 		}
-		obs.G("serve.queue_depth").Set(a.queued.Load())
-		waited := func() {
-			a.queued.Add(-1)
-			obs.G("serve.queue_depth").Set(max64(a.queued.Load(), 0))
-		}
 		select {
 		case a.slots <- struct{}{}:
-			waited()
+			a.queued.Add(-1)
 		case <-ctx.Done():
-			waited()
+			a.queued.Add(-1)
 			obs.C("serve.shed.deadline_in_queue").Inc()
 			return nil, ctx.Err()
 		}
@@ -114,8 +109,6 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		obs.C("serve.shed.draining").Inc()
 		return nil, ErrDraining
 	}
-	obs.C("serve.admitted").Inc()
-	obs.G("serve.inflight").Set(int64(len(a.slots)))
 	start := time.Now()
 	var released atomic.Bool
 	return func() {
@@ -124,7 +117,6 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		}
 		a.observe(time.Since(start))
 		<-a.slots
-		obs.G("serve.inflight").Set(int64(len(a.slots)))
 	}, nil
 }
 
@@ -192,11 +184,4 @@ func (a *Admission) Drain(timeout time.Duration) bool {
 func (a *Admission) InFlight() int { return len(a.slots) }
 
 // Queued reports how many requests are waiting for a slot.
-func (a *Admission) Queued() int64 { return max64(a.queued.Load(), 0) }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+func (a *Admission) Queued() int64 { return max(a.queued.Load(), 0) }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"emgo/internal/obs"
 	"emgo/internal/table"
 )
 
@@ -21,10 +20,6 @@ const (
 	DefaultMaxBatchBodyBytes = 8 << 20
 	DefaultBatchTimeout      = 30 * time.Second
 )
-
-// batchLatencyMSBuckets are the upper bounds (milliseconds) of the
-// batch latency histogram "serve.batch.latency_ms".
-var batchLatencyMSBuckets = []float64{5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 15000, 30000}
 
 // BatchRequest is the wire form of one bulk matching query: a list of
 // left records matched against the deployed right table in one
@@ -125,7 +120,6 @@ func (s *Server) rowsTable(name string, rows []table.Row) (*table.Table, error) 
 // handleMatchBatch is the bulk matching endpoint: one admission slot,
 // one blocking pass, one matcher pass for the whole batch.
 func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
-	obs.C("serve.batch.requests").Inc()
 	ev := eventFrom(r.Context())
 	if s.refuseDraining(w, ev) {
 		return
@@ -160,13 +154,11 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resps, tally, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
 	elapsed := time.Since(start)
-	obs.H("serve.batch.latency_ms", batchLatencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
 		s.writeRunError(ctx, w, ev, err)
 		return
 	}
 	tally.record(ev)
-	obs.C("serve.batch.records").Add(int64(tally.records))
 	writeJSON(w, http.StatusOK, &BatchResponse{
 		Results:   resps,
 		Count:     tally.records,

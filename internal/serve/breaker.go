@@ -101,7 +101,7 @@ func (b *Breaker) advanceLocked() {
 	}
 }
 
-// transitionLocked switches state and updates the metrics surface.
+// transitionLocked switches state and counts the transition.
 func (b *Breaker) transitionLocked(to BreakerState) {
 	if b.state == to {
 		return
@@ -109,8 +109,6 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 	b.state = to
 	b.generation++
 	obs.C("serve.breaker.transitions").Inc()
-	obs.C("serve.breaker.to_" + to.String()).Inc()
-	obs.G("serve.breaker.state").Set(int64(to))
 }
 
 // Allow reports whether the guarded call may proceed. In HalfOpen only
@@ -148,7 +146,6 @@ func (b *Breaker) Record(err error, latency time.Duration) {
 			return
 		}
 		b.failures++
-		obs.C("serve.breaker.failures").Inc()
 		if b.failures >= b.cfg.Failures {
 			b.openedAt = b.now()
 			b.failures = 0
@@ -157,7 +154,6 @@ func (b *Breaker) Record(err error, latency time.Duration) {
 	case BreakerHalfOpen:
 		b.probing = false
 		if failed {
-			obs.C("serve.breaker.failures").Inc()
 			b.openedAt = b.now()
 			b.transitionLocked(BreakerOpen)
 			return

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
+
+	"emgo/internal/fault"
+	"emgo/internal/obs"
 )
 
 // fakeClock drives the breaker's cooldown deterministically.
@@ -146,5 +150,43 @@ func TestBreakerLateRecordWhileOpenIgnored(t *testing.T) {
 	if b.State() != BreakerOpen || b.Generation() != gen {
 		t.Fatalf("late records disturbed the open breaker: state=%v gen=%d want open/%d",
 			b.State(), b.Generation(), gen)
+	}
+}
+
+// TestBreakerTransitionsCountedOnce: closed → open → half-open → closed
+// through matchSet reads three on serve.breaker.transitions — each
+// transition once, whether a request's Record made it (the trip, the
+// re-close) or the cooldown did (open → half-open, which only the breaker
+// itself sees).
+func TestBreakerTransitionsCountedOnce(t *testing.T) {
+	defer fault.Reset()
+	obs.Enable()
+	defer obs.Disable()
+	s, _ := newTestServer(t, Config{Breaker: BreakerConfig{Failures: 1, Cooldown: time.Minute}})
+	clk := &fakeClock{t: time.Unix(1700000000, 0)}
+	s.breaker.now = clk.now
+	row, err := RecordRow(s.left.Schema(), l1Record("q1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.C("serve.breaker.transitions").Value()
+	answer := func(wantReason string, want BreakerState) {
+		t.Helper()
+		resp, err := s.matchOne(context.Background(), row, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.DegradedReason != wantReason || s.breaker.State() != want {
+			t.Fatalf("degraded %q with the breaker %v, want %q and %v", resp.DegradedReason, s.breaker.State(), wantReason, want)
+		}
+	}
+
+	fault.Enable("ml.predict", fault.Plan{})
+	answer(ReasonMatcherError, BreakerOpen)
+	fault.Reset()
+	clk.advance(time.Minute)
+	answer("", BreakerClosed) // the half-open probe
+	if got := obs.C("serve.breaker.transitions").Value() - before; got != 3 {
+		t.Fatalf("serve.breaker.transitions moved by %d over closed→open→half-open→closed, want 3", got)
 	}
 }

@@ -408,7 +408,6 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 	}
 	if pending >= jm.cfg.MaxQueued {
 		jm.mu.Unlock()
-		obs.C("serve.job.shed").Inc()
 		return nil, ErrJobShed
 	}
 	jm.mu.Unlock()
@@ -422,7 +421,6 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 	jm.mu.Lock()
 	jm.jobs[id] = job
 	jm.mu.Unlock()
-	obs.C("serve.job.submitted").Inc()
 	if job.state != JobCompleted {
 		jm.enqueue(job)
 	}
@@ -459,8 +457,8 @@ func (jm *Jobs) openJob(id string, spec jobSpec, rows []table.Row, fp string) (*
 
 // Recover scans the job root for directories a previous process left
 // behind, re-registers every job it can decode, and re-queues the
-// unfinished ones. Undecodable directories are skipped (and counted),
-// never fatal: recovery must not take the service down.
+// unfinished ones. Undecodable directories are skipped, never fatal:
+// recovery must not take the service down.
 func (jm *Jobs) Recover() (int, error) {
 	entries, err := os.ReadDir(jm.cfg.Dir)
 	if err != nil {
@@ -480,29 +478,24 @@ func (jm *Jobs) Recover() (int, error) {
 		}
 		raw, err := os.ReadFile(filepath.Join(jm.cfg.Dir, id, jobArtifact))
 		if err != nil {
-			obs.C("serve.job.recover_skipped").Inc()
 			continue
 		}
 		spec, err := decodeJobRecords(raw)
 		if err != nil || len(spec.Records) == 0 || spec.ShardSize <= 0 {
-			obs.C("serve.job.recover_skipped").Inc()
 			continue
 		}
 		rows, err := recordRows(jm.srv.left.Schema(), spec.Records)
 		if err != nil {
-			obs.C("serve.job.recover_skipped").Inc()
 			continue
 		}
 		canonical, err := json.Marshal(spec.Records)
 		if err != nil {
-			obs.C("serve.job.recover_skipped").Inc()
 			continue
 		}
 		fp := jm.jobFingerprint(canonical, spec.ShardSize)
 		spec.ID = id
 		job, err := jm.openJob(id, spec, rows, fp)
 		if err != nil {
-			obs.C("serve.job.recover_skipped").Inc()
 			continue
 		}
 		jm.mu.Lock()
@@ -512,7 +505,6 @@ func (jm *Jobs) Recover() (int, error) {
 			jm.enqueue(job)
 			requeued++
 		}
-		obs.C("serve.job.recovered").Inc()
 	}
 	jm.mu.Lock()
 	jm.recovered = requeued
@@ -536,7 +528,6 @@ func (jm *Jobs) enqueue(job *Job) {
 	job.cancelled.Store(false)
 	job.interrupted.Store(false)
 	jm.queue = append(jm.queue, job)
-	obs.G("serve.job.queue_depth").Set(int64(len(jm.queue)))
 	jm.mu.Unlock()
 	jm.cond.Signal()
 }
@@ -578,7 +569,6 @@ func (jm *Jobs) Cancel(id string) *Job {
 		job.state = JobCancelled
 	}
 	job.mu.Unlock()
-	obs.C("serve.job.cancelled").Inc()
 	return job
 }
 
@@ -646,7 +636,6 @@ func (jm *Jobs) next() *Job {
 		if len(jm.queue) > 0 {
 			job := jm.queue[0]
 			jm.queue = jm.queue[1:]
-			obs.G("serve.job.queue_depth").Set(int64(len(jm.queue)))
 			return job
 		}
 		jm.cond.Wait()
@@ -673,7 +662,6 @@ func (jm *Jobs) runJob(job *Job) {
 	ctx, span := obs.NewTrace(jm.ctx, "serve.job")
 	span.Annotate("job", job.ID)
 	if job.origin != "" {
-		span.Annotate("request_id", job.origin)
 		ctx = obs.WithRequestID(ctx, job.origin)
 	}
 	span.SetItems(job.shards)
@@ -691,13 +679,11 @@ func (jm *Jobs) runJob(job *Job) {
 	case err == nil && job.doneShards() == job.shards:
 		job.state = JobCompleted
 		span.SetOutcome(obs.OutcomeOK)
-		obs.C("serve.job.completed").Inc()
 	case stopped:
 		// Drain or shutdown: everything committed so far is durable;
 		// Recover (or a resubmit) picks the job back up.
 		job.state = JobInterrupted
 		span.SetOutcome(obs.OutcomeInterrupted)
-		obs.C("serve.job.interrupted").Inc()
 	default:
 		// A store failure — or no error yet shards missing, which should
 		// be impossible: fail loudly rather than report a hole-ridden job
@@ -709,7 +695,6 @@ func (jm *Jobs) runJob(job *Job) {
 			job.errMsg = fmt.Sprintf("job finished with %d/%d shards committed", job.doneShards(), job.shards)
 		}
 		span.SetOutcome(obs.OutcomeFailed)
-		obs.C("serve.job.failed").Inc()
 	}
 	ev.Outcome, ev.Err = jobOutcome(job.state, job.degraded), job.errMsg
 	job.mu.Unlock()
@@ -750,7 +735,6 @@ func transientReason(reason string) bool {
 func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	name := shardName(idx)
 	if job.store.Has(name) {
-		obs.C("serve.job.shards_resumed").Inc()
 		return nil
 	}
 	lo := idx * job.shardSize
@@ -771,7 +755,6 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 			job.mu.Lock()
 			job.retries++
 			job.mu.Unlock()
-			obs.C("serve.job.retries").Inc()
 			select {
 			case <-ctx.Done():
 				job.interrupted.Store(true)
@@ -811,7 +794,6 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 		job.mu.Lock()
 		job.degraded += tally.degraded
 		job.mu.Unlock()
-		obs.C("serve.job.shards_done").Inc()
 		return nil
 	}
 
@@ -829,7 +811,6 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	job.mu.Lock()
 	job.quarantined = append(job.quarantined, QuarantinedShard{Shard: idx, Reason: reason})
 	job.mu.Unlock()
-	obs.C("serve.job.shards_quarantined").Inc()
 	return nil
 }
 
@@ -897,7 +878,6 @@ func (jm *Jobs) acquireSlot(ctx context.Context) (func(), error) {
 		case err == nil:
 			return release, nil
 		case errors.Is(err, ErrShed):
-			obs.C("serve.job.backpressure").Inc()
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()

@@ -416,29 +416,46 @@ func TestJobQuarantineAfterExhaustedAttempts(t *testing.T) {
 	}
 }
 
-// TestJobTornWriteRetried: a failed shard-commit rename (the torn-write
-// shape) is retried within the shard's attempt budget and the job
-// still completes with full results.
+// TestJobTornWriteRetried: a failed shard commit — the atomic rename
+// under the store (the torn-write shape), or the serve.job.write site in
+// front of it — is one more failed attempt: the shard is retried within
+// its budget and committed on the next attempt, and the job streams the
+// bytes an undisturbed run does.
 func TestJobTornWriteRetried(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
-	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.ShardAttempts = 3
-	_, ts := newTestServer(t, cfg)
-	// ckpt.rename call 1 is job.json; call 2 is shard 0's first commit.
-	fault.Enable("ckpt.rename", fault.Plan{OnCall: 2})
+	_, clean := newTestServer(t, jobConfig(t.TempDir()))
+	ref := submitJob(t, clean.URL, jobPayload(4))
+	waitJobState(t, clean.URL, ref.ID, JobCompleted, 5*time.Second)
+	want := fetchResults(t, clean.URL, ref.ID)
 
-	st := submitJob(t, ts.URL, jobPayload(4))
-	done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	if done.Retries == 0 {
-		t.Fatalf("torn write was not retried: %+v", done)
-	}
-	if len(done.Quarantined) != 0 {
-		t.Fatalf("transient write failure must not quarantine: %+v", done.Quarantined)
-	}
-	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
-	if len(res.Results) != 4 {
-		t.Fatalf("results = %d records, want 4", len(res.Results))
+	for _, tc := range []struct {
+		name string
+		arm  func()
+	}{
+		// ckpt.rename call 1 is job.json; call 2 is shard 0's first commit.
+		{"rename", func() { fault.Enable("ckpt.rename", fault.Plan{OnCall: 2}) }},
+		// One worker commits in shard order: call 2 is shard 1's first commit.
+		{"commit", func() { fault.Enable("serve.job.write", fault.Plan{OnCall: 2}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer fault.Reset()
+			cfg := jobConfig(t.TempDir())
+			cfg.Jobs.ShardAttempts = 3
+			_, ts := newTestServer(t, cfg)
+			tc.arm()
+
+			st := submitJob(t, ts.URL, jobPayload(4))
+			done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+			if done.Retries != 1 {
+				t.Fatalf("one failed commit must cost exactly one retry: %+v", done)
+			}
+			if len(done.Quarantined) != 0 {
+				t.Fatalf("transient write failure must not quarantine: %+v", done.Quarantined)
+			}
+			if got := fetchResults(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+				t.Fatalf("results after a retried commit differ from an undisturbed run:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

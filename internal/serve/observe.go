@@ -99,7 +99,6 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		ctx = withEvent(ctx, ev)
 		ctx, root := obs.NewTrace(ctx, "serve.http")
 		root.Annotate("route", route)
-		root.Annotate("request_id", id)
 
 		sw := &statusWriter{ResponseWriter: w}
 		// Label the handler's goroutine so continuous CPU captures slice

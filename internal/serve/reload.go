@@ -9,7 +9,6 @@ import (
 	"emgo/internal/ckpt"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
-	"emgo/internal/obs"
 	"emgo/internal/retry"
 )
 
@@ -103,15 +102,9 @@ func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 	defer s.reloadMu.Unlock()
 	art, err := LoadArtifact(ctx, path, s.featureWidth())
 	if err != nil {
-		obs.C("serve.reload.failed").Inc()
 		return nil, err
 	}
-	prev := s.artifact.Load()
 	s.artifact.Store(art)
 	s.breaker.Reset()
-	obs.C("serve.reload.ok").Inc()
-	if prev != nil && prev.Checksum == art.Checksum {
-		obs.C("serve.reload.unchanged").Inc()
-	}
 	return art, nil
 }

@@ -16,7 +16,7 @@
 //   - atomic hot reload of the matcher artifact with checksum
 //     verification and rollback on bad loads,
 //   - health/readiness/drain endpoints plus the standard obs debug
-//     surface (expvar, Prometheus text, pprof),
+//     surface (expvar, pprof),
 //   - per-request drift capture feeding internal/drift, so the serving
 //     distribution can be scored against the training baseline.
 package serve
@@ -109,8 +109,8 @@ type Config struct {
 	// DriftBaseline, when set, lets GET /-/drift?check=1 score the live
 	// serving profile against the training-time baseline.
 	DriftBaseline *drift.Profile
-	// MountDebug mounts the obs debug mux (expvar, /metrics, pprof) on
-	// the service handler.
+	// MountDebug mounts the obs debug mux (expvar, pprof) on the service
+	// handler.
 	MountDebug bool
 	// AccessLog, when set, receives one JSON wide event per request.
 	// Nil disables wide-event logging (tail capture and SLO tracking
@@ -124,8 +124,7 @@ type Config struct {
 	// window (default tail.DefaultSlowN).
 	TailN int
 	// SLOs are the service objectives evaluated into burn rates on
-	// /v1/status, /metrics, and emmonitor slo; nil selects
-	// slo.DefaultObjectives.
+	// /v1/status and emmonitor slo; nil selects slo.DefaultObjectives.
 	SLOs []slo.Objective
 	// Profiler, when set, is the continuous-profiling retention ring:
 	// requests run under pprof route labels, tail-outlier admissions
@@ -380,9 +379,7 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("/debug/contprof/", s.cfg.Profiler.Handler())
 	}
 	if s.cfg.MountDebug {
-		dbg := obs.NewDebugMux()
-		mux.Handle("/debug/", dbg)
-		mux.Handle("/metrics", dbg)
+		mux.Handle("/debug/", obs.NewDebugMux())
 	}
 	return mux
 }
@@ -451,18 +448,15 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, ev *obs.WideE
 func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent, err error) {
 	ev.Err = err.Error()
 	if ctx.Err() != nil {
-		obs.C("serve.timeouts").Inc()
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
 		return
 	}
-	obs.C("serve.errors").Inc()
 	writeError(w, http.StatusInternalServerError, "internal error: "+err.Error(), 0)
 }
 
 // handleMatch is the matching endpoint under the full admission /
 // deadline / degradation machinery.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	obs.C("serve.requests").Inc()
 	ev := eventFrom(r.Context())
 	if s.refuseDraining(w, ev) {
 		return
@@ -521,9 +515,9 @@ func requestBudget(route time.Duration, timeoutMS int) time.Duration {
 	return route
 }
 
-// matchTally is what one matchSet pass returned, counted once: the
-// serving counters, the wide event, BatchResponse.Degraded, a job's
-// degraded-record count and the drift coverage all read this.
+// matchTally is what one matchSet pass returned, counted once: the wide
+// event, BatchResponse.Degraded, a job's degraded-record count and the
+// drift coverage all read this.
 type matchTally struct {
 	records, candidates, matches int
 	// degraded is how many records were answered without the learned
@@ -533,20 +527,14 @@ type matchTally struct {
 	breaker  string
 }
 
-// record counts an online answer on the serving counters and writes it on
-// the request's wide event.
+// record writes an online answer on the request's wide event.
 func (t matchTally) record(ev *obs.WideEvent) {
-	obs.C("serve.matches").Add(int64(t.matches))
-	if t.degraded > 0 {
-		obs.C("serve.degraded").Add(int64(t.degraded))
-	}
 	ev.Records, ev.Candidates, ev.Matches = t.records, t.candidates, t.matches
 	ev.Degraded, ev.DegradedReason, ev.Breaker = t.degraded > 0, t.reason, t.breaker
 }
 
 // writeRequestError maps a decode/validation failure to its status.
 func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
-	obs.C("serve.bad_requests").Inc()
 	var re *RequestError
 	if errors.As(err, &re) {
 		writeError(w, re.Status, re.Msg, 0)
@@ -735,7 +723,6 @@ func (s *Server) predict(ctx context.Context, left *table.Table, candidates *blo
 		return learned, scores, ReasonNoMatcher
 	}
 	if !br.Allow() {
-		obs.C("serve.breaker.rejections").Inc()
 		return learned, scores, ReasonBreakerOpen
 	}
 
@@ -781,14 +768,13 @@ func (s *Server) predict(ctx context.Context, left *table.Table, candidates *blo
 }
 
 // noteBreakerTransition records a breaker state change caused by this
-// request: a span event on the request's trace (joined to the request
-// ID by the tail capture) plus a transition counter. genBefore is the
-// breaker generation read before Record.
+// request as a span event on the request's trace (joined to the request
+// ID by the tail capture). genBefore is the breaker generation read
+// before Record.
 func (s *Server) noteBreakerTransition(ctx context.Context, br *Breaker, genBefore int64) {
 	if br.Generation() == genBefore {
 		return
 	}
-	obs.C("serve.breaker.transitions").Inc()
 	detail := "state=" + br.State().String()
 	if id := obs.RequestID(ctx); id != "" {
 		detail += " request_id=" + id
@@ -957,7 +943,6 @@ func (s *Server) StartDrain() {
 			// resumes from it instead of recomputing it.
 			s.jobs.StartDrain()
 		}
-		obs.C("serve.drains").Inc()
 		go func() {
 			s.adm.Drain(s.cfg.DrainTimeout)
 			// Active result streams see the drain flag at their next

@@ -112,15 +112,11 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, jm *Jo
 	select {
 	case s.streamSem <- struct{}{}:
 	default:
-		obs.C("serve.stream.shed").Inc()
 		annotateAdmission(ev, AdmissionShedQueueFull, 0)
 		writeError(w, http.StatusTooManyRequests, "stream limit reached", s.adm.RetryAfter())
 		return
 	}
 	defer func() { <-s.streamSem }()
-	obs.G("serve.stream.active").Add(1)
-	defer obs.G("serve.stream.active").Add(-1)
-	obs.C("serve.stream.started").Inc()
 	ev.Streamed = true
 	ev.StreamFrom = fmt.Sprintf("%d/%d", cur.Shard, cur.Offset)
 
@@ -145,8 +141,6 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, jm *Jo
 	// However the stream ended — complete, cut, drained — the trailer
 	// names the first position the client has NOT durably received.
 	w.Header().Set(streamCursorTrailer, jm.cursorFor(job, end.Shard, end.Offset))
-	obs.C("serve.stream.chunks").Add(int64(st.chunks))
-	obs.C("serve.stream.bytes").Add(st.bytes)
 	ev.StreamChunks = st.chunks
 	ev.StreamEnd = fmt.Sprintf("%d/%d", end.Shard, end.Offset)
 	ev.Records = st.records
@@ -160,11 +154,9 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, jm *Jo
 		ev.Outcome = obs.OutcomeStreamCut
 		ev.Err = err.Error()
 	case end.Shard >= job.shards:
-		obs.C("serve.stream.completed").Inc()
 		ev.StreamComplete = true
 	default:
 		// Ended early at a flush boundary without a write error: drain.
-		obs.C("serve.stream.drained").Inc()
 		ev.Outcome = obs.OutcomeDraining
 	}
 }
@@ -181,7 +173,6 @@ type streamState struct {
 
 	chunks  int
 	records int
-	bytes   int64
 }
 
 // run walks shards from st.last to the end (or a cut/drain), returning
@@ -206,7 +197,6 @@ func (st *streamState) run(r *http.Request) (Cursor, error) {
 			// it and the job is re-queued to recompute it. The stream ends
 			// here, never silently partial — the client resumes once the
 			// shard is back and gets identical bytes.
-			obs.C("serve.job.shards_recomputed").Inc()
 			jm.enqueue(job)
 			return st.last, fmt.Errorf("shard %d unreadable (%v); job re-queued for recompute", shard, err)
 		}
@@ -269,13 +259,11 @@ func (st *streamState) flushChunk(lines []any, next Cursor) error {
 		}
 		st.bw.Write(data)
 		st.bw.WriteByte('\n')
-		st.bytes += int64(len(data)) + 1
 	}
 	cur := st.jm.cursorFor(st.job, next.Shard, next.Offset)
 	// The cursor token is base64url + dots: JSON-safe without escaping.
 	ctl := `{"cursor":"` + cur + `"}` + "\n"
 	st.bw.WriteString(ctl)
-	st.bytes += int64(len(ctl))
 	if err := st.bw.Flush(); err != nil {
 		return err
 	}

@@ -127,6 +127,9 @@ type pkg struct {
 // which `go list ./...` does not see; walking the tree does, and its
 // imports of emgo/internal/... resolve like any other.
 func loadModule(t *testing.T) *module {
+	if loaded != nil {
+		return loaded
+	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +159,13 @@ func loadModule(t *testing.T) *module {
 			t.Fatalf("type-check %s: %v", path, err)
 		}
 	}
+	loaded = m
 	return m
 }
+
+// loaded is the module once a test has checked it: the two tests of this
+// package read the same ASTs.
+var loaded *module
 
 // Import makes the module its own importer: a package of this tree is
 // parsed and checked here, so its types.Info is kept; anything else is

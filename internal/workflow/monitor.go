@@ -6,7 +6,6 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/estimate"
-	"emgo/internal/fault"
 	"emgo/internal/label"
 )
 
@@ -61,8 +60,7 @@ func (m *Monitor) Check(batch string, predicted *block.CandidateSet, labelFn fun
 // CheckErr is Check with a labeler that can fail — the shape of a real
 // human-in-the-loop or networked labeling backend. A labeler error aborts
 // the check without recording anything, leaving the caller free to retry
-// the whole check (retry.Do around it). Each invocation passes the
-// "workflow.monitor" fault-injection site.
+// the whole check (retry.Do around it).
 func (m *Monitor) CheckErr(batch string, predicted *block.CandidateSet, labelFn func(block.Pair) (label.Label, error)) (CheckResult, error) {
 	if m.Rng == nil {
 		return CheckResult{}, fmt.Errorf("workflow: monitor needs an Rng")
@@ -72,9 +70,6 @@ func (m *Monitor) CheckErr(batch string, predicted *block.CandidateSet, labelFn 
 	}
 	if predicted == nil {
 		return CheckResult{}, fmt.Errorf("workflow: batch %q has no candidate set to monitor", batch)
-	}
-	if err := fault.Inject("workflow.monitor"); err != nil {
-		return CheckResult{}, err
 	}
 	n := m.SampleSize
 	if n <= 0 {

@@ -310,7 +310,6 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 				return abort(st, aerr)
 			}
 			res.Quality = asmt
-			asmt.Gauges()
 			detail := fmt.Sprintf("drift verdict %s vs baseline %q", asmt.Verdict, d.Baseline.Name)
 			if asmt.EstimatedPrecision != nil {
 				detail += " est precision " + asmt.EstimatedPrecision.String()
