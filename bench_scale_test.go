@@ -1,7 +1,9 @@
 package emgo
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/table"
 	"emgo/internal/umetrics"
+	"emgo/internal/workflow"
 )
 
 // Scalability sweep: blocking and rule application across generator
@@ -109,13 +112,50 @@ func deployedFeatures(b *testing.B, left, right *table.Table) *feature.Set {
 	return fs
 }
 
+var (
+	deploySpecOnce sync.Once
+	deploySpec     *workflow.Spec
+	deploySpecErr  error
+)
+
+// deployedReads is the feature set of the workflow the scale-1 case study
+// deploys, as Spec.Build hands it out: the features of deployedFeatures,
+// restricted to the ones the deployed tree tests.
+func deployedReads(b *testing.B, left, right *table.Table) *feature.Set {
+	b.Helper()
+	deploySpecOnce.Do(func() {
+		var res *umetrics.Report
+		if res, deploySpecErr = umetrics.Run(umetrics.TestConfig(1.0)); deploySpecErr == nil {
+			deploySpec = res.Deployment
+		}
+	})
+	if deploySpecErr != nil {
+		b.Fatal(deploySpecErr)
+	}
+	wf, err := deploySpec.Build(left, right, umetrics.DeployTransforms())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wf.Features
+}
+
+func mustBind(b *testing.B, fs *feature.Set, right *table.Table) {
+	b.Helper()
+	if err := fs.Bind(context.Background(), right); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkVectorize turns the scale-1 candidate set into feature
 // vectors with the deployed feature set — the per-pair rung under the
 // Figure 8-10 workflows, in the two forms they run it: unbound, as
 // RunDeployed and the study do (the right cells the pairs reference are
 // prepared inside the call), and bound, as a server does (left cells
-// only). Run with -benchmem: bytes and allocations per op divided by the
-// reported pair count are the per-pair garbage.
+// only). Each form runs twice: over the full set, which is what the
+// develop loop trains on, and under read=deployed over the set restricted
+// to what the deployed tree reads, which is what every deployment path
+// computes. Run with -benchmem: bytes and allocations per op divided by
+// the reported pair count are the per-pair garbage.
 func BenchmarkVectorize(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
 	left, right := f.proj.UMETRICS, f.proj.USDA
@@ -124,15 +164,14 @@ func BenchmarkVectorize(b *testing.B) {
 		b.Fatal(err)
 	}
 	pairs := cand.Pairs()
-	for _, bound := range []bool{false, true} {
-		name := "unbound"
-		if bound {
-			name = "bound"
-		}
+	for _, name := range []string{"unbound", "bound", "unbound/read=deployed", "bound/read=deployed"} {
 		b.Run(name, func(b *testing.B) {
 			fs := deployedFeatures(b, left, right)
-			if bound {
-				fs.Bind(right)
+			if strings.HasSuffix(name, "read=deployed") {
+				fs = deployedReads(b, left, right)
+			}
+			if strings.HasPrefix(name, "bound") {
+				mustBind(b, fs, right)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -168,7 +207,7 @@ func BenchmarkPrepareCell(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fs.Bind(right)
+				mustBind(b, fs, right)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(right.Len()), "ns/cell")
 		})
@@ -214,15 +253,27 @@ func BenchmarkBlockProbeBound(b *testing.B) {
 }
 
 // BenchmarkFeatureBind prepares the right table's cells for the deployed
-// feature set (auto-generated plus the case-insensitive extension).
+// feature set (auto-generated plus the case-insensitive extension), all of
+// it: ten (column, form) groups.
 func BenchmarkFeatureBind(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
-	right := f.proj.USDA
-	fs := deployedFeatures(b, f.proj.UMETRICS, right)
+	benchFeatureBind(b, deployedFeatures(b, f.proj.UMETRICS, f.proj.USDA), f.proj.USDA)
+}
+
+// BenchmarkFeatureBindDeployed is the same bind as a server pays it: over
+// the set restricted to what the deployed tree reads. (A sibling, not a
+// sub-benchmark, so BenchmarkFeatureBind keeps the name its committed
+// snapshots carry.)
+func BenchmarkFeatureBindDeployed(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	benchFeatureBind(b, deployedReads(b, f.proj.UMETRICS, f.proj.USDA), f.proj.USDA)
+}
+
+func benchFeatureBind(b *testing.B, fs *feature.Set, right *table.Table) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fs.Bind(right)
+		mustBind(b, fs, right)
 	}
 	b.ReportMetric(float64(right.Len()), "right_rows")
 }

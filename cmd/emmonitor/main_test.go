@@ -26,7 +26,7 @@ func fixtureProfiles(t *testing.T, drifted bool) (*drift.Profile, *drift.Profile
 		c := drift.NewCollector(0, 1)
 		c.SetFeatureNames([]string{"jaccard"})
 		for i := 0; i < 400; i++ {
-			c.ObserveVector([]float64{mean + float64(i%100)/1000})
+			c.ObserveVector([]float64{mean + float64(i%100)/1000}, nil)
 			c.ObservePrediction(i%2, mean, true)
 		}
 		return c.Profile(name, 100, 100, []int{1, 2, 3, 0}, nil)
@@ -214,20 +214,21 @@ func TestHistorySubcommand(t *testing.T) {
 }
 
 // pr25Report is a run report as PR 25's emmatch wrote it (trace and
-// provenance cut): its metrics carry the float_gauges kind, gone since.
+// provenance cut): its metrics carry the gauges and float_gauges kinds,
+// both gone since.
 const pr25Report = `{"name":"workflow.v","started_at":"2026-10-05T10:00:00Z","finished_at":"2026-10-05T10:00:01Z","outcome":"ok",` +
 	`"metrics":{"counters":{"block.candset.ops":2,"block.pairs_blocked":1},"gauges":{"block.candidates":1},` +
 	`"float_gauges":{"drift.coverage_drop":0,"drift.ks":0,"drift.match_rate_delta":0,"drift.null_rate":0,"drift.psi":0},` +
 	`"histograms":{"workflow.stage_ms":{"bounds":[1,5],"counts":[7,0,0],"count":7,"sum":0.048139,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.020494,"max":0.020494}}}}`
 
-// TestSnapshotHasThreeKinds pins the keys of a metrics snapshot — what a
+// TestSnapshotHasTwoKinds pins the keys of a metrics snapshot — what a
 // report's "metrics" section and /debug/vars' em_metrics are — and that a
-// report written with a fourth kind still loads: diff compares its
-// counters and histograms, history lists it, the unknown key is ignored.
-func TestSnapshotHasThreeKinds(t *testing.T) {
+// report written when there were four kinds still loads: diff compares
+// its counters and histograms, history lists it, the unknown keys are
+// ignored.
+func TestSnapshotHasTwoKinds(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c").Inc()
-	reg.Gauge("g").Set(1)
 	reg.Histogram("h", []float64{1}).Observe(1)
 	data, err := json.Marshal(reg.Snapshot())
 	if err != nil {
@@ -237,8 +238,8 @@ func TestSnapshotHasThreeKinds(t *testing.T) {
 	if err := json.Unmarshal(data, &kinds); err != nil {
 		t.Fatal(err)
 	}
-	if len(kinds) != 3 || kinds["counters"] == nil || kinds["gauges"] == nil || kinds["histograms"] == nil {
-		t.Fatalf("snapshot keys = %s, want counters, gauges, histograms", data)
+	if len(kinds) != 2 || kinds["counters"] == nil || kinds["histograms"] == nil {
+		t.Fatalf("snapshot keys = %s, want counters, histograms", data)
 	}
 
 	dir := t.TempDir()

@@ -123,22 +123,27 @@ type namedDist struct {
 
 // distributions aligns the comparable distributions of two profiles.
 // Features align by name (the feature set is part of the deployed spec,
-// so names are stable across runs); columns by side+name.
+// so names are stable across runs), over the features the live profile
+// has: a live profile lists what the live matcher reads, so a baseline
+// without one of them cannot score it (missing), and a baseline feature
+// the live matcher does not read — a baseline captured before profiles
+// listed read features only, or under another matcher — is no signal.
+// Columns align by side+name over the baseline's.
 func distributions(base, live *Profile) ([]namedDist, []string) {
 	var out []namedDist
 	var missing []string
-	liveFeat := make(map[string]*Sample, len(live.Features))
-	for i := range live.Features {
-		liveFeat[live.Features[i].Name] = &live.Features[i].Sample
-	}
+	baseFeat := make(map[string]*Sample, len(base.Features))
 	for i := range base.Features {
-		name := base.Features[i].Name
-		ls, ok := liveFeat[name]
+		baseFeat[base.Features[i].Name] = &base.Features[i].Sample
+	}
+	for i := range live.Features {
+		name := live.Features[i].Name
+		bs, ok := baseFeat[name]
 		if !ok {
 			missing = append(missing, "feature "+name)
 			continue
 		}
-		out = append(out, namedDist{"feature." + name, &base.Features[i].Sample, ls})
+		out = append(out, namedDist{"feature." + name, bs, &live.Features[i].Sample})
 	}
 	liveCol := make(map[string]*ColumnProfile, len(live.Columns))
 	for i := range live.Columns {
@@ -173,8 +178,8 @@ func Evaluate(base, live *Profile, th Thresholds) (*Assessment, error) {
 	a := &Assessment{Verdict: StatusOK, Thresholds: th}
 
 	dists, missing := distributions(base, live)
-	// A distribution present in the baseline but absent live is a
-	// schema break: the deployed slice cannot be scored, so fail.
+	// A feature the live matcher reads that the baseline never profiled,
+	// or a baseline column absent live, cannot be scored: fail.
 	for _, m := range missing {
 		a.add(Signal{Name: "missing." + m, Value: 1, Warn: 0.5, Fail: 0.5, Status: StatusFail})
 	}

@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,6 +94,11 @@ func TestEvaluateCoverageDrop(t *testing.T) {
 	}
 }
 
+// TestEvaluateMissingFeatureFails: a live profile lists the features the
+// live matcher reads, so a baseline that never profiled one of them fails
+// the check by name — and a baseline feature the live matcher does not read
+// (a baseline captured wider, before profiles listed read features only) is
+// no signal at all.
 func TestEvaluateMissingFeatureFails(t *testing.T) {
 	base := profileWith(normals(100, 0.5, 0.1, 1), 0)
 	live := profileWith(append([]float64(nil), base.Features[0].Values...), 0)
@@ -102,16 +108,31 @@ func TestEvaluateMissingFeatureFails(t *testing.T) {
 		t.Fatalf("Evaluate: %v", err)
 	}
 	if !a.Breached() {
-		t.Fatal("schema break (missing baseline feature) did not breach")
+		t.Fatal("schema break (live feature missing from the baseline) did not breach")
 	}
 	found := false
 	for _, s := range a.Signals {
-		if s.Name == "missing.feature jaccard" && s.Status == StatusFail {
+		if s.Name == "missing.feature renamed" && s.Status == StatusFail {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("no missing-feature signal in %+v", a.Signals)
+	}
+
+	wide := profileWith(append([]float64(nil), base.Features[0].Values...), 0)
+	wide.Features = append(wide.Features, FeatureProfile{Name: "unread", Sample: Sample{Count: 100, Values: normals(100, 5, 1, 2)}})
+	a, err = Evaluate(wide, base, Thresholds{})
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	if a.Verdict != StatusOK {
+		t.Fatalf("a baseline feature the live matcher does not read moved the verdict: %+v", a.Signals)
+	}
+	for _, s := range a.Signals {
+		if strings.Contains(s.Name, "unread") {
+			t.Fatalf("signal over an unread baseline feature: %+v", s)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@
 //
 //	block.join               each blocker run inside block.UnionBlockCtx
 //	feature.vectorize        each pair vectorized by Set.VectorizeCtx
+//	feature.bind             each Set.Bind of a right table's cells (a server's start and every reload)
 //	ml.forest.fit            each tree trained by RandomForest.FitCtx
 //	ml.predict               each row scored by PredictAllCtx
 //	label.submit             each label submitted through Tool.Submit

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"emgo/internal/block"
 	"emgo/internal/drift"
@@ -123,10 +124,28 @@ type Feature struct {
 // pair's schemas.
 type Set struct {
 	Features []Feature
+	// read marks, feature by feature, what VectorizeCtx computes (see
+	// Restrict); nil, as every set starts, computes them all.
+	read []bool
 	// bound is the right table's cells prepared ahead by Bind (see
 	// prepared.go); empty for a set nobody bound.
 	bound block.Prepared[rightCells]
 }
+
+// Restrict returns the set a deployment vectorizes with: the same
+// features in the same slots, of which only those read marks — what the
+// deployed matcher's nodes test, ml.ReadSet — are computed. Every other
+// slot of a vector comes back NaN, for the imputer to fill with its mean:
+// a value no node looks at. A (column, form) group none of whose features
+// is read is neither bound nor tokenised nor merged. The result has cells
+// of its own, takes no new feature (Add), and leaves s, restricted or not,
+// as it was; a caller that trains keeps the set it generated.
+func (s *Set) Restrict(read []bool) *Set {
+	return &Set{Features: s.Features[:len(s.Features):len(s.Features)], read: slices.Clone(read)}
+}
+
+// reads reports whether VectorizeCtx computes feature k.
+func (s *Set) reads(k int) bool { return s.read == nil || s.read[k] }
 
 // Names returns the feature names in order.
 func (s *Set) Names() []string {
@@ -140,8 +159,12 @@ func (s *Set) Names() []string {
 // Len returns the feature count.
 func (s *Set) Len() int { return len(s.Features) }
 
-// Add appends a feature, rejecting duplicate names.
+// Add appends a feature, rejecting duplicate names — and any feature on a
+// restricted set, whose read marks are its matcher's.
 func (s *Set) Add(f Feature) error {
+	if s.read != nil {
+		return fmt.Errorf("feature: %q added to a restricted set", f.Name)
+	}
 	for _, g := range s.Features {
 		if g.Name == f.Name {
 			return fmt.Errorf("feature: duplicate feature %q", f.Name)
@@ -354,7 +377,8 @@ func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float
 // "feature.vectorize" fault-injection site.
 //
 // The cells of the rows pairs reference are prepared once up front (see
-// prepared.go); the returned rows are windows of one backing array.
+// prepared.go); the returned rows are windows of one backing array, the
+// caller's to write to.
 func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs []block.Pair) ([][]float64, error) {
 	pl, err := s.planFor(left, right)
 	if err != nil {
@@ -379,9 +403,9 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 			}
 			// The capacity stops an append to one row reaching the next.
 			row := flat[i*width : (i+1)*width : (i+1)*width]
-			pl.vector(row, s.Features, cells, left, right, pairs[i])
+			pl.vector(row, s, cells, left, right, pairs[i])
 			out[i] = row
-			prof.ObserveVector(row)
+			prof.ObserveVector(row, s.read)
 			vectors.Inc()
 			return nil
 		})

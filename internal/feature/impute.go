@@ -40,22 +40,32 @@ func FitImputer(x [][]float64) (*Imputer, error) {
 	return &Imputer{means: means}, nil
 }
 
-// Transform returns a copy of x with NaNs replaced by the learned means.
+// Fill replaces the NaNs of x with the learned means in place — for the
+// caller that owns x, as workflow.PredictPairs owns the rows VectorizeCtx
+// just made for it.
+func (im *Imputer) Fill(x [][]float64) error {
+	for i, row := range x {
+		if len(row) != len(im.means) {
+			return fmt.Errorf("feature: row %d has %d features, imputer has %d", i, len(row), len(im.means))
+		}
+		for j, v := range row {
+			if math.IsNaN(v) {
+				row[j] = im.means[j]
+			}
+		}
+	}
+	return nil
+}
+
+// Transform returns a copy of x with NaNs replaced by the learned means,
+// for callers that keep the raw matrix.
 func (im *Imputer) Transform(x [][]float64) ([][]float64, error) {
 	out := make([][]float64, len(x))
 	for i, row := range x {
-		if len(row) != len(im.means) {
-			return nil, fmt.Errorf("feature: row %d has %d features, imputer has %d", i, len(row), len(im.means))
-		}
-		nr := make([]float64, len(row))
-		for j, v := range row {
-			if math.IsNaN(v) {
-				nr[j] = im.means[j]
-			} else {
-				nr[j] = v
-			}
-		}
-		out[i] = nr
+		out[i] = append(make([]float64, 0, len(row)), row...)
+	}
+	if err := im.Fill(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"emgo/internal/block"
+	"emgo/internal/fault"
 	"emgo/internal/parallel"
 	"emgo/internal/simfunc"
 	"emgo/internal/table"
@@ -65,7 +66,9 @@ type plan struct {
 // planFor resolves the set's columns against left and right and splits its
 // features into prepared groups and direct computations. A feature is
 // prepared when its Func names a set similarity of the registry; custom
-// closures (empty Func) and every other similarity stay direct.
+// closures (empty Func) and every other similarity stay direct; a feature
+// the set does not read (Restrict) is neither, though its columns must
+// still resolve — the tables a restricted set accepts are the full set's.
 func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 	pl := &plan{lj: make([]int, len(s.Features)), rj: make([]int, len(s.Features))}
 	for k, f := range s.Features {
@@ -78,6 +81,9 @@ func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 			return nil, err
 		}
 		pl.lj[k], pl.rj[k] = lj, rj
+		if !s.reads(k) {
+			continue
+		}
 		sim := computeRegistry[f.Func]
 		if sim.ratio == nil {
 			pl.direct = append(pl.direct, k)
@@ -137,8 +143,9 @@ func (p *prepared) counts(g, ls, rs int) (inter, la, lb int, ok bool) {
 }
 
 // vector fills row with the feature values of pair p: one merge per cell
-// group, shared by the group's features, then the direct computations.
-func (pl *plan) vector(row []float64, feats []Feature, cells *prepared, left, right *table.Table, p block.Pair) {
+// group, shared by the group's features, then the direct computations; a
+// feature s does not read is in neither, and its slot is NaN.
+func (pl *plan) vector(row []float64, s *Set, cells *prepared, left, right *table.Table, p block.Pair) {
 	if len(pl.groups) > 0 {
 		ls, rs := cells.slots(p)
 		for g := range pl.groups {
@@ -154,7 +161,12 @@ func (pl *plan) vector(row []float64, feats []Feature, cells *prepared, left, ri
 		}
 	}
 	for _, k := range pl.direct {
-		row[k] = feats[k].Compute(left.Row(p.A)[pl.lj[k]], right.Row(p.B)[pl.rj[k]])
+		row[k] = s.Features[k].Compute(left.Row(p.A)[pl.lj[k]], right.Row(p.B)[pl.rj[k]])
+	}
+	for k, read := range s.read {
+		if !read {
+			row[k] = math.NaN()
+		}
 	}
 }
 
@@ -225,22 +237,28 @@ type rightCells struct {
 // with its reference table at start-up. Against any other right table, or
 // this one after it has grown, VectorizeCtx prepares the right cells its
 // pairs reference per call, as an unbound set does; so it does when Bind
-// could not prepare them (a feature's column is missing from right — the
-// error is VectorizeCtx's to report) and for features added after Bind.
-func (s *Set) Bind(right *table.Table) {
+// could not prepare them — a read feature's column is missing from right,
+// ctx ended first, or the "feature.bind" fault site fired: the error a
+// server refuses to start or to swap a matcher in on — and for features
+// added after Bind.
+func (s *Set) Bind(ctx context.Context, right *table.Table) error {
 	s.bound.Drop()
-	_, _ = s.bound.Get(context.Background(), right, func(ctx context.Context, right *table.Table) (*rightCells, error) {
+	_, err := s.bound.Get(ctx, right, func(ctx context.Context, right *table.Table) (*rightCells, error) {
+		if err := fault.Inject("feature.bind"); err != nil {
+			return nil, err
+		}
 		return s.prepareRight(ctx, right, nil)
 	})
+	return err
 }
 
-// prepareRight builds the set's right columns over rows of right — nil
-// for every row.
+// prepareRight builds the right columns of the set features the set reads
+// over rows of right — nil for every row.
 func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) (*rightCells, error) {
 	rc := &rightCells{}
-	for _, f := range s.Features {
+	for k, f := range s.Features {
 		sim := computeRegistry[f.Func]
-		if sim.ratio == nil {
+		if sim.ratio == nil || !s.reads(k) {
 			continue
 		}
 		rj, err := right.Col(f.RightCol)

@@ -167,6 +167,75 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 			}
 		}
 	}
+
+	// The same set restricted to what a matcher reads: a read slot holds
+	// bit-for-bit the full set's value (Feature.Compute's, by the above), an
+	// unread one NaN, bound or not — and the cells it binds are the read
+	// groups' only.
+	index := map[string]int{}
+	for k, f := range set.Features {
+		index[f.Func] = k
+	}
+	for _, keys := range [][]string{
+		{"jaccard_word_lower", "year_diff"}, // one group, one direct: the deployed tree's shape
+		{"cosine_word", "dice_word", "jaccard_qgram3_lower"},
+		{"exact_num"},
+		{},
+		registryKeys(),
+	} {
+		read := make([]bool, set.Len())
+		for _, key := range keys {
+			read[index[key]] = true
+		}
+		restricted := set.Restrict(read)
+		if got := restricted.Names(); len(got) != set.Len() {
+			t.Fatalf("restricted set has %d names, want the full set's %d", len(got), set.Len())
+		}
+		if err := restricted.Add(Feature{Name: "late"}); err == nil {
+			t.Fatal("a restricted set took a new feature")
+		}
+		for _, bound := range []bool{false, true} {
+			if bound {
+				mustBind(t, restricted, r)
+			}
+			got, err := restricted.Vectorize(l, r, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pairs {
+				for k, f := range set.Features {
+					want := math.NaN()
+					if read[k] {
+						want = x[i][k]
+					}
+					if math.Float64bits(got[i][k]) != math.Float64bits(want) {
+						t.Fatalf("reading %v (bound=%v): %s on pair %v is %v, want %v", keys, bound, f.Name, pairs[i], got[i][k], want)
+					}
+				}
+			}
+		}
+		forms := 0
+		for _, grp := range pl.groups {
+			readGroup := false
+			for _, k := range grp.feats {
+				if read[k] {
+					readGroup = true
+				}
+			}
+			if readGroup {
+				forms++
+			}
+			if col := restricted.bound.Current(r).column(grp.rj, grp.form); (col != nil) != readGroup {
+				t.Fatalf("reading %v: group %v bound=%v, read=%v", keys, grp.form, col != nil, readGroup)
+			}
+		}
+		if cols := restricted.bound.Current(r).cols; len(cols) != forms {
+			t.Fatalf("reading %v: %d columns bound, want %d", keys, len(cols), forms)
+		}
+	}
+	if set.bound.Current(r) != nil || set.read != nil {
+		t.Fatal("Restrict changed the set it was called on")
+	}
 }
 
 // TestVectorizeRowsDoNotAlias: rows share one backing array, so an
@@ -313,7 +382,7 @@ func TestDictionaryFormsMatchCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Bind(r)
+	mustBind(t, set, r)
 	bound, err := set.Vectorize(l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +542,7 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 
 	set := newSet(registryKeys()...)
 	counter.cells.Store(0)
-	set.Bind(r)
+	mustBind(t, set, r)
 	if n := counter.cells.Load(); n != int64(r.Len())-1 { // one right cell is null
 		t.Fatalf("Bind tokenised %d right cells, want %d", n, r.Len()-1)
 	}
@@ -492,7 +561,7 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 	// A feature the binding has no cells for.
 	extra, _ := New("S", "S", "dice_word")
 	small := newSet("jaccard_qgram3")
-	small.Bind(r)
+	mustBind(t, small, r)
 	if err := small.Add(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +590,7 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 		}
 		sameVectors(t, "bound to a table that is not this one", got, want)
 	}
-	set.Bind(r)
+	mustBind(t, set, r)
 	got, err = set.Vectorize(l, r, allPairs(l, r))
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +616,7 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			if g == 0 {
-				set.Bind(r) // a re-bind racing the readers swaps in equal cells
+				_ = set.Bind(context.Background(), r) // a re-bind racing the readers swaps in equal cells
 			}
 			x, err := set.Vectorize(l, r, pairs)
 			if err != nil {
@@ -560,5 +629,13 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 		if x := <-done; x != nil {
 			sameVectors(t, "concurrent", x, want)
 		}
+	}
+}
+
+// mustBind binds set to right, failing the test on an error.
+func mustBind(t *testing.T, set *Set, right *table.Table) {
+	t.Helper()
+	if err := set.Bind(context.Background(), right); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,9 +18,18 @@ type Importance struct {
 // user which similarity signals the model actually relies on — e.g. it
 // surfaces that the pre-fix matcher of Section 9 leaned on dates because
 // the case-sensitive title features were useless.
+//
+// Importance is training statistics, and a serialized tree carries none
+// (NodeSpec holds what Predict needs; its bytes are the deployed
+// artifact's checksum): a tree that came through ImportTree refuses
+// instead of reporting all zeros. What it can still say is which features
+// it tests: ReadSet.
 func (t *DecisionTree) FeatureImportance() ([]Importance, error) {
 	if t.root == nil {
 		return nil, fmt.Errorf("ml: importance of an unfitted tree")
+	}
+	if t.imported {
+		return nil, fmt.Errorf("ml: imported matcher carries no training statistics; read the split features instead (ml.ReadSet)")
 	}
 	weights := make([]float64, len(t.features))
 	accumulateImportance(t.root, weights)
@@ -46,6 +55,9 @@ func (f *RandomForest) FeatureImportance() ([]Importance, error) {
 	features := f.trees[0].features
 	weights := make([]float64, len(features))
 	for _, t := range f.trees {
+		if t.imported {
+			return t.FeatureImportance()
+		}
 		w := make([]float64, len(features))
 		accumulateImportance(t.root, w)
 		var total float64
@@ -84,4 +96,40 @@ func normalizeImportance(features []string, weights []float64) []Importance {
 		return out[a].Feature < out[b].Feature
 	})
 	return out
+}
+
+// ReadSet marks, feature by feature, what m can read off a vector of the
+// given width. A decision tree reads exactly the features its split nodes
+// test and a random forest the union over its trees — a walk over the
+// nodes, so it holds for an imported model too, and a feature outside the
+// set cannot move Predict or Proba whatever value its slot holds. Every
+// other kind of matcher reads all of them.
+func ReadSet(m Matcher, width int) []bool {
+	read := make([]bool, width)
+	switch mm := m.(type) {
+	case *DecisionTree:
+		markSplits(mm.root, read)
+	case *RandomForest:
+		for _, t := range mm.trees {
+			markSplits(t.root, read)
+		}
+	default:
+		for k := range read {
+			read[k] = true
+		}
+	}
+	return read
+}
+
+// markSplits marks the feature of every split node under n. An index past
+// the width is left to the first Predict, which fails on it.
+func markSplits(n *treeNode, read []bool) {
+	if n == nil || n.leaf {
+		return
+	}
+	if n.feature >= 0 && n.feature < len(read) {
+		read[n.feature] = true
+	}
+	markSplits(n.left, read)
+	markSplits(n.right, read)
 }

@@ -65,7 +65,7 @@ func ImportTree(spec *TreeSpec) (*DecisionTree, error) {
 	}
 	features := make([]string, len(spec.Features))
 	copy(features, spec.Features)
-	return &DecisionTree{root: root, features: features}, nil
+	return &DecisionTree{root: root, features: features, imported: true}, nil
 }
 
 func importNode(s *NodeSpec, numFeatures int) (*treeNode, error) {

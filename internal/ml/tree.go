@@ -23,6 +23,9 @@ type DecisionTree struct {
 
 	root     *treeNode
 	features []string
+	// imported marks a tree rebuilt by ImportTree: its nodes carry no
+	// samples or gain (see FeatureImportance).
+	imported bool
 }
 
 type treeNode struct {

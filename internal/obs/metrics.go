@@ -1,11 +1,11 @@
 // Package obs is the pipeline-wide observability layer: a metrics
-// registry (atomic counters, gauges, fixed-bucket histograms), span-based
+// registry (atomic counters, fixed-bucket histograms), span-based
 // tracing with parent/child structure, machine-readable run reports, and
 // an operational debug server (expvar + net/http/pprof). It depends only
 // on the standard library.
 //
 // The design goal is hot-loop safety. Metrics handles are nil-safe: when
-// the global registry is disabled (the default), obs.C/G/H return nil and
+// the global registry is disabled (the default), obs.C/H return nil and
 // every method on the nil handle is a single nil-check no-op; when
 // enabled, a counter increment is one atomic add. Instrumented loops
 // fetch their handles once per stage, never per item:
@@ -53,31 +53,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value-wins metric (queue depths, budgets).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value. Safe on nil.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add moves the gauge by delta. Safe on nil.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current gauge value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram. Bounds are upper bounds of the
@@ -211,7 +186,6 @@ func (h *HistogramSnapshot) fillQuantiles() {
 // MetricsSnapshot is the JSON form of a registry at one instant.
 type MetricsSnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -221,7 +195,6 @@ type MetricsSnapshot struct {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -229,7 +202,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -248,22 +220,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -298,12 +254,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 		snap.Counters = make(map[string]int64, len(r.counters))
 		for name, c := range r.counters {
 			snap.Counters[name] = c.Value()
-		}
-	}
-	if len(r.gauges) > 0 {
-		snap.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			snap.Gauges[name] = g.Value()
 		}
 	}
 	if len(r.histograms) > 0 {
@@ -357,10 +307,6 @@ func Enabled() bool { return global.Load() != nil }
 // C returns the named counter from the global registry (nil when
 // disabled).
 func C(name string) *Counter { return global.Load().Counter(name) }
-
-// G returns the named gauge from the global registry (nil when
-// disabled).
-func G(name string) *Gauge { return global.Load().Gauge(name) }
 
 // H returns the named histogram from the global registry (nil when
 // disabled).

@@ -7,27 +7,24 @@ import (
 
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Add(5)
 	c.Inc()
-	g.Set(3)
-	g.Add(1)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 {
+	if c.Value() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", nil) != nil {
+	if r.Counter("x") != nil || r.Histogram("x", nil) != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 }
 
-func TestRegistryCountersGaugesHistograms(t *testing.T) {
+func TestRegistryCountersHistograms(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("pairs")
 	c.Add(3)
@@ -35,19 +32,13 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	if got := c.Value(); got != 4 {
 		t.Fatalf("counter = %d, want 4", got)
 	}
-	g := r.Gauge("pending")
-	g.Set(10)
-	g.Add(-4)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge = %d, want 6", got)
-	}
 	h := r.Histogram("ms", []float64{1, 10, 100})
 	for _, v := range []float64{0.5, 5, 5, 50, 5000} {
 		h.Observe(v)
 	}
 
 	snap := r.Snapshot()
-	if snap.Counters["pairs"] != 4 || snap.Gauges["pending"] != 6 {
+	if snap.Counters["pairs"] != 4 {
 		t.Fatalf("snapshot mismatch: %+v", snap)
 	}
 	hs := snap.Histograms["ms"]
@@ -92,7 +83,7 @@ func TestGlobalEnableDisable(t *testing.T) {
 	if Enabled() {
 		t.Fatal("expected disabled start")
 	}
-	if C("x") != nil || G("x") != nil || H("x", nil) != nil {
+	if C("x") != nil || H("x", nil) != nil {
 		t.Fatal("disabled global must return nil handles")
 	}
 	r := Enable()

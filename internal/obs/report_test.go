@@ -22,7 +22,6 @@ func TestReportRoundTrip(t *testing.T) {
 
 	r := NewRegistry()
 	r.Counter("block.pairs_blocked").Add(120)
-	r.Gauge("label.pending").Set(3)
 	r.Histogram("workflow.stage_ms", []float64{1, 10}).Observe(4)
 	snap := r.Snapshot()
 

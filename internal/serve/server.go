@@ -261,15 +261,13 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		s.collector.SetFeatureNames(wf.Features.Names())
 	}
 	// The right table is static for the server's lifetime: everything the
-	// pipeline prepares from it — rule keys, blocking indexes, feature
-	// cells — is built here, so a request only probes.
+	// pipeline prepares from it — rule keys, blocking indexes and, with the
+	// matcher artifact below, feature cells — is built here, so a request
+	// only probes.
 	if wf.SureRules != nil {
 		wf.SureRules.Bind(right)
 	}
 	s.blockers = block.Bind(right, wf.Blockers...)
-	if wf.Features != nil {
-		wf.Features.Bind(right)
-	}
 	// The right table is static for the server's lifetime: profile its
 	// columns once so the drift endpoint reports them without rescanning.
 	s.rightCols = s.collector.ObserveTable("right", right)
@@ -281,13 +279,13 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 			s.rightIDs[i] = right.Row(i)[j].Str()
 		}
 	}
+	var art *Artifact
 	switch {
 	case cfg.MatcherPath != "":
-		art, err := LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth())
-		if err != nil {
+		var err error
+		if art, err = LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth()); err != nil {
 			return nil, err
 		}
-		s.artifact.Store(art)
 	case wf.Matcher != nil:
 		spec, err := ml.ExportMatcher(wf.Matcher)
 		if err != nil {
@@ -297,15 +295,21 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		if err != nil {
 			return nil, fmt.Errorf("serve: fingerprint spec-embedded matcher: %w", err)
 		}
-		s.artifact.Store(&Artifact{
+		// wf.Features is this matcher's set already: Spec.BuildCtx
+		// restricted it to what wf.Matcher reads.
+		art = &Artifact{
 			Matcher:  wf.Matcher,
+			features: wf.Features,
 			Checksum: ckpt.Fingerprint(string(data)),
 			Path:     specArtifactPath,
 			LoadedAt: time.Now(),
-		})
+		}
 	}
-	if s.artifact.Load() != nil && (wf.Features == nil || wf.Imputer == nil) {
-		return nil, fmt.Errorf("serve: matcher deployed without features/imputer")
+	if art != nil {
+		if err := s.deploy(ctx, art); err != nil {
+			return nil, err
+		}
+		s.artifact.Store(art)
 	}
 	if cfg.Jobs.Dir != "" {
 		jm, err := newJobs(cfg.Jobs, s)
@@ -737,7 +741,7 @@ func (s *Server) predict(ctx context.Context, left *table.Table, candidates *blo
 	defer cancel()
 
 	start := time.Now()
-	preds, x, err := s.wf.PredictPairs(mlCtx, art.Matcher, left, s.right, candidates.Pairs())
+	preds, x, err := workflow.PredictPairs(mlCtx, art.features, s.wf.Imputer, art.Matcher, left, s.right, candidates.Pairs())
 	latency := time.Since(start)
 	gen := br.Generation()
 	br.Record(err, latency)

@@ -9,15 +9,6 @@ var allowlist = map[string]string{
 	"fault.Count":   "test seam: how often a site was reached — how the retry, resume and shard-skip tests count attempts across packages",
 	"obs.Disable":   "test seam: undoes obs.Enable so one test's registry does not leak into the next",
 
-	// The integer-gauge kind has no writer left: every gauge failed the
-	// reader rule below and went with the line that fed it. The kind is
-	// kept (the report's "gauges" key, TestSnapshotHasThreeKinds); a gauge
-	// that comes back has to pass TestMetricNamesHaveReaders. Delete the
-	// three with Registry.Gauge if none does.
-	"obs.G":         "the gauge kind's global accessor: no writer since the last gauge failed the metric reader rule",
-	"obs.Gauge.Set": "as obs.G",
-	"obs.Gauge.Add": "as obs.G",
-
 	"leakcheck.Check": "test seam: the goroutine-leak guard the concurrent packages' tests open with; the package exists for tests",
 
 	"umetrics.TruthOracle.Class": "reference oracle: the experiment harness (experiments_test.go, experiments3_test.go) reads a pair's ground-truth class through it to regenerate the paper's rule-coverage numbers",

@@ -121,7 +121,7 @@ func TestMetricNamesHaveReaders(t *testing.T) {
 type metricWrite struct {
 	name    string // the literal, or the literal head of a concatenation
 	prefix  bool   // the rest of the name is built at run time
-	kind    string // counter, gauge, histogram: the handle type's name
+	kind    string // counter, histogram: the handle type's name
 	serving bool   // written by internal/serve, internal/contprof or internal/obs: no run report carries it
 	site    string // the first write, file:line
 }
@@ -171,7 +171,7 @@ func (p *pkg) callee(call *ast.CallExpr) *types.Func {
 }
 
 // handleKinds maps each handle type the Registry stores by name — the
-// element types of its map fields — to its kind: "counter", "gauge", ….
+// element types of its map fields — to its kind: "counter", "histogram".
 func (m *module) handleKinds(t *testing.T) map[types.Type]string {
 	kinds := map[types.Type]string{}
 	reg, ok := m.pkgs["emgo/internal/obs"].types.Scope().Lookup("Registry").Type().Underlying().(*types.Struct)
@@ -189,7 +189,7 @@ func (m *module) handleKinds(t *testing.T) map[types.Type]string {
 }
 
 // metricKind reports whether a call hands out one of those handles for a
-// name — obs.C/G/H, (*Registry).Counter/Gauge/Histogram — and its kind.
+// name — obs.C/H, (*Registry).Counter/Histogram — and its kind.
 func (p *pkg) metricKind(call *ast.CallExpr, kinds map[types.Type]string) (string, bool) {
 	fn := p.callee(call)
 	if fn == nil || len(call.Args) == 0 {
@@ -245,7 +245,7 @@ func (m *module) metricWrites(t *testing.T) (writes map[string]metricWrite, else
 				file, _ := filepath.Rel(m.root, pos.Filename)
 				name, whole, ok := p.literalHead(call.Args[0])
 				if !ok {
-					if _, passedOn := call.Args[0].(*ast.Ident); !passedOn || p.path != "emgo/internal/obs" { // obs.C/G/H hand their parameter to the Registry
+					if _, passedOn := call.Args[0].(*ast.Ident); !passedOn || p.path != "emgo/internal/obs" { // obs.C/H hand their parameter to the Registry
 						t.Errorf("%s:%d: the metric name is not a literal or a concatenation starting with one: the scan cannot check it", file, pos.Line)
 					}
 					return true

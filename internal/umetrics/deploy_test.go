@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"emgo/internal/drift"
@@ -270,5 +271,47 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 	}
 	if res.Report == nil || res.Report.Quality == nil {
 		t.Fatal("monitored run report missing the quality section")
+	}
+}
+
+// TestMonitoredDeployedRunProfilesEveryFeature: a deployed workflow
+// computes only what its tree reads, but a run with a drift stage profiles
+// every feature — the distribution of AwardNumber_jaccard_qgram3 over the
+// candidates is how a vanished award number shows, whether or not a node
+// tests it — and matches exactly as the unmonitored run does.
+func TestMonitoredDeployedRunProfilesEveryFeature(t *testing.T) {
+	_, proj, fs, im, matcher := trainForDeploy(t)
+	spec, err := BuildDeploymentSpec(fs, im, matcher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	for _, r := range ml.ReadSet(matcher, fs.Len()) {
+		if r {
+			read++
+		}
+	}
+	if read == 0 || read >= fs.Len() {
+		t.Fatalf("fixture: the tree reads %d of %d features; the test needs a proper subset", read, fs.Len())
+	}
+	plain, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA, workflow.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitored, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA,
+		workflow.RunOptions{Drift: &workflow.DriftStage{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(monitored.DriftProfile.Features); got != fs.Len() {
+		t.Fatalf("the monitored run profiled %d features, want all %d", got, fs.Len())
+	}
+	for k, f := range monitored.DriftProfile.Features {
+		if f.Name != fs.Features[k].Name {
+			t.Fatalf("profile feature %d is %q, want %q", k, f.Name, fs.Features[k].Name)
+		}
+	}
+	if !reflect.DeepEqual(monitored.Final.Sorted(), plain.Final.Sorted()) {
+		t.Fatal("the monitored run's matches differ from the unmonitored run's")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
 	"emgo/internal/drift"
+	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
@@ -358,16 +359,19 @@ func buildReport(name string, started time.Time, root *obs.Span, res *Result, ru
 
 // PredictPairs is the vectorize → impute → predict chain over one list
 // of candidate pairs, the one copy RunCtx and the serving tier share. m
-// is the matcher to ask — the serving tier hot-swaps its own — and the
-// imputed vectors come back beside the predictions so a caller can read
-// a probabilistic matcher's scores off them.
-func (w *Workflow) PredictPairs(ctx context.Context, m ml.Matcher, left, right *table.Table, pairs []block.Pair) ([]int, [][]float64, error) {
-	x, err := w.Features.VectorizeCtx(ctx, left, right, pairs)
+// is the matcher to ask and fs the set to vectorize with: the two travel
+// together, because a deployed set computes only what its matcher reads
+// (feature.Set.Restrict) — RunCtx hands in the workflow's own pair, the
+// serving tier the pair of the artifact a request loaded. The vectors are
+// imputed where VectorizeCtx made them and come back beside the
+// predictions so a caller can read a probabilistic matcher's scores off
+// them.
+func PredictPairs(ctx context.Context, fs *feature.Set, im *feature.Imputer, m ml.Matcher, left, right *table.Table, pairs []block.Pair) ([]int, [][]float64, error) {
+	x, err := fs.VectorizeCtx(ctx, left, right, pairs)
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err = w.Imputer.Transform(x)
-	if err != nil {
+	if err := im.Fill(x); err != nil {
 		return nil, nil, err
 	}
 	preds, err := ml.PredictAllCtx(ctx, m, x)
@@ -403,6 +407,20 @@ func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts R
 	if w.Features == nil || w.Imputer == nil {
 		return fmt.Errorf("matcher set but features/imputer missing")
 	}
+	fs := w.Features
+	if opts.Drift != nil {
+		// A monitored run profiles every feature, not only the ones a
+		// deployed matcher reads: a feature's distribution over the
+		// candidates is also the one pairwise profile of the attributes
+		// the rules and blockers read (an award number that goes missing
+		// shows in AwardNumber_jaccard_qgram3, which no node tests), and
+		// the profile can only hold what the run computed.
+		all := make([]bool, fs.Len())
+		for k := range all {
+			all[k] = true
+		}
+		fs = fs.Restrict(all)
+	}
 	pairs := res.Candidates.Pairs()
 	budget := opts.ErrorBudget
 	quarantined := obs.C("workflow.quarantined")
@@ -410,7 +428,7 @@ func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts R
 	for {
 		pctx, cancel := opts.stageCtx(st.ctx)
 		var perr error
-		preds, _, perr = w.PredictPairs(pctx, w.Matcher, left, right, pairs)
+		preds, _, perr = PredictPairs(pctx, fs, w.Imputer, w.Matcher, left, right, pairs)
 		cancel()
 		if perr == nil {
 			break

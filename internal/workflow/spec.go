@@ -272,7 +272,11 @@ func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transform
 		if err != nil {
 			return nil, err
 		}
-		w.Features = fs
+		// A deployed workflow computes what its matcher reads: every
+		// run of w, and whoever vectorizes with w.Features, skips the
+		// features no node of m tests. Training paths never come through
+		// a spec and keep the set they generated.
+		w.Features = fs.Restrict(ml.ReadSet(m, fs.Len()))
 		w.Imputer = feature.ImputerFromMeans(s.ImputerMeans)
 		w.Matcher = m
 	}
