@@ -58,11 +58,19 @@ bench-check:
 # emmonitor diff compares, code that reads it back, a test that asserts
 # on it, or a docs recipe named in the allowlist — the "Metric names"
 # table of docs/OBSERVABILITY.md is exactly the set written, and every
-# fault site is armed by a test and listed in internal/fault. It
-# type-checks the module and bench/ from source in a few seconds, so
-# `go test ./...` runs it too; this target is the uncached, verbose form
-# (it logs the exports, metric names and fault sites checked and how many
-# of each are allowlisted).
+# fault site is armed by a test and listed in internal/fault. The rest of
+# the telemetry vocabulary is held the same way
+# (TestSpanAndEventNamesHaveReaders: span names, span annotations and
+# events, wide-event fields). The third rule is for entry points
+# (TestEntryPointsHaveRunners): every emload mode, emmonitor subcommand,
+# policy flag of the two, snapshot key `emmonitor perf` decodes and
+# environment switch of a script under scripts/ is invoked by a runner —
+# a TestSmoke scenario, a target of this Makefile, a script, bench/run.sh
+# — and a sentence in the docs is not one; addresses, paths, ids, sizes
+# and timeouts are deployment settings and stay. It type-checks the
+# module and bench/ from source in a few seconds, so `go test ./...` runs
+# it too; this target is the uncached, verbose form (it logs what was
+# checked and how many of each kind are allowlisted).
 api-check:
 	$(GO) test -count=1 -v ./internal/surface
 
@@ -86,8 +94,9 @@ smoke:
 	$(GO) test -tags smoke -count=1 -v ./internal/smoke
 
 # perf-gate diffs the two newest committed BENCH_pr*.json snapshots with
-# the noise-aware regression gate: exit 1 means the latest snapshot
-# regressed past the fail thresholds against its predecessor — see
+# the noise-aware regression gate (no flags: its bars are constants in
+# cmd/emmonitor/perf.go): exit 1 means the latest snapshot regressed past
+# the fail thresholds against its predecessor — see
 # docs/OBSERVABILITY.md, "Continuous profiling & perf gating".
 perf-gate:
 	@set -e; \

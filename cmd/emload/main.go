@@ -2,21 +2,19 @@
 // emserve (see docs/SERVING.md, "Capacity & soak testing").
 //
 //	emload -addr 127.0.0.1:8080 -right USDAProjected.csv \
-//	       [-mode run|soak|capacity|chaos|stream] \
+//	       [-mode run|soak|capacity|chaos] \
 //	       [-profile uniform|poisson] [-rate 50] [-duration 30s] \
 //	       [-seed 1] [-blend single=88,batch=5,job=0,malformed=2,oversized=1,status=4] \
 //	       [-timeout 10s] [-shed-retries 0] [-max-retry-after 2s] \
 //	       [-report-every 5s] [-summary out.json] \
 //	       [-slo "availability=99.5,latency=500ms@99"] \
 //	       [-start-qps 5] [-max-qps 0] [-factor 2] [-step-duration 10s] [-p99-target 500] \
-//	       [-prof-capture] [-server-bin ./emserve] [-workdir DIR] \
-//	       [-shard-size 4] [-job-timeout 120s] \
-//	       [-disconnect-every 1] [-cursor-file FILE] [-- emserve base args...]
+//	       [-server-bin ./emserve] [-workdir DIR] \
+//	       [-shard-size 4] [-job-timeout 120s] [-- emserve base args...]
 //
 // Record indices are Zipf-distributed (s = 1.2), a batch carries 8
-// records, a blend-submitted or stream-mode job 16, at most 4096
-// requests are in flight (an arrival past that is dropped and counted,
-// never delayed).
+// records, a blend-submitted job 16, at most 4096 requests are in flight
+// (an arrival past that is dropped and counted, never delayed).
 //
 // Modes:
 //
@@ -28,19 +26,13 @@
 //	          own /v1/status burn rates. Exit 1 on any breach — a CI
 //	          gate, not a report.
 //	capacity  stepped-QPS search for the max sustainable rate at the p99
-//	          target; the staircase lands in the summary JSON (and from
-//	          there in BENCH_*.json via scripts/bench_snapshot.sh).
+//	          target; the staircase lands in the summary JSON.
 //	chaos     supervised chaos-soak: boots its own emserve (-server-bin +
 //	          args after --), trips and recovers the breaker under
 //	          injected matcher faults, SIGKILLs the server at a shard
 //	          boundary mid-load via EMCKPT_KILL, restarts it, and
 //	          requires byte-identical job resume, Retry-After on sheds,
 //	          a re-closed breaker, and a leak- and race-clean drain.
-//	stream    resumable-results proof: submit a job, stream its results
-//	          once cleanly and once with injected disconnects every
-//	          -disconnect-every chunks (cursor persisted to
-//	          -cursor-file), and require byte-identical reassembly; the
-//	          chaos fetch's MB/s and resume count land in the summary.
 //
 // Everything is seeded and deterministic on the generator side: the
 // same flags replay the same arrival schedule bit for bit.
@@ -71,7 +63,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("emload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	mode := fs.String("mode", "run", "run | soak | capacity | chaos | stream")
+	mode := fs.String("mode", "run", "run | soak | capacity | chaos")
 	addr := fs.String("addr", "", "server under test (host:port or http URL); not used by -mode chaos")
 	right := fs.String("right", "", "right-table CSV the record pool is mined from")
 	summaryPath := fs.String("summary", "", "write the summary JSON here instead of stdout")
@@ -94,15 +86,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	factor := fs.Float64("factor", 2, "capacity search: rate multiplier between steps")
 	stepDuration := fs.Duration("step-duration", 10*time.Second, "capacity search: per-step length")
 	p99Target := fs.Float64("p99-target", 500, "capacity search: p99 bar in ms a step must hold")
-	profCapture := fs.Bool("prof-capture", false, "capacity search: trigger a server profile capture and replay one step at the settled rate (needs emserve -prof-dir)")
 
 	serverBin := fs.String("server-bin", "", "chaos: emserve binary to supervise (base args after --)")
 	workDir := fs.String("workdir", "", "chaos: scratch dir for job dirs, logs, address files (default: a temp dir)")
-	shardSize := fs.Int("shard-size", 4, "chaos/stream: canonical job shard size")
-	jobTimeout := fs.Duration("job-timeout", 120*time.Second, "chaos/stream: per-await job deadline")
-
-	disconnectEvery := fs.Int("disconnect-every", 1, "stream: drop the connection after this many committed chunks and resume (0 = no chaos)")
-	cursorPath := fs.String("cursor-file", "", "stream: persist the committed resume cursor to this file after every chunk")
+	shardSize := fs.Int("shard-size", 4, "chaos: canonical job shard size")
+	jobTimeout := fs.Duration("job-timeout", 120*time.Second, "chaos: per-await job deadline")
 
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -193,17 +181,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cres, err := load.SearchCapacity(ctx, load.CapacityConfig{
-			StartQPS:       *startQPS,
-			MaxQPS:         *maxQPS,
-			Factor:         *factor,
-			StepDuration:   *stepDuration,
-			P99TargetMS:    *p99Target,
-			TriggerProfile: *profCapture,
-			Schedule:       sched,
-			Client:         clientCfg,
-			Pool:           pool,
-			ReportEvery:    *reportEvery,
-			Report:         stderr,
+			StartQPS:     *startQPS,
+			MaxQPS:       *maxQPS,
+			Factor:       *factor,
+			StepDuration: *stepDuration,
+			P99TargetMS:  *p99Target,
+			Schedule:     sched,
+			Client:       clientCfg,
+			Pool:         pool,
+			ReportEvery:  *reportEvery,
+			Report:       stderr,
 		})
 		if err != nil && cres == nil {
 			fmt.Fprintf(stderr, "emload: %v\n", err)
@@ -213,27 +200,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		summary.Pass = cres.MaxSustainableQPS > 0
 		fmt.Fprintf(stderr, "emload: max sustainable rate %.1f qps at p99 <= %.0fms (achieved %.1f qps, p99 %.1fms)\n",
 			cres.MaxSustainableQPS, cres.P99TargetMS, cres.AchievedAtMaxQPS, cres.P99AtMaxMS)
-
-	case "stream":
-		if *addr == "" {
-			fmt.Fprintln(stderr, "emload: -addr is required for -mode stream")
-			return 2
-		}
-		sres, err := load.RunStream(ctx, load.StreamRunConfig{
-			Client:          clientCfg,
-			Pool:            pool,
-			ShardSize:       *shardSize,
-			DisconnectEvery: *disconnectEvery,
-			CursorPath:      *cursorPath,
-			JobTimeout:      *jobTimeout,
-			Report:          stderr,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "emload: stream: %v\n", err)
-			return 2
-		}
-		summary.Stream = sres
-		summary.Pass = sres.Pass
 
 	case "chaos":
 		if *serverBin == "" {
@@ -273,7 +239,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		summary.Pass = chres.Pass
 
 	default:
-		fmt.Fprintf(stderr, "emload: unknown mode %q (want run|soak|capacity|stream|chaos)\n", *mode)
+		fmt.Fprintf(stderr, "emload: unknown mode %q (want run|soak|capacity|chaos)\n", *mode)
 		return 2
 	}
 
@@ -292,7 +258,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 // writeSummary renders the summary to stdout or, given a path, into that
 // file atomically: a failing write leaves the previous summary — which
-// scripts/bench_snapshot.sh and the smoke harness read — as it was.
+// the smoke harness reads — as it was.
 func writeSummary(path string, stdout io.Writer, summary *load.Summary) error {
 	if path == "" {
 		return summary.Write(stdout)

@@ -19,7 +19,7 @@ func TestRunUsageErrors(t *testing.T) {
 		argv []string
 		want string
 	}{
-		{"unknown mode", []string{"-mode", "stress", "-addr", "x"}, "want run|soak|capacity|stream|chaos"},
+		{"unknown mode", []string{"-mode", "stress", "-addr", "x"}, "want run|soak|capacity|chaos"},
 		{"run needs addr", []string{"-mode", "run"}, "-addr is required"},
 		{"soak needs addr", []string{"-mode", "soak"}, "-addr is required"},
 		{"capacity needs addr", []string{"-mode", "capacity"}, "-addr is required"},

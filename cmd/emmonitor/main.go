@@ -13,6 +13,7 @@
 //	emmonitor diff runA.json runB.json
 //	emmonitor history -dir history/ [-n 20]
 //	emmonitor slo (-url http://addr | -file status.json) [-timeout 5s]
+//	emmonitor perf OLD_BENCH.json NEW_BENCH.json
 //
 // check re-scores the live statistical profile embedded in a run report
 // against a training-time baseline (possibly under different thresholds
@@ -34,6 +35,10 @@
 // burns its error budget past the threshold in both the fast and slow
 // windows, 0 when the budget holds. Designed as the paging/CI
 // counterpart of the in-process /v1/status report.
+//
+// perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at
+// fixed bars and exits 1 on a benchmark regression; `make perf-gate`
+// runs it over the two newest committed snapshots (see perf.go).
 package main
 
 import (
@@ -117,13 +122,13 @@ func usage(w io.Writer) {
   emmonitor diff runA.json runB.json
   emmonitor history -dir history/ [-n 20]
   emmonitor slo (-url http://addr | -file status.json) [-timeout 5s]
-  emmonitor perf OLD_BENCH.json NEW_BENCH.json [-warn 0.10] [-fail 0.20] [-strict]
+  emmonitor perf OLD_BENCH.json NEW_BENCH.json
 
 exit status:
   0    success (check: quality holds; slo: no budget burn; perf: no regression)
   1    check found a fail-threshold breach (or any warn under -strict);
        slo found an objective burning its error budget in both windows;
-       perf found a benchmark or capacity regression over the fail bar
+       perf found a benchmark regression over the fail bar
   2    usage error, unreadable input, or internal failure
   130  interrupted by SIGINT/SIGTERM before finishing`)
 }

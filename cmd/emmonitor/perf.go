@@ -13,8 +13,8 @@ package main
 // apparent regression is plausibly jitter. The gate widens its
 // thresholds by a slack keyed to min(old.benchcount, new.benchcount):
 // one pass +10 points, two passes +5, three or more +0. Benchmarks
-// whose old ns/op sits under -min-ns (nanobenches where one cache miss
-// is 30%) are reported but never gated.
+// whose old ns/op sits under minGatedNs (nanobenches where one cache
+// miss is 30%) are reported but never gated.
 
 import (
 	"encoding/json"
@@ -27,15 +27,14 @@ import (
 )
 
 // benchSnapshot is the subset of a BENCH_*.json the gate reads.
-// Unknown top-level keys are ignored (snapshots grow fields over time);
-// the two the gate *computes* from are strict below.
+// Unknown top-level keys are ignored (pr8-pr10 carry emload folds no
+// later snapshot has); the two the gate *computes* from are strict below.
 type benchSnapshot struct {
-	Go          string           `json:"go"`
-	Benchtime   string           `json:"benchtime"`
-	Benchcount  int              `json:"benchcount"`
-	Environment *benchEnv        `json:"environment"`
-	Benchmarks  []benchEntry     `json:"benchmarks"`
-	Serving     *servingCapacity `json:"serving_capacity"`
+	Go          string       `json:"go"`
+	Benchtime   string       `json:"benchtime"`
+	Benchcount  int          `json:"benchcount"`
+	Environment *benchEnv    `json:"environment"`
+	Benchmarks  []benchEntry `json:"benchmarks"`
 }
 
 type benchEntry struct {
@@ -58,23 +57,15 @@ type benchEnv struct {
 	Kernel     string `json:"kernel"`
 }
 
-// servingCapacity is the emload summary fold; only the capacity verdict
-// is gated.
-type servingCapacity struct {
-	Capacity *struct {
-		P99TargetMS       float64 `json:"p99_target_ms"`
-		MaxSustainableQPS float64 `json:"max_sustainable_qps"`
-		P99AtMaxMS        float64 `json:"p99_at_max_ms"`
-	} `json:"capacity"`
-}
-
-// perfThresholds are regression ratios (new/old - 1) at which a
-// benchmark warns or fails; a -thresholds file overrides them per
-// benchmark key ("package.BenchmarkName-P").
-type perfThresholds struct {
-	Warn float64 `json:"warn"`
-	Fail float64 `json:"fail"`
-}
+// The gate's bars: regression ratios (new/old - 1) at which a benchmark
+// warns or fails — ns/op before noise slack, B/op and allocs/op as they
+// are — and the old ns/op under which a benchmark is reported, never
+// gated. `make perf-gate` is the one caller and runs at these.
+const (
+	nsWarn, nsFail   = 0.10, 0.20
+	memWarn, memFail = 0.20, 0.50
+	minGatedNs       = 100
+)
 
 // ratioEpsilon absorbs float round-trip error so a synthetic
 // exactly-at-threshold inflation (the acceptance test) lands on the
@@ -90,21 +81,11 @@ type perfFinding struct {
 func runPerf(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("emmonitor perf", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	warn := fs.Float64("warn", 0.10, "ns/op regression ratio that warns (before noise slack)")
-	fail := fs.Float64("fail", 0.20, "ns/op regression ratio that fails the gate (before noise slack)")
-	memWarn := fs.Float64("mem-warn", 0.20, "B/op and allocs/op regression ratio that warns")
-	memFail := fs.Float64("mem-fail", 0.50, "B/op and allocs/op regression ratio that fails")
-	capWarn := fs.Float64("capacity-warn", 0.40, "serving-capacity drop fraction that warns (one factor-2 step down = 0.5)")
-	capFail := fs.Float64("capacity-fail", 0.70, "serving-capacity drop fraction that fails (two steps down = 0.75)")
-	minNs := fs.Float64("min-ns", 100, "benchmarks with old ns/op under this are reported, never gated")
-	strict := fs.Bool("strict", false, "treat warns (including missing benchmarks) as breaches")
-	allowEnv := fs.Bool("allow-env-mismatch", false, "compare snapshots from different environments anyway (mismatch downgraded to a warning)")
-	thresholdsPath := fs.String("thresholds", "", "JSON file of per-benchmark {\"pkg.BenchmarkName-P\": {\"warn\":..,\"fail\":..}} overrides")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: emmonitor perf OLD_BENCH.json NEW_BENCH.json [-warn 0.10] [-fail 0.20] [-strict]")
+		fmt.Fprintln(stderr, "usage: emmonitor perf OLD_BENCH.json NEW_BENCH.json")
 		return flag.ErrHelp
 	}
 	oldSnap, err := loadBenchSnapshot(fs.Arg(0))
@@ -115,16 +96,6 @@ func runPerf(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	overrides := map[string]perfThresholds{}
-	if *thresholdsPath != "" {
-		data, err := os.ReadFile(*thresholdsPath)
-		if err != nil {
-			return err
-		}
-		if err := unmarshalStrict(data, &overrides); err != nil {
-			return fmt.Errorf("thresholds %s: %w", *thresholdsPath, err)
-		}
-	}
 
 	var findings []perfFinding
 	note := func(level, format string, a ...any) {
@@ -132,19 +103,15 @@ func runPerf(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Environment guard: two snapshots that disagree on the machine are
-	// not a regression signal at all. Old snapshots predate the
-	// environment block; with either side missing, the numbers are
-	// still the best available evidence, so compare and say so.
-	switch {
-	case oldSnap.Environment == nil || newSnap.Environment == nil:
+	// not a regression signal at all, so the gate refuses them. Old
+	// snapshots predate the environment block; with either side missing,
+	// the numbers are still the best available evidence, so compare and
+	// say so.
+	if oldSnap.Environment == nil || newSnap.Environment == nil {
 		note("info", "environment metadata missing from %s; cross-environment drift cannot be ruled out",
 			pickMissingEnv(fs.Arg(0), fs.Arg(1), oldSnap, newSnap))
-	case envMismatch(oldSnap.Environment, newSnap.Environment) != "":
-		diff := envMismatch(oldSnap.Environment, newSnap.Environment)
-		if !*allowEnv {
-			return fmt.Errorf("snapshots come from different environments (%s); numbers are not comparable (override with -allow-env-mismatch)", diff)
-		}
-		note("warn", "environment mismatch (%s): treat every delta below with suspicion", diff)
+	} else if diff := envMismatch(oldSnap.Environment, newSnap.Environment); diff != "" {
+		return fmt.Errorf("snapshots come from different environments (%s); numbers are not comparable", diff)
 	}
 
 	// The min-of-N estimator's slack: either side measured with few
@@ -169,45 +136,41 @@ func runPerf(args []string, stdout, stderr io.Writer) error {
 			note("info", "added benchmark %s (%.0f ns/op); future gates will cover it", key, nb.NsPerOp)
 			continue
 		}
-		th := perfThresholds{Warn: *warn, Fail: *fail}
-		if o, ok := overrides[key]; ok {
-			th = o
-		}
 		r := ratio(ob.NsPerOp, nb.NsPerOp)
 		switch {
-		case ob.NsPerOp < *minNs:
-			if r >= th.Fail+slack-ratioEpsilon {
-				note("info", "%s: ns/op %+.1f%% (%.1f -> %.1f) — under the %.0fns gating floor, not gated",
-					key, 100*r, ob.NsPerOp, nb.NsPerOp, *minNs)
+		case ob.NsPerOp < minGatedNs:
+			if r >= nsFail+slack-ratioEpsilon {
+				note("info", "%s: ns/op %+.1f%% (%.1f -> %.1f) — under the %dns gating floor, not gated",
+					key, 100*r, ob.NsPerOp, nb.NsPerOp, minGatedNs)
 			}
-		case r >= th.Fail+slack-ratioEpsilon:
+		case r >= nsFail+slack-ratioEpsilon:
 			note("fail", "%s: ns/op regressed %+.1f%% (%.0f -> %.0f), over the %.0f%% fail bar",
-				key, 100*r, ob.NsPerOp, nb.NsPerOp, 100*(th.Fail+slack))
+				key, 100*r, ob.NsPerOp, nb.NsPerOp, 100*(nsFail+slack))
 			regressed++
-		case r >= th.Warn+slack-ratioEpsilon:
+		case r >= nsWarn+slack-ratioEpsilon:
 			note("warn", "%s: ns/op regressed %+.1f%% (%.0f -> %.0f), over the %.0f%% warn bar",
-				key, 100*r, ob.NsPerOp, nb.NsPerOp, 100*(th.Warn+slack))
+				key, 100*r, ob.NsPerOp, nb.NsPerOp, 100*(nsWarn+slack))
 			regressed++
-		case r <= -(th.Warn + slack):
+		case r <= -(nsWarn + slack):
 			improved++
 		}
-		if ob.NsPerOp >= *minNs {
+		if ob.NsPerOp >= minGatedNs {
 			gated++
 		}
 		// Allocation metrics are near-deterministic per op, so the
 		// slack does not apply; the floors skip benchmarks so small
 		// that one transient allocation flips the ratio.
 		if ob.BytesPerOp >= 64 {
-			if br := ratio(ob.BytesPerOp, nb.BytesPerOp); br >= *memFail-ratioEpsilon {
+			if br := ratio(ob.BytesPerOp, nb.BytesPerOp); br >= memFail-ratioEpsilon {
 				note("fail", "%s: B/op regressed %+.1f%% (%.0f -> %.0f)", key, 100*br, ob.BytesPerOp, nb.BytesPerOp)
-			} else if br >= *memWarn-ratioEpsilon {
+			} else if br >= memWarn-ratioEpsilon {
 				note("warn", "%s: B/op regressed %+.1f%% (%.0f -> %.0f)", key, 100*br, ob.BytesPerOp, nb.BytesPerOp)
 			}
 		}
 		if ob.AllocsPerOp >= 4 {
-			if ar := ratio(ob.AllocsPerOp, nb.AllocsPerOp); ar >= *memFail-ratioEpsilon {
+			if ar := ratio(ob.AllocsPerOp, nb.AllocsPerOp); ar >= memFail-ratioEpsilon {
 				note("fail", "%s: allocs/op regressed %+.1f%% (%.0f -> %.0f)", key, 100*ar, ob.AllocsPerOp, nb.AllocsPerOp)
-			} else if ar >= *memWarn-ratioEpsilon {
+			} else if ar >= memWarn-ratioEpsilon {
 				note("warn", "%s: allocs/op regressed %+.1f%% (%.0f -> %.0f)", key, 100*ar, ob.AllocsPerOp, nb.AllocsPerOp)
 			}
 		}
@@ -218,13 +181,7 @@ func runPerf(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The serving_capacity fold: the capacity search walks a geometric
-	// staircase, so its resolution is one factor step — a single step
-	// down (50% under factor 2) is the smallest observable drop and
-	// warns; two steps (75%) is unambiguous and fails.
-	gateCapacity(oldSnap, newSnap, *capWarn, *capFail, note)
-
-	return reportPerf(findings, gated, regressed, improved, *strict, stdout)
+	return reportPerf(findings, gated, regressed, improved, stdout)
 }
 
 // loadBenchSnapshot reads one BENCH_*.json and validates the parts the
@@ -310,51 +267,9 @@ func pickMissingEnv(oldPath, newPath string, o, n *benchSnapshot) string {
 	return newPath
 }
 
-// gateCapacity judges the serving_capacity fold when both snapshots
-// carry one at the same p99 target.
-func gateCapacity(o, n *benchSnapshot, capWarn, capFail float64, note func(level, format string, a ...any)) {
-	oc, nc := capacityOf(o), capacityOf(n)
-	switch {
-	case oc == nil && nc == nil:
-		return
-	case oc == nil:
-		note("info", "serving capacity appears in the new snapshot: %.0f qps at p99<=%.0fms", nc.MaxSustainableQPS, nc.P99TargetMS)
-		return
-	case nc == nil:
-		note("warn", "serving capacity disappeared from the new snapshot (was %.0f qps)", oc.MaxSustainableQPS)
-		return
-	case oc.P99TargetMS != nc.P99TargetMS:
-		note("info", "serving capacity p99 targets differ (%.0fms vs %.0fms); capacities not comparable", oc.P99TargetMS, nc.P99TargetMS)
-		return
-	case oc.MaxSustainableQPS <= 0:
-		note("info", "old snapshot sustained no load; capacity gate skipped")
-		return
-	}
-	drop := 1 - nc.MaxSustainableQPS/oc.MaxSustainableQPS
-	switch {
-	case drop >= capFail-ratioEpsilon:
-		note("fail", "serving capacity dropped %.0f%% (%.0f -> %.0f qps at p99<=%.0fms)",
-			100*drop, oc.MaxSustainableQPS, nc.MaxSustainableQPS, nc.P99TargetMS)
-	case drop >= capWarn-ratioEpsilon:
-		note("warn", "serving capacity dropped %.0f%% (%.0f -> %.0f qps at p99<=%.0fms) — one staircase step; rerun to confirm",
-			100*drop, oc.MaxSustainableQPS, nc.MaxSustainableQPS, nc.P99TargetMS)
-	}
-}
-
-func capacityOf(s *benchSnapshot) *struct {
-	P99TargetMS       float64 `json:"p99_target_ms"`
-	MaxSustainableQPS float64 `json:"max_sustainable_qps"`
-	P99AtMaxMS        float64 `json:"p99_at_max_ms"`
-} {
-	if s.Serving == nil {
-		return nil
-	}
-	return s.Serving.Capacity
-}
-
 // reportPerf prints the findings (fails first) and the verdict line,
 // and turns the verdict into the errBreach/ nil contract.
-func reportPerf(findings []perfFinding, gated, regressed, improved int, strict bool, stdout io.Writer) error {
+func reportPerf(findings []perfFinding, gated, regressed, improved int, stdout io.Writer) error {
 	rank := map[string]int{"fail": 0, "warn": 1, "info": 2}
 	sort.SliceStable(findings, func(i, j int) bool {
 		return rank[findings[i].level] < rank[findings[j].level]
@@ -371,11 +286,8 @@ func reportPerf(findings []perfFinding, gated, regressed, improved int, strict b
 	}
 	fmt.Fprintf(stdout, "perf: %d benchmark(s) gated, %d regressed, %d improved, %d warn(s), %d fail(s)\n",
 		gated, regressed, improved, warns, fails)
-	switch {
-	case fails > 0:
+	if fails > 0 {
 		return fmt.Errorf("%w: %d benchmark regression(s) over the fail threshold", errBreach, fails)
-	case strict && warns > 0:
-		return fmt.Errorf("%w: %d warning(s) under -strict", errBreach, warns)
 	}
 	fmt.Fprintln(stdout, "perf: gate holds")
 	return nil

@@ -24,14 +24,6 @@ type CapacityConfig struct {
 	StepDuration time.Duration
 	// P99TargetMS is the latency bar a step must hold (default 500).
 	P99TargetMS float64
-	// TriggerProfile, after the search settles, asks the server's
-	// continuous profiler for a capture and replays one confirmation
-	// step at the max sustainable rate so the capture samples the
-	// plateau — the profile of the box at the load it can actually
-	// hold, not of an idle box after the search. Needs emserve
-	// -prof-dir; a server without the endpoint degrades to a warning.
-	TriggerProfile bool
-
 	// Schedule is the per-step schedule template; Rate and Duration are
 	// overwritten per step. Client, Pool, Report, and ReportEvery behave
 	// as in RunConfig.
@@ -63,9 +55,6 @@ type CapacityResult struct {
 	AchievedAtMaxQPS  float64        `json:"achieved_at_max_qps"`
 	P99AtMaxMS        float64        `json:"p99_at_max_ms"`
 	Steps             []CapacityStep `json:"steps"`
-	// ProfileTriggered records that the server accepted a plateau
-	// profile-capture trigger (see CapacityConfig.TriggerProfile).
-	ProfileTriggered bool `json:"profile_triggered,omitempty"`
 }
 
 // A step also fails on errors: maxBadFrac caps (server errors + timeouts
@@ -137,39 +126,7 @@ func SearchCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityResult, e
 		out.AchievedAtMaxQPS = step.AchievedQPS
 		out.P99AtMaxMS = step.Latency.P99MS
 	}
-	if cfg.TriggerProfile && out.MaxSustainableQPS > 0 && ctx.Err() == nil {
-		capturePlateau(ctx, cfg, out)
-	}
 	return out, nil
-}
-
-// capturePlateau triggers a server-side profile capture and replays one
-// step at the settled max sustainable rate, so the capture's CPU window
-// samples the box under the load the search just proved it can hold.
-func capturePlateau(ctx context.Context, cfg CapacityConfig, out *CapacityResult) {
-	client := NewClient(cfg.Client, cfg.Pool)
-	defer client.CloseIdle()
-	detail := fmt.Sprintf("qps=%.1f p99_ms=%.1f", out.MaxSustainableQPS, out.P99AtMaxMS)
-	scheduled, err := client.TriggerProfile(ctx, "capacity_plateau", detail)
-	if err != nil {
-		fmt.Fprintf(cfg.Report, "emload: plateau profile trigger skipped: %v\n", err)
-		return
-	}
-	out.ProfileTriggered = true
-	fmt.Fprintf(cfg.Report, "emload: plateau profile capture triggered (scheduled=%v); replaying %.1f qps for the capture window\n",
-		scheduled, out.MaxSustainableQPS)
-	sched := cfg.Schedule
-	sched.Rate = out.MaxSustainableQPS
-	sched.Duration = cfg.StepDuration
-	if _, err := Run(ctx, RunConfig{
-		Schedule:    sched,
-		Client:      cfg.Client,
-		Pool:        cfg.Pool,
-		ReportEvery: cfg.ReportEvery,
-		Report:      cfg.Report,
-	}); err != nil {
-		fmt.Fprintf(cfg.Report, "emload: plateau replay: %v\n", err)
-	}
 }
 
 // evaluateStep judges one step against the capacity bars.

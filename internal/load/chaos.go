@@ -294,12 +294,17 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		return res, err
 	}
 	refClient := NewClient(clientFor(cfg.Client, ref), cfg.Pool)
-	refBytes, refID, err := runJob(ctx, refClient, records, cfg.ShardSize, cfg.JobTimeout, 0)
+	var refBytes []byte
+	refSt, err := refClient.SubmitJob(ctx, records, cfg.ShardSize)
+	if err == nil {
+		_, refBytes, err = refClient.FinishJob(ctx, refSt.ID, cfg.JobTimeout)
+	}
 	refClient.CloseIdle()
 	if err != nil {
 		ref.Kill()
 		return res, fmt.Errorf("load: reference job: %w", err)
 	}
+	refID := refSt.ID
 	res.RefJobID = refID
 	res.ResultBytes = len(refBytes)
 	say("reference job %s -> %d result bytes", refID, len(refBytes))
@@ -354,14 +359,14 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	}()
 	time.Sleep(cfg.LoadDuration / 4)
 	submit := NewClient(clientFor(cfg.Client, victim), cfg.Pool)
-	chaosID, serr := submitWithRetry(ctx, submit, records, cfg.ShardSize, 20)
+	chaosSt, serr := submit.SubmitJob(ctx, records, cfg.ShardSize)
 	submit.CloseIdle()
 	if serr != nil {
 		failf("canonical job submission under load: %v", serr)
 	} else {
-		res.ChaosJobID = chaosID
-		if chaosID != refID {
-			failf("chaos job id %s differs from reference %s — submission is not content-addressed", chaosID, refID)
+		res.ChaosJobID = chaosSt.ID
+		if chaosSt.ID != refID {
+			failf("chaos job id %s differs from reference %s — submission is not content-addressed", chaosSt.ID, refID)
 		}
 	}
 
@@ -409,22 +414,16 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	}()
 
 	await := NewClient(clientFor(cfg.Client, heir), cfg.Pool)
-	st, aerr := await.AwaitJob(ctx, refID, cfg.JobTimeout)
-	switch {
-	case aerr != nil:
-		failf("resumed job did not complete: %v", aerr)
-	default:
+	if st, gotBytes, aerr := await.FinishJob(ctx, refID, cfg.JobTimeout); aerr != nil {
+		failf("resumed job: %v", aerr)
+	} else {
 		res.ResumedShards = st.ResumedShards
 		if st.ResumedShards < chaosMinResumed {
 			failf("job resumed %d shard(s), want >= %d — the restart recomputed durable work", st.ResumedShards, chaosMinResumed)
 		}
-		gotBytes, ferr := fetchResults(ctx, await, refID)
-		switch {
-		case ferr != nil:
-			failf("fetch resumed results: %v", ferr)
-		case !bytes.Equal(gotBytes, refBytes):
+		if !bytes.Equal(gotBytes, refBytes) {
 			failf("resumed results differ from the reference run (%d vs %d bytes)", len(gotBytes), len(refBytes))
-		default:
+		} else {
 			res.ByteIdentical = true
 			say("resumed results byte-identical to the reference (%d bytes, %d shard(s) resumed)", len(gotBytes), st.ResumedShards)
 		}
@@ -463,48 +462,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 func clientFor(cfg ClientConfig, p *ServerProc) ClientConfig {
 	cfg.BaseURL = p.BaseURL()
 	return cfg
-}
-
-// runJob submits, awaits, and fetches one job.
-func runJob(ctx context.Context, c *Client, records []map[string]any, shardSize int, timeout time.Duration, retries int) (body []byte, id string, err error) {
-	id, err = submitWithRetry(ctx, c, records, shardSize, retries)
-	if err != nil {
-		return nil, "", err
-	}
-	if _, err = c.AwaitJob(ctx, id, timeout); err != nil {
-		return nil, id, err
-	}
-	body, err = fetchResults(ctx, c, id)
-	return body, id, err
-}
-
-// fetchResults streams a completed job's results into memory. What
-// comes back is the stream's data lines — cursor tokens are signed per
-// job dir, the data lines are what "byte-identical" means across them.
-func fetchResults(ctx context.Context, c *Client, id string) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := c.StreamJobResults(ctx, id, &buf, StreamOptions{})
-	return buf.Bytes(), err
-}
-
-// submitWithRetry pushes one job submission through transient sheds —
-// under load, admission may bounce a submit with 429/503; the job tier
-// is content-addressed, so retrying is always safe.
-func submitWithRetry(ctx context.Context, c *Client, records []map[string]any, shardSize, retries int) (string, error) {
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		st, err := c.SubmitJob(ctx, records, shardSize)
-		if err == nil {
-			return st.ID, nil
-		}
-		lastErr = err
-		select {
-		case <-ctx.Done():
-			return "", ctx.Err()
-		case <-time.After(250 * time.Millisecond):
-		}
-	}
-	return "", lastErr
 }
 
 // exerciseBreaker drives steady single-record requests at the faulted

@@ -114,9 +114,8 @@ type ClientConfig struct {
 	MaxRetryAfter time.Duration
 }
 
-// Request shapes: records per KindBatch request, records per submitted
-// job (a KindJob arrival's and stream mode's), and the body size of a
-// KindOversized request — 2 MiB, past the server's 1 MiB default cap.
+// Request shapes: records per KindBatch request, records per KindJob
+// arrival's submitted job, and the body size of a KindOversized request — 2 MiB, past the server's 1 MiB default cap.
 const (
 	batchSize      = 8
 	jobRecords     = 16

@@ -99,9 +99,7 @@ func NewPhaseSummary(name string, cfg ScheduleConfig, res *Result) PhaseSummary 
 }
 
 // Summary is emload's machine-readable output: one JSON document per
-// run, whatever the mode. bench_snapshot.sh folds it into the
-// BENCH_*.json trajectory so serving-path performance is versioned
-// alongside the library benchmarks.
+// run, whatever the mode.
 type Summary struct {
 	GeneratedBy string `json:"generated_by"`
 	Mode        string `json:"mode"`
@@ -112,7 +110,6 @@ type Summary struct {
 	Gate   *GateResult     `json:"gate,omitempty"`
 	Capac  *CapacityResult `json:"capacity,omitempty"`
 	Chaos  *ChaosResult    `json:"chaos,omitempty"`
-	Stream *StreamResult   `json:"stream,omitempty"`
 }
 
 // Write renders the summary as indented JSON.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -169,9 +168,8 @@ dispatch:
 	return res, ctx.Err()
 }
 
-// jobWatcher follows blend-submitted async jobs through poll and fetch,
-// so a soak asserts the full submit -> poll -> fetch lifecycle, not
-// just the 202.
+// jobWatcher follows blend-submitted async jobs to their end, so a soak
+// asserts the full submit -> poll -> fetch lifecycle, not just the 202.
 type jobWatcher struct {
 	client *Client
 
@@ -179,8 +177,7 @@ type jobWatcher struct {
 	pending   map[string]bool
 	submitted int64
 
-	completed atomic.Int64
-	failed    atomic.Int64
+	completed, failed int64 // written by wait, which runs after the last track
 }
 
 func newJobWatcher(c *Client) *jobWatcher {
@@ -196,56 +193,20 @@ func (w *jobWatcher) track(id string) {
 	w.pending[id] = true
 }
 
-// wait polls every pending job until all reach a terminal state (a
-// completed job is also fetched) or the timeout lapses; stragglers
-// count as failed.
+// wait finishes every tracked job — awaited, then fetched — inside one
+// shared deadline; a job that failed, or is still running when the
+// deadline lapses, counts as failed.
 func (w *jobWatcher) wait(ctx context.Context, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
-	for {
-		w.mu.Lock()
-		ids := make([]string, 0, len(w.pending))
-		for id := range w.pending {
-			ids = append(ids, id)
-		}
-		w.mu.Unlock()
-		if len(ids) == 0 {
-			return
-		}
-		if time.Now().After(deadline) || ctx.Err() != nil {
-			w.failed.Add(int64(len(ids)))
-			return
-		}
-		for _, id := range ids {
-			st, err := w.client.JobStatus(ctx, id)
-			if err != nil {
-				continue // poll again next round
-			}
-			switch st.State {
-			case "completed":
-				if _, ferr := w.client.StreamJobResults(ctx, id, io.Discard, StreamOptions{}); ferr != nil {
-					w.failed.Add(1)
-				} else {
-					w.completed.Add(1)
-				}
-			case "failed", "cancelled":
-				w.failed.Add(1)
-			default:
-				continue
-			}
-			w.mu.Lock()
-			delete(w.pending, id)
-			w.mu.Unlock()
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(150 * time.Millisecond):
+	for id := range w.pending {
+		if _, _, err := w.client.FinishJob(ctx, id, time.Until(deadline)); err != nil {
+			w.failed++
+		} else {
+			w.completed++
 		}
 	}
 }
 
 func (w *jobWatcher) counts() (submitted, completed, failed int64) {
-	w.mu.Lock()
-	submitted = w.submitted
-	w.mu.Unlock()
-	return submitted, w.completed.Load(), w.failed.Load()
+	return w.submitted, w.completed, w.failed
 }

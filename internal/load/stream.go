@@ -36,9 +36,9 @@ type StreamOptions struct {
 	CursorPath string
 	// MaxResumes caps reconnections before giving up (default 8).
 	MaxResumes int
-	// DisconnectEvery is a chaos hook: drop the connection after this
-	// many committed chunks and resume (0 = off).
-	DisconnectEvery int
+	// disconnectEvery is the resume tests' seam: drop the connection
+	// after this many committed chunks and resume (0 = off).
+	disconnectEvery int
 }
 
 func (o StreamOptions) withDefaults() StreamOptions {
@@ -108,18 +108,9 @@ func (c *Client) StreamJobResults(ctx context.Context, id string, w io.Writer, o
 		if errors.As(err, &shed) {
 			// 429/503: the stream gate or a drain. Honor the hint like
 			// every other client, bounded the same way.
-			delay := shed.retryAfter
-			if delay <= 0 {
-				delay = 200 * time.Millisecond
-			}
-			if delay > c.cfg.MaxRetryAfter {
-				delay = c.cfg.MaxRetryAfter
-			}
-			select {
-			case <-ctx.Done():
+			if err := c.shedWait(ctx, shed.retryAfter); err != nil {
 				stats.Resumes = resumes
-				return stats, ctx.Err()
-			case <-time.After(delay):
+				return stats, err
 			}
 		}
 	}
@@ -197,9 +188,9 @@ func (c *Client) streamOnce(ctx context.Context, hc *http.Client, id string, w i
 		}
 		pending = pending[:0]
 		chunksThisConn++
-		if opt.DisconnectEvery > 0 && chunksThisConn >= opt.DisconnectEvery {
-			// Chaos hook: abandon the connection mid-stream. Anything
-			// after the committed cursor is re-fetched on resume.
+		if opt.disconnectEvery > 0 && chunksThisConn >= opt.disconnectEvery {
+			// Abandon the connection mid-stream. Anything after the
+			// committed cursor is re-fetched on resume.
 			return false, fmt.Errorf("injected disconnect after %d chunks", chunksThisConn)
 		}
 	}

@@ -27,6 +27,7 @@ type fakeStreamServer struct {
 	cutAfter  int      // tear connection 1 after this many committed chunks (0 = never)
 	shedFirst atomic.Bool
 	conns     atomic.Int64
+	polls     atomic.Int64 // status polls of jfake; the first answers "running"
 
 	mu      sync.Mutex
 	cursors []string // every ?cursor= the server was asked to resume from
@@ -54,6 +55,27 @@ func (f *fakeStreamServer) seenCursors() []string {
 
 func (f *fakeStreamServer) handler() http.Handler {
 	mux := http.NewServeMux()
+	// The rest of the job's life: a submission (shed like the stream is),
+	// jfake's status — running, then completed — and jdead, which failed.
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		if f.shedFirst.CompareAndSwap(true, false) {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"jfake","state":"queued"}`)
+	})
+	mux.HandleFunc("GET /v1/jobs/jfake", func(w http.ResponseWriter, r *http.Request) {
+		state := "completed"
+		if f.polls.Add(1) == 1 {
+			state = "running"
+		}
+		fmt.Fprintf(w, `{"id":"jfake","state":%q,"resumed_shards":2}`, state)
+	})
+	mux.HandleFunc("GET /v1/jobs/jdead", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":"jdead","state":"failed","error":"store full"}`)
+	})
 	mux.HandleFunc("GET /v1/jobs/jfake/results", func(w http.ResponseWriter, r *http.Request) {
 		if f.shedFirst.CompareAndSwap(true, false) {
 			w.Header().Set("Retry-After", "1")
@@ -166,7 +188,7 @@ func TestStreamInjectedDisconnects(t *testing.T) {
 
 	var out bytes.Buffer
 	stats, err := c.StreamJobResults(context.Background(), "jfake", &out, StreamOptions{
-		DisconnectEvery: 1,
+		disconnectEvery: 1,
 		MaxResumes:      16,
 	})
 	if err != nil {
@@ -194,7 +216,7 @@ func TestStreamCursorFileSurvivesRestart(t *testing.T) {
 	var out bytes.Buffer
 	_, err := c.StreamJobResults(context.Background(), "jfake", &out, StreamOptions{
 		CursorPath:      cursorPath,
-		DisconnectEvery: 2,
+		disconnectEvery: 2,
 		MaxResumes:      1, // first disconnect resumes once, second aborts
 	})
 	if err == nil {
@@ -247,5 +269,44 @@ func TestStreamHonorsShed(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), f.want()) {
 		t.Fatalf("post-shed output differs: %q", out.Bytes())
+	}
+}
+
+// TestJobLifecycle: the one client-side spelling of a job's life — a
+// submission pushed through a shed, an await that outlasts "running", a
+// fetch of exactly the stream's data lines — and the blend's watcher
+// counting a finished and a failed job through the same calls.
+func TestJobLifecycle(t *testing.T) {
+	leakcheck.Check(t)
+	f := newFakeStreamServer(5, 2)
+	f.shedFirst.Store(true)
+	srv := httptest.NewServer(f.handler())
+	t.Cleanup(srv.Close)
+	c := NewClient(ClientConfig{BaseURL: srv.URL, MaxRetryAfter: 20 * time.Millisecond}, testPool(8))
+	t.Cleanup(c.CloseIdle)
+	ctx := context.Background()
+
+	st, err := c.SubmitJob(ctx, c.pool.JobRecords(5), 2)
+	if err != nil || st.ID != "jfake" {
+		t.Fatalf("SubmitJob through one shed = %+v, %v", st, err)
+	}
+	st, body, err := c.FinishJob(ctx, st.ID, 5*time.Second)
+	if err != nil || st.State != "completed" || st.ResumedShards != 2 || !bytes.Equal(body, f.want()) {
+		t.Fatalf("FinishJob = %+v, %v, body %q; want completed with the stream's data lines", st, err, body)
+	}
+	if f.polls.Load() < 2 {
+		t.Fatalf("await returned after %d poll(s), before the job left \"running\"", f.polls.Load())
+	}
+	if _, _, err := c.FinishJob(ctx, "jdead", 5*time.Second); err == nil || !strings.Contains(err.Error(), "store full") {
+		t.Fatalf("FinishJob of a failed job: %v, want its error", err)
+	}
+
+	w := newJobWatcher(c)
+	w.track("jfake")
+	w.track("jfake") // a content-addressed resubmission: one watch
+	w.track("jdead")
+	w.wait(ctx, 5*time.Second)
+	if sub, done, failed := w.counts(); sub != 3 || done != 1 || failed != 1 {
+		t.Fatalf("watcher counts = %d submitted, %d completed, %d failed; want 3, 1, 1", sub, done, failed)
 	}
 }

@@ -132,7 +132,6 @@ func PredictAll(m Matcher, x [][]float64) []int {
 func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error) {
 	pctx, sp := obs.StartSpan(ctx, "ml.predict")
 	defer sp.End()
-	sp.Annotate("matcher", m.Name())
 	sp.SetItems(len(x))
 	predictions := obs.C("ml.predictions")
 	// prof is the quality-profile collector of a monitored run, nil

@@ -67,7 +67,6 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	}
 	fctx, sp := obs.StartSpan(ctx, "ml.fit")
 	defer sp.End()
-	sp.Annotate("matcher", f.Name())
 	sp.SetItems(n)
 	trees := obs.C("ml.trees_fit")
 	f.trees = make([]*DecisionTree, n)

@@ -276,6 +276,7 @@ type Jobs struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	submitMu  sync.Mutex // serializes Submit's lookup-or-open; taken before mu
 	mu        sync.Mutex
 	cond      *sync.Cond
 	jobs      map[string]*Job
@@ -391,9 +392,16 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 	fp := jm.jobFingerprint(canonical, shardSize)
 	id := "j" + fp[:16]
 
+	// One submission at a time looks its job up or opens its store:
+	// identical ones arriving together register one job, not a store each.
+	jm.submitMu.Lock()
+	defer jm.submitMu.Unlock()
+
+	// A job's state is read through its own lock (order jm.mu -> job.mu,
+	// as in enqueue): the dispatcher writes it holding only that.
 	jm.mu.Lock()
 	if existing, ok := jm.jobs[id]; ok {
-		st := existing.state
+		st := existing.State()
 		jm.mu.Unlock()
 		if st == JobFailed || st == JobCancelled || st == JobInterrupted {
 			jm.enqueue(existing)
@@ -402,7 +410,7 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 	}
 	pending := 0
 	for _, j := range jm.jobs {
-		if j.state == JobQueued || j.state == JobRunning {
+		if st := j.State(); st == JobQueued || st == JobRunning {
 			pending++
 		}
 	}
@@ -418,10 +426,11 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 		return nil, err
 	}
 	job.origin = origin
+	completed := job.state == JobCompleted // before anyone else can see the job
 	jm.mu.Lock()
 	jm.jobs[id] = job
 	jm.mu.Unlock()
-	if job.state != JobCompleted {
+	if !completed {
 		jm.enqueue(job)
 	}
 	return job, nil
@@ -660,7 +669,6 @@ func (jm *Jobs) runJob(job *Job) {
 	// propagated ID.
 	ev := &obs.WideEvent{Time: time.Now(), RequestID: job.origin, Route: jobRoute, Records: len(job.rows), JobID: job.ID}
 	ctx, span := obs.NewTrace(jm.ctx, "serve.job")
-	span.Annotate("job", job.ID)
 	if job.origin != "" {
 		ctx = obs.WithRequestID(ctx, job.origin)
 	}
@@ -825,7 +833,6 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (a
 		return nil, tally, err
 	}
 	ctx, spShard := obs.StartSpan(ctx, "serve.job.shard")
-	spShard.Annotate("shard", strconv.Itoa(idx))
 	defer spShard.End()
 	release, err := jm.acquireSlot(ctx)
 	if err != nil {

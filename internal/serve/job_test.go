@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -639,4 +640,57 @@ func TestJobResultsBeforeCompletion(t *testing.T) {
 		t.Fatalf("early fetch = %d (%s), want 409", code, data)
 	}
 	waitJobState(t, ts.URL, st.ID, JobCompleted, 10*time.Second)
+}
+
+// TestJobResubmitWhileRunning: an idempotent resubmission reads the
+// job's state while the dispatcher is writing it (what emload's blend
+// does on purpose), and identical first submissions arriving together
+// register one job. Under -race this fails if Submit reads Job.state
+// without the job's own lock; every caller gets the same *Job back and
+// every job completes once.
+func TestJobResubmitWhileRunning(t *testing.T) {
+	leakcheck.Check(t)
+	s, _ := newTestServer(t, jobConfig(t.TempDir()))
+	jm := s.JobTier()
+
+	for round := 0; round < 12; round++ {
+		recs := make([]map[string]any, 6) // 3 shards of 2
+		for i := range recs {
+			recs[i] = l1Record(fmt.Sprintf("r%d-%d", round, i))
+		}
+		const submitters = 4
+		got := make([]*Job, submitters)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					job, err := jm.Submit(recs, 0, "")
+					if err != nil {
+						t.Errorf("round %d: resubmit: %v", round, err)
+						return
+					}
+					if got[g] == nil {
+						got[g] = job
+					} else if got[g] != job {
+						t.Errorf("round %d: one set of records registered two jobs", round)
+						return
+					}
+					if job.State() == JobCompleted {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, job := range got[1:] {
+			if job != got[0] {
+				t.Fatalf("round %d: concurrent identical submissions got different jobs", round)
+			}
+		}
+		if st := got[0].Status(); st.State != JobCompleted || st.DoneShards != 3 {
+			t.Fatalf("round %d: job ended %+v", round, st)
+		}
+	}
 }

@@ -42,14 +42,14 @@ func (s *server) await(t *testing.T, id string) *load.JobStatus {
 // data lines — one per record plus the summary on a healthy job.
 func (s *server) fetch(t *testing.T, id string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := s.c.StreamJobResults(ctx, id, &buf, load.StreamOptions{}); err != nil {
+	got, err := s.c.JobResults(ctx, id)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != jobRecords+1 || bytes.Contains(buf.Bytes(), []byte(`"quarantined":true`)) {
-		t.Fatalf("results carry %d lines, want %d records + summary and no quarantined shard:\n%s", n, jobRecords, buf.Bytes())
+	if n := bytes.Count(got, []byte("\n")); n != jobRecords+1 || bytes.Contains(got, []byte(`"quarantined":true`)) {
+		t.Fatalf("results carry %d lines, want %d records + summary and no quarantined shard:\n%s", n, jobRecords, got)
 	}
-	return buf.Bytes()
+	return got
 }
 
 // smokeJob holds the job tier's crash contract: a server SIGKILLed in

@@ -28,3 +28,53 @@ var metricReaders = map[string]metricReader{
 	"serve.shed.draining":          {"is the balancer still sending traffic to a draining instance?", "docs/SERVING.md#is-the-service-shedding-and-why"},
 	"serve.latency_ms":             {"is a slow answer slow in the pipeline or in the queue in front of it?", "docs/SERVING.md#is-it-the-pipeline-or-the-queue"},
 }
+
+// deploymentSettings classifies the flags and script switches that say
+// where or how large rather than what to do — an address, a path, an id,
+// a size, a timeout. They stay configurable whether or not a runner sets
+// them; every other flag is policy and needs a runner.
+var deploymentSettings = map[string]string{
+	"emload -addr":        "address",
+	"emload -right":       "path",
+	"emload -summary":     "path",
+	"emload -server-bin":  "path",
+	"emload -workdir":     "path",
+	"emload -timeout":     "timeout",
+	"emload -job-timeout": "timeout",
+	"emload -shard-size":  "size", // handed through to the supervised emserve's -job-shard-size
+
+	"emmonitor check -baseline": "path",
+	"emmonitor check -run":      "path",
+	"emmonitor check -dir":      "path",
+	"emmonitor history -dir":    "path",
+	"emmonitor history -n":      "size",
+	"emmonitor slo -url":        "address",
+	"emmonitor slo -file":       "path",
+	"emmonitor slo -timeout":    "timeout",
+
+	"scripts/bench_snapshot.sh GO":         "path",
+	"scripts/bench_snapshot.sh GOMAXPROCS": "size", // the Go runtime's own variable, read to record it
+}
+
+// unrunEntryPoints names the entry points no runner invokes that stay,
+// each with its reason. No wildcard, at most six.
+var unrunEntryPoints = map[string]string{
+	"emload -mode run":                     "the default mode: soak's load phase without the gate, the same case of the switch and the same load.Run call TestSmoke/load drives as soak",
+	"emload -blend":                        "the traffic mix is the deployment's own (its share of batch, job and malformed requests); every runner measures the default blend, and the parser is the one ParseBlend the tests pin",
+	"emmonitor check -thresholds":          "drift tolerances belong to the data set being monitored, not to this repository; TestSmoke/monitor gates at the defaults",
+	"emmonitor check -strict":              "the publication gate's severity (warn blocks too) is the receiving team's call per pipeline; the smoke drill checks exit 0 and exit 1 at the default",
+	"scripts/bench_snapshot.sh BENCHCOUNT": "set by hand for every committed BENCH_pr*.json (9 passes since pr22) while `make bench-baseline` takes one; the snapshot records it as benchcount and the gate's noise slack reads that",
+}
+
+// traceReaders names the span annotations, span events, request roots and
+// wide-event fields whose only reader is a person following a docs recipe
+// over a report's trace, /debug/tail or the access log — the metricReaders
+// of the rest of the telemetry. No wildcard, at most eight.
+var traceReaders = map[string]metricReader{
+	"annotation blocker":       {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
+	"event retry":              {"why did this span take so long, and what was the transient error?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
+	"event quarantine":         {"which pair did a degraded stage go on without?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
+	"event ckpt":               {"why was this stage recomputed, or its checkpoint not written?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
+	"event breaker_transition": {"which request opened (or re-closed) the breaker?", "docs/SERVING.md#is-the-breaker-flapping"},
+	"field stream_chunks":      {"how far did each connection of a resumed fetch get?", "docs/OBSERVABILITY.md#serving-request-ids-reading-the-access-log-tail-slos"},
+}

@@ -395,7 +395,18 @@ func docSection(root, ref string) (string, error) {
 		return "", err
 	}
 	doc := string(data)
-	heads := mdHeading.FindAllStringSubmatchIndex(doc, -1)
+	// A "# comment" inside a fenced block is shell, not a heading: find
+	// the headings in a copy with those lines blanked, offsets unchanged.
+	outline, fenced, at := []byte(doc), false, 0
+	for _, line := range strings.SplitAfter(doc, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		} else if fenced && strings.HasPrefix(line, "#") {
+			outline[at] = ' '
+		}
+		at += len(line)
+	}
+	heads := mdHeading.FindAllStringSubmatchIndex(string(outline), -1)
 	for i, h := range heads {
 		level, title := h[3]-h[2], doc[h[4]:h[5]]
 		slug := strings.ReplaceAll(mdSlugDrop.ReplaceAllString(strings.ToLower(title), ""), " ", "-")

@@ -6,14 +6,6 @@
 #   scripts/bench_snapshot.sh [output.json]       (default: BENCH_baseline.json)
 #   BENCHTIME=10x scripts/bench_snapshot.sh       (quick smoke snapshot)
 #   BENCHCOUNT=5 scripts/bench_snapshot.sh        (min-of-5 per benchmark)
-#   EMLOAD_SUMMARY=cap.json scripts/bench_snapshot.sh
-#                          (fold an emload capacity/soak summary into the
-#                           snapshot under "serving_capacity", so serving
-#                           throughput lands next to the micro-benchmarks)
-#   EMLOAD_STREAM_SUMMARY=stream.json scripts/bench_snapshot.sh
-#                          (fold an emload -mode stream summary under
-#                           "serving_stream": resumable-transport MB/s and
-#                           resume count join the committed trajectory)
 #
 # BENCHCOUNT > 1 runs the whole suite that many times and snapshots the
 # per-benchmark minimum. On noisy machines (shared VMs, laptops under
@@ -121,38 +113,6 @@ END {
     printf "}\n"
 }
 ' "$raw" >"$out"
-
-# Fold an emload summary (see cmd/emload, -mode capacity/soak) into the
-# snapshot: drop the closing brace, append the summary verbatim under
-# "serving_capacity", and close again. The summary is already JSON, so
-# the result stays parseable without needing jq.
-fold_summary() {
-    _file="$1"
-    _key="$2"
-    [ -s "$_file" ] || {
-        echo "bench_snapshot: $_key summary $_file is missing or empty" >&2
-        exit 1
-    }
-    merged="$(mktemp)"
-    {
-        sed '$d' "$out" | sed '$s/$/,/'
-        printf '  "%s":\n' "$_key"
-        sed 's/^/  /' "$_file"
-        printf '}\n'
-    } >"$merged"
-    mv "$merged" "$out"
-    echo "bench_snapshot: folded emload summary $_file into $out under $_key" >&2
-}
-
-if [ -n "${EMLOAD_SUMMARY:-}" ]; then
-    fold_summary "$EMLOAD_SUMMARY" serving_capacity
-fi
-# The -mode stream summary rides under its own key: the perf gate judges
-# serving_capacity, while serving_stream records the resumable
-# transport's throughput and resume count along the same trajectory.
-if [ -n "${EMLOAD_STREAM_SUMMARY:-}" ]; then
-    fold_summary "$EMLOAD_STREAM_SUMMARY" serving_stream
-fi
 
 count="$(awk '/"count":/ {gsub(/,/, "", $2); print $2; exit}' "$out")"
 echo "bench_snapshot: wrote $count benchmarks to $out" >&2
