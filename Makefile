@@ -30,7 +30,9 @@ race:
 
 # race-cpu reruns, at one and at two CPUs, the packages whose requests and
 # runs share state built once — the rules' keyed join, the blockers' bound
-# indexes, the feature set's bound cells, the server over all three: a
+# indexes and the probe scratch pooled on them (TestBoundProbeConcurrent,
+# TestBoundProbeAllocsIndependentOfRightTable), the feature set's bound
+# cells, the server over all three: a
 # cold-build race only shows when callers really do arrive together, and
 # a wait that never ends only when they cannot. The feature kernel and the
 # server's cross-mode suite also run at four, where a batch's cells and

@@ -3,6 +3,7 @@ package block
 import (
 	"context"
 	"slices"
+	"sort"
 
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
@@ -60,8 +61,9 @@ type tokenBlocker interface {
 // tokenJoin is what Overlap, OverlapCoefficient and JaccardJoin are made
 // of: a token column over the right table and a predicate on the three
 // counts every set similarity is a function of — |A∩B|, |A| and |B| over
-// the two cells' distinct tokens. keep is only asked about pairs sharing
-// at least one token.
+// the two cells' distinct tokens. keep is monotone in |A∩B| (more shared
+// tokens never drop a pair), which is what lets a join ask it once per
+// pair of sizes instead of once per pair (see admission).
 type tokenJoin struct {
 	leftCol, rightCol string
 	form              Form
@@ -161,10 +163,12 @@ func blockSharing(ctx context.Context, left, right *table.Table, blockers []Bloc
 // joinTokens runs token blockers that share a column and a left column —
 // group[0]'s — and returns their candidate sets. Each left row is
 // tokenised and counted against the column once; every blocker then
-// judges the rows reached from the same counts. A blocker's pairs come out
-// as it would emit them alone: left rows ascending, and per left row the
-// right rows ascending — candidate-set insertion order feeds sampling,
-// and through it every downstream artifact.
+// judges the rows reached from the same counts, by admission: a reached
+// row is one compare against the least count any blocker admits, and a
+// compare per blocker only if it passes. A blocker's pairs come out as it
+// would emit them alone: left rows ascending, and per left row the right
+// rows ascending — candidate-set insertion order feeds sampling, and
+// through it every downstream artifact.
 func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTokens) ([]*CandidateSet, error) {
 	lead := group[0]
 	lj, err := left.Col(lead.join.leftCol)
@@ -179,33 +183,84 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 	for k := range sets {
 		sets[k] = NewCandidateSet(left, right)
 	}
-	s := col.newScratch()
-	var keys []uint64 // the current left cell's, reused row after row
-	kept := make([][]int32, len(group))
+	adm := admissions{group: group, width: col.maxLen + 1}
+	s := col.getScratch()
+	defer col.putScratch(s)
 	for i := 0; i < left.Len(); i++ {
 		if err := strideErr(ctx, i); err != nil {
 			return nil, err
 		}
-		keys, _ = col.AppendKeys(keys[:0], left.Row(i)[lj], false)
-		col.probe(keys, s)
+		s.keys, _ = col.AppendKeys(s.keys[:0], left.Row(i)[lj], false)
+		col.probe(s.keys, s)
+		if len(s.touched) == 0 {
+			continue
+		}
+		need := adm.rows(len(s.keys))
+		// Keep the reached rows some blocker admits, clearing the rest's
+		// counts as they go, and walk the kept ones ascending.
+		least, kept := need[:adm.width], s.touched[:0]
 		for _, r := range s.touched {
-			inter, lb := int(s.counts[r]), len(col.cells[r].Keys)
-			for k, b := range group {
-				if b.join.keep(inter, len(keys), lb) {
-					kept[k] = append(kept[k], r)
+			if s.counts[r] >= least[col.lens[r]] {
+				kept = append(kept, r)
+			} else {
+				s.counts[r] = 0
+			}
+		}
+		s.touched = kept
+		slices.Sort(kept)
+		for _, r := range kept {
+			inter, lb := s.counts[r], int(col.lens[r])
+			for k, set := range sets {
+				if inter >= need[(k+1)*adm.width+lb] {
+					set.Add(Pair{A: i, B: int(r)})
 				}
 			}
 		}
 		s.reset()
-		for k, rows := range kept {
-			slices.Sort(rows)
-			for _, r := range rows {
-				sets[k].Add(Pair{A: i, B: int(r)})
-			}
-			kept[k] = rows[:0]
-		}
 	}
 	return sets, nil
+}
+
+// admissions is a group's least admitting counts, per left cell size met:
+// rows(la) is, over right sizes lb = 0…width−1, the least count any of the
+// group admits, then each blocker's in group order.
+type admissions struct {
+	group []*boundTokens
+	width int
+	byLa  [][]int32
+}
+
+func (a *admissions) rows(la int) []int32 {
+	if la >= len(a.byLa) {
+		a.byLa = append(a.byLa, make([][]int32, la+1-len(a.byLa))...)
+	}
+	if a.byLa[la] == nil {
+		need := make([]int32, a.width, (1+len(a.group))*a.width)
+		for k, b := range a.group {
+			need = admission(b.join.keep, la, a.width, need)
+			for lb, mine := range need[len(need)-a.width:] {
+				if k == 0 || mine < need[lb] {
+					need[lb] = mine
+				}
+			}
+		}
+		a.byLa[la] = need
+	}
+	return a.byLa[la]
+}
+
+// admission appends to need, for a left cell of la tokens and each right
+// size lb in 0…width−1, the least count keep admits: the least c in
+// 0…min(la, lb) with keep(c, la, lb), or min(la, lb)+1 if there is none.
+// Since keep is monotone in the count, inter ≥ need[lb] is exactly
+// keep(inter, la, lb) — the predicate's own comparison, never a closed
+// form such as ceil(t·m), which rounds 100 × 0.07 up to 8.
+func admission(keep func(inter, la, lb int) bool, la, width int, need []int32) []int32 {
+	for lb := 0; lb < width; lb++ {
+		m := min(la, lb)
+		need = append(need, int32(sort.Search(m+1, func(c int) bool { return keep(c, la, lb) })))
+	}
+	return need
 }
 
 // KeyIndex is a keyed-equality join's prepared right side: the right rows

@@ -2,6 +2,10 @@ package block
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -139,6 +143,155 @@ func TestColdBindRace(t *testing.T) {
 	if right := tok.right.Load(); right != int64(r.Len()) {
 		t.Fatalf("8 cold callers tokenised %d right cells, want one build of %d", right, r.Len())
 	}
+}
+
+// TestAdmissionMatchesPredicate: a blocker's admission row is its
+// predicate — inter ≥ need[lb] exactly when keep(inter, la, lb) — for
+// every cell size up to 64 and every count, at thresholds where t·m lands
+// on, just past and well away from an integer; and every keep is monotone
+// in the count, which is what makes a row of least counts possible.
+func TestAdmissionMatchesPredicate(t *testing.T) {
+	const most = 64
+	var blockers []tokenBlocker
+	for k := 1; k <= 6; k++ {
+		blockers = append(blockers, Overlap{Tokenizer: tokenize.Word{}, Threshold: k})
+	}
+	for _, th := range []float64{0.07, 1.0 / 3, 0.4, 0.5, 0.7, 1.0} {
+		blockers = append(blockers,
+			OverlapCoefficient{Tokenizer: tokenize.Word{}, Threshold: th},
+			JaccardJoin{Tokenizer: tokenize.Word{}, Threshold: th})
+	}
+	// ceilWrong counts the cells where the closed form ceil(t·min(la, lb))
+	// disagrees with a float predicate's own comparison: the grid has to
+	// contain some for this test to catch that form.
+	ceilWrong := 0
+	for _, b := range blockers {
+		j, err := b.join()
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := math.NaN()
+		switch b := b.(type) {
+		case OverlapCoefficient:
+			th = b.Threshold
+		case JaccardJoin:
+			th = b.Threshold
+		}
+		for la := 0; la <= most; la++ {
+			need := admission(j.keep, la, most+1, nil)
+			for lb := 0; lb <= most; lb++ {
+				m := min(la, lb)
+				for inter := 0; inter <= m; inter++ {
+					keep := j.keep(inter, la, lb)
+					if inter < m && keep && !j.keep(inter+1, la, lb) {
+						t.Fatalf("%s: keep(%d, %d, %d) but not keep(%d, …): not monotone", b.Name(), inter, la, lb, inter+1)
+					}
+					if got := int32(inter) >= need[lb]; got != keep {
+						t.Fatalf("%s: la=%d lb=%d inter=%d: admitted %v, keep says %v (need %d)", b.Name(), la, lb, inter, got, keep, need[lb])
+					}
+					if !math.IsNaN(th) && (inter >= int(math.Ceil(th*float64(m)))) != keep {
+						ceilWrong++
+					}
+				}
+			}
+		}
+	}
+	if ceilWrong == 0 {
+		t.Fatal("no cell where ceil(t·m) and the predicate disagree: the grid cannot catch a closed form")
+	}
+	// PR 17's case, past the grid: 7 of 100 tokens is a coefficient of
+	// exactly 0.07, though 0.07·100 rounds up to 7.000000000000001.
+	j, _ := OverlapCoefficient{Tokenizer: tokenize.Word{}, Threshold: 0.07}.join()
+	if need := admission(j.keep, 100, 101, nil); need[100] != 7 {
+		t.Fatalf("overlap coefficient 0.07 at 100 tokens a side needs %d shared, want 7", need[100])
+	}
+}
+
+// TestBoundProbeAllocsIndependentOfRightTable: what one bound single-row
+// request allocates does not grow with the right table — the probe's
+// per-row counts come from the column's pool. The doubled table adds rows
+// the request shares no token with, so the answer is the same.
+func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
+	l, small := figure10Tables(8, 1915)
+	big := table.New("R", small.Schema())
+	for i := 0; i < small.Len(); i++ {
+		big.MustAppend(small.Row(i))
+	}
+	for i := 0; i < small.Len(); i++ {
+		big.MustAppend(table.Row{table.S(fmt.Sprintf("X%d", i)), table.S(fmt.Sprintf("filler%d other%d", i, i))})
+	}
+	request := table.New("request", l.Schema())
+	request.MustAppend(l.Row(7))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// bytes is the median of a single request's allocation over many: the
+	// race detector's pool drops a quarter of what is put back.
+	bytes := func(right *table.Table) (uint64, []Pair) {
+		bound := Bind(right, figure10(tokenize.Word{})...)
+		var per []uint64
+		var pairs []Pair
+		var before, after runtime.MemStats
+		for n := 0; n < 101; n++ {
+			runtime.ReadMemStats(&before)
+			c, err := UnionBlock(request, right, bound...)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			per, pairs = append(per, after.TotalAlloc-before.TotalAlloc), c.Pairs()
+		}
+		slices.Sort(per)
+		return per[len(per)/2], pairs
+	}
+	a, pa := bytes(small)
+	b, pb := bytes(big)
+	if !slices.Equal(pa, pb) || len(pa) == 0 {
+		t.Fatalf("fixture: the request blocks %v against %d rows, %v against %d", pa, small.Len(), pb, big.Len())
+	}
+	if diff := int64(b) - int64(a); diff >= 1024 || diff <= -1024 {
+		t.Fatalf("a bound request allocates %d B against %d right rows and %d B against %d", a, small.Len(), b, big.Len())
+	}
+}
+
+// TestBoundProbeConcurrent: goroutines sharing one bound blocker set — its
+// column and its pool of probe scratch — each get the answers a serial
+// caller gets, request by request (run under -race -cpu 1,2).
+func TestBoundProbeConcurrent(t *testing.T) {
+	l, r := figure10Tables(60, 300)
+	bound := Bind(r, figure10(tokenize.Word{})...)
+	requests := make([]*table.Table, l.Len())
+	want := make([][]Pair, l.Len())
+	for i := range requests {
+		requests[i] = table.New("request", l.Schema())
+		requests[i].MustAppend(l.Row(i))
+		c, err := UnionBlock(requests[i], r, bound...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = c.Pairs()
+	}
+	whole, err := UnionBlock(l, r, bound...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := range requests {
+				i := (n*7 + g) % len(requests)
+				c, err := UnionBlock(requests[i], r, bound...)
+				if err != nil || !slices.Equal(c.Pairs(), want[i]) {
+					t.Errorf("goroutine %d, request %d: %v, want %v (err %v)", g, i, c.Pairs(), want[i], err)
+					return
+				}
+			}
+			if c, err := UnionBlock(l, r, bound...); err != nil || !slices.Equal(c.Pairs(), whole.Pairs()) {
+				t.Errorf("goroutine %d: the whole left table's pairs differ (err %v)", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestBindLeavesTheRestAlone: blockers with nothing to prepare, and

@@ -199,13 +199,20 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		sp.End()
 		pairsBlocked.Add(int64(c.Len()))
 		// Grow the union in place, in Union's order (earlier pairs, then
-		// c's new ones): rebuilding it per blocker re-hashed every pair
-		// already in it.
+		// c's new ones). A pair of c is new when no earlier blocker's set
+		// holds it; the key and token blockers' sets are ascending, so
+		// asking them is a binary search, and the union is never asked.
 		if err := out.sameTables(c); err != nil {
 			return nil, err
 		}
+	pairs:
 		for _, p := range c.pairs {
-			out.Add(p)
+			for _, earlier := range ready[:k] {
+				if earlier.Contains(p) {
+					continue pairs
+				}
+			}
+			out.push(p)
 		}
 	}
 	return out, nil

@@ -6,10 +6,12 @@
 package block
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"emgo/internal/obs"
 	"emgo/internal/table"
@@ -22,38 +24,78 @@ type Pair struct {
 	B int // row index in the right table
 }
 
+// comparePairs is the (A, B) order blockers emit pairs in.
+func comparePairs(p, q Pair) int {
+	if c := cmp.Compare(p.A, q.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.B, q.B)
+}
+
 // CandidateSet is a deduplicated set of record pairs over a fixed pair of
-// tables. The zero value is not usable; create with NewCandidateSet.
+// tables, in insertion order. The zero value is not usable; create with
+// NewCandidateSet.
+//
+// Blockers emit pairs ascending, so a set is its pair slice: while pairs
+// arrive ascending, adding one is a compare with the last and membership
+// is a binary search. Once a pair arrives out of order the set is
+// unordered, and the first membership question about it builds an index;
+// Add keeps it current from then on. Reads — Contains included — may run
+// concurrently.
 type CandidateSet struct {
-	Left  *table.Table
-	Right *table.Table
-	pairs []Pair
-	seen  map[Pair]struct{}
+	Left      *table.Table
+	Right     *table.Table
+	pairs     []Pair
+	unordered bool // some pair is not after the one before it
+
+	indexOnce sync.Once
+	index     map[Pair]struct{} // every pair, once an unordered set is asked about
 }
 
 // NewCandidateSet returns an empty candidate set over left and right.
 func NewCandidateSet(left, right *table.Table) *CandidateSet {
-	return &CandidateSet{
-		Left:  left,
-		Right: right,
-		seen:  make(map[Pair]struct{}),
-	}
+	return &CandidateSet{Left: left, Right: right}
 }
 
 // Add inserts a pair; duplicates are ignored. It reports whether the pair
 // was new.
 func (c *CandidateSet) Add(p Pair) bool {
-	if _, dup := c.seen[p]; dup {
+	if n := len(c.pairs); !c.unordered && (n == 0 || comparePairs(c.pairs[n-1], p) < 0) {
+		c.pairs = append(c.pairs, p)
+		return true
+	}
+	if c.Contains(p) {
 		return false
 	}
-	c.seen[p] = struct{}{}
-	c.pairs = append(c.pairs, p)
+	c.push(p)
 	return true
+}
+
+// push appends p, which the caller knows is not in c.
+func (c *CandidateSet) push(p Pair) {
+	if n := len(c.pairs); n > 0 && comparePairs(c.pairs[n-1], p) > 0 {
+		c.unordered = true
+	}
+	c.pairs = append(c.pairs, p)
+	if c.index != nil {
+		c.index[p] = struct{}{}
+	}
 }
 
 // Contains reports whether the pair is present.
 func (c *CandidateSet) Contains(p Pair) bool {
-	_, ok := c.seen[p]
+	if !c.unordered {
+		_, ok := slices.BinarySearchFunc(c.pairs, p, comparePairs)
+		return ok
+	}
+	c.indexOnce.Do(func() {
+		index := make(map[Pair]struct{}, len(c.pairs))
+		for _, q := range c.pairs {
+			index[q] = struct{}{}
+		}
+		c.index = index
+	})
+	_, ok := c.index[p]
 	return ok
 }
 
@@ -76,18 +118,20 @@ func (c *CandidateSet) sameTables(o *CandidateSet) error {
 	return nil
 }
 
-// Union returns a new set with all pairs of c and o.
+// Union returns a new set with all pairs of c and o: c's, then o's that c
+// lacks.
 func (c *CandidateSet) Union(o *CandidateSet) (*CandidateSet, error) {
 	if err := c.sameTables(o); err != nil {
 		return nil, err
 	}
 	obs.C("block.candset.ops").Inc()
 	out := NewCandidateSet(c.Left, c.Right)
-	for _, p := range c.pairs {
-		out.Add(p)
-	}
+	out.pairs = append(make([]Pair, 0, len(c.pairs)+len(o.pairs)), c.pairs...)
+	out.unordered = c.unordered
 	for _, p := range o.pairs {
-		out.Add(p)
+		if !c.Contains(p) {
+			out.push(p)
+		}
 	}
 	return out, nil
 }
@@ -98,13 +142,7 @@ func (c *CandidateSet) Minus(o *CandidateSet) (*CandidateSet, error) {
 		return nil, err
 	}
 	obs.C("block.candset.ops").Inc()
-	out := NewCandidateSet(c.Left, c.Right)
-	for _, p := range c.pairs {
-		if !o.Contains(p) {
-			out.Add(p)
-		}
-	}
-	return out, nil
+	return c.Filter(func(p Pair) bool { return !o.Contains(p) }), nil
 }
 
 // Intersect returns a new set with the pairs present in both c and o.
@@ -113,13 +151,7 @@ func (c *CandidateSet) Intersect(o *CandidateSet) (*CandidateSet, error) {
 		return nil, err
 	}
 	obs.C("block.candset.ops").Inc()
-	out := NewCandidateSet(c.Left, c.Right)
-	for _, p := range c.pairs {
-		if o.Contains(p) {
-			out.Add(p)
-		}
-	}
-	return out, nil
+	return c.Filter(o.Contains), nil
 }
 
 // Sample returns n pairs drawn uniformly without replacement.
@@ -136,11 +168,12 @@ func (c *CandidateSet) Sample(n int, rng *rand.Rand) ([]Pair, error) {
 }
 
 // Filter returns a new set with the pairs for which keep returns true.
+// They are distinct already, so none is checked against the rest.
 func (c *CandidateSet) Filter(keep func(Pair) bool) *CandidateSet {
 	out := NewCandidateSet(c.Left, c.Right)
 	for _, p := range c.pairs {
 		if keep(p) {
-			out.Add(p)
+			out.push(p)
 		}
 	}
 	return out
@@ -161,14 +194,10 @@ func (c *CandidateSet) PerLeftCounts() []int {
 // Sorted returns the pairs ordered by (A, B); used for deterministic
 // output in reports.
 func (c *CandidateSet) Sorted() []Pair {
-	out := make([]Pair, len(c.pairs))
-	copy(out, c.pairs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	out := append(make([]Pair, 0, len(c.pairs)), c.pairs...)
+	if c.unordered {
+		slices.SortFunc(out, comparePairs)
+	}
 	return out
 }
 

@@ -178,12 +178,19 @@ func (c *Column) Build(ctx context.Context, right *table.Table, rj int, rows []i
 
 // tokenColumn is a column as the blockers and the blocking debugger read
 // it: every row of the right table, numbered densely, plus what is derived
-// from its cells — each token's postings (the rows holding it, ascending).
+// from its cells — each token's postings (the rows holding it, ascending)
+// and each row's token count — and the probe state its readers share.
 type tokenColumn struct {
 	*Column
 	// Token id's postings are rows[start[id]:start[id+1]].
 	start []int32
 	rows  []int32
+	// lens[r] is row r's token count, len(Cell(r).Keys); maxLen the most.
+	lens   []int32
+	maxLen int
+	// scratch holds *scratch sized to the column, reset, for any number
+	// of concurrent probes to take and give back.
+	scratch sync.Pool
 }
 
 // buildTokenColumn tokenises the named column of right once.
@@ -196,8 +203,12 @@ func buildTokenColumn(ctx context.Context, right *table.Table, col string, form 
 	if err := c.Build(ctx, right, rj, nil); err != nil {
 		return nil, err
 	}
+	c.scratch.New = func() any { return &scratch{counts: make([]int32, len(c.cells))} }
 	c.start = make([]int32, len(c.ids)+1)
-	for _, cell := range c.cells {
+	c.lens = make([]int32, len(c.cells))
+	for r, cell := range c.cells {
+		c.lens[r] = int32(len(cell.Keys))
+		c.maxLen = max(c.maxLen, len(cell.Keys))
 		for _, id := range cell.Keys {
 			c.start[id+1]++ // how many rows hold the token, for now
 		}
@@ -216,14 +227,22 @@ func buildTokenColumn(ctx context.Context, right *table.Table, col string, form 
 	return c, nil
 }
 
-// scratch is one call's probe state: per right row, how many of the
-// probing cell's tokens it holds, and the rows with a non-zero count.
+// scratch is one call's probe state: the probing cell's keys, per right
+// row how many of them it holds, and the rows with a non-zero count.
 type scratch struct {
+	keys    []uint64
 	counts  []int32
 	touched []int32
 }
 
-func (c *tokenColumn) newScratch() *scratch { return &scratch{counts: make([]int32, len(c.cells))} }
+// getScratch lends a call the column's probe state; putScratch takes it
+// back. Nothing a request allocates grows with the right table.
+func (c *tokenColumn) getScratch() *scratch { return c.scratch.Get().(*scratch) }
+
+func (c *tokenColumn) putScratch(s *scratch) {
+	s.reset()
+	c.scratch.Put(s)
+}
 
 // probe counts, for every right row, the tokens it shares with keys (a
 // cell's, from AppendKeys without add). The rows reached are s.touched, in

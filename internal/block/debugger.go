@@ -57,10 +57,9 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 	sort.Strings(names)
 	form := Form{Tok: tokenize.Word{}, Fold: FoldNormalize}
 	type compared struct {
-		lj   int
-		col  *tokenColumn
-		s    *scratch
-		keys []uint64 // the current left cell's
+		lj  int
+		col *tokenColumn
+		s   *scratch
 	}
 	cols := make([]compared, len(names))
 	for n, l := range names {
@@ -72,7 +71,7 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols[n] = compared{lj: lj, col: col, s: col.newScratch()}
+		cols[n] = compared{lj: lj, col: col, s: col.getScratch()}
 	}
 
 	// top holds the best pairs seen: at most 2k, cut back to the best k
@@ -92,8 +91,8 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 		row := left.Row(i)
 		for n := range cols {
 			c := &cols[n]
-			c.keys, _ = c.col.AppendKeys(c.keys[:0], row[c.lj], false)
-			c.col.probe(c.keys, c.s)
+			c.s.keys, _ = c.col.AppendKeys(c.s.keys[:0], row[c.lj], false)
+			c.col.probe(c.s.keys, c.s)
 		}
 		for n := range cols {
 		reached:
@@ -106,7 +105,7 @@ func (d Debugger) Run(cand *CandidateSet) ([]DebugPair, error) {
 				p := DebugPair{Pair: Pair{A: i, B: int(r)}}
 				for _, c := range cols[n:] {
 					if inter := int(c.s.counts[r]); inter > 0 {
-						p.Score = max(p.Score, simfunc.JaccardSizes(inter, len(c.keys), len(c.col.cells[r].Keys)))
+						p.Score = max(p.Score, simfunc.JaccardSizes(inter, len(c.s.keys), int(c.col.lens[r])))
 					}
 				}
 				if !rankedBefore(p, floor) || cand.Contains(p.Pair) {
