@@ -32,13 +32,15 @@ race:
 # runs share state built once — the rules' keyed join, the blockers' bound
 # indexes and the probe scratch pooled on them (TestBoundProbeConcurrent,
 # TestBoundProbeAllocsIndependentOfRightTable), the feature set's bound
-# cells, the server over all three: a
+# cells, the server over all three, and the matchers' fits on views of one
+# presorted root through pooled fit scratch and generators
+# (TestConcurrentFitsShareOneRoot): a
 # cold-build race only shows when callers really do arrive together, and
 # a wait that never ends only when they cannot. The feature kernel and the
 # server's cross-mode suite also run at four, where a batch's cells and
 # pairs fan out over more workers than a shard or a single record gets.
 race-cpu:
-	$(GO) test -race -cpu 1,2 ./internal/block ./internal/rules
+	$(GO) test -race -cpu 1,2 ./internal/block ./internal/rules ./internal/ml
 	$(GO) test -race -cpu 1,2,4 ./internal/feature ./internal/serve
 
 # bench-check vets and tests the nested benchmark module (bench/, its own

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -62,51 +63,91 @@ func CrossValidate(f Factory, ds *Dataset, k int, rng *rand.Rand) (CVResult, err
 	if err != nil {
 		return CVResult{}, err
 	}
-	res := CVResult{Name: f.Name, Folds: k}
-	cvFolds := obs.C("ml.cv.folds")
+	res, err := crossValidate([]Factory{f}, ds, folds)
+	if err != nil {
+		return CVResult{}, err
+	}
+	return res[0], nil
+}
+
+// crossValidate fits every factory on every fold's training view in
+// parallel, scores each fit on its held-out view, and averages each
+// factory's folds in fold order, so the results do not depend on how the
+// fits were scheduled.
+func crossValidate(factories []Factory, ds *Dataset, folds [][]int) ([]CVResult, error) {
+	k := len(folds)
+	train, test := make([]*Dataset, k), make([]*Dataset, k)
 	for fi := range folds {
-		cvFolds.Inc()
-		var trainIdx []int
+		idx := make([]int, 0, ds.Len()-len(folds[fi]))
 		for fj := range folds {
 			if fj != fi {
-				trainIdx = append(trainIdx, folds[fj]...)
+				idx = append(idx, folds[fj]...)
 			}
 		}
-		train := ds.Subset(trainIdx)
-		test := ds.Subset(folds[fi])
-		m := f.New()
-		if err := m.Fit(train); err != nil {
-			return CVResult{}, fmt.Errorf("ml: cv %s fold %d: %w", f.Name, fi, err)
-		}
-		conf, err := Confuse(test.Y, PredictAll(m, test.X))
-		if err != nil {
-			return CVResult{}, err
-		}
-		res.Precision += conf.Precision()
-		res.Recall += conf.Recall()
-		res.F1 += conf.F1()
+		train[fi], test[fi] = ds.view(idx), ds.view(folds[fi])
 	}
-	res.Precision /= float64(k)
-	res.Recall /= float64(k)
-	res.F1 /= float64(k)
-	return res, nil
+	cvFolds := obs.C("ml.cv.folds")
+	confs := make([]Confusion, len(factories)*k)
+	err := parallel.ForCtx(context.Background(), len(confs), func(i int) error {
+		f, fi := factories[i/k], i%k
+		cvFolds.Inc()
+		m := f.New()
+		if err := fitView(m, train[fi]); err != nil {
+			return fmt.Errorf("ml: cv %s fold %d: %w", f.Name, fi, err)
+		}
+		confs[i] = score(m, test[fi])
+		return nil
+	})
+	if err != nil {
+		// Name the failing fit, not the parallel work index.
+		var ie *parallel.IndexError
+		if errors.As(err, &ie) {
+			return nil, ie.Err
+		}
+		return nil, err
+	}
+	results := make([]CVResult, len(factories))
+	for i, f := range factories {
+		res := CVResult{Name: f.Name, Folds: k}
+		for _, conf := range confs[i*k : (i+1)*k] {
+			res.Precision += conf.Precision()
+			res.Recall += conf.Recall()
+			res.F1 += conf.F1()
+		}
+		res.Precision /= float64(k)
+		res.Recall /= float64(k)
+		res.F1 /= float64(k)
+		results[i] = res
+	}
+	return results, nil
+}
+
+// score tallies m's predictions on every example of ds.
+func score(m Matcher, ds *Dataset) Confusion {
+	predictions := obs.C("ml.predictions")
+	var c Confusion
+	for i := 0; i < ds.Len(); i++ {
+		c.add(ds.label(i), m.Predict(ds.row(i)))
+		predictions.Inc()
+	}
+	return c
 }
 
 // SelectMatcher cross-validates every factory and returns all results
 // sorted by F1 descending (ties broken by name for determinism); the first
-// entry is the selected matcher. Each factory sees an identically seeded
-// fold split so the comparison is paired.
+// entry is the selected matcher. Every factory is scored on the same
+// seeded fold split, so the comparison is paired.
 func SelectMatcher(factories []Factory, ds *Dataset, k int, seed int64) ([]CVResult, error) {
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("ml: no matchers to select from")
 	}
-	results := make([]CVResult, 0, len(factories))
-	for _, f := range factories {
-		r, err := CrossValidate(f, ds, k, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
+	folds, err := KFold(ds.Len(), k, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
+	results, err := crossValidate(factories, ds, folds)
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].F1 != results[j].F1 {
@@ -149,10 +190,10 @@ func LeaveOneOutDebugCtx(ctx context.Context, f Factory, ds *Dataset) ([]Mismatc
 			}
 		}
 		m := f.New()
-		if err := m.Fit(ds.Subset(idx)); err != nil {
+		if err := fitView(m, ds.view(idx)); err != nil {
 			return fmt.Errorf("ml: loocv at %d: %w", leave, err)
 		}
-		preds[leave] = m.Predict(ds.X[leave])
+		preds[leave] = m.Predict(ds.row(leave))
 		return nil
 	})
 	if err != nil {
@@ -160,8 +201,8 @@ func LeaveOneOutDebugCtx(ctx context.Context, f Factory, ds *Dataset) ([]Mismatc
 	}
 	var out []Mismatch
 	for leave := 0; leave < ds.Len(); leave++ {
-		if preds[leave] != ds.Y[leave] {
-			out = append(out, Mismatch{Index: leave, Gold: ds.Y[leave], Predicted: preds[leave]})
+		if gold := ds.label(leave); preds[leave] != gold {
+			out = append(out, Mismatch{Index: leave, Gold: gold, Predicted: preds[leave]})
 		}
 	}
 	return out, nil
@@ -181,13 +222,13 @@ func SplitDebug(f Factory, ds *Dataset, rng *rand.Rand) ([]Mismatch, error) {
 	for _, pass := range [][2][]int{{i1, i2}, {i2, i1}} {
 		trainIdx, testIdx := pass[0], pass[1]
 		m := f.New()
-		if err := m.Fit(ds.Subset(trainIdx)); err != nil {
+		if err := fitView(m, ds.view(trainIdx)); err != nil {
 			return nil, err
 		}
 		for _, i := range testIdx {
-			pred := m.Predict(ds.X[i])
-			if pred != ds.Y[i] {
-				out = append(out, Mismatch{Index: i, Gold: ds.Y[i], Predicted: pred})
+			pred := m.Predict(ds.row(i))
+			if gold := ds.label(i); pred != gold {
+				out = append(out, Mismatch{Index: i, Gold: gold, Predicted: pred})
 			}
 		}
 	}

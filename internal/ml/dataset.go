@@ -7,10 +7,12 @@
 package ml
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"emgo/internal/drift"
 	"emgo/internal/fault"
@@ -22,16 +24,46 @@ import (
 // vector and one {0,1} label per example. Feature values must be finite
 // (impute missing values before constructing a Dataset; see
 // internal/feature).
+//
+// A dataset is a root or a view. NewDataset makes a root and presorts
+// it once; Subset, Split, cross-validation folds and leave-one-out sets
+// are views: the root plus the root row behind each example, with
+// nothing copied. A view reads its root's rows and labels, so its X and
+// Y are read-only. A root's X must not change after NewDataset (its
+// labels may).
 type Dataset struct {
 	Features []string    // column names, len = feature count
-	X        [][]float64 // row-major examples
+	X        [][]float64 // row-major examples, in view order
 	Y        []int       // labels, 0 = non-match, 1 = match
+
+	// base is the root of a view and nil on a root; rows maps a view's
+	// examples to base's rows.
+	base *Dataset
+	rows []int
+	// sorted is a root's presorted matrix; nil on a Dataset built by hand,
+	// whose fits presort it per call.
+	sorted *presort
 }
 
-// NewDataset validates and wraps the given matrix and labels.
+// presort is a root's matrix laid out for split scans: column-major
+// values, and for every feature its rows in ascending value order (ord)
+// and each row's position in that order (rank). Rows are int32 so a sort
+// key packs (rank, row) into one uint64.
+type presort struct {
+	n, nf int
+	col   []float64 // col[j*n+i] = X[i][j]
+	ord   []int32   // ord[j*n+k] = the row holding feature j's k-th smallest value
+	rank  []int32   // rank[j*n+i] = position of row i in feature j's ord
+}
+
+// NewDataset validates and wraps the given matrix and labels, and
+// presorts the matrix for the tree fitters.
 func NewDataset(features []string, x [][]float64, y []int) (*Dataset, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("ml: %d examples but %d labels", len(x), len(y))
+	}
+	if len(x) > math.MaxInt32 {
+		return nil, fmt.Errorf("ml: %d examples exceed the presort's int32 rows", len(x))
 	}
 	for i, row := range x {
 		if len(row) != len(features) {
@@ -48,11 +80,109 @@ func NewDataset(features []string, x [][]float64, y []int) (*Dataset, error) {
 			return nil, fmt.Errorf("ml: label %d at example %d is not 0/1", label, i)
 		}
 	}
-	return &Dataset{Features: features, X: x, Y: y}, nil
+	return &Dataset{Features: features, X: x, Y: y, sorted: presortRows(x, len(features))}, nil
 }
 
-// Len returns the number of examples.
-func (d *Dataset) Len() int { return len(d.X) }
+// presortRows lays the n×nf matrix x out column-major and presorts it.
+// Order within tied values is whatever the sort leaves: a split is never
+// placed between equal values, so no fit depends on it.
+func presortRows(x [][]float64, nf int) *presort {
+	n := len(x)
+	p := &presort{n: n, nf: nf, col: make([]float64, n*nf), ord: make([]int32, n*nf), rank: make([]int32, n*nf)}
+	for i, row := range x {
+		for j, v := range row {
+			p.col[j*n+i] = v
+		}
+	}
+	for j := 0; j < nf; j++ {
+		c, ord, rank := p.col[j*n:(j+1)*n], p.ord[j*n:(j+1)*n], p.rank[j*n:(j+1)*n]
+		for i := range ord {
+			ord[i] = int32(i)
+		}
+		slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(c[a], c[b]) })
+		for k, i := range ord {
+			rank[i] = int32(k)
+		}
+	}
+	return p
+}
+
+// root returns the dataset a view reads from: d itself on a root.
+func (d *Dataset) root() *Dataset {
+	if d.base != nil {
+		return d.base
+	}
+	return d
+}
+
+// presorted returns d's root and the root's presort, computing the
+// presort when the root was built by hand rather than by NewDataset.
+func (d *Dataset) presorted() (*Dataset, *presort) {
+	r := d.root()
+	if r.sorted != nil {
+		return r, r.sorted
+	}
+	return r, presortRows(r.X, len(r.Features))
+}
+
+// rootRow returns the root row behind example k.
+func (d *Dataset) rootRow(k int) int {
+	if d.base != nil {
+		return d.rows[k]
+	}
+	return k
+}
+
+// row returns example k's feature vector without copying it.
+func (d *Dataset) row(k int) []float64 {
+	if d.base != nil {
+		return d.base.X[d.rows[k]]
+	}
+	return d.X[k]
+}
+
+// label returns example k's label, read from the root.
+func (d *Dataset) label(k int) int {
+	if d.base != nil {
+		return d.base.Y[d.rows[k]]
+	}
+	return d.Y[k]
+}
+
+// view returns the examples at idx of d as a view of d's root. On a root
+// the view keeps idx as its rows, so the caller must not change it
+// afterwards. X and Y are left nil: the package's matchers read a view
+// through row and label (see fitView).
+func (d *Dataset) view(idx []int) *Dataset {
+	if d.base != nil {
+		rows := make([]int, len(idx))
+		for k, i := range idx {
+			rows[k] = d.rows[i]
+		}
+		idx = rows
+	}
+	return &Dataset{Features: d.Features, base: d.root(), rows: idx}
+}
+
+// filled returns the view d with X and Y in view order, for readers
+// outside the package.
+func (d *Dataset) filled() *Dataset {
+	if d.base == nil || d.X != nil {
+		return d
+	}
+	out := *d
+	out.X = make([][]float64, len(d.rows))
+	out.Y = make([]int, len(d.rows))
+	for k, r := range d.rows {
+		out.X[k] = d.base.X[r]
+		out.Y[k] = d.base.Y[r]
+	}
+	return &out
+}
+
+// Len returns the number of examples: a root has no rows and a view's X
+// is empty or as long as its rows, so the longer of the two is the count.
+func (d *Dataset) Len() int { return max(len(d.X), len(d.rows)) }
 
 // NumFeatures returns the feature count.
 func (d *Dataset) NumFeatures() int { return len(d.Features) }
@@ -60,22 +190,17 @@ func (d *Dataset) NumFeatures() int { return len(d.Features) }
 // Positives returns the number of label-1 examples.
 func (d *Dataset) Positives() int {
 	n := 0
-	for _, y := range d.Y {
-		n += y
+	for k := 0; k < d.Len(); k++ {
+		n += d.label(k)
 	}
 	return n
 }
 
-// Subset returns a new dataset containing the examples at idx (rows are
-// shared, not copied).
+// Subset returns the examples at idx as a view of d's root: its X shares
+// the root's rows and its Y holds their labels, both in idx order and
+// read-only (fits read the root).
 func (d *Dataset) Subset(idx []int) *Dataset {
-	x := make([][]float64, len(idx))
-	y := make([]int, len(idx))
-	for k, i := range idx {
-		x[k] = d.X[i]
-		y[k] = d.Y[i]
-	}
-	return &Dataset{Features: d.Features, X: x, Y: y}
+	return d.view(slices.Clone(idx)).filled()
 }
 
 // Split partitions the dataset into two halves (the I/J split used for
@@ -90,7 +215,18 @@ func (d *Dataset) Split(frac float64, rng *rand.Rand) (*Dataset, *Dataset, error
 	if cut == 0 || cut == d.Len() {
 		return nil, nil, fmt.Errorf("ml: split of %d examples at %v leaves a side empty", d.Len(), frac)
 	}
-	return d.Subset(perm[:cut]), d.Subset(perm[cut:]), nil
+	return d.view(perm[:cut]).filled(), d.view(perm[cut:]).filled(), nil
+}
+
+// fitView trains m on the view v. The package's own matchers read a view
+// through row and label; any other Matcher is handed v with X and Y
+// filled in.
+func fitView(m Matcher, v *Dataset) error {
+	switch m.(type) {
+	case *DecisionTree, *RandomForest, *LogisticRegression, *LinearRegression, *SVM, *NaiveBayes:
+		return m.Fit(v)
+	}
+	return m.Fit(v.filled())
 }
 
 // Matcher is a trainable binary classifier over feature vectors. Fit must

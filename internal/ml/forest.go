@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"emgo/internal/fault"
 	"emgo/internal/obs"
@@ -47,24 +48,25 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	if n <= 0 {
 		n = 10
 	}
-	rng := rand.New(rand.NewSource(f.Seed))
 	subset := int(math.Sqrt(float64(ds.NumFeatures())))
 	if subset < 1 {
 		subset = 1
 	}
 	// Draw every tree's bootstrap sample and split seed up front, in a
 	// fixed order, so the parallel fit below is bit-identical to a
-	// sequential one.
-	boots := make([]*Dataset, n)
+	// sequential one. A bootstrap is a count vector over the root's rows.
+	root, p := ds.presorted()
+	boots := make([]int32, n*p.n)
 	seeds := make([]int64, n)
+	rng := seededRand(f.Seed)
 	for k := 0; k < n; k++ {
-		idx := make([]int, ds.Len())
-		for i := range idx {
-			idx[i] = rng.Intn(ds.Len())
+		boot := boots[k*p.n : (k+1)*p.n]
+		for i := 0; i < ds.Len(); i++ {
+			boot[ds.rootRow(rng.Intn(ds.Len()))]++
 		}
-		boots[k] = ds.Subset(idx)
 		seeds[k] = rng.Int63()
 	}
+	randPool.Put(rng)
 	fctx, sp := obs.StartSpan(ctx, "ml.fit")
 	defer sp.End()
 	sp.SetItems(n)
@@ -77,11 +79,18 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 		tree := &DecisionTree{
 			MaxDepth:      f.MaxDepth,
 			featureSubset: subset,
-			rng:           rand.New(rand.NewSource(seeds[k])),
+			rng:           seededRand(seeds[k]),
 		}
-		if err := tree.Fit(boots[k]); err != nil {
-			return err
+		g := getGrower(root, p)
+		for r, c := range boots[k*p.n : (k+1)*p.n] {
+			if c > 0 {
+				g.add(int32(r), c)
+			}
 		}
+		tree.grow(g, ds.Features)
+		g.release()
+		randPool.Put(tree.rng)
+		tree.rng = nil
 		f.trees[k] = tree
 		trees.Inc()
 		return nil
@@ -93,6 +102,19 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	}
 	sp.SetOutcome(obs.OutcomeOK)
 	return nil
+}
+
+// randPool recycles the generators behind per-fit seeds: re-seeding a
+// *rand.Rand restarts exactly the stream rand.New(rand.NewSource(seed))
+// would give, without allocating a fresh ~5 KB source per tree.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand takes a pooled generator seeded with seed; hand it back with
+// randPool.Put once its stream is spent.
+func seededRand(seed int64) *rand.Rand {
+	r := randPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
 }
 
 // Proba implements ProbabilisticMatcher: the fraction of trees voting

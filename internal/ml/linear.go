@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // standardizer rescales features to zero mean / unit variance; the linear
@@ -18,13 +17,13 @@ func fitStandardizer(ds *Dataset) *standardizer {
 	s := &standardizer{mean: make([]float64, nf), std: make([]float64, nf)}
 	for j := 0; j < nf; j++ {
 		var sum float64
-		for i := range ds.X {
-			sum += ds.X[i][j]
+		for i := 0; i < ds.Len(); i++ {
+			sum += ds.row(i)[j]
 		}
 		m := sum / float64(ds.Len())
 		var ss float64
-		for i := range ds.X {
-			d := ds.X[i][j] - m
+		for i := 0; i < ds.Len(); i++ {
+			d := ds.row(i)[j] - m
 			ss += d * d
 		}
 		sd := math.Sqrt(ss / float64(ds.Len()))
@@ -84,8 +83,8 @@ func (m *LogisticRegression) Fit(ds *Dataset) error {
 	}
 	m.scale = fitStandardizer(ds)
 	x := make([][]float64, ds.Len())
-	for i := range ds.X {
-		x[i] = m.scale.apply(ds.X[i])
+	for i := range x {
+		x[i] = m.scale.apply(ds.row(i))
 	}
 	nf := ds.NumFeatures()
 	m.w = make([]float64, nf)
@@ -99,7 +98,7 @@ func (m *LogisticRegression) Fit(ds *Dataset) error {
 		gb := 0.0
 		for i := range x {
 			p := sigmoid(dot(m.w, x[i]) + m.bias)
-			err := p - float64(ds.Y[i])
+			err := p - float64(ds.label(i))
 			for j := range gw {
 				gw[j] += err * x[i][j]
 			}
@@ -161,8 +160,8 @@ func (m *LinearRegression) Fit(ds *Dataset) error {
 	}
 	m.scale = fitStandardizer(ds)
 	x := make([][]float64, ds.Len())
-	for i := range ds.X {
-		x[i] = m.scale.apply(ds.X[i])
+	for i := range x {
+		x[i] = m.scale.apply(ds.row(i))
 	}
 	nf := ds.NumFeatures()
 	m.w = make([]float64, nf)
@@ -175,7 +174,7 @@ func (m *LinearRegression) Fit(ds *Dataset) error {
 		}
 		gb := 0.0
 		for i := range x {
-			err := dot(m.w, x[i]) + m.bias - float64(ds.Y[i])
+			err := dot(m.w, x[i]) + m.bias - float64(ds.label(i))
 			for j := range gw {
 				gw[j] += err * x[i][j]
 			}
@@ -238,13 +237,14 @@ func (m *SVM) Fit(ds *Dataset) error {
 	}
 	m.scale = fitStandardizer(ds)
 	x := make([][]float64, ds.Len())
-	for i := range ds.X {
-		x[i] = m.scale.apply(ds.X[i])
+	for i := range x {
+		x[i] = m.scale.apply(ds.row(i))
 	}
 	nf := ds.NumFeatures()
 	m.w = make([]float64, nf)
 	m.bias = 0
-	rng := rand.New(rand.NewSource(m.Seed))
+	rng := seededRand(m.Seed)
+	defer randPool.Put(rng)
 	t := 0
 	order := rng.Perm(ds.Len())
 	for e := 0; e < epochs; e++ {
@@ -252,7 +252,7 @@ func (m *SVM) Fit(ds *Dataset) error {
 		for _, i := range order {
 			t++
 			eta := 1 / (lambda * float64(t))
-			yi := float64(2*ds.Y[i] - 1) // {-1,+1}
+			yi := float64(2*ds.label(i) - 1) // {-1,+1}
 			margin := yi * (dot(m.w, x[i]) + m.bias)
 			for j := range m.w {
 				m.w[j] *= 1 - eta*lambda

@@ -14,18 +14,23 @@ func Confuse(gold, pred []int) (Confusion, error) {
 	}
 	var c Confusion
 	for i := range gold {
-		switch {
-		case gold[i] == 1 && pred[i] == 1:
-			c.TP++
-		case gold[i] == 0 && pred[i] == 1:
-			c.FP++
-		case gold[i] == 0 && pred[i] == 0:
-			c.TN++
-		default:
-			c.FN++
-		}
+		c.add(gold[i], pred[i])
 	}
 	return c, nil
+}
+
+// add tallies one prediction against its gold label.
+func (c *Confusion) add(gold, pred int) {
+	switch {
+	case gold == 1 && pred == 1:
+		c.TP++
+	case gold == 0 && pred == 1:
+		c.FP++
+	case gold == 0 && pred == 0:
+		c.TN++
+	default:
+		c.FN++
+	}
 }
 
 // Precision returns TP/(TP+FP); 1 when there are no predicted positives

@@ -32,10 +32,10 @@ func (m *NaiveBayes) Fit(ds *Dataset) error {
 		m.mean[c] = make([]float64, nf)
 		m.vari[c] = make([]float64, nf)
 	}
-	for i := range ds.X {
-		c := ds.Y[i]
+	for i := 0; i < ds.Len(); i++ {
+		c := ds.label(i)
 		count[c]++
-		for j, v := range ds.X[i] {
+		for j, v := range ds.row(i) {
 			m.mean[c][j] += v
 		}
 	}
@@ -51,9 +51,9 @@ func (m *NaiveBayes) Fit(ds *Dataset) error {
 			m.mean[c][j] /= float64(count[c])
 		}
 	}
-	for i := range ds.X {
-		c := ds.Y[i]
-		for j, v := range ds.X[i] {
+	for i := 0; i < ds.Len(); i++ {
+		c := ds.label(i)
+		for j, v := range ds.row(i) {
 			d := v - m.mean[c][j]
 			m.vari[c][j] += d * d
 		}

@@ -24,8 +24,8 @@ func PRCurve(m ProbabilisticMatcher, ds *Dataset) ([]PRPoint, error) {
 		return nil, fmt.Errorf("ml: pr curve needs a non-empty dataset")
 	}
 	probs := make([]float64, ds.Len())
-	for i := range ds.X {
-		probs[i] = m.Proba(ds.X[i])
+	for i := range probs {
+		probs[i] = m.Proba(ds.row(i))
 	}
 	distinct := append([]float64(nil), probs...)
 	sort.Float64s(distinct)
@@ -44,16 +44,7 @@ func PRCurve(m ProbabilisticMatcher, ds *Dataset) ([]PRPoint, error) {
 			if probs[i] >= th {
 				pred = 1
 			}
-			switch {
-			case ds.Y[i] == 1 && pred == 1:
-				c.TP++
-			case ds.Y[i] == 0 && pred == 1:
-				c.FP++
-			case ds.Y[i] == 0 && pred == 0:
-				c.TN++
-			default:
-				c.FN++
-			}
+			c.add(ds.label(i), pred)
 		}
 		out = append(out, PRPoint{Threshold: th, Confusion: c})
 	}

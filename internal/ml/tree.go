@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // DecisionTree is a CART binary classifier with Gini impurity splits —
@@ -55,106 +56,217 @@ func (t *DecisionTree) Fit(ds *Dataset) error {
 	if ds.Len() == 0 {
 		return fmt.Errorf("ml: decision tree: empty dataset")
 	}
-	t.features = ds.Features
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
+	root, p := ds.presorted()
+	g := getGrower(root, p)
+	defer g.release()
+	for k := 0; k < ds.Len(); k++ {
+		g.add(int32(ds.rootRow(k)), 1)
 	}
-	t.root = t.build(ds, idx, 0)
+	t.grow(g, ds.Features)
 	return nil
 }
 
-// build grows the subtree for the examples at idx.
-func (t *DecisionTree) build(ds *Dataset, idx []int, depth int) *treeNode {
-	pos := 0
-	for _, i := range idx {
-		pos += ds.Y[i]
+// grow fits t on the multiset of root rows g holds.
+//
+// The fit is exact against a per-node sort of (value, label) pairs, and
+// rests on four invariants. A tree depends only on the multiset of its
+// rows: a node's counts at a threshold are sums over the rows at or below
+// it, whatever their order. Ties never split: a threshold is only placed
+// between two distinct values, at their midpoint. The rng is consumed in
+// a fixed order (a forest's bootstrap draw first, then one feature
+// shuffle per split attempt, depth first and left child first), and a
+// candidate replaces the best so far only if strictly better, so the
+// earlier candidate in shuffled order and then the lower threshold win a
+// tie in child Gini.
+func (t *DecisionTree) grow(g *grower, features []string) {
+	g.t = t
+	g.build(0, len(g.members), 0)
+	// One slab per tree: preorder puts a split node's left child right
+	// after it, and g.right records where its right child went.
+	slab := make([]treeNode, len(g.nodes))
+	copy(slab, g.nodes)
+	for i := range slab {
+		if !slab[i].leaf {
+			slab[i].left, slab[i].right = &slab[i+1], &slab[g.right[i]]
+		}
 	}
-	n := len(idx)
-	leaf := &treeNode{leaf: true, proba: float64(pos) / float64(n)}
+	t.root = &slab[0]
+	t.features = features
+}
+
+// grower is one tree fit's scratch, pooled across fits: a multiplicity
+// and a scan mark per root row, the fit's distinct rows (each node owns a
+// contiguous segment of members), sort keys, the candidate list, and the
+// nodes built so far in preorder.
+type grower struct {
+	t       *DecisionTree
+	p       *presort
+	y       []int    // root labels
+	mult    []int32  // copies of each root row in this fit
+	mark    []uint32 // stamp of the large node whose rows are being scanned
+	stamp   uint32
+	members []int32
+	keys    []uint64
+	cand    []int
+	nodes   []treeNode
+	right   []int32 // right child of nodes[i], for split nodes
+}
+
+var growers = sync.Pool{New: func() any { return new(grower) }}
+
+// getGrower takes a pooled grower sized to root, holding no rows yet.
+func getGrower(root *Dataset, p *presort) *grower {
+	g := growers.Get().(*grower)
+	g.p, g.y = p, root.Y
+	if cap(g.mark) < p.n {
+		g.mark = make([]uint32, p.n)
+		g.mult = make([]int32, p.n)
+	}
+	g.mark, g.mult = g.mark[:p.n], g.mult[:p.n]
+	return g
+}
+
+// add puts c copies of root row r into the fit.
+func (g *grower) add(r, c int32) {
+	if g.mult[r] == 0 {
+		g.members = append(g.members, r)
+	}
+	g.mult[r] += c
+}
+
+// release zeroes the counts the fit used and returns g to the pool.
+func (g *grower) release() {
+	for _, r := range g.members {
+		g.mult[r] = 0
+	}
+	g.t, g.p, g.y = nil, nil, nil
+	g.members, g.nodes, g.right = g.members[:0], g.nodes[:0], g.right[:0]
+	growers.Put(g)
+}
+
+// build grows the subtree over members[lo:hi] and returns its node index.
+func (g *grower) build(lo, hi, depth int) int32 {
+	seg := g.members[lo:hi]
+	n, pos := 0, 0
+	for _, r := range seg {
+		c := int(g.mult[r])
+		n += c
+		pos += c * g.y[r]
+	}
+	id := int32(len(g.nodes))
+	leaf := treeNode{leaf: true, proba: float64(pos) / float64(n)}
 	if 2*pos >= n {
 		leaf.label = 1
 	}
+	g.nodes = append(g.nodes, leaf)
+	g.right = append(g.right, 0)
+	t := g.t
 	minSplit := t.MinSamplesSplit
 	if minSplit < 2 {
 		minSplit = 2
 	}
 	if pos == 0 || pos == n || n < minSplit || (t.MaxDepth > 0 && depth >= t.MaxDepth) {
-		return leaf
+		return id
 	}
 
-	feat, thresh, childGini, ok := t.bestSplit(ds, idx)
+	feat, thresh, childGini, ok := g.bestSplit(seg, n, pos)
 	if !ok {
-		return leaf
+		return id
 	}
-	var left, right []int
-	for _, i := range idx {
-		if ds.X[i][feat] <= thresh {
-			left = append(left, i)
+	col := g.p.col[feat*g.p.n:]
+	i, j := 0, len(seg)
+	for i < j {
+		if col[seg[i]] <= thresh {
+			i++
 		} else {
-			right = append(right, i)
+			j--
+			seg[i], seg[j] = seg[j], seg[i]
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return leaf
+	if i == 0 || i == len(seg) {
+		return id
 	}
-	return &treeNode{
-		feature:   feat,
-		threshold: thresh,
-		left:      t.build(ds, left, depth+1),
-		right:     t.build(ds, right, depth+1),
-		samples:   n,
-		gain:      gini(pos, n) - childGini,
-	}
+	g.build(lo, lo+i, depth+1)
+	right := g.build(lo+i, hi, depth+1)
+	g.nodes[id] = treeNode{feature: feat, threshold: thresh, samples: n, gain: gini(pos, n) - childGini}
+	g.right[id] = right
+	return id
 }
 
 // bestSplit finds the (feature, threshold) pair minimizing weighted Gini
-// impurity, which it returns as childGini. Thresholds are midpoints
-// between consecutive distinct sorted values.
-func (t *DecisionTree) bestSplit(ds *Dataset, idx []int) (feat int, thresh, childGini float64, ok bool) {
-	nf := ds.NumFeatures()
-	candidates := make([]int, 0, nf)
+// impurity over the node's rows seg (n copies, pos of them positive),
+// which it returns as childGini. Thresholds are midpoints between
+// consecutive distinct values.
+//
+// Each candidate feature's values are walked in ascending order without
+// copying them: a node holding at least an eighth of the root's rows
+// walks the feature's presorted order and skips rows it does not hold; a
+// smaller node sorts packed (rank, row) keys of its own rows.
+func (g *grower) bestSplit(seg []int32, n, totalPos int) (feat int, thresh, childGini float64, ok bool) {
+	p, t := g.p, g.t
+	nf := p.nf
+	g.cand = g.cand[:0]
 	for j := 0; j < nf; j++ {
-		candidates = append(candidates, j)
+		g.cand = append(g.cand, j)
 	}
+	candidates := g.cand
 	if t.featureSubset > 0 && t.featureSubset < nf && t.rng != nil {
 		t.rng.Shuffle(nf, func(a, b int) { candidates[a], candidates[b] = candidates[b], candidates[a] })
 		candidates = candidates[:t.featureSubset]
 	}
 
-	n := len(idx)
-	totalPos := 0
-	for _, i := range idx {
-		totalPos += ds.Y[i]
+	large := len(seg)*8 >= p.n
+	if large {
+		if g.stamp == math.MaxUint32 {
+			clear(g.mark[:cap(g.mark)])
+			g.stamp = 0
+		}
+		g.stamp++
+		for _, r := range seg {
+			g.mark[r] = g.stamp
+		}
 	}
 	best := math.Inf(1)
-
-	type vy struct {
-		v float64
-		y int
-	}
-	vals := make([]vy, n)
 	for _, j := range candidates {
-		for k, i := range idx {
-			vals[k] = vy{ds.X[i][j], ds.Y[i]}
+		col := p.col[j*p.n : (j+1)*p.n]
+		var order []int32
+		if large {
+			order = p.ord[j*p.n : (j+1)*p.n]
+		} else {
+			rank := p.rank[j*p.n : (j+1)*p.n]
+			g.keys = g.keys[:0]
+			for _, r := range seg {
+				g.keys = append(g.keys, uint64(rank[r])<<32|uint64(r))
+			}
+			slices.Sort(g.keys)
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
 		leftN, leftPos := 0, 0
-		for k := 0; k < n-1; k++ {
-			leftN++
-			leftPos += vals[k].y
-			if vals[k].v == vals[k+1].v {
-				continue
+		var last float64
+		for k := 0; leftN < n; k++ {
+			var r int32
+			if large {
+				if r = order[k]; g.mark[r] != g.stamp {
+					continue
+				}
+			} else {
+				r = int32(uint32(g.keys[k]))
 			}
-			rightN := n - leftN
-			rightPos := totalPos - leftPos
-			g := (float64(leftN)*gini(leftPos, leftN) + float64(rightN)*gini(rightPos, rightN)) / float64(n)
-			if g < best {
-				best = g
-				feat = j
-				thresh = (vals[k].v + vals[k+1].v) / 2
-				ok = true
+			v := col[r]
+			if leftN > 0 && v != last {
+				rightN := n - leftN
+				rightPos := totalPos - leftPos
+				gi := (float64(leftN)*gini(leftPos, leftN) + float64(rightN)*gini(rightPos, rightN)) / float64(n)
+				if gi < best {
+					best = gi
+					feat = j
+					thresh = (last + v) / 2
+					ok = true
+				}
 			}
+			c := int(g.mult[r])
+			leftN += c
+			leftPos += c * g.y[r]
+			last = v
 		}
 	}
 	// Zero-gain splits are kept (e.g. the first split of XOR-shaped data
