@@ -9,6 +9,7 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/feature"
+	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
@@ -118,10 +119,8 @@ var (
 	deploySpecErr  error
 )
 
-// deployedReads is the feature set of the workflow the scale-1 case study
-// deploys, as Spec.Build hands it out: the features of deployedFeatures,
-// restricted to the ones the deployed tree tests.
-func deployedReads(b *testing.B, left, right *table.Table) *feature.Set {
+// deployedSpec is the workflow spec the scale-1 case study deploys.
+func deployedSpec(b *testing.B) *workflow.Spec {
 	b.Helper()
 	deploySpecOnce.Do(func() {
 		var res *umetrics.Report
@@ -132,7 +131,15 @@ func deployedReads(b *testing.B, left, right *table.Table) *feature.Set {
 	if deploySpecErr != nil {
 		b.Fatal(deploySpecErr)
 	}
-	wf, err := deploySpec.Build(left, right, umetrics.DeployTransforms())
+	return deploySpec
+}
+
+// deployedReads is the feature set of the workflow the scale-1 case study
+// deploys, as Spec.Build hands it out: the features of deployedFeatures,
+// restricted to the ones the deployed tree tests.
+func deployedReads(b *testing.B, left, right *table.Table) *feature.Set {
+	b.Helper()
+	wf, err := deployedSpec(b).Build(left, right, umetrics.DeployTransforms())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,9 +234,19 @@ func BenchmarkBlockBind(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		block.Bind(f.proj.USDA, benchBlockers()...)
+		mustBindBlockers(b, f.proj.USDA)
 	}
 	b.ReportMetric(float64(f.proj.USDA.Len()), "right_rows")
+}
+
+// mustBindBlockers is the Figure-10 blockers bound to right.
+func mustBindBlockers(b *testing.B, right *table.Table) []block.Blocker {
+	b.Helper()
+	bound, err := block.Bind(context.Background(), right, benchBlockers()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bound
 }
 
 // BenchmarkBlockProbeBound is one request's blocking: one left row against
@@ -237,7 +254,7 @@ func BenchmarkBlockBind(b *testing.B) {
 func BenchmarkBlockProbeBound(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
 	left, right := f.proj.UMETRICS, f.proj.USDA
-	bound := block.Bind(right, benchBlockers()...)
+	bound := mustBindBlockers(b, right)
 	requests := make([]*table.Table, 256)
 	for i := range requests {
 		requests[i] = table.New("request", left.Schema())
@@ -276,4 +293,50 @@ func benchFeatureBind(b *testing.B, fs *feature.Set, right *table.Table) {
 		mustBind(b, fs, right)
 	}
 	b.ReportMetric(float64(right.Len()), "right_rows")
+}
+
+// BenchmarkDeployedRun runs the scale-1 case study's deployment over fresh
+// left slices of one reference table — the UMETRICS rows dealt round-robin
+// into eight slices, against the 1,915 USDA rows — the two ways a caller
+// can. build_per_slice is umetrics.RunDeployed per slice: Spec.BuildCtx,
+// and with it the right table's token column, key indexes and feature
+// cells, built again every run. deploy_once is Workflow.Deploy once,
+// outside the timer, then RunCtx per slice. An op is one slice's run.
+func BenchmarkDeployedRun(b *testing.B) {
+	f := fixtureAtScale(b, 1.0)
+	left, right := f.proj.UMETRICS, f.proj.USDA
+	spec := deployedSpec(b)
+	lefts := make([]*table.Table, 8)
+	for k := range lefts {
+		lefts[k] = table.New(fmt.Sprintf("slice%d", k), left.Schema())
+	}
+	for i := 0; i < left.Len(); i++ {
+		lefts[i%len(lefts)].MustAppend(left.Row(i))
+	}
+	ctx := context.Background()
+	b.Run("build_per_slice", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := umetrics.RunDeployed(ctx, spec, lefts[i%len(lefts)], right, workflow.RunOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("deploy_once", func(b *testing.B) {
+		w, err := spec.BuildCtx(ctx, lefts[0], right, umetrics.DeployTransforms(), retry.Policy{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := w.Deploy(ctx, w.Matcher, right)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.RunCtx(ctx, lefts[i%len(lefts)], right, workflow.RunOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package block
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -19,16 +20,26 @@ import (
 // The binding follows the table, not the call: run against a right table
 // that has grown since, or against another table, a bound blocker prepares
 // that one first (and keeps it instead). Blockers with nothing to prepare
-// are returned as they are, and a blocker whose configuration is invalid
-// stays unbound, to report that from Block as before.
-func Bind(right *table.Table, blockers ...Blocker) []Blocker {
+// are returned as they are. The first blocker that cannot be bound — its
+// configuration is invalid, right lacks its column, ctx ended — fails Bind
+// with the error its every Block would have returned.
+func Bind(ctx context.Context, right *table.Table, blockers ...Blocker) ([]Blocker, error) {
 	out := Bound(blockers...)
 	for _, b := range out {
-		if w, ok := b.(interface{ warm(*table.Table) }); ok {
-			w.warm(right)
+		var err error
+		switch b := b.(type) {
+		case *boundTokens:
+			_, err = b.col.Get(ctx, right, b.buildColumn)
+		case *boundKeys:
+			_, err = b.idx.Get(ctx, right, b.buildIndex)
+		case tokenBlocker: // left unbound by Bound: its configuration is invalid
+			_, err = b.join()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Bound is Bind without the build: the blockers in bound form, each
@@ -110,11 +121,6 @@ func blockUnbound(ctx context.Context, b tokenBlocker, left, right *table.Table)
 		return nil, err
 	}
 	return newBoundTokens(b, j, nil).BlockCtx(ctx, left, right)
-}
-
-func (b *boundTokens) warm(right *table.Table) {
-	// A failure here is reported by the Block call that meets it again.
-	_, _ = b.col.Get(context.Background(), right, b.buildColumn)
 }
 
 // Block implements Blocker.
@@ -312,11 +318,6 @@ func (b *boundKeys) buildIndex(ctx context.Context, right *table.Table) (*KeyInd
 	}
 	idx, err := BuildKeyIndex(ctx, right, rj, b.RightTransform)
 	return &idx, err
-}
-
-func (b *boundKeys) warm(right *table.Table) {
-	// A failure here is reported by the Block call that meets it again.
-	_, _ = b.idx.Get(context.Background(), right, b.buildIndex)
 }
 
 // Block implements Blocker.

@@ -83,7 +83,7 @@ func TestUnionTokenisesEachCellOnce(t *testing.T) {
 		t.Fatalf("unbound union tokenised %d right and %d left cells, want %d and %d", right, left, r.Len(), l.Len())
 	}
 
-	bound := Bind(r, figure10(tok)...)
+	bound := mustBind(t, r, figure10(tok)...)
 	if right := tok.right.Load(); right != 2*int64(r.Len()) {
 		t.Fatalf("Bind tokenised %d right cells, want %d", right-int64(r.Len()), r.Len())
 	}
@@ -226,7 +226,7 @@ func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
 	// bytes is the median of a single request's allocation over many: the
 	// race detector's pool drops a quarter of what is put back.
 	bytes := func(right *table.Table) (uint64, []Pair) {
-		bound := Bind(right, figure10(tokenize.Word{})...)
+		bound := mustBind(t, right, figure10(tokenize.Word{})...)
 		var per []uint64
 		var pairs []Pair
 		var before, after runtime.MemStats
@@ -257,7 +257,7 @@ func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
 // caller gets, request by request (run under -race -cpu 1,2).
 func TestBoundProbeConcurrent(t *testing.T) {
 	l, r := figure10Tables(60, 300)
-	bound := Bind(r, figure10(tokenize.Word{})...)
+	bound := mustBind(t, r, figure10(tokenize.Word{})...)
 	requests := make([]*table.Table, l.Len())
 	want := make([][]Pair, l.Len())
 	for i := range requests {
@@ -294,27 +294,41 @@ func TestBoundProbeConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBindLeavesTheRestAlone: blockers with nothing to prepare, and
-// blockers that cannot run, come back from Bind as they went in and still
-// say so from Block.
+// mustBind is Bind for a fixture that binds: an error fails t.
+func mustBind(t testing.TB, right *table.Table, blockers ...Blocker) []Blocker {
+	t.Helper()
+	bound, err := Bind(context.Background(), right, blockers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bound
+}
+
+// TestBindLeavesTheRestAlone: a blocker with nothing to prepare comes back
+// from Bind as it went in; one that cannot run — no tokenizer, no threshold,
+// a right column the table lacks — fails Bind with the error, naming the
+// blocker, that its Block reports in bound form.
 func TestBindLeavesTheRestAlone(t *testing.T) {
 	l, r := figure10Tables(5, 5)
 	all := Func{Label: "all", Keep: func(left, right table.Row) bool { return true }}
-	bound := Bind(r,
-		all,
-		Overlap{LeftCol: "Title", RightCol: "Title", Threshold: 1},
-		Overlap{LeftCol: "Title", RightCol: "Nope", Tokenizer: tokenize.Word{}, Threshold: 1},
-		AttrEquiv{LeftCol: "Num", RightCol: "Nope"},
-	)
+	bound := mustBind(t, r, all)
 	if c, err := bound[0].Block(l, r); err != nil || c.Len() != 25 {
 		t.Fatalf("func blocker through Bind: %v", err)
 	}
-	for _, b := range bound[1:] {
-		if _, err := b.Block(l, r); err == nil {
-			t.Errorf("%s: Block should report what Bind could not prepare", b.Name())
+	for _, b := range []Blocker{
+		Overlap{LeftCol: "Title", RightCol: "Title", Threshold: 1},
+		Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}},
+		Overlap{LeftCol: "Title", RightCol: "Nope", Tokenizer: tokenize.Word{}, Threshold: 1},
+		AttrEquiv{LeftCol: "Num", RightCol: "Nope"},
+	} {
+		_, err := Bind(context.Background(), r, all, b)
+		if err == nil || !strings.Contains(err.Error(), b.Name()) {
+			t.Errorf("%s: Bind returned %v, want the blocker's error", b.Name(), err)
+			continue
 		}
-	}
-	if _, err := UnionBlock(l, r, bound[2]); err == nil || !strings.Contains(err.Error(), bound[2].Name()) {
-		t.Errorf("union over an unbuildable blocker: %v", err)
+		_, blockErr := UnionBlock(l, r, Bound(b)...)
+		if blockErr == nil || blockErr.Error() != err.Error() {
+			t.Errorf("%s: Bind says %v, Block %v", b.Name(), err, blockErr)
+		}
 	}
 }

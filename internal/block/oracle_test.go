@@ -1,6 +1,7 @@
 package block
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -110,7 +111,7 @@ func checkAgainstNaive(t *testing.T, b Blocker, l, r *table.Table, naive func(l,
 	got, err := b.Block(l, r)
 	same("unbound", got, err, r)
 
-	bound := Bind(r, b)[0]
+	bound := mustBind(t, r, b)[0]
 	for n := 0; n < 2; n++ {
 		got, err = bound.Block(l, r)
 		same("bound", got, err, r)
@@ -121,7 +122,7 @@ func checkAgainstNaive(t *testing.T, b Blocker, l, r *table.Table, naive func(l,
 	for i := 0; i < r.Len()/2; i++ {
 		grown.MustAppend(r.Row(i))
 	}
-	bound = Bind(grown, b)[0]
+	bound = mustBind(t, grown, b)[0]
 	got, err = bound.Block(l, grown)
 	same("bound to the half table", got, err, grown)
 	for i := r.Len() / 2; i < r.Len(); i++ {
@@ -218,14 +219,14 @@ func TestDebuggerEquivalentToNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		l, r := oracleTables(rng, 30, 40)
 		blocker := Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true}
-		bound := Bind(r, blocker)[0]
+		bound := mustBind(t, r, blocker)[0]
 		// The candidate set may come from any form of the blocker, over
 		// the table as bound or after it grew.
 		grown := table.New("R", r.Schema())
 		for i := 0; i < r.Len(); i++ {
 			grown.MustAppend(r.Row(i))
 		}
-		grownBound := Bind(grown, blocker)[0]
+		grownBound := mustBind(t, grown, blocker)[0]
 		for i := 0; i < 10; i++ {
 			grown.MustAppend(l.Row(i))
 		}
@@ -299,7 +300,7 @@ func TestUnionSharesOnePassInOrder(t *testing.T) {
 			want.Add(p)
 		}
 	}
-	for how, bs := range map[string][]Blocker{"unbound": blockers, "bound": Bind(r, blockers...)} {
+	for how, bs := range map[string][]Blocker{"unbound": blockers, "bound": mustBind(t, r, blockers...)} {
 		got, err := UnionBlock(l, r, bs...)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +317,11 @@ func ExampleBind() {
 	usda.MustAppend(table.Row{table.S("corn fungicide guidelines")})
 	usda.MustAppend(table.Row{table.S("swamp dodder ecology")})
 	// Built once...
-	blockers := Bind(usda, Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 2, Normalize: true})
+	blockers, err := Bind(context.Background(), usda, Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 2, Normalize: true})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	// ...probed per request.
 	for _, title := range []string{"Corn Fungicide trial", "dodder ecology"} {
 		request := table.New("request", schema)

@@ -34,11 +34,11 @@ func keyable(rs []Rule) []*equalRule {
 }
 
 // Bind builds the keyed join against right now, so the first
-// SureMatches/SureHitsCtx call over it does not pay for the index (a
-// server binds its reference table at start-up). It is a no-op for an
-// engine that cannot be keyed.
-func (e *Engine) Bind(right *table.Table) {
-	_, _ = e.join.Get(context.Background(), right, e.buildJoin)
+// SureMatches/SureHitsCtx call over it does not pay for the index, and
+// returns the build's error. It is a no-op for an engine that cannot be keyed.
+func (e *Engine) Bind(ctx context.Context, right *table.Table) error {
+	_, err := e.join.Get(ctx, right, e.buildJoin)
+	return err
 }
 
 // buildJoin compiles the engine against right; nil when it is not

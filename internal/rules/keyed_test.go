@@ -127,7 +127,9 @@ func TestKeyedJoinIndexLifetime(t *testing.T) {
 	}
 	m1, _ := NewEqual("M1", l, "Num", dropX, r, "Num", counted, Match)
 	e := NewEngine(m1)
-	e.Bind(r)
+	if err := e.Bind(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
 	if transforms == 0 || transforms > r.Len() {
 		t.Fatalf("Bind ran the right transform %d times for %d rows", transforms, r.Len())
 	}

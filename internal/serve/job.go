@@ -327,7 +327,7 @@ func (jm *Jobs) Recovered() int {
 // resumed shards are only trusted when they were computed by the same
 // artifact (and the same right table / feature stack implied by it).
 func (jm *Jobs) matcherChecksum() string {
-	if art := jm.srv.artifact.Load(); art != nil {
+	if art := jm.srv.Artifact(); art != nil {
 		return art.Checksum
 	}
 	return "rule-only"

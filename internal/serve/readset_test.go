@@ -63,13 +63,23 @@ func deployed(t testing.TB, w *workflow.Workflow, m ml.Matcher, l, r *table.Tabl
 	return dw
 }
 
-// fullVectors is deployed with the generated feature set put back: the
-// same workflow computing every feature of every pair.
-func fullVectors(t testing.TB, w *workflow.Workflow, m ml.Matcher, l, r *table.Table) *workflow.Workflow {
+// fullVectors is a server answering with m computing every feature of every
+// pair: deployed's workflow with the generated feature set put back, and m
+// behind the opaque wrapper, which by ml.ReadSet's rule reads everything —
+// so its deployment restricts nothing. The wrapper cannot be exported, so
+// it goes in the way a reload puts a matcher in: deployed, then stored.
+func fullVectors(t testing.TB, cfg Config, w *workflow.Workflow, m *ml.DecisionTree, l, r *table.Table) *Server {
 	t.Helper()
 	dw := deployed(t, w, m, l, r)
 	dw.Features = w.Features
-	return dw
+	s := newServer(t, cfg, dw, l, r)
+	art := &Artifact{Matcher: opaqueTree{m}, Checksum: s.Artifact().Checksum, Path: specArtifactPath, LoadedAt: time.Now()}
+	var err error
+	if art.deployment, err = dw.Deploy(context.Background(), art.Matcher, r); err != nil {
+		t.Fatal(err)
+	}
+	s.live.Store(art)
+	return s
 }
 
 func saveMatcher(t testing.TB, m ml.Matcher) string {
@@ -172,7 +182,7 @@ func TestArtifactReadSetFollowsLoadedMatcher(t *testing.T) {
 	var seen []string
 	for _, c := range []struct{ spec, loaded *ml.DecisionTree }{{a, b}, {b, a}} {
 		s := newServer(t, Config{MatcherPath: saveMatcher(t, c.loaded)}, deployed(t, w, c.spec, l, r), l, r)
-		ref := newServer(t, Config{}, fullVectors(t, w, c.loaded, l, r), l, r)
+		ref := fullVectors(t, Config{}, w, c.loaded, l, r)
 		got, want := answersOf(t, s, l), answersOf(t, ref, l)
 		learned := 0
 		for i := range want {
@@ -320,8 +330,8 @@ func TestPrunedEqualsFullPerRecord(t *testing.T) {
 		t.Fatalf("fixture: the tree reads %d of %d features; the comparison needs a proper subset", len(read), w.Features.Len())
 	}
 	pruned := deployed(t, w, tree, l, r)
-	full := fullVectors(t, w, tree, l, r)
-	full.Matcher = opaqueTree{tree}
+	full := deployed(t, w, tree, l, r)
+	full.Features, full.Matcher = w.Features, opaqueTree{tree}
 
 	offline := func(w *workflow.Workflow) (learned, final string) {
 		res, err := w.RunCtx(context.Background(), l, r, workflow.RunOptions{})
@@ -386,14 +396,7 @@ func TestPrunedEqualsFullPerRecord(t *testing.T) {
 	jobs := func() JobConfig { return JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1} }
 
 	ps := newServer(t, Config{Jobs: jobs()}, pruned, l, r)
-	// The opaque matcher cannot be exported, so it goes in the way a reload
-	// puts a matcher in: deployed, then stored.
-	fs := newServer(t, Config{Jobs: jobs()}, fullVectors(t, w, tree, l, r), l, r)
-	art := &Artifact{Matcher: opaqueTree{tree}, Checksum: fs.Artifact().Checksum, Path: specArtifactPath, LoadedAt: time.Now()}
-	if err := fs.deploy(context.Background(), art); err != nil {
-		t.Fatal(err)
-	}
-	fs.artifact.Store(art)
+	fs := fullVectors(t, Config{Jobs: jobs()}, w, tree, l, r)
 
 	pSingle, pBatch, pJob := modes(ps)
 	fSingle, fBatch, fJob := modes(fs)

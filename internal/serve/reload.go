@@ -8,9 +8,9 @@ import (
 
 	"emgo/internal/ckpt"
 	"emgo/internal/fault"
-	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/retry"
+	"emgo/internal/workflow"
 )
 
 // Artifact is one loaded matcher artifact: the fitted model plus the
@@ -18,10 +18,10 @@ import (
 type Artifact struct {
 	// Matcher is the fitted model.
 	Matcher ml.Matcher
-	// features is the workflow's feature set restricted to what Matcher
-	// reads, the right table's cells bound: the set a request that loaded
-	// this artifact vectorizes with, whatever is swapped in meanwhile.
-	features *feature.Set
+	// deployment is the workflow deployed with Matcher over the right table
+	// (workflow.Deploy), set before the artifact goes live: every part a
+	// request that loaded this artifact runs.
+	deployment *workflow.Workflow
 	// Checksum is the SHA-256 fingerprint of the artifact bytes (the
 	// same hashing the checkpoint store uses for its manifests), so an
 	// operator can verify which model build is live.
@@ -87,53 +87,34 @@ func probeMatcher(m ml.Matcher, features int) (err error) {
 	return nil
 }
 
-// deploy makes art servable: the workflow's feature set restricted to
-// what art's matcher reads — not what the spec-embedded one does: a tree
-// loaded from a file tests features of its own — with the right table's
-// cells bound for it. The spec-embedded matcher comes with its set (New).
-// deploy runs before art is stored, so a failure leaves whatever was
-// serving untouched.
-func (s *Server) deploy(ctx context.Context, art *Artifact) error {
-	fs := s.wf.Features
-	if fs == nil || s.wf.Imputer == nil {
-		return fmt.Errorf("serve: matcher deployed without features/imputer")
-	}
-	if art.features == nil {
-		art.features = fs.Restrict(ml.ReadSet(art.Matcher, fs.Len()))
-	}
-	if err := art.features.Bind(ctx, s.right); err != nil {
-		return fmt.Errorf("serve: matcher artifact %s: bind feature cells: %w", art.Path, err)
-	}
-	return nil
-}
-
-// Reload atomically replaces the live matcher with the artifact at
-// path (empty = the path the server was started with). The swap is
-// all-or-nothing: a missing, corrupt, or shape-incompatible artifact, or
-// one whose feature cells could not be bound, leaves the previous matcher
-// serving and returns the error — the rollback the deployment protocol
-// requires. On success the breaker is reset, since its failure history
-// described the replaced model.
+// Reload atomically replaces the live deployment with the artifact at
+// path (empty = the path the server was started with) deployed in its
+// place. The swap is all-or-nothing: a missing, corrupt, or
+// shape-incompatible artifact, or one whose deployment could not be bound,
+// leaves the previous one serving and returns the error — the rollback the
+// deployment protocol requires. On success the breaker is reset, since its
+// failure history described the replaced model.
 func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 	if path == "" {
-		path = s.matcherPath
+		path = s.cfg.MatcherPath
 	}
 	if path == "" || path == specArtifactPath {
 		return nil, fmt.Errorf("serve: no matcher artifact path to reload from (started with the spec-embedded matcher)")
 	}
-	// Serialize reloads; the artifact swap itself is a single atomic
-	// pointer store, so in-flight requests keep the model, feature set
-	// and cells they started with and are never torn.
+	// Serialize reloads; the swap itself is a single atomic pointer store,
+	// so in-flight requests keep the deployment they started with and are
+	// never torn.
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	art, err := LoadArtifact(ctx, path, s.featureWidth())
+	art, err := LoadArtifact(ctx, path, s.width)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.deploy(ctx, art); err != nil {
-		return nil, err
+	// The live deployment's rules and blockers are bound already.
+	if art.deployment, err = s.live.Load().deployment.Deploy(ctx, art.Matcher, s.right); err != nil {
+		return nil, fmt.Errorf("serve: matcher artifact %s: %w", path, err)
 	}
-	s.artifact.Store(art)
+	s.live.Store(art)
 	s.breaker.Reset()
 	return art, nil
 }

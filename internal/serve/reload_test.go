@@ -12,6 +12,7 @@ import (
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
+	"emgo/internal/workflow"
 )
 
 // saveFixtureMatcher trains the fixture matcher and persists it as an
@@ -231,5 +232,38 @@ func TestNewRejectsMissingArtifact(t *testing.T) {
 	_, err := New(context.Background(), Config{MatcherPath: filepath.Join(t.TempDir(), "nope.json")}, w, l, r)
 	if err == nil {
 		t.Fatal("New with a missing artifact path must fail")
+	}
+}
+
+// TestNewRejectsUnblockableDeployment: a spec whose blocker cannot run over
+// the reference table builds, but its deployment must not start — New
+// returns the blocker's error instead of a server that reports ready and
+// answers every request degraded.
+func TestNewRejectsUnblockableDeployment(t *testing.T) {
+	l, r := fixtureTables(t)
+	for _, tc := range []struct {
+		name    string
+		blocker workflow.BlockerSpec
+		want    string
+	}{
+		{"right column missing", workflow.BlockerSpec{Type: "overlap", LeftCol: "Title", RightCol: "Nope", Tokenizer: "word", Threshold: 3}, `"Nope"`},
+		{"no threshold", workflow.BlockerSpec{Type: "overlap", LeftCol: "Title", RightCol: "Title", Tokenizer: "word"}, "threshold must be >= 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := &workflow.Spec{Name: "unblockable", Blockers: []workflow.BlockerSpec{tc.blocker}}
+			wf, err := spec.Build(l, r, nil)
+			if err != nil {
+				t.Fatalf("fixture: the spec must build, it is its deployment that cannot block: %v", err)
+			}
+			s, err := New(context.Background(), Config{}, wf, l, r)
+			if err == nil {
+				defer s.Close()
+				resp, merr := s.matchOne(context.Background(), l.Row(0), false)
+				t.Fatalf("New started a deployment that cannot block; a request then answers %+v, %v", resp, merr)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: %v, want the blocker's error (%s)", err, tc.want)
+			}
+		})
 	}
 }

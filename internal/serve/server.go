@@ -139,17 +139,15 @@ type Config struct {
 
 // Server is the online matching service.
 type Server struct {
-	cfg   Config
-	wf    *workflow.Workflow
-	left  *table.Table // schema donor for request records
-	right *table.Table
-	// blockers are wf.Blockers bound to right: their indexes are built
-	// once in New and shared, read-only, by every request.
-	blockers    []block.Blocker
-	rightIDs    []string
-	matcherPath string
+	cfg      Config
+	left     *table.Table // schema donor for request records
+	right    *table.Table
+	rightIDs []string
+	width    int // the feature-vector width (0 = rule-only)
 
-	artifact atomic.Pointer[Artifact]
+	// live is the artifact with its deployment, swapped whole by Reload; a
+	// rule-only server's has no Matcher.
+	live     atomic.Pointer[Artifact]
 	breaker  *Breaker
 	adm      *Admission
 	reloadMu sync.Mutex
@@ -226,20 +224,18 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		}
 	}
 	s := &Server{
-		cfg:         cfg,
-		wf:          wf,
-		left:        left,
-		right:       right,
-		matcherPath: cfg.MatcherPath,
-		breaker:     NewBreaker(cfg.Breaker),
-		adm:         NewAdmission(cfg.Admission),
-		collector:   drift.NewCollector(drift.DefaultSampleCap, 0),
-		events:      obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
-		tailBuf:     tail.New(tailCfg),
-		sloTrk:      slo.New(slo.Config{Objectives: cfg.SLOs}),
-		started:     time.Now(),
-		drained:     make(chan struct{}),
-		streamSem:   make(chan struct{}, cfg.Stream.MaxStreams),
+		cfg:       cfg,
+		left:      left,
+		right:     right,
+		breaker:   NewBreaker(cfg.Breaker),
+		adm:       NewAdmission(cfg.Admission),
+		collector: drift.NewCollector(drift.DefaultSampleCap, 0),
+		events:    obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
+		tailBuf:   tail.New(tailCfg),
+		sloTrk:    slo.New(slo.Config{Objectives: cfg.SLOs}),
+		started:   time.Now(),
+		drained:   make(chan struct{}),
+		streamSem: make(chan struct{}, cfg.Stream.MaxStreams),
 	}
 	if cfg.ProfileOnBreach && cfg.Profiler != nil {
 		trk := s.sloTrk
@@ -258,16 +254,9 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		})
 	}
 	if wf.Features != nil {
+		s.width = wf.Features.Len()
 		s.collector.SetFeatureNames(wf.Features.Names())
 	}
-	// The right table is static for the server's lifetime: everything the
-	// pipeline prepares from it — rule keys, blocking indexes and, with the
-	// matcher artifact below, feature cells — is built here, so a request
-	// only probes.
-	if wf.SureRules != nil {
-		wf.SureRules.Bind(right)
-	}
-	s.blockers = block.Bind(right, wf.Blockers...)
 	// The right table is static for the server's lifetime: profile its
 	// columns once so the drift endpoint reports them without rescanning.
 	s.rightCols = s.collector.ObserveTable("right", right)
@@ -279,11 +268,13 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 			s.rightIDs[i] = right.Row(i)[j].Str()
 		}
 	}
-	var art *Artifact
+	// Deploy the artifact's matcher, else the spec's, else none: rule keys,
+	// blocking indexes and feature cells are built here, once.
+	art := &Artifact{}
+	var err error
 	switch {
 	case cfg.MatcherPath != "":
-		var err error
-		if art, err = LoadArtifact(ctx, cfg.MatcherPath, s.featureWidth()); err != nil {
+		if art, err = LoadArtifact(ctx, cfg.MatcherPath, s.width); err != nil {
 			return nil, err
 		}
 	case wf.Matcher != nil:
@@ -295,22 +286,17 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		if err != nil {
 			return nil, fmt.Errorf("serve: fingerprint spec-embedded matcher: %w", err)
 		}
-		// wf.Features is this matcher's set already: Spec.BuildCtx
-		// restricted it to what wf.Matcher reads.
 		art = &Artifact{
 			Matcher:  wf.Matcher,
-			features: wf.Features,
 			Checksum: ckpt.Fingerprint(string(data)),
 			Path:     specArtifactPath,
 			LoadedAt: time.Now(),
 		}
 	}
-	if art != nil {
-		if err := s.deploy(ctx, art); err != nil {
-			return nil, err
-		}
-		s.artifact.Store(art)
+	if art.deployment, err = wf.Deploy(ctx, art.Matcher, right); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
+	s.live.Store(art)
 	if cfg.Jobs.Dir != "" {
 		jm, err := newJobs(cfg.Jobs, s)
 		if err != nil {
@@ -338,16 +324,13 @@ func (s *Server) Close() {
 	}
 }
 
-// featureWidth is the deployed feature-vector width (0 = rule-only).
-func (s *Server) featureWidth() int {
-	if s.wf.Features == nil {
-		return 0
-	}
-	return s.wf.Features.Len()
-}
-
 // Artifact returns the live matcher artifact (nil = rule-only service).
-func (s *Server) Artifact() *Artifact { return s.artifact.Load() }
+func (s *Server) Artifact() *Artifact {
+	if art := s.live.Load(); art.Matcher != nil {
+		return art
+	}
+	return nil
+}
 
 // TailSnapshot returns the tail-capture buffer's current contents, the
 // same document /debug/tail serves; emserve dumps it on drain.
@@ -579,6 +562,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	// Per-request drift capture: the armed collector makes vectorize and
 	// predict feed the serving-distribution reservoirs.
 	ctx = drift.WithCollector(ctx, s.collector)
+	d := s.live.Load().deployment // every stage's parts, whatever a reload swaps in
 
 	n := left.Len()
 	resps = make([]*MatchResponse, n)
@@ -589,12 +573,12 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	// Stage 1: positive rules straight against the right table — the
 	// always-available path that keeps the service useful when the
 	// learned matcher is down. The engine's keyed index over s.right was
-	// bound at start-up; a request only looks its own keys up.
+	// bound at deployment; a request only looks its own keys up.
 	sure := block.NewCandidateSet(left, s.right)
 	sureRule := map[block.Pair]string{}
 	sctx, spSure := obs.StartSpan(ctx, "serve.sure_rules")
-	if s.wf.SureRules != nil && s.wf.SureRules.Len() > 0 {
-		hits, herr := s.wf.SureRules.SureHitsCtx(sctx, left, s.right)
+	if d.SureRules != nil && d.SureRules.Len() > 0 {
+		hits, herr := d.SureRules.SureHitsCtx(sctx, left, s.right)
 		if herr != nil {
 			spSure.End()
 			return nil, tally, nil, herr
@@ -609,11 +593,11 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 
 	// Stage 2: blocking, once for the whole set. A blocker failure (not
 	// a deadline) degrades every row to its sure-rule answer instead of
-	// failing the request.
+	// failing the request; one that cannot run at all failed Deploy.
 	degraded, reason := false, ""
 	var candidates *block.CandidateSet
 	bctx, spBlock := obs.StartSpan(ctx, "serve.block")
-	blocked, berr := block.UnionBlockCtx(bctx, left, s.right, s.blockers...)
+	blocked, berr := block.UnionBlockCtx(bctx, left, s.right, d.Blockers...)
 	spBlock.End()
 	switch {
 	case berr != nil && ctx.Err() != nil:
@@ -637,7 +621,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	scores := map[block.Pair]float64{}
 	if !degraded && candidates.Len() > 0 {
 		pctx, spPredict := obs.StartSpan(ctx, "serve.predict")
-		learned, scores, reason = s.predict(pctx, left, candidates, br)
+		learned, scores, reason = s.predict(pctx, d, left, candidates, br)
 		spPredict.SetItems(candidates.Len())
 		if reason != "" {
 			spPredict.SetOutcome(obs.OutcomeDegraded)
@@ -647,7 +631,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, tally, nil, cerr
 		}
-	} else if art := s.artifact.Load(); art == nil && !degraded {
+	} else if d.Matcher == nil && !degraded {
 		degraded = true
 		reason = ReasonNoMatcher
 	}
@@ -655,9 +639,9 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	// Stage 4: negative rules veto learned matches (sure matches bypass
 	// them, as in the batch workflow).
 	kept := learned
-	if s.wf.NegativeRules != nil && s.wf.NegativeRules.Len() > 0 && learned.Len() > 0 {
+	if d.NegativeRules != nil && d.NegativeRules.Len() > 0 && learned.Len() > 0 {
 		_, spVeto := obs.StartSpan(ctx, "serve.veto")
-		kept, _ = s.wf.NegativeRules.FilterMatches(learned)
+		kept, _ = d.NegativeRules.FilterMatches(learned)
 		spVeto.SetItems(learned.Len() - kept.Len())
 		spVeto.End()
 	}
@@ -715,15 +699,14 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	return resps, tally, trace, nil
 }
 
-// predict runs vectorize + impute + predict under br and an ML
+// predict runs d's vectorize + impute + predict under br and an ML
 // sub-budget of the request deadline. It returns the learned match set,
 // per-pair scores, and a degradation reason ("" = the learned path
 // served normally).
-func (s *Server) predict(ctx context.Context, left *table.Table, candidates *block.CandidateSet, br *Breaker) (*block.CandidateSet, map[block.Pair]float64, string) {
+func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.Table, candidates *block.CandidateSet, br *Breaker) (*block.CandidateSet, map[block.Pair]float64, string) {
 	learned := block.NewCandidateSet(left, s.right)
 	scores := map[block.Pair]float64{}
-	art := s.artifact.Load()
-	if art == nil {
+	if d.Matcher == nil {
 		return learned, scores, ReasonNoMatcher
 	}
 	if !br.Allow() {
@@ -741,7 +724,7 @@ func (s *Server) predict(ctx context.Context, left *table.Table, candidates *blo
 	defer cancel()
 
 	start := time.Now()
-	preds, x, err := workflow.PredictPairs(mlCtx, art.features, s.wf.Imputer, art.Matcher, left, s.right, candidates.Pairs())
+	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, candidates.Pairs())
 	latency := time.Since(start)
 	gen := br.Generation()
 	br.Record(err, latency)
@@ -759,7 +742,7 @@ func (s *Server) predict(ctx context.Context, left *table.Table, candidates *blo
 		}
 		return learned, scores, ReasonMatcherError
 	}
-	pm, _ := art.Matcher.(ml.ProbabilisticMatcher)
+	pm, _ := d.Matcher.(ml.ProbabilisticMatcher)
 	for i, p := range candidates.Pairs() {
 		if preds[i] == 1 {
 			learned.Add(p)
@@ -833,7 +816,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	art, err := s.Reload(r.Context(), req.Path)
 	if err != nil {
-		prev := s.artifact.Load()
+		prev := s.Artifact()
 		msg := "reload failed (previous matcher still serving): " + err.Error()
 		status := http.StatusUnprocessableEntity
 		resp := map[string]any{"error": msg, "status": status}
@@ -894,7 +877,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		RightRows: s.right.Len(),
 		SLO:       s.sloTrk.Evaluate(),
 	}
-	if art := s.artifact.Load(); art != nil {
+	if art := s.Artifact(); art != nil {
 		st.Matcher = map[string]any{
 			"name":      art.Matcher.Name(),
 			"path":      art.Path,

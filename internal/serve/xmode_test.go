@@ -284,7 +284,9 @@ func TestAnswersInvariantUnderShardingAndBatching(t *testing.T) {
 // TestDegradedAnswersWeakenNeverFlip: an answer given without the learned
 // matcher is the full answer made weaker, never a different one. With
 // ml.predict faulted behind a breaker that stays closed, with the breaker
-// tripped by the first failure, and with no matcher deployed, every
+// tripped by the first failure, with no matcher deployed, and with every
+// blocker run faulted at block.join (the one way left to blocker_error: a
+// blocker that cannot run fails New), every
 // record's answer over /v1/match, inside a batch and inside a job shard
 // keeps exactly the full answer's sure-rule matches, adds no learned match
 // the full answer lacks, and says why whenever it is short of one (make
@@ -366,16 +368,17 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 		name    string
 		wf      *workflow.Workflow
 		breaker BreakerConfig
-		faulted bool
+		fault   string // the site armed for the whole run, "" = none
 		reasons []string
 	}{
-		{"ml.predict faulted", w, BreakerConfig{Failures: 1 << 30}, true, []string{ReasonMatcherError}},
-		{"breaker open", w, BreakerConfig{Failures: 1, Cooldown: time.Hour}, true, []string{ReasonMatcherError, ReasonBreakerOpen}},
-		{"no matcher", &ruleOnly, BreakerConfig{}, false, []string{ReasonNoMatcher}},
+		{"ml.predict faulted", w, BreakerConfig{Failures: 1 << 30}, "ml.predict", []string{ReasonMatcherError}},
+		{"breaker open", w, BreakerConfig{Failures: 1, Cooldown: time.Hour}, "ml.predict", []string{ReasonMatcherError, ReasonBreakerOpen}},
+		{"no matcher", &ruleOnly, BreakerConfig{}, "", []string{ReasonNoMatcher}},
+		{"block.join faulted", w, BreakerConfig{}, "block.join", []string{ReasonBlockerError}},
 	}
 	for _, tc := range cases {
-		if tc.faulted {
-			fault.Enable("ml.predict", fault.Plan{})
+		if tc.fault != "" {
+			fault.Enable(tc.fault, fault.Plan{})
 		}
 		got := collect(tc.wf, tc.breaker)
 		fault.Reset()

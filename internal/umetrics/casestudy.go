@@ -433,7 +433,10 @@ func (s *study) blocking() error {
 			Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true,
 		})
 	}
-	all = block.Bind(us, all...)
+	all, err := block.Bind(context.TODO(), us, all...)
+	if err != nil {
+		return err
+	}
 	bs, sweep := all[:len(pipeline)], all[len(pipeline):]
 	c1, err := bs[0].Block(um, us)
 	if err != nil {

@@ -359,13 +359,9 @@ func buildReport(name string, started time.Time, root *obs.Span, res *Result, ru
 
 // PredictPairs is the vectorize → impute → predict chain over one list
 // of candidate pairs, the one copy RunCtx and the serving tier share. m
-// is the matcher to ask and fs the set to vectorize with: the two travel
-// together, because a deployed set computes only what its matcher reads
-// (feature.Set.Restrict) — RunCtx hands in the workflow's own pair, the
-// serving tier the pair of the artifact a request loaded. The vectors are
-// imputed where VectorizeCtx made them and come back beside the
-// predictions so a caller can read a probabilistic matcher's scores off
-// them.
+// and fs travel together: a deployed set computes only what its matcher
+// reads (Deploy). The vectors are imputed in place and come back beside
+// the predictions, for a probabilistic matcher's scores.
 func PredictPairs(ctx context.Context, fs *feature.Set, im *feature.Imputer, m ml.Matcher, left, right *table.Table, pairs []block.Pair) ([]int, [][]float64, error) {
 	x, err := fs.VectorizeCtx(ctx, left, right, pairs)
 	if err != nil {

@@ -239,8 +239,8 @@ func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transform
 		w.Blockers = append(w.Blockers, b)
 	}
 	// In bound form the blockers keep what they prepare from a right
-	// table: the first run over right builds it (serve.New does, before
-	// the first request), every later run or request only probes.
+	// table: the first run over right builds it (Deploy does so up front),
+	// every later run or request only probes.
 	w.Blockers = block.Bound(w.Blockers...)
 	for _, rs := range s.SureRules {
 		r, err := buildRule(rs, left, right, resolver)
@@ -276,9 +276,44 @@ func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transform
 		// run of w, and whoever vectorizes with w.Features, skips the
 		// features no node of m tests. Training paths never come through
 		// a spec and keep the set they generated.
-		w.Features = fs.Restrict(ml.ReadSet(m, fs.Len()))
+		w.Features = restrictFor(fs, m)
 		w.Imputer = feature.ImputerFromMeans(s.ImputerMeans)
 		w.Matcher = m
 	}
 	return w, nil
+}
+
+// restrictFor is fs as a deployment of m computes it: the features m's
+// nodes test and no others (ml.ReadSet, feature.Set.Restrict).
+func restrictFor(fs *feature.Set, m ml.Matcher) *feature.Set {
+	return fs.Restrict(ml.ReadSet(m, fs.Len()))
+}
+
+// Deploy returns a shallow copy of w serving matcher m (nil: rules only)
+// over right: its features are w's restricted to what m reads, and the
+// sure rules' keyed join, the blockers' columns and key indexes and the
+// set's cells are bound to right, so a run over right only probes — or the
+// first bind error: a deployment that cannot block does not start.
+func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table) (*Workflow, error) {
+	d := *w
+	d.Matcher = m
+	if m != nil {
+		if w.Features == nil || w.Imputer == nil {
+			return nil, fmt.Errorf("workflow %s: matcher deployed without features/imputer", w.Name)
+		}
+		d.Features = restrictFor(w.Features, m)
+		if err := d.Features.Bind(ctx, right); err != nil {
+			return nil, fmt.Errorf("workflow %s: bind feature cells: %w", w.Name, err)
+		}
+	}
+	if d.SureRules != nil {
+		if err := d.SureRules.Bind(ctx, right); err != nil {
+			return nil, fmt.Errorf("workflow %s: bind sure rules: %w", w.Name, err)
+		}
+	}
+	var err error
+	if d.Blockers, err = block.Bind(ctx, right, w.Blockers...); err != nil {
+		return nil, fmt.Errorf("workflow %s: bind blockers: %w", w.Name, err)
+	}
+	return &d, nil
 }
