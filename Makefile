@@ -68,11 +68,15 @@ bench-check:
 # (TestSpanAndEventNamesHaveReaders: span names, span annotations and
 # events, wide-event fields). The third rule is for entry points
 # (TestEntryPointsHaveRunners): every emload mode, emmonitor subcommand,
-# policy flag of the two, snapshot key `emmonitor perf` decodes and
-# environment switch of a script under scripts/ is invoked by a runner —
-# a TestSmoke scenario, a target of this Makefile, a script, bench/run.sh
-# — and a sentence in the docs is not one; addresses, paths, ids, sizes
-# and timeouts are deployment settings and stay. It type-checks the
+# policy flag of emload, emmonitor, emserve and emmatch, route the server
+# mounts, snapshot key `emmonitor perf` decodes and environment switch of
+# a script under scripts/ is invoked by a runner — a TestSmoke scenario, a
+# target of this Makefile, a script, bench/run.sh, or the non-test code
+# that runs the server (internal/load, emmonitor, bench/embench); a route
+# counts as run when a runner's request resolves to it on a real
+# http.ServeMux, and a handler is mounted at one pattern — and a sentence
+# in the docs is not one; addresses, paths, ids, sizes and timeouts are
+# deployment settings and stay. It type-checks the
 # module and bench/ from source in a few seconds, so `go test ./...` runs
 # it too; this target is the uncached, verbose form (it logs what was
 # checked and how many of each kind are allowlisted).

@@ -358,8 +358,8 @@ func runSLO(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 }
 
 // fetchStatus GETs the status document from a running server. A bare
-// base URL gets /v1/status appended; a URL already naming a status path
-// is used as-is, so both -url http://addr and -url http://addr/-/status
+// base URL gets /v1/status appended; a URL already naming the status path
+// is used as-is, so both -url http://addr and -url http://addr/v1/status
 // work.
 func fetchStatus(ctx context.Context, url string, timeout time.Duration) ([]byte, error) {
 	if !strings.Contains(url, "://") {

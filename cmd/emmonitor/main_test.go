@@ -26,7 +26,7 @@ func fixtureProfiles(t *testing.T, drifted bool) (*drift.Profile, *drift.Profile
 		c := drift.NewCollector(0, 1)
 		c.SetFeatureNames([]string{"jaccard"})
 		for i := 0; i < 400; i++ {
-			c.ObserveVector([]float64{mean + float64(i%100)/1000}, nil)
+			c.ObserveVector([]float64{mean + float64(i%100)/1000})
 			c.ObservePrediction(i%2, mean, true)
 		}
 		return c.Profile(name, 100, 100, []int{1, 2, 3, 0}, nil)

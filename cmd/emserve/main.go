@@ -14,15 +14,15 @@
 //	        [-addr 127.0.0.1:8080] [-addr-file addr.txt] [-matcher matcher.json] \
 //	        [-max-inflight 8] [-max-queue 64] [-request-timeout 5s] [-max-body 1048576] \
 //	        [-read-header-timeout 5s] [-read-timeout 30s] [-write-timeout 0] [-idle-timeout 120s] \
-//	        [-breaker-failures 5] [-breaker-cooldown 10s] [-breaker-latency 0] \
-//	        [-transforms umetrics] [-date-cols ...] [-drift-baseline baseline.json] \
+//	        [-breaker-failures 5] [-breaker-cooldown 10s] \
+//	        [-transforms umetrics] [-date-cols ...] \
 //	        [-max-batch 256] [-job-dir jobs/] [-job-workers 2] [-job-shard-size 32] \
-//	        [-job-max-queued 8] [-job-attempts 3] \
+//	        [-job-max-queued 8] \
 //	        [-stream-chunk-timeout 15s] [-max-streams 4] [-stream-flush 256] \
 //	        [-access-log events.jsonl] [-access-sample 10] [-tail-n 16] \
 //	        [-slo availability=99.9,latency=250ms@99] [-tail-dump tail.json] \
 //	        [-prof-dir prof/] [-prof-interval 60s] [-prof-cpu 1s] [-prof-max 32] \
-//	        [-prof-on-breach] [-no-debug] [-inject site:spec ...]
+//	        [-prof-on-breach] [-inject site:spec ...]
 //
 //	emserve -spec workflow.json -left left.csv -right right.csv \
 //	        -export-matcher matcher.json
@@ -38,11 +38,12 @@
 // most -max-streams streams hold shard files open at once (excess sheds
 // 429), and a drain ends active streams at a flush boundary with a
 // resumable cursor. GET /healthz,
-// /readyz and /-/status report liveness, readiness and the live
+// /readyz and /v1/status report liveness, readiness and the live
 // breaker/queue counters; POST /-/reload hot-swaps the matcher
-// artifact; POST /-/drain starts a graceful drain; GET /-/drift serves the
-// live serving-traffic profile; /debug/ exposes expvar and pprof (disable
-// with -no-debug).
+// artifact; /debug/ exposes expvar and pprof. Nothing authenticates a
+// caller, so -addr is the boundary: bind it where only operators reach.
+// Whether the matcher's quality still holds is checked offline
+// (emmatch -drift-baseline, emmonitor check), not per request.
 //
 // Observability: every request carries a request ID (minted, or a
 // sanitized client X-Request-Id) echoed on the response and threaded
@@ -53,15 +54,15 @@
 // the current and previous windows, full span trees included — and
 // -tail-dump writes that snapshot to a file on drain. -slo declares
 // availability/latency objectives whose multi-window burn rates surface
-// on /v1/status (alias of /-/status); emmonitor slo turns them into a
-// check that exits non-zero on budget burn.
+// on /v1/status; emmonitor slo turns them into a check that exits
+// non-zero on budget burn.
 //
 // Continuous profiling: -prof-dir arms internal/contprof — periodic
 // CPU/heap/goroutine/mutex/block captures into a bounded on-disk ring
 // (prune at -prof-max), requests labeled by route for `go tool pprof
 // -tags`, tail-outlier admissions triggering captures, -prof-on-breach
 // capturing on SLO burn-rate breaches, a final capture at drain, and
-// GET/POST /debug/contprof{,/fetch,/trigger} serving the ring — see
+// GET/POST /debug/contprof/{,fetch,trigger} serving the ring — see
 // docs/OBSERVABILITY.md "Continuous profiling & perf gating".
 //
 // Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
@@ -98,7 +99,6 @@ import (
 
 	"emgo/internal/cliutil"
 	"emgo/internal/contprof"
-	"emgo/internal/drift"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -151,19 +151,15 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "how long a keep-alive connection may sit idle between requests (0 = unlimited)")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive matcher failures that trip the breaker (0 = default)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before probing (0 = default)")
-	breakerLatency := fs.Duration("breaker-latency", 0, "matcher calls slower than this count as failures (0 = off)")
-	driftBaseline := fs.String("drift-baseline", "", "training-time baseline profile; arms GET /-/drift?check=1")
 	rightID := fs.String("right-id", "RecordId", "right-table ID column echoed in match responses")
 	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; larger inputs go through jobs)")
 	jobDir := fs.String("job-dir", "", "checkpoint root for the async job tier (empty = job endpoints disabled)")
 	jobWorkers := fs.Int("job-workers", 0, "concurrent shard executors per job (0 = default)")
 	jobShardSize := fs.Int("job-shard-size", 0, "records per job shard (0 = default)")
 	jobMaxQueued := fs.Int("job-max-queued", 0, "jobs queued or running before submissions shed (0 = default)")
-	jobAttempts := fs.Int("job-attempts", 0, "attempts per shard before quarantine (0 = default)")
 	streamChunkTimeout := fs.Duration("stream-chunk-timeout", 0, "slow-reader budget: a results stream whose client absorbs no chunk for this long is cut at a resumable cursor (0 = default 15s)")
 	maxStreams := fs.Int("max-streams", 0, "concurrent result streams holding shard files open; excess sheds 429 (0 = default)")
 	streamFlushEvery := fs.Int("stream-flush", 0, "records per stream chunk between cursor commits (0 = default)")
-	noDebug := fs.Bool("no-debug", false, "do not mount /debug/ (expvar, pprof) on the service")
 	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
 	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded always log)")
 	tailN := fs.Int("tail-n", 0, "slowest requests retained per window in the /debug/tail buffer (0 = default)")
@@ -217,35 +213,26 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 	cfg := serve.Config{
 		Admission:       serve.AdmissionConfig{MaxInFlight: *maxInflight, MaxQueue: *maxQueue},
-		Breaker:         serve.BreakerConfig{Failures: *breakerFailures, Cooldown: *breakerCooldown, LatencyLimit: *breakerLatency},
+		Breaker:         serve.BreakerConfig{Failures: *breakerFailures, Cooldown: *breakerCooldown},
 		RequestTimeout:  *requestTimeout,
 		MaxBodyBytes:    *maxBody,
 		DrainTimeout:    *drainTimeout,
 		MatcherPath:     *matcherPath,
 		RightIDCol:      *rightID,
-		MountDebug:      !*noDebug,
 		MaxBatchRecords: *maxBatch,
 		AccessSampleN:   *accessSample,
 		TailN:           *tailN,
 		Jobs: serve.JobConfig{
-			Dir:           *jobDir,
-			Workers:       *jobWorkers,
-			ShardSize:     *jobShardSize,
-			MaxQueued:     *jobMaxQueued,
-			ShardAttempts: *jobAttempts,
+			Dir:       *jobDir,
+			Workers:   *jobWorkers,
+			ShardSize: *jobShardSize,
+			MaxQueued: *jobMaxQueued,
 		},
 		Stream: serve.StreamConfig{
 			ChunkTimeout: *streamChunkTimeout,
 			MaxStreams:   *maxStreams,
 			FlushEvery:   *streamFlushEvery,
 		},
-	}
-	if *driftBaseline != "" {
-		base, err := drift.LoadProfile(*driftBaseline)
-		if err != nil {
-			return fmt.Errorf("drift baseline: %w", err)
-		}
-		cfg.DriftBaseline = base
 	}
 	if *sloSpec != "" {
 		objs, err := slo.ParseObjectives(*sloSpec)
@@ -268,8 +255,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	}
 
 	// Serving always counts: the registry is what /debug/vars shows, the
-	// library counters under a live server included. (The status and
-	// drift endpoints read Server fields, not the registry.)
+	// library counters under a live server included. (/v1/status reads
+	// Server fields, not the registry.)
 	obs.Enable()
 
 	var prof *contprof.Profiler

@@ -240,7 +240,7 @@ func TestServeMatchAndGracefulShutdown(t *testing.T) {
 		cancel()
 		t.Fatalf("unexpected response: %s", body)
 	}
-	for _, ep := range []string{"/healthz", "/readyz", "/-/status", "/-/drift", "/debug/vars"} {
+	for _, ep := range []string{"/healthz", "/readyz", "/v1/status", "/debug/vars"} {
 		resp, err := http.Get(base + ep)
 		if err != nil {
 			cancel()
@@ -293,13 +293,13 @@ func TestServeSIGHUPReloadsMatcherArtifact(t *testing.T) {
 		cancel()
 		t.Fatal(err)
 	}
-	// The reload is observable via /-/status: loaded_at moves forward
+	// The reload is observable via /v1/status: loaded_at moves forward
 	// while the checksum stays (same bytes). Poll the endpoint instead
 	// of racing the stderr buffer.
 	deadline := time.Now().Add(5 * time.Second)
 	reloaded := false
 	for time.Now().Before(deadline) && !reloaded {
-		resp, err := http.Get(base + "/-/status")
+		resp, err := http.Get(base + "/v1/status")
 		if err == nil {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()

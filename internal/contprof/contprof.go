@@ -102,17 +102,19 @@ type Config struct {
 	// CPUDuration is the CPU-profile sampling window per capture,
 	// clamped to half the interval so captures never overlap.
 	CPUDuration time.Duration
-	// TriggerCooldown is the per-reason dedup window for Trigger: a
-	// breach storm produces one capture, not one per failing request.
-	TriggerCooldown time.Duration
-	// BreachPoll is how often the armed breach probe is evaluated
-	// between interval captures (clamped to the interval).
-	BreachPoll time.Duration
-	// MutexFraction and BlockRate arm runtime mutex/block sampling for
-	// the profiler's lifetime (restored to off on Stop). <0 leaves the
-	// runtime setting untouched, 0 selects the defaults.
-	MutexFraction int
-	BlockRate     int
+	// triggerCooldown is the per-reason dedup window for Trigger: a
+	// breach storm produces one capture, not one per failing request
+	// (DefaultTriggerCooldown; only tests change it).
+	triggerCooldown time.Duration
+	// breachPoll is how often the armed breach probe is evaluated
+	// between interval captures, clamped to the interval
+	// (DefaultBreachPoll; only tests shorten it).
+	breachPoll time.Duration
+	// mutexFraction and blockRate arm runtime mutex/block sampling for
+	// the profiler's lifetime (restored to off on Stop): the defaults, or
+	// with <0, which only tests set, the runtime setting is left alone.
+	mutexFraction int
+	blockRate     int
 }
 
 func (c Config) withDefaults() Config {
@@ -128,20 +130,20 @@ func (c Config) withDefaults() Config {
 	if c.Interval > 0 && c.CPUDuration > c.Interval/2 {
 		c.CPUDuration = c.Interval / 2
 	}
-	if c.TriggerCooldown <= 0 {
-		c.TriggerCooldown = DefaultTriggerCooldown
+	if c.triggerCooldown <= 0 {
+		c.triggerCooldown = DefaultTriggerCooldown
 	}
-	if c.BreachPoll <= 0 {
-		c.BreachPoll = DefaultBreachPoll
+	if c.breachPoll <= 0 {
+		c.breachPoll = DefaultBreachPoll
 	}
-	if c.Interval > 0 && c.BreachPoll > c.Interval {
-		c.BreachPoll = c.Interval
+	if c.Interval > 0 && c.breachPoll > c.Interval {
+		c.breachPoll = c.Interval
 	}
-	if c.MutexFraction == 0 {
-		c.MutexFraction = DefaultMutexFraction
+	if c.mutexFraction == 0 {
+		c.mutexFraction = DefaultMutexFraction
 	}
-	if c.BlockRate == 0 {
-		c.BlockRate = DefaultBlockRate
+	if c.blockRate == 0 {
+		c.blockRate = DefaultBlockRate
 	}
 	return c
 }
@@ -349,11 +351,11 @@ func (p *Profiler) Start() {
 	}
 	p.started = true
 	p.mu.Unlock()
-	if p.cfg.MutexFraction > 0 {
-		p.prevMutexFraction = runtime.SetMutexProfileFraction(p.cfg.MutexFraction)
+	if p.cfg.mutexFraction > 0 {
+		p.prevMutexFraction = runtime.SetMutexProfileFraction(p.cfg.mutexFraction)
 	}
-	if p.cfg.BlockRate > 0 {
-		runtime.SetBlockProfileRate(p.cfg.BlockRate)
+	if p.cfg.blockRate > 0 {
+		runtime.SetBlockProfileRate(p.cfg.blockRate)
 	}
 	if p.cfg.Interval < 0 {
 		close(p.stopped)
@@ -363,11 +365,11 @@ func (p *Profiler) Start() {
 }
 
 // loop is the periodic engine: a breach-poll ticker with an interval
-// countdown, so a burning SLO is profiled within BreachPoll seconds
+// countdown, so a burning SLO is profiled within breachPoll
 // instead of waiting out the rest of the interval.
 func (p *Profiler) loop() {
 	defer close(p.stopped)
-	tick := time.NewTicker(p.cfg.BreachPoll)
+	tick := time.NewTicker(p.cfg.breachPoll)
 	defer tick.Stop()
 	nextInterval := time.Now().Add(p.cfg.Interval)
 	for {
@@ -418,10 +420,10 @@ func (p *Profiler) Stop() {
 	p.mu.Unlock()
 	<-p.stopped
 	p.wg.Wait()
-	if p.cfg.MutexFraction > 0 {
+	if p.cfg.mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(p.prevMutexFraction)
 	}
-	if p.cfg.BlockRate > 0 {
+	if p.cfg.blockRate > 0 {
 		runtime.SetBlockProfileRate(0)
 	}
 }
@@ -455,7 +457,7 @@ func (p *Profiler) trigger(reason string, detail func() string, requestID string
 	}
 	now := time.Now()
 	p.mu.Lock()
-	if last, ok := p.lastByReason[reason]; ok && now.Sub(last) < p.cfg.TriggerCooldown {
+	if last, ok := p.lastByReason[reason]; ok && now.Sub(last) < p.cfg.triggerCooldown {
 		p.mu.Unlock()
 		return false
 	}

@@ -24,8 +24,8 @@ func quickCfg(dir string) Config {
 		Dir:           dir,
 		Interval:      -1,
 		CPUDuration:   10 * time.Millisecond,
-		MutexFraction: -1,
-		BlockRate:     -1,
+		mutexFraction: -1,
+		blockRate:     -1,
 	}
 }
 
@@ -201,7 +201,7 @@ func TestTriggerDedupUnderBreachStorm(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
 	cfg := quickCfg(dir)
-	cfg.TriggerCooldown = time.Hour
+	cfg.triggerCooldown = time.Hour
 	p, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestPeriodicIntervalCaptures(t *testing.T) {
 	dir := t.TempDir()
 	cfg := quickCfg(dir)
 	cfg.Interval = 50 * time.Millisecond
-	cfg.BreachPoll = 10 * time.Millisecond
+	cfg.breachPoll = 10 * time.Millisecond
 	cfg.CPUDuration = 5 * time.Millisecond
 	p, err := Open(cfg)
 	if err != nil {
@@ -313,7 +313,7 @@ func TestBreachProbeFiresTrigger(t *testing.T) {
 	dir := t.TempDir()
 	cfg := quickCfg(dir)
 	cfg.Interval = time.Hour // only the probe can fire
-	cfg.BreachPoll = 10 * time.Millisecond
+	cfg.breachPoll = 10 * time.Millisecond
 	cfg.CPUDuration = 5 * time.Millisecond
 	p, err := Open(cfg)
 	if err != nil {
@@ -333,7 +333,7 @@ func TestHandlerListFetchTrigger(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
 	cfg := quickCfg(dir)
-	cfg.TriggerCooldown = time.Hour
+	cfg.triggerCooldown = time.Hour
 	p, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 )
 
 // Handler serves the retention ring over HTTP, for mounting on the
-// serving debug mux at /debug/contprof:
+// serving mux at /debug/contprof/ (which redirects a bare /debug/contprof
+// there):
 //
-//	GET  /debug/contprof                      ring listing (JSON metas)
+//	GET  /debug/contprof/                     ring listing (JSON metas)
 //	GET  /debug/contprof/fetch?id=&kind=      one raw pprof file
 //	POST /debug/contprof/trigger?reason=&detail=  request a capture
 //

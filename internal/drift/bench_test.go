@@ -15,7 +15,7 @@ func BenchmarkCollectorDisabled(b *testing.B) {
 	var c *Collector // what FromContext returns when no run armed one
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.ObserveVector(benchRow, nil)
+		c.ObserveVector(benchRow)
 	}
 }
 
@@ -25,7 +25,7 @@ func BenchmarkCollectorEnabled(b *testing.B) {
 	c := NewCollector(DefaultSampleCap, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.ObserveVector(benchRow, nil)
+		c.ObserveVector(benchRow)
 	}
 }
 

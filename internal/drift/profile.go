@@ -270,28 +270,19 @@ func (c *Collector) SetFeatureNames(names []string) {
 	c.mu.Unlock()
 }
 
-// ObserveVector records one vectorized candidate pair: the elements read
-// marks — the features the deployed matcher reads, the only ones the
-// vector's producer computed (feature.Set.Restrict); nil marks them all —
-// each feed their feature's reservoir, NaN counting as a missing value. A
-// feature no vector was read at has no reservoir and no place in the
-// profile: drift in a value no node tests cannot move a verdict. Safe on
-// nil (a single nil check).
-func (c *Collector) ObserveVector(row []float64, read []bool) {
+// ObserveVector records one vectorized candidate pair: each element feeds
+// its feature's reservoir, NaN counting as a missing value. A monitored
+// run computes every feature (workflow.RunCtx), so every slot is a value.
+// Safe on nil (a single nil check).
+func (c *Collector) ObserveVector(row []float64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	for len(c.features) < len(row) {
-		c.features = append(c.features, nil)
+		c.features = append(c.features, &reservoir{cap: c.cap})
 	}
 	for k, v := range row {
-		if read != nil && !read[k] {
-			continue
-		}
-		if c.features[k] == nil {
-			c.features[k] = &reservoir{cap: c.cap}
-		}
 		c.features[k].observe(v, v != v, c.rng) // v != v is NaN
 	}
 	c.mu.Unlock()
@@ -375,9 +366,6 @@ func (c *Collector) Profile(name string, leftRows, rightRows int, perRow []int, 
 		Predicted: c.preds, PredictedMatches: c.matches,
 	}
 	for i, r := range c.features {
-		if r == nil {
-			continue
-		}
 		name := fmt.Sprintf("feature[%d]", i)
 		if i < len(c.names) {
 			name = c.names[i]

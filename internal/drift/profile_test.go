@@ -53,8 +53,8 @@ func TestReservoirAboveCapSubsamples(t *testing.T) {
 func TestObserveVectorCountsNaNAsNull(t *testing.T) {
 	c := NewCollector(8, 1)
 	c.SetFeatureNames([]string{"a", "b"})
-	c.ObserveVector([]float64{1, math.NaN()}, nil)
-	c.ObserveVector([]float64{2, 5}, nil)
+	c.ObserveVector([]float64{1, math.NaN()})
+	c.ObserveVector([]float64{2, 5})
 	p := c.Profile("t", 2, 2, nil, nil)
 	if len(p.Features) != 2 {
 		t.Fatalf("features = %d, want 2", len(p.Features))
@@ -67,27 +67,6 @@ func TestObserveVectorCountsNaNAsNull(t *testing.T) {
 	}
 	if got := p.Features[0].NullRate(); got != 0 {
 		t.Fatalf("feature a null rate = %g, want 0", got)
-	}
-}
-
-// TestObserveVectorProfilesReadFeaturesOnly: the slots a vector's read
-// marks leave out are the producer's NaN placeholders, not missing values,
-// and the profile lists the features some vector was read at, under the
-// names their slots have.
-func TestObserveVectorProfilesReadFeaturesOnly(t *testing.T) {
-	c := NewCollector(8, 1)
-	c.SetFeatureNames([]string{"a", "b", "c"})
-	c.ObserveVector([]float64{math.NaN(), 4, math.NaN()}, []bool{false, true, false})
-	c.ObserveVector([]float64{math.NaN(), math.NaN(), 7}, []bool{false, true, true})
-	p := c.Profile("t", 2, 2, nil, nil)
-	if len(p.Features) != 2 || p.Features[0].Name != "b" || p.Features[1].Name != "c" {
-		t.Fatalf("features = %+v, want b and c", p.Features)
-	}
-	if b := p.Features[0]; b.Count != 2 || b.Nulls != 1 {
-		t.Fatalf("feature b = %+v, want two observations, one of them null", b.Sample)
-	}
-	if c := p.Features[1]; c.Count != 1 || c.Nulls != 0 {
-		t.Fatalf("feature c = %+v, want one observation", c.Sample)
 	}
 }
 
@@ -137,7 +116,7 @@ func TestObserveTableProfilesStringColumns(t *testing.T) {
 
 func TestProfileCoverageAndRoundTrip(t *testing.T) {
 	c := NewCollector(8, 1)
-	c.ObserveVector([]float64{0.5}, nil)
+	c.ObserveVector([]float64{0.5})
 	p := c.Profile("wf", 4, 9, []int{3, 0, 1, 2}, nil)
 	if p.LeftRows != 4 || p.RightRows != 9 {
 		t.Fatalf("rows = %d/%d, want 4/9", p.LeftRows, p.RightRows)
@@ -171,7 +150,7 @@ func TestParseProfileRejectsWrongVersion(t *testing.T) {
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
 	c.SetFeatureNames([]string{"a"})
-	c.ObserveVector([]float64{1}, nil)
+	c.ObserveVector([]float64{1})
 	c.ObservePrediction(1, 0.5, true)
 	if cols := c.ObserveTable("left", nil); cols != nil {
 		t.Fatalf("nil collector ObserveTable = %v, want nil", cols)
@@ -199,7 +178,7 @@ func TestIdenticalRunsProduceDriftFreeProfiles(t *testing.T) {
 	build := func(seed int64, perm []int) *Profile {
 		c := NewCollector(DefaultSampleCap, seed)
 		for _, i := range perm {
-			c.ObserveVector([]float64{float64(i) * 0.1, float64(i * i)}, nil)
+			c.ObserveVector([]float64{float64(i) * 0.1, float64(i * i)})
 			c.ObservePrediction(i%3, float64(i)/100, true)
 		}
 		return c.Profile("wf", 100, 100, []int{1, 2, 0, 4}, nil)

@@ -405,7 +405,7 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 			row := flat[i*width : (i+1)*width : (i+1)*width]
 			pl.vector(row, s, cells, left, right, pairs[i])
 			out[i] = row
-			prof.ObserveVector(row, s.read)
+			prof.ObserveVector(row)
 			vectors.Inc()
 			return nil
 		})

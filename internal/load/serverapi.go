@@ -158,7 +158,7 @@ func (c *Client) AwaitJob(ctx context.Context, id string, timeout time.Duration)
 			switch st.State {
 			case "completed":
 				return st, nil
-			case "failed", "cancelled":
+			case "failed":
 				return st, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
 			}
 		}

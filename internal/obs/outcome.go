@@ -24,7 +24,6 @@ const (
 	OutcomeStreamCut  = "stream_cut"  // result stream cut mid-flight (slow reader / disconnect)
 
 	// How a job's execution span ended short of completion.
-	OutcomeCancelled   = "cancelled"   // the client deleted it
 	OutcomeInterrupted = "interrupted" // drain or shutdown; committed shards are durable
 	OutcomeFailed      = "failed"      // a store failure or an impossible shard count
 )

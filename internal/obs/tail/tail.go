@@ -26,7 +26,9 @@ import (
 	"emgo/internal/obs"
 )
 
-// Defaults used when Config fields are zero.
+// Defaults used when Config fields are zero. DefaultWindow is the rotation
+// period, which is not a setting: the buffer exposes the current and the
+// previous window.
 const (
 	DefaultSlowN  = 16
 	DefaultErrN   = 64
@@ -42,9 +44,6 @@ type Config struct {
 	// oldest entries are evicted and counted in the snapshot's Dropped
 	// fields.
 	errN int
-	// Window is the rotation period; the buffer exposes the current and
-	// the previous window.
-	Window time.Duration
 	// OnOutlier, when set, is called (outside the buffer lock, on the
 	// request's goroutine) each time an entry displaces a retained slow
 	// entry from a full heap — a genuine latency outlier, not warm-up
@@ -117,9 +116,6 @@ func New(cfg Config) *Buffer {
 	}
 	if cfg.errN <= 0 {
 		cfg.errN = DefaultErrN
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
 	}
 	b := &Buffer{cfg: cfg, now: time.Now}
 	b.slowFloor.Store(math.Float64bits(math.Inf(-1)))
@@ -263,10 +259,10 @@ func (b *Buffer) rotateLocked() *window {
 		return b.cur
 	}
 	age := now.Sub(b.cur.start)
-	if age < b.cfg.Window {
+	if age < DefaultWindow {
 		return b.cur
 	}
-	if age < 2*b.cfg.Window {
+	if age < 2*DefaultWindow {
 		b.prev = b.cur
 	} else {
 		// The buffer slept through more than a full window: nothing in
@@ -293,7 +289,7 @@ func (b *Buffer) Snapshot() Snapshot {
 	snap := Snapshot{
 		Now:         b.now(),
 		WindowStart: w.start,
-		WindowMS:    float64(b.cfg.Window) / float64(time.Millisecond),
+		WindowMS:    float64(DefaultWindow) / float64(time.Millisecond),
 		Seen:        b.seen.Load(),
 	}
 	if b.prev != nil {

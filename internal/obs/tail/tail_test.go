@@ -102,10 +102,10 @@ func TestErroredCapEvictsOldest(t *testing.T) {
 }
 
 func TestWindowRotationKeepsPreviousWindow(t *testing.T) {
-	b, clk := newTestBuffer(Config{SlowN: 4, Window: time.Minute})
+	b, clk := newTestBuffer(Config{SlowN: 4})
 	b.Add(ev(obs.OutcomeOK, 100), nil)
 
-	clk.advance(90 * time.Second) // into the next window
+	clk.advance(DefaultWindow * 3 / 2) // into the next window
 	b.Add(ev(obs.OutcomeOK, 5), nil)
 	snap := b.Snapshot()
 	if len(snap.Slowest) != 2 {
@@ -115,7 +115,7 @@ func TestWindowRotationKeepsPreviousWindow(t *testing.T) {
 		t.Fatalf("prev-window outlier lost: slowest[0] = %g", snap.Slowest[0].Event.DurationMS)
 	}
 
-	clk.advance(10 * time.Minute) // both windows stale
+	clk.advance(2 * DefaultWindow) // both windows stale
 	snap = b.Snapshot()
 	if len(snap.Slowest) != 0 {
 		t.Fatalf("after expiry: slowest len = %d, want 0", len(snap.Slowest))

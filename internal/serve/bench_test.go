@@ -130,7 +130,7 @@ func BenchmarkMatchSingleObserved(b *testing.B) {
 // every heap displacement), and the default mutex/block sampling
 // rates. Capture work itself (CPU window, profile serialization,
 // gzip) is deliberately excluded the same way the interval capture
-// is: pre-firing the tail-outlier trigger under an hour-long cooldown
+// is: pre-firing the tail-outlier trigger under the 30 s cooldown
 // dedups every displacement-driven trigger in the timed region, so
 // the per-op numbers price what every request pays, not the rare
 // policy-bounded capture. The *ObservedProfiled benchmarks against
@@ -145,10 +145,9 @@ func profiledConfig(b *testing.B) Config {
 	}
 	dir := b.TempDir()
 	p, err := contprof.Open(contprof.Config{
-		Dir:             dir,
-		Interval:        contprof.DefaultInterval,
-		CPUDuration:     10 * time.Millisecond,
-		TriggerCooldown: time.Hour,
+		Dir:         dir,
+		Interval:    contprof.DefaultInterval,
+		CPUDuration: 10 * time.Millisecond,
 	})
 	if err != nil {
 		b.Fatal(err)

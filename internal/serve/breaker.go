@@ -46,10 +46,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before probing
 	// (<= 0 selects DefaultBreakerCooldown).
 	Cooldown time.Duration
-	// LatencyLimit, when > 0, counts a matcher call slower than this as
-	// a failure even if it returned no error — the "slow stages must not
-	// take the system down" half of graceful degradation.
-	LatencyLimit time.Duration
 }
 
 // Breaker defaults.
@@ -66,12 +62,11 @@ type Breaker struct {
 	cfg BreakerConfig
 	now func() time.Time // injectable clock for tests
 
-	mu         sync.Mutex
-	state      BreakerState
-	failures   int       // consecutive, in Closed
-	openedAt   time.Time // when the breaker last tripped
-	probing    bool      // a half-open probe is in flight
-	generation int64     // bumped on every transition (metrics/tests)
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive, in Closed
+	openedAt time.Time // when the breaker last tripped
+	probing  bool      // a half-open probe is in flight
 }
 
 // NewBreaker builds a breaker with defaults applied.
@@ -107,7 +102,6 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 		return
 	}
 	b.state = to
-	b.generation++
 	obs.C("serve.breaker.transitions").Inc()
 }
 
@@ -132,16 +126,15 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Record reports the outcome of a call Allow admitted. err != nil, or a
-// latency above the configured limit, counts as a failure.
-func (b *Breaker) Record(err error, latency time.Duration) {
-	failed := err != nil ||
-		(b.cfg.LatencyLimit > 0 && latency > b.cfg.LatencyLimit)
+// Record reports the outcome of a call Allow admitted: err != nil is a
+// failure. A slow call is one the request's ML sub-budget cut short, so it
+// arrives here as its deadline error.
+func (b *Breaker) Record(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
-		if !failed {
+		if err == nil {
 			b.failures = 0
 			return
 		}
@@ -153,7 +146,7 @@ func (b *Breaker) Record(err error, latency time.Duration) {
 		}
 	case BreakerHalfOpen:
 		b.probing = false
-		if failed {
+		if err != nil {
 			b.openedAt = b.now()
 			b.transitionLocked(BreakerOpen)
 			return
@@ -174,11 +167,4 @@ func (b *Breaker) Reset() {
 	b.failures = 0
 	b.probing = false
 	b.transitionLocked(BreakerClosed)
-}
-
-// Generation returns the transition count (test hook).
-func (b *Breaker) Generation() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.generation
 }

@@ -38,15 +38,15 @@ func TestBreakerStartsClosed(t *testing.T) {
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	b, _ := testBreaker(BreakerConfig{Failures: 3, Cooldown: time.Minute})
 	// Two failures, then a success: the consecutive counter must reset.
-	b.Record(errBoom, 0)
-	b.Record(errBoom, 0)
-	b.Record(nil, 0)
+	b.Record(errBoom)
+	b.Record(errBoom)
+	b.Record(nil)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after reset-by-success = %v, want closed", b.State())
 	}
 	// Three consecutive failures trip it.
 	for i := 0; i < 3; i++ {
-		b.Record(errBoom, 0)
+		b.Record(errBoom)
 	}
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after 3 consecutive failures = %v, want open", b.State())
@@ -58,7 +58,7 @@ func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 
 func TestBreakerHalfOpenSingleProbeThenClose(t *testing.T) {
 	b, clk := testBreaker(BreakerConfig{Failures: 1, Cooldown: time.Minute})
-	b.Record(errBoom, 0)
+	b.Record(errBoom)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v, want open", b.State())
 	}
@@ -79,7 +79,7 @@ func TestBreakerHalfOpenSingleProbeThenClose(t *testing.T) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 	// Probe succeeds: breaker closes and counting restarts.
-	b.Record(nil, 0)
+	b.Record(nil)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", b.State())
 	}
@@ -90,12 +90,12 @@ func TestBreakerHalfOpenSingleProbeThenClose(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b, clk := testBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second})
-	b.Record(errBoom, 0)
+	b.Record(errBoom)
 	clk.advance(2 * time.Second)
 	if !b.Allow() {
 		t.Fatal("probe refused")
 	}
-	b.Record(errBoom, 0)
+	b.Record(errBoom)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", b.State())
 	}
@@ -110,28 +110,20 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerLatencyCountsAsFailure(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{Failures: 2, Cooldown: time.Minute, LatencyLimit: 10 * time.Millisecond})
-	// Errors-free but slow calls must still trip the breaker.
-	b.Record(nil, 50*time.Millisecond)
-	b.Record(nil, 50*time.Millisecond)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after slow successes = %v, want open", b.State())
-	}
-}
-
 func TestBreakerResetForceCloses(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
 	b, _ := testBreaker(BreakerConfig{Failures: 1, Cooldown: time.Hour})
-	b.Record(errBoom, 0)
+	b.Record(errBoom)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v, want open", b.State())
 	}
-	gen := b.Generation()
+	before := obs.C("serve.breaker.transitions").Value()
 	b.Reset()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after Reset = %v, want closed", b.State())
 	}
-	if b.Generation() <= gen {
+	if obs.C("serve.breaker.transitions").Value() == before {
 		t.Fatal("Reset must count as a transition")
 	}
 	if !b.Allow() {
@@ -140,16 +132,17 @@ func TestBreakerResetForceCloses(t *testing.T) {
 }
 
 func TestBreakerLateRecordWhileOpenIgnored(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
 	b, _ := testBreaker(BreakerConfig{Failures: 1, Cooldown: time.Hour})
-	b.Record(errBoom, 0)
-	gen := b.Generation()
+	b.Record(errBoom)
+	before := obs.C("serve.breaker.transitions").Value()
 	// A straggler call admitted before the trip reports in: no state
 	// churn, no counter corruption.
-	b.Record(errBoom, 0)
-	b.Record(nil, 0)
-	if b.State() != BreakerOpen || b.Generation() != gen {
-		t.Fatalf("late records disturbed the open breaker: state=%v gen=%d want open/%d",
-			b.State(), b.Generation(), gen)
+	b.Record(errBoom)
+	b.Record(nil)
+	if moved := obs.C("serve.breaker.transitions").Value() - before; b.State() != BreakerOpen || moved != 0 {
+		t.Fatalf("late records disturbed the open breaker: state=%v after %d transition(s), want open after none", b.State(), moved)
 	}
 }
 

@@ -12,18 +12,15 @@ import (
 	"emgo/internal/leakcheck"
 )
 
-// profConfig builds a serve Config with a live profiler over dir:
-// triggered captures only (no periodic goroutine), tiny CPU window, no
-// global mutex/block sampling so tests stay independent.
+// profConfig builds a serve Config with a profiler over dir that is never
+// started: triggered captures only (no periodic goroutine, no global
+// mutex/block sampling, so tests stay independent), tiny CPU window.
 func profConfig(t *testing.T) (Config, *contprof.Profiler) {
 	t.Helper()
 	p, err := contprof.Open(contprof.Config{
-		Dir:             t.TempDir(),
-		Interval:        -1,
-		CPUDuration:     5 * time.Millisecond,
-		TriggerCooldown: time.Hour,
-		MutexFraction:   -1,
-		BlockRate:       -1,
+		Dir:         t.TempDir(),
+		Interval:    -1,
+		CPUDuration: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

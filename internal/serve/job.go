@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -49,7 +48,6 @@ const (
 	JobRunning     = "running"
 	JobCompleted   = "completed"
 	JobFailed      = "failed"
-	JobCancelled   = "cancelled"
 	JobInterrupted = "interrupted" // stopped by drain/shutdown; resumes on restart
 )
 
@@ -96,12 +94,9 @@ type JobConfig struct {
 	// maxRecords caps records per job (DefaultJobMaxRecords; only tests
 	// shrink it).
 	maxRecords int
-	// MaxBodyBytes caps job-submission bodies (default
-	// DefaultJobMaxBodyBytes).
-	MaxBodyBytes int64
-	// ShardAttempts is how many times a shard is attempted before it is
-	// quarantined (default DefaultJobShardAttempts).
-	ShardAttempts int
+	// shardAttempts is how many times a shard is attempted before it is
+	// quarantined (DefaultJobShardAttempts; only tests lower it).
+	shardAttempts int
 	// retryBackoff is the pause between shard attempts
 	// (DefaultJobRetryBackoff; only tests shorten it).
 	retryBackoff time.Duration
@@ -121,11 +116,8 @@ func (c JobConfig) withDefaults() JobConfig {
 	if c.maxRecords <= 0 {
 		c.maxRecords = DefaultJobMaxRecords
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultJobMaxBodyBytes
-	}
-	if c.ShardAttempts <= 0 {
-		c.ShardAttempts = DefaultJobShardAttempts
+	if c.shardAttempts <= 0 {
+		c.shardAttempts = DefaultJobShardAttempts
 	}
 	if c.retryBackoff <= 0 {
 		c.retryBackoff = DefaultJobRetryBackoff
@@ -222,7 +214,6 @@ type Job struct {
 	degraded    int
 	errMsg      string
 
-	cancelled atomic.Bool
 	// interrupted records that at least one shard was skipped because
 	// the tier was stopping; the settle logic parks the job resumable.
 	interrupted atomic.Bool
@@ -313,9 +304,6 @@ func (jm *Jobs) Start() {
 	go jm.dispatch()
 }
 
-// Config returns the manager's effective (defaulted) configuration.
-func (jm *Jobs) Config() JobConfig { return jm.cfg }
-
 // Recovered reports how many unfinished jobs the last Recover re-queued.
 func (jm *Jobs) Recovered() int {
 	jm.mu.Lock()
@@ -403,7 +391,7 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 	if existing, ok := jm.jobs[id]; ok {
 		st := existing.State()
 		jm.mu.Unlock()
-		if st == JobFailed || st == JobCancelled || st == JobInterrupted {
+		if st == JobFailed || st == JobInterrupted {
 			jm.enqueue(existing)
 		}
 		return existing, nil
@@ -534,7 +522,6 @@ func (jm *Jobs) enqueue(job *Job) {
 	job.state = JobQueued
 	job.errMsg = ""
 	job.mu.Unlock()
-	job.cancelled.Store(false)
 	job.interrupted.Store(false)
 	jm.queue = append(jm.queue, job)
 	jm.mu.Unlock()
@@ -546,39 +533,6 @@ func (jm *Jobs) Get(id string) *Job {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	return jm.jobs[id]
-}
-
-// List snapshots every known job's status, sorted by ID.
-func (jm *Jobs) List() []*JobStatus {
-	jm.mu.Lock()
-	jobs := make([]*Job, 0, len(jm.jobs))
-	for _, j := range jm.jobs {
-		jobs = append(jobs, j)
-	}
-	jm.mu.Unlock()
-	out := make([]*JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Status()
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
-
-// Cancel marks a job cancelled. A queued job never starts; a running
-// job stops after the shard in flight (which still commits, so the
-// work is not lost if the job is resubmitted).
-func (jm *Jobs) Cancel(id string) *Job {
-	job := jm.Get(id)
-	if job == nil {
-		return nil
-	}
-	job.cancelled.Store(true)
-	job.mu.Lock()
-	if job.state == JobQueued {
-		job.state = JobCancelled
-	}
-	job.mu.Unlock()
-	return job
 }
 
 // StartDrain stops the dispatcher from picking up new jobs or shards;
@@ -654,10 +608,6 @@ func (jm *Jobs) next() *Job {
 // runJob executes every missing shard of one job across the bounded
 // worker pool and settles the job's final state.
 func (jm *Jobs) runJob(job *Job) {
-	if job.cancelled.Load() {
-		job.setState(JobCancelled)
-		return
-	}
 	job.mu.Lock()
 	job.state = JobRunning
 	job.resumed = job.doneShards() // what this execution inherits
@@ -681,9 +631,6 @@ func (jm *Jobs) runJob(job *Job) {
 	stopped := job.interrupted.Load() || jm.stopping() || jm.ctx.Err() != nil
 	job.mu.Lock()
 	switch {
-	case job.cancelled.Load():
-		job.state = JobCancelled
-		span.SetOutcome(obs.OutcomeCancelled)
 	case err == nil && job.doneShards() == job.shards:
 		job.state = JobCompleted
 		span.SetOutcome(obs.OutcomeOK)
@@ -738,8 +685,8 @@ func transientReason(reason string) bool {
 // runShard makes shard idx durable: skip if already committed, else
 // attempt-execute-commit with bounded retries, degrading to the
 // rule-only answer and quarantining as a last resort. It returns an
-// error only for stop conditions (drain, shutdown, cancel, store
-// failure); a quarantined shard is a handled outcome, not an error.
+// error only for a store failure; a stop condition (drain, shutdown)
+// skips the shard, and a quarantined shard is a handled outcome.
 func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	name := shardName(idx)
 	if job.store.Has(name) {
@@ -749,14 +696,11 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	hi := lo + job.shardLen(idx)
 
 	var lastErr error
-	for attempt := 1; attempt <= jm.cfg.ShardAttempts; attempt++ {
+	for attempt := 1; attempt <= jm.cfg.shardAttempts; attempt++ {
 		// Stop conditions skip the shard WITHOUT an error: an error here
 		// would cancel sibling shards mid-commit (see errJobStopped).
 		if jm.stopping() || ctx.Err() != nil {
 			job.interrupted.Store(true)
-			return nil
-		}
-		if job.cancelled.Load() {
 			return nil
 		}
 		if attempt > 1 {
@@ -781,7 +725,7 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 		}
 		// A transiently-degraded shard is retried while it has attempts
 		// left; the last attempt's rule-only answer is the answer.
-		if transientReason(tally.reason) && attempt < jm.cfg.ShardAttempts {
+		if transientReason(tally.reason) && attempt < jm.cfg.shardAttempts {
 			lastErr = fmt.Errorf("shard %d degraded (%s)", idx, tally.reason)
 			continue
 		}
@@ -896,13 +840,6 @@ func (jm *Jobs) acquireSlot(ctx context.Context) (func(), error) {
 			return nil, err
 		}
 	}
-}
-
-// setState transitions the job's state.
-func (j *Job) setState(st string) {
-	j.mu.Lock()
-	j.state = st
-	j.mu.Unlock()
 }
 
 // State returns the job's current state.

@@ -73,7 +73,7 @@ func TestGoldenQuarantineMarkerBytes(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
 	cfg := jobConfig(dir)
-	cfg.Jobs.ShardAttempts = 2
+	cfg.Jobs.shardAttempts = 2
 	s, ts := newTestServer(t, cfg)
 	fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}})
 	st := submitJob(t, ts.URL, jobPayload(4))

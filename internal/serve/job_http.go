@@ -76,9 +76,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w, eventFrom(r.Context())) {
 		return
 	}
-	cfg := jm.Config()
-	r.Body = http.MaxBytesReader(w, r.Body, cfg.MaxBodyBytes)
-	req, err := DecodeJobRequest(r.Body, cfg.MaxBodyBytes, cfg.maxRecords)
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultJobMaxBodyBytes)
+	req, err := DecodeJobRequest(r.Body, DefaultJobMaxBodyBytes, jm.cfg.maxRecords)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
@@ -94,15 +93,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	eventFrom(r.Context()).JobID = job.ID
 	writeJSON(w, http.StatusAccepted, job.Status())
-}
-
-// handleJobList lists every known job's status.
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	jm := s.jobsOrUnavailable(w)
-	if jm == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jm.List()})
 }
 
 // handleJobStatus is the poll endpoint.
@@ -157,20 +147,4 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.streamJobResults(w, r, jm, job, cur)
-}
-
-// handleJobCancel stops a job: a queued job never starts, a running job
-// stops after its in-flight shard commits.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	jm := s.jobsOrUnavailable(w)
-	if jm == nil {
-		return
-	}
-	job := jm.Cancel(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "unknown job", 0)
-		return
-	}
-	eventFrom(r.Context()).JobID = job.ID
-	writeJSON(w, http.StatusOK, job.Status())
 }

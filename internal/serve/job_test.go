@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,11 +166,6 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("resubmitting a completed job re-executed %d shard(s)", n)
 	}
 
-	// The job shows up in the listing.
-	code, data := getBody(t, ts.URL, "/v1/jobs")
-	if code != http.StatusOK || !strings.Contains(string(data), st.ID) {
-		t.Fatalf("listing (%d) does not mention %s: %s", code, st.ID, data)
-	}
 	// Close drains the tier; the completed job's artifacts stay on disk.
 	s.Close()
 	if _, err := os.Stat(filepath.Join(dir, st.ID, "shard_00000.json")); err != nil {
@@ -310,8 +304,11 @@ func TestJobShardRetriesBoundMatcherCalls(t *testing.T) {
 			t.Fatalf("record %d should be degraded matcher_error: %+v", r.Index, r)
 		}
 	}
-	if st, gen := s.breaker.State(), s.breaker.Generation(); st != BreakerClosed || gen != 0 {
-		t.Fatalf("online breaker %v at generation %d after poisoned shards, want closed at 0", st, gen)
+	s.breaker.mu.Lock()
+	st, failures := s.breaker.state, s.breaker.failures
+	s.breaker.mu.Unlock()
+	if st != BreakerClosed || failures != 0 {
+		t.Fatalf("online breaker %v with %d failure(s) after poisoned shards, want closed with none", st, failures)
 	}
 
 	fault.Enable("ml.predict", fault.Plan{FailFirst: 1})
@@ -388,7 +385,7 @@ func TestJobQuarantineAfterExhaustedAttempts(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.ShardAttempts = 2
+	cfg.Jobs.shardAttempts = 2
 	_, ts := newTestServer(t, cfg)
 	fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}}) // only shard 1 is poisoned
 
@@ -441,7 +438,7 @@ func TestJobTornWriteRetried(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			cfg := jobConfig(t.TempDir())
-			cfg.Jobs.ShardAttempts = 3
+			cfg.Jobs.shardAttempts = 3
 			_, ts := newTestServer(t, cfg)
 			tc.arm()
 
@@ -535,34 +532,6 @@ func TestJobSubmitShedsWhenSaturated(t *testing.T) {
 	waitJobState(t, ts.URL, stB.ID, JobCompleted, 5*time.Second)
 }
 
-// TestJobCancel: DELETE stops a running job after its in-flight shard;
-// results of a cancelled job are a 409.
-func TestJobCancel(t *testing.T) {
-	leakcheck.Check(t)
-	defer fault.Reset()
-	_, ts := newTestServer(t, jobConfig(t.TempDir()))
-	fault.Enable("serve.job.exec", fault.Plan{Mode: fault.ModeSleep, Sleep: 50 * time.Millisecond})
-
-	st := submitJob(t, ts.URL, jobPayload(8))
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel = %d", resp.StatusCode)
-	}
-	done := waitJobState(t, ts.URL, st.ID, JobCancelled, 5*time.Second)
-	if done.DoneShards == st.Shards {
-		t.Fatalf("cancelled job ran to completion: %+v", done)
-	}
-	code, data := getBody(t, ts.URL, "/v1/jobs/"+st.ID+"/results")
-	if code != http.StatusConflict {
-		t.Fatalf("results of cancelled job = %d (%s), want 409", code, data)
-	}
-}
-
 // TestJobEndpointsDisabled: without a checkpoint directory the tier is
 // off and every job endpoint answers 503 — never a panic or a silent
 // in-memory-only job.
@@ -573,7 +542,7 @@ func TestJobEndpointsDisabled(t *testing.T) {
 	if code, _, data := postJob(t, ts.URL, jobPayload(2)); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit on disabled tier = %d: %s", code, data)
 	}
-	for _, path := range []string{"/v1/jobs", "/v1/jobs/jx", "/v1/jobs/jx/results"} {
+	for _, path := range []string{"/v1/jobs/jx", "/v1/jobs/jx/results"} {
 		if code, data := getBody(t, ts.URL, path); code != http.StatusServiceUnavailable {
 			t.Fatalf("GET %s on disabled tier = %d: %s", path, code, data)
 		}
@@ -614,15 +583,6 @@ func TestJobBadRequests(t *testing.T) {
 	}
 	if code, _ := getBody(t, ts.URL, "/v1/jobs/jdeadbeef/results"); code != http.StatusNotFound {
 		t.Fatalf("unknown job results = %d, want 404", code)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/jdeadbeef", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cancel unknown job = %d, want 404", resp.StatusCode)
 	}
 }
 

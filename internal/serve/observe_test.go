@@ -424,30 +424,28 @@ func TestStatusCarriesSLOReport(t *testing.T) {
 	if st, _, _ := postMatch(t, ts.URL, l0Request); st != http.StatusOK {
 		t.Fatalf("status = %d", st)
 	}
-	for _, path := range []string{"/-/status", "/v1/status"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sd StatusData
-		err = json.NewDecoder(resp.Body).Decode(&sd)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if sd.SLO == nil || len(sd.SLO.Objectives) == 0 {
-			t.Fatalf("%s carries no SLO report", path)
-		}
-		if sd.SLO.Breached {
-			t.Fatalf("%s: healthy traffic reads as breached: %+v", path, sd.SLO)
-		}
-		var seen int
-		for _, o := range sd.SLO.Objectives {
-			seen += int(o.SlowTotal)
-		}
-		if seen == 0 {
-			t.Fatalf("%s: SLO tracker observed no requests: %+v", path, sd.SLO)
-		}
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sd StatusData
+	err = json.NewDecoder(resp.Body).Decode(&sd)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd.SLO == nil || len(sd.SLO.Objectives) == 0 {
+		t.Fatal("/v1/status carries no SLO report")
+	}
+	if sd.SLO.Breached {
+		t.Fatalf("healthy traffic reads as breached: %+v", sd.SLO)
+	}
+	var seen int
+	for _, o := range sd.SLO.Objectives {
+		seen += int(o.SlowTotal)
+	}
+	if seen == 0 {
+		t.Fatalf("SLO tracker observed no requests: %+v", sd.SLO)
 	}
 }
 

@@ -3,15 +3,16 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"emgo/internal/block"
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
@@ -140,13 +141,31 @@ func answersOf(t testing.TB, s *Server, l *table.Table) []string {
 	return out
 }
 
-// profiled is the feature names of the server's live drift profile.
-func profiled(s *Server) []string {
-	var names []string
-	for _, f := range s.Profile().Features {
-		names = append(names, f.Name)
+// deploysReadSet fails unless s's live deployment computes what m reads
+// by ml.ReadSet and nothing else: over one pair per left row its vectors
+// are, NaN for NaN, those of w's generated set restricted to that read set.
+func deploysReadSet(t testing.TB, s *Server, w *workflow.Workflow, m ml.Matcher, l *table.Table) {
+	t.Helper()
+	pairs := make([]block.Pair, l.Len())
+	for i := range pairs {
+		pairs[i] = block.Pair{A: i, B: i % s.right.Len()}
 	}
-	return names
+	got, err := s.live.Load().deployment.Features.Vectorize(l, s.right, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.Features.Restrict(ml.ReadSet(m, w.Features.Len())).Vectorize(l, s.right, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		for k, v := range want[i] {
+			if g := got[i][k]; g != v && !(math.IsNaN(g) && math.IsNaN(v)) {
+				t.Fatalf("the live deployment computes %s = %v on pair %v, where %s's read set %v gives %v",
+					w.Features.Features[k].Name, g, pairs[i], m.Name(), readNames(w, m), v)
+			}
+		}
+	}
 }
 
 // readNames is the names of the features m reads.
@@ -173,8 +192,8 @@ func titleStumps(t testing.TB, w *workflow.Workflow) (a, b *ml.DecisionTree) {
 // workflow computes only what the spec's tree reads. Were the loaded tree
 // asked over that set, the feature it tests would be the imputer's mean on
 // every pair. Each way round, every answer — scores included — is that of
-// a server computing all features for the loaded tree, and the live drift
-// profile lists the loaded tree's features, not the spec's.
+// a server computing all features for the loaded tree, and the live
+// deployment computes the loaded tree's features, not the spec's.
 func TestArtifactReadSetFollowsLoadedMatcher(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
@@ -195,12 +214,8 @@ func TestArtifactReadSetFollowsLoadedMatcher(t *testing.T) {
 		if learned == 0 {
 			t.Fatal("fixture: no learned match; the comparison needs some")
 		}
-		if got, want := profiled(s), readNames(w, c.loaded); !reflect.DeepEqual(got, want) {
-			t.Fatalf("live profile lists %v, the loaded tree reads %v", got, want)
-		}
-		if got := profiled(ref); len(got) != w.Features.Len() {
-			t.Fatalf("the full-vector server profiles %d features of %d", len(got), w.Features.Len())
-		}
+		deploysReadSet(t, s, w, c.loaded, l)
+		deploysReadSet(t, ref, w, opaqueTree{c.loaded}, l)
 		seen = append(seen, strings.Join(want, "\n"))
 	}
 	if seen[0] == seen[1] {
@@ -421,10 +436,6 @@ func TestPrunedEqualsFullPerRecord(t *testing.T) {
 	if scored == 0 {
 		t.Fatal("fixture: no scored match; the comparison needs scores")
 	}
-	if got := profiled(ps); !reflect.DeepEqual(got, read) {
-		t.Fatalf("the pruned server profiles %v, its tree reads %v", got, read)
-	}
-	if got := profiled(fs); len(got) != w.Features.Len() {
-		t.Fatalf("the opaque matcher's server profiles %d features of %d", len(got), w.Features.Len())
-	}
+	deploysReadSet(t, ps, w, tree, l)
+	deploysReadSet(t, fs, w, opaqueTree{tree}, l)
 }

@@ -102,11 +102,11 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	}
 
 	// Trip the breaker so we can verify a successful reload resets it.
-	s.breaker.Record(errBoom, 0)
-	s.breaker.Record(errBoom, 0)
-	s.breaker.Record(errBoom, 0)
-	s.breaker.Record(errBoom, 0)
-	s.breaker.Record(errBoom, 0)
+	s.breaker.Record(errBoom)
+	s.breaker.Record(errBoom)
+	s.breaker.Record(errBoom)
+	s.breaker.Record(errBoom)
+	s.breaker.Record(errBoom)
 
 	// Reload the same file: succeeds, same checksum, breaker re-closed.
 	art, err := s.Reload(context.Background(), "")

@@ -15,10 +15,11 @@
 //     always-available rule-only path (responses marked "degraded"),
 //   - atomic hot reload of the matcher artifact with checksum
 //     verification and rollback on bad loads,
-//   - health/readiness/drain endpoints plus the standard obs debug
-//     surface (expvar, pprof),
-//   - per-request drift capture feeding internal/drift, so the serving
-//     distribution can be scored against the training baseline.
+//   - health/readiness/status endpoints, a SIGTERM-driven drain, and the
+//     standard obs debug surface (expvar, pprof).
+//
+// Whether a deployed matcher's quality still holds is the offline check's
+// question (emmatch -drift-baseline, emmonitor check), not a request's.
 package serve
 
 import (
@@ -35,7 +36,6 @@ import (
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
 	"emgo/internal/contprof"
-	"emgo/internal/drift"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -106,12 +106,6 @@ type Config struct {
 	// responses (default "RecordId"; missing column falls back to row
 	// indices).
 	RightIDCol string
-	// DriftBaseline, when set, lets GET /-/drift?check=1 score the live
-	// serving profile against the training-time baseline.
-	DriftBaseline *drift.Profile
-	// MountDebug mounts the obs debug mux (expvar, pprof) on the service
-	// handler.
-	MountDebug bool
 	// AccessLog, when set, receives one JSON wide event per request.
 	// Nil disables wide-event logging (tail capture and SLO tracking
 	// stay on regardless).
@@ -128,7 +122,7 @@ type Config struct {
 	SLOs []slo.Objective
 	// Profiler, when set, is the continuous-profiling retention ring:
 	// requests run under pprof route labels, tail-outlier admissions
-	// trigger captures, and /debug/contprof mounts on the handler. Nil
+	// trigger captures, and /debug/contprof/ mounts on the handler. Nil
 	// disables all of it (labels included).
 	Profiler *contprof.Profiler
 	// ProfileOnBreach arms the profiler's breach probe against the SLO
@@ -152,9 +146,6 @@ type Server struct {
 	adm      *Admission
 	reloadMu sync.Mutex
 
-	collector *drift.Collector
-	rightCols []drift.ColumnProfile
-
 	events  *obs.EventLog
 	tailBuf *tail.Buffer
 	sloTrk  *slo.Tracker
@@ -166,10 +157,10 @@ type Server struct {
 	// reach their flush-boundary exit.
 	streamSem chan struct{}
 
-	mu       sync.Mutex
-	requests int64
-	degraded int64
-	perRow   []int
+	// requests and degraded count records answered, and answered without
+	// the learned matcher, for /v1/status: batch and job shards count
+	// each of their records.
+	requests, degraded atomic.Int64
 
 	started   time.Time
 	draining  atomic.Bool
@@ -229,7 +220,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		right:     right,
 		breaker:   NewBreaker(cfg.Breaker),
 		adm:       NewAdmission(cfg.Admission),
-		collector: drift.NewCollector(drift.DefaultSampleCap, 0),
 		events:    obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		tailBuf:   tail.New(tailCfg),
 		sloTrk:    slo.New(slo.Config{Objectives: cfg.SLOs}),
@@ -255,11 +245,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	}
 	if wf.Features != nil {
 		s.width = wf.Features.Len()
-		s.collector.SetFeatureNames(wf.Features.Names())
 	}
-	// The right table is static for the server's lifetime: profile its
-	// columns once so the drift endpoint reports them without rescanning.
-	s.rightCols = s.collector.ObserveTable("right", right)
 	// Resolve right IDs up front; a missing ID column degrades to row
 	// indices rather than failing every request.
 	if j, err := right.Col(cfg.RightIDCol); err == nil {
@@ -347,27 +333,22 @@ func (s *Server) Handler() http.Handler {
 	handle("POST /v1/match", true, s.handleMatch)
 	handle("POST /v1/match/batch", true, s.handleMatchBatch)
 	handle("POST /v1/jobs", true, s.handleJobSubmit)
-	handle("GET /v1/jobs", true, s.handleJobList)
 	handle("GET /v1/jobs/{id}", true, s.handleJobStatus)
 	handle("GET /v1/jobs/{id}/results", true, s.handleJobResults)
-	handle("DELETE /v1/jobs/{id}", true, s.handleJobCancel)
 	handle("GET /healthz", false, s.handleHealth)
 	handle("GET /readyz", false, s.handleReady)
 	handle("POST /-/reload", false, s.handleReload)
-	handle("POST /-/drain", false, s.handleDrain)
-	handle("GET /-/status", false, s.handleStatus)
 	handle("GET /v1/status", false, s.handleStatus)
-	handle("GET /-/drift", false, s.handleDrift)
-	// The tail buffer is always on; the exact pattern takes precedence
-	// over the /debug/ prefix when the debug mux is mounted too.
+	// The exact patterns take precedence over the /debug/ prefix: the tail
+	// buffer is always on, and a bare /debug/contprof redirects to the
+	// profiler's listing. The service has no authentication (a reload reads
+	// any path it is given), so its listen address is the boundary, for
+	// expvar and pprof too.
 	mux.Handle("GET /debug/tail", s.tailBuf.Handler())
 	if s.cfg.Profiler != nil {
-		mux.Handle("/debug/contprof", s.cfg.Profiler.Handler())
 		mux.Handle("/debug/contprof/", s.cfg.Profiler.Handler())
 	}
-	if s.cfg.MountDebug {
-		mux.Handle("/debug/", obs.NewDebugMux())
-	}
+	mux.Handle("/debug/", obs.NewDebugMux())
 	return mux
 }
 
@@ -503,8 +484,8 @@ func requestBudget(route time.Duration, timeoutMS int) time.Duration {
 }
 
 // matchTally is what one matchSet pass returned, counted once: the wide
-// event, BatchResponse.Degraded, a job's degraded-record count and the
-// drift coverage all read this.
+// event, BatchResponse.Degraded and a job's degraded-record count all
+// read this.
 type matchTally struct {
 	records, candidates, matches int
 	// degraded is how many records were answered without the learned
@@ -559,9 +540,6 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	if err := fault.Inject("serve.match"); err != nil {
 		return nil, tally, nil, err
 	}
-	// Per-request drift capture: the armed collector makes vectorize and
-	// predict feed the serving-distribution reservoirs.
-	ctx = drift.WithCollector(ctx, s.collector)
 	d := s.live.Load().deployment // every stage's parts, whatever a reload swaps in
 
 	n := left.Len()
@@ -680,15 +658,8 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 		resps[p.A].Matches = append(resps[p.A].Matches, m)
 	}
 
-	// Coverage accounting for the drift profile — per record, so batch
-	// and job traffic feed the same serving profile single requests do.
-	s.mu.Lock()
-	s.requests += int64(n)
-	s.degraded += int64(tally.degraded)
-	if room := 65536 - len(s.perRow); room > 0 {
-		s.perRow = append(s.perRow, perRow[:min(n, room)]...)
-	}
-	s.mu.Unlock()
+	s.requests.Add(int64(n))
+	s.degraded.Add(int64(tally.degraded))
 
 	if wantTrace {
 		root.End()
@@ -723,12 +694,8 @@ func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.
 	}
 	defer cancel()
 
-	start := time.Now()
 	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, candidates.Pairs())
-	latency := time.Since(start)
-	gen := br.Generation()
-	br.Record(err, latency)
-	s.noteBreakerTransition(ctx, br, gen)
+	br.Record(err)
 	switch {
 	case err == nil:
 	case ctx.Err() != nil:
@@ -752,21 +719,6 @@ func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.
 		}
 	}
 	return learned, scores, ""
-}
-
-// noteBreakerTransition records a breaker state change caused by this
-// request as a span event on the request's trace (joined to the request
-// ID by the tail capture). genBefore is the breaker generation read
-// before Record.
-func (s *Server) noteBreakerTransition(ctx context.Context, br *Breaker, genBefore int64) {
-	if br.Generation() == genBefore {
-		return
-	}
-	detail := "state=" + br.State().String()
-	if id := obs.RequestID(ctx); id != "" {
-		detail += " request_id=" + id
-	}
-	obs.AddEvent(ctx, "breaker_transition", detail)
 }
 
 // rightID maps a right row index to its identifier.
@@ -835,17 +787,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDrain starts the drain (idempotent) and reports progress.
-func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	s.StartDrain()
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"status":   "draining",
-		"inflight": s.adm.InFlight(),
-		"queued":   s.adm.Queued(),
-	})
-}
-
-// StatusData is the /-/status document.
+// StatusData is the /v1/status document.
 type StatusData struct {
 	UptimeS   float64 `json:"uptime_s"`
 	Requests  int64   `json:"requests"`
@@ -863,13 +805,10 @@ type StatusData struct {
 
 // handleStatus reports the operational state in one JSON document.
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	reqs, degr := s.requests, s.degraded
-	s.mu.Unlock()
 	st := StatusData{
 		UptimeS:   time.Since(s.started).Seconds(),
-		Requests:  reqs,
-		Degraded:  degr,
+		Requests:  s.requests.Load(),
+		Degraded:  s.degraded.Load(),
 		InFlight:  s.adm.InFlight(),
 		Queued:    s.adm.Queued(),
 		Breaker:   s.breaker.State().String(),
@@ -886,35 +825,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// Profile snapshots the live serving-distribution profile.
-func (s *Server) Profile() *drift.Profile {
-	s.mu.Lock()
-	reqs := s.requests
-	perRow := append([]int(nil), s.perRow...)
-	s.mu.Unlock()
-	return s.collector.Profile("serve", int(reqs), s.right.Len(), perRow, s.rightCols)
-}
-
-// handleDrift serves the live profile; with ?check=1 and a configured
-// baseline it scores the serving distribution against training.
-func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	live := s.Profile()
-	if r.URL.Query().Get("check") == "" {
-		writeJSON(w, http.StatusOK, live)
-		return
-	}
-	if s.cfg.DriftBaseline == nil {
-		writeError(w, http.StatusBadRequest, "no drift baseline configured (start with -drift-baseline)", 0)
-		return
-	}
-	assessment, err := drift.Evaluate(s.cfg.DriftBaseline, live, drift.DefaultThresholds())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "drift evaluation: "+err.Error(), 0)
-		return
-	}
-	writeJSON(w, http.StatusOK, assessment)
 }
 
 // StartDrain flips readiness, stops admitting match requests, and

@@ -362,14 +362,8 @@ func TestDrainFlow(t *testing.T) {
 		t.Fatalf("readyz = %d", st)
 	}
 
-	resp, err := http.Post(ts.URL+"/-/drain", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("drain = %d, want 202", resp.StatusCode)
-	}
+	s.StartDrain() // what emserve does on SIGTERM
+	s.StartDrain() // and again: idempotent
 
 	// Readiness flips, liveness stays, matching is refused with 503.
 	if st, _ := get("/readyz"); st != http.StatusServiceUnavailable {
@@ -389,17 +383,16 @@ func TestDrainFlow(t *testing.T) {
 	}
 }
 
-func TestStatusAndDriftEndpoints(t *testing.T) {
+func TestStatusEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	_, ts := newTestServer(t, Config{})
-	// Serve a couple of requests so the profile has samples.
 	for i := 0; i < 2; i++ {
 		if st, _, body := postMatch(t, ts.URL, l0Request); st != http.StatusOK {
 			t.Fatalf("match = %d: %s", st, body)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/-/status")
+	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,29 +406,6 @@ func TestStatusAndDriftEndpoints(t *testing.T) {
 	}
 	if st.Matcher == nil {
 		t.Fatal("status missing matcher provenance")
-	}
-
-	dresp, err := http.Get(ts.URL + "/-/drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dresp.Body.Close()
-	data, _ := io.ReadAll(dresp.Body)
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("drift = %d: %s", dresp.StatusCode, data)
-	}
-	var prof map[string]any
-	if err := json.Unmarshal(data, &prof); err != nil {
-		t.Fatalf("drift profile not JSON: %v\n%s", err, data)
-	}
-	// Without a baseline, the check form is a client error.
-	cresp, err := http.Get(ts.URL + "/-/drift?check=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("drift check without baseline = %d, want 400", cresp.StatusCode)
 	}
 }
 

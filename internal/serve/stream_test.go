@@ -162,7 +162,7 @@ func TestResultsPlainFetchIsTheStream(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.ShardAttempts = 2
+	cfg.Jobs.shardAttempts = 2
 	_, ts := newTestServer(t, cfg)
 	fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}}) // shard 1 is poisoned
 

@@ -216,17 +216,8 @@ func TestOutcomeVocabulary(t *testing.T) {
 			t.Fatalf("poisoned matcher degraded %d/3 records", done.DegradedRecords)
 		}
 		fault.Reset()
-		// Cancelled mid-run.
+		// Shards are slow from here on, so the tier stops with work left.
 		fault.Enable("serve.job.exec", fault.Plan{Mode: fault.ModeSleep, Sleep: 40 * time.Millisecond})
-		st = submitJob(t, ts.URL, learned(8))
-		waitJobState(t, ts.URL, st.ID, JobRunning, 5*time.Second)
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		waitJobState(t, ts.URL, st.ID, JobCancelled, 5*time.Second)
 		// Failed: the store refuses every write, the quarantine marker too.
 		st = submitJob(t, ts.URL, learned(4))
 		fault.Enable("ckpt.write", fault.Plan{})
@@ -239,15 +230,15 @@ func TestOutcomeVocabulary(t *testing.T) {
 		if got := s.JobTier().Get(st.ID).State(); got != JobInterrupted {
 			t.Fatalf("job stopped under = %s, want %s", got, JobInterrupted)
 		}
-		events(t, s, sink, 5)
+		events(t, s, sink, 4)
 		var jobEvents int
 		for _, ev := range sink.events(t) {
 			if ev["route"] == jobRoute {
 				jobEvents++
 			}
 		}
-		if jobEvents != 5 {
-			t.Errorf("%d job wide events, want one per execution (5)", jobEvents)
+		if jobEvents != 4 {
+			t.Errorf("%d job wide events, want one per execution (4)", jobEvents)
 		}
 		c.want(obs.OutcomeError, obs.OutcomeFailed, obs.OutcomeInterrupted)
 	})

@@ -72,6 +72,17 @@ func smokeServe(t *testing.T) {
 		t.Errorf("burst of %d at max-inflight 1: %d served, %d shed (%d without Retry-After), %d other — want some served, some shed, every shed hinted",
 			burst, served, shed, noHint, rest)
 	}
+	// The shedding and pipeline-or-queue recipes read these two off /debug/vars.
+	var vars struct {
+		Metrics struct {
+			Counters   map[string]json.RawMessage `json:"counters"`
+			Histograms map[string]json.RawMessage `json:"histograms"`
+		} `json:"em_metrics"`
+	}
+	s.getJSON(t, "/debug/vars", &vars)
+	if vars.Metrics.Counters["serve.shed.queue_full"] == nil || vars.Metrics.Histograms["serve.latency_ms"] == nil {
+		t.Errorf("/debug/vars em_metrics lacks serve.shed.queue_full or serve.latency_ms after a shed burst: %+v", vars.Metrics)
+	}
 
 	// Hot reload under traffic: the slow request in flight must finish.
 	inFlight := make(chan int, 1)
@@ -97,7 +108,7 @@ func smokeServe(t *testing.T) {
 			Checksum string `json:"checksum"`
 		} `json:"matcher"`
 	}
-	s.getJSON(t, "/-/status", &before)
+	s.getJSON(t, "/v1/status", &before)
 	corrupt := filepath.Join(dir, "corrupt.json")
 	raw := readFile(t, matcher)
 	if err := os.WriteFile(corrupt, []byte(raw[:len(raw)/2]), 0o644); err != nil {
@@ -106,7 +117,7 @@ func smokeServe(t *testing.T) {
 	if code, data := reload(corrupt); code != 422 || before.Matcher.Checksum == "" || !strings.Contains(string(data), before.Matcher.Checksum) {
 		t.Errorf("corrupt reload = %d, want 422 confirming active checksum %q: %s", code, before.Matcher.Checksum, data)
 	}
-	if s.getJSON(t, "/-/status", &after); after.Matcher.Checksum != before.Matcher.Checksum {
+	if s.getJSON(t, "/v1/status", &after); after.Matcher.Checksum != before.Matcher.Checksum {
 		t.Errorf("active checksum changed across a failed reload: %q -> %q", before.Matcher.Checksum, after.Matcher.Checksum)
 	}
 	if code, _, _ := s.call(t, http.MethodGet, "/readyz", nil, nil); code != 200 {

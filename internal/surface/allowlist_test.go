@@ -23,10 +23,8 @@ type metricReader struct{ question, recipe string }
 // metricReaders names those metrics. No wildcard, at most twelve: a name
 // here is read by a person at /debug/vars and by nothing else.
 var metricReaders = map[string]metricReader{
-	"serve.shed.queue_full":        {"is the service shedding because it is out of capacity?", "docs/SERVING.md#is-the-service-shedding-and-why"},
 	"serve.shed.deadline_in_queue": {"are requests timing out in the admission queue before they run?", "docs/SERVING.md#is-the-service-shedding-and-why"},
 	"serve.shed.draining":          {"is the balancer still sending traffic to a draining instance?", "docs/SERVING.md#is-the-service-shedding-and-why"},
-	"serve.latency_ms":             {"is a slow answer slow in the pipeline or in the queue in front of it?", "docs/SERVING.md#is-it-the-pipeline-or-the-queue"},
 }
 
 // deploymentSettings classifies the flags and script switches that say
@@ -52,6 +50,42 @@ var deploymentSettings = map[string]string{
 	"emmonitor slo -file":       "path",
 	"emmonitor slo -timeout":    "timeout",
 
+	"emserve -addr":                 "address",
+	"emserve -addr-file":            "path",
+	"emserve -matcher":              "path",
+	"emserve -export-matcher":       "path",
+	"emserve -job-dir":              "path",
+	"emserve -access-log":           "path", // "-" is stderr
+	"emserve -tail-dump":            "path",
+	"emserve -prof-dir":             "path",
+	"emserve -right-id":             "id",
+	"emserve -max-inflight":         "size",
+	"emserve -max-queue":            "size",
+	"emserve -max-body":             "size",
+	"emserve -max-batch":            "size",
+	"emserve -max-streams":          "size",
+	"emserve -stream-flush":         "size",
+	"emserve -job-workers":          "size",
+	"emserve -job-shard-size":       "size",
+	"emserve -job-max-queued":       "size",
+	"emserve -tail-n":               "size",
+	"emserve -prof-max":             "size",
+	"emserve -request-timeout":      "timeout",
+	"emserve -drain-timeout":        "timeout",
+	"emserve -read-header-timeout":  "timeout",
+	"emserve -read-timeout":         "timeout",
+	"emserve -write-timeout":        "timeout",
+	"emserve -idle-timeout":         "timeout",
+	"emserve -stream-chunk-timeout": "timeout",
+
+	"emmatch -out":            "path",
+	"emmatch -drift-capture":  "path",
+	"emmatch -drift-baseline": "path",
+	"emmatch -left-id":        "id",
+	"emmatch -right-id":       "id",
+	"emmatch -timeout":        "timeout",
+	"emmatch -stage-timeout":  "timeout",
+
 	"scripts/bench_snapshot.sh GO":         "path",
 	"scripts/bench_snapshot.sh GOMAXPROCS": "size", // the Go runtime's own variable, read to record it
 }
@@ -63,6 +97,7 @@ var unrunEntryPoints = map[string]string{
 	"emload -blend":                        "the traffic mix is the deployment's own (its share of batch, job and malformed requests); every runner measures the default blend, and the parser is the one ParseBlend the tests pin",
 	"emmonitor check -thresholds":          "drift tolerances belong to the data set being monitored, not to this repository; TestSmoke/monitor gates at the defaults",
 	"emmonitor check -strict":              "the publication gate's severity (warn blocks too) is the receiving team's call per pipeline; the smoke drill checks exit 0 and exit 1 at the default",
+	"emmatch -error-budget":                "the one writer of RunOptions.ErrorBudget: without it RunCtx's quarantine path, whose on-disk form TestGoldenLearnedQuarantineBytes pins, has no caller; how many poison pairs a slice may shed is the operator's call per run",
 	"scripts/bench_snapshot.sh BENCHCOUNT": "set by hand for every committed BENCH_pr*.json (9 passes since pr22) while `make bench-baseline` takes one; the snapshot records it as benchcount and the gate's noise slack reads that",
 }
 
@@ -71,10 +106,9 @@ var unrunEntryPoints = map[string]string{
 // over a report's trace, /debug/tail or the access log — the metricReaders
 // of the rest of the telemetry. No wildcard, at most eight.
 var traceReaders = map[string]metricReader{
-	"annotation blocker":       {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
-	"event retry":              {"why did this span take so long, and what was the transient error?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
-	"event quarantine":         {"which pair did a degraded stage go on without?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
-	"event ckpt":               {"why was this stage recomputed, or its checkpoint not written?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
-	"event breaker_transition": {"which request opened (or re-closed) the breaker?", "docs/SERVING.md#is-the-breaker-flapping"},
-	"field stream_chunks":      {"how far did each connection of a resumed fetch get?", "docs/OBSERVABILITY.md#serving-request-ids-reading-the-access-log-tail-slos"},
+	"annotation blocker":  {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
+	"event retry":         {"why did this span take so long, and what was the transient error?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
+	"event quarantine":    {"which pair did a degraded stage go on without?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
+	"event ckpt":          {"why was this stage recomputed, or its checkpoint not written?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
+	"field stream_chunks": {"how far did each connection of a resumed fetch get?", "docs/OBSERVABILITY.md#serving-request-ids-reading-the-access-log-tail-slos"},
 }

@@ -229,7 +229,8 @@ func origin(obj types.Object) types.Object {
 // only its own methods mention, is still unused), and the struct fields
 // some statement gives a value: a composite-literal element, the left
 // side of an assignment or ++/--, or an address taken (flag.StringVar
-// and a decoder both write through one).
+// and a decoder both write through one). An assignment inside an if whose
+// condition reads the same field is the field's defaulting, not a set.
 func (m *module) uses() (used, set map[types.Object]bool) {
 	used, set = map[types.Object]bool{}, map[types.Object]bool{}
 	for _, p := range m.pkgs {
@@ -262,6 +263,45 @@ func (m *module) uses() (used, set map[types.Object]bool) {
 			used[obj] = true
 		}
 
+		// A field's own defaulting — `if c.F <= 0 { c.F = DefaultF }` — is
+		// not a set: it is how the one value in use gets there when nothing
+		// else sets the field.
+		defaulting := map[ast.Expr]bool{}
+		field := func(e ast.Expr) *types.Var {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
+					return f.Origin()
+				}
+			}
+			return nil
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ifs, ok := n.(*ast.IfStmt)
+				if !ok {
+					return true
+				}
+				read := map[*types.Var]bool{}
+				ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+					if e, ok := n.(ast.Expr); ok && field(e) != nil {
+						read[field(e)] = true
+					}
+					return true
+				})
+				ast.Inspect(ifs.Body, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok {
+						for _, lhs := range as.Lhs {
+							if f := field(lhs); f != nil && read[f] {
+								defaulting[lhs] = true
+							}
+						}
+					}
+					return true
+				})
+				return true
+			})
+		}
+
 		written := func(e ast.Expr) {
 			for {
 				switch x := e.(type) {
@@ -284,7 +324,9 @@ func (m *module) uses() (used, set map[types.Object]bool) {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						written(lhs)
+						if !defaulting[lhs] {
+							written(lhs)
+						}
 					}
 				case *ast.IncDecStmt:
 					written(n.X)
