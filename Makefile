@@ -37,7 +37,10 @@ race:
 # matchers' fits on views of one presorted root through pooled fit scratch
 # and generators (TestConcurrentFitsShareOneRoot): a
 # cold-build race only shows when callers really do arrive together, and
-# a wait that never ends only when they cannot. The feature kernel and the
+# a wait that never ends only when they cannot. At two CPUs it also holds
+# a monitored run's quality profile to one answer above the sample cap,
+# whatever order the vectorize workers finish in
+# (TestMonitoredRunAboveCapIsDeterministic). The feature kernel and the
 # server's cross-mode suite also run at four, where a batch's cells and
 # pairs fan out over more workers than a shard or a single record gets.
 race-cpu:

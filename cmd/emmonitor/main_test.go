@@ -23,13 +23,15 @@ import (
 func fixtureProfiles(t *testing.T, drifted bool) (*drift.Profile, *drift.Profile) {
 	t.Helper()
 	build := func(mean float64, name string) *drift.Profile {
-		c := drift.NewCollector(0, 1)
-		c.SetFeatureNames([]string{"jaccard"})
-		for i := 0; i < 400; i++ {
-			c.ObserveVector([]float64{mean + float64(i%100)/1000})
-			c.ObservePrediction(i%2, mean, true)
+		b := drift.NewBuilder()
+		x := make([][]float64, 400)
+		for i := range x {
+			x[i] = []float64{mean + float64(i%100)/1000}
+			b.ObserveScore(mean)
 		}
-		return c.Profile(name, 100, 100, []int{1, 2, 3, 0}, nil)
+		b.ObserveVectors([]string{"jaccard"}, x)
+		b.CountPredictions(len(x), len(x)/2)
+		return b.Profile(name, 100, 100, []int{1, 2, 3, 0}, nil)
 	}
 	base := build(0.2, "baseline")
 	live := base

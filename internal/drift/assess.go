@@ -124,11 +124,10 @@ type namedDist struct {
 // distributions aligns the comparable distributions of two profiles.
 // Features align by name (the feature set is part of the deployed spec,
 // so names are stable across runs), over the features the live profile
-// has: a live profile lists what the live matcher reads, so a baseline
-// without one of them cannot score it (missing), and a baseline feature
-// the live matcher does not read — a baseline captured before profiles
-// listed read features only, or under another matcher — is no signal.
-// Columns align by side+name over the baseline's.
+// has: a live profile lists every feature of the live run's set, so a
+// baseline without one of them cannot score it (missing), and a baseline
+// feature the live set lacks — a baseline captured under a wider set —
+// is no signal. Columns align by side+name over the baseline's.
 func distributions(base, live *Profile) ([]namedDist, []string) {
 	var out []namedDist
 	var missing []string
@@ -178,7 +177,7 @@ func Evaluate(base, live *Profile, th Thresholds) (*Assessment, error) {
 	a := &Assessment{Verdict: StatusOK, Thresholds: th}
 
 	dists, missing := distributions(base, live)
-	// A feature the live matcher reads that the baseline never profiled,
+	// A feature the live run profiled that the baseline never did,
 	// or a baseline column absent live, cannot be scored: fail.
 	for _, m := range missing {
 		a.add(Signal{Name: "missing." + m, Value: 1, Warn: 0.5, Fail: 0.5, Status: StatusFail})

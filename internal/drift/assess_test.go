@@ -94,11 +94,10 @@ func TestEvaluateCoverageDrop(t *testing.T) {
 	}
 }
 
-// TestEvaluateMissingFeatureFails: a live profile lists the features the
-// live matcher reads, so a baseline that never profiled one of them fails
-// the check by name — and a baseline feature the live matcher does not read
-// (a baseline captured wider, before profiles listed read features only) is
-// no signal at all.
+// TestEvaluateMissingFeatureFails: a live profile lists every feature of
+// the live run's set, so a baseline that never profiled one of them fails
+// the check by name — and a baseline feature the live set lacks (a
+// baseline captured under a wider set) is no signal at all.
 func TestEvaluateMissingFeatureFails(t *testing.T) {
 	base := profileWith(normals(100, 0.5, 0.1, 1), 0)
 	live := profileWith(append([]float64(nil), base.Features[0].Values...), 0)

@@ -7,35 +7,27 @@
 // the training slice that the reported 94-100% precision no longer
 // holds. This package closes that gap:
 //
-//   - At train time a Collector captures a compact statistical Profile
-//     of the run: per-feature value reservoirs and null rates,
+//   - At train time a Builder makes a compact statistical Profile of
+//     the run's result: per-feature value reservoirs and null rates,
 //     token-count and length distributions over the input tables'
 //     string attributes, the prediction-score distribution, blocking
 //     coverage, and candidate-set size per input row. The profile is
 //     persisted with the internal/ckpt atomic-write machinery as the
 //     baseline the deployment is trusted against.
-//   - On every deployed run the same collector profiles the live slice,
+//   - On every deployed run the same builder profiles the live slice,
 //     and Evaluate scores the live profile against the baseline:
 //     population stability index (PSI) and two-sample Kolmogorov-
 //     Smirnov statistics per distribution, null-rate, blocking-coverage
 //     and match-rate deltas, plus a Corleone-style estimated accuracy
 //     (internal/estimate) discounted by the observed drift.
-//
-// Hot-loop safety follows internal/obs: the nil *Collector is valid and
-// every method on it is a single nil-check no-op, so the disabled path
-// costs what a disabled obs.Counter costs. Instrumented loops fetch the
-// collector once per stage from the context (FromContext) and call one
-// Observe per row when armed.
 package drift
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"emgo/internal/ckpt"
@@ -48,6 +40,9 @@ import (
 // identical re-run score zero drift); larger slices are uniformly
 // subsampled.
 const DefaultSampleCap = 1024
+
+// sampleSeed seeds the generator a Builder subsamples with.
+const sampleSeed = 0
 
 // profileVersion is bumped when the Profile schema changes shape.
 const profileVersion = 1
@@ -88,8 +83,7 @@ func (s *Sample) Mean() float64 {
 // FeatureProfile is the captured distribution of one feature column of
 // the vectorized candidate pairs.
 type FeatureProfile struct {
-	// Name is the feature name when the caller supplied one
-	// (workflow.RunCtx does); otherwise "feature[i]".
+	// Name is the feature's name in the set.
 	Name string `json:"name"`
 	Sample
 }
@@ -118,7 +112,7 @@ type Profile struct {
 	Name string `json:"name,omitempty"`
 	// CreatedAt is when the profile was built.
 	CreatedAt time.Time `json:"created_at"`
-	// SampleCap is the reservoir capacity the collector ran with.
+	// SampleCap is the reservoir capacity the profile was built with.
 	SampleCap int `json:"sample_cap"`
 
 	// LeftRows / RightRows are the input table sizes.
@@ -195,9 +189,9 @@ func LoadProfile(path string) (*Profile, error) {
 	return ParseProfile(data)
 }
 
-// reservoir is a uniform fixed-capacity sample (Vitter's algorithm R).
+// reservoir is a uniform sample of at most DefaultSampleCap values
+// (Vitter's algorithm R).
 type reservoir struct {
-	cap    int
 	seen   int64
 	nulls  int64
 	values []float64
@@ -211,11 +205,11 @@ func (r *reservoir) observe(v float64, isNull bool, rng *rand.Rand) {
 		r.nulls++
 		return
 	}
-	if len(r.values) < r.cap {
+	if len(r.values) < DefaultSampleCap {
 		r.values = append(r.values, v)
 		return
 	}
-	if j := rng.Int63n(r.seen - r.nulls); j < int64(r.cap) {
+	if j := rng.Int63n(r.seen - r.nulls); j < DefaultSampleCap {
 		r.values[j] = v
 	}
 }
@@ -231,88 +225,51 @@ func (r *reservoir) sample() Sample {
 	return out
 }
 
-// Collector accumulates a Profile while a run executes. The nil
-// collector is valid and every method is a nil-check no-op — the
-// disabled path instrumented loops pay. When armed, each Observe is one
-// mutex acquisition and a reservoir append.
-type Collector struct {
-	mu       sync.Mutex
-	cap      int
+// Builder assembles the Profile of one finished run from what the run
+// produced. It is fed serially, in the run's pair order, from one seeded
+// generator, so a rerun over the same inputs builds the same profile —
+// above the sample cap too.
+type Builder struct {
 	rng      *rand.Rand
 	names    []string
-	features []*reservoir
-	scores   *reservoir
+	features []reservoir
+	scores   reservoir
 	preds    int64
 	matches  int64
 }
 
-// NewCollector returns an armed collector. cap <= 0 selects
-// DefaultSampleCap; seed makes reservoir subsampling reproducible.
-func NewCollector(cap int, seed int64) *Collector {
-	if cap <= 0 {
-		cap = DefaultSampleCap
-	}
-	return &Collector{
-		cap:    cap,
-		rng:    rand.New(rand.NewSource(seed)),
-		scores: &reservoir{cap: cap},
+// NewBuilder returns an empty builder.
+func NewBuilder() *Builder {
+	return &Builder{rng: rand.New(rand.NewSource(sampleSeed))}
+}
+
+// ObserveVectors records the raw feature vectors of the decided pairs,
+// one row a pair, under the names of their columns: each element feeds
+// its feature's reservoir, NaN counting as a missing value.
+func (b *Builder) ObserveVectors(names []string, x [][]float64) {
+	b.names = names
+	b.features = make([]reservoir, len(names))
+	for _, row := range x {
+		for k, v := range row {
+			b.features[k].observe(v, v != v, b.rng) // v != v is NaN
+		}
 	}
 }
 
-// SetFeatureNames records the feature names used to label the profile's
-// feature distributions. Safe on nil.
-func (c *Collector) SetFeatureNames(names []string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.names = append([]string(nil), names...)
-	c.mu.Unlock()
+// ObserveScore records a probabilistic matcher's score for one pair.
+func (b *Builder) ObserveScore(score float64) {
+	b.scores.observe(score, score != score, b.rng)
 }
 
-// ObserveVector records one vectorized candidate pair: each element feeds
-// its feature's reservoir, NaN counting as a missing value. A monitored
-// run computes every feature (workflow.RunCtx), so every slot is a value.
-// Safe on nil (a single nil check).
-func (c *Collector) ObserveVector(row []float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	for len(c.features) < len(row) {
-		c.features = append(c.features, &reservoir{cap: c.cap})
-	}
-	for k, v := range row {
-		c.features[k].observe(v, v != v, c.rng) // v != v is NaN
-	}
-	c.mu.Unlock()
-}
-
-// ObservePrediction records one matcher decision and, when the matcher
-// is probabilistic, its score. Safe on nil.
-func (c *Collector) ObservePrediction(label int, score float64, scored bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.preds++
-	if label == 1 {
-		c.matches++
-	}
-	if scored {
-		c.scores.observe(score, score != score, c.rng)
-	}
-	c.mu.Unlock()
+// CountPredictions records how many pairs the matcher decided and how
+// many of them it matched.
+func (b *Builder) CountPredictions(predicted, matches int) {
+	b.preds, b.matches = int64(predicted), int64(matches)
 }
 
 // ObserveTable profiles every string column of t under the given side
 // label ("left"/"right"): token counts, value lengths, and null rates.
-// One pass over the table; called once per run, off the hot path. Safe
-// on nil.
-func (c *Collector) ObserveTable(side string, t *table.Table) []ColumnProfile {
-	if c == nil || t == nil {
-		return nil
-	}
+func (b *Builder) ObserveTable(side string, t *table.Table) []ColumnProfile {
 	tok := tokenize.Word{}
 	schema := t.Schema()
 	var out []ColumnProfile
@@ -321,21 +278,18 @@ func (c *Collector) ObserveTable(side string, t *table.Table) []ColumnProfile {
 		if f.Kind != table.String {
 			continue
 		}
-		tokens := &reservoir{cap: c.cap}
-		lengths := &reservoir{cap: c.cap}
-		c.mu.Lock()
+		var tokens, lengths reservoir
 		for i := 0; i < t.Len(); i++ {
 			v := t.Row(i)[j]
 			if v.IsNull() {
-				tokens.observe(0, true, c.rng)
-				lengths.observe(0, true, c.rng)
+				tokens.observe(0, true, b.rng)
+				lengths.observe(0, true, b.rng)
 				continue
 			}
 			s := v.Str()
-			tokens.observe(float64(len(tok.Tokens(s))), false, c.rng)
-			lengths.observe(float64(len(s)), false, c.rng)
+			tokens.observe(float64(len(tok.Tokens(s))), false, b.rng)
+			lengths.observe(float64(len(s)), false, b.rng)
 		}
-		c.mu.Unlock()
 		out = append(out, ColumnProfile{
 			Side: side, Column: f.Name,
 			Tokens: tokens.sample(), Lengths: lengths.sample(),
@@ -344,38 +298,29 @@ func (c *Collector) ObserveTable(side string, t *table.Table) []ColumnProfile {
 	return out
 }
 
-// Profile assembles the collected statistics into a Profile. The
+// Profile assembles the recorded statistics into a Profile. The
 // candidate-coverage inputs come from the workflow (per-left-row
 // candidate counts); columns from prior ObserveTable calls are passed
-// back in by the caller. Safe on nil (returns nil).
-func (c *Collector) Profile(name string, leftRows, rightRows int, perRow []int, columns []ColumnProfile) *Profile {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// back in by the caller.
+func (b *Builder) Profile(name string, leftRows, rightRows int, perRow []int, columns []ColumnProfile) *Profile {
 	p := &Profile{
 		Version:   profileVersion,
 		Name:      name,
 		CreatedAt: time.Now(),
-		SampleCap: c.cap,
+		SampleCap: DefaultSampleCap,
 		LeftRows:  leftRows,
 		RightRows: rightRows,
 		Columns:   columns,
-		Scores:    c.scores.sample(),
-		Predicted: c.preds, PredictedMatches: c.matches,
+		Scores:    b.scores.sample(),
+		Predicted: b.preds, PredictedMatches: b.matches,
 	}
-	for i, r := range c.features {
-		name := fmt.Sprintf("feature[%d]", i)
-		if i < len(c.names) {
-			name = c.names[i]
-		}
-		p.Features = append(p.Features, FeatureProfile{Name: name, Sample: r.sample()})
+	for i := range b.features {
+		p.Features = append(p.Features, FeatureProfile{Name: b.names[i], Sample: b.features[i].sample()})
 	}
-	cand := &reservoir{cap: c.cap}
+	var cand reservoir
 	covered := 0
 	for _, n := range perRow {
-		cand.observe(float64(n), false, c.rng)
+		cand.observe(float64(n), false, b.rng)
 		if n > 0 {
 			covered++
 		}
@@ -385,20 +330,4 @@ func (c *Collector) Profile(name string, leftRows, rightRows int, perRow []int, 
 		p.Coverage = float64(covered) / float64(len(perRow))
 	}
 	return p
-}
-
-// collectorKey threads the armed collector through contexts, mirroring
-// the obs span plumbing: instrumentation sites pay one context lookup
-// per stage and a nil check per row when no collector is armed.
-type collectorKey struct{}
-
-// WithCollector returns a context carrying c.
-func WithCollector(ctx context.Context, c *Collector) context.Context {
-	return context.WithValue(ctx, collectorKey{}, c)
-}
-
-// FromContext returns the armed collector, or nil.
-func FromContext(ctx context.Context) *Collector {
-	c, _ := ctx.Value(collectorKey{}).(*Collector)
-	return c
 }

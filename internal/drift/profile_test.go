@@ -1,7 +1,6 @@
 package drift
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -11,7 +10,7 @@ import (
 )
 
 func TestReservoirBelowCapKeepsEverything(t *testing.T) {
-	r := &reservoir{cap: 16}
+	r := &reservoir{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		r.observe(float64(i), false, rng)
@@ -28,14 +27,14 @@ func TestReservoirBelowCapKeepsEverything(t *testing.T) {
 }
 
 func TestReservoirAboveCapSubsamples(t *testing.T) {
-	r := &reservoir{cap: 32}
+	r := &reservoir{}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10000; i++ {
 		r.observe(float64(i), false, rng)
 	}
 	s := r.sample()
-	if len(s.Values) != 32 {
-		t.Fatalf("reservoir kept %d values, want cap 32", len(s.Values))
+	if len(s.Values) != DefaultSampleCap {
+		t.Fatalf("reservoir kept %d values, want cap %d", len(s.Values), DefaultSampleCap)
 	}
 	if s.Count != 10000 {
 		t.Fatalf("Count = %d, want 10000", s.Count)
@@ -45,17 +44,15 @@ func TestReservoirAboveCapSubsamples(t *testing.T) {
 	for _, v := range s.Values {
 		sum += v
 	}
-	if mean := sum / 32; mean < 2500 || mean > 7500 {
+	if mean := sum / DefaultSampleCap; mean < 4000 || mean > 6000 {
 		t.Fatalf("reservoir mean %g implausible for a uniform subsample of 0..9999", mean)
 	}
 }
 
 func TestObserveVectorCountsNaNAsNull(t *testing.T) {
-	c := NewCollector(8, 1)
-	c.SetFeatureNames([]string{"a", "b"})
-	c.ObserveVector([]float64{1, math.NaN()})
-	c.ObserveVector([]float64{2, 5})
-	p := c.Profile("t", 2, 2, nil, nil)
+	b := NewBuilder()
+	b.ObserveVectors([]string{"a", "b"}, [][]float64{{1, math.NaN()}, {2, 5}})
+	p := b.Profile("t", 2, 2, nil, nil)
 	if len(p.Features) != 2 {
 		t.Fatalf("features = %d, want 2", len(p.Features))
 	}
@@ -71,11 +68,11 @@ func TestObserveVectorCountsNaNAsNull(t *testing.T) {
 }
 
 func TestObservePredictionMatchRate(t *testing.T) {
-	c := NewCollector(8, 1)
-	c.ObservePrediction(1, 0.9, true)
-	c.ObservePrediction(0, 0.2, true)
-	c.ObservePrediction(1, 0, false)
-	p := c.Profile("t", 0, 0, nil, nil)
+	b := NewBuilder()
+	b.CountPredictions(3, 2)
+	b.ObserveScore(0.9)
+	b.ObserveScore(0.2)
+	p := b.Profile("t", 0, 0, nil, nil)
 	if p.Predicted != 3 || p.PredictedMatches != 2 {
 		t.Fatalf("predicted %d matches %d, want 3/2", p.Predicted, p.PredictedMatches)
 	}
@@ -83,7 +80,7 @@ func TestObservePredictionMatchRate(t *testing.T) {
 		t.Fatalf("match rate = %g, want 2/3", got)
 	}
 	if len(p.Scores.Values) != 2 {
-		t.Fatalf("scores reservoir has %d values, want 2 (unscored predictions excluded)", len(p.Scores.Values))
+		t.Fatalf("scores reservoir has %d values, want the 2 scores observed", len(p.Scores.Values))
 	}
 }
 
@@ -96,8 +93,7 @@ func TestObserveTableProfilesStringColumns(t *testing.T) {
 	tab.MustAppend(table.Row{table.I(2), table.S("swamp dodder")})
 	tab.MustAppend(table.Row{table.I(3), table.Null(table.String)})
 
-	c := NewCollector(8, 1)
-	cols := c.ObserveTable("left", tab)
+	cols := NewBuilder().ObserveTable("left", tab)
 	if len(cols) != 1 {
 		t.Fatalf("profiled %d columns, want 1 (only the string column)", len(cols))
 	}
@@ -115,9 +111,9 @@ func TestObserveTableProfilesStringColumns(t *testing.T) {
 }
 
 func TestProfileCoverageAndRoundTrip(t *testing.T) {
-	c := NewCollector(8, 1)
-	c.ObserveVector([]float64{0.5})
-	p := c.Profile("wf", 4, 9, []int{3, 0, 1, 2}, nil)
+	b := NewBuilder()
+	b.ObserveVectors([]string{"a"}, [][]float64{{0.5}})
+	p := b.Profile("wf", 4, 9, []int{3, 0, 1, 2}, nil)
 	if p.LeftRows != 4 || p.RightRows != 9 {
 		t.Fatalf("rows = %d/%d, want 4/9", p.LeftRows, p.RightRows)
 	}
@@ -147,41 +143,20 @@ func TestParseProfileRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-func TestNilCollectorIsNoOp(t *testing.T) {
-	var c *Collector
-	c.SetFeatureNames([]string{"a"})
-	c.ObserveVector([]float64{1})
-	c.ObservePrediction(1, 0.5, true)
-	if cols := c.ObserveTable("left", nil); cols != nil {
-		t.Fatalf("nil collector ObserveTable = %v, want nil", cols)
-	}
-	if p := c.Profile("t", 0, 0, nil, nil); p != nil {
-		t.Fatalf("nil collector Profile = %v, want nil", p)
-	}
-}
-
-func TestContextPlumbing(t *testing.T) {
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatalf("FromContext on empty context = %v, want nil", got)
-	}
-	c := NewCollector(8, 1)
-	ctx := WithCollector(context.Background(), c)
-	if got := FromContext(ctx); got != c {
-		t.Fatal("FromContext did not return the armed collector")
-	}
-}
-
 func TestIdenticalRunsProduceDriftFreeProfiles(t *testing.T) {
 	// The property TestSmoke/monitor relies on: two runs over the same data
 	// (below the sample cap) yield profiles that score zero drift, even
-	// when observation order differs (parallel stage workers).
-	build := func(seed int64, perm []int) *Profile {
-		c := NewCollector(DefaultSampleCap, seed)
+	// when observation order differs.
+	build := func(perm []int) *Profile {
+		b := NewBuilder()
+		var x [][]float64
 		for _, i := range perm {
-			c.ObserveVector([]float64{float64(i) * 0.1, float64(i * i)})
-			c.ObservePrediction(i%3, float64(i)/100, true)
+			x = append(x, []float64{float64(i) * 0.1, float64(i * i)})
+			b.ObserveScore(float64(i) / 100)
 		}
-		return c.Profile("wf", 100, 100, []int{1, 2, 0, 4}, nil)
+		b.ObserveVectors([]string{"a", "b"}, x)
+		b.CountPredictions(len(perm), len(perm)/3)
+		return b.Profile("wf", 100, 100, []int{1, 2, 0, 4}, nil)
 	}
 	order1 := make([]int, 100)
 	order2 := make([]int, 100)
@@ -189,8 +164,8 @@ func TestIdenticalRunsProduceDriftFreeProfiles(t *testing.T) {
 		order1[i] = i
 		order2[len(order2)-1-i] = i
 	}
-	a := build(1, order1)
-	b := build(99, order2)
+	a := build(order1)
+	b := build(order2)
 	asmt, err := Evaluate(a, b, Thresholds{})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)

@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"emgo/internal/block"
-	"emgo/internal/drift"
 	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
@@ -388,10 +387,6 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	defer sp.End()
 	sp.SetItems(len(pairs))
 	vectors := obs.C("feature.vectors_built")
-	// prof is the quality-profile collector, fetched once per stage like
-	// the metric handles; nil (a single nil check per row) unless a
-	// monitored run armed one.
-	prof := drift.FromContext(ctx)
 	out := make([][]float64, len(pairs))
 	cells, err := pl.prepare(vctx, s, left, right, pairs)
 	if err == nil {
@@ -405,7 +400,6 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 			row := flat[i*width : (i+1)*width : (i+1)*width]
 			pl.vector(row, s, cells, left, right, pairs[i])
 			out[i] = row
-			prof.ObserveVector(row)
 			vectors.Inc()
 			return nil
 		})

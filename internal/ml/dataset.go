@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"emgo/internal/drift"
 	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
@@ -270,24 +269,12 @@ func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error)
 	defer sp.End()
 	sp.SetItems(len(x))
 	predictions := obs.C("ml.predictions")
-	// prof is the quality-profile collector of a monitored run, nil
-	// otherwise. The scored path (Proba) runs only when a collector is
-	// armed, so the disabled path stays one nil check per row.
-	prof := drift.FromContext(ctx)
-	pm, probabilistic := m.(ProbabilisticMatcher)
 	out := make([]int, len(x))
 	err := parallel.ForCtx(pctx, len(x), func(i int) error {
 		if err := fault.InjectIdx("ml.predict", i); err != nil {
 			return err
 		}
 		out[i] = m.Predict(x[i])
-		if prof != nil {
-			score, scored := 0.0, false
-			if probabilistic {
-				score, scored = pm.Proba(x[i]), true
-			}
-			prof.ObservePrediction(out[i], score, scored)
-		}
 		predictions.Inc()
 		return nil
 	})

@@ -183,7 +183,7 @@ func TestGoldenTailEntryKeys(t *testing.T) {
 	if got := strings.Join(nested["event"], " "); !sameKeys(got, wantEvent) {
 		t.Errorf("tail entry event keys:\n got %s\nwant %s", got, wantEvent)
 	}
-	wantTrace := "name start duration_ms attrs children"
+	wantTrace := "name start duration_ms children"
 	if got := strings.Join(nested["trace"], " "); got != wantTrace {
 		t.Errorf("tail entry trace keys:\n got %s\nwant %s", got, wantTrace)
 	}

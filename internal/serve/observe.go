@@ -98,7 +98,6 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		ctx := obs.WithRequestID(r.Context(), id)
 		ctx = withEvent(ctx, ev)
 		ctx, root := obs.NewTrace(ctx, "serve.http")
-		root.Annotate("route", route)
 
 		sw := &statusWriter{ResponseWriter: w}
 		// Label the handler's goroutine so continuous CPU captures slice

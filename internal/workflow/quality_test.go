@@ -2,11 +2,20 @@ package workflow
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"emgo/internal/block"
 	"emgo/internal/drift"
+	"emgo/internal/fault"
 	"emgo/internal/obs"
+	"emgo/internal/table"
+	"emgo/internal/tokenize"
 )
 
 // TestRunCtxDriftCaptureAndCleanCheck is the TestSmoke/monitor property at
@@ -152,6 +161,139 @@ func TestRunCtxNoDriftMeansNoQualityStage(t *testing.T) {
 	for _, e := range res.Log.Entries() {
 		if e.Step == "quality" {
 			t.Fatal("quality stage ran without DriftStage")
+		}
+	}
+}
+
+// profileOf is a run's profile without its build time, the one field
+// two runs over the same inputs may differ in.
+func profileOf(t *testing.T, res *Result) drift.Profile {
+	t.Helper()
+	if res.DriftProfile == nil {
+		t.Fatal("monitored run produced no profile")
+	}
+	p := *res.DriftProfile
+	p.CreatedAt = time.Time{}
+	return p
+}
+
+// TestMonitoredResumedRunProfilesTheSameResult: a monitored run resumed
+// from its checkpoints restores the learned stage instead of computing
+// it, and must still profile the same result as the run that wrote them
+// — a baseline captured on resume used to list no features, and every
+// later check then failed missing.feature.
+func TestMonitoredResumedRunProfilesTheSameResult(t *testing.T) {
+	w, tp := hardenedFixture(t)
+	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: &DriftStage{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		drift DriftStage
+	}{
+		{"capture", DriftStage{}},
+		{"check", DriftStage{Baseline: capRes.DriftProfile}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fresh, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Checkpoints: openTestStore(t, dir), Drift: &tc.drift})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Checkpoints: openTestStore(t, dir), Drift: &tc.drift})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := outcomeOf(t, resumed, "learned"); out != obs.OutcomeResumed {
+				t.Fatalf("learned outcome = %q, want %q", out, obs.OutcomeResumed)
+			}
+			if a, b := profileOf(t, fresh), profileOf(t, resumed); !reflect.DeepEqual(a, b) {
+				t.Fatalf("resumed run profiled %d features and %d predictions, the fresh run %d and %d",
+					len(b.Features), b.Predicted, len(a.Features), a.Predicted)
+			}
+			if tc.drift.Baseline != nil && resumed.Quality.Verdict != drift.StatusOK {
+				t.Fatalf("resumed check scored %q, want ok: %+v", resumed.Quality.Verdict, resumed.Quality.Signals)
+			}
+		})
+	}
+}
+
+// TestMonitoredBudgetedRunProfilesEachDecidedPairOnce: a pair that fails
+// is quarantined and the stage re-run without it; the profile counts the
+// pairs the matcher decided, each once, however many passes it took.
+func TestMonitoredBudgetedRunProfilesEachDecidedPairOnce(t *testing.T) {
+	for _, site := range []string{"ml.predict", "feature.vectorize"} {
+		t.Run(site, func(t *testing.T) {
+			defer fault.Reset()
+			w, tp := hardenedFixture(t)
+			fault.Enable(site, fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
+			res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{ErrorBudget: 1, Drift: &DriftStage{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Quarantined) != 1 {
+				t.Fatalf("quarantined %v, want one pair", res.Quarantined)
+			}
+			p, decided := res.DriftProfile, int64(res.Candidates.Len()-len(res.Quarantined))
+			if len(p.Features) == 0 {
+				t.Fatal("profile lists no features")
+			}
+			for _, f := range p.Features {
+				if f.Count != decided {
+					t.Errorf("feature %s counted %d pairs, want %d", f.Name, f.Count, decided)
+				}
+			}
+			if p.Predicted != decided || p.PredictedMatches != int64(res.Learned.Len()) {
+				t.Errorf("predicted %d with %d matches, want %d with %d", p.Predicted, p.PredictedMatches, decided, res.Learned.Len())
+			}
+		})
+	}
+}
+
+// TestMonitoredRunAboveCapIsDeterministic: past drift.DefaultSampleCap
+// values a distribution is subsampled, and the sample must not depend on
+// the order parallel workers finish in. It only bites with two or more
+// workers, so make race-cpu runs it at -cpu 2.
+func TestMonitoredRunAboveCapIsDeterministic(t *testing.T) {
+	w, _ := hardenedFixture(t)
+	w.Blockers = []block.Blocker{block.Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true}}
+	// Every title carries "award", so all n×n pairs are candidates.
+	words := strings.Fields("corn fungicide swamp dodder dairy cattle genetics carrot wisconsin ecology north central")
+	rng := rand.New(rand.NewSource(3))
+	slice := func(name, num string, n int) *table.Table {
+		tab := table.New(name, table.MustSchema(
+			table.Field{Name: "ID", Kind: table.String},
+			table.Field{Name: "Num", Kind: table.String},
+			table.Field{Name: "Title", Kind: table.String},
+		))
+		for i := 0; i < n; i++ {
+			title := "award"
+			for k := rng.Intn(5); k >= 0; k-- {
+				title += " " + words[rng.Intn(len(words))]
+			}
+			tab.MustAppend(table.Row{table.S(fmt.Sprint(name, i)), table.S(fmt.Sprint(num, i)), table.S(title)})
+		}
+		return tab
+	}
+	l, r := slice("l", "N", 40), slice("r", "M", 40)
+
+	var first drift.Profile
+	for run := 0; run < 5; run++ {
+		res, err := w.RunCtx(context.Background(), l, r, RunOptions{Drift: &DriftStage{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := profileOf(t, res)
+		if run == 0 {
+			if p.Predicted <= drift.DefaultSampleCap {
+				t.Fatalf("slice decided %d pairs, want more than the cap %d", p.Predicted, drift.DefaultSampleCap)
+			}
+			first = p
+			continue
+		}
+		if !reflect.DeepEqual(first, p) {
+			t.Fatalf("run %d profiled the same slice differently from run 0", run)
 		}
 	}
 }

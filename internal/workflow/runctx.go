@@ -2,7 +2,9 @@ package workflow
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"emgo/internal/block"
@@ -31,9 +33,9 @@ import (
 // document -report flags write and perf work diffs against.
 
 // DriftStage asks RunCtx to run the quality-observability layer
-// (internal/drift): a collector rides along the run profiling feature
-// vectors, prediction scores, input-table attributes, and blocking
-// coverage, and a final "quality" stage assembles the profile. With a
+// (internal/drift): a final "quality" stage profiles what the run
+// produced — the feature vectors and prediction scores of the pairs the
+// matcher decided, the input-table attributes, and blocking coverage. With a
 // Baseline the stage is a drift check — the live profile is scored
 // against the baseline and a breach surfaces as the degraded_quality
 // stage outcome; without one the stage is a baseline capture, optionally
@@ -146,17 +148,6 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	ownRoot := root == nil
 	if ownRoot {
 		ctx, root = obs.NewTrace(ctx, "workflow."+w.Name)
-	}
-	// Arm the quality-profile collector before any stage runs, so the
-	// vectorize and predict hot loops (which fetch it from the context
-	// once per stage) see it.
-	var prof *drift.Collector
-	if opts.Drift != nil {
-		prof = drift.NewCollector(drift.DefaultSampleCap, 0)
-		if w.Features != nil {
-			prof.SetFeatureNames(w.Features.Names())
-		}
-		ctx = drift.WithCollector(ctx, prof)
 	}
 	stageMS := obs.H("workflow.stage_ms", stageMSBuckets)
 	defer func() {
@@ -288,16 +279,16 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	}
 	st.finish(obs.OutcomeOK, "sure matches plus surviving predictions", res.Final.Len())
 
-	// Step 7 (optional): quality stage — assemble the statistical profile
-	// the collector gathered and either snapshot it as the baseline or
-	// check it against one. A breach is not an error: the run completed;
-	// the degraded_quality outcome in spans and provenance (and the
-	// report's quality section) is the signal operators and emmonitor
-	// act on.
+	// Step 7 (optional): quality stage — profile the run's result and
+	// either snapshot the profile as the baseline or check it against
+	// one. A breach is not an error: the run completed; the
+	// degraded_quality outcome in spans and provenance (and the report's
+	// quality section) is the signal operators and emmonitor act on.
 	if opts.Drift != nil {
 		st = startStage("quality")
-		cols := append(prof.ObserveTable("left", left), prof.ObserveTable("right", right)...)
-		res.DriftProfile = prof.Profile("workflow."+w.Name, left.Len(), right.Len(), blocked.PerLeftCounts(), cols)
+		if res.DriftProfile, err = w.profile(st.ctx, left, right, blocked, res, opts); err != nil {
+			return abort(st, err)
+		}
 		if d := opts.Drift; d.Baseline == nil {
 			if d.BaselinePath != "" {
 				if werr := res.DriftProfile.WriteFile(d.BaselinePath); werr != nil {
@@ -401,21 +392,7 @@ func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts R
 		return nil
 	}
 	if w.Features == nil || w.Imputer == nil {
-		return fmt.Errorf("matcher set but features/imputer missing")
-	}
-	fs := w.Features
-	if opts.Drift != nil {
-		// A monitored run profiles every feature, not only the ones a
-		// deployed matcher reads: a feature's distribution over the
-		// candidates is also the one pairwise profile of the attributes
-		// the rules and blockers read (an award number that goes missing
-		// shows in AwardNumber_jaccard_qgram3, which no node tests), and
-		// the profile can only hold what the run computed.
-		all := make([]bool, fs.Len())
-		for k := range all {
-			all[k] = true
-		}
-		fs = fs.Restrict(all)
+		return errNoFeatures
 	}
 	pairs := res.Candidates.Pairs()
 	budget := opts.ErrorBudget
@@ -424,7 +401,7 @@ func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts R
 	for {
 		pctx, cancel := opts.stageCtx(st.ctx)
 		var perr error
-		preds, _, perr = PredictPairs(pctx, fs, w.Imputer, w.Matcher, left, right, pairs)
+		preds, _, perr = PredictPairs(pctx, w.Features, w.Imputer, w.Matcher, left, right, pairs)
 		cancel()
 		if perr == nil {
 			break
@@ -449,4 +426,53 @@ func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts R
 		}
 	}
 	return nil
+}
+
+// errNoFeatures is a workflow with a matcher but nothing to feed it.
+var errNoFeatures = errors.New("matcher set but features/imputer missing")
+
+// profile builds the run's quality profile from its result, once and in
+// pair order, so a rerun over the same inputs — resumed from checkpoints
+// or not, quarantining or not — builds the same one. Its pairs are the
+// ones the learned stage decided: the candidates less the quarantined.
+// They are vectorized over every feature of the set, not only the ones a
+// deployed matcher reads: a feature's distribution over the candidates
+// is also the one pairwise profile of the attributes the rules and
+// blockers read (an award number that goes missing shows in
+// AwardNumber_jaccard_qgram3, which no node tests). The raw vectors feed
+// the feature distributions; imputed, they feed a probabilistic
+// matcher's scores.
+func (w *Workflow) profile(ctx context.Context, left, right *table.Table, blocked *block.CandidateSet, res *Result, opts RunOptions) (*drift.Profile, error) {
+	var pairs []block.Pair
+	if w.Matcher != nil {
+		pairs = res.Candidates.Filter(func(p block.Pair) bool { return !slices.Contains(res.Quarantined, p) }).Pairs()
+	}
+	b := drift.NewBuilder()
+	if len(pairs) > 0 {
+		if w.Features == nil || w.Imputer == nil {
+			return nil, errNoFeatures
+		}
+		all := make([]bool, w.Features.Len())
+		for k := range all {
+			all[k] = true
+		}
+		vctx, cancel := opts.stageCtx(ctx)
+		x, err := w.Features.Restrict(all).VectorizeCtx(vctx, left, right, pairs)
+		cancel()
+		if err != nil {
+			return nil, err
+		}
+		b.ObserveVectors(w.Features.Names(), x)
+		if pm, ok := w.Matcher.(ml.ProbabilisticMatcher); ok {
+			if err := w.Imputer.Fill(x); err != nil {
+				return nil, err
+			}
+			for _, row := range x {
+				b.ObserveScore(pm.Proba(row))
+			}
+		}
+	}
+	b.CountPredictions(len(pairs), res.Learned.Len())
+	cols := append(b.ObserveTable("left", left), b.ObserveTable("right", right)...)
+	return b.Profile("workflow."+w.Name, left.Len(), right.Len(), blocked.PerLeftCounts(), cols), nil
 }

@@ -107,8 +107,9 @@ type Result struct {
 	// because vectorization or prediction failed on them (empty without
 	// a budget: the first failing pair aborts the run).
 	Quarantined []block.Pair
-	// DriftProfile is the statistical profile the quality stage captured
-	// when RunOptions.Drift armed a collector (nil otherwise). In capture
+	// DriftProfile is the statistical profile the quality stage built
+	// from the run's result when RunOptions.Drift asked for one (nil
+	// otherwise). In capture
 	// mode it is the baseline snapshot; in check mode it is the live
 	// profile that was scored against the baseline.
 	DriftProfile *drift.Profile
