@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check api-check tier2 ci bench bench-baseline smoke perf-gate loc
+.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check api-check examples tier2 ci bench bench-baseline smoke perf-gate loc
 
 all: tier1
 
@@ -86,6 +86,18 @@ bench-check:
 api-check:
 	$(GO) test -count=1 -v ./internal/surface
 
+# examples builds and runs every program under examples/ — tier-1 only
+# compiles them — and fails on the first that exits non-zero. Their
+# output goes to /dev/null; each runs in well under a second.
+examples:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	for e in examples/*/; do \
+		name="$$(basename "$$e")"; \
+		$(GO) build -o "$$dir/$$name" "./$$e"; \
+		"$$dir/$$name" > /dev/null || { echo "examples: $$name failed"; exit 1; }; \
+		echo "examples: $$name ok"; \
+	done
+
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
 # package builds the CLIs once (emserve and emcasestudy with -race),
 # generates one slice, spec and matcher artifact once, and runs eight
@@ -126,10 +138,11 @@ perf-gate:
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
 # trustworthy race-clean), the nested benchmark module's own vet and
-# tests, the exported-surface check, the end-to-end smoke harness (the
-# kill/resume chaos scenario among its eight), and the perf-regression
-# gate over the committed BENCH trajectory.
-tier2: fmt-check vet race race-cpu bench-check api-check smoke perf-gate
+# tests, the exported-surface check, a run of every example program, the
+# end-to-end smoke harness (the kill/resume chaos scenario among its
+# eight), and the perf-regression gate over the committed BENCH
+# trajectory.
+tier2: fmt-check vet race race-cpu bench-check api-check examples smoke perf-gate
 
 ci: tier1 tier2
 

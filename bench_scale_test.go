@@ -88,11 +88,11 @@ func BenchmarkScale_SureRules(b *testing.B) {
 			f := fixtureAtScale(b, scale)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine, err := umetrics.SureMatchEngine(f.proj.UMETRICS, f.proj.USDA, true)
+				fig9, err := umetrics.FigureSpec(9).Build(f.proj.UMETRICS, f.proj.USDA, umetrics.DeployTransforms())
 				if err != nil {
 					b.Fatal(err)
 				}
-				sure := engine.SureMatches(f.proj.UMETRICS, f.proj.USDA)
+				sure := fig9.SureRules.SureMatches(f.proj.UMETRICS, f.proj.USDA)
 				b.ReportMetric(float64(sure.Len()), "sure_matches")
 			}
 		})

@@ -35,8 +35,7 @@ type benchWorldT struct {
 	im      *feature.Imputer
 	matcher ml.Matcher
 	dataset *ml.Dataset
-	sure    *rules.Engine
-	neg     *rules.Engine
+	sure    *rules.Engine // Figure 9's sure rules over proj
 }
 
 var (
@@ -163,14 +162,11 @@ func buildBenchWorld() (*benchWorldT, error) {
 	}
 	w.matcher = tree
 
-	w.sure, err = umetrics.SureMatchEngine(proj.UMETRICS, proj.USDA, true)
+	fig9, err := umetrics.FigureSpec(9).Build(proj.UMETRICS, proj.USDA, umetrics.DeployTransforms())
 	if err != nil {
 		return nil, err
 	}
-	w.neg, err = umetrics.NegativeRules(proj.UMETRICS, proj.USDA)
-	if err != nil {
-		return nil, err
-	}
+	w.sure = fig9.SureRules
 	return w, nil
 }
 
@@ -307,27 +303,22 @@ func BenchmarkE4_TrainDebug(b *testing.B) {
 	}
 }
 
-// workflowFor builds the Figure 8/9/10 workflow variants over the bench
-// world.
-func (w *benchWorldT) workflowFor(b *testing.B, name string, sure, neg *rules.Engine) *workflow.Workflow {
+// figure builds the Figure 8, 9 or 10 workflow over one slice of the
+// bench world, with the world's trained matcher.
+func (w *benchWorldT) figure(b *testing.B, fig int, um *umetrics.Projected) *workflow.Workflow {
 	b.Helper()
-	return &workflow.Workflow{
-		Name:      name,
-		SureRules: sure,
-		Blockers:  benchBlockers(),
-		Features:  w.fs, Imputer: w.im, Matcher: w.matcher,
-		NegativeRules: neg,
+	wf, err := umetrics.FigureSpec(fig).Build(um.UMETRICS, um.USDA, umetrics.DeployTransforms())
+	if err != nil {
+		b.Fatal(err)
 	}
+	wf.Features, wf.Imputer, wf.Matcher = w.fs, w.im, w.matcher
+	return wf
 }
 
 // BenchmarkE5_Figure8Workflow runs the initial workflow (M1 + learner).
 func BenchmarkE5_Figure8Workflow(b *testing.B) {
 	w := benchWorld(b)
-	m1, err := umetrics.M1Rule(w.proj.UMETRICS, w.proj.USDA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wf := w.workflowFor(b, "figure8", rules.NewEngine(m1), nil)
+	wf := w.figure(b, 8, w.proj)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := wf.Run(w.proj.UMETRICS, w.proj.USDA)
@@ -342,12 +333,8 @@ func BenchmarkE5_Figure8Workflow(b *testing.B) {
 // positive rules, original + extra slices).
 func BenchmarkE6_Figure9Workflow(b *testing.B) {
 	w := benchWorld(b)
-	sureExtra, err := umetrics.SureMatchEngine(w.extra.UMETRICS, w.extra.USDA, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wf1 := w.workflowFor(b, "figure9", w.sure, nil)
-	wf2 := w.workflowFor(b, "figure9-extra", sureExtra, nil)
+	wf1 := w.figure(b, 9, w.proj)
+	wf2 := w.figure(b, 9, w.extra)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r1, err := wf1.Run(w.proj.UMETRICS, w.proj.USDA)
@@ -366,7 +353,7 @@ func BenchmarkE6_Figure9Workflow(b *testing.B) {
 // labeled evaluation sample.
 func BenchmarkE7_AccuracyEstimation(b *testing.B) {
 	w := benchWorld(b)
-	wf := w.workflowFor(b, "est", w.sure, nil)
+	wf := w.figure(b, 9, w.proj)
 	res, err := wf.Run(w.proj.UMETRICS, w.proj.USDA)
 	if err != nil {
 		b.Fatal(err)
@@ -407,7 +394,7 @@ func BenchmarkE7_AccuracyEstimation(b *testing.B) {
 // rules.
 func BenchmarkE8_Figure10Workflow(b *testing.B) {
 	w := benchWorld(b)
-	wf := w.workflowFor(b, "figure10", w.sure, w.neg)
+	wf := w.figure(b, 10, w.proj)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := wf.Run(w.proj.UMETRICS, w.proj.USDA)

@@ -32,8 +32,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
 	"emgo/internal/umetrics"
 )
@@ -108,7 +108,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if *specOut != "" {
 		data, err := rep.Deployment.Marshal()
 		if err == nil {
-			err = os.WriteFile(*specOut, data, 0o644)
+			err = ckpt.AtomicWriteFile(*specOut, data, 0o644)
 		}
 		if err != nil {
 			return err

@@ -138,7 +138,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	summary := &load.Summary{GeneratedBy: "emload", Mode: *mode, Target: clientCfg.BaseURL, Pass: true}
-	var code int
 	switch *mode {
 	case "run", "soak":
 		if *addr == "" {
@@ -249,11 +248,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if !summary.Pass {
 		fmt.Fprintln(stderr, "emload: FAIL")
-		if code == 0 {
-			code = 1
-		}
+		return 1
 	}
-	return code
+	return 0
 }
 
 // writeSummary renders the summary to stdout or, given a path, into that

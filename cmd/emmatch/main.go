@@ -49,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
@@ -177,26 +176,17 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err != nil {
 		return err
 	}
-	dst := stdout
+	header := []string{*leftID, *rightID}
+	rows := make([][]string, len(ids))
+	for i, m := range ids {
+		rows[i] = []string{m.Left, m.Right}
+	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
+		err = cliutil.WriteCSV(*out, header, rows)
+	} else {
+		err = csv.NewWriter(stdout).WriteAll(append([][]string{header}, rows...))
 	}
-	cw := csv.NewWriter(dst)
-	if err := cw.Write([]string{*leftID, *rightID}); err != nil {
-		return err
-	}
-	for _, m := range ids {
-		if err := cw.Write([]string{m.Left, m.Right}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "emmatch: %d matches\n", len(ids))

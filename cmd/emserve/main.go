@@ -97,6 +97,7 @@ import (
 	"syscall"
 	"time"
 
+	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
 	"emgo/internal/contprof"
 	"emgo/internal/fault"
@@ -376,7 +377,7 @@ func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, prof
 		// event, so the snapshot taken now is complete for this run.
 		data, merr := json.MarshalIndent(srv.TailSnapshot(), "", "  ")
 		if merr == nil {
-			merr = os.WriteFile(tailDump, append(data, '\n'), 0o644)
+			merr = ckpt.AtomicWriteFile(tailDump, append(data, '\n'), 0o644)
 		}
 		if merr != nil {
 			fmt.Fprintf(stderr, "emserve: tail dump: %v\n", merr)

@@ -18,7 +18,6 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/ml"
-	"emgo/internal/rules"
 	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
@@ -41,32 +40,12 @@ func main() {
 	}
 	extra.USDA = orig.USDA // one USDA table, two UMETRICS slices
 
-	// ---- Phase 1: the workflow as originally built (M1 only). ----
-	m1, err := umetrics.M1Rule(orig.UMETRICS, orig.USDA)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// ---- Phase 1: the workflow as originally built (Figure 8: M1 only). ----
 	fs, im, matcher, err := trainMatcher(ds, orig)
 	if err != nil {
 		log.Fatal(err)
 	}
-	blockers := []block.Blocker{
-		block.AttrEquiv{
-			LeftCol: "AwardNumber", RightCol: "AwardNumber",
-			LeftTransform:  umetrics.SuffixNormalize,
-			RightTransform: umetrics.NormalizeNumber,
-		},
-		block.Overlap{
-			LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true,
-		},
-	}
-	v1 := &workflow.Workflow{
-		Name:      "v1",
-		SureRules: rules.NewEngine(m1),
-		Blockers:  blockers,
-		Features:  fs, Imputer: im, Matcher: matcher,
-	}
+	v1 := figure(8, orig, fs, im, matcher)
 	res1, err := v1.Run(orig.UMETRICS, orig.USDA)
 	if err != nil {
 		log.Fatal(err)
@@ -87,11 +66,14 @@ func main() {
 	if err := umetrics.AddProjectNumber(extra, ds.USDA); err != nil {
 		log.Fatal(err)
 	}
-	rule2, err := umetrics.ProjectNumberRule(orig.UMETRICS, orig.USDA)
+	// The new rule is Figure 9's second sure rule; run it on its own.
+	fig9 := umetrics.FigureSpec(9)
+	rule2, err := (&workflow.Spec{Name: fig9.Name, SureRules: fig9.SureRules[1:]}).
+		Build(orig.UMETRICS, orig.USDA, umetrics.DeployTransforms())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rule2Pairs := rules.NewEngine(rule2).SureMatches(orig.UMETRICS, orig.USDA)
+	rule2Pairs := rule2.SureRules.SureMatches(orig.UMETRICS, orig.USDA)
 	caught := 0
 	for _, p := range rule2Pairs.Pairs() {
 		if res1.Final.Contains(p) {
@@ -106,21 +88,9 @@ func main() {
 	ids2 := idPairs(rule2Pairs)
 
 	// ---- Phase 3: extra records arrive. ----
-	// Run the SAME rules and trained matcher over the new slice only.
-	m1x, err := umetrics.M1Rule(extra.UMETRICS, extra.USDA)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rule2x, err := umetrics.ProjectNumberRule(extra.UMETRICS, extra.USDA)
-	if err != nil {
-		log.Fatal(err)
-	}
-	v2 := &workflow.Workflow{
-		Name:      "v2-extra",
-		SureRules: rules.NewEngine(m1x, rule2x),
-		Blockers:  blockers,
-		Features:  fs, Imputer: im, Matcher: matcher,
-	}
+	// Run the patched rules (Figure 9) and the SAME trained matcher over
+	// the new slice only.
+	v2 := figure(9, extra, fs, im, matcher)
 	res3, err := v2.Run(extra.UMETRICS, extra.USDA)
 	if err != nil {
 		log.Fatal(err)
@@ -134,6 +104,17 @@ func main() {
 	// Final deliverable: the union of all three phases, deduplicated.
 	final := workflow.MergeIDs(ids1, ids2, ids3)
 	fmt.Printf("patched total: %d matches (no re-labeling, no re-blocking of the original slice)\n", len(final))
+}
+
+// figure builds the UMETRICS workflow of the given paper figure over one
+// slice, with the trained matcher.
+func figure(fig int, um *umetrics.Projected, fs *feature.Set, im *feature.Imputer, m ml.Matcher) *workflow.Workflow {
+	w, err := umetrics.FigureSpec(fig).Build(um.UMETRICS, um.USDA, umetrics.DeployTransforms())
+	if err != nil {
+		log.Fatal(err)
+	}
+	w.Features, w.Imputer, w.Matcher = fs, im, m
+	return w
 }
 
 // trainMatcher labels a sample with the simulated expert and fits the

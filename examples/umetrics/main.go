@@ -71,11 +71,15 @@ func main() {
 
 	// Positive rules (M1 and the project-number rule) and the negative
 	// pattern rule (Sections 5, 10, 12).
-	m1, err := umetrics.M1Rule(proj.UMETRICS, proj.USDA)
+	m1, err := rules.NewEqual("M1",
+		proj.UMETRICS, "AwardNumber", umetrics.SuffixNormalize,
+		proj.USDA, "AwardNumber", umetrics.NormalizeNumber, rules.Match)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rule2, err := umetrics.ProjectNumberRule(proj.UMETRICS, proj.USDA)
+	rule2, err := rules.NewEqual("award_eq_project",
+		proj.UMETRICS, "AwardNumber", umetrics.SuffixNormalize,
+		proj.USDA, "ProjectNumber", umetrics.NormalizeNumber, rules.Match)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,14 +94,14 @@ func TestA5_RulesVsThreshold(t *testing.T) {
 	}
 
 	// Approach A: default threshold + negative rules.
-	neg, err := umetrics.NegativeRules(w.proj.UMETRICS, w.proj.USDA)
+	fig10, err := umetrics.FigureSpec(10).Build(w.proj.UMETRICS, w.proj.USDA, umetrics.DeployTransforms())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rulesConf ml.Confusion
 	for i, p := range evalPairs {
 		pred := tree.Predict(ex[i])
-		if pred == 1 && neg.Judge(w.proj.UMETRICS.Row(p.A), w.proj.USDA.Row(p.B)) == rules.NonMatch {
+		if pred == 1 && fig10.NegativeRules.Judge(w.proj.UMETRICS.Row(p.A), w.proj.USDA.Row(p.B)) == rules.NonMatch {
 			pred = 0
 		}
 		switch {

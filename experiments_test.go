@@ -338,7 +338,7 @@ func TestE9_MatchDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := umetrics.M1Rule(proj.UMETRICS, proj.USDA)
+	fig8, err := umetrics.FigureSpec(8).Build(proj.UMETRICS, proj.USDA, umetrics.DeployTransforms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestE9_MatchDefinition(t *testing.T) {
 			switch oracle.Class(p) {
 			case umetrics.ClassFederal:
 				// Figure 5: the M1 rule must fire.
-				if m1.Apply(proj.UMETRICS.Row(a), proj.USDA.Row(b)) != 0 {
+				if fig8.SureRules.Judge(proj.UMETRICS.Row(a), proj.USDA.Row(b)) != 0 {
 					fig5 = true
 				}
 			case umetrics.ClassTitle:

@@ -57,10 +57,10 @@ type CapacityResult struct {
 	Steps             []CapacityStep `json:"steps"`
 }
 
-// A step also fails on errors: maxBadFrac caps (server errors + timeouts
-// + net errors + unexpected) over non-shed completions, maxShedFrac caps
-// shed answers over all completions — a box serving 1% of offered load
-// at great latency is not "holding" that load.
+// A step also fails on errors: maxBadFrac caps bad answers (Result.bad)
+// over non-shed completions, maxShedFrac caps shed answers over all
+// completions — a box serving 1% of offered load at great latency is not
+// "holding" that load.
 const (
 	maxBadFrac  = 0.01
 	maxShedFrac = 0.05
@@ -137,9 +137,8 @@ func evaluateStep(cfg CapacityConfig, rate float64, res *Result) CapacityStep {
 		Latency:     latencySummary(res.Hist),
 		Completed:   res.Completed,
 		Shed:        res.Classes[ClassShed],
-		Bad: res.Classes[ClassServerError] + res.Classes[ClassTimeout] +
-			res.Classes[ClassNetError] + res.Classes[ClassUnexpected],
-		Pass: true,
+		Bad:         res.bad(),
+		Pass:        true,
 	}
 	nonShed := res.Completed - step.Shed
 	switch {
@@ -154,7 +153,7 @@ func evaluateStep(cfg CapacityConfig, rate float64, res *Result) CapacityStep {
 	case float64(step.Shed)/float64(res.Completed) > maxShedFrac:
 		step.Pass = false
 		step.Reason = fmt.Sprintf("%d of %d answers shed over the %.1f%% budget", step.Shed, res.Completed, 100*maxShedFrac)
-	case res.Scheduled > 0 && float64(res.Dropped)/float64(res.Scheduled) > 0.01:
+	case res.Scheduled > 0 && float64(res.Dropped)/float64(res.Scheduled) > maxDropFrac:
 		step.Pass = false
 		step.Reason = fmt.Sprintf("generator dropped %d arrivals; measurement untrustworthy", res.Dropped)
 	}

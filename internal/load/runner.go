@@ -56,6 +56,14 @@ type Result struct {
 	JobsFailed    int64
 }
 
+// bad counts the answers every bar holds against the server: server
+// errors, timeouts, net errors and unexpected answers. A shed answer is
+// not bad; the bars count it apart.
+func (r *Result) bad() int64 {
+	return r.Classes[ClassServerError] + r.Classes[ClassTimeout] +
+		r.Classes[ClassNetError] + r.Classes[ClassUnexpected]
+}
+
 // Run executes one open-loop phase: walk the schedule on the wall
 // clock, dispatch every arrival the instant it is due, and account for
 // every completion with its latency charged from the scheduled send

@@ -26,7 +26,8 @@ type Gate struct {
 }
 
 // maxDropFrac caps the fraction of arrivals the generator itself dropped
-// at the outstanding cap; past it the measurement is not trustworthy.
+// at the outstanding cap, in the gate and in each capacity step; past it
+// the measurement is not trustworthy.
 // The gate's other bars are zero: no unexpected answer (a 200 to a
 // malformed body is a bug, not noise), no shed answer without a
 // Retry-After hint, no failed blend-submitted job.
@@ -57,8 +58,7 @@ func (g *GateResult) check(name string, pass bool, format string, args ...any) {
 func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
 	out := &GateResult{Pass: true}
 
-	bad := res.Classes[ClassServerError] + res.Classes[ClassTimeout] +
-		res.Classes[ClassNetError] + res.Classes[ClassUnexpected]
+	bad := res.bad()
 	nonShed := res.Completed - res.Classes[ClassShed]
 
 	for _, o := range gate.Objectives {

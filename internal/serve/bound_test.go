@@ -77,10 +77,11 @@ func paperWorkflowAt(t testing.TB, tok tokenize.Tokenizer, scale float64) (*work
 		block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tok, Threshold: 3, Normalize: true},
 		block.OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tok, Threshold: 0.7, Normalize: true},
 	}
-	sure, err := umetrics.SureMatchEngine(l, r, true)
+	fig9, err := umetrics.FigureSpec(9).Build(l, r, umetrics.DeployTransforms())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sure := fig9.SureRules
 	corr := map[string]string{"AwardNumber": "AwardNumber", "AwardTitle": "AwardTitle", "EmployeeName": "EmployeeName"}
 	fs, err := feature.Generate(l, r, corr, []string{"AwardNumber", "AwardTitle", "EmployeeName"})
 	if err != nil {

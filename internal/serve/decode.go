@@ -159,12 +159,14 @@ type MatchResponse struct {
 	// Matches are the final matched right records, sure-rule matches
 	// first, then surviving learned matches, each carrying provenance.
 	Matches []Match `json:"matches"`
-	// Degraded is true when the learned matcher did not run (breaker
-	// open, matcher failure, or no matcher deployed) and the response
-	// came from the rule-only path.
+	// Degraded is true when the learned matcher did not answer (breaker
+	// open, matcher failure or timeout, no matcher deployed, or a blocker
+	// failure leaving it no candidates) and the response came from the
+	// rule-only path.
 	Degraded bool `json:"degraded"`
-	// DegradedReason says why, when Degraded ("breaker_open",
-	// "matcher_error", "no_matcher").
+	// DegradedReason says why, when Degraded: "breaker_open",
+	// "matcher_error", "matcher_timeout", "no_matcher" or
+	// "blocker_error" (the Reason* constants).
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// Candidates is how many blocked candidate pairs were considered.
 	Candidates int `json:"candidates"`
@@ -198,7 +200,8 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 	// RetryAfterS echoes the Retry-After header for JSON-only clients.
 	RetryAfterS int `json:"retry_after_s,omitempty"`
-	// Degraded distinguishes "shed" (retryable) from "broken".
+	// Status echoes the HTTP status code, so the body alone tells a shed
+	// answer (429, retryable) from a failed one.
 	Status int `json:"status"`
 }
 

@@ -15,9 +15,9 @@ import (
 	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/profile"
+	"emgo/internal/retry"
 	"emgo/internal/rules"
 	"emgo/internal/table"
-	"emgo/internal/tokenize"
 	"emgo/internal/workflow"
 )
 
@@ -353,29 +353,13 @@ func (s *study) preprocess() error {
 	}
 	s.report.VendorDUNSOverlap = shared
 
-	proj, rep, err := Preprocess(s.ds.AwardAgg, s.ds.Employees, s.ds.USDA, "u", "s")
-	if err != nil {
+	if s.proj, s.extra, s.report.Preprocess, err = slices(s.ds); err != nil {
 		return err
 	}
-	if err := AddProjectNumber(proj, s.ds.USDA); err != nil {
+	if s.oracle, err = NewTruthOracle(s.ds.Truth, s.proj.UMETRICS, s.proj.USDA); err != nil {
 		return err
 	}
-	s.proj = proj
-	s.report.Preprocess = rep
-
-	ext, _, err := Preprocess(s.ds.ExtraAwardAgg, s.ds.Employees, s.ds.USDA, "x", "s")
-	if err != nil {
-		return err
-	}
-	// Both slices must share the same USDA table object so candidate
-	// sets remain comparable.
-	ext.USDA = proj.USDA
-	s.extra = ext
-
-	if s.oracle, err = NewTruthOracle(s.ds.Truth, proj.UMETRICS, proj.USDA); err != nil {
-		return err
-	}
-	if s.extOra, err = NewTruthOracle(s.ds.Truth, ext.UMETRICS, proj.USDA); err != nil {
+	if s.extOra, err = NewTruthOracle(s.ds.Truth, s.extra.UMETRICS, s.proj.USDA); err != nil {
 		return err
 	}
 	s.expert = &label.Expert{
@@ -396,23 +380,32 @@ func (s *study) preprocess() error {
 	return nil
 }
 
-// blockers returns the Section 7 blocking pipeline over projected tables.
-func (s *study) blockers() []block.Blocker {
-	return []block.Blocker{
-		block.AttrEquiv{ // C1: the M1 rule as a blocker
-			LeftCol: "AwardNumber", RightCol: "AwardNumber",
-			LeftTransform:  SuffixNormalize,
-			RightTransform: NormalizeNumber,
-		},
-		block.Overlap{ // C2
-			LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true,
-		},
-		block.OverlapCoefficient{ // C3
-			LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true,
-		},
+// slices preprocesses the original slice, with ProjectNumber joined in,
+// and the extra slice. Both share one USDA table object so their
+// candidate sets stay comparable.
+func slices(ds *Dataset) (proj, extra *Projected, rep *PreprocessReport, err error) {
+	if proj, rep, err = Preprocess(ds.AwardAgg, ds.Employees, ds.USDA, "u", "s"); err != nil {
+		return nil, nil, nil, err
 	}
+	if err = AddProjectNumber(proj, ds.USDA); err != nil {
+		return nil, nil, nil, err
+	}
+	if extra, _, err = Preprocess(ds.ExtraAwardAgg, ds.Employees, ds.USDA, "x", "s"); err != nil {
+		return nil, nil, nil, err
+	}
+	extra.USDA = proj.USDA
+	return proj, extra, rep, nil
+}
+
+// build builds spec over one slice and gives it the study's learned
+// matcher: the full feature set the study trains on, its imputer, and m.
+func (s *study) build(spec *workflow.Spec, um *Projected, m ml.Matcher) (*workflow.Workflow, error) {
+	w, err := spec.BuildCtx(context.Background(), um.UMETRICS, um.USDA, DeployTransforms(), retry.Policy{})
+	if err != nil {
+		return nil, err
+	}
+	w.Features, w.Imputer, w.Matcher = s.features, s.imputer, m
+	return w, nil
 }
 
 // blocking reproduces the Section 7 numbers over the original slice.
@@ -420,24 +413,28 @@ func (s *study) blocking() error {
 	um, us := s.proj.UMETRICS, s.proj.USDA
 	s.report.CartesianPairs = um.Len() * us.Len()
 
-	// The pipeline and the threshold sweep of Section 7 step 2 ("the
-	// threshold of 1 resulted in 200K record pairs, and a threshold of 7
-	// in a few hundred") are all over USDA's titles: bound together, the
-	// table is tokenised and indexed once for the lot.
+	// The pipeline is Figure 8's: C1, C2 and C3. The threshold sweep of
+	// Section 7 step 2 ("the threshold of 1 resulted in 200K record pairs,
+	// and a threshold of 7 in a few hundred") reruns C2 at other K. All of
+	// it is over USDA's titles: bound together, the table is tokenised and
+	// indexed once for the lot.
 	sweepK := []int{1, 3, 7}
-	pipeline := s.blockers()
-	all := pipeline
+	spec := FigureSpec(8)
+	pipeline := len(spec.Blockers)
 	for _, k := range sweepK {
-		all = append(all, block.Overlap{
-			LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true,
-		})
+		c2 := spec.Blockers[1]
+		c2.Threshold = k
+		spec.Blockers = append(spec.Blockers, c2)
 	}
-	all, err := block.Bind(context.TODO(), us, all...)
+	w, err := s.build(spec, s.proj, nil)
 	if err != nil {
 		return err
 	}
-	bs, sweep := all[:len(pipeline)], all[len(pipeline):]
+	all, err := block.Bind(context.TODO(), us, w.Blockers...)
+	if err != nil {
+		return err
+	}
+	bs, sweep := all[:pipeline], all[pipeline:]
 	c1, err := bs[0].Block(um, us)
 	if err != nil {
 		return err
@@ -560,7 +557,7 @@ func (s *study) labeling() error {
 
 	// Label debugging with leave-one-out cross-validation (minus unsure
 	// and sure matches), then the D1-D3 revision meeting.
-	ds, pairs, err := s.trainingSet(false)
+	ds, pairs, err := s.trainingSet(8)
 	if err != nil {
 		return err
 	}
@@ -605,10 +602,11 @@ func (s *study) corrOrder() (map[string]string, []string) {
 }
 
 // trainingSet vectorizes the decided labeled pairs, excluding pairs the
-// positive rules already decide (Section 9: "we removed the pairs labeled
-// Unsure and sure matches") — M1 alone, or with projectRule also the rule
-// Section 10 discovered. The returned pair slice aligns with dataset rows.
-func (s *study) trainingSet(projectRule bool) (*ml.Dataset, []block.Pair, error) {
+// sure rules of Figure fig already decide (Section 9: "we removed the
+// pairs labeled Unsure and sure matches") — M1 alone in Figure 8, with
+// the rule Section 10 discovered in Figure 9. The returned pair slice
+// aligns with dataset rows.
+func (s *study) trainingSet(fig int) (*ml.Dataset, []block.Pair, error) {
 	if s.features == nil {
 		corr, order := s.corrOrder()
 		fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
@@ -617,7 +615,7 @@ func (s *study) trainingSet(projectRule bool) (*ml.Dataset, []block.Pair, error)
 		}
 		s.features = fs
 	}
-	sure, err := SureMatchEngine(s.proj.UMETRICS, s.proj.USDA, projectRule)
+	w, err := s.build(FigureSpec(fig), s.proj, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -626,7 +624,7 @@ func (s *study) trainingSet(projectRule bool) (*ml.Dataset, []block.Pair, error)
 	var pairs []block.Pair
 	var labels []int
 	for i, p := range decidedPairs {
-		if sure.Judge(s.proj.UMETRICS.Row(p.A), s.proj.USDA.Row(p.B)) == rules.Match {
+		if w.SureRules.Judge(s.proj.UMETRICS.Row(p.A), s.proj.USDA.Row(p.B)) == rules.Match {
 			continue
 		}
 		pairs = append(pairs, p)

@@ -10,7 +10,6 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/ml"
-	"emgo/internal/rules"
 	"emgo/internal/workflow"
 )
 
@@ -46,7 +45,7 @@ func (s *study) fitImputerAndTrain(name string, ds *ml.Dataset) (ml.Matcher, err
 // workflow totals.
 func (s *study) matching() error {
 	// Initial selection on the auto-generated features.
-	ds, _, err := s.trainingSet(false)
+	ds, _, err := s.trainingSet(8)
 	if err != nil {
 		return err
 	}
@@ -75,7 +74,7 @@ func (s *study) matching() error {
 	}
 
 	// Re-select with the extended feature set.
-	ds, _, err = s.trainingSet(false)
+	ds, _, err = s.trainingSet(8)
 	if err != nil {
 		return err
 	}
@@ -94,17 +93,9 @@ func (s *study) matching() error {
 	}
 	s.matcher = matcher
 
-	m1, err := M1Rule(s.proj.UMETRICS, s.proj.USDA)
+	w, err := s.build(FigureSpec(8), s.proj, matcher)
 	if err != nil {
 		return err
-	}
-	w := &workflow.Workflow{
-		Name:      "figure8",
-		SureRules: rules.NewEngine(m1),
-		Blockers:  s.blockers(),
-		Features:  s.features,
-		Imputer:   s.imputer,
-		Matcher:   matcher,
 	}
 	res, err := w.Run(s.proj.UMETRICS, s.proj.USDA)
 	if err != nil {
@@ -127,12 +118,14 @@ func (s *study) matching() error {
 // interaction with blocking and the matcher, and the Figure 9 patched
 // workflow over the original and extra slices.
 func (s *study) updating() error {
-	// How much does the new rule matter?
-	rule2, err := ProjectNumberRule(s.proj.UMETRICS, s.proj.USDA)
+	// How much does the new rule — Figure 9's second sure rule — matter
+	// on its own?
+	fig9 := FigureSpec(9)
+	rule2, err := s.build(&workflow.Spec{Name: fig9.Name, SureRules: fig9.SureRules[1:]}, s.proj, nil)
 	if err != nil {
 		return err
 	}
-	rule2Pairs := rules.NewEngine(rule2).SureMatches(s.proj.UMETRICS, s.proj.USDA)
+	rule2Pairs := rule2.SureRules.SureMatches(s.proj.UMETRICS, s.proj.USDA)
 	s.report.Rule2Cartesian = rule2Pairs.Len()
 	inC, err := s.cand.Intersect(rule2Pairs)
 	if err != nil {
@@ -148,7 +141,7 @@ func (s *study) updating() error {
 	// Retrain the matcher on labels with BOTH positive rules' sure pairs
 	// removed ("we removed the sure matches from the labeled set and
 	// selected the best matcher").
-	ds, _, err := s.trainingSet(true)
+	ds, _, err := s.trainingSet(9)
 	if err != nil {
 		return err
 	}
@@ -164,25 +157,17 @@ func (s *study) updating() error {
 	}
 	s.matcher = matcher
 
-	runSlice := func(um *Projected) (*workflow.Result, error) {
-		sure, err := SureMatchEngine(um.UMETRICS, um.USDA, true)
-		if err != nil {
-			return nil, err
-		}
-		w := &workflow.Workflow{
-			Name:      "figure9",
-			SureRules: sure,
-			Blockers:  s.blockers(),
-			Features:  s.features,
-			Imputer:   s.imputer,
-			Matcher:   matcher,
-		}
-		return w.Run(um.UMETRICS, um.USDA)
-	}
-	if s.res1, err = runSlice(s.proj); err != nil {
+	// Figure 9 is built once and run over both slices, as a deployment
+	// is: they share the USDA table, so its blockers and rules prepare it
+	// once.
+	fig9w, err := s.build(fig9, s.proj, matcher)
+	if err != nil {
 		return err
 	}
-	if s.res2, err = runSlice(s.extra); err != nil {
+	if s.res1, err = fig9w.Run(s.proj.UMETRICS, s.proj.USDA); err != nil {
+		return err
+	}
+	if s.res2, err = fig9w.Run(s.extra.UMETRICS, s.extra.USDA); err != nil {
 		return err
 	}
 	s.report.SureOriginal = s.res1.Sure.Len()
@@ -325,23 +310,23 @@ func (s *study) estimating() error {
 // the learner's predictions, the final Figure 10 workflow, and its
 // estimated accuracy.
 func (s *study) refining() error {
-	filterSlice := func(um *Projected, res *workflow.Result) (*block.CandidateSet, int, error) {
-		neg, err := NegativeRules(um.UMETRICS, um.USDA)
-		if err != nil {
-			return nil, 0, err
-		}
-		kept, vetoed := neg.FilterMatches(res.Learned)
+	fig10, err := s.build(FigureSpec(10), s.proj, nil)
+	if err != nil {
+		return err
+	}
+	filterSlice := func(res *workflow.Result) (*block.CandidateSet, int, error) {
+		kept, vetoed := fig10.NegativeRules.FilterMatches(res.Learned)
 		final, err := res.Sure.Union(kept)
 		if err != nil {
 			return nil, 0, err
 		}
 		return final, vetoed, nil
 	}
-	final1, vetoed1, err := filterSlice(s.proj, s.res1)
+	final1, vetoed1, err := filterSlice(s.res1)
 	if err != nil {
 		return err
 	}
-	final2, vetoed2, err := filterSlice(s.extra, s.res2)
+	final2, vetoed2, err := filterSlice(s.res2)
 	if err != nil {
 		return err
 	}

@@ -376,7 +376,7 @@ func (s *study) rebuildMatcher() error {
 	if err := s.rebuildFeatures(); err != nil {
 		return err
 	}
-	ds, _, err := s.trainingSet(true)
+	ds, _, err := s.trainingSet(9)
 	if err != nil {
 		return err
 	}

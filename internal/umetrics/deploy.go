@@ -36,8 +36,7 @@ func DeployTransforms() workflow.Transforms {
 }
 
 // BuildDeploymentSpec packages a trained matcher, its feature set, and
-// its imputer together with the case study's blocking pipeline and rule
-// layers into a serializable workflow spec.
+// its imputer into the Figure 10 workflow spec (FigureSpec).
 func BuildDeploymentSpec(fs *feature.Set, im *feature.Imputer, matcher ml.Matcher) (*workflow.Spec, error) {
 	if fs == nil || im == nil || matcher == nil {
 		return nil, fmt.Errorf("umetrics: deployment needs features, imputer, and matcher")
@@ -50,42 +49,9 @@ func BuildDeploymentSpec(fs *feature.Set, im *feature.Imputer, matcher ml.Matche
 	if err != nil {
 		return nil, fmt.Errorf("umetrics: deployment matcher: %w", err)
 	}
-	patterns := make([]string, 0, len(KnownPatterns()))
-	for _, p := range KnownPatterns() {
-		patterns = append(patterns, string(p))
-	}
-	return &workflow.Spec{
-		Name: "umetrics-figure10",
-		Blockers: []workflow.BlockerSpec{
-			{Type: "attr_equiv", LeftCol: "AwardNumber", RightCol: "AwardNumber",
-				LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber},
-			{Type: "overlap", LeftCol: "AwardTitle", RightCol: "AwardTitle",
-				Tokenizer: "word", Threshold: 3, Normalize: true},
-			{Type: "overlap_coeff", LeftCol: "AwardTitle", RightCol: "AwardTitle",
-				Tokenizer: "word", Coefficient: 0.7, Normalize: true},
-		},
-		SureRules: []workflow.RuleSpec{
-			{Type: "equal", Name: "M1", LeftCol: "AwardNumber", RightCol: "AwardNumber",
-				LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber,
-				Verdict: "match"},
-			{Type: "equal", Name: "award_eq_project", LeftCol: "AwardNumber", RightCol: "ProjectNumber",
-				LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber,
-				Verdict: "match"},
-		},
-		NegativeRules: []workflow.RuleSpec{
-			{Type: "comparable_mismatch", Name: "neg_award",
-				LeftCol: "AwardNumber", RightCol: "AwardNumber",
-				LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber,
-				Patterns: patterns},
-			{Type: "comparable_mismatch", Name: "neg_project",
-				LeftCol: "AwardNumber", RightCol: "ProjectNumber",
-				LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber,
-				Patterns: patterns},
-		},
-		Features:     descs,
-		ImputerMeans: im.Means(),
-		Matcher:      matcherSpec,
-	}, nil
+	spec := FigureSpec(10)
+	spec.Features, spec.ImputerMeans, spec.Matcher = descs, im.Means(), matcherSpec
+	return spec, nil
 }
 
 // RunDeployed executes a packaged workflow spec against one data slice

@@ -86,65 +86,73 @@ func trainForDeploy(t *testing.T) (*Dataset, *Projected, *feature.Set, *feature.
 	return ds, proj, fs, im, tree
 }
 
+// TestDeploymentSpecRoundTrip: the spec the study ships, serialized,
+// parsed and rebuilt over the study's own two slices, reproduces the
+// study's matches exactly. Both configurations have a Section 10 winner
+// that serializes — a tree, then a forest — so the shipped matcher is the
+// one the study evaluated (EXPERIMENTS.md Known divergence 5 is what
+// happens otherwise).
 func TestDeploymentSpecRoundTrip(t *testing.T) {
-	_, proj, fs, im, matcher := trainForDeploy(t)
-	spec, err := BuildDeploymentSpec(fs, im, matcher)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Serialize, parse, build against the same slice; the deployed
-	// workflow must behave like the directly-constructed one.
-	data, err := spec.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := workflow.ParseSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deployed, err := parsed.Build(proj.UMETRICS, proj.USDA, DeployTransforms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := deployed.Run(proj.UMETRICS, proj.USDA)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Direct construction of the same workflow.
-	sure, err := SureMatchEngine(proj.UMETRICS, proj.USDA, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neg, err := NegativeRules(proj.UMETRICS, proj.USDA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := &workflow.Workflow{
-		Name: "direct", SureRules: sure, NegativeRules: neg,
-		Blockers: []block.Blocker{
-			block.AttrEquiv{LeftCol: "AwardNumber", RightCol: "AwardNumber",
-				LeftTransform: SuffixNormalize, RightTransform: NormalizeNumber},
-			block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
-				Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true},
-			block.OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle",
-				Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true},
-		},
-		Features: fs, Imputer: im, Matcher: matcher,
-	}
-	want, err := direct.Run(proj.UMETRICS, proj.USDA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Final.Len() != want.Final.Len() {
-		t.Fatalf("deployed %d matches, direct %d", got.Final.Len(), want.Final.Len())
-	}
-	for _, p := range want.Final.Pairs() {
-		if !got.Final.Contains(p) {
-			t.Fatalf("deployed workflow missing pair %v", p)
+	for _, c := range []struct {
+		scale float64
+		seed  int64
+		kind  string
+	}{
+		{0.15, 7, "decision_tree"},
+		{0.6, 8, "random_forest"},
+	} {
+		cfg := TestConfig(c.scale)
+		cfg.Seed = c.seed
+		rep, shipped := shippedMatches(t, cfg)
+		if got := rep.Deployment.Matcher.Kind; got != c.kind {
+			t.Fatalf("scale %g seed %d: shipped a %s, want the %s the study selected", c.scale, c.seed, got, c.kind)
+		}
+		if !reflect.DeepEqual(shipped, rep.Matches) {
+			t.Errorf("scale %g seed %d: the shipped spec matches %d pairs, the study %d",
+				c.scale, c.seed, len(shipped), len(rep.Matches))
 		}
 	}
+}
+
+// shippedMatches runs the study at cfg, then rebuilds the spec it ships
+// from its JSON over the study's own two slices — the original and the
+// extra slice sharing its USDA table — and returns the report and the
+// rebuilt workflow's matches, merged as the study merges its own.
+func shippedMatches(t *testing.T, cfg Config) (*Report, []workflow.IDPair) {
+	t.Helper()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := rep.Deployment.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workflow.ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Generate(cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, extra, _, err := slices(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists [][]workflow.IDPair
+	for _, um := range []*Projected{proj, extra} {
+		res, err := RunDeployed(context.Background(), spec, um.UMETRICS, um.USDA, workflow.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := res.MatchIDs("AwardNumber", "AccessionNumber")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists = append(lists, ids)
+	}
+	return rep, workflow.MergeIDs(lists...)
 }
 
 func TestDeploymentOnNewSlice(t *testing.T) {

@@ -1,11 +1,13 @@
 package umetrics
 
 import (
+	"fmt"
 	"strings"
 
 	"emgo/internal/block"
 	"emgo/internal/rules"
 	"emgo/internal/table"
+	"emgo/internal/workflow"
 )
 
 // KnownPatterns is the identifier pattern list the UMETRICS team supplied
@@ -47,56 +49,62 @@ func NormalizeNumber(s string) string {
 	return strings.ToUpper(strings.ReplaceAll(s, " ", ""))
 }
 
-// M1Rule builds the M1 positive rule over projected tables: the
-// UniqueAwardNumber suffix equals the USDA award number (Figure 5).
-func M1Rule(um, usda *table.Table) (rules.Rule, error) {
-	return rules.NewEqual("M1", um, "AwardNumber", SuffixNormalize,
-		usda, "AwardNumber", NormalizeNumber, rules.Match)
-}
-
-// ProjectNumberRule builds the positive rule discovered in Section 10:
-// the UniqueAwardNumber suffix equals the USDA project number. The USDA
-// table must already carry the ProjectNumber column (AddProjectNumber).
-func ProjectNumberRule(um, usda *table.Table) (rules.Rule, error) {
-	return rules.NewEqual("award_eq_project", um, "AwardNumber", SuffixNormalize,
-		usda, "ProjectNumber", NormalizeNumber, rules.Match)
-}
-
-// NegativeRules builds the Section 12 veto engine: a pair is a non-match
-// when the UMETRICS number is comparable to — but different from — the
-// USDA award number or the USDA project number.
-func NegativeRules(um, usda *table.Table) (*rules.Engine, error) {
-	patterns := KnownPatterns()
-	negAward, err := rules.NewComparableMismatch("neg_award", um, "AwardNumber", SuffixNormalize,
-		usda, "AwardNumber", NormalizeNumber, patterns)
-	if err != nil {
-		return nil, err
+// FigureSpec is the UMETRICS workflow as the paper draws it in Figure
+// fig — 8, 9 or 10; any other figure panics — as a spec of blockers and
+// rules, with no features and no matcher. It is the workflow's one
+// definition: the case study builds each figure from it, adding its own
+// trained matcher, and BuildDeploymentSpec ships Figure 10.
+//
+//   - Figure 8 (Sections 7 and 9): the Section 7 blockers — C1, the M1
+//     rule as a blocker; C2, title overlap K=3; C3, title overlap
+//     coefficient 0.7 — and the M1 sure rule of Figure 5: the
+//     UniqueAwardNumber suffix equals the USDA award number.
+//   - Figure 9 (Section 10) adds the sure rule discovered there: the
+//     suffix equals the USDA project number, so the USDA table must carry
+//     the ProjectNumber column (AddProjectNumber).
+//   - Figure 10 (Section 12) adds the negative rules: a pair is a
+//     non-match when the UMETRICS number is comparable to — but different
+//     from — the USDA award number or project number.
+func FigureSpec(fig int) *workflow.Spec {
+	if fig < 8 || fig > 10 {
+		panic(fmt.Sprintf("umetrics: the paper draws no workflow in Figure %d", fig))
 	}
-	negProject, err := rules.NewComparableMismatch("neg_project", um, "AwardNumber", SuffixNormalize,
-		usda, "ProjectNumber", NormalizeNumber, patterns)
-	if err != nil {
-		return nil, err
+	// byNumber compares the UMETRICS award number's suffix with a USDA
+	// number column, both normalized.
+	byNumber := func(typ, name, usdaCol string) workflow.RuleSpec {
+		return workflow.RuleSpec{Type: typ, Name: name, LeftCol: "AwardNumber", RightCol: usdaCol,
+			LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber}
 	}
-	return rules.NewEngine(negAward, negProject), nil
-}
-
-// SureMatchEngine bundles the positive rules of the Figure 9 workflow.
-// includeProjectRule reflects the chronology: false before the Section 10
-// discovery, true after.
-func SureMatchEngine(um, usda *table.Table, includeProjectRule bool) (*rules.Engine, error) {
-	m1, err := M1Rule(um, usda)
-	if err != nil {
-		return nil, err
+	m1 := byNumber("equal", "M1", "AwardNumber")
+	m1.Verdict = "match"
+	spec := &workflow.Spec{
+		Name: fmt.Sprintf("umetrics-figure%d", fig),
+		Blockers: []workflow.BlockerSpec{
+			{Type: "attr_equiv", LeftCol: "AwardNumber", RightCol: "AwardNumber",
+				LeftTransform: TransformSuffixNormalize, RightTransform: TransformNormalizeNumber},
+			{Type: "overlap", LeftCol: "AwardTitle", RightCol: "AwardTitle",
+				Tokenizer: "word", Threshold: 3, Normalize: true},
+			{Type: "overlap_coeff", LeftCol: "AwardTitle", RightCol: "AwardTitle",
+				Tokenizer: "word", Coefficient: 0.7, Normalize: true},
+		},
+		SureRules: []workflow.RuleSpec{m1},
 	}
-	e := rules.NewEngine(m1)
-	if includeProjectRule {
-		pr, err := ProjectNumberRule(um, usda)
-		if err != nil {
-			return nil, err
+	if fig >= 9 {
+		project := byNumber("equal", "award_eq_project", "ProjectNumber")
+		project.Verdict = "match"
+		spec.SureRules = append(spec.SureRules, project)
+	}
+	if fig >= 10 {
+		var patterns []string
+		for _, p := range KnownPatterns() {
+			patterns = append(patterns, string(p))
 		}
-		e.Add(pr)
+		negAward := byNumber("comparable_mismatch", "neg_award", "AwardNumber")
+		negProject := byNumber("comparable_mismatch", "neg_project", "ProjectNumber")
+		negAward.Patterns, negProject.Patterns = patterns, patterns
+		spec.NegativeRules = []workflow.RuleSpec{negAward, negProject}
 	}
-	return e, nil
+	return spec
 }
 
 // TruthOracle adapts the generator's ground truth to row-index pairs over
