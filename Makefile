@@ -43,8 +43,18 @@ race:
 # (TestMonitoredRunAboveCapIsDeterministic). The feature kernel and the
 # server's cross-mode suite also run at four, where a batch's cells and
 # pairs fan out over more workers than a shard or a single record gets.
+# A token join over a left table of 256 rows or more probes it in shards,
+# one a core; the sharded-join tests set the core count themselves (1, 2
+# and 4) and run ten times over, since what the shards write is only
+# checked when they really do run at once: the same pairs in the same
+# order as one shard (TestShardedJoinMatchesSerial) and the context's own
+# error when cancelled mid-join (TestShardedJoinCancelled). The one-row
+# request's allocation ceiling (TestOneRowUnionStaysOnTheCaller), which
+# keeps requests off the sharded path, counts only outside the race
+# detector, so `make test` holds it.
 race-cpu:
 	$(GO) test -race -cpu 1,2 ./internal/block ./internal/rules ./internal/ml ./internal/workflow
+	$(GO) test -race -count=10 -run 'TestShardedJoin' ./internal/block
 	$(GO) test -race -cpu 1,2,4 ./internal/feature ./internal/serve
 
 # bench-check vets and tests the nested benchmark module (bench/, its own

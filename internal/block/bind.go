@@ -2,10 +2,13 @@ package block
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
+	"emgo/internal/parallel"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -167,14 +170,21 @@ func blockSharing(ctx context.Context, left, right *table.Table, blockers []Bloc
 }
 
 // joinTokens runs token blockers that share a column and a left column —
-// group[0]'s — and returns their candidate sets. Each left row is
-// tokenised and counted against the column once; every blocker then
-// judges the rows reached from the same counts, by admission: a reached
-// row is one compare against the least count any blocker admits, and a
-// compare per blocker only if it passes. A blocker's pairs come out as it
-// would emit them alone: left rows ascending, and per left row the right
-// rows ascending — candidate-set insertion order feeds sampling, and
-// through it every downstream artifact.
+// group[0]'s — and returns their candidate sets, in two steps.
+//
+// Probe: each left row is tokenised and counted against the column once;
+// every blocker then judges the rows reached from the same counts, by
+// admission — a reached row is one compare against the least count any
+// blocker admits, and a compare per blocker only if it passes. The rows
+// that pass are kept, with their counts, and each blocker's admitted pairs
+// are counted. The left table is probed in joinShards contiguous ranges of
+// rows at once, each with its own scratch.
+//
+// Emit: each blocker's set is allocated once, at the size its count says,
+// and filled range by range. A blocker's pairs come out as it would emit
+// them alone: left rows ascending, and per left row the right rows
+// ascending — candidate-set insertion order feeds sampling, and through it
+// every downstream artifact.
 func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTokens) ([]*CandidateSet, error) {
 	lead := group[0]
 	lj, err := left.Col(lead.join.leftCol)
@@ -185,16 +195,80 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 	if err != nil {
 		return nil, err
 	}
+	n := left.Len()
+	// One shard — a request, a batch — lives on the stack. Only the
+	// sharded path, whose goroutines share them, allocates its shards.
+	var one [1]joinShard
+	shards, many := one[:], []joinShard(nil)
+	if k := joinShards(n); k > 1 {
+		many = make([]joinShard, k)
+		shards = many
+	}
+	for k := range shards {
+		s := col.getScratch()
+		s.admitted = append(s.admitted[:0], make([]int, len(group))...)
+		shards[k] = joinShard{
+			lo: k * n / len(shards), hi: (k + 1) * n / len(shards), s: s,
+			adm: admissions{group: group, width: col.maxLen + 1},
+		}
+	}
+	defer func() {
+		for _, sh := range shards {
+			col.putScratch(sh.s)
+		}
+	}()
+	if many == nil {
+		err = shards[0].probe(ctx, col, left, lj)
+	} else {
+		err = parallel.ForWorkersCtx(ctx, len(many), len(many), func(k int) error {
+			return many[k].probe(ctx, col, left, lj)
+		})
+		// A shard fails only when ctx ends: report that, as a serial
+		// join would, not the shard it ended in.
+		var ie *parallel.IndexError
+		if errors.As(err, &ie) {
+			err = ie.Err
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
 	sets := make([]*CandidateSet, len(group))
 	for k := range sets {
+		total := 0
+		for _, sh := range shards {
+			total += sh.s.admitted[k]
+		}
 		sets[k] = NewCandidateSet(left, right)
+		sets[k].pairs = make([]Pair, 0, total)
 	}
-	adm := admissions{group: group, width: col.maxLen + 1}
-	s := col.getScratch()
-	defer col.putScratch(s)
-	for i := 0; i < left.Len(); i++ {
-		if err := strideErr(ctx, i); err != nil {
-			return nil, err
+	for _, sh := range shards {
+		sh.emit(col, sets)
+	}
+	return sets, nil
+}
+
+// joinShards is how many ranges a token join probes n left rows in at
+// once: one more for every 256 rows, up to one a core. Below 256 rows — a
+// request, a batch — the join probes on the caller; past that each range
+// is rows enough to pay for starting a goroutine.
+func joinShards(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/256) }
+
+// joinShard is one range of a token join's left rows, the scratch that
+// holds what probing it kept, and its admission cache.
+type joinShard struct {
+	lo, hi int
+	s      *scratch
+	adm    admissions
+}
+
+// probe counts each of the shard's left rows against col and keeps the
+// right rows some blocker admits.
+func (sh *joinShard) probe(ctx context.Context, col *tokenColumn, left *table.Table, lj int) error {
+	s, adm := sh.s, &sh.adm
+	for i := sh.lo; i < sh.hi; i++ {
+		if err := strideErr(ctx, i-sh.lo); err != nil {
+			return err
 		}
 		s.keys, _ = col.AppendKeys(s.keys[:0], left.Row(i)[lj], false)
 		col.probe(s.keys, s)
@@ -216,15 +290,35 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 		slices.Sort(kept)
 		for _, r := range kept {
 			inter, lb := s.counts[r], int(col.lens[r])
-			for k, set := range sets {
+			s.hits = append(s.hits, hit{row: r, inter: inter})
+			for k := range s.admitted {
 				if inter >= need[(k+1)*adm.width+lb] {
-					set.Add(Pair{A: i, B: int(r)})
+					s.admitted[k]++
 				}
 			}
 		}
 		s.reset()
+		s.lefts = append(s.lefts, leftHits{row: int32(i), size: int32(len(s.keys)), end: int32(len(s.hits))})
 	}
-	return sets, nil
+	return nil
+}
+
+// emit appends to each blocker's set the pairs of the shard's hits it
+// admits, left row by left row.
+func (sh *joinShard) emit(col *tokenColumn, sets []*CandidateSet) {
+	start := int32(0)
+	for _, l := range sh.s.lefts {
+		need := sh.adm.rows(int(l.size))
+		for _, h := range sh.s.hits[start:l.end] {
+			lb := int(col.lens[h.row])
+			for k, set := range sets {
+				if h.inter >= need[(k+1)*sh.adm.width+lb] {
+					set.pairs = append(set.pairs, Pair{A: int(l.row), B: int(h.row)})
+				}
+			}
+		}
+		start = l.end
+	}
 }
 
 // admissions is a group's least admitting counts, per left cell size met:

@@ -3,6 +3,7 @@ package block
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"emgo/internal/fault"
 	"emgo/internal/obs"
@@ -199,12 +200,14 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		sp.End()
 		pairsBlocked.Add(int64(c.Len()))
 		// Grow the union in place, in Union's order (earlier pairs, then
-		// c's new ones). A pair of c is new when no earlier blocker's set
-		// holds it; the key and token blockers' sets are ascending, so
-		// asking them is a binary search, and the union is never asked.
+		// c's new ones), making room for all of c at once. A pair of c is
+		// new when no earlier blocker's set holds it; the key and token
+		// blockers' sets are ascending, so asking them is a binary search,
+		// and the union is never asked.
 		if err := out.sameTables(c); err != nil {
 			return nil, err
 		}
+		out.pairs = slices.Grow(out.pairs, len(c.pairs))
 	pairs:
 		for _, p := range c.pairs {
 			for _, earlier := range ready[:k] {

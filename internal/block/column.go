@@ -228,12 +228,26 @@ func buildTokenColumn(ctx context.Context, right *table.Table, col string, form 
 }
 
 // scratch is one call's probe state: the probing cell's keys, per right
-// row how many of them it holds, and the rows with a non-zero count.
+// row how many of them it holds, and the rows with a non-zero count — and,
+// for a token join, what its probe kept: the right rows some blocker
+// admits with their counts, left row by left row; per left row that
+// reached any, its size and where its hits end; and per blocker how many
+// pairs it admits.
 type scratch struct {
-	keys    []uint64
-	counts  []int32
-	touched []int32
+	keys     []uint64
+	counts   []int32
+	touched  []int32
+	hits     []hit
+	lefts    []leftHits
+	admitted []int
 }
+
+// hit is a right row a join kept and the tokens it shares with the left
+// row probed.
+type hit struct{ row, inter int32 }
+
+// leftHits is a probed left row, its token count and the end of its hits.
+type leftHits struct{ row, size, end int32 }
 
 // getScratch lends a call the column's probe state; putScratch takes it
 // back. Nothing a request allocates grows with the right table.
@@ -241,6 +255,7 @@ func (c *tokenColumn) getScratch() *scratch { return c.scratch.Get().(*scratch) 
 
 func (c *tokenColumn) putScratch(s *scratch) {
 	s.reset()
+	s.hits, s.lefts = s.hits[:0], s.lefts[:0]
 	c.scratch.Put(s)
 }
 

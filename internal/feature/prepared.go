@@ -5,8 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 
 	"emgo/internal/block"
@@ -114,7 +114,7 @@ func fanOut(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
 // has every row, or one built for this call over exactly the right rows
 // the pairs reference — and the left cells of the rows they reference, in
 // that column's keys. Row slots are positions in the sorted distinct row
-// lists, so nothing built per call is sized by a table.
+// lists, so nothing a call keeps is sized by a table.
 type prepared struct {
 	leftRows  []int
 	rightRows []int // nil when cols hold every row of the right table
@@ -170,14 +170,32 @@ func (pl *plan) vector(row []float64, s *Set, cells *prepared, left, right *tabl
 	}
 }
 
-// sortedRows returns the distinct values of row over pairs, ascending.
-func sortedRows(pairs []block.Pair, row func(block.Pair) int) []int {
-	rows := make([]int, len(pairs))
-	for i, q := range pairs {
-		rows[i] = row(q)
+// sortedRows returns the distinct values of row over pairs — rows of a
+// table of n rows — ascending: each is marked in a bitmap of the table's
+// rows, and the marks are swept in order.
+func sortedRows(pairs []block.Pair, n int, row func(block.Pair) int) []int {
+	var stack [64]uint64 // a table of up to 4,096 rows marks on the stack
+	marks := stack[:0]
+	if words := (n + 63) / 64; words <= len(stack) {
+		marks = stack[:words]
+	} else {
+		marks = make([]uint64, words)
 	}
-	slices.Sort(rows)
-	return slices.Compact(rows)
+	distinct := 0
+	for _, q := range pairs {
+		r := row(q)
+		if w, bit := r/64, uint64(1)<<(r%64); marks[w]&bit == 0 {
+			marks[w] |= bit
+			distinct++
+		}
+	}
+	rows := make([]int, 0, distinct)
+	for w, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			rows = append(rows, w*64+bits.TrailingZeros64(m))
+		}
+	}
+	return rows
 }
 
 // prepare readies every cell the plan's groups need from the rows pairs
@@ -190,9 +208,9 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 		return p, nil
 	}
 	var err error
-	p.leftRows = sortedRows(pairs, func(q block.Pair) int { return q.A })
+	p.leftRows = sortedRows(pairs, left.Len(), func(q block.Pair) int { return q.A })
 	if p.cols = s.bound.Current(right).of(pl.groups); p.cols == nil {
-		p.rightRows = sortedRows(pairs, func(q block.Pair) int { return q.B })
+		p.rightRows = sortedRows(pairs, right.Len(), func(q block.Pair) int { return q.B })
 		var rc *rightCells
 		rc, err = s.prepareRight(ctx, right, p.rightRows)
 		p.cols = rc.of(pl.groups)

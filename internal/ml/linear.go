@@ -36,12 +36,27 @@ func fitStandardizer(ds *Dataset) *standardizer {
 	return s
 }
 
-func (s *standardizer) apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.mean[j]) / s.std[j]
+// matrix returns ds's rows standardized, in one row-major array: row i is
+// rows[i*nf : (i+1)*nf] for nf features.
+func (s *standardizer) matrix(ds *Dataset) (rows []float64, nf int) {
+	nf = len(s.mean)
+	rows = make([]float64, ds.Len()*nf)
+	for i := 0; i < ds.Len(); i++ {
+		for j, v := range ds.row(i)[:nf] {
+			rows[i*nf+j] = (v - s.mean[j]) / s.std[j]
+		}
 	}
-	return out
+	return rows, nf
+}
+
+// dot is w·x over x standardized, Σ w_j·((x_j−mean_j)/std_j), summed in
+// the order dot sums a standardized copy — without making one.
+func (s *standardizer) dot(w, x []float64) float64 {
+	var sum float64
+	for j := range w {
+		sum += w[j] * ((x[j] - s.mean[j]) / s.std[j])
+	}
+	return sum
 }
 
 // LogisticRegression is an L2-regularized logistic-regression matcher
@@ -82,11 +97,7 @@ func (m *LogisticRegression) Fit(ds *Dataset) error {
 		l2 = 1e-3
 	}
 	m.scale = fitStandardizer(ds)
-	x := make([][]float64, ds.Len())
-	for i := range x {
-		x[i] = m.scale.apply(ds.row(i))
-	}
-	nf := ds.NumFeatures()
+	x, nf := m.scale.matrix(ds)
 	m.w = make([]float64, nf)
 	m.bias = 0
 	n := float64(ds.Len())
@@ -96,11 +107,12 @@ func (m *LogisticRegression) Fit(ds *Dataset) error {
 			gw[j] = 0
 		}
 		gb := 0.0
-		for i := range x {
-			p := sigmoid(dot(m.w, x[i]) + m.bias)
+		for i := 0; i < ds.Len(); i++ {
+			xi := x[i*nf : (i+1)*nf]
+			p := sigmoid(dot(m.w, xi) + m.bias)
 			err := p - float64(ds.label(i))
 			for j := range gw {
-				gw[j] += err * x[i][j]
+				gw[j] += err * xi[j]
 			}
 			gb += err
 		}
@@ -117,7 +129,7 @@ func (m *LogisticRegression) Proba(x []float64) float64 {
 	if m.w == nil {
 		panic("ml: logistic regression used before Fit")
 	}
-	return sigmoid(dot(m.w, m.scale.apply(x)) + m.bias)
+	return sigmoid(m.scale.dot(m.w, x) + m.bias)
 }
 
 // Predict implements Matcher.
@@ -159,11 +171,7 @@ func (m *LinearRegression) Fit(ds *Dataset) error {
 		lr = 0.1
 	}
 	m.scale = fitStandardizer(ds)
-	x := make([][]float64, ds.Len())
-	for i := range x {
-		x[i] = m.scale.apply(ds.row(i))
-	}
-	nf := ds.NumFeatures()
+	x, nf := m.scale.matrix(ds)
 	m.w = make([]float64, nf)
 	m.bias = 0
 	n := float64(ds.Len())
@@ -173,10 +181,11 @@ func (m *LinearRegression) Fit(ds *Dataset) error {
 			gw[j] = 0
 		}
 		gb := 0.0
-		for i := range x {
-			err := dot(m.w, x[i]) + m.bias - float64(ds.label(i))
+		for i := 0; i < ds.Len(); i++ {
+			xi := x[i*nf : (i+1)*nf]
+			err := dot(m.w, xi) + m.bias - float64(ds.label(i))
 			for j := range gw {
-				gw[j] += err * x[i][j]
+				gw[j] += err * xi[j]
 			}
 			gb += err
 		}
@@ -193,7 +202,7 @@ func (m *LinearRegression) Score(x []float64) float64 {
 	if m.w == nil {
 		panic("ml: linear regression used before Fit")
 	}
-	return dot(m.w, m.scale.apply(x)) + m.bias
+	return m.scale.dot(m.w, x) + m.bias
 }
 
 // Predict implements Matcher.
@@ -236,11 +245,7 @@ func (m *SVM) Fit(ds *Dataset) error {
 		lambda = 1e-3
 	}
 	m.scale = fitStandardizer(ds)
-	x := make([][]float64, ds.Len())
-	for i := range x {
-		x[i] = m.scale.apply(ds.row(i))
-	}
-	nf := ds.NumFeatures()
+	x, nf := m.scale.matrix(ds)
 	m.w = make([]float64, nf)
 	m.bias = 0
 	rng := seededRand(m.Seed)
@@ -251,15 +256,16 @@ func (m *SVM) Fit(ds *Dataset) error {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for _, i := range order {
 			t++
+			xi := x[i*nf : (i+1)*nf]
 			eta := 1 / (lambda * float64(t))
 			yi := float64(2*ds.label(i) - 1) // {-1,+1}
-			margin := yi * (dot(m.w, x[i]) + m.bias)
+			margin := yi * (dot(m.w, xi) + m.bias)
 			for j := range m.w {
 				m.w[j] *= 1 - eta*lambda
 			}
 			if margin < 1 {
 				for j := range m.w {
-					m.w[j] += eta * yi * x[i][j]
+					m.w[j] += eta * yi * xi[j]
 				}
 				m.bias += eta * yi
 			}
@@ -273,7 +279,7 @@ func (m *SVM) Margin(x []float64) float64 {
 	if m.w == nil {
 		panic("ml: svm used before Fit")
 	}
-	return dot(m.w, m.scale.apply(x)) + m.bias
+	return m.scale.dot(m.w, x) + m.bias
 }
 
 // Predict implements Matcher.
