@@ -146,11 +146,14 @@ func deployedReads(b *testing.B, left, right *table.Table) *feature.Set {
 	return wf.Features
 }
 
-func mustBind(b *testing.B, fs *feature.Set, right *table.Table) {
+// mustBind returns fs bound to right, failing b on an error.
+func mustBind(b *testing.B, fs *feature.Set, right *table.Table) *feature.Set {
 	b.Helper()
-	if err := fs.Bind(context.Background(), right); err != nil {
+	bound, err := fs.Bind(context.Background(), right)
+	if err != nil {
 		b.Fatal(err)
 	}
+	return bound
 }
 
 // BenchmarkVectorize turns the scale-1 candidate set into feature
@@ -178,7 +181,7 @@ func BenchmarkVectorize(b *testing.B) {
 				fs = deployedReads(b, left, right)
 			}
 			if strings.HasPrefix(name, "bound") {
-				mustBind(b, fs, right)
+				fs = mustBind(b, fs, right)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -299,9 +302,11 @@ func benchFeatureBind(b *testing.B, fs *feature.Set, right *table.Table) {
 // left slices of one reference table — the UMETRICS rows dealt round-robin
 // into eight slices, against the 1,915 USDA rows — the two ways a caller
 // can. build_per_slice is umetrics.RunDeployed per slice: Spec.BuildCtx,
-// and with it the right table's token column, key indexes and feature
-// cells, built again every run. deploy_once is Workflow.Deploy once,
-// outside the timer, then RunCtx per slice. An op is one slice's run.
+// then a run that builds the right table's token column and key indexes
+// again, and feature cells only for the right rows its candidates
+// reference. deploy_once is Workflow.Deploy once, outside the timer — the
+// column, the indexes and the cells of every right row — then RunCtx per
+// slice. An op is one slice's run.
 func BenchmarkDeployedRun(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
 	left, right := f.proj.UMETRICS, f.proj.USDA

@@ -14,29 +14,30 @@ import (
 )
 
 // Bind returns the blockers bound to right: what each prepares from the
-// right table — a token column, a key index — is built here, once, and a
-// later Block over right only probes it. Blockers over the same column
-// and token form share one column. A server binds its reference table at
-// start-up; a blocker that was never bound binds itself for the length of
-// each Block call, through the same code.
+// right table — a token column, a key index — is built here, once, into
+// the blockers returned, and a Block over right only probes it. Blockers
+// over the same column and token form share one column. A bound blocker
+// answers about right only: asked about any other table, it returns an
+// error naming both. The blockers passed in are left as they are, and
+// those with nothing to prepare or already bound come back as they went
+// in. The first blocker that cannot be bound — its configuration is
+// invalid, right lacks its column, ctx ended — fails Bind with the error
+// its Block would have returned.
 //
-// The binding follows the table, not the call: run against a right table
-// that has grown since, or against another table, a bound blocker prepares
-// that one first (and keeps it instead). Blockers with nothing to prepare
-// are returned as they are. The first blocker that cannot be bound — its
-// configuration is invalid, right lacks its column, ctx ended — fails Bind
-// with the error its every Block would have returned.
+// A server binds its reference table at start-up (Workflow.Deploy); a
+// union of blockers nobody bound binds them for the length of the call,
+// through the same code.
 func Bind(ctx context.Context, right *table.Table, blockers ...Blocker) ([]Blocker, error) {
-	out := Bound(blockers...)
-	for _, b := range out {
+	out := make([]Blocker, len(blockers))
+	for k, b := range blockers {
 		var err error
 		switch b := b.(type) {
-		case *boundTokens:
-			_, err = b.col.Get(ctx, right, b.buildColumn)
-		case *boundKeys:
-			_, err = b.idx.Get(ctx, right, b.buildIndex)
-		case tokenBlocker: // left unbound by Bound: its configuration is invalid
-			_, err = b.join()
+		case AttrEquiv:
+			out[k], err = bindKeys(ctx, b, right)
+		case tokenBlocker:
+			out[k], err = bindTokens(ctx, b, right, out[:k])
+		default:
+			out[k] = b
 		}
 		if err != nil {
 			return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
@@ -45,24 +46,14 @@ func Bind(ctx context.Context, right *table.Table, blockers ...Blocker) ([]Block
 	return out, nil
 }
 
-// Bound is Bind without the build: the blockers in bound form, each
-// preparing its right side the first time it is run against a table — and
-// keeping it, so whoever holds the returned blockers pays for a table
-// once. Blockers already bound are returned as they are.
-func Bound(blockers ...Blocker) []Blocker {
-	out := make([]Blocker, len(blockers))
-	for k, b := range blockers {
-		out[k] = b
-		switch b := b.(type) {
-		case AttrEquiv:
-			out[k] = newBoundKeys(b)
-		case tokenBlocker:
-			if j, err := b.join(); err == nil {
-				out[k] = newBoundTokens(b, j, out[:k])
-			}
-		}
+// CheckBound returns nil when right is the table a part was bound to,
+// and otherwise the error naming both.
+func CheckBound(bound, right *table.Table) error {
+	if right == bound {
+		return nil
 	}
-	return out
+	return fmt.Errorf("bound to table %q (%d rows), asked about table %q (%d rows)",
+		bound.Name(), bound.Len(), right.Name(), right.Len())
 }
 
 // tokenBlocker is a blocker that is a tokenJoin once its configuration
@@ -95,35 +86,41 @@ func newTokenJoin(leftCol, rightCol string, tok tokenize.Tokenizer, normalize bo
 	return j
 }
 
-// boundTokens is a token blocker in bound form.
+// boundTokens is a token blocker bound to a right table: the column of
+// it under the blocker's form, built once and then only read.
 type boundTokens struct {
 	Blocker // the blocker this binds, for its name
 	join    tokenJoin
-	col     *Prepared[tokenColumn]
+	right   *table.Table
+	col     *tokenColumn
 }
 
-// newBoundTokens binds b, sharing the column of a blocker among others
-// that is over the same right column in the same form.
-func newBoundTokens(b Blocker, j tokenJoin, others []Blocker) *boundTokens {
-	for _, o := range others {
-		if o, ok := o.(*boundTokens); ok && o.join.rightCol == j.rightCol && o.join.form.Same(j.form) {
-			return &boundTokens{Blocker: b, join: j, col: o.col}
-		}
-	}
-	return &boundTokens{Blocker: b, join: j, col: &Prepared[tokenColumn]{}}
-}
-
-func (b *boundTokens) buildColumn(ctx context.Context, right *table.Table) (*tokenColumn, error) {
-	return buildTokenColumn(ctx, right, b.join.rightCol, b.join.form)
-}
-
-// blockUnbound runs a token blocker nobody bound: bind, then probe.
-func blockUnbound(ctx context.Context, b tokenBlocker, left, right *table.Table) (*CandidateSet, error) {
+// bindTokens binds b to right, sharing the column of a blocker among
+// others bound to right over the same column in the same form.
+func bindTokens(ctx context.Context, b tokenBlocker, right *table.Table, others []Blocker) (*boundTokens, error) {
 	j, err := b.join()
 	if err != nil {
 		return nil, err
 	}
-	return newBoundTokens(b, j, nil).BlockCtx(ctx, left, right)
+	for _, o := range others {
+		if o, ok := o.(*boundTokens); ok && o.right == right && o.join.rightCol == j.rightCol && o.join.form.Same(j.form) {
+			return &boundTokens{Blocker: b, join: j, right: right, col: o.col}, nil
+		}
+	}
+	col, err := buildTokenColumn(ctx, right, j.rightCol, j.form)
+	if err != nil {
+		return nil, err
+	}
+	return &boundTokens{Blocker: b, join: j, right: right, col: col}, nil
+}
+
+// blockUnbound runs a token blocker nobody bound: bind, then probe.
+func blockUnbound(ctx context.Context, b tokenBlocker, left, right *table.Table) (*CandidateSet, error) {
+	bt, err := bindTokens(ctx, b, right, nil)
+	if err != nil {
+		return nil, err
+	}
+	return bt.BlockCtx(ctx, left, right)
 }
 
 // Block implements Blocker.
@@ -191,11 +188,10 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 	if err != nil {
 		return nil, err
 	}
-	col, err := lead.col.Get(ctx, right, lead.buildColumn)
-	if err != nil {
+	if err := CheckBound(lead.right, right); err != nil {
 		return nil, err
 	}
-	n := left.Len()
+	col, n := lead.col, left.Len()
 	// One shard — a request, a batch — lives on the stack. Only the
 	// sharded path, whose goroutines share them, allocates its shards.
 	var one [1]joinShard
@@ -395,23 +391,24 @@ func KeyText(v table.Value, transform func(string) string) string {
 	return s
 }
 
-// boundKeys is AttrEquiv in bound form.
+// boundKeys is AttrEquiv bound to a right table: the index of it, built
+// once and then only read.
 type boundKeys struct {
 	AttrEquiv
-	idx *Prepared[KeyIndex]
+	right *table.Table
+	idx   KeyIndex
 }
 
-func newBoundKeys(b AttrEquiv) *boundKeys {
-	return &boundKeys{AttrEquiv: b, idx: &Prepared[KeyIndex]{}}
-}
-
-func (b *boundKeys) buildIndex(ctx context.Context, right *table.Table) (*KeyIndex, error) {
+func bindKeys(ctx context.Context, b AttrEquiv, right *table.Table) (*boundKeys, error) {
 	rj, err := right.Col(b.RightCol)
 	if err != nil {
 		return nil, err
 	}
 	idx, err := BuildKeyIndex(ctx, right, rj, b.RightTransform)
-	return &idx, err
+	if err != nil {
+		return nil, err
+	}
+	return &boundKeys{AttrEquiv: b, right: right, idx: idx}, nil
 }
 
 // Block implements Blocker.
@@ -421,11 +418,10 @@ func (b *boundKeys) Block(left, right *table.Table) (*CandidateSet, error) {
 
 // BlockCtx implements ContextBlocker.
 func (b *boundKeys) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
-	lj, err := left.Col(b.LeftCol)
-	if err != nil {
+	if err := CheckBound(b.right, right); err != nil {
 		return nil, err
 	}
-	idx, err := b.idx.Get(ctx, right, b.buildIndex)
+	lj, err := left.Col(b.LeftCol)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +430,7 @@ func (b *boundKeys) BlockCtx(ctx context.Context, left, right *table.Table) (*Ca
 		if err := strideErr(ctx, i); err != nil {
 			return nil, err
 		}
-		for _, ri := range (*idx)[KeyText(left.Row(i)[lj], b.LeftTransform)] {
+		for _, ri := range b.idx[KeyText(left.Row(i)[lj], b.LeftTransform)] {
 			out.Add(Pair{A: i, B: ri})
 		}
 	}

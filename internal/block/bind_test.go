@@ -98,50 +98,29 @@ func TestUnionTokenisesEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestColdBindRace: goroutines meeting a cold bound blocker at once wait
-// for one build of its column and all read that one (run under -race
-// -count=10 -cpu 1,2).
-func TestColdBindRace(t *testing.T) {
-	l, r := figure10Tables(40, 200)
-	want, err := UnionBlock(l, r, figure10(tokenize.Word{})...)
-	if err != nil {
-		t.Fatal(err)
+// TestBoundBlockersAnswerAboutOneTable: blockers bound to one right
+// table and asked about another — one by one or in a union — return an
+// error naming both tables, where the same blockers unbound block it.
+func TestBoundBlockersAnswerAboutOneTable(t *testing.T) {
+	l, r := figure10Tables(20, 30)
+	_, more := figure10Tables(20, 40)
+	other := table.New("other", r.Schema())
+	for i := 0; i < more.Len(); i++ {
+		other.MustAppend(more.Row(i))
 	}
-	tok := &sideCounter{}
-	cold := Bound(figure10(tok)...)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			var got *CandidateSet
-			var err error
-			if g%2 == 0 {
-				got, err = UnionBlockCtx(context.Background(), l, r, cold...)
-			} else {
-				// Blocker by blocker, unioned by hand.
-				got = NewCandidateSet(l, r)
-				for _, b := range cold {
-					var c *CandidateSet
-					if c, err = b.Block(l, r); err != nil {
-						break
-					}
-					for _, p := range c.Pairs() {
-						got.Add(p)
-					}
-				}
-			}
-			if err != nil || !slices.Equal(got.Pairs(), want.Pairs()) {
-				t.Errorf("goroutine %d: pairs differ from the single-threaded union (err %v)", g, err)
-			}
-		}(g)
+	bound := mustBind(t, r, figure10(tokenize.Word{})...)
+	for _, b := range bound {
+		if _, err := b.Block(l, other); !namesBoth(err, r, other) {
+			t.Errorf("%s bound to %s, asked about %s: %v, want an error naming both", b.Name(), r.Name(), other.Name(), err)
+		}
 	}
-	close(start)
-	wg.Wait()
-	if right := tok.right.Load(); right != int64(r.Len()) {
-		t.Fatalf("8 cold callers tokenised %d right cells, want one build of %d", right, r.Len())
+	if _, err := UnionBlock(l, other, bound...); !namesBoth(err, r, other) {
+		t.Errorf("union of blockers bound to %s, asked about %s: %v, want an error naming both", r.Name(), other.Name(), err)
+	}
+	if c, err := UnionBlock(l, other, figure10(tokenize.Word{})...); err != nil {
+		t.Fatalf("the unbound union over %s: %v", other.Name(), err)
+	} else if c.Len() == 0 {
+		t.Fatalf("fixture: the unbound union blocks no pair of %s", other.Name())
 	}
 }
 
@@ -307,7 +286,7 @@ func mustBind(t testing.TB, right *table.Table, blockers ...Blocker) []Blocker {
 // TestBindLeavesTheRestAlone: a blocker with nothing to prepare comes back
 // from Bind as it went in; one that cannot run — no tokenizer, no threshold,
 // a right column the table lacks — fails Bind with the error, naming the
-// blocker, that its Block reports in bound form.
+// blocker, that a union of it reports.
 func TestBindLeavesTheRestAlone(t *testing.T) {
 	l, r := figure10Tables(5, 5)
 	all := Func{Label: "all", Keep: func(left, right table.Row) bool { return true }}
@@ -326,7 +305,7 @@ func TestBindLeavesTheRestAlone(t *testing.T) {
 			t.Errorf("%s: Bind returned %v, want the blocker's error", b.Name(), err)
 			continue
 		}
-		_, blockErr := UnionBlock(l, r, Bound(b)...)
+		_, blockErr := UnionBlock(l, r, b)
 		if blockErr == nil || blockErr.Error() != err.Error() {
 			t.Errorf("%s: Bind says %v, Block %v", b.Name(), err, blockErr)
 		}

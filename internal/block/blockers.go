@@ -52,7 +52,11 @@ func (b AttrEquiv) Block(left, right *table.Table) (*CandidateSet, error) {
 
 // BlockCtx implements ContextBlocker.
 func (b AttrEquiv) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
-	return newBoundKeys(b).BlockCtx(ctx, left, right)
+	k, err := bindKeys(ctx, b, right)
+	if err != nil {
+		return nil, err
+	}
+	return k.BlockCtx(ctx, left, right)
 }
 
 // Overlap is the overlap blocker of Section 7 step 2: a pair survives when
@@ -174,11 +178,16 @@ func UnionBlock(left, right *table.Table, blockers ...Blocker) (*CandidateSet, e
 // UnionBlockCtx is UnionBlock under the hardened runtime: each blocker
 // run honours ctx (cancellation aborts mid-join for the blockers in this
 // package), and each run passes through the "block.join" fault-injection
-// site so tests can drive blocking failures deterministically.
+// site so tests can drive blocking failures deterministically. Blockers
+// nobody bound are bound to right for the call (Bind), so those over one
+// column share one build.
 func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
+	blockers, err := Bind(ctx, right, blockers...)
+	if err != nil {
+		return nil, err
+	}
 	out := NewCandidateSet(left, right)
 	pairsBlocked := obs.C("block.pairs_blocked")
-	blockers = Bound(blockers...)
 	// ready[k] is blockers[k]'s candidate set when the pass of an earlier
 	// blocker over the same column has already produced it.
 	ready := make([]*CandidateSet, len(blockers))

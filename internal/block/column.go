@@ -284,54 +284,3 @@ func (s *scratch) reset() {
 	}
 	s.touched = s.touched[:0]
 }
-
-// Prepared is what is prepared from a right table — a token column, a key
-// index, a rule engine's keyed join, a feature set's cells: built once by
-// whoever needs it first (callers racing on a cold one wait for that
-// build), then shared. It is current for that same table until the table
-// grows (tables grow by Append). The zero value is empty and ready.
-type Prepared[T any] struct {
-	mu    sync.Mutex
-	right *table.Table
-	rows  int
-	v     *T
-}
-
-func (p *Prepared[T]) currentLocked(right *table.Table) *T {
-	if p.right == right && p.rows == right.Len() {
-		return p.v
-	}
-	return nil
-}
-
-// Current returns what is prepared for right as it stands, or nil.
-func (p *Prepared[T]) Current(right *table.Table) *T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.currentLocked(right)
-}
-
-// Get returns what is prepared for right, building and keeping it first
-// if need be. The build runs under the lock — that is the wait cold
-// callers share — so it must not call back into whatever holds p. A build
-// may return nil for "nothing to prepare"; it is then asked again.
-func (p *Prepared[T]) Get(ctx context.Context, right *table.Table, build func(context.Context, *table.Table) (*T, error)) (*T, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if v := p.currentLocked(right); v != nil {
-		return v, nil
-	}
-	v, err := build(ctx, right)
-	if err != nil {
-		return nil, err
-	}
-	p.right, p.rows, p.v = right, right.Len(), v
-	return v, nil
-}
-
-// Drop forgets what is prepared.
-func (p *Prepared[T]) Drop() {
-	p.mu.Lock()
-	p.v = nil
-	p.mu.Unlock()
-}

@@ -48,7 +48,7 @@ func TestFormSame(t *testing.T) {
 	// Two blockers under a form that never shares each build a column of
 	// their own, and still block.
 	l, r := figure10Tables(20, 30)
-	bound := Bound(figure10(sliceTokenizer{})...)
+	bound := mustBind(t, r, figure10(sliceTokenizer{})...)
 	if a, b := bound[1].(*boundTokens), bound[2].(*boundTokens); a.col == b.col {
 		t.Fatal("blockers over a tokenizer that cannot be compared share a column")
 	}

@@ -126,9 +126,11 @@ type Set struct {
 	// read marks, feature by feature, what VectorizeCtx computes (see
 	// Restrict); nil, as every set starts, computes them all.
 	read []bool
-	// bound is the right table's cells prepared ahead by Bind (see
-	// prepared.go); empty for a set nobody bound.
-	bound block.Prepared[rightCells]
+	// right and cells are set on a set Bind returned: the one right
+	// table it answers about, and its cells, prepared ahead (see
+	// prepared.go).
+	right *table.Table
+	cells *rightCells
 }
 
 // Restrict returns the set a deployment vectorizes with: the same
@@ -159,10 +161,14 @@ func (s *Set) Names() []string {
 func (s *Set) Len() int { return len(s.Features) }
 
 // Add appends a feature, rejecting duplicate names — and any feature on a
-// restricted set, whose read marks are its matcher's.
+// restricted set, whose read marks are its matcher's, or on a bound one,
+// whose cells are built.
 func (s *Set) Add(f Feature) error {
 	if s.read != nil {
 		return fmt.Errorf("feature: %q added to a restricted set", f.Name)
+	}
+	if s.cells != nil {
+		return fmt.Errorf("feature: %q added to a bound set", f.Name)
 	}
 	for _, g := range s.Features {
 		if g.Name == f.Name {
@@ -377,8 +383,14 @@ func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float
 //
 // The cells of the rows pairs reference are prepared once up front (see
 // prepared.go); the returned rows are windows of one backing array, the
-// caller's to write to.
+// caller's to write to. A bound set asked about another right table
+// returns an error naming both.
 func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs []block.Pair) ([][]float64, error) {
+	if s.right != nil {
+		if err := block.CheckBound(s.right, right); err != nil {
+			return nil, fmt.Errorf("feature: vectorize: %w", err)
+		}
+	}
 	pl, err := s.planFor(left, right)
 	if err != nil {
 		return nil, err

@@ -110,9 +110,9 @@ func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 func fanOut(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
 
 // prepared holds the cells a pair list's vectors are computed from: per
-// group the column of its right cells — the set's bound one (Bind), which
-// has every row, or one built for this call over exactly the right rows
-// the pairs reference — and the left cells of the rows they reference, in
+// group the column of its right cells — the bound set's (Bind), which has
+// every row, or one built for this call over exactly the right rows the
+// pairs reference — and the left cells of the rows they reference, in
 // that column's keys. Row slots are positions in the sorted distinct row
 // lists, so nothing a call keeps is sized by a table.
 type prepared struct {
@@ -199,9 +199,9 @@ func sortedRows(pairs []block.Pair, n int, row func(block.Pair) int) []int {
 }
 
 // prepare readies every cell the plan's groups need from the rows pairs
-// reference: the right columns — the set's bound ones when it has them
-// for this right table, else built now, as Bind builds them, over those
-// rows only — then, in parallel, each left row's cells, one array a row.
+// reference: the right columns — a bound set's, else built now, as Bind
+// builds them, over those rows only — then, in parallel, each left row's
+// cells, one array a row.
 func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, pairs []block.Pair) (*prepared, error) {
 	p := &prepared{}
 	if len(pl.groups) == 0 {
@@ -209,7 +209,7 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 	}
 	var err error
 	p.leftRows = sortedRows(pairs, left.Len(), func(q block.Pair) int { return q.A })
-	if p.cols = s.bound.Current(right).of(pl.groups); p.cols == nil {
+	if p.cols = s.cells.of(pl.groups); p.cols == nil {
 		p.rightRows = sortedRows(pairs, right.Len(), func(q block.Pair) int { return q.B })
 		var rc *rightCells
 		rc, err = s.prepareRight(ctx, right, p.rightRows)
@@ -250,24 +250,25 @@ type rightCells struct {
 	cols []*block.Column
 }
 
-// Bind prepares the right table's cells now, once, so VectorizeCtx over
+// Bind returns the set bound to right: the same features and read marks,
+// with the right table's cells prepared now, once, so VectorizeCtx over
 // right tokenises only the left rows of its pairs — what a server does
-// with its reference table at start-up. Against any other right table, or
-// this one after it has grown, VectorizeCtx prepares the right cells its
-// pairs reference per call, as an unbound set does; so it does when Bind
-// could not prepare them — a read feature's column is missing from right,
-// ctx ended first, or the "feature.bind" fault site fired: the error a
-// server refuses to start or to swap a matcher in on — and for features
-// added after Bind.
-func (s *Set) Bind(ctx context.Context, right *table.Table) error {
-	s.bound.Drop()
-	_, err := s.bound.Get(ctx, right, func(ctx context.Context, right *table.Table) (*rightCells, error) {
-		if err := fault.Inject("feature.bind"); err != nil {
-			return nil, err
-		}
-		return s.prepareRight(ctx, right, nil)
-	})
-	return err
+// with its reference table at start-up. s is left as it is. The bound set
+// answers about right only — asked about another table, VectorizeCtx
+// returns an error naming both — and takes no new feature. Bind fails
+// when a read feature's column is missing from right, ctx ends first, or
+// the "feature.bind" fault site fires: the error a server refuses to
+// start or to swap a matcher in on.
+func (s *Set) Bind(ctx context.Context, right *table.Table) (*Set, error) {
+	if err := fault.Inject("feature.bind"); err != nil {
+		return nil, err
+	}
+	cells, err := s.prepareRight(ctx, right, nil)
+	if err != nil {
+		return nil, err
+	}
+	n := len(s.Features)
+	return &Set{Features: s.Features[:n:n], read: s.read, right: right, cells: cells}, nil
 }
 
 // prepareRight builds the right columns of the set features the set reads

@@ -3,6 +3,7 @@ package feature
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -194,11 +195,13 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 		if err := restricted.Add(Feature{Name: "late"}); err == nil {
 			t.Fatal("a restricted set took a new feature")
 		}
+		boundSet := mustBind(t, restricted, r)
 		for _, bound := range []bool{false, true} {
+			vs := restricted
 			if bound {
-				mustBind(t, restricted, r)
+				vs = boundSet
 			}
-			got, err := restricted.Vectorize(l, r, pairs)
+			got, err := vs.Vectorize(l, r, pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,16 +228,16 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 			if readGroup {
 				forms++
 			}
-			if col := restricted.bound.Current(r).column(grp.rj, grp.form); (col != nil) != readGroup {
+			if col := boundSet.cells.column(grp.rj, grp.form); (col != nil) != readGroup {
 				t.Fatalf("reading %v: group %v bound=%v, read=%v", keys, grp.form, col != nil, readGroup)
 			}
 		}
-		if cols := restricted.bound.Current(r).cols; len(cols) != forms {
+		if cols := boundSet.cells.cols; len(cols) != forms {
 			t.Fatalf("reading %v: %d columns bound, want %d", keys, len(cols), forms)
 		}
 	}
-	if set.bound.Current(r) != nil || set.read != nil {
-		t.Fatal("Restrict changed the set it was called on")
+	if set.cells != nil || set.read != nil {
+		t.Fatal("Restrict or Bind changed the set it was called on")
 	}
 }
 
@@ -382,8 +385,7 @@ func TestDictionaryFormsMatchCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustBind(t, set, r)
-	bound, err := set.Vectorize(l, r, pairs)
+	bound, err := mustBind(t, set, r).Vectorize(l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,9 +514,9 @@ func sameVectors(t *testing.T, what string, x, y [][]float64) {
 
 // TestBoundVectorizeMatchesUnbound: a set bound to its right table builds
 // bit-for-bit the vectors an unbound set builds, tokenising no right cell
-// to do it — and goes on building them when the table behind the binding
-// is not the one it is asked about: it grew, it is another table, the set
-// gained a feature.
+// to do it. Bind leaves the set it came from unbound, takes no new
+// feature, and answers about its table only: asked about another, it
+// returns an error naming both.
 func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 	counter := &formCounter{}
 	computeRegistry["test_counted"] = setSim(block.Form{Tok: counter}, simfunc.JaccardSizes)
@@ -542,13 +544,13 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 
 	set := newSet(registryKeys()...)
 	counter.cells.Store(0)
-	mustBind(t, set, r)
+	bound := mustBind(t, set, r)
 	if n := counter.cells.Load(); n != int64(r.Len())-1 { // one right cell is null
 		t.Fatalf("Bind tokenised %d right cells, want %d", n, r.Len()-1)
 	}
 	for n := 0; n < 2; n++ {
 		counter.cells.Store(0)
-		got, err := set.Vectorize(l, r, pairs)
+		got, err := bound.Vectorize(l, r, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,46 +559,32 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 			t.Fatalf("bound Vectorize tokenised %d cells, want the %d left cells only", n, l.Len()-1)
 		}
 	}
+	counter.cells.Store(0)
+	if _, err := set.Vectorize(l, r, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter.cells.Load(); n <= int64(l.Len())-1 {
+		t.Fatalf("the set Bind came from tokenised %d cells, want its right cells too: it stays unbound", n)
+	}
 
-	// A feature the binding has no cells for.
 	extra, _ := New("S", "S", "dice_word")
-	small := newSet("jaccard_qgram3")
-	mustBind(t, small, r)
-	if err := small.Add(extra); err != nil {
-		t.Fatal(err)
+	if err := bound.Add(extra); err == nil {
+		t.Fatal("a bound set took a new feature")
 	}
-	got, err := small.Vectorize(l, r, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, _ := newSet("jaccard_qgram3", "dice_word").Vectorize(l, r, pairs)
-	sameVectors(t, "feature added after Bind", got, fresh)
 
-	// Another right table, then the bound one after it grew.
-	_, other := registryTables(t)
-	other.MustAppend(table.Row{table.S("corn soy CORN"), table.F(2), table.Null(table.Date)})
-	for _, right := range []*table.Table{other, r} {
-		if right == r {
-			r.MustAppend(table.Row{table.S("Corn Fungicide corn"), table.F(3), table.Null(table.Date)})
-		}
-		pairs := allPairs(l, right)
-		want, err := newSet(registryKeys()...).Vectorize(l, right, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := set.Vectorize(l, right, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameVectors(t, "bound to a table that is not this one", got, want)
+	other := table.New("other", r.Schema())
+	for i := 0; i < r.Len(); i++ {
+		other.MustAppend(r.Row(i))
 	}
-	mustBind(t, set, r)
-	got, err = set.Vectorize(l, r, allPairs(l, r))
+	_, err = bound.Vectorize(l, other, allPairs(l, other))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", r.Name())) || !strings.Contains(err.Error(), `"other"`) {
+		t.Fatalf("bound to %s, asked about other: %v, want an error naming both", r.Name(), err)
+	}
+	got, err := mustBind(t, set, other).Vectorize(l, other, allPairs(l, other))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ = newSet(registryKeys()...).Vectorize(l, r, allPairs(l, r))
-	sameVectors(t, "bound again", got, want)
+	sameVectors(t, "bound to the other table", got, want)
 }
 
 // TestConcurrentVectorizeSharesBoundCells: goroutines vectorizing over one
@@ -612,18 +600,16 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bound := mustBind(t, set, r)
 	done := make(chan [][]float64)
 	for g := 0; g < 8; g++ {
-		go func(g int) {
-			if g == 0 {
-				_ = set.Bind(context.Background(), r) // a re-bind racing the readers swaps in equal cells
-			}
-			x, err := set.Vectorize(l, r, pairs)
+		go func() {
+			x, err := bound.Vectorize(l, r, pairs)
 			if err != nil {
 				t.Error(err)
 			}
 			done <- x
-		}(g)
+		}()
 	}
 	for g := 0; g < 8; g++ {
 		if x := <-done; x != nil {
@@ -632,10 +618,12 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 	}
 }
 
-// mustBind binds set to right, failing the test on an error.
-func mustBind(t *testing.T, set *Set, right *table.Table) {
+// mustBind returns set bound to right, failing the test on an error.
+func mustBind(t *testing.T, set *Set, right *table.Table) *Set {
 	t.Helper()
-	if err := set.Bind(context.Background(), right); err != nil {
+	bound, err := set.Bind(context.Background(), right)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return bound
 }

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"context"
+	"fmt"
 
 	"emgo/internal/block"
 	"emgo/internal/parallel"
@@ -13,10 +14,11 @@ import (
 type Engine struct {
 	rules []Rule
 
-	// join is the keyed form of the rules against the right table last
-	// joined with (see keyed.go): built on first use or by Bind, shared
-	// by concurrent callers, and dropped by Add.
-	join block.Prepared[keyedJoin]
+	// right and join are set on an engine Bind returned: the one right
+	// table it answers about, and the keyed form of its rules against it
+	// (see keyed.go) — nil when they cannot be keyed.
+	right *table.Table
+	join  *keyedJoin
 }
 
 // NewEngine builds an engine over the given rules (evaluated in order).
@@ -24,10 +26,12 @@ func NewEngine(rs ...Rule) *Engine {
 	return &Engine{rules: rs}
 }
 
-// Add appends a rule.
+// Add appends a rule. A bound engine takes none: its keyed join is built.
 func (e *Engine) Add(r Rule) {
+	if e.right != nil {
+		panic("rules: Add on a bound engine")
+	}
 	e.rules = append(e.rules, r)
-	e.join.Drop()
 }
 
 // Len returns the rule count.
@@ -65,12 +69,12 @@ type Hit struct {
 // input tables, bypassing blocking — in (A, then B) ascending order. See
 // SureHitsCtx for how they are found. Rules must be pure functions of
 // the row pair (every rule in this package is); a panicking rule panics
-// here.
+// here, and so does a bound engine asked about another right table.
 func (e *Engine) SureMatches(left, right *table.Table) *block.CandidateSet {
 	hits, err := e.SureHitsCtx(context.Background(), left, right)
 	if err != nil {
-		// Background context: the only possible error is a rule panic
-		// recovered on a scan worker.
+		// Background context: the only possible errors are a rule panic
+		// recovered on a scan worker and a table the engine is not bound to.
 		panic(err)
 	}
 	out := block.NewCandidateSet(left, right)
@@ -82,22 +86,30 @@ func (e *Engine) SureMatches(left, right *table.Table) *block.CandidateSet {
 
 // SureHitsCtx is SureMatches with each pair's deciding rule, under ctx.
 // An engine whose rules are all equality rules with a Match verdict is a
-// keyed join: the right table's keys are indexed once (per engine and
-// right table, not per call) and each left row looks its keys up, so the
-// cost is linear in the tables plus the hits. Any other engine — a Func
-// rule, a NonMatch rule that could pre-empt a Match — scans every pair
-// with JudgeWithRule, in parallel over left rows. Both return the same
-// hits in the same order.
+// keyed join: the right table's keys are indexed — by Bind, or per call
+// for an engine nobody bound — and each left row looks its keys up, so
+// the cost is linear in the tables plus the hits. Any other engine — a
+// Func rule, a NonMatch rule that could pre-empt a Match — scans every
+// pair with JudgeWithRule, in parallel over left rows. Both return the
+// same hits in the same order. A bound engine asked about another right
+// table returns an error naming both.
 func (e *Engine) SureHitsCtx(ctx context.Context, left, right *table.Table) ([]Hit, error) {
-	join, err := e.join.Get(ctx, right, e.buildJoin)
-	if err != nil {
-		return nil, err
+	join := e.join
+	if e.right != nil {
+		if err := block.CheckBound(e.right, right); err != nil {
+			return nil, fmt.Errorf("rules: %w", err)
+		}
+	} else {
+		var err error
+		if join, err = buildJoin(ctx, e.rules, right); err != nil {
+			return nil, err
+		}
 	}
 	if join != nil {
 		return join.hits(ctx, left)
 	}
 	perRow := make([][]Hit, left.Len())
-	err = parallel.ForCtx(ctx, left.Len(), func(i int) error {
+	err := parallel.ForCtx(ctx, left.Len(), func(i int) error {
 		row := left.Row(i)
 		for j := 0; j < right.Len(); j++ {
 			if v, name := e.JudgeWithRule(row, right.Row(j)); v == Match {

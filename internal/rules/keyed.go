@@ -2,6 +2,7 @@ package rules
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"emgo/internal/block"
@@ -33,18 +34,25 @@ func keyable(rs []Rule) []*equalRule {
 	return out
 }
 
-// Bind builds the keyed join against right now, so the first
-// SureMatches/SureHitsCtx call over it does not pay for the index, and
-// returns the build's error. It is a no-op for an engine that cannot be keyed.
-func (e *Engine) Bind(ctx context.Context, right *table.Table) error {
-	_, err := e.join.Get(ctx, right, e.buildJoin)
-	return err
+// Bind returns the engine bound to right: its rules, with the keyed join
+// against right built now, once, so SureMatches/SureHitsCtx over right
+// only look keys up — or the build's error. e is left as it is. The
+// bound engine answers about right only, and takes no new rule; an
+// engine already bound to right is returned as it is.
+func (e *Engine) Bind(ctx context.Context, right *table.Table) (*Engine, error) {
+	if e.right == right {
+		return e, nil
+	}
+	j, err := buildJoin(ctx, e.rules, right)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{rules: slices.Clip(e.rules), right: right, join: j}, nil
 }
 
-// buildJoin compiles the engine against right; nil when it is not
-// keyable.
-func (e *Engine) buildJoin(ctx context.Context, right *table.Table) (*keyedJoin, error) {
-	eqs := keyable(e.rules)
+// buildJoin compiles rs against right; nil when they are not keyable.
+func buildJoin(ctx context.Context, rs []Rule, right *table.Table) (*keyedJoin, error) {
+	eqs := keyable(rs)
 	if len(eqs) == 0 {
 		return nil, nil
 	}

@@ -111,10 +111,13 @@ func TestSureMatchesEquivalentToNaive(t *testing.T) {
 	}
 }
 
-// TestKeyedJoinIndexLifetime: the right-side index is built once per
-// (engine, right table) — counted through the right transform, which
-// only the index build calls — rebuilt when the table grows or another
-// table is joined, and dropped by Add so a new rule is never missed.
+// TestKeyedJoinIndexLifetime: Bind builds the right-side index once —
+// counted through the right transform, which only the index build calls —
+// and returns a new engine: joins through it over the bound table key
+// nothing, while the engine it came from stays plain and keys per call.
+// The bound engine answers about its table only: asked about another, it
+// returns an error naming both. Add on the plain engine is seen by its
+// next join, and a bound engine takes no rule.
 func TestKeyedJoinIndexLifetime(t *testing.T) {
 	l, r := keyTables(rand.New(rand.NewSource(3)), 20, 20)
 	var mu sync.Mutex
@@ -127,7 +130,8 @@ func TestKeyedJoinIndexLifetime(t *testing.T) {
 	}
 	m1, _ := NewEqual("M1", l, "Num", dropX, r, "Num", counted, Match)
 	e := NewEngine(m1)
-	if err := e.Bind(context.Background(), r); err != nil {
+	bound, err := e.Bind(context.Background(), r)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if transforms == 0 || transforms > r.Len() {
@@ -135,18 +139,25 @@ func TestKeyedJoinIndexLifetime(t *testing.T) {
 	}
 	built := transforms
 	for i := 0; i < 3; i++ {
-		e.SureMatches(l, r)
+		bound.SureMatches(l, r)
 	}
 	if transforms != built {
 		t.Fatalf("joins over a bound table ran the right transform %d more times", transforms-built)
 	}
-
-	r.MustAppend(table.Row{l.Row(0)[0], table.Null(table.String), table.S("t")})
-	if got, want := e.SureMatches(l, r).Pairs(), naiveHits(e, l, r); len(got) != len(want) {
-		t.Fatalf("after Append: %d sure matches, naive scan finds %d", len(got), len(want))
+	if got, want := e.SureMatches(l, r).Pairs(), bound.SureMatches(l, r).Pairs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the plain engine's join %v, the bound one's %v", got, want)
 	}
-	if transforms == built {
-		t.Fatal("a grown right table was joined against the stale index")
+	if transforms != 2*built {
+		t.Fatalf("a join of the engine Bind came from ran the right transform %d times, want %d", transforms-built, built)
+	}
+
+	other := table.New("other", r.Schema())
+	for i := 0; i < r.Len(); i++ {
+		other.MustAppend(r.Row(i))
+	}
+	if _, err := bound.SureHitsCtx(context.Background(), l, other); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%q", r.Name())) || !strings.Contains(err.Error(), `"other"`) {
+		t.Fatalf("bound to %s, asked about other: %v, want an error naming both", r.Name(), err)
 	}
 
 	m2, _ := NewEqual("M2", l, "Num", nil, r, "Alt", nil, Match)
@@ -159,6 +170,15 @@ func TestKeyedJoinIndexLifetime(t *testing.T) {
 	if len(after) <= len(before) {
 		t.Fatalf("fixture too weak: M2 added no hits (%d then %d)", len(before), len(after))
 	}
+	if got, _ := bound.SureHitsCtx(context.Background(), l, r); !reflect.DeepEqual(got, before) {
+		t.Fatal("Add on the engine Bind came from changed the bound engine's hits")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add on a bound engine did not panic")
+		}
+	}()
+	bound.Add(m2)
 }
 
 // TestSureHitsCtxCancelled: a dead context stops both forms before any
@@ -175,8 +195,9 @@ func TestSureHitsCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestKeyedJoinConcurrentCold: callers racing on a cold engine share one
-// index and all see the full answer (run under -race).
+// TestKeyedJoinConcurrentCold: callers racing on an engine nobody bound
+// each build the keyed join for their call and all see the full answer
+// (run under -race).
 func TestKeyedJoinConcurrentCold(t *testing.T) {
 	l, r := keyTables(rand.New(rand.NewSource(9)), 40, 40)
 	m1, _ := NewEqual("M1", l, "Num", dropX, r, "Num", dropX, Match)

@@ -1,6 +1,7 @@
 package umetrics
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -157,11 +158,13 @@ func (s *study) updating() error {
 	}
 	s.matcher = matcher
 
-	// Figure 9 is built once and run over both slices, as a deployment
-	// is: they share the USDA table, so its blockers and rules prepare it
-	// once.
+	// Figure 9 is deployed once and run over both slices: they share the
+	// USDA table, so its blockers, rules and cells are built over it once.
 	fig9w, err := s.build(fig9, s.proj, matcher)
 	if err != nil {
+		return err
+	}
+	if fig9w, err = fig9w.Deploy(context.Background(), matcher, s.proj.USDA); err != nil {
 		return err
 	}
 	if s.res1, err = fig9w.Run(s.proj.UMETRICS, s.proj.USDA); err != nil {

@@ -154,7 +154,9 @@ func builtRun(t *testing.T, spec *Spec, left, right *table.Table) []block.Pair {
 // reference key transformed once per key index (the sure rule's and the key
 // blocker's), the set's cells bound, a bind failure returned — and a run
 // over a fresh left slice then prepares no reference cell, its final
-// matches those BuildCtx + RunCtx give on the slice.
+// matches those BuildCtx + RunCtx give on the slice. Deploy binds copies:
+// a run of the workflow it came from still prepares the reference table
+// for itself.
 func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
@@ -184,7 +186,7 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 		block.OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: c, Threshold: 0.7, Normalize: true},
 	}
 	if titles, keys := c.titles.Load(), c.keys.Load(); titles != 0 || keys != 0 {
-		t.Fatalf("BuildCtx tokenised %d reference titles and keyed %d reference rows; it stays lazy", titles, keys)
+		t.Fatalf("BuildCtx tokenised %d reference titles and keyed %d reference rows; it binds nothing", titles, keys)
 	}
 	d, err := w.Deploy(ctx, w.Matcher, right)
 	if err != nil {
@@ -212,6 +214,15 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 	}
 	if learned == 0 || sure == 0 {
 		t.Fatalf("fixture: %d learned and %d sure matches; the comparison needs both", learned, sure)
+	}
+
+	titles, keys := c.titles.Load(), c.keys.Load()
+	if _, err := w.RunCtx(ctx, lefts[1], right, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if titles, keys := c.titles.Load()-titles, c.keys.Load()-keys; titles != int64(right.Len()) || keys != 2*int64(right.Len()) {
+		t.Fatalf("a run of the workflow Deploy came from tokenised %d reference titles and keyed %d reference rows, want %d and %d",
+			titles, keys, right.Len(), 2*right.Len())
 	}
 }
 

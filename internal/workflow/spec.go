@@ -223,7 +223,10 @@ func (s *Spec) Build(left, right *table.Table, transforms Transforms) (*Workflow
 
 // BuildCtx is Build under the hardened runtime: transform registry
 // lookups honour ctx and are retried on the given policy when they fail
-// transiently (unknown names stay permanent errors).
+// transiently (unknown names stay permanent errors). It binds nothing:
+// each run of the workflow builds what it needs from the right table, and
+// a caller that runs many left tables against one right table deploys it
+// (Deploy).
 func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transforms Transforms, policy retry.Policy) (*Workflow, error) {
 	resolver := transformResolver{ctx: ctx, transforms: transforms, policy: policy}
 	w := &Workflow{
@@ -238,10 +241,6 @@ func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transform
 		}
 		w.Blockers = append(w.Blockers, b)
 	}
-	// In bound form the blockers keep what they prepare from a right
-	// table: the first run over right builds it (Deploy does so up front),
-	// every later run or request only probes.
-	w.Blockers = block.Bound(w.Blockers...)
 	for _, rs := range s.SureRules {
 		r, err := buildRule(rs, left, right, resolver)
 		if err != nil {
@@ -290,28 +289,29 @@ func restrictFor(fs *feature.Set, m ml.Matcher) *feature.Set {
 }
 
 // Deploy returns a shallow copy of w serving matcher m (nil: rules only)
-// over right: its features are w's restricted to what m reads, and the
-// sure rules' keyed join, the blockers' columns and key indexes and the
-// set's cells are bound to right, so a run over right only probes — or the
-// first bind error: a deployment that cannot block does not start.
+// over right: its features are w's restricted to what m reads, and its
+// sure rules, blockers and feature set are bound to right — the keyed
+// join, the columns and key indexes and the cells built here, once — so a
+// run over right only probes, and a run over any other right table is an
+// error. w is left as it is: Deploy binds copies. It returns the first
+// bind error: a deployment that cannot block does not start.
 func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table) (*Workflow, error) {
 	d := *w
 	d.Matcher = m
+	var err error
 	if m != nil {
 		if w.Features == nil || w.Imputer == nil {
 			return nil, fmt.Errorf("workflow %s: matcher deployed without features/imputer", w.Name)
 		}
-		d.Features = restrictFor(w.Features, m)
-		if err := d.Features.Bind(ctx, right); err != nil {
+		if d.Features, err = restrictFor(w.Features, m).Bind(ctx, right); err != nil {
 			return nil, fmt.Errorf("workflow %s: bind feature cells: %w", w.Name, err)
 		}
 	}
-	if d.SureRules != nil {
-		if err := d.SureRules.Bind(ctx, right); err != nil {
+	if w.SureRules != nil {
+		if d.SureRules, err = w.SureRules.Bind(ctx, right); err != nil {
 			return nil, fmt.Errorf("workflow %s: bind sure rules: %w", w.Name, err)
 		}
 	}
-	var err error
 	if d.Blockers, err = block.Bind(ctx, right, w.Blockers...); err != nil {
 		return nil, fmt.Errorf("workflow %s: bind blockers: %w", w.Name, err)
 	}
