@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build test vet fmt-check race race-cpu bench-check api-check examples tier2 ci bench bench-baseline smoke perf-gate loc
+.PHONY: all tier1 build test vet fmt-check race race-cpu fuzz bench-check api-check examples tier2 ci bench bench-baseline smoke perf-gate loc
 
 all: tier1
 
@@ -56,6 +56,16 @@ race-cpu:
 	$(GO) test -race -cpu 1,2 ./internal/block ./internal/rules ./internal/ml ./internal/workflow
 	$(GO) test -race -count=10 -run 'TestShardedJoin' ./internal/block
 	$(GO) test -race -cpu 1,2,4 ./internal/feature ./internal/serve
+
+# fuzz runs the tokenising oracles as fuzzers, ten seconds each — `go
+# test` only replays their seeds: the word kernel against the string path
+# it replaced (FuzzWordKeys), packed q-gram keys against the token sets
+# they stand for (FuzzPackedKeys) and every prepared set similarity
+# against its naive definition (FuzzSetSimilarity).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWordKeys$$' -fuzztime 10s ./internal/block
+	$(GO) test -run '^$$' -fuzz '^FuzzPackedKeys$$' -fuzztime 10s ./internal/feature
+	$(GO) test -run '^$$' -fuzz '^FuzzSetSimilarity$$' -fuzztime 10s ./internal/feature
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with a replace onto this tree): tier-1 never compiles it, so a
@@ -147,12 +157,12 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), the nested benchmark module's own vet and
-# tests, the exported-surface check, a run of every example program, the
-# end-to-end smoke harness (the kill/resume chaos scenario among its
-# eight), and the perf-regression gate over the committed BENCH
-# trajectory.
-tier2: fmt-check vet race race-cpu bench-check api-check examples smoke perf-gate
+# trustworthy race-clean), thirty seconds of the tokenising fuzzers, the
+# nested benchmark module's own vet and tests, the exported-surface check,
+# a run of every example program, the end-to-end smoke harness (the
+# kill/resume chaos scenario among its eight), and the perf-regression
+# gate over the committed BENCH trajectory.
+tier2: fmt-check vet race race-cpu fuzz bench-check api-check examples smoke perf-gate
 
 ci: tier1 tier2
 

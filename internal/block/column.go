@@ -1,11 +1,14 @@
 package block
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
@@ -88,15 +91,19 @@ func (c *Column) Cell(i int) Cell { return c.cells[i] }
 // AppendKeys appends the keys of v's cell to dst, sorted; null reports a
 // null cell, which has none. With add — Build's, and whoever prepares a
 // lone cell in a column of its own — a token new to the dictionary joins
-// it; never on a built column. Without, v is a cell to compare with the
-// column's: a token the dictionary lacks matches nothing there, so each
-// gets a key past the dictionary's — after every key that can match — and
-// a cell's size stays len(keys).
+// it, and a cell's new tokens are numbered in lexicographic order; never
+// on a built column. Without, v is a cell to compare with the column's: a
+// token the dictionary lacks matches nothing there, so each gets a key
+// past the dictionary's — after every key that can match — and a cell's
+// size stays len(keys).
 func (c *Column) AppendKeys(dst []uint64, v table.Value, add bool) (_ []uint64, null bool) {
 	if v.IsNull() {
 		return dst, true
 	}
 	start, s := len(dst), v.Str()
+	if _, ok := c.form.Tok.(tokenize.Word); ok {
+		return c.appendWordKeys(dst, s, c.form.Fold != FoldNone, add), false
+	}
 	switch {
 	case c.form.Fold == FoldNormalize:
 		s = tokenize.Normalize(s)
@@ -108,14 +115,7 @@ func (c *Column) AppendKeys(dst []uint64, v table.Value, add bool) (_ []uint64, 
 		dst = c.form.Tok.(tokenize.QGram).AppendKeys(dst, s, c.form.Fold == FoldLower)
 		return dst[:start+len(tokenize.SortDistinct(dst[start:]))], false
 	}
-	var buf [32]string // room for most cells' tokens without allocating
-	toks := buf[:0]
-	if w, ok := c.form.Tok.(tokenize.Word); ok {
-		toks = w.AppendTokens(toks, s)
-	} else {
-		toks = c.form.Tok.Tokens(s)
-	}
-	toks = tokenize.SortDistinct(toks)
+	toks := tokenize.SortDistinct(c.form.Tok.Tokens(s))
 	dst = slices.Grow(dst, len(toks))
 	unseen := 0
 	for _, t := range toks {
@@ -138,6 +138,99 @@ func (c *Column) AppendKeys(dst []uint64, v table.Value, add bool) (_ []uint64, 
 		dst = append(dst, uint64(len(c.ids)+k))
 	}
 	return dst, false
+}
+
+// appendWordKeys is AppendKeys under the word tokenizer, in one pass over
+// s that builds no string the dictionary does not keep: each word is read
+// into a buffer, lower-cased with fold, and looked up there. Normalize
+// folds as Lower does, since every character it strips separates words
+// already. A word the dictionary lacks stays in the buffer until the cell
+// is read, so its keys — new ones with add, past the dictionary's without
+// — go to the distinct unknown words in lexicographic order, as the
+// string path numbers them.
+func (c *Column) appendWordKeys(dst []uint64, s string, fold, add bool) []uint64 {
+	var (
+		textBuf [256]byte  // the word being read, then every unknown one
+		spanBuf [32][2]int // each unknown word's window of text
+	)
+	start, base := len(dst), len(c.ids)
+	text, unknown := textBuf[:0], spanBuf[:0]
+	for i := 0; i < len(s); {
+		from := len(text)
+		if text, i = appendWord(text, s, i, fold); from == len(text) {
+			break // no word left
+		}
+		if id, ok := c.ids[string(text[from:])]; ok {
+			dst, text = append(dst, id), text[:from]
+		} else {
+			unknown = append(unknown, [2]int{from, len(text)})
+		}
+	}
+	dst = dst[:start+len(tokenize.SortDistinct(dst[start:]))]
+	if len(unknown) == 0 {
+		return dst
+	}
+	word := func(w [2]int) []byte { return text[w[0]:w[1]] }
+	slices.SortFunc(unknown, func(a, b [2]int) int { return bytes.Compare(word(a), word(b)) })
+	unknown = slices.CompactFunc(unknown, func(a, b [2]int) bool { return bytes.Equal(word(a), word(b)) })
+	for k, w := range unknown {
+		id := uint64(base + k)
+		if add {
+			c.ids[string(word(w))] = id
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// wordASCII maps an ASCII byte to itself when it is a letter or a digit,
+// and to 0 when it separates words; foldASCII maps a letter to its lower
+// case.
+var wordASCII, foldASCII = func() (word, fold [utf8.RuneSelf]byte) {
+	for b := byte(0); b < utf8.RuneSelf; b++ {
+		switch {
+		case 'a' <= b && b <= 'z', '0' <= b && b <= '9':
+			word[b], fold[b] = b, b
+		case 'A' <= b && b <= 'Z':
+			word[b], fold[b] = b, b+'a'-'A'
+		}
+	}
+	return word, fold
+}()
+
+// appendWord skips the separators of s from i and appends the word after
+// them to dst — as tokenize.Word reads words: a maximal run of letters and
+// digits, of s or, with fold, of strings.ToLower(s) — and returns where to
+// read on, past the separator that ended it. An invalid byte decodes to
+// U+FFFD, a separator. With no word left, it appends nothing and returns
+// len(s).
+func appendWord(dst []byte, s string, i int, fold bool) ([]byte, int) {
+	ascii, in := &wordASCII, false
+	if fold {
+		ascii = &foldASCII
+	}
+	for i < len(s) {
+		if b := s[i]; b < utf8.RuneSelf {
+			i++
+			if f := ascii[b]; f != 0 {
+				dst, in = append(dst, f), true
+			} else if in {
+				return dst, i
+			}
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		i += n
+		if fold {
+			r = unicode.ToLower(r)
+		}
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			dst, in = utf8.AppendRune(dst, r), true
+		} else if in {
+			return dst, i
+		}
+	}
+	return dst, i
 }
 
 // arenaChunk is how many keys a column's cells share an array in.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -71,13 +72,8 @@ func TestFormSame(t *testing.T) {
 // null cell is null and an unknown token still counts in the left size.
 func TestColumnCountsMatchTokenSets(t *testing.T) {
 	l, r := oracleTables(rand.New(rand.NewSource(5)), 40, 60)
-	fold := map[Fold]func(string) string{
-		FoldNone:      func(s string) string { return s },
-		FoldLower:     tokenize.Lower,
-		FoldNormalize: tokenize.Normalize,
-	}
 	for _, tok := range []tokenize.Tokenizer{tokenize.Word{}, tokenize.Whitespace{}, tokenize.QGram{Q: 3}, tokenize.QGram{Q: 4}} {
-		for f, text := range fold {
+		for f, text := range foldText {
 			for _, pack := range []bool{false, true} {
 				form := Form{Tok: tok, Fold: f}
 				col := NewColumn(form, pack)
@@ -148,6 +144,118 @@ func TestColumnBuildOverRowsAndCancel(t *testing.T) {
 	}
 	if _, err := buildTokenColumn(ctx, r, "Title", form); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled token column: %v, want context.Canceled", err)
+	}
+}
+
+// stringWord is the word tokenizer under a type of its own, so a column
+// under it takes the string path: fold the text, split it into token
+// strings, sort them and look each up. It is the reference the word
+// kernel is held to.
+type stringWord struct{ tokenize.Word }
+
+// wordCells are what the word kernel must read as the string path does:
+// runes whose lower case is ASCII or another length in bytes, title-case
+// and Greek capitals, digits and letters past ASCII, an invalid byte next
+// to the U+FFFD it decodes to, a NUL, a title of over 300 bytes, and
+// cells with no word at all.
+var wordCells = []string{
+	"\u212Aelvin KELVIN kelvin", "İSTANBUL istanbul", "Straße STRASSE straße", "ΣΟΦΟΣ σοφος",
+	"٠١٢ 012 ٣٤", "ＦＵＬＬ ｆｕｌｌ FULL", "\xff", "a\xffb A\xffB", "\ufffd", "ǅ ǆ Ǆ", "",
+	"!!! ### (){} ;:", `SWAMP DODDER (Cuscuta) "Ecology"!`, "corn corn CORN", "x\x00y",
+	strings.Repeat("Integrated Pest-Management of CORN & soybean; ", 7),
+}
+
+// foldText is what the string path tokenises a cell's text as under fold.
+var foldText = map[Fold]func(string) string{
+	FoldNone:      func(s string) string { return s },
+	FoldLower:     tokenize.Lower,
+	FoldNormalize: tokenize.Normalize,
+}
+
+// checkWordKeys holds the word kernel to the string path over two cells
+// under every fold: built over a table of b and a, the two number the
+// dictionary alike and give every cell the same keys; and a's keys
+// against a column built over b alone — tokens it lacks included — equal
+// the string path's and count what Word.Tokens of the folded texts does.
+func checkWordKeys(t *testing.T, a, b string) {
+	t.Helper()
+	right := table.New("R", table.MustSchema(table.Field{Name: "Title", Kind: table.String}))
+	right.MustAppend(table.Row{table.S(b)})
+	right.MustAppend(table.Row{table.S(a)})
+	for f, text := range foldText {
+		kernel, ref := NewColumn(Form{Tok: tokenize.Word{}, Fold: f}, false), NewColumn(Form{Tok: stringWord{}, Fold: f}, false)
+		for _, c := range []*Column{kernel, ref} {
+			if err := c.Build(context.Background(), right, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !maps.Equal(kernel.ids, ref.ids) {
+			t.Fatalf("fold=%v (%q, %q): dictionary %v, string path %v", f, a, b, kernel.ids, ref.ids)
+		}
+		for i := range right.Len() {
+			if got, want := kernel.Cell(i), ref.Cell(i); !slices.Equal(got.Keys, want.Keys) {
+				t.Fatalf("fold=%v row %d (%q): keys %v, string path %v", f, i, right.Row(i)[0].Str(), got.Keys, want.Keys)
+			}
+		}
+
+		kernel, ref = NewColumn(kernel.form, false), NewColumn(ref.form, false)
+		kb, _ := kernel.AppendKeys(nil, table.S(b), true)
+		ka, _ := kernel.AppendKeys(nil, table.S(a), false)
+		rb, _ := ref.AppendKeys(nil, table.S(b), true)
+		ra, _ := ref.AppendKeys(nil, table.S(a), false)
+		if !slices.Equal(ka, ra) || !slices.Equal(kb, rb) {
+			t.Fatalf("fold=%v (%q, %q): keys %v and %v, string path %v and %v", f, a, b, ka, kb, ra, rb)
+		}
+		ta, tb := tokenize.SortedSet(tokenize.Word{}.Tokens(text(a))), tokenize.SortedSet(tokenize.Word{}.Tokens(text(b)))
+		got := [3]int{simfunc.SortedIntersectionSize(ka, kb), len(ka), len(kb)}
+		if want := [3]int{simfunc.SortedIntersectionSize(ta, tb), len(ta), len(tb)}; got != want {
+			t.Fatalf("fold=%v (%q, %q): keys count %v, token sets %v", f, a, b, got, want)
+		}
+	}
+}
+
+// TestWordKeysMatchStringPath is checkWordKeys over every pair of the
+// word cells.
+func TestWordKeysMatchStringPath(t *testing.T) {
+	for _, a := range wordCells {
+		for _, b := range wordCells {
+			checkWordKeys(t, a, b)
+		}
+	}
+}
+
+// FuzzWordKeys is checkWordKeys over arbitrary strings.
+func FuzzWordKeys(f *testing.F) {
+	for i, s := range wordCells {
+		f.Add(s, wordCells[(i+3)%len(wordCells)])
+	}
+	f.Fuzz(checkWordKeys)
+}
+
+// TestWordKeysAllocateNothing: on a built word column, the keys of an
+// ASCII cell — its words known, or not — go into a grown dst without an
+// allocation under every fold: no lowered or stripped copy of the cell,
+// and no string for a word the dictionary lacks.
+func TestWordKeysAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	_, r := oracleTables(rand.New(rand.NewSource(7)), 1, 200)
+	cells := []table.Value{
+		table.S("corn soy)! dairy-rust (Blight  CORN"),
+		table.S(`SWAMP Dodder (Cuscuta) "Ecology"! of Corn, in Zyzzyva-Quux county #42`),
+	}
+	for f := range foldText {
+		col := NewColumn(Form{Tok: tokenize.Word{}, Fold: f}, false)
+		if err := col.Build(context.Background(), r, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range cells {
+			dst := make([]uint64, 0, len(v.Str()))
+			if n := testing.AllocsPerRun(100, func() { dst, _ = col.AppendKeys(dst[:0], v, false) }); n != 0 {
+				t.Errorf("fold=%v %q: %v allocations a cell", f, v.Str(), n)
+			}
+		}
 	}
 }
 

@@ -36,14 +36,9 @@ type Word struct{}
 
 // Tokens implements Tokenizer. The words collect on the stack and leave as
 // one allocation of their number, not a nil slice grown token by token.
-func (w Word) Tokens(s string) []string {
+func (Word) Tokens(s string) []string {
 	var buf [16]string
-	return append([]string(nil), w.AppendTokens(buf[:0], s)...)
-}
-
-// AppendTokens is Tokens into a slice the caller owns and can reuse.
-func (Word) AppendTokens(dst []string, s string) []string {
-	start := -1
+	toks, start := buf[:0], -1
 	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			if start < 0 {
@@ -52,14 +47,14 @@ func (Word) AppendTokens(dst []string, s string) []string {
 			continue
 		}
 		if start >= 0 {
-			dst = append(dst, s[start:i])
+			toks = append(toks, s[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		dst = append(dst, s[start:])
+		toks = append(toks, s[start:])
 	}
-	return dst
+	return append([]string(nil), toks...)
 }
 
 // Name implements Tokenizer.

@@ -237,20 +237,8 @@ func TestQGramPacks(t *testing.T) {
 	QGram{Q: 4}.AppendKeys(nil, "abcde", false)
 }
 
-// TestWordAppendTokens: AppendTokens adds Tokens' tokens after what dst
-// holds, into dst's own array when it has the room.
-func TestWordAppendTokens(t *testing.T) {
-	buf := make([]string, 1, 8)
-	buf[0] = "kept"
-	for _, s := range append(keyCells, "IPM-based (corn) fungicide, 2008!", "  ;; ") {
-		got := Word{}.AppendTokens(buf, s)
-		if want := append([]string{"kept"}, Word{}.Tokens(s)...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("AppendTokens(%q) = %q, want %q", s, got, want)
-		}
-		if len(got) <= cap(buf) && &got[0] != &buf[0] {
-			t.Fatalf("AppendTokens(%q) left a buffer with room for its %d tokens", s, len(got))
-		}
-	}
+// TestWordTokensAllocateOnce: the words leave Tokens as one allocation.
+func TestWordTokensAllocateOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { Word{}.Tokens("corn fungicide guidelines for the north central states 2008") }); n != 1 {
 		t.Fatalf("Tokens allocates %v times, want once", n)
 	}
