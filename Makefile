@@ -166,12 +166,12 @@ tier2: fmt-check vet race race-cpu fuzz bench-check api-check examples smoke per
 
 ci: tier1 tier2
 
-# loc prints the measure ROADMAP aim 2 and open item 9 count in: lines of
+# loc prints the measure ROADMAP aim 2 and open item 10 count in: lines of
 # non-test Go outside bench/ and internal/smoke (tracked files plus new
 # ones not yet added, so it reads the same before and after `git add`) —
 # the total on the first line, then one line per top-level package
 # directory (internal/serve, cmd/emload, …; "." is the module root), which
-# is where item 9's "shape" figures come from.
+# is where item 10's per-package figures come from.
 loc:
 	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/smoke/' | xargs wc -l | \
 		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[1] "/" p[2] : "."; s[d] += $$1; t += $$1 } \

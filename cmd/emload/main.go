@@ -2,13 +2,13 @@
 // emserve (see docs/SERVING.md, "Capacity & soak testing").
 //
 //	emload -addr 127.0.0.1:8080 -right USDAProjected.csv \
-//	       [-mode run|soak|capacity|chaos] \
+//	       [-mode soak|capacity|chaos] \
 //	       [-profile uniform|poisson] [-rate 50] [-duration 30s] \
 //	       [-seed 1] [-blend single=88,batch=5,job=0,malformed=2,oversized=1,status=4] \
 //	       [-timeout 10s] [-shed-retries 0] [-max-retry-after 2s] \
 //	       [-report-every 5s] [-summary out.json] \
 //	       [-slo "availability=99.5,latency=500ms@99"] \
-//	       [-start-qps 5] [-max-qps 0] [-factor 2] [-step-duration 10s] [-p99-target 500] \
+//	       [-max-qps 0] [-factor 2] \
 //	       [-server-bin ./emserve] [-workdir DIR] \
 //	       [-shard-size 4] [-job-timeout 120s] [-- emserve base args...]
 //
@@ -16,23 +16,29 @@
 // records, a blend-submitted job 16, at most 4096 requests are in flight
 // (an arrival past that is dropped and counted, never delayed).
 //
-// Modes:
+// Every mode runs phases — one open-loop schedule of -rate for
+// -duration against one server — and judges each by load.Gate:
 //
-//	run       one load phase, summary JSON out; exit 0 unless the run
-//	          itself could not execute.
-//	soak      run + gate: client-side SLOs, zero unexpected answers,
-//	          Retry-After on every shed, no failed async job, at most
-//	          1% of arrivals dropped by the generator, and the server's
-//	          own /v1/status burn rates. Exit 1 on any breach — a CI
-//	          gate, not a report.
-//	capacity  stepped-QPS search for the max sustainable rate at the p99
-//	          target; the staircase lands in the summary JSON.
+//	soak      one phase judged by the gate: the -slo objectives, zero
+//	          unexpected answers, Retry-After on every shed, no failed
+//	          async job, at most 1% of arrivals dropped by the
+//	          generator, and the server's own /v1/status burn rates.
+//	capacity  soak at rising rates: phases from -rate, times -factor up
+//	          to -max-qps, each judged by the -slo objectives (no server
+//	          check) with at most 5% of answers shed, until one fails;
+//	          the last passing rate is the max sustainable rate.
 //	chaos     supervised chaos-soak: boots its own emserve (-server-bin +
 //	          args after --), trips and recovers the breaker under
 //	          injected matcher faults, SIGKILLs the server at a shard
 //	          boundary mid-load via EMCKPT_KILL, restarts it, and
-//	          requires byte-identical job resume, Retry-After on sheds,
-//	          a re-closed breaker, and a leak- and race-clean drain.
+//	          requires byte-identical job resume, two load phases that
+//	          pass the gate, a re-closed breaker, and a leak- and
+//	          race-clean drain.
+//
+// Exit status: 0 when every judged phase passed (capacity: at least one
+// step), 1 when one failed, 2 on a usage error or a run that could not
+// execute, 130 when SIGINT/SIGTERM cut it short — a phase cut short is
+// never judged, and no summary is written for it.
 //
 // Everything is seeded and deterministic on the generator side: the
 // same flags replay the same arrival schedule bit for bit.
@@ -40,37 +46,48 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"emgo/internal/ckpt"
+	"emgo/internal/cliutil"
 	"emgo/internal/load"
 	"emgo/internal/obs/slo"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+// errFail marks a judged failure (exit 1), apart from a usage error or
+// a run that could not execute (exit 2).
+var errFail = errors.New("FAIL")
+
+func main() { cliutil.MainCodes("emload", runCtx, exitCode) }
+
+// exitCode classifies an error that is neither an interrupt nor a
+// wrong invocation caught by the FlagSet.
+func exitCode(err error) int {
+	if errors.Is(err, errFail) {
+		return 1
+	}
+	return 2
 }
 
-// run is main minus os.Exit, the testable seam.
-func run(argv []string, stdout, stderr io.Writer) int {
+// runCtx is the whole program behind a testable seam.
+func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("emload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	mode := fs.String("mode", "run", "run | soak | capacity | chaos")
+	mode := fs.String("mode", "soak", "soak | capacity | chaos")
 	addr := fs.String("addr", "", "server under test (host:port or http URL); not used by -mode chaos")
 	right := fs.String("right", "", "right-table CSV the record pool is mined from")
 	summaryPath := fs.String("summary", "", "write the summary JSON here instead of stdout")
 
 	profile := fs.String("profile", load.ProfilePoisson, "arrival profile: uniform | poisson")
-	rate := fs.Float64("rate", 50, "mean arrival rate (requests/second)")
-	duration := fs.Duration("duration", 30*time.Second, "load phase length")
+	rate := fs.Float64("rate", 50, "mean arrival rate (requests/second); capacity: the first step's")
+	duration := fs.Duration("duration", 30*time.Second, "load phase length; capacity: every step's")
 	seed := fs.Int64("seed", 1, "seed for every schedule draw (same seed = same schedule)")
 	blendSpec := fs.String("blend", "", "request blend, e.g. single=88,batch=5,malformed=2,oversized=1,status=4 (empty = default)")
 
@@ -79,13 +96,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	maxRetryAfter := fs.Duration("max-retry-after", 2*time.Second, "cap on how long one Retry-After hint may stall a retry")
 	reportEvery := fs.Duration("report-every", 5*time.Second, "live eps/percentile line period (0 = silent)")
 
-	sloSpec := fs.String("slo", "availability=99.5,latency=500ms@99", "client-side objectives the soak gate asserts (emserve -slo syntax)")
+	sloSpec := fs.String("slo", "availability=99.5,latency=500ms@99", "client-side objectives the soak gate and every capacity step hold (emserve -slo syntax)")
 
-	startQPS := fs.Float64("start-qps", 5, "capacity search: first step rate")
-	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling (0 = 4096x start)")
+	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling (0 = 4096x -rate)")
 	factor := fs.Float64("factor", 2, "capacity search: rate multiplier between steps")
-	stepDuration := fs.Duration("step-duration", 10*time.Second, "capacity search: per-step length")
-	p99Target := fs.Float64("p99-target", 500, "capacity search: p99 bar in ms a step must hold")
 
 	serverBin := fs.String("server-bin", "", "chaos: emserve binary to supervise (base args after --)")
 	workDir := fs.String("workdir", "", "chaos: scratch dir for job dirs, logs, address files (default: a temp dir)")
@@ -93,18 +107,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	jobTimeout := fs.Duration("job-timeout", 120*time.Second, "chaos: per-await job deadline")
 
 	if err := fs.Parse(argv); err != nil {
-		return 2
+		return flag.ErrHelp
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	blend := load.DefaultBlend()
 	if *blendSpec != "" {
 		b, err := load.ParseBlend(*blendSpec)
 		if err != nil {
-			fmt.Fprintf(stderr, "emload: %v\n", err)
-			return 2
+			return err
 		}
 		blend = b
 	}
@@ -113,144 +123,121 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *right != "" {
 		p, err := load.NewRecordPool(*right)
 		if err != nil {
-			fmt.Fprintf(stderr, "emload: %v\n", err)
-			return 2
+			return err
 		}
 		pool = p
 	}
 
-	sched := load.ScheduleConfig{
-		Profile:  *profile,
-		Rate:     *rate,
-		Duration: *duration,
-		Seed:     *seed,
-		Blend:    blend,
+	phase := load.RunConfig{
+		Schedule: load.ScheduleConfig{
+			Profile:  *profile,
+			Rate:     *rate,
+			Duration: *duration,
+			Seed:     *seed,
+			Blend:    blend,
+		},
+		Client: load.ClientConfig{
+			BaseURL:       normalizeURL(*addr),
+			Timeout:       *timeout,
+			Seed:          *seed,
+			ShedRetries:   *shedRetries,
+			MaxRetryAfter: *maxRetryAfter,
+		},
+		Pool:        pool,
+		ReportEvery: *reportEvery,
+		Report:      stderr,
 	}
 	if pool != nil {
-		sched.PickN = pool.Size()
-	}
-	clientCfg := load.ClientConfig{
-		BaseURL:       normalizeURL(*addr),
-		Timeout:       *timeout,
-		Seed:          *seed,
-		ShedRetries:   *shedRetries,
-		MaxRetryAfter: *maxRetryAfter,
+		phase.Schedule.PickN = pool.Size()
 	}
 
-	summary := &load.Summary{GeneratedBy: "emload", Mode: *mode, Target: clientCfg.BaseURL, Pass: true}
-	switch *mode {
-	case "run", "soak":
+	var objectives []slo.Objective
+	if *mode == "soak" || *mode == "capacity" {
 		if *addr == "" {
-			fmt.Fprintln(stderr, "emload: -addr is required for -mode run/soak")
-			return 2
+			return fmt.Errorf("-addr is required for -mode %s", *mode)
 		}
-		objectives, err := slo.ParseObjectives(*sloSpec)
+		o, err := slo.ParseObjectives(*sloSpec)
 		if err != nil {
-			fmt.Fprintf(stderr, "emload: -slo: %v\n", err)
-			return 2
+			return fmt.Errorf("-slo: %w", err)
 		}
-		res, err := load.Run(ctx, load.RunConfig{
-			Schedule:    sched,
-			Client:      clientCfg,
-			Pool:        pool,
-			ReportEvery: *reportEvery,
-			Report:      stderr,
-		})
-		if res == nil {
-			fmt.Fprintf(stderr, "emload: %v\n", err)
-			return 2
+		objectives = o
+	}
+
+	summary := &load.Summary{GeneratedBy: "emload", Mode: *mode, Target: phase.Client.BaseURL}
+	switch *mode {
+	case "soak":
+		res, err := load.Run(ctx, phase)
+		if err != nil {
+			return err
 		}
-		summary.Phases = append(summary.Phases, load.NewPhaseSummary(*mode, sched, res))
-		if *mode == "soak" {
-			gate := load.Gate{Objectives: objectives, CheckServer: load.NewClient(clientCfg, pool)}
-			summary.Gate = gate.Evaluate(ctx, res)
-			summary.Pass = summary.Gate.Pass
-			for _, c := range summary.Gate.Checks {
-				verdict := "ok"
-				if !c.Pass {
-					verdict = "BREACH"
-				}
-				fmt.Fprintf(stderr, "emload: gate %-20s %-6s %s\n", c.Name, verdict, c.Detail)
+		res.Name = "soak"
+		gate := load.Gate{Objectives: objectives, CheckServer: load.NewClient(phase.Client, pool)}
+		res.Gate = gate.Evaluate(ctx, res)
+		summary.Phases = []*load.Result{res}
+		summary.Pass = res.Gate.Pass
+		for _, c := range res.Gate.Checks {
+			verdict := "ok"
+			if !c.Pass {
+				verdict = "BREACH"
 			}
+			fmt.Fprintf(stderr, "emload: gate %-20s %-6s %s\n", c.Name, verdict, c.Detail)
 		}
 
 	case "capacity":
-		if *addr == "" {
-			fmt.Fprintln(stderr, "emload: -addr is required for -mode capacity")
-			return 2
-		}
 		cres, err := load.SearchCapacity(ctx, load.CapacityConfig{
-			StartQPS:     *startQPS,
-			MaxQPS:       *maxQPS,
-			Factor:       *factor,
-			StepDuration: *stepDuration,
-			P99TargetMS:  *p99Target,
-			Schedule:     sched,
-			Client:       clientCfg,
-			Pool:         pool,
-			ReportEvery:  *reportEvery,
-			Report:       stderr,
+			RunConfig:  phase,
+			MaxQPS:     *maxQPS,
+			Factor:     *factor,
+			Objectives: objectives,
 		})
-		if err != nil && cres == nil {
-			fmt.Fprintf(stderr, "emload: %v\n", err)
-			return 2
+		if err != nil {
+			return err
 		}
 		summary.Capac = cres
 		summary.Pass = cres.MaxSustainableQPS > 0
-		fmt.Fprintf(stderr, "emload: max sustainable rate %.1f qps at p99 <= %.0fms (achieved %.1f qps, p99 %.1fms)\n",
-			cres.MaxSustainableQPS, cres.P99TargetMS, cres.AchievedAtMaxQPS, cres.P99AtMaxMS)
+		fmt.Fprintf(stderr, "emload: max sustainable rate %.1f qps under %s (achieved %.1f qps)\n",
+			cres.MaxSustainableQPS, *sloSpec, cres.AchievedAtMaxQPS)
 
 	case "chaos":
 		if *serverBin == "" {
-			fmt.Fprintln(stderr, "emload: -server-bin is required for -mode chaos (emserve base args after --)")
-			return 2
+			return errors.New("-server-bin is required for -mode chaos (emserve base args after --)")
 		}
 		wd := *workDir
 		if wd == "" {
 			tmp, err := os.MkdirTemp("", "emload-chaos-")
 			if err != nil {
-				fmt.Fprintf(stderr, "emload: %v\n", err)
-				return 2
+				return err
 			}
 			defer os.RemoveAll(tmp)
 			wd = tmp
 		}
 		chres, err := load.RunChaos(ctx, load.ChaosConfig{
-			Server:       load.ServerConfig{Bin: *serverBin, Args: fs.Args(), WorkDir: wd},
-			Client:       clientCfg,
-			Pool:         pool,
-			ShardSize:    *shardSize,
-			JobTimeout:   *jobTimeout,
-			Rate:         *rate,
-			LoadDuration: *duration,
-			Seed:         *seed,
-			Blend:        blend,
-			ReportEvery:  *reportEvery,
-			Report:       stderr,
+			Server:     load.ServerConfig{Bin: *serverBin, Args: fs.Args(), WorkDir: wd},
+			RunConfig:  phase,
+			ShardSize:  *shardSize,
+			JobTimeout: *jobTimeout,
 		})
 		if err != nil {
-			fmt.Fprintf(stderr, "emload: chaos: %v\n", err)
-			return 2
+			return fmt.Errorf("chaos: %w", err)
 		}
 		summary.Target = *serverBin
 		summary.Chaos = chres
-		summary.Phases = chres.Phases
 		summary.Pass = chres.Pass
 
 	default:
-		fmt.Fprintf(stderr, "emload: unknown mode %q (want run|soak|capacity|chaos)\n", *mode)
-		return 2
+		return fmt.Errorf("unknown mode %q (want soak|capacity|chaos)", *mode)
+	}
+	if err := ctx.Err(); err != nil {
+		return err // interrupted while judging: no verdict
 	}
 
 	if err := writeSummary(*summaryPath, stdout, summary); err != nil {
-		fmt.Fprintf(stderr, "emload: write summary: %v\n", err)
-		return 2
+		return fmt.Errorf("write summary: %w", err)
 	}
 	if !summary.Pass {
-		fmt.Fprintln(stderr, "emload: FAIL")
-		return 1
+		return errFail
 	}
-	return 0
+	return nil
 }
 
 // writeSummary renders the summary to stdout or, given a path, into that

@@ -1,44 +1,80 @@
 package main
 
 import (
+	"context"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"emgo/internal/cliutil"
 	"emgo/internal/load"
 )
 
-// run returns 2 (usage) for argument errors, without touching the
-// network; these pin the CLI contract the smoke harness
-// (internal/smoke) relies on.
+// Argument errors exit 2 without touching the network; these pin the
+// CLI contract the smoke harness (internal/smoke) relies on.
 func TestRunUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		argv []string
 		want string
 	}{
-		{"unknown mode", []string{"-mode", "stress", "-addr", "x"}, "want run|soak|capacity|chaos"},
-		{"run needs addr", []string{"-mode", "run"}, "-addr is required"},
+		{"unknown mode", []string{"-mode", "stress", "-addr", "x"}, "want soak|capacity|chaos"},
+		{"mode run is gone", []string{"-mode", "run", "-addr", "x"}, `unknown mode "run"`},
 		{"soak needs addr", []string{"-mode", "soak"}, "-addr is required"},
 		{"capacity needs addr", []string{"-mode", "capacity"}, "-addr is required"},
 		{"chaos needs server-bin", []string{"-mode", "chaos"}, "-server-bin is required"},
 		{"bad blend", []string{"-addr", "x", "-blend", "single=oops"}, "blend"},
 		{"bad slo", []string{"-mode", "soak", "-addr", "x", "-slo", "latency=banana"}, "-slo"},
 		{"bad flag", []string{"-no-such-flag"}, "flag provided but not defined"},
+		{"start-qps is gone", []string{"-mode", "capacity", "-addr", "x", "-start-qps", "5"}, "flag provided but not defined: -start-qps"},
+		{"step-duration is gone", []string{"-mode", "capacity", "-addr", "x", "-step-duration", "10s"}, "flag provided but not defined: -step-duration"},
+		{"p99-target is gone", []string{"-mode", "capacity", "-addr", "x", "-p99-target", "500"}, "flag provided but not defined: -p99-target"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb strings.Builder
-			code := run(tc.argv, &out, &errb)
-			if code != 2 {
-				t.Fatalf("run(%v) = %d, want 2\nstderr: %s", tc.argv, code, errb.String())
+			err := runCtx(context.Background(), tc.argv, &out, &errb)
+			if err == nil || exitCode(err) != 2 {
+				t.Fatalf("runCtx(%v) = %v (exit %d), want a usage error (exit 2)\nstderr: %s", tc.argv, err, exitCode(err), errb.String())
 			}
-			if !strings.Contains(errb.String(), tc.want) {
-				t.Fatalf("stderr %q does not mention %q", errb.String(), tc.want)
+			if msg := errb.String() + err.Error(); !strings.Contains(msg, tc.want) {
+				t.Fatalf("error %q (stderr %q) does not mention %q", err, errb.String(), tc.want)
 			}
 		})
+	}
+}
+
+// TestInterruptedRunNeverPasses: a capacity search cut short by a
+// signal exits 130 and writes no verdict — not a pass for the step it
+// did not finish.
+func TestInterruptedRunNeverPasses(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"degraded": false}`))
+	}))
+	defer ts.Close()
+	dir := t.TempDir()
+	right := filepath.Join(dir, "right.csv")
+	if err := os.WriteFile(right, []byte("RecordId,AwardTitle\nr1,soil survey\nr2,crop yield\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	summary := filepath.Join(dir, "capacity.json")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	var out, errb strings.Builder
+	err := runCtx(ctx, []string{"-mode", "capacity", "-addr", ts.URL, "-right", right, "-summary", summary,
+		"-blend", "single=1", "-rate", "20", "-max-qps", "20", "-duration", "500ms", "-report-every", "0",
+		"-slo", "availability=99,latency=5s@99"}, &out, &errb)
+	if err == nil || !cliutil.Interrupted(ctx, err) {
+		t.Fatalf("interrupted search returned %v, want the interrupt (exit %d)\nstderr: %s", err, cliutil.ExitInterrupted, errb.String())
+	}
+	if data, serr := os.ReadFile(summary); serr == nil {
+		t.Fatalf("an interrupted search wrote a summary:\n%s", data)
 	}
 }
 
@@ -70,7 +106,7 @@ func TestWriteSummaryKeepsThePreviousFileOnFailure(t *testing.T) {
 	if err != nil || !strings.Contains(string(before), `"pass": true`) {
 		t.Fatalf("first summary: %q, %v", before, err)
 	}
-	bad := &load.Summary{Mode: "soak", Phases: []load.PhaseSummary{{OfferedQPS: math.NaN()}}}
+	bad := &load.Summary{Mode: "soak", Phases: []*load.Result{{OfferedQPS: math.NaN()}}}
 	if err := writeSummary(path, nil, bad); err == nil {
 		t.Fatal("a summary holding NaN rendered")
 	}

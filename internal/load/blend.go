@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,47 +30,22 @@ const (
 var kindOrder = []Kind{KindSingle, KindBatch, KindJob, KindMalformed, KindOversized, KindStatus}
 
 // Blend weights the request kinds. Weights are relative, not
-// percentages; the zero Blend means all single matches.
-type Blend struct {
-	Single    int
-	Batch     int
-	Job       int
-	Malformed int
-	Oversized int
-	Status    int
-}
+// percentages; an empty Blend means all single matches. A Blend is a
+// map, so a caller that changes one it was handed clones it first.
+type Blend map[Kind]int
 
 // DefaultBlend is the mixed-traffic default: mostly single matches, a
 // batch and status sprinkle, and a trickle of hostile bodies so the
 // reject path is always exercised.
 func DefaultBlend() Blend {
-	return Blend{Single: 88, Batch: 5, Malformed: 2, Oversized: 1, Status: 4}
-}
-
-// weight returns the weight for one kind.
-func (b Blend) weight(k Kind) int {
-	switch k {
-	case KindSingle:
-		return b.Single
-	case KindBatch:
-		return b.Batch
-	case KindJob:
-		return b.Job
-	case KindMalformed:
-		return b.Malformed
-	case KindOversized:
-		return b.Oversized
-	case KindStatus:
-		return b.Status
-	}
-	return 0
+	return Blend{KindSingle: 88, KindBatch: 5, KindMalformed: 2, KindOversized: 1, KindStatus: 4}
 }
 
 // total sums the weights.
 func (b Blend) total() int {
 	t := 0
-	for _, k := range kindOrder {
-		t += b.weight(k)
+	for _, w := range b {
+		t += w
 	}
 	return t
 }
@@ -78,7 +54,7 @@ func (b Blend) total() int {
 func (b Blend) String() string {
 	var parts []string
 	for _, k := range kindOrder {
-		if w := b.weight(k); w > 0 {
+		if w := b[k]; w > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%d", k, w))
 		}
 	}
@@ -89,7 +65,7 @@ func (b Blend) String() string {
 // kind=weight clauses, e.g. "single=80,batch=10,malformed=5,status=5".
 // Unmentioned kinds get weight 0; at least one weight must be positive.
 func ParseBlend(s string) (Blend, error) {
-	var b Blend
+	b := Blend{}
 	for _, clause := range strings.Split(s, ",") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -97,31 +73,20 @@ func ParseBlend(s string) (Blend, error) {
 		}
 		name, val, ok := strings.Cut(clause, "=")
 		if !ok {
-			return Blend{}, fmt.Errorf("load: blend %q: %q is not kind=weight", s, clause)
+			return nil, fmt.Errorf("load: blend %q: %q is not kind=weight", s, clause)
 		}
 		w, err := strconv.Atoi(strings.TrimSpace(val))
 		if err != nil || w < 0 {
-			return Blend{}, fmt.Errorf("load: blend %q: weight %q must be a non-negative integer", s, val)
+			return nil, fmt.Errorf("load: blend %q: weight %q must be a non-negative integer", s, val)
 		}
-		switch Kind(strings.TrimSpace(name)) {
-		case KindSingle:
-			b.Single = w
-		case KindBatch:
-			b.Batch = w
-		case KindJob:
-			b.Job = w
-		case KindMalformed:
-			b.Malformed = w
-		case KindOversized:
-			b.Oversized = w
-		case KindStatus:
-			b.Status = w
-		default:
-			return Blend{}, fmt.Errorf("load: blend %q: unknown kind %q", s, name)
+		k := Kind(strings.TrimSpace(name))
+		if !slices.Contains(kindOrder, k) {
+			return nil, fmt.Errorf("load: blend %q: unknown kind %q", s, name)
 		}
+		b[k] = w
 	}
 	if b.total() <= 0 {
-		return Blend{}, fmt.Errorf("load: blend %q has no positive weight", s)
+		return nil, fmt.Errorf("load: blend %q has no positive weight", s)
 	}
 	return b, nil
 }
@@ -131,7 +96,7 @@ func ParseBlend(s string) (Blend, error) {
 // rather than arriving in runs.
 func (b Blend) assign(n int, seed int64) ([]Kind, error) {
 	if b.total() == 0 {
-		b = Blend{Single: 1}
+		b = Blend{KindSingle: 1}
 	}
 	total := b.total()
 	out := make([]Kind, 0, n)
@@ -145,7 +110,7 @@ func (b Blend) assign(n int, seed int64) ([]Kind, error) {
 	assigned := 0
 	var rem []share
 	for _, k := range kindOrder {
-		w := b.weight(k)
+		w := b[k]
 		if w == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"maps"
 	"testing"
 )
 
@@ -9,15 +10,15 @@ func TestParseBlendRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Blend{Single: 80, Batch: 10, Job: 2, Malformed: 5, Status: 3}
-	if b != want {
+	want := Blend{KindSingle: 80, KindBatch: 10, KindJob: 2, KindMalformed: 5, KindStatus: 3}
+	if !maps.Equal(b, want) {
 		t.Fatalf("parsed %+v, want %+v", b, want)
 	}
 	b2, err := ParseBlend(b.String())
 	if err != nil {
 		t.Fatalf("re-parse %q: %v", b.String(), err)
 	}
-	if b2 != b {
+	if !maps.Equal(b2, b) {
 		t.Fatalf("String round trip lost weights: %q -> %+v", b.String(), b2)
 	}
 }
@@ -38,7 +39,7 @@ func TestParseBlendRejects(t *testing.T) {
 }
 
 func TestBlendAssignProportions(t *testing.T) {
-	b := Blend{Single: 88, Batch: 5, Malformed: 2, Oversized: 1, Status: 4}
+	b := Blend{KindSingle: 88, KindBatch: 5, KindMalformed: 2, KindOversized: 1, KindStatus: 4}
 	kinds, err := b.assign(1000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestBlendAssignProportions(t *testing.T) {
 
 func TestBlendAssignSmallRunsKeepRareKinds(t *testing.T) {
 	// A 1%-weight kind must still appear in a 100-arrival run.
-	b := Blend{Single: 99, Oversized: 1}
+	b := Blend{KindSingle: 99, KindOversized: 1}
 	kinds, _ := b.assign(100, 1)
 	seen := false
 	for _, k := range kinds {

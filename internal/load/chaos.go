@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -174,43 +175,34 @@ func tailFile(path string, n int64) string {
 // re-closes and load keeps flowing.
 type ChaosConfig struct {
 	Server ServerConfig
-	Client ClientConfig
-	Pool   *RecordPool
+	// RunConfig shapes both load phases; Client.BaseURL is set per
+	// supervised server. Schedule defaults to 25 qps for 8s, seed 1,
+	// Poisson arrivals (the profile is fixed), single-heavy with
+	// malformed/status probes and NO job kind — job submission is
+	// explicit so the kill-point timing is controlled.
+	RunConfig
 
 	// ShardSize is the canonical async job's shard size (default 4).
 	ShardSize int
 	// JobTimeout bounds each await (default 120s).
 	JobTimeout time.Duration
-
-	// Rate/LoadDuration/Seed/Blend shape each load phase (defaults 25
-	// qps, 8s, seed 1, single-heavy with malformed/status probes and NO
-	// job kind — job submission is explicit so the kill-point timing is
-	// controlled).
-	Rate         float64
-	LoadDuration time.Duration
-	Seed         int64
-	Blend        Blend
-
-	ReportEvery time.Duration
-	Report      io.Writer
 }
 
 // ChaosResult is the chaos-soak verdict, embedded in the summary JSON.
 type ChaosResult struct {
-	RefJobID              string         `json:"ref_job_id"`
-	ChaosJobID            string         `json:"chaos_job_id"`
-	Killed                bool           `json:"killed"`
-	KillExit              int            `json:"kill_exit"`
-	BreakerOpened         bool           `json:"breaker_opened"`
-	BreakerReclosed       bool           `json:"breaker_reclosed"`
-	ResumedShards         int            `json:"resumed_shards"`
-	ByteIdentical         bool           `json:"byte_identical"`
-	ResultBytes           int            `json:"result_bytes"`
-	ShedMissingRetryAfter int64          `json:"shed_missing_retry_after"`
-	DrainClean            bool           `json:"drain_clean"`
-	Phases                []PhaseSummary `json:"phases"`
-	Failures              []string       `json:"failures"`
-	Pass                  bool           `json:"pass"`
+	RefJobID        string    `json:"ref_job_id"`
+	ChaosJobID      string    `json:"chaos_job_id"`
+	Killed          bool      `json:"killed"`
+	KillExit        int       `json:"kill_exit"`
+	BreakerOpened   bool      `json:"breaker_opened"`
+	BreakerReclosed bool      `json:"breaker_reclosed"`
+	ResumedShards   int       `json:"resumed_shards"`
+	ByteIdentical   bool      `json:"byte_identical"`
+	ResultBytes     int       `json:"result_bytes"`
+	DrainClean      bool      `json:"drain_clean"`
+	Phases          []*Result `json:"phases"`
+	Failures        []string  `json:"failures"`
+	Pass            bool      `json:"pass"`
 }
 
 // The choreography's fixed parts. They only work together, so none is
@@ -237,23 +229,27 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 120 * time.Second
 	}
-	if c.Rate <= 0 {
-		c.Rate = 25
+	c.Schedule.Profile = ProfilePoisson
+	if c.Schedule.Rate <= 0 {
+		c.Schedule.Rate = 25
 	}
-	if c.LoadDuration <= 0 {
-		c.LoadDuration = 8 * time.Second
+	if c.Schedule.Duration <= 0 {
+		c.Schedule.Duration = 8 * time.Second
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.Schedule.Seed == 0 {
+		c.Schedule.Seed = 1
 	}
-	if c.Blend.total() == 0 {
-		c.Blend = Blend{Single: 90, Batch: 4, Malformed: 2, Status: 4}
+	if c.Schedule.Blend.total() == 0 {
+		c.Schedule.Blend = Blend{KindSingle: 90, KindBatch: 4, KindMalformed: 2, KindStatus: 4}
 	}
-	if c.Blend.Job > 0 {
+	if c.Schedule.Blend[KindJob] > 0 {
 		// A blend-submitted job would race the canonical one for the
-		// kill-point; fold its weight into singles.
-		c.Blend.Single += c.Blend.Job
-		c.Blend.Job = 0
+		// kill-point; fold its weight into singles, in a copy: the map
+		// is the caller's.
+		b := maps.Clone(c.Schedule.Blend)
+		b[KindSingle] += b[KindJob]
+		delete(b, KindJob)
+		c.Schedule.Blend = b
 	}
 	if c.Report == nil {
 		c.Report = io.Discard
@@ -270,10 +266,15 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 //     the armed kill-point SIGKILLs the server at a shard boundary;
 //  4. restart over the same job dir under fresh load: the job must
 //     resume (not restart), complete, and fetch byte-identical to the
-//     reference; sheds must carry Retry-After; the breaker must be
-//     closed; the final drain must be leak- and race-clean.
+//     reference; the breaker must be closed; the final drain must be
+//     leak- and race-clean.
 //
-// Every violated expectation lands in Failures; Pass is their absence.
+// Both load phases are judged by the zero Gate (no objectives: the
+// first phase's server is killed on purpose), so every answer must be
+// expected, every shed must carry Retry-After and the generator must
+// not drop. Every violated expectation, a failed gate check included,
+// lands in Failures; Pass is their absence. Cancelling ctx returns its
+// error instead of a verdict.
 func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ChaosResult{DrainClean: true}
@@ -285,6 +286,35 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		fmt.Fprintf(cfg.Report, "emload: chaos: "+format+"\n", args...)
 	}
 	records := cfg.Pool.JobRecords(chaosJobRecords)
+	// phase starts one load phase against p in the background; the
+	// returned wait collects it and judges it by the zero Gate.
+	phase := func(name string, seed int64, p *ServerProc) (wait func()) {
+		run := cfg.RunConfig
+		run.Schedule.Seed = seed
+		run.Client = clientFor(cfg.Client, p)
+		var r *Result
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r, err = Run(ctx, run)
+		}()
+		return func() {
+			<-done
+			if err != nil {
+				failf("%s: %v", name, err)
+				return
+			}
+			r.Name = name
+			r.Gate = Gate{}.Evaluate(ctx, r)
+			res.Phases = append(res.Phases, r)
+			for _, c := range r.Gate.Checks {
+				if !c.Pass {
+					failf("%s gate %s: %s", name, c.Name, c.Detail)
+				}
+			}
+		}
+	}
 
 	// Phase 1: reference bytes from an unmolested server.
 	say("reference server starting")
@@ -342,22 +372,8 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	say("breaker exercised: opened=%v re-closed=%v", opened, reclosed)
 
 	// Phase 3: open-loop load with the canonical job submitted mid-phase.
-	schedule := func(seed int64) ScheduleConfig {
-		return ScheduleConfig{Profile: ProfilePoisson, Rate: cfg.Rate, Duration: cfg.LoadDuration, Seed: seed, Blend: cfg.Blend}
-	}
-	loadA := make(chan *Result, 1)
-	go func() {
-		r, _ := Run(ctx, RunConfig{
-			Schedule:    schedule(cfg.Seed),
-			Client:      clientFor(cfg.Client, victim),
-			Pool:        cfg.Pool,
-			ReportEvery: cfg.ReportEvery,
-			Report:      cfg.Report,
-			JobWait:     -1, // the server is about to die; nothing to await
-		})
-		loadA <- r
-	}()
-	time.Sleep(cfg.LoadDuration / 4)
+	waitKill := phase("chaos_load_kill", cfg.Schedule.Seed, victim)
+	time.Sleep(cfg.Schedule.Duration / 4)
 	submit := NewClient(clientFor(cfg.Client, victim), cfg.Pool)
 	chaosSt, serr := submit.SubmitJob(ctx, records, cfg.ShardSize)
 	submit.CloseIdle()
@@ -370,7 +386,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		}
 	}
 
-	code, werr := victim.WaitExit(cfg.LoadDuration + cfg.JobTimeout)
+	code, werr := victim.WaitExit(cfg.Schedule.Duration + cfg.JobTimeout)
 	if werr != nil {
 		failf("kill-point never fired: %v", werr)
 		victim.Kill()
@@ -385,10 +401,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		}
 	}
 	say("server down (exit %d); mid-load kill delivered", code)
-	if r := <-loadA; r != nil {
-		res.ShedMissingRetryAfter += r.ShedNoRetryAfter
-		res.Phases = append(res.Phases, NewPhaseSummary("chaos_load_kill", schedule(cfg.Seed), r))
-	}
+	waitKill()
 
 	// Phase 4: restart over the same job dir, resume under fresh load.
 	say("restarting over %s", chaosDir)
@@ -401,17 +414,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		failf("restart did not report a recovered job (%s)", heir.LogPath)
 	}
 
-	loadB := make(chan *Result, 1)
-	go func() {
-		r, _ := Run(ctx, RunConfig{
-			Schedule:    schedule(cfg.Seed + 1),
-			Client:      clientFor(cfg.Client, heir),
-			Pool:        cfg.Pool,
-			ReportEvery: cfg.ReportEvery,
-			Report:      cfg.Report,
-		})
-		loadB <- r
-	}()
+	waitResume := phase("chaos_load_resume", cfg.Schedule.Seed+1, heir)
 
 	await := NewClient(clientFor(cfg.Client, heir), cfg.Pool)
 	if st, gotBytes, aerr := await.FinishJob(ctx, refID, cfg.JobTimeout); aerr != nil {
@@ -429,16 +432,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		}
 	}
 
-	if r := <-loadB; r != nil {
-		res.ShedMissingRetryAfter += r.ShedNoRetryAfter
-		res.Phases = append(res.Phases, NewPhaseSummary("chaos_load_resume", schedule(cfg.Seed+1), r))
-		if n := r.Classes[ClassUnexpected]; n > 0 {
-			failf("%d unexpected answer(s) in the resume-phase load", n)
-		}
-	}
-	if res.ShedMissingRetryAfter > 0 {
-		failf("%d shed answer(s) missing Retry-After", res.ShedMissingRetryAfter)
-	}
+	waitResume()
 	sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
 	if stt, serr2 := await.Status(sctx); serr2 != nil {
 		failf("final /v1/status: %v", serr2)
@@ -453,6 +447,9 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		for _, f := range fails {
 			failf("resume %s", f)
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
 	res.Pass = len(res.Failures) == 0
 	return res, nil

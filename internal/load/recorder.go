@@ -75,16 +75,19 @@ func (r *Recorder) Observe(out Outcome, latency time.Duration) {
 	}
 }
 
-// Snapshot is the recorder's state at one instant.
+// Snapshot is the recorder's state at one instant; the json keys are
+// the ones a phase record (Result) writes for its accounting.
 type Snapshot struct {
-	Elapsed          time.Duration
-	Completed        int64
-	Classes          map[string]int64
-	Kinds            map[Kind]int64
-	Degraded         int64
-	ShedNoRetryAfter int64
-	Retries          int64
-	Hist             obs.HistogramSnapshot
+	Elapsed   time.Duration    `json:"-"`
+	Completed int64            `json:"completed"`
+	Classes   map[string]int64 `json:"classes"`
+	Kinds     map[Kind]int64   `json:"kinds"`
+	Degraded  int64            `json:"degraded"`
+	// ShedNoRetryAfter counts contract violations: a 429/503 shed
+	// answer with no Retry-After hint.
+	ShedNoRetryAfter int64                 `json:"shed_missing_retry_after"`
+	Retries          int64                 `json:"retries,omitempty"`
+	Hist             obs.HistogramSnapshot `json:"histogram"`
 }
 
 // Snapshot captures the current totals.

@@ -33,71 +33,6 @@ func latencySummary(h obs.HistogramSnapshot) LatencySummary {
 	return ls
 }
 
-// PhaseSummary is one load phase rendered for the machine-readable
-// summary document.
-type PhaseSummary struct {
-	Name        string           `json:"name,omitempty"`
-	Profile     string           `json:"profile"`
-	TargetQPS   float64          `json:"target_qps"`
-	DurationS   float64          `json:"duration_s"`
-	Seed        int64            `json:"seed"`
-	Blend       string           `json:"blend"`
-	Scheduled   int64            `json:"scheduled"`
-	Sent        int64            `json:"sent"`
-	Completed   int64            `json:"completed"`
-	Dropped     int64            `json:"dropped,omitempty"`
-	Unsent      int64            `json:"unsent,omitempty"`
-	OfferedQPS  float64          `json:"offered_qps"`
-	AchievedQPS float64          `json:"achieved_qps"`
-	Classes     map[string]int64 `json:"classes"`
-	Kinds       map[Kind]int64   `json:"kinds"`
-	Degraded    int64            `json:"degraded"`
-	// ShedMissingRetryAfter counts contract violations: a 429/503 shed
-	// answer with no Retry-After hint.
-	ShedMissingRetryAfter int64                 `json:"shed_missing_retry_after"`
-	Retries               int64                 `json:"retries,omitempty"`
-	JobsSubmitted         int64                 `json:"jobs_submitted,omitempty"`
-	JobsCompleted         int64                 `json:"jobs_completed,omitempty"`
-	JobsFailed            int64                 `json:"jobs_failed,omitempty"`
-	Latency               LatencySummary        `json:"latency"`
-	Histogram             obs.HistogramSnapshot `json:"histogram"`
-}
-
-// NewPhaseSummary renders one phase result against the schedule that
-// produced it.
-func NewPhaseSummary(name string, cfg ScheduleConfig, res *Result) PhaseSummary {
-	cfg = cfg.withDefaults()
-	blend := cfg.Blend
-	if blend.total() == 0 {
-		blend = Blend{Single: 1}
-	}
-	return PhaseSummary{
-		Name:                  name,
-		Profile:               cfg.Profile,
-		TargetQPS:             cfg.Rate,
-		DurationS:             cfg.Duration.Seconds(),
-		Seed:                  cfg.Seed,
-		Blend:                 blend.String(),
-		Scheduled:             res.Scheduled,
-		Sent:                  res.Sent,
-		Completed:             res.Completed,
-		Dropped:               res.Dropped,
-		Unsent:                res.Unsent,
-		OfferedQPS:            res.OfferedQPS,
-		AchievedQPS:           res.AchievedQPS,
-		Classes:               res.Classes,
-		Kinds:                 res.Kinds,
-		Degraded:              res.Degraded,
-		ShedMissingRetryAfter: res.ShedNoRetryAfter,
-		Retries:               res.Retries,
-		JobsSubmitted:         res.JobsSubmitted,
-		JobsCompleted:         res.JobsCompleted,
-		JobsFailed:            res.JobsFailed,
-		Latency:               latencySummary(res.Hist),
-		Histogram:             res.Hist,
-	}
-}
-
 // Summary is emload's machine-readable output: one JSON document per
 // run, whatever the mode.
 type Summary struct {
@@ -105,9 +40,10 @@ type Summary struct {
 	Mode        string `json:"mode"`
 	Target      string `json:"target,omitempty"`
 	// Pass mirrors the process exit: false when any gate check failed.
-	Pass   bool            `json:"pass"`
-	Phases []PhaseSummary  `json:"phases,omitempty"`
-	Gate   *GateResult     `json:"gate,omitempty"`
+	Pass bool `json:"pass"`
+	// Phases holds soak's one phase; capacity's steps and chaos's load
+	// phases sit in their own results, so every phase is written once.
+	Phases []*Result       `json:"phases,omitempty"`
 	Capac  *CapacityResult `json:"capacity,omitempty"`
 	Chaos  *ChaosResult    `json:"chaos,omitempty"`
 }

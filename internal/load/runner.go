@@ -11,6 +11,10 @@ import (
 // defaultMaxOutstanding is the in-flight cap every emload run uses.
 const defaultMaxOutstanding = 4096
 
+// jobWait bounds how long the end of a phase waits for the async jobs
+// its blend submitted to finish.
+const jobWait = 30 * time.Second
+
 // RunConfig drives one open-loop load phase.
 type RunConfig struct {
 	// Schedule describes the arrivals; Client the server and request
@@ -29,31 +33,36 @@ type RunConfig struct {
 	ReportEvery time.Duration
 	// Report receives live lines (default io.Discard).
 	Report io.Writer
-	// JobWait bounds how long the end of the run waits for async jobs
-	// submitted by the blend to finish (default 30s; 0 keeps default,
-	// negative skips waiting).
-	JobWait time.Duration
 }
 
-// Result is one load phase's full accounting.
+// Result is one load phase, recorded once: the schedule it ran, its
+// full accounting and, once a mode has judged it, the gate's verdict.
+// It is also what the summary document writes for the phase.
 type Result struct {
-	Snapshot
+	Name string `json:"name,omitempty"`
+	ScheduleConfig
+	DurationS float64 `json:"duration_s"`
 	// Scheduled is how many arrivals the schedule held; Sent how many
 	// were issued; Dropped how many the outstanding cap refused;
 	// Unsent how many were abandoned on context cancellation.
-	Scheduled int64
-	Sent      int64
-	Dropped   int64
-	Unsent    int64
-	// OfferedQPS is the schedule's rate over the wall clock; AchievedQPS
-	// counts completed requests.
-	OfferedQPS  float64
-	AchievedQPS float64
+	Scheduled int64 `json:"scheduled"`
+	Sent      int64 `json:"sent"`
+	Dropped   int64 `json:"dropped,omitempty"`
+	Unsent    int64 `json:"unsent,omitempty"`
+	Snapshot
+	// OfferedQPS is the schedule's rate over the phase's wall clock;
+	// AchievedQPS counts completed requests. The clock stops once the
+	// last request is answered, before the wait for async jobs.
+	OfferedQPS  float64 `json:"offered_qps"`
+	AchievedQPS float64 `json:"achieved_qps"`
 	// JobsSubmitted/JobsCompleted/JobsFailed track blend-submitted async
 	// jobs through their poll/fetch lifecycle.
-	JobsSubmitted int64
-	JobsCompleted int64
-	JobsFailed    int64
+	JobsSubmitted int64          `json:"jobs_submitted,omitempty"`
+	JobsCompleted int64          `json:"jobs_completed,omitempty"`
+	JobsFailed    int64          `json:"jobs_failed,omitempty"`
+	Latency       LatencySummary `json:"latency"`
+	// Gate is the verdict of the mode that judged the phase.
+	Gate *GateResult `json:"gate,omitempty"`
 }
 
 // bad counts the answers every bar holds against the server: server
@@ -68,7 +77,8 @@ func (r *Result) bad() int64 {
 // clock, dispatch every arrival the instant it is due, and account for
 // every completion with its latency charged from the scheduled send
 // time. Cancelling ctx abandons unsent arrivals (counted) and returns
-// what was measured so far.
+// what was measured so far with ctx's error: a phase cut short is
+// never judged.
 func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	sched, err := BuildSchedule(cfg.Schedule)
 	if err != nil {
@@ -80,11 +90,8 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	if cfg.Report == nil {
 		cfg.Report = io.Discard
 	}
-	if cfg.JobWait == 0 {
-		cfg.JobWait = 30 * time.Second
-	}
-	needsRecords := cfg.Schedule.Blend.total() == 0 ||
-		cfg.Schedule.Blend.Single > 0 || cfg.Schedule.Blend.Batch > 0 || cfg.Schedule.Blend.Job > 0
+	b := cfg.Schedule.Blend
+	needsRecords := b.total() == 0 || b[KindSingle]+b[KindBatch]+b[KindJob] > 0
 	if cfg.Pool == nil && needsRecords {
 		return nil, fmt.Errorf("load: blend %q carries record-bearing requests but no record pool was given", cfg.Schedule.Blend.String())
 	}
@@ -92,7 +99,11 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	client := NewClient(cfg.Client, cfg.Pool)
 	defer client.CloseIdle()
 	rec := NewRecorder()
-	res := &Result{Scheduled: int64(len(sched))}
+	res := &Result{
+		ScheduleConfig: cfg.Schedule.withDefaults(),
+		DurationS:      cfg.Schedule.Duration.Seconds(),
+		Scheduled:      int64(len(sched)),
+	}
 	watcher := newJobWatcher(client)
 
 	// Live reporting rides its own ticker so a stalled server cannot
@@ -157,15 +168,14 @@ dispatch:
 		}(i, arr)
 	}
 	wg.Wait()
-	if cfg.JobWait > 0 {
-		watcher.wait(ctx, cfg.JobWait)
-	}
 	elapsed := time.Since(start)
+	watcher.wait(ctx, jobWait)
 
 	close(repDone)
 	repWG.Wait()
 
 	res.Snapshot = rec.Snapshot()
+	res.Latency = latencySummary(res.Hist)
 	res.Sent = sent
 	res.Dropped = dropped
 	if elapsed > 0 {

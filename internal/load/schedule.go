@@ -36,26 +36,28 @@ const zipfS = 1.2
 // ScheduleConfig describes one deterministic arrival schedule. The same
 // config always yields the same schedule: send times, request kinds,
 // and record indices are all drawn from rngs seeded with Seed, so a
-// soak run (or a failure it found) is replayable bit for bit.
+// soak run (or a failure it found) is replayable bit for bit. The json
+// keys are the ones a phase record (Result) writes for its schedule.
 type ScheduleConfig struct {
 	// Profile is the inter-arrival shape: ProfileUniform (evenly spaced)
 	// or ProfilePoisson (exponential gaps, the classic open-system model).
-	Profile string
+	Profile string `json:"profile"`
 	// Rate is the mean arrival rate in requests/second (> 0).
-	Rate float64
-	// Duration is how long the schedule runs (> 0).
-	Duration time.Duration
+	Rate float64 `json:"target_qps"`
+	// Duration is how long the schedule runs (> 0); a phase record
+	// writes it as duration_s.
+	Duration time.Duration `json:"-"`
 	// Seed drives every random draw (0 picks 1, so the zero config is
 	// still deterministic).
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// PickN is the record-pool size the Zipf-distributed record indices
 	// are drawn from (> 0 when the blend carries record-bearing requests).
-	PickN int
+	PickN int `json:"-"`
 
-	// Blend weights the request kinds; the zero Blend is all single
+	// Blend weights the request kinds; the empty Blend is all single
 	// matches.
-	Blend Blend
+	Blend Blend `json:"blend"`
 }
 
 // Arrival is one scheduled request: fire at At (offset from run start),

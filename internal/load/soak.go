@@ -3,16 +3,19 @@ package load
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"emgo/internal/obs/slo"
 )
 
-// Gate is the soak-mode assertion set: client-side objectives computed
-// from the run's own accounting, plus server-side checks read back from
-// /v1/status. A soak passes only when every check passes — the harness
-// exits non-zero otherwise, which is what makes it a CI gate rather
-// than a report.
+// Gate is the one assertion set every mode judges a phase by:
+// client-side objectives computed from the phase's own accounting, plus
+// server-side checks read back from /v1/status. A soak passes only when
+// every check passes — the harness exits non-zero otherwise, which is
+// what makes it a CI gate rather than a report; a capacity step adds
+// its own bars (judgeStep), and chaos judges its load phases by the
+// zero Gate.
 type Gate struct {
 	// Objectives are client-side reliability targets, in the same syntax
 	// the server's -slo flag takes (slo.ParseObjectives). Availability is
@@ -26,8 +29,7 @@ type Gate struct {
 }
 
 // maxDropFrac caps the fraction of arrivals the generator itself dropped
-// at the outstanding cap, in the gate and in each capacity step; past it
-// the measurement is not trustworthy.
+// at the outstanding cap; past it the measurement is not trustworthy.
 // The gate's other bars are zero: no unexpected answer (a 200 to a
 // malformed body is a bug, not noise), no shed answer without a
 // Retry-After hint, no failed blend-submitted job.
@@ -52,6 +54,21 @@ func (g *GateResult) check(name string, pass bool, format string, args ...any) {
 	if !pass {
 		g.Pass = false
 	}
+}
+
+// verdict renders the result in one line: "pass", or every failed
+// check with its detail.
+func (g *GateResult) verdict() string {
+	if g.Pass {
+		return "pass"
+	}
+	var failed []string
+	for _, c := range g.Checks {
+		if !c.Pass {
+			failed = append(failed, c.Name+": "+c.Detail)
+		}
+	}
+	return "FAIL: " + strings.Join(failed, "; ")
 }
 
 // Evaluate judges one finished load phase against the gate.

@@ -140,59 +140,73 @@ func TestGateGeneratorDrops(t *testing.T) {
 	}
 }
 
-func TestEvaluateStepVerdicts(t *testing.T) {
-	cfg := CapacityConfig{}.withDefaults()
-
-	rec := NewRecorder()
-	rec.Start()
-	for i := 0; i < 200; i++ {
-		rec.Observe(Outcome{Kind: KindSingle, Class: ClassOK}, 10e6)
-	}
-	res := &Result{Snapshot: rec.Snapshot(), AchievedQPS: 100}
-	res.Scheduled, res.Sent = res.Completed, res.Completed
-	if step := evaluateStep(cfg, 100, res); !step.Pass {
-		t.Fatalf("healthy step failed: %s", step.Reason)
-	}
-
-	slow := NewRecorder()
-	slow.Start()
-	for i := 0; i < 200; i++ {
-		slow.Observe(Outcome{Kind: KindSingle, Class: ClassOK}, 900e6) // 900ms > 500ms target
-	}
-	res = &Result{Snapshot: slow.Snapshot()}
-	res.Scheduled, res.Sent = res.Completed, res.Completed
-	if step := evaluateStep(cfg, 100, res); step.Pass {
-		t.Fatal("900ms p99 passed a 500ms capacity bar")
-	}
-
-	shed := NewRecorder()
-	shed.Start()
-	for i := 0; i < 100; i++ {
-		class := ClassOK
-		if i < 20 {
-			class = ClassShed // 20% shed > 5% budget
+// TestCapacityStepVerdicts: a capacity step is judged by the gate over
+// the -slo objectives plus its own two bars; every row is one step.
+func TestCapacityStepVerdicts(t *testing.T) {
+	objectives := mustObjectives(t, "availability=99,latency=500ms@99")
+	step := func(n int, latency time.Duration, class func(i int) string) *Result {
+		rec := NewRecorder()
+		rec.Start()
+		for i := 0; i < n; i++ {
+			rec.Observe(Outcome{Kind: KindSingle, Class: class(i)}, latency)
 		}
-		shed.Observe(Outcome{Kind: KindSingle, Class: class}, 10e6)
+		res := &Result{Snapshot: rec.Snapshot(), AchievedQPS: 100}
+		res.Scheduled, res.Sent = res.Completed, res.Completed
+		return res
 	}
-	res = &Result{Snapshot: shed.Snapshot()}
-	res.Scheduled, res.Sent = res.Completed, res.Completed
-	if step := evaluateStep(cfg, 100, res); step.Pass {
-		t.Fatal("20% sheds passed the 5% capacity budget")
+	ok := func(int) string { return ClassOK }
+	for _, tc := range []struct {
+		name   string
+		res    *Result
+		failed string // the check that fails the step; "" = the step passes
+	}{
+		{"healthy", step(200, 10*time.Millisecond, ok), ""},
+		{"900ms p99 over a 500ms bar", step(200, 900*time.Millisecond, ok), "latency_500ms"},
+		{"20% shed over the 5% budget", step(100, 10*time.Millisecond, func(i int) string {
+			if i < 20 {
+				return ClassShed
+			}
+			return ClassOK
+		}), "shed"},
+		{"one unexpected answer", step(200, 10*time.Millisecond, func(i int) string {
+			if i == 0 {
+				return ClassUnexpected
+			}
+			return ClassOK
+		}), "unexpected_answers"},
+		{"nothing completed", step(0, 0, ok), "completed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := judgeStep(context.Background(), objectives, tc.res)
+			if tc.failed == "" {
+				if !g.Pass {
+					t.Fatalf("step failed: %s", g.verdict())
+				}
+				return
+			}
+			if g.Pass {
+				t.Fatalf("step passed, want check %s to fail", tc.failed)
+			}
+			if c := gateCheck(t, g, tc.failed); c.Pass {
+				t.Fatalf("check %s passed (%s); the step failed on: %s", tc.failed, c.Detail, g.verdict())
+			}
+		})
 	}
 }
 
 func TestSearchCapacityStopsAtFirstFailingStep(t *testing.T) {
 	leakcheck.Check(t)
 	ts := newDelayServer(t, 5*time.Millisecond)
+	first := RunConfig{
+		Schedule: ScheduleConfig{Profile: ProfileUniform, Rate: 10, Duration: 500 * time.Millisecond, PickN: 8},
+		Client:   ClientConfig{BaseURL: ts.URL},
+		Pool:     testPool(8),
+	}
 	cres, err := SearchCapacity(context.Background(), CapacityConfig{
-		StartQPS:     10,
-		MaxQPS:       40,
-		Factor:       2,
-		StepDuration: 500 * time.Millisecond,
-		P99TargetMS:  1, // unholdable: a 5ms service time can never pass
-		Schedule:     ScheduleConfig{Profile: ProfileUniform, PickN: 8},
-		Client:       ClientConfig{BaseURL: ts.URL},
-		Pool:         testPool(8),
+		RunConfig:  first,
+		MaxQPS:     40,
+		Factor:     2,
+		Objectives: mustObjectives(t, "availability=99,latency=1ms@99"), // unholdable: a 5ms service time can never pass
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,14 +219,10 @@ func TestSearchCapacityStopsAtFirstFailingStep(t *testing.T) {
 	}
 
 	ok, err := SearchCapacity(context.Background(), CapacityConfig{
-		StartQPS:     10,
-		MaxQPS:       20,
-		Factor:       2,
-		StepDuration: 500 * time.Millisecond,
-		P99TargetMS:  5000,
-		Schedule:     ScheduleConfig{Profile: ProfileUniform, PickN: 8},
-		Client:       ClientConfig{BaseURL: ts.URL},
-		Pool:         testPool(8),
+		RunConfig:  first,
+		MaxQPS:     20,
+		Factor:     2,
+		Objectives: mustObjectives(t, "availability=99,latency=5s@99"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,5 +232,30 @@ func TestSearchCapacityStopsAtFirstFailingStep(t *testing.T) {
 	}
 	if len(ok.Steps) != 2 {
 		t.Fatalf("search ran %d steps, want 2", len(ok.Steps))
+	}
+}
+
+// TestSearchCapacityNeverJudgesACutStep: a step the context cuts short
+// is not judged, so an interrupted search sustains nothing it did not
+// finish measuring.
+func TestSearchCapacityNeverJudgesACutStep(t *testing.T) {
+	leakcheck.Check(t)
+	ts := newDelayServer(t, time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	cres, err := SearchCapacity(ctx, CapacityConfig{
+		RunConfig: RunConfig{
+			Schedule: ScheduleConfig{Profile: ProfileUniform, Rate: 20, Duration: 500 * time.Millisecond, PickN: 8},
+			Client:   ClientConfig{BaseURL: ts.URL},
+			Pool:     testPool(8),
+		},
+		MaxQPS:     20,
+		Objectives: mustObjectives(t, "availability=99,latency=5s@99"),
+	})
+	if err == nil {
+		t.Fatal("a search cut short returned no error")
+	}
+	if cres.MaxSustainableQPS != 0 || len(cres.Steps) != 0 {
+		t.Fatalf("a step cut short was judged: max sustainable %.1f over %d step(s)", cres.MaxSustainableQPS, len(cres.Steps))
 	}
 }

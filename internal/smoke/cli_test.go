@@ -5,20 +5,24 @@ package smoke
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"emgo/internal/load"
 )
 
 // smokeLoad holds emload's exit-code contract against live servers: a
-// clean soak passes its gate (exit 0), a short capacity search finds a
-// sustainable rate, an undersized server trips the gate with exit
-// exactly 1 naming the latency objective — a gate that cannot fail is
-// not a gate — and the supervised chaos-soak (breaker trip and re-close,
-// SIGKILL at a shard boundary mid-load, byte-identical resume) passes.
+// clean soak passes its gate (exit 0), a short capacity search — soak
+// at rising rates — finds a sustainable rate, an undersized server trips
+// the gate with exit exactly 1 naming the latency objective — a gate
+// that cannot fail is not a gate — and the supervised chaos-soak
+// (breaker trip and re-close, SIGKILL at a shard boundary mid-load,
+// byte-identical resume) passes with both load phases' gates passing.
 func smokeLoad(t *testing.T) {
 	dir := t.TempDir()
 	emload := func(summary string, args ...string) (int, string, string) {
@@ -35,8 +39,8 @@ func smokeLoad(t *testing.T) {
 	wantFragments(t, "soak summary", sum, `"pass": true`, `"gate"`)
 
 	code, out, sum = emload("capacity.json", "-mode", "capacity", "-addr", s.Addr,
-		"-start-qps", "4", "-max-qps", "16", "-factor", "2", "-step-duration", "2s",
-		"-p99-target", "5000", "-report-every", "0")
+		"-rate", "4", "-max-qps", "16", "-factor", "2", "-duration", "2s",
+		"-slo", "availability=99,latency=5s@99", "-report-every", "0")
 	wantCLI(t, "capacity search", code, out, 0, "max sustainable rate")
 	wantFragments(t, "capacity summary", sum, `"max_sustainable_qps"`)
 	if strings.Contains(sum, `"max_sustainable_qps": 0,`) {
@@ -64,7 +68,26 @@ func smokeLoad(t *testing.T) {
 		"-spec", spec, "-left", left, "-right", right, "-matcher", matcher, "-job-workers", "1")
 	wantCLI(t, "chaos-soak", code, out, 0)
 	wantFragments(t, "chaos summary", sum, `"pass": true`, `"byte_identical": true`, `"breaker_reclosed": true`,
-		`"killed": true`, `"drain_clean": true`, `"shed_missing_retry_after": 0`)
+		`"killed": true`, `"drain_clean": true`)
+	var chaosSum struct {
+		Chaos struct {
+			Phases []struct {
+				Name string           `json:"name"`
+				Gate *load.GateResult `json:"gate"`
+			} `json:"phases"`
+		} `json:"chaos"`
+	}
+	if err := json.Unmarshal([]byte(sum), &chaosSum); err != nil {
+		t.Fatalf("chaos summary: %v", err)
+	}
+	if n := len(chaosSum.Chaos.Phases); n != 2 {
+		t.Errorf("chaos summary holds %d load phase(s), want 2", n)
+	}
+	for _, p := range chaosSum.Chaos.Phases {
+		if p.Gate == nil || !p.Gate.Pass {
+			t.Errorf("chaos phase %s: gate %+v, want a passing gate", p.Name, p.Gate)
+		}
+	}
 	logs, _ := filepath.Glob(filepath.Join(chaos, "*.err"))
 	for _, log := range logs {
 		if strings.Contains(readFile(t, log), "WARNING: DATA RACE") {

@@ -91,9 +91,8 @@ var deploymentSettings = map[string]string{
 }
 
 // unrunEntryPoints names the entry points no runner invokes that stay,
-// each with its reason. No wildcard, at most six.
+// each with its reason. No wildcard, at most five.
 var unrunEntryPoints = map[string]string{
-	"emload -mode run":                     "the default mode: soak's load phase without the gate, the same case of the switch and the same load.Run call TestSmoke/load drives as soak",
 	"emload -blend":                        "the traffic mix is the deployment's own (its share of batch, job and malformed requests); every runner measures the default blend, and the parser is the one ParseBlend the tests pin",
 	"emmonitor check -thresholds":          "drift tolerances belong to the data set being monitored, not to this repository; TestSmoke/monitor gates at the defaults",
 	"emmonitor check -strict":              "the publication gate's severity (warn blocks too) is the receiving team's call per pipeline; the smoke drill checks exit 0 and exit 1 at the default",
