@@ -301,12 +301,12 @@ func benchFeatureBind(b *testing.B, fs *feature.Set, right *table.Table) {
 // BenchmarkDeployedRun runs the scale-1 case study's deployment over fresh
 // left slices of one reference table — the UMETRICS rows dealt round-robin
 // into eight slices, against the 1,915 USDA rows — the two ways a caller
-// can. build_per_slice is umetrics.RunDeployed per slice: Spec.BuildCtx,
-// then a run that builds the right table's token column and key indexes
-// again, and feature cells only for the right rows its candidates
-// reference. deploy_once is Workflow.Deploy once, outside the timer — the
-// column, the indexes and the cells of every right row — then RunCtx per
-// slice. An op is one slice's run.
+// can. build_per_slice is umetrics.RunDeployed per slice: Spec.BuildCtx
+// and Workflow.Deploy per slice — the title column the blockers and the
+// title feature share, the key indexes and the cells of every right row,
+// built again each time — then RunCtx. deploy_once is Workflow.Deploy
+// once, outside the timer, then RunCtx per slice. An op is one slice's
+// run.
 func BenchmarkDeployedRun(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
 	left, right := f.proj.UMETRICS, f.proj.USDA

@@ -46,6 +46,19 @@ func Bind(ctx context.Context, right *table.Table, blockers ...Blocker) ([]Block
 	return out, nil
 }
 
+// Columns returns the token columns of the bound blockers among blockers,
+// each once: what a feature set bound to the same table reuses
+// (feature.Set.Bind) rather than tokenise the table again.
+func Columns(blockers []Blocker) []*Column {
+	var out []*Column
+	for _, b := range blockers {
+		if b, ok := b.(*boundTokens); ok && !slices.Contains(out, b.col.Column) {
+			out = append(out, b.col.Column)
+		}
+	}
+	return out
+}
+
 // CheckBound returns nil when right is the table a part was bound to,
 // and otherwise the error naming both.
 func CheckBound(bound, right *table.Table) error {

@@ -191,6 +191,10 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 	// ready[k] is blockers[k]'s candidate set when the pass of an earlier
 	// blocker over the same column has already produced it.
 	ready := make([]*CandidateSet, len(blockers))
+	// earlier holds a cursor on each earlier blocker's set; up to four
+	// stay on the stack, so a request's union allocates none.
+	var onStack [4]cursor
+	earlier := onStack[:0]
 	for k, b := range blockers {
 		jctx, sp := obs.StartSpan(ctx, "block.join")
 		sp.Annotate("blocker", b.Name())
@@ -210,17 +214,22 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		pairsBlocked.Add(int64(c.Len()))
 		// Grow the union in place, in Union's order (earlier pairs, then
 		// c's new ones), making room for all of c at once. A pair of c is
-		// new when no earlier blocker's set holds it; the key and token
-		// blockers' sets are ascending, so asking them is a binary search,
-		// and the union is never asked.
+		// new when no earlier blocker's set holds it, and the union is
+		// never asked. The key and token blockers' sets are ascending,
+		// and so is c: each earlier set is asked through a cursor that
+		// walks it in step with c.
 		if err := out.sameTables(c); err != nil {
 			return nil, err
 		}
 		out.pairs = slices.Grow(out.pairs, len(c.pairs))
+		earlier = earlier[:0]
+		for _, e := range ready[:k] {
+			earlier = append(earlier, cursor{set: e})
+		}
 	pairs:
 		for _, p := range c.pairs {
-			for _, earlier := range ready[:k] {
-				if earlier.Contains(p) {
+			for i := range earlier {
+				if earlier[i].contains(p) {
 					continue pairs
 				}
 			}

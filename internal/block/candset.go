@@ -38,10 +38,11 @@ func comparePairs(p, q Pair) int {
 //
 // Blockers emit pairs ascending, so a set is its pair slice: while pairs
 // arrive ascending, adding one is a compare with the last and membership
-// is a binary search. Once a pair arrives out of order the set is
-// unordered, and the first membership question about it builds an index;
-// Add keeps it current from then on. Reads — Contains included — may run
-// concurrently.
+// is a binary search — or, asked a run of pairs in order, as the set
+// algebra asks, a step of a cursor. Once a pair arrives out of order the
+// set is unordered, and the first membership question about it builds an
+// index; Add keeps it current from then on. Reads — Contains included —
+// may run concurrently.
 type CandidateSet struct {
 	Left      *table.Table
 	Right     *table.Table
@@ -99,6 +100,43 @@ func (c *CandidateSet) Contains(p Pair) bool {
 	return ok
 }
 
+// cursor asks one set about a run of pairs, most of them ascending — a
+// blocker's set in order, or a union of such runs. On an ascending set it
+// keeps where the last pair asked about would go and gallops forward from
+// there, so a walk in step with the set costs a compare or two a pair;
+// a pair before the last one asked is a binary search below it. An
+// unordered set is asked through its index. A cursor is a value: one
+// walk's, on its caller's stack.
+type cursor struct {
+	set *CandidateSet
+	at  int // every pair before at is before the last pair asked about
+}
+
+// contains reports whether p is in the cursor's set.
+func (cur *cursor) contains(p Pair) bool {
+	c := cur.set
+	if c.unordered {
+		return c.Contains(p)
+	}
+	lo, hi := cur.at, len(c.pairs)
+	if lo > 0 && comparePairs(c.pairs[lo-1], p) >= 0 {
+		lo, hi = 0, lo // p steps back
+	} else {
+		// Widen a window from lo by doubling steps until its last pair is
+		// not before p; everything it passes over is.
+		for step := 1; lo+step <= hi; step *= 2 {
+			if comparePairs(c.pairs[lo+step-1], p) >= 0 {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	}
+	i, ok := slices.BinarySearchFunc(c.pairs[lo:hi], p, comparePairs)
+	cur.at = lo + i
+	return ok
+}
+
 // Len returns the number of pairs.
 func (c *CandidateSet) Len() int { return len(c.pairs) }
 
@@ -128,8 +166,9 @@ func (c *CandidateSet) Union(o *CandidateSet) (*CandidateSet, error) {
 	out := NewCandidateSet(c.Left, c.Right)
 	out.pairs = append(make([]Pair, 0, len(c.pairs)+len(o.pairs)), c.pairs...)
 	out.unordered = c.unordered
+	in := cursor{set: c}
 	for _, p := range o.pairs {
-		if !c.Contains(p) {
+		if !in.contains(p) {
 			out.push(p)
 		}
 	}
@@ -142,7 +181,8 @@ func (c *CandidateSet) Minus(o *CandidateSet) (*CandidateSet, error) {
 		return nil, err
 	}
 	obs.C("block.candset.ops").Inc()
-	return c.Filter(func(p Pair) bool { return !o.Contains(p) }), nil
+	in := cursor{set: o}
+	return c.Filter(func(p Pair) bool { return !in.contains(p) }), nil
 }
 
 // Intersect returns a new set with the pairs present in both c and o.
@@ -151,7 +191,8 @@ func (c *CandidateSet) Intersect(o *CandidateSet) (*CandidateSet, error) {
 		return nil, err
 	}
 	obs.C("block.candset.ops").Inc()
-	return c.Filter(o.Contains), nil
+	in := cursor{set: o}
+	return c.Filter(in.contains), nil
 }
 
 // Sample returns n pairs drawn uniformly without replacement.

@@ -10,6 +10,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"emgo/internal/obs"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -42,11 +43,28 @@ type Form struct {
 }
 
 // Same reports whether f and g turn every cell into the same tokens, so
-// that one column serves both. Tokenizers of a type that cannot be
-// compared never share — not even one with itself.
+// that one column serves both: a blocker's and a feature's. Tokenizers of
+// a type that cannot be compared never share — not even one with itself.
 func (f Form) Same(g Form) bool {
 	t := reflect.TypeOf(f.Tok)
-	return f.Fold == g.Fold && t != nil && t == reflect.TypeOf(g.Tok) && t.Comparable() && f.Tok == g.Tok
+	return f.fold() == g.fold() && t != nil && t == reflect.TypeOf(g.Tok) && t.Comparable() && f.Tok == g.Tok
+}
+
+// fold is the fold that decides f's tokens. Under the word tokenizer,
+// Normalize is Lower: every character it strips separates words already
+// (appendWordKeys reads both alike).
+func (f Form) fold() Fold {
+	if _, ok := f.Tok.(tokenize.Word); ok && f.Fold == FoldNormalize {
+		return FoldLower
+	}
+	return f.Fold
+}
+
+// Packs reports whether each of f's tokens fits a key of its own: a
+// q-gram tokenizer whose grams pack (tokenize.QGram.Packs).
+func (f Form) Packs() bool {
+	g, ok := f.Tok.(tokenize.QGram)
+	return ok && g.Packs()
 }
 
 // Cell is one prepared table cell: a key per distinct token, ascending. A
@@ -60,20 +78,25 @@ type Cell struct {
 // Column is one right-table column under one form: the dictionary
 // numbering its tokens — unless a token is its own key — and the cells of
 // the rows it was built over. Built, it is immutable, so any number of
-// readers may share it.
+// readers may share it: the blockers bound to a table and the feature set
+// bound beside them read one column per (table, column, token set).
 type Column struct {
 	form  Form
 	ids   map[string]uint64 // nil when tokens are their own keys
 	cells []Cell
+	// right and rj name the table column whose every row the cells are;
+	// right is nil for a column built over some rows only.
+	right *table.Table
+	rj    int
 }
 
 // NewColumn returns an empty column under form. With pack, a form whose
-// tokens each fit a key (tokenize.QGram.Packs) gets no dictionary: a
-// feature set's 3-gram columns. Without, tokens are numbered densely from
-// 0 in order of first appearance, which is what postings index by.
+// tokens each fit a key (Form.Packs) gets no dictionary: a feature set's
+// 3-gram columns. Without, tokens are numbered densely from 0 in order of
+// first appearance, which is what postings index by.
 func NewColumn(form Form, pack bool) *Column {
 	c := &Column{form: form}
-	if g, ok := form.Tok.(tokenize.QGram); !pack || !ok || !g.Packs() {
+	if !pack || !form.Packs() {
 		c.ids = map[string]uint64{}
 	}
 	return c
@@ -87,6 +110,11 @@ func (c *Column) Packed() bool { return c.ids == nil }
 
 // Cell returns the cell of the i-th row the column was built over.
 func (c *Column) Cell(i int) Cell { return c.cells[i] }
+
+// Over reports whether c holds every row of column rj of right.
+func (c *Column) Over(right *table.Table, rj int) bool {
+	return right != nil && c.right == right && c.rj == rj
+}
 
 // AppendKeys appends the keys of v's cell to dst, sorted; null reports a
 // null cell, which has none. With add — Build's, and whoever prepares a
@@ -266,6 +294,10 @@ func (c *Column) Build(ctx context.Context, right *table.Table, rj int, rows []i
 		cells[i] = Cell{Keys: arena[start:len(arena):len(arena)], Null: null}
 	}
 	c.cells = cells
+	if rows == nil {
+		c.right, c.rj = right, rj
+	}
+	obs.C("block.cells_tokenised").Add(int64(n))
 	return nil
 }
 

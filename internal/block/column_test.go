@@ -22,8 +22,9 @@ type sliceTokenizer []string
 func (sliceTokenizer) Tokens(s string) []string { return strings.Fields(s) }
 func (sliceTokenizer) Name() string             { return "slice" }
 
-// TestFormSame: forms share when fold and tokenizer are equal; a tokenizer
-// that cannot be compared, or none at all, shares with nothing — itself
+// TestFormSame: forms share when fold and tokenizer are equal, and under
+// the word tokenizer Lower and Normalize are one fold; a tokenizer that
+// cannot be compared, or none at all, shares with nothing — itself
 // included — and asking does not panic.
 func TestFormSame(t *testing.T) {
 	ptr := &sideCounter{}
@@ -32,7 +33,12 @@ func TestFormSame(t *testing.T) {
 		want bool
 	}{
 		{Form{Tok: tokenize.Word{}}, Form{Tok: tokenize.Word{}}, true},
-		{Form{Tok: tokenize.Word{}, Fold: FoldLower}, Form{Tok: tokenize.Word{}, Fold: FoldNormalize}, false},
+		{Form{Tok: tokenize.Word{}, Fold: FoldLower}, Form{Tok: tokenize.Word{}, Fold: FoldNormalize}, true},
+		{Form{Tok: tokenize.Word{}, Fold: FoldNormalize}, Form{Tok: tokenize.Word{}, Fold: FoldLower}, true},
+		{Form{Tok: tokenize.Word{}}, Form{Tok: tokenize.Word{}, Fold: FoldLower}, false},
+		{Form{Tok: tokenize.Word{}}, Form{Tok: tokenize.Word{}, Fold: FoldNormalize}, false},
+		{Form{Tok: tokenize.QGram{Q: 3}, Fold: FoldLower}, Form{Tok: tokenize.QGram{Q: 3}, Fold: FoldNormalize}, false},
+		{Form{Tok: tokenize.Whitespace{}, Fold: FoldLower}, Form{Tok: tokenize.Whitespace{}, Fold: FoldNormalize}, false},
 		{Form{Tok: tokenize.Word{}}, Form{Tok: tokenize.Whitespace{}}, false},
 		{Form{Tok: tokenize.QGram{Q: 3}}, Form{Tok: tokenize.QGram{Q: 3}}, true},
 		{Form{Tok: tokenize.QGram{Q: 3}}, Form{Tok: tokenize.QGram{Q: 3, Pad: true}}, false},
@@ -177,11 +183,27 @@ var foldText = map[Fold]func(string) string{
 // dictionary alike and give every cell the same keys; and a's keys
 // against a column built over b alone — tokens it lacks included — equal
 // the string path's and count what Word.Tokens of the folded texts does.
+// Under Lower and under Normalize the string path's columns are equal too,
+// dictionary and cells: what lets Form.Same give both one column.
 func checkWordKeys(t *testing.T, a, b string) {
 	t.Helper()
 	right := table.New("R", table.MustSchema(table.Field{Name: "Title", Kind: table.String}))
 	right.MustAppend(table.Row{table.S(b)})
 	right.MustAppend(table.Row{table.S(a)})
+	lower, normalized := NewColumn(Form{Tok: stringWord{}, Fold: FoldLower}, false), NewColumn(Form{Tok: stringWord{}, Fold: FoldNormalize}, false)
+	for _, c := range []*Column{lower, normalized} {
+		if err := c.Build(context.Background(), right, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !maps.Equal(lower.ids, normalized.ids) {
+		t.Fatalf("(%q, %q): dictionary %v under Lower, %v under Normalize", a, b, lower.ids, normalized.ids)
+	}
+	for i := range right.Len() {
+		if got, want := normalized.Cell(i), lower.Cell(i); !slices.Equal(got.Keys, want.Keys) || got.Null != want.Null {
+			t.Fatalf("row %d (%q): keys %v under Normalize, %v under Lower", i, right.Row(i)[0].Str(), got.Keys, want.Keys)
+		}
+	}
 	for f, text := range foldText {
 		kernel, ref := NewColumn(Form{Tok: tokenize.Word{}, Fold: f}, false), NewColumn(Form{Tok: stringWord{}, Fold: f}, false)
 		for _, c := range []*Column{kernel, ref} {

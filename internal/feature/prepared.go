@@ -212,7 +212,7 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 	if p.cols = s.cells.of(pl.groups); p.cols == nil {
 		p.rightRows = sortedRows(pairs, right.Len(), func(q block.Pair) int { return q.B })
 		var rc *rightCells
-		rc, err = s.prepareRight(ctx, right, p.rightRows)
+		rc, err = s.prepareRight(ctx, right, p.rightRows, nil)
 		p.cols = rc.of(pl.groups)
 	}
 	if err == nil {
@@ -253,17 +253,20 @@ type rightCells struct {
 // Bind returns the set bound to right: the same features and read marks,
 // with the right table's cells prepared now, once, so VectorizeCtx over
 // right tokenises only the left rows of its pairs — what a server does
-// with its reference table at start-up. s is left as it is. The bound set
-// answers about right only — asked about another table, VectorizeCtx
-// returns an error naming both — and takes no new feature. Bind fails
-// when a read feature's column is missing from right, ctx ends first, or
-// the "feature.bind" fault site fires: the error a server refuses to
-// start or to swap a matcher in on.
-func (s *Set) Bind(ctx context.Context, right *table.Table) (*Set, error) {
+// with its reference table at start-up. A column of built — the bound
+// blockers' (block.Columns) — over every row of the same right column,
+// under a form that gives the same tokens and keys as the set's, is read
+// in place of one of its own; only the columns left over are built. s is
+// left as it is. The bound set answers about right only — asked about
+// another table, VectorizeCtx returns an error naming both — and takes no
+// new feature. Bind fails when a read feature's column is missing from
+// right, ctx ends first, or the "feature.bind" fault site fires: the
+// error a server refuses to start or to swap a matcher in on.
+func (s *Set) Bind(ctx context.Context, right *table.Table, built ...*block.Column) (*Set, error) {
 	if err := fault.Inject("feature.bind"); err != nil {
 		return nil, err
 	}
-	cells, err := s.prepareRight(ctx, right, nil)
+	cells, err := s.prepareRight(ctx, right, nil, built)
 	if err != nil {
 		return nil, err
 	}
@@ -271,10 +274,12 @@ func (s *Set) Bind(ctx context.Context, right *table.Table) (*Set, error) {
 	return &Set{Features: s.Features[:n:n], read: s.read, right: right, cells: cells}, nil
 }
 
-// prepareRight builds the right columns of the set features the set reads
-// over rows of right — nil for every row.
-func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) (*rightCells, error) {
+// prepareRight readies the right columns of the set features the set
+// reads over rows of right — nil for every row: each is a column of built
+// when one will do, else built now.
+func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int, built []*block.Column) (*rightCells, error) {
 	rc := &rightCells{}
+	var fresh []int // the columns of rc to build
 	for k, f := range s.Features {
 		sim := computeRegistry[f.Func]
 		if sim.ratio == nil || !s.reads(k) {
@@ -284,9 +289,14 @@ func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) 
 		if err != nil {
 			return nil, err
 		}
-		if rc.column(rj, sim.form) == nil {
-			rc.rj, rc.cols = append(rc.rj, rj), append(rc.cols, block.NewColumn(sim.form, true))
+		if rc.column(rj, sim.form) != nil {
+			continue
 		}
+		col := reuse(built, right, rj, sim.form)
+		if col == nil {
+			fresh, col = append(fresh, len(rc.cols)), block.NewColumn(sim.form, true)
+		}
+		rc.rj, rc.cols = append(rc.rj, rj), append(rc.cols, col)
 	}
 	n := len(rows)
 	if rows == nil {
@@ -295,11 +305,24 @@ func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int) 
 	// A column's dictionary grows row by row, so the fan-out is over
 	// columns. Only ctx cuts a build short; it is reported here, bare, not
 	// under a column's index, which is no pair's.
-	err := parallel.ForWorkersCtx(ctx, len(rc.cols), fanOut(n), func(g int) error {
+	err := parallel.ForWorkersCtx(ctx, len(fresh), fanOut(n), func(i int) error {
+		g := fresh[i]
 		_ = rc.cols[g].Build(ctx, right, rc.rj[g], rows)
 		return nil
 	})
 	return rc, cmp.Or(err, ctx.Err())
+}
+
+// reuse returns the column of built over every row of column rj of right
+// that the set would build under form, or nil: the same tokens, keyed the
+// same way — a packed q-gram column is never a blocker's numbered one.
+func reuse(built []*block.Column, right *table.Table, rj int, form block.Form) *block.Column {
+	for _, c := range built {
+		if c.Over(right, rj) && c.Form().Same(form) && c.Packed() == form.Packs() {
+			return c
+		}
+	}
+	return nil
 }
 
 // column returns the column of right column rj under form, or nil.

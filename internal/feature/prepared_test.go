@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -585,6 +586,80 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVectors(t, "bound to the other table", got, want)
+}
+
+// TestBindReadsBuiltColumns: a set bound beside bound blockers reads each
+// of their columns it would build alike — the same right column, a Same
+// form (a word column under normalize serves word + lower), the same
+// packing — and builds the rest: the unfolded word column, and a packed
+// 3-gram column even beside a blocker's numbered one. Bound to another
+// table it reads none of them. Its vectors are the unbound set's.
+func TestBindReadsBuiltColumns(t *testing.T) {
+	ctx := context.Background()
+	l, r := registryTables(t)
+	blockers, err := block.Bind(ctx, r,
+		block.Overlap{LeftCol: "S", RightCol: "S", Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true},
+		block.Overlap{LeftCol: "S", RightCol: "S", Tokenizer: tokenize.QGram{Q: 3}, Threshold: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := block.Columns(blockers)
+	if len(built) != 2 {
+		t.Fatalf("%d columns of two blockers over different forms", len(built))
+	}
+	set := &Set{}
+	for _, key := range []string{"jaccard_word_lower", "jaccard_qgram3", "jaccard_word", "cosine_word"} {
+		f, err := New("S", "S", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := allPairs(l, r)
+	want, err := set.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := set.Bind(ctx, r, built...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj, _ := r.Col("S")
+	lower := bound.cells.column(rj, block.Form{Tok: tokenize.Word{}, Fold: block.FoldLower})
+	word := bound.cells.column(rj, block.Form{Tok: tokenize.Word{}})
+	grams := bound.cells.column(rj, block.Form{Tok: tokenize.QGram{Q: 3}})
+	switch {
+	case len(bound.cells.cols) != 3:
+		t.Fatalf("bound set holds %d columns, want 3", len(bound.cells.cols))
+	case lower != built[0]:
+		t.Fatal("word + lower did not read the blockers' word + normalize column")
+	case word == built[0] || word == built[1]:
+		t.Fatal("the unfolded word column is a blocker's")
+	case grams == built[1] || !grams.Packed():
+		t.Fatalf("the 3-gram column is the blocker's numbered one, or not packed (packed=%v)", grams.Packed())
+	}
+	got, err := bound.Vectorize(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVectors(t, "bound beside blockers", got, want)
+
+	other := table.New("other", r.Schema())
+	for i := 0; i < r.Len(); i++ {
+		other.MustAppend(r.Row(i))
+	}
+	elsewhere, err := set.Bind(ctx, other, built...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range elsewhere.cells.cols {
+		if slices.Contains(built, c) {
+			t.Fatal("a set bound to another table read a blocker's column")
+		}
+	}
 }
 
 // TestConcurrentVectorizeSharesBoundCells: goroutines vectorizing over one

@@ -57,10 +57,14 @@ func BuildDeploymentSpec(fs *feature.Set, im *feature.Imputer, matcher ml.Matche
 // RunDeployed executes a packaged workflow spec against one data slice
 // under the hardened runtime — the production entry point the UMETRICS
 // repository calls per slice. The spec is rebuilt with the standard
-// deployment transform registry, then run with RunCtx so the slice gets
-// per-stage deadlines, the error budget, and a provenance log even when
-// it fails. On a build failure
-// the returned Result is nil; on a run failure it carries the log.
+// deployment transform registry and deployed over right
+// (workflow.Workflow.Deploy: the blockers' columns and key indexes, the
+// sure rules' join and the matcher's feature cells built once, the
+// reference titles tokenised once for blockers and features both), then
+// run with RunCtx so the slice gets per-stage deadlines, the error
+// budget, and a provenance log even when it fails. On a build or deploy
+// failure the returned Result is nil; on a run failure it carries the
+// log.
 //
 // Every run emits a machine-readable report by default: RunCtx roots an
 // obs trace when the caller's context has none, so Result.Report always
@@ -73,6 +77,9 @@ func RunDeployed(ctx context.Context, spec *workflow.Spec, left, right *table.Ta
 	w, err := spec.BuildCtx(ctx, left, right, DeployTransforms(), retry.Policy{})
 	if err != nil {
 		return nil, fmt.Errorf("umetrics: build deployed workflow: %w", err)
+	}
+	if w, err = w.Deploy(ctx, w.Matcher, right); err != nil {
+		return nil, fmt.Errorf("umetrics: deploy workflow: %w", err)
 	}
 	return w.RunCtx(ctx, left, right, opts)
 }

@@ -14,6 +14,7 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
+	"emgo/internal/obs"
 	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
@@ -270,4 +271,103 @@ func TestDeploymentConcurrentRuns(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDeploymentSharesColumnsWithBlockers: Deploy tokenises each reference
+// title once for the normalising title blockers and the lower-case title
+// feature both — block.cells_tokenised counts the cells every column
+// build tokenises — while a feature under another form, the unfolded
+// jaccard_word, still gets a column of its own; a run of the deployment
+// tokenises no reference cell, and its final matches are those BuildCtx +
+// RunCtx give, run after run and from goroutines running at once (make
+// race-cpu runs this at 1 and 2 CPUs).
+func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
+	ctx := context.Background()
+	right, lefts := deployTables(240, 2, 30)
+	fs := &feature.Set{}
+	for _, key := range []string{"jaccard_word_lower", "jaccard_word"} {
+		f, err := feature.New("Title", "Title", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	descs, err := fs.Descriptors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := func(label int) *ml.NodeSpec { return &ml.NodeSpec{Leaf: true, Label: label, Proba: float64(label)} }
+	// A match is a pair over 0.7 on the lower-case feature and, when the
+	// tree reads it, on the unfolded one.
+	lowerOnly := &ml.NodeSpec{Feature: 0, Threshold: 0.7, Left: leaf(0), Right: leaf(1)}
+	both := &ml.NodeSpec{Feature: 0, Threshold: 0.7, Left: leaf(0),
+		Right: &ml.NodeSpec{Feature: 1, Threshold: 0.7, Left: leaf(0), Right: leaf(1)}}
+
+	cells := obs.Enable().Counter("block.cells_tokenised")
+	defer obs.Disable()
+	for _, c := range []struct {
+		name    string
+		root    *ml.NodeSpec
+		columns int // reference columns Deploy tokenises
+	}{
+		{"lower only", lowerOnly, 1},
+		{"lower and unfolded", both, 2},
+	} {
+		spec := &Spec{
+			Name: "shared",
+			Blockers: []BlockerSpec{
+				{Type: "overlap", LeftCol: "Title", RightCol: "Title", Tokenizer: "word", Threshold: 3, Normalize: true},
+				{Type: "overlap_coeff", LeftCol: "Title", RightCol: "Title", Tokenizer: "word", Coefficient: 0.7, Normalize: true},
+			},
+			Features:     descs,
+			ImputerMeans: []float64{0, 0},
+			Matcher:      &ml.MatcherSpec{Kind: "decision_tree", Tree: &ml.TreeSpec{Features: fs.Names(), Root: c.root}},
+		}
+		w, err := spec.BuildCtx(ctx, lefts[0], right, deployTransforms, retry.Policy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cells.Value()
+		d, err := w.Deploy(ctx, w.Matcher, right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cells.Value()-before, int64(c.columns*right.Len()); got != want {
+			t.Fatalf("%s: Deploy tokenised %d reference cells, want %d: %d column(s) of %d rows", c.name, got, want, c.columns, right.Len())
+		}
+		learned, want := 0, make([][]block.Pair, len(lefts))
+		for k, left := range lefts {
+			before := cells.Value()
+			res, err := d.RunCtx(ctx, left, right, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cells.Value() - before; n != 0 {
+				t.Fatalf("%s: a run over %s tokenised %d reference cells", c.name, left.Name(), n)
+			}
+			if want[k] = builtRun(t, spec, left, right); !slices.Equal(res.Final.Sorted(), want[k]) {
+				t.Fatalf("%s, %s: the deployment's final %v, BuildCtx + RunCtx's %v", c.name, left.Name(), res.Final.Sorted(), want[k])
+			}
+			learned += res.Learned.Len()
+		}
+		if learned == 0 {
+			t.Fatalf("%s: fixture: no learned matches to compare", c.name)
+		}
+		var wg sync.WaitGroup
+		for k, left := range lefts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := d.RunCtx(ctx, left, right, RunOptions{})
+				if err != nil {
+					t.Error(err)
+				} else if got := res.Final.Sorted(); !slices.Equal(got, want[k]) {
+					t.Errorf("%s, %s at once: final %v, serially %v", c.name, left.Name(), got, want[k])
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -293,20 +293,18 @@ func restrictFor(fs *feature.Set, m ml.Matcher) *feature.Set {
 // sure rules, blockers and feature set are bound to right — the keyed
 // join, the columns and key indexes and the cells built here, once — so a
 // run over right only probes, and a run over any other right table is an
-// error. w is left as it is: Deploy binds copies. It returns the first
-// bind error: a deployment that cannot block does not start.
+// error. The blockers bind first, and the feature set reads their columns
+// where it tokenises a right column the same way, so each column of right
+// is tokenised once per token set. w is left as it is: Deploy binds
+// copies. It returns the first bind error: a deployment that cannot block
+// does not start.
 func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table) (*Workflow, error) {
 	d := *w
 	d.Matcher = m
-	var err error
-	if m != nil {
-		if w.Features == nil || w.Imputer == nil {
-			return nil, fmt.Errorf("workflow %s: matcher deployed without features/imputer", w.Name)
-		}
-		if d.Features, err = restrictFor(w.Features, m).Bind(ctx, right); err != nil {
-			return nil, fmt.Errorf("workflow %s: bind feature cells: %w", w.Name, err)
-		}
+	if m != nil && (w.Features == nil || w.Imputer == nil) {
+		return nil, fmt.Errorf("workflow %s: matcher deployed without features/imputer", w.Name)
 	}
+	var err error
 	if w.SureRules != nil {
 		if d.SureRules, err = w.SureRules.Bind(ctx, right); err != nil {
 			return nil, fmt.Errorf("workflow %s: bind sure rules: %w", w.Name, err)
@@ -314,6 +312,11 @@ func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table)
 	}
 	if d.Blockers, err = block.Bind(ctx, right, w.Blockers...); err != nil {
 		return nil, fmt.Errorf("workflow %s: bind blockers: %w", w.Name, err)
+	}
+	if m != nil {
+		if d.Features, err = restrictFor(w.Features, m).Bind(ctx, right, block.Columns(d.Blockers)...); err != nil {
+			return nil, fmt.Errorf("workflow %s: bind feature cells: %w", w.Name, err)
+		}
 	}
 	return &d, nil
 }
