@@ -61,12 +61,16 @@ race-cpu:
 # test` only replays their seeds: the word kernel against the string path
 # it replaced (FuzzWordKeys), packed q-gram keys against the token sets
 # they stand for (FuzzPackedKeys) and every prepared set similarity
-# against its naive definition (FuzzSetSimilarity) — and the candidate-set
+# against its naive definition (FuzzSetSimilarity) — the candidate-set
 # algebra against the map-and-slice set it replaced, asked through the
-# cursors that walk ascending operands (FuzzCandidateSetAlgebra).
+# cursors that walk ascending operands (FuzzCandidateSetAlgebra), and the
+# three token blockers, bound, against the nested-loop join over titles
+# whose words fall on both sides of the density rule, postings walked or
+# bitmaps summed (FuzzTokenJoin).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWordKeys$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidateSetAlgebra$$' -fuzztime 10s ./internal/block
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenJoin$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedKeys$$' -fuzztime 10s ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzSetSimilarity$$' -fuzztime 10s ./internal/feature
 
@@ -160,7 +164,7 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), forty seconds of fuzzing (make fuzz), the
+# trustworthy race-clean), fifty seconds of fuzzing (make fuzz), the
 # nested benchmark module's own vet and tests, the exported-surface check,
 # a run of every example program, the end-to-end smoke harness (the
 # kill/resume chaos scenario among its eight), and the perf-regression

@@ -100,13 +100,17 @@ func newTokenJoin(leftCol, rightCol string, tok tokenize.Tokenizer, normalize bo
 }
 
 // boundTokens is a token blocker bound to a right table: the column of
-// it under the blocker's form, built once and then only read.
+// it under the blocker's form, built once and then only read, and the
+// blocker's name, built once so that a request builds none.
 type boundTokens struct {
-	Blocker // the blocker this binds, for its name
-	join    tokenJoin
-	right   *table.Table
-	col     *tokenColumn
+	name  string
+	join  tokenJoin
+	right *table.Table
+	col   *tokenColumn
 }
+
+// Name implements Blocker.
+func (b *boundTokens) Name() string { return b.name }
 
 // bindTokens binds b to right, sharing the column of a blocker among
 // others bound to right over the same column in the same form.
@@ -117,14 +121,15 @@ func bindTokens(ctx context.Context, b tokenBlocker, right *table.Table, others 
 	}
 	for _, o := range others {
 		if o, ok := o.(*boundTokens); ok && o.right == right && o.join.rightCol == j.rightCol && o.join.form.Same(j.form) {
-			return &boundTokens{Blocker: b, join: j, right: right, col: o.col}, nil
+			return &boundTokens{name: b.Name(), join: j, right: right, col: o.col}, nil
 		}
 	}
 	col, err := buildTokenColumn(ctx, right, j.rightCol, j.form)
 	if err != nil {
 		return nil, err
 	}
-	return &boundTokens{Blocker: b, join: j, right: right, col: col}, nil
+	col.buildBitmaps()
+	return &boundTokens{name: b.Name(), join: j, right: right, col: col}, nil
 }
 
 // blockUnbound runs a token blocker nobody bound: bind, then probe.
@@ -182,13 +187,16 @@ func blockSharing(ctx context.Context, left, right *table.Table, blockers []Bloc
 // joinTokens runs token blockers that share a column and a left column —
 // group[0]'s — and returns their candidate sets, in two steps.
 //
-// Probe: each left row is tokenised and counted against the column once;
-// every blocker then judges the rows reached from the same counts, by
-// admission — a reached row is one compare against the least count any
-// blocker admits, and a compare per blocker only if it passes. The rows
-// that pass are kept, with their counts, and each blocker's admitted pairs
-// are counted. The left table is probed in joinShards contiguous ranges of
-// rows at once, each with its own scratch.
+// Probe: each left row is tokenised and counted against the column once
+// (probeAdmitted: a sparse token's postings walked, the dense tokens'
+// bitmaps summed bit-sliced); every blocker then judges the rows reached
+// from the same counts, by admission — a reached row is one compare
+// against the least count any blocker admits, and a compare per blocker
+// only if it passes. A row reached through dense tokens alone is reached
+// only if it passes that first compare. The rows that pass are kept, with
+// their counts, and each blocker's admitted pairs are counted. The left
+// table is probed in joinShards contiguous ranges of rows at once, each
+// with its own scratch.
 //
 // Emit: each blocker's set is allocated once, at the size its count says,
 // and filled range by range. A blocker's pairs come out as it would emit
@@ -280,14 +288,15 @@ func (sh *joinShard) probe(ctx context.Context, col *tokenColumn, left *table.Ta
 			return err
 		}
 		s.keys, _ = col.AppendKeys(s.keys[:0], left.Row(i)[lj], false)
-		col.probe(s.keys, s)
+		need := adm.rows(len(s.keys))
+		least := need[:adm.width]
+		col.probeAdmitted(s.keys, least, s)
 		if len(s.touched) == 0 {
 			continue
 		}
-		need := adm.rows(len(s.keys))
 		// Keep the reached rows some blocker admits, clearing the rest's
 		// counts as they go, and walk the kept ones ascending.
-		least, kept := need[:adm.width], s.touched[:0]
+		kept := s.touched[:0]
 		for _, r := range s.touched {
 			if s.counts[r] >= least[col.lens[r]] {
 				kept = append(kept, r)
@@ -405,9 +414,10 @@ func KeyText(v table.Value, transform func(string) string) string {
 }
 
 // boundKeys is AttrEquiv bound to a right table: the index of it, built
-// once and then only read.
+// once and then only read, and its name, built once.
 type boundKeys struct {
 	AttrEquiv
+	name  string
 	right *table.Table
 	idx   KeyIndex
 }
@@ -421,8 +431,11 @@ func bindKeys(ctx context.Context, b AttrEquiv, right *table.Table) (*boundKeys,
 	if err != nil {
 		return nil, err
 	}
-	return &boundKeys{AttrEquiv: b, right: right, idx: idx}, nil
+	return &boundKeys{AttrEquiv: b, name: b.Name(), right: right, idx: idx}, nil
 }
+
+// Name implements Blocker.
+func (b *boundKeys) Name() string { return b.name }
 
 // Block implements Blocker.
 func (b *boundKeys) Block(left, right *table.Table) (*CandidateSet, error) {

@@ -109,6 +109,17 @@ func TestJaccardJoinEquivalentToNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A column mixing dense tokens and sparse ones.
+	l, r := zipfTables(t, 3, 24, 1030)
+	for _, threshold := range []float64{0.1, 0.3, 0.5, 1} {
+		join := JaccardJoin{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: threshold, Normalize: true}
+		checkAgainstNaive(t, join, l, r, func(l, r *table.Table) []Pair {
+			return naivePairs(l, r, "Title", tokenize.Word{}, true, func(a, b []string) bool {
+				return simfunc.Jaccard(a, b) >= threshold
+			})
+		})
+	}
+
 	// A pair meeting the threshold exactly is kept: a 100-token cell
 	// against each of its suffixes, at thresholds where n/100 and t*100
 	// round apart in floating point (100*0.07 = 7.000000000000001).
@@ -120,7 +131,7 @@ func TestJaccardJoinEquivalentToNaive(t *testing.T) {
 	for n := 1; n <= len(toks); n++ {
 		suffixes = append(suffixes, strings.Join(toks[len(toks)-n:], " "))
 	}
-	l, r := titleTables(t, []string{strings.Join(toks, " ")}, suffixes)
+	l, r = titleTables(t, []string{strings.Join(toks, " ")}, suffixes)
 	for _, threshold := range []float64{0.07, 0.29, 0.57, 0.58} {
 		join := JaccardJoin{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: threshold}
 		checkAgainstNaive(t, join, l, r, func(l, r *table.Table) []Pair {

@@ -68,6 +68,82 @@ func oracleTables(rng *rand.Rand, nl, nr int) (*table.Table, *table.Table) {
 	return fill("L", nl), fill("R", nr)
 }
 
+// zipfTables builds two Title tables whose words are drawn from a Zipf
+// distribution over a vocabulary of 2,000, so the right table's column
+// holds both kinds of token: the head words are dense (denseRatio), the
+// tail sparse, and a left cell mixes them. Right row i has exactly
+// 1 + i%24 distinct words, so every size from 1 to the longest has rows,
+// and one row in 50 is null or empty. The first eight left titles are 13
+// to 20 of the dense words of one right title, so counts reach either
+// side of 16 — the most four bit planes cannot hold — with as many dense
+// tokens in the cell; the rest draw 1 to 24 words each. The fixture
+// checks all of this through a bound column before it returns.
+func zipfTables(t *testing.T, seed int64, nl, nr int) (*table.Table, *table.Table) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.1, 10, 1999)
+	title := func(n int) string {
+		seen := map[uint64]bool{}
+		var sb strings.Builder
+		for len(seen) < n {
+			w := zipf.Uint64()
+			if !seen[w] {
+				seen[w] = true
+				fmt.Fprintf(&sb, "w%d, ", w)
+			}
+		}
+		return sb.String()
+	}
+	schema := table.MustSchema(table.Field{Name: "Title", Kind: table.String})
+	l, r := table.New("L", schema), table.New("R", schema)
+	for i := 0; i < nr; i++ {
+		switch {
+		case i%100 == 49:
+			r.MustAppend(table.Row{table.Null(table.String)})
+		case i%100 == 99:
+			r.MustAppend(table.Row{table.S("")})
+		default:
+			r.MustAppend(table.Row{table.S(title(1 + i%24))})
+		}
+	}
+	b := mustBind(t, r, Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true})[0]
+	col := b.(*boundTokens).col
+	if col.nDense == 0 || col.nDense == len(col.dense) {
+		t.Fatalf("fixture: %d of %d tokens dense, want both kinds", col.nDense, len(col.dense))
+	}
+	for lb := 1; lb <= col.maxLen; lb++ {
+		if col.bySize[lb] == col.bySize[lb+1] {
+			t.Fatalf("fixture: no right cell has %d tokens", lb)
+		}
+	}
+	// denseWords is the dense words of v's cell.
+	denseWords := func(v table.Value) []string {
+		var out []string
+		for _, w := range rawTokens(v, tokenize.Word{}, true) {
+			if id, ok := col.ids[w]; ok && col.dense[id] >= 0 {
+				out = append(out, w)
+			}
+		}
+		return out
+	}
+	var most []string
+	for i := 0; i < r.Len(); i++ {
+		if ws := denseWords(r.Row(i)[0]); len(ws) > len(most) {
+			most = ws
+		}
+	}
+	if len(most) < 20 {
+		t.Fatalf("fixture: no right cell has more than %d dense tokens, want 20", len(most))
+	}
+	for n := 13; n <= 20; n++ {
+		l.MustAppend(table.Row{table.S(strings.Join(most[:n], " "))})
+	}
+	for l.Len() < nl {
+		l.MustAppend(table.Row{table.S(title(1 + rng.Intn(24)))})
+	}
+	return l, r
+}
+
 // rawTokens is a cell's token sequence as the definitions see it.
 func rawTokens(v table.Value, tok tokenize.Tokenizer, normalize bool) []string {
 	if v.IsNull() {
@@ -83,11 +159,15 @@ func rawTokens(v table.Value, tok tokenize.Tokenizer, normalize bool) []string {
 // naivePairs is the reference join: every pair of cells with tokens on
 // both sides that keep accepts, in row-major order.
 func naivePairs(l, r *table.Table, col string, tok tokenize.Tokenizer, normalize bool, keep func(a, b []string) bool) []Pair {
+	right := make([][]string, r.Len())
+	for j := range right {
+		right[j] = rawTokens(r.Get(j, col), tok, normalize)
+	}
 	var out []Pair
 	for i := 0; i < l.Len(); i++ {
 		a := rawTokens(l.Get(i, col), tok, normalize)
 		for j := 0; j < r.Len() && len(a) > 0; j++ {
-			if b := rawTokens(r.Get(j, col), tok, normalize); len(b) > 0 && keep(a, b) {
+			if b := right[j]; len(b) > 0 && keep(a, b) {
 				out = append(out, Pair{A: i, B: j})
 			}
 		}
@@ -151,6 +231,16 @@ func TestOverlapEquivalentToNaive(t *testing.T) {
 			}
 		}
 	}
+	// A column mixing dense tokens and sparse ones.
+	l, r := zipfTables(t, 1, 24, 1030)
+	for _, k := range []int{1, 2, 3, 7} {
+		b := Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true}
+		checkAgainstNaive(t, b, l, r, func(l, r *table.Table) []Pair {
+			return naivePairs(l, r, "Title", tokenize.Word{}, true, func(a, b []string) bool {
+				return simfunc.OverlapSize(a, b) >= k
+			})
+		})
+	}
 }
 
 func TestOverlapCoefficientEquivalentToNaive(t *testing.T) {
@@ -168,15 +258,104 @@ func TestOverlapCoefficientEquivalentToNaive(t *testing.T) {
 			}
 		}
 	}
+	// A column mixing dense tokens and sparse ones.
+	l, r := zipfTables(t, 2, 24, 1030)
+	for _, th := range []float64{0.3, 0.5, 0.7, 1} {
+		b := OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: th, Normalize: true}
+		checkAgainstNaive(t, b, l, r, func(l, r *table.Table) []Pair {
+			return naivePairs(l, r, "Title", tokenize.Word{}, true, func(a, b []string) bool {
+				return simfunc.OverlapCoefficient(a, b) >= th
+			})
+		})
+	}
 	// The ratio landing exactly on the threshold is kept.
-	l := table.New("L", table.MustSchema(table.Field{Name: "Title", Kind: table.String}))
+	l = table.New("L", table.MustSchema(table.Field{Name: "Title", Kind: table.String}))
 	l.MustAppend(table.Row{oracleCells[8]})
-	r := table.New("R", l.Schema())
+	r = table.New("R", l.Schema())
 	r.MustAppend(table.Row{oracleCells[9]})
 	got, err := OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0.7}.Block(l, r)
 	if err != nil || got.Len() != 1 {
 		t.Fatalf("7 of 10 tokens at threshold 0.7: %v, %v", got.Pairs(), err)
 	}
+}
+
+// fuzzWords are the words FuzzTokenJoin builds titles from: case and
+// unicode variants of a few, so the normalisation is fuzzed too.
+var fuzzWords = []string{"corn", "Corn", "soy", "dairy", "rust", "blight", "soil", "weed", "farm", "north", "Müller", "müller"}
+
+// FuzzTokenJoin holds Overlap, OverlapCoefficient and JaccardJoin, bound,
+// to the nested-loop reference, pair sequences compared, over titles made
+// of arbitrary bytes. The first three bytes pick the thresholds; the rest
+// are rows, each ended by a byte of 0xf0 or more: a row's first byte sends
+// it left when odd and right when even, and each byte after is a word of
+// fuzzWords, then a space or a hyphen. 1,024 filler rows of words of
+// their own follow the right rows, so a fuzzed word needs five right rows
+// to be dense and is sparse with fewer: the inputs fall on both sides of
+// the density rule.
+func FuzzTokenJoin(f *testing.F) {
+	f.Add([]byte{2, 6, 4, 0, 0, 1, 2, 0xf0, 1, 0, 1, 0xf0, 0, 0, 1, 0xf0, 0, 0, 2, 3, 0xf0,
+		0, 0, 0xf0, 0, 0, 1, 0xf0, 0, 0, 5, 0xf0, 1, 0, 5, 0x81, 0xf0})
+	for seed := int64(1); seed <= 4; seed++ {
+		b := make([]byte, 160)
+		rng := rand.New(rand.NewSource(seed))
+		for i := range b {
+			if b[i] = byte(rng.Intn(8)); rng.Intn(5) == 0 {
+				b[i] = 0xf0
+			}
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 || len(data) > 1024 {
+			return
+		}
+		k := 1 + int(data[0]%4)
+		oc, jac := float64(1+data[1]%10)/10, float64(1+data[2]%10)/10
+		schema := table.MustSchema(table.Field{Name: "Title", Kind: table.String})
+		l, r := table.New("L", schema), table.New("R", schema)
+		var sb strings.Builder
+		for rest := data[3:]; len(rest) > 0; {
+			end := slices.IndexFunc(rest, func(b byte) bool { return b >= 0xf0 })
+			if end < 0 {
+				end = len(rest)
+			}
+			row := rest[:end]
+			rest = rest[min(end+1, len(rest)):]
+			if len(row) == 0 {
+				continue
+			}
+			sb.Reset()
+			for _, b := range row[1:] {
+				sb.WriteString(fuzzWords[int(b)%len(fuzzWords)])
+				sb.WriteString([]string{" ", "-"}[b>>7])
+			}
+			side := r
+			if row[0]%2 == 1 {
+				side = l
+			}
+			side.MustAppend(table.Row{table.S(sb.String())})
+		}
+		for i := 0; i < 1024; i++ {
+			r.MustAppend(table.Row{table.S(fmt.Sprintf("filler%d other%d", i, i))})
+		}
+		bound := mustBind(t, r,
+			Overlap{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true},
+			OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: oc, Normalize: true},
+			JaccardJoin{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: jac, Normalize: true})
+		for n, keep := range []func(a, b []string) bool{
+			func(a, b []string) bool { return simfunc.OverlapSize(a, b) >= k },
+			func(a, b []string) bool { return simfunc.OverlapCoefficient(a, b) >= oc },
+			func(a, b []string) bool { return simfunc.Jaccard(a, b) >= jac },
+		} {
+			got, err := bound[n].Block(l, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naivePairs(l, r, "Title", tokenize.Word{}, true, keep); !slices.Equal(got.Pairs(), want) {
+				t.Fatalf("%s:\n got %v\nwant %v", bound[n].Name(), got.Pairs(), want)
+			}
+		}
+	})
 }
 
 // naiveDebug is the debugger's definition: every pair outside cand scored
