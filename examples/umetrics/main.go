@@ -1,10 +1,12 @@
 // UMETRICS example: drive the paper's grant-matching problem through the
 // public core API — generate the raw tables, pre-process them into
-// UMETRICSProjected/USDAProjected, block with the Section 7 pipeline,
-// label a sample with the simulated domain expert, select and train a
-// matcher, layer the positive and negative rules around it, and estimate
-// accuracy. This is the "how-to guide" walked by hand; the emcasestudy
-// command runs the same study with the paper's full chronology. Run with:
+// UMETRICSProjected/USDAProjected, start the project from the Figure 10
+// workflow (umetrics.FigureSpec: the Section 7 blockers, the positive and
+// negative rules), label a sample with the simulated domain expert,
+// select and train a matcher, and estimate accuracy. This is the
+// "how-to guide" walked by hand; the emcasestudy command runs the same
+// study with the paper's full chronology, through the same core steps.
+// Run with:
 //
 //	go run ./examples/umetrics [-scale 0.3]
 package main
@@ -14,12 +16,9 @@ import (
 	"fmt"
 	"log"
 
-	"emgo/internal/block"
 	"emgo/internal/core"
 	"emgo/internal/feature"
 	"emgo/internal/label"
-	"emgo/internal/rules"
-	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
 )
 
@@ -47,59 +46,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Blocking (Section 7): award-number equivalence plus two title
-	// blockers.
-	project.AddBlocker(block.AttrEquiv{
-		LeftCol: "AwardNumber", RightCol: "AwardNumber",
-		LeftTransform:  umetrics.SuffixNormalize,
-		RightTransform: umetrics.NormalizeNumber,
-	})
-	project.AddBlocker(block.Overlap{
-		LeftCol: "AwardTitle", RightCol: "AwardTitle",
-		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true,
-	})
-	project.AddBlocker(block.OverlapCoefficient{
-		LeftCol: "AwardTitle", RightCol: "AwardTitle",
-		Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true,
-	})
+	// The Figure 10 workflow (Sections 7, 10 and 12): the Section 7
+	// blockers — award-number equivalence plus two title blockers — the
+	// M1 and project-number sure rules, and the negative pattern rules.
+	if err := project.AddSpec(umetrics.FigureSpec(10), umetrics.DeployTransforms()); err != nil {
+		log.Fatal(err)
+	}
 	cand, err := project.Block()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("blocking: %d candidates from %d pairs\n",
 		cand.Len(), proj.UMETRICS.Len()*proj.USDA.Len())
-
-	// Positive rules (M1 and the project-number rule) and the negative
-	// pattern rule (Sections 5, 10, 12).
-	m1, err := rules.NewEqual("M1",
-		proj.UMETRICS, "AwardNumber", umetrics.SuffixNormalize,
-		proj.USDA, "AwardNumber", umetrics.NormalizeNumber, rules.Match)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rule2, err := rules.NewEqual("award_eq_project",
-		proj.UMETRICS, "AwardNumber", umetrics.SuffixNormalize,
-		proj.USDA, "ProjectNumber", umetrics.NormalizeNumber, rules.Match)
-	if err != nil {
-		log.Fatal(err)
-	}
-	project.AddSureRule(m1)
-	project.AddSureRule(rule2)
-	patterns := umetrics.KnownPatterns()
-	negAward, err := rules.NewComparableMismatch("neg_award",
-		proj.UMETRICS, "AwardNumber", umetrics.SuffixNormalize,
-		proj.USDA, "AwardNumber", umetrics.NormalizeNumber, patterns)
-	if err != nil {
-		log.Fatal(err)
-	}
-	negProject, err := rules.NewComparableMismatch("neg_project",
-		proj.UMETRICS, "AwardNumber", umetrics.SuffixNormalize,
-		proj.USDA, "ProjectNumber", umetrics.NormalizeNumber, patterns)
-	if err != nil {
-		log.Fatal(err)
-	}
-	project.AddNegativeRule(negAward)
-	project.AddNegativeRule(negProject)
 
 	// Labeling (Section 8): the simulated domain expert labels a sample
 	// through the single-writer labeling tool.

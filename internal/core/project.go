@@ -30,19 +30,16 @@ import (
 // supported: blockers, rules, labels, and features can be revised at any
 // point and later stages re-run.
 type Project struct {
-	name  string
 	left  *table.Table
 	right *table.Table
 
-	blockers  []block.Blocker
-	sureRules *rules.Engine
-	negRules  *rules.Engine
+	// wf is the workflow Match runs: the blockers and rules added to the
+	// project, the features it generated, and the matcher and imputer
+	// Train installs together.
+	wf *workflow.Workflow
 
 	candidates *block.CandidateSet
 	labels     *label.Store
-	features   *feature.Set
-	imputer    *feature.Imputer
-	matcher    ml.Matcher
 
 	seed int64
 	rng  *rand.Rand
@@ -56,19 +53,21 @@ func NewProject(name string, left, right *table.Table, seed int64) (*Project, er
 		return nil, fmt.Errorf("core: project %q needs two tables", name)
 	}
 	return &Project{
-		name:      name,
-		left:      left,
-		right:     right,
-		sureRules: rules.NewEngine(),
-		negRules:  rules.NewEngine(),
-		labels:    label.NewStore(),
-		seed:      seed,
-		rng:       rand.New(rand.NewSource(seed)),
+		left:  left,
+		right: right,
+		wf: &workflow.Workflow{
+			Name:          name,
+			SureRules:     rules.NewEngine(),
+			NegativeRules: rules.NewEngine(),
+		},
+		labels: label.NewStore(),
+		seed:   seed,
+		rng:    rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
 // Name returns the project name.
-func (p *Project) Name() string { return p.name }
+func (p *Project) Name() string { return p.wf.Name }
 
 // Left and Right return the input tables.
 func (p *Project) Left() *table.Table  { return p.left }
@@ -81,23 +80,46 @@ func (p *Project) Profile() (left, right *profile.Report) {
 }
 
 // AddBlocker appends a blocker; Block unions all of them.
-func (p *Project) AddBlocker(b block.Blocker) { p.blockers = append(p.blockers, b) }
+func (p *Project) AddBlocker(b block.Blocker) { p.wf.Blockers = append(p.wf.Blockers, b) }
 
 // AddSureRule appends a positive rule applied directly to the input
 // tables; its matches bypass blocking and the learner.
-func (p *Project) AddSureRule(r rules.Rule) { p.sureRules.Add(r) }
+func (p *Project) AddSureRule(r rules.Rule) { p.wf.SureRules.Add(r) }
 
 // AddNegativeRule appends a veto rule applied to the learner's predicted
 // matches.
-func (p *Project) AddNegativeRule(r rules.Rule) { p.negRules.Add(r) }
+func (p *Project) AddNegativeRule(r rules.Rule) { p.wf.NegativeRules.Add(r) }
+
+// AddSpec appends the blockers, sure rules and negative rules of a
+// workflow spec, built over the project's tables with transforms
+// resolving the spec's transform names — so a project can start from a
+// packaged workflow such as umetrics.FigureSpec. A spec carrying a
+// matcher is refused: a project trains its own.
+func (p *Project) AddSpec(spec *workflow.Spec, transforms workflow.Transforms) error {
+	if spec.Matcher != nil {
+		return fmt.Errorf("core: spec %q carries a matcher; a project trains its own", spec.Name)
+	}
+	w, err := spec.Build(p.left, p.right, transforms)
+	if err != nil {
+		return err
+	}
+	p.wf.Blockers = append(p.wf.Blockers, w.Blockers...)
+	for _, r := range w.SureRules.Rules() {
+		p.wf.SureRules.Add(r)
+	}
+	for _, r := range w.NegativeRules.Rules() {
+		p.wf.NegativeRules.Add(r)
+	}
+	return nil
+}
 
 // Block runs the blocking pipeline and stores (and returns) the candidate
 // set.
 func (p *Project) Block() (*block.CandidateSet, error) {
-	if len(p.blockers) == 0 {
-		return nil, fmt.Errorf("core: project %q has no blockers", p.name)
+	if len(p.wf.Blockers) == 0 {
+		return nil, fmt.Errorf("core: project %q has no blockers", p.wf.Name)
 	}
-	cand, err := block.UnionBlock(p.left, p.right, p.blockers...)
+	cand, err := block.UnionBlock(p.left, p.right, p.wf.Blockers...)
 	if err != nil {
 		return nil, err
 	}
@@ -123,11 +145,7 @@ func (p *Project) SamplePairs(n int) ([]block.Pair, error) {
 	if p.candidates == nil {
 		return nil, fmt.Errorf("core: run Block before SamplePairs")
 	}
-	fresh := p.candidates.Filter(func(pr block.Pair) bool { return !p.labels.Has(pr) })
-	if n > fresh.Len() {
-		n = fresh.Len()
-	}
-	return fresh.Sample(n, p.rng)
+	return SampleUnlabelled(p.candidates, p.labels, n, p.rng)
 }
 
 // SetLabel records a human label for a pair.
@@ -146,60 +164,25 @@ func (p *Project) GenerateFeatures(corr map[string]string, order []string) error
 	if err != nil {
 		return err
 	}
-	p.features = fs
+	p.wf.Features = fs
 	return nil
 }
 
 // AddFeature appends a custom feature (the "patching" escape hatch).
 func (p *Project) AddFeature(f feature.Feature) error {
-	if p.features == nil {
-		p.features = &feature.Set{}
+	if p.wf.Features == nil {
+		p.wf.Features = &feature.Set{}
 	}
-	return p.features.Add(f)
+	return p.wf.Features.Add(f)
 }
 
 // Features returns the current feature set (nil before GenerateFeatures).
-func (p *Project) Features() *feature.Set { return p.features }
-
-// trainingData vectorizes the decided (Yes/No) labeled pairs, excluding
-// any pair the sure rules already decide, and fits the imputer.
-func (p *Project) trainingData() (*ml.Dataset, error) {
-	if p.features == nil {
-		return nil, fmt.Errorf("core: generate features before training")
-	}
-	decided, y := p.labels.Decided()
-	var pairs []block.Pair
-	var labels []int
-	for i, pr := range decided {
-		if p.sureRules.Len() > 0 &&
-			p.sureRules.Judge(p.left.Row(pr.A), p.right.Row(pr.B)) == rules.Match {
-			continue
-		}
-		pairs = append(pairs, pr)
-		labels = append(labels, y[i])
-	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("core: no decided labels to train on")
-	}
-	x, err := p.features.Vectorize(p.left, p.right, pairs)
-	if err != nil {
-		return nil, err
-	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		return nil, err
-	}
-	if x, err = im.Transform(x); err != nil {
-		return nil, err
-	}
-	p.imputer = im
-	return ml.NewDataset(p.features.Names(), x, labels)
-}
+func (p *Project) Features() *feature.Set { return p.wf.Features }
 
 // SelectMatcher cross-validates the standard matcher suite on the labeled
 // data and returns the ranked results; the first entry wins.
 func (p *Project) SelectMatcher(folds int) ([]ml.CVResult, error) {
-	ds, err := p.trainingData()
+	ds, _, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return nil, err
 	}
@@ -207,78 +190,44 @@ func (p *Project) SelectMatcher(folds int) ([]ml.CVResult, error) {
 }
 
 // Train fits a fresh matcher of the named kind ("decision_tree",
-// "random_forest", ...) on the labeled data and installs it as the
-// project's matcher.
+// "random_forest", ...) on the labeled data and installs it, with the
+// imputer fitted on the same data, as the project's matcher: SelectMatcher,
+// DebugLabels and PRCurve fit on the labels too, but install nothing.
 func (p *Project) Train(matcherName string) error {
-	ds, err := p.trainingData()
+	f, err := ml.FactoryByName(matcherName, p.seed)
 	if err != nil {
 		return err
 	}
-	for _, f := range ml.DefaultFactories(p.seed) {
-		if f.Name == matcherName {
-			m := f.New()
-			if err := m.Fit(ds); err != nil {
-				return err
-			}
-			p.matcher = m
-			return nil
-		}
+	ds, _, im, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("core: unknown matcher %q", matcherName)
+	m := f.New()
+	if err := m.Fit(ds); err != nil {
+		return err
+	}
+	p.wf.Imputer, p.wf.Matcher = im, m
+	return nil
 }
 
 // DebugLabels runs leave-one-out label debugging and returns the pairs
 // whose labels disagree with the model's prediction (Section 8's
 // label-debugging step).
 func (p *Project) DebugLabels() ([]block.Pair, error) {
-	ds, err := p.trainingData()
+	ds, pairs, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return nil, err
 	}
-	decided, _ := p.labels.Decided()
-	var kept []block.Pair
-	for _, pr := range decided {
-		if p.sureRules.Len() > 0 &&
-			p.sureRules.Judge(p.left.Row(pr.A), p.right.Row(pr.B)) == rules.Match {
-			continue
-		}
-		kept = append(kept, pr)
-	}
-	flagged, err := ml.LeaveOneOutDebug(ml.Factory{
-		Name: "random_forest",
-		New:  func() ml.Matcher { return &ml.RandomForest{Seed: p.seed} },
-	}, ds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]block.Pair, 0, len(flagged))
-	for _, m := range flagged {
-		out = append(out, kept[m.Index])
-	}
-	return out, nil
+	return FlagLabels(ds, pairs, p.seed)
 }
 
-// Match runs the full workflow — sure rules, blocking, the trained
+// Match runs the project's workflow — sure rules, blocking, the trained
 // matcher, negative rules — and returns the result.
 func (p *Project) Match() (*workflow.Result, error) {
-	if len(p.blockers) == 0 {
-		return nil, fmt.Errorf("core: project %q has no blockers", p.name)
+	if len(p.wf.Blockers) == 0 {
+		return nil, fmt.Errorf("core: project %q has no blockers", p.wf.Name)
 	}
-	w := &workflow.Workflow{
-		Name:          p.name,
-		SureRules:     p.sureRules,
-		Blockers:      p.blockers,
-		NegativeRules: p.negRules,
-	}
-	if p.matcher != nil {
-		if p.features == nil || p.imputer == nil {
-			return nil, fmt.Errorf("core: train before Match")
-		}
-		w.Features = p.features
-		w.Imputer = p.imputer
-		w.Matcher = p.matcher
-	}
-	return w.Run(p.left, p.right)
+	return p.wf.Run(p.left, p.right)
 }
 
 // EstimateAccuracy estimates precision and recall of a predicted match
@@ -292,7 +241,7 @@ func (p *Project) EstimateAccuracy(pred *block.CandidateSet, sample *label.Store
 // relies on (tree-based matchers only) — the debugging view that exposed
 // the letter-case problem in Section 9.
 func (p *Project) FeatureImportance() ([]ml.Importance, error) {
-	switch m := p.matcher.(type) {
+	switch m := p.wf.Matcher.(type) {
 	case *ml.DecisionTree:
 		return m.FeatureImportance()
 	case *ml.RandomForest:
@@ -307,11 +256,11 @@ func (p *Project) FeatureImportance() ([]ml.Importance, error) {
 // PRCurve sweeps the trained matcher's decision threshold over the
 // labeled data, returning the precision/recall operating points.
 func (p *Project) PRCurve() ([]ml.PRPoint, error) {
-	pm, ok := p.matcher.(ml.ProbabilisticMatcher)
+	pm, ok := p.wf.Matcher.(ml.ProbabilisticMatcher)
 	if !ok {
 		return nil, fmt.Errorf("core: the trained matcher does not expose probabilities")
 	}
-	ds, err := p.trainingData()
+	ds, _, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return nil, err
 	}
@@ -325,5 +274,5 @@ func (p *Project) RuleCoverage() (sure, negative map[string]int, err error) {
 	if p.candidates == nil {
 		return nil, nil, fmt.Errorf("core: run Block before RuleCoverage")
 	}
-	return p.sureRules.Coverage(p.candidates), p.negRules.Coverage(p.candidates), nil
+	return p.wf.SureRules.Coverage(p.candidates), p.wf.NegativeRules.Coverage(p.candidates), nil
 }

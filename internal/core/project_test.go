@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -247,51 +249,78 @@ func TestProjectEndToEnd(t *testing.T) {
 }
 
 func TestProjectLabelDebugging(t *testing.T) {
-	l, r, truth := richTables(t)
-	p, _ := NewProject("dbg", l, r, 5)
-	p.AddBlocker(block.Overlap{
-		LeftCol: "Title", RightCol: "Title",
-		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
-	})
-	if _, err := p.Block(); err != nil {
-		t.Fatal(err)
-	}
-	pairs, _ := p.SamplePairs(p.Candidates().Len())
-	var flipped block.Pair
-	haveFlip := false
-	for _, pr := range pairs {
-		lab := label.No
-		if truth[pr] {
-			lab = label.Yes
-			if !haveFlip {
-				lab = label.No // corrupt one true match's label
-				flipped = pr
-				haveFlip = true
+	// With the sure rule, the labelled pairs it decides leave the training
+	// set: a flagged row must still map back to its own pair.
+	for _, withSure := range []bool{false, true} {
+		l, r, truth := richTables(t)
+		p, _ := NewProject("dbg", l, r, 5)
+		var sure rules.Rule
+		if withSure {
+			var err error
+			if sure, err = rules.NewEqual("code", l, "Code", nil, r, "Code", nil, rules.Match); err != nil {
+				t.Fatal(err)
+			}
+			p.AddSureRule(sure)
+		}
+		decided := func(pr block.Pair) bool {
+			return sure != nil && sure.Apply(l.Row(pr.A), r.Row(pr.B)) == rules.Match
+		}
+		p.AddBlocker(block.Overlap{
+			LeftCol: "Title", RightCol: "Title",
+			Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
+		})
+		if _, err := p.Block(); err != nil {
+			t.Fatal(err)
+		}
+		pairs, _ := p.SamplePairs(p.Candidates().Len())
+		// Label the sure-decided pairs first, so no kept pair's dataset row
+		// is its position in labelling order.
+		sort.SliceStable(pairs, func(i, j int) bool { return decided(pairs[i]) && !decided(pairs[j]) })
+		var flipped block.Pair
+		haveFlip, nDecided := false, 0
+		for _, pr := range pairs {
+			lab := label.No
+			if decided(pr) {
+				nDecided++
+			}
+			if truth[pr] {
+				lab = label.Yes
+				if !haveFlip && !decided(pr) {
+					lab = label.No // corrupt one true match's label
+					flipped = pr
+					haveFlip = true
+				}
+			}
+			p.SetLabel(pr, lab)
+		}
+		if !haveFlip {
+			t.Skip("no true match sampled")
+		}
+		if withSure && nDecided == 0 {
+			t.Fatal("the sure rule decides no labelled pair")
+		}
+		if err := p.GenerateFeatures(map[string]string{"Title": "Title"}, []string{"Title"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := feature.AddCaseInsensitive(p.Features(), l, map[string]string{"Title": "Title"}, []string{"Title"}); err != nil {
+			t.Fatal(err)
+		}
+		suspects, err := p.DebugLabels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, pr := range suspects {
+			if pr == flipped {
+				found = true
+			}
+			if decided(pr) {
+				t.Fatalf("sure=%v: flagged %v, a pair the sure rule decides", withSure, pr)
 			}
 		}
-		p.SetLabel(pr, lab)
-	}
-	if !haveFlip {
-		t.Skip("no true match sampled")
-	}
-	if err := p.GenerateFeatures(map[string]string{"Title": "Title"}, []string{"Title"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := feature.AddCaseInsensitive(p.Features(), l, map[string]string{"Title": "Title"}, []string{"Title"}); err != nil {
-		t.Fatal(err)
-	}
-	suspects, err := p.DebugLabels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, pr := range suspects {
-		if pr == flipped {
-			found = true
+		if !found {
+			t.Fatalf("sure=%v: label debugging missed the corrupted pair %v (got %v)", withSure, flipped, suspects)
 		}
-	}
-	if !found {
-		t.Fatalf("label debugging missed the corrupted pair %v (got %v)", flipped, suspects)
 	}
 }
 
@@ -384,5 +413,71 @@ func TestProjectCustomFeatureAndMatcher(t *testing.T) {
 	}
 	if p.Features().Len() != 1 {
 		t.Fatal("custom feature not added")
+	}
+}
+
+// TestProjectReadOnlyStepsKeepTrainedImputer trains on half the labels,
+// labels the rest, and runs every step that fits on the labels without
+// installing anything: Match must still impute with the means Train
+// fitted beside its matcher. An unknown matcher name fails before
+// anything is vectorized.
+func TestProjectReadOnlyStepsKeepTrainedImputer(t *testing.T) {
+	l, r, truth := richTables(t)
+	p, _ := NewProject("imputer", l, r, 3)
+	if err := p.Train("no_such_matcher"); err == nil || !strings.Contains(err.Error(), "unknown matcher") {
+		t.Fatalf("unknown matcher without features: %v", err)
+	}
+	p.AddBlocker(block.Overlap{
+		LeftCol: "Title", RightCol: "Title",
+		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
+	})
+	cand, err := p.Block()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := p.SamplePairs(cand.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelAll := func(pairs []block.Pair) {
+		for _, pr := range pairs {
+			lab := label.No
+			if truth[pr] {
+				lab = label.Yes
+			}
+			if err := p.SetLabel(pr, lab); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	labelAll(pairs[:len(pairs)/2])
+	corr := map[string]string{"Title": "Title", "Code": "Code"}
+	if err := p.GenerateFeatures(corr, []string{"Title", "Code"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Train("random_forest"); err != nil {
+		t.Fatal(err)
+	}
+	trained := p.wf.Imputer
+	means := trained.Means()
+
+	labelAll(pairs[len(pairs)/2:])
+	if _, err := p.SelectMatcher(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DebugLabels(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.PRCurve(); err != nil {
+		t.Fatal(err)
+	}
+	if p.wf.Imputer != trained || !reflect.DeepEqual(p.wf.Imputer.Means(), means) {
+		t.Fatalf("imputer means moved from %v to %v without a Train", means, p.wf.Imputer.Means())
+	}
+	if err := p.Train("no_such_matcher"); err == nil {
+		t.Fatal("unknown matcher should error")
+	}
+	if p.wf.Imputer != trained {
+		t.Fatal("a failed Train replaced the imputer")
 	}
 }

@@ -33,6 +33,16 @@ func DefaultFactories(seed int64) []Factory {
 	}
 }
 
+// FactoryByName returns the DefaultFactories(seed) entry called name.
+func FactoryByName(name string, seed int64) (Factory, error) {
+	for _, f := range DefaultFactories(seed) {
+		if f.Name == name {
+			return f, nil
+		}
+	}
+	return Factory{}, fmt.Errorf("ml: unknown matcher %q", name)
+}
+
 // CVResult is the cross-validated accuracy of one matcher.
 type CVResult struct {
 	Name      string

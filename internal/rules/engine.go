@@ -3,6 +3,7 @@ package rules
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"emgo/internal/block"
 	"emgo/internal/parallel"
@@ -36,6 +37,9 @@ func (e *Engine) Add(r Rule) {
 
 // Len returns the rule count.
 func (e *Engine) Len() int { return len(e.rules) }
+
+// Rules returns the engine's rules in evaluation order.
+func (e *Engine) Rules() []Rule { return slices.Clip(e.rules) }
 
 // Judge returns the engine's verdict for one row pair.
 func (e *Engine) Judge(left, right table.Row) Verdict {

@@ -3,12 +3,12 @@ package umetrics
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
 	"emgo/internal/cluster"
+	"emgo/internal/core"
 	"emgo/internal/estimate"
 	"emgo/internal/feature"
 	"emgo/internal/label"
@@ -16,7 +16,6 @@ import (
 	"emgo/internal/obs"
 	"emgo/internal/profile"
 	"emgo/internal/retry"
-	"emgo/internal/rules"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -499,15 +498,7 @@ func (s *study) labeling() error {
 	tool := label.NewTool(s.labels)
 
 	for round, n := range s.cfg.SampleRounds {
-		if n > s.cand.Len() {
-			n = s.cand.Len()
-		}
-		// Sample only pairs not yet labeled.
-		fresh := s.cand.Filter(func(p block.Pair) bool { return !s.labels.Has(p) })
-		if n > fresh.Len() {
-			n = fresh.Len()
-		}
-		sample, err := fresh.Sample(n, s.rng)
+		sample, err := core.SampleUnlabelled(s.cand, s.labels, n, s.rng)
 		if err != nil {
 			return err
 		}
@@ -557,21 +548,17 @@ func (s *study) labeling() error {
 
 	// Label debugging with leave-one-out cross-validation (minus unsure
 	// and sure matches), then the D1-D3 revision meeting.
-	ds, pairs, err := s.trainingSet(8)
+	ds, pairs, _, err := s.trainingSet(8)
 	if err != nil {
 		return err
 	}
 	if ds.Len() >= 2 {
-		flagged, err := ml.LeaveOneOutDebug(ml.Factory{
-			Name: "random_forest",
-			New:  func() ml.Matcher { return &ml.RandomForest{Seed: s.cfg.Seed} },
-		}, ds)
+		flagged, err := core.FlagLabels(ds, pairs, s.cfg.Seed)
 		if err != nil {
 			return err
 		}
 		s.report.LOOCVFlagged = len(flagged)
-		for _, m := range flagged {
-			p := pairs[m.Index]
+		for _, p := range flagged {
 			revised := s.expert.Revise(p)
 			if revised != s.labels.Get(p) {
 				s.report.LabelRevisions++
@@ -601,60 +588,37 @@ func (s *study) corrOrder() (map[string]string, []string) {
 	return s.corr, s.order
 }
 
-// trainingSet vectorizes the decided labeled pairs, excluding pairs the
-// sure rules of Figure fig already decide (Section 9: "we removed the
-// pairs labeled Unsure and sure matches") — M1 alone in Figure 8, with
-// the rule Section 10 discovered in Figure 9. The returned pair slice
-// aligns with dataset rows.
-func (s *study) trainingSet(fig int) (*ml.Dataset, []block.Pair, error) {
+// trainingSet is core.TrainingData over the original slice with the
+// sure rules of Figure fig (Section 9: "we removed the pairs labeled
+// Unsure and sure matches") — M1 alone in Figure 8, with the rule Section
+// 10 discovered in Figure 9.
+func (s *study) trainingSet(fig int) (*ml.Dataset, []block.Pair, *feature.Imputer, error) {
 	if s.features == nil {
 		corr, order := s.corrOrder()
 		fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		s.features = fs
 	}
 	w, err := s.build(FigureSpec(fig), s.proj, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-
-	decidedPairs, y := s.labels.Decided()
-	var pairs []block.Pair
-	var labels []int
-	for i, p := range decidedPairs {
-		if w.SureRules.Judge(s.proj.UMETRICS.Row(p.A), s.proj.USDA.Row(p.B)) == rules.Match {
-			continue
-		}
-		pairs = append(pairs, p)
-		labels = append(labels, y[i])
-	}
-	if len(pairs) == 0 {
-		return nil, nil, fmt.Errorf("umetrics: no non-sure decided labels to train on")
-	}
-	return s.vectorize(pairs, labels)
+	return core.TrainingData(s.proj.UMETRICS, s.proj.USDA, s.labels, w.SureRules, s.features)
 }
 
-// vectorize converts labeled pairs into an imputed ml dataset, storing the
-// fitted imputer for prediction-time reuse.
-func (s *study) vectorize(pairs []block.Pair, labels []int) (*ml.Dataset, []block.Pair, error) {
-	x, err := s.features.Vectorize(s.proj.UMETRICS, s.proj.USDA, pairs)
+// train fits a fresh matcher of the named kind on ds and installs it as
+// the study's matcher, with im, the imputer ds was filled by.
+func (s *study) train(name string, ds *ml.Dataset, im *feature.Imputer) error {
+	f, err := ml.FactoryByName(name, s.cfg.Seed)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		return nil, nil, err
+	m := f.New()
+	if err := m.Fit(ds); err != nil {
+		return err
 	}
-	x, err = im.Transform(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.imputer = im
-	ds, err := ml.NewDataset(s.features.Names(), x, labels)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, pairs, nil
+	s.matcher, s.imputer = m, im
+	return nil
 }

@@ -2,7 +2,6 @@ package umetrics
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"emgo/internal/block"
@@ -14,39 +13,12 @@ import (
 	"emgo/internal/workflow"
 )
 
-// studyState2 fields live on study (casestudy.go); this file implements
-// Sections 9-12.
-
-// factoryFor returns a fresh-matcher factory by CV-result name.
-func (s *study) factoryFor(name string) (ml.Factory, error) {
-	for _, f := range ml.DefaultFactories(s.cfg.Seed) {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return ml.Factory{}, fmt.Errorf("umetrics: unknown matcher %q", name)
-}
-
-// fitImputerAndTrain fits the imputer and a fresh matcher of the given
-// kind on the dataset.
-func (s *study) fitImputerAndTrain(name string, ds *ml.Dataset) (ml.Matcher, error) {
-	f, err := s.factoryFor(name)
-	if err != nil {
-		return nil, err
-	}
-	m := f.New()
-	if err := m.Fit(ds); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // matching reproduces Section 9: matcher selection, debugging that leads
 // to the case-insensitive features, re-selection, and the Figure 8
 // workflow totals.
 func (s *study) matching() error {
 	// Initial selection on the auto-generated features.
-	ds, _, err := s.trainingSet(8)
+	ds, _, _, err := s.trainingSet(8)
 	if err != nil {
 		return err
 	}
@@ -61,7 +33,7 @@ func (s *study) matching() error {
 	// mismatches motivate the case-insensitive feature extension
 	// ("many mismatches occurred due to award titles having different
 	// letter cases").
-	bestFactory, err := s.factoryFor(cv[0].Name)
+	bestFactory, err := ml.FactoryByName(cv[0].Name, s.cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -75,7 +47,7 @@ func (s *study) matching() error {
 	}
 
 	// Re-select with the extended feature set.
-	ds, _, err = s.trainingSet(8)
+	ds, _, im, err := s.trainingSet(8)
 	if err != nil {
 		return err
 	}
@@ -88,13 +60,10 @@ func (s *study) matching() error {
 
 	// Figure 8: train the selected matcher on all decided non-sure
 	// labels, remove the M1 pairs from C, and predict the rest.
-	matcher, err := s.fitImputerAndTrain(cv[0].Name, ds)
-	if err != nil {
+	if err := s.train(cv[0].Name, ds, im); err != nil {
 		return err
 	}
-	s.matcher = matcher
-
-	w, err := s.build(FigureSpec(8), s.proj, matcher)
+	w, err := s.build(FigureSpec(8), s.proj, s.matcher)
 	if err != nil {
 		return err
 	}
@@ -142,7 +111,7 @@ func (s *study) updating() error {
 	// Retrain the matcher on labels with BOTH positive rules' sure pairs
 	// removed ("we removed the sure matches from the labeled set and
 	// selected the best matcher").
-	ds, _, err := s.trainingSet(9)
+	ds, _, im, err := s.trainingSet(9)
 	if err != nil {
 		return err
 	}
@@ -152,19 +121,17 @@ func (s *study) updating() error {
 		return err
 	}
 	s.winner = cv[0].Name
-	matcher, err := s.fitImputerAndTrain(cv[0].Name, ds)
-	if err != nil {
+	if err := s.train(s.winner, ds, im); err != nil {
 		return err
 	}
-	s.matcher = matcher
 
 	// Figure 9 is deployed once and run over both slices: they share the
 	// USDA table, so its blockers, rules and cells are built over it once.
-	fig9w, err := s.build(fig9, s.proj, matcher)
+	fig9w, err := s.build(fig9, s.proj, s.matcher)
 	if err != nil {
 		return err
 	}
-	if fig9w, err = fig9w.Deploy(context.Background(), matcher, s.proj.USDA); err != nil {
+	if fig9w, err = fig9w.Deploy(context.Background(), s.matcher, s.proj.USDA); err != nil {
 		return err
 	}
 	if s.res1, err = fig9w.Run(s.proj.UMETRICS, s.proj.USDA); err != nil {
@@ -263,27 +230,13 @@ func (s *study) estimating() error {
 		}
 	}
 
-	estimateSet := func(pred1, pred2 *block.CandidateSet) (estimate.Estimate, error) {
-		predicted := make([]bool, len(s.eval))
-		labels := make([]label.Label, len(s.eval))
-		for i, it := range s.eval {
-			if it.slice == 0 {
-				predicted[i] = pred1.Contains(it.pair)
-			} else {
-				predicted[i] = pred2.Contains(it.pair)
-			}
-			labels[i] = it.label
-		}
-		return estimate.FromLabels(predicted, labels)
-	}
-
 	for round, n := range s.cfg.EstimateRounds {
 		sampleMore(n)
-		ours, err := estimateSet(s.res1.Final, s.res2.Final)
+		ours, err := s.estimateSample(s.res1.Final, s.res2.Final)
 		if err != nil {
 			return err
 		}
-		irisEst, err := estimateSet(s.iris1, s.iris2)
+		irisEst, err := s.estimateSample(s.iris1, s.iris2)
 		if err != nil {
 			return err
 		}
@@ -307,6 +260,23 @@ func (s *study) estimating() error {
 	}
 	s.report.EvalLabels = counts
 	return nil
+}
+
+// estimateSample is the Corleone estimate, from the labeled evaluation
+// sample, of a workflow whose predicted matches are pred1 over the
+// original slice and pred2 over the extra one.
+func (s *study) estimateSample(pred1, pred2 *block.CandidateSet) (estimate.Estimate, error) {
+	predicted := make([]bool, len(s.eval))
+	labels := make([]label.Label, len(s.eval))
+	for i, it := range s.eval {
+		if it.slice == 0 {
+			predicted[i] = pred1.Contains(it.pair)
+		} else {
+			predicted[i] = pred2.Contains(it.pair)
+		}
+		labels[i] = it.label
+	}
+	return estimate.FromLabels(predicted, labels)
 }
 
 // refining reproduces Section 12: the negative pattern rule applied to
@@ -345,18 +315,7 @@ func (s *study) refining() error {
 
 	// Same candidate universe, same labeled sample, new matcher: reuse
 	// the evaluation sample (Section 12: "we can reuse the labeled set").
-	predicted := make([]bool, len(s.eval))
-	labels := make([]label.Label, len(s.eval))
-	for i, it := range s.eval {
-		if it.slice == 0 {
-			predicted[i] = final1.Contains(it.pair)
-		} else {
-			predicted[i] = final2.Contains(it.pair)
-		}
-		labels[i] = it.label
-	}
-	s.report.EstFinal, err = estimate.FromLabels(predicted, labels)
-	if err != nil {
+	if s.report.EstFinal, err = s.estimateSample(final1, final2); err != nil {
 		return err
 	}
 

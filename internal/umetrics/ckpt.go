@@ -8,6 +8,7 @@ import (
 	"emgo/internal/ckpt"
 	"emgo/internal/feature"
 	"emgo/internal/label"
+	"emgo/internal/ml"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -267,7 +268,7 @@ var sections = []section{
 			art.Winner, art.Res1, art.Res2 = s.winner, newResultArt(s.res1), newResultArt(s.res2)
 		},
 		decode: func(s *study, art *sectionArt, d *artDecoder) func() {
-			if _, err := s.factoryFor(art.Winner); err != nil {
+			if _, err := ml.FactoryByName(art.Winner, s.cfg.Seed); err != nil {
 				d.fail("winner: %w", err)
 			}
 			res1 := d.result("res1", art.Res1, s.proj.UMETRICS, s.proj.USDA)
@@ -369,20 +370,18 @@ func (s *study) rebuildFeatures() error {
 }
 
 // rebuildMatcher refits the Section 10 winner on the deterministic
-// training set over rebuilt features; this also restores s.imputer
-// (vectorize fits it) and s.lastTrain, which refining's deployment
-// packaging needs.
+// training set over rebuilt features; this also restores s.imputer and
+// s.lastTrain, which refining's deployment packaging needs.
 func (s *study) rebuildMatcher() error {
 	if err := s.rebuildFeatures(); err != nil {
 		return err
 	}
-	ds, _, err := s.trainingSet(9)
+	ds, _, im, err := s.trainingSet(9)
 	if err != nil {
 		return err
 	}
 	s.lastTrain = ds
-	s.matcher, err = s.fitImputerAndTrain(s.winner, ds)
-	return err
+	return s.train(s.winner, ds, im)
 }
 
 // Fingerprint returns the checkpoint-store fingerprint for this
