@@ -1,10 +1,11 @@
 // Command emmatch is the production matcher: it loads a packaged workflow
 // spec (JSON, as produced by the development process — see
-// examples/production), rebuilds the workflow against two CSV tables, and
-// writes the predicted matches. It is the "move it into the repository to
-// do matching for other data slices" binary of Section 12, run under the
-// hardened runtime: deadlines, an error budget for poison pairs, and a
-// provenance log on stderr even when a stage aborts.
+// examples/production), rebuilds the workflow against two CSV tables,
+// deploys it over the right one, and writes the predicted matches. It is
+// the "move it into the repository to do matching for other data slices"
+// binary of Section 12, run under the hardened runtime: deadlines, an
+// error budget for poison pairs, and a provenance log on stderr even when
+// a stage aborts.
 //
 // Usage:
 //
@@ -131,7 +132,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	}
 	// The run proper: load what the flags name, open the checkpoint store
 	// over exactly those inputs (the spec bytes and both tables'
-	// contents), build the workflow, run it under the deadline.
+	// contents), build the workflow and deploy it over the right table
+	// (each reference column tokenised once for blockers and features
+	// both, as umetrics.RunDeployed does), run it under the deadline.
 	res, err := func() (*workflow.Result, error) {
 		err := dep.Load()
 		if err != nil {
@@ -149,6 +152,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		}
 		w, err := dep.Spec.BuildCtx(ctx, dep.Left, dep.Right, dep.Transforms, retry.Policy{})
 		if err != nil {
+			return nil, err
+		}
+		if w, err = w.Deploy(ctx, w.Matcher, dep.Right); err != nil {
 			return nil, err
 		}
 		return w.RunCtx(ctx, dep.Left, dep.Right, opts)

@@ -2,13 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"emgo/internal/feature"
+	"emgo/internal/ml"
 	"emgo/internal/obs"
+	"emgo/internal/retry"
+	"emgo/internal/table"
+	"emgo/internal/workflow"
 )
 
 // TestRunReportFlag is the acceptance test for -report: a run must
@@ -195,5 +202,107 @@ func TestRunDebugAddrServes(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "debug server on http://127.0.0.1:") {
 		t.Fatalf("debug server not announced:\n%s", stderr.String())
+	}
+}
+
+// TestRunDeploysSharedTitleColumn: emmatch deploys the spec before it
+// runs, so normalising title blockers and the lower-case title feature
+// the tree reads share one reference column — the run report's
+// block.cells_tokenised is one column of right rows — and the matches
+// are those of the plain built workflow.
+func TestRunDeploysSharedTitleColumn(t *testing.T) {
+	words := []string{"corn", "soy", "dairy", "rust", "blight", "soil", "weed", "farm"}
+	title := func(i int) string {
+		return words[i%8] + " " + words[(i/8)%8] + " " + words[(i/64)%8] + " study"
+	}
+	var left, right strings.Builder
+	left.WriteString("RecordId,Title\n")
+	right.WriteString("RecordId,Title\n")
+	const rightRows = 48
+	for i := 0; i < rightRows; i++ {
+		fmt.Fprintf(&right, "R%d,%s USDA\n", i, strings.ToUpper(title(i)))
+		if i%4 == 0 {
+			fmt.Fprintf(&left, "L%d,%s\n", i, title(i))
+		}
+	}
+	f, err := feature.New("Title", "Title", "jaccard_word_lower")
+	if err != nil {
+		t.Fatal(err)
+	}
+	descs, err := (&feature.Set{Features: []feature.Feature{f}}).Descriptors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := func(label int) *ml.NodeSpec { return &ml.NodeSpec{Leaf: true, Label: label, Proba: float64(label)} }
+	spec := &workflow.Spec{
+		Name: "titles",
+		Blockers: []workflow.BlockerSpec{
+			{Type: "overlap", LeftCol: "Title", RightCol: "Title", Tokenizer: "word", Threshold: 3, Normalize: true},
+			{Type: "overlap_coeff", LeftCol: "Title", RightCol: "Title", Tokenizer: "word", Coefficient: 0.7, Normalize: true},
+		},
+		Features:     descs,
+		ImputerMeans: []float64{0},
+		Matcher: &ml.MatcherSpec{Kind: "decision_tree", Tree: &ml.TreeSpec{Features: []string{f.Name},
+			Root: &ml.NodeSpec{Feature: 0, Threshold: 0.7, Left: leaf(0), Right: leaf(1)}}},
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	specPath := writeFile(t, dir, "spec.json", string(specJSON))
+	leftPath := writeFile(t, dir, "left.csv", left.String())
+	rightPath := writeFile(t, dir, "right.csv", right.String())
+	reportPath := filepath.Join(dir, "run.json")
+
+	obs.Disable() // a fresh registry: the report counts this run alone
+	defer obs.Disable()
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-spec", specPath, "-left", leftPath, "-right", rightPath,
+		"-transforms", "none", "-report", reportPath}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	data, err := os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Metrics.Counters["block.cells_tokenised"]; got != rightRows {
+		t.Fatalf("block.cells_tokenised = %d, want one column of %d right rows", got, rightRows)
+	}
+
+	// The plain path, BuildCtx then RunCtx, gives the same match CSV.
+	lt, err := table.ReadCSVFile(leftPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := table.ReadCSVFile(rightPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := spec.BuildCtx(context.Background(), lt, rt, workflow.Transforms{}, retry.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.RunCtx(context.Background(), lt, rt, workflow.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := res.MatchIDs("RecordId", "RecordId")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) == 0 {
+		t.Fatal("fixture: no matches to compare")
+	}
+	want := "RecordId,RecordId\n"
+	for _, m := range ids {
+		want += m.Left + "," + m.Right + "\n"
+	}
+	if stdout.String() != want {
+		t.Fatalf("match CSV:\n%s\nplain workflow's:\n%s", stdout.String(), want)
 	}
 }

@@ -15,19 +15,13 @@ import (
 // one, the retry loop between them being theirs. A layer brings its
 // validator and nothing else.
 
-// ErrDeclined is what a validator wraps to refuse an artifact without
-// condemning it: sound, but this run cannot use it (the case study's
-// random streams cannot be positioned to match it), so it stays in the
-// store and the step recomputes. Any other validator error says the
-// artifact belongs to other inputs and quarantines it.
-var ErrDeclined = errors.New("ckpt: artifact declined")
-
 // Restore is the step's read half: artifact name decoded into a new A
 // once its bytes verify, then shown to validate (nil accepts), which on
-// accepting has usually also installed what it decoded. The error says
-// why nothing was restored: ErrNotFound, ErrCorrupt (bad or undecodable
-// bytes, already quarantined), ErrDeclined (left in place), or the
-// validator's verdict, the artifact quarantined.
+// accepting has usually also installed what it decoded; any error it
+// returns condemns the artifact as belonging to other inputs. The error
+// says why nothing was restored: ErrNotFound, ErrCorrupt (bad or
+// undecodable bytes, already quarantined), or the validator's verdict,
+// the artifact quarantined.
 func Restore[A any](s *Store, name string, validate func(*A) error) (*A, error) {
 	art := new(A)
 	if err := s.ReadJSON(name, art); err != nil {
@@ -36,15 +30,11 @@ func Restore[A any](s *Store, name string, validate func(*A) error) (*A, error) 
 	if validate == nil {
 		return art, nil
 	}
-	switch err := validate(art); {
-	case err == nil:
-		return art, nil
-	case errors.Is(err, ErrDeclined):
-		return nil, err
-	default:
+	if err := validate(art); err != nil {
 		s.Quarantine(name, err.Error())
 		return nil, fmt.Errorf("failed validation, quarantined: %w", err)
 	}
+	return art, nil
 }
 
 // Do runs one durable step. With artifact name restorable (see Restore)

@@ -19,7 +19,7 @@ type stepArt struct {
 
 // TestDoTable is the durable step's whole contract, one row per way a
 // step can go: what the caller is told (resumed, note), what happens to
-// the artifact that was there (quarantined, or still listed when the
+// the artifact that was there (quarantined, never still listed when the
 // computation runs), and what the ckpt.* counters say.
 func TestDoTable(t *testing.T) {
 	const name = "step.json"
@@ -52,7 +52,6 @@ func TestDoTable(t *testing.T) {
 
 		resumed     bool
 		quarantined bool // the planted artifact ends in quarantine/
-		keptForRun  bool // still listed while the computation runs
 		listedAfter bool
 		note        []string // substrings, in order
 		delta       counts   // every ckpt.* counter not named must not move
@@ -84,11 +83,6 @@ func TestDoTable(t *testing.T) {
 			quarantined: true, listedAfter: true,
 			note:  []string{"not restored, recomputing: failed validation, quarantined: foreign tables; wrote step.json"},
 			delta: counts{"ckpt.hits": 1, "ckpt.quarantined": 1, "ckpt.writes": 1}},
-		{what: "validator declines", plant: good,
-			validate:   func(*stepArt) error { return fmt.Errorf("%w: rng position unreachable", ErrDeclined) },
-			keptForRun: true, listedAfter: true,
-			note:  []string{"not restored, recomputing: ckpt: artifact declined: rng position unreachable; wrote step.json"},
-			delta: counts{"ckpt.hits": 1, "ckpt.writes": 1}},
 		{what: "clean restore", plant: good, validate: accept,
 			resumed: true, listedAfter: true, note: []string{"restored step.json"},
 			delta: counts{"ckpt.hits": 1, "ckpt.resumed": 1}},
@@ -131,8 +125,8 @@ func TestDoTable(t *testing.T) {
 			if resumed != tc.resumed || ran == tc.resumed {
 				t.Fatalf("resumed = %v, computation ran = %v", resumed, ran)
 			}
-			if kept != tc.keptForRun {
-				t.Fatalf("artifact listed during the computation = %v, want %v", kept, tc.keptForRun)
+			if kept {
+				t.Fatal("artifact still listed while the computation runs")
 			}
 			if got := s.Has(name); got != tc.listedAfter {
 				t.Fatalf("listed after the step = %v, want %v", got, tc.listedAfter)

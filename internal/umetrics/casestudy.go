@@ -24,8 +24,11 @@ import (
 type Config struct {
 	// Params configures the synthetic data generator.
 	Params Params
-	// Seed drives every downstream random choice (sampling, CV folds,
-	// the simulated expert).
+	// Seed drives every downstream random choice. Each section that
+	// draws randomness seeds its own stream from it: Seed for the
+	// Section 8 labelling samples, Seed+1 for the simulated expert,
+	// Seed+2 for the Section 9 split debug and Seed+3 for the Section 11
+	// evaluation sample. The learners' CV folds and forests take Seed.
 	Seed int64
 	// SampleRounds are the per-iteration labeling sample sizes of Section
 	// 8 (the paper used three rounds of 100).
@@ -212,7 +215,6 @@ type LabeledPair struct {
 // study carries the mutable state of a run.
 type study struct {
 	cfg    Config
-	rng    *rand.Rand
 	ds     *Dataset
 	proj   *Projected // original slice
 	extra  *Projected // extra slice (shares the USDA table)
@@ -220,12 +222,6 @@ type study struct {
 	extOra *TruthOracle
 	expert *label.Expert
 	report *Report
-
-	// mainSrc / expertSrc count every draw of the two shared random
-	// streams so checkpoints can record (and resumed runs replay) the
-	// exact stream positions at each section boundary.
-	mainSrc   *countedSource
-	expertSrc *countedSource
 
 	cand     *block.CandidateSet // consolidated C over the original slice
 	labels   *label.Store
@@ -255,19 +251,12 @@ func Run(cfg Config) (*Report, error) {
 // checked between sections.
 //
 // With cfg.Checkpoints set, each section's outputs are persisted after
-// it completes and restored — validated, with the random streams
-// fast-forwarded to the recorded positions — on the next run, so a
-// killed run resumes from its last durable section. Restored sections
+// it completes and restored — validated — on the next run, so a killed
+// run resumes from its last durable section. Restored sections
 // get span outcome "resumed"; any checkpoint that cannot be trusted is
 // quarantined and the section recomputed.
 func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
-	s := &study{
-		cfg:       cfg,
-		mainSrc:   newCountedSource(cfg.Seed),
-		expertSrc: newCountedSource(cfg.Seed + 1),
-		report:    &Report{OverlapSweep: make(map[int]int)},
-	}
-	s.rng = rand.New(s.mainSrc)
+	s := &study{cfg: cfg, report: &Report{OverlapSweep: make(map[int]int)}}
 	// pending is the most recently restored section whose derived state
 	// has not been rebuilt yet; it is rebuilt lazily right before the next
 	// live section.
@@ -372,9 +361,7 @@ func (s *study) preprocess() error {
 		Tricky:           s.oracle.IsTrap,
 		TrickyUnsureRate: 0.7,
 		TrickyWrongRate:  0.1,
-		// The expert draws from a counted stream so checkpoints can
-		// record how far labeling advanced it.
-		Rng: rand.New(s.expertSrc),
+		Rng:              rand.New(rand.NewSource(s.cfg.Seed + 1)),
 	}
 	return nil
 }
@@ -496,9 +483,10 @@ func (s *study) blocking() error {
 func (s *study) labeling() error {
 	s.labels = label.NewStore()
 	tool := label.NewTool(s.labels)
+	rng := rand.New(rand.NewSource(s.cfg.Seed))
 
 	for round, n := range s.cfg.SampleRounds {
-		sample, err := core.SampleUnlabelled(s.cand, s.labels, n, s.rng)
+		sample, err := core.SampleUnlabelled(s.cand, s.labels, n, rng)
 		if err != nil {
 			return err
 		}

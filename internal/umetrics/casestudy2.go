@@ -203,8 +203,9 @@ func (s *study) estimating() error {
 		}
 	}
 
-	// Experts label cumulative random samples of E.
-	perm := s.rng.Perm(len(universe))
+	// Experts label cumulative random samples of E, drawn from a stream
+	// of the section's own, independent of Section 8's labelling sample.
+	perm := rand.New(rand.NewSource(s.cfg.Seed + 3)).Perm(len(universe))
 	expertFor := func(slice int) *TruthOracle {
 		if slice == 0 {
 			return s.oracle

@@ -2,7 +2,6 @@ package umetrics
 
 import (
 	"fmt"
-	"math/rand"
 
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
@@ -23,81 +22,10 @@ import (
 // refining is always replayed because it produces the final report and
 // deliverables from restored state.
 //
-// The one piece of state a checkpoint cannot serialize is the position
-// of the shared random streams: labeling consumes the study rng (the
-// per-round samples) and the simulated expert's rng, and estimating
-// consumes the study rng again (the evaluation permutation). Each
-// artifact therefore records the cumulative draw counts at the moment
-// the section finished, and a restored run fast-forwards the streams by
-// replaying draws. A checkpoint whose counts cannot be replayed exactly
-// (draws interleaved across source methods, or a stream already past
-// the recorded position) is rejected and the section recomputed — the
-// fallback is always "do the work again", never "use a stream in the
-// wrong position".
-
-// countedSource wraps a rand.Source64 and counts draws per method, so a
-// stream's position can be recorded in a checkpoint and replayed on
-// resume. math/rand advances source state differently per method (a
-// Uint64 is not two Int63s on every source), so the counts are kept
-// separate and a mixed stream refuses to fast-forward.
-type countedSource struct {
-	src    rand.Source64
-	counts rngCounts
-}
-
-// rngCounts is a stream position: cumulative draws per source method.
-type rngCounts struct {
-	Int63  uint64 `json:"int63"`
-	Uint64 uint64 `json:"uint64"`
-}
-
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countedSource) Int63() int64 {
-	c.counts.Int63++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.counts.Uint64++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.counts = rngCounts{}
-}
-
-// canReach reports whether the stream can be fast-forwarded from its
-// current position to target by replaying draws. It requires target to
-// be ahead (or equal) on both counters and at most one method to have
-// pending draws — with both pending, the original interleaving order is
-// unknown and replay would desynchronize the stream.
-func (c *countedSource) canReach(target rngCounts) bool {
-	if target.Int63 < c.counts.Int63 || target.Uint64 < c.counts.Uint64 {
-		return false
-	}
-	return target.Int63 == c.counts.Int63 || target.Uint64 == c.counts.Uint64
-}
-
-// ffwd replays draws until the stream reaches target. Callers must have
-// checked canReach first.
-func (c *countedSource) ffwd(target rngCounts) {
-	for c.counts.Int63 < target.Int63 {
-		c.Int63()
-	}
-	for c.counts.Uint64 < target.Uint64 {
-		c.Uint64()
-	}
-}
-
-// studyRng records both stream positions at a section boundary.
-type studyRng struct {
-	Main   rngCounts `json:"main"`
-	Expert rngCounts `json:"expert"`
-}
+// No random-stream position needs a checkpoint: each section that draws
+// randomness seeds a generator of its own from Config.Seed (the offsets
+// are listed there), so a restored section leaves no stream behind for a
+// later one to continue.
 
 // labelArt is one labeled pair in labeling order (the store's insertion
 // order is semantically significant: training sets are built in it).
@@ -123,12 +51,10 @@ type evalArt struct {
 }
 
 // sectionArt is the on-disk form of one section checkpoint: the report
-// accumulated so far, the section's live state, and the random-stream
-// positions at the section boundary.
+// accumulated so far and the section's live state.
 type sectionArt struct {
-	Section string   `json:"section"`
-	Rng     studyRng `json:"rng"`
-	Report  *Report  `json:"report"`
+	Section string  `json:"section"`
+	Report  *Report `json:"report"`
 
 	// blocking
 	Cand [][2]int `json:"cand,omitempty"`
@@ -311,23 +237,16 @@ var sections = []section{
 }
 
 // snapshot is the artifact of a section that has just run: the report
-// accumulated so far, the stream positions, and the section's own state.
+// accumulated so far and the section's own state.
 func (s *study) snapshot(sec *section) sectionArt {
-	art := sectionArt{
-		Section: sec.name,
-		Rng:     studyRng{Main: s.mainSrc.counts, Expert: s.expertSrc.counts},
-		Report:  s.report,
-	}
+	art := sectionArt{Section: sec.name, Report: s.report}
 	sec.snapshot(s, &art)
 	return art
 }
 
 // restore is the study's validator for the durable step. It condemns an
 // artifact that is not this section's or indexes outside the replayed
-// tables, and declines — the artifact stays — one whose stream positions
-// this run cannot reach (an earlier section was recomputed along another
-// path). Accepting installs the section's state and report and
-// fast-forwards both streams.
+// tables; accepting installs the section's state and report.
 func (s *study) restore(sec *section, art *sectionArt) error {
 	if art.Section != sec.name {
 		return fmt.Errorf("artifact is for section %q, not %q", art.Section, sec.name)
@@ -340,13 +259,8 @@ func (s *study) restore(sec *section, art *sectionArt) error {
 	if d.err != nil {
 		return d.err
 	}
-	if !s.mainSrc.canReach(art.Rng.Main) || !s.expertSrc.canReach(art.Rng.Expert) {
-		return fmt.Errorf("%w: rng position unreachable", ckpt.ErrDeclined)
-	}
 	install()
 	*s.report = *art.Report
-	s.mainSrc.ffwd(art.Rng.Main)
-	s.expertSrc.ffwd(art.Rng.Expert)
 	return nil
 }
 
@@ -384,12 +298,19 @@ func (s *study) rebuildMatcher() error {
 	return s.train(s.winner, ds, im)
 }
 
+// streamScheme names how the study seeds its random streams. A store
+// written under another scheme holds samples no run of this one draws,
+// so the token is part of the fingerprint: change it whenever a section's
+// seed offset or draw order changes.
+const streamScheme = "streams=seed+section"
+
 // Fingerprint returns the checkpoint-store fingerprint for this
 // configuration: any change to the generator parameters, seed, round
-// plan, or expert noise invalidates every checkpoint.
+// plan, expert noise or stream scheme invalidates every checkpoint.
 func (c Config) Fingerprint() string {
 	return ckpt.Fingerprint(
 		"umetrics.casestudy",
+		streamScheme,
 		fmt.Sprintf("%+v", c.Params),
 		fmt.Sprintf("seed=%d rounds=%v est=%v hes=%g mis=%g",
 			c.Seed, c.SampleRounds, c.EstimateRounds, c.HesitateRate, c.MistakeRate),

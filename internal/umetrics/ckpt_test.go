@@ -3,7 +3,6 @@ package umetrics
 import (
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -196,46 +195,6 @@ func TestCaseStudyFingerprintInvalidatesStore(t *testing.T) {
 	}
 }
 
-// TestCountedSource pins the stream-position bookkeeping the resume
-// logic depends on.
-func TestCountedSource(t *testing.T) {
-	a := newCountedSource(42)
-	for i := 0; i < 10; i++ {
-		a.Int63()
-	}
-	target := a.counts
-
-	b := newCountedSource(42)
-	if !b.canReach(target) {
-		t.Fatal("fresh source must reach a pure-Int63 position")
-	}
-	b.ffwd(target)
-	if a.Int63() != b.Int63() {
-		t.Fatal("fast-forwarded stream diverges")
-	}
-
-	// A stream already past the target cannot rewind.
-	c := newCountedSource(42)
-	for i := 0; i < 20; i++ {
-		c.Int63()
-	}
-	if c.canReach(target) {
-		t.Fatal("cannot rewind a stream")
-	}
-
-	// Mixed-method deltas are ambiguous and must refuse.
-	d := newCountedSource(42)
-	mixed := rngCounts{Int63: 5, Uint64: 5}
-	if d.canReach(mixed) {
-		t.Fatal("interleaved draws must refuse fast-forward")
-	}
-	d.Int63()
-	d.Uint64()
-	if !d.canReach(rngCounts{Int63: 1, Uint64: 7}) {
-		t.Fatal("single-method delta from a mixed position is replayable")
-	}
-}
-
 // TestGoldenSectionArtifactKeys pins the shape of the study's store: the
 // five artifact names and the top-level keys each carries (the common
 // envelope plus the section's own state). The byte-level guard is the
@@ -253,11 +212,11 @@ func TestGoldenSectionArtifactKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"study.blocking.json":   "cand report rng section",
-		"study.labeling.json":   "labels report rng section",
-		"study.matching.json":   "fig8 report rng section",
-		"study.updating.json":   "report res1 res2 rng section winner",
-		"study.estimating.json": "eval iris1 iris2 report rng section",
+		"study.blocking.json":   "cand report section",
+		"study.labeling.json":   "labels report section",
+		"study.matching.json":   "fig8 report section",
+		"study.updating.json":   "report res1 res2 section winner",
+		"study.estimating.json": "eval iris1 iris2 report section",
 	}
 	names := openStudyStore(t, dir).Names()
 	if len(names) != len(want) {
@@ -284,24 +243,15 @@ func TestGoldenSectionArtifactKeys(t *testing.T) {
 }
 
 // TestSectionValidator is the one thing the study brings to the durable
-// step — restore, its validator — over every verdict it can give: it
+// step — restore, its validator — over both verdicts it can give: it
 // condemns an artifact that is another section's or indexes outside the
-// replayed tables, declines (ckpt.ErrDeclined, artifact kept) one whose
-// stream positions this run cannot reach, and on accepting installs the
-// state and the report and fast-forwards the streams. A refused artifact
-// leaves the study untouched.
+// replayed tables, and on accepting installs the state and the report. A
+// refused artifact leaves the study untouched.
 func TestSectionValidator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a slice; skipped with -short")
 	}
-	cfg := studyTestConfig()
-	s := &study{
-		cfg:       cfg,
-		mainSrc:   newCountedSource(cfg.Seed),
-		expertSrc: newCountedSource(cfg.Seed + 1),
-		report:    &Report{},
-	}
-	s.rng = rand.New(s.mainSrc)
+	s := &study{cfg: studyTestConfig(), report: &Report{}}
 	if err := s.generate(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,46 +267,35 @@ func TestSectionValidator(t *testing.T) {
 		t.Fatalf("no section %q", name)
 		return nil
 	}
-	s.mainSrc.Int63() // the run stands at main = {1, 0}
-	here := studyRng{Main: s.mainSrc.counts}
 	huge := [2]int{1 << 30, 0}
 	okRes := &resultArt{}
+	rep := func() *Report { return &Report{FinalMatches: 7} }
 	condemned := []struct {
 		what, section string
 		art           sectionArt
 	}{
-		{"another section's artifact", "blocking", sectionArt{Section: "labeling", Rng: here, Report: &Report{}}},
-		{"no report", "blocking", sectionArt{Section: "blocking", Rng: here}},
-		{"candidate outside the tables", "blocking", sectionArt{Section: "blocking", Rng: here, Report: &Report{}, Cand: [][2]int{huge}}},
-		{"label outside the vocabulary", "labeling", sectionArt{Section: "labeling", Rng: here, Report: &Report{}, Labels: []labelArt{{Pair: [2]int{0, 0}, Label: 9}}}},
-		{"result missing", "matching", sectionArt{Section: "matching", Rng: here, Report: &Report{}}},
-		{"unknown CV winner", "updating", sectionArt{Section: "updating", Rng: here, Report: &Report{}, Winner: "no-such-learner", Res1: okRes, Res2: okRes}},
-		{"eval slice out of range", "estimating", sectionArt{Section: "estimating", Rng: here, Report: &Report{}, Eval: []evalArt{{Slice: 2}}}},
+		{"another section's artifact", "blocking", sectionArt{Section: "labeling", Report: rep(), Cand: [][2]int{{0, 0}}}},
+		{"no report", "blocking", sectionArt{Section: "blocking", Cand: [][2]int{{0, 0}}}},
+		{"candidate outside the tables", "blocking", sectionArt{Section: "blocking", Report: rep(), Cand: [][2]int{huge}}},
+		{"label outside the vocabulary", "labeling", sectionArt{Section: "labeling", Report: rep(), Labels: []labelArt{{Pair: [2]int{0, 0}, Label: 9}}}},
+		{"result missing", "matching", sectionArt{Section: "matching", Report: rep()}},
+		{"unknown CV winner", "updating", sectionArt{Section: "updating", Report: rep(), Winner: "no-such-learner", Res1: okRes, Res2: okRes}},
+		{"eval slice out of range", "estimating", sectionArt{Section: "estimating", Report: rep(), Eval: []evalArt{{Slice: 2}}}},
 	}
 	for _, tc := range condemned {
-		err := s.restore(row(tc.section), &tc.art)
-		if err == nil || errors.Is(err, ckpt.ErrDeclined) {
-			t.Errorf("%s: verdict %v, want a condemning error", tc.what, err)
+		if err := s.restore(row(tc.section), &tc.art); err == nil {
+			t.Errorf("%s: accepted, want a condemning error", tc.what)
 		}
 	}
-
-	behind := sectionArt{Section: "blocking", Report: &Report{FinalMatches: 7}, Cand: [][2]int{{0, 0}}}
-	if err := s.restore(row("blocking"), &behind); !errors.Is(err, ckpt.ErrDeclined) {
-		t.Fatalf("stream already past the artifact's position: verdict %v, want ErrDeclined", err)
-	}
-	if s.cand != nil || s.labels != nil || s.report.FinalMatches != 0 || s.mainSrc.counts != here.Main {
+	if s.cand != nil || s.labels != nil || s.fig8 != nil || s.winner != "" || s.eval != nil || s.report.FinalMatches != 0 {
 		t.Fatal("a refused artifact touched the study")
 	}
 
-	ahead := behind
-	ahead.Rng = studyRng{Main: rngCounts{Int63: 4}, Expert: rngCounts{Int63: 2}}
-	if err := s.restore(row("blocking"), &ahead); err != nil {
+	sound := sectionArt{Section: "blocking", Report: rep(), Cand: [][2]int{{0, 0}}}
+	if err := s.restore(row("blocking"), &sound); err != nil {
 		t.Fatalf("sound artifact refused: %v", err)
 	}
 	if s.cand == nil || s.cand.Len() != 1 || s.report.FinalMatches != 7 {
 		t.Fatalf("accepted artifact not installed: cand=%v report=%+v", s.cand, s.report.FinalMatches)
-	}
-	if s.mainSrc.counts != ahead.Rng.Main || s.expertSrc.counts != ahead.Rng.Expert {
-		t.Fatalf("streams at %+v / %+v, want the artifact's positions", s.mainSrc.counts, s.expertSrc.counts)
 	}
 }
