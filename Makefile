@@ -114,15 +114,17 @@ api-check:
 	$(GO) test -count=1 -v ./internal/surface
 
 # examples builds and runs every program under examples/ — tier-1 only
-# compiles them — and fails on the first that exits non-zero. Their
-# output goes to /dev/null; each runs in well under a second.
+# compiles them — and fails on the first that exits non-zero. Each one's
+# "ok" line carries the sha256 of its stdout, so whether a change moved
+# any example's output is this target run on both commits; each runs in
+# well under a second.
 examples:
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	for e in examples/*/; do \
 		name="$$(basename "$$e")"; \
 		$(GO) build -o "$$dir/$$name" "./$$e"; \
-		"$$dir/$$name" > /dev/null || { echo "examples: $$name failed"; exit 1; }; \
-		echo "examples: $$name ok"; \
+		"$$dir/$$name" > "$$dir/$$name.out" || { echo "examples: $$name failed"; exit 1; }; \
+		echo "examples: $$name ok $$(sha256sum < "$$dir/$$name.out" | cut -d' ' -f1)"; \
 	done
 
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test

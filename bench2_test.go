@@ -15,7 +15,7 @@ import (
 // path).
 func BenchmarkE11_DeployBuild(b *testing.B) {
 	w := benchWorld(b)
-	spec, err := umetrics.BuildDeploymentSpec(w.fs, w.im, w.matcher)
+	spec, err := umetrics.FigureSpec(10).Package(w.fs, w.im, w.matcher)
 	if err != nil {
 		b.Fatal(err)
 	}

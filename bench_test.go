@@ -55,13 +55,7 @@ func benchWorld(b *testing.B) *benchWorldT {
 	return benchW
 }
 
-var benchCorr = map[string]string{
-	"AwardNumber": "AwardNumber", "AwardTitle": "AwardTitle",
-	"FirstTransDate": "FirstTransDate", "LastTransDate": "LastTransDate",
-	"EmployeeName": "EmployeeName",
-}
-
-var benchOrder = []string{"AwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate", "EmployeeName"}
+var benchCorr, benchOrder = umetrics.FeatureColumns()
 
 func benchBlockers() []block.Blocker {
 	return []block.Blocker{

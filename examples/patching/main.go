@@ -5,7 +5,9 @@
 // re-sample, re-label), the existing workflow is kept "as is" and patched:
 // the new rule is applied directly to the input tables, the same trained
 // matcher is run over the extra slice, and the match lists are unioned at
-// the record-ID level. Run with:
+// the record-ID level. The matcher is trained through core.Project and
+// each version of the workflow is built from the spec the project
+// packages (Project.Spec). Run with:
 //
 //	go run ./examples/patching
 package main
@@ -15,9 +17,9 @@ import (
 	"log"
 
 	"emgo/internal/block"
+	"emgo/internal/core"
 	"emgo/internal/feature"
 	"emgo/internal/label"
-	"emgo/internal/ml"
 	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
@@ -41,11 +43,11 @@ func main() {
 	extra.USDA = orig.USDA // one USDA table, two UMETRICS slices
 
 	// ---- Phase 1: the workflow as originally built (Figure 8: M1 only). ----
-	fs, im, matcher, err := trainMatcher(ds, orig)
+	p, err := train(ds, orig)
 	if err != nil {
 		log.Fatal(err)
 	}
-	v1 := figure(8, orig, fs, im, matcher)
+	v1 := figure(p, 8, orig)
 	res1, err := v1.Run(orig.UMETRICS, orig.USDA)
 	if err != nil {
 		log.Fatal(err)
@@ -90,7 +92,7 @@ func main() {
 	// ---- Phase 3: extra records arrive. ----
 	// Run the patched rules (Figure 9) and the SAME trained matcher over
 	// the new slice only.
-	v2 := figure(9, extra, fs, im, matcher)
+	v2 := figure(p, 9, extra)
 	res3, err := v2.Run(extra.UMETRICS, extra.USDA)
 	if err != nil {
 		log.Fatal(err)
@@ -107,72 +109,52 @@ func main() {
 }
 
 // figure builds the UMETRICS workflow of the given paper figure over one
-// slice, with the trained matcher.
-func figure(fig int, um *umetrics.Projected, fs *feature.Set, im *feature.Imputer, m ml.Matcher) *workflow.Workflow {
-	w, err := umetrics.FigureSpec(fig).Build(um.UMETRICS, um.USDA, umetrics.DeployTransforms())
+// slice, with the project's trained matcher.
+func figure(p *core.Project, fig int, um *umetrics.Projected) *workflow.Workflow {
+	spec, err := p.Spec(umetrics.FigureSpec(fig))
 	if err != nil {
 		log.Fatal(err)
 	}
-	w.Features, w.Imputer, w.Matcher = fs, im, m
+	w, err := spec.Build(um.UMETRICS, um.USDA, umetrics.DeployTransforms())
+	if err != nil {
+		log.Fatal(err)
+	}
 	return w
 }
 
-// trainMatcher labels a sample with the simulated expert and fits the
-// best cross-validated matcher.
-func trainMatcher(ds *umetrics.Dataset, proj *umetrics.Projected) (*feature.Set, *feature.Imputer, ml.Matcher, error) {
-	oracle, err := umetrics.NewTruthOracle(ds.Truth, proj.UMETRICS, proj.USDA)
+// train labels every candidate of a title-overlap blocker with the
+// simulated expert and trains a decision tree on the labels.
+func train(ds *umetrics.Dataset, proj *umetrics.Projected) (*core.Project, error) {
+	p, err := core.NewProject("patching", proj.UMETRICS, proj.USDA, 0)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	blocker := block.Overlap{
+	p.AddBlocker(block.Overlap{
 		LeftCol: "AwardTitle", RightCol: "AwardTitle",
 		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true,
-	}
-	cand, err := blocker.Block(proj.UMETRICS, proj.USDA)
+	})
+	cand, err := p.Block()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
+	}
+	oracle, err := umetrics.NewTruthOracle(ds.Truth, proj.UMETRICS, proj.USDA)
+	if err != nil {
+		return nil, err
 	}
 	expert := &label.Expert{Truth: oracle.IsMatch, Hard: oracle.IsHard}
-	var pairs []block.Pair
-	var y []int
-	for _, p := range cand.Pairs() {
-		switch expert.Label(p) {
-		case label.Yes:
-			pairs = append(pairs, p)
-			y = append(y, 1)
-		case label.No:
-			pairs = append(pairs, p)
-			y = append(y, 0)
+	for _, pair := range cand.Pairs() {
+		if err := p.SetLabel(pair, expert.Label(pair)); err != nil {
+			return nil, err
 		}
 	}
 	corr := map[string]string{"AwardTitle": "AwardTitle", "EmployeeName": "EmployeeName"}
-	fs, err := feature.Generate(proj.UMETRICS, proj.USDA, corr, []string{"AwardTitle", "EmployeeName"})
-	if err != nil {
-		return nil, nil, nil, err
+	if err := p.GenerateFeatures(corr, []string{"AwardTitle", "EmployeeName"}); err != nil {
+		return nil, err
 	}
-	if err := feature.AddCaseInsensitive(fs, proj.UMETRICS, corr, []string{"AwardTitle"}); err != nil {
-		return nil, nil, nil, err
+	if err := feature.AddCaseInsensitive(p.Features(), proj.UMETRICS, corr, []string{"AwardTitle"}); err != nil {
+		return nil, err
 	}
-	x, err := fs.Vectorize(proj.UMETRICS, proj.USDA, pairs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if x, err = im.Transform(x); err != nil {
-		return nil, nil, nil, err
-	}
-	dset, err := ml.NewDataset(fs.Names(), x, y)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m := &ml.DecisionTree{}
-	if err := m.Fit(dset); err != nil {
-		return nil, nil, nil, err
-	}
-	return fs, im, m, nil
+	return p, p.Train("decision_tree")
 }
 
 // idPairs renders a candidate set as ID pairs.

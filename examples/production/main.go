@@ -1,14 +1,16 @@
 // Production example: the Section 12 "Next Steps" lifecycle. Development
-// trains the Figure 10 workflow and packages it as a JSON spec; production
-// loads the spec, rebuilds the workflow against each incoming data slice,
-// and monitors accuracy by sampling and labeling predicted matches
-// (footnote 11). A dirty slice trips the precision alarm — the signal to
+// trains a matcher through core.Project and packages it with the Figure
+// 10 workflow as a JSON spec (Project.Spec); production loads the spec,
+// runs it over each incoming data slice (umetrics.RunDeployed), and
+// monitors accuracy by sampling and labeling predicted matches (footnote
+// 11). A dirty slice trips the precision alarm — the signal to
 // go back to development. Run with:
 //
 //	go run ./examples/production
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -16,9 +18,9 @@ import (
 	"path/filepath"
 
 	"emgo/internal/block"
+	"emgo/internal/core"
 	"emgo/internal/feature"
 	"emgo/internal/label"
-	"emgo/internal/ml"
 	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
@@ -82,79 +84,65 @@ func main() {
 // develop trains the matcher on the development world and returns the
 // packaged Figure 10 spec.
 func develop() *workflow.Spec {
-	ds, err := umetrics.Generate(umetrics.TestParams(0.25))
+	ds, proj := world(umetrics.TestParams(0.25))
+	p, err := core.NewProject("development", proj.UMETRICS, proj.USDA, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	proj, _, err := umetrics.Preprocess(ds.AwardAgg, ds.Employees, ds.USDA, "u", "s")
+	p.AddBlocker(block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
+		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true})
+	cand, err := p.Block()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := umetrics.AddProjectNumber(proj, ds.USDA); err != nil {
-		log.Fatal(err)
-	}
-	oracle, err := umetrics.NewTruthOracle(ds.Truth, proj.UMETRICS, proj.USDA)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cand, err := block.UnionBlock(proj.UMETRICS, proj.USDA,
-		block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var pairs []block.Pair
-	var y []int
-	for _, p := range cand.Pairs() {
-		if oracle.IsHard(p) {
-			continue
-		}
-		pairs = append(pairs, p)
-		if oracle.IsMatch(p) {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
+	truth := truthLabels(ds, proj)
+	for _, pair := range cand.Pairs() {
+		if err := p.SetLabel(pair, truth(pair)); err != nil {
+			log.Fatal(err)
 		}
 	}
 	corr := map[string]string{"AwardNumber": "AwardNumber", "AwardTitle": "AwardTitle", "EmployeeName": "EmployeeName"}
-	fs, err := feature.Generate(proj.UMETRICS, proj.USDA, corr, []string{"AwardNumber", "AwardTitle", "EmployeeName"})
-	if err != nil {
+	if err := p.GenerateFeatures(corr, []string{"AwardNumber", "AwardTitle", "EmployeeName"}); err != nil {
 		log.Fatal(err)
 	}
-	if err := feature.AddCaseInsensitive(fs, proj.UMETRICS, corr, []string{"AwardTitle", "EmployeeName"}); err != nil {
+	if err := feature.AddCaseInsensitive(p.Features(), proj.UMETRICS, corr, []string{"AwardTitle", "EmployeeName"}); err != nil {
 		log.Fatal(err)
 	}
-	x, err := fs.Vectorize(proj.UMETRICS, proj.USDA, pairs)
-	if err != nil {
+	if err := p.Train("decision_tree"); err != nil {
 		log.Fatal(err)
 	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if x, err = im.Transform(x); err != nil {
-		log.Fatal(err)
-	}
-	dset, err := ml.NewDataset(fs.Names(), x, y)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tree := &ml.DecisionTree{}
-	if err := tree.Fit(dset); err != nil {
-		log.Fatal(err)
-	}
-	spec, err := umetrics.BuildDeploymentSpec(fs, im, tree)
+	spec, err := p.Spec(umetrics.FigureSpec(10))
 	if err != nil {
 		log.Fatal(err)
 	}
 	return spec
 }
 
-// runSlice builds the deployed workflow for a fresh data slice and
-// returns its result plus the labeler the monitor uses.
+// runSlice runs the deployed workflow over a fresh data slice and returns
+// its result plus the labeler the monitor uses.
 func runSlice(spec *workflow.Spec, seed int64, dirty bool) (*workflow.Result, func(block.Pair) label.Label) {
 	params := umetrics.TestParams(0.25)
 	params.Seed = seed
+	ds, proj := world(params)
+	res, err := umetrics.RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA, workflow.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	truth := truthLabels(ds, proj)
+	noise := rand.New(rand.NewSource(seed * 7))
+	labeler := func(p block.Pair) label.Label {
+		if dirty && noise.Float64() < 0.5 {
+			// The dirty slice's matches fail human review half the time.
+			return label.No
+		}
+		return truth(p)
+	}
+	return res, labeler
+}
+
+// world generates a UMETRICS world and preprocesses its slice, with the
+// USDA project numbers joined in.
+func world(params umetrics.Params) (*umetrics.Dataset, *umetrics.Projected) {
 	ds, err := umetrics.Generate(params)
 	if err != nil {
 		log.Fatal(err)
@@ -166,24 +154,17 @@ func runSlice(spec *workflow.Spec, seed int64, dirty bool) (*workflow.Result, fu
 	if err := umetrics.AddProjectNumber(proj, ds.USDA); err != nil {
 		log.Fatal(err)
 	}
-	w, err := spec.Build(proj.UMETRICS, proj.USDA, umetrics.DeployTransforms())
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := w.Run(proj.UMETRICS, proj.USDA)
-	if err != nil {
-		log.Fatal(err)
-	}
+	return ds, proj
+}
+
+// truthLabels labels a pair of proj as an honest labeller would: Unsure
+// when the generator marks it hard, otherwise the truth.
+func truthLabels(ds *umetrics.Dataset, proj *umetrics.Projected) func(block.Pair) label.Label {
 	oracle, err := umetrics.NewTruthOracle(ds.Truth, proj.UMETRICS, proj.USDA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	noise := rand.New(rand.NewSource(seed * 7))
-	labeler := func(p block.Pair) label.Label {
-		if dirty && noise.Float64() < 0.5 {
-			// The dirty slice's matches fail human review half the time.
-			return label.No
-		}
+	return func(p block.Pair) label.Label {
 		switch {
 		case oracle.IsHard(p):
 			return label.Unsure
@@ -193,5 +174,4 @@ func runSlice(spec *workflow.Spec, seed int64, dirty bool) (*workflow.Result, fu
 			return label.No
 		}
 	}
-	return res, labeler
 }

@@ -86,12 +86,7 @@ func main() {
 		counts.Total(), counts.Yes, counts.No, counts.Unsure)
 
 	// Features (Section 9): auto-generated plus the case-insensitive fix.
-	corr := map[string]string{
-		"AwardNumber": "AwardNumber", "AwardTitle": "AwardTitle",
-		"FirstTransDate": "FirstTransDate", "LastTransDate": "LastTransDate",
-		"EmployeeName": "EmployeeName",
-	}
-	order := []string{"AwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate", "EmployeeName"}
+	corr, order := umetrics.FeatureColumns()
 	if err := project.GenerateFeatures(corr, order); err != nil {
 		log.Fatal(err)
 	}

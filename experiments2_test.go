@@ -63,7 +63,7 @@ func TestE11_DeployAndMonitor(t *testing.T) {
 	}
 
 	// Package, serialize, parse.
-	spec, err := umetrics.BuildDeploymentSpec(fs, im, tree)
+	spec, err := umetrics.FigureSpec(10).Package(fs, im, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -519,13 +519,7 @@ func ablationCV(w *ablationWorldT, fs *feature.Set, unsureAs int) (ml.CVResult, 
 	}, ds, 5, rand.New(rand.NewSource(42)))
 }
 
-var ablCorr = map[string]string{
-	"AwardNumber": "AwardNumber", "AwardTitle": "AwardTitle",
-	"FirstTransDate": "FirstTransDate", "LastTransDate": "LastTransDate",
-	"EmployeeName": "EmployeeName",
-}
-
-var ablOrder = []string{"AwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate", "EmployeeName"}
+var ablCorr, ablOrder = umetrics.FeatureColumns()
 
 // TestA1_CaseFeatureAblation: the Section 9 design choice — keep raw case
 // and add case-insensitive features rather than lowercasing everything.

@@ -210,6 +210,14 @@ func (p *Project) Train(matcherName string) error {
 	return nil
 }
 
+// Spec packages what the project trained for deployment: base's blockers
+// and rules (the project's own are not carried) with the project's
+// features, imputer and matcher (workflow.Spec.Package), so before Train
+// it errors.
+func (p *Project) Spec(base *workflow.Spec) (*workflow.Spec, error) {
+	return base.Package(p.wf.Features, p.wf.Imputer, p.wf.Matcher)
+}
+
 // DebugLabels runs leave-one-out label debugging and returns the pairs
 // whose labels disagree with the model's prediction (Section 8's
 // label-debugging step).

@@ -9,11 +9,14 @@ import (
 	"emgo/internal/label"
 	"emgo/internal/ml"
 	"emgo/internal/umetrics"
+	"emgo/internal/workflow"
 )
 
 // TestProjectFromSpecEqualsSpecWorkflow starts a Project from Figure 10's
-// spec: it blocks like the workflow the spec builds, and with one trained
-// matcher it matches like that workflow carrying the same matcher.
+// spec: it blocks like the workflow the spec builds, with one trained
+// matcher it matches like that workflow carrying the same matcher, and the
+// spec it packages (Project.Spec) round-trips through JSON to the same
+// matches.
 func TestProjectFromSpecEqualsSpecWorkflow(t *testing.T) {
 	gen, err := umetrics.Generate(umetrics.TestParams(0.15))
 	if err != nil {
@@ -69,13 +72,11 @@ func TestProjectFromSpecEqualsSpecWorkflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cols := []string{"AwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate", "EmployeeName"}
-	corr := make(map[string]string, len(cols))
-	for _, c := range cols {
-		corr[c] = c
-	}
-	if err := p.GenerateFeatures(corr, cols); err != nil {
+	if err := p.GenerateFeatures(umetrics.FeatureColumns()); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := p.Spec(umetrics.FigureSpec(10)); err == nil {
+		t.Fatal("packaging an untrained project should error")
 	}
 	if err := p.Train("decision_tree"); err != nil {
 		t.Fatal(err)
@@ -83,6 +84,32 @@ func TestProjectFromSpecEqualsSpecWorkflow(t *testing.T) {
 	got, err := p.Match()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// The packaged project, shipped as JSON and rebuilt, matches as the
+	// project does.
+	packaged, err := p.Spec(umetrics.FigureSpec(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := packaged.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := workflow.ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := parsed.Build(um, us, umetrics.DeployTransforms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shippedRes, err := shipped.Run(um, us)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shippedRes.Final.Sorted(), got.Final.Sorted()) {
+		t.Fatalf("the shipped spec matched %d pairs, the project %d", shippedRes.Final.Len(), got.Final.Len())
 	}
 
 	ds, _, im, err := core.TrainingData(um, us, p.Labels(), w.SureRules, p.Features())
@@ -107,6 +134,15 @@ func TestProjectFromSpecEqualsSpecWorkflow(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Final.Sorted(), res.Final.Sorted()) {
 		t.Fatalf("project matched %d pairs, the spec's workflow %d", got.Final.Len(), res.Final.Len())
+	}
+
+	// Packaging refuses a missing part and a matcher that does not
+	// serialize.
+	if _, err := spec.Package(nil, nil, nil); err == nil {
+		t.Fatal("packaging without features, imputer and matcher should error")
+	}
+	if _, err := spec.Package(p.Features(), im, &ml.LogisticRegression{}); err == nil {
+		t.Fatal("packaging an unserializable matcher should error")
 	}
 
 	// A spec that carries a matcher is refused: a project trains its own.

@@ -53,7 +53,7 @@ func stump(t testing.TB, names []string, feature string, threshold float64) *ml.
 // runs, its feature set restricted to what m reads.
 func deployed(t testing.TB, w *workflow.Workflow, m ml.Matcher, l, r *table.Table) *workflow.Workflow {
 	t.Helper()
-	spec, err := umetrics.BuildDeploymentSpec(w.Features, w.Imputer, m)
+	spec, err := umetrics.FigureSpec(10).Package(w.Features, w.Imputer, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,6 @@ type Config struct {
 	// EstimateRounds are the Section 11 evaluation sample sizes (the
 	// paper used two rounds of 200).
 	EstimateRounds []int
-	// HesitateRate / MistakeRate configure the simulated expert's
-	// first-pass labeling noise.
-	HesitateRate float64
-	MistakeRate  float64
 	// Checkpoints, when set, makes the run crash-safe: each section
 	// writes its outputs to the store, and a later run over the same
 	// Config (open the store with Config.Fingerprint) resumes from the
@@ -71,8 +67,6 @@ func DefaultConfig() Config {
 		Seed:           7,
 		SampleRounds:   []int{100, 100, 100},
 		EstimateRounds: []int{200, 200},
-		HesitateRate:   0.3,
-		MistakeRate:    0.04,
 	}
 }
 
@@ -229,8 +223,6 @@ type study struct {
 	imputer  *feature.Imputer
 	matcher  ml.Matcher
 	winner   string // CV winner name behind the final matcher
-	corr     map[string]string
-	order    []string
 
 	fig8         *workflow.Result
 	res1, res2   *workflow.Result    // Figure 9 results per slice
@@ -323,6 +315,14 @@ func (s *study) generate() error {
 	return nil
 }
 
+// The simulated expert's first-pass labelling noise: it labels a true
+// match Unsure at expertHesitateRate and flips a label at
+// expertMistakeRate.
+const (
+	expertHesitateRate = 0.3
+	expertMistakeRate  = 0.04
+)
+
 // preprocess runs the Section 6 pipeline on both slices. ProjectNumber is
 // joined in up front (the paper discovered the need in Section 10; the
 // chronology numbers are still reported there).
@@ -353,8 +353,8 @@ func (s *study) preprocess() error {
 	s.expert = &label.Expert{
 		Truth:        s.oracle.IsMatch,
 		Hard:         s.oracle.IsHard,
-		HesitateRate: s.cfg.HesitateRate,
-		MistakeRate:  s.cfg.MistakeRate,
+		HesitateRate: expertHesitateRate,
+		MistakeRate:  expertMistakeRate,
 		// Lookalike (trap) pairs draw the Section 8 waffling: mostly
 		// Unsure on first pass, resolved to the truth only after the
 		// D2 discussion.
@@ -560,29 +560,13 @@ func (s *study) labeling() error {
 	return nil
 }
 
-// corrOrder returns the column correspondence and order used for feature
-// generation over the projected tables.
-func (s *study) corrOrder() (map[string]string, []string) {
-	if s.corr == nil {
-		s.corr = map[string]string{
-			"AwardNumber":    "AwardNumber",
-			"AwardTitle":     "AwardTitle",
-			"FirstTransDate": "FirstTransDate",
-			"LastTransDate":  "LastTransDate",
-			"EmployeeName":   "EmployeeName",
-		}
-		s.order = []string{"AwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate", "EmployeeName"}
-	}
-	return s.corr, s.order
-}
-
 // trainingSet is core.TrainingData over the original slice with the
 // sure rules of Figure fig (Section 9: "we removed the pairs labeled
 // Unsure and sure matches") — M1 alone in Figure 8, with the rule Section
 // 10 discovered in Figure 9.
 func (s *study) trainingSet(fig int) (*ml.Dataset, []block.Pair, *feature.Imputer, error) {
 	if s.features == nil {
-		corr, order := s.corrOrder()
+		corr, order := FeatureColumns()
 		fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
 		if err != nil {
 			return nil, nil, nil, err

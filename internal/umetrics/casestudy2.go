@@ -40,7 +40,7 @@ func (s *study) matching() error {
 	if _, err := ml.SplitDebug(bestFactory, ds, rand.New(rand.NewSource(s.cfg.Seed+2))); err != nil {
 		return err
 	}
-	corr, _ := s.corrOrder()
+	corr, _ := FeatureColumns()
 	if err := feature.AddCaseInsensitive(s.features, s.proj.UMETRICS, corr,
 		[]string{"AwardTitle", "EmployeeName"}); err != nil {
 		return err
@@ -343,7 +343,7 @@ func (s *study) refining() error {
 		}
 		deployMatcher = tree
 	}
-	if s.report.Deployment, err = BuildDeploymentSpec(s.features, s.imputer, deployMatcher); err != nil {
+	if s.report.Deployment, err = FigureSpec(10).Package(s.features, s.imputer, deployMatcher); err != nil {
 		return err
 	}
 

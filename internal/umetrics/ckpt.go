@@ -270,7 +270,7 @@ func (s *study) restore(sec *section, art *sectionArt) error {
 // deterministic function of restored state, so the rebuilt object is
 // byte-equivalent to the one the original run held.
 func (s *study) rebuildFeatures() error {
-	corr, order := s.corrOrder()
+	corr, order := FeatureColumns()
 	fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
 	if err != nil {
 		return err
@@ -306,13 +306,15 @@ const streamScheme = "streams=seed+section"
 
 // Fingerprint returns the checkpoint-store fingerprint for this
 // configuration: any change to the generator parameters, seed, round
-// plan, expert noise or stream scheme invalidates every checkpoint.
+// plan, expert noise or stream scheme invalidates every checkpoint. The
+// expert's noise rates are constants but stay in the text: dropping them
+// would change every fingerprint and orphan the stores already written.
 func (c Config) Fingerprint() string {
 	return ckpt.Fingerprint(
 		"umetrics.casestudy",
 		streamScheme,
 		fmt.Sprintf("%+v", c.Params),
 		fmt.Sprintf("seed=%d rounds=%v est=%v hes=%g mis=%g",
-			c.Seed, c.SampleRounds, c.EstimateRounds, c.HesitateRate, c.MistakeRate),
+			c.Seed, c.SampleRounds, c.EstimateRounds, expertHesitateRate, expertMistakeRate),
 	)
 }

@@ -195,6 +195,17 @@ func TestCaseStudyFingerprintInvalidatesStore(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintGolden pins the fingerprint of the study's test
+// configuration: a store opens only under the text it was written with,
+// so a change to Config or to the expert's noise rates that moves it
+// orphans every existing store.
+func TestConfigFingerprintGolden(t *testing.T) {
+	const want = "15c2d5df7919d82175dc30cb013f34cad55c1e7d0791808286ebc7a672f5cdfe"
+	if got := studyTestConfig().Fingerprint(); got != want {
+		t.Fatalf("fingerprint %s, want %s", got, want)
+	}
+}
+
 // TestGoldenSectionArtifactKeys pins the shape of the study's store: the
 // five artifact names and the top-level keys each carries (the common
 // envelope plus the section's own state). The byte-level guard is the

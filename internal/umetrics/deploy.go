@@ -4,21 +4,20 @@ import (
 	"context"
 	"fmt"
 
-	"emgo/internal/feature"
-	"emgo/internal/ml"
 	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
 
-// This file packages the final Figure 10 workflow for production — the
+// This file runs the packaged Figure 10 workflow in production — the
 // Section 12 "Next Steps": "the UMETRICS team wanted us to package the
 // matcher so that they could move it into the UMETRICS repository to do
-// matching for other data slices". The packaged form is a
-// workflow.Spec: blockers, both positive rules, the negative pattern
-// rules, the feature descriptors, the fitted imputer means, and the
-// trained matcher, all JSON-serializable. Production rebuilds the
-// workflow against each new data slice with DeployTransforms.
+// matching for other data slices". The packaged form is FigureSpec(10) —
+// blockers, both positive rules, the negative pattern rules — carrying
+// the feature descriptors, the fitted imputer means and the trained
+// matcher, all JSON-serializable; the study's refining and
+// core.Project.Spec write it through workflow.Spec.Package. Production
+// rebuilds the workflow against each new data slice with DeployTransforms.
 
 // Transform registry keys referenced by the deployment spec.
 const (
@@ -33,25 +32,6 @@ func DeployTransforms() workflow.Transforms {
 		TransformSuffixNormalize: SuffixNormalize,
 		TransformNormalizeNumber: NormalizeNumber,
 	}
-}
-
-// BuildDeploymentSpec packages a trained matcher, its feature set, and
-// its imputer into the Figure 10 workflow spec (FigureSpec).
-func BuildDeploymentSpec(fs *feature.Set, im *feature.Imputer, matcher ml.Matcher) (*workflow.Spec, error) {
-	if fs == nil || im == nil || matcher == nil {
-		return nil, fmt.Errorf("umetrics: deployment needs features, imputer, and matcher")
-	}
-	descs, err := fs.Descriptors()
-	if err != nil {
-		return nil, fmt.Errorf("umetrics: deployment features: %w", err)
-	}
-	matcherSpec, err := ml.ExportMatcher(matcher)
-	if err != nil {
-		return nil, fmt.Errorf("umetrics: deployment matcher: %w", err)
-	}
-	spec := FigureSpec(10)
-	spec.Features, spec.ImputerMeans, spec.Matcher = descs, im.Means(), matcherSpec
-	return spec, nil
 }
 
 // RunDeployed executes a packaged workflow spec against one data slice

@@ -10,6 +10,7 @@ import (
 	"emgo/internal/drift"
 
 	"emgo/internal/block"
+	"emgo/internal/core"
 	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/ml"
@@ -17,10 +18,11 @@ import (
 	"emgo/internal/workflow"
 )
 
-// trainForDeploy builds projected tables, labels a sample with the truth
-// oracle, and trains a decision tree — the development half of the
-// deployment story.
-func trainForDeploy(t *testing.T) (*Dataset, *Projected, *feature.Set, *feature.Imputer, ml.Matcher) {
+// trainForDeploy builds projected tables, labels every title-overlap
+// candidate with the truth oracle, trains a decision tree through
+// core.Project and packages it onto Figure 10 — the development half of
+// the deployment story, as examples/production runs it.
+func trainForDeploy(t *testing.T) (*Projected, *workflow.Spec) {
 	t.Helper()
 	ds, err := Generate(TestParams(0.25))
 	if err != nil {
@@ -37,53 +39,62 @@ func trainForDeploy(t *testing.T) (*Dataset, *Projected, *feature.Set, *feature.
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := block.UnionBlock(proj.UMETRICS, proj.USDA,
-		block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
-			Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true})
+	p, err := core.NewProject("deploy", proj.UMETRICS, proj.USDA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pairs []block.Pair
-	var y []int
-	for _, p := range cand.Pairs() {
-		if oracle.IsHard(p) {
-			continue
+	p.AddBlocker(block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
+		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true})
+	cand, err := p.Block()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range cand.Pairs() {
+		l := label.No
+		switch {
+		case oracle.IsHard(pair):
+			l = label.Unsure
+		case oracle.IsMatch(pair):
+			l = label.Yes
 		}
-		pairs = append(pairs, p)
-		if oracle.IsMatch(p) {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
+		if err := p.SetLabel(pair, l); err != nil {
+			t.Fatal(err)
 		}
 	}
 	corr := map[string]string{"AwardNumber": "AwardNumber", "AwardTitle": "AwardTitle", "EmployeeName": "EmployeeName"}
-	fs, err := feature.Generate(proj.UMETRICS, proj.USDA, corr, []string{"AwardNumber", "AwardTitle", "EmployeeName"})
+	if err := p.GenerateFeatures(corr, []string{"AwardNumber", "AwardTitle", "EmployeeName"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := feature.AddCaseInsensitive(p.Features(), proj.UMETRICS, corr, []string{"AwardTitle", "EmployeeName"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Train("decision_tree"); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := p.Spec(FigureSpec(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feature.AddCaseInsensitive(fs, proj.UMETRICS, corr, []string{"AwardTitle", "EmployeeName"}); err != nil {
-		t.Fatal(err)
+	return proj, spec
+}
+
+// TestBuildDeploymentSpecValidation: packaging the study's Section 10
+// spec refuses a missing part and a matcher that does not serialize.
+func TestBuildDeploymentSpecValidation(t *testing.T) {
+	base := FigureSpec(10)
+	if _, err := base.Package(nil, nil, nil); err == nil {
+		t.Fatal("nil inputs should error")
 	}
-	x, err := fs.Vectorize(proj.UMETRICS, proj.USDA, pairs)
+	// An unserializable matcher kind is rejected.
+	_, spec := trainForDeploy(t)
+	fs, err := feature.FromDescriptors(spec.Features)
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		t.Fatal(err)
+	im := feature.ImputerFromMeans(spec.ImputerMeans)
+	if _, err := base.Package(fs, im, &ml.LogisticRegression{}); err == nil {
+		t.Fatal("unserializable matcher should error")
 	}
-	if x, err = im.Transform(x); err != nil {
-		t.Fatal(err)
-	}
-	dset, err := ml.NewDataset(fs.Names(), x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := &ml.DecisionTree{}
-	if err := tree.Fit(dset); err != nil {
-		t.Fatal(err)
-	}
-	return ds, proj, fs, im, tree
 }
 
 // TestDeploymentSpecRoundTrip: the spec the study ships, serialized,
@@ -158,11 +169,7 @@ func shippedMatches(t *testing.T, cfg Config) (*Report, []workflow.IDPair) {
 func TestDeploymentOnNewSlice(t *testing.T) {
 	// Train on one world, deploy on a fresh slice (different seed) — the
 	// "matching for other data slices" scenario, with monitoring.
-	_, _, fs, im, matcher := trainForDeploy(t)
-	spec, err := BuildDeploymentSpec(fs, im, matcher)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, spec := trainForDeploy(t)
 
 	params := TestParams(0.25)
 	params.Seed = 99
@@ -217,26 +224,11 @@ func TestDeploymentOnNewSlice(t *testing.T) {
 	}
 }
 
-func TestBuildDeploymentSpecValidation(t *testing.T) {
-	if _, err := BuildDeploymentSpec(nil, nil, nil); err == nil {
-		t.Fatal("nil inputs should error")
-	}
-	// An unserializable matcher kind is rejected.
-	_, _, fs, im, _ := trainForDeploy(t)
-	if _, err := BuildDeploymentSpec(fs, im, &ml.LogisticRegression{}); err == nil {
-		t.Fatal("unserializable matcher should error")
-	}
-}
-
 func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 	// Train, capture the baseline over the training slice, then check a
 	// fresh slice from the same generator against it — the quality-
 	// monitoring half of the "matching for other data slices" story.
-	_, proj, fs, im, matcher := trainForDeploy(t)
-	spec, err := BuildDeploymentSpec(fs, im, matcher)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj, spec := trainForDeploy(t)
 
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	capRes, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA,
@@ -288,19 +280,20 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 // candidates is how a vanished award number shows, whether or not a node
 // tests it — and matches exactly as the unmonitored run does.
 func TestMonitoredDeployedRunProfilesEveryFeature(t *testing.T) {
-	_, proj, fs, im, matcher := trainForDeploy(t)
-	spec, err := BuildDeploymentSpec(fs, im, matcher)
+	proj, spec := trainForDeploy(t)
+	matcher, err := ml.ImportMatcher(spec.Matcher)
 	if err != nil {
 		t.Fatal(err)
 	}
+	features := spec.Features
 	read := 0
-	for _, r := range ml.ReadSet(matcher, fs.Len()) {
+	for _, r := range ml.ReadSet(matcher, len(features)) {
 		if r {
 			read++
 		}
 	}
-	if read == 0 || read >= fs.Len() {
-		t.Fatalf("fixture: the tree reads %d of %d features; the test needs a proper subset", read, fs.Len())
+	if read == 0 || read >= len(features) {
+		t.Fatalf("fixture: the tree reads %d of %d features; the test needs a proper subset", read, len(features))
 	}
 	plain, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA, workflow.RunOptions{})
 	if err != nil {
@@ -311,12 +304,12 @@ func TestMonitoredDeployedRunProfilesEveryFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(monitored.DriftProfile.Features); got != fs.Len() {
-		t.Fatalf("the monitored run profiled %d features, want all %d", got, fs.Len())
+	if got := len(monitored.DriftProfile.Features); got != len(features) {
+		t.Fatalf("the monitored run profiled %d features, want all %d", got, len(features))
 	}
 	for k, f := range monitored.DriftProfile.Features {
-		if f.Name != fs.Features[k].Name {
-			t.Fatalf("profile feature %d is %q, want %q", k, f.Name, fs.Features[k].Name)
+		if f.Name != features[k].Name {
+			t.Fatalf("profile feature %d is %q, want %q", k, f.Name, features[k].Name)
 		}
 	}
 	if !reflect.DeepEqual(monitored.Final.Sorted(), plain.Final.Sorted()) {

@@ -12,11 +12,7 @@ import (
 )
 
 func TestRunDeployedMatchesPlainDeployment(t *testing.T) {
-	_, proj, fs, im, matcher := trainForDeploy(t)
-	spec, err := BuildDeploymentSpec(fs, im, matcher)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj, spec := trainForDeploy(t)
 	deployed, err := spec.Build(proj.UMETRICS, proj.USDA, DeployTransforms())
 	if err != nil {
 		t.Fatal(err)
@@ -44,11 +40,7 @@ func TestRunDeployedMatchesPlainDeployment(t *testing.T) {
 
 func TestRunDeployedRetriesTransformLookup(t *testing.T) {
 	defer fault.Reset()
-	_, proj, fs, im, matcher := trainForDeploy(t)
-	spec, err := BuildDeploymentSpec(fs, im, matcher)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj, spec := trainForDeploy(t)
 	// The registry's first lookup fails transiently; a build given a retry
 	// policy covers it and the workflow it returns runs.
 	fault.Enable("workflow.spec.transform", fault.Plan{FailFirst: 1})

@@ -1,22 +1,25 @@
 package umetrics
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"emgo/internal/ml"
+	"emgo/internal/workflow"
 )
 
 // TestGoldenDevelopmentLoop pins what the paper's development loop
 // decides — leave-one-out label debugging (Section 8), both matcher
-// selections (Section 9) and what the final workflow then matches
-// (Section 12) — at the benchmark's study size, TestConfig(0.6) over data
-// seed 41, for study seeds 41–45 (each picks a different winner). The
-// values are to the bit, so a change to how the matchers are fitted or
-// scored that moves any fold of any matcher fails here. Each row names
-// the EXPERIMENTS.md line whose shape it guards.
+// selections (Section 9), what the final workflow then matches and the
+// spec it ships, as a digest of its JSON (Section 12) — at the
+// benchmark's study size, TestConfig(0.6) over data seed 41, for study
+// seeds 41–45 (each picks a different winner). The values are to the
+// bit, so a change to how the matchers are fitted or scored that moves
+// any fold of any matcher, or to how the workflow is packaged, fails
+// here. Each row names the EXPERIMENTS.md line whose shape it guards.
 func TestGoldenDevelopmentLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five case studies; skipped with -short")
@@ -56,6 +59,13 @@ func TestGoldenDevelopmentLoop(t *testing.T) {
 		{"GoldFinal", `E8 "final P" / "final R"`, func(r *Report) string { return confusionLine(r.GoldFinal) }, [5]string{
 			"TP=531 FP=7 TN=0 FN=40", "TP=491 FP=3 TN=0 FN=80", "TP=556 FP=19 TN=0 FN=15", "TP=513 FP=7 TN=0 FN=58", "TP=549 FP=10 TN=0 FN=22",
 		}},
+		{"Deployment", `E11 "The Figure 10 workflow serializes"`, func(r *Report) string { return specDigest(t, r.Deployment) }, [5]string{
+			"9e3edb58bfcf947cdbd91dce6d121c491c206d0000e13564a0fd447b3eba9942",
+			"436defbe709b144a75f401b2082f173f32058df77181b17bd63a507dfa4df02c",
+			"0f772a7cd04c90cf205a299737a00dd98644b4eec996fd72c954c01dbdf39d76",
+			"217193372627905b1b789beb4cab8f62e9f0eae633b2c52c92949ef9090c9435",
+			"c07798fe564959fcca471b6d1f6916fb67a8b12c6682b3afbfd7eb5c4fee9d61",
+		}},
 	}
 	var reports [5]*Report
 	for i := range reports {
@@ -86,6 +96,15 @@ func cvLine(rs []ml.CVResult) string {
 		parts[i] = fmt.Sprintf("%s %s/%s/%s", r.Name, g(r.Precision), g(r.Recall), g(r.F1))
 	}
 	return strings.Join(parts, "; ")
+}
+
+// specDigest is the sha256 of the spec's JSON, as the study ships it.
+func specDigest(t *testing.T, spec *workflow.Spec) string {
+	data, err := spec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
 func confusionLine(c ml.Confusion) string {

@@ -53,7 +53,8 @@ func NormalizeNumber(s string) string {
 // fig — 8, 9 or 10; any other figure panics — as a spec of blockers and
 // rules, with no features and no matcher. It is the workflow's one
 // definition: the case study builds each figure from it, adding its own
-// trained matcher, and BuildDeploymentSpec ships Figure 10.
+// trained matcher, and packages Figure 10 with that matcher
+// (workflow.Spec.Package) for deployment.
 //
 //   - Figure 8 (Sections 7 and 9): the Section 7 blockers — C1, the M1
 //     rule as a blocker; C2, title overlap K=3; C3, title overlap
@@ -105,6 +106,19 @@ func FigureSpec(fig int) *workflow.Spec {
 		spec.NegativeRules = []workflow.RuleSpec{negAward, negProject}
 	}
 	return spec
+}
+
+// FeatureColumns is the feature correspondence of Section 9: the
+// projected columns the matcher's features compare, each with its
+// namesake on the other side, and the order features are generated in
+// (feature.Generate). Each call returns a fresh map and slice.
+func FeatureColumns() (corr map[string]string, order []string) {
+	order = []string{"AwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate", "EmployeeName"}
+	corr = make(map[string]string, len(order))
+	for _, c := range order {
+		corr[c] = c
+	}
+	return corr, order
 }
 
 // TruthOracle adapts the generator's ground truth to row-index pairs over

@@ -78,6 +78,27 @@ type Spec struct {
 	Matcher       *ml.MatcherSpec      `json:"matcher,omitempty"`
 }
 
+// Package is the packaging step: a copy of s carrying a trained matcher —
+// fs's feature descriptors, im's means and m exported — ready to Marshal
+// and ship. It refuses a missing part and a matcher that does not
+// serialize.
+func (s *Spec) Package(fs *feature.Set, im *feature.Imputer, m ml.Matcher) (*Spec, error) {
+	if fs == nil || im == nil || m == nil {
+		return nil, fmt.Errorf("workflow: packaging %q needs features, imputer, and matcher", s.Name)
+	}
+	descs, err := fs.Descriptors()
+	if err != nil {
+		return nil, fmt.Errorf("workflow: package %q features: %w", s.Name, err)
+	}
+	ms, err := ml.ExportMatcher(m)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: package %q matcher: %w", s.Name, err)
+	}
+	out := *s
+	out.Features, out.ImputerMeans, out.Matcher = descs, im.Means(), ms
+	return &out, nil
+}
+
 // Marshal renders the spec as JSON.
 func (s *Spec) Marshal() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
