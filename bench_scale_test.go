@@ -9,7 +9,6 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/feature"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
@@ -301,7 +300,7 @@ func benchFeatureBind(b *testing.B, fs *feature.Set, right *table.Table) {
 // BenchmarkDeployedRun runs the scale-1 case study's deployment over fresh
 // left slices of one reference table — the UMETRICS rows dealt round-robin
 // into eight slices, against the 1,915 USDA rows — the two ways a caller
-// can. build_per_slice is umetrics.RunDeployed per slice: Spec.BuildCtx
+// can. build_per_slice is umetrics.RunDeployed per slice: Spec.Build
 // and Workflow.Deploy per slice — the title column the blockers and the
 // title feature share, the key indexes and the cells of every right row,
 // built again each time — then RunCtx. deploy_once is Workflow.Deploy
@@ -328,7 +327,7 @@ func BenchmarkDeployedRun(b *testing.B) {
 		}
 	})
 	b.Run("deploy_once", func(b *testing.B) {
-		w, err := spec.BuildCtx(ctx, lefts[0], right, umetrics.DeployTransforms(), retry.Policy{})
+		w, err := spec.Build(lefts[0], right, umetrics.DeployTransforms())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,14 +4,14 @@
 // deploys it over the right one, and writes the predicted matches. It is
 // the "move it into the repository to do matching for other data slices"
 // binary of Section 12, run under the hardened runtime: deadlines, an
-// error budget for poison pairs, and a provenance log on stderr even when
-// a stage aborts.
+// abort that names a failing pair, and a provenance log on stderr even
+// when a stage aborts.
 //
 // Usage:
 //
 //	emmatch -spec workflow.json -left UMETRICSProjected.csv -right USDAProjected.csv \
 //	        [-left-id RecordId] [-right-id RecordId] [-out matches.csv] [-transforms umetrics] \
-//	        [-timeout 0] [-stage-timeout 0] [-error-budget 0] \
+//	        [-timeout 0] [-stage-timeout 0] \
 //	        [-report run.json] [-trace trace.json] [-debug-addr :6060] \
 //	        [-checkpoint-dir ckpt/ [-resume]] \
 //	        [-drift-capture baseline.json | -drift-baseline baseline.json] [-history runs/]
@@ -27,12 +27,11 @@
 //
 // Observability: -report writes the machine-readable run report
 // (per-stage spans with durations and outcomes, hot-path counters,
-// provenance log, quarantine decisions); -trace writes just the span
-// tree; -debug-addr serves live expvar metrics (/debug/vars) and pprof
-// (/debug/pprof/) for the duration of the run. Stream discipline: only
-// data (the match CSV, or a report/trace directed at "-") goes to
-// stdout; every diagnostic and progress line goes to stderr, so reports
-// can be piped.
+// provenance log); -trace writes just the span tree; -debug-addr serves
+// live expvar metrics (/debug/vars) and pprof (/debug/pprof/) for the
+// duration of the run. Stream discipline: only data (the match CSV, or
+// a report/trace directed at "-") goes to stdout; every diagnostic and
+// progress line goes to stderr, so reports can be piped.
 //
 // Quality monitoring (see docs/OBSERVABILITY.md): -drift-capture
 // profiles this run's inputs, features, candidates, and scores and
@@ -55,7 +54,6 @@ import (
 	"emgo/internal/cliutil"
 	"emgo/internal/drift"
 	"emgo/internal/obs"
-	"emgo/internal/retry"
 	"emgo/internal/workflow"
 )
 
@@ -87,7 +85,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	out := fs.String("out", "", "output CSV (default: stdout)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 	stageTimeout := fs.Duration("stage-timeout", 0, "deadline per workflow stage (0 = none)")
-	errorBudget := fs.Int("error-budget", 0, "candidate pairs that may be quarantined before aborting")
 	rec := cliutil.RunRecordFlags(fs,
 		"write the run report JSON to this path ('-' = stdout)",
 		"write the span trace tree JSON to this path ('-' = stdout)")
@@ -114,7 +111,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return fmt.Errorf("-drift-capture and -drift-baseline are mutually exclusive")
 	}
 
-	opts := workflow.RunOptions{StageTimeout: *stageTimeout, ErrorBudget: *errorBudget}
+	opts := workflow.RunOptions{StageTimeout: *stageTimeout}
 	switch {
 	case *driftCapture != "":
 		// Capture mode: profile this run and persist the baseline.
@@ -150,7 +147,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		if err != nil {
 			return nil, err
 		}
-		w, err := dep.Spec.BuildCtx(ctx, dep.Left, dep.Right, dep.Transforms, retry.Policy{})
+		w, err := dep.Spec.Build(dep.Left, dep.Right, dep.Transforms)
 		if err != nil {
 			return nil, err
 		}
@@ -170,9 +167,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	// build errors) still leaves the abort record.
 	if err := rec.Finish(rep, err); err != nil {
 		return err
-	}
-	if n := len(res.Quarantined); n > 0 {
-		fmt.Fprintf(stderr, "emmatch: %d pairs quarantined under the error budget\n", n)
 	}
 	if res.Quality != nil {
 		fmt.Fprintf(stderr, "emmatch: quality verdict %s (see emmonitor check for details)\n", res.Quality.Verdict)

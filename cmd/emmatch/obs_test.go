@@ -13,7 +13,6 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -274,7 +273,7 @@ func TestRunDeploysSharedTitleColumn(t *testing.T) {
 		t.Fatalf("block.cells_tokenised = %d, want one column of %d right rows", got, rightRows)
 	}
 
-	// The plain path, BuildCtx then RunCtx, gives the same match CSV.
+	// The plain path, Build then RunCtx, gives the same match CSV.
 	lt, err := table.ReadCSVFile(leftPath, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +282,7 @@ func TestRunDeploysSharedTitleColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := spec.BuildCtx(context.Background(), lt, rt, workflow.Transforms{}, retry.Policy{})
+	w, err := spec.Build(lt, rt, workflow.Transforms{})
 	if err != nil {
 		t.Fatal(err)
 	}

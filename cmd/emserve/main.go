@@ -104,7 +104,6 @@ import (
 	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/obs/slo"
-	"emgo/internal/retry"
 	"emgo/internal/serve"
 )
 
@@ -196,7 +195,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 	// A served request must never trip a training pass: the spec is built
 	// here exactly as emmatch builds it, then only its fitted parts run.
-	wf, err := dep.Spec.BuildCtx(ctx, left, right, dep.Transforms, retry.Policy{})
+	wf, err := dep.Spec.Build(left, right, dep.Transforms)
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,8 @@
 // Injection is deterministic: a plan fires on exact call numbers
 // (FailFirst, OnCall), exact work-item indices (Indices), or a seeded
 // pseudo-random fraction of calls (Prob + Seed), never on wall-clock or
-// global randomness. That is what lets a test assert "the first labeler
-// call fails, the retry succeeds" and have it hold under -race and in CI.
+// global randomness. That is what lets a test assert "the first artifact
+// read fails, the retry succeeds" and have it hold under -race and in CI.
 //
 // Known sites wired through the repository:
 //
@@ -18,8 +18,6 @@
 //	feature.bind             each Set.Bind of a right table's cells (a server's start and every reload)
 //	ml.forest.fit            each tree trained by RandomForest.FitCtx
 //	ml.predict               each row scored by PredictAllCtx
-//	label.submit             each label submitted through Tool.Submit
-//	workflow.spec.transform  each transform lookup in Spec.BuildCtx
 //	ckpt.write               each checkpoint artifact write (ckpt.Store.Write)
 //	ckpt.rename              the atomic rename committing an artifact
 //	ckpt.read                each checkpoint artifact read (treated as corruption)

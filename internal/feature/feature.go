@@ -377,8 +377,8 @@ func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float
 // VectorizeCtx is Vectorize under the hardened runtime: the fan-out stops
 // on cancellation, and a panicking or failing feature computation surfaces
 // as an error carrying the offending pair index (parallel.FailingIndex)
-// instead of crashing the process — which is what lets a workflow
-// quarantine a poison pair and keep going. Each pair also passes the
+// instead of crashing the process — which is what lets a workflow abort
+// naming the poison pair. Each pair also passes the
 // "feature.vectorize" fault-injection site.
 //
 // The cells of the rows pairs reference are prepared once up front (see

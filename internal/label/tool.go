@@ -1,13 +1,10 @@
 package label
 
 import (
-	"context"
 	"fmt"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/obs"
-	"emgo/internal/retry"
 )
 
 // Tool simulates the cloud-based labeling tool built for the UMETRICS
@@ -79,16 +76,10 @@ func (t *Tool) CloseSession(user string) error {
 }
 
 // Submit records user's label for p. The pair must be in the queue and
-// the user must hold the session. The pair leaves the queue. Each submit
-// passes the "label.submit" fault-injection site (the cloud tool's flaky
-// write path); a failed submit leaves the pair queued, so retrying is
-// safe.
+// the user must hold the session. The pair leaves the queue.
 func (t *Tool) Submit(user string, p block.Pair, l Label) error {
 	if t.session != user {
 		return fmt.Errorf("label: %s does not hold the session", user)
-	}
-	if err := fault.Inject("label.submit"); err != nil {
-		return err
 	}
 	idx := -1
 	for i, q := range t.pending {
@@ -107,58 +98,24 @@ func (t *Tool) Submit(user string, p block.Pair, l Label) error {
 	return nil
 }
 
-// LabelAll drains the queue by asking judge for each pending pair —
-// the programmatic path used when the simulated expert labels a batch:
-// LabelAllCtx with a judge that cannot fail, one attempt a pair. The
-// caller must hold the session.
+// LabelAll drains the queue by asking judge for each pending pair — the
+// programmatic path used when the simulated expert labels a batch. The
+// caller must hold the session. A pair whose label cannot be stored
+// stops the drain, named in the error; everything labeled so far stays
+// labeled.
 func (t *Tool) LabelAll(user string, judge func(block.Pair) Label) error {
-	return t.LabelAllCtx(context.Background(), user, retry.Policy{}, func(p block.Pair) (Label, error) {
-		return judge(p), nil
-	})
-}
-
-// LabelAllCtx drains the queue under the hardened runtime: both the
-// judge (the human or service producing labels) and the submit path are
-// retried on the policy's deterministic backoff schedule, and the drain
-// stops promptly when ctx is done. A pair that exhausts its retries
-// aborts the drain with the pair identified; everything labeled so far
-// stays labeled.
-func (t *Tool) LabelAllCtx(ctx context.Context, user string, policy retry.Policy, judge func(block.Pair) (Label, error)) error {
 	if t.session != user {
 		return fmt.Errorf("label: %s does not hold the session", user)
 	}
 	if judge == nil {
 		return fmt.Errorf("label: drain needs a judge")
 	}
-	pending := t.Pending()
-	dctx, sp := obs.StartSpan(ctx, "label.drain")
-	defer sp.End()
-	sp.SetItems(len(pending))
 	labeled := obs.C("label.labeled")
-	for _, p := range pending {
-		if err := dctx.Err(); err != nil {
-			sp.SetOutcome(obs.OutcomeAborted)
-			return err
-		}
-		var l Label
-		err := retry.Do(dctx, policy, func() error {
-			var jerr error
-			l, jerr = judge(p)
-			return jerr
-		})
-		if err != nil {
-			sp.SetOutcome(obs.OutcomeAborted)
-			return fmt.Errorf("label: judging pair (%d,%d): %w", p.A, p.B, err)
-		}
-		err = retry.Do(dctx, policy, func() error {
-			return t.Submit(user, p, l)
-		})
-		if err != nil {
-			sp.SetOutcome(obs.OutcomeAborted)
+	for _, p := range t.Pending() {
+		if err := t.Submit(user, p, judge(p)); err != nil {
 			return fmt.Errorf("label: submitting pair (%d,%d): %w", p.A, p.B, err)
 		}
 		labeled.Inc()
 	}
-	sp.SetOutcome(obs.OutcomeOK)
 	return nil
 }

@@ -262,7 +262,7 @@ func PredictAll(m Matcher, x [][]float64) []int {
 // fanned out across workers, stops on cancellation, and a panicking
 // matcher (malformed row, unfitted model) surfaces as an error carrying
 // the failing row index instead of crashing — the hook workflows use to
-// quarantine poison pairs. Each row also passes the "ml.predict"
+// name a poison pair. Each row also passes the "ml.predict"
 // fault-injection site.
 func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error) {
 	pctx, sp := obs.StartSpan(ctx, "ml.predict")

@@ -5,8 +5,7 @@ package obs
 // report's, a wide event's ("ok" being the only one sampling may drop).
 const (
 	OutcomeOK = "ok"
-	// OutcomeDegraded: completed short of something — a stage that
-	// quarantined failing pairs under the error budget, a request or job
+	// OutcomeDegraded: completed short of something — a request or job
 	// answered without the learned matcher.
 	OutcomeDegraded = "degraded"
 	OutcomeAborted  = "aborted" // the stage, and so the run, a failure stopped at

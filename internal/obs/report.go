@@ -29,8 +29,7 @@ type Report struct {
 	// StartedAt / FinishedAt bound the run's wall time.
 	StartedAt  time.Time `json:"started_at"`
 	FinishedAt time.Time `json:"finished_at"`
-	// Outcome is ok, degraded (quarantines under the error budget), or
-	// aborted.
+	// Outcome is ok or aborted.
 	Outcome string `json:"outcome"`
 	// Error is the run's terminal error, when it aborted.
 	Error string `json:"error,omitempty"`
@@ -41,9 +40,6 @@ type Report struct {
 	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
 	// Provenance is the workflow log: step, detail, count, outcome.
 	Provenance []ProvEntry `json:"provenance,omitempty"`
-	// Quarantined lists the candidate pairs dropped under the error
-	// budget as "left_row,right_row" strings.
-	Quarantined []string `json:"quarantined,omitempty"`
 	// Quality is the drift assessment of a monitored run (nil when the
 	// run was not checked against a baseline). The schema is neutral —
 	// internal/drift fills it — so reports stay parseable without that
@@ -54,7 +50,7 @@ type Report struct {
 // NewReport is the record of a run that has just ended, as whoever ran it
 // saw it: ok, or aborted with err, over root's span tree and — when the
 // registry is on — the metrics as they stand. A pipeline that knows more
-// (quarantines, provenance, quality) adds it to the result.
+// (provenance, quality) adds it to the result.
 func NewReport(name string, started time.Time, root *Span, err error) *Report {
 	rep := &Report{
 		Name: name, StartedAt: started, FinishedAt: time.Now(),

@@ -34,9 +34,8 @@ func TestReportRoundTrip(t *testing.T) {
 		Metrics:    &snap,
 		Provenance: []ProvEntry{
 			{Step: "blocked", Detail: "union of blockers", Count: 120},
-			{Step: "learned", Detail: "quarantined pair (1,2)", Count: 119, Outcome: "degraded"},
+			{Step: "learned", Detail: "matcher predictions on candidates (restored from checkpoint)", Count: 119, Outcome: "resumed"},
 		},
-		Quarantined: []string{"1,2"},
 	}
 	data, err := rep.Marshal()
 	if err != nil {
@@ -55,11 +54,8 @@ func TestReportRoundTrip(t *testing.T) {
 	if got.Metrics == nil || got.Metrics.Counters["block.pairs_blocked"] != 120 {
 		t.Fatalf("round trip metrics: %+v", got.Metrics)
 	}
-	if len(got.Provenance) != 2 || got.Provenance[1].Outcome != "degraded" {
+	if len(got.Provenance) != 2 || got.Provenance[1].Outcome != "resumed" {
 		t.Fatalf("round trip provenance: %+v", got.Provenance)
-	}
-	if len(got.Quarantined) != 1 || got.Quarantined[0] != "1,2" {
-		t.Fatalf("round trip quarantine: %+v", got.Quarantined)
 	}
 }
 

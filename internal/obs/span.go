@@ -109,7 +109,7 @@ func (s *Span) Annotate(key, value string) {
 }
 
 // Event appends a timestamped event (a retry, a fault trip, a
-// quarantine decision) to the span. Safe on nil.
+// checkpoint note) to the span. Safe on nil.
 func (s *Span) Event(kind, detail string) {
 	if s == nil {
 		return

@@ -36,7 +36,7 @@ func (e *PanicError) Error() string {
 }
 
 // IndexError wraps an error returned by fn(i) with the index it failed
-// at, so callers can quarantine the failing item.
+// at, so callers can name the failing item.
 type IndexError struct {
 	Index int
 	Err   error

@@ -1,6 +1,6 @@
 // Package retry implements capped exponential backoff with deterministic
-// schedules for the pipeline's transient-fault boundaries: the labeling
-// tool, transform-registry lookups, and production monitoring checks.
+// schedules for the transient-fault boundaries: the serving tier's
+// matcher-artifact reads and the load generator's shed-retry schedule.
 //
 // Determinism is the point. A Policy's Schedule is a pure function of its
 // fields — no global randomness — so tests can assert the exact delays a
@@ -11,7 +11,6 @@ package retry
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -78,26 +77,11 @@ func (p Policy) Schedule() []time.Duration {
 	return out
 }
 
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Do stops immediately instead of burning the
-// remaining attempts (e.g. "unknown transform" is never transient).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
 // Do runs fn under the policy: on a transient error it sleeps the next
 // scheduled delay (abandoning the wait if ctx is done) and tries again.
-// It returns nil on the first success, the unwrapped error behind a
-// Permanent marker, ctx's error when cancelled mid-backoff, or the last
-// attempt's error once the schedule is exhausted.
+// It returns nil on the first success, ctx's error when cancelled
+// mid-backoff, or the last attempt's error once the schedule is
+// exhausted.
 func Do(ctx context.Context, p Policy, fn func() error) (err error) {
 	p = p.withDefaults()
 	schedule := p.Schedule()
@@ -120,10 +104,6 @@ func Do(ctx context.Context, p Policy, fn func() error) (err error) {
 		err = fn()
 		if err == nil {
 			return nil
-		}
-		var pe *permanentError
-		if errors.As(err, &pe) {
-			return pe.err
 		}
 		if attempts > len(schedule) {
 			if attempts > 1 {

@@ -90,32 +90,6 @@ func TestExhaustedReportsAttempts(t *testing.T) {
 	}
 }
 
-func TestPermanentStopsImmediately(t *testing.T) {
-	calls := 0
-	sentinel := errors.New("bad spec")
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	err := Do(context.Background(), p, func() error {
-		calls++
-		return Permanent(sentinel)
-	})
-	if calls != 1 {
-		t.Fatalf("calls = %d", calls)
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err: %v", err)
-	}
-	var pe *permanentError
-	if errors.As(err, &pe) {
-		t.Fatal("Do should unwrap the permanent marker")
-	}
-	if !errors.As(Permanent(sentinel), &pe) {
-		t.Fatal("Permanent should mark the error")
-	}
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil)")
-	}
-}
-
 func TestCancelledDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := Policy{MaxAttempts: 3, BaseDelay: time.Hour} // would sleep forever

@@ -122,20 +122,14 @@ func TestOutcomeVocabulary(t *testing.T) {
 			}
 			c.run(name, res)
 		}
-		fault.Enable("feature.vectorize", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-		res, err := w.RunCtx(context.Background(), l, r, workflow.RunOptions{ErrorBudget: 2})
-		if err != nil || len(res.Quarantined) != 1 {
-			t.Fatalf("budgeted run: err %v, quarantined %v", err, res.Quarantined)
-		}
-		c.run("degraded", res)
 		fault.Enable("block.join", fault.Plan{FailFirst: 1})
-		res, err = w.RunCtx(context.Background(), l, r, workflow.RunOptions{})
+		res, err := w.RunCtx(context.Background(), l, r, workflow.RunOptions{})
 		if err == nil {
 			t.Fatal("blocking fault must abort the run")
 		}
 		c.run("aborted", res)
 		fault.Reset()
-		c.want(obs.OutcomeOK, obs.OutcomeResumed, obs.OutcomeDegraded, obs.OutcomeAborted)
+		c.want(obs.OutcomeOK, obs.OutcomeResumed, obs.OutcomeAborted)
 	})
 
 	// events checks every access-log line and every retained tail entry.

@@ -96,7 +96,6 @@ var unrunEntryPoints = map[string]string{
 	"emload -blend":                        "the traffic mix is the deployment's own (its share of batch, job and malformed requests); every runner measures the default blend, and the parser is the one ParseBlend the tests pin",
 	"emmonitor check -thresholds":          "drift tolerances belong to the data set being monitored, not to this repository; TestSmoke/monitor gates at the defaults",
 	"emmonitor check -strict":              "the publication gate's severity (warn blocks too) is the receiving team's call per pipeline; the smoke drill checks exit 0 and exit 1 at the default",
-	"emmatch -error-budget":                "the one writer of RunOptions.ErrorBudget: without it RunCtx's quarantine path, whose on-disk form TestGoldenLearnedQuarantineBytes pins, has no caller; how many poison pairs a slice may shed is the operator's call per run",
 	"scripts/bench_snapshot.sh BENCHCOUNT": "set by hand for every committed BENCH_pr*.json (9 passes since pr22) while `make bench-baseline` takes one; the snapshot records it as benchcount and the gate's noise slack reads that",
 }
 
@@ -107,7 +106,6 @@ var unrunEntryPoints = map[string]string{
 var traceReaders = map[string]metricReader{
 	"annotation blocker":  {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
 	"event retry":         {"why did this span take so long, and what was the transient error?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
-	"event quarantine":    {"which pair did a degraded stage go on without?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
 	"event ckpt":          {"why was this stage recomputed, or its checkpoint not written?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
 	"field stream_chunks": {"how far did each connection of a resumed fetch get?", "docs/OBSERVABILITY.md#serving-request-ids-reading-the-access-log-tail-slos"},
 }

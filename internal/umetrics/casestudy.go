@@ -15,7 +15,6 @@ import (
 	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/profile"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -386,7 +385,7 @@ func slices(ds *Dataset) (proj, extra *Projected, rep *PreprocessReport, err err
 // build builds spec over one slice and gives it the study's learned
 // matcher: the full feature set the study trains on, its imputer, and m.
 func (s *study) build(spec *workflow.Spec, um *Projected, m ml.Matcher) (*workflow.Workflow, error) {
-	w, err := spec.BuildCtx(context.Background(), um.UMETRICS, um.USDA, DeployTransforms(), retry.Policy{})
+	w, err := spec.Build(um.UMETRICS, um.USDA, DeployTransforms())
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -41,20 +40,19 @@ func DeployTransforms() workflow.Transforms {
 // (workflow.Workflow.Deploy: the blockers' columns and key indexes, the
 // sure rules' join and the matcher's feature cells built once, the
 // reference titles tokenised once for blockers and features both), then
-// run with RunCtx so the slice gets per-stage deadlines, the error
-// budget, and a provenance log even when it fails. On a build or deploy
-// failure the returned Result is nil; on a run failure it carries the
-// log.
+// run with RunCtx so the slice gets per-stage deadlines and a provenance
+// log even when it fails. On a build or deploy failure the returned
+// Result is nil; on a run failure it carries the log.
 //
 // Every run emits a machine-readable report by default: RunCtx roots an
 // obs trace when the caller's context has none, so Result.Report always
-// carries per-stage spans, the provenance log, quarantine decisions,
-// and (when the obs registry is enabled) the hot-path counters.
+// carries per-stage spans, the provenance log and (when the obs registry
+// is enabled) the hot-path counters.
 func RunDeployed(ctx context.Context, spec *workflow.Spec, left, right *table.Table, opts workflow.RunOptions) (*workflow.Result, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("umetrics: deployment needs a workflow spec")
 	}
-	w, err := spec.BuildCtx(ctx, left, right, DeployTransforms(), retry.Policy{})
+	w, err := spec.Build(left, right, DeployTransforms())
 	if err != nil {
 		return nil, fmt.Errorf("umetrics: build deployed workflow: %w", err)
 	}

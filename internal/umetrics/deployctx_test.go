@@ -2,12 +2,8 @@ package umetrics
 
 import (
 	"context"
-	"strings"
 	"testing"
-	"time"
 
-	"emgo/internal/fault"
-	"emgo/internal/retry"
 	"emgo/internal/workflow"
 )
 
@@ -35,33 +31,6 @@ func TestRunDeployedMatchesPlainDeployment(t *testing.T) {
 	}
 	if got.Log == nil || len(got.Log.Entries()) == 0 {
 		t.Fatal("deployed run produced no provenance log")
-	}
-}
-
-func TestRunDeployedRetriesTransformLookup(t *testing.T) {
-	defer fault.Reset()
-	proj, spec := trainForDeploy(t)
-	// The registry's first lookup fails transiently; a build given a retry
-	// policy covers it and the workflow it returns runs.
-	fault.Enable("workflow.spec.transform", fault.Plan{FailFirst: 1})
-	w, err := spec.BuildCtx(context.Background(), proj.UMETRICS, proj.USDA, DeployTransforms(),
-		retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatalf("transient lookup fault should be retried: %v", err)
-	}
-	res, err := w.RunCtx(context.Background(), proj.UMETRICS, proj.USDA, workflow.RunOptions{})
-	if err != nil || res.Final.Len() == 0 {
-		t.Fatalf("deployed run found nothing (err %v)", err)
-	}
-	// RunDeployed builds without one: the same fault kills the build
-	// before any stage runs.
-	fault.Enable("workflow.spec.transform", fault.Plan{FailFirst: 1})
-	res, err = RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA, workflow.RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "build deployed workflow") {
-		t.Fatalf("err: %v", err)
-	}
-	if res != nil {
-		t.Fatal("build failure must not fabricate a result")
 	}
 }
 

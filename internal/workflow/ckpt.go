@@ -9,10 +9,10 @@ import (
 
 // This file is what RunCtx brings to the durable step (ckpt.Do): the
 // schemas of its two stage artifacts (the blocked candidate set, the
-// learned predictions with their quarantine list) and the validator
-// that decodes one against the live tables. Restore, quarantine,
-// recompute and save are the step's; the only way a checkpoint
-// influences a run is by being byte-verified and semantically valid.
+// learned predictions) and the validator that decodes one against the
+// live tables. Restore, quarantine, recompute and save are the step's;
+// the only way a checkpoint influences a run is by being byte-verified
+// and semantically valid.
 
 // Checkpoint artifact names inside the run store.
 const (
@@ -31,12 +31,22 @@ type pairsArtifact struct {
 	Pairs     [][2]int `json:"pairs"`
 }
 
-// learnedArtifact persists the matching stage: predicted matches plus
-// the pairs quarantined under the error budget (resuming must not
-// silently reintroduce poison pairs).
+// learnedArtifact persists the matching stage: the predicted matches.
+// Quarantined is read, never written: a store from an older build may
+// list pairs that run dropped after they failed, and its predictions
+// leave those pairs out, so decode refuses such an artifact and the
+// stage is recomputed.
 type learnedArtifact struct {
 	pairsArtifact
 	Quarantined [][2]int `json:"quarantined,omitempty"`
+}
+
+// decode is the pairs artifact's decode, refusing a quarantine list.
+func (a *learnedArtifact) decode(left, right *table.Table) (*block.CandidateSet, error) {
+	if len(a.Quarantined) > 0 {
+		return nil, fmt.Errorf("checkpoint lists %d quarantined pairs its predictions leave out", len(a.Quarantined))
+	}
+	return a.pairsArtifact.decode(left, right)
 }
 
 // newPairsArtifact snapshots a candidate set in insertion order.

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"emgo/internal/fault"
 )
 
 // TestGoldenCheckpointBytes pins RunCtx's on-disk checkpoint format: the
@@ -31,25 +29,6 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 		if string(got) != want {
 			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
 		}
-	}
-}
-
-// TestGoldenLearnedQuarantineBytes pins the optional tail of the learned
-// artifact: the pairs a budgeted run gave up on.
-func TestGoldenLearnedQuarantineBytes(t *testing.T) {
-	defer fault.Reset()
-	w, tp := hardenedFixture(t)
-	dir := t.TempDir()
-	fault.Enable("ml.predict", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-	if _, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Checkpoints: openTestStore(t, dir), ErrorBudget: 2}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "stage.learned.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"left":"L","right":"R","left_rows":3,"right_rows":3,"pairs":[[2,2]],"quarantined":[[1,1]]}`; string(got) != want {
-		t.Errorf("stage.learned.json:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -135,10 +134,10 @@ func deploySpec(t *testing.T, left, right *table.Table) *Spec {
 	}
 }
 
-// builtRun is what BuildCtx + RunCtx give on left: the final pairs.
+// builtRun is what Build + RunCtx give on left: the final pairs.
 func builtRun(t *testing.T, spec *Spec, left, right *table.Table) []block.Pair {
 	t.Helper()
-	w, err := spec.BuildCtx(context.Background(), left, right, deployTransforms, retry.Policy{})
+	w, err := spec.Build(left, right, deployTransforms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +148,13 @@ func builtRun(t *testing.T, spec *Spec, left, right *table.Table) []block.Pair {
 	return res.Final.Sorted()
 }
 
-// TestDeploymentPreparesRightTableOnce: BuildCtx prepares nothing from the
+// TestDeploymentPreparesRightTableOnce: Build prepares nothing from the
 // reference table; Deploy prepares all of it — each reference title
 // tokenised once for the column the two title blockers share, each
 // reference key transformed once per key index (the sure rule's and the key
 // blocker's), the set's cells bound, a bind failure returned — and a run
 // over a fresh left slice then prepares no reference cell, its final
-// matches those BuildCtx + RunCtx give on the slice. Deploy binds copies:
+// matches those Build + RunCtx give on the slice. Deploy binds copies:
 // a run of the workflow it came from still prepares the reference table
 // for itself.
 func TestDeploymentPreparesRightTableOnce(t *testing.T) {
@@ -165,7 +164,7 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 	right, lefts := deployTables(240, 3, 30)
 	spec := deploySpec(t, lefts[0], right)
 
-	plain, err := spec.BuildCtx(ctx, lefts[0], right, deployTransforms, retry.Policy{})
+	plain, err := spec.Build(lefts[0], right, deployTransforms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 	}
 
 	c := &refCounter{}
-	w, err := spec.BuildCtx(ctx, lefts[0], right, Transforms{"key": strings.ToUpper, "ref_key": c.key}, retry.Policy{})
+	w, err := spec.Build(lefts[0], right, Transforms{"key": strings.ToUpper, "ref_key": c.key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 		block.OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: c, Threshold: 0.7, Normalize: true},
 	}
 	if titles, keys := c.titles.Load(), c.keys.Load(); titles != 0 || keys != 0 {
-		t.Fatalf("BuildCtx tokenised %d reference titles and keyed %d reference rows; it binds nothing", titles, keys)
+		t.Fatalf("Build tokenised %d reference titles and keyed %d reference rows; it binds nothing", titles, keys)
 	}
 	d, err := w.Deploy(ctx, w.Matcher, right)
 	if err != nil {
@@ -209,7 +208,7 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 				titles-int64(right.Len()), keys-2*int64(right.Len()))
 		}
 		if got, want := res.Final.Sorted(), builtRun(t, spec, left, right); !slices.Equal(got, want) {
-			t.Fatalf("%s: the deployment's final %v, BuildCtx + RunCtx's %v", left.Name(), got, want)
+			t.Fatalf("%s: the deployment's final %v, Build + RunCtx's %v", left.Name(), got, want)
 		}
 		learned, sure = learned+res.Learned.Len(), sure+res.Sure.Len()
 	}
@@ -278,7 +277,7 @@ func TestDeploymentConcurrentRuns(t *testing.T) {
 // feature both — block.cells_tokenised counts the cells every column
 // build tokenises — while a feature under another form, the unfolded
 // jaccard_word, still gets a column of its own; a run of the deployment
-// tokenises no reference cell, and its final matches are those BuildCtx +
+// tokenises no reference cell, and its final matches are those Build +
 // RunCtx give, run after run and from goroutines running at once (make
 // race-cpu runs this at 1 and 2 CPUs).
 func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
@@ -325,7 +324,7 @@ func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
 			ImputerMeans: []float64{0, 0},
 			Matcher:      &ml.MatcherSpec{Kind: "decision_tree", Tree: &ml.TreeSpec{Features: fs.Names(), Root: c.root}},
 		}
-		w, err := spec.BuildCtx(ctx, lefts[0], right, deployTransforms, retry.Policy{})
+		w, err := spec.Build(lefts[0], right, deployTransforms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +347,7 @@ func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
 				t.Fatalf("%s: a run over %s tokenised %d reference cells", c.name, left.Name(), n)
 			}
 			if want[k] = builtRun(t, spec, left, right); !slices.Equal(res.Final.Sorted(), want[k]) {
-				t.Fatalf("%s, %s: the deployment's final %v, BuildCtx + RunCtx's %v", c.name, left.Name(), res.Final.Sorted(), want[k])
+				t.Fatalf("%s, %s: the deployment's final %v, Build + RunCtx's %v", c.name, left.Name(), res.Final.Sorted(), want[k])
 			}
 			learned += res.Learned.Len()
 		}

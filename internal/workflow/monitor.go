@@ -49,19 +49,6 @@ type CheckResult struct {
 // only — recall needs a sample of the full candidate set, which
 // production does not label.
 func (m *Monitor) Check(batch string, predicted *block.CandidateSet, labelFn func(block.Pair) label.Label) (CheckResult, error) {
-	if labelFn == nil {
-		return CheckResult{}, fmt.Errorf("workflow: monitor needs a labeler")
-	}
-	return m.CheckErr(batch, predicted, func(p block.Pair) (label.Label, error) {
-		return labelFn(p), nil
-	})
-}
-
-// CheckErr is Check with a labeler that can fail — the shape of a real
-// human-in-the-loop or networked labeling backend. A labeler error aborts
-// the check without recording anything, leaving the caller free to retry
-// the whole check (retry.Do around it).
-func (m *Monitor) CheckErr(batch string, predicted *block.CandidateSet, labelFn func(block.Pair) (label.Label, error)) (CheckResult, error) {
 	if m.Rng == nil {
 		return CheckResult{}, fmt.Errorf("workflow: monitor needs an Rng")
 	}
@@ -87,11 +74,7 @@ func (m *Monitor) CheckErr(batch string, predicted *block.CandidateSet, labelFn 
 	}
 	yes, no := 0, 0
 	for _, p := range sample {
-		l, err := labelFn(p)
-		if err != nil {
-			return CheckResult{}, fmt.Errorf("workflow: batch %q labeler: %w", batch, err)
-		}
-		switch l {
+		switch labelFn(p) {
 		case label.Yes:
 			yes++
 		case label.No:

@@ -12,7 +12,6 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/drift"
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
@@ -214,38 +213,6 @@ func TestMonitoredResumedRunProfilesTheSameResult(t *testing.T) {
 			}
 			if tc.drift.Baseline != nil && resumed.Quality.Verdict != drift.StatusOK {
 				t.Fatalf("resumed check scored %q, want ok: %+v", resumed.Quality.Verdict, resumed.Quality.Signals)
-			}
-		})
-	}
-}
-
-// TestMonitoredBudgetedRunProfilesEachDecidedPairOnce: a pair that fails
-// is quarantined and the stage re-run without it; the profile counts the
-// pairs the matcher decided, each once, however many passes it took.
-func TestMonitoredBudgetedRunProfilesEachDecidedPairOnce(t *testing.T) {
-	for _, site := range []string{"ml.predict", "feature.vectorize"} {
-		t.Run(site, func(t *testing.T) {
-			defer fault.Reset()
-			w, tp := hardenedFixture(t)
-			fault.Enable(site, fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-			res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{ErrorBudget: 1, Drift: &DriftStage{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Quarantined) != 1 {
-				t.Fatalf("quarantined %v, want one pair", res.Quarantined)
-			}
-			p, decided := res.DriftProfile, int64(res.Candidates.Len()-len(res.Quarantined))
-			if len(p.Features) == 0 {
-				t.Fatal("profile lists no features")
-			}
-			for _, f := range p.Features {
-				if f.Count != decided {
-					t.Errorf("feature %s counted %d pairs, want %d", f.Name, f.Count, decided)
-				}
-			}
-			if p.Predicted != decided || p.PredictedMatches != int64(res.Learned.Len()) {
-				t.Errorf("predicted %d with %d matches, want %d with %d", p.Predicted, p.PredictedMatches, decided, res.Learned.Len())
 			}
 		})
 	}

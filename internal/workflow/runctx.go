@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"emgo/internal/block"
@@ -20,17 +19,16 @@ import (
 // This file is the hardened execution runtime for workflows — the
 // operational layer the paper's Section 12 production move demands:
 // bounded stage execution (per-stage deadlines on top of the caller's
-// context), failure isolation (worker panics surface as indexed errors;
-// a bounded error budget quarantines poison pairs instead of aborting
-// the batch), and a provenance log that records how each stage ended
-// (ok / resumed / degraded / aborted) so an operator can reconstruct a
-// bad run.
+// context), failure isolation (a worker panic surfaces as an error that
+// aborts the run and names the failing pair), and a provenance log that
+// records how each stage ended (ok / resumed / aborted) so an operator
+// can reconstruct a bad run.
 //
 // RunCtx is also the observability anchor: every stage runs under an
 // obs span recording wall time, item count, and outcome, and every run
 // finishes with a machine-readable obs.Report on the Result (spans +
-// metrics snapshot + provenance log + quarantine decisions) — the
-// document -report flags write and perf work diffs against.
+// metrics snapshot + provenance log) — the document -report flags write
+// and perf work diffs against.
 
 // DriftStage asks RunCtx to run the quality-observability layer
 // (internal/drift): a final "quality" stage profiles what the run
@@ -52,16 +50,12 @@ type DriftStage struct {
 }
 
 // RunOptions configures the hardened runtime. The zero value — what
-// Run passes — means no per-stage deadlines and an empty error budget.
+// Run passes — means no per-stage deadlines.
 type RunOptions struct {
 	// StageTimeout bounds every cancellable stage (blocking, matching);
 	// 0 means no per-stage deadline. The caller's context still bounds
 	// the whole run.
 	StageTimeout time.Duration
-	// ErrorBudget is how many candidate pairs the matching stage may
-	// quarantine (vectorization or prediction failed on them) before the
-	// run aborts. 0 aborts on the first failing pair.
-	ErrorBudget int
 	// Drift, when non-nil, arms quality observability: the run is
 	// profiled and finishes with a "quality" stage that captures a
 	// baseline snapshot or checks the live profile against one (see
@@ -115,13 +109,6 @@ func (s stage) finish(outcome, detail string, items int) {
 	s.log.AddOutcome(s.name, detail, items, outcome)
 }
 
-// quarantine records a decision to go on without a failing pair, made
-// inside the still-open stage: a span event and a degraded entry.
-func (s stage) quarantine(detail string, remaining int) {
-	s.span.Event("quarantine", detail)
-	s.log.AddOutcome(s.name, detail, remaining, obs.OutcomeDegraded)
-}
-
 // checkpoint puts the durable step's note on the still-open stage span.
 func (s stage) checkpoint(note string) {
 	if note != "" {
@@ -133,8 +120,7 @@ func (s stage) checkpoint(note string) {
 // hardened runtime — the one pipeline body; Run is this with the zero
 // options. The returned Result is non-nil even on failure: it carries the provenance log up to and including the aborted
 // stage, which is the record an operator needs, plus the run report
-// (Result.Report). Pairs quarantined under the error budget are listed
-// in Result.Quarantined and excluded from Learned (and therefore Final).
+// (Result.Report).
 //
 // When the caller's context already carries an obs trace (a CLI opened
 // one for the whole process), stage spans nest under it; otherwise
@@ -152,7 +138,11 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	stageMS := obs.H("workflow.stage_ms", stageMSBuckets)
 	defer func() {
 		if ownRoot {
-			root.SetOutcome(runOutcome(res, err))
+			outcome := obs.OutcomeOK
+			if err != nil {
+				outcome = obs.OutcomeAborted
+			}
+			root.SetOutcome(outcome)
 			root.End()
 		}
 		res.Report = buildReport("workflow."+w.Name, started, root, res, err)
@@ -222,45 +212,26 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	}
 	st.finish(obs.OutcomeOK, "blocked minus sure matches", res.Candidates.Len())
 
-	// Step 4: learned predictions, with the error budget. A pair whose
-	// vectorization or prediction fails (panic or error) is quarantined
-	// and the stage re-run without it, until the budget is spent. A
-	// checkpoint from a previous run restores both the predictions and
-	// the quarantine list, so a resumed run neither re-pays the
-	// prediction cost nor re-admits poison pairs.
+	// Step 4: learned predictions. A pair whose vectorization or
+	// prediction fails (panic or error) aborts the run, named in the
+	// error. A checkpoint from a previous run restores the predictions,
+	// so a resumed run does not re-pay the prediction cost.
 	st = startStage("learned")
 	resumed, note, serr = ckpt.Do(opts.Checkpoints, ckptLearned,
 		func(a *learnedArtifact) (err error) {
-			if res.Learned, err = a.decode(left, right); err != nil {
-				return err
-			}
-			quarantined, err := block.DecodePairs(a.Quarantined, left, right)
-			if err == nil {
-				res.Quarantined = quarantined.Pairs()
-			}
+			res.Learned, err = a.decode(left, right)
 			return err
 		},
-		func() error { return w.learn(st, left, right, res, opts) },
-		func() learnedArtifact {
-			return learnedArtifact{
-				pairsArtifact: newPairsArtifact(res.Learned),
-				Quarantined:   block.EncodePairs(res.Quarantined),
-			}
-		})
+		func() error { return w.learn(st.ctx, left, right, res, opts) },
+		func() learnedArtifact { return learnedArtifact{pairsArtifact: newPairsArtifact(res.Learned)} })
 	st.checkpoint(note)
-	detail := "matcher predictions on candidates"
-	n := len(res.Quarantined)
 	switch {
 	case serr != nil:
 		return abort(st, serr)
-	case resumed && n > 0:
-		st.finish(obs.OutcomeResumed, fmt.Sprintf("%s (restored from checkpoint); %d pairs quarantined by the checkpointed run", detail, n), res.Learned.Len())
 	case resumed:
-		st.finish(obs.OutcomeResumed, detail+" (restored from checkpoint)", res.Learned.Len())
-	case n > 0:
-		st.finish(obs.OutcomeDegraded, fmt.Sprintf("%s (%d pairs quarantined)", detail, n), res.Learned.Len())
+		st.finish(obs.OutcomeResumed, "matcher predictions on candidates (restored from checkpoint)", res.Learned.Len())
 	default:
-		st.finish(obs.OutcomeOK, detail, res.Learned.Len())
+		st.finish(obs.OutcomeOK, "matcher predictions on candidates", res.Learned.Len())
 	}
 
 	// Step 5: negative rules veto learned matches.
@@ -316,29 +287,12 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	return res, nil
 }
 
-// runOutcome is how a run ended: aborted on an error, degraded when it
-// went on without quarantined pairs, else ok.
-func runOutcome(res *Result, runErr error) string {
-	switch {
-	case runErr != nil:
-		return obs.OutcomeAborted
-	case len(res.Quarantined) > 0:
-		return obs.OutcomeDegraded
-	}
-	return obs.OutcomeOK
-}
-
 // buildReport assembles the machine-readable run report: obs.NewReport's
 // record of the run plus what only the pipeline knows — the provenance
-// log (the stage records, in order), the quarantine list, the quality
-// section.
+// log (the stage records, in order) and the quality section.
 func buildReport(name string, started time.Time, root *obs.Span, res *Result, runErr error) *obs.Report {
 	rep := obs.NewReport(name, started, root, runErr)
-	rep.Outcome = runOutcome(res, runErr)
 	rep.Provenance = res.Log.Entries()
-	for _, p := range res.Quarantined {
-		rep.Quarantined = append(rep.Quarantined, fmt.Sprintf("%d,%d", p.A, p.B))
-	}
 	switch {
 	case res.Quality != nil:
 		rep.Quality = res.Quality.QualityData(res.DriftProfile)
@@ -365,28 +319,10 @@ func PredictPairs(ctx context.Context, fs *feature.Set, im *feature.Imputer, m m
 	return preds, x, err
 }
 
-// unwrapIndexed strips the parallel index wrapper for log detail text,
-// keeping the underlying cause.
-func unwrapIndexed(err error) error {
-	var target error = err
-	for {
-		switch e := target.(type) {
-		case *parallel.IndexError:
-			return e.Err
-		case *parallel.PanicError:
-			return fmt.Errorf("panic: %v", e.Value)
-		}
-		u, ok := target.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		target = u.Unwrap()
-	}
-}
-
 // learn is the live body of the "learned" stage: res.Candidates through
-// the matcher into res.Learned, under the error budget (see Step 4).
-func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts RunOptions) error {
+// the matcher into res.Learned. A pair that fails aborts the stage, and
+// the error names it by its left and right rows.
+func (w *Workflow) learn(ctx context.Context, left, right *table.Table, res *Result, opts RunOptions) error {
 	res.Learned = block.NewCandidateSet(left, right)
 	if w.Matcher == nil || res.Candidates.Len() == 0 {
 		return nil
@@ -395,30 +331,14 @@ func (w *Workflow) learn(st stage, left, right *table.Table, res *Result, opts R
 		return errNoFeatures
 	}
 	pairs := res.Candidates.Pairs()
-	budget := opts.ErrorBudget
-	quarantined := obs.C("workflow.quarantined")
-	var preds []int
-	for {
-		pctx, cancel := opts.stageCtx(st.ctx)
-		var perr error
-		preds, _, perr = PredictPairs(pctx, w.Features, w.Imputer, w.Matcher, left, right, pairs)
-		cancel()
-		if perr == nil {
-			break
+	pctx, cancel := opts.stageCtx(ctx)
+	preds, _, err := PredictPairs(pctx, w.Features, w.Imputer, w.Matcher, left, right, pairs)
+	cancel()
+	if err != nil {
+		if idx, ok := parallel.FailingIndex(err); ok {
+			return fmt.Errorf("pair (%d,%d): %w", pairs[idx].A, pairs[idx].B, err)
 		}
-		idx, indexed := parallel.FailingIndex(perr)
-		if !indexed || budget <= 0 || st.ctx.Err() != nil {
-			return perr
-		}
-		budget--
-		bad := pairs[idx]
-		res.Quarantined = append(res.Quarantined, bad)
-		quarantined.Inc()
-		st.quarantine(fmt.Sprintf("quarantined pair (%d,%d) after failure: %v", bad.A, bad.B, unwrapIndexed(perr)), len(pairs)-1)
-		trimmed := make([]block.Pair, 0, len(pairs)-1)
-		trimmed = append(trimmed, pairs[:idx]...)
-		trimmed = append(trimmed, pairs[idx+1:]...)
-		pairs = trimmed
+		return err
 	}
 	for i, p := range pairs {
 		if preds[i] == 1 {
@@ -433,9 +353,8 @@ var errNoFeatures = errors.New("matcher set but features/imputer missing")
 
 // profile builds the run's quality profile from its result, once and in
 // pair order, so a rerun over the same inputs — resumed from checkpoints
-// or not, quarantining or not — builds the same one. Its pairs are the
-// ones the learned stage decided: the candidates less the quarantined.
-// They are vectorized over every feature of the set, not only the ones a
+// or not — builds the same one. Its pairs are the ones the learned stage
+// decided: the candidates. They are vectorized over every feature of the set, not only the ones a
 // deployed matcher reads: a feature's distribution over the candidates
 // is also the one pairwise profile of the attributes the rules and
 // blockers read (an award number that goes missing shows in
@@ -445,7 +364,7 @@ var errNoFeatures = errors.New("matcher set but features/imputer missing")
 func (w *Workflow) profile(ctx context.Context, left, right *table.Table, blocked *block.CandidateSet, res *Result, opts RunOptions) (*drift.Profile, error) {
 	var pairs []block.Pair
 	if w.Matcher != nil {
-		pairs = res.Candidates.Filter(func(p block.Pair) bool { return !slices.Contains(res.Quarantined, p) }).Pairs()
+		pairs = res.Candidates.Pairs()
 	}
 	b := drift.NewBuilder()
 	if len(pairs) > 0 {

@@ -8,7 +8,6 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/table"
 )
@@ -167,43 +166,33 @@ func TestRunCtxCheckpointValidationRejectsForeignTables(t *testing.T) {
 	}
 }
 
-func TestRunCtxCheckpointRestoresQuarantineList(t *testing.T) {
-	defer fault.Reset()
+// TestRunCtxCheckpointCondemnsQuarantineList: a learned artifact from a
+// build that dropped failing pairs lists them under "quarantined", and
+// its predictions leave them out. Restoring it would pass those pairs off
+// as decided, so the store moves it to quarantine/ and the stage is
+// recomputed.
+func TestRunCtxCheckpointCondemnsQuarantineList(t *testing.T) {
 	w, tp := hardenedFixture(t)
 	dir := t.TempDir()
-
-	// First run quarantines one pair under the error budget.
-	fault.Enable("ml.predict", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-	fresh, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		Checkpoints: openTestStore(t, dir),
-		ErrorBudget: 2,
-	})
+	fresh, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Checkpoints: openTestStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Quarantined) == 0 {
-		t.Fatal("fixture did not quarantine any pair; test needs a poison pair")
+	planted := `{"left":"L","right":"R","left_rows":3,"right_rows":3,"pairs":[[2,2]],"quarantined":[[1,1]]}`
+	if err := openTestStore(t, dir).Write(ckptLearned, []byte(planted)); err != nil {
+		t.Fatal(err)
 	}
-	fault.Reset()
 
-	// The resumed run must carry the quarantine list forward — a resume
-	// must not silently pretend the poison pairs were matched or clean.
-	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		Checkpoints: openTestStore(t, dir),
-	})
+	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Checkpoints: openTestStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := outcomeOf(t, res, "learned"); out != obs.OutcomeResumed {
-		t.Fatalf("learned outcome = %q, want resumed", out)
+	if out := outcomeOf(t, res, "learned"); out == obs.OutcomeResumed {
+		t.Fatal("a learned checkpoint with a quarantine list was resumed")
 	}
-	if len(res.Quarantined) != len(fresh.Quarantined) {
-		t.Fatalf("quarantine list not restored: %d vs %d", len(res.Quarantined), len(fresh.Quarantined))
-	}
-	for i, p := range fresh.Quarantined {
-		if res.Quarantined[i] != p {
-			t.Fatalf("quarantined[%d] = %v, want %v", i, res.Quarantined[i], p)
-		}
+	got, err := os.ReadFile(filepath.Join(dir, "quarantine", ckptLearned+".0"))
+	if err != nil || string(got) != planted {
+		t.Fatalf("planted artifact not in quarantine/: %q, %v", got, err)
 	}
 	sameFinal(t, fresh, res)
 }

@@ -3,6 +3,7 @@ package workflow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"emgo/internal/label"
 	"emgo/internal/leakcheck"
 	"emgo/internal/obs"
-	"emgo/internal/retry"
 	"emgo/internal/rules"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
@@ -105,8 +105,8 @@ func TestRunCtxMatchesRun(t *testing.T) {
 			if plain.Vetoed != hard.Vetoed {
 				t.Errorf("Vetoed: Run %d, RunCtx %d", plain.Vetoed, hard.Vetoed)
 			}
-			if plain.Final.Len() == 0 || len(hard.Quarantined) != 0 {
-				t.Fatalf("final %d pairs, quarantined %v — want matches and no quarantine", plain.Final.Len(), hard.Quarantined)
+			if plain.Final.Len() == 0 {
+				t.Fatal("final has no pairs — want matches")
 			}
 		})
 	}
@@ -121,45 +121,21 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	}
 }
 
-// flakyLabeler says yes to everything once the armed "label.judge" fault
-// (a flaky human-in-the-loop backend) is spent.
-func flakyLabeler(block.Pair) (label.Label, error) {
-	if ferr := fault.Inject("label.judge"); ferr != nil {
-		return 0, ferr
-	}
-	return label.Yes, nil
-}
-
-// checkRetried is what a caller that wants its monitoring check retried
-// writes: retry.Do around CheckErr. It reports how many checks ran.
-func checkRetried(mon *Monitor, policy retry.Policy, batch string, predicted *block.CandidateSet) (cr CheckResult, attempts int, err error) {
-	err = retry.Do(context.Background(), policy, func() (cerr error) {
-		attempts++
-		cr, cerr = mon.CheckErr(batch, predicted, flakyLabeler)
-		return cerr
-	})
-	return cr, attempts, err
-}
-
 // TestRunCtxTransientLabelerFaultRetried: the monitoring check over a
-// run's final matches is the caller's step (RunCtx has no monitor stage);
-// under a retry policy a labeler whose first call fails costs one more
-// attempt, not the check.
+// run's final matches is the caller's step (RunCtx has no monitor stage).
+// The check takes a labeler that cannot fail, so nothing is retried; an
+// all-yes sample gives a precision interval ending at 1 and the check
+// records one history entry.
 func TestRunCtxTransientLabelerFaultRetried(t *testing.T) {
-	defer fault.Reset()
 	w, tp := hardenedFixture(t)
 	mon := &Monitor{SampleSize: 2, MinPrecision: 0.5, Rng: rand.New(rand.NewSource(7))}
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
-	cr, attempts, err := checkRetried(mon, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, "batch-1", res.Final)
+	cr, err := mon.Check("batch-1", res.Final, func(block.Pair) label.Label { return label.Yes })
 	if err != nil {
-		t.Fatalf("check with transient labeler fault should succeed after retry: %v", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one fault, one success)", attempts)
+		t.Fatal(err)
 	}
 	if cr.Batch != "batch-1" || cr.Labeled != 2 || cr.Alarm {
 		t.Fatalf("check result: %+v", cr)
@@ -168,69 +144,34 @@ func TestRunCtxTransientLabelerFaultRetried(t *testing.T) {
 		t.Fatalf("precision interval [%g,%g] for an all-yes sample", cr.Precision.Lo, cr.Precision.Hi)
 	}
 	if len(mon.History()) != 1 {
-		t.Fatalf("monitor history = %d, want 1 (the failed attempt records nothing)", len(mon.History()))
-	}
-	// Without a policy the same fault fails the check and records nothing.
-	fault.Enable("label.judge", fault.Plan{FailFirst: 1})
-	if _, attempts, err = checkRetried(mon, retry.Policy{}, "batch-2", res.Final); err == nil || attempts != 1 {
-		t.Fatalf("unretried check = (%d attempts, %v), want one failed attempt", attempts, err)
-	}
-	if len(mon.History()) != 1 {
-		t.Fatalf("a failed check was recorded: history = %d", len(mon.History()))
+		t.Fatalf("monitor history = %d, want 1", len(mon.History()))
 	}
 }
 
-func TestRunCtxErrorBudgetQuarantinesFailingPair(t *testing.T) {
-	defer fault.Reset()
-	w, tp := hardenedFixture(t)
-	// One vectorization call panics; with budget the run degrades
-	// instead of dying.
-	fault.Enable("feature.vectorize", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{ErrorBudget: 2})
-	if err != nil {
-		t.Fatalf("budgeted run should survive a poison pair: %v", err)
-	}
-	if len(res.Quarantined) != 1 {
-		t.Fatalf("quarantined = %v", res.Quarantined)
-	}
-	logStr := res.Log.String()
-	if !strings.Contains(logStr, "[degraded]") || !strings.Contains(logStr, "quarantined pair") {
-		t.Fatalf("degraded outcome not logged:\n%s", logStr)
-	}
-	// The quarantined pair must not appear among learned matches.
-	for _, p := range res.Quarantined {
-		if res.Learned.Contains(p) {
-			t.Fatalf("quarantined pair %v predicted anyway", p)
-		}
-	}
-}
-
-func TestRunCtxZeroBudgetAborts(t *testing.T) {
-	defer fault.Reset()
-	w, tp := hardenedFixture(t)
-	fault.Enable("feature.vectorize", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
-	if err == nil {
-		t.Fatal("zero budget must abort on a failing pair")
-	}
-	if res == nil || res.Log == nil {
-		t.Fatal("failed run must still return its provenance log")
-	}
-	if !strings.Contains(res.Log.String(), "[aborted]") {
-		t.Fatalf("abort not logged:\n%s", res.Log)
-	}
-}
-
-func TestRunCtxPredictionFaultQuarantined(t *testing.T) {
-	defer fault.Reset()
-	w, tp := hardenedFixture(t)
-	fault.Enable("ml.predict", fault.Plan{Mode: fault.ModePanic, FailFirst: 1})
-	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{ErrorBudget: 1})
-	if err != nil {
-		t.Fatalf("prediction fault should be quarantined: %v", err)
-	}
-	if len(res.Quarantined) != 1 {
-		t.Fatalf("quarantined = %v", res.Quarantined)
+// TestRunCtxFailingPairAborts: a pair whose vectorization or prediction
+// panics aborts the run, the error names the pair by its left and right
+// rows, and the result still carries the provenance log.
+func TestRunCtxFailingPairAborts(t *testing.T) {
+	for _, site := range []string{"feature.vectorize", "ml.predict"} {
+		t.Run(site, func(t *testing.T) {
+			defer fault.Reset()
+			w, tp := hardenedFixture(t)
+			fault.Enable(site, fault.Plan{Mode: fault.ModePanic, Indices: []int{0}})
+			res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
+			if err == nil {
+				t.Fatal("a failing pair must abort the run")
+			}
+			if res == nil || res.Log == nil {
+				t.Fatal("failed run must still return its provenance log")
+			}
+			if !strings.Contains(res.Log.String(), "[aborted]") {
+				t.Fatalf("abort not logged:\n%s", res.Log)
+			}
+			p := res.Candidates.Pairs()[0]
+			if want := fmt.Sprintf("pair (%d,%d): ", p.A, p.B); !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want it to name %q", err, want)
+			}
+		})
 	}
 }
 

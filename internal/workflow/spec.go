@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/retry"
@@ -113,36 +112,14 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// transformResolver resolves transform names under the hardened runtime:
-// each lookup passes the "workflow.spec.transform" fault-injection site
-// and transient failures are retried on the resolver's policy — the shape
-// of a deployment whose transform registry is a remote service. An
-// unknown name is permanent and never retried.
-type transformResolver struct {
-	ctx        context.Context
-	transforms Transforms
-	policy     retry.Policy
-}
-
 // lookup resolves a transform name ("" is the identity transform, nil).
-func (r transformResolver) lookup(name string) (func(string) string, error) {
+func (t Transforms) lookup(name string) (func(string) string, error) {
 	if name == "" {
 		return nil, nil
 	}
-	var fn func(string) string
-	err := retry.Do(r.ctx, r.policy, func() error {
-		if err := fault.Inject("workflow.spec.transform"); err != nil {
-			return err
-		}
-		var ok bool
-		fn, ok = r.transforms[name]
-		if !ok {
-			return retry.Permanent(fmt.Errorf("workflow: unknown transform %q", name))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	fn, ok := t[name]
+	if !ok {
+		return nil, fmt.Errorf("workflow: unknown transform %q", name)
 	}
 	return fn, nil
 }
@@ -164,14 +141,14 @@ func lookupTokenizer(name string) (tokenize.Tokenizer, error) {
 }
 
 // buildBlocker constructs the blocker a spec describes.
-func buildBlocker(bs BlockerSpec, resolver transformResolver) (block.Blocker, error) {
+func buildBlocker(bs BlockerSpec, transforms Transforms) (block.Blocker, error) {
 	switch bs.Type {
 	case "attr_equiv":
-		lt, err := resolver.lookup(bs.LeftTransform)
+		lt, err := transforms.lookup(bs.LeftTransform)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := resolver.lookup(bs.RightTransform)
+		rt, err := transforms.lookup(bs.RightTransform)
 		if err != nil {
 			return nil, err
 		}
@@ -203,12 +180,12 @@ func buildBlocker(bs BlockerSpec, resolver transformResolver) (block.Blocker, er
 }
 
 // buildRule constructs the rule a spec describes, bound to the tables.
-func buildRule(rs RuleSpec, left, right *table.Table, resolver transformResolver) (rules.Rule, error) {
-	lt, err := resolver.lookup(rs.LeftTransform)
+func buildRule(rs RuleSpec, left, right *table.Table, transforms Transforms) (rules.Rule, error) {
+	lt, err := transforms.lookup(rs.LeftTransform)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := resolver.lookup(rs.RightTransform)
+	rt, err := transforms.lookup(rs.RightTransform)
 	if err != nil {
 		return nil, err
 	}
@@ -235,42 +212,41 @@ func buildRule(rs RuleSpec, left, right *table.Table, resolver transformResolver
 	}
 }
 
-// Build instantiates the workflow a spec describes, binding its rules to
-// the given table pair. transforms must supply every transform name the
-// spec references.
-func (s *Spec) Build(left, right *table.Table, transforms Transforms) (*Workflow, error) {
-	return s.BuildCtx(context.Background(), left, right, transforms, retry.Policy{})
+// BuildCtx is Build; ctx and policy are ignored. It stays only because
+// bench/embench/layers.go calls it, and goes with the next change to
+// that module.
+func (s *Spec) BuildCtx(_ context.Context, left, right *table.Table, transforms Transforms, _ retry.Policy) (*Workflow, error) {
+	return s.Build(left, right, transforms)
 }
 
-// BuildCtx is Build under the hardened runtime: transform registry
-// lookups honour ctx and are retried on the given policy when they fail
-// transiently (unknown names stay permanent errors). It binds nothing:
-// each run of the workflow builds what it needs from the right table, and
-// a caller that runs many left tables against one right table deploys it
-// (Deploy).
-func (s *Spec) BuildCtx(ctx context.Context, left, right *table.Table, transforms Transforms, policy retry.Policy) (*Workflow, error) {
-	resolver := transformResolver{ctx: ctx, transforms: transforms, policy: policy}
+// Build instantiates the workflow a spec describes, with its rules over
+// the given table pair. transforms must supply every transform name the
+// spec references; an unknown one is an error naming it. It binds
+// nothing: each run of the workflow builds what it needs from the right
+// table, and a caller that runs many left tables against one right table
+// deploys it (Deploy).
+func (s *Spec) Build(left, right *table.Table, transforms Transforms) (*Workflow, error) {
 	w := &Workflow{
 		Name:          s.Name,
 		SureRules:     rules.NewEngine(),
 		NegativeRules: rules.NewEngine(),
 	}
 	for _, bs := range s.Blockers {
-		b, err := buildBlocker(bs, resolver)
+		b, err := buildBlocker(bs, transforms)
 		if err != nil {
 			return nil, err
 		}
 		w.Blockers = append(w.Blockers, b)
 	}
 	for _, rs := range s.SureRules {
-		r, err := buildRule(rs, left, right, resolver)
+		r, err := buildRule(rs, left, right, transforms)
 		if err != nil {
 			return nil, err
 		}
 		w.SureRules.Add(r)
 	}
 	for _, rs := range s.NegativeRules {
-		r, err := buildRule(rs, left, right, resolver)
+		r, err := buildRule(rs, left, right, transforms)
 		if err != nil {
 			return nil, err
 		}

@@ -193,6 +193,25 @@ func TestSpecBuildErrors(t *testing.T) {
 	}
 }
 
+// TestBuildUnknownTransformNamesIt: a blocker's transform the registry
+// lacks fails the build with an error that names it; the registered name
+// builds.
+func TestBuildUnknownTransformNamesIt(t *testing.T) {
+	l, r := fixture(t)
+	spec := &Spec{
+		Name:     "t",
+		Blockers: []BlockerSpec{{Type: "attr_equiv", LeftCol: "Num", RightCol: "Num", LeftTransform: "upper"}},
+	}
+	_, err := spec.Build(l, r, Transforms{})
+	if err == nil || !strings.Contains(err.Error(), `unknown transform "upper"`) {
+		t.Fatalf("err: %v", err)
+	}
+	w, err := spec.Build(l, r, Transforms{"upper": strings.ToUpper})
+	if err != nil || len(w.Blockers) != 1 {
+		t.Fatalf("build with the transform registered: %v", err)
+	}
+}
+
 func TestSpecRulesOnlyBuild(t *testing.T) {
 	left, right, _, transforms := deployFixture(t)
 	spec := &Spec{

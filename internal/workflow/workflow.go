@@ -33,8 +33,7 @@ type Log struct {
 }
 
 // AddOutcome appends an entry; outcome is one of obs.Outcome*, or empty
-// for ok — the hardened runtime's record of resumes, quarantines, and
-// aborts.
+// for ok — the hardened runtime's record of resumes and aborts.
 func (l *Log) AddOutcome(step, detail string, count int, outcome string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -103,10 +102,6 @@ type Result struct {
 	// Final is Sure ∪ (Learned minus vetoed) (S1/S2 unioned with sure
 	// matches).
 	Final *block.CandidateSet
-	// Quarantined are candidate pairs dropped under RunOptions.ErrorBudget
-	// because vectorization or prediction failed on them (empty without
-	// a budget: the first failing pair aborts the run).
-	Quarantined []block.Pair
 	// DriftProfile is the statistical profile the quality stage built
 	// from the run's result when RunOptions.Drift asked for one (nil
 	// otherwise). In capture
@@ -119,7 +114,7 @@ type Result struct {
 	// Log records each step.
 	Log *Log
 	// Report is the machine-readable run record (spans, metrics,
-	// provenance, quarantines) built on every run, success or failure.
+	// provenance) built on every run, success or failure.
 	Report *obs.Report
 }
 
