@@ -129,12 +129,11 @@ examples:
 
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
 # package builds the CLIs once (emserve and emcasestudy with -race),
-# generates one slice, spec and matcher artifact once, and runs eight
+# generates one slice, spec and matcher artifact once, and runs seven
 # scenarios against the real binaries — serve (degrade, shed, reload,
 # rollback), job (mid-write kill, byte-identical resume), stream (SIGKILL
 # and drain cuts resumed from a persisted cursor), obs (wide events, tail
-# capture, SLO gate), prof (capture ring, breach capture), load (soak 0/1,
-# capacity, chaos-soak), monitor (drift check 0/1) and chaos (the case
+# capture, SLO gate), load (soak 0/1, capacity, chaos-soak), monitor (drift check 0/1) and chaos (the case
 # study killed at every checkpoint boundary and once mid-write, each
 # resume byte-identical, a corrupted artifact quarantined) — with every
 # server drained to exit 130, zero leaked goroutines, race-clean. Each
@@ -150,7 +149,7 @@ smoke:
 # the noise-aware regression gate (no flags: its bars are constants in
 # cmd/emmonitor/perf.go): exit 1 means the latest snapshot regressed past
 # the fail thresholds against its predecessor — see
-# docs/OBSERVABILITY.md, "Continuous profiling & perf gating".
+# docs/OBSERVABILITY.md, "Profiling & perf gating".
 perf-gate:
 	@set -e; \
 	snaps="$$(ls BENCH_pr*.json 2>/dev/null | sort -t r -k 2 -n | tail -2)"; \
@@ -169,7 +168,7 @@ perf-gate:
 # trustworthy race-clean), fifty seconds of fuzzing (make fuzz), the
 # nested benchmark module's own vet and tests, the exported-surface check,
 # a run of every example program, the end-to-end smoke harness (the
-# kill/resume chaos scenario among its eight), and the perf-regression
+# kill/resume chaos scenario among its seven), and the perf-regression
 # gate over the committed BENCH trajectory.
 tier2: fmt-check vet race race-cpu fuzz bench-check api-check examples smoke perf-gate
 

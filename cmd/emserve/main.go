@@ -21,8 +21,7 @@
 //	        [-stream-chunk-timeout 15s] [-max-streams 4] [-stream-flush 256] \
 //	        [-access-log events.jsonl] [-access-sample 10] [-tail-n 16] \
 //	        [-slo availability=99.9,latency=250ms@99] [-tail-dump tail.json] \
-//	        [-prof-dir prof/] [-prof-interval 60s] [-prof-cpu 1s] [-prof-max 32] \
-//	        [-prof-on-breach] [-inject site:spec ...]
+//	        [-inject site:spec ...]
 //
 //	emserve -spec workflow.json -left left.csv -right right.csv \
 //	        -export-matcher matcher.json
@@ -40,8 +39,11 @@
 // resumable cursor. GET /healthz,
 // /readyz and /v1/status report liveness, readiness and the live
 // breaker/queue counters; POST /-/reload hot-swaps the matcher
-// artifact; /debug/ exposes expvar and pprof. Nothing authenticates a
-// caller, so -addr is the boundary: bind it where only operators reach.
+// artifact; /debug/ exposes expvar and pprof, the one profiling surface
+// (`go tool pprof http://ADDR/debug/pprof/profile?seconds=5`; see
+// docs/OBSERVABILITY.md "Profiling & perf gating"). Nothing
+// authenticates a caller, so -addr is the boundary: bind it where only
+// operators reach.
 // Whether the matcher's quality still holds is checked offline
 // (emmatch -drift-baseline, emmonitor check), not per request.
 //
@@ -56,14 +58,6 @@
 // availability/latency objectives whose multi-window burn rates surface
 // on /v1/status; emmonitor slo turns them into a check that exits
 // non-zero on budget burn.
-//
-// Continuous profiling: -prof-dir arms internal/contprof — periodic
-// CPU/heap/goroutine/mutex/block captures into a bounded on-disk ring
-// (prune at -prof-max), requests labeled by route for `go tool pprof
-// -tags`, tail-outlier admissions triggering captures, -prof-on-breach
-// capturing on SLO burn-rate breaches, a final capture at drain, and
-// GET/POST /debug/contprof/{,fetch,trigger} serving the ring — see
-// docs/OBSERVABILITY.md "Continuous profiling & perf gating".
 //
 // Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
 // for in-flight requests up to the drain timeout, checkpoint and stop
@@ -99,7 +93,6 @@ import (
 
 	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
-	"emgo/internal/contprof"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -165,11 +158,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	tailN := fs.Int("tail-n", 0, "slowest requests retained per window in the /debug/tail buffer (0 = default)")
 	sloSpec := fs.String("slo", "", "service objectives, e.g. availability=99.9,latency=250ms@99 (empty = defaults)")
 	tailDump := fs.String("tail-dump", "", "write the tail-capture snapshot to this file when the server drains")
-	profDir := fs.String("prof-dir", "", "continuous-profiling retention ring directory (empty = continuous profiling off)")
-	profInterval := fs.Duration("prof-interval", 0, "periodic capture interval (0 = default 60s; <0 = triggered captures only)")
-	profCPU := fs.Duration("prof-cpu", 0, "CPU-profile sampling window per capture (0 = default 1s)")
-	profMax := fs.Int("prof-max", 0, "captures retained in the ring before the oldest is pruned (0 = default 32)")
-	profOnBreach := fs.Bool("prof-on-breach", false, "trigger a capture when an SLO burn-rate breach is detected (needs -prof-dir)")
 	var injects multiFlag
 	fs.Var(&injects, "inject", "arm a fault-injection plan, site:spec (repeatable; e.g. ml.predict:prob=0.5)")
 	if err := fs.Parse(args); err != nil {
@@ -259,25 +247,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	// Server fields, not the registry.)
 	obs.Enable()
 
-	var prof *contprof.Profiler
-	if *profDir != "" {
-		prof, err = contprof.Open(contprof.Config{
-			Dir:         *profDir,
-			Interval:    *profInterval,
-			CPUDuration: *profCPU,
-			MaxCaptures: *profMax,
-		})
-		if err != nil {
-			return err
-		}
-		prof.Start()
-		defer prof.Stop() // idempotent; shutdown() stops it before the leak check
-		cfg.Profiler = prof
-		cfg.ProfileOnBreach = *profOnBreach
-	} else if *profOnBreach {
-		return fmt.Errorf("-prof-on-breach needs -prof-dir")
-	}
-
 	srv, err := serve.New(ctx, cfg, wf, left, right)
 	if err != nil {
 		return err
@@ -343,16 +312,15 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 			// The listener died on its own — a real serving failure.
 			return fmt.Errorf("serve: %w", err)
 		case <-ctx.Done():
-			return shutdown(ctx, srv, httpSrv, prof, *drainTimeout, *tailDump, baseGoroutines, stderr)
+			return shutdown(ctx, srv, httpSrv, *drainTimeout, *tailDump, baseGoroutines, stderr)
 		}
 	}
 }
 
 // shutdown runs the graceful-drain sequence: stop admitting, wait for
-// in-flight requests, take the final profile capture, close the
-// listener, then self-check for leaked goroutines. It returns the
-// context's error so the interrupt exits 130.
-func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, prof *contprof.Profiler, drainTimeout time.Duration, tailDump string, baseGoroutines int, stderr io.Writer) error {
+// in-flight requests, close the listener, then self-check for leaked
+// goroutines. It returns the context's error so the interrupt exits 130.
+func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, drainTimeout time.Duration, tailDump string, baseGoroutines int, stderr io.Writer) error {
 	fmt.Fprintln(stderr, "emserve: signal received; draining")
 	srv.StartDrain()
 	select {
@@ -360,16 +328,6 @@ func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, prof
 		fmt.Fprintln(stderr, "emserve: drain complete")
 	case <-time.After(drainTimeout + time.Second):
 		fmt.Fprintln(stderr, "emserve: drain timed out; shutting down anyway")
-	}
-	if prof != nil {
-		// Final capture of the run's end state, then stop the periodic
-		// goroutine before the leak self-check counts it.
-		if m, perr := prof.CaptureNow(contprof.TriggerDrain, "", ""); perr != nil {
-			fmt.Fprintf(stderr, "emserve: drain capture: %v\n", perr)
-		} else {
-			fmt.Fprintf(stderr, "emserve: drain capture %s written to %s\n", m.ID, prof.Dir())
-		}
-		prof.Stop()
 	}
 	if tailDump != "" {
 		// Drained means every in-flight request has emitted its wide

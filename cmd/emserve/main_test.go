@@ -240,7 +240,7 @@ func TestServeMatchAndGracefulShutdown(t *testing.T) {
 		cancel()
 		t.Fatalf("unexpected response: %s", body)
 	}
-	for _, ep := range []string{"/healthz", "/readyz", "/v1/status", "/debug/vars"} {
+	for _, ep := range []string{"/healthz", "/readyz", "/v1/status", "/debug/vars", "/debug/pprof/heap"} {
 		resp, err := http.Get(base + ep)
 		if err != nil {
 			cancel()

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	neturl "net/url"
 	"time"
 
 	"emgo/internal/obs/slo"
@@ -47,33 +46,6 @@ func (c *Client) Status(ctx context.Context) (*ServerStatus, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// TriggerProfile asks the server's continuous profiler for a capture
-// (POST /debug/contprof/trigger). It reports whether the server
-// scheduled one — false also covers "deduplicated into a capture
-// already in flight", which for a load test is success. An error means
-// the endpoint is absent (server started without -prof-dir) or
-// unreachable.
-func (c *Client) TriggerProfile(ctx context.Context, reason, detail string) (bool, error) {
-	path := "/debug/contprof/trigger?reason=" + neturl.QueryEscape(reason)
-	if detail != "" {
-		path += "&detail=" + neturl.QueryEscape(detail)
-	}
-	status, _, data, err := c.Call(ctx, http.MethodPost, path, nil, nil)
-	if err != nil {
-		return false, err
-	}
-	if status != http.StatusAccepted && status != http.StatusOK {
-		return false, fmt.Errorf("profile trigger: %d: %s", status, truncate(data, 200))
-	}
-	var ans struct {
-		Scheduled bool `json:"scheduled"`
-	}
-	if err := json.Unmarshal(data, &ans); err != nil {
-		return false, fmt.Errorf("profile trigger answer: %w", err)
-	}
-	return ans.Scheduled, nil
 }
 
 // The client side of a job's life is spelled here once — submit, await,

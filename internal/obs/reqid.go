@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -24,17 +25,26 @@ const MaxRequestIDLen = 64
 
 type requestIDKey struct{}
 
-// reqSeq breaks ties when the random source fails (it practically
-// cannot); IDs must never be empty or duplicated within a process.
+// reqSeq breaks ties when the random source fails (before Go 1.24
+// crypto/rand.Read can return an error); IDs must never be empty or
+// duplicated within a process.
 var reqSeq atomic.Int64
+
+// randBytes is the random source; tests replace it to reach the
+// fallback. It returns the array by value: a slice passed through the
+// variable would move every ID's bytes to the heap.
+var randBytes = func() (b [8]byte, err error) {
+	_, err = rand.Read(b[:])
+	return b, err
+}
 
 // NewRequestID mints a 16-hex-char request ID.
 func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Fall back to a process-unique counter; "r" keeps it from ever
-		// colliding with the hex form.
-		return "r" + hex.EncodeToString([]byte{byte(reqSeq.Add(1))})
+	b, err := randBytes()
+	if err != nil {
+		// Fall back to a process-unique counter, all of it; "r" keeps it
+		// from ever colliding with the hex form.
+		return "r" + strconv.FormatInt(reqSeq.Add(1), 16)
 	}
 	return hex.EncodeToString(b[:])
 }

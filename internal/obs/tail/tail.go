@@ -44,12 +44,6 @@ type Config struct {
 	// oldest entries are evicted and counted in the snapshot's Dropped
 	// fields.
 	errN int
-	// OnOutlier, when set, is called (outside the buffer lock, on the
-	// request's goroutine) each time an entry displaces a retained slow
-	// entry from a full heap — a genuine latency outlier, not warm-up
-	// fill. The serving tier uses it to trigger a profile capture of
-	// the process while the slowness is still happening.
-	OnOutlier func(ev *obs.WideEvent)
 }
 
 // Entry is one captured request: its wide event plus the span tree that
@@ -158,23 +152,13 @@ func (b *Buffer) Add(ev *obs.WideEvent, span *obs.Span) {
 
 	b.mu.Lock()
 	w := b.rotateLocked()
-	retained := errored || degraded
 	if errored {
 		w.errs = appendBounded(w.errs, entry, b.cfg.errN, &w.droppedErr)
 	}
 	if degraded {
 		w.degr = appendBounded(w.degr, entry, b.cfg.errN, &w.droppedDegr)
 	}
-	// An admission that displaces an entry from a *full* heap is a true
-	// outlier — slower than everything already retained — as opposed to
-	// warm-up fill right after start or rotation.
-	heapWasFull := len(w.slow) == b.cfg.SlowN
-	if b.pushSlowLocked(w, entry) {
-		retained = true
-	} else {
-		heapWasFull = false
-	}
-	if retained {
+	if b.pushSlowLocked(w, entry) || errored || degraded {
 		// Under b.mu so a concurrent Snapshot never observes the entry
 		// with its trace half-assigned. The event's stages are read off
 		// the same copy: only a kept event carries them.
@@ -184,10 +168,6 @@ func (b *Buffer) Add(ev *obs.WideEvent, span *obs.Span) {
 		}
 	}
 	b.mu.Unlock()
-
-	if heapWasFull && b.cfg.OnOutlier != nil {
-		b.cfg.OnOutlier(ev)
-	}
 }
 
 // appendBounded appends to a FIFO slice capped at n, evicting the

@@ -201,36 +201,3 @@ func TestConcurrentAdds(t *testing.T) {
 		t.Fatal("no slow entries retained")
 	}
 }
-
-func TestOnOutlierFiresOnlyOnDisplacement(t *testing.T) {
-	var fired []string
-	b, _ := newTestBuffer(Config{SlowN: 3, OnOutlier: func(e *obs.WideEvent) {
-		fired = append(fired, e.RequestID)
-	}})
-	// Warm-up fill: the heap is not yet full, so admissions are not
-	// outliers and must not fire the callback.
-	for i := 1; i <= 3; i++ {
-		b.Add(ev(obs.OutcomeOK, float64(i)), nil)
-	}
-	if len(fired) != 0 {
-		t.Fatalf("OnOutlier fired %v during warm-up fill", fired)
-	}
-	// Too fast to displace anything: no callback.
-	b.Add(ev(obs.OutcomeOK, 0.5), nil)
-	if len(fired) != 0 {
-		t.Fatalf("OnOutlier fired %v for a non-admitted request", fired)
-	}
-	// A true outlier displaces the heap root: exactly one callback,
-	// with the outlier's own event.
-	outlier := ev(obs.OutcomeOK, 100)
-	b.Add(outlier, nil)
-	if len(fired) != 1 || fired[0] != outlier.RequestID {
-		t.Fatalf("OnOutlier fired %v, want exactly [%s]", fired, outlier.RequestID)
-	}
-	// An errored fast request is retained in the errored FIFO but does
-	// not displace a slow entry: no callback.
-	b.Add(ev(obs.OutcomeError, 0.1), nil)
-	if len(fired) != 1 {
-		t.Fatalf("OnOutlier fired %v for an errored non-outlier", fired)
-	}
-}

@@ -6,12 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"emgo/internal/contprof"
 	"emgo/internal/obs/slo"
 )
 
@@ -120,120 +117,6 @@ func BenchmarkMatchSingleObserved(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
-}
-
-// profiledConfig is observedConfig with the continuous profiler armed
-// at its production defaults: the 60s interval means no periodic
-// capture fires during the benchmark, so what is measured is the
-// steady-state cost of carrying the profiler — the per-route pprof
-// label arm on every request, the tail-outlier trigger hook (hit on
-// every heap displacement), and the default mutex/block sampling
-// rates. Capture work itself (CPU window, profile serialization,
-// gzip) is deliberately excluded the same way the interval capture
-// is: pre-firing the tail-outlier trigger under the 30 s cooldown
-// dedups every displacement-driven trigger in the timed region, so
-// the per-op numbers price what every request pays, not the rare
-// policy-bounded capture. The *ObservedProfiled benchmarks against
-// their *Observed counterparts are the profiler's <5% overhead guard.
-func profiledConfig(b *testing.B) Config {
-	b.Helper()
-	// The harness re-invokes the benchmark body while ramping b.N, but
-	// cleanups only run at the end, so without this each ramp step
-	// would stack another live profiler under the timed region.
-	if prev := lastBenchProfiler; prev != nil {
-		prev.Stop()
-	}
-	dir := b.TempDir()
-	p, err := contprof.Open(contprof.Config{
-		Dir:         dir,
-		Interval:    contprof.DefaultInterval,
-		CPUDuration: 10 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Start()
-	lastBenchProfiler = p
-	b.Cleanup(p.Stop)
-	if !p.Trigger(contprof.TriggerTailOutlier, "bench pre-fire", "") {
-		b.Fatal("contprof: pre-fire trigger not scheduled")
-	}
-	waitForCapture(b, dir)
-	cfg := observedConfig()
-	cfg.Profiler = p
-	return cfg
-}
-
-// lastBenchProfiler is the profiler armed by the most recent
-// profiledConfig call; Stop is idempotent, so stopping it both here and
-// in its own cleanup is safe.
-var lastBenchProfiler *contprof.Profiler
-
-// waitForCapture blocks until the pre-fired capture's sidecar lands, so
-// none of its work overlaps the timed region.
-func waitForCapture(b *testing.B, dir string) {
-	b.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		metas, err := filepath.Glob(filepath.Join(dir, "*.meta.json"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(metas) > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	b.Fatal("contprof: pre-fired capture never completed")
-}
-
-// BenchmarkMatchSingleObservedProfiled is BenchmarkMatchSingleObserved
-// with the continuous profiler carried at the default interval.
-func BenchmarkMatchSingleObservedProfiled(b *testing.B) {
-	s, _ := newTestServer(b, profiledConfig(b))
-	h := s.Handler()
-	bodies := make([]string, 3)
-	for i, rec := range benchRecords(3) {
-		buf, err := json.Marshal(map[string]any{"record": rec})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies[i] = string(buf)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/match", strings.NewReader(bodies[i%3]))
-		rw := httptest.NewRecorder()
-		h.ServeHTTP(rw, req)
-		if rw.Code != 200 {
-			b.Fatalf("status %d: %s", rw.Code, rw.Body.String())
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
-}
-
-// BenchmarkMatchBatch32ObservedProfiled is BenchmarkMatchBatch32Observed
-// with the continuous profiler carried at the default interval.
-func BenchmarkMatchBatch32ObservedProfiled(b *testing.B) {
-	s, _ := newTestServer(b, profiledConfig(b))
-	h := s.Handler()
-	buf, err := json.Marshal(map[string]any{"records": benchRecords(32)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	body := string(buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/match/batch", strings.NewReader(body))
-		rw := httptest.NewRecorder()
-		h.ServeHTTP(rw, req)
-		if rw.Code != 200 {
-			b.Fatalf("status %d: %s", rw.Code, rw.Body.String())
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/record")
 }
 
 // BenchmarkMatchBatch32Observed is BenchmarkMatchBatch32 under the same

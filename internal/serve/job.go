@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"emgo/internal/ckpt"
-	"emgo/internal/contprof"
 	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
@@ -789,17 +788,7 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (a
 	if err != nil {
 		return nil, tally, err
 	}
-	var resps []*MatchResponse
-	br := NewBreaker(BreakerConfig{})
-	if jm.srv.cfg.Profiler != nil {
-		// Label shard work so CPU captures separate batch-job cycles
-		// from interactive traffic (`go tool pprof -tags`).
-		contprof.Do(shardCtx, func(ctx context.Context) {
-			resps, tally, _, err = jm.srv.matchSet(ctx, sub, br, false)
-		}, "job", job.ID, "shard", strconv.Itoa(idx))
-	} else {
-		resps, tally, _, err = jm.srv.matchSet(shardCtx, sub, br, false)
-	}
+	resps, tally, _, err := jm.srv.matchSet(shardCtx, sub, NewBreaker(BreakerConfig{}), false)
 	if err != nil {
 		return nil, tally, err
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"emgo/internal/contprof"
 	"emgo/internal/obs"
 )
 
@@ -75,13 +74,6 @@ func routeOf(pattern string) string {
 // the error budget; ops probes (health, status) get request IDs and
 // wide events but do not dilute the SLO.
 func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.HandlerFunc {
-	// One label set per route, built once here at mux construction: the
-	// request path re-arms it with two pointer writes instead of paying
-	// pprof.Do's per-call label-map allocation.
-	var labels contprof.Labels
-	if s.cfg.Profiler != nil {
-		labels = contprof.NewLabels("route", route)
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		id, ok := obs.SanitizeRequestID(r.Header.Get("X-Request-Id"))
 		if !ok {
@@ -100,12 +92,7 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		ctx, root := obs.NewTrace(ctx, "serve.http")
 
 		sw := &statusWriter{ResponseWriter: w}
-		// Label the handler's goroutine so continuous CPU captures slice
-		// by endpoint (`go tool pprof -tags`); the set is empty — and
-		// Do a plain call — when profiling is off.
-		labels.Do(ctx, func(ctx context.Context) {
-			h(sw, r.WithContext(ctx))
-		})
+		h(sw, r.WithContext(ctx))
 		if sw.status == 0 {
 			// The handler wrote nothing; net/http will send 200.
 			sw.status = http.StatusOK

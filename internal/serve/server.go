@@ -35,7 +35,6 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/ckpt"
-	"emgo/internal/contprof"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -120,15 +119,6 @@ type Config struct {
 	// SLOs are the service objectives evaluated into burn rates on
 	// /v1/status and emmonitor slo; nil selects slo.DefaultObjectives.
 	SLOs []slo.Objective
-	// Profiler, when set, is the continuous-profiling retention ring:
-	// requests run under pprof route labels, tail-outlier admissions
-	// trigger captures, and /debug/contprof/ mounts on the handler. Nil
-	// disables all of it (labels included).
-	Profiler *contprof.Profiler
-	// ProfileOnBreach arms the profiler's breach probe against the SLO
-	// tracker, so a sustained burn-rate breach captures the burning
-	// process without an operator in the loop.
-	ProfileOnBreach bool
 }
 
 // Server is the online matching service.
@@ -200,20 +190,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		cfg.RightIDCol = "RecordId"
 	}
 	cfg.Stream = cfg.Stream.withDefaults()
-	tailCfg := tail.Config{SlowN: cfg.TailN}
-	if prof := cfg.Profiler; prof != nil {
-		// A request slow enough to displace the retained slow set is
-		// worth a profile of the process while whatever slowed it down
-		// is plausibly still happening; the profiler's cooldown turns a
-		// storm of outliers into one capture.
-		tailCfg.OnOutlier = func(ev *obs.WideEvent) {
-			// TriggerFunc: displacements are common, scheduled captures
-			// rare — the detail is only formatted for the rare case.
-			prof.TriggerFunc(contprof.TriggerTailOutlier, func() string {
-				return fmt.Sprintf("route=%s duration_ms=%.1f", ev.Route, ev.DurationMS)
-			}, ev.RequestID)
-		}
-	}
 	s := &Server{
 		cfg:       cfg,
 		left:      left,
@@ -221,27 +197,11 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		breaker:   NewBreaker(cfg.Breaker),
 		adm:       NewAdmission(cfg.Admission),
 		events:    obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
-		tailBuf:   tail.New(tailCfg),
+		tailBuf:   tail.New(tail.Config{SlowN: cfg.TailN}),
 		sloTrk:    slo.New(slo.Config{Objectives: cfg.SLOs}),
 		started:   time.Now(),
 		drained:   make(chan struct{}),
 		streamSem: make(chan struct{}, cfg.Stream.MaxStreams),
-	}
-	if cfg.ProfileOnBreach && cfg.Profiler != nil {
-		trk := s.sloTrk
-		cfg.Profiler.SetBreachProbe(func() (bool, string) {
-			rep := trk.Evaluate()
-			if rep == nil || !rep.Breached {
-				return false, ""
-			}
-			for _, o := range rep.Objectives {
-				if o.Breached {
-					return true, fmt.Sprintf("objective=%s fast_burn=%.1f slow_burn=%.1f",
-						o.Name, o.FastBurn, o.SlowBurn)
-				}
-			}
-			return true, ""
-		})
 	}
 	if wf.Features != nil {
 		s.width = wf.Features.Len()
@@ -339,15 +299,11 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /readyz", false, s.handleReady)
 	handle("POST /-/reload", false, s.handleReload)
 	handle("GET /v1/status", false, s.handleStatus)
-	// The exact patterns take precedence over the /debug/ prefix: the tail
-	// buffer is always on, and a bare /debug/contprof redirects to the
-	// profiler's listing. The service has no authentication (a reload reads
-	// any path it is given), so its listen address is the boundary, for
-	// expvar and pprof too.
+	// The exact pattern takes precedence over the /debug/ prefix: the tail
+	// buffer is always on. The service has no authentication (a reload
+	// reads any path it is given), so its listen address is the boundary,
+	// for expvar and pprof too.
 	mux.Handle("GET /debug/tail", s.tailBuf.Handler())
-	if s.cfg.Profiler != nil {
-		mux.Handle("/debug/contprof/", s.cfg.Profiler.Handler())
-	}
 	mux.Handle("/debug/", obs.NewDebugMux())
 	return mux
 }

@@ -1,8 +1,8 @@
 // Package smoke is the tier-2 end-to-end harness: one tagged test
 // package that builds the CLIs once (emserve and emcasestudy with
 // -race), generates one projected slice, spec and matcher artifact once,
-// and then runs the serving, job, stream, observability, profiling, load,
-// monitoring and kill/resume contracts against the real binaries — every
+// and then runs the serving, job, stream, observability, load, monitoring
+// and kill/resume contracts against the real binaries — every
 // emserve started, killed and drained through load.ServerProc, every
 // request sent through load.Client.
 //

@@ -94,7 +94,7 @@ func setup(work string) error {
 
 func bin(name string) string { return filepath.Join(binDir, name) }
 
-// TestSmoke runs the eight scenarios in sequence, printing one PASS line
+// TestSmoke runs the seven scenarios in sequence, printing one PASS line
 // each; `-run TestSmoke/<name>` runs one.
 func TestSmoke(t *testing.T) {
 	for _, sc := range []struct {
@@ -105,7 +105,6 @@ func TestSmoke(t *testing.T) {
 		{"job", smokeJob},
 		{"stream", smokeStream},
 		{"obs", smokeObs},
-		{"prof", smokeProf},
 		{"load", smokeLoad},
 		{"monitor", smokeMonitor},
 		{"chaos", smokeChaos},

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -213,123 +212,5 @@ func smokeObs(t *testing.T) {
 	}
 	code, out = cli(t, "emmonitor", "slo", "-url", s.BaseURL())
 	wantCLI(t, "emmonitor slo (burning)", code, out, 1, "availability")
-	s.drain(t)
-}
-
-// capture is the slice of a contprof capture's metadata the prof
-// scenario reads; listing is GET /debug/contprof.
-type capture struct {
-	ID        string            `json:"id"`
-	Trigger   string            `json:"trigger"`
-	Detail    string            `json:"detail"`
-	GoVersion string            `json:"go_version"`
-	Profiles  map[string]string `json:"profiles"`
-}
-
-type listing struct {
-	Dir      string    `json:"dir"`
-	Captures []capture `json:"captures"`
-}
-
-// byTrigger returns the oldest capture with the trigger, nil if none.
-func (l *listing) byTrigger(trigger string) *capture {
-	for i := range l.Captures {
-		if l.Captures[i].Trigger == trigger {
-			return &l.Captures[i]
-		}
-	}
-	return nil
-}
-
-// maxSeq is the highest capture sequence in the ring (ids are cap-%06d).
-func (l *listing) maxSeq() int {
-	top := -1
-	for _, c := range l.Captures {
-		if n, err := strconv.Atoi(strings.TrimPrefix(c.ID, "cap-")); err == nil && n > top {
-			top = n
-		}
-	}
-	return top
-}
-
-// smokeProf holds the continuous-profiling contract: interval captures
-// with every profile kind, trigger scheduling and dedup, gzip fetches,
-// 404 on unknown ids, ring and disk pruned to -prof-max while the
-// sequence advances, a final capture at drain, and an SLO burn under
-// -prof-on-breach capturing the fire with the objective named.
-func smokeProf(t *testing.T) {
-	const max = 3
-	dir := t.TempDir()
-	ring := filepath.Join(dir, "prof1")
-	s := start(t, dir, "prof_ring", "", nil,
-		"-prof-dir", ring, "-prof-interval", "400ms", "-prof-cpu", "100ms", "-prof-max", strconv.Itoa(max))
-	for i := 0; i < 4; i++ {
-		s.match(t, fmt.Sprintf("prof-%d", i), 200)
-	}
-	var l listing
-	list := func() *listing {
-		l = listing{} // a reused value would keep fields the next answer omits
-		s.getJSON(t, "/debug/contprof", &l)
-		return &l
-	}
-	landed := func(trigger string) *capture {
-		eventually(t, trigger+" capture", func() bool { return list().byTrigger(trigger) != nil })
-		return l.byTrigger(trigger)
-	}
-	iv := landed("interval")
-	if l.Dir == "" || iv.GoVersion == "" {
-		t.Errorf("listing dir %q, capture %s go_version %q — both must be set", l.Dir, iv.ID, iv.GoVersion)
-	}
-	for _, kind := range []string{"cpu", "heap", "goroutine", "mutex", "block"} {
-		if iv.Profiles[kind] == "" {
-			t.Errorf("capture %s is missing the %s profile", iv.ID, kind)
-		}
-	}
-
-	// A manual trigger schedules; an immediate repeat deduplicates.
-	first, err1 := s.c.TriggerProfile(ctx, "smoke", "")
-	again, err2 := s.c.TriggerProfile(ctx, "smoke", "")
-	if err1 != nil || err2 != nil || !first || again {
-		t.Errorf("triggers scheduled %v then %v (%v, %v), want true then false", first, again, err1, err2)
-	}
-	manual := landed("smoke")
-	for _, kind := range []string{"cpu", "heap"} {
-		code, _, data := s.call(t, http.MethodGet, "/debug/contprof/fetch?id="+manual.ID+"&kind="+kind, nil, nil)
-		if code != 200 || len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
-			t.Errorf("fetch of %s/%s = %d, %d bytes — want gzip", manual.ID, kind, code, len(data))
-		}
-	}
-	for _, id := range []string{"cap-999999", "..%2F..%2Fetc%2Fpasswd"} {
-		if code, _, _ := s.call(t, http.MethodGet, "/debug/contprof/fetch?id="+id+"&kind=cpu", nil, nil); code != 404 {
-			t.Errorf("fetch of unknown id %q = %d, want 404", id, code)
-		}
-	}
-	eventually(t, "the capture sequence to pass max+2", func() bool { return list().maxSeq() >= max+2 })
-	sidecars, _ := filepath.Glob(filepath.Join(ring, "*.meta.json"))
-	if len(l.Captures) > max || len(sidecars) > max {
-		t.Errorf("ring holds %d captures, %d sidecars on disk — want <= %d of each", len(l.Captures), len(sidecars), max)
-	}
-	s.drain(t, "drain capture")
-	drained := false
-	sidecars, _ = filepath.Glob(filepath.Join(ring, "*.meta.json"))
-	for _, path := range sidecars {
-		drained = drained || strings.Contains(readFile(t, path), `"trigger": "drain"`)
-	}
-	if !drained {
-		t.Errorf("no trigger=drain capture among %d sidecars after the drain", len(sidecars))
-	}
-
-	// 300ms on every match against a 50ms p99 objective: the breach
-	// probe must capture the fire while it burns.
-	s = start(t, dir, "prof_breach", "", nil,
-		"-slo", "latency=50ms@99", "-inject", "serve.match:mode=sleep,sleep=300ms",
-		"-prof-dir", filepath.Join(dir, "prof2"), "-prof-interval", "1s", "-prof-cpu", "100ms", "-prof-on-breach")
-	eventually(t, "an slo_breach capture", func() bool {
-		s.match(t, "prof-burn", 200)
-		return list().byTrigger("slo_breach") != nil
-	})
-	if c := l.byTrigger("slo_breach"); c.Detail == "" {
-		t.Errorf("slo_breach capture %s carries no objective detail", c.ID)
-	}
 	s.drain(t)
 }

@@ -57,7 +57,6 @@ var deploymentSettings = map[string]string{
 	"emserve -job-dir":              "path",
 	"emserve -access-log":           "path", // "-" is stderr
 	"emserve -tail-dump":            "path",
-	"emserve -prof-dir":             "path",
 	"emserve -right-id":             "id",
 	"emserve -max-inflight":         "size",
 	"emserve -max-queue":            "size",
@@ -69,7 +68,6 @@ var deploymentSettings = map[string]string{
 	"emserve -job-shard-size":       "size",
 	"emserve -job-max-queued":       "size",
 	"emserve -tail-n":               "size",
-	"emserve -prof-max":             "size",
 	"emserve -request-timeout":      "timeout",
 	"emserve -drain-timeout":        "timeout",
 	"emserve -read-header-timeout":  "timeout",

@@ -17,8 +17,8 @@ import (
 
 const metricDispositions = `
 A metric has a reader when one of these holds:
-  R0  it is a counter or histogram written outside internal/serve, internal/contprof
-      and internal/obs, so every -report run carries it and emmonitor diff compares it;
+  R0  it is a counter or histogram written outside internal/serve and
+      internal/obs, so every -report run carries it and emmonitor diff compares it;
   R1  non-test code, bench/ or the smoke harness uses the name somewhere other
       than the write (it is read back);
   R2  a _test.go outside internal/obs asserts on it: the counter is how that
@@ -122,7 +122,7 @@ type metricWrite struct {
 	name    string // the literal, or the literal head of a concatenation
 	prefix  bool   // the rest of the name is built at run time
 	kind    string // counter, histogram: the handle type's name
-	serving bool   // written by internal/serve, internal/contprof or internal/obs: no run report carries it
+	serving bool   // written by internal/serve or internal/obs: no run report carries it
 	site    string // the first write, file:line
 }
 
@@ -228,8 +228,8 @@ func (m *module) metricWrites(t *testing.T) (writes map[string]metricWrite, else
 	writes, elsewhere = map[string]metricWrite{}, map[string]bool{}
 	kinds := m.handleKinds(t)
 	for _, p := range m.sorted() {
-		serving := p.path == "emgo/internal/serve" || p.path == "emgo/internal/contprof" ||
-			p.path == "emgo/internal/obs" || strings.HasPrefix(p.path, "emgo/internal/obs/")
+		serving := p.path == "emgo/internal/serve" || p.path == "emgo/internal/obs" ||
+			strings.HasPrefix(p.path, "emgo/internal/obs/")
 		nameArgs := map[ast.Expr]bool{}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
