@@ -57,22 +57,25 @@ race-cpu:
 	$(GO) test -race -count=10 -run 'TestShardedJoin' ./internal/block
 	$(GO) test -race -cpu 1,2,4 ./internal/feature ./internal/serve
 
-# fuzz runs the tokenising oracles as fuzzers, ten seconds each — `go
+# fuzz runs the oracle tests as fuzzers, ten seconds each — `go
 # test` only replays their seeds: the word kernel against the string path
 # it replaced (FuzzWordKeys), packed q-gram keys against the token sets
 # they stand for (FuzzPackedKeys) and every prepared set similarity
 # against its naive definition (FuzzSetSimilarity) — the candidate-set
 # algebra against the map-and-slice set it replaced, asked through the
-# cursors that walk ascending operands (FuzzCandidateSetAlgebra), and the
+# cursors that walk ascending operands (FuzzCandidateSetAlgebra), the
 # three token blockers, bound, against the nested-loop join over titles
 # whose words fall on both sides of the density rule, postings walked or
-# bitmaps summed (FuzzTokenJoin).
+# bitmaps summed (FuzzTokenJoin), and the counting tree fitter against
+# the per-node sort it replaced, tree by tree on roots, views, repeated
+# rows and forest bootstraps (FuzzPresortedFit).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWordKeys$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidateSetAlgebra$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenJoin$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedKeys$$' -fuzztime 10s ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzSetSimilarity$$' -fuzztime 10s ./internal/feature
+	$(GO) test -run '^$$' -fuzz '^FuzzPresortedFit$$' -fuzztime 10s ./internal/ml
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with a replace onto this tree): tier-1 never compiles it, so a
@@ -165,7 +168,7 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), fifty seconds of fuzzing (make fuzz), the
+# trustworthy race-clean), sixty seconds of fuzzing (make fuzz), the
 # nested benchmark module's own vet and tests, the exported-surface check,
 # a run of every example program, the end-to-end smoke harness (the
 # kill/resume chaos scenario among its seven), and the perf-regression

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -64,8 +65,9 @@ func TrainingData(left, right *table.Table, labels *label.Store, sure *rules.Eng
 // FlagLabels is Section 8's label debugging: leave-one-out over ds with a
 // random forest of seed, returning, in row order, the pairs (pairs[i] is
 // ds's row i) whose label disagrees with the model trained without them.
-func FlagLabels(ds *ml.Dataset, pairs []block.Pair, seed int64) ([]block.Pair, error) {
-	flagged, err := ml.LeaveOneOutDebug(ml.Factory{
+// The retrains stop dispatching once ctx is done.
+func FlagLabels(ctx context.Context, ds *ml.Dataset, pairs []block.Pair, seed int64) ([]block.Pair, error) {
+	flagged, err := ml.LeaveOneOutDebugCtx(ctx, ml.Factory{
 		Name: "random_forest",
 		New:  func() ml.Matcher { return &ml.RandomForest{Seed: seed} },
 	}, ds)

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -226,7 +227,7 @@ func (p *Project) DebugLabels() ([]block.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FlagLabels(ds, pairs, p.seed)
+	return FlagLabels(context.Background(), ds, pairs, p.seed)
 }
 
 // Match runs the project's workflow — sure rules, blocking, the trained

@@ -45,14 +45,15 @@ type Dataset struct {
 }
 
 // presort is a root's matrix laid out for split scans: column-major
-// values, and for every feature its rows in ascending value order (ord)
-// and each row's position in that order (rank). Rows are int32 so a sort
-// key packs (rank, row) into one uint64.
+// values, each cell's id among its feature's distinct values, and every
+// feature's distinct values in ascending order, all features in one slab.
+// A split scan counts a node's rows per id and walks the ids in order.
 type presort struct {
 	n, nf int
 	col   []float64 // col[j*n+i] = X[i][j]
-	ord   []int32   // ord[j*n+k] = the row holding feature j's k-th smallest value
-	rank  []int32   // rank[j*n+i] = position of row i in feature j's ord
+	vid   []int32   // vid[j*n+i] = id of X[i][j] among feature j's distinct values
+	vals  []float64 // vals[off[j]+id] = feature j's value numbered id
+	off   []int32   // feature j's distinct values are vals[off[j]:off[j+1]]
 }
 
 // NewDataset validates and wraps the given matrix and labels, and
@@ -82,26 +83,40 @@ func NewDataset(features []string, x [][]float64, y []int) (*Dataset, error) {
 	return &Dataset{Features: features, X: x, Y: y, sorted: presortRows(x, len(features))}, nil
 }
 
-// presortRows lays the n×nf matrix x out column-major and presorts it.
-// Order within tied values is whatever the sort leaves: a split is never
-// placed between equal values, so no fit depends on it.
+// presortRows lays the n×nf matrix x out column-major and numbers each
+// feature's distinct values in ascending order. -0 and +0 share an id:
+// == holds between them, so a split is never placed between the two.
 func presortRows(x [][]float64, nf int) *presort {
 	n := len(x)
-	p := &presort{n: n, nf: nf, col: make([]float64, n*nf), ord: make([]int32, n*nf), rank: make([]int32, n*nf)}
+	p := &presort{n: n, nf: nf, col: make([]float64, n*nf), off: make([]int32, nf+1)}
 	for i, row := range x {
 		for j, v := range row {
 			p.col[j*n+i] = v
 		}
 	}
+	// One feature's rows in value order live in n spare ids past the
+	// last feature's, so the sort needs no slice of its own.
+	vid := make([]int32, (nf+1)*n)
+	p.vid = vid[: nf*n : nf*n]
+	byValue := vid[nf*n:]
 	for j := 0; j < nf; j++ {
-		c, ord, rank := p.col[j*n:(j+1)*n], p.ord[j*n:(j+1)*n], p.rank[j*n:(j+1)*n]
-		for i := range ord {
-			ord[i] = int32(i)
+		c, id := p.col[j*n:(j+1)*n], p.vid[j*n:(j+1)*n]
+		for i := range byValue {
+			byValue[i] = int32(i)
 		}
-		slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(c[a], c[b]) })
-		for k, i := range ord {
-			rank[i] = int32(k)
+		slices.SortFunc(byValue, func(a, b int32) int { return cmp.Compare(c[a], c[b]) })
+		d := int32(0)
+		for k, i := range byValue {
+			if k == 0 || c[i] != c[byValue[k-1]] {
+				d++
+			}
+			id[i] = d - 1
 		}
+		p.off[j+1] = p.off[j] + d
+	}
+	p.vals = make([]float64, p.off[nf])
+	for k, v := range p.col {
+		p.vals[p.off[k/n]+p.vid[k]] = v
 	}
 	return p
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 )
@@ -95,19 +94,17 @@ func (t *DecisionTree) grow(g *grower, features []string) {
 }
 
 // grower is one tree fit's scratch, pooled across fits: a multiplicity
-// and a scan mark per root row, the fit's distinct rows (each node owns a
-// contiguous segment of members), sort keys, the candidate list, and the
-// nodes built so far in preorder.
+// per root row, the fit's distinct rows (each node owns a contiguous
+// segment of members), the candidate list, a split scan's histogram, and
+// the nodes built so far in preorder.
 type grower struct {
 	t       *DecisionTree
 	p       *presort
-	y       []int    // root labels
-	mult    []int32  // copies of each root row in this fit
-	mark    []uint32 // stamp of the large node whose rows are being scanned
-	stamp   uint32
+	y       []int   // root labels
+	mult    []int32 // copies of each root row in this fit
 	members []int32
-	keys    []uint64
 	cand    []int
+	hn, hp  []int // copies and positive copies per distinct value, zero between scans
 	nodes   []treeNode
 	right   []int32 // right child of nodes[i], for split nodes
 }
@@ -118,11 +115,11 @@ var growers = sync.Pool{New: func() any { return new(grower) }}
 func getGrower(root *Dataset, p *presort) *grower {
 	g := growers.Get().(*grower)
 	g.p, g.y = p, root.Y
-	if cap(g.mark) < p.n {
-		g.mark = make([]uint32, p.n)
-		g.mult = make([]int32, p.n)
+	if cap(g.mult) < p.n {
+		// A feature has at most one distinct value per row.
+		g.mult, g.hn, g.hp = make([]int32, p.n), make([]int, p.n), make([]int, p.n)
 	}
-	g.mark, g.mult = g.mark[:p.n], g.mult[:p.n]
+	g.mult = g.mult[:p.n]
 	return g
 }
 
@@ -198,10 +195,11 @@ func (g *grower) build(lo, hi, depth int) int32 {
 // which it returns as childGini. Thresholds are midpoints between
 // consecutive distinct values.
 //
-// Each candidate feature's values are walked in ascending order without
-// copying them: a node holding at least an eighth of the root's rows
-// walks the feature's presorted order and skips rows it does not hold; a
-// smaller node sorts packed (rank, row) keys of its own rows.
+// Each candidate feature is scored by counting: the node's copies and
+// positives per distinct value, then one walk over the values in
+// ascending order, O(rows + distinct values) with no sort. A feature with
+// one distinct value is skipped after the shuffle, so the rng draws are
+// the same whether or not it could split.
 func (g *grower) bestSplit(seg []int32, n, totalPos int) (feat int, thresh, childGini float64, ok bool) {
 	p, t := g.p, g.t
 	nf := p.nf
@@ -215,44 +213,31 @@ func (g *grower) bestSplit(seg []int32, n, totalPos int) (feat int, thresh, chil
 		candidates = candidates[:t.featureSubset]
 	}
 
-	large := len(seg)*8 >= p.n
-	if large {
-		if g.stamp == math.MaxUint32 {
-			clear(g.mark[:cap(g.mark)])
-			g.stamp = 0
-		}
-		g.stamp++
-		for _, r := range seg {
-			g.mark[r] = g.stamp
-		}
-	}
 	best := math.Inf(1)
 	for _, j := range candidates {
-		col := p.col[j*p.n : (j+1)*p.n]
-		var order []int32
-		if large {
-			order = p.ord[j*p.n : (j+1)*p.n]
-		} else {
-			rank := p.rank[j*p.n : (j+1)*p.n]
-			g.keys = g.keys[:0]
-			for _, r := range seg {
-				g.keys = append(g.keys, uint64(rank[r])<<32|uint64(r))
-			}
-			slices.Sort(g.keys)
+		vals := p.vals[p.off[j]:p.off[j+1]]
+		if len(vals) < 2 {
+			continue
 		}
+		vid := p.vid[j*p.n : (j+1)*p.n]
+		hn, hp := g.hn[:len(vals)], g.hp[:len(vals)]
+		lo := int32(len(vals))
+		for _, r := range seg {
+			c, id := int(g.mult[r]), vid[r]
+			hn[id] += c
+			hp[id] += c * g.y[r]
+			lo = min(lo, id)
+		}
+		// Walk up from the node's lowest id until all n copies are counted, emptying each bin.
 		leftN, leftPos := 0, 0
 		var last float64
-		for k := 0; leftN < n; k++ {
-			var r int32
-			if large {
-				if r = order[k]; g.mark[r] != g.stamp {
-					continue
-				}
-			} else {
-				r = int32(uint32(g.keys[k]))
+		for k := int(lo); leftN < n; k++ {
+			c := hn[k]
+			if c == 0 {
+				continue
 			}
-			v := col[r]
-			if leftN > 0 && v != last {
+			v := vals[k]
+			if leftN > 0 {
 				rightN := n - leftN
 				rightPos := totalPos - leftPos
 				gi := (float64(leftN)*gini(leftPos, leftN) + float64(rightN)*gini(rightPos, rightN)) / float64(n)
@@ -263,10 +248,10 @@ func (g *grower) bestSplit(seg []int32, n, totalPos int) (feat int, thresh, chil
 					ok = true
 				}
 			}
-			c := int(g.mult[r])
 			leftN += c
-			leftPos += c * g.y[r]
+			leftPos += hp[k]
 			last = v
+			hn[k], hp[k] = 0, 0
 		}
 	}
 	// Zero-gain splits are kept (e.g. the first split of XOR-shaped data

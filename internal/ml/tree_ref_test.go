@@ -160,7 +160,9 @@ func diffTrees(a, b *treeNode, path string) string {
 
 // oracleDataset draws an n×nf dataset of one kind: 0 continuous values,
 // 1 heavy ties (every value in {0, 0.5, 1}), 2 repeated rows, signed
-// zeros and a constant column. Labels follow the first two features, with
+// zeros and a constant column, 3 the study's mix of column regimes (a
+// near-continuous first column, every third column constant, the rest
+// with two or three values). Labels follow the first two features, with
 // noise, so trees grow several levels.
 func oracleDataset(rng *rand.Rand, n, nf, kind int) *Dataset {
 	x := make([][]float64, n)
@@ -168,13 +170,19 @@ func oracleDataset(rng *rand.Rand, n, nf, kind int) *Dataset {
 	for i := range x {
 		row := make([]float64, nf)
 		for j := range row {
-			switch kind {
-			case 0:
+			switch {
+			case kind == 0:
 				row[j] = rng.NormFloat64()
-			case 1:
+			case kind == 3 && j == 0:
+				row[j] = math.Round(rng.NormFloat64()*16) / 16
+			case kind == 1:
 				row[j] = float64(rng.Intn(3)) / 2
-			default:
+			case kind == 2:
 				row[j] = []float64{0, math.Copysign(0, -1), 1, -1, 0.25}[rng.Intn(5)]
+			case j%3 == 2:
+				row[j] = float64(j)
+			default:
+				row[j] = float64(rng.Intn(2+j%2)) / 2
 			}
 		}
 		if kind == 2 {
@@ -277,8 +285,12 @@ func TestPresortedFitMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := sizes[int(seed)%len(sizes)]
-		kind := int(seed) % 3
-		ds := oracleDataset(rng, n, 2+rng.Intn(6), kind)
+		kind := int(seed) % 4
+		nf := 2 + rng.Intn(6)
+		if kind == 3 {
+			nf = 9 + rng.Intn(17)
+		}
+		ds := oracleDataset(rng, n, nf, kind)
 		maxDepth, minSplit := 0, 0
 		if seed%4 == 1 {
 			maxDepth = 1 + rng.Intn(4)
@@ -296,9 +308,14 @@ func FuzzPresortedFit(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(1), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(4), uint8(200), uint8(6), uint8(2), uint8(3), uint8(9))
 	f.Add(int64(5), uint8(120), uint8(5), uint8(0), uint8(0), uint8(4))
+	f.Add(int64(6), uint8(150), uint8(24), uint8(3), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, n, nf, kind, maxDepth, minSplit uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		ds := oracleDataset(rng, 1+int(n), 1+int(nf%8), int(kind%3))
+		features := 1 + int(nf%8)
+		if kind%4 == 3 {
+			features = 1 + int(nf%25)
+		}
+		ds := oracleDataset(rng, 1+int(n), features, int(kind%4))
 		checkPresortedFit(t, ds, seed, int(maxDepth%6), int(minSplit%16))
 	})
 }
@@ -431,6 +448,37 @@ func TestConcurrentFitsShareOneRoot(t *testing.T) {
 			if d := diffTrees(got[i][k], want[i][k], ""); d != "" {
 				t.Fatalf("job %d tree %d: concurrent fit differs from serial: %s", i, k, d)
 			}
+		}
+	}
+}
+
+// TestFitAllocations pins what a fit on a presorted root allocates, so
+// its scratch — the rows' multiplicities, the split scan's histogram, the
+// nodes built so far — stays pooled across fits: a tree allocates itself
+// and its node slab, and a 10-tree forest its trees, their slabs and a
+// few slices per fit (bootstraps, seeds). AllocsPerRun runs at GOMAXPROCS 1,
+// where the forest's fan-out starts no goroutine; a scratch slice
+// allocated per tree would add ten.
+func TestFitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	for name, ds := range map[string]*Dataset{"study": studyData(), "continuous": synthDataset(500, 99)} {
+		tree := testing.AllocsPerRun(20, func() {
+			if err := (&DecisionTree{}).Fit(ds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		forest := testing.AllocsPerRun(20, func() {
+			if err := (&RandomForest{Trees: 10, Seed: 1}).Fit(ds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if tree > 2 {
+			t.Errorf("%s: DecisionTree.Fit allocates %v times, want at most 2", name, tree)
+		}
+		if forest > 25 {
+			t.Errorf("%s: a 10-tree RandomForest.Fit allocates %v times, want at most 25", name, forest)
 		}
 	}
 }

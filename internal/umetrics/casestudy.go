@@ -257,7 +257,7 @@ func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, sp := obs.StartSpan(ctx, "casestudy."+sec.name)
+		sctx, sp := obs.StartSpan(ctx, "casestudy."+sec.name)
 		store := cfg.Checkpoints
 		if sec.snapshot == nil {
 			store = nil
@@ -271,7 +271,7 @@ func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
 					}
 				}
 				pending = nil
-				return sec.run(s)
+				return sec.run(s, sctx)
 			},
 			func() sectionArt { return s.snapshot(sec) })
 		if note != "" {
@@ -298,7 +298,7 @@ func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // generate builds the raw data and the Figure 2 statistics.
-func (s *study) generate() error {
+func (s *study) generate(context.Context) error {
 	ds, err := Generate(s.cfg.Params)
 	if err != nil {
 		return err
@@ -325,7 +325,7 @@ const (
 // preprocess runs the Section 6 pipeline on both slices. ProjectNumber is
 // joined in up front (the paper discovered the need in Section 10; the
 // chronology numbers are still reported there).
-func (s *study) preprocess() error {
+func (s *study) preprocess(context.Context) error {
 	// Section 6 step 3: do the remaining tables share information with
 	// the USDA table? Vendor org names and DUNS do not overlap, so the
 	// vendor table is ruled out for matching.
@@ -394,7 +394,7 @@ func (s *study) build(spec *workflow.Spec, um *Projected, m ml.Matcher) (*workfl
 }
 
 // blocking reproduces the Section 7 numbers over the original slice.
-func (s *study) blocking() error {
+func (s *study) blocking(context.Context) error {
 	um, us := s.proj.UMETRICS, s.proj.USDA
 	s.report.CartesianPairs = um.Len() * us.Len()
 
@@ -479,7 +479,7 @@ func (s *study) blocking() error {
 
 // labeling reproduces Section 8: iterative sampling, the cross-check
 // episode, and leave-one-out label debugging.
-func (s *study) labeling() error {
+func (s *study) labeling(ctx context.Context) error {
 	s.labels = label.NewStore()
 	tool := label.NewTool(s.labels)
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
@@ -540,7 +540,7 @@ func (s *study) labeling() error {
 		return err
 	}
 	if ds.Len() >= 2 {
-		flagged, err := core.FlagLabels(ds, pairs, s.cfg.Seed)
+		flagged, err := core.FlagLabels(ctx, ds, pairs, s.cfg.Seed)
 		if err != nil {
 			return err
 		}

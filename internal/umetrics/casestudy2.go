@@ -16,7 +16,7 @@ import (
 // matching reproduces Section 9: matcher selection, debugging that leads
 // to the case-insensitive features, re-selection, and the Figure 8
 // workflow totals.
-func (s *study) matching() error {
+func (s *study) matching(context.Context) error {
 	// Initial selection on the auto-generated features.
 	ds, _, _, err := s.trainingSet(8)
 	if err != nil {
@@ -87,7 +87,7 @@ func (s *study) matching() error {
 // updating reproduces Section 10: the discovered positive rule, its
 // interaction with blocking and the matcher, and the Figure 9 patched
 // workflow over the original and extra slices.
-func (s *study) updating() error {
+func (s *study) updating(context.Context) error {
 	// How much does the new rule — Figure 9's second sure rule — matter
 	// on its own?
 	fig9 := FigureSpec(9)
@@ -159,7 +159,7 @@ type evalItem struct {
 
 // estimating reproduces Section 11: Corleone estimation of the Figure 9
 // workflow and the IRIS baseline over a labeled random sample of E.
-func (s *study) estimating() error {
+func (s *study) estimating(context.Context) error {
 	// Universe E = sure ∪ candidates of both slices.
 	var universe []evalItem
 	addAll := func(slice int, sets ...*block.CandidateSet) {
@@ -283,7 +283,7 @@ func (s *study) estimateSample(pred1, pred2 *block.CandidateSet) (estimate.Estim
 // refining reproduces Section 12: the negative pattern rule applied to
 // the learner's predictions, the final Figure 10 workflow, and its
 // estimated accuracy.
-func (s *study) refining() error {
+func (s *study) refining(context.Context) error {
 	fig10, err := s.build(FigureSpec(10), s.proj, nil)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package umetrics
 
 import (
+	"context"
 	"fmt"
 
 	"emgo/internal/block"
@@ -133,7 +134,7 @@ func (d *artDecoder) result(what string, a *resultArt, left, right *table.Table)
 // about it. A row without a snapshot is always replayed.
 type section struct {
 	name string
-	run  func(*study) error
+	run  func(*study, context.Context) error
 	// snapshot fills in the section's own fields of its artifact.
 	snapshot func(*study, *sectionArt)
 	// decode bounds-checks those fields against the replayed tables; the

@@ -1,6 +1,7 @@
 package umetrics
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -263,10 +264,10 @@ func TestSectionValidator(t *testing.T) {
 		t.Skip("generates a slice; skipped with -short")
 	}
 	s := &study{cfg: studyTestConfig(), report: &Report{}}
-	if err := s.generate(); err != nil {
+	if err := s.generate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.preprocess(); err != nil {
+	if err := s.preprocess(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	row := func(name string) *section {
