@@ -160,7 +160,7 @@ func TestExportMatcherWritesLoadableArtifact(t *testing.T) {
 	if !strings.Contains(stdout.String(), artifact) {
 		t.Fatalf("stdout: %s", stdout.String())
 	}
-	art, err := serve.LoadArtifact(context.Background(), artifact, 0)
+	art, err := serve.LoadArtifact(artifact, 0)
 	if err != nil {
 		t.Fatalf("exported artifact does not load: %v", err)
 	}

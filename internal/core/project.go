@@ -187,7 +187,7 @@ func (p *Project) SelectMatcher(folds int) ([]ml.CVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ml.SelectMatcher(ml.DefaultFactories(p.seed), ds, folds, p.seed)
+	return ml.SelectMatcherCtx(context.Background(), ml.DefaultFactories(p.seed), ds, folds, p.seed)
 }
 
 // Train fits a fresh matcher of the named kind ("decision_tree",

@@ -8,8 +8,8 @@
 // Injection is deterministic: a plan fires on exact call numbers
 // (FailFirst, OnCall), exact work-item indices (Indices), or a seeded
 // pseudo-random fraction of calls (Prob + Seed), never on wall-clock or
-// global randomness. That is what lets a test assert "the first artifact
-// read fails, the retry succeeds" and have it hold under -race and in CI.
+// global randomness. That is what lets a test assert "shard 1 fails, the
+// resubmission re-runs only it" and have it hold under -race and in CI.
 //
 // Known sites wired through the repository:
 //
@@ -22,9 +22,7 @@
 //	ckpt.rename              the atomic rename committing an artifact
 //	ckpt.read                each checkpoint artifact read (treated as corruption)
 //	serve.match              each admitted request in the online matching service
-//	serve.reload             each matcher-artifact read during serve hot reload
-//	serve.job.exec           each async-job shard execution attempt (idx = shard)
-//	serve.job.write          each async-job shard-result commit (idx = shard)
+//	serve.job.exec           each async-job shard execution (idx = shard)
 //	serve.stream.cursor      each resume-cursor parse on a results fetch
 //	serve.stream.write       each chunk flushed by a results stream
 package fault

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"emgo/internal/fault"
+	"emgo/internal/obs"
 	"emgo/internal/parallel"
 )
 
@@ -146,5 +147,22 @@ func TestLeaveOneOutDebugCtxCancelled(t *testing.T) {
 	_, err := LeaveOneOutDebugCtx(ctx, Factory{Name: "dt", New: func() Matcher { return &DecisionTree{} }}, ds)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
+	}
+}
+
+// TestSelectMatcherCtxCancelled: a selection under a cancelled context
+// returns its error without fitting a single fold.
+func TestSelectMatcherCtxCancelled(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	folds := obs.C("ml.cv.folds")
+	before := folds.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SelectMatcherCtx(ctx, DefaultFactories(1), forestDataset(t), 5, 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err: %v", err)
+	}
+	if n := folds.Value() - before; n != 0 {
+		t.Fatalf("ml.cv.folds advanced by %d under a cancelled context", n)
 	}
 }

@@ -73,7 +73,7 @@ func CrossValidate(f Factory, ds *Dataset, k int, rng *rand.Rand) (CVResult, err
 	if err != nil {
 		return CVResult{}, err
 	}
-	res, err := crossValidate([]Factory{f}, ds, folds)
+	res, err := crossValidate(context.Background(), []Factory{f}, ds, folds)
 	if err != nil {
 		return CVResult{}, err
 	}
@@ -83,8 +83,8 @@ func CrossValidate(f Factory, ds *Dataset, k int, rng *rand.Rand) (CVResult, err
 // crossValidate fits every factory on every fold's training view in
 // parallel, scores each fit on its held-out view, and averages each
 // factory's folds in fold order, so the results do not depend on how the
-// fits were scheduled.
-func crossValidate(factories []Factory, ds *Dataset, folds [][]int) ([]CVResult, error) {
+// fits were scheduled. The fits stop dispatching once ctx is done.
+func crossValidate(ctx context.Context, factories []Factory, ds *Dataset, folds [][]int) ([]CVResult, error) {
 	k := len(folds)
 	train, test := make([]*Dataset, k), make([]*Dataset, k)
 	for fi := range folds {
@@ -98,7 +98,7 @@ func crossValidate(factories []Factory, ds *Dataset, folds [][]int) ([]CVResult,
 	}
 	cvFolds := obs.C("ml.cv.folds")
 	confs := make([]Confusion, len(factories)*k)
-	err := parallel.ForCtx(context.Background(), len(confs), func(i int) error {
+	err := parallel.ForCtx(ctx, len(confs), func(i int) error {
 		f, fi := factories[i/k], i%k
 		cvFolds.Inc()
 		m := f.New()
@@ -148,6 +148,12 @@ func score(m Matcher, ds *Dataset) Confusion {
 // entry is the selected matcher. Every factory is scored on the same
 // seeded fold split, so the comparison is paired.
 func SelectMatcher(factories []Factory, ds *Dataset, k int, seed int64) ([]CVResult, error) {
+	return SelectMatcherCtx(context.Background(), factories, ds, k, seed)
+}
+
+// SelectMatcherCtx is SelectMatcher honouring ctx: the factories × folds
+// fits stop dispatching once ctx is done, and ctx's error is returned.
+func SelectMatcherCtx(ctx context.Context, factories []Factory, ds *Dataset, k int, seed int64) ([]CVResult, error) {
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("ml: no matchers to select from")
 	}
@@ -155,7 +161,7 @@ func SelectMatcher(factories []Factory, ds *Dataset, k int, seed int64) ([]CVRes
 	if err != nil {
 		return nil, err
 	}
-	results, err := crossValidate(factories, ds, folds)
+	results, err := crossValidate(ctx, factories, ds, folds)
 	if err != nil {
 		return nil, err
 	}

@@ -108,8 +108,8 @@ func (s *Span) Annotate(key, value string) {
 	s.trace.mu.Unlock()
 }
 
-// Event appends a timestamped event (a retry, a fault trip, a
-// checkpoint note) to the span. Safe on nil.
+// Event appends a timestamped event (a checkpoint note) to the span.
+// Safe on nil.
 func (s *Span) Event(kind, detail string) {
 	if s == nil {
 		return
@@ -118,12 +118,6 @@ func (s *Span) Event(kind, detail string) {
 	s.trace.mu.Lock()
 	s.events = append(s.events, e)
 	s.trace.mu.Unlock()
-}
-
-// AddEvent appends an event to the context's active span; a no-op when
-// no trace is active.
-func AddEvent(ctx context.Context, kind, detail string) {
-	SpanFromContext(ctx).Event(kind, detail)
 }
 
 // EventData is one timestamped span event in the exported trace.

@@ -1,21 +1,19 @@
-// Package retry implements capped exponential backoff with deterministic
-// schedules for the transient-fault boundaries: the serving tier's
-// matcher-artifact reads and the load generator's shed-retry schedule.
+// Package retry computes capped exponential backoff schedules. Its one
+// caller is the load generator's shed-retry loop (internal/load), which
+// sleeps each scheduled delay, raised to the server's Retry-After hint
+// when one arrived; workflow.Spec.BuildCtx still takes a Policy, which it
+// ignores, so its callers keep their signature.
 //
 // Determinism is the point. A Policy's Schedule is a pure function of its
 // fields — no global randomness — so tests can assert the exact delays a
-// retried stage will sleep, and two replicas retrying the same failure
+// retrying client will sleep, and two clients retrying the same failure
 // back off identically. When spreading load matters, Seed adds
 // deterministic pseudo-jitter: still reproducible, but distinct per seed.
 package retry
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"time"
-
-	"emgo/internal/obs"
 )
 
 // Policy describes a capped exponential backoff schedule. The zero value
@@ -50,8 +48,8 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Schedule returns the exact delays Do will sleep between attempts —
-// MaxAttempts-1 entries. It is what tests assert against.
+// Schedule returns the exact delays to sleep between attempts —
+// MaxAttempts-1 entries, none for a single attempt.
 func (p Policy) Schedule() []time.Duration {
 	p = p.withDefaults()
 	if p.MaxAttempts <= 1 {
@@ -75,48 +73,4 @@ func (p Policy) Schedule() []time.Duration {
 		d *= 2
 	}
 	return out
-}
-
-// Do runs fn under the policy: on a transient error it sleeps the next
-// scheduled delay (abandoning the wait if ctx is done) and tries again.
-// It returns nil on the first success, ctx's error when cancelled
-// mid-backoff, or the last attempt's error once the schedule is
-// exhausted.
-func Do(ctx context.Context, p Policy, fn func() error) (err error) {
-	p = p.withDefaults()
-	schedule := p.Schedule()
-	for attempts := 0; ; {
-		if cerr := ctx.Err(); cerr != nil {
-			if err != nil {
-				return fmt.Errorf("retry: cancelled after %d attempts: %w (last error: %v)", attempts, cerr, err)
-			}
-			return cerr
-		}
-		attempts++
-		obs.C("retry.attempts").Inc()
-		if attempts > 1 {
-			// A retry beyond the first attempt is the signal operators
-			// count; it also lands on the active trace span so a run
-			// report shows where the backoff time went.
-			obs.C("retry.retries").Inc()
-			obs.AddEvent(ctx, "retry", fmt.Sprintf("attempt %d after %v", attempts, err))
-		}
-		err = fn()
-		if err == nil {
-			return nil
-		}
-		if attempts > len(schedule) {
-			if attempts > 1 {
-				return fmt.Errorf("retry: %d attempts exhausted: %w", attempts, err)
-			}
-			return err
-		}
-		timer := time.NewTimer(schedule[attempts-1])
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return fmt.Errorf("retry: cancelled after %d attempts: %w (last error: %v)", attempts, ctx.Err(), err)
-		case <-timer.C:
-		}
-	}
 }

@@ -1,26 +1,19 @@
 package retry
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
 
+// TestZeroPolicySingleAttempt: the zero policy schedules no retry, so a
+// client built with it (emload without -shed-retries) tries once and
+// never sleeps.
 func TestZeroPolicySingleAttempt(t *testing.T) {
-	calls := 0
-	sentinel := errors.New("boom")
-	err := Do(context.Background(), Policy{}, func() error {
-		calls++
-		return sentinel
-	})
-	if calls != 1 {
-		t.Fatalf("calls=%d", calls)
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err: %v", err)
+	for _, p := range []Policy{{}, {MaxAttempts: 1, BaseDelay: time.Second}} {
+		if got := p.Schedule(); len(got) != 0 {
+			t.Fatalf("%+v schedules retries %v, want a single attempt", p, got)
+		}
 	}
 }
 
@@ -60,66 +53,5 @@ func TestSeededJitterDeterministicPerSeed(t *testing.T) {
 		if d < lo || d >= hi {
 			t.Fatalf("jittered delay %d = %v outside [%v,%v)", i, d, lo, hi)
 		}
-	}
-}
-
-func TestTransientThenSuccess(t *testing.T) {
-	calls := 0
-	p := Policy{MaxAttempts: 4, BaseDelay: time.Millisecond}
-	err := Do(context.Background(), p, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("calls=%d err=%v", calls, err)
-	}
-}
-
-func TestExhaustedReportsAttempts(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	calls := 0
-	err := Do(context.Background(), p, func() error { calls++; return errors.New("always") })
-	if calls != 3 {
-		t.Fatalf("calls = %d", calls)
-	}
-	if err == nil || !strings.Contains(err.Error(), "3 attempts") {
-		t.Fatalf("err: %v", err)
-	}
-}
-
-func TestCancelledDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Hour} // would sleep forever
-	start := time.Now()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	calls := 0
-	err := Do(ctx, p, func() error { calls++; return errors.New("transient") })
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("cancel did not interrupt backoff")
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d", calls)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err: %v", err)
-	}
-}
-
-func TestPreCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := Do(ctx, Policy{MaxAttempts: 3}, func() error { calls++; return nil })
-	if calls != 0 {
-		t.Fatalf("calls=%d", calls)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err: %v", err)
 	}
 }

@@ -30,10 +30,11 @@ import (
 //     binding), so a SIGKILL at any instant loses at most the shard in
 //     flight and a restart resumes from the last durable shard with
 //     byte-identical output;
-//   - each shard has a bounded retry loop around the learned matcher,
-//     apart from the online circuit breaker in both directions; a
-//     poisoned shard degrades to the rule-only path or is quarantined
-//     with an explicit reason instead of failing the job;
+//   - each shard runs once and its answer is final: a shard whose
+//     matcher fails commits the rule-only answer /v1/match would give,
+//     under a breaker of its own so it neither opens nor reads the
+//     online one; an execution or commit error fails the job, naming
+//     the shard, and a resubmission re-runs only the missing shards;
 //   - shard executors take slots from the same admission gate online
 //     requests use, so batch work is backpressured by interactive
 //     traffic (and shows up in the same EWMA Retry-After hints) instead
@@ -52,26 +53,29 @@ const (
 
 // Job-tier defaults.
 const (
-	DefaultJobShardSize     = 32
-	DefaultJobWorkers       = 2
-	DefaultJobMaxQueued     = 8
-	DefaultJobMaxRecords    = 100000
-	DefaultJobMaxBodyBytes  = 64 << 20
-	DefaultJobShardAttempts = 3
-	DefaultJobShardTimeout  = 60 * time.Second
-	DefaultJobRetryBackoff  = 25 * time.Millisecond
+	DefaultJobShardSize    = 32
+	DefaultJobWorkers      = 2
+	DefaultJobMaxQueued    = 8
+	DefaultJobMaxRecords   = 100000
+	DefaultJobMaxBodyBytes = 64 << 20
+	DefaultJobShardTimeout = 60 * time.Second
 )
+
+// jobSlotWait is how long a shard waits before asking the admission gate
+// again when online traffic has filled its wait line.
+const jobSlotWait = 25 * time.Millisecond
 
 // ErrJobShed is returned by Submit when the job queue is full; the HTTP
 // layer maps it to 429 + Retry-After, the same shedding contract the
 // single-record path uses.
 var ErrJobShed = errors.New("serve: job queue full, submission shed")
 
-// errJobStopped surfaces drain/shutdown inside a shard attempt. It is
-// deliberately NOT propagated out of runShard as an error: an error
-// would cancel the fan-out context and abort sibling shards mid-write,
-// and the drain contract is the opposite — in-flight shards commit,
-// untouched shards are skipped, the job parks as interrupted.
+// errJobStopped surfaces drain/shutdown inside a shard. runShard turns
+// it into a skipped shard, never an error: an error from runShard fails
+// the job (the fan-out stops dispatching; shards already running still
+// finish and commit), while the drain contract parks the job resumable —
+// in-flight shards commit, untouched shards are skipped, the job settles
+// interrupted.
 var errJobStopped = errors.New("serve: job tier stopping")
 
 // JobConfig tunes the async job tier. The zero value disables it (Dir
@@ -93,12 +97,6 @@ type JobConfig struct {
 	// maxRecords caps records per job (DefaultJobMaxRecords; only tests
 	// shrink it).
 	maxRecords int
-	// shardAttempts is how many times a shard is attempted before it is
-	// quarantined (DefaultJobShardAttempts; only tests lower it).
-	shardAttempts int
-	// retryBackoff is the pause between shard attempts
-	// (DefaultJobRetryBackoff; only tests shorten it).
-	retryBackoff time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -114,12 +112,6 @@ func (c JobConfig) withDefaults() JobConfig {
 	}
 	if c.maxRecords <= 0 {
 		c.maxRecords = DefaultJobMaxRecords
-	}
-	if c.shardAttempts <= 0 {
-		c.shardAttempts = DefaultJobShardAttempts
-	}
-	if c.retryBackoff <= 0 {
-		c.retryBackoff = DefaultJobRetryBackoff
 	}
 	return c
 }
@@ -153,18 +145,22 @@ type JobRecordResult struct {
 }
 
 // shardArtifact is the durable unit of job progress: one shard's
-// results, or its quarantine marker.
+// results. Quarantined is read, never written: a store from an older
+// build may hold a marker for a shard it gave up on, and validShard
+// refuses such an artifact so the shard is recomputed.
 type shardArtifact struct {
 	Shard       int               `json:"shard"`
 	Quarantined bool              `json:"quarantined,omitempty"`
-	Reason      string            `json:"reason,omitempty"`
 	Records     []JobRecordResult `json:"records,omitempty"`
 }
 
-// QuarantinedShard names a shard the job gave up on and why.
-type QuarantinedShard struct {
-	Shard  int    `json:"shard"`
-	Reason string `json:"reason"`
+// validShard is the fetch-side validator of a shard artifact: a
+// quarantine marker carries no records, so it is condemned.
+func validShard(a *shardArtifact) error {
+	if a.Quarantined {
+		return fmt.Errorf("shard %d is a quarantine marker, not an answer", a.Shard)
+	}
+	return nil
 }
 
 // JobStatus is the poll document for one job.
@@ -173,16 +169,11 @@ type JobStatus struct {
 	State   string `json:"state"`
 	Records int    `json:"records"`
 	Shards  int    `json:"shards"`
-	// DoneShards counts shards committed durably (including
-	// quarantined ones); ResumedShards is the subset inherited from a
-	// previous process instead of computed by this one.
+	// DoneShards counts shards committed durably; ResumedShards is the
+	// subset inherited from a previous process instead of computed by
+	// this one.
 	DoneShards    int `json:"done_shards"`
 	ResumedShards int `json:"resumed_shards"`
-	// Retries counts shard attempts that failed and were retried.
-	Retries int `json:"retries"`
-	// Quarantined lists shards this process quarantined (the durable
-	// truth lives in the shard artifacts and is reported by results).
-	Quarantined []QuarantinedShard `json:"quarantined,omitempty"`
 	// DegradedRecords counts records answered without the learned
 	// matcher.
 	DegradedRecords int    `json:"degraded_records"`
@@ -205,13 +196,11 @@ type Job struct {
 	store     *ckpt.Store
 	shards    int
 
-	mu          sync.Mutex
-	state       string
-	resumed     int
-	retries     int
-	quarantined []QuarantinedShard
-	degraded    int
-	errMsg      string
+	mu       sync.Mutex
+	state    string
+	resumed  int
+	degraded int
+	errMsg   string
 
 	// interrupted records that at least one shard was skipped because
 	// the tier was stopping; the settle logic parks the job resumable.
@@ -236,10 +225,9 @@ func (j *Job) shardLen(idx int) int {
 	return hi - lo
 }
 
-// doneShards counts the shards committed durably (quarantine markers
-// included). The store's manifest is the one record of that: a commit
-// adds to it and a shard found corrupt at fetch time leaves it, so no
-// counter has to be kept in step.
+// doneShards counts the shards committed durably. The store's manifest
+// is the one record of that: a commit adds to it and a shard found
+// corrupt at fetch time leaves it, so no counter has to be kept in step.
 func (j *Job) doneShards() int {
 	n := 0
 	for i := 0; i < j.shards; i++ {
@@ -610,7 +598,6 @@ func (jm *Jobs) runJob(job *Job) {
 	job.mu.Lock()
 	job.state = JobRunning
 	job.resumed = job.doneShards() // what this execution inherits
-	job.quarantined = nil
 	job.degraded = 0
 	job.mu.Unlock()
 	// One wide event per job execution — the async mirror of the
@@ -626,6 +613,11 @@ func (jm *Jobs) runJob(job *Job) {
 	err := parallel.ForWorkersCtx(ctx, job.shards, jm.cfg.Workers, func(i int) error {
 		return jm.runShard(ctx, job, i)
 	})
+	// runShard's error names its shard; the work index adds nothing.
+	var ie *parallel.IndexError
+	if errors.As(err, &ie) {
+		err = ie.Err
+	}
 
 	stopped := job.interrupted.Load() || jm.stopping() || jm.ctx.Err() != nil
 	job.mu.Lock()
@@ -639,9 +631,10 @@ func (jm *Jobs) runJob(job *Job) {
 		job.state = JobInterrupted
 		span.SetOutcome(obs.OutcomeInterrupted)
 	default:
-		// A store failure — or no error yet shards missing, which should
-		// be impossible: fail loudly rather than report a hole-ridden job
-		// as complete.
+		// A shard that failed to execute or commit — or no error yet
+		// shards missing, which should be impossible: fail loudly rather
+		// than report a hole-ridden job as complete. Resubmitting re-runs
+		// only the missing shards.
 		job.state = JobFailed
 		if err != nil {
 			job.errMsg = err.Error()
@@ -670,108 +663,43 @@ func jobOutcome(state string, degraded int) string {
 	return obs.OutcomeOK
 }
 
-// transientReason reports whether a degradation reason is worth
-// retrying: a matcher error or timeout may be a passing fault; a missing
-// matcher will not improve within this shard.
-func transientReason(reason string) bool {
-	switch reason {
-	case ReasonMatcherError, ReasonMatcherSlow, ReasonBlockerError:
-		return true
-	}
-	return false
-}
-
-// runShard makes shard idx durable: skip if already committed, else
-// attempt-execute-commit with bounded retries, degrading to the
-// rule-only answer and quarantining as a last resort. It returns an
-// error only for a store failure; a stop condition (drain, shutdown)
-// skips the shard, and a quarantined shard is a handled outcome.
+// runShard makes shard idx durable: skip it if already committed, else
+// execute it once and commit its answer. An execution or commit error is
+// returned naming the shard, and fails the job; a stop condition (drain,
+// shutdown) skips the shard without one.
 func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 	name := shardName(idx)
 	if job.store.Has(name) {
 		return nil
 	}
-	lo := idx * job.shardSize
-	hi := lo + job.shardLen(idx)
-
-	var lastErr error
-	for attempt := 1; attempt <= jm.cfg.shardAttempts; attempt++ {
-		// Stop conditions skip the shard WITHOUT an error: an error here
-		// would cancel sibling shards mid-commit (see errJobStopped).
-		if jm.stopping() || ctx.Err() != nil {
+	if jm.stopping() || ctx.Err() != nil {
+		job.interrupted.Store(true)
+		return nil
+	}
+	art, tally, err := jm.execShard(ctx, job, idx)
+	if err == nil {
+		err = job.store.WriteJSON(name, art)
+	}
+	if err != nil {
+		if errors.Is(err, errJobStopped) || ctx.Err() != nil {
 			job.interrupted.Store(true)
 			return nil
 		}
-		if attempt > 1 {
-			job.mu.Lock()
-			job.retries++
-			job.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				job.interrupted.Store(true)
-				return nil
-			case <-time.After(jm.cfg.retryBackoff):
-			}
-		}
-		art, tally, err := jm.execShardOnce(ctx, job, idx, lo, hi)
-		if err != nil {
-			if errors.Is(err, errJobStopped) || ctx.Err() != nil {
-				job.interrupted.Store(true)
-				return nil
-			}
-			lastErr = err
-			continue
-		}
-		// A transiently-degraded shard is retried while it has attempts
-		// left; the last attempt's rule-only answer is the answer.
-		if transientReason(tally.reason) && attempt < jm.cfg.shardAttempts {
-			lastErr = fmt.Errorf("shard %d degraded (%s)", idx, tally.reason)
-			continue
-		}
-		// Commit through the crash-safe store (and the serve.job.write
-		// fault site); a failed commit is one more failed attempt.
-		err = fault.InjectIdx("serve.job.write", idx)
-		if err == nil {
-			err = job.store.WriteJSON(name, art)
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				job.interrupted.Store(true)
-				return nil
-			}
-			lastErr = err
-			continue
-		}
-		job.mu.Lock()
-		job.degraded += tally.degraded
-		job.mu.Unlock()
-		return nil
-	}
-
-	// Out of attempts: quarantine the shard with its reason so the job
-	// completes with an explicit hole instead of failing or spinning.
-	reason := "exhausted attempts"
-	if lastErr != nil {
-		reason = lastErr.Error()
-	}
-	if err := job.store.WriteJSON(name, &shardArtifact{Shard: idx, Quarantined: true, Reason: reason}); err != nil {
-		// Even the quarantine marker would not persist: the store is
-		// broken, which is a job-level failure.
-		return fmt.Errorf("shard %d: quarantine after %q: %w", idx, reason, err)
+		return fmt.Errorf("shard %d: %w", idx, err)
 	}
 	job.mu.Lock()
-	job.quarantined = append(job.quarantined, QuarantinedShard{Shard: idx, Reason: reason})
+	job.degraded += tally.degraded
 	job.mu.Unlock()
 	return nil
 }
 
-// execShardOnce runs one shard attempt: take an admission slot (the
-// backpressure coupling with online traffic), run the amortized match
-// pipeline under a per-attempt deadline, and shape the deterministic
-// result records. The breaker lives for this attempt: a poisoned shard
-// must not open the online one, an open online one must never be
-// committed into a durable shard, and runShard bounds the matcher calls.
-func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (art *shardArtifact, tally matchTally, err error) {
+// execShard runs one shard: take an admission slot (the backpressure
+// coupling with online traffic), run the amortized match pipeline under
+// the shard deadline, and shape the deterministic result records. The
+// breaker lives for this shard: a poisoned shard must not open the
+// online one, and an open online one must never be committed into a
+// durable shard.
+func (jm *Jobs) execShard(ctx context.Context, job *Job, idx int) (art *shardArtifact, tally matchTally, err error) {
 	if err := fault.InjectIdx("serve.job.exec", idx); err != nil {
 		return nil, tally, err
 	}
@@ -784,7 +712,8 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (a
 	defer release()
 	shardCtx, cancel := context.WithTimeout(ctx, DefaultJobShardTimeout)
 	defer cancel()
-	sub, err := jm.srv.rowsTable("job:"+job.ID, job.rows[lo:hi])
+	lo := idx * job.shardSize
+	sub, err := jm.srv.rowsTable("job:"+job.ID, job.rows[lo:lo+job.shardLen(idx)])
 	if err != nil {
 		return nil, tally, err
 	}
@@ -807,10 +736,10 @@ func (jm *Jobs) execShardOnce(ctx context.Context, job *Job, idx, lo, hi int) (a
 }
 
 // acquireSlot takes a pipeline slot from the shared admission gate.
-// When online traffic has filled the wait line, the shard backs off and
-// retries instead of competing — batch work yields to interactive work,
-// which is the whole point of sharing the gate. Draining and shutdown
-// surface as errJobStopped.
+// When online traffic has filled the wait line, the shard waits
+// jobSlotWait and asks again instead of competing — batch work yields to
+// interactive work, which is the whole point of sharing the gate.
+// Draining and shutdown surface as errJobStopped.
 func (jm *Jobs) acquireSlot(ctx context.Context) (func(), error) {
 	for {
 		release, err := jm.srv.adm.Acquire(ctx)
@@ -821,7 +750,7 @@ func (jm *Jobs) acquireSlot(ctx context.Context) (func(), error) {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(jm.cfg.retryBackoff):
+			case <-time.After(jobSlotWait):
 			}
 		case errors.Is(err, ErrDraining):
 			return nil, errJobStopped
@@ -842,17 +771,14 @@ func (j *Job) State() string {
 func (j *Job) Status() *JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := &JobStatus{
+	return &JobStatus{
 		ID:              j.ID,
 		State:           j.state,
 		Records:         len(j.rows),
 		Shards:          j.shards,
 		DoneShards:      j.doneShards(),
 		ResumedShards:   j.resumed,
-		Retries:         j.retries,
 		DegradedRecords: j.degraded,
 		Error:           j.errMsg,
 	}
-	st.Quarantined = append(st.Quarantined, j.quarantined...)
-	return st
 }

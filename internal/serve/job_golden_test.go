@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 )
 
@@ -63,28 +62,6 @@ func TestGoldenJobStoreBytes(t *testing.T) {
 	sort.Strings(entries)
 	if got := strings.Join(entries, "\n"); m.Version != 1 || got != goldenJobManifest {
 		t.Errorf("manifest v%d entries:\n%s\nwant v1:\n%s", m.Version, got, goldenJobManifest)
-	}
-}
-
-// TestGoldenQuarantineMarkerBytes pins the other thing a shard artifact
-// can be: the marker a shard leaves when its attempts run out.
-func TestGoldenQuarantineMarkerBytes(t *testing.T) {
-	leakcheck.Check(t)
-	defer fault.Reset()
-	dir := t.TempDir()
-	cfg := jobConfig(dir)
-	cfg.Jobs.shardAttempts = 2
-	s, ts := newTestServer(t, cfg)
-	fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}})
-	st := submitJob(t, ts.URL, jobPayload(4))
-	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	s.Close()
-	got, err := os.ReadFile(filepath.Join(dir, st.ID, "shard_00001.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"shard":1,"quarantined":true,"reason":"fault: injected error at site \"serve.job.exec\" (idx 1)"}`; string(got) != want {
-		t.Errorf("shard_00001.json:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,13 +40,12 @@ func jobPayload(n int) string {
 }
 
 // jobConfig is the baseline job-tier test config: small shards, one
-// worker (deterministic shard order), fast retries.
+// worker (deterministic shard order).
 func jobConfig(dir string) Config {
 	return Config{Jobs: JobConfig{
-		Dir:          dir,
-		ShardSize:    2,
-		Workers:      1,
-		retryBackoff: 2 * time.Millisecond,
+		Dir:       dir,
+		ShardSize: 2,
+		Workers:   1,
 	}}
 }
 
@@ -140,8 +140,8 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatal("double fetch not byte-identical")
 	}
 	res := decodeResults(t, first)
-	if len(res.Results) != 6 || len(res.Quarantined) != 0 {
-		t.Fatalf("results = %d records, %d quarantined: %s", len(res.Results), len(res.Quarantined), first)
+	if len(res.Results) != 6 {
+		t.Fatalf("results = %d records: %s", len(res.Results), first)
 	}
 	for i, r := range res.Results {
 		if r.Index != i {
@@ -263,41 +263,36 @@ func TestJobResumeAfterStopByteIdentical(t *testing.T) {
 	}
 }
 
-// TestJobShardRetriesBoundMatcherCalls: at the shipped defaults (breaker
-// and attempts) it is a shard's retry loop that bounds its matcher calls,
-// apart from the online breaker. A matcher failing every call is asked
-// exactly ShardAttempts times a shard; the last attempt's rule-only
-// answer commits as matcher_error and the online breaker never hears of
-// it. A matcher failing once costs one retry and degrades nothing.
-func TestJobShardRetriesBoundMatcherCalls(t *testing.T) {
+// TestJobShardAsksMatcherOnce: a shard runs once, so a matcher failing
+// every call is asked once a shard (serve.ml_failures counts calls), the
+// shard commits its rule-only answer as matcher_error — what /v1/match
+// answers — and the online breaker never hears of it: each shard scores
+// under a breaker of its own.
+func TestJobShardAsksMatcherOnce(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	obs.Enable()
 	defer obs.Disable()
 	s, ts := newTestServer(t, jobConfig(t.TempDir()))
 	// All learned-path records: every shard needs the matcher.
-	submit := func(ids ...string) JobStatus {
-		recs := make([]map[string]any, len(ids))
-		for i, id := range ids {
-			recs[i] = l1Record(id)
-		}
-		body, _ := json.Marshal(map[string]any{"records": recs})
-		st := submitJob(t, ts.URL, string(body))
-		return *waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+	recs := make([]map[string]any, 4)
+	for i := range recs {
+		recs[i] = l1Record(fmt.Sprintf("q%d", i))
 	}
+	body, _ := json.Marshal(map[string]any{"records": recs})
 
-	// Every matcher call fails, so serve.ml_failures counts calls. The
-	// fault site itself is hit once per row scored, by however many
+	// The fault site itself is hit once per row scored, by however many
 	// workers reach it before the first failure stops the fan-out: its
-	// count depends on GOMAXPROCS and says nothing about retries.
+	// count depends on GOMAXPROCS and says nothing about shard runs.
 	fault.Enable("ml.predict", fault.Plan{})
 	callsBefore := obs.C("serve.ml_failures").Value()
-	done := submit("q0", "q1", "q2", "q3")
-	if done.DegradedRecords != 4 || len(done.Quarantined) != 0 {
-		t.Fatalf("poisoned matcher: %+v, want 4 degraded records and no quarantine", done)
+	st := submitJob(t, ts.URL, string(body))
+	done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+	if done.DegradedRecords != 4 {
+		t.Fatalf("poisoned matcher: %+v, want 4 degraded records", done)
 	}
-	if n, want := obs.C("serve.ml_failures").Value()-callsBefore, int64(done.Shards*DefaultJobShardAttempts); n != want {
-		t.Fatalf("matcher called %d times for %d shards, want %d each", n, done.Shards, DefaultJobShardAttempts)
+	if n := obs.C("serve.ml_failures").Value() - callsBefore; n != int64(done.Shards) {
+		t.Fatalf("matcher called %d times for %d shards, want once each", n, done.Shards)
 	}
 	for _, r := range decodeResults(t, fetchResults(t, ts.URL, done.ID)).Results {
 		if !r.Degraded || r.DegradedReason != ReasonMatcherError {
@@ -305,21 +300,10 @@ func TestJobShardRetriesBoundMatcherCalls(t *testing.T) {
 		}
 	}
 	s.breaker.mu.Lock()
-	st, failures := s.breaker.state, s.breaker.failures
+	bst, failures := s.breaker.state, s.breaker.failures
 	s.breaker.mu.Unlock()
-	if st != BreakerClosed || failures != 0 {
-		t.Fatalf("online breaker %v with %d failure(s) after poisoned shards, want closed with none", st, failures)
-	}
-
-	fault.Enable("ml.predict", fault.Plan{FailFirst: 1})
-	done = submit("r0", "r1") // one shard
-	if done.Retries != 1 || done.DegradedRecords != 0 {
-		t.Fatalf("matcher failing once: %+v, want exactly 1 retry and nothing degraded", done)
-	}
-	for _, r := range decodeResults(t, fetchResults(t, ts.URL, done.ID)).Results {
-		if r.Degraded {
-			t.Fatalf("record %d degraded after the retry succeeded: %+v", r.Index, r)
-		}
+	if bst != BreakerClosed || failures != 0 {
+		t.Fatalf("online breaker %v with %d failure(s) after poisoned shards, want closed with none", bst, failures)
 	}
 }
 
@@ -377,81 +361,60 @@ func TestJobKeepsRowsNotRecords(t *testing.T) {
 	}
 }
 
-// TestJobQuarantineAfterExhaustedAttempts: a shard poisoned at the
-// execution site burns its attempts and is quarantined with the
-// injected reason; the rest of the job completes and the fetch reports
-// the hole explicitly.
-func TestJobQuarantineAfterExhaustedAttempts(t *testing.T) {
+// TestJobFailedShardResubmitted: a shard whose execution fails, or whose
+// commit fails at the atomic rename under the store (the torn-write
+// shape), fails the job with an error naming the shard and no further
+// shard is dispatched. Resubmitting the same records re-runs only the
+// missing shards and the job streams the bytes an undisturbed run does.
+func TestJobFailedShardResubmitted(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
-	cfg := jobConfig(t.TempDir())
-	cfg.Jobs.shardAttempts = 2
-	_, ts := newTestServer(t, cfg)
-	fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}}) // only shard 1 is poisoned
-
-	st := submitJob(t, ts.URL, jobPayload(6)) // shards 0,1,2
-	done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	if len(done.Quarantined) != 1 || done.Quarantined[0].Shard != 1 {
-		t.Fatalf("quarantine report = %+v, want exactly shard 1", done.Quarantined)
-	}
-	if done.Quarantined[0].Reason == "" {
-		t.Fatal("quarantined shard carries no reason")
-	}
-	if done.Retries == 0 {
-		t.Fatal("quarantine must come after retry, not instead of it")
-	}
-	res := decodeResults(t, fetchResults(t, ts.URL, st.ID))
-	if len(res.Quarantined) != 1 || res.Quarantined[0].Shard != 1 {
-		t.Fatalf("results quarantine = %+v", res.Quarantined)
-	}
-	if len(res.Results) != 4 {
-		t.Fatalf("healthy shards answered %d records, want 4", len(res.Results))
-	}
-	for _, r := range res.Results {
-		if r.Index == 2 || r.Index == 3 {
-			t.Fatalf("quarantined shard's record %d leaked into results", r.Index)
-		}
-	}
-}
-
-// TestJobTornWriteRetried: a failed shard commit — the atomic rename
-// under the store (the torn-write shape), or the serve.job.write site in
-// front of it — is one more failed attempt: the shard is retried within
-// its budget and committed on the next attempt, and the job streams the
-// bytes an undisturbed run does.
-func TestJobTornWriteRetried(t *testing.T) {
-	leakcheck.Check(t)
+	body := jobPayload(6) // shards 0,1,2
 	_, clean := newTestServer(t, jobConfig(t.TempDir()))
-	ref := submitJob(t, clean.URL, jobPayload(4))
+	ref := submitJob(t, clean.URL, body)
 	waitJobState(t, clean.URL, ref.ID, JobCompleted, 5*time.Second)
 	want := fetchResults(t, clean.URL, ref.ID)
 
 	for _, tc := range []struct {
-		name string
-		arm  func()
+		name    string
+		workers int
+		arm     func()
 	}{
-		// ckpt.rename call 1 is job.json; call 2 is shard 0's first commit.
-		{"rename", func() { fault.Enable("ckpt.rename", fault.Plan{OnCall: 2}) }},
-		// One worker commits in shard order: call 2 is shard 1's first commit.
-		{"commit", func() { fault.Enable("serve.job.write", fault.Plan{OnCall: 2}) }},
+		// Two workers: shard 0 is in flight beside the failing shard 1
+		// and still commits.
+		{"exec", 2, func() { fault.Enable("serve.job.exec", fault.Plan{Indices: []int{1}}) }},
+		// ckpt.rename call 1 is job.json; one worker commits in shard
+		// order, so call 3 is shard 1's commit.
+		{"rename", 1, func() { fault.Enable("ckpt.rename", fault.Plan{OnCall: 3}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			cfg := jobConfig(t.TempDir())
-			cfg.Jobs.shardAttempts = 3
+			cfg.Jobs.Workers = tc.workers
 			_, ts := newTestServer(t, cfg)
 			tc.arm()
 
-			st := submitJob(t, ts.URL, jobPayload(4))
-			done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-			if done.Retries != 1 {
-				t.Fatalf("one failed commit must cost exactly one retry: %+v", done)
+			st := submitJob(t, ts.URL, body)
+			failed := waitJobState(t, ts.URL, st.ID, JobFailed, 5*time.Second)
+			if !strings.Contains(failed.Error, "shard 1:") {
+				t.Fatalf("failed job's error %q does not name shard 1", failed.Error)
 			}
-			if len(done.Quarantined) != 0 {
-				t.Fatalf("transient write failure must not quarantine: %+v", done.Quarantined)
+			if failed.DoneShards < 1 || failed.DoneShards >= failed.Shards {
+				t.Fatalf("failed job committed %d/%d shards, want shard 0 and not shard 1", failed.DoneShards, failed.Shards)
+			}
+
+			// The tripwire never fires but counts shard executions.
+			fault.Reset()
+			fault.Enable("serve.job.exec", fault.Plan{OnCall: 1 << 30})
+			again := submitJob(t, ts.URL, body)
+			if again.ID != st.ID {
+				t.Fatalf("resubmit id = %s, want %s", again.ID, st.ID)
+			}
+			waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+			if n := fault.Count("serve.job.exec"); n != failed.Shards-failed.DoneShards {
+				t.Fatalf("resubmit executed %d shards, want the %d missing ones", n, failed.Shards-failed.DoneShards)
 			}
 			if got := fetchResults(t, ts.URL, st.ID); !bytes.Equal(got, want) {
-				t.Fatalf("results after a retried commit differ from an undisturbed run:\n got %s\nwant %s", got, want)
+				t.Fatalf("results after a resubmit differ from an undisturbed run:\n got %s\nwant %s", got, want)
 			}
 		})
 	}
@@ -486,6 +449,37 @@ func TestJobCorruptShardRecomputedOnFetch(t *testing.T) {
 	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
 	if got := fetchResults(t, ts.URL, st.ID); !bytes.Equal(got, want) {
 		t.Fatalf("recomputed results differ from the original:\nnew: %s\nold: %s", got, want)
+	}
+}
+
+// TestJobQuarantineMarkerRecomputedOnFetch: a job store written by an
+// older build may hold a quarantine marker where a shard's records belong.
+// Its bytes verify, so the fetch-side validator is what condemns it: the
+// stream ends before that shard without a summary line, the job is
+// re-queued, and the recomputed results are byte-identical to a clean run.
+func TestJobQuarantineMarkerRecomputedOnFetch(t *testing.T) {
+	leakcheck.Check(t)
+	s, ts := newTestServer(t, jobConfig(t.TempDir()))
+	st := submitJob(t, ts.URL, jobPayload(6)) // shards 0,1,2
+	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+	want := fetchResults(t, ts.URL, st.ID)
+
+	marker := json.RawMessage(`{"shard":1,"quarantined":true,"reason":"exhausted attempts"}`)
+	if err := s.JobTier().Get(st.ID).store.WriteJSON(shardName(1), marker); err != nil {
+		t.Fatal(err)
+	}
+	resp := getStream(t, ts.URL, st.ID, "", "")
+	data, _, done := readStream(t, resp.Body)
+	resp.Body.Close()
+	if done || bytes.Contains(data, []byte(`"quarantined"`)) {
+		t.Fatalf("fetch over a quarantine marker streamed it (done=%v): %s", done, data)
+	}
+	if n := len(decodeResults(t, data).Results); n != 2 {
+		t.Fatalf("the stream carried %d records before the marker, want shard 0's 2", n)
+	}
+	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
+	if got := fetchResults(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("recomputed results differ from the clean run:\nnew: %s\nold: %s", got, want)
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"emgo/internal/ckpt"
-	"emgo/internal/fault"
 	"emgo/internal/ml"
-	"emgo/internal/retry"
 	"emgo/internal/workflow"
 )
 
@@ -34,21 +32,13 @@ type Artifact struct {
 }
 
 // LoadArtifact reads, verifies, and validates a matcher artifact file.
-// Reads pass the "serve.reload" fault site and transient failures are
-// retried under artifactRetry; decode and validation failures are permanent.
+// A read, decode or validation failure is returned as it happens: the
+// caller rolls back (Reload) or refuses to start (New).
 // wantFeatures > 0 additionally probes the model with a zero vector of
 // that width — a matcher trained against a different feature set must
 // be rejected at load time, not panic on the first request.
-func LoadArtifact(ctx context.Context, path string, wantFeatures int) (*Artifact, error) {
-	var data []byte
-	err := retry.Do(ctx, artifactRetry, func() error {
-		if ferr := fault.Inject("serve.reload"); ferr != nil {
-			return ferr
-		}
-		var rerr error
-		data, rerr = os.ReadFile(path)
-		return rerr
-	})
+func LoadArtifact(path string, wantFeatures int) (*Artifact, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: read matcher artifact %s: %w", path, err)
 	}
@@ -106,7 +96,7 @@ func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 	// never torn.
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	art, err := LoadArtifact(ctx, path, s.width)
+	art, err := LoadArtifact(path, s.width)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +28,7 @@ func saveFixtureMatcher(t *testing.T, dir, name string) string {
 func TestLoadArtifactChecksumAndProbe(t *testing.T) {
 	dir := t.TempDir()
 	path := saveFixtureMatcher(t, dir, "model.json")
-	art, err := LoadArtifact(context.Background(), path, 2)
+	art, err := LoadArtifact(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +36,7 @@ func TestLoadArtifactChecksumAndProbe(t *testing.T) {
 		t.Fatalf("artifact = %+v", art)
 	}
 	// Same bytes load to the same checksum (the provenance contract).
-	art2, err := LoadArtifact(context.Background(), path, 2)
+	art2, err := LoadArtifact(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,29 +57,12 @@ func TestLoadArtifactRejectsCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadArtifact(context.Background(), path, 2); err == nil {
+		if _, err := LoadArtifact(path, 2); err == nil {
 			t.Fatalf("%s: corrupt artifact loaded without error", name)
 		}
 	}
-	if _, err := LoadArtifact(context.Background(), filepath.Join(dir, "missing.json"), 2); err == nil {
+	if _, err := LoadArtifact(filepath.Join(dir, "missing.json"), 2); err == nil {
 		t.Fatal("missing artifact loaded without error")
-	}
-}
-
-func TestLoadArtifactRetriesTransientReads(t *testing.T) {
-	defer fault.Reset()
-	dir := t.TempDir()
-	path := saveFixtureMatcher(t, dir, "model.json")
-	fault.Enable("serve.reload", fault.Plan{FailFirst: 2})
-	art, err := LoadArtifact(context.Background(), path, 2)
-	if err != nil {
-		t.Fatalf("transient read faults should be retried away: %v", err)
-	}
-	if art.Matcher == nil {
-		t.Fatal("nil matcher after retried load")
-	}
-	if fault.Count("serve.reload") != 3 {
-		t.Fatalf("reload site reached %d times, want 3 (2 failures + success)", fault.Count("serve.reload"))
 	}
 }
 
@@ -120,7 +101,11 @@ func TestReloadSwapAndRollback(t *testing.T) {
 		t.Fatalf("breaker after successful reload = %v, want closed", st)
 	}
 
-	// Corrupt the artifact on disk: reload must fail and roll back.
+	// An unreadable artifact, then a corrupt one: each reload fails at
+	// its first failure and rolls back.
+	if _, err := s.Reload(context.Background(), filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("reload of a missing artifact reported success")
+	}
 	if err := os.WriteFile(path, []byte(`{"garbage":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -144,72 +129,6 @@ func TestReloadSwapAndRollback(t *testing.T) {
 	}
 	if resp.Degraded {
 		t.Fatalf("post-rollback request degraded: %+v", resp)
-	}
-}
-
-// TestReloadRetriesTransientRead: a server built from the zero Config
-// reads artifacts under artifactRetry, so one failed read costs a retry
-// and only a read that fails every attempt rolls the reload back.
-func TestReloadRetriesTransientRead(t *testing.T) {
-	leakcheck.Check(t)
-	defer fault.Reset()
-	dir := t.TempDir()
-	pathA := saveFixtureMatcher(t, dir, "a.json")
-	data, err := os.ReadFile(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same model under other bytes: another checksum to tell apart.
-	pathB := filepath.Join(dir, "b.json")
-	if err := os.WriteFile(pathB, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Config{MatcherPath: pathA})
-	first := s.Artifact().Checksum
-	reload := func(path string) (int, map[string]any) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/-/reload", "application/json", strings.NewReader(`{"path":"`+path+`"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
-	}
-	serving := func() string {
-		t.Helper()
-		if st, _, body := postMatch(t, ts.URL, l1Request); st != http.StatusOK {
-			t.Fatalf("match = %d: %s", st, body)
-		}
-		return s.Artifact().Checksum
-	}
-
-	fault.Enable("serve.reload", fault.Plan{FailFirst: 1})
-	status, body := reload(pathB)
-	second, _ := body["checksum"].(string)
-	if status != http.StatusOK || second == "" || second == first {
-		t.Fatalf("reload with one failed read = %d %v, want 200 and a checksum other than %s", status, body, first)
-	}
-	if n := fault.Count("serve.reload"); n != 2 {
-		t.Fatalf("reload site reached %d times, want 2 (one failure, one success)", n)
-	}
-	if got := serving(); got != second {
-		t.Fatalf("serving checksum %s after the retried reload, want %s", got, second)
-	}
-
-	fault.Enable("serve.reload", fault.Plan{FailFirst: artifactRetry.MaxAttempts})
-	status, body = reload(pathA)
-	if status != http.StatusUnprocessableEntity || body["active_checksum"] != second {
-		t.Fatalf("reload failing every read = %d %v, want 422 with %s still active", status, body, second)
-	}
-	if n := fault.Count("serve.reload"); n != artifactRetry.MaxAttempts {
-		t.Fatalf("reload site reached %d times, want every one of %d attempts", n, artifactRetry.MaxAttempts)
-	}
-	if got := serving(); got != second {
-		t.Fatalf("serving checksum %s after the rolled-back reload, want %s", got, second)
 	}
 }
 

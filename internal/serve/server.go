@@ -40,7 +40,6 @@ import (
 	"emgo/internal/obs"
 	"emgo/internal/obs/slo"
 	"emgo/internal/obs/tail"
-	"emgo/internal/retry"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -66,11 +65,6 @@ const (
 // granted to the learned-matcher stage, so a slow matcher times out with
 // room left to fall back to rules.
 const mlBudgetFrac = 0.7
-
-// artifactRetry is the artifact retry policy: New and Reload read the
-// matcher artifact under it, so a transient read failure costs a retry,
-// not a rollback.
-var artifactRetry = retry.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond}
 
 // Config tunes the service. The zero value serves with defaults.
 type Config struct {
@@ -220,7 +214,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	var err error
 	switch {
 	case cfg.MatcherPath != "":
-		if art, err = LoadArtifact(ctx, cfg.MatcherPath, s.width); err != nil {
+		if art, err = LoadArtifact(cfg.MatcherPath, s.width); err != nil {
 			return nil, err
 		}
 	case wf.Matcher != nil:

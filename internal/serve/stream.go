@@ -39,10 +39,9 @@ import (
 //
 // Line vocabulary (data lines reassemble; control lines steer):
 //
-//	{"index":...}                 data: one record's result
-//	{"shard":N,"quarantined":...} data: a quarantined shard's marker
-//	{"done":true,...}             data: the terminal summary line
-//	{"cursor":"emc1..."}          control: resume token (client strips)
+//	{"index":...}          data: one record's result
+//	{"done":true,...}      data: the terminal summary line
+//	{"cursor":"emc1..."}   control: resume token (client strips)
 
 // Streaming-transport defaults.
 const (
@@ -93,14 +92,6 @@ type streamSummaryLine struct {
 	JobID   string `json:"job_id"`
 	Records int    `json:"records"`
 	Shards  int    `json:"shards"`
-}
-
-// streamQuarantineLine is the data line standing in for a quarantined
-// shard's records.
-type streamQuarantineLine struct {
-	Shard       int    `json:"shard"`
-	Quarantined bool   `json:"quarantined"`
-	Reason      string `json:"reason,omitempty"`
 }
 
 // streamJobResults serves one streaming fetch of a completed job,
@@ -190,26 +181,20 @@ func (st *streamState) run(r *http.Request) (Cursor, error) {
 			return st.last, err
 		}
 		// The fetch-side read, bounded by one shard's bytes: nothing is
-		// sent that has not verified and decoded.
-		art, err := ckpt.Restore[shardArtifact](job.store, shardName(shard), nil)
+		// sent that has not verified, decoded and validated.
+		art, err := ckpt.Restore(job.store, shardName(shard), validShard)
 		if err != nil {
-			// The shard went corrupt under us; the store has quarantined
-			// it and the job is re-queued to recompute it. The stream ends
-			// here, never silently partial — the client resumes once the
-			// shard is back and gets identical bytes.
+			// The shard went corrupt under us, or is an older build's
+			// quarantine marker; the store has quarantined it and the job
+			// is re-queued to recompute it. The stream ends here, never
+			// silently partial — the client resumes once the shard is
+			// back and gets identical bytes.
 			jm.enqueue(job)
 			return st.last, fmt.Errorf("shard %d unreadable (%v); job re-queued for recompute", shard, err)
 		}
 		offset := 0
 		if shard == st.last.Shard {
 			offset = st.last.Offset
-		}
-		if art.Quarantined {
-			line := streamQuarantineLine{Shard: shard, Quarantined: true, Reason: art.Reason}
-			if err := st.flushChunk([]any{line}, Cursor{Shard: shard + 1}); err != nil {
-				return st.last, err
-			}
-			continue
 		}
 		recs := art.Records
 		for lo := offset; lo < len(recs); lo += st.s.cfg.Stream.FlushEvery {

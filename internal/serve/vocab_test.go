@@ -212,7 +212,8 @@ func TestOutcomeVocabulary(t *testing.T) {
 		fault.Reset()
 		// Shards are slow from here on, so the tier stops with work left.
 		fault.Enable("serve.job.exec", fault.Plan{Mode: fault.ModeSleep, Sleep: 40 * time.Millisecond})
-		// Failed: the store refuses every write, the quarantine marker too.
+		// Failed: the store refuses every write, so the first shard's
+		// commit fails the job.
 		st = submitJob(t, ts.URL, learned(4))
 		fault.Enable("ckpt.write", fault.Plan{})
 		waitJobState(t, ts.URL, st.ID, JobFailed, 5*time.Second)

@@ -6,7 +6,7 @@ package surface
 var allowlist = map[string]string{
 	"fault.Reset":   "test seam: every test that arms a fault site defers it",
 	"fault.Disable": "test seam: disarms one site mid-test while the others stay armed (serve's checkpoint-write recovery test)",
-	"fault.Count":   "test seam: how often a site was reached — how the retry, resume and shard-skip tests count attempts across packages",
+	"fault.Count":   "test seam: how often a site was reached — how the resume, resubmit and shard-skip tests count executions across packages",
 	"obs.Disable":   "test seam: undoes obs.Enable so one test's registry does not leak into the next",
 
 	"leakcheck.Check": "test seam: the goroutine-leak guard the concurrent packages' tests open with; the package exists for tests",
@@ -103,7 +103,6 @@ var unrunEntryPoints = map[string]string{
 // of the rest of the telemetry. No wildcard, at most eight.
 var traceReaders = map[string]metricReader{
 	"annotation blocker":  {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
-	"event retry":         {"why did this span take so long, and what was the transient error?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
 	"event ckpt":          {"why was this stage recomputed, or its checkpoint not written?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
 	"field stream_chunks": {"how far did each connection of a resumed fetch get?", "docs/OBSERVABILITY.md#serving-request-ids-reading-the-access-log-tail-slos"},
 }

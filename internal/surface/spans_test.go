@@ -107,15 +107,15 @@ func (n traceName) in(tests []testWords, tree bool) bool {
 }
 
 // traceWrites finds every span name (obs.StartSpan, obs.NewTrace),
-// annotation key ((*Span).Annotate) and event kind ((*Span).Event,
-// obs.AddEvent) non-test code outside package obs writes.
+// annotation key ((*Span).Annotate) and event kind ((*Span).Event)
+// non-test code outside package obs writes.
 func (m *module) traceWrites(t *testing.T) []traceName {
 	nameArg := map[string]struct {
 		kind string
 		arg  int
 	}{
 		"StartSpan": {"span", 1}, "NewTrace": {"span", 1},
-		"Annotate": {"annotation", 0}, "Event": {"event", 0}, "AddEvent": {"event", 1},
+		"Annotate": {"annotation", 0}, "Event": {"event", 0},
 	}
 	var out []traceName
 	for _, p := range m.sorted() {

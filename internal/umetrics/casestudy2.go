@@ -16,13 +16,13 @@ import (
 // matching reproduces Section 9: matcher selection, debugging that leads
 // to the case-insensitive features, re-selection, and the Figure 8
 // workflow totals.
-func (s *study) matching(context.Context) error {
+func (s *study) matching(ctx context.Context) error {
 	// Initial selection on the auto-generated features.
 	ds, _, _, err := s.trainingSet(8)
 	if err != nil {
 		return err
 	}
-	cv, err := ml.SelectMatcher(ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
+	cv, err := ml.SelectMatcherCtx(ctx, ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func (s *study) matching(context.Context) error {
 	if err != nil {
 		return err
 	}
-	cv, err = ml.SelectMatcher(ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
+	cv, err = ml.SelectMatcherCtx(ctx, ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func (s *study) matching(context.Context) error {
 // updating reproduces Section 10: the discovered positive rule, its
 // interaction with blocking and the matcher, and the Figure 9 patched
 // workflow over the original and extra slices.
-func (s *study) updating(context.Context) error {
+func (s *study) updating(ctx context.Context) error {
 	// How much does the new rule — Figure 9's second sure rule — matter
 	// on its own?
 	fig9 := FigureSpec(9)
@@ -116,7 +116,7 @@ func (s *study) updating(context.Context) error {
 		return err
 	}
 	s.lastTrain = ds
-	cv, err := ml.SelectMatcher(ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
+	cv, err := ml.SelectMatcherCtx(ctx, ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -131,7 +131,7 @@ func (s *study) updating(context.Context) error {
 	if err != nil {
 		return err
 	}
-	if fig9w, err = fig9w.Deploy(context.Background(), s.matcher, s.proj.USDA); err != nil {
+	if fig9w, err = fig9w.Deploy(ctx, s.matcher, s.proj.USDA); err != nil {
 		return err
 	}
 	if s.res1, err = fig9w.Run(s.proj.UMETRICS, s.proj.USDA); err != nil {
