@@ -68,7 +68,10 @@ race-cpu:
 # whose words fall on both sides of the density rule, postings walked or
 # bitmaps summed (FuzzTokenJoin), and the counting tree fitter against
 # the per-node sort it replaced, tree by tree on roots, views, repeated
-# rows and forest bootstraps (FuzzPresortedFit).
+# rows and forest bootstraps (FuzzPresortedFit), and the request record
+# walker, single and batch, against the map decode it replaced: the same
+# rows or the same 4xx status on every body (FuzzDecodeMatchRequest,
+# FuzzDecodeBatchRequest).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWordKeys$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidateSetAlgebra$$' -fuzztime 10s ./internal/block
@@ -76,6 +79,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedKeys$$' -fuzztime 10s ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzSetSimilarity$$' -fuzztime 10s ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzPresortedFit$$' -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 10s ./internal/serve
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with a replace onto this tree): tier-1 never compiles it, so a
@@ -168,7 +173,7 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), sixty seconds of fuzzing (make fuzz), the
+# trustworthy race-clean), eighty seconds of fuzzing (make fuzz), the
 # nested benchmark module's own vet and tests, the exported-surface check,
 # a run of every example program, the end-to-end smoke harness (the
 # kill/resume chaos scenario among its seven), and the perf-regression

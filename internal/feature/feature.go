@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"emgo/internal/block"
 	"emgo/internal/fault"
@@ -131,6 +132,10 @@ type Set struct {
 	// prepared.go).
 	right *table.Table
 	cells *rightCells
+	// leftPlan is a bound set's plan for the last left schema it met —
+	// requests share the server's — with the bound columns its groups
+	// read; resolved again only when another schema comes.
+	leftPlan atomic.Pointer[plan]
 }
 
 // Restrict returns the set a deployment vectorizes with: the same
@@ -404,7 +409,7 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	if err == nil {
 		width := len(s.Features)
 		flat := make([]float64, len(pairs)*width)
-		err = parallel.ForWorkersCtx(vctx, len(pairs), fanOut(len(pairs)), func(i int) error {
+		err = parallel.ForWorkersCtx(vctx, len(pairs), parallel.LightWorkers(len(pairs)), func(i int) error {
 			if err := fault.InjectIdx("feature.vectorize", i); err != nil {
 				return err
 			}

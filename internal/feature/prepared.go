@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 
 	"emgo/internal/block"
@@ -61,6 +60,10 @@ type plan struct {
 	lj, rj []int // per feature: left and right column index
 	groups []cellGroup
 	direct []int // features computed by Feature.Compute
+	// left is the schema lj was resolved under, and bound the bound
+	// set's column of each group (nil for a plain set).
+	left  *table.Schema
+	bound []*block.Column
 }
 
 // planFor resolves the set's columns against left and right and splits its
@@ -69,8 +72,13 @@ type plan struct {
 // closures (empty Func) and every other similarity stay direct; a feature
 // the set does not read (Restrict) is neither, though its columns must
 // still resolve — the tables a restricted set accepts are the full set's.
+// A bound set keeps the plan of the last left schema it met, so requests
+// under the server's schema resolve nothing.
 func (s *Set) planFor(left, right *table.Table) (*plan, error) {
-	pl := &plan{lj: make([]int, len(s.Features)), rj: make([]int, len(s.Features))}
+	if pl := s.leftPlan.Load(); pl != nil && pl.left == left.Schema() {
+		return pl, nil
+	}
+	pl := &plan{lj: make([]int, len(s.Features)), rj: make([]int, len(s.Features)), left: left.Schema()}
 	for k, f := range s.Features {
 		lj, err := left.Col(f.LeftCol)
 		if err != nil {
@@ -99,15 +107,12 @@ func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 		pl.groups[g].feats = append(pl.groups[g].feats, k)
 		pl.groups[g].ratios = append(pl.groups[g].ratios, sim.ratio)
 	}
+	if s.right != nil {
+		pl.bound = s.cells.of(pl.groups)
+		s.leftPlan.Store(pl)
+	}
 	return pl, nil
 }
-
-// fanOut is how many workers n light work items — a row to tokenise, a
-// pair to compare: microseconds each — are worth. Starting and waking a
-// goroutine costs about as much as several of them, so a one-record
-// request's handful of candidates runs on the caller and only real
-// batches fan out.
-func fanOut(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
 
 // prepared holds the cells a pair list's vectors are computed from: per
 // group the column of its right cells — the bound set's (Bind), which has
@@ -209,7 +214,7 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 	}
 	var err error
 	p.leftRows = sortedRows(pairs, left.Len(), func(q block.Pair) int { return q.A })
-	if p.cols = s.cells.of(pl.groups); p.cols == nil {
+	if p.cols = pl.bound; p.cols == nil {
 		p.rightRows = sortedRows(pairs, right.Len(), func(q block.Pair) int { return q.B })
 		var rc *rightCells
 		rc, err = s.prepareRight(ctx, right, p.rightRows, nil)
@@ -218,7 +223,7 @@ func (pl *plan) prepare(ctx context.Context, s *Set, left, right *table.Table, p
 	if err == nil {
 		n := len(p.leftRows)
 		p.left = make([]block.Cell, len(pl.groups)*n)
-		err = parallel.ForWorkersCtx(ctx, n, fanOut(n), func(slot int) error {
+		err = parallel.ForWorkersCtx(ctx, n, parallel.LightWorkers(n), func(slot int) error {
 			row := left.Row(p.leftRows[slot])
 			size := 0
 			for g := range pl.groups {
@@ -305,7 +310,7 @@ func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int, 
 	// A column's dictionary grows row by row, so the fan-out is over
 	// columns. Only ctx cuts a build short; it is reported here, bare, not
 	// under a column's index, which is no pair's.
-	err := parallel.ForWorkersCtx(ctx, len(fresh), fanOut(n), func(i int) error {
+	err := parallel.ForWorkersCtx(ctx, len(fresh), parallel.LightWorkers(n), func(i int) error {
 		g := fresh[i]
 		_ = rc.cols[g].Build(ctx, right, rc.rj[g], rows)
 		return nil

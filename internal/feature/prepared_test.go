@@ -663,7 +663,9 @@ func TestBindReadsBuiltColumns(t *testing.T) {
 }
 
 // TestConcurrentVectorizeSharesBoundCells: goroutines vectorizing over one
-// bound set read the same prepared right cells (run under -race).
+// bound set read the same prepared right cells (run under -race). Half
+// of them ask with the left columns in another order, so the plan the
+// set keeps for the last left schema keeps changing under them.
 func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 	l, r := registryTables(t)
 	set, err := Generate(l, r, map[string]string{"S": "S"}, []string{"S"})
@@ -675,11 +677,19 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	moved, err := l.Project("L", "D", "N", "S")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bound := mustBind(t, set, r)
 	done := make(chan [][]float64)
 	for g := 0; g < 8; g++ {
+		left := l
+		if g%2 == 1 {
+			left = moved
+		}
 		go func() {
-			x, err := bound.Vectorize(l, r, pairs)
+			x, err := bound.Vectorize(left, r, pairs)
 			if err != nil {
 				t.Error(err)
 			}

@@ -46,7 +46,9 @@ func NewRequestID() string {
 		// from ever colliding with the hex form.
 		return "r" + strconv.FormatInt(reqSeq.Add(1), 16)
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * len(b)]byte // on the stack: the string is the one allocation
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // SanitizeRequestID validates a client-supplied request ID: at most

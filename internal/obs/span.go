@@ -13,29 +13,89 @@ import (
 // instrumented code never checks whether tracing is active.
 type Span struct {
 	trace *trace
+	// ctx is the context StartSpan returns: the caller's, with this span
+	// active. It lives in the span, so starting a span allocates nothing
+	// beyond the trace's slab.
+	ctx spanCtx
 
-	name     string
-	start    time.Time
-	end      time.Time
-	items    int64
-	outcome  string
-	attrs    map[string]string
-	events   []EventData
-	children []*Span
+	name    string
+	start   time.Time
+	end     time.Time
+	items   int64
+	outcome string
+	attrs   *attr // Annotate's pairs, linked, latest first
+	events  []EventData
+	// first and last are the span's children, linked through next in
+	// the order they started.
+	first, last, next *Span
 }
 
-// trace owns the mutex all spans of one tree share. Stage fan-outs touch
-// spans from worker goroutines, so every mutation locks.
-type trace struct{ mu sync.Mutex }
+// attr is one Annotate pair.
+type attr struct {
+	key, value string
+	next       *attr
+}
+
+// trace owns what all spans of one tree share: the mutex every mutation
+// takes (stage fan-outs touch spans from worker goroutines) and the
+// slabs its spans and their pairs come from. The first slabs are the
+// trace's own arrays, sized for a request's tree.
+type trace struct {
+	mu         sync.Mutex
+	spans      []Span
+	attrs      []attr
+	firstSpans [traceSpans]Span
+	firstAttrs [traceAttrs]attr
+}
+
+// A trace holds this many spans and pairs before its slabs grow: one
+// online request opens ten or eleven spans and annotates three; 13
+// spans fill the allocation size class 12 would round up to.
+const traceSpans, traceAttrs = 13, 4
+
+// take hands out the next element of a slab. A full slab is replaced by
+// one twice its size; what was handed out stays where it is.
+func take[T any](slab *[]T) *T {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]T, 0, 2*cap(*slab))
+	}
+	*slab = (*slab)[:len(*slab)+1]
+	return &(*slab)[len(*slab)-1]
+}
+
+// newSpan hands out the next span of the trace; the caller holds mu
+// unless the trace is not yet shared.
+func (t *trace) newSpan(ctx context.Context, name string, start time.Time) *Span {
+	s := take(&t.spans)
+	s.trace, s.name, s.start = t, name, start
+	s.ctx = spanCtx{Context: ctx, span: s}
+	return s
+}
+
+// spanCtx is a context carrying its span: Value answers the span key
+// itself and asks the parent context for every other.
+type spanCtx struct {
+	context.Context
+	span *Span
+}
 
 type spanKey struct{}
+
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(spanKey); ok {
+		return c.span
+	}
+	return c.Context.Value(key)
+}
 
 // NewTrace opens a trace rooted at a span with the given name and
 // returns a context carrying it. The caller ends the root with End and
 // exports it with Snapshot.
 func NewTrace(ctx context.Context, name string) (context.Context, *Span) {
-	root := &Span{trace: &trace{}, name: name, start: time.Now()}
-	return context.WithValue(ctx, spanKey{}, root), root
+	t := &trace{}
+	t.spans, t.attrs = t.firstSpans[:0], t.firstAttrs[:0]
+	root := t.newSpan(ctx, name, time.Now())
+	return &root.ctx, root
 }
 
 // SpanFromContext returns the active span, or nil when the context
@@ -53,11 +113,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	child := &Span{trace: parent.trace, name: name, start: time.Now()}
-	parent.trace.mu.Lock()
-	parent.children = append(parent.children, child)
-	parent.trace.mu.Unlock()
-	return context.WithValue(ctx, spanKey{}, child), child
+	start := time.Now()
+	t := parent.trace
+	t.mu.Lock()
+	child := t.newSpan(ctx, name, start)
+	if parent.last == nil {
+		parent.first = child
+	} else {
+		parent.last.next = child
+	}
+	parent.last = child
+	t.mu.Unlock()
+	return &child.ctx, child
 }
 
 // End marks the span finished. Later Ends are ignored. Safe on nil.
@@ -101,11 +168,16 @@ func (s *Span) Annotate(key, value string) {
 		return
 	}
 	s.trace.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]string)
+	defer s.trace.mu.Unlock()
+	for a := s.attrs; a != nil; a = a.next {
+		if a.key == key {
+			a.value = value
+			return
+		}
 	}
-	s.attrs[key] = value
-	s.trace.mu.Unlock()
+	a := take(&s.trace.attrs)
+	a.key, a.value, a.next = key, value, s.attrs
+	s.attrs = a
 }
 
 // Event appends a timestamped event (a checkpoint note) to the span.
@@ -153,7 +225,7 @@ func (s *Span) Snapshot() *SpanData {
 }
 
 func (s *Span) snapshotLocked() *SpanData {
-	_, ms, _ := s.stage()
+	_, ms := s.stage()
 	d := &SpanData{
 		Name:       s.name,
 		Start:      s.start,
@@ -161,16 +233,16 @@ func (s *Span) snapshotLocked() *SpanData {
 		Items:      s.items,
 		Outcome:    s.outcome,
 	}
-	if len(s.attrs) > 0 {
-		d.Attrs = make(map[string]string, len(s.attrs))
-		for k, v := range s.attrs {
-			d.Attrs[k] = v
+	for a := s.attrs; a != nil; a = a.next {
+		if d.Attrs == nil {
+			d.Attrs = make(map[string]string)
 		}
+		d.Attrs[a.key] = a.value
 	}
 	if len(s.events) > 0 {
 		d.Events = append([]EventData(nil), s.events...)
 	}
-	for _, c := range s.children {
+	for c := s.first; c != nil; c = c.next {
 		d.Children = append(d.Children, c.snapshotLocked())
 	}
 	return d
@@ -178,37 +250,53 @@ func (s *Span) snapshotLocked() *SpanData {
 
 // stage reads a live span as the flattening walk sees a node; the caller
 // holds the trace lock. An unfinished span is measured to now.
-func (s *Span) stage() (name string, ms float64, children []*Span) {
+func (s *Span) stage() (name string, ms float64) {
 	end := s.end
 	if end.IsZero() {
 		end = time.Now()
 	}
-	return s.name, float64(end.Sub(s.start)) / float64(time.Millisecond), s.children
+	return s.name, float64(end.Sub(s.start)) / float64(time.Millisecond)
 }
 
-func (d *SpanData) stage() (string, float64, []*SpanData) {
-	return d.Name, d.DurationMS, d.Children
+// eachChild calls visit on each child of s, in start order.
+func (s *Span) eachChild(visit func(*Span)) {
+	for c := s.first; c != nil; c = c.next {
+		visit(c)
+	}
+}
+
+func (d *SpanData) stage() (string, float64) { return d.Name, d.DurationMS }
+
+func (d *SpanData) eachChild(visit func(*SpanData)) {
+	for _, c := range d.Children {
+		visit(c)
+	}
+}
+
+// stageNode is a span tree node in either form.
+type stageNode[N any] interface {
+	stage() (string, float64)
+	eachChild(func(N))
 }
 
 // stageDurations is the one flattening walk, over a span tree in either
-// form: stage-name → wall-ms of every node under roots, the first
-// occurrence of a name winning.
-func stageDurations[N any](roots []N, stage func(N) (string, float64, []N)) map[string]float64 {
-	if len(roots) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(roots))
-	var walk func([]N)
-	walk = func(nodes []N) {
-		for _, n := range nodes {
-			name, ms, children := stage(n)
-			if _, seen := out[name]; !seen {
-				out[name] = ms
-			}
-			walk(children)
+// form: stage-name → wall-ms of every node under root (root excluded),
+// the first occurrence of a name in depth-first order winning; nil when
+// root has no children.
+func stageDurations[N stageNode[N]](root N) map[string]float64 {
+	var out map[string]float64
+	var walk func(N)
+	walk = func(n N) {
+		name, ms := n.stage()
+		if out == nil {
+			out = make(map[string]float64)
 		}
+		if _, seen := out[name]; !seen {
+			out[name] = ms
+		}
+		n.eachChild(walk)
 	}
-	walk(roots)
+	root.eachChild(walk)
 	return out
 }
 
@@ -222,7 +310,7 @@ func (s *Span) StageDurations() map[string]float64 {
 	}
 	s.trace.mu.Lock()
 	defer s.trace.mu.Unlock()
-	return stageDurations(s.children, (*Span).stage)
+	return stageDurations(s)
 }
 
 // StageDurations is the same flattening of an exported tree. Safe on nil.
@@ -230,5 +318,5 @@ func (d *SpanData) StageDurations() map[string]float64 {
 	if d == nil {
 		return nil
 	}
-	return stageDurations(d.Children, (*SpanData).stage)
+	return stageDurations(d)
 }

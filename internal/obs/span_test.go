@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -92,5 +93,84 @@ func TestSnapshotOfUnfinishedSpan(t *testing.T) {
 	d := root.Snapshot() // no End yet
 	if d == nil || d.DurationMS < 0 {
 		t.Fatalf("snapshot of live span: %+v", d)
+	}
+}
+
+// TestSpansComeFromTheTraceSlab: a request-sized tree — a root and a
+// dozen spans under it, each with its context, a few annotated — is one
+// allocation, the trace's; a tree that outgrows the first slab keeps
+// every span where it was handed out, in start order.
+func TestSpansComeFromTheTraceSlab(t *testing.T) {
+	if !raceEnabled {
+		allocs := testing.AllocsPerRun(100, func() {
+			ctx, root := NewTrace(context.Background(), "serve.http")
+			for i := 1; i < traceSpans; i++ {
+				var sp *Span
+				ctx, sp = StartSpan(ctx, "stage")
+				sp.SetItems(i)
+				if i <= traceAttrs {
+					sp.Annotate("blocker", "b")
+				}
+				sp.End()
+			}
+			root.End()
+		})
+		if allocs != 1 {
+			t.Fatalf("a %d-span trace allocates %.0f times, want 1", traceSpans, allocs)
+		}
+	}
+
+	ctx, root := NewTrace(context.Background(), "run")
+	var spans []*Span
+	for i := 0; i < 5*traceSpans; i++ {
+		_, sp := StartSpan(ctx, fmt.Sprintf("s%02d", i))
+		sp.SetItems(i)
+		spans = append(spans, sp)
+	}
+	for _, sp := range spans {
+		sp.End()
+	}
+	root.End()
+	d := root.Snapshot()
+	if len(d.Children) != len(spans) {
+		t.Fatalf("children = %d, want %d", len(d.Children), len(spans))
+	}
+	for i, c := range d.Children {
+		if c.Name != fmt.Sprintf("s%02d", i) || c.Items != int64(i) {
+			t.Fatalf("child %d is %s with %d items", i, c.Name, c.Items)
+		}
+	}
+}
+
+// TestSpanContextDelegates: a span's context answers for the span and
+// asks its parent for everything else — values, deadline, cancellation.
+func TestSpanContextDelegates(t *testing.T) {
+	type key struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	ctx, root := NewTrace(parent, "run")
+	cctx, child := StartSpan(ctx, "child")
+	if SpanFromContext(ctx) != root || SpanFromContext(cctx) != child {
+		t.Fatal("a span's context does not carry the span")
+	}
+	if cctx.Value(key{}) != "v" {
+		t.Fatal("a span's context lost its parent's value")
+	}
+	sub, stop := context.WithCancel(cctx)
+	defer stop()
+	cancel()
+	<-sub.Done()
+	if cctx.Err() != context.Canceled {
+		t.Fatalf("err = %v, want canceled", cctx.Err())
+	}
+}
+
+// TestAnnotateKeepsTheLastValue: a key annotated twice is one attribute.
+func TestAnnotateKeepsTheLastValue(t *testing.T) {
+	_, root := NewTrace(context.Background(), "run")
+	root.Annotate("blocker", "a")
+	root.Annotate("other", "x")
+	root.Annotate("blocker", "b")
+	if got := root.Snapshot().Attrs; len(got) != 2 || got["blocker"] != "b" || got["other"] != "x" {
+		t.Fatalf("attrs = %v", got)
 	}
 }

@@ -81,6 +81,13 @@ func ForCtx(ctx context.Context, n int, fn func(i int) error) error {
 	return ForWorkersCtx(ctx, n, runtime.GOMAXPROCS(0), fn)
 }
 
+// LightWorkers is how many workers n light work items — a row to
+// tokenise, a pair to compare, a vector to score: microseconds each — are
+// worth. Starting and waking a goroutine costs about as much as several
+// of them, so a one-record request's handful runs on the caller and only
+// real batches fan out.
+func LightWorkers(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/32) }
+
 // maxChunk bounds how many consecutive indices one dispatch hands a
 // worker, and with it how much work can still start after cancellation.
 const maxChunk = 256

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,70 +50,84 @@ type BatchResponse struct {
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
-// DecodeBatchRequest reads and validates one batch request from r,
-// enforcing the byte cap itself (like DecodeMatchRequest it is safe on
-// raw readers — the fuzz target feeds it arbitrary bytes with no HTTP
-// layer around it) plus a record-count cap. It never panics and never
-// allocates beyond maxBytes+1 for the body; every failure is a
-// *RequestError with a 4xx status.
-func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequest, error) {
+// batchEnvelope is BatchRequest as the handler decodes it: the records
+// kept as their JSON text, for recordRows to walk.
+type batchEnvelope struct {
+	Records   rawRecords `json:"records"`
+	TimeoutMS int        `json:"timeout_ms,omitempty"`
+	Trace     bool       `json:"trace,omitempty"`
+}
+
+// decodeBatch reads and validates one batch request's envelope,
+// enforcing the byte cap itself plus a record-count cap.
+func decodeBatch(r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBatchBodyBytes
 	}
 	if maxRecords <= 0 {
 		maxRecords = DefaultMaxBatchRecords
 	}
-	var req BatchRequest
-	if err := decodeBody(r, maxBytes, "batch request", &req); err != nil {
+	var env batchEnvelope
+	if err := decodeBody(r, maxBytes, "batch request", &env); err != nil {
 		return nil, err
 	}
-	if len(req.Records) == 0 {
+	records := env.Records.records()
+	if len(records) == 0 {
 		return nil, badRequest(`batch request needs a non-empty "records" array`)
 	}
-	if len(req.Records) > maxRecords {
+	if len(records) > maxRecords {
 		return nil, &RequestError{
 			Status: http.StatusRequestEntityTooLarge,
-			Msg:    fmt.Sprintf("batch has %d records, cap is %d (submit a job for larger inputs)", len(req.Records), maxRecords),
+			Msg:    fmt.Sprintf("batch has %d records, cap is %d (submit a job for larger inputs)", len(records), maxRecords),
 		}
 	}
-	for i, rec := range req.Records {
-		if len(rec) == 0 {
+	for i, text := range records {
+		if text == "" || emptyObject(text) {
 			return nil, badRequest("batch record %d is empty", i)
 		}
 	}
-	if req.TimeoutMS < 0 {
+	if env.TimeoutMS < 0 {
 		return nil, badRequest("timeout_ms must be >= 0")
 	}
-	return &req, nil
+	return &env, nil
 }
 
-// recordRows validates and converts request records into rows under the
-// left schema; a bad record is reported with its index.
-func recordRows(schema *table.Schema, records []map[string]any) ([]table.Row, error) {
+// DecodeBatchRequest reads and validates one batch request from r,
+// enforcing the byte cap itself (like DecodeMatchRequest it is safe on
+// raw readers — the fuzz target feeds it arbitrary bytes with no HTTP
+// layer around it) plus a record-count cap. It never panics and never
+// allocates beyond maxBytes+1 for the body; every failure is a
+// *RequestError with a 4xx status. The handler walks the records
+// straight into rows; this is the same decode, in map form.
+func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequest, error) {
+	env, err := decodeBatch(r, maxBytes, maxRecords)
+	if err != nil {
+		return nil, err
+	}
+	texts := env.Records.records()
+	req := &BatchRequest{Records: make([]map[string]any, 0, len(texts)), TimeoutMS: env.TimeoutMS, Trace: env.Trace}
+	for _, text := range texts {
+		rec, err := recordMap(text)
+		if err != nil {
+			return nil, err
+		}
+		req.Records = append(req.Records, rec)
+	}
+	return req, nil
+}
+
+// mapRows converts map-form records (a job's) into rows under the left
+// schema; a bad record is reported with its index.
+func mapRows(schema *table.Schema, records []map[string]any) ([]table.Row, error) {
 	rows := make([]table.Row, len(records))
 	for i, rec := range records {
 		row, err := RecordRow(schema, rec)
 		if err != nil {
-			var re *RequestError
-			if errors.As(err, &re) {
-				return nil, &RequestError{Status: re.Status, Msg: fmt.Sprintf("record %d: %s", i, re.Msg)}
-			}
-			return nil, badRequest("record %d: %v", i, err)
+			return nil, indexed(i, err)
 		}
 		rows[i] = row
 	}
 	return rows, nil
-}
-
-// rowsTable assembles request rows into a left-schema table.
-func (s *Server) rowsTable(name string, rows []table.Row) (*table.Table, error) {
-	t := table.New(name, s.left.Schema())
-	for _, row := range rows {
-		if err := t.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 // handleMatchBatch is the bulk matching endpoint: one admission slot,
@@ -125,17 +138,17 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBodyBytes)
-	req, err := DecodeBatchRequest(r.Body, s.cfg.maxBatchBodyBytes, s.cfg.MaxBatchRecords)
+	req, err := decodeBatch(r.Body, s.cfg.maxBatchBodyBytes, s.cfg.MaxBatchRecords)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	rows, err := recordRows(s.left.Schema(), req.Records)
+	rows, err := recordRows(s.left.Schema(), req.Records.records())
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	left, err := s.rowsTable("batch", rows)
+	left, err := table.FromRows("batch", s.left.Schema(), rows)
 	if err != nil {
 		s.writeRequestError(w, badRequest("%v", err))
 		return

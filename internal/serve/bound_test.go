@@ -25,7 +25,7 @@ import (
 // matchOne answers one row the way handleMatch does under its HTTP layer:
 // a one-row request table through matchSet.
 func (s *Server) matchOne(ctx context.Context, row table.Row, wantTrace bool) (*MatchResponse, error) {
-	left, err := s.rowsTable("request", []table.Row{row})
+	left, err := table.FromRows("request", s.left.Schema(), []table.Row{row})
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"emgo/internal/table"
@@ -86,33 +85,55 @@ func decodeBody(r io.Reader, maxBytes int64, noun string, dst any) error {
 	return nil
 }
 
+// matchEnvelope is MatchRequest as the handler decodes it: the record
+// kept as its JSON text, for fillRow to walk.
+type matchEnvelope struct {
+	Record    rawRecord `json:"record"`
+	TimeoutMS int       `json:"timeout_ms,omitempty"`
+	Trace     bool      `json:"trace,omitempty"`
+}
+
+// decodeMatch reads and validates one match request's envelope.
+func decodeMatch(r io.Reader, maxBytes int64) (*matchEnvelope, error) {
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxBodyBytes
+	}
+	var env matchEnvelope
+	if err := decodeBody(r, maxBytes, "request", &env); err != nil {
+		return nil, err
+	}
+	if env.Record.text == "" || emptyObject(env.Record.text) {
+		return nil, badRequest(`request needs a non-empty "record" object`)
+	}
+	if env.TimeoutMS < 0 {
+		return nil, badRequest("timeout_ms must be >= 0")
+	}
+	return &env, nil
+}
+
 // DecodeMatchRequest reads and validates one match request from r,
 // which should already be wrapped by http.MaxBytesReader (the decoder
 // additionally enforces maxBytes itself so it is safe on raw readers —
 // the fuzz target feeds it arbitrary bytes with no HTTP layer around
 // it). It never panics on malformed input; every failure is a
-// *RequestError with a 4xx status.
+// *RequestError with a 4xx status. The handler walks the record
+// straight into a row; this is the same decode, in map form.
 func DecodeMatchRequest(r io.Reader, maxBytes int64) (*MatchRequest, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBodyBytes
-	}
-	var req MatchRequest
-	if err := decodeBody(r, maxBytes, "request", &req); err != nil {
+	env, err := decodeMatch(r, maxBytes)
+	if err != nil {
 		return nil, err
 	}
-	if len(req.Record) == 0 {
-		return nil, badRequest(`request needs a non-empty "record" object`)
+	rec, err := recordMap(env.Record.text)
+	if err != nil {
+		return nil, err
 	}
-	if req.TimeoutMS < 0 {
-		return nil, badRequest("timeout_ms must be >= 0")
-	}
-	return &req, nil
+	return &MatchRequest{Record: rec, TimeoutMS: env.TimeoutMS, Trace: env.Trace}, nil
 }
 
-// RecordRow converts a decoded record into a row under the given
-// schema. Unknown column names are a client error (a typoed column
-// silently matching nothing is the worst failure mode); missing columns
-// become nulls.
+// RecordRow converts a map-form record into a row under the given
+// schema, each value read as the cell its JSON is. Unknown column names
+// are a client error (a typoed column silently matching nothing is the
+// worst failure mode); missing columns become nulls.
 func RecordRow(schema *table.Schema, record map[string]any) (table.Row, error) {
 	for name := range record {
 		if !schema.Has(name) {
@@ -120,38 +141,11 @@ func RecordRow(schema *table.Schema, record map[string]any) (table.Row, error) {
 		}
 	}
 	row := make(table.Row, schema.Len())
-	for i := 0; i < schema.Len(); i++ {
+	for i := range row {
 		f := schema.Field(i)
-		raw, present := record[f.Name]
-		if !present || raw == nil {
-			row[i] = table.Null(f.Kind)
-			continue
-		}
-		row[i] = parseCell(raw, f.Kind)
+		row[i] = cellOf(record[f.Name]).value(f.Kind)
 	}
 	return row, nil
-}
-
-// parseCell renders one JSON value as text and parses it under the
-// column kind; unparseable cells become nulls, matching ReadCSV.
-func parseCell(raw any, kind table.Kind) table.Value {
-	var text string
-	switch v := raw.(type) {
-	case string:
-		text = v
-	case json.Number:
-		text = v.String()
-	case bool:
-		text = strconv.FormatBool(v)
-	default:
-		// Arrays and objects have no cell rendering; treat as missing.
-		return table.Null(kind)
-	}
-	val, err := table.Parse(text, kind)
-	if err != nil {
-		return table.Null(kind)
-	}
-	return val
 }
 
 // MatchResponse is the wire form of a match answer.

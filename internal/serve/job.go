@@ -356,7 +356,7 @@ func (jm *Jobs) Submit(records []map[string]any, shardSize int, origin string) (
 			Msg:    fmt.Sprintf("job has %d records, cap is %d", len(records), jm.cfg.maxRecords),
 		}
 	}
-	rows, err := recordRows(jm.srv.left.Schema(), records)
+	rows, err := mapRows(jm.srv.left.Schema(), records)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +468,7 @@ func (jm *Jobs) Recover() (int, error) {
 		if err != nil || len(spec.Records) == 0 || spec.ShardSize <= 0 {
 			continue
 		}
-		rows, err := recordRows(jm.srv.left.Schema(), spec.Records)
+		rows, err := mapRows(jm.srv.left.Schema(), spec.Records)
 		if err != nil {
 			continue
 		}
@@ -713,7 +713,7 @@ func (jm *Jobs) execShard(ctx context.Context, job *Job, idx int) (art *shardArt
 	shardCtx, cancel := context.WithTimeout(ctx, DefaultJobShardTimeout)
 	defer cancel()
 	lo := idx * job.shardSize
-	sub, err := jm.srv.rowsTable("job:"+job.ID, job.rows[lo:lo+job.shardLen(idx)])
+	sub, err := table.FromRows("job:"+job.ID, jm.srv.left.Schema(), job.rows[lo:lo+job.shardLen(idx)])
 	if err != nil {
 		return nil, tally, err
 	}

@@ -382,18 +382,18 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// Decode before admission: a malformed request must never occupy a
 	// pipeline slot, and the decoder is panic-proof on arbitrary bytes.
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := DecodeMatchRequest(r.Body, s.cfg.MaxBodyBytes)
+	req, err := decodeMatch(r.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	row, err := RecordRow(s.left.Schema(), req.Record)
-	if err != nil {
+	row := make(table.Row, s.left.Schema().Len())
+	if err := fillRow(s.left.Schema(), req.Record.text, row); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
 	// The single-record endpoint is the batch engine at n=1.
-	left, err := s.rowsTable("request", []table.Row{row})
+	left, err := table.FromRows("request", s.left.Schema(), []table.Row{row})
 	if err != nil {
 		s.writeRequestError(w, badRequest("%v", err))
 		return

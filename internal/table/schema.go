@@ -11,7 +11,8 @@ type Field struct {
 	Kind Kind
 }
 
-// Schema is an ordered list of fields with unique names.
+// Schema is an ordered list of fields with unique names. It never
+// changes once NewSchema has built it.
 type Schema struct {
 	fields []Field
 	index  map[string]int
@@ -85,12 +86,6 @@ func (s *Schema) Lookup(name string) (int, bool) {
 func (s *Schema) Has(name string) bool {
 	_, ok := s.index[name]
 	return ok
-}
-
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	out, _ := NewSchema(s.fields...)
-	return out
 }
 
 // Equal reports whether two schemas have identical field lists.

@@ -25,9 +25,22 @@ type Table struct {
 	rows   []Row
 }
 
-// New creates an empty table with the given name and schema.
+// New creates an empty table with the given name and schema. A schema
+// never changes once built, so tables share it.
 func New(name string, schema *Schema) *Table {
-	return &Table{name: name, schema: schema.Clone()}
+	return &Table{name: name, schema: schema}
+}
+
+// FromRows creates a table holding rows under schema. The table keeps
+// the slice, not a copy; every row must have one value per column.
+func FromRows(name string, schema *Schema, rows []Row) (*Table, error) {
+	t := &Table{name: name, schema: schema, rows: rows[:len(rows):len(rows)]}
+	for _, r := range rows {
+		if err := t.check(r); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // Name returns the table name.
@@ -47,11 +60,19 @@ func (t *Table) Row(i int) Row { return t.rows[i] }
 
 // Append adds a row. The row length must match the schema.
 func (t *Table) Append(r Row) error {
+	if err := t.check(r); err != nil {
+		return err
+	}
+	t.rows = append(t.rows, r)
+	return nil
+}
+
+// check reports a row whose length is not the schema's.
+func (t *Table) check(r Row) error {
 	if len(r) != t.schema.Len() {
 		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
 			t.name, len(r), t.schema.Len())
 	}
-	t.rows = append(t.rows, r)
 	return nil
 }
 

@@ -312,3 +312,25 @@ func TestStringPreview(t *testing.T) {
 		t.Fatalf("preview = %s", s)
 	}
 }
+
+func TestTablesShareTheirSchema(t *testing.T) {
+	s := MustSchema(Field{Name: "ID", Kind: String}, Field{Name: "N", Kind: Int})
+	if New("a", s).Schema() != s {
+		t.Fatal("New copied the schema")
+	}
+	rows := []Row{{S("x"), I(1)}, {S("y"), I(2)}}
+	tb, err := FromRows("b", s, rows)
+	if err != nil || tb.Schema() != s || tb.Len() != 2 || tb.Row(1)[0].Str() != "y" {
+		t.Fatalf("FromRows = %v, %v", tb, err)
+	}
+	// The table keeps the slice but never appends into its spare room.
+	spare := append(make([]Row, 0, 4), rows...)
+	tb, _ = FromRows("c", s, spare)
+	tb.MustAppend(Row{S("z"), I(3)})
+	if spare[:3][2] != nil {
+		t.Fatal("Append wrote into the caller's slice")
+	}
+	if _, err := FromRows("d", s, []Row{{S("short")}}); err == nil {
+		t.Fatal("FromRows took a row narrower than the schema")
+	}
+}

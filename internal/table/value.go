@@ -256,8 +256,13 @@ func Parse(s string, k Kind) (Value, error) {
 	return Value{}, fmt.Errorf("table: unknown kind %v", k)
 }
 
-// isNA reports whether raw text denotes a missing value.
+// isNA reports whether raw text denotes a missing value. Every marker
+// is at most four bytes, and nothing longer lowercases to one, so a
+// longer cell is not copied to lower case just to be told so.
 func isNA(s string) bool {
+	if len(s) > len("null") {
+		return false
+	}
 	switch strings.ToLower(s) {
 	case "", "na", "n/a", "nan", "null", "none", "-":
 		return true
