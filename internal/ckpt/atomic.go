@@ -33,19 +33,18 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 // temp + fsync + rename + dir-fsync protocol applies. Parent
 // directories are created as needed.
 //
-// It never replaces what it does not own. A symlink is followed first,
-// so the rename lands beside the file the link names and the link
-// stays. A target that exists and is not a regular file — a device, a
-// FIFO — is written in place, with no temp file and no rename: the
-// protocol's guarantee is about files, and renaming over /dev/null would
-// replace the device.
+// It never replaces what it does not own. A target that exists and is
+// not a regular file — a device, a FIFO, or a link to one — is written
+// in place, with no temp file and no rename: the protocol's guarantee is
+// about files, and renaming over /dev/null would replace the device. A
+// link to a file is resolved first, so the rename lands beside the file
+// it names and the link stays.
 func AtomicWriteTo(path string, perm os.FileMode, write func(w io.Writer) error) (err error) {
-	path, fi, err := resolveTarget(path)
-	if err != nil {
-		return err
-	}
-	if fi != nil && !fi.Mode().IsRegular() {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
 		return writeInPlace(path, write)
+	}
+	if target, err := filepath.EvalSymlinks(path); err == nil {
+		path = target
 	}
 	dir := filepath.Dir(path)
 	if dir != "." && dir != "" {
@@ -80,37 +79,6 @@ func AtomicWriteTo(path string, perm os.FileMode, write func(w io.Writer) error)
 		return err
 	}
 	return syncDir(dir)
-}
-
-// maxLinkHops bounds how many symlinks resolveTarget follows, as the
-// kernel bounds a path lookup.
-const maxLinkHops = 40
-
-// resolveTarget follows path through any symlinks to the name a write
-// should land on, and returns it with its Lstat, or a nil FileInfo when
-// nothing exists there yet (a dangling link names the file to create).
-func resolveTarget(path string) (string, os.FileInfo, error) {
-	for hops := 0; ; hops++ {
-		fi, err := os.Lstat(path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			return path, nil, nil
-		case err != nil:
-			return "", nil, err
-		case fi.Mode()&os.ModeSymlink == 0:
-			return path, fi, nil
-		case hops == maxLinkHops:
-			return "", nil, fmt.Errorf("ckpt: %s: too many levels of symbolic links", path)
-		}
-		link, err := os.Readlink(path)
-		if err != nil {
-			return "", nil, err
-		}
-		if !filepath.IsAbs(link) {
-			link = filepath.Join(filepath.Dir(path), link)
-		}
-		path = link
-	}
 }
 
 // writeInPlace hands write the existing non-regular file at path, opened

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"emgo/internal/fault"
@@ -274,19 +275,27 @@ func PredictAll(m Matcher, x [][]float64) []int {
 }
 
 // PredictAllCtx is PredictAll under the hardened runtime: prediction is
-// fanned out as light work (parallel.LightWorkers: a request's handful of
-// vectors is scored on the caller), stops on cancellation, and a
-// panicking matcher (malformed row, unfitted model) surfaces as an error
-// carrying the failing row index instead of crashing — the hook
-// workflows use to name a poison pair. Each row also passes the
-// "ml.predict" fault-injection site.
+// fanned out across workers, stops on cancellation, and a panicking
+// matcher (malformed row, unfitted model) surfaces as an error carrying
+// the failing row index instead of crashing — the hook workflows use to
+// name a poison pair. Each row also passes the "ml.predict"
+// fault-injection site.
+//
+// A call the light-work rule gives one worker (parallel.LightWorkers: a
+// request's handful of vectors) is scored on the caller; a larger one
+// fans out across every core, as a forest's vector may cost more than
+// the pair that rule was set for.
 func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error) {
 	pctx, sp := obs.StartSpan(ctx, "ml.predict")
 	defer sp.End()
 	sp.SetItems(len(x))
 	predictions := obs.C("ml.predictions")
 	out := make([]int, len(x))
-	err := parallel.ForWorkersCtx(pctx, len(x), parallel.LightWorkers(len(x)), func(i int) error {
+	workers := runtime.GOMAXPROCS(0)
+	if parallel.LightWorkers(len(x)) == 1 {
+		workers = 1
+	}
+	err := parallel.ForWorkersCtx(pctx, len(x), workers, func(i int) error {
 		if err := fault.InjectIdx("ml.predict", i); err != nil {
 			return err
 		}

@@ -81,8 +81,8 @@ func decodeBatch(r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, e
 			Msg:    fmt.Sprintf("batch has %d records, cap is %d (submit a job for larger inputs)", len(records), maxRecords),
 		}
 	}
-	for i, text := range records {
-		if text == "" || emptyObject(text) {
+	for i := range records {
+		if records[i].empty() {
 			return nil, badRequest("batch record %d is empty", i)
 		}
 	}
@@ -104,10 +104,10 @@ func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequ
 	if err != nil {
 		return nil, err
 	}
-	texts := env.Records.records()
-	req := &BatchRequest{Records: make([]map[string]any, 0, len(texts)), TimeoutMS: env.TimeoutMS, Trace: env.Trace}
-	for _, text := range texts {
-		rec, err := recordMap(text)
+	recs := env.Records.records()
+	req := &BatchRequest{Records: make([]map[string]any, 0, len(recs)), TimeoutMS: env.TimeoutMS, Trace: env.Trace}
+	for i := range recs {
+		rec, err := recordMap(&recs[i])
 		if err != nil {
 			return nil, err
 		}

@@ -102,7 +102,7 @@ func decodeMatch(r io.Reader, maxBytes int64) (*matchEnvelope, error) {
 	if err := decodeBody(r, maxBytes, "request", &env); err != nil {
 		return nil, err
 	}
-	if env.Record.text == "" || emptyObject(env.Record.text) {
+	if env.Record.empty() {
 		return nil, badRequest(`request needs a non-empty "record" object`)
 	}
 	if env.TimeoutMS < 0 {
@@ -123,7 +123,7 @@ func DecodeMatchRequest(r io.Reader, maxBytes int64) (*MatchRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := recordMap(env.Record.text)
+	rec, err := recordMap(&env.Record)
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ func checkMatchBody(t *testing.T, schema *table.Schema, data []byte) {
 	row := make(table.Row, schema.Len())
 	if env, err := decodeMatch(bytes.NewReader(data), fuzzMaxBody); err != nil {
 		walked = refused(t, "walker", err)
-	} else if err := fillRow(schema, env.Record.text, row); err != nil {
+	} else if err := fillRow(schema, &env.Record, row); err != nil {
 		walked = refused(t, "walker", err)
 	} else {
 		walked = outcome{rows: []table.Row{row}, timeoutMS: env.TimeoutMS, trace: env.Trace}
@@ -253,6 +253,8 @@ func FuzzDecodeMatchRequest(f *testing.F) {
 	f.Add([]byte(`{"record":{"ID":"x"},"record":{"Num":"y"}}`))
 	f.Add([]byte(`{"record":{"ID":"x"},"record":null}`))
 	f.Add([]byte(`{"record":null,"record":{"ID":"x"}}`))
+	f.Add([]byte(`{"record":{},"record":{"ID":"x","Num":"y"},"record":{},"record":{"ID":"z"}}`))
+	f.Add([]byte(`{"record":{"ID":"x"},"record":{"ID":"y"},"record":null,"record":{"Num":"z"}}`))
 	f.Add([]byte(`{"record":"x"}`))
 	f.Add([]byte(`{"record":{"ID":"x"}}trailing`))
 	f.Add([]byte(`{"record":{"ID":"x"}}]`))
@@ -287,6 +289,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"records":[{"ID":"a"},{"ID":"b"},{"ID":"c"}],"records":[{"Num":"x"}],"Records":[{},{"Num":"y"}]}`))
 	f.Add([]byte(`{"records":[{"ID":"a"}],"records":null,"records":[{"Num":"x"}]}`))
 	f.Add([]byte(`{"records":[{"ID":"a"}],"records":[],"records":[{"Num":"x"}]}`))
+	f.Add([]byte(`{"records":[{"ID":"a"},{}],"records":[{},{"Num":"x"}],"records":[{"ID":"b"},null,{"ID":"c"}]}`))
 	f.Add([]byte(`{"record":{"ID":"x"}}`)) // single-record shape: unknown field
 	f.Add([]byte(``))
 	f.Add([]byte(`nonsense`))

@@ -15,39 +15,83 @@ import (
 // its rules), but a record object is only captured there, as text, and
 // walked once by recordScan: straight into a row under the left schema
 // (fillRow), or into the map form the exported decoders return
-// (recordMap). Either way a value becomes a cell, and a cell becomes a
+// (recordMap). A record a duplicate key wrote twice is walked part by
+// part. Either way a value becomes a cell, and a cell becomes a
 // table value the one way cell.value says.
 
 // errNotObject is the envelope decoder's answer to a record that is
 // neither an object nor null.
 var errNotObject = errors.New("a record must be a JSON object")
 
-// rawRecord is a "record" object as the envelope decoder met it. A
-// second "record" key merges into the first, as decoding into a map
-// does: its pairs are walked after the first's, so the last duplicate
-// wins. null empties it.
-type rawRecord struct{ text string }
+// rawRecord is a "record" object as the envelope decoder met it: the
+// text of the first object, then those a duplicate key merged into it,
+// in order. A map decode merges a duplicate into the map it already
+// holds, so the walkers read the parts in turn and the last duplicate
+// wins; keeping the parts apart, rather than splicing them into one
+// text, keeps a body of many duplicates linear. null empties it.
+type rawRecord struct {
+	head string   // the first object's text; "" when there is none
+	tail []string // the objects later duplicates merged in
+}
 
-func (r *rawRecord) UnmarshalJSON(data []byte) error {
-	text, err := mergeRecord(r.text, string(data))
-	r.text = text
-	return err
+func (r *rawRecord) UnmarshalJSON(data []byte) error { return r.add(string(data)) }
+
+// add is what the record becomes when the decoder meets value for it:
+// value's pairs after its own, or none for null.
+func (r *rawRecord) add(value string) error {
+	switch {
+	case value == "null":
+		*r = rawRecord{}
+	case value[0] != '{':
+		return errNotObject
+	case r.head == "":
+		r.head = value
+	default:
+		r.tail = append(r.tail, value)
+	}
+	return nil
+}
+
+// parts is how many object texts the record holds; part(k) is the k-th.
+func (r *rawRecord) parts() int {
+	if r.head == "" {
+		return 0
+	}
+	return 1 + len(r.tail)
+}
+
+func (r *rawRecord) part(k int) string {
+	if k == 0 {
+		return r.head
+	}
+	return r.tail[k-1]
+}
+
+// empty reports whether no part of the record holds a pair; a record
+// with none is as empty as no record at all.
+func (r *rawRecord) empty() bool {
+	for k := 0; k < r.parts(); k++ {
+		if !emptyObject(r.part(k)) {
+			return false
+		}
+	}
+	return true
 }
 
 // rawRecords is a "records" array as the envelope decoder met it; its
-// elements are substrings of the array's text. A second "records" key
-// merges element by element, as decoding into a []map does: element i
-// merges into the i-th record any earlier array wrote, even one a
+// elements' texts are substrings of the array's text. A second "records"
+// key merges element by element, as decoding into a []map does: element
+// i merges into the i-th record any earlier array wrote, even one a
 // shorter array has since cut off; null or an empty array forgets them.
 type rawRecords struct {
-	// all holds every element written since the last reset; the first n
-	// are the records.
-	all []string
+	// all holds every record written since the last reset; the first n
+	// are the request's.
+	all []rawRecord
 	n   int
 }
 
-// records returns the captured records' texts.
-func (r *rawRecords) records() []string { return r.all[:r.n] }
+// records returns the captured records.
+func (r *rawRecords) records() []rawRecord { return r.all[:r.n] }
 
 func (r *rawRecords) UnmarshalJSON(data []byte) error {
 	if data[0] != '[' {
@@ -68,7 +112,7 @@ func (r *rawRecords) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	if r.all == nil {
-		r.all = make([]string, 0, n)
+		r.all = make([]rawRecord, 0, n)
 	}
 	for i := 0; i < n; i++ {
 		sc.ws()
@@ -77,9 +121,9 @@ func (r *rawRecords) UnmarshalJSON(data []byte) error {
 			return err
 		}
 		if i == len(r.all) {
-			r.all = append(r.all, "")
+			r.all = append(r.all, rawRecord{})
 		}
-		if r.all[i], err = mergeRecord(r.all[i], text[start:sc.i]); err != nil {
+		if err := r.all[i].add(text[start:sc.i]); err != nil {
 			return err
 		}
 		sc.ws()
@@ -89,24 +133,7 @@ func (r *rawRecords) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// mergeRecord is what a record holding prior becomes when the decoder
-// meets value for it: value's pairs after prior's, or none for null.
-func mergeRecord(prior, value string) (string, error) {
-	switch {
-	case value == "null":
-		return "", nil
-	case value[0] != '{':
-		return prior, errNotObject
-	case prior == "" || emptyObject(prior):
-		return value, nil
-	case emptyObject(value):
-		return prior, nil
-	}
-	return prior[:len(prior)-1] + "," + value[1:], nil
-}
-
-// emptyObject reports whether an object's text has no pairs; a record
-// with none is as empty as no record at all.
+// emptyObject reports whether an object's text has no pairs.
 func emptyObject(text string) bool {
 	sc := recordScan{s: text, i: 1}
 	sc.ws()
@@ -322,64 +349,70 @@ func (sc *recordScan) next() (key string, c cell, ok bool, err error) {
 	return key, c, true, nil
 }
 
-// fillRow walks a record's text into row under schema: each key names a
-// column exactly, the last duplicate wins, and a missing column is a
+// fillRow walks a record's parts into row under schema: each key names
+// a column exactly, the last duplicate wins, and a missing column is a
 // null. A key the schema lacks is a client error — a typoed column
 // silently matching nothing is the worst failure mode.
-func fillRow(schema *table.Schema, text string, row table.Row) error {
+func fillRow(schema *table.Schema, rec *rawRecord, row table.Row) error {
 	for j := range row {
 		row[j] = table.Null(schema.Field(j).Kind)
 	}
-	sc := recordScan{s: text}
-	for {
-		key, c, ok, err := sc.next()
-		if err != nil {
-			return badRequest("record: %v", err)
+	for k := 0; k < rec.parts(); k++ {
+		sc := recordScan{s: rec.part(k)}
+		for {
+			key, c, ok, err := sc.next()
+			if err != nil {
+				return badRequest("record: %v", err)
+			}
+			if !ok {
+				break
+			}
+			j, known := schema.Lookup(key)
+			if !known {
+				return badRequest("unknown column %q (left schema: %s)", key, schema)
+			}
+			row[j] = c.value(schema.Field(j).Kind)
 		}
-		if !ok {
-			return nil
-		}
-		j, known := schema.Lookup(key)
-		if !known {
-			return badRequest("unknown column %q (left schema: %s)", key, schema)
-		}
-		row[j] = c.value(schema.Field(j).Kind)
 	}
+	return nil
 }
 
-// recordMap walks a record's text into the map form MatchRequest and
+// recordMap walks a record's parts into the map form MatchRequest and
 // BatchRequest carry: strings, json.Numbers, booleans, nils, and nested
 // values as encoding/json decodes them (numbers as json.Number).
-func recordMap(text string) (map[string]any, error) {
-	rec := map[string]any{}
-	sc := recordScan{s: text}
-	for {
-		key, c, ok, err := sc.next()
-		if err != nil {
-			return nil, badRequest("record: %v", err)
-		}
-		if !ok {
-			return rec, nil
-		}
-		switch c.kind {
-		case cellNull:
-			rec[key] = nil
-		case cellString:
-			rec[key] = c.text
-		case cellNumber:
-			rec[key] = json.Number(c.text)
-		case cellBool:
-			rec[key] = c.text == "true"
-		case cellNested:
-			var v any
-			dec := json.NewDecoder(bytes.NewReader([]byte(c.text)))
-			dec.UseNumber()
-			if err := dec.Decode(&v); err != nil {
+func recordMap(rec *rawRecord) (map[string]any, error) {
+	m := map[string]any{}
+	for k := 0; k < rec.parts(); k++ {
+		sc := recordScan{s: rec.part(k)}
+		for {
+			key, c, ok, err := sc.next()
+			if err != nil {
 				return nil, badRequest("record: %v", err)
 			}
-			rec[key] = v
+			if !ok {
+				break
+			}
+			switch c.kind {
+			case cellNull:
+				m[key] = nil
+			case cellString:
+				m[key] = c.text
+			case cellNumber:
+				m[key] = json.Number(c.text)
+			case cellBool:
+				m[key] = c.text == "true"
+			case cellNested:
+				var v any
+				dec := json.NewDecoder(bytes.NewReader([]byte(c.text)))
+				dec.UseNumber()
+				if err := dec.Decode(&v); err != nil {
+					return nil, badRequest("record: %v", err)
+				}
+				m[key] = v
+			}
 		}
 	}
+	return m, nil
 }
 
 // cellOf reads a map-form value as the walker would have read its JSON.
@@ -399,13 +432,13 @@ func cellOf(raw any) cell {
 
 // recordRows walks request records into rows under schema, all of them
 // windows of one backing array; a bad record is reported with its index.
-func recordRows(schema *table.Schema, texts []string) ([]table.Row, error) {
+func recordRows(schema *table.Schema, recs []rawRecord) ([]table.Row, error) {
 	width := schema.Len()
-	cells := make([]table.Value, len(texts)*width)
-	rows := make([]table.Row, len(texts))
-	for i, text := range texts {
+	cells := make([]table.Value, len(recs)*width)
+	rows := make([]table.Row, len(recs))
+	for i := range recs {
 		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
-		if err := fillRow(schema, text, rows[i]); err != nil {
+		if err := fillRow(schema, &recs[i], rows[i]); err != nil {
 			return nil, indexed(i, err)
 		}
 	}

@@ -388,7 +388,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	row := make(table.Row, s.left.Schema().Len())
-	if err := fillRow(s.left.Schema(), req.Record.text, row); err != nil {
+	if err := fillRow(s.left.Schema(), &req.Record, row); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
