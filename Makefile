@@ -71,7 +71,12 @@ race-cpu:
 # rows and forest bootstraps (FuzzPresortedFit), and the request record
 # walker, single and batch, against the map decode it replaced: the same
 # rows or the same 4xx status on every body (FuzzDecodeMatchRequest,
-# FuzzDecodeBatchRequest).
+# FuzzDecodeBatchRequest). The rest are the parsers of outside input,
+# which must fail cleanly and never panic on any bytes: the results
+# cursor an HTTP client hands back (FuzzParseCursor), the job store's
+# manifest and the shard bytes it restores (FuzzManifestDecode,
+# FuzzCheckpointRead), and the CSV reader and cell parser every input
+# table goes through (FuzzReadCSV, FuzzParse).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWordKeys$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidateSetAlgebra$$' -fuzztime 10s ./internal/block
@@ -81,6 +86,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPresortedFit$$' -fuzztime 10s ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCursor$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRead$$' -fuzztime 10s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/table
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with a replace onto this tree): tier-1 never compiles it, so a
@@ -173,10 +183,10 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), eighty seconds of fuzzing (make fuzz), the
+# trustworthy race-clean), 130 seconds of fuzzing (make fuzz), the
 # nested benchmark module's own vet and tests, the exported-surface check,
 # a run of every example program, the end-to-end smoke harness (the
-# kill/resume chaos scenario among its seven), and the perf-regression
+# kill/rerun chaos scenario among its seven), and the perf-regression
 # gate over the committed BENCH trajectory.
 tier2: fmt-check vet race race-cpu fuzz bench-check api-check examples smoke perf-gate
 

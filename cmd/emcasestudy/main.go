@@ -7,24 +7,21 @@
 // Usage:
 //
 //	emcasestudy [-scale 1.0] [-seed 7] [-out matches.csv] \
+//	            [-labels labels.csv] [-spec spec.json] \
 //	            [-report run.json] [-trace trace.json] [-debug-addr :6060] \
-//	            [-checkpoint-dir ckpt/ [-resume]] [-history runs/]
+//	            [-history runs/]
 //
-// Crash safety: -checkpoint-dir persists each completed section
-// durably; rerunning with -resume restores validated checkpoints (and
-// fast-forwards the run's random streams to match) instead of
-// recomputing, so a killed study resumes from its last durable section.
-// The store is fingerprinted by the full configuration — a different
-// -scale or -seed discards it.
+// A study is one pass: at the paper's scale it takes well under a
+// second, so a killed run is rerun, not resumed. -out, -labels and -spec
+// are written atomically (temp file, fsync, rename): a run killed at any
+// point leaves each of them it had not finished absent or as it was, and
+// a rerun writes byte-identical files.
 //
 // Observability: -report writes a machine-readable run report (section
-// spans, hot-path counters, fault/retry counts); -trace writes just the
-// span tree; -debug-addr serves live expvar metrics and pprof during the
-// run — useful because a full-scale case study runs long enough to
-// profile. -history appends the run report to an append-only JSONL
-// directory so emmonitor can diff and track study runs over time. The
-// human-readable report stays on stdout; diagnostics and progress go to
-// stderr.
+// spans and hot-path counters); -trace writes just the span tree; -debug-addr serves live expvar metrics and pprof during the run.
+// -history appends the run report to an append-only JSONL directory so
+// emmonitor can diff and track study runs over time. The human-readable
+// report stays on stdout; diagnostics and progress go to stderr.
 package main
 
 import (
@@ -39,8 +36,8 @@ import (
 )
 
 // SIGINT/SIGTERM cancel the study context: sections stop at their next
-// cancellation check, completed-section checkpoints and the run report
-// flush on the way out, and the interrupt exits distinctly.
+// cancellation check, the run report flushes on the way out, and the
+// interrupt exits distinctly.
 func main() { cliutil.Main("emcasestudy", runCtx) }
 
 // run is runCtx without cancellation, kept as the testable seam.
@@ -60,7 +57,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	rec := cliutil.RunRecordFlags(fs,
 		"write the observability run report JSON to this path",
 		"write the span trace tree JSON to this path")
-	ckpts := cliutil.CheckpointFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}
@@ -74,16 +70,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err := rec.CheckStdout(true, "would share stdout with the text report; name a file"); err != nil {
 		return err
 	}
-	err := ckpts.Check()
+	ctx, err := rec.Start(ctx, "emcasestudy", stdout, stderr)
 	if err != nil {
-		return err
-	}
-	// The store is bound to the full configuration: another -scale or
-	// -seed discards it.
-	if cfg.Checkpoints, err = ckpts.Open("emcasestudy", cfg.Fingerprint(), stderr); err != nil {
-		return err
-	}
-	if ctx, err = rec.Start(ctx, "emcasestudy", stdout, stderr); err != nil {
 		return err
 	}
 

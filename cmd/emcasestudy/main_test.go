@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +86,20 @@ func TestRunRefusesStdoutArtifacts(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Fatalf("%s -: wrote %d bytes to stdout before refusing", flagName, stdout.Len())
+		}
+	}
+}
+
+// TestRunCheckpointFlagsAreGone: a study is one pass, rerun rather than
+// resumed, so the section checkpoint flags are usage errors.
+func TestRunCheckpointFlagsAreGone(t *testing.T) {
+	for _, extra := range [][]string{{"-checkpoint-dir", t.TempDir()}, {"-resume"}} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append([]string{"-scale", "0.15"}, extra...), &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%v: err = %v, want a usage error", extra, err)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: wrote %d bytes to stdout", extra, stdout.Len())
 		}
 	}
 }

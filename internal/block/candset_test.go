@@ -156,22 +156,19 @@ func checkCandidateSetModel(t *testing.T, label string, steps int, intn func(int
 			sets[i], models[i] = x, m.filter(models[j].contains)
 		case 8:
 			sets[i], models[i] = c.Filter(keepOdd), m.filter(keepOdd)
-		case 9: // decode a list with repeats and pairs out of order
-			raw := EncodePairs(m.pairs)
+		case 9: // a set rebuilt in order, then pairs out of order and a repeat
+			raw := append([]Pair(nil), m.pairs...)
 			for k := intn(4); k > 0; k-- {
-				p := randPair()
-				raw = append(raw, [2]int{p.A, p.B})
+				raw = append(raw, randPair())
 			}
 			if len(raw) > 0 {
 				raw = append(raw, raw[intn(len(raw))])
 			}
-			d, err := DecodePairs(raw, l, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dm := newModelSet()
+			d, dm := NewCandidateSet(l, r), newModelSet()
 			for _, p := range raw {
-				dm.add(Pair{A: p[0], B: p[1]})
+				if got, want := d.Add(p), dm.add(p); got != want {
+					t.Fatalf("%s step %d: Add(%v) in a rebuild = %v, want %v", label, step, p, got, want)
+				}
 			}
 			sets[i], models[i] = d, dm
 		case 10: // concatenated ascending runs, as a union grows

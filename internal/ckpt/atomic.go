@@ -31,7 +31,9 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 // AtomicWriteTo is AtomicWriteFile for streaming writers (CSV encoders,
 // JSON encoders): write is handed the temp file and the same
 // temp + fsync + rename + dir-fsync protocol applies. Parent
-// directories are created as needed.
+// directories are created as needed. The EMCKPT_KILL points of the
+// path's base name fire before the temp file is created, between its
+// sync and its rename, and after the directory sync (chaos.go).
 //
 // It never replaces what it does not own. A target that exists and is
 // not a regular file — a device, a FIFO, or a link to one — is written
@@ -39,7 +41,20 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 // about files, and renaming over /dev/null would replace the device. A
 // link to a file is resolved first, so the rename lands beside the file
 // it names and the link stays.
-func AtomicWriteTo(path string, perm os.FileMode, write func(w io.Writer) error) (err error) {
+func AtomicWriteTo(path string, perm os.FileMode, write func(w io.Writer) error) error {
+	name := filepath.Base(path)
+	chaosKill("before", name)
+	if err := atomicWrite(path, perm, name, write); err != nil {
+		return err
+	}
+	chaosKill("after", name)
+	return nil
+}
+
+// atomicWrite is the protocol under AtomicWriteTo and the store's
+// writes. Only its mid kill-point is its own, fired for name ("" for
+// none): the callers place before and after where they belong.
+func atomicWrite(path string, perm os.FileMode, name string, write func(w io.Writer) error) (err error) {
 	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
 		return writeInPlace(path, write)
 	}
@@ -74,6 +89,9 @@ func AtomicWriteTo(path string, perm os.FileMode, write func(w io.Writer) error)
 	}
 	if err = f.Close(); err != nil {
 		return err
+	}
+	if name != "" {
+		chaosKill("mid", name)
 	}
 	if err = os.Rename(tmp, path); err != nil {
 		return err

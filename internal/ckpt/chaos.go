@@ -7,14 +7,18 @@ import (
 	"sync"
 )
 
-// Chaos kill-points let the chaos harness (TestSmoke/chaos) kill
-// the process at exact checkpoint boundaries instead of racing a
-// sleep-and-SIGKILL against the pipeline. The EMCKPT_KILL environment
-// variable names one kill-point as "<mode>:<artifact>":
+// Chaos kill-points let the chaos harnesses (TestSmoke/chaos and job,
+// emload's chaos mode) kill the process at exact write boundaries
+// instead of racing a sleep-and-SIGKILL against the pipeline. The
+// EMCKPT_KILL environment variable names one kill-point as
+// "<mode>:<file>", where file is the base name of an AtomicWriteTo
+// target or a store artifact's name:
 //
-//	before:<artifact>  die before any byte of the artifact is written
-//	mid:<artifact>     die after persisting a torn half-written temp file
-//	after:<artifact>   die after the artifact and manifest are committed
+//	before:<file>  die before the temp file is created
+//	mid:<file>     die after the temp file is written and synced, before
+//	               its rename
+//	after:<file>   die after the rename is durable (for a store artifact,
+//	               after the manifest commit that lists it)
 //
 // The process dies by SIGKILL (os.Exit(137) where signals are
 // unavailable), so no deferred cleanup runs — exactly the crash the
@@ -49,15 +53,10 @@ func chaosSpec() (mode, name string) {
 	return chaosMode, chaosName
 }
 
-// chaosArmed reports whether the kill-point (mode, artifact) is armed.
-func chaosArmed(mode, name string) bool {
-	m, n := chaosSpec()
-	return m == mode && n == name
-}
-
-// chaosKill dies at the kill-point when armed; otherwise returns.
+// chaosKill dies at the kill-point (mode, name) when armed; otherwise
+// returns.
 func chaosKill(mode, name string) {
-	if !chaosArmed(mode, name) {
+	if m, n := chaosSpec(); m != mode || n != name {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "ckpt: chaos kill at %s:%s\n", mode, name)

@@ -1,22 +1,22 @@
-// Package ckpt is the durable, crash-safe run store behind resumable
-// pipeline runs. A Store owns one per-run directory holding a
-// versioned manifest (manifest.json) plus one file per completed stage
-// artifact. Every write follows temp-file + fsync + atomic-rename, so
-// process death at any instant leaves the directory in a state Open
-// can always make sense of: artifacts are trusted only when the
-// manifest lists them with a matching SHA-256 checksum, and anything
-// torn, truncated, or tampered with is quarantined (moved aside, never
-// deleted) so the stage recomputes instead of crashing or silently
-// reusing bad bytes.
+// Package ckpt holds the repository's durable writes: the atomic file
+// writers every persisted output goes through (atomic.go), and the
+// crash-safe store behind the job tier's resumable shards. A Store owns
+// one per-run directory holding a versioned manifest (manifest.json)
+// plus one file per completed artifact. Every write follows temp-file +
+// fsync + atomic-rename, so process death at any instant leaves the
+// directory in a state Open can always make sense of: artifacts are
+// trusted only when the manifest lists them with a matching SHA-256
+// checksum, and anything torn, truncated, or tampered with is
+// quarantined (moved aside, never deleted) so the shard recomputes
+// instead of crashing or silently reusing bad bytes.
 //
 // The store is deliberately value-agnostic: artifacts are []byte (or
-// JSON via WriteJSON/ReadJSON); the pipeline layers (workflow, umetrics,
-// serve's job tier) own their artifact schemas and hand their semantic
-// validation to the one restore-or-recompute protocol, Do (step.go).
-// Fault sites ckpt.write, ckpt.read, and ckpt.rename let tests inject
-// torn writes and checksum mismatches; the EMCKPT_KILL environment
-// variable lets the chaos harness kill the process at exact write
-// boundaries.
+// JSON via WriteJSON/ReadJSON); serve's job tier owns its shard schema
+// and hands its semantic validation to Restore (restore.go). Fault
+// sites ckpt.write, ckpt.read, and ckpt.rename let tests inject torn
+// writes and checksum mismatches; the EMCKPT_KILL environment variable
+// lets the chaos harness kill the process at exact write boundaries
+// (chaos.go).
 package ckpt
 
 import (
@@ -28,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -52,14 +51,11 @@ var ErrCorrupt = errors.New("ckpt: artifact corrupt")
 var ErrNotFound = errors.New("ckpt: artifact not found")
 
 // Store is a crash-safe artifact store over one run directory. All
-// methods are safe for concurrent use. The nil *Store is valid and
-// behaves as an always-empty, write-discarding store, so pipeline code
-// can thread an optional store without nil checks.
+// methods are safe for concurrent use.
 type Store struct {
-	mu        sync.Mutex
-	dir       string
-	manifest  *Manifest
-	discarded string // why a pre-existing directory was not resumed, "" otherwise
+	mu       sync.Mutex
+	dir      string
+	manifest *Manifest
 }
 
 // Open opens (or creates) the run directory and loads its manifest.
@@ -78,24 +74,15 @@ func Open(dir, fingerprint string) (*Store, error) {
 
 	path := filepath.Join(dir, manifestFile)
 	data, err := os.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh directory.
-	case err != nil:
-		s.discarded = fmt.Sprintf("manifest unreadable: %v", err)
-	default:
+	if err == nil {
 		m, derr := decodeManifest(data)
-		switch {
-		case derr != nil:
-			s.discarded = derr.Error()
-		case m.Fingerprint != fingerprint:
-			s.discarded = fmt.Sprintf("fingerprint mismatch (have %.12s…, want %.12s…)", m.Fingerprint, fingerprint)
-		default:
+		if derr == nil && m.Fingerprint == fingerprint {
 			s.manifest = m
 		}
 	}
 	if s.manifest == nil {
-		if s.discarded != "" {
+		if !errors.Is(err, os.ErrNotExist) {
+			// Unreadable, undecodable, or another input's: never resumed.
 			obs.C("ckpt.manifest_discarded").Inc()
 			s.quarantineLocked(manifestFile, path)
 		}
@@ -104,52 +91,22 @@ func Open(dir, fingerprint string) (*Store, error) {
 	return s, nil
 }
 
-// Discarded reports why Open did not resume a pre-existing directory
-// ("" when the directory was fresh or resumed cleanly).
-func (s *Store) Discarded() string {
-	if s == nil {
-		return ""
-	}
-	return s.discarded
-}
-
 // Has reports whether a completed artifact with this name is recorded
 // in the manifest. It does not validate the bytes; Read does.
 func (s *Store) Has(name string) bool {
-	if s == nil {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.manifest.Artifacts[name]
 	return ok
 }
 
-// Names returns the completed artifact names, sorted — the order the
-// manifest renders them in.
-func (s *Store) Names() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.manifest.Artifacts))
-	for name := range s.manifest.Artifacts {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Write durably stores an artifact: bytes to a temp file, fsync,
 // atomic rename to <name>, then a manifest commit recording the
 // checksum (itself temp + fsync + rename). A crash between the two
 // renames leaves an unreferenced artifact file the next Open ignores.
-// On the nil store Write is a no-op.
+// The kill-points of name fire once each: before the temp file, between
+// its sync and its rename, and after the manifest commit.
 func (s *Store) Write(name string, data []byte) error {
-	if s == nil {
-		return nil
-	}
 	if !ValidName(name) || name == manifestFile {
 		return fmt.Errorf("ckpt: invalid artifact name %q", name)
 	}
@@ -157,8 +114,13 @@ func (s *Store) Write(name string, data []byte) error {
 		return err
 	}
 	chaosKill("before", name)
-	path := filepath.Join(s.dir, name)
-	if err := s.writeArtifactFile(path, name, data); err != nil {
+	err := atomicWrite(filepath.Join(s.dir, name), 0o644, name, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return err
+		}
+		return fault.Inject("ckpt.rename")
+	})
+	if err != nil {
 		return err
 	}
 	sum := sha256.Sum256(data)
@@ -178,37 +140,18 @@ func (s *Store) Write(name string, data []byte) error {
 	return nil
 }
 
-// writeArtifactFile performs the temp + fsync + rename dance for one
-// artifact, honouring the ckpt.rename fault site and the mid-write
-// chaos kill (which leaves a genuinely torn temp file behind).
-func (s *Store) writeArtifactFile(path, name string, data []byte) error {
-	return AtomicWriteTo(path, 0o644, func(w io.Writer) error {
-		if mid := chaosArmed("mid", name); mid {
-			// Persist a torn prefix, then die exactly mid-write.
-			half := len(data) / 2
-			if _, err := w.Write(data[:half]); err != nil {
-				return err
-			}
-			if f, ok := w.(*os.File); ok {
-				f.Sync()
-			}
-			chaosKill("mid", name)
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		return fault.Inject("ckpt.rename")
-	})
-}
-
 // commitManifestLocked atomically rewrites manifest.json; callers hold
-// s.mu.
+// s.mu. The manifest has no kill-points of its own: a store artifact's
+// are its commit's.
 func (s *Store) commitManifestLocked() error {
 	data, err := s.manifest.encode()
 	if err != nil {
 		return err
 	}
-	return AtomicWriteFile(filepath.Join(s.dir, manifestFile), data, 0o644)
+	return atomicWrite(filepath.Join(s.dir, manifestFile), 0o644, "", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // Read returns an artifact's bytes once they verify: OpenArtifact
@@ -232,9 +175,6 @@ func (s *Store) Read(name string) ([]byte, error) {
 
 // WriteJSON stores v as a JSON artifact.
 func (s *Store) WriteJSON(name string, v any) error {
-	if s == nil {
-		return nil
-	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("ckpt: encode %s: %w", name, err)
@@ -251,23 +191,19 @@ func (s *Store) ReadJSON(name string, v any) error {
 		return err
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		s.condemn(name, "undecodable JSON")
+		s.condemn(name)
 		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	return nil
 }
 
-// Quarantine moves an artifact into the quarantine/ subdirectory and
+// quarantine moves an artifact into the quarantine/ subdirectory and
 // removes it from the manifest — the evidence survives for a
-// post-mortem, but the resume path will recompute the stage. Called
+// post-mortem, but the resume path will recompute the shard. Called
 // directly it retires an artifact whose bytes are sound but which must
-// not be used (a fresh run over an old directory, a validator's verdict
-// in Restore) and counts ckpt.quarantined only; reason is for the call
-// site's reader, callers record it in their spans.
-func (s *Store) Quarantine(name, reason string) {
-	if s == nil {
-		return
-	}
+// not be used (a validator's verdict in Restore) and counts
+// ckpt.quarantined only.
+func (s *Store) quarantine(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a, ok := s.manifest.Artifacts[name]
@@ -287,9 +223,9 @@ func (s *Store) Quarantine(name, reason string) {
 
 // condemn quarantines an artifact whose bytes failed verification or
 // decoding — the only thing ckpt.corrupt counts.
-func (s *Store) condemn(name, reason string) {
+func (s *Store) condemn(name string) {
 	obs.C("ckpt.corrupt").Inc()
-	s.Quarantine(name, reason)
+	s.quarantine(name)
 }
 
 // quarantineLocked moves src into quarantine/ under a unique name;

@@ -44,9 +44,6 @@ type ArtifactReader struct {
 // opened (or an injected ckpt.read fault) is quarantined and returns
 // ErrCorrupt. The caller owns Close.
 func (s *Store) OpenArtifact(name string) (*ArtifactReader, error) {
-	if s == nil {
-		return nil, ErrNotFound
-	}
 	s.mu.Lock()
 	a, ok := s.manifest.Artifacts[name]
 	s.mu.Unlock()
@@ -54,12 +51,12 @@ func (s *Store) OpenArtifact(name string) (*ArtifactReader, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if err := fault.Inject("ckpt.read"); err != nil {
-		s.condemn(name, err.Error())
+		s.condemn(name)
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	f, err := os.Open(filepath.Join(s.dir, a.File))
 	if err != nil {
-		s.condemn(name, err.Error())
+		s.condemn(name)
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	return &ArtifactReader{
@@ -108,7 +105,7 @@ func (r *ArtifactReader) Read(p []byte) (int, error) {
 
 // fail quarantines the artifact and latches the corrupt verdict.
 func (r *ArtifactReader) fail(reason string) error {
-	r.store.condemn(r.name, reason)
+	r.store.condemn(r.name)
 	r.err = fmt.Errorf("%w: %s: %s", ErrCorrupt, r.name, reason)
 	return r.err
 }

@@ -56,10 +56,6 @@ func TestOpenArtifactMissing(t *testing.T) {
 	if _, err := s.OpenArtifact("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	var nilStore *Store
-	if _, err := nilStore.OpenArtifact("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("nil store: want ErrNotFound, got %v", err)
-	}
 }
 
 // TestOpenArtifactCorruptionQuarantines: flipped bytes stream out

@@ -2,12 +2,11 @@
 // one of them does, written once. Main is main(): every CLI works under
 // a context cancelled by SIGINT/SIGTERM, so an operator's Ctrl-C (or a
 // supervisor's TERM) stops stages at their next cancellation check,
-// lets checkpoints and run reports flush, and exits with the interrupted
-// status instead of dying mid-write. Deployment loads a packaged
-// workflow and its two tables (emmatch, emserve); RunRecord is the
-// observability flag set of the binaries that run a pipeline to
-// completion (emmatch, emcasestudy), and Checkpoints the crash-safety
-// flags of the one that checkpoints its sections (emcasestudy).
+// lets run reports flush, and exits with the interrupted status instead
+// of dying mid-write. Deployment loads a packaged workflow and its two
+// tables (emmatch, emserve); RunRecord is the observability flag set of
+// the binaries that run a pipeline to completion (emmatch,
+// emcasestudy); WriteCSV is their atomic CSV output.
 package cliutil
 
 import (

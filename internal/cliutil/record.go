@@ -8,7 +8,6 @@ import (
 	"io"
 	"time"
 
-	"emgo/internal/ckpt"
 	"emgo/internal/obs"
 	"emgo/internal/obs/history"
 )
@@ -131,52 +130,4 @@ func (r *RunRecord) writeDoc(path, what string, write func(path string, stdout i
 		fmt.Fprintf(r.stderr, "%s: wrote %s to %s\n", r.name, what, path)
 	}
 	return nil
-}
-
-// Checkpoints is the -checkpoint-dir -resume flag pair of the binary
-// that checkpoints a study section by section (emcasestudy).
-type Checkpoints struct {
-	dir    string
-	resume bool
-}
-
-func CheckpointFlags(fs *flag.FlagSet) *Checkpoints {
-	c := &Checkpoints{}
-	fs.StringVar(&c.dir, "checkpoint-dir", "", "write crash-safe section checkpoints under this directory")
-	fs.BoolVar(&c.resume, "resume", false, "restore completed sections from -checkpoint-dir instead of recomputing them")
-	return c
-}
-
-// Check refuses -resume without a directory.
-func (c *Checkpoints) Check() error {
-	if c.resume && c.dir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	return nil
-}
-
-// Open opens the store the flags name, nil without -checkpoint-dir. The
-// store is bound to fingerprint — the exact inputs of the run: change
-// any and every prior checkpoint is discarded rather than resumed
-// against the wrong inputs. A run without -resume is a fresh one: prior
-// artifacts are retired to quarantine so they cannot influence it.
-func (c *Checkpoints) Open(name, fingerprint string, stderr io.Writer) (*ckpt.Store, error) {
-	if c.dir == "" {
-		return nil, nil
-	}
-	store, err := ckpt.Open(c.dir, fingerprint)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint store: %w", err)
-	}
-	if reason := store.Discarded(); reason != "" {
-		fmt.Fprintf(stderr, "%s: prior checkpoints discarded: %s\n", name, reason)
-	}
-	if !c.resume {
-		for _, art := range store.Names() {
-			store.Quarantine(art, "fresh run requested (-checkpoint-dir without -resume)")
-		}
-	} else if n := len(store.Names()); n > 0 {
-		fmt.Fprintf(stderr, "%s: resuming from %d checkpoint(s) in %s\n", name, n, c.dir)
-	}
-	return store, nil
 }

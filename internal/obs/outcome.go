@@ -9,7 +9,6 @@ const (
 	// answered without the learned matcher.
 	OutcomeDegraded = "degraded"
 	OutcomeAborted  = "aborted" // the stage, and so the run, a failure stopped at
-	OutcomeResumed  = "resumed" // restored from a checkpoint: an earlier run did the work
 	// OutcomeDegradedQuality: the quality stage of a monitored run whose
 	// live profile drifted past the thresholds against its baseline; the
 	// run completed, its training-time accuracy claim needs another look.

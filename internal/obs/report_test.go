@@ -34,7 +34,7 @@ func TestReportRoundTrip(t *testing.T) {
 		Metrics:    &snap,
 		Provenance: []ProvEntry{
 			{Step: "blocked", Detail: "union of blockers", Count: 120},
-			{Step: "learned", Detail: "matcher predictions on candidates (restored from checkpoint)", Count: 119, Outcome: "resumed"},
+			{Step: "quality", Detail: "live profile drifted from the baseline", Count: 119, Outcome: OutcomeDegradedQuality},
 		},
 	}
 	data, err := rep.Marshal()
@@ -54,7 +54,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if got.Metrics == nil || got.Metrics.Counters["block.pairs_blocked"] != 120 {
 		t.Fatalf("round trip metrics: %+v", got.Metrics)
 	}
-	if len(got.Provenance) != 2 || got.Provenance[1].Outcome != "resumed" {
+	if len(got.Provenance) != 2 || got.Provenance[1].Outcome != OutcomeDegradedQuality {
 		t.Fatalf("round trip provenance: %+v", got.Provenance)
 	}
 }

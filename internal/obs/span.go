@@ -24,7 +24,6 @@ type Span struct {
 	items   int64
 	outcome string
 	attrs   *attr // Annotate's pairs, linked, latest first
-	events  []EventData
 	// first and last are the span's children, linked through next in
 	// the order they started.
 	first, last, next *Span
@@ -180,25 +179,6 @@ func (s *Span) Annotate(key, value string) {
 	s.attrs = a
 }
 
-// Event appends a timestamped event (a checkpoint note) to the span.
-// Safe on nil.
-func (s *Span) Event(kind, detail string) {
-	if s == nil {
-		return
-	}
-	e := EventData{Time: time.Now(), Kind: kind, Detail: detail}
-	s.trace.mu.Lock()
-	s.events = append(s.events, e)
-	s.trace.mu.Unlock()
-}
-
-// EventData is one timestamped span event in the exported trace.
-type EventData struct {
-	Time   time.Time `json:"time"`
-	Kind   string    `json:"kind"`
-	Detail string    `json:"detail,omitempty"`
-}
-
 // SpanData is the JSON form of a span subtree.
 type SpanData struct {
 	Name  string    `json:"name"`
@@ -209,7 +189,6 @@ type SpanData struct {
 	Items      int64             `json:"items,omitempty"`
 	Outcome    string            `json:"outcome,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
-	Events     []EventData       `json:"events,omitempty"`
 	Children   []*SpanData       `json:"children,omitempty"`
 }
 
@@ -238,9 +217,6 @@ func (s *Span) snapshotLocked() *SpanData {
 			d.Attrs = make(map[string]string)
 		}
 		d.Attrs[a.key] = a.value
-	}
-	if len(s.events) > 0 {
-		d.Events = append([]EventData(nil), s.events...)
 	}
 	for c := s.first; c != nil; c = c.next {
 		d.Children = append(d.Children, c.snapshotLocked())

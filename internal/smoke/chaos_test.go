@@ -4,7 +4,6 @@ package smoke
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,18 +11,31 @@ import (
 	"testing"
 )
 
-// The case study the chaos scenario kills and resumes.
+// The case study the chaos scenario kills and reruns.
 const (
 	chaosScale = "0.15"
 	chaosSeed  = "7"
 )
 
-// study runs the race-built emcasestudy over the chaos recipe, with a
-// checkpoint kill-point armed when killSpec is set, and returns its
-// stdout, stderr and exit status — 137 for a SIGKILL, as a shell says it.
-func study(t *testing.T, killSpec string, args ...string) ([]byte, string, int) {
+// chaosOutputs are the study's output files, by flag, in a directory of
+// their own: their base names are what EMCKPT_KILL arms.
+var chaosOutputs = []struct{ flag, file string }{
+	{"-out", "matches.csv"},
+	{"-labels", "labels.csv"},
+	{"-spec", "spec.json"},
+}
+
+// study runs the race-built emcasestudy over the chaos recipe, writing
+// every output into dir, with a kill-point armed when killSpec is set,
+// and returns its stdout, stderr and exit status — 137 for a SIGKILL, as
+// a shell says it.
+func study(t *testing.T, dir, killSpec string) ([]byte, string, int) {
 	t.Helper()
-	cmd := exec.Command(bin("emcasestudy"), append([]string{"-scale", chaosScale, "-seed", chaosSeed}, args...)...)
+	args := []string{"-scale", chaosScale, "-seed", chaosSeed}
+	for _, o := range chaosOutputs {
+		args = append(args, o.flag, filepath.Join(dir, o.file))
+	}
+	cmd := exec.Command(bin("emcasestudy"), args...)
 	if killSpec != "" {
 		cmd.Env = append(os.Environ(), "EMCKPT_KILL="+killSpec)
 	}
@@ -39,65 +51,62 @@ func study(t *testing.T, killSpec string, args ...string) ([]byte, string, int) 
 	return stdout.Bytes(), stderr.String(), code
 }
 
-// smokeChaos is the kill/resume harness of the checkpointing layer: a
-// golden (uncrashed) case study, then for every section checkpoint a run
-// killed — by SIGKILL, so no cleanup code can cheat — before the artifact
-// is written and another right after it commits, one killed mid-write (a
-// torn temp file on disk, to be swept on reopen and never trusted), each
-// resumed to a stdout report and match CSV byte-identical to golden; and
-// a committed artifact with one byte flipped, which the resume must
-// quarantine, recompute, and still converge to golden.
+// smokeChaos is the kill/rerun harness of the study's outputs: a golden
+// (uncrashed) case study, then for every output file a run killed — by
+// SIGKILL, so no cleanup code can cheat — before its temp file exists,
+// between the temp file's sync and its rename, and after the rename is
+// durable. Each kill must leave every output absent or byte-identical to
+// golden, never torn: the one it killed absent before its rename and
+// whole after it. A rerun over the same directory then writes a stdout
+// report and files byte-identical to golden.
 func smokeChaos(t *testing.T) {
-	dir := t.TempDir()
-	goldenCSV := filepath.Join(dir, "golden.csv")
-	golden, errText, code := study(t, "", "-out", goldenCSV)
+	goldenDir := t.TempDir()
+	golden, errText, code := study(t, goldenDir, "")
 	if code != 0 {
 		t.Fatalf("golden run exited %d:\n%s", code, errText)
 	}
-	wantCSV := readFile(t, goldenCSV)
-	resume := func(what, ckpt string) {
-		t.Helper()
-		csv := ckpt + ".csv"
-		out, errText, code := study(t, "", "-checkpoint-dir", ckpt, "-resume", "-out", csv)
-		switch {
-		case code != 0:
-			t.Errorf("%s: resume exited %d:\n%s", what, code, errText)
-		case !bytes.Equal(out, golden):
-			t.Errorf("%s: the resumed report differs from golden:\n%s", what, out)
-		case readFile(t, csv) != wantCSV:
-			t.Errorf("%s: the resumed matches differ from golden", what)
-		}
+	want := map[string][]byte{}
+	for _, o := range chaosOutputs {
+		want[o.file] = []byte(readFile(t, filepath.Join(goldenDir, o.file)))
 	}
 
-	var kills []string
-	for _, section := range []string{"blocking", "labeling", "matching", "updating", "estimating"} {
-		kills = append(kills, "before:study."+section+".json", "after:study."+section+".json")
-	}
-	kills = append(kills, "mid:study.matching.json")
-	for i, spec := range kills {
-		ckpt := filepath.Join(dir, fmt.Sprintf("ckpt-%d", i))
-		if _, errText, code := study(t, spec, "-checkpoint-dir", ckpt, "-resume"); code != 137 {
-			t.Errorf("kill at %s: exit %d, want 137 (SIGKILL):\n%s", spec, code, errText)
-			continue
+	kills := 0
+	for _, o := range chaosOutputs {
+		for _, mode := range []string{"before", "mid", "after"} {
+			spec := mode + ":" + o.file
+			dir := t.TempDir()
+			if _, errText, code := study(t, dir, spec); code != 137 {
+				t.Errorf("kill at %s: exit %d, want 137 (SIGKILL):\n%s", spec, code, errText)
+				continue
+			}
+			kills++
+			for _, out := range chaosOutputs {
+				got, err := os.ReadFile(filepath.Join(dir, out.file))
+				switch {
+				case err != nil && !os.IsNotExist(err):
+					t.Errorf("kill at %s: %s: %v", spec, out.file, err)
+				case err == nil && !bytes.Equal(got, want[out.file]):
+					t.Errorf("kill at %s: %s is torn: %d bytes, golden has %d", spec, out.file, len(got), len(want[out.file]))
+				case out.file == o.file && (err == nil) != (mode == "after"):
+					t.Errorf("kill at %s: %s exists = %v, want %v", spec, out.file, err == nil, mode == "after")
+				}
+			}
+			stdout, errText, code := study(t, dir, "")
+			if code != 0 {
+				t.Errorf("kill at %s: rerun exited %d:\n%s", spec, code, errText)
+				continue
+			}
+			if !bytes.Equal(stdout, golden) {
+				t.Errorf("kill at %s: the rerun's report differs from golden:\n%s", spec, stdout)
+			}
+			for _, out := range chaosOutputs {
+				if got := readFile(t, filepath.Join(dir, out.file)); got != string(want[out.file]) {
+					t.Errorf("kill at %s: the rerun's %s differs from golden", spec, out.file)
+				}
+			}
 		}
-		resume("kill at "+spec, ckpt)
 	}
-
-	ckpt := filepath.Join(dir, "ckpt-corrupt")
-	if _, errText, code := study(t, "", "-checkpoint-dir", ckpt); code != 0 {
-		t.Fatalf("corrupt: checkpointed run exited %d:\n%s", code, errText)
-	}
-	art := filepath.Join(ckpt, "study.matching.json")
-	data, err := os.ReadFile(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] = 0xff
-	if err := os.WriteFile(art, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resume("corrupt", ckpt)
-	if q, _ := os.ReadDir(filepath.Join(ckpt, "quarantine")); len(q) == 0 {
-		t.Error("corrupt: the corrupted artifact was not quarantined")
+	if kills < 5 {
+		t.Errorf("%d kill points fired, want at least 5", kills)
 	}
 }

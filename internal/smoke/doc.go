@@ -2,7 +2,7 @@
 // package that builds the CLIs once (emserve and emcasestudy with
 // -race), generates one projected slice, spec and matcher artifact once,
 // and then runs the serving, job, stream, observability, load, monitoring
-// and kill/resume contracts against the real binaries — every
+// and kill/rerun contracts against the real binaries — every
 // emserve started, killed and drained through load.ServerProc, every
 // request sent through load.Client.
 //

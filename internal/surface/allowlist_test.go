@@ -96,12 +96,11 @@ var unrunEntryPoints = map[string]string{
 	"scripts/bench_snapshot.sh BENCHCOUNT": "set by hand for every committed BENCH_pr*.json (9 passes since pr22) while `make bench-baseline` takes one; the snapshot records it as benchcount and the gate's noise slack reads that",
 }
 
-// traceReaders names the span annotations, span events, request roots and
+// traceReaders names the span annotations, request roots and
 // wide-event fields whose only reader is a person following a docs recipe
 // over a report's trace, /debug/tail or the access log — the metricReaders
 // of the rest of the telemetry. No wildcard, at most eight.
 var traceReaders = map[string]metricReader{
 	"annotation blocker":  {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
-	"event ckpt":          {"why was this section recomputed, or its checkpoint not written?", "docs/OBSERVABILITY.md#how-to-read-a-trace"},
 	"field stream_chunks": {"how far did each connection of a resumed fetch get?", "docs/OBSERVABILITY.md#serving-request-ids-reading-the-access-log-tail-slos"},
 }

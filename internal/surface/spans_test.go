@@ -15,22 +15,22 @@ import (
 )
 
 const traceDispositions = `
-A span name, span annotation, span event or wide-event field has a reader
+A span name, span annotation or wide-event field has a reader
 when one of these holds:
   T0  it names a span: a row of "emmonitor diff" (a run's tree, root included),
       a key of a wide event's "stages", or the root a /debug/tail entry's tree hangs from;
   T1  it is a wide-event field non-test code reads (the tail's retention
       rule, the SLO sample, the access log's sampling);
-  T2  a _test.go outside internal/obs spells it - for an annotation key or an
-      event kind, a test file that also reads a span's attrs or events;
+  T2  a _test.go outside internal/obs spells it - for an annotation key, a
+      test file that also reads a span's attrs;
   T3  traceReaders (allowlist_test.go) gives the operator question it answers
       and the docs section whose recipe uses it.
 A name that has none restates what the wide event, the job status or the
 provenance log already says: delete it with the line that writes it.`
 
 // TestSpanAndEventNamesHaveReaders is TestMetricNamesHaveReaders for the
-// rest of the telemetry vocabulary: span names, span annotations and
-// events, and the fields of the wide event.
+// rest of the telemetry vocabulary: span names, span annotations, and
+// the fields of the wide event.
 func TestSpanAndEventNamesHaveReaders(t *testing.T) {
 	m := loadModule(t)
 	names := m.traceWrites(t)
@@ -48,7 +48,7 @@ func TestSpanAndEventNamesHaveReaders(t *testing.T) {
 		seen[id] = true
 		byKind[n.kind]++
 		rule := n.rule
-		if rule == "" && n.in(tests, n.kind == "annotation" || n.kind == "event") {
+		if rule == "" && n.in(tests, n.kind == "annotation") {
 			rule = "T2"
 		}
 		r, allowed := traceReaders[id]
@@ -76,8 +76,8 @@ func TestSpanAndEventNamesHaveReaders(t *testing.T) {
 	if len(traceReaders) > 8 {
 		t.Errorf("traceReaders has %d entries, the cap is 8: a name whose only reader is a person is the exception", len(traceReaders))
 	}
-	t.Logf("%d span names, %d annotation keys, %d event kinds, %d wide-event fields checked, %d allowlisted",
-		byKind["span"], byKind["annotation"], byKind["event"], byKind["field"], len(traceReaders))
+	t.Logf("%d span names, %d annotation keys, %d wide-event fields checked, %d allowlisted",
+		byKind["span"], byKind["annotation"], byKind["field"], len(traceReaders))
 	if len(orphans) > 0 {
 		sort.Strings(orphans)
 		t.Errorf("%d name(s) of the trace and wide-event vocabulary have no reader:\n\n%s\n%s", len(orphans), strings.Join(orphans, "\n"), traceDispositions)
@@ -86,14 +86,14 @@ func TestSpanAndEventNamesHaveReaders(t *testing.T) {
 
 // traceName is one name the code writes into a span tree or a wide event.
 type traceName struct {
-	kind string // span, annotation, event, field
+	kind string // span, annotation, field
 	name string // the literal; for a span, possibly the literal head of a concatenation ("stage.")
 	rule string // the reader the scan itself establishes (T0, T1), if any
 	site string
 }
 
 // in reports whether the tests spell the name; tree narrows that to the
-// test files that read a span's attrs or events at all.
+// test files that read a span's attrs at all.
 func (n traceName) in(tests []testWords, tree bool) bool {
 	for _, f := range tests {
 		if tree && !f.tree {
@@ -106,16 +106,16 @@ func (n traceName) in(tests []testWords, tree bool) bool {
 	return false
 }
 
-// traceWrites finds every span name (obs.StartSpan, obs.NewTrace),
-// annotation key ((*Span).Annotate) and event kind ((*Span).Event)
-// non-test code outside package obs writes.
+// traceWrites finds every span name (obs.StartSpan, obs.NewTrace) and
+// annotation key ((*Span).Annotate) non-test code outside package obs
+// writes.
 func (m *module) traceWrites(t *testing.T) []traceName {
 	nameArg := map[string]struct {
 		kind string
 		arg  int
 	}{
 		"StartSpan": {"span", 1}, "NewTrace": {"span", 1},
-		"Annotate": {"annotation", 0}, "Event": {"event", 0},
+		"Annotate": {"annotation", 0},
 	}
 	var out []traceName
 	for _, p := range m.sorted() {
@@ -215,8 +215,8 @@ func (m *module) wideEventFields(t *testing.T) []traceName {
 }
 
 // testWords is the words one test file's string literals spell; tree
-// marks a file that reads a span's annotations or events — it selects
-// .Attrs or .Events, or spells the "attrs" / "events" key of the JSON form.
+// marks a file that reads a span's annotations — it selects .Attrs, or
+// spells the "attrs" key of the JSON form.
 type testWords struct {
 	words map[string]bool
 	tree  bool
@@ -255,14 +255,14 @@ func (m *module) testWords(t *testing.T) []testWords {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
-					tw.tree = tw.tree || n.Sel.Name == "Attrs" || n.Sel.Name == "Events"
+					tw.tree = tw.tree || n.Sel.Name == "Attrs"
 				case *ast.BasicLit:
 					if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
 						words := wordsOf(s)
 						for w := range words {
 							tw.words[w] = true
 						}
-						tw.tree = tw.tree || s == "events" || words["attrs"]
+						tw.tree = tw.tree || words["attrs"]
 					}
 				}
 				return true

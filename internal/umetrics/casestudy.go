@@ -2,11 +2,9 @@ package umetrics
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 
 	"emgo/internal/block"
-	"emgo/internal/ckpt"
 	"emgo/internal/cluster"
 	"emgo/internal/core"
 	"emgo/internal/estimate"
@@ -35,20 +33,7 @@ type Config struct {
 	// EstimateRounds are the Section 11 evaluation sample sizes (the
 	// paper used two rounds of 200).
 	EstimateRounds []int
-	// Checkpoints, when set, makes the run crash-safe: each section
-	// writes its outputs to the store, and a later run over the same
-	// Config (open the store with Config.Fingerprint) resumes from the
-	// last durable section instead of starting over. Nil disables
-	// checkpointing entirely.
-	Checkpoints *ckpt.Store `json:"-"`
-	// haltAfter stops the run with errHalted right after the named
-	// section checkpoints — the test hook simulating a crash at a
-	// section boundary without killing the process.
-	haltAfter string
 }
-
-// errHalted is returned when the haltAfter test hook stops a run.
-var errHalted = errors.New("umetrics: run halted by test hook")
 
 // DefaultConfig returns the full-scale configuration mirroring the paper.
 // The matching tables (AwardAgg, USDA, the extra slice) are at the exact
@@ -221,7 +206,6 @@ type study struct {
 	features *feature.Set
 	imputer  *feature.Imputer
 	matcher  ml.Matcher
-	winner   string // CV winner name behind the final matcher
 
 	fig8         *workflow.Result
 	res1, res2   *workflow.Result    // Figure 9 results per slice
@@ -235,63 +219,46 @@ func Run(cfg Config) (*Report, error) {
 	return RunCtxStudy(context.Background(), cfg)
 }
 
+// section is one row of the study: a name, which is also its span's, and
+// the computation.
+type section struct {
+	name string
+	run  func(*study, context.Context) error
+}
+
+// sections is the case study, in order.
+var sections = []section{
+	{"generate", (*study).generate},     // Sections 3-4
+	{"preprocess", (*study).preprocess}, // Sections 5-6
+	{"blocking", (*study).blocking},     // Section 7
+	{"labeling", (*study).labeling},     // Section 8
+	{"matching", (*study).matching},     // Section 9 (Figure 8)
+	{"updating", (*study).updating},     // Section 10 (Figure 9)
+	{"estimating", (*study).estimating}, // Section 11
+	{"refining", (*study).refining},     // Section 12 (Figure 10)
+}
+
 // RunCtxStudy is Run under a context: when ctx carries an obs trace
 // (emcasestudy's -trace/-report flags open one), each case-study
 // section runs inside a "casestudy.<section>" span, so a trace of the
 // full end-to-end run shows where the wall time went; cancellation is
 // checked between sections.
-//
-// With cfg.Checkpoints set, each section's outputs are persisted after
-// it completes and restored — validated — on the next run, so a killed
-// run resumes from its last durable section. Restored sections
-// get span outcome "resumed"; any checkpoint that cannot be trusted is
-// quarantined and the section recomputed.
 func RunCtxStudy(ctx context.Context, cfg Config) (*Report, error) {
 	s := &study{cfg: cfg, report: &Report{OverlapSweep: make(map[int]int)}}
-	// pending is the most recently restored section whose derived state
-	// has not been rebuilt yet; it is rebuilt lazily right before the next
-	// live section.
-	var pending *section
-	for i := range sections {
-		sec := &sections[i]
+	for _, sec := range sections {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sctx, sp := obs.StartSpan(ctx, "casestudy."+sec.name)
-		store := cfg.Checkpoints
-		if sec.snapshot == nil {
-			store = nil
-		}
-		resumed, note, err := ckpt.Do(store, sec.artifact(),
-			func(art *sectionArt) error { return s.restore(sec, art) },
-			func() error {
-				if pending != nil && pending.rebuild != nil {
-					if err := pending.rebuild(s); err != nil {
-						return err
-					}
-				}
-				pending = nil
-				return sec.run(s, sctx)
-			},
-			func() sectionArt { return s.snapshot(sec) })
-		if note != "" {
-			sp.Event("ckpt", note)
-		}
-		switch {
-		case err != nil:
+		err := sec.run(s, sctx)
+		if err != nil {
 			sp.SetOutcome(obs.OutcomeAborted)
-		case resumed:
-			pending = sec
-			sp.SetOutcome(obs.OutcomeResumed)
-		default:
+		} else {
 			sp.SetOutcome(obs.OutcomeOK)
 		}
 		sp.End()
 		if err != nil {
 			return nil, err
-		}
-		if !resumed && cfg.haltAfter == sec.name {
-			return nil, errHalted
 		}
 	}
 	return s.report, nil

@@ -120,8 +120,7 @@ func (s *study) updating(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.winner = cv[0].Name
-	if err := s.train(s.winner, ds, im); err != nil {
+	if err := s.train(cv[0].Name, ds, im); err != nil {
 		return err
 	}
 
