@@ -9,6 +9,7 @@ import (
 
 	"emgo/internal/block"
 	"emgo/internal/feature"
+	"emgo/internal/ml"
 	"emgo/internal/table"
 	"emgo/internal/umetrics"
 	"emgo/internal/workflow"
@@ -133,16 +134,16 @@ func deployedSpec(b *testing.B) *workflow.Spec {
 	return deploySpec
 }
 
-// deployedReads is the feature set of the workflow the scale-1 case study
-// deploys, as Spec.Build hands it out: the features of deployedFeatures,
-// restricted to the ones the deployed tree tests.
+// deployedReads is the feature set the scale-1 case study's deployment
+// vectorizes with (Workflow.Deploy): the features of deployedFeatures
+// narrowed to the ones the deployed tree tests.
 func deployedReads(b *testing.B, left, right *table.Table) *feature.Set {
 	b.Helper()
 	wf, err := deployedSpec(b).Build(left, right, umetrics.DeployTransforms())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return wf.Features
+	return wf.Features.Restrict(ml.ReadSet(wf.Matcher, wf.Features.Len()))
 }
 
 // mustBind returns fs bound to right, failing b on an error.
@@ -161,7 +162,7 @@ func mustBind(b *testing.B, fs *feature.Set, right *table.Table) *feature.Set {
 // RunDeployed and the study do (the right cells the pairs reference are
 // prepared inside the call), and bound, as a server does (left cells
 // only). Each form runs twice: over the full set, which is what the
-// develop loop trains on, and under read=deployed over the set restricted
+// develop loop trains on, and under read=deployed over the set narrowed
 // to what the deployed tree reads, which is what every deployment path
 // computes. Run with -benchmem: bytes and allocations per op divided by
 // the reported pair count are the per-pair garbage.
@@ -280,7 +281,7 @@ func BenchmarkFeatureBind(b *testing.B) {
 }
 
 // BenchmarkFeatureBindDeployed is the same bind as a server pays it: over
-// the set restricted to what the deployed tree reads. (A sibling, not a
+// the set narrowed to what the deployed tree reads. (A sibling, not a
 // sub-benchmark, so BenchmarkFeatureBind keeps the name its committed
 // snapshots carry.)
 func BenchmarkFeatureBindDeployed(b *testing.B) {

@@ -52,9 +52,7 @@ func writeRunReport(t *testing.T, dir string, live *drift.Profile) string {
 		Quality: drift.CaptureQuality(live),
 	}
 	path := filepath.Join(dir, "run.json")
-	if err := rep.WriteFile(path, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeReport(t, rep, path)
 	return path
 }
 
@@ -154,9 +152,7 @@ func TestCheckRejectsReportWithoutProfile(t *testing.T) {
 	}
 	rep := &obs.Report{Name: "plain", Outcome: "ok"}
 	runPath := filepath.Join(dir, "run.json")
-	if err := rep.WriteFile(runPath, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeReport(t, rep, runPath)
 	var out, errOut strings.Builder
 	err := run([]string{"check", "-baseline", basePath, "-run", runPath}, &out, &errOut)
 	if err == nil || errors.Is(err, errBreach) {
@@ -172,12 +168,8 @@ func TestDiffSubcommand(t *testing.T) {
 		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"ml.predictions": 30}}}
 	pa := filepath.Join(dir, "a.json")
 	pb := filepath.Join(dir, "b.json")
-	if err := a.WriteFile(pa, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteFile(pb, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeReport(t, a, pa)
+	writeReport(t, b, pb)
 	var out, errOut strings.Builder
 	if err := run([]string{"diff", pa, pb}, &out, &errOut); err != nil {
 		t.Fatal(err)
@@ -252,9 +244,7 @@ func TestSnapshotHasTwoKinds(t *testing.T) {
 	now := &obs.Report{Name: "workflow.v", Outcome: "ok",
 		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"block.pairs_blocked": 4}}}
 	cur := filepath.Join(dir, "now.json")
-	if err := now.WriteFile(cur, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeReport(t, now, cur)
 	var out, errOut strings.Builder
 	if err := run([]string{"diff", old, cur}, &out, &errOut); err != nil {
 		t.Fatalf("diff against a PR 25 report: %v", err)
@@ -383,5 +373,17 @@ func TestSLOUsageAndBadInput(t *testing.T) {
 	}
 	if err := run([]string{"slo", "-file", empty}, &out, &errOut); err == nil || errors.Is(err, errBreach) {
 		t.Fatalf("status without slo section: want usage/IO error, got %v", err)
+	}
+}
+
+// writeReport writes rep to path as a run report.
+func writeReport(t *testing.T, rep *obs.Report, path string) {
+	t.Helper()
+	data, err := rep.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

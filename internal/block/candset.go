@@ -209,11 +209,16 @@ func (c *CandidateSet) Sample(n int, rng *rand.Rand) ([]Pair, error) {
 }
 
 // Filter returns a new set with the pairs for which keep returns true.
-// They are distinct already, so none is checked against the rest.
+// They are distinct already, so none is checked against the rest. The
+// first kept pair makes room for every pair of c, so the new set never
+// grows, and a set that keeps none allocates nothing.
 func (c *CandidateSet) Filter(keep func(Pair) bool) *CandidateSet {
 	out := NewCandidateSet(c.Left, c.Right)
 	for _, p := range c.pairs {
 		if keep(p) {
+			if out.pairs == nil {
+				out.pairs = make([]Pair, 0, len(c.pairs))
+			}
 			out.push(p)
 		}
 	}

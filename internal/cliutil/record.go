@@ -2,12 +2,16 @@ package cliutil
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"time"
 
+	"emgo/internal/ckpt"
 	"emgo/internal/obs"
 	"emgo/internal/obs/history"
 )
@@ -100,13 +104,14 @@ func (r *RunRecord) write(rep *obs.Report, runErr error) error {
 	r.root.End()
 	var errs []error
 	if r.trace != "" {
-		errs = append(errs, r.writeDoc(r.trace, "trace", r.root.Snapshot().WriteFile))
+		snap := r.root.Snapshot()
+		errs = append(errs, r.writeDoc(r.trace, "trace", func() ([]byte, error) { return json.MarshalIndent(snap, "", "  ") }))
 	}
 	if rep == nil && (r.report != "" || r.history != "") {
 		rep = obs.NewReport(r.name, r.started, r.root, runErr)
 	}
 	if r.report != "" {
-		errs = append(errs, r.writeDoc(r.report, "run report", rep.WriteFile))
+		errs = append(errs, r.writeDoc(r.report, "run report", rep.Marshal))
 	}
 	if r.history != "" {
 		store, err := history.Open(r.history)
@@ -121,13 +126,26 @@ func (r *RunRecord) write(rep *obs.Report, runErr error) error {
 	return errors.Join(errs...)
 }
 
-// writeDoc routes a JSON document to a file, or to stdout for "-".
-func (r *RunRecord) writeDoc(path, what string, write func(path string, stdout io.Writer) error) error {
-	if err := write(path, r.stdout); err != nil {
+// writeDoc writes the JSON document marshal renders, and a newline, to
+// stdout for "-", or else to path atomically, as every data output is
+// written: a run killed mid-write leaves the previous document whole. The
+// directory path names must exist; a record is not worth making one.
+func (r *RunRecord) writeDoc(path, what string, marshal func() ([]byte, error)) error {
+	data, err := marshal()
+	if err != nil {
 		return err
 	}
-	if path != "-" {
-		fmt.Fprintf(r.stderr, "%s: wrote %s to %s\n", r.name, what, path)
+	data = append(data, '\n')
+	if path == "-" {
+		_, err := r.stdout.Write(data)
+		return err
 	}
+	if _, err := os.Stat(filepath.Dir(path)); err != nil {
+		return err
+	}
+	if err := ckpt.AtomicWriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(r.stderr, "%s: wrote %s to %s\n", r.name, what, path)
 	return nil
 }

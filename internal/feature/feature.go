@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"emgo/internal/block"
@@ -124,9 +123,6 @@ type Feature struct {
 // pair's schemas.
 type Set struct {
 	Features []Feature
-	// read marks, feature by feature, what VectorizeCtx computes (see
-	// Restrict); nil, as every set starts, computes them all.
-	read []bool
 	// right and cells are set on a set Bind returned: the one right
 	// table it answers about, and its cells, prepared ahead (see
 	// prepared.go).
@@ -138,20 +134,22 @@ type Set struct {
 	leftPlan atomic.Pointer[plan]
 }
 
-// Restrict returns the set a deployment vectorizes with: the same
-// features in the same slots, of which only those read marks — what the
-// deployed matcher's nodes test, ml.ReadSet — are computed. Every other
-// slot of a vector comes back NaN, for the imputer to fill with its mean:
-// a value no node looks at. A (column, form) group none of whose features
-// is read is neither bound nor tokenised nor merged. The result has cells
-// of its own, takes no new feature (Add), and leaves s, restricted or not,
-// as it was; a caller that trains keeps the set it generated.
+// Restrict returns the set a deployment vectorizes with: the features
+// read marks — what the deployed matcher's nodes test, ml.Narrow — and
+// no others, in the same order, so a vector holds only the values its
+// matcher reads and is as wide as the read count. A (column, form) group
+// none of whose features is read is neither bound nor tokenised nor
+// merged. s is left as it is; a caller that trains keeps the set it
+// generated.
 func (s *Set) Restrict(read []bool) *Set {
-	return &Set{Features: s.Features[:len(s.Features):len(s.Features)], read: slices.Clone(read)}
+	out := &Set{}
+	for k, f := range s.Features {
+		if read[k] {
+			out.Features = append(out.Features, f)
+		}
+	}
+	return out
 }
-
-// reads reports whether VectorizeCtx computes feature k.
-func (s *Set) reads(k int) bool { return s.read == nil || s.read[k] }
 
 // Names returns the feature names in order.
 func (s *Set) Names() []string {
@@ -166,12 +164,8 @@ func (s *Set) Names() []string {
 func (s *Set) Len() int { return len(s.Features) }
 
 // Add appends a feature, rejecting duplicate names — and any feature on a
-// restricted set, whose read marks are its matcher's, or on a bound one,
-// whose cells are built.
+// bound set, whose cells are built.
 func (s *Set) Add(f Feature) error {
-	if s.read != nil {
-		return fmt.Errorf("feature: %q added to a restricted set", f.Name)
-	}
 	if s.cells != nil {
 		return fmt.Errorf("feature: %q added to a bound set", f.Name)
 	}

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,6 +255,21 @@ func TestImputer(t *testing.T) {
 	// Original untouched.
 	if !math.IsNaN(x[0][1]) {
 		t.Fatal("transform mutated input")
+	}
+	// Restricted to columns 0 and 2, it fills the narrowed rows with
+	// their means and leaves im as it was.
+	narrow, err := im.Restrict([]bool{true, false, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := narrow.Means(); !slices.Equal(got, []float64{2, 3}) {
+		t.Fatalf("restricted means = %v", got)
+	}
+	if len(im.Means()) != 3 {
+		t.Fatal("Restrict changed the imputer it was called on")
+	}
+	if _, err := im.Restrict([]bool{true}); err == nil {
+		t.Fatal("read marks of another width should error")
 	}
 }
 

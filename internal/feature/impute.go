@@ -70,6 +70,22 @@ func (im *Imputer) Transform(x [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
+// Restrict returns the imputer of the vectors Set.Restrict(read) makes:
+// the means of the columns read marks, in order. read must be as wide as
+// the imputer.
+func (im *Imputer) Restrict(read []bool) (*Imputer, error) {
+	if len(read) != len(im.means) {
+		return nil, fmt.Errorf("feature: %d read marks for an imputer of %d features", len(read), len(im.means))
+	}
+	out := &Imputer{}
+	for k, m := range im.means {
+		if read[k] {
+			out.means = append(out.means, m)
+		}
+	}
+	return out, nil
+}
+
 // Means returns the learned column means (a copy).
 func (im *Imputer) Means() []float64 {
 	out := make([]float64, len(im.means))

@@ -69,10 +69,8 @@ type plan struct {
 // planFor resolves the set's columns against left and right and splits its
 // features into prepared groups and direct computations. A feature is
 // prepared when its Func names a set similarity of the registry; custom
-// closures (empty Func) and every other similarity stay direct; a feature
-// the set does not read (Restrict) is neither, though its columns must
-// still resolve — the tables a restricted set accepts are the full set's.
-// A bound set keeps the plan of the last left schema it met, so requests
+// closures (empty Func) and every other similarity stay direct. A bound
+// set keeps the plan of the last left schema it met, so requests
 // under the server's schema resolve nothing.
 func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 	if pl := s.leftPlan.Load(); pl != nil && pl.left == left.Schema() {
@@ -89,9 +87,6 @@ func (s *Set) planFor(left, right *table.Table) (*plan, error) {
 			return nil, err
 		}
 		pl.lj[k], pl.rj[k] = lj, rj
-		if !s.reads(k) {
-			continue
-		}
 		sim := computeRegistry[f.Func]
 		if sim.ratio == nil {
 			pl.direct = append(pl.direct, k)
@@ -148,8 +143,7 @@ func (p *prepared) counts(g, ls, rs int) (inter, la, lb int, ok bool) {
 }
 
 // vector fills row with the feature values of pair p: one merge per cell
-// group, shared by the group's features, then the direct computations; a
-// feature s does not read is in neither, and its slot is NaN.
+// group, shared by the group's features, then the direct computations.
 func (pl *plan) vector(row []float64, s *Set, cells *prepared, left, right *table.Table, p block.Pair) {
 	if len(pl.groups) > 0 {
 		ls, rs := cells.slots(p)
@@ -167,11 +161,6 @@ func (pl *plan) vector(row []float64, s *Set, cells *prepared, left, right *tabl
 	}
 	for _, k := range pl.direct {
 		row[k] = s.Features[k].Compute(left.Row(p.A)[pl.lj[k]], right.Row(p.B)[pl.rj[k]])
-	}
-	for k, read := range s.read {
-		if !read {
-			row[k] = math.NaN()
-		}
 	}
 }
 
@@ -255,7 +244,7 @@ type rightCells struct {
 	cols []*block.Column
 }
 
-// Bind returns the set bound to right: the same features and read marks,
+// Bind returns the set bound to right: the same features,
 // with the right table's cells prepared now, once, so VectorizeCtx over
 // right tokenises only the left rows of its pairs — what a server does
 // with its reference table at start-up. A column of built — the bound
@@ -264,7 +253,7 @@ type rightCells struct {
 // in place of one of its own; only the columns left over are built. s is
 // left as it is. The bound set answers about right only — asked about
 // another table, VectorizeCtx returns an error naming both — and takes no
-// new feature. Bind fails when a read feature's column is missing from
+// new feature. Bind fails when a set similarity's column is missing from
 // right, ctx ends first, or the "feature.bind" fault site fires: the
 // error a server refuses to start or to swap a matcher in on.
 func (s *Set) Bind(ctx context.Context, right *table.Table, built ...*block.Column) (*Set, error) {
@@ -276,18 +265,18 @@ func (s *Set) Bind(ctx context.Context, right *table.Table, built ...*block.Colu
 		return nil, err
 	}
 	n := len(s.Features)
-	return &Set{Features: s.Features[:n:n], read: s.read, right: right, cells: cells}, nil
+	return &Set{Features: s.Features[:n:n], right: right, cells: cells}, nil
 }
 
-// prepareRight readies the right columns of the set features the set
-// reads over rows of right — nil for every row: each is a column of built
+// prepareRight readies the right columns of the set's set features over
+// rows of right — nil for every row: each is a column of built
 // when one will do, else built now.
 func (s *Set) prepareRight(ctx context.Context, right *table.Table, rows []int, built []*block.Column) (*rightCells, error) {
 	rc := &rightCells{}
 	var fresh []int // the columns of rc to build
-	for k, f := range s.Features {
+	for _, f := range s.Features {
 		sim := computeRegistry[f.Func]
-		if sim.ratio == nil || !s.reads(k) {
+		if sim.ratio == nil {
 			continue
 		}
 		rj, err := right.Col(f.RightCol)

@@ -170,10 +170,10 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 		}
 	}
 
-	// The same set restricted to what a matcher reads: a read slot holds
-	// bit-for-bit the full set's value (Feature.Compute's, by the above), an
-	// unread one NaN, bound or not — and the cells it binds are the read
-	// groups' only.
+	// The same set restricted to what a matcher reads: its vectors are as
+	// wide as the read count, column c bit-for-bit the full set's value of
+	// the c-th read feature (Feature.Compute's, by the above), bound or not
+	// — and the cells it binds are the read groups' only.
 	index := map[string]int{}
 	for k, f := range set.Features {
 		index[f.Func] = k
@@ -189,12 +189,15 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 		for _, key := range keys {
 			read[index[key]] = true
 		}
-		restricted := set.Restrict(read)
-		if got := restricted.Names(); len(got) != set.Len() {
-			t.Fatalf("restricted set has %d names, want the full set's %d", len(got), set.Len())
+		var readIdx []int
+		for k, r := range read {
+			if r {
+				readIdx = append(readIdx, k)
+			}
 		}
-		if err := restricted.Add(Feature{Name: "late"}); err == nil {
-			t.Fatal("a restricted set took a new feature")
+		restricted := set.Restrict(read)
+		if got := restricted.Len(); got != len(readIdx) {
+			t.Fatalf("reading %v: restricted set has %d features, want %d", keys, got, len(readIdx))
 		}
 		boundSet := mustBind(t, restricted, r)
 		for _, bound := range []bool{false, true} {
@@ -207,13 +210,12 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range pairs {
-				for k, f := range set.Features {
-					want := math.NaN()
-					if read[k] {
-						want = x[i][k]
-					}
-					if math.Float64bits(got[i][k]) != math.Float64bits(want) {
-						t.Fatalf("reading %v (bound=%v): %s on pair %v is %v, want %v", keys, bound, f.Name, pairs[i], got[i][k], want)
+				if len(got[i]) != len(readIdx) {
+					t.Fatalf("reading %v (bound=%v): vector of width %d, want %d", keys, bound, len(got[i]), len(readIdx))
+				}
+				for c, k := range readIdx {
+					if math.Float64bits(got[i][c]) != math.Float64bits(x[i][k]) {
+						t.Fatalf("reading %v (bound=%v): %s on pair %v is %v, want %v", keys, bound, set.Features[k].Name, pairs[i], got[i][c], x[i][k])
 					}
 				}
 			}
@@ -237,7 +239,7 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 			t.Fatalf("reading %v: %d columns bound, want %d", keys, len(cols), forms)
 		}
 	}
-	if set.cells != nil || set.read != nil {
+	if set.cells != nil || set.Len() != len(registryKeys()) {
 		t.Fatal("Restrict or Bind changed the set it was called on")
 	}
 }

@@ -133,3 +133,98 @@ func markSplits(n *treeNode, read []bool) {
 	markSplits(n.left, read)
 	markSplits(n.right, read)
 }
+
+// Narrow returns m as it reads the vectors a deployment computes — the
+// features of ReadSet(m, width), in feature order, and no others — and
+// that read set. A tree or forest that leaves some feature unread comes
+// back renumbered: a copy whose split nodes test the narrow slots, one
+// node slab a tree, whose Predict and Proba on a vector's read columns
+// are m's on the whole vector. Any other matcher reads every feature and
+// comes back as it is.
+func Narrow(m Matcher, width int) (Matcher, []bool) {
+	read := ReadSet(m, width)
+	r := renumbering{slot: make([]int, width)}
+	for k, isRead := range read {
+		if r.slot[k] = r.width; isRead {
+			r.width++
+		}
+	}
+	if r.width == width {
+		return m, read
+	}
+	switch mm := m.(type) {
+	case *DecisionTree:
+		t := *mm
+		r.tree(&t, r.names(mm.features, read))
+		return &t, read
+	case *RandomForest:
+		f := *mm
+		trees := make([]DecisionTree, len(mm.trees))
+		f.trees = make([]*DecisionTree, len(mm.trees))
+		// A forest's trees are fitted, and exported, over one feature list.
+		var names []string
+		if len(mm.trees) > 0 {
+			names = r.names(mm.trees[0].features, read)
+		}
+		for i, t := range mm.trees {
+			trees[i] = *t
+			r.tree(&trees[i], names)
+			f.trees[i] = &trees[i]
+		}
+		return &f, read
+	}
+	return m, read
+}
+
+// renumbering maps a feature index to its slot in a narrowed vector.
+type renumbering struct {
+	slot  []int // per feature of the full vector
+	width int   // the narrowed vector's
+	slab  []treeNode
+}
+
+// names returns the names of the read features.
+func (r *renumbering) names(features []string, read []bool) []string {
+	out := make([]string, 0, r.width)
+	for k, name := range features {
+		if k < len(read) && read[k] {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// tree points t, a copy of a tree, at a renumbered copy of its nodes,
+// in one slab.
+func (r *renumbering) tree(t *DecisionTree, names []string) {
+	if t.root != nil {
+		r.slab = make([]treeNode, countNodes(t.root))
+		t.root = r.node(t.root)
+	}
+	t.features = names
+}
+
+// node copies n and the nodes under it into the slab, preorder. A split
+// feature past the full width moves past the narrow one, so Predict fails
+// on it as it would have.
+func (r *renumbering) node(n *treeNode) *treeNode {
+	c := &r.slab[0]
+	r.slab = r.slab[1:]
+	*c = *n
+	if !n.leaf {
+		c.feature = r.width
+		if n.feature >= 0 && n.feature < len(r.slot) {
+			c.feature = r.slot[n.feature]
+		}
+		c.left, c.right = r.node(n.left), r.node(n.right)
+	}
+	return c
+}
+
+// countNodes is the number of nodes under n, n included.
+func countNodes(n *treeNode) int {
+	if n.leaf {
+		return 1
+	}
+	return 1 + countNodes(n.left) + countNodes(n.right)
+}

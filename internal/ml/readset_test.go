@@ -123,10 +123,11 @@ func randomTree(rng *rand.Rand, width, depth int) *TreeSpec {
 	return &TreeSpec{Features: names, Root: grow(depth, free, rng.Intn(2))}
 }
 
-// TestReadSetIsWhatCanMoveAnOutput is the invariant deployment pruning
+// TestReadSetIsWhatCanMoveAnOutput is the invariant deployment narrowing
 // rests on, over random trees and forests and random vectors with random
 // missing values: a vector whose unread slots hold the imputer's mean
-// scores exactly as the fully computed, imputed vector does; no
+// scores exactly as the fully computed, imputed vector does, and so do
+// its read columns alone under the narrowed matcher (Narrow); no
 // perturbation of an unread slot moves Predict or Proba; and every read
 // slot has a perturbation that does.
 func TestReadSetIsWhatCanMoveAnOutput(t *testing.T) {
@@ -152,6 +153,11 @@ func TestReadSetIsWhatCanMoveAnOutput(t *testing.T) {
 			m = forest
 		}
 		reads := ReadSet(m, width)
+		nm, narrowReads := Narrow(m, width)
+		if !reflect.DeepEqual(narrowReads, reads) {
+			t.Fatalf("trial %d: Narrow reads %v, ReadSet %v", trial, narrowReads, reads)
+		}
+		narrow := nm.(ProbabilisticMatcher)
 		means := make([]float64, width)
 		for k := range means {
 			means[k] = rng.Float64()
@@ -174,6 +180,15 @@ func TestReadSetIsWhatCanMoveAnOutput(t *testing.T) {
 			label, score := m.Predict(full), m.Proba(full)
 			if l, s := m.Predict(pruned), m.Proba(pruned); l != label || s != score {
 				t.Fatalf("trial %d (%s, reads %v): pruned vector scores %d/%v, full %d/%v", trial, m.Name(), reads, l, s, label, score)
+			}
+			var cols []float64
+			for k, read := range reads {
+				if read {
+					cols = append(cols, full[k])
+				}
+			}
+			if l, s := narrow.Predict(cols), narrow.Proba(cols); l != label || s != score {
+				t.Fatalf("trial %d (%s, reads %v): the narrowed matcher scores the read columns %d/%v, m the full vector %d/%v", trial, m.Name(), reads, l, s, label, score)
 			}
 			for k := range full {
 				was := full[k]

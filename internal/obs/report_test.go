@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -56,25 +54,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if len(got.Provenance) != 2 || got.Provenance[1].Outcome != OutcomeDegradedQuality {
 		t.Fatalf("round trip provenance: %+v", got.Provenance)
-	}
-}
-
-func TestReportWriteFile(t *testing.T) {
-	rep := &Report{Name: "x", Outcome: "ok"}
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := rep.WriteFile(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "x" || got.Outcome != "ok" {
-		t.Fatalf("got %+v", got)
 	}
 }
 

@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"emgo/internal/block"
+	"emgo/internal/tokenize"
+	"emgo/internal/workflow"
 )
 
 // allocsPerRequest is testing.AllocsPerRun over one POST through the
@@ -54,5 +60,59 @@ func TestMatchBatchAllocCeiling(t *testing.T) {
 	}
 	if got := allocsPerRequest(t, "/v1/match/batch", string(body)) / records; got > ceiling {
 		t.Fatalf("a batch allocates %.1f times a record, want at most %.1f", got, ceiling)
+	}
+}
+
+// TestDeployedLearnedStageAllocCeiling: a deployment's vectors are as wide
+// as its matcher's read count, not its feature set, and its learned stage
+// — workflow.PredictPairs — allocates no more for each further pair than
+// 8 B a read feature plus a slack for the row header, the prediction and
+// the left row's share of the prepared cells. The fixture's one-split tree
+// reads 1 of 21 features, and a further pair costs ~74 B; it cost ~234 B
+// when every vector had a slot for each feature.
+func TestDeployedLearnedStageAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	const slack = 96 // bytes a pair
+	ctx := context.Background()
+	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
+	tree, _ := titleStumps(t, w)
+	d, err := deployed(t, w, tree, l, r).Deploy(ctx, tree, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := len(readNames(w, tree))
+	if got := d.Features.Len(); got != read {
+		t.Fatalf("the deployment's vectors have %d slots; its tree reads %d of %d features", got, read, w.Features.Len())
+	}
+	var pairs []block.Pair
+	for i := 0; i < l.Len(); i++ {
+		for j := 0; j < 16; j++ {
+			pairs = append(pairs, block.Pair{A: i, B: (i + 37*j) % r.Len()})
+		}
+	}
+	// bytes is what one call over the first n pairs allocates, averaged.
+	bytes := func(n int) float64 {
+		predict := func() {
+			if _, _, err := workflow.PredictPairs(ctx, d.Features, d.Imputer, d.Matcher, l, r, pairs[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		predict() // the first call resolves the plan a bound set keeps
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			predict()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	half := len(pairs) / 2
+	perPair := (bytes(len(pairs)) - bytes(half)) / float64(len(pairs)-half)
+	t.Logf("%d pairs over %d read features: %.1f B a further pair", len(pairs), read, perPair)
+	if ceiling := float64(8*read + slack); perPair > ceiling {
+		t.Fatalf("the learned stage allocates %.1f B a further pair over %d read features, want at most %.0f", perPair, read, ceiling)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -49,8 +50,8 @@ func stump(t testing.TB, names []string, feature string, threshold float64) *ml.
 }
 
 // deployed packages w's features and imputer with m as the case study
-// does and builds the spec against the tables: the workflow a deployment
-// runs, its feature set restricted to what m reads.
+// does and builds the spec against the tables: the full-width workflow a
+// deployment narrows to what m reads.
 func deployed(t testing.TB, w *workflow.Workflow, m ml.Matcher, l, r *table.Table) *workflow.Workflow {
 	t.Helper()
 	spec, err := umetrics.FigureSpec(10).Package(w.Features, w.Imputer, m)
@@ -67,7 +68,7 @@ func deployed(t testing.TB, w *workflow.Workflow, m ml.Matcher, l, r *table.Tabl
 // fullVectors is a server answering with m computing every feature of every
 // pair: deployed's workflow with the generated feature set put back, and m
 // behind the opaque wrapper, which by ml.ReadSet's rule reads everything —
-// so its deployment restricts nothing. The wrapper cannot be exported, so
+// so its deployment narrows nothing. The wrapper cannot be exported, so
 // it goes in the way a reload puts a matcher in: deployed, then stored.
 func fullVectors(t testing.TB, cfg Config, w *workflow.Workflow, m *ml.DecisionTree, l, r *table.Table) *Server {
 	t.Helper()
@@ -142,27 +143,32 @@ func answersOf(t testing.TB, s *Server, l *table.Table) []string {
 }
 
 // deploysReadSet fails unless s's live deployment computes what m reads
-// by ml.ReadSet and nothing else: over one pair per left row its vectors
-// are, NaN for NaN, those of w's generated set restricted to that read set.
+// by ml.ReadSet and nothing else: its vectors hold exactly those features,
+// in order, and over one pair per left row each column is, NaN for NaN,
+// the same-named feature of w's generated set.
 func deploysReadSet(t testing.TB, s *Server, w *workflow.Workflow, m ml.Matcher, l *table.Table) {
 	t.Helper()
 	pairs := make([]block.Pair, l.Len())
 	for i := range pairs {
 		pairs[i] = block.Pair{A: i, B: i % s.right.Len()}
 	}
-	got, err := s.live.Load().deployment.Features.Vectorize(l, s.right, pairs)
+	live := s.live.Load().deployment.Features
+	if names := live.Names(); !slices.Equal(names, readNames(w, m)) {
+		t.Fatalf("the live deployment computes %v, where %s's read set is %v", names, m.Name(), readNames(w, m))
+	}
+	got, err := live.Vectorize(l, s.right, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := w.Features.Restrict(ml.ReadSet(m, w.Features.Len())).Vectorize(l, s.right, pairs)
+	want, err := w.Features.Vectorize(l, s.right, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		for k, v := range want[i] {
-			if g := got[i][k]; g != v && !(math.IsNaN(g) && math.IsNaN(v)) {
-				t.Fatalf("the live deployment computes %s = %v on pair %v, where %s's read set %v gives %v",
-					w.Features.Features[k].Name, g, pairs[i], m.Name(), readNames(w, m), v)
+	for c, name := range live.Names() {
+		k := slices.Index(w.Features.Names(), name)
+		for i := range want {
+			if g, v := got[i][c], want[i][k]; g != v && !(math.IsNaN(g) && math.IsNaN(v)) {
+				t.Fatalf("the live deployment computes %s = %v on pair %v, the generated set %v", name, g, pairs[i], v)
 			}
 		}
 	}

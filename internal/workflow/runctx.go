@@ -240,10 +240,11 @@ func buildReport(name string, started time.Time, root *obs.Span, res *Result, ru
 }
 
 // PredictPairs is the vectorize → impute → predict chain over one list
-// of candidate pairs, the one copy RunCtx and the serving tier share. m
-// and fs travel together: a deployed set computes only what its matcher
-// reads (Deploy). The vectors are imputed in place and come back beside
-// the predictions, for a probabilistic matcher's scores.
+// of candidate pairs, the one copy RunCtx and the serving tier share. fs,
+// im and m travel together: a deployment's hold only the features its
+// matcher reads, and its matcher is renumbered onto them (Deploy). The
+// vectors are imputed in place and come back beside the predictions, for
+// a probabilistic matcher's scores.
 func PredictPairs(ctx context.Context, fs *feature.Set, im *feature.Imputer, m ml.Matcher, left, right *table.Table, pairs []block.Pair) ([]int, [][]float64, error) {
 	x, err := fs.VectorizeCtx(ctx, left, right, pairs)
 	if err != nil {
@@ -267,8 +268,17 @@ func (w *Workflow) learn(ctx context.Context, left, right *table.Table, res *Res
 	if w.Features == nil || w.Imputer == nil {
 		return errNoFeatures
 	}
+	l := learned{w.Features, w.Imputer, w.Matcher}
+	if w.trained == nil {
+		// A workflow Deploy did not return narrows for this run what a
+		// deployment narrows once.
+		var err error
+		if l, err = l.narrow(); err != nil {
+			return err
+		}
+	}
 	pairs := res.Candidates.Pairs()
-	preds, _, err := PredictPairs(ctx, w.Features, w.Imputer, w.Matcher, left, right, pairs)
+	preds, _, err := PredictPairs(ctx, l.features, l.imputer, l.matcher, left, right, pairs)
 	if err != nil {
 		if idx, ok := parallel.FailingIndex(err); ok {
 			return fmt.Errorf("pair (%d,%d): %w", pairs[idx].A, pairs[idx].B, err)
@@ -287,9 +297,10 @@ func (w *Workflow) learn(ctx context.Context, left, right *table.Table, res *Res
 var errNoFeatures = errors.New("matcher set but features/imputer missing")
 
 // profile builds the run's quality profile from its result, once and in
-// pair order, so a rerun over the same inputs builds the same one. Its pairs are the ones the learned stage
-// decided: the candidates. They are vectorized over every feature of the set, not only the ones a
-// deployed matcher reads: a feature's distribution over the candidates
+// pair order, so a rerun over the same inputs builds the same one. Its
+// pairs are the ones the learned stage decided: the candidates. They are
+// vectorized over every feature of the full set, not only the ones a
+// deployment narrowed to: a feature's distribution over the candidates
 // is also the one pairwise profile of the attributes the rules and
 // blockers read (an award number that goes missing shows in
 // AwardNumber_jaccard_qgram3, which no node tests). The raw vectors feed
@@ -302,20 +313,17 @@ func (w *Workflow) profile(ctx context.Context, left, right *table.Table, blocke
 	}
 	b := drift.NewBuilder()
 	if len(pairs) > 0 {
-		if w.Features == nil || w.Imputer == nil {
+		full := w.full()
+		if full.features == nil || full.imputer == nil {
 			return nil, errNoFeatures
 		}
-		all := make([]bool, w.Features.Len())
-		for k := range all {
-			all[k] = true
-		}
-		x, err := w.Features.Restrict(all).VectorizeCtx(ctx, left, right, pairs)
+		x, err := full.features.VectorizeCtx(ctx, left, right, pairs)
 		if err != nil {
 			return nil, err
 		}
-		b.ObserveVectors(w.Features.Names(), x)
-		if pm, ok := w.Matcher.(ml.ProbabilisticMatcher); ok {
-			if err := w.Imputer.Fill(x); err != nil {
+		b.ObserveVectors(full.features.Names(), x)
+		if pm, ok := full.matcher.(ml.ProbabilisticMatcher); ok {
+			if err := full.imputer.Fill(x); err != nil {
 				return nil, err
 			}
 			for _, row := range x {

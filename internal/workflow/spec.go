@@ -268,37 +268,37 @@ func (s *Spec) Build(left, right *table.Table, transforms Transforms) (*Workflow
 		if err != nil {
 			return nil, err
 		}
-		// A deployed workflow computes what its matcher reads: every
-		// run of w, and whoever vectorizes with w.Features, skips the
-		// features no node of m tests. Training paths never come through
-		// a spec and keep the set they generated.
-		w.Features = restrictFor(fs, m)
+		w.Features = fs
 		w.Imputer = feature.ImputerFromMeans(s.ImputerMeans)
 		w.Matcher = m
 	}
 	return w, nil
 }
 
-// restrictFor is fs as a deployment of m computes it: the features m's
-// nodes test and no others (ml.ReadSet, feature.Set.Restrict).
-func restrictFor(fs *feature.Set, m ml.Matcher) *feature.Set {
-	return fs.Restrict(ml.ReadSet(m, fs.Len()))
-}
-
 // Deploy returns a shallow copy of w serving matcher m (nil: rules only)
-// over right: its features are w's restricted to what m reads, and its
-// sure rules, blockers and feature set are bound to right — the keyed
-// join, the columns and key indexes and the cells built here, once — so a
-// run over right only probes, and a run over any other right table is an
-// error. The blockers bind first, and the feature set reads their columns
-// where it tokenises a right column the same way, so each column of right
-// is tokenised once per token set. w is left as it is: Deploy binds
-// copies. It returns the first bind error: a deployment that cannot block
-// does not start.
+// over right: its sure rules, blockers and feature set are bound to right
+// — the keyed join, the columns and key indexes and the cells built here,
+// once — so a run over right only probes, and a run over any other right
+// table is an error. The blockers bind first, and the feature set reads
+// their columns where it tokenises a right column the same way, so each
+// column of right is tokenised once per token set.
+//
+// The learned stage is narrowed to what m reads (ml.Narrow): the copy's
+// Features hold only those features, in order, its Imputer only their
+// means, and its Matcher is m renumbered onto them, so a vector is as wide
+// as the read count. m reads w's full feature set, as a spec's or an
+// artifact's matcher does. The narrowing is the deployment's own: the
+// quality profile still observes every feature, and a deployment
+// deployed again — a reload — narrows from the sets it was narrowed
+// from, not from its own. w is left as it is: Deploy binds copies. It
+// returns the first bind error: a deployment that cannot block does not
+// start.
 func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table) (*Workflow, error) {
+	full := w.full()
+	full.matcher = m
 	d := *w
-	d.Matcher = m
-	if m != nil && (w.Features == nil || w.Imputer == nil) {
+	d.Features, d.Imputer, d.Matcher, d.trained = full.features, full.imputer, m, &full
+	if m != nil && (full.features == nil || full.imputer == nil) {
 		return nil, fmt.Errorf("workflow %s: matcher deployed without features/imputer", w.Name)
 	}
 	var err error
@@ -311,9 +311,14 @@ func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table)
 		return nil, fmt.Errorf("workflow %s: bind blockers: %w", w.Name, err)
 	}
 	if m != nil {
-		if d.Features, err = restrictFor(w.Features, m).Bind(ctx, right, block.Columns(d.Blockers)...); err != nil {
+		narrow, err := full.narrow()
+		if err != nil {
+			return nil, fmt.Errorf("workflow %s: %w", w.Name, err)
+		}
+		if d.Features, err = narrow.features.Bind(ctx, right, block.Columns(d.Blockers)...); err != nil {
 			return nil, fmt.Errorf("workflow %s: bind feature cells: %w", w.Name, err)
 		}
+		d.Imputer, d.Matcher = narrow.imputer, narrow.matcher
 	}
 	return &d, nil
 }

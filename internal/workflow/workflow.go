@@ -78,12 +78,43 @@ type Workflow struct {
 	// Blockers build the candidate set; they are unioned.
 	Blockers []block.Blocker
 	// Features, Imputer and Matcher form the trained learning-based
-	// matcher applied to candidates that no rule decided.
+	// matcher applied to candidates that no rule decided. On a workflow
+	// Deploy returned they are narrowed to the features Matcher reads.
 	Features *feature.Set
 	Imputer  *feature.Imputer
 	Matcher  ml.Matcher
 	// NegativeRules veto predicted matches (Figure 10).
 	NegativeRules *rules.Engine
+
+	// trained is, on a workflow Deploy returned, the learned stage as it
+	// was trained, before Deploy narrowed it: what the quality profile
+	// observes and a re-deploy narrows from. nil on any other workflow.
+	trained *learned
+}
+
+// learned is a learned stage: a feature set, the imputer of its vectors
+// and the matcher that reads them.
+type learned struct {
+	features *feature.Set
+	imputer  *feature.Imputer
+	matcher  ml.Matcher
+}
+
+// full returns w's learned stage over the full feature set.
+func (w *Workflow) full() learned {
+	if w.trained != nil {
+		return *w.trained
+	}
+	return learned{w.Features, w.Imputer, w.Matcher}
+}
+
+// narrow is l as a run computes it: the features its matcher reads and
+// no others (ml.Narrow), their means, and the matcher renumbered onto
+// them.
+func (l learned) narrow() (learned, error) {
+	m, read := ml.Narrow(l.matcher, l.features.Len())
+	im, err := l.imputer.Restrict(read)
+	return learned{l.features.Restrict(read), im, m}, err
 }
 
 // Result is the outcome of running a workflow over one pair of tables.
