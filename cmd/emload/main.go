@@ -28,12 +28,10 @@
 //	          check) with at most 5% of answers shed, until one fails;
 //	          the last passing rate is the max sustainable rate.
 //	chaos     supervised chaos-soak: boots its own emserve (-server-bin +
-//	          args after --), trips and recovers the breaker under
-//	          injected matcher faults, SIGKILLs the server at a shard
-//	          boundary mid-load via EMCKPT_KILL, restarts it, and
-//	          requires byte-identical job resume, two load phases that
-//	          pass the gate, a re-closed breaker, and a leak- and
-//	          race-clean drain.
+//	          args after --), SIGKILLs it at a shard boundary mid-load
+//	          via EMCKPT_KILL, restarts it, and requires byte-identical
+//	          job resume, two load phases that pass the gate, and a
+//	          leak- and race-clean drain.
 //
 // Exit status: 0 when every judged phase passed (capacity: at least one
 // step), 1 when one failed, 2 on a usage error or a run that could not

@@ -3,10 +3,10 @@
 // the workflow against the two deployment tables, and answers single-record
 // match requests over HTTP/JSON — the "matching as a service" end state of
 // Section 12, run under hostile-conditions machinery: bounded admission
-// with load shedding (429 + Retry-After), per-request deadlines, a circuit
-// breaker that degrades the learned matcher to the rule-only path, and
+// with load shedding (429 + Retry-After), per-request deadlines whose ML
+// sub-budget degrades a slow learned matcher to the rule-only answer, and
 // atomic hot reload of the matcher artifact with checksum validation and
-// rollback.
+// rollback. A matcher or blocker that fails answers 500.
 //
 // Usage:
 //
@@ -14,7 +14,6 @@
 //	        [-addr 127.0.0.1:8080] [-addr-file addr.txt] [-matcher matcher.json] \
 //	        [-max-inflight 8] [-max-queue 64] [-request-timeout 5s] [-max-body 1048576] \
 //	        [-read-header-timeout 5s] [-read-timeout 30s] [-write-timeout 0] [-idle-timeout 120s] \
-//	        [-breaker-failures 5] [-breaker-cooldown 10s] \
 //	        [-transforms umetrics] [-date-cols ...] \
 //	        [-max-batch 256] [-job-dir jobs/] [-job-workers 2] [-job-shard-size 32] \
 //	        [-job-max-queued 8] \
@@ -38,7 +37,7 @@
 // 429), and a drain ends active streams at a flush boundary with a
 // resumable cursor. GET /healthz,
 // /readyz and /v1/status report liveness, readiness and the live
-// breaker/queue counters; POST /-/reload hot-swaps the matcher
+// request/queue counters; POST /-/reload hot-swaps the matcher
 // artifact; /debug/ exposes expvar and pprof, the one profiling surface
 // (`go tool pprof http://ADDR/debug/pprof/profile?seconds=5`; see
 // docs/OBSERVABILITY.md "Profiling & perf gating"). Nothing
@@ -72,8 +71,8 @@
 // to re-read).
 //
 // -inject arms a fault-injection plan (site:spec, repeatable; see
-// internal/fault) — the smoke tests use it to force matcher failures and
-// latency so shedding and degradation are exercised for real.
+// internal/fault) — the smoke tests use it to slow the matcher and the
+// pipeline so shedding and degradation are exercised for real.
 package main
 
 import (
@@ -142,8 +141,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "how long a connection may take to deliver a whole request (0 = unlimited)")
 	writeTimeout := fs.Duration("write-timeout", 0, "how long a response write may take (0 = unlimited; request work is already bounded by -request-timeout)")
 	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "how long a keep-alive connection may sit idle between requests (0 = unlimited)")
-	breakerFailures := fs.Int("breaker-failures", 0, "consecutive matcher failures that trip the breaker (0 = default)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before probing (0 = default)")
 	rightID := fs.String("right-id", "RecordId", "right-table ID column echoed in match responses")
 	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; larger inputs go through jobs)")
 	jobDir := fs.String("job-dir", "", "checkpoint root for the async job tier (empty = job endpoints disabled)")
@@ -201,7 +198,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 	cfg := serve.Config{
 		Admission:       serve.AdmissionConfig{MaxInFlight: *maxInflight, MaxQueue: *maxQueue},
-		Breaker:         serve.BreakerConfig{Failures: *breakerFailures, Cooldown: *breakerCooldown},
 		RequestTimeout:  *requestTimeout,
 		MaxBodyBytes:    *maxBody,
 		DrainTimeout:    *drainTimeout,

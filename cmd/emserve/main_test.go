@@ -136,6 +136,18 @@ func TestRunBadInjectSpec(t *testing.T) {
 	}
 }
 
+func TestRunBreakerFlagsAreGone(t *testing.T) {
+	dir := t.TempDir()
+	spec, left, right := writeFixture(t, dir)
+	for _, extra := range [][]string{{"-breaker-failures", "2"}, {"-breaker-cooldown", "1s"}} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none"}, extra...)
+		if err := run(args, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%v: err = %v, want a usage error", extra, err)
+		}
+	}
+}
+
 func TestRunUnknownTransformSet(t *testing.T) {
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
@@ -329,6 +341,9 @@ func TestServeSIGHUPReloadsMatcherArtifact(t *testing.T) {
 	}
 }
 
+// TestServeInjectedMatcherFaultDegrades: a failing matcher is no
+// degradation — the request answers 500, and the error names the record
+// by its position in the request.
 func TestServeInjectedMatcherFaultDegrades(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset() // -inject arms the global registry
@@ -353,17 +368,14 @@ func TestServeInjectedMatcherFaultDegrades(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
 	}
-	var mr struct {
-		Degraded bool   `json:"degraded"`
-		Reason   string `json:"degraded_reason"`
-	}
-	if err := json.Unmarshal(body, &mr); err != nil {
+	var er serve.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("response: %v\n%s", err, body)
 	}
-	if !mr.Degraded || mr.Reason != "matcher_error" {
-		t.Fatalf("expected rule-only degradation, got %s", body)
+	if !strings.Contains(er.Error, "record 0: ") || !strings.Contains(er.Error, "ml.predict") {
+		t.Fatalf("the error does not name the record and the fault: %s", body)
 	}
 }

@@ -83,7 +83,6 @@ func Open(dir, fingerprint string) (*Store, error) {
 	if s.manifest == nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			// Unreadable, undecodable, or another input's: never resumed.
-			obs.C("ckpt.manifest_discarded").Inc()
 			s.quarantineLocked(manifestFile, path)
 		}
 		s.manifest = &Manifest{Version: ManifestVersion, Fingerprint: fingerprint, Artifacts: make(map[string]Artifact)}
@@ -135,7 +134,6 @@ func (s *Store) Write(name string, data []byte) error {
 		delete(s.manifest.Artifacts, name)
 		return err
 	}
-	obs.C("ckpt.writes").Inc()
 	chaosKill("after", name)
 	return nil
 }
@@ -201,8 +199,7 @@ func (s *Store) ReadJSON(name string, v any) error {
 // removes it from the manifest — the evidence survives for a
 // post-mortem, but the resume path will recompute the shard. Called
 // directly it retires an artifact whose bytes are sound but which must
-// not be used (a validator's verdict in Restore) and counts
-// ckpt.quarantined only.
+// not be used (a validator's verdict in Restore) and counts nothing.
 func (s *Store) quarantine(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,7 +215,6 @@ func (s *Store) quarantine(name string) {
 		file = a.File
 	}
 	s.quarantineLocked(name, filepath.Join(s.dir, file))
-	obs.C("ckpt.quarantined").Inc()
 }
 
 // condemn quarantines an artifact whose bytes failed verification or

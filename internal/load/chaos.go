@@ -39,7 +39,7 @@ type ServerProc struct {
 
 // StartServer boots one emserve — with the job tier rooted at jobDir, or
 // without one when jobDir is empty — plus any extra flags (fault plans,
-// breaker tuning) and environment (EMCKPT_KILL), and waits for its
+// job-tier sizing) and environment (EMCKPT_KILL), and waits for its
 // address file.
 func StartServer(ctx context.Context, cfg ServerConfig, jobDir, logName string, extraArgs, extraEnv []string) (*ServerProc, error) {
 	logPath := filepath.Join(cfg.WorkDir, logName)
@@ -170,9 +170,8 @@ func tailFile(path string, n int64) string {
 }
 
 // ChaosConfig drives the chaos-soak: a clean reference pass, then a
-// faulted server SIGKILLed mid-load at a shard-commit boundary, then a
-// restart that must resume the job byte-identically while the breaker
-// re-closes and load keeps flowing.
+// server SIGKILLed mid-load at a shard-commit boundary, then a restart
+// that must resume the job byte-identically while load keeps flowing.
 type ChaosConfig struct {
 	Server ServerConfig
 	// RunConfig shapes both load phases; Client.BaseURL is set per
@@ -190,36 +189,28 @@ type ChaosConfig struct {
 
 // ChaosResult is the chaos-soak verdict, embedded in the summary JSON.
 type ChaosResult struct {
-	RefJobID        string    `json:"ref_job_id"`
-	ChaosJobID      string    `json:"chaos_job_id"`
-	Killed          bool      `json:"killed"`
-	KillExit        int       `json:"kill_exit"`
-	BreakerOpened   bool      `json:"breaker_opened"`
-	BreakerReclosed bool      `json:"breaker_reclosed"`
-	ResumedShards   int       `json:"resumed_shards"`
-	ByteIdentical   bool      `json:"byte_identical"`
-	ResultBytes     int       `json:"result_bytes"`
-	DrainClean      bool      `json:"drain_clean"`
-	Phases          []*Result `json:"phases"`
-	Failures        []string  `json:"failures"`
-	Pass            bool      `json:"pass"`
+	RefJobID      string    `json:"ref_job_id"`
+	ChaosJobID    string    `json:"chaos_job_id"`
+	Killed        bool      `json:"killed"`
+	KillExit      int       `json:"kill_exit"`
+	ResumedShards int       `json:"resumed_shards"`
+	ByteIdentical bool      `json:"byte_identical"`
+	ResultBytes   int       `json:"result_bytes"`
+	DrainClean    bool      `json:"drain_clean"`
+	Phases        []*Result `json:"phases"`
+	Failures      []string  `json:"failures"`
+	Pass          bool      `json:"pass"`
 }
 
 // The choreography's fixed parts. They only work together, so none is
 // a setting: the canonical job (six shards at the default size) must
-// have the shard EMCKPT_KILL names — die exactly at its commit — and the
-// -inject plan's three matcher faults must trip a two-failure breaker
-// yet all be spent before the job is submitted. The cooldown lets the
-// open -> re-close round trip fit a smoke budget; chaosMinResumed is the
-// resumed-shard floor proving the restart did not recompute from scratch.
+// have the shard EMCKPT_KILL names — die exactly at its commit — and
+// chaosMinResumed is the resumed-shard floor proving the restart did not
+// recompute from scratch.
 const (
-	chaosJobRecords      = 24
-	chaosKillSpec        = "after:shard_00001.json"
-	chaosFaultSpec       = "ml.predict:first=3,err=chaos-fault"
-	chaosBreakerFailures = "2"
-	chaosBreakerCooldown = "300ms"
-	chaosBreakerWait     = 30 * time.Second
-	chaosMinResumed      = 1
+	chaosJobRecords = 24
+	chaosKillSpec   = "after:shard_00001.json"
+	chaosMinResumed = 1
 )
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -260,14 +251,12 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // RunChaos executes the full chaos-soak choreography:
 //
 //  1. reference: clean server, canonical job, fetch bytes, drain clean;
-//  2. faulted server: matcher faults trip the breaker, steady singles
-//     drive it open -> half-open -> closed (all faults consumed);
-//  3. open-loop load starts; the canonical job is submitted mid-load;
-//     the armed kill-point SIGKILLs the server at a shard boundary;
-//  4. restart over the same job dir under fresh load: the job must
+//  2. open-loop load starts against a kill-armed server; the canonical
+//     job is submitted mid-load; the armed kill-point SIGKILLs the
+//     server at a shard boundary;
+//  3. restart over the same job dir under fresh load: the job must
 //     resume (not restart), complete, and fetch byte-identical to the
-//     reference; the breaker must be closed; the final drain must be
-//     leak- and race-clean.
+//     reference; the final drain must be leak- and race-clean.
 //
 // Both load phases are judged by the zero Gate (no objectives: the
 // first phase's server is killed on purpose), so every answer must be
@@ -345,33 +334,16 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		}
 	}
 
-	// Phase 2: the faulted, kill-armed server.
-	say("faulted server starting (kill %s, inject %s)", chaosKillSpec, chaosFaultSpec)
+	// Phase 2: open-loop load against the kill-armed server, with the
+	// canonical job submitted mid-phase.
+	say("kill-armed server starting (kill %s)", chaosKillSpec)
 	chaosDir := filepath.Join(cfg.Server.WorkDir, "jobs_chaos")
 	victim, err := StartServer(ctx, cfg.Server, chaosDir, "chaos_kill.err",
-		[]string{
-			"-job-shard-size", fmt.Sprint(cfg.ShardSize), "-job-workers", "1",
-			"-inject", chaosFaultSpec,
-			"-breaker-failures", chaosBreakerFailures,
-			"-breaker-cooldown", chaosBreakerCooldown,
-		},
+		[]string{"-job-shard-size", fmt.Sprint(cfg.ShardSize), "-job-workers", "1"},
 		[]string{"EMCKPT_KILL=" + chaosKillSpec})
 	if err != nil {
 		return res, err
 	}
-	exercise := NewClient(clientFor(cfg.Client, victim), cfg.Pool)
-	opened, reclosed := exerciseBreaker(ctx, exercise, chaosBreakerWait)
-	exercise.CloseIdle()
-	res.BreakerOpened, res.BreakerReclosed = opened, reclosed
-	if !opened {
-		failf("breaker never opened under %s", chaosFaultSpec)
-	}
-	if !reclosed {
-		failf("breaker never re-closed after the faults were consumed")
-	}
-	say("breaker exercised: opened=%v re-closed=%v", opened, reclosed)
-
-	// Phase 3: open-loop load with the canonical job submitted mid-phase.
 	waitKill := phase("chaos_load_kill", cfg.Schedule.Seed, victim)
 	time.Sleep(cfg.Schedule.Duration / 4)
 	submit := NewClient(clientFor(cfg.Client, victim), cfg.Pool)
@@ -403,7 +375,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	say("server down (exit %d); mid-load kill delivered", code)
 	waitKill()
 
-	// Phase 4: restart over the same job dir, resume under fresh load.
+	// Phase 3: restart over the same job dir, resume under fresh load.
 	say("restarting over %s", chaosDir)
 	heir, err := StartServer(ctx, cfg.Server, chaosDir, "chaos_resume.err",
 		[]string{"-job-shard-size", fmt.Sprint(cfg.ShardSize), "-job-workers", "1"}, nil)
@@ -433,13 +405,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	waitResume()
-	sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
-	if stt, serr2 := await.Status(sctx); serr2 != nil {
-		failf("final /v1/status: %v", serr2)
-	} else if stt.Breaker != "closed" {
-		failf("final breaker state %q, want closed", stt.Breaker)
-	}
-	scancel()
 	await.CloseIdle()
 
 	if fails := heir.Drain(30 * time.Second); len(fails) > 0 {
@@ -459,38 +424,4 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 func clientFor(cfg ClientConfig, p *ServerProc) ClientConfig {
 	cfg.BaseURL = p.BaseURL()
 	return cfg
-}
-
-// exerciseBreaker drives steady single-record requests at the faulted
-// matcher until the breaker is seen open and then closed again. Each
-// failed request consumes one armed fault; once they are spent, the
-// half-open probe succeeds and the breaker re-closes — proof of the
-// full trip/recover round trip, and a guarantee that no fault is left
-// to contaminate later (deterministic) job shards.
-func exerciseBreaker(ctx context.Context, c *Client, timeout time.Duration) (opened, reclosed bool) {
-	deadline := time.Now().Add(timeout)
-	i := 0
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		c.Do(ctx, i, Arrival{Kind: KindSingle, Record: i})
-		i++
-		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		st, err := c.Status(sctx)
-		cancel()
-		if err == nil {
-			switch st.Breaker {
-			case "open", "half_open":
-				opened = true
-			case "closed":
-				if opened {
-					return opened, true
-				}
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return opened, reclosed
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-	return opened, reclosed
 }

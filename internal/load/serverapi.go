@@ -14,8 +14,7 @@ import (
 // ServerStatus is the subset of emserve's /v1/status document the
 // harness asserts against.
 type ServerStatus struct {
-	Breaker string      `json:"breaker"`
-	SLO     *slo.Report `json:"slo"`
+	SLO *slo.Report `json:"slo"`
 }
 
 // JobStatus is the subset of the job poll document the harness reads.

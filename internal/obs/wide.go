@@ -52,8 +52,6 @@ type WideEvent struct {
 	// Degraded and DegradedReason mirror the response envelope.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// Breaker is the matcher breaker state the request observed.
-	Breaker string `json:"breaker,omitempty"`
 	// Records / Candidates / Matches size the matching work: records
 	// carried, candidate pairs considered, matches returned.
 	Records    int `json:"records,omitempty"`
@@ -159,7 +157,6 @@ func (e *WideEvent) appendJSON(b []byte, stages map[string]float64) []byte {
 		b = append(b, `,"degraded":true,"degraded_reason":`...)
 		b = appendJSONString(b, e.DegradedReason)
 	}
-	b = appendStr(b, `,"breaker":`, e.Breaker)
 	b = appendInt(b, `,"records":`, int64(e.Records))
 	b = appendInt(b, `,"candidates":`, int64(e.Candidates))
 	b = appendInt(b, `,"matches":`, int64(e.Matches))

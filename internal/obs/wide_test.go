@@ -17,8 +17,8 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		Time:      time.Date(2026, 8, 7, 12, 0, 0, 123456789, time.UTC),
 		RequestID: "abcdef0123456789", Route: "/v1/match", Method: "POST",
 		Status: 200, Outcome: OutcomeOK, DurationMS: 12.5, QueueWaitMS: 0.25,
-		Admission: "admitted", Breaker: "closed",
-		Records: 1, Candidates: 3, Matches: 2, BytesIn: 120, BytesOut: 340,
+		Admission: "admitted", Records: 1, Candidates: 3, Matches: 2,
+		BytesIn: 120, BytesOut: 340,
 		JobID:  "j0011223344556677",
 		Stages: map[string]float64{"serve.match": 11.25, "serve.block": 3},
 	}
@@ -32,7 +32,7 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		"msg": "request", "request_id": "abcdef0123456789", "route": "/v1/match",
 		"method": "POST", "status": float64(200), "outcome": "ok",
 		"duration_ms": 12.5, "queue_wait_ms": 0.25, "admission": "admitted",
-		"breaker": "closed", "records": float64(1), "candidates": float64(3),
+		"records": float64(1), "candidates": float64(3),
 		"matches": float64(2), "bytes_in": float64(120), "bytes_out": float64(340),
 		"job_id": "j0011223344556677",
 	}

@@ -44,8 +44,6 @@ type BatchResponse struct {
 	Degraded int `json:"degraded"`
 	// ElapsedMS is server-side wall time for the whole batch.
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Breaker is the breaker state observed by this batch.
-	Breaker string `json:"breaker"`
 	// Trace is the batch's span tree, when asked for.
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
@@ -165,7 +163,7 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	resps, tally, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
+	resps, tally, trace, err := s.matchSet(ctx, left, req.Trace)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.writeRunError(ctx, w, ev, err)
@@ -177,7 +175,6 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		Count:     tally.records,
 		Degraded:  tally.degraded,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		Breaker:   tally.breaker,
 		Trace:     trace,
 	})
 }

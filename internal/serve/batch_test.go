@@ -106,9 +106,10 @@ func TestBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestBatchDegradesOnMatcherFault: one poisoned matcher degrades the
-// whole batch to the rule-only path — still 200, every learned-path
-// record marked with a reason, sure-rule answers intact.
+// TestBatchDegradesOnMatcherFault: a matcher that fails fails the whole
+// batch — 500, no partial answer — and the error names the record whose
+// pair it failed on by its position in the batch (q1, the one record
+// with a learned candidate).
 func TestBatchDegradesOnMatcherFault(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
@@ -117,27 +118,15 @@ func TestBatchDegradesOnMatcherFault(t *testing.T) {
 
 	req, _ := json.Marshal(map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}})
 	status, body := postBatch(t, ts.URL, string(req))
-	if status != http.StatusOK {
-		t.Fatalf("degraded batch must answer 200, got %d: %s", status, body)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("a failing matcher must fail the batch with 500, got %d: %s", status, body)
 	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if br.Degraded == 0 {
-		t.Fatalf("matcher faults armed but no record degraded: %s", body)
-	}
-	if br.Results[1].DegradedReason != ReasonMatcherError {
-		t.Fatalf("q1 degraded reason = %q, want %s", br.Results[1].DegradedReason, ReasonMatcherError)
-	}
-	var sure bool
-	for _, m := range br.Results[0].Matches {
-		if m.Source == "rule:M1" {
-			sure = true
-		}
-	}
-	if !sure {
-		t.Fatalf("matcher outage lost q0's sure-rule match: %+v", br.Results[0])
+	if !strings.Contains(er.Error, "record 1: ") || !strings.Contains(er.Error, `"ml.predict"`) {
+		t.Fatalf("the error does not name record 1 and the fault: %s", body)
 	}
 }
 
@@ -251,7 +240,7 @@ func TestSureStageHonoursDeadDeadline(t *testing.T) {
 	defer cancel()
 	left := table.New("request", s.left.Schema())
 	left.MustAppend(s.left.Row(0))
-	if _, _, _, err := s.matchSet(ctx, left, s.breaker, false); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, _, err := s.matchSet(ctx, left, false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("matchSet past its deadline = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -153,14 +153,12 @@ type MatchResponse struct {
 	// Matches are the final matched right records, sure-rule matches
 	// first, then surviving learned matches, each carrying provenance.
 	Matches []Match `json:"matches"`
-	// Degraded is true when the learned matcher did not answer (breaker
-	// open, matcher failure or timeout, no matcher deployed, or a blocker
-	// failure leaving it no candidates) and the response came from the
-	// rule-only path.
+	// Degraded is true when the learned matcher did not answer (it ran
+	// out of the request's ML sub-budget, or no matcher is deployed) and
+	// the response came from the rule-only path.
 	Degraded bool `json:"degraded"`
-	// DegradedReason says why, when Degraded: "breaker_open",
-	// "matcher_error", "matcher_timeout", "no_matcher" or
-	// "blocker_error" (the Reason* constants).
+	// DegradedReason says why, when Degraded: "matcher_timeout" or
+	// "no_matcher" (the Reason* constants).
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// Candidates is how many blocked candidate pairs were considered.
 	Candidates int `json:"candidates"`
@@ -168,8 +166,6 @@ type MatchResponse struct {
 	Vetoed int `json:"vetoed"`
 	// ElapsedMS is server-side wall time for the request.
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Breaker is the breaker state observed by this request.
-	Breaker string `json:"breaker"`
 	// Trace is the request's span tree, when asked for.
 	Trace json.RawMessage `json:"trace,omitempty"`
 }

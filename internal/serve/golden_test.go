@@ -113,7 +113,7 @@ func TestGoldenAccessLogLines(t *testing.T) {
 		t.Fatalf("traced request answered without a trace: %s", body)
 	}
 	top, nested := keyOrder(t, sink.waitLine(t, "golden-ok"))
-	wantOK := "msg time request_id route method status outcome duration_ms queue_wait_ms admission breaker " +
+	wantOK := "msg time request_id route method status outcome duration_ms queue_wait_ms admission " +
 		"records candidates matches bytes_in bytes_out stages"
 	if got := strings.Join(top, " "); !sameKeys(got, wantOK) {
 		t.Errorf("ok /v1/match line keys:\n got %s\nwant %s", got, wantOK)
@@ -124,13 +124,13 @@ func TestGoldenAccessLogLines(t *testing.T) {
 		t.Errorf("ok /v1/match stages:\n got %s\nwant %s", got, wantStages)
 	}
 
-	// A batch the matcher failed under: degraded, still 200.
-	fault.Enable("ml.predict", fault.Plan{})
-	postWithID(t, ts.URL+"/v1/match/batch", "golden-degraded",
+	// A batch answered without a matcher: degraded, still 200.
+	_, rts := newRuleOnlyServer(t, Config{AccessLog: sink})
+	postWithID(t, rts.URL+"/v1/match/batch", "golden-degraded",
 		`{"records":[`+recordOf(l0Request)+`,`+recordOf(l1Request)+`]}`)
 	top, nested = keyOrder(t, sink.waitLine(t, "golden-degraded"))
 	wantDegraded := "msg time request_id route method status outcome duration_ms queue_wait_ms admission " +
-		"degraded degraded_reason breaker records candidates matches bytes_in bytes_out stages"
+		"degraded degraded_reason records candidates matches bytes_in bytes_out stages"
 	if got := strings.Join(top, " "); !sameKeys(got, wantDegraded) {
 		t.Errorf("degraded batch line keys:\n got %s\nwant %s", got, wantDegraded)
 	}
@@ -178,7 +178,7 @@ func TestGoldenTailEntryKeys(t *testing.T) {
 	if got := strings.Join(top, " "); got != "event trace" {
 		t.Errorf("tail entry keys = %q, want \"event trace\"", got)
 	}
-	wantEvent := "time request_id route method status outcome duration_ms queue_wait_ms admission breaker " +
+	wantEvent := "time request_id route method status outcome duration_ms queue_wait_ms admission " +
 		"records candidates matches bytes_in bytes_out stages"
 	if got := strings.Join(nested["event"], " "); !sameKeys(got, wantEvent) {
 		t.Errorf("tail entry event keys:\n got %s\nwant %s", got, wantEvent)

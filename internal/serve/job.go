@@ -31,9 +31,7 @@ import (
 //     flight and a restart resumes from the last durable shard with
 //     byte-identical output;
 //   - each shard runs once and its answer is final: a shard whose
-//     matcher fails commits the rule-only answer /v1/match would give,
-//     under a breaker of its own so it neither opens nor reads the
-//     online one; an execution or commit error fails the job, naming
+//     matcher, blocker, execution or commit fails fails the job, naming
 //     the shard, and a resubmission re-runs only the missing shards;
 //   - shard executors take slots from the same admission gate online
 //     requests use, so batch work is backpressured by interactive
@@ -127,9 +125,8 @@ type jobSpec struct {
 }
 
 // JobRecordResult is one record's deterministic match answer inside a
-// job: MatchResponse minus the run-varying fields (latency, breaker
-// state), so completed shards are byte-identical across runs and
-// restarts.
+// job: MatchResponse minus the run-varying field (latency), so completed
+// shards are byte-identical across runs and restarts.
 type JobRecordResult struct {
 	// Index is the record's position in the submitted job.
 	Index int `json:"index"`
@@ -695,10 +692,7 @@ func (jm *Jobs) runShard(ctx context.Context, job *Job, idx int) error {
 
 // execShard runs one shard: take an admission slot (the backpressure
 // coupling with online traffic), run the amortized match pipeline under
-// the shard deadline, and shape the deterministic result records. The
-// breaker lives for this shard: a poisoned shard must not open the
-// online one, and an open online one must never be committed into a
-// durable shard.
+// the shard deadline, and shape the deterministic result records.
 func (jm *Jobs) execShard(ctx context.Context, job *Job, idx int) (art *shardArtifact, tally matchTally, err error) {
 	if err := fault.InjectIdx("serve.job.exec", idx); err != nil {
 		return nil, tally, err
@@ -717,7 +711,7 @@ func (jm *Jobs) execShard(ctx context.Context, job *Job, idx int) (art *shardArt
 	if err != nil {
 		return nil, tally, err
 	}
-	resps, tally, _, err := jm.srv.matchSet(shardCtx, sub, NewBreaker(BreakerConfig{}), false)
+	resps, tally, _, err := jm.srv.matchSet(shardCtx, sub, false)
 	if err != nil {
 		return nil, tally, err
 	}

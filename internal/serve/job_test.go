@@ -16,7 +16,6 @@ import (
 
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
-	"emgo/internal/obs"
 )
 
 // jobPayload builds n deterministic job records alternating between the
@@ -263,17 +262,14 @@ func TestJobResumeAfterStopByteIdentical(t *testing.T) {
 	}
 }
 
-// TestJobShardAsksMatcherOnce: a shard runs once, so a matcher failing
-// every call is asked once a shard (serve.ml_failures counts calls), the
-// shard commits its rule-only answer as matcher_error — what /v1/match
-// answers — and the online breaker never hears of it: each shard scores
-// under a breaker of its own.
+// TestJobShardAsksMatcherOnce: a shard runs once, and a matcher that
+// fails it fails the job: the job settles failed, with nothing committed,
+// and its error names the shard and the record inside it — no rule-only
+// answer is made durable in the matcher's place.
 func TestJobShardAsksMatcherOnce(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
-	obs.Enable()
-	defer obs.Disable()
-	s, ts := newTestServer(t, jobConfig(t.TempDir()))
+	_, ts := newTestServer(t, jobConfig(t.TempDir()))
 	// All learned-path records: every shard needs the matcher.
 	recs := make([]map[string]any, 4)
 	for i := range recs {
@@ -281,29 +277,14 @@ func TestJobShardAsksMatcherOnce(t *testing.T) {
 	}
 	body, _ := json.Marshal(map[string]any{"records": recs})
 
-	// The fault site itself is hit once per row scored, by however many
-	// workers reach it before the first failure stops the fan-out: its
-	// count depends on GOMAXPROCS and says nothing about shard runs.
 	fault.Enable("ml.predict", fault.Plan{})
-	callsBefore := obs.C("serve.ml_failures").Value()
 	st := submitJob(t, ts.URL, string(body))
-	done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	if done.DegradedRecords != 4 {
-		t.Fatalf("poisoned matcher: %+v, want 4 degraded records", done)
+	failed := waitJobState(t, ts.URL, st.ID, JobFailed, 5*time.Second)
+	if failed.DoneShards != 0 || failed.DegradedRecords != 0 {
+		t.Fatalf("a failing matcher committed answers: %+v", failed)
 	}
-	if n := obs.C("serve.ml_failures").Value() - callsBefore; n != int64(done.Shards) {
-		t.Fatalf("matcher called %d times for %d shards, want once each", n, done.Shards)
-	}
-	for _, r := range decodeResults(t, fetchResults(t, ts.URL, done.ID)).Results {
-		if !r.Degraded || r.DegradedReason != ReasonMatcherError {
-			t.Fatalf("record %d should be degraded matcher_error: %+v", r.Index, r)
-		}
-	}
-	s.breaker.mu.Lock()
-	bst, failures := s.breaker.state, s.breaker.failures
-	s.breaker.mu.Unlock()
-	if bst != BreakerClosed || failures != 0 {
-		t.Fatalf("online breaker %v with %d failure(s) after poisoned shards, want closed with none", bst, failures)
+	if !strings.HasPrefix(failed.Error, "shard 0: record 0: ") || !strings.Contains(failed.Error, `"ml.predict"`) {
+		t.Fatalf("job error %q does not name shard 0, its record and the fault", failed.Error)
 	}
 }
 

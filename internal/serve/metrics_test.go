@@ -34,7 +34,6 @@ func TestLiveRequestWritesOnlyReadMetrics(t *testing.T) {
 
 	cfg := jobConfig(t.TempDir())
 	cfg.Admission = AdmissionConfig{MaxInFlight: 1, MaxQueue: -1}
-	cfg.Breaker = BreakerConfig{Failures: 1}
 	s, ts := newTestServer(t, cfg)
 
 	if st, _, body := postMatch(t, ts.URL, l1Request); st != http.StatusOK {
@@ -53,12 +52,17 @@ func TestLiveRequestWritesOnlyReadMetrics(t *testing.T) {
 	if st != http.StatusTooManyRequests {
 		t.Fatalf("request against a full gate = %d: %s", st, body)
 	}
-	// Degraded: the one matcher failure also opens the breaker.
+	// Failed: a matcher fault answers 500.
 	fault.Enable("ml.predict", fault.Plan{})
-	if st, _, body := postMatch(t, ts.URL, l1Request); st != http.StatusOK || !strings.Contains(string(body), ReasonMatcherError) {
-		t.Fatalf("degraded request = %d: %s", st, body)
+	if st, _, body := postMatch(t, ts.URL, l1Request); st != http.StatusInternalServerError {
+		t.Fatalf("request against a failing matcher = %d: %s", st, body)
 	}
 	fault.Reset()
+	// Degraded: a rule-only server answers without a matcher.
+	_, rts := newRuleOnlyServer(t, Config{})
+	if st, _, body := postMatch(t, rts.URL, l1Request); st != http.StatusOK || !strings.Contains(string(body), ReasonNoMatcher) {
+		t.Fatalf("degraded request = %d: %s", st, body)
+	}
 	job := submitJob(t, ts.URL, jobPayload(4)) // two shards
 	waitJobState(t, ts.URL, job.ID, JobCompleted, 5*time.Second)
 	fetchResults(t, ts.URL, job.ID)
@@ -100,7 +104,7 @@ func TestLiveRequestWritesOnlyReadMetrics(t *testing.T) {
 	}
 	// The registry was live under all of it: the library below the server
 	// counted, and so did a name that only exists once a fault has fired.
-	for _, want := range []string{"ml.predictions", "ckpt.writes", "fault.trips.ml.predict"} {
+	for _, want := range []string{"ml.predictions", "fault.trips.ml.predict"} {
 		if !written[want] {
 			t.Errorf("the drive never wrote %s (wrote %v)", want, written)
 		}

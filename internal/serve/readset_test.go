@@ -132,7 +132,7 @@ func answersOf(t testing.TB, s *Server, l *table.Table) []string {
 		}
 		render(resp)
 	}
-	resps, _, _, err := s.matchSet(context.Background(), l, s.breaker, false)
+	resps, _, _, err := s.matchSet(context.Background(), l, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,7 @@ func probeMatcher(m ml.Matcher, features int) (err error) {
 // place. The swap is all-or-nothing: a missing, corrupt, or
 // shape-incompatible artifact, or one whose deployment could not be bound,
 // leaves the previous one serving and returns the error — the rollback the
-// deployment protocol requires. On success the breaker is reset, since its
-// failure history described the replaced model.
+// deployment protocol requires.
 func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 	if path == "" {
 		path = s.cfg.MatcherPath
@@ -105,6 +104,5 @@ func (s *Server) Reload(ctx context.Context, path string) (*Artifact, error) {
 		return nil, fmt.Errorf("serve: matcher artifact %s: %w", path, err)
 	}
 	s.live.Store(art)
-	s.breaker.Reset()
 	return art, nil
 }

@@ -11,8 +11,10 @@
 //     everything else shed with 429 + Retry-After),
 //   - per-request deadlines propagated through the existing ctx plumbing
 //     into blocking, vectorization, and prediction,
-//   - a circuit breaker around the learned matcher that degrades to the
-//     always-available rule-only path (responses marked "degraded"),
+//   - an ML sub-budget of the request deadline, so a learned stage that
+//     runs out of time degrades to the always-available rule-only answer
+//     (responses marked "degraded") while a learned stage that fails
+//     fails the request,
 //   - atomic hot reload of the matcher artifact with checksum
 //     verification and rollback on bad loads,
 //   - health/readiness/status endpoints, a SIGTERM-driven drain, and the
@@ -40,6 +42,7 @@ import (
 	"emgo/internal/obs"
 	"emgo/internal/obs/slo"
 	"emgo/internal/obs/tail"
+	"emgo/internal/parallel"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -54,11 +57,8 @@ var latencyMSBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 
 // Degraded-response reasons.
 const (
-	ReasonBreakerOpen  = "breaker_open"
-	ReasonMatcherError = "matcher_error"
-	ReasonMatcherSlow  = "matcher_timeout"
-	ReasonNoMatcher    = "no_matcher"
-	ReasonBlockerError = "blocker_error"
+	ReasonMatcherSlow = "matcher_timeout"
+	ReasonNoMatcher   = "no_matcher"
 )
 
 // mlBudgetFrac is the fraction of a request's remaining deadline budget
@@ -70,8 +70,6 @@ const mlBudgetFrac = 0.7
 type Config struct {
 	// Admission bounds concurrency and the wait line.
 	Admission AdmissionConfig
-	// Breaker tunes the matcher circuit breaker.
-	Breaker BreakerConfig
 	// RequestTimeout is the per-request deadline (default 5s). A
 	// request's timeout_ms may lower it, never raise it.
 	RequestTimeout time.Duration
@@ -126,7 +124,6 @@ type Server struct {
 	// live is the artifact with its deployment, swapped whole by Reload; a
 	// rule-only server's has no Matcher.
 	live     atomic.Pointer[Artifact]
-	breaker  *Breaker
 	adm      *Admission
 	reloadMu sync.Mutex
 
@@ -188,7 +185,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		cfg:       cfg,
 		left:      left,
 		right:     right,
-		breaker:   NewBreaker(cfg.Breaker),
 		adm:       NewAdmission(cfg.Admission),
 		events:    obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		tailBuf:   tail.New(tail.Config{SlowN: cfg.TailN}),
@@ -410,7 +406,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	resps, tally, trace, err := s.matchSet(ctx, left, s.breaker, req.Trace)
+	resps, tally, trace, err := s.matchSet(ctx, left, req.Trace)
 	elapsed := time.Since(start)
 	obs.H("serve.latency_ms", latencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
@@ -442,13 +438,12 @@ type matchTally struct {
 	// matcher — all of the set or none — and reason is why.
 	degraded int
 	reason   string
-	breaker  string
 }
 
 // record writes an online answer on the request's wide event.
 func (t matchTally) record(ev *obs.WideEvent) {
 	ev.Records, ev.Candidates, ev.Matches = t.records, t.candidates, t.matches
-	ev.Degraded, ev.DegradedReason, ev.Breaker = t.degraded > 0, t.reason, t.breaker
+	ev.Degraded, ev.DegradedReason = t.degraded > 0, t.reason
 }
 
 // writeRequestError maps a decode/validation failure to its status.
@@ -466,11 +461,12 @@ func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
 // pass, a single vectorize+impute+predict call over every surviving
 // candidate, then the veto layer — the amortization that makes the bulk
 // endpoint and the async job shards cheaper than len(left) one-record
-// requests. br guards the learned-matcher stage: the server's breaker
-// for online traffic, one that lives for a single attempt inside a job
-// shard. A recovered panic is returned as an error: one poison record
-// must never take the service (or a job worker) down.
-func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, wantTrace bool) (resps []*MatchResponse, tally matchTally, trace json.RawMessage, err error) {
+// requests. A stage that fails fails the pass, and a matcher error names
+// the failing record by its row in left; only the learned stage's own
+// sub-budget running out (or a spec without a matcher) degrades the set to
+// its rule-only answer. A recovered panic is returned as an error: one
+// poison record must never take the service (or a job worker) down.
+func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool) (resps []*MatchResponse, tally matchTally, trace json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: match panicked: %v", r)
@@ -519,50 +515,46 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	spSure.SetItems(sure.Len())
 	spSure.End()
 
-	// Stage 2: blocking, once for the whole set. A blocker failure (not
-	// a deadline) degrades every row to its sure-rule answer instead of
-	// failing the request; one that cannot run at all failed Deploy.
-	degraded, reason := false, ""
-	var candidates *block.CandidateSet
+	// Stage 2: blocking, once for the whole set; a blocker that cannot
+	// run at all failed Deploy.
 	bctx, spBlock := obs.StartSpan(ctx, "serve.block")
-	blocked, berr := block.UnionBlockCtx(bctx, left, s.right, d.Blockers...)
+	blocked, err := block.UnionBlockCtx(bctx, left, s.right, d.Blockers...)
 	spBlock.End()
-	switch {
-	case berr != nil && ctx.Err() != nil:
-		return nil, tally, nil, berr
-	case berr != nil:
-		degraded = true
-		reason = ReasonBlockerError
-		candidates = block.NewCandidateSet(left, s.right)
-	default:
-		candidates, berr = blocked.Minus(sure)
-		if berr != nil {
-			return nil, tally, nil, berr
-		}
+	if err != nil {
+		return nil, tally, nil, err
+	}
+	candidates, err := blocked.Minus(sure)
+	if err != nil {
+		return nil, tally, nil, err
 	}
 	perRow := candidates.PerLeftCounts()
 	spBlock.SetItems(candidates.Len())
 
-	// Stage 3: the learned matcher behind the circuit breaker, over all
-	// candidates of all rows at once.
+	// Stage 3: the learned matcher over all candidates of all rows at once.
 	learned := block.NewCandidateSet(left, s.right)
 	scores := map[block.Pair]float64{}
-	if !degraded && candidates.Len() > 0 {
+	reason := ""
+	if candidates.Len() > 0 {
 		pctx, spPredict := obs.StartSpan(ctx, "serve.predict")
-		learned, scores, reason = s.predict(pctx, d, left, candidates, br)
+		learned, scores, reason, err = s.predict(pctx, d, left, candidates)
 		spPredict.SetItems(candidates.Len())
-		if reason != "" {
+		switch {
+		case err != nil:
+			spPredict.SetOutcome(obs.OutcomeAborted)
+		case reason != "":
 			spPredict.SetOutcome(obs.OutcomeDegraded)
 		}
 		spPredict.End()
-		degraded = reason != ""
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, tally, nil, cerr
+		if err == nil {
+			err = ctx.Err()
 		}
-	} else if d.Matcher == nil && !degraded {
-		degraded = true
+		if err != nil {
+			return nil, tally, nil, err
+		}
+	} else if d.Matcher == nil {
 		reason = ReasonNoMatcher
 	}
+	degraded := reason != ""
 
 	// Stage 4: negative rules veto learned matches (sure matches bypass
 	// them, as in the batch workflow).
@@ -580,7 +572,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	// matches, both in deterministic (A, B) order.
 	tally = matchTally{
 		records: n, candidates: candidates.Len(), matches: sure.Len() + kept.Len(),
-		reason: reason, breaker: br.State().String(),
+		reason: reason,
 	}
 	if degraded {
 		tally.degraded = n
@@ -590,7 +582,6 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 		resps[i].Degraded = degraded
 		resps[i].DegradedReason = reason
 		resps[i].Vetoed = learnedPer[i] - keptPer[i]
-		resps[i].Breaker = tally.breaker
 	}
 	for _, p := range sure.Sorted() {
 		resps[p.A].Matches = append(resps[p.A].Matches, Match{
@@ -620,18 +611,16 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, br *Breaker, w
 	return resps, tally, trace, nil
 }
 
-// predict runs d's vectorize + impute + predict under br and an ML
-// sub-budget of the request deadline. It returns the learned match set,
-// per-pair scores, and a degradation reason ("" = the learned path
-// served normally).
-func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.Table, candidates *block.CandidateSet, br *Breaker) (*block.CandidateSet, map[block.Pair]float64, string) {
+// predict runs d's vectorize + impute + predict under an ML sub-budget
+// of the request deadline. It returns the learned match set, per-pair
+// scores, and a degradation reason ("" = the learned path served
+// normally): the sub-budget running out weakens the answer to its rules,
+// any other error fails the pass and names the record its pair came from.
+func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.Table, candidates *block.CandidateSet) (*block.CandidateSet, map[block.Pair]float64, string, error) {
 	learned := block.NewCandidateSet(left, s.right)
 	scores := map[block.Pair]float64{}
 	if d.Matcher == nil {
-		return learned, scores, ReasonNoMatcher
-	}
-	if !br.Allow() {
-		return learned, scores, ReasonBreakerOpen
+		return learned, scores, ReasonNoMatcher, nil
 	}
 
 	// Grant the matcher a fraction of the remaining budget so its
@@ -644,23 +633,22 @@ func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.
 	}
 	defer cancel()
 
-	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, candidates.Pairs())
-	br.Record(err)
+	pairs := candidates.Pairs()
+	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, pairs)
 	switch {
 	case err == nil:
-	case ctx.Err() != nil:
-		// The whole request deadline died: the caller turns this into
-		// 504; the slow call has still counted against the breaker.
-		return learned, scores, ReasonMatcherError
+	case ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded):
+		return learned, scores, ReasonMatcherSlow, nil
 	default:
-		obs.C("serve.ml_failures").Inc()
-		if errors.Is(err, context.DeadlineExceeded) {
-			return learned, scores, ReasonMatcherSlow
+		// The whole request deadline dying is the caller's 504; anything
+		// else is the caller's 500.
+		if idx, ok := parallel.FailingIndex(err); ok {
+			err = fmt.Errorf("record %d: %w", pairs[idx].A, err)
 		}
-		return learned, scores, ReasonMatcherError
+		return nil, nil, "", err
 	}
 	pm, _ := d.Matcher.(ml.ProbabilisticMatcher)
-	for i, p := range candidates.Pairs() {
+	for i, p := range pairs {
 		if preds[i] == 1 {
 			learned.Add(p)
 			if pm != nil {
@@ -668,7 +656,7 @@ func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.
 			}
 		}
 	}
-	return learned, scores, ""
+	return learned, scores, "", nil
 }
 
 // rightID maps a right row index to its identifier.
@@ -744,7 +732,6 @@ type StatusData struct {
 	Degraded  int64   `json:"degraded"`
 	InFlight  int     `json:"inflight"`
 	Queued    int64   `json:"queued"`
-	Breaker   string  `json:"breaker"`
 	Draining  bool    `json:"draining"`
 	RightRows int     `json:"right_rows"`
 	Matcher   any     `json:"matcher,omitempty"`
@@ -761,7 +748,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Degraded:  s.degraded.Load(),
 		InFlight:  s.adm.InFlight(),
 		Queued:    s.adm.Queued(),
-		Breaker:   s.breaker.State().String(),
 		Draining:  s.draining.Load(),
 		RightRows: s.right.Len(),
 		SLO:       s.sloTrk.Evaluate(),

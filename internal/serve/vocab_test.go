@@ -152,8 +152,8 @@ func TestOutcomeVocabulary(t *testing.T) {
 			t.Fatalf("bad request = %d", st)
 		}
 		fault.Enable("ml.predict", fault.Plan{})
-		if st := post(l1Request); st != http.StatusOK {
-			t.Fatalf("degraded request = %d", st)
+		if st := post(l1Request); st != http.StatusInternalServerError {
+			t.Fatalf("request against a failing matcher = %d", st)
 		}
 		// One slow request holds the only slot: a second is shed, and the
 		// slow one, on a 20 ms budget, times out.
@@ -194,14 +194,12 @@ func TestOutcomeVocabulary(t *testing.T) {
 			body, _ := json.Marshal(map[string]any{"records": recs})
 			return string(body)
 		}
-		// Completed, then completed on rule-only answers.
+		// Completed, then failed by a matcher that fails.
 		st := submitJob(t, ts.URL, learned(2))
 		waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
 		fault.Enable("ml.predict", fault.Plan{})
 		st = submitJob(t, ts.URL, learned(3))
-		if done := waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second); done.DegradedRecords != 3 {
-			t.Fatalf("poisoned matcher degraded %d/3 records", done.DegradedRecords)
-		}
+		waitJobState(t, ts.URL, st.ID, JobFailed, 5*time.Second)
 		fault.Reset()
 		// Shards are slow from here on, so the tier stops with work left.
 		fault.Enable("serve.job.exec", fault.Plan{Mode: fault.ModeSleep, Sleep: 40 * time.Millisecond})

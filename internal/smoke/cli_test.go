@@ -21,8 +21,7 @@ import (
 // at rising rates — finds a sustainable rate, an undersized server trips
 // the gate with exit exactly 1 naming the latency objective — a gate
 // that cannot fail is not a gate — and the supervised chaos-soak
-// (breaker trip and re-close, SIGKILL at a shard boundary mid-load,
-// byte-identical resume) passes with both load phases' gates passing.
+// (SIGKILL at a shard boundary mid-load, byte-identical resume) passes with both load phases' gates passing.
 func smokeLoad(t *testing.T) {
 	dir := t.TempDir()
 	emload := func(summary string, args ...string) (int, string, string) {
@@ -67,7 +66,7 @@ func smokeLoad(t *testing.T) {
 		"-rate", "20", "-duration", "6s", "-report-every", "2s", "--",
 		"-spec", spec, "-left", left, "-right", right, "-matcher", matcher, "-job-workers", "1")
 	wantCLI(t, "chaos-soak", code, out, 0)
-	wantFragments(t, "chaos summary", sum, `"pass": true`, `"byte_identical": true`, `"breaker_reclosed": true`,
+	wantFragments(t, "chaos summary", sum, `"pass": true`, `"byte_identical": true`,
 		`"killed": true`, `"drain_clean": true`)
 	var chaosSum struct {
 		Chaos struct {

@@ -15,16 +15,21 @@ import (
 )
 
 // smokeServe drives an overloaded deployment: max-inflight 1, no wait
-// queue, every matcher call failing and every pipeline pass sleeping
-// 250ms. Matcher faults must degrade to rule-only 200s, a burst must
-// both serve and shed (429 + Retry-After), a hot reload must keep the
+// queue and every pipeline pass sleeping 250ms. A matcher that outruns
+// its ML sub-budget must degrade to a rule-only 200, a burst must both
+// serve and shed (429 + Retry-After), a hot reload must keep the
 // in-flight request, a corrupt artifact must be refused with the active
 // matcher kept, and SIGTERM must drain.
+//
+// The degrade is one sleep at the first feature.vectorize call: 4s,
+// past the sub-budget (0.7 of the ~4.75s the default 5s deadline has
+// left after the 250ms pass sleep: ~3.3s) and 750ms inside the deadline.
 func smokeServe(t *testing.T) {
 	dir := t.TempDir()
 	s := start(t, dir, "serve", "", nil,
 		"-max-inflight", "1", "-max-queue", "-1",
-		"-inject", "ml.predict", "-inject", "serve.match:mode=sleep,sleep=250ms")
+		"-inject", "feature.vectorize:mode=sleep,sleep=4s,oncall=1",
+		"-inject", "serve.match:mode=sleep,sleep=250ms")
 	if code, _, _ := s.call(t, http.MethodGet, "/healthz", nil, nil); code != 200 {
 		t.Errorf("healthz = %d, want 200", code)
 	}
@@ -35,8 +40,8 @@ func smokeServe(t *testing.T) {
 		Candidates     int    `json:"candidates"`
 	}
 	data := s.match(t, "serve-degrade", 200)
-	if err := json.Unmarshal(data, &mr); err != nil || mr.Candidates == 0 || !mr.Degraded || mr.DegradedReason == "" {
-		t.Errorf("matcher faults armed, want a degraded answer with candidates and a reason (%v): %s", err, data)
+	if err := json.Unmarshal(data, &mr); err != nil || mr.Candidates == 0 || !mr.Degraded || mr.DegradedReason != "matcher_timeout" {
+		t.Errorf("matcher slowed past its sub-budget, want a matcher_timeout answer with candidates (%v): %s", err, data)
 	}
 
 	const burst = 12
