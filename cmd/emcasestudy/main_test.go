@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"os"
@@ -163,4 +165,50 @@ func abortedRunRecord(t *testing.T, traceRel string, traceWritable bool) string 
 		t.Fatalf("an aborted study printed a report:\n%.200s", stdout.String())
 	}
 	return stderr.String()
+}
+
+// TestStudyOutputsPinned pins the bytes a study at scale 0.3 writes — the
+// text report on stdout and the -out, -labels and -spec files — at seeds
+// 7 and 11. A refactor of the study or of a step it runs must leave every
+// one unchanged; a change meant to move them records the new digests and
+// says which numbers moved and why.
+func TestStudyOutputsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed                      string
+		stdout, out, labels, spec string
+	}{
+		{"7",
+			"5ab823d07e326516a1fedad15dfff601f92a35234b4a79a0d65baf965df3acab",
+			"b8d1a4c17e4da16d5d403746518b36098cdb2fea781289da96853c21fbd2600c",
+			"1365e7813166641dd9b401f8ab26d7801def8eac6f2bc79449d6cb39654f6912",
+			"293f444cf7b378f4f2419c746f7f42f6d1dd048f4dbda44e0192df5d43e3fb84"},
+		{"11",
+			"9bd33136cfc743e09620f9b2381287d3e927aa16c19ef896f25c2fe3e80bba58",
+			"931b3ead809ffbc74028fa1bf0f07a90e68c302d79347a523845c4ac5b2c14a8",
+			"6863d98c5805a69e0c3d5b1638cc29679b7ea5feff4dd19eb7e21220101bdb31",
+			"85e5a741cd6906d9a2b2bffe553c75afff260f8e4d8bea189ce3f9ef9177e09f"},
+	} {
+		dir := t.TempDir()
+		out, labels, spec := filepath.Join(dir, "m.csv"), filepath.Join(dir, "l.csv"), filepath.Join(dir, "s.json")
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-scale", "0.3", "-seed", c.seed,
+			"-out", out, "-labels", labels, "-spec", spec}, &stdout, &stderr); err != nil {
+			t.Fatalf("seed %s: %v\nstderr: %s", c.seed, err, stderr.String())
+		}
+		for _, f := range []struct{ name, path, want string }{
+			{"stdout", "", c.stdout}, {"-out", out, c.out}, {"-labels", labels, c.labels}, {"-spec", spec, c.spec},
+		} {
+			data := stdout.Bytes()
+			if f.path != "" {
+				var err error
+				if data, err = os.ReadFile(f.path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != f.want {
+				t.Errorf("seed %s: %s sha256 %s, want %s", c.seed, f.name, got, f.want)
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -162,7 +163,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cv, err := project.SelectMatcher(5)
+	cv, err := project.SelectMatcher(context.Background(), 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,11 +171,8 @@ func main() {
 	for _, r := range cv {
 		fmt.Printf("  %-20s F1=%.3f\n", r.Name, r.F1)
 	}
-	if err := project.Train(cv[0].Name); err != nil {
-		log.Fatal(err)
-	}
 
-	res, err := project.Match()
+	res, err := project.Match(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,7 +71,7 @@ func main() {
 			return sim > 0.8
 		},
 	})
-	res, err := project.Match()
+	res, err := project.Match(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

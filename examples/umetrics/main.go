@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -95,7 +96,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cv, err := project.SelectMatcher(5)
+	cv, err := project.SelectMatcher(context.Background(), 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,11 +104,8 @@ func main() {
 	for _, r := range cv {
 		fmt.Printf("  %-20s P=%.3f R=%.3f F1=%.3f\n", r.Name, r.Precision, r.Recall, r.F1)
 	}
-	if err := project.Train(cv[0].Name); err != nil {
-		log.Fatal(err)
-	}
 
-	res, err := project.Match()
+	res, err := project.Match(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

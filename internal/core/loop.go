@@ -13,9 +13,9 @@ import (
 	"emgo/internal/table"
 )
 
-// The development loop's steps that Project's methods share with the
-// UMETRICS case study (internal/umetrics): the paper's numbers and the
-// examples come from one implementation of each.
+// The development loop's steps behind Project's methods, for callers
+// dropping a level below it: the paper's numbers and the examples come
+// from one implementation of each.
 
 // SampleUnlabelled draws n pairs of cand that labels holds no label for
 // (every one of them when fewer are left), at random from rng — one

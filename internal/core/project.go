@@ -29,14 +29,16 @@ import (
 // is not usable; create with NewProject. Methods are meant to be called
 // roughly in guide order, but the zig-zag the paper describes is fully
 // supported: blockers, rules, labels, and features can be revised at any
-// point and later stages re-run.
+// point and later stages re-run. The UMETRICS case study
+// (internal/umetrics) is a script of these calls over its original
+// slice.
 type Project struct {
 	left  *table.Table
 	right *table.Table
 
 	// wf is the workflow Match runs: the blockers and rules added to the
 	// project, the features it generated, and the matcher and imputer
-	// Train installs together.
+	// SelectMatcher or Train installs together.
 	wf *workflow.Workflow
 
 	candidates *block.CandidateSet
@@ -181,25 +183,44 @@ func (p *Project) AddFeature(f feature.Feature) error {
 func (p *Project) Features() *feature.Set { return p.wf.Features }
 
 // SelectMatcher cross-validates the standard matcher suite on the labeled
-// data and returns the ranked results; the first entry wins.
-func (p *Project) SelectMatcher(folds int) ([]ml.CVResult, error) {
-	ds, _, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+// data and returns the ranked results. The first entry wins: it is
+// installed, fitted on the training set it was cross-validated on, with
+// that set's imputer — what Train(ranked[0].Name) would install.
+func (p *Project) SelectMatcher(ctx context.Context, folds int) ([]ml.CVResult, error) {
+	ds, _, im, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return nil, err
 	}
-	return ml.SelectMatcherCtx(context.Background(), ml.DefaultFactories(p.seed), ds, folds, p.seed)
+	ranked, err := ml.SelectMatcherCtx(ctx, ml.DefaultFactories(p.seed), ds, folds, p.seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.install(ranked[0].Name, ds, im); err != nil {
+		return nil, err
+	}
+	return ranked, nil
 }
 
 // Train fits a fresh matcher of the named kind ("decision_tree",
 // "random_forest", ...) on the labeled data and installs it, with the
-// imputer fitted on the same data, as the project's matcher: SelectMatcher,
-// DebugLabels and PRCurve fit on the labels too, but install nothing.
+// imputer fitted on the same data, as the project's matcher: DebugLabels
+// and PRCurve fit on the labels too, but install nothing.
 func (p *Project) Train(matcherName string) error {
-	f, err := ml.FactoryByName(matcherName, p.seed)
-	if err != nil {
+	// An unknown name fails before anything is vectorized.
+	if _, err := ml.FactoryByName(matcherName, p.seed); err != nil {
 		return err
 	}
 	ds, _, im, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+	if err != nil {
+		return err
+	}
+	return p.install(matcherName, ds, im)
+}
+
+// install fits a fresh matcher of the named kind on ds and makes it, with
+// im, the imputer ds was filled by, the project's matcher.
+func (p *Project) install(name string, ds *ml.Dataset, im *feature.Imputer) error {
+	f, err := ml.FactoryByName(name, p.seed)
 	if err != nil {
 		return err
 	}
@@ -213,30 +234,43 @@ func (p *Project) Train(matcherName string) error {
 
 // Spec packages what the project trained for deployment: base's blockers
 // and rules (the project's own are not carried) with the project's
-// features, imputer and matcher (workflow.Spec.Package), so before Train
-// it errors.
+// features, imputer and matcher (workflow.Spec.Package), so before
+// SelectMatcher or Train it errors.
 func (p *Project) Spec(base *workflow.Spec) (*workflow.Spec, error) {
 	return base.Package(p.wf.Features, p.wf.Imputer, p.wf.Matcher)
 }
 
 // DebugLabels runs leave-one-out label debugging and returns the pairs
 // whose labels disagree with the model's prediction (Section 8's
-// label-debugging step).
-func (p *Project) DebugLabels() ([]block.Pair, error) {
+// label-debugging step). Below two training rows there is nothing to
+// leave one out of, so it flags nothing.
+func (p *Project) DebugLabels(ctx context.Context) ([]block.Pair, error) {
 	ds, pairs, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
-	if err != nil {
+	if err != nil || ds.Len() < 2 {
 		return nil, err
 	}
-	return FlagLabels(context.Background(), ds, pairs, p.seed)
+	return FlagLabels(ctx, ds, pairs, p.seed)
 }
 
 // Match runs the project's workflow — sure rules, blocking, the trained
 // matcher, negative rules — and returns the result.
-func (p *Project) Match() (*workflow.Result, error) {
+func (p *Project) Match(ctx context.Context) (*workflow.Result, error) {
 	if len(p.wf.Blockers) == 0 {
 		return nil, fmt.Errorf("core: project %q has no blockers", p.wf.Name)
 	}
-	return p.wf.Run(p.left, p.right)
+	res, err := p.wf.RunCtx(ctx, p.left, p.right, workflow.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Deploy returns the project's workflow deployed over its right table
+// (workflow.Workflow.Deploy): blockers, rules and the trained matcher
+// bound once, to run (RunCtx) over any left table matched against that
+// right one.
+func (p *Project) Deploy(ctx context.Context) (*workflow.Workflow, error) {
+	return p.wf.Deploy(ctx, p.wf.Matcher, p.right)
 }
 
 // EstimateAccuracy estimates precision and recall of a predicted match

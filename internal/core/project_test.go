@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"strings"
@@ -131,13 +132,13 @@ func TestProjectGuardRails(t *testing.T) {
 	if _, err := p.DebugBlocking(map[string]string{"Name": "Name"}, 5); err == nil {
 		t.Fatal("DebugBlocking before Block should error")
 	}
-	if _, err := p.SelectMatcher(2); err == nil {
+	if _, err := p.SelectMatcher(context.Background(), 2); err == nil {
 		t.Fatal("SelectMatcher without features should error")
 	}
 	if err := p.Train("decision_tree"); err == nil {
 		t.Fatal("Train without features should error")
 	}
-	if _, err := p.Match(); err == nil {
+	if _, err := p.Match(context.Background()); err == nil {
 		t.Fatal("Match without blockers should error")
 	}
 }
@@ -209,25 +210,20 @@ func TestProjectEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cv, err := p.SelectMatcher(2)
+	cv, err := p.SelectMatcher(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cv) != 6 {
 		t.Fatalf("cv results = %d", len(cv))
 	}
-	if err := p.Train(cv[0].Name); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Train("no_such_matcher"); err == nil {
 		t.Fatal("unknown matcher should error")
 	}
-	// Re-train with the winner (the failed call must not clobber it).
-	if err := p.Train(cv[0].Name); err != nil {
-		t.Fatal(err)
-	}
 
-	res, err := p.Match()
+	// The winner SelectMatcher installed matches (the failed Train must
+	// not clobber it).
+	res, err := p.Match(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +301,7 @@ func TestProjectLabelDebugging(t *testing.T) {
 		if err := feature.AddCaseInsensitive(p.Features(), l, map[string]string{"Title": "Title"}, []string{"Title"}); err != nil {
 			t.Fatal(err)
 		}
-		suspects, err := p.DebugLabels()
+		suspects, err := p.DebugLabels(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,9 +414,9 @@ func TestProjectCustomFeatureAndMatcher(t *testing.T) {
 
 // TestProjectReadOnlyStepsKeepTrainedImputer trains on half the labels,
 // labels the rest, and runs every step that fits on the labels without
-// installing anything: Match must still impute with the means Train
-// fitted beside its matcher. An unknown matcher name fails before
-// anything is vectorized.
+// installing anything (DebugLabels, PRCurve): Match must still impute
+// with the means Train fitted beside its matcher. An unknown matcher name
+// fails before anything is vectorized.
 func TestProjectReadOnlyStepsKeepTrainedImputer(t *testing.T) {
 	l, r, truth := richTables(t)
 	p, _ := NewProject("imputer", l, r, 3)
@@ -462,10 +458,7 @@ func TestProjectReadOnlyStepsKeepTrainedImputer(t *testing.T) {
 	means := trained.Means()
 
 	labelAll(pairs[len(pairs)/2:])
-	if _, err := p.SelectMatcher(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.DebugLabels(); err != nil {
+	if _, err := p.DebugLabels(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.PRCurve(); err != nil {

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -137,9 +138,14 @@ type MatcherSpec struct {
 	Forest *ForestSpec `json:"forest,omitempty"`
 }
 
+// ErrNotSerializable is the error ExportMatcher wraps for a matcher kind
+// with no serialized form: any but a tree or a forest.
+var ErrNotSerializable = errors.New("ml: matcher is not serializable")
+
 // ExportMatcher serializes a fitted tree or forest matcher; other matcher
-// kinds report an error (deploy those by retraining from the labeled
-// data, which the workflow spec also references).
+// kinds report an error wrapping ErrNotSerializable (deploy those by
+// retraining from the labeled data, which the workflow spec also
+// references).
 func ExportMatcher(m Matcher) (*MatcherSpec, error) {
 	switch mm := m.(type) {
 	case *DecisionTree:
@@ -155,7 +161,7 @@ func ExportMatcher(m Matcher) (*MatcherSpec, error) {
 		}
 		return &MatcherSpec{Kind: "random_forest", Forest: fs}, nil
 	default:
-		return nil, fmt.Errorf("ml: matcher %q is not serializable", m.Name())
+		return nil, fmt.Errorf("%w: %s", ErrNotSerializable, m.Name())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"emgo/internal/cluster"
 	"emgo/internal/core"
 	"emgo/internal/estimate"
-	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -23,9 +22,9 @@ type Config struct {
 	Params Params
 	// Seed drives every downstream random choice. Each section that
 	// draws randomness seeds its own stream from it: Seed for the
-	// Section 8 labelling samples, Seed+1 for the simulated expert,
-	// Seed+2 for the Section 9 split debug and Seed+3 for the Section 11
-	// evaluation sample. The learners' CV folds and forests take Seed.
+	// Section 8 labelling samples, Seed+1 for the simulated expert and
+	// Seed+3 for the Section 11 evaluation sample. The learners' CV folds
+	// and forests take Seed.
 	Seed int64
 	// SampleRounds are the per-iteration labeling sample sizes of Section
 	// 8 (the paper used three rounds of 100).
@@ -201,17 +200,14 @@ type study struct {
 	expert *label.Expert
 	report *Report
 
-	cand     *block.CandidateSet // consolidated C over the original slice
-	labels   *label.Store
-	features *feature.Set
-	imputer  *feature.Imputer
-	matcher  ml.Matcher
+	// loop is the development loop over the original slice: its
+	// candidate set, labels, features and matcher.
+	loop *core.Project
 
 	fig8         *workflow.Result
 	res1, res2   *workflow.Result    // Figure 9 results per slice
 	iris1, iris2 *block.CandidateSet // IRIS predictions per slice
 	eval         []evalItem          // the labeled estimation sample
-	lastTrain    *ml.Dataset         // the training set behind the final matcher
 }
 
 // Run executes the whole case study and returns the report.
@@ -349,19 +345,9 @@ func slices(ds *Dataset) (proj, extra *Projected, rep *PreprocessReport, err err
 	return proj, extra, rep, nil
 }
 
-// build builds spec over one slice and gives it the study's learned
-// matcher: the full feature set the study trains on, its imputer, and m.
-func (s *study) build(spec *workflow.Spec, um *Projected, m ml.Matcher) (*workflow.Workflow, error) {
-	w, err := spec.Build(um.UMETRICS, um.USDA, DeployTransforms())
-	if err != nil {
-		return nil, err
-	}
-	w.Features, w.Imputer, w.Matcher = s.features, s.imputer, m
-	return w, nil
-}
-
-// blocking reproduces the Section 7 numbers over the original slice.
-func (s *study) blocking(context.Context) error {
+// blocking reproduces the Section 7 numbers over the original slice and
+// starts the development loop there, with Figure 8's blockers and M1.
+func (s *study) blocking(ctx context.Context) error {
 	um, us := s.proj.UMETRICS, s.proj.USDA
 	s.report.CartesianPairs = um.Len() * us.Len()
 
@@ -378,11 +364,11 @@ func (s *study) blocking(context.Context) error {
 		c2.Threshold = k
 		spec.Blockers = append(spec.Blockers, c2)
 	}
-	w, err := s.build(spec, s.proj, nil)
+	w, err := spec.Build(um, us, DeployTransforms())
 	if err != nil {
 		return err
 	}
-	all, err := block.Bind(context.TODO(), us, w.Blockers...)
+	all, err := block.Bind(ctx, us, w.Blockers...)
 	if err != nil {
 		return err
 	}
@@ -408,11 +394,19 @@ func (s *study) blocking(context.Context) error {
 	s.report.C2MinusC3 = c2.Len() - inter.Len()
 	s.report.C3MinusC2 = c3.Len() - inter.Len()
 
-	cand, err := block.UnionBlock(um, us, bs...)
+	if s.loop, err = core.NewProject("umetrics", um, us, s.cfg.Seed); err != nil {
+		return err
+	}
+	for _, b := range bs {
+		s.loop.AddBlocker(b)
+	}
+	for _, r := range w.SureRules.Rules() {
+		s.loop.AddSureRule(r)
+	}
+	cand, err := s.loop.Block()
 	if err != nil {
 		return err
 	}
-	s.cand = cand
 	s.report.ConsolidatedC = cand.Len()
 
 	for n, k := range sweepK {
@@ -425,10 +419,7 @@ func (s *study) blocking(context.Context) error {
 
 	// Blocking debugger: the top-ranked excluded pairs should contain no
 	// true matches (the Section 7 stopping criterion).
-	top, err := block.Debugger{
-		Cols: map[string]string{"AwardTitle": "AwardTitle"},
-		K:    100,
-	}.Run(cand)
+	top, err := s.loop.DebugBlocking(map[string]string{"AwardTitle": "AwardTitle"}, 100)
 	if err != nil {
 		return err
 	}
@@ -447,12 +438,11 @@ func (s *study) blocking(context.Context) error {
 // labeling reproduces Section 8: iterative sampling, the cross-check
 // episode, and leave-one-out label debugging.
 func (s *study) labeling(ctx context.Context) error {
-	s.labels = label.NewStore()
-	tool := label.NewTool(s.labels)
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
+	labels := s.loop.Labels()
+	tool := label.NewTool(labels)
 
 	for round, n := range s.cfg.SampleRounds {
-		sample, err := core.SampleUnlabelled(s.cand, s.labels, n, rng)
+		sample, err := s.loop.SamplePairs(n)
 		if err != nil {
 			return err
 		}
@@ -485,78 +475,41 @@ func (s *study) labeling(ctx context.Context) error {
 					return err
 				}
 			}
-			mismatches := label.CrossCheck(s.labels, emTeam)
+			mismatches := label.CrossCheck(labels, emTeam)
 			s.report.CrossMismatch = len(mismatches)
 			for _, p := range mismatches {
 				revised := s.expert.Revise(p)
-				if revised != s.labels.Get(p) {
+				if revised != labels.Get(p) {
 					s.report.CrossFlipped++
-					if err := s.labels.Set(p, revised); err != nil {
+					if err := labels.Set(p, revised); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		s.report.RoundCounts = append(s.report.RoundCounts, s.labels.Counts())
+		s.report.RoundCounts = append(s.report.RoundCounts, labels.Counts())
 	}
 
 	// Label debugging with leave-one-out cross-validation (minus unsure
-	// and sure matches), then the D1-D3 revision meeting.
-	ds, pairs, _, err := s.trainingSet(8)
+	// and sure matches, so over the features Section 9 trains on), then
+	// the D1-D3 revision meeting.
+	if err := s.loop.GenerateFeatures(FeatureColumns()); err != nil {
+		return err
+	}
+	flagged, err := s.loop.DebugLabels(ctx)
 	if err != nil {
 		return err
 	}
-	if ds.Len() >= 2 {
-		flagged, err := core.FlagLabels(ctx, ds, pairs, s.cfg.Seed)
-		if err != nil {
-			return err
-		}
-		s.report.LOOCVFlagged = len(flagged)
-		for _, p := range flagged {
-			revised := s.expert.Revise(p)
-			if revised != s.labels.Get(p) {
-				s.report.LabelRevisions++
-				if err := s.labels.Set(p, revised); err != nil {
-					return err
-				}
+	s.report.LOOCVFlagged = len(flagged)
+	for _, p := range flagged {
+		revised := s.expert.Revise(p)
+		if revised != labels.Get(p) {
+			s.report.LabelRevisions++
+			if err := labels.Set(p, revised); err != nil {
+				return err
 			}
 		}
 	}
-	s.report.FinalLabels = s.labels.Counts()
-	return nil
-}
-
-// trainingSet is core.TrainingData over the original slice with the
-// sure rules of Figure fig (Section 9: "we removed the pairs labeled
-// Unsure and sure matches") — M1 alone in Figure 8, with the rule Section
-// 10 discovered in Figure 9.
-func (s *study) trainingSet(fig int) (*ml.Dataset, []block.Pair, *feature.Imputer, error) {
-	if s.features == nil {
-		corr, order := FeatureColumns()
-		fs, err := feature.Generate(s.proj.UMETRICS, s.proj.USDA, corr, order)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s.features = fs
-	}
-	w, err := s.build(FigureSpec(fig), s.proj, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return core.TrainingData(s.proj.UMETRICS, s.proj.USDA, s.labels, w.SureRules, s.features)
-}
-
-// train fits a fresh matcher of the named kind on ds and installs it as
-// the study's matcher, with im, the imputer ds was filled by.
-func (s *study) train(name string, ds *ml.Dataset, im *feature.Imputer) error {
-	f, err := ml.FactoryByName(name, s.cfg.Seed)
-	if err != nil {
-		return err
-	}
-	m := f.New()
-	if err := m.Fit(ds); err != nil {
-		return err
-	}
-	s.matcher, s.imputer = m, im
+	s.report.FinalLabels = labels.Counts()
 	return nil
 }

@@ -2,6 +2,7 @@ package umetrics
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 
 	"emgo/internal/block"
@@ -18,62 +19,38 @@ import (
 // workflow totals.
 func (s *study) matching(ctx context.Context) error {
 	// Initial selection on the auto-generated features.
-	ds, _, _, err := s.trainingSet(8)
-	if err != nil {
-		return err
-	}
-	cv, err := ml.SelectMatcherCtx(ctx, ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
+	cv, err := s.loop.SelectMatcher(ctx, 5)
 	if err != nil {
 		return err
 	}
 	s.report.CVInitial = cv
 	s.report.BestInitial = cv[0].Name
 
-	// Debug the selected matcher with the split-half procedure; the
-	// mismatches motivate the case-insensitive feature extension
-	// ("many mismatches occurred due to award titles having different
-	// letter cases").
-	bestFactory, err := ml.FactoryByName(cv[0].Name, s.cfg.Seed)
-	if err != nil {
-		return err
-	}
-	if _, err := ml.SplitDebug(ctx, bestFactory, ds, rand.New(rand.NewSource(s.cfg.Seed+2))); err != nil {
-		return err
-	}
+	// Debugging the selected matcher motivates the case-insensitive
+	// feature extension ("many mismatches occurred due to award titles
+	// having different letter cases").
 	corr, _ := FeatureColumns()
-	if err := feature.AddCaseInsensitive(s.features, s.proj.UMETRICS, corr,
+	if err := feature.AddCaseInsensitive(s.loop.Features(), s.proj.UMETRICS, corr,
 		[]string{"AwardTitle", "EmployeeName"}); err != nil {
 		return err
 	}
 
-	// Re-select with the extended feature set.
-	ds, _, im, err := s.trainingSet(8)
-	if err != nil {
-		return err
-	}
-	cv, err = ml.SelectMatcherCtx(ctx, ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
-	if err != nil {
+	// Re-select with the extended feature set; the winner is trained on
+	// all decided non-sure labels.
+	if cv, err = s.loop.SelectMatcher(ctx, 5); err != nil {
 		return err
 	}
 	s.report.CVWithCase = cv
 	s.report.BestFinal = cv[0].Name
 
-	// Figure 8: train the selected matcher on all decided non-sure
-	// labels, remove the M1 pairs from C, and predict the rest.
-	if err := s.train(cv[0].Name, ds, im); err != nil {
-		return err
-	}
-	w, err := s.build(FigureSpec(8), s.proj, s.matcher)
-	if err != nil {
-		return err
-	}
-	res, err := w.RunCtx(ctx, s.proj.UMETRICS, s.proj.USDA, workflow.RunOptions{})
+	// Figure 8: remove the M1 pairs from C and predict the rest.
+	res, err := s.loop.Match(ctx)
 	if err != nil {
 		return err
 	}
 	// The paper counts the M1 pairs inside C (210) rather than all M1
 	// pairs; with the M1 rule doubling as the C1 blocker they coincide.
-	inC, err := s.cand.Intersect(res.Sure)
+	inC, err := s.loop.Candidates().Intersect(res.Sure)
 	if err != nil {
 		return err
 	}
@@ -91,13 +68,14 @@ func (s *study) updating(ctx context.Context) error {
 	// How much does the new rule — Figure 9's second sure rule — matter
 	// on its own?
 	fig9 := FigureSpec(9)
-	rule2, err := s.build(&workflow.Spec{Name: fig9.Name, SureRules: fig9.SureRules[1:]}, s.proj, nil)
+	rule2, err := (&workflow.Spec{Name: fig9.Name, SureRules: fig9.SureRules[1:]}).
+		Build(s.proj.UMETRICS, s.proj.USDA, DeployTransforms())
 	if err != nil {
 		return err
 	}
 	rule2Pairs := rule2.SureRules.SureMatches(s.proj.UMETRICS, s.proj.USDA)
 	s.report.Rule2Cartesian = rule2Pairs.Len()
-	inC, err := s.cand.Intersect(rule2Pairs)
+	inC, err := s.loop.Candidates().Intersect(rule2Pairs)
 	if err != nil {
 		return err
 	}
@@ -108,29 +86,20 @@ func (s *study) updating(ctx context.Context) error {
 	}
 	s.report.Rule2Predicted = pred.Len()
 
-	// Retrain the matcher on labels with BOTH positive rules' sure pairs
-	// removed ("we removed the sure matches from the labeled set and
-	// selected the best matcher").
-	ds, _, im, err := s.trainingSet(9)
-	if err != nil {
-		return err
+	// The rule joins the workflow, and the matcher is retrained on labels
+	// with BOTH positive rules' sure pairs removed ("we removed the sure
+	// matches from the labeled set and selected the best matcher").
+	for _, r := range rule2.SureRules.Rules() {
+		s.loop.AddSureRule(r)
 	}
-	s.lastTrain = ds
-	cv, err := ml.SelectMatcherCtx(ctx, ml.DefaultFactories(s.cfg.Seed), ds, 5, s.cfg.Seed)
-	if err != nil {
-		return err
-	}
-	if err := s.train(cv[0].Name, ds, im); err != nil {
+	if _, err := s.loop.SelectMatcher(ctx, 5); err != nil {
 		return err
 	}
 
 	// Figure 9 is deployed once and run over both slices: they share the
 	// USDA table, so its blockers, rules and cells are built over it once.
-	fig9w, err := s.build(fig9, s.proj, s.matcher)
+	fig9w, err := s.loop.Deploy(ctx)
 	if err != nil {
-		return err
-	}
-	if fig9w, err = fig9w.Deploy(ctx, s.matcher, s.proj.USDA); err != nil {
 		return err
 	}
 	if s.res1, err = fig9w.RunCtx(ctx, s.proj.UMETRICS, s.proj.USDA, workflow.RunOptions{}); err != nil {
@@ -283,7 +252,7 @@ func (s *study) estimateSample(pred1, pred2 *block.CandidateSet) (estimate.Estim
 // the learner's predictions, the final Figure 10 workflow, and its
 // estimated accuracy.
 func (s *study) refining(context.Context) error {
-	fig10, err := s.build(FigureSpec(10), s.proj, nil)
+	fig10, err := FigureSpec(10).Build(s.proj.UMETRICS, s.proj.USDA, DeployTransforms())
 	if err != nil {
 		return err
 	}
@@ -334,25 +303,24 @@ func (s *study) refining(context.Context) error {
 	// CV winner is not a tree-based matcher (only those serialize), a
 	// decision tree is fitted for deployment — the matcher the paper
 	// itself shipped.
-	deployMatcher := s.matcher
-	if _, err := ml.ExportMatcher(deployMatcher); err != nil {
-		tree := &ml.DecisionTree{}
-		if err := tree.Fit(s.lastTrain); err != nil {
-			return err
+	s.report.Deployment, err = s.loop.Spec(FigureSpec(10))
+	if errors.Is(err, ml.ErrNotSerializable) {
+		if err = s.loop.Train("decision_tree"); err == nil {
+			s.report.Deployment, err = s.loop.Spec(FigureSpec(10))
 		}
-		deployMatcher = tree
 	}
-	if s.report.Deployment, err = FigureSpec(10).Package(s.features, s.imputer, deployMatcher); err != nil {
+	if err != nil {
 		return err
 	}
 
 	// Release the labeled data (training labels keyed by business IDs,
 	// plus the evaluation sample) — the paper's data contribution.
-	for _, p := range s.labels.Pairs() {
+	labels := s.loop.Labels()
+	for _, p := range labels.Pairs() {
 		key := s.oracle.Key(p)
 		s.report.LabeledPairs = append(s.report.LabeledPairs, LabeledPair{
 			UAN: key.UAN, Accession: key.Accession,
-			Label: s.labels.Get(p), Phase: "training",
+			Label: labels.Get(p), Phase: "training",
 		})
 	}
 	for _, it := range s.eval {
