@@ -72,11 +72,9 @@ race-cpu:
 # walker, single and batch, against the map decode it replaced: the same
 # rows or the same 4xx status on every body (FuzzDecodeMatchRequest,
 # FuzzDecodeBatchRequest). The rest are the parsers of outside input,
-# which must fail cleanly and never panic on any bytes: the results
-# cursor an HTTP client hands back (FuzzParseCursor), the job store's
-# manifest and the shard bytes it restores (FuzzManifestDecode,
-# FuzzCheckpointRead), and the CSV reader and cell parser every input
-# table goes through (FuzzReadCSV, FuzzParse).
+# which must fail cleanly and never panic on any bytes: the CSV reader
+# and cell parser every input table goes through (FuzzReadCSV,
+# FuzzParse).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWordKeys$$' -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidateSetAlgebra$$' -fuzztime 10s ./internal/block
@@ -86,9 +84,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPresortedFit$$' -fuzztime 10s ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzParseCursor$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/ckpt
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRead$$' -fuzztime 10s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/table
 
@@ -147,17 +142,15 @@ examples:
 
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
 # package builds the CLIs once (emserve and emcasestudy with -race),
-# generates one slice, spec and matcher artifact once, and runs seven
+# generates one slice, spec and matcher artifact once, and runs five
 # scenarios against the real binaries — serve (degrade, shed, reload,
-# rollback), job (mid-write kill, byte-identical resume), stream (SIGKILL
-# and drain cuts resumed from a persisted cursor), obs (wide events, tail
-# capture, SLO gate), load (soak 0/1, capacity, chaos-soak), monitor (drift check 0/1) and chaos (the case
-# study killed at every checkpoint boundary and once mid-write, each
-# resume byte-identical, a corrupted artifact quarantined) — with every
-# server drained to exit 130, zero leaked goroutines, race-clean. Each
-# scenario prints one PASS line; a failing one shows its process's log
-# tail. One scenario:
-#   go test -tags smoke -count=1 -v ./internal/smoke -run TestSmoke/stream
+# rollback), obs (wide events, tail capture, SLO gate), load (soak 0/1,
+# capacity), monitor (drift check 0/1) and chaos (the case study killed
+# before, mid and after each of its three outputs, every output absent
+# or intact, each rerun byte-identical) — with every server drained to
+# exit 130, zero leaked goroutines, race-clean. Each scenario prints one
+# PASS line; a failing one shows its process's log tail. One scenario:
+#   go test -tags smoke -count=1 -v ./internal/smoke -run TestSmoke/serve
 # See docs/SERVING.md ("The smoke test"), docs/RELIABILITY.md ("The chaos
 # harness") and docs/OBSERVABILITY.md.
 smoke:
@@ -183,10 +176,10 @@ perf-gate:
 # Tier 2 — the hardened-runtime gate: formatting and static analysis plus
 # the full test suite under the race detector (the parallel fan-out,
 # cancellation, fault-injection, and observability paths are only
-# trustworthy race-clean), 130 seconds of fuzzing (make fuzz), the
+# trustworthy race-clean), 100 seconds of fuzzing (make fuzz), the
 # nested benchmark module's own vet and tests, the exported-surface check,
 # a run of every example program, the end-to-end smoke harness (the
-# kill/rerun chaos scenario among its seven), and the perf-regression
+# kill/rerun chaos scenario among its five), and the perf-regression
 # gate over the committed BENCH trajectory.
 tier2: fmt-check vet race race-cpu fuzz bench-check api-check examples smoke perf-gate
 

@@ -2,36 +2,29 @@
 // emserve (see docs/SERVING.md, "Capacity & soak testing").
 //
 //	emload -addr 127.0.0.1:8080 -right USDAProjected.csv \
-//	       [-mode soak|capacity|chaos] \
+//	       [-mode soak|capacity] \
 //	       [-profile uniform|poisson] [-rate 50] [-duration 30s] \
-//	       [-seed 1] [-blend single=88,batch=5,job=0,malformed=2,oversized=1,status=4] \
+//	       [-seed 1] [-blend single=88,batch=5,malformed=2,oversized=1,status=4] \
 //	       [-timeout 10s] [-shed-retries 0] [-max-retry-after 2s] \
 //	       [-report-every 5s] [-summary out.json] \
 //	       [-slo "availability=99.5,latency=500ms@99"] \
-//	       [-max-qps 0] [-factor 2] \
-//	       [-server-bin ./emserve] [-workdir DIR] \
-//	       [-shard-size 4] [-job-timeout 120s] [-- emserve base args...]
+//	       [-max-qps 0] [-factor 2]
 //
 // Record indices are Zipf-distributed (s = 1.2), a batch carries 8
-// records, a blend-submitted job 16, at most 4096 requests are in flight
-// (an arrival past that is dropped and counted, never delayed).
+// records, at most 4096 requests are in flight (an arrival past that is
+// dropped and counted, never delayed).
 //
 // Every mode runs phases — one open-loop schedule of -rate for
 // -duration against one server — and judges each by load.Gate:
 //
 //	soak      one phase judged by the gate: the -slo objectives, zero
-//	          unexpected answers, Retry-After on every shed, no failed
-//	          async job, at most 1% of arrivals dropped by the
-//	          generator, and the server's own /v1/status burn rates.
+//	          unexpected answers, Retry-After on every shed, at most 1%
+//	          of arrivals dropped by the generator, and the server's own
+//	          /v1/status burn rates.
 //	capacity  soak at rising rates: phases from -rate, times -factor up
 //	          to -max-qps, each judged by the -slo objectives (no server
 //	          check) with at most 5% of answers shed, until one fails;
 //	          the last passing rate is the max sustainable rate.
-//	chaos     supervised chaos-soak: boots its own emserve (-server-bin +
-//	          args after --), SIGKILLs it at a shard boundary mid-load
-//	          via EMCKPT_KILL, restarts it, and requires byte-identical
-//	          job resume, two load phases that pass the gate, and a
-//	          leak- and race-clean drain.
 //
 // Exit status: 0 when every judged phase passed (capacity: at least one
 // step), 1 when one failed, 2 on a usage error or a run that could not
@@ -48,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -78,8 +70,8 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 	fs := flag.NewFlagSet("emload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	mode := fs.String("mode", "soak", "soak | capacity | chaos")
-	addr := fs.String("addr", "", "server under test (host:port or http URL); not used by -mode chaos")
+	mode := fs.String("mode", "soak", "soak | capacity")
+	addr := fs.String("addr", "", "server under test (host:port or http URL)")
 	right := fs.String("right", "", "right-table CSV the record pool is mined from")
 	summaryPath := fs.String("summary", "", "write the summary JSON here instead of stdout")
 
@@ -99,13 +91,18 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling (0 = 4096x -rate)")
 	factor := fs.Float64("factor", 2, "capacity search: rate multiplier between steps")
 
-	serverBin := fs.String("server-bin", "", "chaos: emserve binary to supervise (base args after --)")
-	workDir := fs.String("workdir", "", "chaos: scratch dir for job dirs, logs, address files (default: a temp dir)")
-	shardSize := fs.Int("shard-size", 4, "chaos: canonical job shard size")
-	jobTimeout := fs.Duration("job-timeout", 120*time.Second, "chaos: per-await job deadline")
-
 	if err := fs.Parse(argv); err != nil {
 		return flag.ErrHelp
+	}
+	if *mode != "soak" && *mode != "capacity" {
+		return fmt.Errorf("unknown mode %q (want soak|capacity)", *mode)
+	}
+	if *addr == "" {
+		return fmt.Errorf("-addr is required for -mode %s", *mode)
+	}
+	objectives, err := slo.ParseObjectives(*sloSpec)
+	if err != nil {
+		return fmt.Errorf("-slo: %w", err)
 	}
 
 	blend := load.DefaultBlend()
@@ -149,18 +146,6 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 		phase.Schedule.PickN = pool.Size()
 	}
 
-	var objectives []slo.Objective
-	if *mode == "soak" || *mode == "capacity" {
-		if *addr == "" {
-			return fmt.Errorf("-addr is required for -mode %s", *mode)
-		}
-		o, err := slo.ParseObjectives(*sloSpec)
-		if err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-		objectives = o
-	}
-
 	summary := &load.Summary{GeneratedBy: "emload", Mode: *mode, Target: phase.Client.BaseURL}
 	switch *mode {
 	case "soak":
@@ -195,35 +180,6 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 		summary.Pass = cres.MaxSustainableQPS > 0
 		fmt.Fprintf(stderr, "emload: max sustainable rate %.1f qps under %s (achieved %.1f qps)\n",
 			cres.MaxSustainableQPS, *sloSpec, cres.AchievedAtMaxQPS)
-
-	case "chaos":
-		if *serverBin == "" {
-			return errors.New("-server-bin is required for -mode chaos (emserve base args after --)")
-		}
-		wd := *workDir
-		if wd == "" {
-			tmp, err := os.MkdirTemp("", "emload-chaos-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(tmp)
-			wd = tmp
-		}
-		chres, err := load.RunChaos(ctx, load.ChaosConfig{
-			Server:     load.ServerConfig{Bin: *serverBin, Args: fs.Args(), WorkDir: wd},
-			RunConfig:  phase,
-			ShardSize:  *shardSize,
-			JobTimeout: *jobTimeout,
-		})
-		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-		summary.Target = *serverBin
-		summary.Chaos = chres
-		summary.Pass = chres.Pass
-
-	default:
-		return fmt.Errorf("unknown mode %q (want soak|capacity|chaos)", *mode)
 	}
 	if err := ctx.Err(); err != nil {
 		return err // interrupted while judging: no verdict

@@ -23,17 +23,23 @@ func TestRunUsageErrors(t *testing.T) {
 		argv []string
 		want string
 	}{
-		{"unknown mode", []string{"-mode", "stress", "-addr", "x"}, "want soak|capacity|chaos"},
+		{"unknown mode", []string{"-mode", "stress", "-addr", "x"}, "want soak|capacity"},
 		{"mode run is gone", []string{"-mode", "run", "-addr", "x"}, `unknown mode "run"`},
 		{"soak needs addr", []string{"-mode", "soak"}, "-addr is required"},
 		{"capacity needs addr", []string{"-mode", "capacity"}, "-addr is required"},
-		{"chaos needs server-bin", []string{"-mode", "chaos"}, "-server-bin is required"},
+		// What chaos mode needed is moot: the mode is gone.
+		{"chaos needs server-bin", []string{"-mode", "chaos"}, `unknown mode "chaos"`},
 		{"bad blend", []string{"-addr", "x", "-blend", "single=oops"}, "blend"},
 		{"bad slo", []string{"-mode", "soak", "-addr", "x", "-slo", "latency=banana"}, "-slo"},
 		{"bad flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"start-qps is gone", []string{"-mode", "capacity", "-addr", "x", "-start-qps", "5"}, "flag provided but not defined: -start-qps"},
 		{"step-duration is gone", []string{"-mode", "capacity", "-addr", "x", "-step-duration", "10s"}, "flag provided but not defined: -step-duration"},
 		{"p99-target is gone", []string{"-mode", "capacity", "-addr", "x", "-p99-target", "500"}, "flag provided but not defined: -p99-target"},
+		{"server-bin is gone", []string{"-addr", "x", "-server-bin", "./emserve"}, "flag provided but not defined: -server-bin"},
+		{"workdir is gone", []string{"-addr", "x", "-workdir", "w"}, "flag provided but not defined: -workdir"},
+		{"shard-size is gone", []string{"-addr", "x", "-shard-size", "4"}, "flag provided but not defined: -shard-size"},
+		{"job-timeout is gone", []string{"-addr", "x", "-job-timeout", "2m"}, "flag provided but not defined: -job-timeout"},
+		{"job kind is gone", []string{"-addr", "x", "-blend", "single=8,job=2"}, `unknown kind "job"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

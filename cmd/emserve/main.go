@@ -15,9 +15,7 @@
 //	        [-max-inflight 8] [-max-queue 64] [-request-timeout 5s] [-max-body 1048576] \
 //	        [-read-header-timeout 5s] [-read-timeout 30s] [-write-timeout 0] [-idle-timeout 120s] \
 //	        [-transforms umetrics] [-date-cols ...] \
-//	        [-max-batch 256] [-job-dir jobs/] [-job-workers 2] [-job-shard-size 32] \
-//	        [-job-max-queued 8] \
-//	        [-stream-chunk-timeout 15s] [-max-streams 4] [-stream-flush 256] \
+//	        [-max-batch 256] \
 //	        [-access-log events.jsonl] [-access-sample 10] [-tail-n 16] \
 //	        [-slo availability=99.9,latency=250ms@99] [-tail-dump tail.json] \
 //	        [-inject site:spec ...]
@@ -26,16 +24,9 @@
 //	        -export-matcher matcher.json
 //
 // Endpoints (see docs/SERVING.md): POST /v1/match answers one record;
-// POST /v1/match/batch answers a bounded batch in one amortized pipeline
-// pass; POST /v1/jobs submits an async bulk job (poll GET /v1/jobs/{id},
-// fetch GET /v1/jobs/{id}/results — needs -job-dir; results are a
-// resumable NDJSON stream with HMAC-signed cursors). Stream chunks carry
-// their own -stream-chunk-timeout write deadlines, so a global
-// -write-timeout bounds other responses without cutting healthy long
-// streams; at
-// most -max-streams streams hold shard files open at once (excess sheds
-// 429), and a drain ends active streams at a flush boundary with a
-// resumable cursor. GET /healthz,
+// POST /v1/match/batch answers a bounded batch (-max-batch records) in
+// one amortized pipeline pass. A table larger than that is matched
+// offline: emmatch over the same deployed spec. GET /healthz,
 // /readyz and /v1/status report liveness, readiness and the live
 // request/queue counters; POST /-/reload hot-swaps the matcher
 // artifact; /debug/ exposes expvar and pprof, the one profiling surface
@@ -47,10 +38,10 @@
 // (emmatch -drift-baseline, emmonitor check), not per request.
 //
 // Observability: every request carries a request ID (minted, or a
-// sanitized client X-Request-Id) echoed on the response and threaded
-// through spans and job shards. -access-log emits one JSON wide event
-// per request (sampled by -access-sample for successes; errors, sheds
-// and degraded answers always log). GET /debug/tail serves the in-memory
+// sanitized client X-Request-Id) echoed on the response and written on
+// its wide event. -access-log emits one JSON wide event per request
+// (sampled by -access-sample for successes; errors, sheds and degraded
+// answers always log). GET /debug/tail serves the in-memory
 // tail capture — the N slowest plus every errored/degraded request of
 // the current and previous windows, full span trees included — and
 // -tail-dump writes that snapshot to a file on drain. -slo declares
@@ -59,11 +50,10 @@
 // non-zero on budget burn.
 //
 // Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
-// for in-flight requests up to the drain timeout, checkpoint and stop
-// in-flight job shards (completed shards stay durable under -job-dir and
-// resume on restart), shut the listener down, verify no goroutines
-// leaked, exit 130. SIGHUP reloads the matcher artifact from its current
-// path (same protocol as POST /-/reload).
+// for in-flight requests up to the drain timeout, shut the listener
+// down, verify no goroutines leaked, exit 130. SIGHUP reloads the
+// matcher artifact from its current path (same protocol as POST
+// /-/reload).
 //
 // -export-matcher extracts the spec-embedded matcher to a standalone
 // artifact file and exits; serving with -matcher on such a file is what
@@ -142,14 +132,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	writeTimeout := fs.Duration("write-timeout", 0, "how long a response write may take (0 = unlimited; request work is already bounded by -request-timeout)")
 	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "how long a keep-alive connection may sit idle between requests (0 = unlimited)")
 	rightID := fs.String("right-id", "RecordId", "right-table ID column echoed in match responses")
-	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; larger inputs go through jobs)")
-	jobDir := fs.String("job-dir", "", "checkpoint root for the async job tier (empty = job endpoints disabled)")
-	jobWorkers := fs.Int("job-workers", 0, "concurrent shard executors per job (0 = default)")
-	jobShardSize := fs.Int("job-shard-size", 0, "records per job shard (0 = default)")
-	jobMaxQueued := fs.Int("job-max-queued", 0, "jobs queued or running before submissions shed (0 = default)")
-	streamChunkTimeout := fs.Duration("stream-chunk-timeout", 0, "slow-reader budget: a results stream whose client absorbs no chunk for this long is cut at a resumable cursor (0 = default 15s)")
-	maxStreams := fs.Int("max-streams", 0, "concurrent result streams holding shard files open; excess sheds 429 (0 = default)")
-	streamFlushEvery := fs.Int("stream-flush", 0, "records per stream chunk between cursor commits (0 = default)")
+	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; match a larger table offline with emmatch over the deployed spec)")
 	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
 	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded always log)")
 	tailN := fs.Int("tail-n", 0, "slowest requests retained per window in the /debug/tail buffer (0 = default)")
@@ -206,17 +189,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		MaxBatchRecords: *maxBatch,
 		AccessSampleN:   *accessSample,
 		TailN:           *tailN,
-		Jobs: serve.JobConfig{
-			Dir:       *jobDir,
-			Workers:   *jobWorkers,
-			ShardSize: *jobShardSize,
-			MaxQueued: *jobMaxQueued,
-		},
-		Stream: serve.StreamConfig{
-			ChunkTimeout: *streamChunkTimeout,
-			MaxStreams:   *maxStreams,
-			FlushEvery:   *streamFlushEvery,
-		},
 	}
 	if *sloSpec != "" {
 		objs, err := slo.ParseObjectives(*sloSpec)
@@ -247,7 +219,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 
 	// SIGHUP re-reads the matcher artifact from its current path — the
 	// same validated swap-or-rollback protocol as POST /-/reload.
@@ -291,9 +262,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		fmt.Fprintf(stderr, "emserve: serving rule-only (no matcher) on http://%s/\n", bound)
 	default:
 		fmt.Fprintf(stderr, "emserve: serving matcher %s (%s) on http://%s/\n", art.Matcher.Name(), art.Checksum[:12], bound)
-	}
-	if jt := srv.JobTier(); jt != nil {
-		fmt.Fprintf(stderr, "emserve: job tier enabled under %s (%d unfinished job(s) resumed)\n", *jobDir, jt.Recovered())
 	}
 
 	for {

@@ -136,10 +136,16 @@ func TestRunBadInjectSpec(t *testing.T) {
 	}
 }
 
+// TestRunBreakerFlagsAreGone: the flags of the matcher circuit breaker
+// and of the async job tier and its result streams are usage errors.
 func TestRunBreakerFlagsAreGone(t *testing.T) {
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
-	for _, extra := range [][]string{{"-breaker-failures", "2"}, {"-breaker-cooldown", "1s"}} {
+	for _, extra := range [][]string{
+		{"-breaker-failures", "2"}, {"-breaker-cooldown", "1s"},
+		{"-job-dir", dir}, {"-job-workers", "2"}, {"-job-shard-size", "32"}, {"-job-max-queued", "8"},
+		{"-stream-chunk-timeout", "15s"}, {"-max-streams", "4"}, {"-stream-flush", "256"},
+	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none"}, extra...)
 		if err := run(args, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {

@@ -12,9 +12,9 @@ import (
 // This file holds the durability primitives the rest of the repository
 // shares: write-to-temp + fsync + atomic rename. A crash at any moment
 // leaves either the old file intact or the new file complete — never a
-// truncated document. table.WriteCSVFile and ml model saves use the
-// same helpers, so every artifact the pipeline persists has the same
-// guarantee the checkpoint store does.
+// truncated document. table.WriteCSVFile, ml model saves and the run
+// reports use the same helpers, so every artifact the pipeline persists
+// has the same guarantee.
 
 // AtomicWriteFile writes data to path atomically: the bytes go to a
 // temp file in the same directory (renames across filesystems are not
@@ -51,9 +51,8 @@ func AtomicWriteTo(path string, perm os.FileMode, write func(w io.Writer) error)
 	return nil
 }
 
-// atomicWrite is the protocol under AtomicWriteTo and the store's
-// writes. Only its mid kill-point is its own, fired for name ("" for
-// none): the callers place before and after where they belong.
+// atomicWrite is the protocol under AtomicWriteTo, with the mid
+// kill-point of name between the temp file's sync and its rename.
 func atomicWrite(path string, perm os.FileMode, name string, write func(w io.Writer) error) (err error) {
 	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
 		return writeInPlace(path, write)
@@ -90,9 +89,7 @@ func atomicWrite(path string, perm os.FileMode, name string, write func(w io.Wri
 	if err = f.Close(); err != nil {
 		return err
 	}
-	if name != "" {
-		chaosKill("mid", name)
-	}
+	chaosKill("mid", name)
 	if err = os.Rename(tmp, path); err != nil {
 		return err
 	}

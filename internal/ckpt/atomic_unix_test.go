@@ -90,23 +90,16 @@ func TestAtomicWriteToFollowsASymlink(t *testing.T) {
 // TestKillPointsLeaveOldOrNew re-executes the test binary with
 // EMCKPT_KILL armed at each kill-point of a file and checks what the
 // SIGKILL leaves. An AtomicWriteTo over an existing file leaves the old
-// bytes when killed before or mid-write and the new bytes after; a store
-// artifact is listed by a reopened store only when killed after its
-// manifest commit, and a killed writer's temp file never outlives Open.
+// bytes when killed before or mid-write and the new bytes after, and only
+// a mid kill leaves a temp file, holding the whole new document.
 func TestKillPointsLeaveOldOrNew(t *testing.T) {
-	if spec := os.Getenv("EMCKPT_KILL"); spec != "" {
-		killPointChild(spec) // never returns
+	if os.Getenv("EMCKPT_KILL") != "" {
+		killPointChild() // never returns
 	}
-	for _, tc := range []struct {
-		spec, want string
-		listed     bool
-	}{
+	for _, tc := range []struct{ spec, want string }{
 		{spec: "before:out.csv", want: "old\n"},
 		{spec: "mid:out.csv", want: "old\n"},
 		{spec: "after:out.csv", want: "new\n"},
-		{spec: "before:a.json"},
-		{spec: "mid:a.json"},
-		{spec: "after:a.json", listed: true},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "out.csv"), []byte("old\n"), 0o644); err != nil {
@@ -120,47 +113,27 @@ func TestKillPointsLeaveOldOrNew(t *testing.T) {
 		if !errors.As(err, &ee) || !strings.Contains(string(out), "chaos kill at "+tc.spec) {
 			t.Fatalf("%s: the child was not killed there (%v):\n%s", tc.spec, err, out)
 		}
-		_, file, _ := strings.Cut(tc.spec, ":")
-		if file == "out.csv" {
-			got, err := os.ReadFile(filepath.Join(dir, file))
-			if err != nil || string(got) != tc.want {
-				t.Errorf("%s: the target holds %q (%v), want %q", tc.spec, got, err, tc.want)
-			}
-			// Only a mid kill leaves a temp file, and it holds every new byte.
-			tmps, _ := filepath.Glob(filepath.Join(dir, "out.csv.tmp*"))
-			switch mid := strings.HasPrefix(tc.spec, "mid:"); {
-			case !mid && len(tmps) != 0, mid && len(tmps) != 1:
-				t.Errorf("%s: temp files %v", tc.spec, tmps)
-			case mid:
-				if got, _ := os.ReadFile(tmps[0]); string(got) != "new\n" {
-					t.Errorf("%s: the temp file holds %q, want the whole new document", tc.spec, got)
-				}
-			}
-			continue
+		got, err := os.ReadFile(filepath.Join(dir, "out.csv"))
+		if err != nil || string(got) != tc.want {
+			t.Errorf("%s: the target holds %q (%v), want %q", tc.spec, got, err, tc.want)
 		}
-		store := filepath.Join(dir, "store")
-		if got := openT(t, store, "fp").Has(file); got != tc.listed {
-			t.Errorf("%s: listed after reopening = %v, want %v", tc.spec, got, tc.listed)
-		}
-		if tmps, _ := filepath.Glob(filepath.Join(store, "*.tmp*")); len(tmps) != 0 {
-			t.Errorf("%s: temp files survived Open: %v", tc.spec, tmps)
+		// Only a mid kill leaves a temp file, and it holds every new byte.
+		tmps, _ := filepath.Glob(filepath.Join(dir, "out.csv.tmp*"))
+		switch mid := strings.HasPrefix(tc.spec, "mid:"); {
+		case !mid && len(tmps) != 0, mid && len(tmps) != 1:
+			t.Errorf("%s: temp files %v", tc.spec, tmps)
+		case mid:
+			if got, _ := os.ReadFile(tmps[0]); string(got) != "new\n" {
+				t.Errorf("%s: the temp file holds %q, want the whole new document", tc.spec, got)
+			}
 		}
 	}
 }
 
-// killPointChild is the re-executed process: it makes the one write the
-// spec's file names, in its working directory, and exits 0 if it lives.
-func killPointChild(spec string) {
-	var err error
-	if strings.HasSuffix(spec, ":out.csv") {
-		err = AtomicWriteFile("out.csv", []byte("new\n"), 0o644)
-	} else {
-		var s *Store
-		if s, err = Open("store", "fp"); err == nil {
-			err = s.Write("a.json", []byte(`{"n":1}`))
-		}
-	}
-	if err != nil {
+// killPointChild is the re-executed process: it writes out.csv in its
+// working directory and exits 0 if it lives.
+func killPointChild() {
+	if err := AtomicWriteFile("out.csv", []byte("new\n"), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

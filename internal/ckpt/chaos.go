@@ -7,22 +7,20 @@ import (
 	"sync"
 )
 
-// Chaos kill-points let the chaos harnesses (TestSmoke/chaos and job,
-// emload's chaos mode) kill the process at exact write boundaries
-// instead of racing a sleep-and-SIGKILL against the pipeline. The
-// EMCKPT_KILL environment variable names one kill-point as
-// "<mode>:<file>", where file is the base name of an AtomicWriteTo
-// target or a store artifact's name:
+// Chaos kill-points let a harness (TestSmoke/chaos) kill the process at
+// exact write boundaries instead of racing a sleep-and-SIGKILL against
+// the pipeline. The EMCKPT_KILL environment variable names one
+// kill-point as "<mode>:<file>", where file is the base name of an
+// AtomicWriteTo target:
 //
 //	before:<file>  die before the temp file is created
 //	mid:<file>     die after the temp file is written and synced, before
 //	               its rename
-//	after:<file>   die after the rename is durable (for a store artifact,
-//	               after the manifest commit that lists it)
+//	after:<file>   die after the rename is durable
 //
 // The process dies by SIGKILL (os.Exit(137) where signals are
 // unavailable), so no deferred cleanup runs — exactly the crash the
-// store must survive. Unset (the normal case), the checks are one
+// writer must survive. Unset (the normal case), the checks are one
 // sync.Once and a string compare.
 
 var (

@@ -8,8 +8,8 @@
 // Injection is deterministic: a plan fires on exact call numbers
 // (FailFirst, OnCall), exact work-item indices (Indices), or a seeded
 // pseudo-random fraction of calls (Prob + Seed), never on wall-clock or
-// global randomness. That is what lets a test assert "shard 1 fails, the
-// resubmission re-runs only it" and have it hold under -race and in CI.
+// global randomness. That is what lets a test assert "record 1 fails and
+// the error names it" and have it hold under -race and in CI.
 //
 // Known sites wired through the repository:
 //
@@ -18,13 +18,7 @@
 //	feature.bind             each Set.Bind of a right table's cells (a server's start and every reload)
 //	ml.forest.fit            each tree trained by RandomForest.FitCtx
 //	ml.predict               each row scored by PredictAllCtx
-//	ckpt.write               each checkpoint artifact write (ckpt.Store.Write)
-//	ckpt.rename              the atomic rename committing an artifact
-//	ckpt.read                each checkpoint artifact read (treated as corruption)
 //	serve.match              each admitted request in the online matching service
-//	serve.job.exec           each async-job shard execution (idx = shard)
-//	serve.stream.cursor      each resume-cursor parse on a results fetch
-//	serve.stream.write       each chunk flushed by a results stream
 package fault
 
 import (
@@ -110,16 +104,6 @@ func Enable(name string, p Plan) {
 	}
 	sites[name] = s
 	armed.Store(true)
-}
-
-// Disable disarms one site.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(sites, name)
-	if len(sites) == 0 {
-		armed.Store(false)
-	}
 }
 
 // Reset disarms every site. Tests should defer this after Enable.

@@ -130,16 +130,3 @@ func TestSeededProbIsDeterministic(t *testing.T) {
 		t.Fatalf("prob 0.5 fired %d/%d times", fired, len(a))
 	}
 }
-
-func TestDisable(t *testing.T) {
-	defer Reset()
-	Enable("a", Plan{})
-	Enable("b", Plan{})
-	Disable("a")
-	if err := Inject("a"); err != nil {
-		t.Fatalf("disabled site fired: %v", err)
-	}
-	if err := Inject("b"); err == nil {
-		t.Fatal("remaining site should still fire")
-	}
-}

@@ -12,14 +12,13 @@ import (
 // Kind is one request shape in the traffic blend.
 type Kind string
 
-// Request kinds. Single/Batch/JobSubmit carry records; Malformed and
+// Request kinds. Single and Batch carry records; Malformed and
 // Oversized are deliberately hostile bodies the server must refuse
 // cheaply; Status probes the operational endpoint the way a balancer
 // would.
 const (
 	KindSingle    Kind = "single"
 	KindBatch     Kind = "batch"
-	KindJob       Kind = "job"
 	KindMalformed Kind = "malformed"
 	KindOversized Kind = "oversized"
 	KindStatus    Kind = "status"
@@ -27,7 +26,7 @@ const (
 
 // kindOrder fixes the iteration order everywhere weights are walked, so
 // blends are deterministic regardless of map iteration.
-var kindOrder = []Kind{KindSingle, KindBatch, KindJob, KindMalformed, KindOversized, KindStatus}
+var kindOrder = []Kind{KindSingle, KindBatch, KindMalformed, KindOversized, KindStatus}
 
 // Blend weights the request kinds. Weights are relative, not
 // percentages; an empty Blend means all single matches. A Blend is a

@@ -6,11 +6,11 @@ import (
 )
 
 func TestParseBlendRoundTrip(t *testing.T) {
-	b, err := ParseBlend("single=80,batch=10,job=2,malformed=5,status=3")
+	b, err := ParseBlend("single=80,batch=10,malformed=5,status=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Blend{KindSingle: 80, KindBatch: 10, KindJob: 2, KindMalformed: 5, KindStatus: 3}
+	want := Blend{KindSingle: 80, KindBatch: 10, KindMalformed: 5, KindStatus: 3}
 	if !maps.Equal(b, want) {
 		t.Fatalf("parsed %+v, want %+v", b, want)
 	}
@@ -29,6 +29,7 @@ func TestParseBlendRejects(t *testing.T) {
 		"single=-1",        // negative
 		"single=x",         // not a number
 		"telepathy=10",     // unknown kind
+		"single=8,job=2",   // no async job tier to submit to
 		"single=0,batch=0", // nothing positive
 		"",                 // empty
 	} {

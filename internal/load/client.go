@@ -36,13 +36,11 @@ type Outcome struct {
 	Status   int
 	Degraded bool
 	// ShedNoRetryAfter marks a shed answer missing its Retry-After
-	// header — a contract violation soak and chaos modes assert against.
+	// header — a contract violation every gate asserts against.
 	ShedNoRetryAfter bool
 	// Attempts counts tries including the first (retries follow the
 	// server's Retry-After hint under jittered backoff).
 	Attempts int
-	// JobID is the submitted job's id (KindJob successes only).
-	JobID string
 }
 
 // RecordPool holds left-schema records mined from a CSV, the raw
@@ -84,18 +82,6 @@ func (p *RecordPool) record(id string, i int) map[string]any {
 	}
 }
 
-// JobRecords builds the deterministic canonical job body: the first n
-// titles with fixed ids. Two runs over the same CSV submit the same
-// records, so the content-addressed job id — and the result bytes — are
-// comparable across processes and restarts (the chaos-soak contract).
-func (p *RecordPool) JobRecords(n int) []map[string]any {
-	recs := make([]map[string]any, n)
-	for i := range recs {
-		recs[i] = p.record(fmt.Sprintf("job-%d", i), i)
-	}
-	return recs
-}
-
 // ClientConfig tunes the load client.
 type ClientConfig struct {
 	// BaseURL is the server under test, e.g. "http://127.0.0.1:8080".
@@ -114,11 +100,10 @@ type ClientConfig struct {
 	MaxRetryAfter time.Duration
 }
 
-// Request shapes: records per KindBatch request, records per KindJob
-// arrival's submitted job, and the body size of a KindOversized request — 2 MiB, past the server's 1 MiB default cap.
+// Request shapes: records per KindBatch request, and the body size of a
+// KindOversized request — 2 MiB, past the server's 1 MiB default cap.
 const (
 	batchSize      = 8
-	jobRecords     = 16
 	oversizedBytes = 2 << 20
 )
 
@@ -218,9 +203,6 @@ func (c *Client) Do(ctx context.Context, i int, arr Arrival) Outcome {
 			if out.Class == ClassOK && (arr.Kind == KindSingle || arr.Kind == KindBatch) {
 				out.Degraded = isDegraded(arr.Kind, respBody)
 			}
-			if out.Class == ClassOK && arr.Kind == KindJob {
-				out.JobID = jobID(respBody)
-			}
 			return out
 		}
 	}
@@ -242,16 +224,6 @@ func (c *Client) build(i int, arr Arrival) (body []byte, path, method string, ex
 		doc := map[string]any{"records": recs}
 		body, _ = json.Marshal(doc)
 		return body, "/v1/match/batch", http.MethodPost, http.StatusOK
-	case KindJob:
-		recs := make([]map[string]any, jobRecords)
-		for j := range recs {
-			// Ids carry the arrival index so distinct arrivals submit
-			// distinct (content-addressed) jobs.
-			recs[j] = c.pool.record(fmt.Sprintf("load-%d-%d", i, j), arr.Record+j)
-		}
-		doc := map[string]any{"records": recs}
-		body, _ = json.Marshal(doc)
-		return body, "/v1/jobs", http.MethodPost, http.StatusAccepted
 	case KindMalformed:
 		// Truncated JSON with an unknown field: must be refused 400.
 		return []byte(`{"reqord": {"AwardTitle": "x"`), "/v1/match", http.MethodPost, http.StatusBadRequest
@@ -359,15 +331,4 @@ func isDegraded(kind Kind, body []byte) bool {
 		Degraded bool `json:"degraded"`
 	}
 	return json.Unmarshal(body, &doc) == nil && doc.Degraded
-}
-
-// jobID extracts the job id from a 202 submission answer.
-func jobID(body []byte) string {
-	var doc struct {
-		ID string `json:"id"`
-	}
-	if json.Unmarshal(body, &doc) == nil {
-		return doc.ID
-	}
-	return ""
 }

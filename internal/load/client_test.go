@@ -69,10 +69,6 @@ func (f *fakeServer) handler() http.Handler {
 			"results": []map[string]any{{"degraded": f.degraded}},
 		})
 	})
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]any{"id": "job-abc", "state": "queued"})
-	})
 	return mux
 }
 
@@ -100,15 +96,11 @@ func TestClientClassifiesKinds(t *testing.T) {
 		{KindMalformed, ClassOK}, // 400 is the EXPECTED answer
 		{KindOversized, ClassOK}, // 413 is the EXPECTED answer
 		{KindStatus, ClassOK},
-		{KindJob, ClassOK},
 	}
 	for i, tc := range cases {
 		out := c.Do(ctx, i, Arrival{Kind: tc.kind, Record: i})
 		if out.Class != tc.class {
 			t.Errorf("%s: class %s (status %d), want %s", tc.kind, out.Class, out.Status, tc.class)
-		}
-		if tc.kind == KindJob && out.JobID == "" {
-			t.Error("job submission did not surface the job id")
 		}
 	}
 }
@@ -213,14 +205,5 @@ func TestClientDegradedDetection(t *testing.T) {
 		if !out.Degraded {
 			t.Errorf("%s: degraded answer not detected", kind)
 		}
-	}
-}
-
-func TestJobRecordsDeterministic(t *testing.T) {
-	p := testPool(32)
-	a, _ := json.Marshal(p.JobRecords(8))
-	b, _ := json.Marshal(p.JobRecords(8))
-	if string(a) != string(b) {
-		t.Fatal("JobRecords is not deterministic — content-addressed job ids would diverge")
 	}
 }

@@ -41,11 +41,10 @@ type Summary struct {
 	Target      string `json:"target,omitempty"`
 	// Pass mirrors the process exit: false when any gate check failed.
 	Pass bool `json:"pass"`
-	// Phases holds soak's one phase; capacity's steps and chaos's load
-	// phases sit in their own results, so every phase is written once.
+	// Phases holds soak's one phase; capacity's steps sit in its own
+	// result, so every phase is written once.
 	Phases []*Result       `json:"phases,omitempty"`
 	Capac  *CapacityResult `json:"capacity,omitempty"`
-	Chaos  *ChaosResult    `json:"chaos,omitempty"`
 }
 
 // Write renders the summary as indented JSON.

@@ -11,10 +11,6 @@ import (
 // defaultMaxOutstanding is the in-flight cap every emload run uses.
 const defaultMaxOutstanding = 4096
 
-// jobWait bounds how long the end of a phase waits for the async jobs
-// its blend submitted to finish.
-const jobWait = 30 * time.Second
-
 // RunConfig drives one open-loop load phase.
 type RunConfig struct {
 	// Schedule describes the arrivals; Client the server and request
@@ -52,15 +48,10 @@ type Result struct {
 	Snapshot
 	// OfferedQPS is the schedule's rate over the phase's wall clock;
 	// AchievedQPS counts completed requests. The clock stops once the
-	// last request is answered, before the wait for async jobs.
-	OfferedQPS  float64 `json:"offered_qps"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	// JobsSubmitted/JobsCompleted/JobsFailed track blend-submitted async
-	// jobs through their poll/fetch lifecycle.
-	JobsSubmitted int64          `json:"jobs_submitted,omitempty"`
-	JobsCompleted int64          `json:"jobs_completed,omitempty"`
-	JobsFailed    int64          `json:"jobs_failed,omitempty"`
-	Latency       LatencySummary `json:"latency"`
+	// last request is answered.
+	OfferedQPS  float64        `json:"offered_qps"`
+	AchievedQPS float64        `json:"achieved_qps"`
+	Latency     LatencySummary `json:"latency"`
 	// Gate is the verdict of the mode that judged the phase.
 	Gate *GateResult `json:"gate,omitempty"`
 }
@@ -91,7 +82,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 		cfg.Report = io.Discard
 	}
 	b := cfg.Schedule.Blend
-	needsRecords := b.total() == 0 || b[KindSingle]+b[KindBatch]+b[KindJob] > 0
+	needsRecords := b.total() == 0 || b[KindSingle]+b[KindBatch] > 0
 	if cfg.Pool == nil && needsRecords {
 		return nil, fmt.Errorf("load: blend %q carries record-bearing requests but no record pool was given", cfg.Schedule.Blend.String())
 	}
@@ -104,8 +95,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 		DurationS:      cfg.Schedule.Duration.Seconds(),
 		Scheduled:      int64(len(sched)),
 	}
-	watcher := newJobWatcher(client)
-
 	// Live reporting rides its own ticker so a stalled server cannot
 	// silence the heartbeat.
 	repDone := make(chan struct{})
@@ -162,14 +151,10 @@ dispatch:
 			defer func() { <-sem }()
 			out := client.Do(ctx, i, arr)
 			rec.Observe(out, time.Since(start.Add(arr.At)))
-			if out.JobID != "" {
-				watcher.track(out.JobID)
-			}
 		}(i, arr)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	watcher.wait(ctx, jobWait)
 
 	close(repDone)
 	repWG.Wait()
@@ -182,49 +167,5 @@ dispatch:
 		res.OfferedQPS = float64(res.Scheduled) / elapsed.Seconds()
 		res.AchievedQPS = float64(res.Completed) / elapsed.Seconds()
 	}
-	res.JobsSubmitted, res.JobsCompleted, res.JobsFailed = watcher.counts()
 	return res, ctx.Err()
-}
-
-// jobWatcher follows blend-submitted async jobs to their end, so a soak
-// asserts the full submit -> poll -> fetch lifecycle, not just the 202.
-type jobWatcher struct {
-	client *Client
-
-	mu        sync.Mutex
-	pending   map[string]bool
-	submitted int64
-
-	completed, failed int64 // written by wait, which runs after the last track
-}
-
-func newJobWatcher(c *Client) *jobWatcher {
-	return &jobWatcher{client: c, pending: map[string]bool{}}
-}
-
-// track registers one submitted job id (idempotent — content-addressed
-// resubmissions collapse to one watch).
-func (w *jobWatcher) track(id string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.submitted++
-	w.pending[id] = true
-}
-
-// wait finishes every tracked job — awaited, then fetched — inside one
-// shared deadline; a job that failed, or is still running when the
-// deadline lapses, counts as failed.
-func (w *jobWatcher) wait(ctx context.Context, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for id := range w.pending {
-		if _, _, err := w.client.FinishJob(ctx, id, time.Until(deadline)); err != nil {
-			w.failed++
-		} else {
-			w.completed++
-		}
-	}
-}
-
-func (w *jobWatcher) counts() (submitted, completed, failed int64) {
-	return w.submitted, w.completed, w.failed
 }

@@ -3,7 +3,6 @@ package load
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,42 +155,6 @@ func TestRunLiveReporting(t *testing.T) {
 	}
 }
 
-// TestRunClockStopsBeforeTheJobWait: a phase's rates divide by the time
-// its schedule took to answer, not by the time its blend-submitted jobs
-// took to finish afterwards.
-func TestRunClockStopsBeforeTheJobWait(t *testing.T) {
-	leakcheck.Check(t)
-	ts := newSlowJobServer(t, 3*time.Second) // the schedule ends at 1s
-	res, err := Run(context.Background(), RunConfig{
-		Schedule: ScheduleConfig{Profile: ProfileUniform, Rate: 20, Duration: time.Second, PickN: 8, Blend: Blend{KindJob: 1}},
-		Client:   ClientConfig{BaseURL: ts.URL},
-		Pool:     testPool(8),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.JobsCompleted != 1 || res.JobsFailed != 0 {
-		t.Fatalf("jobs completed %d, failed %d; want the one job awaited to its end", res.JobsCompleted, res.JobsFailed)
-	}
-	if res.OfferedQPS < 15 || res.AchievedQPS < 15 {
-		t.Fatalf("offered %.1f / achieved %.1f qps for a 20 qps schedule: the job wait was charged to the phase clock",
-			res.OfferedQPS, res.AchievedQPS)
-	}
-}
-
-// TestChaosFoldsJobWeightIntoACopy: chaos folds the job kind into
-// singles without writing to the caller's blend.
-func TestChaosFoldsJobWeightIntoACopy(t *testing.T) {
-	mine := Blend{KindSingle: 5, KindJob: 3}
-	cfg := ChaosConfig{RunConfig: RunConfig{Schedule: ScheduleConfig{Blend: mine}}}.withDefaults()
-	if got := cfg.Schedule.Blend; got[KindSingle] != 8 || got[KindJob] != 0 {
-		t.Fatalf("chaos blend %v, want single=8 and no job", got)
-	}
-	if mine[KindSingle] != 5 || mine[KindJob] != 3 {
-		t.Fatalf("chaos rewrote the caller's blend: %v", mine)
-	}
-}
-
 func TestRunRejectsRecordBlendWithoutPool(t *testing.T) {
 	_, err := Run(context.Background(), RunConfig{
 		Schedule: ScheduleConfig{Profile: ProfileUniform, Rate: 10, Duration: time.Second},
@@ -236,31 +199,6 @@ func newStallServer(t *testing.T, stall chan struct{}) *httptest.Server {
 		select {
 		case <-stall:
 		case <-r.Context().Done():
-		}
-	}))
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-// newSlowJobServer accepts every job submission as one job, which
-// completes done after the server starts and then streams a one-line
-// result.
-func newSlowJobServer(t *testing.T, done time.Duration) *httptest.Server {
-	t.Helper()
-	ready := time.Now().Add(done)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			w.WriteHeader(http.StatusAccepted)
-			w.Write([]byte(`{"id": "job-slow", "state": "queued"}`))
-		case strings.HasSuffix(r.URL.Path, "/results"):
-			w.Write([]byte("{\"done\": true}\n{\"cursor\": \"c1\"}\n"))
-		default:
-			state := "running"
-			if time.Now().After(ready) {
-				state = "completed"
-			}
-			fmt.Fprintf(w, `{"id": "job-slow", "state": %q}`, state)
 		}
 	}))
 	t.Cleanup(ts.Close)

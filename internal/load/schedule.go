@@ -2,8 +2,9 @@
 // the serving tier: deterministic seeded arrival schedules, mixed
 // request blends against a live emserve, a Retry-After-honoring client,
 // live eps/latency reporting through internal/obs histograms, and the
-// soak / capacity-search / chaos-soak assertion modes behind
-// cmd/emload.
+// soak / capacity-search assertion modes behind cmd/emload; and the
+// supervisor the smoke harness starts and drains emserve through
+// (proc.go).
 //
 // Open-loop is the load-model decision everything else follows from.
 // A closed-loop generator (k workers, each sending the next request

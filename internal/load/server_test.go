@@ -55,30 +55,23 @@ func fakeEmserve(mode string) {
 	os.Exit(code)
 }
 
-// TestStartServerAndDrainContract: the job tier is optional (an empty
-// job dir passes no -job-dir), and Drain reports each clause of the
-// graceful-exit contract — exit 130, the zero-leak line, no race
+// TestStartServerAndDrainContract: StartServer passes the base and extra
+// flags after its own address plumbing, and Drain reports each clause of
+// the graceful-exit contract — exit 130, the zero-leak line, no race
 // report — as its own violation.
 func TestStartServerAndDrainContract(t *testing.T) {
-	for _, tc := range []struct {
-		mode, jobDir, want string
-	}{
-		{"clean", "", ""},
-		{"clean", "jobs", ""},
-		{"exit", "", "exit 3, want 130"},
-		{"leak", "", "zero-leak self-check"},
-		{"race", "", "race detector fired"},
+	for _, tc := range []struct{ mode, want string }{
+		{"clean", ""},
+		{"exit", "exit 3, want 130"},
+		{"leak", "zero-leak self-check"},
+		{"race", "race detector fired"},
 	} {
-		name := tc.mode
-		if tc.jobDir != "" {
-			name += "_jobdir"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.mode, func(t *testing.T) {
 			dir := t.TempDir()
 			argsFile := filepath.Join(dir, "args.txt")
 			cfg := ServerConfig{Bin: os.Args[0], Args: []string{"-spec", "spec.json"}, WorkDir: dir}
-			p, err := StartServer(context.Background(), cfg, tc.jobDir, "fake.err",
-				[]string{"-job-workers", "1"},
+			p, err := StartServer(context.Background(), cfg, "fake.err",
+				[]string{"-tail-n", "4"},
 				[]string{"LOAD_FAKE_EMSERVE=" + tc.mode, "LOAD_FAKE_ARGS=" + argsFile})
 			if err != nil {
 				t.Fatal(err)
@@ -91,11 +84,7 @@ func TestStartServerAndDrainContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			args := strings.Split(string(got), "\n")
-			want := []string{"-spec", "spec.json", "-addr", "127.0.0.1:0", "-addr-file", filepath.Join(dir, "fake.err.addr")}
-			if tc.jobDir != "" {
-				want = append(want, "-job-dir", tc.jobDir)
-			}
-			want = append(want, "-job-workers", "1")
+			want := []string{"-spec", "spec.json", "-addr", "127.0.0.1:0", "-addr-file", filepath.Join(dir, "fake.err.addr"), "-tail-n", "4"}
 			if strings.Join(args, " ") != strings.Join(want, " ") {
 				t.Fatalf("server args = %q, want %q", args, want)
 			}

@@ -117,19 +117,6 @@ func TestGateShedRetryAfterContract(t *testing.T) {
 	}
 }
 
-func TestGateJobFailures(t *testing.T) {
-	gate := Gate{}
-	res := mkResult(map[string]int64{ClassOK: 10})
-	res.JobsSubmitted, res.JobsFailed = 3, 1
-	if gr := gate.Evaluate(context.Background(), res); gr.Pass {
-		t.Fatal("a failed job passed the zero-tolerance gate")
-	}
-	res.JobsFailed = 0
-	if gr := gate.Evaluate(context.Background(), res); !gr.Pass {
-		t.Fatal("healthy jobs failed the gate")
-	}
-}
-
 func TestGateGeneratorDrops(t *testing.T) {
 	gate := Gate{}
 	res := mkResult(map[string]int64{ClassOK: 100})

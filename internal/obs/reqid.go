@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"strconv"
@@ -9,9 +8,9 @@ import (
 )
 
 // Request identity: every served request carries one ID from the moment
-// it enters the HTTP layer until its wide event is written, threaded
-// through context so spans, fault events, and job provenance can all be
-// joined back to the request that caused them. IDs are either minted
+// it enters the HTTP layer until its wide event is written: the response
+// echoes it, and the access log and the tail capture key the request's
+// record by it. IDs are either minted
 // here (16 hex chars of crypto randomness) or propagated from a
 // client-supplied X-Request-Id header after sanitization — a caller's
 // tracing system keeps its join key, but only within strict length and
@@ -22,8 +21,6 @@ import (
 // rejected (and replaced with a server-minted ID) rather than truncated,
 // so two distinct client IDs can never collide by truncation.
 const MaxRequestIDLen = 64
-
-type requestIDKey struct{}
 
 // reqSeq breaks ties when the random source fails (before Go 1.24
 // crypto/rand.Read can return an error); IDs must never be empty or
@@ -69,15 +66,4 @@ func SanitizeRequestID(raw string) (string, bool) {
 		}
 	}
 	return raw, true
-}
-
-// WithRequestID returns a context carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestID returns the context's request ID ("" when none).
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }

@@ -14,8 +14,8 @@ import (
 // JSON document per request — the "wide event" — carrying everything an
 // operator needs to answer "what happened to request X?" without
 // correlating scattered log lines: identity, route, outcome, admission
-// verdict, degradation reason, stage timings, queue wait, sizes, and
-// job/shard provenance. Lines use the log/slog JSON-handler shape
+// verdict, degradation reason, stage timings, queue wait and sizes.
+// Lines use the log/slog JSON-handler shape
 // (`"msg":"request"` plus flat keys), so the access log is greppable
 // with jq and ships to any structured-log pipeline unchanged — but they
 // are rendered by a hand-rolled append encoder, because the event sits
@@ -34,7 +34,7 @@ type WideEvent struct {
 	Time time.Time `json:"time"`
 	// RequestID is the server-assigned or propagated X-Request-Id.
 	RequestID string `json:"request_id"`
-	// Route is the matched route pattern ("/v1/match", "/v1/jobs/{id}").
+	// Route is the matched route pattern ("/v1/match", "/v1/status").
 	Route string `json:"route"`
 	// Method is the HTTP method.
 	Method string `json:"method,omitempty"`
@@ -60,20 +60,6 @@ type WideEvent struct {
 	// BytesIn / BytesOut are request/response body sizes.
 	BytesIn  int64 `json:"bytes_in,omitempty"`
 	BytesOut int64 `json:"bytes_out,omitempty"`
-	// JobID ties the event to the async job tier ("" when not job
-	// traffic).
-	JobID string `json:"job_id,omitempty"`
-	// Streamed marks a streaming results fetch; StreamFrom/StreamEnd are
-	// its start and end positions as "shard/offset", so a multi-
-	// connection fetch is reconstructable from the access log alone (the
-	// resume's stream_from matches the prior event's stream_end).
-	Streamed   bool   `json:"streamed,omitempty"`
-	StreamFrom string `json:"stream_from,omitempty"`
-	StreamEnd  string `json:"stream_end,omitempty"`
-	// StreamChunks counts flushed chunks; StreamComplete marks a stream
-	// that reached the terminal summary line.
-	StreamChunks   int  `json:"stream_chunks,omitempty"`
-	StreamComplete bool `json:"stream_complete,omitempty"`
 	// Stages maps pipeline stage names to wall milliseconds, from the
 	// request's span tree. It is filled in where the event is kept — the
 	// tail buffer sets it on the entries it retains, the access log
@@ -162,16 +148,6 @@ func (e *WideEvent) appendJSON(b []byte, stages map[string]float64) []byte {
 	b = appendInt(b, `,"matches":`, int64(e.Matches))
 	b = appendInt(b, `,"bytes_in":`, e.BytesIn)
 	b = appendInt(b, `,"bytes_out":`, e.BytesOut)
-	b = appendStr(b, `,"job_id":`, e.JobID)
-	if e.Streamed {
-		b = append(b, `,"streamed":true`...)
-	}
-	b = appendStr(b, `,"stream_from":`, e.StreamFrom)
-	b = appendStr(b, `,"stream_end":`, e.StreamEnd)
-	b = appendInt(b, `,"stream_chunks":`, int64(e.StreamChunks))
-	if e.StreamComplete {
-		b = append(b, `,"stream_complete":true`...)
-	}
 	if len(stages) > 0 {
 		names := make([]string, 0, len(stages))
 		for name := range stages {

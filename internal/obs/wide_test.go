@@ -19,7 +19,6 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		Status: 200, Outcome: OutcomeOK, DurationMS: 12.5, QueueWaitMS: 0.25,
 		Admission: "admitted", Records: 1, Candidates: 3, Matches: 2,
 		BytesIn: 120, BytesOut: 340,
-		JobID:  "j0011223344556677",
 		Stages: map[string]float64{"serve.match": 11.25, "serve.block": 3},
 	}
 	l.Log(ev, nil)
@@ -34,7 +33,6 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		"duration_ms": 12.5, "queue_wait_ms": 0.25, "admission": "admitted",
 		"records": float64(1), "candidates": float64(3),
 		"matches": float64(2), "bytes_in": float64(120), "bytes_out": float64(340),
-		"job_id": "j0011223344556677",
 	}
 	for k, v := range want {
 		if doc[k] != v {

@@ -76,7 +76,7 @@ func decodeBatch(r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, e
 	if len(records) > maxRecords {
 		return nil, &RequestError{
 			Status: http.StatusRequestEntityTooLarge,
-			Msg:    fmt.Sprintf("batch has %d records, cap is %d (submit a job for larger inputs)", len(records), maxRecords),
+			Msg:    fmt.Sprintf("batch has %d records, cap is %d (match a whole table offline: emmatch over the deployed spec)", len(records), maxRecords),
 		}
 	}
 	for i := range records {
@@ -112,20 +112,6 @@ func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequ
 		req.Records = append(req.Records, rec)
 	}
 	return req, nil
-}
-
-// mapRows converts map-form records (a job's) into rows under the left
-// schema; a bad record is reported with its index.
-func mapRows(schema *table.Schema, records []map[string]any) ([]table.Row, error) {
-	rows := make([]table.Row, len(records))
-	for i, rec := range records {
-		row, err := RecordRow(schema, rec)
-		if err != nil {
-			return nil, indexed(i, err)
-		}
-		rows[i] = row
-	}
-	return rows, nil
 }
 
 // handleMatchBatch is the bulk matching endpoint: one admission slot,

@@ -33,7 +33,7 @@ func postBatch(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// fixture request records in map form (the batch/job wire shape).
+// fixture request records in map form (the batch wire shape).
 func l0Record(id string) map[string]any {
 	return map[string]any{"RecordId": id, "Num": "2008-11111-11111", "Title": "corn fungicide guidelines north central"}
 }
@@ -145,13 +145,14 @@ func TestBatchRejections(t *testing.T) {
 		name string
 		body string
 		want int
+		says string // a part of the error text, if any
 	}{
-		{"malformed", `{nope`, 400},
-		{"empty records", `{"records":[]}`, 400},
-		{"too many records", string(over), 413},
-		{"oversized body", fmt.Sprintf(`{"records":[{"Title":%q}]}`, bytes.Repeat([]byte("a"), 4096)), 413},
-		{"bad record", `{"records":[{"Bogus":"x"}]}`, 400},
-		{"negative timeout", `{"records":[{"Title":"x"}],"timeout_ms":-1}`, 400},
+		{"malformed", `{nope`, 400, ""},
+		{"empty records", `{"records":[]}`, 400, ""},
+		{"too many records", string(over), 413, "cap is 2 (match a whole table offline: emmatch over the deployed spec)"},
+		{"oversized body", fmt.Sprintf(`{"records":[{"Title":%q}]}`, bytes.Repeat([]byte("a"), 4096)), 413, ""},
+		{"bad record", `{"records":[{"Bogus":"x"}]}`, 400, ""},
+		{"negative timeout", `{"records":[{"Title":"x"}],"timeout_ms":-1}`, 400, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,7 +160,92 @@ func TestBatchRejections(t *testing.T) {
 			if status != tc.want {
 				t.Fatalf("status = %d (%s), want %d", status, body, tc.want)
 			}
+			if !strings.Contains(string(body), tc.says) {
+				t.Fatalf("error = %s, want it to say %q", body, tc.says)
+			}
 		})
+	}
+}
+
+// A job is batch calls: a table too large for one call goes to
+// /v1/match/batch in calls of at most MaxBatchRecords records, or is
+// matched offline by emmatch over the deployed spec. No /v1/jobs route
+// is mounted.
+
+// jobRouteStatus sends one request to a job route and returns its status.
+func jobRouteStatus(t *testing.T, method, url, body string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestJobEndpointsDisabled: every server answers a job submission, a
+// status poll and a results fetch with 404 — never a panic or a silent
+// in-memory job.
+func TestJobEndpointsDisabled(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	_, ts := newTestServer(t, Config{})
+	body, _ := json.Marshal(map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}})
+	if code := jobRouteStatus(t, http.MethodPost, ts.URL+"/v1/jobs", string(body)); code != http.StatusNotFound {
+		t.Fatalf("job submission = %d, want 404", code)
+	}
+	for _, path := range []string{"/v1/jobs/jx", "/v1/jobs/jx/results"} {
+		if code := jobRouteStatus(t, http.MethodGet, ts.URL+path, ""); code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, code)
+		}
+	}
+}
+
+// TestJobBadRequests: a job submission's records, sent as a batch call,
+// are refused for what a submission was refused for, with a typed status
+// and an error that says why; a shard size is no field of a batch; and
+// job lookups 404 cleanly.
+func TestJobBadRequests(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	_, ts := newTestServer(t, Config{MaxBatchRecords: 4})
+
+	five, _ := json.Marshal(map[string]any{"records": []map[string]any{
+		l0Record("q0"), l1Record("q1"), l2Record("q2"), l0Record("q3"), l1Record("q4"),
+	}})
+	cases := []struct {
+		name string
+		body string
+		want int
+		says string // a part of the error text
+	}{
+		{"malformed", `{nope`, 400, "parse batch request JSON"},
+		{"empty records", `{"records":[]}`, 400, `needs a non-empty \"records\" array`},
+		{"bad column", `{"records":[{"Bogus":"x"}]}`, 400, `record 0: unknown column \"Bogus\"`},
+		{"trailing data", `{"records":[{"Title":"x"}]}extra`, 400, "trailing data"},
+		{"negative shard size", `{"records":[{"Title":"x"}],"shard_size":-1}`, 400, `unknown field \"shard_size\"`},
+		{"over record cap", string(five), 413, "cap is 4 (match a whole table offline: emmatch over the deployed spec)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, body := postBatch(t, ts.URL, tc.body)
+			if status != tc.want {
+				t.Fatalf("status = %d (%s), want %d", status, body, tc.want)
+			}
+			if !strings.Contains(string(body), tc.says) {
+				t.Fatalf("error = %s, want it to say %q", body, tc.says)
+			}
+		})
+	}
+	if code := jobRouteStatus(t, http.MethodGet, ts.URL+"/v1/jobs/jdeadbeef", ""); code != http.StatusNotFound {
+		t.Fatalf("unknown job status = %d, want 404", code)
+	}
+	if code := jobRouteStatus(t, http.MethodGet, ts.URL+"/v1/jobs/jdeadbeef/results", ""); code != http.StatusNotFound {
+		t.Fatalf("unknown job results = %d, want 404", code)
 	}
 }
 

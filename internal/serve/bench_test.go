@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -140,37 +139,4 @@ func BenchmarkMatchBatch32Observed(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/record")
-}
-
-// BenchmarkStreamResults is the end-to-end throughput of the streaming
-// result transport: one full NDJSON fetch of a fabricated ~1MB job over
-// a real HTTP connection (httptest recorders cannot carry the per-chunk
-// write deadlines) at the default chunking. SetBytes turns ns/op into
-// MB/s so the committed trajectory tracks transport throughput, not
-// just latency.
-func BenchmarkStreamResults(b *testing.B) {
-	s, ts := newTestServer(b, jobConfig(b.TempDir()))
-	job := fabricateFatJob(b, s, 2000, 100, 500)
-
-	fetch := func() int64 {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/results")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Fatalf("stream status %d", resp.StatusCode)
-		}
-		n, err := io.Copy(io.Discard, resp.Body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return n
-	}
-	b.SetBytes(fetch())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fetch()
-	}
 }

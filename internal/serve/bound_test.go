@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"emgo/internal/block"
 	"emgo/internal/fault"
@@ -141,7 +140,6 @@ func TestRequestProbesBoundIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	titles := 0
 	for i := 0; i < r.Len(); i++ {
 		if !r.Get(i, "AwardTitle").IsNull() {
@@ -184,7 +182,7 @@ func TestRequestProbesBoundIndexes(t *testing.T) {
 }
 
 // TestConcurrentRequestsShareBlockIndex hits a server nobody has warmed
-// with singles, batches and a job at once: every path probes the block
+// with singles and batches at once: both paths probe the block
 // indexes and feature cells New bound, and every record must get the
 // answer an identical server gives it alone (run under -race -count=10
 // -cpu 1,2).
@@ -207,7 +205,7 @@ func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 		}
 	}
 
-	_, ts := newTestServer(t, jobConfig(t.TempDir()))
+	_, ts := newTestServer(t, Config{})
 	const goroutines, rounds, size = 8, 5, 12
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -268,19 +266,6 @@ func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 		}(g)
 	}
 
-	// Meanwhile, on this goroutine, a job: its shards run matchSet too.
-	job := submitJob(t, ts.URL, jobPayload(6))
-	waitJobState(t, ts.URL, job.ID, JobCompleted, 10*time.Second)
-	res := decodeResults(t, fetchResults(t, ts.URL, job.ID))
-	if len(res.Results) != 6 {
-		t.Fatalf("job results carry %d records, want 6", len(res.Results))
-	}
-	for i, r := range res.Results {
-		// jobPayload alternates the l0 and l1 shapes.
-		if m, _ := json.Marshal(r.Matches); string(m) != want[i%2] {
-			t.Errorf("job record %d: matches %s, alone it gets %s", i, m, want[i%2])
-		}
-	}
 	wg.Wait()
 }
 
@@ -295,7 +280,6 @@ func TestReloadIdenticalArtifactKeepsAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	answers := func() []byte {
 		var out []byte
 		for i := 0; i < l.Len(); i++ {

@@ -219,6 +219,20 @@ func checkBatchBody(t *testing.T, schema *table.Schema, data []byte) {
 	sameOutcome(t, data, ref, map[string]outcome{"walker": walked, "map form": mapped})
 }
 
+// mapRows converts map-form records into rows under the left schema,
+// naming a bad record by its index as recordRows does.
+func mapRows(schema *table.Schema, records []map[string]any) ([]table.Row, error) {
+	rows := make([]table.Row, len(records))
+	for i, rec := range records {
+		row, err := RecordRow(schema, rec)
+		if err != nil {
+			return nil, indexed(i, err)
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
 // recordSeeds are record objects the walker must read as encoding/json
 // does: escapes, non-ASCII and invalid UTF-8, nesting, every JSON type,
 // white space everywhere, duplicate and unknown keys.

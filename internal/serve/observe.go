@@ -56,10 +56,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Unwrap exposes the underlying writer so http.ResponseController can
-// reach Flush and SetWriteDeadline for the streaming transport.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // routeOf strips the method from a Go 1.22 mux pattern ("POST /v1/match"
 // → "/v1/match") for the wide event's route field.
 func routeOf(pattern string) string {
@@ -70,7 +66,7 @@ func routeOf(pattern string) string {
 }
 
 // observe wraps one route handler with the request-observability layer.
-// trackSLO marks service traffic (match/job routes) whose outcomes burn
+// trackSLO marks service traffic (the match routes) whose outcomes burn
 // the error budget; ops probes (health, status) get request IDs and
 // wide events but do not dilute the SLO.
 func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.HandlerFunc {
@@ -87,8 +83,7 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		if r.ContentLength > 0 {
 			ev.BytesIn = r.ContentLength
 		}
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = withEvent(ctx, ev)
+		ctx := withEvent(r.Context(), ev)
 		ctx, root := obs.NewTrace(ctx, "serve.http")
 
 		sw := &statusWriter{ResponseWriter: w}
@@ -106,29 +101,20 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 	}
 }
 
-// jobRoute is the route a job execution's wide event carries.
-const jobRoute = "job"
-
-// finish closes the record of one unit of work — a request, a job
-// execution — and is its only writer: it ends the root span, times the
-// event from its own start, offers it to the tail buffer, writes the
-// access-log line and, for SLO-tracked traffic, feeds the tracker. The
-// event's stages come off root wherever the event is kept; a request
-// that is neither logged nor retained never builds them.
+// finish closes the record of one request and is its only writer: it
+// ends the root span, times the event from its own start, offers it to
+// the tail buffer, writes the access-log line and, for SLO-tracked
+// traffic, feeds the tracker. The event's stages come off root wherever
+// the event is kept; a request that is neither logged nor retained never
+// builds them.
 func (s *Server) finish(ev *obs.WideEvent, root *obs.Span, trackSLO bool) {
 	root.End()
 	ev.DurationMS = float64(time.Since(ev.Time)) / float64(time.Millisecond)
-	// A job's wall time is the size of its input, not a latency: only an
-	// unhealthy one is worth a tail slot.
-	if ev.Route != jobRoute || ev.Outcome != obs.OutcomeOK {
-		s.tailBuf.Add(ev, root)
-	}
+	s.tailBuf.Add(ev, root)
 	s.events.Log(ev, root)
-	if trackSLO && !ev.Streamed {
+	if trackSLO {
 		// Sheds (429) are deliberate policy, not availability failures;
-		// 5xx of any kind burns the budget. Streamed fetches are
-		// exempt: their duration is the client's read pace, and a
-		// multi-minute healthy stream is not a latency breach.
+		// 5xx of any kind burns the budget.
 		s.sloTrk.Observe(ev.DurationMS, ev.Status >= 500)
 	}
 }

@@ -188,19 +188,12 @@ func TestDrainingRefusalsSayWhy(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
 	sink := &syncBuffer{}
-	cfg := jobConfig(t.TempDir())
-	cfg.AccessLog = sink
-	s, ts := newTestServer(t, cfg)
-	st := submitJob(t, ts.URL, jobPayload(2))
-	waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-	before := len(sink.waitEvents(t, 2))
+	s, ts := newTestServer(t, Config{AccessLog: sink})
 
 	s.StartDrain()
 	refused := []struct{ id, method, path, body string }{
 		{"drain-match", http.MethodPost, "/v1/match", l0Request},
-		{"drain-batch", http.MethodPost, "/v1/match/batch", jobPayload(2)},
-		{"drain-submit", http.MethodPost, "/v1/jobs", jobPayload(4)},
-		{"drain-results", http.MethodGet, "/v1/jobs/" + st.ID + "/results", ""},
+		{"drain-batch", http.MethodPost, "/v1/match/batch", `{"records":[` + recordOf(l0Request) + `,` + recordOf(l1Request) + `]}`},
 	}
 	for _, rq := range refused {
 		req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
@@ -218,7 +211,7 @@ func TestDrainingRefusalsSayWhy(t *testing.T) {
 				rq.method, rq.path, resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
 	}
-	evs := sink.waitEvents(t, before+len(refused))
+	evs := sink.waitEvents(t, len(refused))
 	for _, rq := range refused {
 		ev := eventFor(evs, rq.id)
 		if ev == nil {
@@ -446,98 +439,5 @@ func TestStatusCarriesSLOReport(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatalf("SLO tracker observed no requests: %+v", sd.SLO)
-	}
-}
-
-func TestJobEventsCarryRequestAndJobIdentity(t *testing.T) {
-	leakcheck.Check(t)
-	defer fault.Reset()
-	sink := &syncBuffer{}
-	_, ts := newTestServer(t, Config{
-		AccessLog: sink,
-		Jobs:      JobConfig{Dir: t.TempDir(), ShardSize: 1},
-	})
-
-	body := `{"records":[` + strings.TrimPrefix(strings.TrimSuffix(l0Request, "}"), `{"record":`) + `]}`
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
-	req.Header.Set("X-Request-Id", "job-origin")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d err %v", resp.StatusCode, err)
-	}
-	if resp.Header.Get("X-Request-Id") != "job-origin" {
-		t.Fatalf("submit lost the request ID: %q", resp.Header.Get("X-Request-Id"))
-	}
-
-	// Poll until the job finishes, then fetch results — the fetch must
-	// echo its own request ID too.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r2, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cur JobStatus
-		err = json.NewDecoder(r2.Body).Decode(&cur)
-		r2.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == JobCompleted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", cur.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/results", nil)
-	req.Header.Set("X-Request-Id", "job-fetch")
-	r3, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusOK {
-		t.Fatalf("results status = %d", r3.StatusCode)
-	}
-	if r3.Header.Get("X-Request-Id") != "job-fetch" {
-		t.Fatalf("results fetch lost the request ID: %q", r3.Header.Get("X-Request-Id"))
-	}
-
-	// The submit and fetch events carry the job ID; the job's own wide
-	// event (route "job") carries the submitter's request ID as origin.
-	// The status polls log events too and a request's event is written
-	// after its response, so wait for the fetch's event, not for a count.
-	evs := sink.waitEvents(t, 3)
-	for deadline := time.Now().Add(2 * time.Second); eventFor(evs, "job-fetch") == nil && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-		evs = sink.events(t)
-	}
-	submit := eventFor(evs, "job-origin")
-	if submit == nil || submit["job_id"] != st.ID {
-		t.Fatalf("submit event wrong: %v", submit)
-	}
-	fetch := eventFor(evs, "job-fetch")
-	if fetch == nil || fetch["job_id"] != st.ID {
-		t.Fatalf("fetch event wrong: %v", fetch)
-	}
-	var jobEv map[string]any
-	for _, ev := range evs {
-		if ev["route"] == "job" {
-			jobEv = ev
-		}
-	}
-	if jobEv == nil {
-		t.Fatalf("no job-tier wide event emitted: %v", evs)
-	}
-	if jobEv["request_id"] != "job-origin" || jobEv["job_id"] != st.ID {
-		t.Fatalf("job event does not tie back to its origin: %v", jobEv)
 	}
 }

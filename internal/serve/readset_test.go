@@ -99,7 +99,6 @@ func newServer(t testing.TB, cfg Config, w *workflow.Workflow, l, r *table.Table
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
@@ -341,7 +340,7 @@ func (o opaqueTree) Proba(x []float64) float64 { return o.tree.Proba(x) }
 // features it tests — and the same tree behind an opaque matcher, which
 // by rule reads everything, agree on every record in every mode: the
 // offline run's learned and final pairs, and each record's matches, sources
-// and scores from /v1/match, from /v1/match/batch and from a job's shards.
+// and scores from /v1/match and from /v1/match/batch.
 func TestPrunedEqualsFullPerRecord(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
@@ -372,8 +371,7 @@ func TestPrunedEqualsFullPerRecord(t *testing.T) {
 		t.Fatalf("offline: pruned run learned %s final %s, full run learned %s final %s", pl, pf, fl, ff)
 	}
 
-	const shard = 16
-	modes := func(s *Server) (single, batch, job []string) {
+	modes := func(s *Server) (single, batch []string) {
 		ts := newHTTP(t, s)
 		records := make([]map[string]any, l.Len())
 		for i := range records {
@@ -401,32 +399,20 @@ func TestPrunedEqualsFullPerRecord(t *testing.T) {
 				batch = append(batch, render(mr.Matches))
 			}
 		}
-		body, err := json.Marshal(map[string]any{"records": records})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := submitJob(t, ts, string(body))
-		if st := waitJobState(t, ts, st.ID, JobCompleted, 60*time.Second); st.Shards < 2 {
-			t.Fatalf("job ran as %d shard(s); the comparison needs several", st.Shards)
-		}
-		for _, res := range decodeResults(t, fetchResults(t, ts, st.ID)).Results {
-			job = append(job, render(res.Matches))
-		}
-		return single, batch, job
+		return single, batch
 	}
-	jobs := func() JobConfig { return JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1} }
 
-	ps := newServer(t, Config{Jobs: jobs()}, pruned, l, r)
-	fs := fullVectors(t, Config{Jobs: jobs()}, w, tree, l, r)
+	ps := newServer(t, Config{}, pruned, l, r)
+	fs := fullVectors(t, Config{}, w, tree, l, r)
 
-	pSingle, pBatch, pJob := modes(ps)
-	fSingle, fBatch, fJob := modes(fs)
+	pSingle, pBatch := modes(ps)
+	fSingle, fBatch := modes(fs)
 	scored := 0
 	for i := 0; i < l.Len(); i++ {
 		for _, m := range []struct {
 			mode         string
 			pruned, full []string
-		}{{"/v1/match", pSingle, fSingle}, {"/v1/match/batch", pBatch, fBatch}, {"job shard", pJob, fJob}} {
+		}{{"/v1/match", pSingle, fSingle}, {"/v1/match/batch", pBatch, fBatch}} {
 			if len(m.pruned) != l.Len() || len(m.full) != l.Len() {
 				t.Fatalf("%s: %d pruned and %d full answers for %d records", m.mode, len(m.pruned), len(m.full), l.Len())
 			}

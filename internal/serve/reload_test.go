@@ -166,7 +166,6 @@ func TestNewRejectsUnblockableDeployment(t *testing.T) {
 			}
 			s, err := New(context.Background(), Config{}, wf, l, r)
 			if err == nil {
-				defer s.Close()
 				resp, merr := s.matchOne(context.Background(), l.Row(0), false)
 				t.Fatalf("New started a deployment that cannot block; a request then answers %+v, %v", resp, merr)
 			}

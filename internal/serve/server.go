@@ -81,12 +81,6 @@ type Config struct {
 	// maxBatchBodyBytes caps batch request bodies
 	// (DefaultMaxBatchBodyBytes; only tests shrink it).
 	maxBatchBodyBytes int64
-	// Jobs configures the async job tier; a zero Dir disables it (the
-	// job endpoints answer 503).
-	Jobs JobConfig
-	// Stream tunes the streaming results transport (slow-reader budget,
-	// concurrent-stream cap, flush geometry).
-	Stream StreamConfig
 	// DrainTimeout bounds how long Drain waits for in-flight requests
 	// (default 10s).
 	DrainTimeout time.Duration
@@ -131,16 +125,9 @@ type Server struct {
 	tailBuf *tail.Buffer
 	sloTrk  *slo.Tracker
 
-	jobs *Jobs // nil when the job tier is disabled
-
-	// streamSem gates how many result streams hold shard files open at
-	// once; a drain acquires every slot to wait for active streams to
-	// reach their flush-boundary exit.
-	streamSem chan struct{}
-
 	// requests and degraded count records answered, and answered without
-	// the learned matcher, for /v1/status: batch and job shards count
-	// each of their records.
+	// the learned matcher, for /v1/status: a batch counts each of its
+	// records.
 	requests, degraded atomic.Int64
 
 	started   time.Time
@@ -180,18 +167,16 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	if cfg.RightIDCol == "" {
 		cfg.RightIDCol = "RecordId"
 	}
-	cfg.Stream = cfg.Stream.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		left:      left,
-		right:     right,
-		adm:       NewAdmission(cfg.Admission),
-		events:    obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
-		tailBuf:   tail.New(tail.Config{SlowN: cfg.TailN}),
-		sloTrk:    slo.New(slo.Config{Objectives: cfg.SLOs}),
-		started:   time.Now(),
-		drained:   make(chan struct{}),
-		streamSem: make(chan struct{}, cfg.Stream.MaxStreams),
+		cfg:     cfg,
+		left:    left,
+		right:   right,
+		adm:     NewAdmission(cfg.Admission),
+		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
+		tailBuf: tail.New(tail.Config{SlowN: cfg.TailN}),
+		sloTrk:  slo.New(slo.Config{Objectives: cfg.SLOs}),
+		started: time.Now(),
+		drained: make(chan struct{}),
 	}
 	if wf.Features != nil {
 		s.width = wf.Features.Len()
@@ -233,32 +218,13 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s.live.Store(art)
-	if cfg.Jobs.Dir != "" {
-		jm, err := newJobs(cfg.Jobs, s)
-		if err != nil {
-			return nil, err
-		}
-		s.jobs = jm
-		jm.Start()
-		if _, err := jm.Recover(); err != nil {
-			jm.Stop(time.Second)
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
-// JobTier returns the async job manager (nil when disabled).
-func (s *Server) JobTier() *Jobs { return s.jobs }
-
-// Close releases background resources (the job workers) without a
-// graceful drain; tests and non-serving callers use it. Safe to call
-// more than once and after StartDrain.
-func (s *Server) Close() {
-	if s.jobs != nil {
-		s.jobs.Stop(time.Second)
-	}
-}
+// Close ends a server that is not being drained. A server runs no
+// background work of its own, so there is nothing to release; Close is
+// safe to call more than once and after StartDrain.
+func (s *Server) Close() {}
 
 // Artifact returns the live matcher artifact (nil = rule-only service).
 func (s *Server) Artifact() *Artifact {
@@ -274,7 +240,7 @@ func (s *Server) TailSnapshot() tail.Snapshot { return s.tailBuf.Snapshot() }
 
 // Handler builds the service's HTTP routes, each wrapped in the
 // request-observability middleware (request IDs, wide events, tail
-// capture); match and job routes additionally feed the SLO tracker.
+// capture); the match routes additionally feed the SLO tracker.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, trackSLO bool, h http.HandlerFunc) {
@@ -282,9 +248,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	handle("POST /v1/match", true, s.handleMatch)
 	handle("POST /v1/match/batch", true, s.handleMatchBatch)
-	handle("POST /v1/jobs", true, s.handleJobSubmit)
-	handle("GET /v1/jobs/{id}", true, s.handleJobStatus)
-	handle("GET /v1/jobs/{id}/results", true, s.handleJobResults)
 	handle("GET /healthz", false, s.handleHealth)
 	handle("GET /readyz", false, s.handleReady)
 	handle("POST /-/reload", false, s.handleReload)
@@ -317,7 +280,7 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfter time.D
 }
 
 // refuseDraining is the first step of every handler that takes on work
-// (match, batch, job submit, stream start): a draining server answers
+// (match, batch): a draining server answers
 // 503 + Retry-After, and the wide event says why. It reports whether it
 // answered.
 func (s *Server) refuseDraining(w http.ResponseWriter, ev *obs.WideEvent) bool {
@@ -430,8 +393,7 @@ func requestBudget(route time.Duration, timeoutMS int) time.Duration {
 }
 
 // matchTally is what one matchSet pass returned, counted once: the wide
-// event, BatchResponse.Degraded and a job's degraded-record count all
-// read this.
+// event and BatchResponse.Degraded both read this.
 type matchTally struct {
 	records, candidates, matches int
 	// degraded is how many records were answered without the learned
@@ -460,19 +422,18 @@ func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
 // left table in one pass: sure rules per row, a single union-blocking
 // pass, a single vectorize+impute+predict call over every surviving
 // candidate, then the veto layer — the amortization that makes the bulk
-// endpoint and the async job shards cheaper than len(left) one-record
-// requests. A stage that fails fails the pass, and a matcher error names
+// endpoint cheaper than len(left) one-record requests. A stage that fails fails the pass, and a matcher error names
 // the failing record by its row in left; only the learned stage's own
 // sub-budget running out (or a spec without a matcher) degrades the set to
 // its rule-only answer. A recovered panic is returned as an error: one
-// poison record must never take the service (or a job worker) down.
+// poison record must never take the service down.
 func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool) (resps []*MatchResponse, tally matchTally, trace json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: match panicked: %v", r)
 		}
 	}()
-	// Under the HTTP middleware (or a job trace) the match pipeline is a
+	// Under the HTTP middleware the match pipeline is a
 	// child span of the request's tree, so tail capture sees the whole
 	// request; standalone callers still get their own root.
 	var root *obs.Span
@@ -770,33 +731,8 @@ func (s *Server) StartDrain() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
 		s.adm.StartDrain()
-		if s.jobs != nil {
-			// Job workers stop pulling new shards; the shard each is
-			// executing completes and commits durably, so a restart
-			// resumes from it instead of recomputing it.
-			s.jobs.StartDrain()
-		}
 		go func() {
 			s.adm.Drain(s.cfg.DrainTimeout)
-			// Active result streams see the drain flag at their next
-			// flush boundary and end with a resumable cursor. Owning
-			// every stream slot is the proof they have: the semaphore is
-			// the live-stream count, and unlike a WaitGroup it tolerates
-			// acquires racing the wait (late arrivals just shed).
-			streamsDone := make(chan struct{})
-			go func() {
-				for i := 0; i < cap(s.streamSem); i++ {
-					s.streamSem <- struct{}{}
-				}
-				close(streamsDone)
-			}()
-			select {
-			case <-streamsDone:
-			case <-time.After(s.cfg.DrainTimeout):
-			}
-			if s.jobs != nil {
-				s.jobs.Stop(s.cfg.DrainTimeout)
-			}
 			close(s.drained)
 		}()
 	})

@@ -126,7 +126,6 @@ func serveWorkflow(t testing.TB, cfg Config, w *workflow.Workflow, l, r *table.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close) // stops the job dispatcher (no-op without a job tier)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -45,7 +45,7 @@ func outcomeVocabulary(t *testing.T) map[string]bool {
 		}
 		return true
 	})
-	if !vocab[obs.OutcomeOK] || !vocab[obs.OutcomeFailed] || len(vocab) < 10 {
+	if !vocab[obs.OutcomeOK] || !vocab[obs.OutcomeBadRequest] || len(vocab) < 9 {
 		t.Fatalf("outcome list not read from obs/outcome.go: %v", vocab)
 	}
 	return vocab
@@ -99,9 +99,9 @@ func (c *vocabCheck) want(outcomes ...string) {
 	}
 }
 
-// TestOutcomeVocabulary: whatever a stage, a request or a job writes as
-// its outcome — on a span, a provenance entry, a run report, a wide event
-// — is a member of the one list in obs, for every way each can end; and
+// TestOutcomeVocabulary: whatever a stage, a request or a job's batch
+// call writes as its outcome — on a span, a provenance entry, a run
+// report, a wide event — is a member of the one list in obs, for every way each can end; and
 // no non-test source hands SetOutcome a string literal of its own.
 func TestOutcomeVocabulary(t *testing.T) {
 	leakcheck.Check(t)
@@ -178,15 +178,15 @@ func TestOutcomeVocabulary(t *testing.T) {
 			t.Fatalf("request while draining = %d", st)
 		}
 		events(t, s, sink, 6)
-		c.want(obs.OutcomeBadRequest, obs.OutcomeTimeout, obs.OutcomeShed, obs.OutcomeDraining)
+		c.want(obs.OutcomeBadRequest, obs.OutcomeError, obs.OutcomeTimeout, obs.OutcomeShed, obs.OutcomeDraining)
 	})
 
+	// A job is batch calls: each call ends like a request, one wide event
+	// on the batch route, and a matcher that fails a call fails all of it.
 	t.Run("job", func(t *testing.T) {
 		sink := &syncBuffer{}
-		cfg := jobConfig(t.TempDir())
-		cfg.AccessLog = sink
-		s, ts := newTestServer(t, cfg)
-		learned := func(n int) string { // distinct learned-path jobs: the ID is the content
+		s, ts := newTestServer(t, Config{AccessLog: sink})
+		learned := func(n int) string { // learned-path records: every call asks the matcher
 			recs := make([]map[string]any, n)
 			for i := range recs {
 				recs[i] = l1Record("v" + strconv.Itoa(n) + "-" + strconv.Itoa(i))
@@ -194,39 +194,21 @@ func TestOutcomeVocabulary(t *testing.T) {
 			body, _ := json.Marshal(map[string]any{"records": recs})
 			return string(body)
 		}
-		// Completed, then failed by a matcher that fails.
-		st := submitJob(t, ts.URL, learned(2))
-		waitJobState(t, ts.URL, st.ID, JobCompleted, 5*time.Second)
-		fault.Enable("ml.predict", fault.Plan{})
-		st = submitJob(t, ts.URL, learned(3))
-		waitJobState(t, ts.URL, st.ID, JobFailed, 5*time.Second)
-		fault.Reset()
-		// Shards are slow from here on, so the tier stops with work left.
-		fault.Enable("serve.job.exec", fault.Plan{Mode: fault.ModeSleep, Sleep: 40 * time.Millisecond})
-		// Failed: the store refuses every write, so the first shard's
-		// commit fails the job.
-		st = submitJob(t, ts.URL, learned(4))
-		fault.Enable("ckpt.write", fault.Plan{})
-		waitJobState(t, ts.URL, st.ID, JobFailed, 5*time.Second)
-		fault.Disable("ckpt.write")
-		// Interrupted: the tier stops with shards still to run.
-		st = submitJob(t, ts.URL, learned(6))
-		waitJobState(t, ts.URL, st.ID, JobRunning, 5*time.Second)
-		s.Close()
-		if got := s.JobTier().Get(st.ID).State(); got != JobInterrupted {
-			t.Fatalf("job stopped under = %s, want %s", got, JobInterrupted)
+		if st, body := postBatch(t, ts.URL, learned(2)); st != http.StatusOK {
+			t.Fatalf("batch call = %d: %s", st, body)
 		}
-		events(t, s, sink, 4)
-		var jobEvents int
+		fault.Enable("ml.predict", fault.Plan{})
+		if st, body := postBatch(t, ts.URL, learned(3)); st != http.StatusInternalServerError {
+			t.Fatalf("batch call against a failing matcher = %d: %s", st, body)
+		}
+		fault.Reset()
+		events(t, s, sink, 2)
 		for _, ev := range sink.events(t) {
-			if ev["route"] == jobRoute {
-				jobEvents++
+			if ev["route"] != "/v1/match/batch" {
+				t.Errorf("batch call logged on route %v", ev["route"])
 			}
 		}
-		if jobEvents != 4 {
-			t.Errorf("%d job wide events, want one per execution (4)", jobEvents)
-		}
-		c.want(obs.OutcomeError, obs.OutcomeFailed, obs.OutcomeInterrupted)
+		c.want(obs.OutcomeOK, obs.OutcomeError)
 	})
 
 	t.Run("source", func(t *testing.T) {

@@ -5,15 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
-	"time"
 
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
@@ -23,16 +20,13 @@ import (
 	"emgo/internal/workflow"
 )
 
-// TestOfflineEqualsOnlineModes: the four execution modes give one answer.
+// TestOfflineEqualsOnlineModes: the three execution modes give one answer.
 // On one seeded slice, per left row, the offline Workflow.RunCtx's Final
-// pairs are what POST /v1/match answers for that record, what its entry
-// in a POST /v1/match/batch answer says, and what its JobRecordResult in
-// a committed job shard holds — the same right rows, in the same order,
-// and between the three online modes from the same source (run by make
-// race-cpu at one and two CPUs). The job's answers are read twice: in one
-// fetch, and reassembled from a fetch cut mid-stream and resumed from its
-// last cursor. And the verdict survives a hot reload to a byte-identical
-// matcher artifact.
+// pairs are what POST /v1/match answers for that record and what its entry
+// in a POST /v1/match/batch answer says — the same right rows, in the same
+// order, and between the two online modes from the same source (run by
+// make race-cpu at one and two CPUs). And the verdict survives a hot
+// reload to a byte-identical matcher artifact.
 func TestOfflineEqualsOnlineModes(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
@@ -59,17 +53,14 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 	}
 
 	t.Logf("%d left x %d right rows, %d sure + %d learned matches", l.Len(), r.Len(), res.Sure.Len(), learned)
-	const shard = 16
 	matcherPath := filepath.Join(t.TempDir(), "model.json")
 	if err := ml.SaveMatcherFile(matcherPath, w.Matcher); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), Config{MatcherPath: matcherPath,
-		Jobs: JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1}}, w, l, r)
+	s, err := New(context.Background(), Config{MatcherPath: matcherPath}, w, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -103,38 +94,8 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 			batch = append(batch, mr.Matches)
 		}
 	}
-	body, err := json.Marshal(map[string]any{"records": records})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := submitJob(t, ts.URL, string(body))
-	if st := waitJobState(t, ts.URL, job.ID, JobCompleted, 60*time.Second); st.Shards < 2 {
-		t.Fatalf("job ran as %d shard(s); the comparison needs records from several", st.Shards)
-	}
-	whole := fetchResults(t, ts.URL, job.ID)
-	jobRes := decodeResults(t, whole).Results
-	if len(batch) != l.Len() || len(jobRes) != l.Len() {
-		t.Fatalf("%d batch and %d job answers for %d records", len(batch), len(jobRes), l.Len())
-	}
-	// The same fetch cut about half-way and resumed from the last cursor
-	// the client committed: the two connections' data lines are the one
-	// fetch's, byte for byte, so they reassemble into the same answers.
-	cut := getStream(t, ts.URL, job.ID, "", "")
-	got, err := io.ReadAll(io.LimitReader(cut.Body, int64(len(whole)/2)))
-	cut.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The line the cut tore is no line; its chunk never commits anyway.
-	head, cursor, done := readStream(t, bytes.NewReader(got[:bytes.LastIndexByte(got, '\n')+1]))
-	if len(head) == 0 || cursor == "" || done {
-		t.Fatalf("cut fetch committed %d bytes, cursor %q, done %v; want a mid-stream cut", len(head), cursor, done)
-	}
-	rest := getStream(t, ts.URL, job.ID, cursor, "")
-	tail, _, done := readStream(t, rest.Body)
-	rest.Body.Close()
-	if !done || !bytes.Equal(append(head, tail...), whole) {
-		t.Fatalf("cut at %d bytes + resumed %d bytes (done %v) is not the one-fetch stream of %d bytes", len(head), len(tail), done, len(whole))
+	if len(batch) != l.Len() {
+		t.Fatalf("%d batch answers for %d records", len(batch), l.Len())
 	}
 
 	for i := range records {
@@ -147,9 +108,6 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 		}
 		if !sameAnswer(single[i], batch[i]) {
 			t.Errorf("record %d: /v1/match %+v, in a batch %+v", i, single[i], batch[i])
-		}
-		if jobRes[i].Index != i || !sameAnswer(single[i], jobRes[i].Matches) {
-			t.Errorf("record %d: /v1/match %+v, in job shard %d %+v", i, single[i], i/shard, jobRes[i])
 		}
 	}
 
@@ -207,35 +165,26 @@ func sameAnswer(a, b []Match) bool {
 	return true
 }
 
-// TestAnswersInvariantUnderShardingAndBatching: how records are grouped
-// on their way in does not reach their answers. Against each record's
-// /v1/match answer: the same records as a job cut into shards of one, of
-// sixteen and of the whole table, and — permuted by a seeded shuffle, so
-// no record keeps its neighbours — re-cut into batches of 1, 7 and 32
-// (make race-cpu runs this at 1, 2 and 4 CPUs).
-func TestAnswersInvariantUnderShardingAndBatching(t *testing.T) {
+// TestAnswersInvariantUnderBatching: how records are grouped on their
+// way in does not reach their answers. Against each record's /v1/match
+// answer: the same records, permuted by a seeded shuffle so no record
+// keeps its neighbours, re-cut into batches of 1, 7 and 32, and sent as
+// one batch of every record — one matchSet pass over the whole left
+// table (make race-cpu runs this at 1, 2 and 4 CPUs).
+func TestAnswersInvariantUnderBatching(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
 	records := make([]map[string]any, l.Len())
 	for i := range records {
 		records[i] = rowRecord(l, i)
 	}
-	jobBody, err := json.Marshal(map[string]any{"records": records})
+	s, err := New(context.Background(), Config{MaxBatchRecords: l.Len()}, w, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := func(shard int) string {
-		s, err := New(context.Background(), Config{Jobs: JobConfig{Dir: t.TempDir(), ShardSize: shard, Workers: 1}}, w, l, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(ts.Close)
-		return ts.URL
-	}
-	shards := []int{16, 1, l.Len()}
-	url := start(shards[0])
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	url := ts.URL
 
 	single := make([][]Match, len(records))
 	matched := 0
@@ -250,7 +199,7 @@ func TestAnswersInvariantUnderShardingAndBatching(t *testing.T) {
 	}
 
 	perm := rand.New(rand.NewSource(7)).Perm(len(records))
-	for _, size := range []int{1, 7, 32} {
+	for _, size := range []int{1, 7, 32, len(records)} {
 		for lo := 0; lo < len(perm); lo += size {
 			cut := perm[lo:min(lo+size, len(perm))]
 			batch := make([]map[string]any, len(cut))
@@ -269,37 +218,17 @@ func TestAnswersInvariantUnderShardingAndBatching(t *testing.T) {
 			}
 		}
 	}
-
-	for k, shard := range shards {
-		if k > 0 {
-			url = start(shard)
-		}
-		job := submitJob(t, url, string(jobBody))
-		want := (len(records) + shard - 1) / shard
-		if st := waitJobState(t, url, job.ID, JobCompleted, 60*time.Second); st.Shards != want {
-			t.Fatalf("shard size %d: job ran as %d shards, want %d", shard, st.Shards, want)
-		}
-		res := decodeResults(t, fetchResults(t, url, job.ID)).Results
-		if len(res) != len(records) {
-			t.Fatalf("shard size %d: %d job answers for %d records", shard, len(res), len(records))
-		}
-		for i := range records {
-			if res[i].Index != i || !sameAnswer(single[i], res[i].Matches) {
-				t.Errorf("record %d: /v1/match %+v, in a job of %d-record shards %+v", i, single[i], shard, res[i])
-			}
-		}
-	}
 }
 
 // TestDegradedAnswersWeakenNeverFlip: an answer given without the learned
 // matcher is the full answer made weaker, never a different one, and a
 // stage that fails fails instead of answering. With no matcher deployed,
-// every record's answer over /v1/match, inside a batch and inside a job
-// shard keeps exactly the full answer's sure-rule matches, adds no learned
-// match the full answer lacks, and says why whenever it is short of one.
-// With ml.predict faulted, or every blocker run faulted at block.join,
-// each mode fails — a 500, a failed batch, a failed job naming its shard —
-// and whatever it still answers is the full answer itself (make race-cpu
+// every record's answer over /v1/match and inside a batch keeps exactly
+// the full answer's sure-rule matches, adds no learned match the full
+// answer lacks, and says why whenever it is short of one. With ml.predict
+// faulted, or every blocker run faulted at block.join, each mode fails —
+// a 500, a failed batch — and whatever it still answers is the full
+// answer itself (make race-cpu
 // runs this at 1, 2 and 4 CPUs). TestMatchTimeoutWeakensNeverFlips holds
 // the other degradation, the ML sub-budget running out.
 func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
@@ -310,15 +239,11 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 	for i := range records {
 		records[i] = rowRecord(l, i)
 	}
-	jobBody, err := json.Marshal(map[string]any{"records": records})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	type answer struct {
 		matches []Match
 		reason  string // "" = not degraded
-		failed  bool   // the request, batch or job failed: no answer
+		failed  bool   // the request or batch failed: no answer
 	}
 	answerOf := func(matches []Match, degraded bool, reason string) answer {
 		if degraded && reason == "" {
@@ -338,14 +263,12 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 		}
 		return status == http.StatusOK
 	}
-	// collect asks one server for every record three ways.
+	// collect asks one server for every record two ways.
 	collect := func(wf *workflow.Workflow) map[string][]answer {
-		s, err := New(context.Background(), Config{Jobs: JobConfig{
-			Dir: t.TempDir(), ShardSize: 16, Workers: 1}}, wf, l, r)
+		s, err := New(context.Background(), Config{}, wf, l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		out := map[string][]answer{}
@@ -370,21 +293,6 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 				}
 				out["batch"] = append(out["batch"], a)
 			}
-		}
-		job := submitJob(t, ts.URL, string(jobBody))
-		st := waitJobSettled(t, ts.URL, job.ID, 60*time.Second)
-		if st.State == JobFailed {
-			if !strings.Contains(st.Error, "shard ") {
-				t.Errorf("failed job's error does not name its shard: %q", st.Error)
-			}
-			out["job shard"] = make([]answer, len(records))
-			for i := range out["job shard"] {
-				out["job shard"][i].failed = true
-			}
-			return out
-		}
-		for _, rr := range decodeResults(t, fetchResults(t, ts.URL, job.ID)).Results {
-			out["job shard"] = append(out["job shard"], answerOf(rr.Matches, rr.Degraded, rr.DegradedReason))
 		}
 		return out
 	}
@@ -464,29 +372,6 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 				t.Errorf("%s, %s: no answer lost a learned match; the condition did not bite", tc.name, mode)
 			}
 		}
-	}
-}
-
-// waitJobSettled polls a job until it completes or fails.
-func waitJobSettled(t *testing.T, url, id string, timeout time.Duration) *JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		code, data := getBody(t, url, "/v1/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("poll status = %d: %s", code, data)
-		}
-		var st JobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State == JobCompleted || st.State == JobFailed {
-			return &st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never settled; last status: %s", data)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -5,23 +5,19 @@ package smoke
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"emgo/internal/load"
 )
 
 // smokeLoad holds emload's exit-code contract against live servers: a
 // clean soak passes its gate (exit 0), a short capacity search — soak
 // at rising rates — finds a sustainable rate, an undersized server trips
 // the gate with exit exactly 1 naming the latency objective — a gate
-// that cannot fail is not a gate — and the supervised chaos-soak
-// (SIGKILL at a shard boundary mid-load, byte-identical resume) passes with both load phases' gates passing.
+// that cannot fail is not a gate.
 func smokeLoad(t *testing.T) {
 	dir := t.TempDir()
 	emload := func(summary string, args ...string) (int, string, string) {
@@ -30,7 +26,7 @@ func smokeLoad(t *testing.T) {
 		return code, out, readFile(t, path)
 	}
 
-	s := start(t, dir, "load_soak", "", nil, "-slo", "availability=99")
+	s := start(t, dir, "load_soak", nil, "-slo", "availability=99")
 	code, out, sum := emload("soak.json", "-mode", "soak", "-addr", s.Addr,
 		"-profile", "poisson", "-rate", "40", "-duration", "6s", "-report-every", "2s",
 		"-shed-retries", "1", "-max-retry-after", "500ms", "-slo", "availability=99,latency=2s@99")
@@ -47,7 +43,7 @@ func smokeLoad(t *testing.T) {
 	}
 	s.drain(t)
 
-	s = start(t, dir, "load_slow", "", nil, "-inject", "serve.match:mode=sleep,sleep=300ms")
+	s = start(t, dir, "load_slow", nil, "-inject", "serve.match:mode=sleep,sleep=300ms")
 	code, out, sum = emload("trip.json", "-mode", "soak", "-addr", s.Addr,
 		"-profile", "uniform", "-rate", "5", "-duration", "5s", "-report-every", "0",
 		"-slo", "availability=99,latency=100ms@99")
@@ -57,45 +53,6 @@ func smokeLoad(t *testing.T) {
 		t.Errorf("the tripped gate did not name the latency objective:\n%s", out)
 	}
 	s.drain(t)
-
-	chaos := filepath.Join(dir, "chaos")
-	if err := os.Mkdir(chaos, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	code, out, sum = emload("chaos.json", "-mode", "chaos", "-server-bin", bin("emserve"), "-workdir", chaos,
-		"-rate", "20", "-duration", "6s", "-report-every", "2s", "--",
-		"-spec", spec, "-left", left, "-right", right, "-matcher", matcher, "-job-workers", "1")
-	wantCLI(t, "chaos-soak", code, out, 0)
-	wantFragments(t, "chaos summary", sum, `"pass": true`, `"byte_identical": true`,
-		`"killed": true`, `"drain_clean": true`)
-	var chaosSum struct {
-		Chaos struct {
-			Phases []struct {
-				Name string           `json:"name"`
-				Gate *load.GateResult `json:"gate"`
-			} `json:"phases"`
-		} `json:"chaos"`
-	}
-	if err := json.Unmarshal([]byte(sum), &chaosSum); err != nil {
-		t.Fatalf("chaos summary: %v", err)
-	}
-	if n := len(chaosSum.Chaos.Phases); n != 2 {
-		t.Errorf("chaos summary holds %d load phase(s), want 2", n)
-	}
-	for _, p := range chaosSum.Chaos.Phases {
-		if p.Gate == nil || !p.Gate.Pass {
-			t.Errorf("chaos phase %s: gate %+v, want a passing gate", p.Name, p.Gate)
-		}
-	}
-	logs, _ := filepath.Glob(filepath.Join(chaos, "*.err"))
-	for _, log := range logs {
-		if strings.Contains(readFile(t, log), "WARNING: DATA RACE") {
-			t.Errorf("the race detector fired in %s", log)
-		}
-	}
-	if len(logs) == 0 {
-		t.Error("the chaos-soak left no server logs to check for races")
-	}
 }
 
 // smokeMonitor holds the quality-monitoring loop's exit codes: a

@@ -15,15 +15,13 @@ import (
 	"time"
 
 	"emgo/internal/load"
+	"emgo/internal/table"
 )
 
-// The one data recipe every scenario shares, and the canonical job the
-// job and stream scenarios submit.
+// The one data recipe every scenario shares.
 const (
-	dataScale  = "0.1"
-	dataSeed   = "5"
-	jobRecords = 24
-	shardSize  = 4
+	dataScale = "0.1"
+	dataSeed  = "5"
 )
 
 // Built once by TestMain: the binaries, the projected slice, the
@@ -83,8 +81,17 @@ func setup(work string) error {
 	}
 	// No award number (so no sure rule fires) and a long title (so
 	// blocking yields candidates and the learned matcher actually runs).
-	for _, rec := range pool.JobRecords(pool.Size()) {
-		if len(strings.Fields(rec["AwardTitle"].(string))) >= 4 {
+	t, err := table.ReadCSVFile(right, nil)
+	if err != nil {
+		return err
+	}
+	col, err := t.Col("AwardTitle")
+	if err != nil {
+		return err
+	}
+	for i := 0; i < t.Len(); i++ {
+		if title := t.Row(i)[col].Str(); len(strings.Fields(title)) >= 4 {
+			rec := map[string]any{"RecordId": fmt.Sprintf("probe-%d", i), "AwardTitle": title}
 			probe, err = json.Marshal(map[string]any{"record": rec})
 			return err
 		}
@@ -94,7 +101,7 @@ func setup(work string) error {
 
 func bin(name string) string { return filepath.Join(binDir, name) }
 
-// TestSmoke runs the seven scenarios in sequence, printing one PASS line
+// TestSmoke runs the five scenarios in sequence, printing one PASS line
 // each; `-run TestSmoke/<name>` runs one.
 func TestSmoke(t *testing.T) {
 	for _, sc := range []struct {
@@ -102,8 +109,6 @@ func TestSmoke(t *testing.T) {
 		run  func(*testing.T)
 	}{
 		{"serve", smokeServe},
-		{"job", smokeJob},
-		{"stream", smokeStream},
 		{"obs", smokeObs},
 		{"load", smokeLoad},
 		{"monitor", smokeMonitor},
@@ -126,17 +131,16 @@ type server struct {
 }
 
 // start boots the race-built emserve over the shared spec, tables and
-// matcher — with the job tier when jobDir is set — and registers the
-// cleanup: kill whatever is still running and, if the scenario failed,
-// show the tail of the server's log.
-func start(t *testing.T, dir, name, jobDir string, env []string, args ...string) *server {
+// matcher and registers the cleanup: kill whatever is still running and,
+// if the scenario failed, show the tail of the server's log.
+func start(t *testing.T, dir, name string, env []string, args ...string) *server {
 	t.Helper()
 	cfg := load.ServerConfig{
 		Bin:     bin("emserve"),
 		Args:    []string{"-spec", spec, "-left", left, "-right", right, "-matcher", matcher},
 		WorkDir: dir,
 	}
-	p, err := load.StartServer(ctx, cfg, jobDir, name+".err", args, env)
+	p, err := load.StartServer(ctx, cfg, name+".err", args, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 // left after the 250ms pass sleep: ~3.3s) and 750ms inside the deadline.
 func smokeServe(t *testing.T) {
 	dir := t.TempDir()
-	s := start(t, dir, "serve", "", nil,
+	s := start(t, dir, "serve", nil,
 		"-max-inflight", "1", "-max-queue", "-1",
 		"-inject", "feature.vectorize:mode=sleep,sleep=4s,oncall=1",
 		"-inject", "serve.match:mode=sleep,sleep=250ms")
@@ -150,7 +150,7 @@ func smokeObs(t *testing.T) {
 	const n, slow = 8, "obs-4"
 	dir := t.TempDir()
 	log1, dump := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "tail.json")
-	s := start(t, dir, "obs_healthy", "", nil,
+	s := start(t, dir, "obs_healthy", nil,
 		"-access-log", log1, "-access-sample", "1", "-tail-n", "8", "-tail-dump", dump,
 		"-slo", "availability=99.9,latency=2s@95",
 		"-inject", "serve.match:mode=sleep,sleep=300ms,oncall=4")
@@ -192,7 +192,7 @@ func smokeObs(t *testing.T) {
 
 	// Every pipeline pass fails: the budget burns and the gate trips.
 	log2 := filepath.Join(dir, "events2.jsonl")
-	s = start(t, dir, "obs_burn", "", nil,
+	s = start(t, dir, "obs_burn", nil,
 		"-access-log", log2, "-access-sample", "5", "-slo", "availability=99.9", "-inject", "serve.match")
 	for i := 1; i <= n; i++ {
 		s.match(t, fmt.Sprintf("burn-%d", i), 500)

@@ -589,8 +589,7 @@ type request struct{ method, path string }
 // its non-constant parts a placeholder and its query string cut off. Its
 // method is an http.Method* constant among the operands of the same call,
 // return statement or composite literal; with none it is a GET. A path and
-// a method that only share a function are not tied: GET /v1/jobs and
-// POST /v1/jobs have one path.
+// a method that only share a function are not tied.
 func (p *pkg) requests() []request {
 	var out []request
 	for _, f := range p.files {

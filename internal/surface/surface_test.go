@@ -40,8 +40,9 @@ var library = map[string][]string{
 }
 
 // harness is the one package whose test files count as callers: the
-// smoke scenarios drive the real binaries through load.ServerProc and
-// load.Client, which exist for them.
+// smoke scenarios start and drain the real emserve through
+// load.StartServer and load.ServerProc (internal/load/proc.go) and send
+// every request through load.Client, which exist for them.
 const harness = "emgo/internal/smoke"
 
 const dispositions = `
