@@ -106,7 +106,8 @@ bench-check:
 # emmonitor diff compares, code that reads it back, a test that asserts
 # on it, or a docs recipe named in the allowlist — the "Metric names"
 # table of docs/OBSERVABILITY.md is exactly the set written, and every
-# fault site is armed by a test and listed in internal/fault. The rest of
+# fault site sits in internal/serve, is armed by a test and is one of
+# fault.Sites, the list emserve -inject checks names against. The rest of
 # the telemetry vocabulary is held the same way
 # (TestSpanAndEventNamesHaveReaders: span names, span annotations and
 # events, wide-event fields). The third rule is for entry points

@@ -60,9 +60,12 @@
 // makes the artifact hot-reloadable (a spec-embedded matcher has no path
 // to re-read).
 //
-// -inject arms a fault-injection plan (site:spec, repeatable; see
-// internal/fault) — the smoke tests use it to slow the matcher and the
-// pipeline so shedding and degradation are exercised for real.
+// -inject arms a fault-injection plan at one of the two sites of
+// internal/fault (site[:key=value,...], repeatable): serve.match, before a
+// request's pipeline pass, and serve.predict, inside the learned stage's
+// ML sub-budget. The smoke tests use them to slow the pass and the
+// matcher so shedding and degradation are exercised for real. A site or
+// key the plan syntax does not know fails the start (exit 1).
 package main
 
 import (
@@ -139,7 +142,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	sloSpec := fs.String("slo", "", "service objectives, e.g. availability=99.9,latency=250ms@99 (empty = defaults)")
 	tailDump := fs.String("tail-dump", "", "write the tail-capture snapshot to this file when the server drains")
 	var injects multiFlag
-	fs.Var(&injects, "inject", "arm a fault-injection plan, site:spec (repeatable; e.g. ml.predict:prob=0.5)")
+	fs.Var(&injects, "inject", "arm a fault-injection plan, site[:key=value,...] (repeatable; sites "+strings.Join(fault.Sites, ", ")+"; e.g. serve.predict:mode=sleep,sleep=4s,oncall=1)")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}

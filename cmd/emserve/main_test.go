@@ -125,14 +125,23 @@ func TestRunMissingFlagsIsUsageError(t *testing.T) {
 	}
 }
 
+// TestRunBadInjectSpec: a plan the syntax does not know fails the start,
+// before anything is armed — a malformed key, a site no code passes (the
+// pipeline's own stages carry none), a key or mode the plan lost.
 func TestRunBadInjectSpec(t *testing.T) {
+	defer fault.Reset()
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-spec", spec, "-left", left, "-right", right,
-		"-transforms", "none", "-inject", "ml.predict:bogus"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "-inject") {
-		t.Fatalf("err: %v", err)
+	for _, inject := range []string{"ml.predict:bogus", "ml.predict", "serve.match:prob=0.5", "serve.match:mode=panic"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-spec", spec, "-left", left, "-right", right,
+			"-transforms", "none", "-inject", inject}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-inject") {
+			t.Errorf("-inject %s: err: %v", inject, err)
+		}
+		if strings.Contains(stderr.String(), "armed") {
+			t.Errorf("-inject %s: stderr says a site was armed: %s", inject, stderr.String())
+		}
 	}
 }
 
@@ -347,17 +356,18 @@ func TestServeSIGHUPReloadsMatcherArtifact(t *testing.T) {
 	}
 }
 
-// TestServeInjectedMatcherFaultDegrades: a failing matcher is no
-// degradation — the request answers 500, and the error names the record
-// by its position in the request.
-func TestServeInjectedMatcherFaultDegrades(t *testing.T) {
+// TestServeInjectedFaultAnswers500: a site armed from the command line
+// fires in the running binary — a failing pass is no degradation, the
+// request answers 500 naming the site. The record-naming 500 of a
+// failing matcher is serve's TestMatchFailsOnMatcherFault.
+func TestServeInjectedFaultAnswers500(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset() // -inject arms the global registry
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
 	base, cancel, done, _ := startServer(t, []string{
 		"-spec", spec, "-left", left, "-right", right,
-		"-transforms", "none", "-inject", "ml.predict"})
+		"-transforms", "none", "-inject", "serve.match"})
 	defer func() {
 		cancel()
 		select {
@@ -381,7 +391,7 @@ func TestServeInjectedMatcherFaultDegrades(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("response: %v\n%s", err, body)
 	}
-	if !strings.Contains(er.Error, "record 0: ") || !strings.Contains(er.Error, "ml.predict") {
-		t.Fatalf("the error does not name the record and the fault: %s", body)
+	if !strings.Contains(er.Error, `"serve.match"`) {
+		t.Fatalf("the error does not name the fault: %s", body)
 	}
 }

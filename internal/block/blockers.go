@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/simfunc"
 	"emgo/internal/table"
@@ -177,8 +176,7 @@ func UnionBlock(left, right *table.Table, blockers ...Blocker) (*CandidateSet, e
 
 // UnionBlockCtx is UnionBlock under the hardened runtime: each blocker
 // run honours ctx (cancellation aborts mid-join for the blockers in this
-// package), and each run passes through the "block.join" fault-injection
-// site so tests can drive blocking failures deterministically. Blockers
+// package), and a blocker's error aborts the union naming it. Blockers
 // nobody bound are bound to right for the call (Bind), so those over one
 // column share one build.
 func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
@@ -198,14 +196,12 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 	for k, b := range blockers {
 		jctx, sp := obs.StartSpan(ctx, "block.join")
 		sp.Annotate("blocker", b.Name())
-		err := fault.Inject("block.join")
-		if err == nil && ready[k] == nil {
-			err = blockSharing(jctx, left, right, blockers, k, ready)
-		}
-		if err != nil {
-			sp.SetOutcome(obs.OutcomeAborted)
-			sp.End()
-			return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
+		if ready[k] == nil {
+			if err := blockSharing(jctx, left, right, blockers, k, ready); err != nil {
+				sp.SetOutcome(obs.OutcomeAborted)
+				sp.End()
+				return nil, fmt.Errorf("block: %s: %w", b.Name(), err)
+			}
 		}
 		c := ready[k]
 		sp.SetItems(c.Len())

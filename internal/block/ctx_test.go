@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"emgo/internal/fault"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -120,17 +119,24 @@ func TestOverlapBlockersCancelled(t *testing.T) {
 	}
 }
 
+// failingBlocker is a blocker whose every run fails.
+type failingBlocker struct{}
+
+func (failingBlocker) Block(_, _ *table.Table) (*CandidateSet, error) {
+	return nil, errors.New("blocker down")
+}
+func (failingBlocker) Name() string { return "failing" }
+
+// TestUnionBlockCtxFaultInjection: a blocker that fails aborts the union,
+// and the error names it; the union without it runs.
 func TestUnionBlockCtxFaultInjection(t *testing.T) {
-	defer fault.Reset()
 	l, r := bigPair(t, 10)
 	b := AttrEquiv{LeftCol: "Key", RightCol: "Key"}
 
-	fault.Enable("block.join", fault.Plan{FailFirst: 1})
-	_, err := UnionBlockCtx(context.Background(), l, r, b)
-	if err == nil || !strings.Contains(err.Error(), "attr_equiv") {
-		t.Fatalf("injected join fault: %v", err)
+	_, err := UnionBlockCtx(context.Background(), l, r, b, failingBlocker{})
+	if err == nil || !strings.Contains(err.Error(), "failing") || !strings.Contains(err.Error(), "blocker down") {
+		t.Fatalf("failing blocker: %v", err)
 	}
-	// The transient fault is gone on the next run.
 	cand, err := UnionBlockCtx(context.Background(), l, r, b)
 	if err != nil {
 		t.Fatal(err)

@@ -2,35 +2,29 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// ParsePlan parses the textual fault-plan syntax binaries expose to
-// operators and smoke tests (emserve -inject, chaos scripts):
+// ParsePlan parses the textual fault-plan syntax emserve -inject and the
+// smoke scenarios hand it:
 //
 //	site
 //	site:key=value,key=value,...
 //
-// A bare site name arms the zero plan (ModeError on every call). Keys:
+// The site must be one of Sites. A bare site name arms the zero plan
+// (ModeError on every call). Keys:
 //
-//	mode     error | panic | sleep (default error)
-//	err      message returned by ModeError
+//	mode     error | sleep (default error)
 //	sleep    ModeSleep duration (e.g. 250ms)
-//	first    FailFirst — fire on the first N calls
 //	oncall   OnCall — fire on exactly the Nth call
-//	indices  Indices — "3;7;12" (semicolon-separated work-item indices)
-//	prob     Prob — seeded pseudo-random firing fraction in (0,1]
-//	seed     Seed for prob
-//
-// The syntax deliberately mirrors the Plan struct one to one so a plan
-// that works in a Go test can be handed to a binary unchanged.
 func ParsePlan(spec string) (site string, p Plan, err error) {
 	site, params, hasParams := strings.Cut(spec, ":")
 	site = strings.TrimSpace(site)
-	if site == "" {
-		return "", Plan{}, fmt.Errorf("fault: empty site in plan %q", spec)
+	if !slices.Contains(Sites, site) {
+		return "", Plan{}, fmt.Errorf("fault: plan %q: unknown site %q (sites: %s)", spec, site, strings.Join(Sites, ", "))
 	}
 	if !hasParams {
 		return site, Plan{}, nil
@@ -49,53 +43,23 @@ func ParsePlan(spec string) (site string, p Plan, err error) {
 			switch val {
 			case "error":
 				p.Mode = ModeError
-			case "panic":
-				p.Mode = ModePanic
 			case "sleep":
 				p.Mode = ModeSleep
 			default:
 				return "", Plan{}, fmt.Errorf("fault: plan %q: unknown mode %q", spec, val)
 			}
-		case "err":
-			p.Err = fmt.Errorf("%s", val)
 		case "sleep":
 			d, derr := time.ParseDuration(val)
 			if derr != nil {
 				return "", Plan{}, fmt.Errorf("fault: plan %q: sleep: %w", spec, derr)
 			}
 			p.Sleep = d
-		case "first":
-			n, nerr := strconv.Atoi(val)
-			if nerr != nil || n < 1 {
-				return "", Plan{}, fmt.Errorf("fault: plan %q: first must be a positive integer, got %q", spec, val)
-			}
-			p.FailFirst = n
 		case "oncall":
 			n, nerr := strconv.Atoi(val)
 			if nerr != nil || n < 1 {
 				return "", Plan{}, fmt.Errorf("fault: plan %q: oncall must be a positive integer, got %q", spec, val)
 			}
 			p.OnCall = n
-		case "indices":
-			for _, tok := range strings.Split(val, ";") {
-				n, nerr := strconv.Atoi(strings.TrimSpace(tok))
-				if nerr != nil {
-					return "", Plan{}, fmt.Errorf("fault: plan %q: bad index %q", spec, tok)
-				}
-				p.Indices = append(p.Indices, n)
-			}
-		case "prob":
-			f, ferr := strconv.ParseFloat(val, 64)
-			if ferr != nil || f <= 0 || f > 1 {
-				return "", Plan{}, fmt.Errorf("fault: plan %q: prob must be in (0,1], got %q", spec, val)
-			}
-			p.Prob = f
-		case "seed":
-			n, nerr := strconv.ParseInt(val, 10, 64)
-			if nerr != nil {
-				return "", Plan{}, fmt.Errorf("fault: plan %q: seed: %w", spec, nerr)
-			}
-			p.Seed = n
 		default:
 			return "", Plan{}, fmt.Errorf("fault: plan %q: unknown key %q", spec, key)
 		}

@@ -7,55 +7,45 @@ import (
 )
 
 func TestParsePlanBareSite(t *testing.T) {
-	site, p, err := ParsePlan("ml.predict")
+	site, p, err := ParsePlan("serve.predict")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if site != "ml.predict" {
+	if site != "serve.predict" {
 		t.Fatalf("site = %q", site)
 	}
-	if p.Mode != ModeError || p.FailFirst != 0 || p.Prob != 0 {
+	if p != (Plan{}) {
 		t.Fatalf("bare site should parse to the zero plan, got %+v", p)
 	}
 }
 
 func TestParsePlanFull(t *testing.T) {
-	site, p, err := ParsePlan("serve.match:mode=sleep,sleep=150ms,first=3,seed=9")
+	site, p, err := ParsePlan("serve.match:mode=sleep,sleep=150ms,oncall=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if site != "serve.match" {
 		t.Fatalf("site = %q", site)
 	}
-	if p.Mode != ModeSleep || p.Sleep != 150*time.Millisecond || p.FailFirst != 3 || p.Seed != 9 {
+	if p != (Plan{Mode: ModeSleep, Sleep: 150 * time.Millisecond, OnCall: 3}) {
 		t.Fatalf("plan = %+v", p)
-	}
-}
-
-func TestParsePlanIndices(t *testing.T) {
-	_, p, err := ParsePlan("feature.vectorize:indices=3;7;12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Indices) != 3 || p.Indices[2] != 12 {
-		t.Fatalf("indices = %v", p.Indices)
 	}
 }
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",                  // empty site
-		":mode=error",       // empty site with params
-		"s:mode=nope",       // unknown mode
-		"s:frequency=often", // unknown key
-		"s:first=zero",      // non-integer
-		"s:first=0",         // non-positive
-		"s:prob=1.5",        // out of range
-		"s:prob=0",          // out of range
-		"s:mode=sleep",      // sleep mode without duration
-		"s:sleep=fast",      // bad duration
-		"s:indices=1;x",     // bad index
-		"s:modeerror",       // not key=value
+		"",                            // empty site
+		":mode=error",                 // empty site with params
+		"ml.predict",                  // a site no code passes
+		"serve.match:mode=nope",       // unknown mode
+		"serve.match:mode=panic",      // unknown mode
+		"serve.match:frequency=often", // unknown key
+		"serve.match:prob=0.5",        // unknown key
+		"serve.match:oncall=zero",     // non-integer
+		"serve.match:oncall=0",        // non-positive
+		"serve.match:mode=sleep",      // sleep mode without duration
+		"serve.match:sleep=fast",      // bad duration
+		"serve.match:modeerror",       // not key=value
 	} {
 		if _, _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted, want error", spec)
@@ -65,7 +55,7 @@ func TestParsePlanErrors(t *testing.T) {
 
 func TestParsePlanRoundTripFires(t *testing.T) {
 	defer Reset()
-	site, err := EnableSpec("roundtrip.site:mode=error,err=boom,oncall=2")
+	site, err := EnableSpec("serve.match:mode=error,oncall=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +66,8 @@ func TestParsePlanRoundTripFires(t *testing.T) {
 	if err == nil {
 		t.Fatal("call 2 did not fire")
 	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want the parsed message", err)
+	if !strings.Contains(err.Error(), `"serve.match"`) {
+		t.Fatalf("err = %v, want it to name the site", err)
 	}
 	if Inject(site) != nil {
 		t.Fatal("call 3 fired")

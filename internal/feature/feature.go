@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
 	"emgo/internal/simfunc"
@@ -377,8 +376,7 @@ func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float
 // on cancellation, and a panicking or failing feature computation surfaces
 // as an error carrying the offending pair index (parallel.FailingIndex)
 // instead of crashing the process — which is what lets a workflow abort
-// naming the poison pair. Each pair also passes the
-// "feature.vectorize" fault-injection site.
+// naming the poison pair.
 //
 // The cells of the rows pairs reference are prepared once up front (see
 // prepared.go); the returned rows are windows of one backing array, the
@@ -404,9 +402,6 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 		width := len(s.Features)
 		flat := make([]float64, len(pairs)*width)
 		err = parallel.ForWorkersCtx(vctx, len(pairs), parallel.LightWorkers(len(pairs)), func(i int) error {
-			if err := fault.InjectIdx("feature.vectorize", i); err != nil {
-				return err
-			}
 			// The capacity stops an append to one row reaching the next.
 			row := flat[i*width : (i+1)*width : (i+1)*width]
 			pl.vector(row, s, cells, left, right, pairs[i])

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/parallel"
 	"emgo/internal/simfunc"
 	"emgo/internal/table"
@@ -254,12 +253,9 @@ type rightCells struct {
 // left as it is. The bound set answers about right only — asked about
 // another table, VectorizeCtx returns an error naming both — and takes no
 // new feature. Bind fails when a set similarity's column is missing from
-// right, ctx ends first, or the "feature.bind" fault site fires: the
-// error a server refuses to start or to swap a matcher in on.
+// right or ctx ends first: the error a server refuses to start or to swap
+// a matcher in on.
 func (s *Set) Bind(ctx context.Context, right *table.Table, built ...*block.Column) (*Set, error) {
-	if err := fault.Inject("feature.bind"); err != nil {
-		return nil, err
-	}
 	cells, err := s.prepareRight(ctx, right, nil, built)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/parallel"
 	"emgo/internal/simfunc"
 	"emgo/internal/table"
@@ -426,12 +425,10 @@ func manyPairs(l, r *table.Table, n int) []block.Pair {
 	return pairs
 }
 
-// TestVectorizeFaultSitePerPair: under chunked dispatch the
-// "feature.vectorize" site is still passed once per pair with that
-// pair's index — a poison pair anywhere in a chunk is the index the
-// error names, in error mode and in panic mode.
-func TestVectorizeFaultSitePerPair(t *testing.T) {
-	defer fault.Reset()
+// TestVectorizeNamesPoisonPairPerChunk: under chunked dispatch a
+// closure feature is computed once per pair, and a pair whose cell makes
+// it panic, anywhere in a chunk, is the index the error names.
+func TestVectorizeNamesPoisonPairPerChunk(t *testing.T) {
 	l, r := registryTables(t)
 	set, err := Generate(l, r, map[string]string{"S": "S"}, []string{"S"})
 	if err != nil {
@@ -439,22 +436,32 @@ func TestVectorizeFaultSitePerPair(t *testing.T) {
 	}
 	const n = 5000
 	pairs := manyPairs(l, r, n)
-
-	fault.Enable("feature.vectorize", fault.Plan{OnCall: 1 << 30}) // counts, never fires
+	var computed atomic.Int64
+	set.Features = append(set.Features, Feature{
+		Name: "poisonable", LeftCol: "S", RightCol: "S",
+		Compute: func(a, b table.Value) float64 {
+			computed.Add(1)
+			if a.Str() == "poison" {
+				panic("poisoned cell")
+			}
+			return 0
+		},
+	})
 	if _, err := set.VectorizeCtx(context.Background(), l, r, pairs); err != nil {
 		t.Fatal(err)
 	}
-	if got := fault.Count("feature.vectorize"); got != n {
-		t.Fatalf("site passed %d times for %d pairs", got, n)
+	if got := computed.Load(); got != n {
+		t.Fatalf("the closure ran %d times for %d pairs", got, n)
 	}
 
-	for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
-		for _, poison := range []int{0, 1, 255, 256, 257, 2600, n - 1} {
-			fault.Enable("feature.vectorize", fault.Plan{Mode: mode, Indices: []int{poison}})
-			_, err := set.VectorizeCtx(context.Background(), l, r, pairs)
-			if idx, ok := parallel.FailingIndex(err); !ok || idx != poison {
-				t.Fatalf("mode %v poison pair %d: FailingIndex = %d, %v (err %v)", mode, poison, idx, ok, err)
-			}
+	poisonRow := l.Len()
+	l.MustAppend(table.Row{table.S("poison"), table.F(0), table.Null(table.Date)})
+	for _, poison := range []int{0, 1, 255, 256, 257, 2600, n - 1} {
+		poisoned := slices.Clone(pairs)
+		poisoned[poison] = block.Pair{A: poisonRow, B: 0}
+		_, err := set.VectorizeCtx(context.Background(), l, r, poisoned)
+		if idx, ok := parallel.FailingIndex(err); !ok || idx != poison {
+			t.Fatalf("poison pair %d: FailingIndex = %d, %v (err %v)", poison, idx, ok, err)
 		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
 )
@@ -35,41 +33,6 @@ func forestDataset(t *testing.T) *Dataset {
 	return ds
 }
 
-func TestForestFitCtxInjectedPanicSurfacesAsError(t *testing.T) {
-	defer fault.Reset()
-	ds := forestDataset(t)
-	fault.Enable("ml.forest.fit", fault.Plan{Mode: fault.ModePanic, Indices: []int{3}})
-
-	f := &RandomForest{Trees: 10, Seed: 42}
-	err := f.FitCtx(context.Background(), ds)
-	if err == nil {
-		t.Fatal("injected worker panic must surface as an error")
-	}
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) || pe.Index != 3 {
-		t.Fatalf("err: %v", err)
-	}
-	if !strings.Contains(err.Error(), "index 3") {
-		t.Fatalf("error should name the failing tree: %v", err)
-	}
-
-	// After the fault is cleared, the same forest trains fine and is
-	// bit-identical to an untouched sequential fit.
-	fault.Reset()
-	if err := f.FitCtx(context.Background(), ds); err != nil {
-		t.Fatal(err)
-	}
-	ref := &RandomForest{Trees: 10, Seed: 42}
-	if err := ref.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range ds.X {
-		if f.Predict(row) != ref.Predict(row) {
-			t.Fatalf("recovered fit diverges at row %d", i)
-		}
-	}
-}
-
 func TestForestFitCtxCancelled(t *testing.T) {
 	ds := forestDataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -81,20 +44,42 @@ func TestForestFitCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestFailedFitLeavesForestUnfitted: a fit that fails — its context
+// cancelled — leaves even a fitted forest unfitted, and the next fit is
+// bit-identical to an untouched one. A tree's panic becoming an error
+// with its index is parallel's TestForCtxWorkerPanicBecomesError.
 func TestFailedFitLeavesForestUnfitted(t *testing.T) {
-	defer fault.Reset()
 	ds := forestDataset(t)
-	fault.Enable("ml.forest.fit", fault.Plan{Indices: []int{0}})
 	f := &RandomForest{Trees: 5, Seed: 1}
-	if err := f.FitCtx(context.Background(), ds); err == nil {
-		t.Fatal("expected injected error")
+	if err := f.Fit(ds); err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("predicting with a failed fit should panic as before Fit")
-		}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := f.FitCtx(cancelled, ds); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fit under a cancelled context: %v", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("predicting with a failed fit should panic as before Fit")
+			}
+		}()
+		f.Predict(ds.X[0])
 	}()
-	f.Predict(ds.X[0])
+
+	if err := f.FitCtx(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	ref := &RandomForest{Trees: 5, Seed: 1}
+	if err := ref.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range ds.X {
+		if f.Predict(row) != ref.Predict(row) {
+			t.Fatalf("refit diverges at row %d", i)
+		}
+	}
 }
 
 func TestPredictAllCtx(t *testing.T) {
@@ -126,17 +111,32 @@ func TestPredictAllCtx(t *testing.T) {
 	}
 }
 
-func TestPredictAllCtxFaultSite(t *testing.T) {
-	defer fault.Reset()
+// poisonRow is a matcher that panics on one vector, by identity.
+type poisonRow struct {
+	Matcher
+	poison []float64
+}
+
+func (m poisonRow) Predict(x []float64) int {
+	if &x[0] == &m.poison[0] {
+		panic("poisoned vector")
+	}
+	return m.Matcher.Predict(x)
+}
+
+// TestPredictAllCtxNamesPanickingRow: a matcher panicking on one row,
+// wherever it falls, is an error naming that row.
+func TestPredictAllCtxNamesPanickingRow(t *testing.T) {
 	ds := forestDataset(t)
 	m := &DecisionTree{}
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	fault.Enable("ml.predict", fault.Plan{Indices: []int{7}})
-	_, err := PredictAllCtx(context.Background(), m, ds.X)
-	if idx, ok := parallel.FailingIndex(err); !ok || idx != 7 {
-		t.Fatalf("err: %v", err)
+	for _, poison := range []int{0, 7, len(ds.X) - 1} {
+		_, err := PredictAllCtx(context.Background(), poisonRow{m, ds.X[poison]}, ds.X)
+		if idx, ok := parallel.FailingIndex(err); !ok || idx != poison {
+			t.Fatalf("poison row %d: err: %v", poison, err)
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"slices"
 
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
 )
@@ -278,8 +277,7 @@ func PredictAll(m Matcher, x [][]float64) []int {
 // fanned out across workers, stops on cancellation, and a panicking
 // matcher (malformed row, unfitted model) surfaces as an error carrying
 // the failing row index instead of crashing — the hook workflows use to
-// name a poison pair. Each row also passes the "ml.predict"
-// fault-injection site.
+// name a poison pair.
 //
 // A call the light-work rule gives one worker (parallel.LightWorkers: a
 // request's handful of vectors) is scored on the caller; a larger one
@@ -296,9 +294,6 @@ func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error)
 		workers = 1
 	}
 	err := parallel.ForWorkersCtx(pctx, len(x), workers, func(i int) error {
-		if err := fault.InjectIdx("ml.predict", i); err != nil {
-			return err
-		}
 		out[i] = m.Predict(x[i])
 		predictions.Inc()
 		return nil

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"emgo/internal/fault"
 	"emgo/internal/obs"
 	"emgo/internal/parallel"
 )
@@ -37,8 +36,7 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 
 // FitCtx is Fit under the hardened runtime: training stops dispatching
 // trees on cancellation, and a panic inside one tree's fit surfaces as an
-// error naming the failing tree index instead of killing the process.
-// Each tree also passes the "ml.forest.fit" fault-injection site. A
+// error naming the failing tree index instead of killing the process. A
 // failed fit leaves the forest unfitted.
 func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	if ds.Len() == 0 {
@@ -73,9 +71,6 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	trees := obs.C("ml.trees_fit")
 	f.trees = make([]*DecisionTree, n)
 	err := parallel.ForCtx(fctx, n, func(k int) error {
-		if err := fault.InjectIdx("ml.forest.fit", k); err != nil {
-			return err
-		}
 		tree := &DecisionTree{
 			MaxDepth:      f.MaxDepth,
 			featureSubset: subset,

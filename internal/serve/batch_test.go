@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/table"
 )
@@ -52,7 +51,6 @@ func l2Record(id string) map[string]any {
 // holding only one admission slot.
 func TestBatchMatchesSingles(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{})
 
 	records := []map[string]any{l0Record("q0"), l1Record("q1"), l2Record("q2")}
@@ -106,15 +104,14 @@ func TestBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestBatchDegradesOnMatcherFault: a matcher that fails fails the whole
+// TestBatchFailsOnMatcherFault: a matcher that fails fails the whole
 // batch — 500, no partial answer — and the error names the record whose
 // pair it failed on by its position in the batch (q1, the one record
 // with a learned candidate).
-func TestBatchDegradesOnMatcherFault(t *testing.T) {
+func TestBatchFailsOnMatcherFault(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
-	_, ts := newTestServer(t, Config{})
-	fault.Enable("ml.predict", fault.Plan{})
+	s, ts := newTestServer(t, Config{})
+	breakMatcher(s)
 
 	req, _ := json.Marshal(map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}})
 	status, body := postBatch(t, ts.URL, string(req))
@@ -125,7 +122,7 @@ func TestBatchDegradesOnMatcherFault(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(er.Error, "record 1: ") || !strings.Contains(er.Error, `"ml.predict"`) {
+	if !strings.Contains(er.Error, "record 1: ") || !strings.Contains(er.Error, "poisoned vector") {
 		t.Fatalf("the error does not name record 1 and the fault: %s", body)
 	}
 }
@@ -135,7 +132,6 @@ func TestBatchDegradesOnMatcherFault(t *testing.T) {
 // draining server refuses batches with 503.
 func TestBatchRejections(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{MaxBatchRecords: 2, maxBatchBodyBytes: 2048})
 
 	over, _ := json.Marshal(map[string]any{"records": []map[string]any{
@@ -192,7 +188,6 @@ func jobRouteStatus(t *testing.T, method, url, body string) int {
 // in-memory job.
 func TestJobEndpointsDisabled(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{})
 	body, _ := json.Marshal(map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}})
 	if code := jobRouteStatus(t, http.MethodPost, ts.URL+"/v1/jobs", string(body)); code != http.StatusNotFound {
@@ -211,7 +206,6 @@ func TestJobEndpointsDisabled(t *testing.T) {
 // job lookups 404 cleanly.
 func TestJobBadRequests(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{MaxBatchRecords: 4})
 
 	five, _ := json.Marshal(map[string]any{"records": []map[string]any{
@@ -255,7 +249,6 @@ func TestJobBadRequests(t *testing.T) {
 // (run under -race -count=10).
 func TestConcurrentBatchesShareRuleIndex(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{})
 
 	shapes := []func(string) map[string]any{l0Record, l1Record, l2Record}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
@@ -188,7 +187,6 @@ func TestRequestProbesBoundIndexes(t *testing.T) {
 // -cpu 1,2).
 func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	shapes := []func(string) map[string]any{l0Record, l1Record, l2Record}
 	want := make([]string, len(shapes))
 	{

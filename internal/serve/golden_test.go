@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 )
 
@@ -102,7 +101,6 @@ func postWithID(t *testing.T, url, id, body string) []byte {
 
 func TestGoldenAccessLogLines(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	sink := &syncBuffer{}
 	_, ts := newTestServer(t, Config{AccessLog: sink})
 

@@ -49,10 +49,10 @@ func TestLiveRequestWritesOnlyReadMetrics(t *testing.T) {
 	if st != http.StatusTooManyRequests {
 		t.Fatalf("request against a full gate = %d: %s", st, body)
 	}
-	// Failed: a matcher fault answers 500.
-	fault.Enable("ml.predict", fault.Plan{})
+	// Failed: a fault at the learned stage answers 500.
+	fault.Enable("serve.predict", fault.Plan{})
 	if st, _, body := postMatch(t, ts.URL, l1Request); st != http.StatusInternalServerError {
-		t.Fatalf("request against a failing matcher = %d: %s", st, body)
+		t.Fatalf("request against a failing learned stage = %d: %s", st, body)
 	}
 	fault.Reset()
 	// Degraded: a rule-only server answers without a matcher.
@@ -98,7 +98,7 @@ func TestLiveRequestWritesOnlyReadMetrics(t *testing.T) {
 	}
 	// The registry was live under all of it: the library below the server
 	// counted, and so did a name that only exists once a fault has fired.
-	for _, want := range []string{"ml.predictions", "fault.trips.ml.predict"} {
+	for _, want := range []string{"ml.predictions", "fault.trips.serve.predict"} {
 		if !written[want] {
 			t.Errorf("the drive never wrote %s (wrote %v)", want, written)
 		}

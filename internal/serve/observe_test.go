@@ -186,7 +186,6 @@ func TestRequestIDEchoedOnShedAndDraining(t *testing.T) {
 // admission field reads as an outage, not as policy.
 func TestDrainingRefusalsSayWhy(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	sink := &syncBuffer{}
 	s, ts := newTestServer(t, Config{AccessLog: sink})
 
@@ -226,7 +225,6 @@ func TestDrainingRefusalsSayWhy(t *testing.T) {
 
 func TestWideEventPerRequest(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	sink := &syncBuffer{}
 	_, ts := newTestServer(t, Config{AccessLog: sink})
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
 	"emgo/internal/table"
@@ -232,12 +231,12 @@ func TestArtifactReadSetFollowsLoadedMatcher(t *testing.T) {
 // features builds and binds that tree's set before the swap. Under
 // requests in flight (run with -race), every answer is one matcher's or
 // the other's whole — never one tree over the other's cells — and after
-// each reload it is the new one's; a reload whose bind fails leaves the
+// each reload it is the new one's; a reload whose bind fails (its context
+// cancelled) leaves the
 // old matcher, set and cells serving; and the cells of a replaced artifact
 // are garbage: the heap does not grow over twenty alternating reloads.
 func TestReloadRebindsForNewReadSet(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
 	a, b := titleStumps(t, w)
 	pathA, pathB := saveMatcher(t, a), saveMatcher(t, b)
@@ -290,9 +289,9 @@ func TestReloadRebindsForNewReadSet(t *testing.T) {
 	same("after the reload to b", answersOf(t, s, l), wantB)
 
 	live := s.Artifact()
-	fault.Enable("feature.bind", fault.Plan{})
-	_, err := s.Reload(context.Background(), pathA)
-	fault.Reset()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := s.Reload(cancelled, pathA)
 	if err == nil || !strings.Contains(err.Error(), "bind feature cells") {
 		t.Fatalf("reload with a failing bind: %v, want a bind failure", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
 	"emgo/internal/workflow"
@@ -68,7 +67,6 @@ func TestLoadArtifactRejectsCorrupt(t *testing.T) {
 
 func TestReloadSwapAndRollback(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	dir := t.TempDir()
 	path := saveFixtureMatcher(t, dir, "model.json")
 

@@ -593,6 +593,10 @@ func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.
 		mlCtx, cancel = context.WithTimeout(ctx, sub)
 	}
 	defer cancel()
+	// A sleep armed here runs out the sub-budget, not the request's.
+	if err := fault.Inject("serve.predict"); err != nil {
+		return nil, nil, "", err
+	}
 
 	pairs := candidates.Pairs()
 	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, pairs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -102,6 +103,32 @@ func fixtureWorkflow(t testing.TB) (*workflow.Workflow, *table.Table, *table.Tab
 	return w, l, r
 }
 
+// panicMatcher is a model that panics on every vector, the way a real one
+// fails a request.
+type panicMatcher struct{}
+
+func (panicMatcher) Fit(*ml.Dataset) error { return nil }
+func (panicMatcher) Predict([]float64) int { panic("poisoned vector") }
+func (panicMatcher) Name() string          { return "panic" }
+
+// breakMatcher swaps panicMatcher into s's live deployment. serve.New
+// exports the matcher to checksum it, so a double cannot go in through New.
+func breakMatcher(s *Server) {
+	art := *s.live.Load()
+	d := *art.deployment
+	d.Matcher = panicMatcher{}
+	art.deployment = &d
+	s.live.Store(&art)
+}
+
+// failingBlocker is a blocker whose every run fails.
+type failingBlocker struct{}
+
+func (failingBlocker) Block(_, _ *table.Table) (*block.CandidateSet, error) {
+	return nil, errors.New("blocker down")
+}
+func (failingBlocker) Name() string { return "failing" }
+
 // newTestServer spins up the service over the fixture workflow.
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -158,7 +185,6 @@ const l1Request = `{"record":{"RecordId":"q1","Title":"swamp dodder ecology mana
 
 func TestMatchEndToEnd(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{})
 	status, _, body := postMatch(t, ts.URL, l0Request)
 	if status != http.StatusOK {
@@ -206,15 +232,14 @@ func TestMatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMatchDegradesOnMatcherFault: a matcher that fails is no
+// TestMatchFailsOnMatcherFault: a matcher that fails is no
 // degradation. A request whose candidates reach it answers 500, and the
 // error names the record by its position in the request; a request with
 // no learned candidates never asks the matcher and answers as before.
-func TestMatchDegradesOnMatcherFault(t *testing.T) {
+func TestMatchFailsOnMatcherFault(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
-	_, ts := newTestServer(t, Config{})
-	fault.Enable("ml.predict", fault.Plan{}) // every predict call errors
+	s, ts := newTestServer(t, Config{})
+	breakMatcher(s) // every prediction panics
 	status, _, body := postMatch(t, ts.URL, l1Request)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("a failing matcher must answer 500, got %d: %s", status, body)
@@ -223,7 +248,7 @@ func TestMatchDegradesOnMatcherFault(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(er.Error, "record 0: ") || !strings.Contains(er.Error, `"ml.predict"`) {
+	if !strings.Contains(er.Error, "record 0: ") || !strings.Contains(er.Error, "poisoned vector") {
 		t.Fatalf("the error does not name the record and the fault: %s", body)
 	}
 
@@ -255,9 +280,9 @@ func TestMatchDegradesOnMatcherFault(t *testing.T) {
 // its ML sub-budget (mlBudgetFrac of what is left of the request's) is
 // the one learned-stage degradation: the answer weakens to its rules,
 // over /v1/match and inside a batch, and never flips. A one-shot sleep at
-// feature.vectorize outlasts the 2.1 s sub-budget of a 3 s request by
-// 400 ms and ends 500 ms inside the request's budget; PredictAllCtx then
-// finds its context done before it scores a row.
+// serve.predict, inside the sub-budget, outlasts the 2.1 s sub-budget of a
+// 3 s request by 400 ms and ends 500 ms inside the request's budget;
+// VectorizeCtx then finds its context done before it builds a vector.
 func TestMatchTimeoutWeakensNeverFlips(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
@@ -297,12 +322,12 @@ func TestMatchTimeoutWeakensNeverFlips(t *testing.T) {
 		}
 	}
 
-	fault.Enable("feature.vectorize", sleep)
+	fault.Enable("serve.predict", sleep)
 	var mr MatchResponse
 	postJSON(t, ts.URL+"/v1/match", map[string]any{"record": records[1], "timeout_ms": budgetMS}, &mr)
 	check("/v1/match", 1, &mr)
 
-	fault.Enable("feature.vectorize", sleep)
+	fault.Enable("serve.predict", sleep)
 	var br BatchResponse
 	postJSON(t, ts.URL+"/v1/match/batch", map[string]any{"records": records, "timeout_ms": budgetMS}, &br)
 	for i, r := range br.Results {
@@ -356,7 +381,6 @@ func TestOverloadSheds(t *testing.T) {
 
 func TestDrainFlow(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	s, ts := newTestServer(t, Config{DrainTimeout: time.Second})
 
 	get := func(path string) (int, []byte) {
@@ -398,7 +422,6 @@ func TestDrainFlow(t *testing.T) {
 
 func TestStatusEndpoint(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{})
 	for i := 0; i < 2; i++ {
 		if st, _, body := postMatch(t, ts.URL, l0Request); st != http.StatusOK {
@@ -424,7 +447,6 @@ func TestStatusEndpoint(t *testing.T) {
 
 func TestMatchBadRequests(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
 	cases := []struct {
 		name string

@@ -115,13 +115,12 @@ func TestOutcomeVocabulary(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.run("ok", res)
-		fault.Enable("block.join", fault.Plan{FailFirst: 1})
+		w.Blockers = append(w.Blockers, failingBlocker{})
 		res, err = w.RunCtx(context.Background(), l, r, workflow.RunOptions{})
 		if err == nil {
 			t.Fatal("blocking fault must abort the run")
 		}
 		c.run("aborted", res)
-		fault.Reset()
 		c.want(obs.OutcomeOK, obs.OutcomeAborted)
 	})
 
@@ -151,7 +150,7 @@ func TestOutcomeVocabulary(t *testing.T) {
 		if st := post(`{"record":`); st != http.StatusBadRequest {
 			t.Fatalf("bad request = %d", st)
 		}
-		fault.Enable("ml.predict", fault.Plan{})
+		breakMatcher(s)
 		if st := post(l1Request); st != http.StatusInternalServerError {
 			t.Fatalf("request against a failing matcher = %d", st)
 		}
@@ -197,11 +196,10 @@ func TestOutcomeVocabulary(t *testing.T) {
 		if st, body := postBatch(t, ts.URL, learned(2)); st != http.StatusOK {
 			t.Fatalf("batch call = %d: %s", st, body)
 		}
-		fault.Enable("ml.predict", fault.Plan{})
+		breakMatcher(s)
 		if st, body := postBatch(t, ts.URL, learned(3)); st != http.StatusInternalServerError {
 			t.Fatalf("batch call against a failing matcher = %d: %s", st, body)
 		}
-		fault.Reset()
 		events(t, s, sink, 2)
 		for _, ev := range sink.events(t) {
 			if ev["route"] != "/v1/match/batch" {

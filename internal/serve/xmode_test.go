@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
 	"emgo/internal/table"
@@ -225,15 +224,14 @@ func TestAnswersInvariantUnderBatching(t *testing.T) {
 // stage that fails fails instead of answering. With no matcher deployed,
 // every record's answer over /v1/match and inside a batch keeps exactly
 // the full answer's sure-rule matches, adds no learned match the full
-// answer lacks, and says why whenever it is short of one. With ml.predict
-// faulted, or every blocker run faulted at block.join, each mode fails —
+// answer lacks, and says why whenever it is short of one. With a matcher
+// that panics, or a blocker that fails every run, each mode fails —
 // a 500, a failed batch — and whatever it still answers is the full
 // answer itself (make race-cpu
 // runs this at 1, 2 and 4 CPUs). TestMatchTimeoutWeakensNeverFlips holds
 // the other degradation, the ML sub-budget running out.
 func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
 	records := make([]map[string]any, l.Len())
 	for i := range records {
@@ -263,11 +261,15 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 		}
 		return status == http.StatusOK
 	}
-	// collect asks one server for every record two ways.
-	collect := func(wf *workflow.Workflow) map[string][]answer {
+	// collect asks one server for every record two ways; breakMatcher
+	// first, when asked.
+	collect := func(wf *workflow.Workflow, poisoned bool) map[string][]answer {
 		s, err := New(context.Background(), Config{}, wf, l, r)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if poisoned {
+			breakMatcher(s)
 		}
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
@@ -308,25 +310,23 @@ func TestDegradedAnswersWeakenNeverFlip(t *testing.T) {
 		return sure, learned
 	}
 
-	full := collect(w)["/v1/match"]
+	full := collect(w, false)["/v1/match"]
 	ruleOnly := *w
 	ruleOnly.Matcher = nil
+	blockerDown := *w
+	blockerDown.Blockers = append(slices.Clip(w.Blockers), failingBlocker{})
 	cases := []struct {
-		name  string
-		wf    *workflow.Workflow
-		fault string // the site armed for the whole run, "" = none
-		fails bool   // every mode must fail, and answer nothing else
+		name     string
+		wf       *workflow.Workflow
+		poisoned bool // the matcher panics on every vector
+		fails    bool // every mode must fail, and answer nothing else
 	}{
-		{"no matcher", &ruleOnly, "", false},
-		{"ml.predict faulted", w, "ml.predict", true},
-		{"block.join faulted", w, "block.join", true},
+		{"no matcher", &ruleOnly, false, false},
+		{"matcher panics", w, true, true},
+		{"blocker fails", &blockerDown, false, true},
 	}
 	for _, tc := range cases {
-		if tc.fault != "" {
-			fault.Enable(tc.fault, fault.Plan{})
-		}
-		got := collect(tc.wf)
-		fault.Reset()
+		got := collect(tc.wf, tc.poisoned)
 		for mode, answers := range got {
 			if len(answers) != len(records) {
 				t.Fatalf("%s, %s: %d answers for %d records", tc.name, mode, len(answers), len(records))

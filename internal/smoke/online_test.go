@@ -21,14 +21,15 @@ import (
 // in-flight request, a corrupt artifact must be refused with the active
 // matcher kept, and SIGTERM must drain.
 //
-// The degrade is one sleep at the first feature.vectorize call: 4s,
-// past the sub-budget (0.7 of the ~4.75s the default 5s deadline has
-// left after the 250ms pass sleep: ~3.3s) and 750ms inside the deadline.
+// The degrade is one sleep at the first serve.predict call, inside the
+// learned stage's ML sub-budget: 4s, past the sub-budget (0.7 of the
+// ~4.75s the default 5s deadline has left after the 250ms pass sleep:
+// ~3.3s) and 750ms inside the deadline.
 func smokeServe(t *testing.T) {
 	dir := t.TempDir()
 	s := start(t, dir, "serve", nil,
 		"-max-inflight", "1", "-max-queue", "-1",
-		"-inject", "feature.vectorize:mode=sleep,sleep=4s,oncall=1",
+		"-inject", "serve.predict:mode=sleep,sleep=4s,oncall=1",
 		"-inject", "serve.match:mode=sleep,sleep=250ms")
 	if code, _, _ := s.call(t, http.MethodGet, "/healthz", nil, nil); code != 200 {
 		t.Errorf("healthz = %d, want 200", code)

@@ -5,7 +5,6 @@ package surface
 // gets its own line and its own reason.
 var allowlist = map[string]string{
 	"fault.Reset": "test seam: every test that arms a fault site defers it",
-	"fault.Count": "test seam: how often a site was reached — how a test counts executions in another package (feature's TestVectorizeFaultSitePerPair)",
 	"obs.Disable": "test seam: undoes obs.Enable so one test's registry does not leak into the next",
 
 	"leakcheck.Check": "test seam: the goroutine-leak guard the concurrent packages' tests open with; the package exists for tests",

@@ -9,10 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"emgo/internal/fault"
 )
 
 const metricDispositions = `
@@ -32,7 +35,8 @@ status or a listing already says: delete it with the line that feeds it.`
 // TestMetricNamesHaveReaders holds telemetry to the rule the exports are
 // held to: every metric name the code writes has a reader, the "Metric
 // names" table of docs/OBSERVABILITY.md is exactly the set written, and
-// every fault site is armed by some test and listed in fault.go.
+// every fault site is armed by some test, sits in internal/serve and is
+// one of fault.Sites, and no test arms a site no code passes.
 func TestMetricNamesHaveReaders(t *testing.T) {
 	m := loadModule(t)
 	writes, elsewhere := m.metricWrites(t)
@@ -101,18 +105,22 @@ func TestMetricNamesHaveReaders(t *testing.T) {
 	}
 
 	sites := m.faultSites(t)
-	listed := m.faultDocList(t)
 	for site, pos := range sites {
 		if !tests.armed[site] {
 			t.Errorf("fault site %q (%s) is armed by no test: arm it with fault.Enable where its recovery path is asserted, or delete the hook", site, pos)
 		}
-		if !listed[site] {
-			t.Errorf("fault site %q (%s) is missing from the \"Known sites\" list in internal/fault/fault.go", site, pos)
+		if !slices.Contains(fault.Sites, site) {
+			t.Errorf("fault site %q (%s) is missing from fault.Sites (internal/fault/fault.go), so -inject refuses it", site, pos)
 		}
 	}
-	for site := range listed {
+	for _, site := range fault.Sites {
 		if _, ok := sites[site]; !ok {
-			t.Errorf("internal/fault/fault.go lists site %q, which no code passes", site)
+			t.Errorf("fault.Sites lists %q, which no code passes: -inject would arm nothing", site)
+		}
+	}
+	for site := range tests.armed {
+		if _, ok := sites[site]; !ok {
+			t.Errorf("a test arms fault site %q, which no code passes: the test drives nothing", site)
 		}
 	}
 	t.Logf("%d metric names checked, %d allowlisted, %d fault sites checked", len(names), len(metricReaders), len(sites))
@@ -325,8 +333,10 @@ func (m *module) testFiles(t *testing.T) testCode {
 	return tc
 }
 
-// faultSites lists the site literal of every fault.Inject / InjectIdx
-// call in non-test code, with where it is.
+// faultSites lists the site literal of every fault.Inject call in
+// non-test code, with where it is. A call outside internal/serve is an
+// error: the pipeline's own packages fail for real on a cancelled
+// context or a panicking part, and their tests drive those instead.
 func (m *module) faultSites(t *testing.T) map[string]string {
 	sites := map[string]string{}
 	for _, p := range m.sorted() {
@@ -339,11 +349,14 @@ func (m *module) faultSites(t *testing.T) map[string]string {
 				if !ok {
 					return true
 				}
-				if fn := p.callee(call); fn == nil || fn.Pkg().Name() != "fault" || fn.Name() != "Inject" && fn.Name() != "InjectIdx" {
+				if fn := p.callee(call); fn == nil || fn.Pkg().Name() != "fault" || fn.Name() != "Inject" {
 					return true
 				}
 				pos := m.fset.Position(call.Pos())
 				file, _ := filepath.Rel(m.root, pos.Filename)
+				if p.path != "emgo/internal/serve" {
+					t.Errorf("%s:%d: a fault site outside internal/serve: drive the failure with a cancelled context or a test double of the interface instead", file, pos.Line)
+				}
 				site, whole, ok := p.literalHead(call.Args[0])
 				if !ok || !whole {
 					t.Errorf("%s:%d: the fault site is not a literal: the scan cannot check it", file, pos.Line)
@@ -355,26 +368,6 @@ func (m *module) faultSites(t *testing.T) map[string]string {
 		}
 	}
 	return sites
-}
-
-var faultDocLine = regexp.MustCompile(`(?m)^//\t([a-z_.]+)  `)
-
-// faultDocList reads the "Known sites" list of the fault package's doc
-// comment (from the source: the module is loaded without comments).
-func (m *module) faultDocList(t *testing.T) map[string]bool {
-	src, err := os.ReadFile(filepath.Join(m.dirs["emgo/internal/fault"], "fault.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, list, ok := strings.Cut(string(src), "Known sites")
-	if !ok {
-		t.Fatal("internal/fault/fault.go's package comment has no \"Known sites\" list")
-	}
-	listed := map[string]bool{}
-	for _, l := range faultDocLine.FindAllStringSubmatch(list, -1) {
-		listed[l[1]] = true
-	}
-	return listed
 }
 
 var (

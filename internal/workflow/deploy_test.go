@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
@@ -159,7 +158,6 @@ func builtRun(t *testing.T, spec *Spec, left, right *table.Table) []block.Pair {
 // for itself.
 func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 	leakcheck.Check(t)
-	defer fault.Reset()
 	ctx := context.Background()
 	right, lefts := deployTables(240, 3, 30)
 	spec := deploySpec(t, lefts[0], right)
@@ -168,9 +166,16 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault.Enable("feature.bind", fault.Plan{})
-	_, err = plain.Deploy(ctx, plain.Matcher, right)
-	fault.Reset()
+	// A deployment's rules and blockers are bound already: deployed
+	// again, as a reload does, under a cancelled context, the feature
+	// bind is what fails.
+	bound, err := plain.Deploy(ctx, plain.Matcher, right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	_, err = bound.Deploy(cancelled, plain.Matcher, right)
 	if err == nil || !strings.Contains(err.Error(), "bind feature cells") {
 		t.Fatalf("Deploy with a failing feature bind: %v, want the bind's error", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
 	"emgo/internal/label"
 	"emgo/internal/obs"
 )
@@ -118,9 +117,8 @@ func TestRunCtxRetriedRunOutcomeSequence(t *testing.T) {
 }
 
 func TestRunCtxAbortedRunOutcomeSequence(t *testing.T) {
-	defer fault.Reset()
 	w, tp := hardenedFixture(t)
-	fault.Enable("block.join", fault.Plan{FailFirst: 1})
+	w.Blockers = append(w.Blockers, failingBlocker{})
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err == nil {
 		t.Fatal("blocking fault must abort the run")
@@ -207,9 +205,8 @@ func TestRunCtxReportRoundTrips(t *testing.T) {
 // the aborted outcome and the error string — that is the document an
 // operator reads first.
 func TestRunCtxAbortedReportCarriesError(t *testing.T) {
-	defer fault.Reset()
 	w, tp := hardenedFixture(t)
-	fault.Enable("block.join", fault.Plan{FailFirst: 1})
+	w.Blockers = append(w.Blockers, failingBlocker{})
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err == nil {
 		t.Fatal("expected abort")

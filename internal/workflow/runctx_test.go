@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"emgo/internal/block"
-	"emgo/internal/fault"
+	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/leakcheck"
+	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/rules"
 	"emgo/internal/table"
@@ -148,15 +150,52 @@ func TestMonitorCheckOverRunFinal(t *testing.T) {
 	}
 }
 
+// panicMatcher is a model that panics on every vector.
+type panicMatcher struct{}
+
+func (panicMatcher) Fit(*ml.Dataset) error { return nil }
+func (panicMatcher) Predict([]float64) int { panic("poisoned vector") }
+func (panicMatcher) Name() string          { return "panic" }
+
+// failingBlocker is a blocker whose every run fails.
+type failingBlocker struct{}
+
+func (failingBlocker) Block(_, _ *table.Table) (*block.CandidateSet, error) {
+	return nil, errors.New("blocker down")
+}
+func (failingBlocker) Name() string { return "failing" }
+
 // TestRunCtxFailingPairAborts: a pair whose vectorization or prediction
 // panics aborts the run, the error names the pair by its left and right
-// rows, and the result still carries the provenance log.
+// rows, and the result still carries the provenance log. The poison is
+// the first candidate's left title, in every feature's closure, or a
+// matcher that panics on every vector.
 func TestRunCtxFailingPairAborts(t *testing.T) {
-	for _, site := range []string{"feature.vectorize", "ml.predict"} {
-		t.Run(site, func(t *testing.T) {
-			defer fault.Reset()
+	for _, stage := range []string{"feature.vectorize", "ml.predict"} {
+		t.Run(stage, func(t *testing.T) {
 			w, tp := hardenedFixture(t)
-			fault.Enable(site, fault.Plan{Mode: fault.ModePanic, Indices: []int{0}})
+			clean, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := clean.Candidates.Pairs()[0]
+			if stage == "ml.predict" {
+				w.Matcher = panicMatcher{}
+			} else {
+				poison := tp.l.Get(p.A, "Title")
+				fs := &feature.Set{Features: slices.Clone(w.Features.Features)}
+				for i := range fs.Features {
+					f := &fs.Features[i]
+					compute := f.Compute
+					f.Func, f.Compute = "", func(a, b table.Value) float64 {
+						if a.Equal(poison) {
+							panic("poisoned cell")
+						}
+						return compute(a, b)
+					}
+				}
+				w.Features = fs
+			}
 			res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 			if err == nil {
 				t.Fatal("a failing pair must abort the run")
@@ -167,7 +206,6 @@ func TestRunCtxFailingPairAborts(t *testing.T) {
 			if !strings.Contains(res.Log.String(), "[aborted]") {
 				t.Fatalf("abort not logged:\n%s", res.Log)
 			}
-			p := res.Candidates.Pairs()[0]
 			if want := fmt.Sprintf("pair (%d,%d): ", p.A, p.B); !strings.Contains(err.Error(), want) {
 				t.Fatalf("err = %v, want it to name %q", err, want)
 			}
@@ -228,9 +266,8 @@ func TestRunCtxCancelledBeforeStart(t *testing.T) {
 }
 
 func TestRunCtxBlockJoinFaultAborts(t *testing.T) {
-	defer fault.Reset()
 	w, tp := hardenedFixture(t)
-	fault.Enable("block.join", fault.Plan{FailFirst: 1})
+	w.Blockers = append(w.Blockers, failingBlocker{})
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "blocked") {
 		t.Fatalf("err: %v", err)
