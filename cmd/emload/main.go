@@ -18,13 +18,15 @@
 // -duration against one server — and judges each by load.Gate:
 //
 //	soak      one phase judged by the gate: the -slo objectives, zero
-//	          unexpected answers, Retry-After on every shed, at most 1%
-//	          of arrivals dropped by the generator, and the server's own
-//	          /v1/status burn rates.
+//	          unexpected answers, Retry-After on every shed, and at most
+//	          1% of arrivals dropped by the generator.
 //	capacity  soak at rising rates: phases from -rate, times -factor up
-//	          to -max-qps, each judged by the -slo objectives (no server
-//	          check) with at most 5% of answers shed, until one fails;
-//	          the last passing rate is the max sustainable rate.
+//	          to -max-qps, each judged by the -slo objectives with at
+//	          most 5% of answers shed, until one fails; the last passing
+//	          rate is the max sustainable rate.
+//
+// The gate is the one judge of the service's objectives; it times
+// latency from the client.
 //
 // Exit status: 0 when every judged phase passed (capacity: at least one
 // step), 1 when one failed, 2 on a usage error or a run that could not
@@ -47,7 +49,6 @@ import (
 	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
 	"emgo/internal/load"
-	"emgo/internal/obs/slo"
 )
 
 // errFail marks a judged failure (exit 1), apart from a usage error or
@@ -86,7 +87,7 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 	maxRetryAfter := fs.Duration("max-retry-after", 2*time.Second, "cap on how long one Retry-After hint may stall a retry")
 	reportEvery := fs.Duration("report-every", 5*time.Second, "live eps/percentile line period (0 = silent)")
 
-	sloSpec := fs.String("slo", "availability=99.5,latency=500ms@99", "client-side objectives the soak gate and every capacity step hold (emserve -slo syntax)")
+	sloSpec := fs.String("slo", "availability=99.5,latency=500ms@99", "client-side objectives the soak gate and every capacity step hold, e.g. availability=99.9,latency=250ms@99")
 
 	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling (0 = 4096x -rate)")
 	factor := fs.Float64("factor", 2, "capacity search: rate multiplier between steps")
@@ -100,7 +101,7 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 	if *addr == "" {
 		return fmt.Errorf("-addr is required for -mode %s", *mode)
 	}
-	objectives, err := slo.ParseObjectives(*sloSpec)
+	objectives, err := load.ParseObjectives(*sloSpec)
 	if err != nil {
 		return fmt.Errorf("-slo: %w", err)
 	}
@@ -154,8 +155,7 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 			return err
 		}
 		res.Name = "soak"
-		gate := load.Gate{Objectives: objectives, CheckServer: load.NewClient(phase.Client, pool)}
-		res.Gate = gate.Evaluate(ctx, res)
+		res.Gate = load.Gate{Objectives: objectives}.Evaluate(res)
 		summary.Phases = []*load.Result{res}
 		summary.Pass = res.Gate.Pass
 		for _, c := range res.Gate.Checks {

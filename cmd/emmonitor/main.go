@@ -12,7 +12,6 @@
 //	        [-thresholds th.json] [-strict]
 //	emmonitor diff runA.json runB.json
 //	emmonitor history -dir history/ [-n 20]
-//	emmonitor slo (-url http://addr | -file status.json) [-timeout 5s]
 //	emmonitor perf OLD_BENCH.json NEW_BENCH.json
 //
 // check re-scores the live statistical profile embedded in a run report
@@ -29,13 +28,6 @@
 // history lists the runs recorded in an append-only history directory
 // (see internal/obs/history), most recent last.
 //
-// slo reads a serving-tier status document — live from a running
-// emserve (-url, fetching /v1/status) or from a file (-file) — and
-// gates on its multi-window SLO burn rates: exit 1 when any objective
-// burns its error budget past the threshold in both the fast and slow
-// windows, 0 when the budget holds. Designed as the paging/CI
-// counterpart of the in-process /v1/status report.
-//
 // perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at
 // fixed bars and exits 1 on a benchmark regression; `make perf-gate`
 // runs it over the two newest committed snapshots (see perf.go).
@@ -49,16 +41,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"emgo/internal/cliutil"
 	"emgo/internal/drift"
 	"emgo/internal/obs"
 	"emgo/internal/obs/history"
-	"emgo/internal/obs/slo"
 )
 
 // errBreach marks a quality-gate failure, distinguished from usage/IO
@@ -103,8 +92,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return runDiff(args[1:], stdout, stderr)
 	case "history":
 		return runHistory(args[1:], stdout, stderr)
-	case "slo":
-		return runSLO(ctx, args[1:], stdout, stderr)
 	case "perf":
 		return runPerf(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
@@ -121,13 +108,11 @@ func usage(w io.Writer) {
   emmonitor check -baseline baseline.json (-run run.json | -dir history/) [-thresholds th.json] [-strict]
   emmonitor diff runA.json runB.json
   emmonitor history -dir history/ [-n 20]
-  emmonitor slo (-url http://addr | -file status.json) [-timeout 5s]
   emmonitor perf OLD_BENCH.json NEW_BENCH.json
 
 exit status:
-  0    success (check: quality holds; slo: no budget burn; perf: no regression)
+  0    success (check: quality holds; perf: no regression)
   1    check found a fail-threshold breach (or any warn under -strict);
-       slo found an objective burning its error budget in both windows;
        perf found a benchmark regression over the fail bar
   2    usage error, unreadable input, or internal failure
   130  interrupted by SIGINT/SIGTERM before finishing`)
@@ -292,101 +277,6 @@ func runHistory(args []string, stdout, stderr io.Writer) error {
 			i+1, clip(r.Name, 24), r.StartedAt.Format("2006-01-02 15:04:05"), r.Outcome, verdict, dur)
 	}
 	return nil
-}
-
-// sloStatus is the slice of the serving status document the slo check
-// reads; extra fields are ignored so the check tolerates status-schema
-// growth.
-type sloStatus struct {
-	SLO *slo.Report `json:"slo"`
-}
-
-func runSLO(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("emmonitor slo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	url := fs.String("url", "", "base URL of a running emserve (fetches /v1/status)")
-	file := fs.String("file", "", "status document to read instead of fetching (JSON)")
-	timeout := fs.Duration("timeout", 5*time.Second, "HTTP fetch timeout for -url")
-	if err := fs.Parse(args); err != nil {
-		return flag.ErrHelp
-	}
-	if (*url == "") == (*file == "") {
-		fmt.Fprintln(stderr, "emmonitor slo needs exactly one of -url / -file")
-		return flag.ErrHelp
-	}
-
-	var data []byte
-	var err error
-	if *file != "" {
-		if data, err = os.ReadFile(*file); err != nil {
-			return err
-		}
-	} else {
-		if data, err = fetchStatus(ctx, *url, *timeout); err != nil {
-			return err
-		}
-	}
-	var st sloStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("parse status document: %w", err)
-	}
-	if st.SLO == nil || len(st.SLO.Objectives) == 0 {
-		return fmt.Errorf("status document carries no SLO report (is the serving tier running with SLO tracking?)")
-	}
-
-	rep := st.SLO
-	fmt.Fprintf(stdout, "slo report at %s (fast %s / slow %s, burn threshold %.1f)\n",
-		rep.GeneratedAt.Format("2006-01-02 15:04:05"),
-		time.Duration(rep.FastWindowMS*float64(time.Millisecond)).Round(time.Second),
-		time.Duration(rep.SlowWindowMS*float64(time.Millisecond)).Round(time.Second),
-		rep.BurnThreshold)
-	var breached []string
-	for _, o := range rep.Objectives {
-		marker := " "
-		if o.Breached {
-			marker = "X"
-			breached = append(breached, o.Name)
-		}
-		fmt.Fprintf(stdout, "  %s %-24s target %.3g%%  fast burn %.2f (%d/%d)  slow burn %.2f (%d/%d)\n",
-			marker, o.Name, o.Target, o.FastBurn, o.FastBad, o.FastTotal, o.SlowBurn, o.SlowBad, o.SlowTotal)
-	}
-	if len(breached) > 0 {
-		return fmt.Errorf("%w: SLO budget burning on %s", errBreach, strings.Join(breached, ", "))
-	}
-	fmt.Fprintln(stdout, "error budget holds")
-	return nil
-}
-
-// fetchStatus GETs the status document from a running server. A bare
-// base URL gets /v1/status appended; a URL already naming the status path
-// is used as-is, so both -url http://addr and -url http://addr/v1/status
-// work.
-func fetchStatus(ctx context.Context, url string, timeout time.Duration) ([]byte, error) {
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	if !strings.HasSuffix(url, "/status") {
-		url = strings.TrimSuffix(url, "/") + "/v1/status"
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return data, nil
 }
 
 // clip shortens s to width runes with an ellipsis.

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +13,6 @@ import (
 	"emgo/internal/drift"
 	"emgo/internal/obs"
 	"emgo/internal/obs/history"
-	"emgo/internal/obs/slo"
 )
 
 // fixtureProfiles builds a baseline and a live profile; drifted controls
@@ -279,101 +276,16 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"diff", "only-one"}, &out, &errOut); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("diff with one arg: %v", err)
 	}
+	// slo is no subcommand: emload's gate judges the objectives.
+	if err := run([]string{"slo", "-url", "x"}, &out, &errOut); err == nil || errors.Is(err, errBreach) ||
+		!strings.Contains(err.Error(), `unknown subcommand "slo"`) {
+		t.Fatalf("slo -url x: want an unknown-subcommand usage error, got %v", err)
+	}
 }
 
 // writeFile is a tiny test helper for literal fixtures.
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// sloFixture renders a status document whose SLO report has the given
-// breach state.
-func sloFixture(t *testing.T, dir string, breached bool) string {
-	t.Helper()
-	rep := &slo.Report{
-		GeneratedAt:   time.Unix(100, 0),
-		FastWindowMS:  300000,
-		SlowWindowMS:  3600000,
-		BurnThreshold: 14.4,
-		Breached:      breached,
-		Objectives: []slo.ObjectiveStatus{{
-			Objective: slo.Objective{Name: "availability", Kind: slo.KindAvailability, Target: 99.9},
-			FastBurn:  0.5, SlowBurn: 0.2, FastBad: 1, FastTotal: 200, SlowBad: 2, SlowTotal: 900,
-		}},
-	}
-	if breached {
-		o := &rep.Objectives[0]
-		o.FastBurn, o.SlowBurn, o.Breached = 100, 100, true
-	}
-	data, err := json.Marshal(map[string]any{"ready": true, "slo": rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "status.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestSLOHealthyFromFile(t *testing.T) {
-	path := sloFixture(t, t.TempDir(), false)
-	var out, errOut strings.Builder
-	if err := run([]string{"slo", "-file", path}, &out, &errOut); err != nil {
-		t.Fatalf("healthy slo: %v", err)
-	}
-	for _, want := range []string{"availability", "error budget holds"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("slo output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestSLOBreachExitsOne(t *testing.T) {
-	path := sloFixture(t, t.TempDir(), true)
-	var out, errOut strings.Builder
-	err := run([]string{"slo", "-file", path}, &out, &errOut)
-	if !errors.Is(err, errBreach) {
-		t.Fatalf("breached slo: want errBreach, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "availability") {
-		t.Fatalf("breach error does not name the objective: %v", err)
-	}
-}
-
-func TestSLOFetchesFromURL(t *testing.T) {
-	path := sloFixture(t, t.TempDir(), false)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/status" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(data)
-	}))
-	defer ts.Close()
-	var out, errOut strings.Builder
-	if err := run([]string{"slo", "-url", ts.URL}, &out, &errOut); err != nil {
-		t.Fatalf("slo -url: %v", err)
-	}
-}
-
-func TestSLOUsageAndBadInput(t *testing.T) {
-	var out, errOut strings.Builder
-	if err := run([]string{"slo"}, &out, &errOut); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("slo without flags: %v", err)
-	}
-	dir := t.TempDir()
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"ready":true}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"slo", "-file", empty}, &out, &errOut); err == nil || errors.Is(err, errBreach) {
-		t.Fatalf("status without slo section: want usage/IO error, got %v", err)
-	}
 }
 
 // writeReport writes rep to path as a run report.

@@ -17,7 +17,7 @@
 //	        [-transforms umetrics] [-date-cols ...] \
 //	        [-max-batch 256] \
 //	        [-access-log events.jsonl] [-access-sample 10] [-tail-n 16] \
-//	        [-slo availability=99.9,latency=250ms@99] [-tail-dump tail.json] \
+//	        [-tail-dump tail.json] \
 //	        [-inject site:spec ...]
 //
 //	emserve -spec workflow.json -left left.csv -right right.csv \
@@ -44,10 +44,10 @@
 // answers always log). GET /debug/tail serves the in-memory
 // tail capture — the N slowest plus every errored/degraded request of
 // the current and previous windows, full span trees included — and
-// -tail-dump writes that snapshot to a file on drain. -slo declares
-// availability/latency objectives whose multi-window burn rates surface
-// on /v1/status; emmonitor slo turns them into a check that exits
-// non-zero on budget burn.
+// -tail-dump writes that snapshot to a file on drain. Whether the
+// service meets its objectives is judged by the client that drives it
+// (emload's gate); the access log and /debug/tail say which requests
+// failed.
 //
 // Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
 // for in-flight requests up to the drain timeout, shut the listener
@@ -88,7 +88,6 @@ import (
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
-	"emgo/internal/obs/slo"
 	"emgo/internal/serve"
 )
 
@@ -139,7 +138,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
 	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded always log)")
 	tailN := fs.Int("tail-n", 0, "slowest requests retained per window in the /debug/tail buffer (0 = default)")
-	sloSpec := fs.String("slo", "", "service objectives, e.g. availability=99.9,latency=250ms@99 (empty = defaults)")
 	tailDump := fs.String("tail-dump", "", "write the tail-capture snapshot to this file when the server drains")
 	var injects multiFlag
 	fs.Var(&injects, "inject", "arm a fault-injection plan, site[:key=value,...] (repeatable; sites "+strings.Join(fault.Sites, ", ")+"; e.g. serve.predict:mode=sleep,sleep=4s,oncall=1)")
@@ -192,13 +190,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		MaxBatchRecords: *maxBatch,
 		AccessSampleN:   *accessSample,
 		TailN:           *tailN,
-	}
-	if *sloSpec != "" {
-		objs, err := slo.ParseObjectives(*sloSpec)
-		if err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-		cfg.SLOs = objs
 	}
 	switch *accessLog {
 	case "":

@@ -145,8 +145,9 @@ func TestRunBadInjectSpec(t *testing.T) {
 	}
 }
 
-// TestRunBreakerFlagsAreGone: the flags of the matcher circuit breaker
-// and of the async job tier and its result streams are usage errors.
+// TestRunBreakerFlagsAreGone: the flags of the matcher circuit breaker,
+// of the async job tier and its result streams, and of the server-side
+// SLO tracker are usage errors.
 func TestRunBreakerFlagsAreGone(t *testing.T) {
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
@@ -154,6 +155,7 @@ func TestRunBreakerFlagsAreGone(t *testing.T) {
 		{"-breaker-failures", "2"}, {"-breaker-cooldown", "1s"},
 		{"-job-dir", dir}, {"-job-workers", "2"}, {"-job-shard-size", "32"}, {"-job-max-queued", "8"},
 		{"-stream-chunk-timeout", "15s"}, {"-max-streams", "4"}, {"-stream-flush", "256"},
+		{"-slo", "availability=99"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none"}, extra...)

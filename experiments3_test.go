@@ -30,30 +30,7 @@ func TestA5_RulesVsThreshold(t *testing.T) {
 		[]string{"AwardTitle", "EmployeeName"}); err != nil {
 		t.Fatal(err)
 	}
-	var trainPairs []block.Pair
-	var y []int
-	for i, p := range w.pairs {
-		switch w.labels[i] {
-		case label.Yes:
-			trainPairs = append(trainPairs, p)
-			y = append(y, 1)
-		case label.No:
-			trainPairs = append(trainPairs, p)
-			y = append(y, 0)
-		}
-	}
-	x, err := fs.Vectorize(w.proj.UMETRICS, w.proj.USDA, trainPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, err = im.Transform(x); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := ml.NewDataset(fs.Names(), x, y)
+	ds, im, err := ablationTraining(w, fs, label.Unsure)
 	if err != nil {
 		t.Fatal(err)
 	}

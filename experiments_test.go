@@ -11,11 +11,13 @@ import (
 	"testing"
 
 	"emgo/internal/block"
+	"emgo/internal/core"
 	"emgo/internal/estimate"
 	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/ml"
 	"emgo/internal/profile"
+	"emgo/internal/rules"
 	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
 )
@@ -478,38 +480,29 @@ func buildAblationWorld() (*ablationWorldT, error) {
 	return w, nil
 }
 
-// ablationCV cross-validates a decision tree over the world's labeled
-// pairs with a given feature set and unsure-handling policy.
-func ablationCV(w *ablationWorldT, fs *feature.Set, unsureAs int) (ml.CVResult, error) {
-	var pairs []block.Pair
-	var y []int
+// ablationTraining is the training set core.TrainingData builds from the
+// world's labels, each Unsure stored as unsureAs (label.Unsure drops it).
+// No sure rule applies: the world holds only pairs the number rules do
+// not decide.
+func ablationTraining(w *ablationWorldT, fs *feature.Set, unsureAs label.Label) (*ml.Dataset, *feature.Imputer, error) {
+	labels := label.NewStore()
 	for i, p := range w.pairs {
-		switch w.labels[i] {
-		case label.Yes:
-			pairs = append(pairs, p)
-			y = append(y, 1)
-		case label.No:
-			pairs = append(pairs, p)
-			y = append(y, 0)
-		case label.Unsure:
-			if unsureAs >= 0 {
-				pairs = append(pairs, p)
-				y = append(y, unsureAs)
-			}
+		l := w.labels[i]
+		if l == label.Unsure {
+			l = unsureAs
+		}
+		if err := labels.Set(p, l); err != nil {
+			return nil, nil, err
 		}
 	}
-	x, err := fs.Vectorize(w.proj.UMETRICS, w.proj.USDA, pairs)
-	if err != nil {
-		return ml.CVResult{}, err
-	}
-	im, err := feature.FitImputer(x)
-	if err != nil {
-		return ml.CVResult{}, err
-	}
-	if x, err = im.Transform(x); err != nil {
-		return ml.CVResult{}, err
-	}
-	ds, err := ml.NewDataset(fs.Names(), x, y)
+	ds, _, im, err := core.TrainingData(w.proj.UMETRICS, w.proj.USDA, labels, rules.NewEngine(), fs)
+	return ds, im, err
+}
+
+// ablationCV cross-validates a decision tree over the world's labeled
+// pairs with a given feature set and unsure-handling policy.
+func ablationCV(w *ablationWorldT, fs *feature.Set, unsureAs label.Label) (ml.CVResult, error) {
+	ds, _, err := ablationTraining(w, fs, unsureAs)
 	if err != nil {
 		return ml.CVResult{}, err
 	}
@@ -529,7 +522,7 @@ func TestA1_CaseFeatureAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := ablationCV(w, plain, -1)
+	without, err := ablationCV(w, plain, label.Unsure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +534,7 @@ func TestA1_CaseFeatureAblation(t *testing.T) {
 		[]string{"AwardTitle", "EmployeeName"}); err != nil {
 		t.Fatal(err)
 	}
-	with, err := ablationCV(w, withCase, -1)
+	with, err := ablationCV(w, withCase, label.Unsure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,15 +588,15 @@ func TestA3_UnsureHandling(t *testing.T) {
 	if err := feature.AddCaseInsensitive(fs, w.proj.UMETRICS, ablCorr, []string{"AwardTitle", "EmployeeName"}); err != nil {
 		t.Fatal(err)
 	}
-	dropped, err := ablationCV(w, fs, -1)
+	dropped, err := ablationCV(w, fs, label.Unsure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asNo, err := ablationCV(w, fs, 0)
+	asNo, err := ablationCV(w, fs, label.No)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asYes, err := ablationCV(w, fs, 1)
+	asYes, err := ablationCV(w, fs, label.Yes)
 	if err != nil {
 		t.Fatal(err)
 	}

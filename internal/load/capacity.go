@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"emgo/internal/obs/slo"
 )
 
 // CapacityConfig drives the capacity search: soak at rising rates. Each
@@ -22,8 +20,8 @@ type CapacityConfig struct {
 	// to 1 trade wall clock for resolution).
 	Factor float64
 	// Objectives are the client-side bars every step's gate holds, as in
-	// Gate.Objectives; there is no server check.
-	Objectives []slo.Objective
+	// Gate.Objectives.
+	Objectives []Objective
 }
 
 // CapacityResult is the search outcome: the max rate the box sustained
@@ -68,7 +66,7 @@ func SearchCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityResult, e
 		if err != nil {
 			return out, err
 		}
-		res.Gate = judgeStep(ctx, cfg.Objectives, res)
+		res.Gate = judgeStep(cfg.Objectives, res)
 		out.Steps = append(out.Steps, res)
 		fmt.Fprintf(cfg.Report, "emload: capacity step %.1f qps -> %s (achieved %.1f qps, p99 %s)\n",
 			rate, res.Gate.verdict(), res.AchievedQPS, fmtMS(res.Latency.P99MS))
@@ -84,8 +82,8 @@ func SearchCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityResult, e
 // judgeStep is a capacity step's verdict: the gate over the objectives,
 // plus the step's own bars — something must complete, and at most
 // maxShedFrac of it may be shed.
-func judgeStep(ctx context.Context, objectives []slo.Objective, res *Result) *GateResult {
-	g := Gate{Objectives: objectives}.Evaluate(ctx, res)
+func judgeStep(objectives []Objective, res *Result) *GateResult {
+	g := Gate{Objectives: objectives}.Evaluate(res)
 	if res.Completed == 0 {
 		g.check("completed", false, "no requests completed")
 		return g

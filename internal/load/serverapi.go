@@ -6,15 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-
-	"emgo/internal/obs/slo"
 )
-
-// ServerStatus is the subset of emserve's /v1/status document the
-// harness asserts against.
-type ServerStatus struct {
-	SLO *slo.Report `json:"slo"`
-}
 
 // GetJSON fetches one JSON document from the server; any status but
 // 200 is an error carrying the head of the answer.
@@ -27,15 +19,6 @@ func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
 		return fmt.Errorf("GET %s: %d: %s", path, status, truncate(data, 200))
 	}
 	return json.Unmarshal(data, v)
-}
-
-// Status fetches the server's operational status document.
-func (c *Client) Status(ctx context.Context) (*ServerStatus, error) {
-	var st ServerStatus
-	if err := c.GetJSON(ctx, "/v1/status", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 func truncate(b []byte, n int) string {

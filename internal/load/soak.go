@@ -1,30 +1,22 @@
 package load
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"time"
-
-	"emgo/internal/obs/slo"
 )
 
-// Gate is the one assertion set every mode judges a phase by:
-// client-side objectives computed from the phase's own accounting, plus
-// server-side checks read back from /v1/status. A soak passes only when
-// every check passes — the harness exits non-zero otherwise, which is
-// what makes it a CI gate rather than a report; a capacity step adds
-// its own bars (judgeStep).
+// Gate is the one assertion set every mode judges a phase by, computed
+// from the phase's own accounting. A soak passes only when every check
+// passes — the harness exits non-zero otherwise, which is what makes it
+// a CI gate rather than a report; a capacity step adds its own bars
+// (judgeStep).
 type Gate struct {
-	// Objectives are client-side reliability targets, in the same syntax
-	// the server's -slo flag takes (slo.ParseObjectives). Availability is
-	// judged over non-shed completions (sheds are admission policy, not
-	// failures); latency objectives are judged over every completed
-	// request — a shed answer is an answer the client waited for.
-	Objectives []slo.Objective
-	// CheckServer, when set, also fetches /v1/status from this client
-	// and fails the gate when the server reports a breached SLO.
-	CheckServer *Client
+	// Objectives are client-side reliability targets (ParseObjectives).
+	// Availability is judged over non-shed completions (sheds are
+	// admission policy, not failures); latency objectives are judged over
+	// every completed request — a shed answer is an answer the client
+	// waited for.
+	Objectives []Objective
 }
 
 // maxDropFrac caps the fraction of arrivals the generator itself dropped
@@ -71,7 +63,7 @@ func (g *GateResult) verdict() string {
 }
 
 // Evaluate judges one finished load phase against the gate.
-func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
+func (gate Gate) Evaluate(res *Result) *GateResult {
 	out := &GateResult{Pass: true}
 
 	bad := res.bad()
@@ -79,7 +71,7 @@ func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
 
 	for _, o := range gate.Objectives {
 		switch o.Kind {
-		case slo.KindAvailability:
+		case KindAvailability:
 			if nonShed == 0 {
 				out.check(o.Name, false, "no non-shed requests completed")
 				continue
@@ -87,7 +79,7 @@ func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
 			okFrac := 100 * float64(nonShed-bad) / float64(nonShed)
 			out.check(o.Name, okFrac >= o.Target,
 				"%.3f%% ok (want >= %.3f%%; %d bad of %d non-shed)", okFrac, o.Target, bad, nonShed)
-		case slo.KindLatency:
+		case KindLatency:
 			if res.Completed == 0 {
 				out.check(o.Name, false, "no requests completed")
 				continue
@@ -106,26 +98,6 @@ func (gate Gate) Evaluate(ctx context.Context, res *Result) *GateResult {
 		dropFrac := float64(res.Dropped) / float64(res.Scheduled)
 		out.check("generator_drops", dropFrac <= maxDropFrac,
 			"dropped %.2f%% of arrivals at the outstanding cap (allowed %.2f%%)", 100*dropFrac, 100*maxDropFrac)
-	}
-
-	if gate.CheckServer != nil {
-		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		defer cancel()
-		st, err := gate.CheckServer.Status(sctx)
-		switch {
-		case err != nil:
-			out.check("server_status", false, "fetch /v1/status: %v", err)
-		default:
-			if st.SLO != nil {
-				detail := "error budget holds"
-				for _, o := range st.SLO.Objectives {
-					if o.Breached {
-						detail = fmt.Sprintf("objective %s breached (fast %.1fx / slow %.1fx)", o.Name, o.FastBurn, o.SlowBurn)
-					}
-				}
-				out.check("server_slo", !st.SLO.Breached, "%s", detail)
-			}
-		}
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"emgo/internal/leakcheck"
-	"emgo/internal/obs/slo"
 )
 
 // mkResult synthesizes a Result with the given class counts.
@@ -32,9 +31,9 @@ func gateCheck(t *testing.T, gr *GateResult, name string) GateCheck {
 	return GateCheck{}
 }
 
-func mustObjectives(t *testing.T, spec string) []slo.Objective {
+func mustObjectives(t *testing.T, spec string) []Objective {
 	t.Helper()
-	obj, err := slo.ParseObjectives(spec)
+	obj, err := ParseObjectives(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +47,13 @@ func TestGateAvailabilityExcludesSheds(t *testing.T) {
 	// answers is 1000/1005 = 99.5% — passing, because sheds are
 	// admission policy, not failures.
 	res := mkResult(map[string]int64{ClassOK: 1000, ClassShed: 500, ClassServerError: 5})
-	gr := gate.Evaluate(context.Background(), res)
+	gr := gate.Evaluate(res)
 	if c := gateCheck(t, gr, "availability"); !c.Pass {
 		t.Fatalf("availability check failed with sheds excluded: %s", c.Detail)
 	}
 	// 20 server errors: 1000/1020 = 98.0% — breached.
 	res = mkResult(map[string]int64{ClassOK: 1000, ClassShed: 500, ClassServerError: 20})
-	gr = gate.Evaluate(context.Background(), res)
+	gr = gate.Evaluate(res)
 	if c := gateCheck(t, gr, "availability"); c.Pass {
 		t.Fatal("2% server errors passed a 99% availability objective")
 	}
@@ -74,7 +73,7 @@ func TestGateLatencyObjective(t *testing.T) {
 	}
 	res := &Result{Snapshot: rec.Snapshot()}
 	res.Scheduled, res.Sent = res.Completed, res.Completed
-	if gr := gate.Evaluate(context.Background(), res); !gr.Pass {
+	if gr := gate.Evaluate(res); !gr.Pass {
 		t.Fatalf("20ms p99 failed a 100ms objective: %+v", gr.Checks)
 	}
 
@@ -85,7 +84,7 @@ func TestGateLatencyObjective(t *testing.T) {
 	}
 	res = &Result{Snapshot: slow.Snapshot()}
 	res.Scheduled, res.Sent = res.Completed, res.Completed
-	if gr := gate.Evaluate(context.Background(), res); gr.Pass {
+	if gr := gate.Evaluate(res); gr.Pass {
 		t.Fatal("400ms p99 passed a 100ms objective")
 	}
 }
@@ -93,11 +92,11 @@ func TestGateLatencyObjective(t *testing.T) {
 func TestGateUnexpectedAnswers(t *testing.T) {
 	gate := Gate{}
 	res := mkResult(map[string]int64{ClassOK: 100, ClassUnexpected: 1})
-	if gr := gate.Evaluate(context.Background(), res); gr.Pass {
+	if gr := gate.Evaluate(res); gr.Pass {
 		t.Fatal("an unexpected answer passed the zero-tolerance gate")
 	}
 	res = mkResult(map[string]int64{ClassOK: 100})
-	if gr := gate.Evaluate(context.Background(), res); !gr.Pass {
+	if gr := gate.Evaluate(res); !gr.Pass {
 		t.Fatalf("a run with no unexpected answer failed the gate: %+v", gr.Checks)
 	}
 }
@@ -106,12 +105,12 @@ func TestGateShedRetryAfterContract(t *testing.T) {
 	gate := Gate{}
 	res := mkResult(map[string]int64{ClassOK: 100, ClassShed: 10})
 	res.ShedNoRetryAfter = 3
-	gr := gate.Evaluate(context.Background(), res)
+	gr := gate.Evaluate(res)
 	if c := gateCheck(t, gr, "shed_retry_after"); c.Pass {
 		t.Fatal("sheds without Retry-After passed the contract check")
 	}
 	res.ShedNoRetryAfter = 0
-	gr = gate.Evaluate(context.Background(), res)
+	gr = gate.Evaluate(res)
 	if c := gateCheck(t, gr, "shed_retry_after"); !c.Pass {
 		t.Fatalf("clean sheds failed the contract check: %s", c.Detail)
 	}
@@ -122,7 +121,7 @@ func TestGateGeneratorDrops(t *testing.T) {
 	res := mkResult(map[string]int64{ClassOK: 100})
 	res.Scheduled = 200
 	res.Dropped = 100 // 50% dropped: the measurement is garbage
-	if gr := gate.Evaluate(context.Background(), res); gr.Pass {
+	if gr := gate.Evaluate(res); gr.Pass {
 		t.Fatal("50% generator drops passed the gate")
 	}
 }
@@ -164,7 +163,7 @@ func TestCapacityStepVerdicts(t *testing.T) {
 		{"nothing completed", step(0, 0, ok), "completed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := judgeStep(context.Background(), objectives, tc.res)
+			g := judgeStep(objectives, tc.res)
 			if tc.failed == "" {
 				if !g.Pass {
 					t.Fatalf("step failed: %s", g.verdict())

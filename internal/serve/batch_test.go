@@ -125,6 +125,7 @@ func TestBatchFailsOnMatcherFault(t *testing.T) {
 	if !strings.Contains(er.Error, "record 1: ") || !strings.Contains(er.Error, "poisoned vector") {
 		t.Fatalf("the error does not name record 1 and the fault: %s", body)
 	}
+	wantStackOnlyInEvent(t, s, body)
 }
 
 // TestBatchRejections: the decoder's caps hold over HTTP — oversized

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"emgo/internal/obs/slo"
 )
 
 // benchRecords builds n wire-shape records cycling the fixture trio, so
@@ -89,11 +87,11 @@ func BenchmarkMatchBatch32(b *testing.B) {
 // Metrics-registry enablement is a separate, pre-existing cost priced
 // by internal/obs's own benchmarks (BenchmarkCounterEnabled et al).
 func observedConfig() Config {
-	return Config{AccessLog: io.Discard, AccessSampleN: 1, TailN: 16, SLOs: slo.DefaultObjectives()}
+	return Config{AccessLog: io.Discard, AccessSampleN: 1, TailN: 16}
 }
 
 // BenchmarkMatchSingleObserved is BenchmarkMatchSingle with wide-event
-// logging, span capture, tail retention, and SLO tracking all on.
+// logging, span capture and tail retention all on.
 func BenchmarkMatchSingleObserved(b *testing.B) {
 	s, _ := newTestServer(b, observedConfig())
 	h := s.Handler()

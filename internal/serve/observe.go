@@ -13,8 +13,8 @@ import (
 // which assigns (or propagates) the request ID, opens the request's
 // root span, carries a mutable wide event through context for handlers
 // to annotate, and — once the response is written — hands both to
-// finish, which emits exactly one wide event to the access log, offers
-// the request to the tail-capture buffer, and feeds the SLO tracker.
+// finish, which emits exactly one wide event to the access log and
+// offers the request to the tail-capture buffer.
 // Handlers never log; they annotate the event and finish owns emission,
 // which is what guarantees the one-event-per-request invariant.
 
@@ -66,10 +66,7 @@ func routeOf(pattern string) string {
 }
 
 // observe wraps one route handler with the request-observability layer.
-// trackSLO marks service traffic (the match routes) whose outcomes burn
-// the error budget; ops probes (health, status) get request IDs and
-// wide events but do not dilute the SLO.
-func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id, ok := obs.SanitizeRequestID(r.Header.Get("X-Request-Id"))
 		if !ok {
@@ -97,26 +94,20 @@ func (s *Server) observe(route string, trackSLO bool, h http.HandlerFunc) http.H
 		if ev.Outcome == "" {
 			ev.Outcome = deriveOutcome(sw.status, ev.Degraded, s.draining.Load())
 		}
-		s.finish(ev, root, trackSLO)
+		s.finish(ev, root)
 	}
 }
 
 // finish closes the record of one request and is its only writer: it
 // ends the root span, times the event from its own start, offers it to
-// the tail buffer, writes the access-log line and, for SLO-tracked
-// traffic, feeds the tracker. The event's stages come off root wherever
-// the event is kept; a request that is neither logged nor retained never
-// builds them.
-func (s *Server) finish(ev *obs.WideEvent, root *obs.Span, trackSLO bool) {
+// the tail buffer and writes the access-log line. The event's stages come
+// off root wherever the event is kept; a request that is neither logged
+// nor retained never builds them.
+func (s *Server) finish(ev *obs.WideEvent, root *obs.Span) {
 	root.End()
 	ev.DurationMS = float64(time.Since(ev.Time)) / float64(time.Millisecond)
 	s.tailBuf.Add(ev, root)
 	s.events.Log(ev, root)
-	if trackSLO {
-		// Sheds (429) are deliberate policy, not availability failures;
-		// 5xx of any kind burns the budget.
-		s.sloTrk.Observe(ev.DurationMS, ev.Status >= 500)
-	}
 }
 
 // deriveOutcome classifies a finished request for the wide event.

@@ -408,34 +408,3 @@ func TestTailCapturesSlowAndErrored(t *testing.T) {
 		t.Fatalf("/debug/tail snapshot empty: %+v", doc)
 	}
 }
-
-func TestStatusCarriesSLOReport(t *testing.T) {
-	leakcheck.Check(t)
-	_, ts := newTestServer(t, Config{})
-	if st, _, _ := postMatch(t, ts.URL, l0Request); st != http.StatusOK {
-		t.Fatalf("status = %d", st)
-	}
-	resp, err := http.Get(ts.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sd StatusData
-	err = json.NewDecoder(resp.Body).Decode(&sd)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.SLO == nil || len(sd.SLO.Objectives) == 0 {
-		t.Fatal("/v1/status carries no SLO report")
-	}
-	if sd.SLO.Breached {
-		t.Fatalf("healthy traffic reads as breached: %+v", sd.SLO)
-	}
-	var seen int
-	for _, o := range sd.SLO.Objectives {
-		seen += int(o.SlowTotal)
-	}
-	if seen == 0 {
-		t.Fatalf("SLO tracker observed no requests: %+v", sd.SLO)
-	}
-}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,6 @@ import (
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
-	"emgo/internal/obs/slo"
 	"emgo/internal/obs/tail"
 	"emgo/internal/parallel"
 	"emgo/internal/table"
@@ -92,8 +92,8 @@ type Config struct {
 	// indices).
 	RightIDCol string
 	// AccessLog, when set, receives one JSON wide event per request.
-	// Nil disables wide-event logging (tail capture and SLO tracking
-	// stay on regardless).
+	// Nil disables wide-event logging (tail capture stays on
+	// regardless).
 	AccessLog io.Writer
 	// AccessSampleN logs 1 in N successful requests to the access log
 	// (<= 1 logs all); errors, sheds, timeouts, and degraded responses
@@ -102,9 +102,6 @@ type Config struct {
 	// TailN is how many slowest requests the tail buffer retains per
 	// window (default tail.DefaultSlowN).
 	TailN int
-	// SLOs are the service objectives evaluated into burn rates on
-	// /v1/status and emmonitor slo; nil selects slo.DefaultObjectives.
-	SLOs []slo.Objective
 }
 
 // Server is the online matching service.
@@ -123,7 +120,6 @@ type Server struct {
 
 	events  *obs.EventLog
 	tailBuf *tail.Buffer
-	sloTrk  *slo.Tracker
 
 	// requests and degraded count records answered, and answered without
 	// the learned matcher, for /v1/status: a batch counts each of its
@@ -174,7 +170,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		adm:     NewAdmission(cfg.Admission),
 		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		tailBuf: tail.New(tail.Config{SlowN: cfg.TailN}),
-		sloTrk:  slo.New(slo.Config{Objectives: cfg.SLOs}),
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
@@ -240,18 +235,18 @@ func (s *Server) TailSnapshot() tail.Snapshot { return s.tailBuf.Snapshot() }
 
 // Handler builds the service's HTTP routes, each wrapped in the
 // request-observability middleware (request IDs, wide events, tail
-// capture); the match routes additionally feed the SLO tracker.
+// capture).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, trackSLO bool, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.observe(routeOf(pattern), trackSLO, h))
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, s.observe(routeOf(pattern), h))
 	}
-	handle("POST /v1/match", true, s.handleMatch)
-	handle("POST /v1/match/batch", true, s.handleMatchBatch)
-	handle("GET /healthz", false, s.handleHealth)
-	handle("GET /readyz", false, s.handleReady)
-	handle("POST /-/reload", false, s.handleReload)
-	handle("GET /v1/status", false, s.handleStatus)
+	handle("POST /v1/match", s.handleMatch)
+	handle("POST /v1/match/batch", s.handleMatchBatch)
+	handle("GET /healthz", s.handleHealth)
+	handle("GET /readyz", s.handleReady)
+	handle("POST /-/reload", s.handleReload)
+	handle("GET /v1/status", s.handleStatus)
 	// The exact pattern takes precedence over the /debug/ prefix: the tail
 	// buffer is always on. The service has no authentication (a reload
 	// reads any path it is given), so its listen address is the boundary,
@@ -321,14 +316,20 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, ev *obs.WideE
 }
 
 // writeRunError answers a failed pipeline pass: 504 when the request's
-// deadline is what ended it, 500 otherwise.
+// deadline is what ended it, 500 otherwise. A worker panic's stack is
+// the operator's: the wide event keeps it, the client's error does not.
 func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent, err error) {
-	ev.Err = err.Error()
+	msg := err.Error()
+	ev.Err = msg
 	if ctx.Err() != nil {
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, "internal error: "+err.Error(), 0)
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		msg = strings.Replace(msg, "\n"+string(pe.Stack), "", 1)
+	}
+	writeError(w, http.StatusInternalServerError, "internal error: "+msg, 0)
 }
 
 // handleMatch is the matching endpoint under the full admission /
@@ -700,9 +701,6 @@ type StatusData struct {
 	Draining  bool    `json:"draining"`
 	RightRows int     `json:"right_rows"`
 	Matcher   any     `json:"matcher,omitempty"`
-	// SLO is the burn-rate evaluation of the configured objectives;
-	// emmonitor slo reads this section.
-	SLO *slo.Report `json:"slo,omitempty"`
 }
 
 // handleStatus reports the operational state in one JSON document.
@@ -715,7 +713,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Queued:    s.adm.Queued(),
 		Draining:  s.draining.Load(),
 		RightRows: s.right.Len(),
-		SLO:       s.sloTrk.Evaluate(),
 	}
 	if art := s.Artifact(); art != nil {
 		st.Matcher = map[string]any{

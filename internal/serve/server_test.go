@@ -121,6 +121,27 @@ func breakMatcher(s *Server) {
 	s.live.Store(&art)
 }
 
+// wantStackOnlyInEvent holds a worker panic's 500 to where its stack
+// goes: not into the client's body, but into the retained wide event's
+// error, which the access log and /debug/tail show.
+func wantStackOnlyInEvent(t *testing.T, s *Server, body []byte) {
+	t.Helper()
+	if bytes.Contains(body, []byte("goroutine ")) {
+		t.Fatalf("the 500 ships the server's stack to the client: %s", body)
+	}
+	// The middleware records the event after the response is written.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		for _, e := range s.TailSnapshot().Errored {
+			if strings.Contains(e.Event.Err, "goroutine ") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no retained errored event keeps the worker's stack")
+		}
+	}
+}
+
 // failingBlocker is a blocker whose every run fails.
 type failingBlocker struct{}
 
@@ -251,6 +272,7 @@ func TestMatchFailsOnMatcherFault(t *testing.T) {
 	if !strings.Contains(er.Error, "record 0: ") || !strings.Contains(er.Error, "poisoned vector") {
 		t.Fatalf("the error does not name the record and the fault: %s", body)
 	}
+	wantStackOnlyInEvent(t, s, body)
 
 	// A sure-rule record, whose one candidate is already sure, still gets
 	// its match.

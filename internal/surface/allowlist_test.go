@@ -40,9 +40,6 @@ var deploymentSettings = map[string]string{
 	"emmonitor check -dir":      "path",
 	"emmonitor history -dir":    "path",
 	"emmonitor history -n":      "size",
-	"emmonitor slo -url":        "address",
-	"emmonitor slo -file":       "path",
-	"emmonitor slo -timeout":    "timeout",
 
 	"emserve -addr":                "address",
 	"emserve -addr-file":           "path",

@@ -41,9 +41,8 @@ var checkedBinaries = []string{"emload", "emmonitor", "emserve", "emmatch"}
 
 // runnerPackages are the Go packages whose functions are runner units: the
 // smoke harness, and the non-test code that runs the server — emload's
-// driver and supervisor (internal/load), emmonitor's status fetch and
-// embench.
-var runnerPackages = []string{harness, "emgo/internal/load", "emgo/cmd/emmonitor", "emgo/bench/embench"}
+// driver and supervisor (internal/load) and embench.
+var runnerPackages = []string{harness, "emgo/internal/load", "emgo/bench/embench"}
 
 // launchers are the functions that start a binary whose name is none of
 // their literals: load.StartServer execs the emserve its ServerConfig
