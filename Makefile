@@ -42,7 +42,10 @@ race:
 # whatever order the vectorize workers finish in
 # (TestMonitoredRunAboveCapIsDeterministic). The feature kernel and the
 # server's cross-mode suite also run at four, where a batch's cells and
-# pairs fan out over more workers than a shard or a single record gets.
+# pairs fan out over more workers than a shard or a single record gets,
+# and so does the server's pooled match scratch, handed from pass to
+# pass while singles and batches arrive from eight goroutines at once
+# (TestConcurrentMixedRequestsKeepSerialAnswers).
 # A token join over a left table of 256 rows or more probes it in shards,
 # one a core; the sharded-join tests set the core count themselves (1, 2
 # and 4) and run ten times over, since what the shards write is only

@@ -148,16 +148,17 @@ func (b *boundTokens) Block(left, right *table.Table) (*CandidateSet, error) {
 
 // BlockCtx implements ContextBlocker.
 func (b *boundTokens) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
-	sets, err := joinTokens(ctx, left, right, []*boundTokens{b})
-	if err != nil {
+	var set [1]*CandidateSet
+	if err := joinTokens(ctx, left, right, []*boundTokens{b}, set[:]); err != nil {
 		return nil, err
 	}
-	return sets[0], nil
+	return set[0], nil
 }
 
 // blockSharing runs blockers[k] into ready[k] and, when it is a token
 // blocker, fills in from the same pass the sets of the later blockers over
-// the same column and left column.
+// the same column and left column. A group of up to four keeps its
+// bookkeeping on the stack.
 func blockSharing(ctx context.Context, left, right *table.Table, blockers []Blocker, k int, ready []*CandidateSet) error {
 	lead, ok := blockers[k].(*boundTokens)
 	if !ok {
@@ -168,14 +169,17 @@ func blockSharing(ctx context.Context, left, right *table.Table, blockers []Bloc
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	group, at := []*boundTokens{lead}, []int{k}
+	var groupOn [4]*boundTokens
+	var atOn [4]int
+	var setsOn [4]*CandidateSet
+	group, at := append(groupOn[:0], lead), append(atOn[:0], k)
 	for i := k + 1; i < len(blockers); i++ {
 		if o, ok := blockers[i].(*boundTokens); ok && o.col == lead.col && o.join.leftCol == lead.join.leftCol {
 			group, at = append(group, o), append(at, i)
 		}
 	}
-	sets, err := joinTokens(ctx, left, right, group)
-	if err != nil {
+	sets := append(setsOn[:0], make([]*CandidateSet, len(group))...)
+	if err := joinTokens(ctx, left, right, group, sets); err != nil {
 		return err
 	}
 	for n, i := range at {
@@ -185,7 +189,7 @@ func blockSharing(ctx context.Context, left, right *table.Table, blockers []Bloc
 }
 
 // joinTokens runs token blockers that share a column and a left column —
-// group[0]'s — and returns their candidate sets, in two steps.
+// group[0]'s — into sets, one for each, in two steps.
 //
 // Probe: each left row is tokenised and counted against the column once
 // (probeAdmitted: a sparse token's postings walked, the dense tokens'
@@ -196,21 +200,21 @@ func blockSharing(ctx context.Context, left, right *table.Table, blockers []Bloc
 // only if it passes that first compare. The rows that pass are kept, with
 // their counts, and each blocker's admitted pairs are counted. The left
 // table is probed in joinShards contiguous ranges of rows at once, each
-// with its own scratch.
+// with its own scratch; the admissions it works out live there too.
 //
 // Emit: each blocker's set is allocated once, at the size its count says,
 // and filled range by range. A blocker's pairs come out as it would emit
 // them alone: left rows ascending, and per left row the right rows
 // ascending — candidate-set insertion order feeds sampling, and through it
 // every downstream artifact.
-func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTokens) ([]*CandidateSet, error) {
+func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTokens, sets []*CandidateSet) error {
 	lead := group[0]
 	lj, err := left.Col(lead.join.leftCol)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := CheckBound(lead.right, right); err != nil {
-		return nil, err
+		return err
 	}
 	col, n := lead.col, left.Len()
 	// One shard — a request, a batch — lives on the stack. Only the
@@ -224,10 +228,8 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 	for k := range shards {
 		s := col.getScratch()
 		s.admitted = append(s.admitted[:0], make([]int, len(group))...)
-		shards[k] = joinShard{
-			lo: k * n / len(shards), hi: (k + 1) * n / len(shards), s: s,
-			adm: admissions{group: group, width: col.maxLen + 1},
-		}
+		s.adm.width = col.maxLen + 1
+		shards[k] = joinShard{lo: k * n / len(shards), hi: (k + 1) * n / len(shards), s: s}
 	}
 	defer func() {
 		for _, sh := range shards {
@@ -235,10 +237,13 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 		}
 	}()
 	if many == nil {
-		err = shards[0].probe(ctx, col, left, lj)
+		err = shards[0].probe(ctx, col, left, lj, group)
 	} else {
+		// The goroutines get their own copy of the group, so the caller's
+		// can stay on its stack.
+		shared := slices.Clone(group)
 		err = parallel.ForWorkersCtx(ctx, len(many), len(many), func(k int) error {
-			return many[k].probe(ctx, col, left, lj)
+			return many[k].probe(ctx, col, left, lj, shared)
 		})
 		// A shard fails only when ctx ends: report that, as a serial
 		// join would, not the shard it ended in.
@@ -248,9 +253,8 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 		}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sets := make([]*CandidateSet, len(group))
 	for k := range sets {
 		total := 0
 		for _, sh := range shards {
@@ -260,9 +264,9 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 		sets[k].pairs = make([]Pair, 0, total)
 	}
 	for _, sh := range shards {
-		sh.emit(col, sets)
+		sh.emit(col, group, sets)
 	}
-	return sets, nil
+	return nil
 }
 
 // joinShards is how many ranges a token join probes n left rows in at
@@ -271,24 +275,23 @@ func joinTokens(ctx context.Context, left, right *table.Table, group []*boundTok
 // is rows enough to pay for starting a goroutine.
 func joinShards(n int) int { return min(runtime.GOMAXPROCS(0), 1+n/256) }
 
-// joinShard is one range of a token join's left rows, the scratch that
-// holds what probing it kept, and its admission cache.
+// joinShard is one range of a token join's left rows and the scratch that
+// holds what probing it kept and its admission cache.
 type joinShard struct {
 	lo, hi int
 	s      *scratch
-	adm    admissions
 }
 
 // probe counts each of the shard's left rows against col and keeps the
-// right rows some blocker admits.
-func (sh *joinShard) probe(ctx context.Context, col *tokenColumn, left *table.Table, lj int) error {
-	s, adm := sh.s, &sh.adm
+// right rows some blocker of group admits.
+func (sh *joinShard) probe(ctx context.Context, col *tokenColumn, left *table.Table, lj int, group []*boundTokens) error {
+	s, adm := sh.s, &sh.s.adm
 	for i := sh.lo; i < sh.hi; i++ {
 		if err := strideErr(ctx, i-sh.lo); err != nil {
 			return err
 		}
 		s.keys, _ = col.AppendKeys(s.keys[:0], left.Row(i)[lj], false)
-		need := adm.rows(len(s.keys))
+		need := adm.rows(len(s.keys), group)
 		least := need[:adm.width]
 		col.probeAdmitted(s.keys, least, s)
 		if len(s.touched) == 0 {
@@ -323,14 +326,15 @@ func (sh *joinShard) probe(ctx context.Context, col *tokenColumn, left *table.Ta
 
 // emit appends to each blocker's set the pairs of the shard's hits it
 // admits, left row by left row.
-func (sh *joinShard) emit(col *tokenColumn, sets []*CandidateSet) {
+func (sh *joinShard) emit(col *tokenColumn, group []*boundTokens, sets []*CandidateSet) {
+	adm := &sh.s.adm
 	start := int32(0)
 	for _, l := range sh.s.lefts {
-		need := sh.adm.rows(int(l.size))
+		need := adm.rows(int(l.size), group)
 		for _, h := range sh.s.hits[start:l.end] {
 			lb := int(col.lens[h.row])
 			for k, set := range sets {
-				if h.inter >= need[(k+1)*sh.adm.width+lb] {
+				if h.inter >= need[(k+1)*adm.width+lb] {
 					set.pairs = append(set.pairs, Pair{A: int(l.row), B: int(h.row)})
 				}
 			}
@@ -339,33 +343,45 @@ func (sh *joinShard) emit(col *tokenColumn, sets []*CandidateSet) {
 	}
 }
 
-// admissions is a group's least admitting counts, per left cell size met:
-// rows(la) is, over right sizes lb = 0…width−1, the least count any of the
-// group admits, then each blocker's in group order.
+// admissions is one join's least admitting counts for its group, per left
+// cell size met: rows(la, group) is, over right sizes lb = 0…width−1, the
+// least count any of the group admits, then each blocker's in group
+// order. It lives in a column's pooled scratch, so a join works its rows
+// out into memory an earlier join left; reset forgets them.
 type admissions struct {
-	group []*boundTokens
 	width int
-	byLa  [][]int32
+	// at[la]-1 is where rows(la) starts in need; 0 is not worked out yet.
+	at   []int32
+	need []int32
 }
 
-func (a *admissions) rows(la int) []int32 {
-	if la >= len(a.byLa) {
-		a.byLa = append(a.byLa, make([][]int32, la+1-len(a.byLa))...)
+func (a *admissions) rows(la int, group []*boundTokens) []int32 {
+	if la >= len(a.at) {
+		a.at = append(a.at, make([]int32, la+1-len(a.at))...)
 	}
-	if a.byLa[la] == nil {
-		need := make([]int32, a.width, (1+len(a.group))*a.width)
-		for k, b := range a.group {
-			need = admission(b.join.keep, la, a.width, need)
-			for lb, mine := range need[len(need)-a.width:] {
-				if k == 0 || mine < need[lb] {
-					need[lb] = mine
+	size := (1 + len(group)) * a.width
+	if a.at[la] == 0 {
+		// Rows handed out earlier keep the old array if need grows: their
+		// counts never change.
+		start := len(a.need)
+		a.need = slices.Grow(a.need, size)[:start+a.width]
+		for k, b := range group {
+			a.need = admission(b.join.keep, la, a.width, a.need)
+			least := a.need[start : start+a.width]
+			for lb, mine := range a.need[len(a.need)-a.width:] {
+				if k == 0 || mine < least[lb] {
+					least[lb] = mine
 				}
 			}
 		}
-		a.byLa[la] = need
+		a.at[la] = int32(start) + 1
 	}
-	return a.byLa[la]
+	start := int(a.at[la]) - 1
+	return a.need[start : start+size]
 }
+
+// reset forgets every row worked out, keeping the memory.
+func (a *admissions) reset() { a.at, a.need = a.at[:0], a.need[:0] }
 
 // admission appends to need, for a left cell of la tokens and each right
 // size lb in 0…width−1, the least count keep admits: the least c in

@@ -168,6 +168,17 @@ func (b Func) Block(left, right *table.Table) (*CandidateSet, error) {
 	return out, nil
 }
 
+// needsBind reports whether Bind would prepare any of blockers.
+func needsBind(blockers []Blocker) bool {
+	for _, b := range blockers {
+		switch b.(type) {
+		case AttrEquiv, tokenBlocker:
+			return true
+		}
+	}
+	return false
+}
+
 // UnionBlock runs each blocker and unions the results — the Section 7 step
 // 4 consolidation of C1 ∪ C2 ∪ C3.
 func UnionBlock(left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
@@ -178,21 +189,23 @@ func UnionBlock(left, right *table.Table, blockers ...Blocker) (*CandidateSet, e
 // run honours ctx (cancellation aborts mid-join for the blockers in this
 // package), and a blocker's error aborts the union naming it. Blockers
 // nobody bound are bound to right for the call (Bind), so those over one
-// column share one build.
+// column share one build. A union over up to four blockers, bound already,
+// keeps its bookkeeping on the stack: a request's allocates only its sets.
 func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
-	blockers, err := Bind(ctx, right, blockers...)
-	if err != nil {
-		return nil, err
+	if needsBind(blockers) {
+		var err error
+		if blockers, err = Bind(ctx, right, blockers...); err != nil {
+			return nil, err
+		}
 	}
 	out := NewCandidateSet(left, right)
 	pairsBlocked := obs.C("block.pairs_blocked")
 	// ready[k] is blockers[k]'s candidate set when the pass of an earlier
-	// blocker over the same column has already produced it.
-	ready := make([]*CandidateSet, len(blockers))
-	// earlier holds a cursor on each earlier blocker's set; up to four
-	// stay on the stack, so a request's union allocates none.
-	var onStack [4]cursor
-	earlier := onStack[:0]
+	// blocker over the same column has already produced it. earlier holds
+	// a cursor on each earlier blocker's set.
+	var readyOn [4]*CandidateSet
+	var earlierOn [4]cursor
+	ready, earlier := append(readyOn[:0], make([]*CandidateSet, len(blockers))...), earlierOn[:0]
 	for k, b := range blockers {
 		jctx, sp := obs.StartSpan(ctx, "block.join")
 		sp.Annotate("blocker", b.Name())
@@ -216,6 +229,12 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		// walks it in step with c.
 		if err := out.sameTables(c); err != nil {
 			return nil, err
+		}
+		if k == 0 {
+			// The first set is the union so far, as it is: capped, so that
+			// growing the union never writes into it.
+			out.pairs, out.unordered = c.pairs[:len(c.pairs):len(c.pairs)], c.unordered
+			continue
 		}
 		out.pairs = slices.Grow(out.pairs, len(c.pairs))
 		earlier = earlier[:0]

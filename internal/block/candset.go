@@ -240,11 +240,18 @@ func (c *CandidateSet) PerLeftCounts() []int {
 // Sorted returns the pairs ordered by (A, B); used for deterministic
 // output in reports.
 func (c *CandidateSet) Sorted() []Pair {
-	out := append(make([]Pair, 0, len(c.pairs)), c.pairs...)
+	return c.AppendSorted(make([]Pair, 0, len(c.pairs)))
+}
+
+// AppendSorted appends the pairs to dst ordered by (A, B) and returns the
+// extended slice: Sorted into memory the caller keeps.
+func (c *CandidateSet) AppendSorted(dst []Pair) []Pair {
+	n := len(dst)
+	dst = append(dst, c.pairs...)
 	if c.unordered {
-		slices.SortFunc(out, comparePairs)
+		slices.SortFunc(dst[n:], comparePairs)
 	}
-	return out
+	return dst
 }
 
 // Blocker produces a candidate set from two tables.

@@ -431,8 +431,8 @@ func (c *tokenColumn) buildBitmaps() {
 // a join, the bitmaps of the cell's dense tokens and their sum, bit-sliced
 // (planes) — and what the join's probe kept: the right rows some blocker
 // admits with their counts, left row by left row; per left row that
-// reached any, its size and where its hits end; and per blocker how many
-// pairs it admits.
+// reached any, its size and where its hits end; per blocker how many
+// pairs it admits; and the join's admissions.
 type scratch struct {
 	keys     []uint64
 	counts   []int32
@@ -442,6 +442,7 @@ type scratch struct {
 	hits     []hit
 	lefts    []leftHits
 	admitted []int
+	adm      admissions
 }
 
 // hit is a right row a join kept and the tokens it shares with the left
@@ -458,6 +459,7 @@ func (c *tokenColumn) getScratch() *scratch { return c.scratch.Get().(*scratch) 
 func (c *tokenColumn) putScratch(s *scratch) {
 	s.reset()
 	s.hits, s.lefts = s.hits[:0], s.lefts[:0]
+	s.adm.reset()
 	c.scratch.Put(s)
 }
 

@@ -164,10 +164,14 @@ dispatch:
 	for lo := 0; lo < n; lo += chunk {
 		// A ready worker must not win the race against a cancellation or
 		// failure that is already visible: look before offering a chunk.
-		select {
-		case <-done:
+		// The look reads ctx.Err(), not Done, so a context whose Err can
+		// end before its Done closes — serve's learned-stage sub-budget —
+		// stops the dispatch too.
+		if ctx.Err() != nil {
 			cancelled = true
 			break dispatch
+		}
+		select {
 		case <-abort:
 			break dispatch
 		default:

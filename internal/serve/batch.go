@@ -156,8 +156,12 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tally.record(ev)
+	results := make([]*MatchResponse, len(resps))
+	for i := range resps {
+		results[i] = &resps[i]
+	}
 	writeJSON(w, http.StatusOK, &BatchResponse{
-		Results:   resps,
+		Results:   results,
 		Count:     tally.records,
 		Degraded:  tally.degraded,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),

@@ -32,7 +32,7 @@ func (s *Server) matchOne(ctx context.Context, row table.Row, wantTrace bool) (*
 		return nil, err
 	}
 	resps[0].Trace = trace
-	return resps[0], nil
+	return &resps[0], nil
 }
 
 // cellCounter is a word tokenizer counting the cells it is handed; used by
@@ -264,6 +264,91 @@ func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 		}(g)
 	}
 
+	wg.Wait()
+}
+
+// TestConcurrentMixedRequestsKeepSerialAnswers: a matchSet pass walks its
+// candidate list in scratch pooled on the server, so a pass that takes
+// over another's scratch must read nothing the other left. Eight
+// goroutines send every record of a paper-shaped slice as singles and
+// in batches of 1 to 7, interleaved, and each answer — candidates,
+// vetoed, matches and scores, all but elapsed_ms — is byte for byte what
+// the record got alone, asked serially (make race-cpu runs this at 1, 2
+// and 4 CPUs).
+func TestConcurrentMixedRequestsKeepSerialAnswers(t *testing.T) {
+	leakcheck.Check(t)
+	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
+	_, ts := serveWorkflow(t, Config{}, w, l, r)
+	records := make([]map[string]any, l.Len())
+	for i := range records {
+		records[i] = rowRecord(l, i)
+	}
+	// render is an answer's bytes without its wall time.
+	render := func(mr *MatchResponse) string {
+		mr.ElapsedMS = 0
+		data, err := json.Marshal(mr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	serial := make([]string, len(records))
+	learned := 0
+	for i, rec := range records {
+		var mr MatchResponse
+		postJSON(t, ts.URL+"/v1/match", map[string]any{"record": rec}, &mr)
+		if mr.Candidates > 0 {
+			learned++
+		}
+		serial[i] = render(&mr)
+	}
+	if learned == 0 || learned == len(records) {
+		t.Fatalf("fixture: %d of %d records have candidates; want some with and some without", learned, len(records))
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Goroutine g starts at its own offset and sends windows of
+			// 1 to 7 records, a batch or (odd g, odd window) singles.
+			for lo, k := g*len(records)/goroutines, 0; k < len(records); k++ {
+				size := 1 + (g+k)%7
+				idx := make([]int, size)
+				batch := make([]map[string]any, size)
+				for j := range idx {
+					idx[j] = (lo + j) % len(records)
+					batch[j] = records[idx[j]]
+				}
+				lo += size
+				k += size - 1
+				got := make([]*MatchResponse, size)
+				if g%2 == 1 && k%2 == 1 {
+					for j, rec := range batch {
+						got[j] = &MatchResponse{}
+						if status := postJSONStatus(t, ts.URL+"/v1/match", map[string]any{"record": rec}, got[j]); status != http.StatusOK {
+							t.Errorf("goroutine %d: single status %d", g, status)
+							return
+						}
+					}
+				} else {
+					var br BatchResponse
+					if status := postJSONStatus(t, ts.URL+"/v1/match/batch", map[string]any{"records": batch}, &br); status != http.StatusOK || len(br.Results) != size {
+						t.Errorf("goroutine %d: batch status %d, %d results for %d records", g, status, len(br.Results), size)
+						return
+					}
+					got = br.Results
+				}
+				for j, mr := range got {
+					if a := render(mr); a != serial[idx[j]] {
+						t.Errorf("goroutine %d, record %d: answered %s, alone %s", g, idx[j], a, serial[idx[j]])
+					}
+				}
+			}
+		}(g)
+	}
 	wg.Wait()
 }
 

@@ -122,13 +122,14 @@ func TestGoldenAccessLogLines(t *testing.T) {
 		t.Errorf("ok /v1/match stages:\n got %s\nwant %s", got, wantStages)
 	}
 
-	// A batch answered without a matcher: degraded, still 200.
+	// A batch answered without a matcher: degraded, still 200. A rule-only
+	// server blocks nothing, so its line has no candidates.
 	_, rts := newRuleOnlyServer(t, Config{AccessLog: sink})
 	postWithID(t, rts.URL+"/v1/match/batch", "golden-degraded",
 		`{"records":[`+recordOf(l0Request)+`,`+recordOf(l1Request)+`]}`)
 	top, nested = keyOrder(t, sink.waitLine(t, "golden-degraded"))
 	wantDegraded := "msg time request_id route method status outcome duration_ms queue_wait_ms admission " +
-		"degraded degraded_reason records candidates matches bytes_in bytes_out stages"
+		"degraded degraded_reason records matches bytes_in bytes_out stages"
 	if got := strings.Join(top, " "); !sameKeys(got, wantDegraded) {
 		t.Errorf("degraded batch line keys:\n got %s\nwant %s", got, wantDegraded)
 	}

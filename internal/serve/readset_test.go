@@ -134,8 +134,8 @@ func answersOf(t testing.TB, s *Server, l *table.Table) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, resp := range resps {
-		render(resp)
+	for i := range resps {
+		render(&resps[i])
 	}
 	return out
 }

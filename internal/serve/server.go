@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,7 @@ import (
 	"emgo/internal/obs"
 	"emgo/internal/obs/tail"
 	"emgo/internal/parallel"
+	"emgo/internal/rules"
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
@@ -118,6 +120,13 @@ type Server struct {
 	adm      *Admission
 	reloadMu sync.Mutex
 
+	// sources is the Source of each sure rule's matches, by rule name,
+	// built once: a reload redeploys the live deployment, whose sure rules
+	// it keeps, and a hit names one of them.
+	sources map[string]string
+	// scratch pools matchSet's per-pass state (matchScratch).
+	scratch sync.Pool
+
 	events  *obs.EventLog
 	tailBuf *tail.Buffer
 
@@ -170,6 +179,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		adm:     NewAdmission(cfg.Admission),
 		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		tailBuf: tail.New(tail.Config{SlowN: cfg.TailN}),
+		scratch: sync.Pool{New: func() any { return &matchScratch{} }},
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
@@ -211,6 +221,12 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	}
 	if art.deployment, err = wf.Deploy(ctx, art.Matcher, right); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
+	}
+	s.sources = map[string]string{}
+	if sr := art.deployment.SureRules; sr != nil {
+		for _, r := range sr.Rules() {
+			s.sources[r.Name()] = "rule:" + r.Name()
+		}
 	}
 	s.live.Store(art)
 	return s, nil
@@ -378,7 +394,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tally.record(ev)
-	resp := resps[0]
+	resp := &resps[0]
 	resp.Trace = trace
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	writeJSON(w, http.StatusOK, resp)
@@ -423,12 +439,15 @@ func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
 // left table in one pass: sure rules per row, a single union-blocking
 // pass, a single vectorize+impute+predict call over every surviving
 // candidate, then the veto layer — the amortization that makes the bulk
-// endpoint cheaper than len(left) one-record requests. A stage that fails fails the pass, and a matcher error names
-// the failing record by its row in left; only the learned stage's own
-// sub-budget running out (or a spec without a matcher) degrades the set to
-// its rule-only answer. A recovered panic is returned as an error: one
-// poison record must never take the service down.
-func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool) (resps []*MatchResponse, tally matchTally, trace json.RawMessage, err error) {
+// endpoint cheaper than len(left) one-record requests. The pass walks one
+// candidate list, in pooled scratch (matchScratch), and answers from one
+// slab of responses and one of matches. A stage that fails fails the
+// pass, and a matcher error names the failing record by its row in left;
+// only the learned stage's own sub-budget running out (or a spec without
+// a matcher) degrades the set to its rule-only answer. A recovered panic
+// is returned as an error: one poison record must never take the service
+// down.
+func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool) (resps []MatchResponse, tally matchTally, trace json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: match panicked: %v", r)
@@ -449,116 +468,123 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool
 		return nil, tally, nil, err
 	}
 	d := s.live.Load().deployment // every stage's parts, whatever a reload swaps in
+	sc := s.scratch.Get().(*matchScratch)
+	defer s.putScratch(sc)
 
 	n := left.Len()
-	resps = make([]*MatchResponse, n)
-	for i := range resps {
-		resps[i] = &MatchResponse{}
-	}
+	resps = make([]MatchResponse, n)
 
 	// Stage 1: positive rules straight against the right table — the
 	// always-available path that keeps the service useful when the
 	// learned matcher is down. The engine's keyed index over s.right was
-	// bound at deployment; a request only looks its own keys up.
-	sure := block.NewCandidateSet(left, s.right)
-	sureRule := map[block.Pair]string{}
+	// bound at deployment; a request only looks its own keys up. The hits
+	// come in (A, B) order.
+	var hits []rules.Hit
 	sctx, spSure := obs.StartSpan(ctx, "serve.sure_rules")
 	if d.SureRules != nil && d.SureRules.Len() > 0 {
-		hits, herr := d.SureRules.SureHitsCtx(sctx, left, s.right)
-		if herr != nil {
+		if hits, err = d.SureRules.SureHitsCtx(sctx, left, s.right); err != nil {
 			spSure.End()
-			return nil, tally, nil, herr
-		}
-		for _, h := range hits {
-			sure.Add(h.Pair)
-			sureRule[h.Pair] = h.Rule
+			return nil, tally, nil, err
 		}
 	}
-	spSure.SetItems(sure.Len())
+	spSure.SetItems(len(hits))
 	spSure.End()
 
-	// Stage 2: blocking, once for the whole set; a blocker that cannot
-	// run at all failed Deploy.
-	bctx, spBlock := obs.StartSpan(ctx, "serve.block")
-	blocked, err := block.UnionBlockCtx(bctx, left, s.right, d.Blockers...)
-	spBlock.End()
-	if err != nil {
-		return nil, tally, nil, err
-	}
-	candidates, err := blocked.Minus(sure)
-	if err != nil {
-		return nil, tally, nil, err
-	}
-	perRow := candidates.PerLeftCounts()
-	spBlock.SetItems(candidates.Len())
-
-	// Stage 3: the learned matcher over all candidates of all rows at once.
-	learned := block.NewCandidateSet(left, s.right)
-	scores := map[block.Pair]float64{}
-	reason := ""
-	if candidates.Len() > 0 {
-		pctx, spPredict := obs.StartSpan(ctx, "serve.predict")
-		learned, scores, reason, err = s.predict(pctx, d, left, candidates)
-		spPredict.SetItems(candidates.Len())
-		switch {
-		case err != nil:
-			spPredict.SetOutcome(obs.OutcomeAborted)
-		case reason != "":
-			spPredict.SetOutcome(obs.OutcomeDegraded)
-		}
-		spPredict.End()
-		if err == nil {
-			err = ctx.Err()
-		}
+	// Stages 2 and 3 run for a matcher only: a rule-only answer is its
+	// sure matches, and nothing would judge the candidates.
+	reason, learned := "", 0
+	if d.Matcher == nil {
+		reason = ReasonNoMatcher
+	} else {
+		// Stage 2: blocking, once for the whole set; a blocker that cannot
+		// run at all failed Deploy.
+		bctx, spBlock := obs.StartSpan(ctx, "serve.block")
+		blocked, err := block.UnionBlockCtx(bctx, left, s.right, d.Blockers...)
+		spBlock.End()
 		if err != nil {
 			return nil, tally, nil, err
 		}
-	} else if d.Matcher == nil {
-		reason = ReasonNoMatcher
+		sc.cands = candidateList(sc.cands, blocked, hits, resps)
+		spBlock.SetItems(len(sc.cands))
+
+		// Stage 3: the learned matcher over all candidates of all rows at
+		// once.
+		if len(sc.cands) > 0 {
+			pctx, spPredict := obs.StartSpan(ctx, "serve.predict")
+			learned, reason, err = s.predict(pctx, d, left, sc)
+			spPredict.SetItems(len(sc.cands))
+			switch {
+			case err != nil:
+				spPredict.SetOutcome(obs.OutcomeAborted)
+			case reason != "":
+				spPredict.SetOutcome(obs.OutcomeDegraded)
+			}
+			spPredict.End()
+			if err == nil {
+				err = ctx.Err()
+			}
+			if err != nil {
+				return nil, tally, nil, err
+			}
+		}
 	}
-	degraded := reason != ""
 
 	// Stage 4: negative rules veto learned matches (sure matches bypass
 	// them, as in the batch workflow).
-	kept := learned
-	if d.NegativeRules != nil && d.NegativeRules.Len() > 0 && learned.Len() > 0 {
+	vetoed := 0
+	if learned > 0 && d.NegativeRules != nil && d.NegativeRules.Len() > 0 {
 		_, spVeto := obs.StartSpan(ctx, "serve.veto")
-		kept, _ = d.NegativeRules.FilterMatches(learned)
-		spVeto.SetItems(learned.Len() - kept.Len())
+		for i, p := range sc.cands {
+			if sc.verdicts[i] == 1 && d.NegativeRules.Judge(left.Row(p.A), s.right.Row(p.B)) == rules.NonMatch {
+				sc.verdicts[i] = 0
+				resps[p.A].Vetoed++
+				vetoed++
+			}
+		}
+		spVeto.SetItems(vetoed)
 		spVeto.End()
 	}
-	learnedPer := learned.PerLeftCounts()
-	keptPer := kept.PerLeftCounts()
 
 	// Assemble per row: sure matches first, then surviving learned
-	// matches, both in deterministic (A, B) order.
+	// matches, both in (A, B) order.
+	kept := learned - vetoed
 	tally = matchTally{
-		records: n, candidates: candidates.Len(), matches: sure.Len() + kept.Len(),
+		records: n, candidates: len(sc.cands), matches: len(hits) + kept,
 		reason: reason,
 	}
-	if degraded {
+	if reason != "" {
 		tally.degraded = n
-	}
-	for i := 0; i < n; i++ {
-		resps[i].Candidates = perRow[i]
-		resps[i].Degraded = degraded
-		resps[i].DegradedReason = reason
-		resps[i].Vetoed = learnedPer[i] - keptPer[i]
-	}
-	for _, p := range sure.Sorted() {
-		resps[p.A].Matches = append(resps[p.A].Matches, Match{
-			RightID:    s.rightID(p.B),
-			RightIndex: p.B,
-			Source:     "rule:" + sureRule[p],
-		})
-	}
-	for _, p := range kept.Sorted() {
-		m := Match{RightID: s.rightID(p.B), RightIndex: p.B, Source: "matcher"}
-		if sc, ok := scores[p]; ok {
-			score := sc
-			m.Score = &score
+		for i := range resps {
+			resps[i].Degraded, resps[i].DegradedReason = true, reason
 		}
-		resps[p.A].Matches = append(resps[p.A].Matches, m)
+	}
+	matches := make([]Match, 0, len(hits)+kept)
+	var scores []float64 // what the learned matches' Score points into
+	if kept > 0 && len(sc.scores) > 0 {
+		scores = make([]float64, 0, kept)
+	}
+	h, c := 0, 0
+	for i := range resps {
+		from := len(matches)
+		for ; h < len(hits) && hits[h].Pair.A == i; h++ {
+			b := hits[h].Pair.B
+			matches = append(matches, Match{RightID: s.rightID(b), RightIndex: b, Source: s.sources[hits[h].Rule]})
+		}
+		for ; kept > 0 && c < len(sc.cands) && sc.cands[c].A == i; c++ {
+			if sc.verdicts[c] != 1 {
+				continue
+			}
+			b := sc.cands[c].B
+			m := Match{RightID: s.rightID(b), RightIndex: b, Source: "matcher"}
+			if scores != nil {
+				scores = append(scores, sc.scores[c])
+				m.Score = &scores[len(scores)-1]
+			}
+			matches = append(matches, m)
+		}
+		if len(matches) > from {
+			resps[i].Matches = matches[from:len(matches):len(matches)]
+		}
 	}
 
 	s.requests.Add(int64(n))
@@ -573,56 +599,120 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool
 	return resps, tally, trace, nil
 }
 
-// predict runs d's vectorize + impute + predict under an ML sub-budget
-// of the request deadline. It returns the learned match set, per-pair
-// scores, and a degradation reason ("" = the learned path served
-// normally): the sub-budget running out weakens the answer to its rules,
-// any other error fails the pass and names the record its pair came from.
-func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.Table, candidates *block.CandidateSet) (*block.CandidateSet, map[block.Pair]float64, string, error) {
-	learned := block.NewCandidateSet(left, s.right)
-	scores := map[block.Pair]float64{}
-	if d.Matcher == nil {
-		return learned, scores, ReasonNoMatcher, nil
-	}
+// matchScratch is one matchSet pass's working state, pooled on the server
+// and only read by the pass that holds it.
+type matchScratch struct {
+	// cands is the pass's candidate list: the blocked pairs in (A, B)
+	// order, less the sure matches.
+	cands []block.Pair
+	// verdicts and scores are the learned stage's answer, aligned with
+	// cands: 1 for a match (0 once vetoed), and a probabilistic matcher's
+	// score of each match — scores is empty for any other matcher.
+	verdicts []int
+	scores   []float64
+	// budget is the learned stage's sub-budget (mlBudget).
+	budget mlBudget
+}
 
+// putScratch empties sc and pools it for the next pass.
+func (s *Server) putScratch(sc *matchScratch) {
+	sc.cands, sc.verdicts, sc.scores = sc.cands[:0], nil, sc.scores[:0]
+	sc.budget = mlBudget{}
+	s.scratch.Put(sc)
+}
+
+// candidateList appends to dst, emptied, blocked's pairs in (A, B) order
+// less the sure hits — ascending too, so one merge drops them — and counts
+// each left row's candidates on its response.
+func candidateList(dst []block.Pair, blocked *block.CandidateSet, hits []rules.Hit, resps []MatchResponse) []block.Pair {
+	all := blocked.AppendSorted(dst[:0])
+	out, h := all[:0], 0
+	for _, p := range all {
+		for h < len(hits) && (hits[h].Pair.A < p.A || hits[h].Pair.A == p.A && hits[h].Pair.B < p.B) {
+			h++
+		}
+		if h < len(hits) && hits[h].Pair == p {
+			continue
+		}
+		out = append(out, p)
+		resps[p.A].Candidates++
+	}
+	return out
+}
+
+// mlBudget is the learned stage's share of a request's deadline, held
+// against the request's own context rather than a second one: Deadline
+// and Err report the sub-deadline, and Done and Value are the request's.
+// That bends the context contract — Err turns non-nil at the sub-deadline
+// while Done stays open until the request's — which the stages under it
+// allow: vectorize and predict ask Err between units of work
+// (parallel.ForWorkersCtx, before each item run serially and each chunk
+// fanned out), and none waits on Done for the end of its budget. It lives in the pass's scratch, so holding
+// the sub-budget allocates nothing and starts no timer.
+type mlBudget struct {
+	context.Context
+	deadline time.Time
+}
+
+func (b *mlBudget) Deadline() (time.Time, bool) { return b.deadline, true }
+
+func (b *mlBudget) Err() error {
+	if err := b.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(b.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// predict runs d's vectorize + impute + predict over sc.cands under an ML
+// sub-budget of the request deadline, into sc.verdicts and sc.scores. It
+// returns how many candidates matched and a degradation reason ("" = the
+// learned path served normally): the sub-budget running out weakens the
+// answer to its rules, any other error fails the pass and names the record
+// its pair came from — the first in (A, B) order of those that failed.
+func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.Table, sc *matchScratch) (learned int, reason string, err error) {
 	// Grant the matcher a fraction of the remaining budget so its
 	// timeout leaves room to respond with the rule-only answer.
 	mlCtx := ctx
-	var cancel context.CancelFunc = func() {}
 	if deadline, ok := ctx.Deadline(); ok {
-		sub := time.Duration(float64(time.Until(deadline)) * mlBudgetFrac)
-		mlCtx, cancel = context.WithTimeout(ctx, sub)
+		now := time.Now()
+		sc.budget = mlBudget{Context: ctx, deadline: now.Add(time.Duration(float64(deadline.Sub(now)) * mlBudgetFrac))}
+		mlCtx = &sc.budget
 	}
-	defer cancel()
 	// A sleep armed here runs out the sub-budget, not the request's.
 	if err := fault.Inject("serve.predict"); err != nil {
-		return nil, nil, "", err
+		return 0, "", err
 	}
 
-	pairs := candidates.Pairs()
-	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, pairs)
+	preds, x, err := workflow.PredictPairs(mlCtx, d.Features, d.Imputer, d.Matcher, left, s.right, sc.cands)
 	switch {
 	case err == nil:
 	case ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded):
-		return learned, scores, ReasonMatcherSlow, nil
+		return 0, ReasonMatcherSlow, nil
 	default:
 		// The whole request deadline dying is the caller's 504; anything
 		// else is the caller's 500.
 		if idx, ok := parallel.FailingIndex(err); ok {
-			err = fmt.Errorf("record %d: %w", pairs[idx].A, err)
+			err = fmt.Errorf("record %d: %w", sc.cands[idx].A, err)
 		}
-		return nil, nil, "", err
+		return 0, "", err
 	}
+	sc.verdicts = preds
 	pm, _ := d.Matcher.(ml.ProbabilisticMatcher)
-	for i, p := range pairs {
-		if preds[i] == 1 {
-			learned.Add(p)
+	if pm != nil {
+		sc.scores = slices.Grow(sc.scores[:0], len(preds))[:len(preds)]
+	}
+	for i, v := range preds {
+		if v == 1 {
+			learned++
 			if pm != nil {
-				scores[p] = pm.Proba(x[i])
+				sc.scores[i] = pm.Proba(x[i])
 			}
 		}
 	}
-	return learned, scores, "", nil
+	return learned, "", nil
 }
 
 // rightID maps a right row index to its identifier.

@@ -357,6 +357,32 @@ func TestMatchTimeoutWeakensNeverFlips(t *testing.T) {
 	}
 }
 
+// TestPredictPastRequestDeadlineTimesOut: the ML sub-budget is a share of
+// the request's one deadline, never a deadline of its own. A one-shot
+// sleep at serve.predict that outlasts the whole timeout_ms leaves no
+// budget to answer the rule-only answer in, so the request answers 504,
+// not a matcher_timeout answer, over /v1/match and inside a batch.
+func TestPredictPastRequestDeadlineTimesOut(t *testing.T) {
+	leakcheck.Check(t)
+	defer fault.Reset()
+	_, ts := newTestServer(t, Config{})
+	const budgetMS = 100
+	sleep := fault.Plan{Mode: fault.ModeSleep, Sleep: 3 * budgetMS * time.Millisecond, OnCall: 1}
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/match", map[string]any{"record": l1Record("q1"), "timeout_ms": budgetMS}},
+		{"/v1/match/batch", map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}, "timeout_ms": budgetMS}},
+	} {
+		fault.Enable("serve.predict", sleep)
+		var answer map[string]any
+		if status := postJSONStatus(t, ts.URL+c.path, c.body, &answer); status != http.StatusGatewayTimeout {
+			t.Errorf("%s: serve.predict slept past the request's %d ms: status %d (%v), want 504", c.path, budgetMS, status, answer)
+		}
+	}
+}
+
 // TestOverloadSheds floods a 1-slot, no-queue server while the handler
 // is slowed by an injected fault: the excess must come back 429 with a
 // Retry-After hint, not pile up.
