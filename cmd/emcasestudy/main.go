@@ -8,8 +8,7 @@
 //
 //	emcasestudy [-scale 1.0] [-seed 7] [-out matches.csv] \
 //	            [-labels labels.csv] [-spec spec.json] \
-//	            [-report run.json] [-trace trace.json] [-debug-addr :6060] \
-//	            [-history runs/]
+//	            [-report run.json] [-debug-addr :6060]
 //
 // A study is one pass: at the paper's scale it takes well under a
 // second, so a killed run is rerun, not resumed. -out, -labels and -spec
@@ -17,11 +16,11 @@
 // point leaves each of them it had not finished absent or as it was, and
 // a rerun writes byte-identical files.
 //
-// Observability: -report writes a machine-readable run report (section
-// spans and hot-path counters); -trace writes just the span tree; -debug-addr serves live expvar metrics and pprof during the run.
-// -history appends the run report to an append-only JSONL directory so
-// emmonitor can diff and track study runs over time. The human-readable
-// report stays on stdout; diagnostics and progress go to stderr.
+// Observability: -report writes a machine-readable run report, the run's
+// one record (section spans and hot-path counters), which emmonitor diff
+// compares with another run's; -debug-addr serves live expvar metrics
+// and pprof during the run. The human-readable report stays on stdout;
+// diagnostics and progress go to stderr.
 package main
 
 import (
@@ -54,9 +53,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	out := fs.String("out", "", "optional CSV file for the final match ID pairs")
 	labelsOut := fs.String("labels", "", "optional CSV file for the released labeled pairs")
 	specOut := fs.String("spec", "", "optional JSON file for the packaged deployment workflow")
-	rec := cliutil.RunRecordFlags(fs,
-		"write the observability run report JSON to this path",
-		"write the span trace tree JSON to this path")
+	rec := cliutil.RunRecordFlags(fs, "write the observability run report JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}

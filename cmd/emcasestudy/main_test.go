@@ -16,16 +16,15 @@ import (
 )
 
 // TestRunSmallScaleWithObservability runs the whole case study at a
-// small scale with -report and -trace, checking the stream discipline
-// (report on stdout? no — files; human report on stdout; progress on
-// stderr) and that the written artifacts parse.
+// small scale with -report, checking the stream discipline (report on
+// stdout? no — a file; human report on stdout; progress on stderr) and
+// that the written report parses.
 func TestRunSmallScaleWithObservability(t *testing.T) {
 	dir := t.TempDir()
 	reportPath := filepath.Join(dir, "run.json")
-	tracePath := filepath.Join(dir, "trace.json")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-scale", "0.15", "-seed", "7",
-		"-report", reportPath, "-trace", tracePath}, &stdout, &stderr)
+		"-report", reportPath}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
@@ -49,8 +48,8 @@ func TestRunSmallScaleWithObservability(t *testing.T) {
 	if rep.Name != "emcasestudy" || rep.Outcome != obs.OutcomeOK {
 		t.Fatalf("report header: name=%q outcome=%q error=%q", rep.Name, rep.Outcome, rep.Error)
 	}
-	if rep.Trace == nil {
-		t.Fatal("report has no trace")
+	if rep.Trace == nil || rep.Trace.Name != "emcasestudy" {
+		t.Fatalf("report trace: %+v", rep.Trace)
 	}
 	sections := map[string]bool{}
 	for _, c := range rep.Trace.Children {
@@ -67,35 +66,28 @@ func TestRunSmallScaleWithObservability(t *testing.T) {
 	if rep.Metrics == nil || rep.Metrics.Counters["ml.predictions"] < 1 {
 		t.Fatalf("metrics missing or empty: %+v", rep.Metrics)
 	}
-
-	traceData, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(traceData), `"emcasestudy"`) {
-		t.Fatalf("trace file: %.200s", traceData)
-	}
 }
 
-// TestRunRefusesStdoutArtifacts: stdout is the text report's, so a
-// report or trace directed at "-" is refused before anything runs.
+// TestRunRefusesStdoutArtifacts: stdout is the text report's, so a run
+// report directed at "-" is refused before anything runs.
 func TestRunRefusesStdoutArtifacts(t *testing.T) {
-	for _, flagName := range []string{"-report", "-trace"} {
-		var stdout, stderr bytes.Buffer
-		err := run([]string{"-scale", "0.15", flagName, "-"}, &stdout, &stderr)
-		if err == nil || !strings.Contains(err.Error(), flagName+" - would share stdout") {
-			t.Fatalf("%s -: err = %v, want a refusal", flagName, err)
-		}
-		if stdout.Len() != 0 {
-			t.Fatalf("%s -: wrote %d bytes to stdout before refusing", flagName, stdout.Len())
-		}
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-scale", "0.15", "-report", "-"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "-report - would share stdout") {
+		t.Fatalf("-report -: err = %v, want a refusal", err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("-report -: wrote %d bytes to stdout before refusing", stdout.Len())
 	}
 }
 
 // TestRunCheckpointFlagsAreGone: a study is one pass, rerun rather than
-// resumed, so the section checkpoint flags are usage errors.
+// resumed, so the section checkpoint flags are usage errors; its one
+// record is the -report file, so the run-history and trace-file flags
+// are too.
 func TestRunCheckpointFlagsAreGone(t *testing.T) {
-	for _, extra := range [][]string{{"-checkpoint-dir", t.TempDir()}, {"-resume"}} {
+	for _, extra := range [][]string{{"-checkpoint-dir", t.TempDir()}, {"-resume"},
+		{"-history", t.TempDir()}, {"-trace", "trace.json"}} {
 		var stdout, stderr bytes.Buffer
 		if err := run(append([]string{"-scale", "0.15"}, extra...), &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
 			t.Fatalf("%v: err = %v, want a usage error", extra, err)
@@ -107,39 +99,12 @@ func TestRunCheckpointFlagsAreGone(t *testing.T) {
 }
 
 // TestRunAbortedStillWritesRecord: a study that dies still leaves its
-// trace, its report (aborted, carrying the error) and its history row —
-// through the code emmatch writes them with.
+// report — aborted, carrying the error, its span tree marked aborted too —
+// through the code emmatch writes it with.
 func TestRunAbortedStillWritesRecord(t *testing.T) {
-	abortedRunRecord(t, "trace.json", true)
-}
-
-// TestRunAbortedBadTracePathKeepsTheRest: one unwritable destination
-// costs that artifact only — the report file and the history row of the
-// aborted run are still written, and the failure is named on stderr.
-func TestRunAbortedBadTracePathKeepsTheRest(t *testing.T) {
-	stderr := abortedRunRecord(t, filepath.Join("no-such-dir", "trace.json"), false)
-	if !strings.Contains(stderr, "writing observability artifacts") || !strings.Contains(stderr, "no-such-dir") {
-		t.Fatalf("the unwritable -trace path is not reported:\n%s", stderr)
-	}
-}
-
-// abortedRunRecord runs a cancelled study with -report, -history and
-// -trace (relative to a fresh directory), checks the report and the
-// history row of the aborted run — and the trace when it is writable —
-// and returns stderr.
-func abortedRunRecord(t *testing.T, traceRel string, traceWritable bool) string {
-	t.Helper()
 	dir := t.TempDir()
 	reportPath := filepath.Join(dir, "run.json")
-	tracePath := filepath.Join(dir, traceRel)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var stdout, stderr bytes.Buffer
-	err := runCtx(ctx, []string{"-scale", "0.15", "-report", reportPath, "-trace", tracePath,
-		"-history", filepath.Join(dir, "runs")}, &stdout, &stderr)
-	if err == nil {
-		t.Fatal("a cancelled study must fail")
-	}
+	_, err := abortedRunRecord(t, reportPath)
 	data, rerr := os.ReadFile(reportPath)
 	if rerr != nil {
 		t.Fatalf("failed run must still write the report: %v", rerr)
@@ -151,20 +116,39 @@ func abortedRunRecord(t *testing.T, traceRel string, traceWritable bool) string 
 	if rep.Outcome != obs.OutcomeAborted || rep.Error != err.Error() {
 		t.Fatalf("outcome=%q error=%q, want aborted with %q", rep.Outcome, rep.Error, err)
 	}
-	if _, serr := os.Stat(tracePath); (serr == nil) != traceWritable {
-		t.Fatalf("trace written = %v, want %v (%v)", serr == nil, traceWritable, serr)
+	if rep.Trace == nil || rep.Trace.Outcome != obs.OutcomeAborted {
+		t.Fatalf("report trace %+v, want the root span marked aborted", rep.Trace)
 	}
-	row, herr := os.ReadFile(filepath.Join(dir, "runs", "runs.jsonl"))
-	if herr != nil || !bytes.Contains(row, []byte(`"outcome":"aborted"`)) {
-		t.Fatalf("history row not appended (%v): %s", herr, row)
+}
+
+// TestRunAbortedBadTracePathKeepsTheRest: an unwritable -report path is
+// named on stderr, and the run's own error is what the study returns.
+func TestRunAbortedBadTracePathKeepsTheRest(t *testing.T) {
+	stderr, err := abortedRunRecord(t, filepath.Join(t.TempDir(), "no-such-dir", "run.json"))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the run's own context.Canceled", err)
 	}
-	if !strings.Contains(stderr.String(), "appended run report to") {
-		t.Fatalf("history row not announced:\n%s", stderr.String())
+	if !strings.Contains(stderr, "writing the run report") || !strings.Contains(stderr, "no-such-dir") {
+		t.Fatalf("the unwritable -report path is not reported:\n%s", stderr)
+	}
+}
+
+// abortedRunRecord runs a cancelled study with -report reportPath and
+// returns its stderr and error, having checked that it failed and printed
+// no text report.
+func abortedRunRecord(t *testing.T, reportPath string) (string, error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout, stderr bytes.Buffer
+	err := runCtx(ctx, []string{"-scale", "0.15", "-report", reportPath}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("a cancelled study must fail")
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("an aborted study printed a report:\n%.200s", stdout.String())
 	}
-	return stderr.String()
+	return stderr.String(), err
 }
 
 // TestStudyOutputsPinned pins the bytes a study at scale 0.3 writes — the

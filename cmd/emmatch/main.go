@@ -11,8 +11,8 @@
 //
 //	emmatch -spec workflow.json -left UMETRICSProjected.csv -right USDAProjected.csv \
 //	        [-left-id RecordId] [-right-id RecordId] [-out matches.csv] [-transforms umetrics] \
-//	        [-timeout 0] [-report run.json] [-trace trace.json] [-debug-addr :6060] \
-//	        [-drift-capture baseline.json | -drift-baseline baseline.json] [-history runs/]
+//	        [-timeout 0] [-report run.json] [-debug-addr :6060] \
+//	        [-drift-capture baseline.json | -drift-baseline baseline.json]
 //
 // A run is one pass: a killed or failed run is rerun from the start.
 // With -out the match CSV is written atomically, so it is never torn.
@@ -20,13 +20,13 @@
 // The -transforms flag selects the registered transform set the spec's
 // rules reference ("umetrics" or "none").
 //
-// Observability: -report writes the machine-readable run report
-// (per-stage spans with durations and outcomes, hot-path counters,
-// provenance log); -trace writes just the span tree; -debug-addr serves
-// live expvar metrics (/debug/vars) and pprof (/debug/pprof/) for the
-// duration of the run. Stream discipline: only data (the match CSV, or
-// a report/trace directed at "-") goes to stdout; every diagnostic and
-// progress line goes to stderr, so reports can be piped.
+// Observability: -report writes the machine-readable run report, the
+// run's one record (the span tree with per-stage durations and outcomes,
+// hot-path counters, provenance log); -debug-addr serves live expvar
+// metrics (/debug/vars) and pprof (/debug/pprof/) for the duration of
+// the run. Stream discipline: only data (the match CSV, or a report
+// directed at "-") goes to stdout; every diagnostic and progress line
+// goes to stderr, so reports can be piped.
 //
 // Quality monitoring (see docs/OBSERVABILITY.md): -drift-capture
 // profiles this run's inputs, features, candidates, and scores and
@@ -34,8 +34,7 @@
 // re-profiles the run and scores it against such a baseline (PSI, KS,
 // null-rate / coverage / match-rate deltas), stamping the verdict into
 // the run report — a breach marks the quality stage degraded_quality
-// but never fails the run. -history appends the run report to an
-// append-only JSONL directory that emmonitor check/diff/history reads.
+// but never fails the run. emmonitor check and diff read the reports.
 package main
 
 import (
@@ -78,9 +77,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	rightID := fs.String("right-id", "RecordId", "right record-ID column for the output")
 	out := fs.String("out", "", "output CSV (default: stdout)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
-	rec := cliutil.RunRecordFlags(fs,
-		"write the run report JSON to this path ('-' = stdout)",
-		"write the span trace tree JSON to this path ('-' = stdout)")
+	rec := cliutil.RunRecordFlags(fs, "write the run report JSON to this path ('-' = stdout)")
 	driftCapture := fs.String("drift-capture", "", "profile this run and write the quality baseline JSON to this path")
 	driftBaseline := fs.String("drift-baseline", "", "score this run's quality profile against the baseline at this path")
 	if err := fs.Parse(args); err != nil {
@@ -91,8 +88,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		fmt.Fprintln(stderr, "usage: emmatch -spec workflow.json -left a.csv -right b.csv")
 		return flag.ErrHelp
 	}
-	// The match CSV defaults to stdout, so a report or trace may take it
-	// over only when -out redirects the CSV to a file.
+	// The match CSV defaults to stdout, so a report may take it over only
+	// when -out redirects the CSV to a file.
 	if err := rec.CheckStdout(*out == "", "needs -out so the match CSV does not share stdout"); err != nil {
 		return err
 	}

@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"emgo/internal/drift"
+	"emgo/internal/obs"
 )
 
 func writeFile(t *testing.T, dir, name, content string) string {
@@ -66,9 +69,11 @@ func TestRunTimeoutAborts(t *testing.T) {
 
 // TestRunCheckpointAndStageTimeoutFlagsAreGone: a deployed run is one
 // pass under one deadline, so the stage checkpoint and per-stage deadline
-// flags are usage errors.
+// flags are usage errors; its one record is the -report file, so the
+// run-history and trace-file flags are too.
 func TestRunCheckpointAndStageTimeoutFlagsAreGone(t *testing.T) {
-	for _, extra := range [][]string{{"-checkpoint-dir", t.TempDir()}, {"-resume"}, {"-stage-timeout", "1s"}} {
+	for _, extra := range [][]string{{"-checkpoint-dir", t.TempDir()}, {"-resume"}, {"-stage-timeout", "1s"},
+		{"-history", t.TempDir()}, {"-trace", "trace.json"}} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-spec", "s.json", "-left", "l.csv", "-right", "r.csv"}, extra...)
 		if err := run(args, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
@@ -142,17 +147,21 @@ func TestRunSpecReferencingMissingTransform(t *testing.T) {
 	}
 }
 
+// TestRunDriftCaptureThenCheckAndHistory: a capture run persists the
+// baseline, a run scored against it says so, and each run's -report is
+// its record: the capture run's carries the profile, the checked run's
+// the verdict.
 func TestRunDriftCaptureThenCheckAndHistory(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "spec.json", tinySpec)
 	left := writeFile(t, dir, "left.csv", leftCSV)
 	right := writeFile(t, dir, "right.csv", rightCSV)
 	baseline := filepath.Join(dir, "baseline.json")
-	hist := filepath.Join(dir, "hist")
+	run1, run2 := filepath.Join(dir, "run1.json"), filepath.Join(dir, "run2.json")
 
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-out", filepath.Join(dir, "m1.csv"), "-drift-capture", baseline, "-history", hist},
+		"-out", filepath.Join(dir, "m1.csv"), "-drift-capture", baseline, "-report", run1},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("capture run: %v\nstderr: %s", err, stderr.String())
@@ -164,7 +173,7 @@ func TestRunDriftCaptureThenCheckAndHistory(t *testing.T) {
 	stdout.Reset()
 	stderr.Reset()
 	err = run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-out", filepath.Join(dir, "m2.csv"), "-drift-baseline", baseline, "-history", hist},
+		"-out", filepath.Join(dir, "m2.csv"), "-drift-baseline", baseline, "-report", run2},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("check run: %v\nstderr: %s", err, stderr.String())
@@ -173,12 +182,18 @@ func TestRunDriftCaptureThenCheckAndHistory(t *testing.T) {
 		t.Fatalf("check run stderr:\n%s", stderr.String())
 	}
 
-	data, err := os.ReadFile(filepath.Join(hist, "runs.jsonl"))
-	if err != nil {
-		t.Fatalf("history not written: %v", err)
-	}
-	if n := strings.Count(string(data), "\n"); n != 2 {
-		t.Fatalf("history has %d lines, want 2", n)
+	for _, c := range []struct{ path, verdict string }{{run1, drift.VerdictCaptured}, {run2, drift.StatusOK}} {
+		data, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatalf("report not written: %v", err)
+		}
+		rep, err := obs.ParseReport(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Quality == nil || rep.Quality.Profile == nil || rep.Quality.Verdict != c.verdict {
+			t.Fatalf("%s: want a quality section with a profile and verdict %q", c.path, c.verdict)
+		}
 	}
 }
 

@@ -96,29 +96,31 @@ func TestRunReportFlag(t *testing.T) {
 	}
 }
 
-// TestRunTraceFlag: -trace writes just the span tree.
+// TestRunTraceFlag: the span tree rides in the -report file, rooted at
+// the binary's span with the workflow's stages under it — there is no
+// separate trace file to write.
 func TestRunTraceFlag(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "spec.json", tinySpec)
 	left := writeFile(t, dir, "left.csv", leftCSV)
 	right := writeFile(t, dir, "right.csv", rightCSV)
-	tracePath := filepath.Join(dir, "trace.json")
+	reportPath := filepath.Join(dir, "run.json")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-spec", spec, "-left", left, "-right", right,
-		"-transforms", "none", "-trace", tracePath}, &stdout, &stderr)
+		"-transforms", "none", "-report", reportPath}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
-	data, err := os.ReadFile(tracePath)
+	data, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var span obs.SpanData
-	if err := json.Unmarshal(data, &span); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatalf("report does not parse: %v", err)
 	}
-	if span.Name != "emmatch" || len(span.Children) == 0 {
-		t.Fatalf("trace: %+v", span)
+	if rep.Trace == nil || rep.Trace.Name != "emmatch" || len(rep.Trace.Children) == 0 {
+		t.Fatalf("report trace: %+v", rep.Trace)
 	}
 }
 
@@ -166,11 +168,6 @@ func TestRunReportStdoutGuards(t *testing.T) {
 	err := run(append(base, "-report", "-"), &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "-out") {
 		t.Fatalf("-report - without -out must be rejected: %v", err)
-	}
-	err = run(append(base, "-out", filepath.Join(dir, "m.csv"), "-report", "-", "-trace", "-"),
-		&stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "both") {
-		t.Fatalf("-report - with -trace - must be rejected: %v", err)
 	}
 
 	// With -out redirecting the CSV, the report may own stdout; stdout

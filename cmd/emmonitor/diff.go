@@ -1,123 +1,14 @@
-// Package history is the run-history half of quality observability: an
-// append-only JSONL store of run reports (one compact JSON document per
-// line) plus the report-diffing machinery behind the emmonitor CLI. A
-// deployed matcher appends every run's report; cron/CI then asks "how
-// does today's run compare to yesterday's?" (Diff) and "has quality
-// degraded past the thresholds?" (the drift package's Evaluate over the
-// embedded profiles).
-//
-// Appends are O_APPEND writes of a single line followed by fsync, so
-// concurrent runs on one machine interleave whole records and a crash
-// can only lose or truncate the final line — List skips lines that do
-// not parse rather than failing the whole history.
-package history
+package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"emgo/internal/obs"
 )
-
-// FileName is the history file inside a store directory.
-const FileName = "runs.jsonl"
-
-// Store is an append-only run-report history rooted at a directory.
-type Store struct {
-	path string
-}
-
-// Open creates (if needed) the store directory and returns the store.
-func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("history: empty store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	return &Store{path: filepath.Join(dir, FileName)}, nil
-}
-
-// Path returns the underlying JSONL file path.
-func (s *Store) Path() string { return s.path }
-
-// Append writes one report as a single JSONL line and fsyncs it. The
-// report is marshaled compactly; a report that cannot be marshaled is an
-// error, never a partial line.
-func (s *Store) Append(rep *obs.Report) error {
-	if rep == nil {
-		return fmt.Errorf("history: nil report")
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return fmt.Errorf("history: marshal report: %w", err)
-	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("history: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("history: append: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("history: sync: %w", err)
-	}
-	return nil
-}
-
-// List returns every parseable report in append order. Corrupt lines
-// (a crash-truncated tail, an interleaved partial write) are skipped,
-// not fatal; their count is returned so callers can surface it.
-func (s *Store) List() ([]*obs.Report, int, error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("history: %w", err)
-	}
-	defer f.Close()
-	var out []*obs.Report
-	skipped := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		rep := &obs.Report{}
-		if err := json.Unmarshal(line, rep); err != nil {
-			skipped++
-			continue
-		}
-		out = append(out, rep)
-	}
-	if err := sc.Err(); err != nil {
-		return out, skipped, fmt.Errorf("history: scan: %w", err)
-	}
-	return out, skipped, nil
-}
-
-// Last returns the most recent report, or nil when the history is empty.
-func (s *Store) Last() (*obs.Report, error) {
-	reps, _, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	if len(reps) == 0 {
-		return nil, nil
-	}
-	return reps[len(reps)-1], nil
-}
 
 // DeltaRow is one changed value in a report diff.
 type DeltaRow struct {

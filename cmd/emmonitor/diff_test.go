@@ -1,8 +1,7 @@
-package history
+package main
 
 import (
 	"math"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -16,83 +15,6 @@ func sampleReport(name string, counters map[string]int64) *obs.Report {
 		Name: name, Outcome: "ok",
 		StartedAt: time.Unix(100, 0), FinishedAt: time.Unix(101, 0),
 		Metrics: snap,
-	}
-}
-
-func TestStoreAppendAndList(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reps, skipped, err := s.List(); err != nil || len(reps) != 0 || skipped != 0 {
-		t.Fatalf("fresh store: %v %d %d", err, len(reps), skipped)
-	}
-	if last, err := s.Last(); err != nil || last != nil {
-		t.Fatalf("fresh store Last: %v %v", last, err)
-	}
-
-	for i, name := range []string{"run-a", "run-b", "run-c"} {
-		if err := s.Append(sampleReport(name, map[string]int64{"n": int64(i)})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reps, skipped, err := s.List()
-	if err != nil || skipped != 0 {
-		t.Fatalf("List: %v, %d skipped", err, skipped)
-	}
-	if len(reps) != 3 || reps[0].Name != "run-a" || reps[2].Name != "run-c" {
-		t.Fatalf("append order lost: %+v", reps)
-	}
-	last, err := s.Last()
-	if err != nil || last.Name != "run-c" {
-		t.Fatalf("Last = %+v, %v", last, err)
-	}
-}
-
-func TestStoreSkipsCorruptLines(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(sampleReport("good-1", nil)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash-truncated line followed by a good append.
-	f, err := os.OpenFile(s.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"name":"trunc`); err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("\n") //nolint:errcheck
-	f.Close()
-	if err := s.Append(sampleReport("good-2", nil)); err != nil {
-		t.Fatal(err)
-	}
-	reps, skipped, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 1 || len(reps) != 2 || reps[1].Name != "good-2" {
-		t.Fatalf("corrupt-line handling: %d skipped, reps %+v", skipped, reps)
-	}
-}
-
-func TestOpenRejectsEmptyDir(t *testing.T) {
-	if _, err := Open(""); err == nil {
-		t.Fatal("Open accepted an empty directory")
-	}
-}
-
-func TestAppendRejectsNil(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(nil); err == nil {
-		t.Fatal("Append accepted nil")
 	}
 }
 

@@ -1,32 +1,29 @@
-// Command emmonitor is the run-history and quality-monitoring CLI for
-// deployed matchers — the operational companion to emmatch. It works on
-// the machine-readable artifacts the pipeline already emits (run
-// reports, drift baselines, run-history directories) and is designed to
-// sit in cron/CI: "check" exits non-zero when a deployed run's quality
-// drifted past the fail thresholds, so a scheduled matching job can gate
-// publication of its matches on it.
+// Command emmonitor is the quality-monitoring CLI for deployed matchers
+// — the operational companion to emmatch. It works on the
+// machine-readable artifacts the pipeline already emits (run reports,
+// drift baselines) and is designed to sit in cron/CI: "check" exits
+// non-zero when a deployed run's quality drifted past the fail
+// thresholds, so a scheduled matching job can gate publication of its
+// matches on it. A run's record is its -report file; keep one per run
+// (say runs/<date>.json) and point check and diff at them.
 //
 // Usage:
 //
-//	emmonitor check -baseline baseline.json (-run run.json | -dir history/) \
+//	emmonitor check -baseline baseline.json -run run.json \
 //	        [-thresholds th.json] [-strict]
 //	emmonitor diff runA.json runB.json
-//	emmonitor history -dir history/ [-n 20]
 //	emmonitor perf OLD_BENCH.json NEW_BENCH.json
 //
 // check re-scores the live statistical profile embedded in a run report
 // against a training-time baseline (possibly under different thresholds
-// than the run used) and prints every signal; with -dir it checks the
-// most recent run in the history. Exit status: 0 when quality holds,
-// 1 on a fail-threshold breach (or any warn under -strict), 2 on usage
-// or I/O errors, 130 when interrupted by SIGINT/SIGTERM (so a breach
-// verdict is never confused with an operator abort).
+// than the run used) and prints every signal. Exit status: 0 when
+// quality holds, 1 on a fail-threshold breach (or any warn under
+// -strict), 2 on usage or I/O errors, 130 when interrupted by
+// SIGINT/SIGTERM (so a breach verdict is never confused with an
+// operator abort).
 //
 // diff compares two run reports: per-stage wall time, counters,
-// histogram percentiles (p50/p90/p99), and quality signals.
-//
-// history lists the runs recorded in an append-only history directory
-// (see internal/obs/history), most recent last.
+// histogram percentiles (p50/p90/p99), and quality signals (see diff.go).
 //
 // perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at
 // fixed bars and exits 1 on a benchmark regression; `make perf-gate`
@@ -42,12 +39,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"emgo/internal/cliutil"
 	"emgo/internal/drift"
 	"emgo/internal/obs"
-	"emgo/internal/obs/history"
 )
 
 // errBreach marks a quality-gate failure, distinguished from usage/IO
@@ -90,8 +85,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return runCheck(args[1:], stdout, stderr)
 	case "diff":
 		return runDiff(args[1:], stdout, stderr)
-	case "history":
-		return runHistory(args[1:], stdout, stderr)
 	case "perf":
 		return runPerf(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
@@ -105,9 +98,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  emmonitor check -baseline baseline.json (-run run.json | -dir history/) [-thresholds th.json] [-strict]
+  emmonitor check -baseline baseline.json -run run.json [-thresholds th.json] [-strict]
   emmonitor diff runA.json runB.json
-  emmonitor history -dir history/ [-n 20]
   emmonitor perf OLD_BENCH.json NEW_BENCH.json
 
 exit status:
@@ -132,14 +124,13 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "", "training-time baseline profile (JSON, from a drift-capture run)")
 	runPath := fs.String("run", "", "run report to check (must embed a quality profile)")
-	dir := fs.String("dir", "", "run-history directory; checks the most recent run")
 	thresholdsPath := fs.String("thresholds", "", "JSON file overriding the warn/fail thresholds")
 	strict := fs.Bool("strict", false, "treat warn-level drift as a breach too")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp
 	}
-	if *baselinePath == "" || (*runPath == "") == (*dir == "") {
-		fmt.Fprintln(stderr, "emmonitor check needs -baseline and exactly one of -run / -dir")
+	if *baselinePath == "" || *runPath == "" {
+		fmt.Fprintln(stderr, "emmonitor check needs -baseline and -run")
 		return flag.ErrHelp
 	}
 
@@ -148,22 +139,9 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("baseline: %w", err)
 	}
 
-	var rep *obs.Report
-	if *runPath != "" {
-		if rep, err = loadReport(*runPath); err != nil {
-			return fmt.Errorf("run report: %w", err)
-		}
-	} else {
-		store, err := history.Open(*dir)
-		if err != nil {
-			return err
-		}
-		if rep, err = store.Last(); err != nil {
-			return err
-		}
-		if rep == nil {
-			return fmt.Errorf("history %s is empty", *dir)
-		}
+	rep, err := loadReport(*runPath)
+	if err != nil {
+		return fmt.Errorf("run report: %w", err)
 	}
 	live, err := drift.ProfileFromQuality(rep.Quality)
 	if err != nil {
@@ -206,11 +184,18 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 }
 
 // unmarshalStrict rejects unknown fields, so a typoed threshold name
-// fails loudly instead of silently using the default.
+// fails loudly instead of silently using the default, and anything after
+// the one JSON value, which would otherwise be ignored just as silently.
 func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return fmt.Errorf("trailing data after the JSON value")
+	}
+	return nil
 }
 
 func runDiff(args []string, stdout, stderr io.Writer) error {
@@ -231,61 +216,5 @@ func runDiff(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", fs.Arg(1), err)
 	}
-	return history.DiffReports(a, b).Render(stdout)
-}
-
-func runHistory(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("emmonitor history", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := fs.String("dir", "", "run-history directory")
-	n := fs.Int("n", 20, "show at most the n most recent runs (0 = all)")
-	if err := fs.Parse(args); err != nil {
-		return flag.ErrHelp
-	}
-	if *dir == "" {
-		fmt.Fprintln(stderr, "emmonitor history needs -dir")
-		return flag.ErrHelp
-	}
-	store, err := history.Open(*dir)
-	if err != nil {
-		return err
-	}
-	reps, skipped, err := store.List()
-	if err != nil {
-		return err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(stderr, "emmonitor: skipped %d corrupt history line(s)\n", skipped)
-	}
-	if len(reps) == 0 {
-		fmt.Fprintln(stdout, "no runs recorded")
-		return nil
-	}
-	start := 0
-	if *n > 0 && len(reps) > *n {
-		start = len(reps) - *n
-	}
-	fmt.Fprintf(stdout, "%-4s %-24s %-20s %-10s %-8s %s\n", "#", "run", "started", "outcome", "quality", "duration")
-	for i := start; i < len(reps); i++ {
-		r := reps[i]
-		verdict := "-"
-		if r.Quality != nil {
-			verdict = r.Quality.Verdict
-		}
-		dur := r.FinishedAt.Sub(r.StartedAt).Round(time.Millisecond)
-		fmt.Fprintf(stdout, "%-4d %-24s %-20s %-10s %-8s %s\n",
-			i+1, clip(r.Name, 24), r.StartedAt.Format("2006-01-02 15:04:05"), r.Outcome, verdict, dur)
-	}
-	return nil
-}
-
-// clip shortens s to width runes with an ellipsis.
-func clip(s string, width int) string {
-	if len(s) <= width {
-		return s
-	}
-	if width <= 1 {
-		return s[:width]
-	}
-	return s[:width-1] + "…"
+	return DiffReports(a, b).Render(stdout)
 }

@@ -12,7 +12,6 @@ import (
 
 	"emgo/internal/drift"
 	"emgo/internal/obs"
-	"emgo/internal/obs/history"
 )
 
 // fixtureProfiles builds a baseline and a live profile; drifted controls
@@ -90,34 +89,6 @@ func TestCheckBreachesOnDriftedProfile(t *testing.T) {
 	}
 }
 
-func TestCheckUsesLatestHistoryRun(t *testing.T) {
-	dir := t.TempDir()
-	base, live := fixtureProfiles(t, false)
-	basePath := filepath.Join(dir, "baseline.json")
-	if err := base.WriteFile(basePath); err != nil {
-		t.Fatal(err)
-	}
-	histDir := filepath.Join(dir, "history")
-	store, err := history.Open(histDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(&obs.Report{Name: "older", Outcome: "ok"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(&obs.Report{Name: "latest", Outcome: "ok", Quality: drift.CaptureQuality(live)}); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errOut strings.Builder
-	if err := run([]string{"check", "-baseline", basePath, "-dir", histDir}, &out, &errOut); err != nil {
-		t.Fatalf("history check failed: %v\n%s", err, errOut.String())
-	}
-	if !strings.Contains(out.String(), "run latest") {
-		t.Fatalf("did not check the most recent run:\n%s", out.String())
-	}
-}
-
 func TestCheckCustomThresholdsAndStrict(t *testing.T) {
 	dir := t.TempDir()
 	base, live := fixtureProfiles(t, false)
@@ -127,16 +98,19 @@ func TestCheckCustomThresholdsAndStrict(t *testing.T) {
 	}
 	// The identical profiles differ only in row counts (none here), so
 	// with an absurdly tight warn threshold on nothing they still pass;
-	// instead verify a typoed threshold key is rejected.
-	badTh := filepath.Join(dir, "th.json")
-	if err := writeFile(badTh, `{"psi_wrn": 0.5}`); err != nil {
-		t.Fatal(err)
-	}
+	// instead verify a typoed threshold key, and a second object after
+	// the first, are rejected.
 	runPath := writeRunReport(t, dir, live)
-	var out, errOut strings.Builder
-	err := run([]string{"check", "-baseline", basePath, "-run", runPath, "-thresholds", badTh}, &out, &errOut)
-	if err == nil || errors.Is(err, errBreach) {
-		t.Fatalf("typoed thresholds accepted: %v", err)
+	for _, bad := range []string{`{"psi_wrn": 0.5}`, `{"psi_fail": 0.3} {"psi_wrn": 1}`} {
+		badTh := filepath.Join(dir, "th.json")
+		if err := writeFile(badTh, bad); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut strings.Builder
+		err := run([]string{"check", "-baseline", basePath, "-run", runPath, "-thresholds", badTh}, &out, &errOut)
+		if err == nil || errors.Is(err, errBreach) {
+			t.Fatalf("thresholds %s accepted: %v", bad, err)
+		}
 	}
 }
 
@@ -176,34 +150,6 @@ func TestDiffSubcommand(t *testing.T) {
 	}
 }
 
-func TestHistorySubcommand(t *testing.T) {
-	dir := t.TempDir()
-	store, err := history.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"one", "two"} {
-		rep := &obs.Report{Name: name, Outcome: "ok",
-			StartedAt: time.Unix(10, 0), FinishedAt: time.Unix(11, 0),
-			Quality: &obs.QualityData{Verdict: "ok"}}
-		if err := store.Append(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out, errOut strings.Builder
-	if err := run([]string{"history", "-dir", dir}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"one", "two", "outcome", "ok"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("history output missing %q:\n%s", want, out.String())
-		}
-	}
-	if err := run([]string{"history"}, &out, &errOut); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("missing -dir: %v", err)
-	}
-}
-
 // pr25Report is a run report as PR 25's emmatch wrote it (trace and
 // provenance cut): its metrics carry the gauges and float_gauges kinds,
 // both gone since.
@@ -215,8 +161,7 @@ const pr25Report = `{"name":"workflow.v","started_at":"2026-10-05T10:00:00Z","fi
 // TestSnapshotHasTwoKinds pins the keys of a metrics snapshot — what a
 // report's "metrics" section and /debug/vars' em_metrics are — and that a
 // report written when there were four kinds still loads: diff compares
-// its counters and histograms, history lists it, the unknown keys are
-// ignored.
+// its counters and histograms, the unknown keys are ignored.
 func TestSnapshotHasTwoKinds(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c").Inc()
@@ -249,17 +194,6 @@ func TestSnapshotHasTwoKinds(t *testing.T) {
 	if !strings.Contains(out.String(), "block.pairs_blocked") || !strings.Contains(out.String(), "+3") || !strings.Contains(out.String(), "workflow.stage_ms") {
 		t.Fatalf("diff output:\n%s", out.String())
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, history.FileName), []byte(pr25Report+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"history", "-dir", dir}, &out, &errOut); err != nil {
-		t.Fatalf("history over a PR 25 report: %v", err)
-	}
-	if !strings.Contains(out.String(), "workflow.v") || strings.Contains(errOut.String(), "skipped") {
-		t.Fatalf("history output:\n%s%s", out.String(), errOut.String())
-	}
 }
 
 func TestUsageErrors(t *testing.T) {
@@ -275,6 +209,15 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"diff", "only-one"}, &out, &errOut); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("diff with one arg: %v", err)
+	}
+	// A run's record is its report file: there is no history to list or
+	// to take the newest run of.
+	if err := run([]string{"history", "-dir", "x"}, &out, &errOut); err == nil || errors.Is(err, errBreach) ||
+		!strings.Contains(err.Error(), `unknown subcommand "history"`) {
+		t.Fatalf("history -dir x: want an unknown-subcommand usage error, got %v", err)
+	}
+	if err := run([]string{"check", "-baseline", "b.json", "-dir", "x"}, &out, &errOut); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("check -dir x: want a usage error, got %v", err)
 	}
 	// slo is no subcommand: emload's gate judges the objectives.
 	if err := run([]string{"slo", "-url", "x"}, &out, &errOut); err == nil || errors.Is(err, errBreach) ||

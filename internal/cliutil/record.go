@@ -2,8 +2,6 @@ package cliutil
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,14 +11,15 @@ import (
 
 	"emgo/internal/ckpt"
 	"emgo/internal/obs"
-	"emgo/internal/obs/history"
 )
 
-// RunRecord is the -report -trace -debug-addr -history flag set: what an
-// operator keeps of a run. Start arms it, Finish writes it — on success
-// and on failure alike, an aborted run being exactly when it is needed.
+// RunRecord is the -report -debug-addr flag set: what an operator keeps
+// of a run. Start arms it, Finish writes it — on success and on failure
+// alike, an aborted run being exactly when it is needed. The report is
+// the run's one record: it carries the span tree, the metrics and, from
+// a workflow run, the provenance log and the quality section.
 type RunRecord struct {
-	report, trace, debugAddr, history string
+	report, debugAddr string
 
 	name           string
 	stdout, stderr io.Writer
@@ -30,39 +29,31 @@ type RunRecord struct {
 }
 
 // RunRecordFlags registers the flag set on fs; whether "-" may mean
-// stdout is the binary's call, so it words -report and -trace itself.
-func RunRecordFlags(fs *flag.FlagSet, reportUsage, traceUsage string) *RunRecord {
+// stdout is the binary's call, so it words -report itself.
+func RunRecordFlags(fs *flag.FlagSet, reportUsage string) *RunRecord {
 	r := &RunRecord{}
 	fs.StringVar(&r.report, "report", "", reportUsage)
-	fs.StringVar(&r.trace, "trace", "", traceUsage)
 	fs.StringVar(&r.debugAddr, "debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) at this address during the run, e.g. :6060")
-	fs.StringVar(&r.history, "history", "", "append the run report to this run-history directory (for emmonitor)")
 	return r
 }
 
-// CheckStdout refuses a "-" destination that would share stdout, which
-// carries exactly one data document: neither report nor trace while the
-// binary's own output is going there (taken; why says so in the binary's
-// terms), and never both.
+// CheckStdout refuses -report - while the binary's own output is going
+// to stdout (taken; why says so in the binary's terms): stdout carries
+// exactly one data document.
 func (r *RunRecord) CheckStdout(taken bool, why string) error {
-	switch {
-	case taken && r.report == "-":
+	if taken && r.report == "-" {
 		return fmt.Errorf("-report - %s", why)
-	case taken && r.trace == "-":
-		return fmt.Errorf("-trace - %s", why)
-	case r.report == "-" && r.trace == "-":
-		return fmt.Errorf("-report and -trace cannot both write to stdout")
 	}
 	return nil
 }
 
-// Start arms what the flags ask for: the metrics registry when any is
+// Start arms what the flags ask for: the metrics registry when either is
 // set (so hot-path counters tick for this run), the debug server, and —
-// for a report, trace or history row — a root span called name that the
-// pipeline's stage spans nest under. Finish ends what Start began.
+// for a report — a root span called name that the pipeline's stage spans
+// nest under. Finish ends what Start began.
 func (r *RunRecord) Start(ctx context.Context, name string, stdout, stderr io.Writer) (context.Context, error) {
 	r.name, r.stdout, r.stderr, r.started = name, stdout, stderr, time.Now()
-	if r.report != "" || r.trace != "" || r.debugAddr != "" || r.history != "" {
+	if r.report != "" || r.debugAddr != "" {
 		obs.Enable()
 	}
 	if r.debugAddr != "" {
@@ -73,17 +64,17 @@ func (r *RunRecord) Start(ctx context.Context, name string, stdout, stderr io.Wr
 		r.dbg = dbg
 		fmt.Fprintf(stderr, "%s: debug server on http://%s/debug/\n", name, dbg.Addr())
 	}
-	if r.report != "" || r.trace != "" || r.history != "" {
+	if r.report != "" {
 		ctx, r.root = obs.NewTrace(ctx, name)
 	}
 	return ctx, nil
 }
 
-// Finish ends the root span, writes the trace, the report and the
-// history row, and stops the debug server. rep is the run's own report
-// when the pipeline built one; without it the record is what the binary
-// saw: ok, or aborted with runErr. It returns runErr, or — the run
-// having succeeded — the error that kept an artifact from being written.
+// Finish ends the root span, writes the report and stops the debug
+// server. rep is the run's own report when the pipeline built one;
+// without it the record is what the binary saw: ok, or aborted with
+// runErr. It returns runErr, or — the run having succeeded — the error
+// that kept the report from being written.
 func (r *RunRecord) Finish(rep *obs.Report, runErr error) error {
 	err := r.write(rep, runErr)
 	if r.dbg != nil {
@@ -93,59 +84,44 @@ func (r *RunRecord) Finish(rep *obs.Report, runErr error) error {
 		return err
 	}
 	if err != nil {
-		fmt.Fprintf(r.stderr, "%s: writing observability artifacts: %v\n", r.name, err)
+		fmt.Fprintf(r.stderr, "%s: writing the run report: %v\n", r.name, err)
 	}
 	return runErr
 }
 
-// write attempts every artifact the flags name and joins the failures:
-// a bad -trace path must not cost the report and the history row.
+// write ends the root span, marks it aborted when the run failed, and
+// writes the report with the finished tree (a pipeline's own report
+// snapshots the root before the run ends) to stdout for "-", or else to
+// the path atomically, as every data output is written: a run killed
+// mid-write leaves the previous report whole. The directory the path
+// names must exist; a record is not worth making one.
 func (r *RunRecord) write(rep *obs.Report, runErr error) error {
-	r.root.End()
-	var errs []error
-	if r.trace != "" {
-		snap := r.root.Snapshot()
-		errs = append(errs, r.writeDoc(r.trace, "trace", func() ([]byte, error) { return json.MarshalIndent(snap, "", "  ") }))
+	if r.report == "" {
+		return nil
 	}
-	if rep == nil && (r.report != "" || r.history != "") {
+	r.root.End()
+	if runErr != nil {
+		r.root.SetOutcome(obs.OutcomeAborted)
+	}
+	if rep == nil {
 		rep = obs.NewReport(r.name, r.started, r.root, runErr)
 	}
-	if r.report != "" {
-		errs = append(errs, r.writeDoc(r.report, "run report", rep.Marshal))
-	}
-	if r.history != "" {
-		store, err := history.Open(r.history)
-		if err == nil {
-			err = store.Append(rep)
-		}
-		if err == nil {
-			fmt.Fprintf(r.stderr, "%s: appended run report to %s\n", r.name, store.Path())
-		}
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
-// writeDoc writes the JSON document marshal renders, and a newline, to
-// stdout for "-", or else to path atomically, as every data output is
-// written: a run killed mid-write leaves the previous document whole. The
-// directory path names must exist; a record is not worth making one.
-func (r *RunRecord) writeDoc(path, what string, marshal func() ([]byte, error)) error {
-	data, err := marshal()
+	rep.Trace = r.root.Snapshot()
+	data, err := rep.Marshal()
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	if path == "-" {
+	if r.report == "-" {
 		_, err := r.stdout.Write(data)
 		return err
 	}
-	if _, err := os.Stat(filepath.Dir(path)); err != nil {
+	if _, err := os.Stat(filepath.Dir(r.report)); err != nil {
 		return err
 	}
-	if err := ckpt.AtomicWriteFile(path, data, 0o644); err != nil {
+	if err := ckpt.AtomicWriteFile(r.report, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(r.stderr, "%s: wrote %s to %s\n", r.name, what, path)
+	fmt.Fprintf(r.stderr, "%s: wrote run report to %s\n", r.name, r.report)
 	return nil
 }

@@ -5,7 +5,6 @@ package smoke
 import (
 	"bytes"
 	"encoding/csv"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -59,29 +58,31 @@ func smokeLoad(t *testing.T) {
 // drift-capture run persists a baseline, the identical slice scores zero
 // drift (`emmonitor check` exit 0, verdict ok), a slice with AwardNumber
 // nulled on half its rows trips the gates (exit 1, verdict fail) without
-// failing the run itself, and history/diff answer over the three runs.
+// failing the run itself, and diff compares the two checked runs' reports.
+// Each run's record is its -report file, runN.json beside runN.csv.
 func smokeMonitor(t *testing.T) {
 	dir := t.TempDir()
-	hist, baseline := filepath.Join(dir, "hist"), filepath.Join(dir, "baseline.json")
-	emmatch := func(rightCSV, out string, drift ...string) string {
-		args := append([]string{"-spec", spec, "-left", left, "-history", hist, "-right", rightCSV, "-out", filepath.Join(dir, out)}, drift...)
+	baseline := filepath.Join(dir, "baseline.json")
+	emmatch := func(rightCSV, run string, drift ...string) string {
+		args := append([]string{"-spec", spec, "-left", left, "-right", rightCSV,
+			"-out", filepath.Join(dir, run+".csv"), "-report", filepath.Join(dir, run+".json")}, drift...)
 		code, log := cli(t, "emmatch", args...)
-		wantCLI(t, "emmatch -> "+out, code, log, 0)
+		wantCLI(t, "emmatch -> "+run, code, log, 0)
 		return log
 	}
-	check := func() (int, string) {
-		return cli(t, "emmonitor", "check", "-baseline", baseline, "-dir", hist)
+	check := func(run string) (int, string) {
+		return cli(t, "emmonitor", "check", "-baseline", baseline, "-run", filepath.Join(dir, run+".json"))
 	}
 
-	emmatch(right, "run1.csv", "-drift-capture", baseline)
+	emmatch(right, "run1", "-drift-capture", baseline)
 	if readFile(t, baseline) == "" {
 		t.Fatal("the capture run persisted no baseline")
 	}
-	emmatch(right, "run2.csv", "-drift-baseline", baseline)
+	emmatch(right, "run2", "-drift-baseline", baseline)
 	if readFile(t, filepath.Join(dir, "run1.csv")) != readFile(t, filepath.Join(dir, "run2.csv")) {
 		t.Error("identical inputs produced different matches")
 	}
-	code, out := check()
+	code, out := check("run2")
 	wantCLI(t, "check on the identical slice", code, out, 0, "verdict ok")
 
 	perturbed := filepath.Join(dir, "USDAPerturbed.csv")
@@ -109,28 +110,10 @@ func smokeMonitor(t *testing.T) {
 	if err := os.WriteFile(perturbed, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wantFragments(t, "perturbed run log", emmatch(perturbed, "run3.csv", "-drift-baseline", baseline), "quality verdict fail")
-	code, out = check()
+	wantFragments(t, "perturbed run log", emmatch(perturbed, "run3", "-drift-baseline", baseline), "quality verdict fail")
+	code, out = check("run3")
 	wantCLI(t, "check on the perturbed slice", code, out, 1, "verdict fail")
 
-	code, out = cli(t, "emmonitor", "history", "-dir", hist)
-	wantCLI(t, "emmonitor history", code, out, 0)
-	listed := strings.Split(strings.TrimSpace(out), "\n")
-	if len(listed) != 4 || !strings.Contains(listed[len(listed)-1], "fail") {
-		t.Errorf("history must list a header and 3 runs, the last carrying the fail verdict:\n%s", out)
-	}
-	runs := strings.Split(strings.TrimSpace(readFile(t, filepath.Join(hist, "runs.jsonl"))), "\n")
-	if len(runs) != 3 {
-		t.Fatalf("runs.jsonl holds %d runs, want 3", len(runs))
-	}
-	var sides []string
-	for i, run := range runs[1:] {
-		side := filepath.Join(dir, fmt.Sprintf("side%d.jsonl", i))
-		if err := os.WriteFile(side, []byte(run+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sides = append(sides, side)
-	}
-	code, out = cli(t, "emmonitor", append([]string{"diff"}, sides...)...)
+	code, out = cli(t, "emmonitor", "diff", filepath.Join(dir, "run2.json"), filepath.Join(dir, "run3.json"))
 	wantCLI(t, "emmonitor diff", code, out, 0, "quality signals")
 }

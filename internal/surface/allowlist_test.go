@@ -37,9 +37,6 @@ var deploymentSettings = map[string]string{
 
 	"emmonitor check -baseline": "path",
 	"emmonitor check -run":      "path",
-	"emmonitor check -dir":      "path",
-	"emmonitor history -dir":    "path",
-	"emmonitor history -n":      "size",
 
 	"emserve -addr":                "address",
 	"emserve -addr-file":           "path",

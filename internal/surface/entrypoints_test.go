@@ -35,7 +35,7 @@ unrunEntryPoints (allowlist_test.go) with its reason.`
 // load driver, the gate, the matching service and the production matcher.
 // A command's flags are read off its own source, so the ones
 // internal/cliutil registers for it (-spec, -left, -right, -transforms,
-// -date-cols, the run record's and the checkpoint store's) stay out of
+// -date-cols and the run record's -report and -debug-addr) stay out of
 // scope.
 var checkedBinaries = []string{"emload", "emmonitor", "emserve", "emmatch"}
 

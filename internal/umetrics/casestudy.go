@@ -235,7 +235,7 @@ var sections = []section{
 }
 
 // RunCtxStudy is Run under a context: when ctx carries an obs trace
-// (emcasestudy's -trace/-report flags open one), each case-study
+// (emcasestudy's -report flag opens one), each case-study
 // section runs inside a "casestudy.<section>" span, so a trace of the
 // full end-to-end run shows where the wall time went; cancellation is
 // checked between sections.
