@@ -148,7 +148,7 @@ examples:
 # package builds the CLIs once (emserve and emcasestudy with -race),
 # generates one slice, spec and matcher artifact once, and runs five
 # scenarios against the real binaries — serve (degrade, shed, reload,
-# rollback), obs (wide events, tail capture, SLO gate), load (soak 0/1,
+# rollback), obs (wide events, slow requests kept, SLO gate), load (soak 0/1,
 # capacity), monitor (drift check 0/1) and chaos (the case study killed
 # before, mid and after each of its three outputs, every output absent
 # or intact, each rerun byte-identical) — with every server drained to

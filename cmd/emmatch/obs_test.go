@@ -53,7 +53,8 @@ func TestRunReportFlag(t *testing.T) {
 	if rep.Outcome != obs.OutcomeOK {
 		t.Fatalf("outcome = %q, error = %q", rep.Outcome, rep.Error)
 	}
-	if rep.Trace == nil || rep.Trace.Name != "emmatch" {
+	// The binary's root span says how the run ended, as the report does.
+	if rep.Trace == nil || rep.Trace.Name != "emmatch" || rep.Trace.Outcome != obs.OutcomeOK {
 		t.Fatalf("trace root: %+v", rep.Trace)
 	}
 	// The workflow's stage spans nest under the binary's root span.
@@ -153,6 +154,9 @@ func TestRunReportOnFailure(t *testing.T) {
 	}
 	if rep.Outcome != obs.OutcomeAborted || !strings.Contains(rep.Error, "unknown transform") {
 		t.Fatalf("outcome=%q error=%q", rep.Outcome, rep.Error)
+	}
+	if rep.Trace == nil || rep.Trace.Outcome != obs.OutcomeAborted {
+		t.Fatalf("trace root of an aborted run: %+v", rep.Trace)
 	}
 }
 

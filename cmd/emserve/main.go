@@ -16,8 +16,7 @@
 //	        [-read-header-timeout 5s] [-read-timeout 30s] [-write-timeout 0] [-idle-timeout 120s] \
 //	        [-transforms umetrics] [-date-cols ...] \
 //	        [-max-batch 256] \
-//	        [-access-log events.jsonl] [-access-sample 10] [-tail-n 16] \
-//	        [-tail-dump tail.json] \
+//	        [-access-log events.jsonl] [-access-sample 10] \
 //	        [-inject site:spec ...]
 //
 //	emserve -spec workflow.json -left left.csv -right right.csv \
@@ -39,15 +38,12 @@
 //
 // Observability: every request carries a request ID (minted, or a
 // sanitized client X-Request-Id) echoed on the response and written on
-// its wide event. -access-log emits one JSON wide event per request
-// (sampled by -access-sample for successes; errors, sheds and degraded
-// answers always log). GET /debug/tail serves the in-memory
-// tail capture — the N slowest plus every errored/degraded request of
-// the current and previous windows, full span trees included — and
-// -tail-dump writes that snapshot to a file on drain. Whether the
-// service meets its objectives is judged by the client that drives it
-// (emload's gate); the access log and /debug/tail say which requests
-// failed.
+// its wide event. -access-log emits one JSON wide event per request,
+// its stage timings included (sampled by -access-sample for successes;
+// errors, sheds, degraded answers and ok requests of 500 ms or more
+// always log). Whether the service meets its objectives is judged by
+// the client that drives it (emload's gate); the access log says which
+// requests failed or were slow.
 //
 // Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
 // for in-flight requests up to the drain timeout, shut the listener
@@ -70,7 +66,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -83,7 +78,6 @@ import (
 	"syscall"
 	"time"
 
-	"emgo/internal/ckpt"
 	"emgo/internal/cliutil"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
@@ -136,9 +130,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	rightID := fs.String("right-id", "RecordId", "right-table ID column echoed in match responses")
 	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; match a larger table offline with emmatch over the deployed spec)")
 	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
-	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded always log)")
-	tailN := fs.Int("tail-n", 0, "slowest requests retained per window in the /debug/tail buffer (0 = default)")
-	tailDump := fs.String("tail-dump", "", "write the tail-capture snapshot to this file when the server drains")
+	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded and ok requests of 500ms or more always log)")
 	var injects multiFlag
 	fs.Var(&injects, "inject", "arm a fault-injection plan, site[:key=value,...] (repeatable; sites "+strings.Join(fault.Sites, ", ")+"; e.g. serve.predict:mode=sleep,sleep=4s,oncall=1)")
 	if err := fs.Parse(args); err != nil {
@@ -189,7 +181,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		RightIDCol:      *rightID,
 		MaxBatchRecords: *maxBatch,
 		AccessSampleN:   *accessSample,
-		TailN:           *tailN,
 	}
 	switch *accessLog {
 	case "":
@@ -270,7 +261,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 			// The listener died on its own — a real serving failure.
 			return fmt.Errorf("serve: %w", err)
 		case <-ctx.Done():
-			return shutdown(ctx, srv, httpSrv, *drainTimeout, *tailDump, baseGoroutines, stderr)
+			return shutdown(ctx, srv, httpSrv, *drainTimeout, baseGoroutines, stderr)
 		}
 	}
 }
@@ -278,7 +269,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 // shutdown runs the graceful-drain sequence: stop admitting, wait for
 // in-flight requests, close the listener, then self-check for leaked
 // goroutines. It returns the context's error so the interrupt exits 130.
-func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, drainTimeout time.Duration, tailDump string, baseGoroutines int, stderr io.Writer) error {
+func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, drainTimeout time.Duration, baseGoroutines int, stderr io.Writer) error {
 	fmt.Fprintln(stderr, "emserve: signal received; draining")
 	srv.StartDrain()
 	select {
@@ -286,19 +277,6 @@ func shutdown(ctx context.Context, srv *serve.Server, httpSrv *http.Server, drai
 		fmt.Fprintln(stderr, "emserve: drain complete")
 	case <-time.After(drainTimeout + time.Second):
 		fmt.Fprintln(stderr, "emserve: drain timed out; shutting down anyway")
-	}
-	if tailDump != "" {
-		// Drained means every in-flight request has emitted its wide
-		// event, so the snapshot taken now is complete for this run.
-		data, merr := json.MarshalIndent(srv.TailSnapshot(), "", "  ")
-		if merr == nil {
-			merr = ckpt.AtomicWriteFile(tailDump, append(data, '\n'), 0o644)
-		}
-		if merr != nil {
-			fmt.Fprintf(stderr, "emserve: tail dump: %v\n", merr)
-		} else {
-			fmt.Fprintf(stderr, "emserve: tail snapshot written to %s\n", tailDump)
-		}
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -146,8 +146,8 @@ func TestRunBadInjectSpec(t *testing.T) {
 }
 
 // TestRunBreakerFlagsAreGone: the flags of the matcher circuit breaker,
-// of the async job tier and its result streams, and of the server-side
-// SLO tracker are usage errors.
+// of the async job tier and its result streams, of the server-side SLO
+// tracker and of the tail capture are usage errors.
 func TestRunBreakerFlagsAreGone(t *testing.T) {
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
@@ -156,6 +156,7 @@ func TestRunBreakerFlagsAreGone(t *testing.T) {
 		{"-job-dir", dir}, {"-job-workers", "2"}, {"-job-shard-size", "32"}, {"-job-max-queued", "8"},
 		{"-stream-chunk-timeout", "15s"}, {"-max-streams", "4"}, {"-stream-flush", "256"},
 		{"-slo", "availability=99"},
+		{"-tail-n", "4"}, {"-tail-dump", filepath.Join(dir, "tail.json")},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none"}, extra...)

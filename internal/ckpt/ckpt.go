@@ -6,21 +6,3 @@
 // process at an exact write boundary (chaos.go); TestSmoke/chaos kills
 // each study output there and reruns it byte-identically.
 package ckpt
-
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-)
-
-// Fingerprint condenses any number of identity parts (config JSON,
-// spec bytes, matcher bytes) into one hex digest.
-func Fingerprint(parts ...string) string {
-	h := sha256.New()
-	for _, p := range parts {
-		// Length-prefix so ("ab","c") and ("a","bc") differ.
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}

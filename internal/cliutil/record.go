@@ -89,23 +89,21 @@ func (r *RunRecord) Finish(rep *obs.Report, runErr error) error {
 	return runErr
 }
 
-// write ends the root span, marks it aborted when the run failed, and
-// writes the report with the finished tree (a pipeline's own report
-// snapshots the root before the run ends) to stdout for "-", or else to
-// the path atomically, as every data output is written: a run killed
-// mid-write leaves the previous report whole. The directory the path
-// names must exist; a record is not worth making one.
+// write ends the root span, gives it the report's outcome, and writes
+// the report with the finished tree (a pipeline's own report snapshots
+// the root before the run ends) to stdout for "-", or else to the path
+// atomically, as every data output is written: a run killed mid-write
+// leaves the previous report whole. The directory the path names must
+// exist; a record is not worth making one.
 func (r *RunRecord) write(rep *obs.Report, runErr error) error {
 	if r.report == "" {
 		return nil
 	}
 	r.root.End()
-	if runErr != nil {
-		r.root.SetOutcome(obs.OutcomeAborted)
-	}
 	if rep == nil {
 		rep = obs.NewReport(r.name, r.started, r.root, runErr)
 	}
+	r.root.SetOutcome(rep.Outcome)
 	rep.Trace = r.root.Snapshot()
 	data, err := rep.Marshal()
 	if err != nil {

@@ -71,7 +71,7 @@ func TestStartServerAndDrainContract(t *testing.T) {
 			argsFile := filepath.Join(dir, "args.txt")
 			cfg := ServerConfig{Bin: os.Args[0], Args: []string{"-spec", "spec.json"}, WorkDir: dir}
 			p, err := StartServer(context.Background(), cfg, "fake.err",
-				[]string{"-tail-n", "4"},
+				[]string{"-access-sample", "4"},
 				[]string{"LOAD_FAKE_EMSERVE=" + tc.mode, "LOAD_FAKE_ARGS=" + argsFile})
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +84,7 @@ func TestStartServerAndDrainContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			args := strings.Split(string(got), "\n")
-			want := []string{"-spec", "spec.json", "-addr", "127.0.0.1:0", "-addr-file", filepath.Join(dir, "fake.err.addr"), "-tail-n", "4"}
+			want := []string{"-spec", "spec.json", "-addr", "127.0.0.1:0", "-addr-file", filepath.Join(dir, "fake.err.addr"), "-access-sample", "4"}
 			if strings.Join(args, " ") != strings.Join(want, " ") {
 				t.Fatalf("server args = %q, want %q", args, want)
 			}

@@ -9,13 +9,12 @@ import (
 
 // Request identity: every served request carries one ID from the moment
 // it enters the HTTP layer until its wide event is written: the response
-// echoes it, and the access log and the tail capture key the request's
-// record by it. IDs are either minted
-// here (16 hex chars of crypto randomness) or propagated from a
-// client-supplied X-Request-Id header after sanitization — a caller's
-// tracing system keeps its join key, but only within strict length and
-// charset bounds so a hostile header can never smuggle log-breaking
-// bytes into the access log.
+// echoes it, and the access log keys the request's record by it. IDs
+// are either minted here (16 hex chars of crypto randomness) or
+// propagated from a client-supplied X-Request-Id header after
+// sanitization — a caller's tracing system keeps its join key, but only
+// within strict length and charset bounds so a hostile header can never
+// smuggle log-breaking bytes into the access log.
 
 // MaxRequestIDLen caps propagated request IDs. Anything longer is
 // rejected (and replaced with a server-minted ID) rather than truncated,

@@ -277,7 +277,7 @@ func stageDurations[N stageNode[N]](root N) map[string]float64 {
 }
 
 // StageDurations flattens the span's descendants into stage-name →
-// wall-ms — a wide event's Stages — without materializing a Snapshot
+// wall-ms — a wide event's stages — without materializing a Snapshot
 // tree. The receiver (the root, whose duration is the event's own) is
 // skipped and unfinished spans are measured to now. Safe on nil.
 func (s *Span) StageDurations() map[string]float64 {

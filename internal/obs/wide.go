@@ -23,9 +23,9 @@ import (
 // at several microseconds per line.
 //
 // Volume control is outcome-aware sampling: successes are sampled 1 in
-// N (configurable), while errors, timeouts, sheds, and degraded
-// responses are always logged — the traffic you page on is never the
-// traffic that was sampled away.
+// N (configurable), while errors, timeouts, sheds, degraded responses
+// and ok requests of slowMS or more are always logged — the traffic you
+// page on is never the traffic that was sampled away.
 
 // WideEvent is one request's complete record. Zero-valued fields are
 // omitted from the log line, so cheap routes emit short documents.
@@ -60,15 +60,14 @@ type WideEvent struct {
 	// BytesIn / BytesOut are request/response body sizes.
 	BytesIn  int64 `json:"bytes_in,omitempty"`
 	BytesOut int64 `json:"bytes_out,omitempty"`
-	// Stages maps pipeline stage names to wall milliseconds, from the
-	// request's span tree. It is filled in where the event is kept — the
-	// tail buffer sets it on the entries it retains, the access log
-	// renders it off the live span as it writes the line — so a request
-	// nobody keeps never builds the map.
-	Stages map[string]float64 `json:"stages,omitempty"`
 	// Err is the terminal error message, when the request failed.
 	Err string `json:"error,omitempty"`
 }
+
+// slowMS is the duration at which an ok request is logged whatever the
+// sampling rate: the latency bound of emload's default objective, so the
+// log keeps every request that objective counts against the server.
+const slowMS = 500
 
 // EventLog is the wide-event sink. The nil *EventLog is valid and every
 // method is a no-op, the same posture as the metrics handles, so the
@@ -85,8 +84,8 @@ type EventLog struct {
 
 // NewEventLog builds a wide-event sink writing JSON lines to w. sampleN
 // controls success sampling: log 1 in sampleN "ok" events (<= 1 logs
-// all). Errors, sheds, timeouts, and degraded responses are always
-// logged regardless.
+// all). Errors, sheds, timeouts, degraded responses and ok events of
+// slowMS or more are always logged regardless.
 func NewEventLog(w io.Writer, sampleN int) *EventLog {
 	if w == nil {
 		return nil
@@ -98,19 +97,17 @@ func NewEventLog(w io.Writer, sampleN int) *EventLog {
 }
 
 // Log writes one wide event (or samples it away); root is the request's
-// span tree, the source of the line's stages when the event carries none
-// yet. Safe on nil and safe for concurrent use.
+// span tree, the source of the line's stages. A slow ok event is judged
+// before the sampling counter moves, so it does not shift which plain ok
+// events are sampled. Safe on nil and safe for concurrent use.
 func (l *EventLog) Log(ev *WideEvent, root *Span) {
 	if l == nil || ev == nil {
 		return
 	}
-	if ev.Outcome == OutcomeOK && l.sampleN > 1 && l.seen.Add(1)%l.sampleN != 1 {
+	if ev.Outcome == OutcomeOK && ev.DurationMS < slowMS && l.sampleN > 1 && l.seen.Add(1)%l.sampleN != 1 {
 		return
 	}
-	stages := ev.Stages
-	if stages == nil {
-		stages = root.StageDurations()
-	}
+	stages := root.StageDurations()
 	l.mu.Lock()
 	l.buf = ev.appendJSON(l.buf[:0], stages)
 	l.buf = append(l.buf, '\n')

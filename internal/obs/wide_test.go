@@ -19,9 +19,8 @@ func TestWideEventJSONRoundTrips(t *testing.T) {
 		Status: 200, Outcome: OutcomeOK, DurationMS: 12.5, QueueWaitMS: 0.25,
 		Admission: "admitted", Records: 1, Candidates: 3, Matches: 2,
 		BytesIn: 120, BytesOut: 340,
-		Stages: map[string]float64{"serve.match": 11.25, "serve.block": 3},
 	}
-	l.Log(ev, nil)
+	l.Log(ev, stagedTree(map[string]float64{"serve.match": 11.25, "serve.block": 3}))
 
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -57,8 +56,7 @@ func TestWideEventJSONEscapesHostileStrings(t *testing.T) {
 		Time: time.Unix(0, 0), RequestID: "r", Route: "/x",
 		Status: 500, Outcome: OutcomeError, Err: hostile,
 		DegradedReason: hostile, Degraded: true,
-		Stages: map[string]float64{hostile: 1},
-	}, nil)
+	}, stagedTree(map[string]float64{hostile: 1}))
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("hostile strings broke the JSON line: %v\n%q", err, buf.String())
@@ -94,34 +92,64 @@ func TestWideEventNonFiniteDurations(t *testing.T) {
 }
 
 func TestEventLogSampling(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewEventLog(&buf, 5)
-	for i := 0; i < 20; i++ {
-		l.Log(&WideEvent{Time: time.Unix(0, 0), RequestID: "ok", Route: "/x",
-			Status: 200, Outcome: OutcomeOK}, nil)
+	event := func(id, outcome string, ms float64) *WideEvent {
+		return &WideEvent{Time: time.Unix(0, 0), RequestID: id, Route: "/x",
+			Status: 200, Outcome: outcome, DurationMS: ms}
 	}
-	for i := 0; i < 3; i++ {
-		l.Log(&WideEvent{Time: time.Unix(0, 0), RequestID: "bad", Route: "/x",
-			Status: 500, Outcome: OutcomeError}, nil)
-	}
-	var okN, errN int
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var doc map[string]any
-		if err := json.Unmarshal([]byte(line), &doc); err != nil {
-			t.Fatal(err)
+	repeat := func(n int, ev *WideEvent) []*WideEvent {
+		evs := make([]*WideEvent, n)
+		for i := range evs {
+			evs[i] = ev
 		}
-		switch doc["outcome"] {
-		case "ok":
-			okN++
-		case "error":
-			errN++
+		return evs
+	}
+	// interleaved is n plain ok events, each followed by a slow one: were
+	// a slow event to move the sampling counter, other plain ones would log.
+	interleaved := func(n int) []*WideEvent {
+		var evs []*WideEvent
+		for i := 0; i < n; i++ {
+			evs = append(evs, event("ok", OutcomeOK, 1), event("slow", OutcomeOK, slowMS+1))
 		}
+		return evs
 	}
-	if okN != 4 {
-		t.Fatalf("sampled ok lines = %d, want 4 of 20 at sampleN=5", okN)
-	}
-	if errN != 3 {
-		t.Fatalf("error lines = %d, want all 3 (errors bypass sampling)", errN)
+	for _, tc := range []struct {
+		name    string
+		sampleN int
+		events  []*WideEvent
+		want    map[string]int // lines by request id
+	}{
+		{"errors bypass sampling", 5,
+			append(repeat(20, event("ok", OutcomeOK, 1)), repeat(3, event("bad", OutcomeError, 1))...),
+			map[string]int{"ok": 4, "bad": 3}},
+		// The first ok event is the counter's sampled one; the second is
+		// judged by its duration alone.
+		{"ok at the threshold logs", 1000,
+			[]*WideEvent{event("ok", OutcomeOK, 1), event("slow", OutcomeOK, slowMS)},
+			map[string]int{"ok": 1, "slow": 1}},
+		{"ok just under the threshold is sampled", 1000,
+			[]*WideEvent{event("ok", OutcomeOK, 1), event("slow", OutcomeOK, slowMS-0.001)},
+			map[string]int{"ok": 1}},
+		{"slow lines leave the sample alone", 1000, interleaved(2001),
+			map[string]int{"ok": 3, "slow": 2001}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			l := NewEventLog(&buf, tc.sampleN)
+			for _, ev := range tc.events {
+				l.Log(ev, nil)
+			}
+			got := map[string]int{}
+			for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+				var doc map[string]any
+				if err := json.Unmarshal([]byte(line), &doc); err != nil {
+					t.Fatal(err)
+				}
+				got[doc["request_id"].(string)]++
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("lines by request id = %v, want %v at sampleN=%d", got, tc.want, tc.sampleN)
+			}
+		})
 	}
 }
 
@@ -158,4 +186,16 @@ func TestStageDurations(t *testing.T) {
 	if (*Span)(nil).StageDurations() != nil || (*SpanData)(nil).StageDurations() != nil {
 		t.Fatal("nil span tree should yield nil stages")
 	}
+}
+
+// stagedTree is a finished request tree whose root's children took the
+// given wall milliseconds: the source of a logged line's stages.
+func stagedTree(stages map[string]float64) *Span {
+	ctx, root := NewTrace(context.Background(), "serve.http")
+	for name, ms := range stages {
+		_, sp := StartSpan(ctx, name)
+		sp.end = sp.start.Add(time.Duration(ms * float64(time.Millisecond)))
+	}
+	root.End()
+	return root
 }

@@ -110,7 +110,8 @@ func TestBatchMatchesSingles(t *testing.T) {
 // with a learned candidate).
 func TestBatchFailsOnMatcherFault(t *testing.T) {
 	leakcheck.Check(t)
-	s, ts := newTestServer(t, Config{})
+	sink := &syncBuffer{}
+	s, ts := newTestServer(t, Config{AccessLog: sink})
 	breakMatcher(s)
 
 	req, _ := json.Marshal(map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}})
@@ -125,7 +126,7 @@ func TestBatchFailsOnMatcherFault(t *testing.T) {
 	if !strings.Contains(er.Error, "record 1: ") || !strings.Contains(er.Error, "poisoned vector") {
 		t.Fatalf("the error does not name record 1 and the fault: %s", body)
 	}
-	wantStackOnlyInEvent(t, s, body)
+	wantStackOnlyInEvent(t, sink, body)
 }
 
 // TestBatchRejections: the decoder's caps hold over HTTP — oversized

@@ -81,17 +81,17 @@ func BenchmarkMatchBatch32(b *testing.B) {
 
 // observedConfig turns on the request-scoped observability layer:
 // every wide event rendered (to a discarded sink, so the benchmark
-// measures the logging work, not the disk), span trees built, and tail
-// capture armed. The *Observed benchmarks against their plain
-// counterparts are the layer's <5% overhead guard (BENCH_pr7.json).
-// Metrics-registry enablement is a separate, pre-existing cost priced
-// by internal/obs's own benchmarks (BenchmarkCounterEnabled et al).
+// measures the logging work, not the disk) and span trees built. The
+// *Observed benchmarks against their plain counterparts are the layer's
+// <5% overhead guard (BENCH_pr7.json). Metrics-registry enablement is a
+// separate, pre-existing cost priced by internal/obs's own benchmarks
+// (BenchmarkCounterEnabled et al).
 func observedConfig() Config {
-	return Config{AccessLog: io.Discard, AccessSampleN: 1, TailN: 16}
+	return Config{AccessLog: io.Discard, AccessSampleN: 1}
 }
 
 // BenchmarkMatchSingleObserved is BenchmarkMatchSingle with wide-event
-// logging, span capture and tail retention all on.
+// logging and span capture on.
 func BenchmarkMatchSingleObserved(b *testing.B) {
 	s, _ := newTestServer(b, observedConfig())
 	h := s.Handler()

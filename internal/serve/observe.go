@@ -13,8 +13,7 @@ import (
 // which assigns (or propagates) the request ID, opens the request's
 // root span, carries a mutable wide event through context for handlers
 // to annotate, and — once the response is written — hands both to
-// finish, which emits exactly one wide event to the access log and
-// offers the request to the tail-capture buffer.
+// finish, which emits exactly one wide event to the access log.
 // Handlers never log; they annotate the event and finish owns emission,
 // which is what guarantees the one-event-per-request invariant.
 
@@ -99,14 +98,12 @@ func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // finish closes the record of one request and is its only writer: it
-// ends the root span, times the event from its own start, offers it to
-// the tail buffer and writes the access-log line. The event's stages come
-// off root wherever the event is kept; a request that is neither logged
-// nor retained never builds them.
+// ends the root span, times the event from its own start and writes the
+// access-log line. The line's stages come off root; a request the log
+// samples away never builds them.
 func (s *Server) finish(ev *obs.WideEvent, root *obs.Span) {
 	root.End()
 	ev.DurationMS = float64(time.Since(ev.Time)) / float64(time.Millisecond)
-	s.tailBuf.Add(ev, root)
 	s.events.Log(ev, root)
 }
 

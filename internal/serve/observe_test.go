@@ -13,7 +13,6 @@ import (
 	"emgo/internal/fault"
 	"emgo/internal/leakcheck"
 	"emgo/internal/obs"
-	"emgo/internal/obs/tail"
 )
 
 // syncBuffer is a goroutine-safe log sink. The middleware emits the
@@ -326,85 +325,51 @@ func TestWideEventSamplingKeepsErrors(t *testing.T) {
 	}
 }
 
+// The tail of the traffic (slow and errored requests) is kept by the
+// access log itself: a sample that skips most ok requests never skips
+// these, and each line carries the stage breakdown of where the time went.
 func TestTailCapturesSlowAndErrored(t *testing.T) {
 	leakcheck.Check(t)
 	defer fault.Reset()
-	s, ts := newTestServer(t, Config{TailN: 4})
+	sink := &syncBuffer{}
+	_, ts := newTestServer(t, Config{AccessLog: sink, AccessSampleN: 1000})
 
-	// A healthy request lands in the slowest set (the heap is empty, so
-	// anything qualifies), then an injected failure lands in errored.
+	// The first ok request is the sample's one in N; the rest are skipped
+	// unless slow or errored.
+	postWithID(t, ts.URL+"/v1/match", "tail-first", l0Request)
+	postWithID(t, ts.URL+"/v1/match", "tail-fast", l0Request)
+	fault.Enable("serve.match", fault.Plan{Mode: fault.ModeSleep, Sleep: 600 * time.Millisecond, OnCall: 1})
+	postWithID(t, ts.URL+"/v1/match", "tail-slow", l0Request)
+	fault.Enable("serve.match", fault.Plan{})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match", strings.NewReader(l0Request))
-	req.Header.Set("X-Request-Id", "tail-slow")
+	req.Header.Set("X-Request-Id", "tail-err")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-
-	fault.Enable("serve.match", fault.Plan{})
-	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/match", strings.NewReader(l0Request))
-	req.Header.Set("X-Request-Id", "tail-err")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	fault.Reset()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("faulted status = %d, want 500", resp.StatusCode)
+	}
 
-	// The middleware records the entry after the response is written;
-	// poll the snapshot rather than racing it.
-	var snap tail.Snapshot
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snap = s.TailSnapshot()
-		if (len(snap.Slowest) > 0 && len(snap.Errored) > 0) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	evs := sink.waitEvents(t, 3)
+	if eventFor(evs, "tail-fast") != nil {
+		t.Fatalf("fast ok request was not sampled away: %v", evs)
 	}
-	find := func(entries []*tail.Entry, id string) *tail.Entry {
-		for _, e := range entries {
-			if e.Event != nil && e.Event.RequestID == id {
-				return e
-			}
-		}
-		return nil
-	}
-	slow := find(snap.Slowest, "tail-slow")
+	slow := eventFor(evs, "tail-slow")
 	if slow == nil {
-		t.Fatalf("healthy request missing from slowest set: %+v", snap)
+		t.Fatalf("slow ok request was sampled away: %v", evs)
 	}
-	if slow.Trace == nil || len(slow.Trace.Children) == 0 {
-		t.Fatalf("tail entry carries no span tree: %+v", slow)
+	stages, _ := slow["stages"].(map[string]any)
+	if ms, _ := stages["serve.match"].(float64); slow["outcome"] != obs.OutcomeOK || ms < 500 {
+		t.Fatalf("slow event = %v, want outcome ok and a serve.match stage of >= 500ms", slow)
 	}
-	var hasMatchSpan bool
-	for _, c := range slow.Trace.Children {
-		if c.Name == "serve.match" {
-			hasMatchSpan = true
-		}
+	errEv := eventFor(evs, "tail-err")
+	if errEv == nil {
+		t.Fatalf("errored request was sampled away: %v", evs)
 	}
-	if !hasMatchSpan {
-		t.Fatalf("span tree has no serve.match child: %+v", slow.Trace)
-	}
-	errEnt := find(snap.Errored, "tail-err")
-	if errEnt == nil {
-		t.Fatalf("errored request missing from errored set: %+v", snap)
-	}
-	if errEnt.Event.Outcome != obs.OutcomeError {
-		t.Fatalf("errored entry outcome = %q", errEnt.Event.Outcome)
-	}
-
-	// The same snapshot is served over HTTP at /debug/tail.
-	hresp, err := http.Get(ts.URL + "/debug/tail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var doc tail.Snapshot
-	if err := json.NewDecoder(hresp.Body).Decode(&doc); err != nil {
-		t.Fatalf("/debug/tail is not JSON: %v", err)
-	}
-	if len(doc.Slowest) == 0 || len(doc.Errored) == 0 {
-		t.Fatalf("/debug/tail snapshot empty: %+v", doc)
+	if errEv["outcome"] != obs.OutcomeError || errEv["status"] != float64(500) || errEv["error"] == nil {
+		t.Fatalf("errored event = %v, want outcome error, status 500 and a message", errEv)
 	}
 }

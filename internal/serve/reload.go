@@ -2,11 +2,12 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"time"
 
-	"emgo/internal/ckpt"
 	"emgo/internal/ml"
 	"emgo/internal/workflow"
 )
@@ -51,10 +52,19 @@ func LoadArtifact(path string, wantFeatures int) (*Artifact, error) {
 	}
 	return &Artifact{
 		Matcher:  m,
-		Checksum: ckpt.Fingerprint(string(data)),
+		Checksum: fingerprint(data),
 		Path:     path,
 		LoadedAt: time.Now(),
 	}, nil
+}
+
+// fingerprint is an artifact's checksum: the hex SHA-256 of its bytes
+// behind a "<len>:" prefix, the digest /v1/status and a reload report.
+func fingerprint(data []byte) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d:", len(data))
+	h.Write(data)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // probeMatcher exercises the model against a zero vector of the

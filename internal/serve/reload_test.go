@@ -44,6 +44,20 @@ func TestLoadArtifactChecksumAndProbe(t *testing.T) {
 	}
 }
 
+// TestFingerprint pins the checksum's bytes: the SHA-256 of "<len>:"
+// and the data, so a served or reloaded artifact's checksum is the same
+// digest across releases.
+func TestFingerprint(t *testing.T) {
+	for data, want := range map[string]string{
+		"x": "553f121d1ecef2a1742c9c2c999380c992afeeaee2832713730af937ae382aa0",
+		"":  "ba768b331fd86cec803be04e56ab2b3d4c0e98ef4ee4fcd4e72ad7cce61a1d1f",
+	} {
+		if got := fingerprint([]byte(data)); got != want {
+			t.Errorf("fingerprint(%q) = %s, want %s", data, got, want)
+		}
+	}
+}
+
 func TestLoadArtifactRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{

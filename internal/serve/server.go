@@ -38,11 +38,9 @@ import (
 	"time"
 
 	"emgo/internal/block"
-	"emgo/internal/ckpt"
 	"emgo/internal/fault"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
-	"emgo/internal/obs/tail"
 	"emgo/internal/parallel"
 	"emgo/internal/rules"
 	"emgo/internal/table"
@@ -93,17 +91,14 @@ type Config struct {
 	// responses (default "RecordId"; missing column falls back to row
 	// indices).
 	RightIDCol string
-	// AccessLog, when set, receives one JSON wide event per request.
-	// Nil disables wide-event logging (tail capture stays on
-	// regardless).
+	// AccessLog, when set, receives one JSON wide event per request, the
+	// server's one record of what each request did. Nil disables
+	// wide-event logging.
 	AccessLog io.Writer
 	// AccessSampleN logs 1 in N successful requests to the access log
-	// (<= 1 logs all); errors, sheds, timeouts, and degraded responses
-	// are always logged.
+	// (<= 1 logs all); errors, sheds, timeouts, degraded responses and
+	// ok requests of 500 ms or more are always logged.
 	AccessSampleN int
-	// TailN is how many slowest requests the tail buffer retains per
-	// window (default tail.DefaultSlowN).
-	TailN int
 }
 
 // Server is the online matching service.
@@ -127,8 +122,7 @@ type Server struct {
 	// scratch pools matchSet's per-pass state (matchScratch).
 	scratch sync.Pool
 
-	events  *obs.EventLog
-	tailBuf *tail.Buffer
+	events *obs.EventLog
 
 	// requests and degraded count records answered, and answered without
 	// the learned matcher, for /v1/status: a batch counts each of its
@@ -178,7 +172,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		right:   right,
 		adm:     NewAdmission(cfg.Admission),
 		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
-		tailBuf: tail.New(tail.Config{SlowN: cfg.TailN}),
 		scratch: sync.Pool{New: func() any { return &matchScratch{} }},
 		started: time.Now(),
 		drained: make(chan struct{}),
@@ -214,7 +207,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		}
 		art = &Artifact{
 			Matcher:  wf.Matcher,
-			Checksum: ckpt.Fingerprint(string(data)),
+			Checksum: fingerprint(data),
 			Path:     specArtifactPath,
 			LoadedAt: time.Now(),
 		}
@@ -245,13 +238,8 @@ func (s *Server) Artifact() *Artifact {
 	return nil
 }
 
-// TailSnapshot returns the tail-capture buffer's current contents, the
-// same document /debug/tail serves; emserve dumps it on drain.
-func (s *Server) TailSnapshot() tail.Snapshot { return s.tailBuf.Snapshot() }
-
 // Handler builds the service's HTTP routes, each wrapped in the
-// request-observability middleware (request IDs, wide events, tail
-// capture).
+// request-observability middleware (request IDs, wide events).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -263,11 +251,9 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /readyz", s.handleReady)
 	handle("POST /-/reload", s.handleReload)
 	handle("GET /v1/status", s.handleStatus)
-	// The exact pattern takes precedence over the /debug/ prefix: the tail
-	// buffer is always on. The service has no authentication (a reload
-	// reads any path it is given), so its listen address is the boundary,
-	// for expvar and pprof too.
-	mux.Handle("GET /debug/tail", s.tailBuf.Handler())
+	// The service has no authentication (a reload reads any path it is
+	// given), so its listen address is the boundary, for expvar and pprof
+	// too.
 	mux.Handle("/debug/", obs.NewDebugMux())
 	return mux
 }
@@ -453,9 +439,9 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool
 			err = fmt.Errorf("serve: match panicked: %v", r)
 		}
 	}()
-	// Under the HTTP middleware the match pipeline is a
-	// child span of the request's tree, so tail capture sees the whole
-	// request; standalone callers still get their own root.
+	// Under the HTTP middleware the match pipeline is a child span of the
+	// request's tree, so the access log's stages cover the whole request;
+	// standalone callers still get their own root.
 	var root *obs.Span
 	if obs.SpanFromContext(ctx) != nil {
 		ctx, root = obs.StartSpan(ctx, "serve.match")

@@ -122,22 +122,22 @@ func breakMatcher(s *Server) {
 }
 
 // wantStackOnlyInEvent holds a worker panic's 500 to where its stack
-// goes: not into the client's body, but into the retained wide event's
-// error, which the access log and /debug/tail show.
-func wantStackOnlyInEvent(t *testing.T, s *Server, body []byte) {
+// goes: not into the client's body, but into the wide event's error,
+// which the access log shows.
+func wantStackOnlyInEvent(t *testing.T, log *syncBuffer, body []byte) {
 	t.Helper()
 	if bytes.Contains(body, []byte("goroutine ")) {
 		t.Fatalf("the 500 ships the server's stack to the client: %s", body)
 	}
 	// The middleware records the event after the response is written.
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		for _, e := range s.TailSnapshot().Errored {
-			if strings.Contains(e.Event.Err, "goroutine ") {
+		for _, ev := range log.events(t) {
+			if msg, _ := ev["error"].(string); strings.Contains(msg, "goroutine ") {
 				return
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no retained errored event keeps the worker's stack")
+			t.Fatal("no errored access-log line keeps the worker's stack")
 		}
 	}
 }
@@ -259,7 +259,8 @@ func TestMatchEndToEnd(t *testing.T) {
 // no learned candidates never asks the matcher and answers as before.
 func TestMatchFailsOnMatcherFault(t *testing.T) {
 	leakcheck.Check(t)
-	s, ts := newTestServer(t, Config{})
+	sink := &syncBuffer{}
+	s, ts := newTestServer(t, Config{AccessLog: sink})
 	breakMatcher(s) // every prediction panics
 	status, _, body := postMatch(t, ts.URL, l1Request)
 	if status != http.StatusInternalServerError {
@@ -272,7 +273,7 @@ func TestMatchFailsOnMatcherFault(t *testing.T) {
 	if !strings.Contains(er.Error, "record 0: ") || !strings.Contains(er.Error, "poisoned vector") {
 		t.Fatalf("the error does not name the record and the fault: %s", body)
 	}
-	wantStackOnlyInEvent(t, s, body)
+	wantStackOnlyInEvent(t, sink, body)
 
 	// A sure-rule record, whose one candidate is already sure, still gets
 	// its match.

@@ -124,16 +124,11 @@ func TestOutcomeVocabulary(t *testing.T) {
 		c.want(obs.OutcomeOK, obs.OutcomeAborted)
 	})
 
-	// events checks every access-log line and every retained tail entry.
-	events := func(t *testing.T, s *Server, sink *syncBuffer, n int) {
+	// events checks every access-log line.
+	events := func(t *testing.T, sink *syncBuffer, n int) {
 		t.Helper()
 		for _, ev := range sink.waitEvents(t, n) {
 			c.outcome("wide event "+ev["route"].(string), ev["outcome"].(string))
-		}
-		snap := s.TailSnapshot()
-		for _, e := range append(append(snap.Slowest, snap.Errored...), snap.Degraded...) {
-			c.outcome("tail event "+e.Event.Route, e.Event.Outcome)
-			c.tree("tail "+e.Event.Route, e.Trace)
 		}
 	}
 
@@ -147,6 +142,15 @@ func TestOutcomeVocabulary(t *testing.T) {
 		if st := post(l0Request); st != http.StatusOK {
 			t.Fatalf("ok request = %d", st)
 		}
+		// A traced learned-path answer carries the request's span tree.
+		var traced struct {
+			Trace *obs.SpanData `json:"trace"`
+		}
+		postJSON(t, ts.URL+"/v1/match", json.RawMessage(strings.Replace(l1Request, `{"record"`, `{"trace":true,"record"`, 1)), &traced)
+		if traced.Trace == nil {
+			t.Fatal("traced request answered without a trace")
+		}
+		c.tree("traced request", traced.Trace)
 		if st := post(`{"record":`); st != http.StatusBadRequest {
 			t.Fatalf("bad request = %d", st)
 		}
@@ -176,7 +180,7 @@ func TestOutcomeVocabulary(t *testing.T) {
 		if st := post(l0Request); st != http.StatusServiceUnavailable {
 			t.Fatalf("request while draining = %d", st)
 		}
-		events(t, s, sink, 6)
+		events(t, sink, 7)
 		c.want(obs.OutcomeBadRequest, obs.OutcomeError, obs.OutcomeTimeout, obs.OutcomeShed, obs.OutcomeDraining)
 	})
 
@@ -200,7 +204,7 @@ func TestOutcomeVocabulary(t *testing.T) {
 		if st, body := postBatch(t, ts.URL, learned(3)); st != http.StatusInternalServerError {
 			t.Fatalf("batch call against a failing matcher = %d: %s", st, body)
 		}
-		events(t, s, sink, 2)
+		events(t, sink, 2)
 		for _, ev := range sink.events(t) {
 			if ev["route"] != "/v1/match/batch" {
 				t.Errorf("batch call logged on route %v", ev["route"])

@@ -132,60 +132,43 @@ func smokeServe(t *testing.T) {
 	s.drain(t, "drain complete")
 }
 
-// tailEntry is the slice of a /debug/tail entry the obs scenario reads.
-type tailEntry struct {
-	Event struct {
-		RequestID  string  `json:"request_id"`
-		DurationMS float64 `json:"duration_ms"`
-	} `json:"event"`
-	Trace *struct {
-		Children []json.RawMessage `json:"children"`
-	} `json:"trace"`
-}
-
 // smokeObs holds the serving-observability contract: request IDs echo,
-// each request leaves exactly one wide event, the injected 300ms outlier
-// is retained with its span tree in /debug/tail and the drain-time dump,
-// and on a server whose every pass fails no failure is ever sampled out
-// of the log and an `emload` soak fails its gate (exit 1) on
-// availability.
+// the access log samples plain ok requests yet keeps the injected 600ms
+// outlier with its serve.match stage, and on a server whose every pass
+// fails no failure is ever sampled out of the log and an `emload` soak
+// fails its gate (exit 1) on availability.
 func smokeObs(t *testing.T) {
 	const n, slow = 8, "obs-4"
 	dir := t.TempDir()
-	log1, dump := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "tail.json")
+	log1 := filepath.Join(dir, "events.jsonl")
 	s := start(t, dir, "obs_healthy", nil,
-		"-access-log", log1, "-access-sample", "1", "-tail-n", "8", "-tail-dump", dump,
-		"-inject", "serve.match:mode=sleep,sleep=300ms,oncall=4")
+		"-access-log", log1, "-access-sample", "1000",
+		"-inject", "serve.match:mode=sleep,sleep=600ms,oncall=4")
 	for i := 1; i <= n; i++ {
 		s.match(t, fmt.Sprintf("obs-%d", i), 200)
 	}
-
-	var snap struct{ Slowest, Errored []tailEntry }
-	s.getJSON(t, "/debug/tail", &snap)
-	var outlier *tailEntry
-	for i := range snap.Slowest {
-		if snap.Slowest[i].Event.RequestID == slow {
-			outlier = &snap.Slowest[i]
-		}
-	}
-	if outlier == nil || outlier.Event.DurationMS < 250 || outlier.Trace == nil || len(outlier.Trace.Children) == 0 {
-		t.Errorf("/debug/tail must retain %s with >= 250ms and a span tree, got %+v of %d slowest", slow, outlier, len(snap.Slowest))
-	}
+	// The drained server has written every line it will.
+	s.drain(t)
 
 	seen := map[any]int{}
 	for _, ev := range events(t, log1) {
 		seen[ev["request_id"]]++
-		if stages, _ := ev["stages"].(map[string]any); ev["request_id"] == slow && stages["serve.match"] == nil {
-			t.Errorf("outlier wide event has no serve.match stage timing: %v", ev)
+		if ev["request_id"] != slow {
+			continue
+		}
+		stages, _ := ev["stages"].(map[string]any)
+		if ms, _ := ev["duration_ms"].(float64); stages["serve.match"] == nil || ms < 500 {
+			t.Errorf("outlier wide event needs duration_ms >= 500 and a serve.match stage: %v", ev)
 		}
 	}
-	for i := 1; i <= n; i++ {
-		if id := fmt.Sprintf("obs-%d", i); seen[id] != 1 {
-			t.Errorf("request %s has %d wide events, want exactly 1", id, seen[id])
+	if seen[slow] != 1 {
+		t.Errorf("slow request %s has %d wide events at -access-sample 1000, want exactly 1", slow, seen[slow])
+	}
+	for _, id := range []string{"obs-2", "obs-3"} {
+		if seen[id] != 0 {
+			t.Errorf("request %s was logged at -access-sample 1000: sampling is off", id)
 		}
 	}
-	s.drain(t, "tail snapshot written")
-	wantFragments(t, "tail dump", readFile(t, dump), `"slowest"`)
 
 	// Every pipeline pass fails: each failure is logged and the gate trips.
 	log2 := filepath.Join(dir, "events2.jsonl")
@@ -205,9 +188,6 @@ func smokeObs(t *testing.T) {
 	}
 	if errored < n {
 		t.Errorf("access log has %d error events at -access-sample 5, want all %d", errored, n)
-	}
-	if s.getJSON(t, "/debug/tail", &snap); len(snap.Errored) == 0 {
-		t.Errorf("/debug/tail errored set is empty after %d failures", n)
 	}
 	code, out := cli(t, "emload", "-mode", "soak", "-addr", s.Addr, "-right", right, "-seed", dataSeed,
 		"-profile", "uniform", "-rate", "5", "-duration", "2s", "-report-every", "0",

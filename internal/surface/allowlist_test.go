@@ -43,13 +43,11 @@ var deploymentSettings = map[string]string{
 	"emserve -matcher":             "path",
 	"emserve -export-matcher":      "path",
 	"emserve -access-log":          "path", // "-" is stderr
-	"emserve -tail-dump":           "path",
 	"emserve -right-id":            "id",
 	"emserve -max-inflight":        "size",
 	"emserve -max-queue":           "size",
 	"emserve -max-body":            "size",
 	"emserve -max-batch":           "size",
-	"emserve -tail-n":              "size",
 	"emserve -request-timeout":     "timeout",
 	"emserve -drain-timeout":       "timeout",
 	"emserve -read-header-timeout": "timeout",
@@ -79,7 +77,7 @@ var unrunEntryPoints = map[string]string{
 
 // traceReaders names the span annotations, request roots and
 // wide-event fields whose only reader is a person following a docs recipe
-// over a report's trace, /debug/tail or the access log — the metricReaders
+// over a report's trace or the access log — the metricReaders
 // of the rest of the telemetry. No wildcard, at most eight.
 var traceReaders = map[string]metricReader{
 	"annotation blocker": {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},

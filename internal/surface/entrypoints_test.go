@@ -501,8 +501,8 @@ var muxPattern = regexp.MustCompile(`^([A-Z]+ )?/`)
 // body whose first argument is a constant pattern, the handler its last
 // argument. One is run when a runner's request resolves to it on an
 // http.ServeMux built from those patterns, so Go's own precedence decides
-// (/debug/tail against /debug/, a redirect to a pattern's trailing
-// slash). twice names each handler mounted after its first pattern.
+// (an exact path against the /debug/ prefix, a redirect to a pattern's
+// trailing slash). twice names each handler mounted after its first pattern.
 func (m *module) routes(t *testing.T) (points []entryPoint, twice []string) {
 	p := m.pkgs["emgo/internal/serve"]
 	var handler *ast.FuncDecl

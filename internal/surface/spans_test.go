@@ -18,9 +18,9 @@ const traceDispositions = `
 A span name, span annotation or wide-event field has a reader
 when one of these holds:
   T0  it names a span: a row of "emmonitor diff" (a run's tree, root included),
-      a key of a wide event's "stages", or the root a /debug/tail entry's tree hangs from;
-  T1  it is a wide-event field non-test code reads (the tail's retention
-      rule, the access log's sampling);
+      a key of a wide event's "stages", or the request root those stages hang from;
+  T1  it is a wide-event field non-test code reads (the access log's
+      sampling rule);
   T2  a _test.go outside internal/obs spells it - for an annotation key, a
       test file that also reads a span's attrs;
   T3  traceReaders (allowlist_test.go) gives the operator question it answers
