@@ -5,14 +5,14 @@
 //	       [-mode soak|capacity] \
 //	       [-profile uniform|poisson] [-rate 50] [-duration 30s] \
 //	       [-seed 1] [-blend single=88,batch=5,malformed=2,oversized=1,status=4] \
-//	       [-timeout 10s] [-shed-retries 0] [-max-retry-after 2s] \
-//	       [-report-every 5s] [-summary out.json] \
+//	       [-timeout 10s] [-report-every 5s] [-summary out.json] \
 //	       [-slo "availability=99.5,latency=500ms@99"] \
 //	       [-max-qps 0] [-factor 2]
 //
 // Record indices are Zipf-distributed (s = 1.2), a batch carries 8
 // records, at most 4096 requests are in flight (an arrival past that is
-// dropped and counted, never delayed).
+// dropped and counted, never delayed), and each arrival is sent once: a
+// shed (429/503) is an answer, never retried.
 //
 // Every mode runs phases — one open-loop schedule of -rate for
 // -duration against one server — and judges each by load.Gate:
@@ -20,10 +20,11 @@
 //	soak      one phase judged by the gate: the -slo objectives, zero
 //	          unexpected answers, Retry-After on every shed, and at most
 //	          1% of arrivals dropped by the generator.
-//	capacity  soak at rising rates: phases from -rate, times -factor up
-//	          to -max-qps, each judged by the -slo objectives with at
-//	          most 5% of answers shed, until one fails; the last passing
-//	          rate is the max sustainable rate.
+//	capacity  soak at rising rates: phases from -rate, times -factor
+//	          (above 1) up to -max-qps (at least -rate), each judged by
+//	          the -slo objectives with at most 5% of answers shed, until
+//	          one fails; the last passing rate is the max sustainable
+//	          rate.
 //
 // The gate is the one judge of the service's objectives; it times
 // latency from the client.
@@ -83,14 +84,12 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 	blendSpec := fs.String("blend", "", "request blend, e.g. single=88,batch=5,malformed=2,oversized=1,status=4 (empty = default)")
 
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request client deadline")
-	shedRetries := fs.Int("shed-retries", 0, "extra attempts for shed answers, honoring Retry-After under jittered backoff")
-	maxRetryAfter := fs.Duration("max-retry-after", 2*time.Second, "cap on how long one Retry-After hint may stall a retry")
 	reportEvery := fs.Duration("report-every", 5*time.Second, "live eps/percentile line period (0 = silent)")
 
 	sloSpec := fs.String("slo", "availability=99.5,latency=500ms@99", "client-side objectives the soak gate and every capacity step hold, e.g. availability=99.9,latency=250ms@99")
 
-	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling (0 = 4096x -rate)")
-	factor := fs.Float64("factor", 2, "capacity search: rate multiplier between steps")
+	maxQPS := fs.Float64("max-qps", 0, "capacity search: rate ceiling, at least -rate (0 = 4096x -rate)")
+	factor := fs.Float64("factor", 2, "capacity search: rate multiplier between steps, above 1")
 
 	if err := fs.Parse(argv); err != nil {
 		return flag.ErrHelp
@@ -133,11 +132,8 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 			Blend:    blend,
 		},
 		Client: load.ClientConfig{
-			BaseURL:       normalizeURL(*addr),
-			Timeout:       *timeout,
-			Seed:          *seed,
-			ShedRetries:   *shedRetries,
-			MaxRetryAfter: *maxRetryAfter,
+			BaseURL: normalizeURL(*addr),
+			Timeout: *timeout,
 		},
 		Pool:        pool,
 		ReportEvery: *reportEvery,

@@ -40,6 +40,13 @@ func TestRunUsageErrors(t *testing.T) {
 		{"shard-size is gone", []string{"-addr", "x", "-shard-size", "4"}, "flag provided but not defined: -shard-size"},
 		{"job-timeout is gone", []string{"-addr", "x", "-job-timeout", "2m"}, "flag provided but not defined: -job-timeout"},
 		{"job kind is gone", []string{"-addr", "x", "-blend", "single=8,job=2"}, `unknown kind "job"`},
+		{"blend kind twice", []string{"-addr", "x", "-blend", "single=80,single=0"}, `duplicate kind "single"`},
+		{"shed-retries is gone", []string{"-addr", "x", "-shed-retries", "1"}, "flag provided but not defined: -shed-retries"},
+		{"max-retry-after is gone", []string{"-addr", "x", "-max-retry-after", "500ms"}, "flag provided but not defined: -max-retry-after"},
+		// An empty or flat staircase is refused before any step runs:
+		// the closed port is never dialled.
+		{"max-qps below rate", []string{"-mode", "capacity", "-addr", "127.0.0.1:1", "-rate", "50", "-max-qps", "10"}, "below the first step's 50 qps"},
+		{"factor not above 1", []string{"-mode", "capacity", "-addr", "127.0.0.1:1", "-factor", "1"}, "factor 1 must be above 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

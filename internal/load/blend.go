@@ -62,7 +62,8 @@ func (b Blend) String() string {
 
 // ParseBlend parses the -blend flag syntax: comma-separated
 // kind=weight clauses, e.g. "single=80,batch=10,malformed=5,status=5".
-// Unmentioned kinds get weight 0; at least one weight must be positive.
+// Unmentioned kinds get weight 0, a kind may be named once, and at least
+// one weight must be positive.
 func ParseBlend(s string) (Blend, error) {
 	b := Blend{}
 	for _, clause := range strings.Split(s, ",") {
@@ -82,6 +83,9 @@ func ParseBlend(s string) (Blend, error) {
 		if !slices.Contains(kindOrder, k) {
 			return nil, fmt.Errorf("load: blend %q: unknown kind %q", s, name)
 		}
+		if _, dup := b[k]; dup {
+			return nil, fmt.Errorf("load: blend %q: duplicate kind %q", s, k)
+		}
 		b[k] = w
 	}
 	if b.total() <= 0 {
@@ -93,7 +97,7 @@ func ParseBlend(s string) (Blend, error) {
 // assign deterministically deals n arrivals across the blend's kinds in
 // proportion to their weights, shuffled by seed so kinds interleave
 // rather than arriving in runs.
-func (b Blend) assign(n int, seed int64) ([]Kind, error) {
+func (b Blend) assign(n int, seed int64) []Kind {
 	if b.total() == 0 {
 		b = Blend{KindSingle: 1}
 	}
@@ -133,5 +137,5 @@ func (b Blend) assign(n int, seed int64) ([]Kind, error) {
 	// stream independent of arrival times and record picks.
 	rng := rand.New(rand.NewSource(seed + 0x51ed2701))
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out, nil
+	return out
 }

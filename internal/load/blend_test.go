@@ -25,13 +25,14 @@ func TestParseBlendRoundTrip(t *testing.T) {
 
 func TestParseBlendRejects(t *testing.T) {
 	for _, s := range []string{
-		"single",           // no weight
-		"single=-1",        // negative
-		"single=x",         // not a number
-		"telepathy=10",     // unknown kind
-		"single=8,job=2",   // no async job tier to submit to
-		"single=0,batch=0", // nothing positive
-		"",                 // empty
+		"single",             // no weight
+		"single=-1",          // negative
+		"single=x",           // not a number
+		"telepathy=10",       // unknown kind
+		"single=8,job=2",     // no async job tier to submit to
+		"single=0,batch=0",   // nothing positive
+		"single=80,single=0", // a kind twice: the last weight would win
+		"",                   // empty
 	} {
 		if _, err := ParseBlend(s); err == nil {
 			t.Errorf("ParseBlend(%q) accepted, want error", s)
@@ -41,10 +42,7 @@ func TestParseBlendRejects(t *testing.T) {
 
 func TestBlendAssignProportions(t *testing.T) {
 	b := Blend{KindSingle: 88, KindBatch: 5, KindMalformed: 2, KindOversized: 1, KindStatus: 4}
-	kinds, err := b.assign(1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kinds := b.assign(1000, 1)
 	if len(kinds) != 1000 {
 		t.Fatalf("assigned %d kinds, want 1000", len(kinds))
 	}
@@ -64,7 +62,7 @@ func TestBlendAssignProportions(t *testing.T) {
 func TestBlendAssignSmallRunsKeepRareKinds(t *testing.T) {
 	// A 1%-weight kind must still appear in a 100-arrival run.
 	b := Blend{KindSingle: 99, KindOversized: 1}
-	kinds, _ := b.assign(100, 1)
+	kinds := b.assign(100, 1)
 	seen := false
 	for _, k := range kinds {
 		if k == KindOversized {
@@ -78,8 +76,8 @@ func TestBlendAssignSmallRunsKeepRareKinds(t *testing.T) {
 
 func TestBlendAssignDeterministicAndInterleaved(t *testing.T) {
 	b := DefaultBlend()
-	a1, _ := b.assign(500, 42)
-	a2, _ := b.assign(500, 42)
+	a1 := b.assign(500, 42)
+	a2 := b.assign(500, 42)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("assignment differs at %d with the same seed", i)
@@ -96,7 +94,7 @@ func TestBlendAssignDeterministicAndInterleaved(t *testing.T) {
 	if other == 0 {
 		t.Fatal("first 100 arrivals are all single — kinds arrived in runs, not interleaved")
 	}
-	a3, _ := b.assign(500, 43)
+	a3 := b.assign(500, 43)
 	same := true
 	for i := range a1 {
 		if a1[i] != a3[i] {
@@ -110,10 +108,7 @@ func TestBlendAssignDeterministicAndInterleaved(t *testing.T) {
 }
 
 func TestZeroBlendIsAllSingles(t *testing.T) {
-	kinds, err := Blend{}.assign(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kinds := Blend{}.assign(10, 1)
 	for _, k := range kinds {
 		if k != KindSingle {
 			t.Fatalf("zero blend produced kind %s", k)

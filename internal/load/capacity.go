@@ -14,10 +14,11 @@ type CapacityConfig struct {
 	// RunConfig is the first step: its Schedule.Rate starts the
 	// staircase and its Schedule.Duration is every step's length.
 	RunConfig
-	// MaxQPS bounds the search (default 4096x the first step's rate).
+	// MaxQPS bounds the search (default 4096x the first step's rate); a
+	// ceiling below the first step's rate is an error, not an empty search.
 	MaxQPS float64
 	// Factor multiplies the rate between steps (default 2; values closer
-	// to 1 trade wall clock for resolution).
+	// to 1 trade wall clock for resolution, and 1 or less is an error).
 	Factor float64
 	// Objectives are the client-side bars every step's gate holds, as in
 	// Gate.Objectives.
@@ -41,7 +42,7 @@ func (c CapacityConfig) withDefaults() CapacityConfig {
 	if c.MaxQPS <= 0 {
 		c.MaxQPS = 4096 * c.Schedule.Rate
 	}
-	if c.Factor <= 1 {
+	if c.Factor == 0 {
 		c.Factor = 2
 	}
 	if c.Report == nil {
@@ -57,6 +58,12 @@ func (c CapacityConfig) withDefaults() CapacityConfig {
 // judged: the search returns ctx's error, sustaining nothing more.
 func SearchCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Factor <= 1 {
+		return nil, fmt.Errorf("load: capacity factor %g must be above 1, or the rate never rises", cfg.Factor)
+	}
+	if cfg.MaxQPS < cfg.Schedule.Rate {
+		return nil, fmt.Errorf("load: capacity ceiling %g qps is below the first step's %g qps, so no step would run", cfg.MaxQPS, cfg.Schedule.Rate)
+	}
 	out := &CapacityResult{}
 	for rate := cfg.Schedule.Rate; rate <= cfg.MaxQPS; rate *= cfg.Factor {
 		step := cfg.RunConfig

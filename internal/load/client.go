@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"emgo/internal/retry"
 	"emgo/internal/table"
 )
 
@@ -38,9 +37,6 @@ type Outcome struct {
 	// ShedNoRetryAfter marks a shed answer missing its Retry-After
 	// header — a contract violation every gate asserts against.
 	ShedNoRetryAfter bool
-	// Attempts counts tries including the first (retries follow the
-	// server's Retry-After hint under jittered backoff).
-	Attempts int
 }
 
 // RecordPool holds left-schema records mined from a CSV, the raw
@@ -88,16 +84,6 @@ type ClientConfig struct {
 	BaseURL string
 	// Timeout is the per-request client deadline (default 10s).
 	Timeout time.Duration
-	// Seed drives retry jitter (deterministic per request).
-	Seed int64
-	// ShedRetries is how many extra attempts a shed request gets, each
-	// honoring the server's Retry-After hint under jittered backoff
-	// (default 0: open-loop purity — a shed is an answer, not a cue to
-	// hammer; soak mode turns retries on to exercise the hint path).
-	ShedRetries int
-	// MaxRetryAfter caps how long one Retry-After hint can stall a
-	// retry (default 2s — a 60s hint must not wedge a short soak).
-	MaxRetryAfter time.Duration
 }
 
 // Request shapes: records per KindBatch request, and the body size of a
@@ -110,9 +96,6 @@ const (
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 2 * time.Second
 	}
 	return c
 }
@@ -147,65 +130,32 @@ func NewClient(cfg ClientConfig, pool *RecordPool) *Client {
 // CloseIdle releases kept-alive connections (end-of-run hygiene).
 func (c *Client) CloseIdle() { c.http.CloseIdleConnections() }
 
-// Do issues the i-th arrival's request and classifies the answer.
+// Do issues the i-th arrival's request once and classifies the answer.
+// A shed is an answer, not a cue to try again: an open-loop generator
+// that retried would count the retry's success as availability the
+// server's first answer never earned.
 func (c *Client) Do(ctx context.Context, i int, arr Arrival) Outcome {
 	body, path, method, expect := c.build(i, arr)
-	out := Outcome{Kind: arr.Kind, Attempts: 1}
-
-	// The shed-retry loop: delays come from a deterministic jittered
-	// backoff schedule (internal/retry), raised to the server's
-	// Retry-After hint when one arrived — honoring the hint is the
-	// whole point, it is what de-synchronizes the retry storm.
-	backoff := retry.Policy{
-		MaxAttempts: c.cfg.ShedRetries + 1,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    c.cfg.MaxRetryAfter,
-		Seed:        c.cfg.Seed ^ int64(i+1),
-	}.Schedule()
-
-	for attempt := 0; ; attempt++ {
-		status, hdr, respBody, err := c.Call(ctx, method, path, body, nil)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil || isTimeout(err) {
-				out.Class = ClassTimeout
-				return out
-			}
-			out.Class = ClassNetError
-			return out
-		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-			out.Status = status
-			hint, ok := retryAfterHint(hdr)
-			if !ok {
-				out.ShedNoRetryAfter = true
-			}
-			if attempt >= len(backoff) {
-				out.Class = ClassShed
-				return out
-			}
-			delay := backoff[attempt]
-			if ok && hint > delay {
-				delay = hint
-			}
-			if delay > c.cfg.MaxRetryAfter {
-				delay = c.cfg.MaxRetryAfter
-			}
-			select {
-			case <-ctx.Done():
-				out.Class = ClassShed
-				return out
-			case <-time.After(delay):
-			}
-			out.Attempts++
-		default:
-			out.Status = status
-			out.Class = classify(status, expect)
-			if out.Class == ClassOK && (arr.Kind == KindSingle || arr.Kind == KindBatch) {
-				out.Degraded = isDegraded(arr.Kind, respBody)
-			}
-			return out
+	out := Outcome{Kind: arr.Kind}
+	status, hdr, respBody, err := c.Call(ctx, method, path, body, nil)
+	if err != nil {
+		out.Class = ClassNetError
+		if ctx.Err() != nil || isTimeout(err) {
+			out.Class = ClassTimeout
 		}
+		return out
 	}
+	out.Status = status
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		out.Class = ClassShed
+		out.ShedNoRetryAfter = !validRetryAfter(hdr)
+		return out
+	}
+	out.Class = classify(status, expect)
+	if out.Class == ClassOK && (arr.Kind == KindSingle || arr.Kind == KindBatch) {
+		out.Degraded = isDegraded(arr.Kind, respBody)
+	}
+	return out
 }
 
 // build assembles the i-th request's body, path, method, and the
@@ -297,17 +247,11 @@ func isTimeout(err error) bool {
 	return strings.Contains(err.Error(), "Client.Timeout exceeded")
 }
 
-// retryAfterHint parses the Retry-After header (whole seconds).
-func retryAfterHint(hdr http.Header) (time.Duration, bool) {
-	v := hdr.Get("Retry-After")
-	if v == "" {
-		return 0, false
-	}
-	s, err := strconv.Atoi(v)
-	if err != nil || s < 0 {
-		return 0, false
-	}
-	return time.Duration(s) * time.Second, true
+// validRetryAfter reports whether a shed answer carries the Retry-After
+// header the server promises, in whole seconds.
+func validRetryAfter(hdr http.Header) bool {
+	s, err := strconv.Atoi(hdr.Get("Retry-After"))
+	return err == nil && s >= 0
 }
 
 // isDegraded peeks at a successful match answer for the degraded mark.

@@ -35,7 +35,6 @@ type Recorder struct {
 	completed        atomic.Int64
 	degraded         atomic.Int64
 	shedNoRetryAfter atomic.Int64
-	retries          atomic.Int64
 
 	start time.Time
 }
@@ -70,9 +69,6 @@ func (r *Recorder) Observe(out Outcome, latency time.Duration) {
 	if out.ShedNoRetryAfter {
 		r.shedNoRetryAfter.Add(1)
 	}
-	if out.Attempts > 1 {
-		r.retries.Add(int64(out.Attempts - 1))
-	}
 }
 
 // Snapshot is the recorder's state at one instant; the json keys are
@@ -86,7 +82,6 @@ type Snapshot struct {
 	// ShedNoRetryAfter counts contract violations: a 429/503 shed
 	// answer with no Retry-After hint.
 	ShedNoRetryAfter int64                 `json:"shed_missing_retry_after"`
-	Retries          int64                 `json:"retries,omitempty"`
 	Hist             obs.HistogramSnapshot `json:"histogram"`
 }
 
@@ -97,7 +92,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		Completed:        r.completed.Load(),
 		Degraded:         r.degraded.Load(),
 		ShedNoRetryAfter: r.shedNoRetryAfter.Load(),
-		Retries:          r.retries.Load(),
 		Classes:          map[string]int64{},
 		Kinds:            map[Kind]int64{},
 	}

@@ -1,6 +1,7 @@
 // Package load is the open-loop traffic generator and soak harness for
 // the serving tier: deterministic seeded arrival schedules, mixed
-// request blends against a live emserve, a Retry-After-honoring client,
+// request blends against a live emserve, a client that sends each
+// arrival once and classifies its answer (a shed must carry Retry-After),
 // live eps/latency reporting through internal/obs histograms, and the
 // soak / capacity-search assertion modes behind cmd/emload; and the
 // supervisor the smoke harness starts and drains emserve through
@@ -111,10 +112,7 @@ func BuildSchedule(cfg ScheduleConfig) ([]Arrival, error) {
 		return nil, fmt.Errorf("load: schedule %gqps x %v yields no arrivals", cfg.Rate, cfg.Duration)
 	}
 
-	kinds, err := cfg.Blend.assign(len(times), cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+	kinds := cfg.Blend.assign(len(times), cfg.Seed)
 	// Offset the seed so the pick stream is independent of the arrival
 	// stream even though both derive from cfg.Seed.
 	picks := rand.NewZipf(rand.New(rand.NewSource(cfg.Seed+0x9e3779b9)), zipfS, 1, uint64(max(cfg.PickN, 1)-1))

@@ -28,7 +28,7 @@ func smokeLoad(t *testing.T) {
 	s := start(t, dir, "load_soak", nil)
 	code, out, sum := emload("soak.json", "-mode", "soak", "-addr", s.Addr,
 		"-profile", "poisson", "-rate", "40", "-duration", "6s", "-report-every", "2s",
-		"-shed-retries", "1", "-max-retry-after", "500ms", "-slo", "availability=99,latency=2s@99")
+		"-slo", "availability=99,latency=2s@99")
 	wantCLI(t, "clean soak", code, out, 0, "eps=")
 	wantFragments(t, "soak summary", sum, `"pass": true`, `"gate"`)
 
