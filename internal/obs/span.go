@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -91,7 +93,20 @@ func (c *spanCtx) Value(key any) any {
 // returns a context carrying it. The caller ends the root with End and
 // exports it with Snapshot.
 func NewTrace(ctx context.Context, name string) (context.Context, *Span) {
-	t := &trace{}
+	return new(Trace).Open(ctx, name)
+}
+
+// Trace is a span tree's storage, for a caller that opens one tree after
+// another in it — a server's pooled request record — so that a tree's
+// spans cost no allocation of their own. Open empties it: no span of the
+// tree before may be read after.
+type Trace struct{ t trace }
+
+// Open empties the trace and roots a new tree in it, as NewTrace does.
+func (tr *Trace) Open(ctx context.Context, name string) (context.Context, *Span) {
+	t := &tr.t
+	clear(t.firstSpans[:])
+	clear(t.firstAttrs[:])
 	t.spans, t.attrs = t.firstSpans[:0], t.firstAttrs[:0]
 	root := t.newSpan(ctx, name, time.Now())
 	return &root.ctx, root
@@ -234,65 +249,70 @@ func (s *Span) stage() (name string, ms float64) {
 	return s.name, float64(end.Sub(s.start)) / float64(time.Millisecond)
 }
 
-// eachChild calls visit on each child of s, in start order.
-func (s *Span) eachChild(visit func(*Span)) {
+// stageTime is one node of a flattened tree: its name and wall ms.
+type stageTime struct {
+	name string
+	ms   float64
+}
+
+// appendStages appends every node under s (s excluded) in depth-first
+// order; the caller holds the trace lock.
+func (s *Span) appendStages(dst []stageTime) []stageTime {
 	for c := s.first; c != nil; c = c.next {
-		visit(c)
+		name, ms := c.stage()
+		dst = c.appendStages(append(dst, stageTime{name, ms}))
 	}
+	return dst
 }
 
-func (d *SpanData) stage() (string, float64) { return d.Name, d.DurationMS }
-
-func (d *SpanData) eachChild(visit func(*SpanData)) {
-	for _, c := range d.Children {
-		visit(c)
+// sortedStages is the flattening walk — every node under s (s excluded),
+// the first occurrence of a name in depth-first order winning — into dst,
+// emptied, sorted by name: a wide event's stages, as the access log
+// writes them with no map between. Safe on nil.
+func (s *Span) sortedStages(dst []stageTime) []stageTime {
+	if s == nil {
+		return dst[:0]
 	}
+	s.trace.mu.Lock()
+	dst = s.appendStages(dst[:0])
+	s.trace.mu.Unlock()
+	// A stable sort keeps each name's nodes in walk order; Compact keeps
+	// the first of each run.
+	slices.SortStableFunc(dst, func(a, b stageTime) int { return strings.Compare(a.name, b.name) })
+	return slices.CompactFunc(dst, func(a, b stageTime) bool { return a.name == b.name })
 }
 
-// stageNode is a span tree node in either form.
-type stageNode[N any] interface {
-	stage() (string, float64)
-	eachChild(func(N))
-}
-
-// stageDurations is the one flattening walk, over a span tree in either
-// form: stage-name → wall-ms of every node under root (root excluded),
-// the first occurrence of a name in depth-first order winning; nil when
-// root has no children.
-func stageDurations[N stageNode[N]](root N) map[string]float64 {
+// StageDurations is the flattening as stage-name → wall-ms, without
+// materializing a Snapshot tree; nil when s has no children. Unfinished
+// spans are measured to now. Safe on nil.
+func (s *Span) StageDurations() map[string]float64 {
 	var out map[string]float64
-	var walk func(N)
-	walk = func(n N) {
-		name, ms := n.stage()
+	for _, st := range s.sortedStages(nil) {
 		if out == nil {
 			out = make(map[string]float64)
 		}
-		if _, seen := out[name]; !seen {
-			out[name] = ms
-		}
-		n.eachChild(walk)
+		out[st.name] = st.ms
 	}
-	root.eachChild(walk)
 	return out
-}
-
-// StageDurations flattens the span's descendants into stage-name →
-// wall-ms — a wide event's stages — without materializing a Snapshot
-// tree. The receiver (the root, whose duration is the event's own) is
-// skipped and unfinished spans are measured to now. Safe on nil.
-func (s *Span) StageDurations() map[string]float64 {
-	if s == nil {
-		return nil
-	}
-	s.trace.mu.Lock()
-	defer s.trace.mu.Unlock()
-	return stageDurations(s)
 }
 
 // StageDurations is the same flattening of an exported tree. Safe on nil.
 func (d *SpanData) StageDurations() map[string]float64 {
-	if d == nil {
-		return nil
+	var out map[string]float64
+	var walk func(*SpanData)
+	walk = func(n *SpanData) {
+		for _, c := range n.Children {
+			if out == nil {
+				out = make(map[string]float64)
+			}
+			if _, seen := out[c.Name]; !seen {
+				out[c.Name] = c.DurationMS
+			}
+			walk(c)
+		}
 	}
-	return stageDurations(d)
+	if d != nil {
+		walk(d)
+	}
+	return out
 }

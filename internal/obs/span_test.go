@@ -171,3 +171,41 @@ func TestAnnotateKeepsTheLastValue(t *testing.T) {
 		t.Fatalf("attrs = %v", got)
 	}
 }
+
+// TestTraceOpenEmptiesTheTree: a Trace reopened for the next tree hands
+// out its spans again from the start, and the new tree holds nothing of
+// the last one's — no child, item count, outcome, pair or end.
+func TestTraceOpenEmptiesTheTree(t *testing.T) {
+	var tr Trace
+	for round := 0; round < 3; round++ {
+		ctx, root := tr.Open(context.Background(), "serve.http")
+		if round > 0 {
+			if d := root.Snapshot(); d.Children != nil || d.Items != 0 || d.Outcome != "" || d.Attrs != nil {
+				t.Fatalf("round %d: reopened root keeps the last tree: %+v", round, d)
+			}
+		}
+		// More spans than the first slab holds, so the tree grows past it.
+		for i := 0; i < 2*traceSpans; i++ {
+			_, sp := StartSpan(ctx, "stage")
+			sp.SetItems(i)
+			sp.SetOutcome(OutcomeOK)
+			sp.Annotate("k", "v")
+			sp.End()
+		}
+		root.SetItems(7)
+		root.Annotate("route", "/v1/match")
+		root.End()
+		if got := len(root.Snapshot().Children); got != 2*traceSpans {
+			t.Fatalf("round %d: %d children, want %d", round, got, 2*traceSpans)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		_, root := tr.Open(context.Background(), "serve.http")
+		root.End()
+	}); got > 0 {
+		t.Fatalf("reopening a trace allocates %.0f times, want none", got)
+	}
+}

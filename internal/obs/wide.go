@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,8 +77,9 @@ type EventLog struct {
 	sampleN int64
 	seen    atomic.Int64
 
-	mu  sync.Mutex // serializes encode+write; also guards buf
-	buf []byte     // reused encode buffer
+	mu     sync.Mutex  // serializes encode+write; also guards buf and stages
+	buf    []byte      // reused encode buffer
+	stages []stageTime // reused list of a line's stages
 }
 
 // NewEventLog builds a wide-event sink writing JSON lines to w. sampleN
@@ -107,9 +107,9 @@ func (l *EventLog) Log(ev *WideEvent, root *Span) {
 	if ev.Outcome == OutcomeOK && ev.DurationMS < slowMS && l.sampleN > 1 && l.seen.Add(1)%l.sampleN != 1 {
 		return
 	}
-	stages := root.StageDurations()
 	l.mu.Lock()
-	l.buf = ev.appendJSON(l.buf[:0], stages)
+	l.stages = root.sortedStages(l.stages)
+	l.buf = ev.appendJSON(l.buf[:0], l.stages)
 	l.buf = append(l.buf, '\n')
 	l.w.Write(l.buf)
 	l.mu.Unlock()
@@ -117,7 +117,7 @@ func (l *EventLog) Log(ev *WideEvent, root *Span) {
 
 // appendJSON renders the event as one JSON document, omitting zero
 // fields, in the slog JSON-handler line shape (leading "msg").
-func (e *WideEvent) appendJSON(b []byte, stages map[string]float64) []byte {
+func (e *WideEvent) appendJSON(b []byte, stages []stageTime) []byte {
 	b = append(b, `{"msg":"request","time":"`...)
 	b = e.Time.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, `","request_id":`...)
@@ -146,19 +146,14 @@ func (e *WideEvent) appendJSON(b []byte, stages map[string]float64) []byte {
 	b = appendInt(b, `,"bytes_in":`, e.BytesIn)
 	b = appendInt(b, `,"bytes_out":`, e.BytesOut)
 	if len(stages) > 0 {
-		names := make([]string, 0, len(stages))
-		for name := range stages {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		b = append(b, `,"stages":{`...)
-		for i, name := range names {
+		for i, st := range stages {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, name)
+			b = appendJSONString(b, st.name)
 			b = append(b, ':')
-			b = appendJSONFloat(b, stages[name])
+			b = appendJSONFloat(b, st.ms)
 		}
 		b = append(b, '}')
 	}

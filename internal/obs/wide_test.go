@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -198,4 +199,50 @@ func stagedTree(stages map[string]float64) *Span {
 	}
 	root.End()
 	return root
+}
+
+// TestLoggedStagesAreStageDurations: a line's stages are written straight
+// off the span tree, with no map between, and say what StageDurations
+// says — the first of a repeated name in depth-first order wins — with
+// the names in sorted order; the line costs no allocation once the log's
+// buffers have grown.
+func TestLoggedStagesAreStageDurations(t *testing.T) {
+	ctx, root := NewTrace(context.Background(), "serve.http")
+	end := func(sp *Span, ms float64) { sp.end = sp.start.Add(time.Duration(ms * float64(time.Millisecond))) }
+	mctx, match := StartSpan(ctx, "serve.match")
+	bctx, block := StartSpan(mctx, "serve.block")
+	_, inner := StartSpan(bctx, "serve.sure_rules") // deeper, but walked first
+	end(inner, 0.5)
+	end(block, 3)
+	_, sure := StartSpan(mctx, "serve.sure_rules")
+	end(sure, 7)
+	_, again := StartSpan(ctx, "serve.block")
+	end(again, 9)
+	end(match, 11)
+	root.End()
+
+	var buf bytes.Buffer
+	l := NewEventLog(&buf, 1)
+	ev := &WideEvent{Time: time.Now(), RequestID: "r", Route: "/v1/match", Status: 200, Outcome: OutcomeOK}
+	l.Log(ev, root)
+	var doc struct {
+		Stages map[string]float64 `json:"stages"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("line is not JSON: %v\n%s", err, buf.String())
+	}
+	if want := root.StageDurations(); !reflect.DeepEqual(doc.Stages, want) {
+		t.Fatalf("line's stages %v, StageDurations %v", doc.Stages, want)
+	}
+	if want := `"stages":{"serve.block":3,"serve.match":11,"serve.sure_rules":0.5}`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("line %s, want stages written in name order as %s", buf.String(), want)
+	}
+
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	l = NewEventLog(io.Discard, 1)
+	if got := testing.AllocsPerRun(100, func() { l.Log(ev, root) }); got > 0 {
+		t.Fatalf("a logged line allocates %.0f times, want none", got)
+	}
 }

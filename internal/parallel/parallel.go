@@ -165,8 +165,8 @@ dispatch:
 		// A ready worker must not win the race against a cancellation or
 		// failure that is already visible: look before offering a chunk.
 		// The look reads ctx.Err(), not Done, so a context whose Err can
-		// end before its Done closes — serve's learned-stage sub-budget —
-		// stops the dispatch too.
+		// end before its Done closes — serve's request deadline and its
+		// learned stage's share of it — stops the dispatch too.
 		if ctx.Err() != nil {
 			cancelled = true
 			break dispatch

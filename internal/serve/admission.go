@@ -74,7 +74,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // records the service time for Retry-After estimation. Acquire returns
 // ErrShed when the wait line is full, ErrDraining when the server has
 // stopped admitting, and ctx.Err() when the request's deadline expires
-// while waiting in line.
+// while waiting in line. The wait ends at ctx's Deadline by a timer of
+// its own, armed only when the request does wait, so a context whose
+// Done never closes for its deadline (the server's) still ends it.
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	if a.draining.Load() {
 		obs.C("serve.shed.draining").Inc()
@@ -93,13 +95,23 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 			obs.C("serve.shed.queue_full").Inc()
 			return nil, ErrShed
 		}
+		var expired <-chan time.Time
+		if at, ok := ctx.Deadline(); ok {
+			t := time.NewTimer(time.Until(at))
+			defer t.Stop()
+			expired = t.C
+		}
 		select {
 		case a.slots <- struct{}{}:
-			a.queued.Add(-1)
 		case <-ctx.Done():
-			a.queued.Add(-1)
+			err = ctx.Err()
+		case <-expired:
+			err = context.DeadlineExceeded
+		}
+		a.queued.Add(-1)
+		if err != nil {
 			obs.C("serve.shed.deadline_in_queue").Inc()
-			return nil, ctx.Err()
+			return nil, err
 		}
 	}
 	if a.draining.Load() {

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,5 +342,66 @@ func TestAdmissionBurstShedsOnlyTheExcess(t *testing.T) {
 	}
 	if a.InFlight() != 0 || a.Queued() != 0 {
 		t.Fatalf("gate not empty after the burst: inflight %d queued %d", a.InFlight(), a.Queued())
+	}
+}
+
+// TestQueuedRequestEndsAtItsDeadline: a request's deadline is a time, not
+// a timer that closes its context's Done, so the admission queue arms a
+// timer of its own. With the one slot held, a request of timeout_ms 30 —
+// single or batch — answers 429 deadline_in_queue at its deadline, not
+// when the slot frees, and leaves the line.
+func TestQueuedRequestEndsAtItsDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	log := &syncBuffer{}
+	s, ts := newTestServer(t, Config{
+		Admission: AdmissionConfig{MaxInFlight: 1},
+		AccessLog: log,
+	})
+	rel, err := s.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	const timeoutMS = 30
+	for i, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/match", map[string]any{"record": l1Record("q1"), "timeout_ms": timeoutMS}},
+		{"/v1/match/batch", map[string]any{"records": []map[string]any{l0Record("q0"), l1Record("q1")}, "timeout_ms": timeoutMS}},
+	} {
+		data, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+c.path, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("queued-%d", i)
+		req.Header.Set("X-Request-Id", id)
+		start := time.Now()
+		// A wait that no timer ends would last as long as the held slot.
+		resp, err := (&http.Client{Timeout: 2 * time.Second}).Do(req)
+		if err != nil {
+			t.Fatalf("%s queued behind a held slot: %v", c.path, err)
+		}
+		var answer ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&answer)
+		resp.Body.Close()
+		took := time.Since(start)
+		if err != nil || resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(answer.Error, "deadline expired in admission queue") {
+			t.Fatalf("%s queued behind a held slot: status %d, %+v (err %v), want 429 deadline expired", c.path, resp.StatusCode, answer, err)
+		}
+		if took < timeoutMS*time.Millisecond || took > time.Second/2 {
+			t.Fatalf("%s answered its %d ms deadline in the queue after %v", c.path, timeoutMS, took)
+		}
+		ev := eventFor(log.waitEvents(t, i+1), id)
+		if ev == nil || ev["admission"] != AdmissionDeadlineInQueue || ev["outcome"] != "shed" {
+			t.Fatalf("%s: wide event %v, want admission %s, outcome shed", c.path, ev, AdmissionDeadlineInQueue)
+		}
+		if q := s.adm.Queued(); q != 0 {
+			t.Fatalf("%s: %d still queued after the deadline, want 0", c.path, q)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,9 +55,9 @@ type batchEnvelope struct {
 	Trace     bool       `json:"trace,omitempty"`
 }
 
-// decodeBatch reads and validates one batch request's envelope,
-// enforcing the byte cap itself plus a record-count cap.
-func decodeBatch(r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, error) {
+// decodeBatch reads and validates one batch request's envelope, the body
+// read into b, enforcing the byte cap itself plus a record-count cap.
+func decodeBatch(b *bodyReader, r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBatchBodyBytes
 	}
@@ -66,7 +65,7 @@ func decodeBatch(r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, e
 		maxRecords = DefaultMaxBatchRecords
 	}
 	var env batchEnvelope
-	if err := decodeBody(r, maxBytes, "batch request", &env); err != nil {
+	if err := b.decode(r, maxBytes, "batch request", &env); err != nil {
 		return nil, err
 	}
 	records := env.Records.records()
@@ -98,7 +97,7 @@ func decodeBatch(r io.Reader, maxBytes int64, maxRecords int) (*batchEnvelope, e
 // *RequestError with a 4xx status. The handler walks the records
 // straight into rows; this is the same decode, in map form.
 func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequest, error) {
-	env, err := decodeBatch(r, maxBytes, maxRecords)
+	env, err := decodeBatch(new(bodyReader), r, maxBytes, maxRecords)
 	if err != nil {
 		return nil, err
 	}
@@ -116,33 +115,28 @@ func DecodeBatchRequest(r io.Reader, maxBytes int64, maxRecords int) (*BatchRequ
 
 // handleMatchBatch is the bulk matching endpoint: one admission slot,
 // one blocking pass, one matcher pass for the whole batch.
-func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
-	ev := eventFrom(r.Context())
-	if s.refuseDraining(w, ev) {
+func (s *Server) handleMatchBatch(q *request, r *http.Request) {
+	if s.refuseDraining(q) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBodyBytes)
-	req, err := decodeBatch(r.Body, s.cfg.maxBatchBodyBytes, s.cfg.MaxBatchRecords)
+	req, err := decodeBatch(&q.body, r.Body, s.cfg.maxBatchBodyBytes, s.cfg.MaxBatchRecords)
 	if err != nil {
-		s.writeRequestError(w, err)
+		s.writeRequestError(q, err)
 		return
 	}
 	rows, err := recordRows(s.left.Schema(), req.Records.records())
 	if err != nil {
-		s.writeRequestError(w, err)
+		s.writeRequestError(q, err)
 		return
 	}
 	left, err := table.FromRows("batch", s.left.Schema(), rows)
 	if err != nil {
-		s.writeRequestError(w, badRequest("%v", err))
+		s.writeRequestError(q, badRequest("%v", err))
 		return
 	}
 
-	budget := requestBudget(DefaultBatchTimeout, req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-
-	release := s.admit(ctx, w, ev)
+	ctx := q.within(requestBudget(DefaultBatchTimeout, req.TimeoutMS))
+	release := s.admit(ctx, q)
 	if release == nil {
 		return
 	}
@@ -152,15 +146,15 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	resps, tally, trace, err := s.matchSet(ctx, left, req.Trace)
 	elapsed := time.Since(start)
 	if err != nil {
-		s.writeRunError(ctx, w, ev, err)
+		s.writeRunError(ctx, q, err)
 		return
 	}
-	tally.record(ev)
+	tally.record(&q.ev)
 	results := make([]*MatchResponse, len(resps))
 	for i := range resps {
 		results[i] = &resps[i]
 	}
-	writeJSON(w, http.StatusOK, &BatchResponse{
+	q.writeJSON(http.StatusOK, &BatchResponse{
 		Results:   results,
 		Count:     tally.records,
 		Degraded:  tally.degraded,

@@ -14,6 +14,7 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
+	"emgo/internal/obs"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 	"emgo/internal/umetrics"
@@ -268,24 +269,30 @@ func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 }
 
 // TestConcurrentMixedRequestsKeepSerialAnswers: a matchSet pass walks its
-// candidate list in scratch pooled on the server, so a pass that takes
-// over another's scratch must read nothing the other left. Eight
-// goroutines send every record of a paper-shaped slice as singles and
-// in batches of 1 to 7, interleaved, and each answer — candidates,
-// vetoed, matches and scores, all but elapsed_ms — is byte for byte what
-// the record got alone, asked serially (make race-cpu runs this at 1, 2
-// and 4 CPUs).
+// candidate list in scratch pooled on the server, and a request's fixed
+// state — wide event, status writer, span slab, body buffer, deadline —
+// is a record pooled there too, so a pass or request that takes over
+// another's must read nothing the other left. Eight goroutines send
+// every record of a paper-shaped slice as singles and in batches of 1 to
+// 7, interleaved, every third window asking for its trace, to a server
+// logging every request. Each answer — candidates, vetoed, matches and
+// scores, all but elapsed_ms and the trace — is byte for byte what the
+// record got alone, asked serially; each trace is that request's own
+// serve.match tree (its record count, and its candidates on
+// serve.block); and the log has one line per request ID, with that
+// request's counts (make race-cpu runs this at 1, 2 and 4 CPUs).
 func TestConcurrentMixedRequestsKeepSerialAnswers(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
-	_, ts := serveWorkflow(t, Config{}, w, l, r)
+	log := &syncBuffer{}
+	_, ts := serveWorkflow(t, Config{AccessLog: log, AccessSampleN: 1}, w, l, r)
 	records := make([]map[string]any, l.Len())
 	for i := range records {
 		records[i] = rowRecord(l, i)
 	}
-	// render is an answer's bytes without its wall time.
+	// render is an answer's bytes without its wall time and trace.
 	render := func(mr *MatchResponse) string {
-		mr.ElapsedMS = 0
+		mr.ElapsedMS, mr.Trace = 0, nil
 		data, err := json.Marshal(mr)
 		if err != nil {
 			t.Fatal(err)
@@ -306,6 +313,63 @@ func TestConcurrentMixedRequestsKeepSerialAnswers(t *testing.T) {
 		t.Fatalf("fixture: %d of %d records have candidates; want some with and some without", learned, len(records))
 	}
 
+	// post sends body under id and decodes a 200 answer into into.
+	post := func(path, id string, body, into any) error {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s %s: status %d", path, id, resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(into)
+	}
+	// check holds one request's answers and trace to its records alone,
+	// and notes the counts its log line must carry.
+	type counts struct{ records, candidates int }
+	var mu sync.Mutex
+	sent := map[string]counts{}
+	check := func(id string, idx []int, got []*MatchResponse, traced bool, trace json.RawMessage) {
+		cands := 0
+		for j, mr := range got {
+			cands += mr.Candidates
+			if a := render(mr); a != serial[idx[j]] {
+				t.Errorf("%s, record %d: answered %s, alone %s", id, idx[j], a, serial[idx[j]])
+			}
+		}
+		if traced != (trace != nil) {
+			t.Errorf("%s: asked for a trace %v, got %s", id, traced, trace)
+		}
+		if traced {
+			var root obs.SpanData
+			if err := json.Unmarshal(trace, &root); err != nil {
+				t.Errorf("%s: trace %s: %v", id, trace, err)
+			}
+			var blocked int64 = -1
+			for _, c := range root.Children {
+				if c.Name == "serve.block" {
+					blocked = c.Items
+				}
+			}
+			if root.Name != "serve.match" || root.Items != int64(len(idx)) || blocked != int64(cands) {
+				t.Errorf("%s: trace %s is not this request's: want serve.match over %d records, %d candidates blocked", id, trace, len(idx), cands)
+			}
+		}
+		mu.Lock()
+		sent[id] = counts{len(idx), cands}
+		mu.Unlock()
+	}
+
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -324,32 +388,56 @@ func TestConcurrentMixedRequestsKeepSerialAnswers(t *testing.T) {
 				}
 				lo += size
 				k += size - 1
-				got := make([]*MatchResponse, size)
+				traced := k%3 == 0
 				if g%2 == 1 && k%2 == 1 {
 					for j, rec := range batch {
-						got[j] = &MatchResponse{}
-						if status := postJSONStatus(t, ts.URL+"/v1/match", map[string]any{"record": rec}, got[j]); status != http.StatusOK {
-							t.Errorf("goroutine %d: single status %d", g, status)
+						id := fmt.Sprintf("g%d-k%d-%d", g, k, j)
+						mr := &MatchResponse{}
+						if err := post("/v1/match", id, map[string]any{"record": rec, "trace": traced}, mr); err != nil {
+							t.Error(err)
 							return
 						}
+						check(id, idx[j:j+1], []*MatchResponse{mr}, traced, mr.Trace)
 					}
-				} else {
-					var br BatchResponse
-					if status := postJSONStatus(t, ts.URL+"/v1/match/batch", map[string]any{"records": batch}, &br); status != http.StatusOK || len(br.Results) != size {
-						t.Errorf("goroutine %d: batch status %d, %d results for %d records", g, status, len(br.Results), size)
-						return
-					}
-					got = br.Results
+					continue
 				}
-				for j, mr := range got {
-					if a := render(mr); a != serial[idx[j]] {
-						t.Errorf("goroutine %d, record %d: answered %s, alone %s", g, idx[j], a, serial[idx[j]])
-					}
+				id := fmt.Sprintf("g%d-k%d", g, k)
+				var br BatchResponse
+				if err := post("/v1/match/batch", id, map[string]any{"records": batch, "trace": traced}, &br); err != nil {
+					t.Error(err)
+					return
 				}
+				if len(br.Results) != size {
+					t.Errorf("%s: %d results for %d records", id, len(br.Results), size)
+					return
+				}
+				check(id, idx, br.Results, traced, br.Trace)
 			}
 		}(g)
 	}
 	wg.Wait()
+
+	evs := log.waitEvents(t, len(records)+len(sent))
+	lines := map[string]int{}
+	for _, ev := range evs {
+		id, _ := ev["request_id"].(string)
+		lines[id]++
+		if want, ok := sent[id]; ok {
+			gotRecords, _ := ev["records"].(float64)
+			gotCands, _ := ev["candidates"].(float64)
+			if int(gotRecords) != want.records || int(gotCands) != want.candidates {
+				t.Errorf("%s: logged %v records, %v candidates; it sent %d and got %d", id, ev["records"], ev["candidates"], want.records, want.candidates)
+			}
+		}
+	}
+	for id := range sent {
+		if lines[id] != 1 {
+			t.Errorf("%s: %d access-log lines, want 1", id, lines[id])
+		}
+	}
+	if want := len(records) + len(sent); len(evs) != want {
+		t.Errorf("%d access-log lines for %d requests", len(evs), want)
+	}
 }
 
 // TestReloadIdenticalArtifactKeepsAnswers: reloading the artifact the

@@ -47,16 +47,26 @@ func badRequest(format string, args ...any) *RequestError {
 	return &RequestError{Status: 400, Msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeBody is the one body reader behind the three request decoders:
-// it reads one byte past maxBytes (so "exactly at the cap" and "over the
+// bodyReader reads request bodies into one buffer, reused from body to
+// body.
+type bodyReader struct {
+	buf bytes.Buffer
+	lr  io.LimitedReader
+}
+
+// decode is the one body reader behind the three request decoders: it
+// reads one byte past maxBytes (so "exactly at the cap" and "over the
 // cap" are distinguishable), maps an http.MaxBytesReader underneath —
 // which errors before our own limit does — to the same 413, refuses an
 // empty body, and decodes exactly one JSON document into dst with
 // unknown fields rejected and numbers kept as json.Number. Trailing
 // data after the document is a malformed request, not an ignorable
 // suffix. noun names the request kind in the client-facing messages.
-func decodeBody(r io.Reader, maxBytes int64, noun string, dst any) error {
-	data, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
+func (b *bodyReader) decode(r io.Reader, maxBytes int64, noun string, dst any) error {
+	b.buf.Reset()
+	b.lr = io.LimitedReader{R: r, N: maxBytes + 1}
+	_, err := b.buf.ReadFrom(&b.lr)
+	b.lr.R = nil
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -64,16 +74,16 @@ func decodeBody(r io.Reader, maxBytes int64, noun string, dst any) error {
 		}
 		return badRequest("read %s body: %v", noun, err)
 	}
-	if int64(len(data)) > maxBytes {
+	if int64(b.buf.Len()) > maxBytes {
 		return &RequestError{
 			Status: http.StatusRequestEntityTooLarge,
 			Msg:    fmt.Sprintf("%s body exceeds %d bytes", noun, maxBytes),
 		}
 	}
-	if len(data) == 0 {
+	if b.buf.Len() == 0 {
 		return badRequest("empty %s body", noun)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(&b.buf)
 	dec.DisallowUnknownFields()
 	dec.UseNumber()
 	if err := dec.Decode(dst); err != nil {
@@ -93,13 +103,14 @@ type matchEnvelope struct {
 	Trace     bool      `json:"trace,omitempty"`
 }
 
-// decodeMatch reads and validates one match request's envelope.
-func decodeMatch(r io.Reader, maxBytes int64) (*matchEnvelope, error) {
+// decodeMatch reads and validates one match request's envelope, the
+// body read into b.
+func decodeMatch(b *bodyReader, r io.Reader, maxBytes int64) (*matchEnvelope, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBodyBytes
 	}
 	var env matchEnvelope
-	if err := decodeBody(r, maxBytes, "request", &env); err != nil {
+	if err := b.decode(r, maxBytes, "request", &env); err != nil {
 		return nil, err
 	}
 	if env.Record.empty() {
@@ -119,7 +130,7 @@ func decodeMatch(r io.Reader, maxBytes int64) (*matchEnvelope, error) {
 // *RequestError with a 4xx status. The handler walks the record
 // straight into a row; this is the same decode, in map form.
 func DecodeMatchRequest(r io.Reader, maxBytes int64) (*MatchRequest, error) {
-	env, err := decodeMatch(r, maxBytes)
+	env, err := decodeMatch(new(bodyReader), r, maxBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -152,7 +152,7 @@ func TestDuplicateRecordKeysStayLinear(t *testing.T) {
 	body := duplicateKeysBody(DefaultMaxBodyBytes, `"record":{"ID":"x"}`, `"record":{"ID":"y","Num":"z"}`)
 	schema := reqSchema()
 	withinBytes(t, "row", body, dupBytesPerByte, func() {
-		env, err := decodeMatch(strings.NewReader(body), DefaultMaxBodyBytes)
+		env, err := decodeMatch(new(bodyReader), strings.NewReader(body), DefaultMaxBodyBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestDuplicateRecordsKeysStayLinear(t *testing.T) {
 	body := duplicateKeysBody(DefaultMaxBatchBodyBytes, `"records":[{"ID":"x"}]`, `"records":[{"ID":"y","Num":"z"}]`)
 	schema := reqSchema()
 	withinBytes(t, "rows", body, dupBytesPerByte, func() {
-		env, err := decodeBatch(strings.NewReader(body), DefaultMaxBatchBodyBytes, 0)
+		env, err := decodeBatch(new(bodyReader), strings.NewReader(body), DefaultMaxBatchBodyBytes, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ type refBatchRequest struct {
 
 func refDecodeMatch(data []byte, maxBytes int64) (*refMatchRequest, error) {
 	var req refMatchRequest
-	if err := decodeBody(bytes.NewReader(data), maxBytes, "request", &req); err != nil {
+	if err := new(bodyReader).decode(bytes.NewReader(data), maxBytes, "request", &req); err != nil {
 		return nil, err
 	}
 	if len(req.Record) == 0 {
@@ -46,7 +46,7 @@ func refDecodeMatch(data []byte, maxBytes int64) (*refMatchRequest, error) {
 
 func refDecodeBatch(data []byte, maxBytes int64, maxRecords int) (*refBatchRequest, error) {
 	var req refBatchRequest
-	if err := decodeBody(bytes.NewReader(data), maxBytes, "batch request", &req); err != nil {
+	if err := new(bodyReader).decode(bytes.NewReader(data), maxBytes, "batch request", &req); err != nil {
 		return nil, err
 	}
 	if len(req.Records) == 0 {
@@ -162,7 +162,7 @@ func checkMatchBody(t *testing.T, schema *table.Schema, data []byte) {
 		ref = outcome{rows: []table.Row{row}, timeoutMS: req.TimeoutMS, trace: req.Trace}
 	}
 	row := make(table.Row, schema.Len())
-	if env, err := decodeMatch(bytes.NewReader(data), fuzzMaxBody); err != nil {
+	if env, err := decodeMatch(new(bodyReader), bytes.NewReader(data), fuzzMaxBody); err != nil {
 		walked = refused(t, "walker", err)
 	} else if err := fillRow(schema, &env.Record, row); err != nil {
 		walked = refused(t, "walker", err)
@@ -199,7 +199,7 @@ func checkBatchBody(t *testing.T, schema *table.Schema, data []byte) {
 			ref.rows = append(ref.rows, row)
 		}
 	}
-	if env, err := decodeBatch(bytes.NewReader(data), fuzzMaxBody, fuzzMaxRecords); err != nil {
+	if env, err := decodeBatch(new(bodyReader), bytes.NewReader(data), fuzzMaxBody, fuzzMaxRecords); err != nil {
 		walked = refused(t, "walker", err)
 	} else if rows, err := recordRows(schema, env.Records.records()); err != nil {
 		walked = refused(t, "walker", err)

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -11,25 +14,57 @@ import (
 
 // Request-scoped observability: every route is wrapped in observe(),
 // which assigns (or propagates) the request ID, opens the request's
-// root span, carries a mutable wide event through context for handlers
+// root span, hands the handler the request's record with its wide event
 // to annotate, and — once the response is written — hands both to
 // finish, which emits exactly one wide event to the access log.
 // Handlers never log; they annotate the event and finish owns emission,
 // which is what guarantees the one-event-per-request invariant.
 
-type eventKey struct{}
-
-// withEvent stores the request's mutable wide event in ctx.
-func withEvent(ctx context.Context, ev *obs.WideEvent) context.Context {
-	return context.WithValue(ctx, eventKey{}, ev)
+// request is one request's record: what every request pays whatever its
+// route — the wide event, the status writer, the root span's slab, the
+// body buffer and the deadline — in one value the server pools, so a
+// request allocates none of it. observe fills it and hands it to the
+// route's handler; once finish has logged the request it goes back to
+// the pool, so nothing may keep it, or a span or context of it, past the
+// handler.
+type request struct {
+	ev obs.WideEvent
+	w  statusWriter
+	// trace is the root span's slab; ctx is the root span's context, the
+	// connection's with the trace in it.
+	trace obs.Trace
+	ctx   context.Context
+	// deadline is ctx ending at the request's deadline (within).
+	deadline deadline
+	body     bodyReader
 }
 
-// eventFrom returns the request's wide event, for the handler to
-// annotate in place. Every route is mounted through observe, so a
-// handler always has one.
-func eventFrom(ctx context.Context) *obs.WideEvent {
-	ev, _ := ctx.Value(eventKey{}).(*obs.WideEvent)
-	return ev
+// maxPooledBody is the largest body buffer a pooled record keeps; a
+// bigger one, a big batch's, is left to the collector.
+const maxPooledBody = 64 << 10
+
+// within sets the request's deadline budget from now and returns the
+// context that carries it, for admission and the match pipeline.
+func (q *request) within(budget time.Duration) context.Context {
+	q.deadline = deadline{Context: q.ctx, at: time.Now().Add(budget)}
+	return &q.deadline
+}
+
+// writeJSON writes one JSON response with status.
+func (q *request) writeJSON(status int, v any) {
+	q.w.Header().Set("Content-Type", "application/json")
+	q.w.WriteHeader(status)
+	json.NewEncoder(&q.w).Encode(v) //nolint:errcheck // client gone = nothing to do
+}
+
+// writeError writes the JSON error envelope.
+func (q *request) writeError(status int, msg string, retryAfter time.Duration) {
+	e := ErrorResponse{Error: msg, Status: status}
+	if retryAfter > 0 {
+		e.RetryAfterS = waitHint(retryAfter)
+		q.w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfterS))
+	}
+	q.writeJSON(status, e)
 }
 
 // statusWriter captures the status code and body bytes a handler wrote.
@@ -64,8 +99,9 @@ func routeOf(pattern string) string {
 	return pattern
 }
 
-// observe wraps one route handler with the request-observability layer.
-func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
+// observe wraps one route handler with the request-observability layer:
+// the handler answers r through q.w and annotates q.ev.
+func (s *Server) observe(route string, h func(q *request, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id, ok := obs.SanitizeRequestID(r.Header.Get("X-Request-Id"))
 		if !ok {
@@ -75,32 +111,41 @@ func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 		// sheds, timeouts — carries the client's join key.
 		w.Header().Set("X-Request-Id", id)
 
-		ev := &obs.WideEvent{Time: time.Now(), RequestID: id, Route: route, Method: r.Method}
+		q := s.reqs.Get().(*request)
+		q.ev = obs.WideEvent{Time: time.Now(), RequestID: id, Route: route, Method: r.Method}
 		if r.ContentLength > 0 {
-			ev.BytesIn = r.ContentLength
+			q.ev.BytesIn = r.ContentLength
 		}
-		ctx := withEvent(r.Context(), ev)
-		ctx, root := obs.NewTrace(ctx, "serve.http")
+		q.w = statusWriter{ResponseWriter: w}
+		var root *obs.Span
+		q.ctx, root = q.trace.Open(r.Context(), "serve.http")
 
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(ctx))
-		if sw.status == 0 {
+		h(q, r)
+		if q.w.status == 0 {
 			// The handler wrote nothing; net/http will send 200.
-			sw.status = http.StatusOK
+			q.w.status = http.StatusOK
 		}
-		ev.Status = sw.status
-		ev.BytesOut = sw.bytes
-		if ev.Outcome == "" {
-			ev.Outcome = deriveOutcome(sw.status, ev.Degraded, s.draining.Load())
+		q.ev.Status = q.w.status
+		q.ev.BytesOut = q.w.bytes
+		if q.ev.Outcome == "" {
+			q.ev.Outcome = deriveOutcome(q.w.status, q.ev.Degraded, s.draining.Load())
 		}
-		s.finish(ev, root)
+		s.finish(&q.ev, root)
+
+		// Pool the record, dropping what it refers to of this request; the
+		// next Open empties its trace.
+		q.w, q.ctx, q.deadline = statusWriter{}, nil, deadline{}
+		if q.body.buf.Cap() > maxPooledBody {
+			q.body.buf = bytes.Buffer{}
+		}
+		s.reqs.Put(q)
 	}
 }
 
 // finish closes the record of one request and is its only writer: it
 // ends the root span, times the event from its own start and writes the
 // access-log line. The line's stages come off root; a request the log
-// samples away never builds them.
+// samples away never reads them.
 func (s *Server) finish(ev *obs.WideEvent, root *obs.Span) {
 	root.End()
 	ev.DurationMS = float64(time.Since(ev.Time)) / float64(time.Millisecond)

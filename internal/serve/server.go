@@ -119,8 +119,9 @@ type Server struct {
 	// built once: a reload redeploys the live deployment, whose sure rules
 	// it keeps, and a hit names one of them.
 	sources map[string]string
-	// scratch pools matchSet's per-pass state (matchScratch).
-	scratch sync.Pool
+	// scratch pools matchSet's per-pass state (matchScratch), and reqs
+	// each request's record (request).
+	scratch, reqs sync.Pool
 
 	events *obs.EventLog
 
@@ -173,6 +174,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		adm:     NewAdmission(cfg.Admission),
 		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		scratch: sync.Pool{New: func() any { return &matchScratch{} }},
+		reqs:    sync.Pool{New: func() any { return &request{} }},
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
@@ -242,7 +244,7 @@ func (s *Server) Artifact() *Artifact {
 // request-observability middleware (request IDs, wide events).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
+	handle := func(pattern string, h func(*request, *http.Request)) {
 		mux.HandleFunc(pattern, s.observe(routeOf(pattern), h))
 	}
 	handle("POST /v1/match", s.handleMatch)
@@ -258,35 +260,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes one JSON response with status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) //nolint:errcheck // client gone = nothing to do
-}
-
-// writeError writes the JSON error envelope.
-func writeError(w http.ResponseWriter, status int, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", waitHint(retryAfter)))
-		writeJSON(w, status, ErrorResponse{Error: msg, Status: status, RetryAfterS: waitHint(retryAfter)})
-		return
-	}
-	writeJSON(w, status, ErrorResponse{Error: msg, Status: status})
-}
-
 // refuseDraining is the first step of every handler that takes on work
 // (match, batch): a draining server answers
 // 503 + Retry-After, and the wide event says why. It reports whether it
 // answered.
-func (s *Server) refuseDraining(w http.ResponseWriter, ev *obs.WideEvent) bool {
+func (s *Server) refuseDraining(q *request) bool {
 	if !s.draining.Load() {
 		return false
 	}
 	obs.C("serve.shed.draining").Inc()
-	annotateAdmission(ev, AdmissionShedDraining, 0)
-	writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+	annotateAdmission(&q.ev, AdmissionShedDraining, 0)
+	q.writeError(http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
 	return true
 }
 
@@ -295,77 +279,72 @@ func (s *Server) refuseDraining(w http.ResponseWriter, ev *obs.WideEvent) bool {
 // expired in it, 503 when a drain raced the admission. Either way the
 // verdict and the queue wait land on the wide event. A non-nil release
 // must be called exactly once.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent) (release func()) {
+func (s *Server) admit(ctx context.Context, q *request) (release func()) {
 	queued := time.Now()
 	release, err := s.adm.Acquire(ctx)
 	wait := time.Since(queued)
 	switch {
 	case errors.Is(err, ErrShed):
-		annotateAdmission(ev, AdmissionShedQueueFull, wait)
-		writeError(w, http.StatusTooManyRequests, "overloaded: admission queue full", s.adm.RetryAfter())
+		annotateAdmission(&q.ev, AdmissionShedQueueFull, wait)
+		q.writeError(http.StatusTooManyRequests, "overloaded: admission queue full", s.adm.RetryAfter())
 		return nil
 	case errors.Is(err, ErrDraining):
-		annotateAdmission(ev, AdmissionShedDraining, wait)
-		writeError(w, http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
+		annotateAdmission(&q.ev, AdmissionShedDraining, wait)
+		q.writeError(http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
 		return nil
 	case err != nil: // deadline expired while queued
-		annotateAdmission(ev, AdmissionDeadlineInQueue, wait)
-		writeError(w, http.StatusTooManyRequests, "overloaded: deadline expired in admission queue", s.adm.RetryAfter())
+		annotateAdmission(&q.ev, AdmissionDeadlineInQueue, wait)
+		q.writeError(http.StatusTooManyRequests, "overloaded: deadline expired in admission queue", s.adm.RetryAfter())
 		return nil
 	}
-	annotateAdmission(ev, AdmissionAdmitted, wait)
+	annotateAdmission(&q.ev, AdmissionAdmitted, wait)
 	return release
 }
 
 // writeRunError answers a failed pipeline pass: 504 when the request's
 // deadline is what ended it, 500 otherwise. A worker panic's stack is
 // the operator's: the wide event keeps it, the client's error does not.
-func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, ev *obs.WideEvent, err error) {
+func (s *Server) writeRunError(ctx context.Context, q *request, err error) {
 	msg := err.Error()
-	ev.Err = msg
+	q.ev.Err = msg
 	if ctx.Err() != nil {
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
+		q.writeError(http.StatusGatewayTimeout, "deadline exceeded", 0)
 		return
 	}
 	var pe *parallel.PanicError
 	if errors.As(err, &pe) {
 		msg = strings.Replace(msg, "\n"+string(pe.Stack), "", 1)
 	}
-	writeError(w, http.StatusInternalServerError, "internal error: "+msg, 0)
+	q.writeError(http.StatusInternalServerError, "internal error: "+msg, 0)
 }
 
 // handleMatch is the matching endpoint under the full admission /
 // deadline / degradation machinery.
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	ev := eventFrom(r.Context())
-	if s.refuseDraining(w, ev) {
+func (s *Server) handleMatch(q *request, r *http.Request) {
+	if s.refuseDraining(q) {
 		return
 	}
 	// Decode before admission: a malformed request must never occupy a
 	// pipeline slot, and the decoder is panic-proof on arbitrary bytes.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := decodeMatch(r.Body, s.cfg.MaxBodyBytes)
+	req, err := decodeMatch(&q.body, r.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
-		s.writeRequestError(w, err)
+		s.writeRequestError(q, err)
 		return
 	}
 	row := make(table.Row, s.left.Schema().Len())
 	if err := fillRow(s.left.Schema(), &req.Record, row); err != nil {
-		s.writeRequestError(w, err)
+		s.writeRequestError(q, err)
 		return
 	}
 	// The single-record endpoint is the batch engine at n=1.
 	left, err := table.FromRows("request", s.left.Schema(), []table.Row{row})
 	if err != nil {
-		s.writeRequestError(w, badRequest("%v", err))
+		s.writeRequestError(q, badRequest("%v", err))
 		return
 	}
 
-	budget := requestBudget(s.cfg.RequestTimeout, req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-
-	release := s.admit(ctx, w, ev)
+	ctx := q.within(requestBudget(s.cfg.RequestTimeout, req.TimeoutMS))
+	release := s.admit(ctx, q)
 	if release == nil {
 		return
 	}
@@ -376,14 +355,14 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	obs.H("serve.latency_ms", latencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
-		s.writeRunError(ctx, w, ev, err)
+		s.writeRunError(ctx, q, err)
 		return
 	}
-	tally.record(ev)
+	tally.record(&q.ev)
 	resp := &resps[0]
 	resp.Trace = trace
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	q.writeJSON(http.StatusOK, resp)
 }
 
 // requestBudget is a route's deadline, lowered — never raised — by the
@@ -412,13 +391,13 @@ func (t matchTally) record(ev *obs.WideEvent) {
 }
 
 // writeRequestError maps a decode/validation failure to its status.
-func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
+func (s *Server) writeRequestError(q *request, err error) {
 	var re *RequestError
 	if errors.As(err, &re) {
-		writeError(w, re.Status, re.Msg, 0)
+		q.writeError(re.Status, re.Msg, 0)
 		return
 	}
-	writeError(w, http.StatusBadRequest, err.Error(), 0)
+	q.writeError(http.StatusBadRequest, err.Error(), 0)
 }
 
 // matchSet runs the deployed workflow for every row of a request-shaped
@@ -596,14 +575,14 @@ type matchScratch struct {
 	// score of each match — scores is empty for any other matcher.
 	verdicts []int
 	scores   []float64
-	// budget is the learned stage's sub-budget (mlBudget).
-	budget mlBudget
+	// budget is the learned stage's share of the request's deadline.
+	budget deadline
 }
 
 // putScratch empties sc and pools it for the next pass.
 func (s *Server) putScratch(sc *matchScratch) {
 	sc.cands, sc.verdicts, sc.scores = sc.cands[:0], nil, sc.scores[:0]
-	sc.budget = mlBudget{}
+	sc.budget = deadline{}
 	s.scratch.Put(sc)
 }
 
@@ -626,27 +605,29 @@ func candidateList(dst []block.Pair, blocked *block.CandidateSet, hits []rules.H
 	return out
 }
 
-// mlBudget is the learned stage's share of a request's deadline, held
-// against the request's own context rather than a second one: Deadline
-// and Err report the sub-deadline, and Done and Value are the request's.
-// That bends the context contract — Err turns non-nil at the sub-deadline
-// while Done stays open until the request's — which the stages under it
-// allow: vectorize and predict ask Err between units of work
-// (parallel.ForWorkersCtx, before each item run serially and each chunk
-// fanned out), and none waits on Done for the end of its budget. It lives in the pass's scratch, so holding
-// the sub-budget allocates nothing and starts no timer.
-type mlBudget struct {
+// deadline is a context that ends at a time, held against its parent
+// rather than by a timer: Deadline and Err report the time, and Done and
+// Value are the parent's. That bends the context contract — Err turns
+// non-nil at the deadline while Done stays open until the parent's ends
+// (the connection's) — which what runs under it allows: the stages ask
+// Err between units of work (parallel.ForWorkersCtx, before each item run
+// serially and each chunk fanned out), and the one wait for the end of a
+// budget, the admission queue's, arms a timer from Deadline
+// (Admission.Acquire). A request's deadline lives in its record and the
+// learned stage's share of it in the pass's scratch, so holding either
+// allocates nothing and starts no timer.
+type deadline struct {
 	context.Context
-	deadline time.Time
+	at time.Time
 }
 
-func (b *mlBudget) Deadline() (time.Time, bool) { return b.deadline, true }
+func (d *deadline) Deadline() (time.Time, bool) { return d.at, true }
 
-func (b *mlBudget) Err() error {
-	if err := b.Context.Err(); err != nil {
+func (d *deadline) Err() error {
+	if err := d.Context.Err(); err != nil {
 		return err
 	}
-	if !time.Now().Before(b.deadline) {
+	if !time.Now().Before(d.at) {
 		return context.DeadlineExceeded
 	}
 	return nil
@@ -662,9 +643,9 @@ func (s *Server) predict(ctx context.Context, d *workflow.Workflow, left *table.
 	// Grant the matcher a fraction of the remaining budget so its
 	// timeout leaves room to respond with the rule-only answer.
 	mlCtx := ctx
-	if deadline, ok := ctx.Deadline(); ok {
+	if at, ok := ctx.Deadline(); ok {
 		now := time.Now()
-		sc.budget = mlBudget{Context: ctx, deadline: now.Add(time.Duration(float64(deadline.Sub(now)) * mlBudgetFrac))}
+		sc.budget = deadline{Context: ctx, at: now.Add(time.Duration(float64(at.Sub(now)) * mlBudgetFrac))}
 		mlCtx = &sc.budget
 	}
 	// A sleep armed here runs out the sub-budget, not the request's.
@@ -711,18 +692,18 @@ func (s *Server) rightID(j int) string {
 
 // handleHealth is liveness: 200 whenever the process can answer at all,
 // draining included (the balancer uses readyz to steer traffic).
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Server) handleHealth(q *request, _ *http.Request) {
+	q.writeJSON(http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady is readiness: 503 once draining so load balancers stop
 // routing here before the listener actually closes.
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleReady(q *request, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		q.writeJSON(http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	q.writeJSON(http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // reloadRequest is the optional /-/reload body.
@@ -731,22 +712,22 @@ type reloadRequest struct {
 }
 
 // handleReload hot-swaps the matcher artifact; failures roll back.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReload(q *request, r *http.Request) {
 	var req reloadRequest
 	if r.Body != nil {
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
+		data, err := io.ReadAll(http.MaxBytesReader(&q.w, r.Body, 1<<16))
 		if err != nil {
-			writeError(w, http.StatusRequestEntityTooLarge, "reload request body too large", 0)
+			q.writeError(http.StatusRequestEntityTooLarge, "reload request body too large", 0)
 			return
 		}
 		if len(data) > 0 {
 			if jerr := json.Unmarshal(data, &req); jerr != nil {
-				writeError(w, http.StatusBadRequest, "parse reload request: "+jerr.Error(), 0)
+				q.writeError(http.StatusBadRequest, "parse reload request: "+jerr.Error(), 0)
 				return
 			}
 		}
 	}
-	art, err := s.Reload(r.Context(), req.Path)
+	art, err := s.Reload(q.ctx, req.Path)
 	if err != nil {
 		prev := s.Artifact()
 		msg := "reload failed (previous matcher still serving): " + err.Error()
@@ -756,10 +737,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			resp["active_checksum"] = prev.Checksum
 			resp["active_path"] = prev.Path
 		}
-		writeJSON(w, status, resp)
+		q.writeJSON(status, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	q.writeJSON(http.StatusOK, map[string]any{
 		"status":    "reloaded",
 		"path":      art.Path,
 		"checksum":  art.Checksum,
@@ -780,7 +761,7 @@ type StatusData struct {
 }
 
 // handleStatus reports the operational state in one JSON document.
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleStatus(q *request, _ *http.Request) {
 	st := StatusData{
 		UptimeS:   time.Since(s.started).Seconds(),
 		Requests:  s.requests.Load(),
@@ -798,7 +779,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			"loaded_at": art.LoadedAt,
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	q.writeJSON(http.StatusOK, st)
 }
 
 // StartDrain flips readiness, stops admitting match requests, and

@@ -11,6 +11,8 @@ var allowlist = map[string]string{
 
 	"umetrics.TruthOracle.Class": "reference oracle: the experiment harness (experiments_test.go, experiments3_test.go) reads a pair's ground-truth class through it to regenerate the paper's rule-coverage numbers",
 	"umetrics.ClassNone":         "the PairClass zero value — what Truth.MatchClass answers for a non-match; deleting the name would renumber the classes",
+
+	"obs.Span.StageDurations": "reference oracle: the map-form flattening of a live tree, which the access log's sorted stages (TestLoggedStagesAreStageDurations) and the exported tree's (TestStageDurations) are held to",
 }
 
 // metricReader is why a metric no gate, report diff or test reads stays:
