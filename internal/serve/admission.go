@@ -69,18 +69,35 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	}
 }
 
-// Acquire admits the request or sheds it. On success the returned
-// release must be called exactly once when the request finishes; it
-// records the service time for Retry-After estimation. Acquire returns
+// Slot is an admitted request's hold on the gate; the zero Slot holds
+// nothing. It is a value, so holding one allocates nothing.
+type Slot struct {
+	a     *Admission
+	start time.Time
+}
+
+// Release gives the slot back and records its service time for
+// Retry-After estimation. A released or zero Slot's Release does
+// nothing.
+func (s *Slot) Release() {
+	if a := s.a; a != nil {
+		s.a = nil
+		a.observe(time.Since(s.start))
+		<-a.slots
+	}
+}
+
+// Acquire admits the request or sheds it. On success the returned Slot
+// must be released when the request finishes. Acquire returns
 // ErrShed when the wait line is full, ErrDraining when the server has
 // stopped admitting, and ctx.Err() when the request's deadline expires
 // while waiting in line. The wait ends at ctx's Deadline by a timer of
 // its own, armed only when the request does wait, so a context whose
 // Done never closes for its deadline (the server's) still ends it.
-func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
+func (a *Admission) Acquire(ctx context.Context) (_ Slot, err error) {
 	if a.draining.Load() {
 		obs.C("serve.shed.draining").Inc()
-		return nil, ErrDraining
+		return Slot{}, ErrDraining
 	}
 	select {
 	case a.slots <- struct{}{}:
@@ -93,7 +110,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		if q := a.queued.Add(1); q > a.maxQueue {
 			a.queued.Add(-1)
 			obs.C("serve.shed.queue_full").Inc()
-			return nil, ErrShed
+			return Slot{}, ErrShed
 		}
 		var expired <-chan time.Time
 		if at, ok := ctx.Deadline(); ok {
@@ -111,7 +128,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		a.queued.Add(-1)
 		if err != nil {
 			obs.C("serve.shed.deadline_in_queue").Inc()
-			return nil, err
+			return Slot{}, err
 		}
 	}
 	if a.draining.Load() {
@@ -119,17 +136,9 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		// waiter does not count us.
 		<-a.slots
 		obs.C("serve.shed.draining").Inc()
-		return nil, ErrDraining
+		return Slot{}, ErrDraining
 	}
-	start := time.Now()
-	var released atomic.Bool
-	return func() {
-		if !released.CompareAndSwap(false, true) {
-			return
-		}
-		a.observe(time.Since(start))
-		<-a.slots
-	}, nil
+	return Slot{a: a, start: time.Now()}, nil
 }
 
 // observe folds one service time into the EWMA (alpha = 1/8).

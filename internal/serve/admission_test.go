@@ -29,8 +29,8 @@ func TestAdmissionFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel1()
-	rel2()
+	rel1.Release()
+	rel2.Release()
 	if got := a.InFlight(); got != 0 {
 		t.Fatalf("InFlight after release = %d, want 0", got)
 	}
@@ -42,8 +42,10 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel()
-	rel() // second call must not double-free the slot
+	rel.Release()
+	rel.Release() // second call must not double-free the slot
+	var zero Slot
+	zero.Release() // nor may releasing a Slot that holds nothing
 	if got := a.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d, want 0", got)
 	}
@@ -66,7 +68,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 		close(waiting)
 		r, werr := a.Acquire(context.Background())
 		if werr == nil {
-			r()
+			r.Release()
 		}
 		done <- werr
 	}()
@@ -84,7 +86,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrShed) {
 		t.Fatalf("Acquire with full queue = %v, want ErrShed", err)
 	}
-	rel()
+	rel.Release()
 	if werr := <-done; werr != nil {
 		t.Fatalf("queued request should be admitted once the slot frees: %v", werr)
 	}
@@ -96,7 +98,7 @@ func TestAdmissionNoQueueShedsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.Release()
 	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrShed) {
 		t.Fatalf("Acquire with waiting disabled = %v, want ErrShed", err)
 	}
@@ -109,7 +111,7 @@ func TestAdmissionDeadlineInQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.Release()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := a.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -139,7 +141,7 @@ func TestAdmissionDrain(t *testing.T) {
 		clean = a.Drain(2 * time.Second)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	rel()
+	rel.Release()
 	wg.Wait()
 	if !clean {
 		t.Fatal("drain should complete once the in-flight request releases")
@@ -152,7 +154,7 @@ func TestAdmissionDrainTimesOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.Release()
 	a.StartDrain()
 	if a.Drain(30 * time.Millisecond) {
 		t.Fatal("drain reported clean with a request still in flight")
@@ -171,7 +173,7 @@ func TestRetryAfterClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.Release()
 	if got := a.RetryAfter(); got != time.Minute {
 		t.Fatalf("RetryAfter with slow service = %v, want 60s clamp", got)
 	}
@@ -199,7 +201,7 @@ func TestRetryAfterNonZeroWhileSaturated(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if rel, err := a.Acquire(ctx); err == nil {
-				rel()
+				rel.Release()
 			}
 		}()
 	}
@@ -226,8 +228,8 @@ func TestRetryAfterNonZeroWhileSaturated(t *testing.T) {
 
 	cancel()
 	wg.Wait()
-	rel1()
-	rel2()
+	rel1.Release()
+	rel2.Release()
 }
 
 func TestRetryAfterDecaysAfterLoadDrops(t *testing.T) {
@@ -244,7 +246,7 @@ func TestRetryAfterDecaysAfterLoadDrops(t *testing.T) {
 	if got := a.RetryAfter(); got < 5*time.Second {
 		t.Fatalf("RetryAfter during overload = %v, want a large hint", got)
 	}
-	rel()
+	rel.Release()
 
 	// Load drops: fast requests flow through and the EWMA (alpha 1/8)
 	// must decay the hint back toward the 1s floor, not remember the
@@ -308,7 +310,7 @@ func TestAdmissionBurstShedsOnlyTheExcess(t *testing.T) {
 			switch {
 			case err == nil:
 				ok++
-				rel()
+				rel.Release()
 			case errors.Is(err, ErrShed):
 				shed++
 				shedSeen <- struct{}{}
@@ -328,7 +330,7 @@ func TestAdmissionBurstShedsOnlyTheExcess(t *testing.T) {
 			t.Fatalf("only %d of the burst shed with the slot held, want %d", i, burst-2)
 		}
 	}
-	hold()
+	hold.Release()
 	wg.Wait()
 
 	if len(unexpected) > 0 {
@@ -361,7 +363,7 @@ func TestQueuedRequestEndsAtItsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.Release()
 	const timeoutMS = 30
 	for i, c := range []struct {
 		path string

@@ -129,8 +129,9 @@ func TestDeployedLearnedStageAllocCeiling(t *testing.T) {
 
 // TestMatchSingleLoopbackAllocCeiling is the single-record ceiling over a
 // real connection: a keep-alive client posting to an httptest.NewServer,
-// both sides of the loopback counted (runtime.MemStats.Mallocs): 120.3
-// allocations, 136.5 before the request's pooled record. A deadline held
+// both sides of the loopback counted (runtime.MemStats.Mallocs): 118.0
+// allocations, 120.0 while admission handed out a release closure and
+// 136.5 before the request's pooled record. A deadline held
 // through context.WithTimeout costs 7 allocations and a runtime timer
 // over a connection against 3 in-process, so only this count sees one
 // come back; the ceiling's slack is under that 7.
@@ -138,7 +139,7 @@ func TestMatchSingleLoopbackAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race runtime's")
 	}
-	const ceiling = 125
+	const ceiling = 123
 	_, ts := newTestServer(t, Config{})
 	client := ts.Client()
 	post := func() {

@@ -136,11 +136,10 @@ func (s *Server) handleMatchBatch(q *request, r *http.Request) {
 	}
 
 	ctx := q.within(requestBudget(DefaultBatchTimeout, req.TimeoutMS))
-	release := s.admit(ctx, q)
-	if release == nil {
+	if !s.admit(ctx, q) {
 		return
 	}
-	defer release()
+	defer q.slot.Release()
 
 	start := time.Now()
 	resps, tally, trace, err := s.matchSet(ctx, left, req.Trace)

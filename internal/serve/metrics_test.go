@@ -45,7 +45,7 @@ func TestLiveRequestWritesOnlyReadMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _, body := postMatch(t, ts.URL, l1Request)
-	release()
+	release.Release()
 	if st != http.StatusTooManyRequests {
 		t.Fatalf("request against a full gate = %d: %s", st, body)
 	}

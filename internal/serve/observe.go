@@ -37,6 +37,8 @@ type request struct {
 	// deadline is ctx ending at the request's deadline (within).
 	deadline deadline
 	body     bodyReader
+	// slot is the request's admission, held while it matches.
+	slot Slot
 }
 
 // maxPooledBody is the largest body buffer a pooled record keeps; a

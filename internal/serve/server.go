@@ -277,28 +277,29 @@ func (s *Server) refuseDraining(q *request) bool {
 // admit takes a pipeline slot for the request, or answers the refusal
 // and returns nil: 429 when the wait line is full or the deadline
 // expired in it, 503 when a drain raced the admission. Either way the
-// verdict and the queue wait land on the wide event. A non-nil release
-// must be called exactly once.
-func (s *Server) admit(ctx context.Context, q *request) (release func()) {
+// verdict and the queue wait land on the wide event. On admission the
+// slot is q.slot, which the handler releases.
+func (s *Server) admit(ctx context.Context, q *request) bool {
 	queued := time.Now()
-	release, err := s.adm.Acquire(ctx)
+	var err error
+	q.slot, err = s.adm.Acquire(ctx)
 	wait := time.Since(queued)
 	switch {
 	case errors.Is(err, ErrShed):
 		annotateAdmission(&q.ev, AdmissionShedQueueFull, wait)
 		q.writeError(http.StatusTooManyRequests, "overloaded: admission queue full", s.adm.RetryAfter())
-		return nil
+		return false
 	case errors.Is(err, ErrDraining):
 		annotateAdmission(&q.ev, AdmissionShedDraining, wait)
 		q.writeError(http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
-		return nil
+		return false
 	case err != nil: // deadline expired while queued
 		annotateAdmission(&q.ev, AdmissionDeadlineInQueue, wait)
 		q.writeError(http.StatusTooManyRequests, "overloaded: deadline expired in admission queue", s.adm.RetryAfter())
-		return nil
+		return false
 	}
 	annotateAdmission(&q.ev, AdmissionAdmitted, wait)
-	return release
+	return true
 }
 
 // writeRunError answers a failed pipeline pass: 504 when the request's
@@ -344,11 +345,10 @@ func (s *Server) handleMatch(q *request, r *http.Request) {
 	}
 
 	ctx := q.within(requestBudget(s.cfg.RequestTimeout, req.TimeoutMS))
-	release := s.admit(ctx, q)
-	if release == nil {
+	if !s.admit(ctx, q) {
 		return
 	}
-	defer release()
+	defer q.slot.Release()
 
 	start := time.Now()
 	resps, tally, trace, err := s.matchSet(ctx, left, req.Trace)

@@ -16,6 +16,27 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// slab returns n rows of width w carved from one backing array, so an
+// operator's output costs two allocations, not one a row. Each row is
+// capped at its width: an append to one copies it, not the next row.
+func slab(n, w int) []Row {
+	cells := make([]Value, n*w)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// copyRows deep-copies rows into one slab of width w.
+func copyRows(rows []Row, w int) []Row {
+	out := slab(len(rows), w)
+	for i, r := range rows {
+		copy(out[i], r)
+	}
+	return out
+}
+
 // Table is an in-memory relation: a schema plus rows. Tables are mutable
 // through the methods below; the relational operators (Project, Select,
 // Join, ...) return new tables and leave the receiver untouched.
@@ -117,10 +138,7 @@ func (t *Table) Col(name string) (int, error) {
 // immutable so they are shared).
 func (t *Table) Clone() *Table {
 	out := New(t.name, t.schema)
-	out.rows = make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		out.rows[i] = r.Clone()
-	}
+	out.rows = copyRows(t.rows, t.schema.Len())
 	return out
 }
 
@@ -142,19 +160,18 @@ func (t *Table) Project(name string, cols ...string) (*Table, error) {
 		return nil, err
 	}
 	out := New(name, schema)
-	out.rows = make([]Row, len(t.rows))
+	out.rows = slab(len(t.rows), len(idx))
 	for i, r := range t.rows {
-		nr := make(Row, len(idx))
 		for k, j := range idx {
-			nr[k] = r[j]
+			out.rows[i][k] = r[j]
 		}
-		out.rows[i] = nr
 	}
 	return out, nil
 }
 
 // Rename returns a new table with columns renamed according to mapping
 // (old name → new name). Columns not in the mapping keep their names.
+// Rows are immutable, so the new table shares t's.
 func (t *Table) Rename(mapping map[string]string) (*Table, error) {
 	fields := t.schema.Fields()
 	for i := range fields {
@@ -167,10 +184,7 @@ func (t *Table) Rename(mapping map[string]string) (*Table, error) {
 		return nil, fmt.Errorf("table %s: rename: %w", t.name, err)
 	}
 	out := New(t.name, schema)
-	out.rows = make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		out.rows[i] = r.Clone()
-	}
+	out.rows = t.rows[:len(t.rows):len(t.rows)]
 	return out, nil
 }
 
@@ -194,12 +208,9 @@ func (t *Table) AddColumn(field Field, compute func(Row) Value) (*Table, error) 
 		return nil, fmt.Errorf("table %s: add column: %w", t.name, err)
 	}
 	out := New(t.name, schema)
-	out.rows = make([]Row, len(t.rows))
+	out.rows = copyRows(t.rows, schema.Len())
 	for i, r := range t.rows {
-		nr := make(Row, len(r)+1)
-		copy(nr, r)
-		nr[len(r)] = compute(r)
-		out.rows[i] = nr
+		out.rows[i][len(r)] = compute(r)
 	}
 	return out, nil
 }
@@ -225,19 +236,16 @@ func (t *Table) Union(name string, o *Table) (*Table, error) {
 		return nil, fmt.Errorf("table: union: schema mismatch between %s and %s", t.name, o.name)
 	}
 	out := New(name, t.schema)
-	out.rows = make([]Row, 0, len(t.rows)+len(o.rows))
-	for _, r := range t.rows {
-		out.rows = append(out.rows, r.Clone())
-	}
-	for _, r := range o.rows {
-		out.rows = append(out.rows, r.Clone())
-	}
+	out.rows = copyRows(append(t.rows[:len(t.rows):len(t.rows)], o.rows...), t.schema.Len())
 	return out, nil
 }
 
 // rowKey renders a row's values in the given columns as a composite hash
 // key. Null participates as a distinguishable token.
 func (t *Table) rowKey(r Row, idx []int) string {
+	if len(idx) == 1 && !r[idx[0]].IsNull() {
+		return r[idx[0]].Str()
+	}
 	var b strings.Builder
 	for k, j := range idx {
 		if k > 0 {
@@ -361,40 +369,44 @@ func (t *Table) Join(name string, o *Table, leftCol, rightCol string, kind JoinK
 		return nil, fmt.Errorf("table: join: %w", err)
 	}
 
-	// Hash the right side.
-	index := make(map[string][]int)
-	for i, r := range o.rows {
-		if r[rj].IsNull() {
-			continue
+	// Hash the right side: index holds a key's first row and next each
+	// row's successor under its key, both 1-based so 0 ends a chain.
+	index := make(map[string]int, len(o.rows))
+	next := make([]int, len(o.rows))
+	for i := len(o.rows) - 1; i >= 0; i-- {
+		if k := o.rows[i][rj]; !k.IsNull() {
+			next[i], index[k.Str()] = index[k.Str()], i+1
 		}
-		k := r[rj].Str()
-		index[k] = append(index[k], i)
 	}
-
-	out := New(name, schema)
-	nullsRight := make(Row, o.schema.Len())
-	for i := range nullsRight {
-		nullsRight[i] = Null(o.schema.Field(i).Kind)
-	}
-	for _, lr := range t.rows {
-		var matches []int
+	// Count the output rows first, so they are carved from one slab.
+	heads := make([]int, len(t.rows))
+	n := 0
+	for i, lr := range t.rows {
 		if !lr[lj].IsNull() {
-			matches = index[lr[lj].Str()]
+			heads[i] = index[lr[lj].Str()]
 		}
-		if len(matches) == 0 {
-			if kind == LeftJoin {
-				nr := make(Row, 0, schema.Len())
-				nr = append(nr, lr...)
-				nr = append(nr, nullsRight...)
-				out.rows = append(out.rows, nr)
+		for ri := heads[i]; ri > 0; ri = next[ri-1] {
+			n++
+		}
+		if heads[i] == 0 && kind == LeftJoin {
+			n++
+		}
+	}
+	out := New(name, schema)
+	out.rows = slab(n, schema.Len())
+	n = 0
+	for i, lr := range t.rows {
+		if heads[i] == 0 && kind == LeftJoin {
+			copy(out.rows[n], lr)
+			for j := range o.schema.Len() {
+				out.rows[n][len(lr)+j] = Null(o.schema.Field(j).Kind)
 			}
-			continue
+			n++
 		}
-		for _, ri := range matches {
-			nr := make(Row, 0, schema.Len())
-			nr = append(nr, lr...)
-			nr = append(nr, o.rows[ri]...)
-			out.rows = append(out.rows, nr)
+		for ri := heads[i]; ri > 0; ri = next[ri-1] {
+			copy(out.rows[n], lr)
+			copy(out.rows[n][len(lr):], o.rows[ri-1])
+			n++
 		}
 	}
 	return out, nil
@@ -402,8 +414,9 @@ func (t *Table) Join(name string, o *Table, leftCol, rightCol string, kind JoinK
 
 // GroupConcat groups rows by keyCol and concatenates the non-null values of
 // valCol (in first-seen group order) with sep, deduplicating exact repeats.
-// It returns a two-column table (keyCol, valCol). This implements the
-// employee-name aggregation of Section 6 step 4.b.
+// It returns a two-column table (keyCol, valCol); each group's key is its
+// first row's value. This implements the employee-name aggregation of
+// Section 6 step 4.b.
 func (t *Table) GroupConcat(name, keyCol, valCol, sep string) (*Table, error) {
 	kj, err := t.Col(keyCol)
 	if err != nil {
@@ -413,42 +426,66 @@ func (t *Table) GroupConcat(name, keyCol, valCol, sep string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := make([]string, 0)
-	parts := make(map[string][]string)
-	seen := make(map[string]map[string]struct{})
+	// One index from key to group; one set of (group, value) pairs keeps
+	// each group's values distinct.
+	type group struct {
+		key Value
+		n   int
+	}
+	type part struct {
+		g int
+		v string
+	}
+	index := make(map[string]int)
+	seen := make(map[part]struct{})
+	var groups []group
+	var parts []part
 	for _, r := range t.rows {
 		if r[kj].IsNull() {
 			continue
 		}
 		k := r[kj].Str()
-		if _, ok := parts[k]; !ok {
-			order = append(order, k)
-			parts[k] = nil
-			seen[k] = make(map[string]struct{})
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, group{key: r[kj]})
 		}
-		if r[vj].IsNull() {
+		p := part{g, r[vj].Str()}
+		if _, dup := seen[p]; dup || r[vj].IsNull() {
 			continue
 		}
-		v := r[vj].Str()
-		if _, dup := seen[k][v]; dup {
-			continue
-		}
-		seen[k][v] = struct{}{}
-		parts[k] = append(parts[k], v)
+		seen[p] = struct{}{}
+		parts = append(parts, p)
+		groups[g].n++
 	}
+	// Each group's string is a window of one buffer that holds each of
+	// its values behind a sep; the window skips the first sep.
+	at := make([]int, len(groups)+1)
+	for _, p := range parts {
+		at[p.g+1] += len(sep) + len(p.v)
+	}
+	for g := range groups {
+		at[g+1] += at[g]
+	}
+	buf, cur := make([]byte, at[len(groups)]), append([]int(nil), at...)
+	for _, p := range parts {
+		cur[p.g] += copy(buf[cur[p.g]:], sep)
+		cur[p.g] += copy(buf[cur[p.g]:], p.v)
+	}
+	joined := string(buf)
+
 	schema := MustSchema(
 		Field{Name: keyCol, Kind: t.schema.Field(kj).Kind},
 		Field{Name: valCol, Kind: String},
 	)
 	out := New(name, schema)
-	for _, k := range order {
-		var v Value
-		if len(parts[k]) == 0 {
-			v = Null(String)
-		} else {
-			v = S(strings.Join(parts[k], sep))
+	out.rows = slab(len(groups), 2)
+	for g, gr := range groups {
+		out.rows[g][0], out.rows[g][1] = gr.key, Null(String)
+		if gr.n > 0 {
+			out.rows[g][1] = S(joined[at[g]+len(sep) : at[g+1]])
 		}
-		out.MustAppend(Row{S(k), v})
 	}
 	return out, nil
 }
@@ -513,10 +550,7 @@ func (t *Table) Head(n int) *Table {
 		n = len(t.rows)
 	}
 	out := New(t.name, t.schema)
-	out.rows = make([]Row, n)
-	for i := 0; i < n; i++ {
-		out.rows[i] = t.rows[i].Clone()
-	}
+	out.rows = copyRows(t.rows[:n], t.schema.Len())
 	return out
 }
 

@@ -246,6 +246,86 @@ func TestGroupConcat(t *testing.T) {
 	}
 }
 
+// TestGroupConcatKeepsKeyKind: each group's key is its first row's
+// value, so an Int key column reads back as ints under its int schema.
+// Repeats are dropped within a group only, and an empty value is a value.
+func TestGroupConcatKeepsKeyKind(t *testing.T) {
+	e := New("E", MustSchema(Field{Name: "K", Kind: Int}, Field{Name: "V", Kind: String}))
+	for _, r := range []Row{
+		{I(7), S("a")}, {I(3), S("a")}, {I(7), S("c")}, {I(7), S("a")},
+		{Null(Int), S("z")}, {I(3), S("")}, {I(3), Null(String)},
+	} {
+		e.MustAppend(r)
+	}
+	for _, c := range []struct {
+		sep    string
+		v7, v3 string
+	}{{"|", "a|c", "a|"}, {"", "ac", "a"}} {
+		g, err := e.GroupConcat("G", "K", "V", c.sep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Len() != 2 || g.Schema().Field(0).Kind != Int {
+			t.Fatalf("sep %q: %d groups, key kind %v", c.sep, g.Len(), g.Schema().Field(0).Kind)
+		}
+		for i, want := range []struct {
+			k int64
+			v string
+		}{{7, c.v7}, {3, c.v3}} {
+			if k := g.Row(i)[0]; k.Kind() != Int || k.Int() != want.k {
+				t.Errorf("sep %q: group %d key = %v (kind %v), want int %d", c.sep, i, k, k.Kind(), want.k)
+			}
+			if v := g.Row(i)[1]; v.IsNull() || v.Str() != want.v {
+				t.Errorf("sep %q: group %d = %q (null %v), want %q", c.sep, i, v.Str(), v.IsNull(), want.v)
+			}
+		}
+	}
+}
+
+// TestOperatorOutputsDoNotAlias: an operator carves its output rows from
+// one slab, and Rename shares the receiver's rows. Appending to an output
+// row, or to the output table, must change neither a neighbouring row nor
+// the receiver; appending to the receiver must not change the output.
+// This is TestCloneIndependence's property for Clone.
+func TestOperatorOutputsDoNotAlias(t *testing.T) {
+	zips := New("Z", MustSchema(Field{Name: "City", Kind: String}, Field{Name: "Zip", Kind: String}))
+	zips.MustAppend(Row{S("Madison"), S("53706")})
+	zips.MustAppend(Row{S("Madison"), S("53703")})
+	for name, op := range map[string]func(a *Table) (*Table, error){
+		"Project": func(a *Table) (*Table, error) { return a.Project("P", "City", "Name") },
+		"AddColumn": func(a *Table) (*Table, error) {
+			return a.AddColumn(Field{Name: "N", Kind: Int}, func(Row) Value { return I(1) })
+		},
+		"Join":        func(a *Table) (*Table, error) { return a.Join("J", zips, "City", "City", LeftJoin) },
+		"GroupConcat": func(a *Table) (*Table, error) { return a.GroupConcat("G", "State", "Name", "|") },
+		"Rename":      func(a *Table) (*Table, error) { return a.Rename(map[string]string{"Name": "Who"}) },
+	} {
+		a := personTable(t, "A", [][]string{
+			{"Dave", "Madison", "WI"}, {"Joe", "Verona", "WI"}, {"Ann", "Madison", "IL"},
+		})
+		out, err := op(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		receiver, output := a.Fingerprint(), out.Fingerprint()
+		for i := 0; i < out.Len(); i++ {
+			_ = append(out.Row(i), S("spill"))
+		}
+		if out.Fingerprint() != output || a.Fingerprint() != receiver {
+			t.Errorf("%s: appending to an output row changed another row or the receiver", name)
+		}
+		out.MustAppend(append(Row(nil), out.Row(0)...))
+		if a.Fingerprint() != receiver {
+			t.Errorf("%s: appending to the output changed the receiver", name)
+		}
+		output = out.Fingerprint()
+		a.MustAppend(Row{S("Eve"), S("Madison"), S("WI")})
+		if out.Fingerprint() != output {
+			t.Errorf("%s: appending to the receiver changed the output", name)
+		}
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	a := personTable(t, "A", [][]string{
 		{"Dave", "Madison", "WI"},

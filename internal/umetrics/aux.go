@@ -1,7 +1,7 @@
 package umetrics
 
 import (
-	"fmt"
+	"strconv"
 
 	"emgo/internal/table"
 )
@@ -22,13 +22,13 @@ func (g *generator) buildEmployees() *table.Table {
 			table.S(uan),
 			date(year, month, 1),
 			date(year, month, 14),
-			table.S(fmt.Sprintf("144-%06d", empSeq%1000000)),
-			table.S(fmt.Sprintf("E%07d", hashName(name)%10000000)),
+			table.S(g.str.s("144-").n(empSeq%1000000, 6).String()),
+			table.S(g.str.s("E").n(hashName(name)%10000000, 7).String()),
 			table.S(name),
 			table.S(occupationalClasses[empSeq%len(occupationalClasses)]),
 			table.S(jobTitles[empSeq%len(jobTitles)]),
-			table.S(fmt.Sprintf("%03d", 100+empSeq%12)),
-			table.S(fmt.Sprintf("%02d-%04d", 11+empSeq%8, 1000+empSeq%9000)),
+			table.S(g.str.n(100+empSeq%12, 3).String()),
+			table.S(g.str.n(11+empSeq%8, 2).s("-").n(1000+empSeq%9000, 4).String()),
 			table.S([]string{"Full Time", "Part Time"}[empSeq%2]),
 			table.F(float64(empSeq%100) / 100),
 			table.I(int64(year)),
@@ -76,21 +76,21 @@ func (g *generator) buildVendor() *table.Table {
 			table.S(ae.uan),
 			date(year, 1+g.rng.Intn(12), 1),
 			date(year, 1+g.rng.Intn(12), 28),
-			table.S(fmt.Sprintf("144-%06d", g.rng.Intn(1000000))),
-			table.S(fmt.Sprintf("%03d", 100+g.rng.Intn(12))),
-			table.S(fmt.Sprintf("ORG%05d", g.rng.Intn(100000))),
-			table.S(fmt.Sprintf("%02d-%07d", 10+g.rng.Intn(80), g.rng.Intn(10000000))),
-			table.S(fmt.Sprintf("%09d", 500000000+g.rng.Intn(400000000))),
+			table.S(g.str.s("144-").n(g.rng.Intn(1000000), 6).String()),
+			table.S(g.str.n(100+g.rng.Intn(12), 3).String()),
+			table.S(g.str.s("ORG").n(g.rng.Intn(100000), 5).String()),
+			table.S(g.str.n(10+g.rng.Intn(80), 2).s("-").n(g.rng.Intn(10000000), 7).String()),
+			table.S(g.str.n(500000000+g.rng.Intn(400000000), 9).String()),
 			table.F(float64(50 + g.rng.Intn(50000))),
 			table.S(vendorNames[g.rng.Intn(len(vendorNames))]),
 			table.Null(table.String),
-			table.S(fmt.Sprintf("%d", 1+g.rng.Intn(9999))),
-			table.S(fmt.Sprintf("%d", 1+g.rng.Intn(9999))),
+			table.S(strconv.Itoa(1 + g.rng.Intn(9999))),
+			table.S(strconv.Itoa(1 + g.rng.Intn(9999))),
 			table.S("University Ave"),
 			table.S("Madison WI"),
 			table.S("Madison"),
 			table.S("WI"),
-			table.S(fmt.Sprintf("537%02d", g.rng.Intn(100))),
+			table.S(g.str.s("537").n(g.rng.Intn(100), 2).String()),
 			table.Null(table.String),
 			table.S("USA"),
 			table.I(int64(year)),
@@ -111,22 +111,22 @@ func (g *generator) buildSubAward() *table.Table {
 			table.Null(table.String),
 			table.S("Madison"),
 			table.S("USA"),
-			table.S(fmt.Sprintf("%09d", 600000000+g.rng.Intn(300000000))),
-			table.S(fmt.Sprintf("537%02d", g.rng.Intn(100))),
-			table.S(fmt.Sprintf("%02d-%07d", 10+g.rng.Intn(80), g.rng.Intn(10000000))),
+			table.S(g.str.n(600000000+g.rng.Intn(300000000), 9).String()),
+			table.S(g.str.s("537").n(g.rng.Intn(100), 2).String()),
+			table.S(g.str.n(10+g.rng.Intn(80), 2).s("-").n(g.rng.Intn(10000000), 7).String()),
 			table.Null(table.String),
-			table.S(fmt.Sprintf("%03d", 100+g.rng.Intn(12))),
+			table.S(g.str.n(100+g.rng.Intn(12), 3).String()),
 			table.S(vendorNames[g.rng.Intn(len(vendorNames))]),
-			table.S(fmt.Sprintf("ORG%05d", g.rng.Intn(100000))),
+			table.S(g.str.s("ORG").n(g.rng.Intn(100000), 5).String()),
 			table.Null(table.String),
 			date(year, 12, 28),
 			date(year, 1, 1),
-			table.S(fmt.Sprintf("144-%06d", g.rng.Intn(1000000))),
+			table.S(g.str.s("144-").n(g.rng.Intn(1000000), 6).String()),
 			table.Null(table.String),
 			table.Null(table.String),
 			table.S("WI"),
 			table.S("Observatory Dr"),
-			table.S(fmt.Sprintf("%d", 1+g.rng.Intn(9999))),
+			table.S(strconv.Itoa(1 + g.rng.Intn(9999))),
 			table.F(float64(1000 + g.rng.Intn(250000))),
 			table.I(int64(year)),
 		})
@@ -139,7 +139,7 @@ func (g *generator) buildObjectCodes() *table.Table {
 	t := table.New("UMETRICSObjectCodesMatching", ObjectCodesSchema())
 	for i := 0; i < g.p.ObjectCodeRows; i++ {
 		t.MustAppend(table.Row{
-			table.S(fmt.Sprintf("%03d", 100+i%400)),
+			table.S(g.str.n(100+i%400, 3).String()),
 			table.S(objectCodeTexts[i%len(objectCodeTexts)]),
 			table.I(int64(1997 + i%14)),
 		})

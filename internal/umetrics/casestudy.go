@@ -329,19 +329,20 @@ func (s *study) preprocess(context.Context) error {
 }
 
 // slices preprocesses the original slice, with ProjectNumber joined in,
-// and the extra slice. Both share one USDA table object so their
-// candidate sets stay comparable.
+// and the extra slice. The extra slice shares the original's USDA side
+// and grouped employee names, so their candidate sets stay comparable.
 func slices(ds *Dataset) (proj, extra *Projected, rep *PreprocessReport, err error) {
-	if proj, rep, err = Preprocess(ds.AwardAgg, ds.Employees, ds.USDA, "u", "s"); err != nil {
+	proj, rep, grouped, err := preprocess(ds.AwardAgg, ds.Employees, ds.USDA, "u", "s")
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	if err = AddProjectNumber(proj, ds.USDA); err != nil {
 		return nil, nil, nil, err
 	}
-	if extra, _, err = Preprocess(ds.ExtraAwardAgg, ds.Employees, ds.USDA, "x", "s"); err != nil {
+	extra = &Projected{USDA: proj.USDA}
+	if extra.UMETRICS, err = projectUMETRICS(ds.ExtraAwardAgg, grouped, "x"); err != nil {
 		return nil, nil, nil, err
 	}
-	extra.USDA = proj.USDA
 	return proj, extra, rep, nil
 }
 

@@ -3,8 +3,11 @@ package umetrics
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"emgo/internal/table"
 )
@@ -154,6 +157,7 @@ type grant struct {
 	words     []string  // base title tokens (lowercase)
 	cfda      string
 	suffix    string // UniqueAwardNumber part after the CFDA prefix
+	uan       string // the full UniqueAwardNumber: cfda + " " + suffix
 	fedNum    string // federal award number ("" when none)
 	wisNum    string // USDA project number ("" when none)
 	startYear int
@@ -165,9 +169,6 @@ type grant struct {
 	trapFar   bool // gets a far-dated lookalike sibling (no comparable number)
 	ncnrsp    bool // gets an NC/NRSP USDA-only sibling
 }
-
-// uan returns the grant's full UniqueAwardNumber.
-func (g *grant) uan() string { return g.cfda + " " + g.suffix }
 
 // awardEmp records the employees paid on one UMETRICS award (grant or
 // filler); it feeds the employees table and the pre-processing join.
@@ -195,6 +196,43 @@ type generator struct {
 	fedSeq    int
 	accSeq    int
 	acctSeq   int
+	// str assembles the generated ids, names and titles.
+	str strBuf
+}
+
+// strBuf builds one generated string at a time in a reused buffer; its
+// methods chain, and String copies the result out, the string's one
+// allocation. An argument must not build a string itself.
+type strBuf []byte
+
+func (b *strBuf) s(text string) *strBuf {
+	*b = append(*b, text...)
+	return b
+}
+
+// cased appends text mapped rune by rune, as strings.Map(f, text) does.
+func (b *strBuf) cased(text string, f func(rune) rune) *strBuf {
+	for _, r := range text {
+		*b = utf8.AppendRune(*b, f(r))
+	}
+	return b
+}
+
+// n appends n ≥ 0 zero-padded to width digits, as fmt's %0*d does.
+func (b *strBuf) n(n, width int) *strBuf {
+	for p := n; width > 1; width-- {
+		if p /= 10; p == 0 {
+			*b = append(*b, '0')
+		}
+	}
+	*b = strconv.AppendInt(*b, int64(n), 10)
+	return b
+}
+
+func (b *strBuf) String() string {
+	out := string(*b)
+	*b = (*b)[:0]
+	return out
 }
 
 // Generate builds the full synthetic dataset for the given parameters.
@@ -267,27 +305,27 @@ func (g *generator) rare() string {
 // newFedNum mints a unique federal award number "YYYY-#####-#####".
 func (g *generator) newFedNum(year int) string {
 	g.fedSeq++
-	return fmt.Sprintf("%d-%05d-%05d", year, 34000+g.fedSeq%1000, g.fedSeq)
+	return g.str.n(year, 0).s("-").n(34000+g.fedSeq%1000, 5).s("-").n(g.fedSeq, 5).String()
 }
 
 // newWisNum mints a unique project number "WIS#####".
 func (g *generator) newWisNum() string {
 	g.wisSeq++
-	return fmt.Sprintf("WIS%05d", g.wisSeq)
+	return g.str.s("WIS").n(g.wisSeq, 5).String()
 }
 
 // newAccession mints a unique USDA accession number.
 func (g *generator) newAccession() string {
 	g.accSeq++
-	return fmt.Sprintf("%d", g.accSeq)
+	return strconv.Itoa(g.accSeq)
 }
 
 // newAccount mints a UW internal account number ("###-XX##" shape, which
 // matches none of the known award-number patterns).
 func (g *generator) newAccount() string {
 	g.acctSeq++
-	return fmt.Sprintf("%03d-%c%c%02d", 100+g.acctSeq%900,
-		'A'+byte(g.acctSeq%26), 'A'+byte((g.acctSeq/26)%26), g.acctSeq%100)
+	letters := [2]byte{'A' + byte(g.acctSeq%26), 'A' + byte((g.acctSeq/26)%26)}
+	return g.str.n(100+g.acctSeq%900, 3).s("-").s(string(letters[:])).n(g.acctSeq%100, 2).String()
 }
 
 // noisySuffix injects the formatting noise (case, stray spaces) that the
@@ -317,7 +355,7 @@ func (g *generator) employeesFor() []string {
 	for i := range out {
 		last := lastNames[g.rng.Intn(len(lastNames))]
 		ini := firstInitials[g.rng.Intn(len(firstInitials))]
-		out[i] = strings.ToUpper(last) + ", " + ini
+		out[i] = g.str.cased(last, unicode.ToUpper).s(", ").s(ini).String()
 	}
 	return out
 }
@@ -372,6 +410,7 @@ func (g *generator) makeGrants() {
 		if (class == ClassFederal || class == ClassState) && g.rng.Float64() < g.p.NumberNoiseRate {
 			gr.suffix = g.noisySuffix(gr.suffix)
 		}
+		gr.uan = gr.cfda + " " + gr.suffix
 		g.grants = append(g.grants, gr)
 		return gr
 	}
@@ -437,22 +476,21 @@ func (g *generator) makeGrants() {
 	}
 }
 
-// renderUpper renders title words as the UMETRICS side stores them
-// (uppercase, Figure 3 style).
-func renderUpper(words []string) string {
-	return strings.ToUpper(strings.Join(words, " "))
-}
-
-// renderTitleCase renders title words as the USDA side stores them
-// (Figure 4 style).
-func renderTitleCase(words []string) string {
-	parts := make([]string, len(words))
+// renderTitle renders title words as the UMETRICS side stores them,
+// upper case (Figure 3 style), or as the USDA side does, each word's
+// first letter upper case (Figure 4 style); extra follows.
+func (g *generator) renderTitle(words []string, upper bool, extra string) string {
 	for i, w := range words {
-		if len(w) > 0 {
-			parts[i] = strings.ToUpper(w[:1]) + w[1:]
+		if i > 0 {
+			g.str.s(" ")
 		}
+		n := min(len(w), 1)
+		if upper {
+			n = len(w)
+		}
+		g.str.cased(w[:n], unicode.ToUpper).s(w[n:])
 	}
-	return strings.Join(parts, " ")
+	return g.str.s(extra).String()
 }
 
 // usdaTitleVariant perturbs a grant's words for one USDA record: most
@@ -511,26 +549,27 @@ func (g *generator) buildAwardAgg() (original, extra *table.Table, err error) {
 	original = table.New("UMETRICSAwardAggMatching", AwardAggSchema())
 	extra = table.New("UMETRICSAwardAggExtra", AwardAggSchema())
 
-	appendGrant := func(t *table.Table, gr *grant) {
-		endYear := gr.startYear + gr.duration
-		g.awardEmps = append(g.awardEmps, awardEmp{uan: gr.uan(), names: gr.employees})
+	// appendAward takes the dates drawn, and draws the rest of the row.
+	appendAward := func(t *table.Table, uan, title string, first, last table.Value, from, to int) {
 		t.MustAppend(table.Row{
-			table.S(gr.uan()),
-			table.S(renderUpper(gr.words)),
-			table.S("USDA"),
-			// Transactions start and stop with a year or so of slack
-			// around the project window (real spending lags awards).
-			date(gr.startYear+g.rng.Intn(2), 1+g.rng.Intn(12), 1+g.rng.Intn(28)),
-			date(endYear+g.rng.Intn(2), 1+g.rng.Intn(12), 1+g.rng.Intn(28)),
+			table.S(uan), table.S(title), table.S("USDA"), first, last,
 			table.S(g.newAccount()),
 			table.F(float64(5000 + g.rng.Intn(200000))),
 			table.F(float64(20000 + g.rng.Intn(900000))),
 			table.I(int64(10 + g.rng.Intn(500))),
-			table.I(int64(gr.startYear)),
-			table.I(int64(endYear)),
+			table.I(int64(from)), table.I(int64(to)),
 			table.S(orgUnitNames[g.rng.Intn(len(orgUnitNames))]),
 			table.S("UWMSN"),
 		})
+	}
+	appendGrant := func(t *table.Table, gr *grant) {
+		endYear := gr.startYear + gr.duration
+		g.awardEmps = append(g.awardEmps, awardEmp{uan: gr.uan, names: gr.employees})
+		// Transactions start and stop with a year or so of slack around
+		// the project window (real spending lags awards).
+		appendAward(t, gr.uan, g.renderTitle(gr.words, true, ""),
+			date(gr.startYear+g.rng.Intn(2), 1+g.rng.Intn(12), 1+g.rng.Intn(28)),
+			date(endYear+g.rng.Intn(2), 1+g.rng.Intn(12), 1+g.rng.Intn(28)), gr.startYear, endYear)
 	}
 	appendFiller := func(t *table.Table, generic bool) {
 		uan := cfdaPrefixes[g.rng.Intn(len(cfdaPrefixes))] + " " + g.newAccount()
@@ -540,25 +579,12 @@ func (g *generator) buildAwardAgg() (original, extra *table.Table, err error) {
 			title = strings.ToUpper(base)
 			g.genericUM = append(g.genericUM, genericRec{id: uan, title: strings.ToLower(base)})
 		} else {
-			title = renderUpper(g.title(false))
+			title = g.renderTitle(g.title(false), true, "")
 		}
 		g.awardEmps = append(g.awardEmps, awardEmp{uan: uan, names: g.employeesFor()})
 		year := 1997 + g.rng.Intn(14)
-		t.MustAppend(table.Row{
-			table.S(uan),
-			table.S(title),
-			table.S("USDA"),
-			date(year, 1+g.rng.Intn(12), 1+g.rng.Intn(28)),
-			date(year+2+g.rng.Intn(4), 1+g.rng.Intn(12), 1+g.rng.Intn(28)),
-			table.S(g.newAccount()),
-			table.F(float64(5000 + g.rng.Intn(200000))),
-			table.F(float64(20000 + g.rng.Intn(900000))),
-			table.I(int64(10 + g.rng.Intn(500))),
-			table.I(int64(year)),
-			table.I(int64(year + 3)),
-			table.S(orgUnitNames[g.rng.Intn(len(orgUnitNames))]),
-			table.S("UWMSN"),
-		})
+		appendAward(t, uan, title, date(year, 1+g.rng.Intn(12), 1+g.rng.Intn(28)),
+			date(year+2+g.rng.Intn(4), 1+g.rng.Intn(12), 1+g.rng.Intn(28)), year, year+3)
 	}
 
 	for _, gr := range g.grants {

@@ -30,41 +30,38 @@ type PreprocessReport struct {
 // columns. usdaPrefix distinguishes record IDs of different slices
 // (original vs extra) — pass "u"/"s" style prefixes.
 func Preprocess(awardAgg, employees, usda *table.Table, umPrefix, usdaPrefix string) (*Projected, *PreprocessReport, error) {
+	proj, report, _, err := preprocess(awardAgg, employees, usda, umPrefix, usdaPrefix)
+	return proj, report, err
+}
+
+// preprocess is Preprocess, also returning the grouped employee names
+// for another slice's projectUMETRICS.
+func preprocess(awardAgg, employees, usda *table.Table, umPrefix, usdaPrefix string) (*Projected, *PreprocessReport, *table.Table, error) {
 	report := &PreprocessReport{}
 
 	// Step 2: key and foreign-key validation.
 	ok, err := awardAgg.IsKey("UniqueAwardNumber")
 	if err != nil {
-		return nil, nil, fmt.Errorf("umetrics: preprocess: %w", err)
+		return nil, nil, nil, fmt.Errorf("umetrics: preprocess: %w", err)
 	}
 	report.UMETRICSKeyOK = ok
 	ok, err = usda.IsKey("AccessionNumber")
 	if err != nil {
-		return nil, nil, fmt.Errorf("umetrics: preprocess: %w", err)
+		return nil, nil, nil, fmt.Errorf("umetrics: preprocess: %w", err)
 	}
 	report.USDAKeyOK = ok
 	report.EmployeeFKViolations, err = employees.ForeignKeyViolations("UniqueAwardNumber", awardAgg, "UniqueAwardNumber")
 	if err != nil {
-		return nil, nil, fmt.Errorf("umetrics: preprocess: %w", err)
+		return nil, nil, nil, fmt.Errorf("umetrics: preprocess: %w", err)
 	}
 
-	// Step 4.a: project the matching-relevant columns.
-	um, err := awardAgg.Project("UMETRICSProjected",
-		"UniqueAwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate")
-	if err != nil {
-		return nil, nil, err
-	}
+	// Step 4.a: project the matching-relevant columns; step 4.b: align
+	// column names.
 	us, err := usda.Project("USDAProjected",
 		"AwardNumber", "ProjectTitle", "ProjectStartDate", "ProjectEndDate",
 		"AccessionNumber", "ProjectDirector")
 	if err != nil {
-		return nil, nil, err
-	}
-
-	// Step 4.b: align column names.
-	um, err = um.Rename(map[string]string{"UniqueAwardNumber": "AwardNumber"})
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	us, err = us.Rename(map[string]string{
 		"ProjectTitle":     "AwardTitle",
@@ -73,50 +70,62 @@ func Preprocess(awardAgg, employees, usda *table.Table, umPrefix, usdaPrefix str
 		"ProjectDirector":  "EmployeeName",
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-
-	// Step 4.b (continued): join the concatenated employee names onto the
-	// UMETRICS side ("for each award, these employee names were
-	// concatenated ... separated by the | character").
+	// Step 4.b (continued): "for each award, these employee names were
+	// concatenated ... separated by the | character".
 	grouped, err := employees.GroupConcat("emp", "UniqueAwardNumber", "FullName", "|")
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	um, err = um.Join("UMETRICSProjected", grouped, "AwardNumber", "UniqueAwardNumber", table.LeftJoin)
+	um, err := projectUMETRICS(awardAgg, grouped, umPrefix)
 	if err != nil {
-		return nil, nil, err
-	}
-	um, err = um.DropColumn("UniqueAwardNumber")
-	if err != nil {
-		return nil, nil, err
-	}
-	um, err = um.Rename(map[string]string{"FullName": "EmployeeName"})
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	// Step 4.c: add RecordId columns.
-	um, err = addRecordID(um, umPrefix)
-	if err != nil {
-		return nil, nil, err
+	if us, err = addRecordID(us, usdaPrefix); err != nil {
+		return nil, nil, nil, err
 	}
-	us, err = addRecordID(us, usdaPrefix)
+	us.SetName("USDAProjected")
+	return &Projected{UMETRICS: um, USDA: us}, report, grouped, nil
+}
+
+// projectUMETRICS is Section 6 step 4 on an award table: project and
+// rename the matching-relevant columns, join in the grouped employee
+// names, and add RecordIds.
+func projectUMETRICS(awardAgg, grouped *table.Table, prefix string) (*table.Table, error) {
+	um, err := awardAgg.Project("UMETRICSProjected",
+		"UniqueAwardNumber", "AwardTitle", "FirstTransDate", "LastTransDate")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if um, err = um.Rename(map[string]string{"UniqueAwardNumber": "AwardNumber"}); err != nil {
+		return nil, err
+	}
+	if um, err = um.Join("UMETRICSProjected", grouped, "AwardNumber", "UniqueAwardNumber", table.LeftJoin); err != nil {
+		return nil, err
+	}
+	if um, err = um.DropColumn("UniqueAwardNumber"); err != nil {
+		return nil, err
+	}
+	if um, err = um.Rename(map[string]string{"FullName": "EmployeeName"}); err != nil {
+		return nil, err
+	}
+	if um, err = addRecordID(um, prefix); err != nil {
+		return nil, err
 	}
 	um.SetName("UMETRICSProjected")
-	us.SetName("USDAProjected")
-	return &Projected{UMETRICS: um, USDA: us}, report, nil
+	return um, nil
 }
 
 // addRecordID prepends a RecordId column valued prefix+rowIndex.
 func addRecordID(t *table.Table, prefix string) (*table.Table, error) {
-	i := 0
+	i, id := 0, []byte(prefix)
 	withID, err := t.AddColumn(table.Field{Name: "RecordId", Kind: table.String}, func(table.Row) table.Value {
-		v := table.S(prefix + strconv.Itoa(i))
+		id = strconv.AppendInt(id[:len(prefix)], int64(i), 10)
 		i++
-		return v
+		return table.S(string(id))
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package umetrics
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"emgo/internal/table"
 )
@@ -33,7 +34,7 @@ func (g *generator) directorVariant(name string) string {
 		return name
 	}
 	last := name[:comma]
-	return strings.ToUpper(last[:1]) + strings.ToLower(last[1:]) + name[comma:]
+	return g.str.cased(last[:1], unicode.ToUpper).cased(last[1:], unicode.ToLower).s(name[comma:]).String()
 }
 
 // buildUSDA builds the USDAAwardMatching table and records the ground
@@ -73,7 +74,7 @@ func (g *generator) buildUSDA() (*table.Table, error) {
 				rec.wisNum = gr.wisNum
 			}
 			records = append(records, rec)
-			g.truth.AddMatch(gr.uan(), rec.accession, gr.class)
+			g.truth.AddMatch(gr.uan, rec.accession, gr.class)
 		}
 		// Lookalike sibling (trap): a different project in the same
 		// series — same director, near-identical title, a comparable but
@@ -92,7 +93,7 @@ func (g *generator) buildUSDA() (*table.Table, error) {
 				sib.wisNum = g.newWisNum()
 			}
 			records = append(records, sib)
-			g.truth.AddTrap(gr.uan(), sib.accession, ClassTrap)
+			g.truth.AddTrap(gr.uan, sib.accession, ClassTrap)
 		}
 		// Far-dated lookalike: same series, no comparable identifier, a
 		// project window years away (the D3 date criterion is the only
@@ -107,7 +108,7 @@ func (g *generator) buildUSDA() (*table.Table, error) {
 				wisNum:    g.newWisNum(),
 			}
 			records = append(records, sib)
-			g.truth.AddTrap(gr.uan(), sib.accession, ClassTrap)
+			g.truth.AddTrap(gr.uan, sib.accession, ClassTrap)
 		}
 		// NC/NRSP multistate sibling (the D1 pathology): same title plus
 		// the multistate suffix; even the experts could not call it.
@@ -119,10 +120,10 @@ func (g *generator) buildUSDA() (*table.Table, error) {
 				director:   director,
 				startYear:  gr.startYear,
 				duration:   gr.duration,
-				multistate: fmt.Sprintf("NC-%03d", g.rng.Intn(1000)),
+				multistate: g.str.s("NC-").n(g.rng.Intn(1000), 3).String(),
 			}
 			records = append(records, sib)
-			g.truth.AddHard(gr.uan(), sib.accession, ClassNCNRSP)
+			g.truth.AddHard(gr.uan, sib.accession, ClassNCNRSP)
 		}
 	}
 
@@ -169,14 +170,13 @@ func (g *generator) buildUSDA() (*table.Table, error) {
 	}
 
 	for i := range records {
-		t.MustAppend(g.usdaRow(&records[i]))
+		t.MustAppend(g.usdaRow(t.Schema(), &records[i]))
 	}
 	return t, nil
 }
 
 // usdaRow renders one 78-column USDA row.
-func (g *generator) usdaRow(rec *usdaRecord) table.Row {
-	schema := USDASchema()
+func (g *generator) usdaRow(schema *table.Schema, rec *usdaRecord) table.Row {
 	row := make(table.Row, schema.Len())
 	for i := range row {
 		row[i] = table.Null(schema.Field(i).Kind)
@@ -189,7 +189,7 @@ func (g *generator) usdaRow(rec *usdaRecord) table.Row {
 		row[j] = v
 	}
 
-	title := renderTitleCase(rec.words) + rec.titleExtra
+	title := g.renderTitle(rec.words, false, rec.titleExtra)
 	agency := sponsoringAgencies[g.rng.Intn(len(sponsoringAgencies))]
 	mechanism := fundingMechanisms[g.rng.Intn(len(fundingMechanisms))]
 	if rec.fedNum == "" {
@@ -210,7 +210,7 @@ func (g *generator) usdaRow(rec *usdaRecord) table.Row {
 	set("InitialAwardFiscalYear", table.I(int64(rec.startYear)))
 	set("RecipientOrganization", table.S("SAES - UNIVERSITY OF WISCONSIN"))
 	if g.rng.Float64() < 0.4 {
-		set("RecipientDUNS", table.S(fmt.Sprintf("%09d", 100000000+g.rng.Intn(900000000))))
+		set("RecipientDUNS", table.S(g.str.n(100000000+g.rng.Intn(900000000), 9).String()))
 	}
 	set("ProjectDirector", table.S(rec.director))
 	if rec.multistate != "" {
@@ -234,18 +234,9 @@ func (g *generator) usdaRow(rec *usdaRecord) table.Row {
 		set("Financial: USDA Contracts, Grants, Coop Agmt",
 			table.F(float64(25000+g.rng.Intn(400000))))
 	}
-	fyCol := fmt.Sprintf("FY%dFunds", clampYear(rec.startYear))
-	set(fyCol, table.F(float64(10000+g.rng.Intn(150000))))
+	// The year's funds column, clamped to FY1997..FY2012, which are
+	// consecutive columns.
+	fy, _ := schema.Lookup("FY1997Funds")
+	row[fy+min(max(rec.startYear, 1997), 2012)-1997] = table.F(float64(10000 + g.rng.Intn(150000)))
 	return row
-}
-
-// clampYear keeps fiscal-year column references inside FY1997..FY2012.
-func clampYear(y int) int {
-	if y < 1997 {
-		return 1997
-	}
-	if y > 2012 {
-		return 2012
-	}
-	return y
 }
