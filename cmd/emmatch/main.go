@@ -4,15 +4,15 @@
 // deploys it over the right one, and writes the predicted matches. It is
 // the "move it into the repository to do matching for other data slices"
 // binary of Section 12, run under the hardened runtime: one deadline for
-// the whole run (-timeout), an abort that names a failing pair, and a
-// provenance log on stderr even when a stage aborts.
+// the whole run (-timeout), an abort that names a failing pair, and the
+// run's stages (step, items, outcome) on stderr even when one aborts.
 //
 // Usage:
 //
 //	emmatch -spec workflow.json -left UMETRICSProjected.csv -right USDAProjected.csv \
 //	        [-left-id RecordId] [-right-id RecordId] [-out matches.csv] [-transforms umetrics] \
 //	        [-timeout 0] [-report run.json] [-debug-addr :6060] \
-//	        [-drift-capture baseline.json | -drift-baseline baseline.json]
+//	        [-drift-capture | -drift-baseline baseline.json]
 //
 // A run is one pass: a killed or failed run is rerun from the start.
 // With -out the match CSV is written atomically, so it is never torn.
@@ -21,20 +21,21 @@
 // rules reference ("umetrics" or "none").
 //
 // Observability: -report writes the machine-readable run report, the
-// run's one record (the span tree with per-stage durations and outcomes,
-// hot-path counters, provenance log); -debug-addr serves live expvar
-// metrics (/debug/vars) and pprof (/debug/pprof/) for the duration of
-// the run. Stream discipline: only data (the match CSV, or a report
+// run's one record (the span tree with per-stage durations, items and
+// outcomes, hot-path counters, the quality section); -debug-addr serves
+// live expvar metrics (/debug/vars) and pprof (/debug/pprof/) for the
+// duration of the run. Stream discipline: only data (the match CSV, or a report
 // directed at "-") goes to stdout; every diagnostic and progress line
 // goes to stderr, so reports can be piped.
 //
 // Quality monitoring (see docs/OBSERVABILITY.md): -drift-capture
-// profiles this run's inputs, features, candidates, and scores and
-// writes the statistical baseline to the given path; -drift-baseline
-// re-profiles the run and scores it against such a baseline (PSI, KS,
-// null-rate / coverage / match-rate deltas), stamping the verdict into
-// the run report — a breach marks the quality stage degraded_quality
-// but never fails the run. emmonitor check and diff read the reports.
+// profiles this run's inputs, features, candidates, and scores into the
+// -report it needs, which makes that report a baseline; -drift-baseline
+// takes such a report, re-profiles the run and scores it against the
+// baseline's profile (PSI, KS, null-rate / coverage / match-rate
+// deltas), stamping the verdict into the run report — a breach marks the
+// quality stage degraded_quality but never fails the run. emmonitor
+// check and diff read the reports.
 package main
 
 import (
@@ -78,10 +79,14 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	out := fs.String("out", "", "output CSV (default: stdout)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 	rec := cliutil.RunRecordFlags(fs, "write the run report JSON to this path ('-' = stdout)")
-	driftCapture := fs.String("drift-capture", "", "profile this run and write the quality baseline JSON to this path")
-	driftBaseline := fs.String("drift-baseline", "", "score this run's quality profile against the baseline at this path")
+	driftCapture := fs.Bool("drift-capture", false, "profile this run into its -report, making the report a quality baseline")
+	driftBaseline := fs.String("drift-baseline", "", "score this run's quality profile against the baseline report at this path")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "emmatch: unexpected argument %q\n", fs.Arg(0))
+		return flag.ErrHelp
 	}
 
 	if !dep.Complete() {
@@ -93,17 +98,21 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err := rec.CheckStdout(*out == "", "needs -out so the match CSV does not share stdout"); err != nil {
 		return err
 	}
-	if *driftCapture != "" && *driftBaseline != "" {
+	if *driftCapture && *driftBaseline != "" {
 		return fmt.Errorf("-drift-capture and -drift-baseline are mutually exclusive")
 	}
 
 	var opts workflow.RunOptions
 	switch {
-	case *driftCapture != "":
-		// Capture mode: profile this run and persist the baseline.
-		opts.Drift = &workflow.DriftStage{BaselinePath: *driftCapture}
+	case *driftCapture:
+		// Capture mode: the profile's one copy is the report.
+		if !rec.Reporting() {
+			fmt.Fprintln(stderr, "emmatch: -drift-capture needs -report, where the baseline is written")
+			return flag.ErrHelp
+		}
+		opts.Drift = &workflow.DriftStage{}
 	case *driftBaseline != "":
-		base, err := drift.LoadProfile(*driftBaseline)
+		base, err := drift.LoadBaseline(*driftBaseline)
 		if err != nil {
 			return fmt.Errorf("drift baseline: %w", err)
 		}
@@ -137,10 +146,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	}()
 	var rep *obs.Report
 	if res != nil {
-		if res.Log != nil {
-			fmt.Fprintf(stderr, "%s", res.Log)
-		}
 		rep = res.Report
+		fmt.Fprint(stderr, workflow.Stages(rep))
 	}
 	// A run that died before RunCtx could build a report (spec, table or
 	// build errors) still leaves the abort record.

@@ -147,7 +147,7 @@ func TestRunSpecReferencingMissingTransform(t *testing.T) {
 	}
 }
 
-// TestRunDriftCaptureThenCheckAndHistory: a capture run persists the
+// TestRunDriftCaptureThenCheckAndHistory: a capture run's report is the
 // baseline, a run scored against it says so, and each run's -report is
 // its record: the capture run's carries the profile, the checked run's
 // the verdict.
@@ -156,24 +156,20 @@ func TestRunDriftCaptureThenCheckAndHistory(t *testing.T) {
 	spec := writeFile(t, dir, "spec.json", tinySpec)
 	left := writeFile(t, dir, "left.csv", leftCSV)
 	right := writeFile(t, dir, "right.csv", rightCSV)
-	baseline := filepath.Join(dir, "baseline.json")
 	run1, run2 := filepath.Join(dir, "run1.json"), filepath.Join(dir, "run2.json")
 
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-out", filepath.Join(dir, "m1.csv"), "-drift-capture", baseline, "-report", run1},
+		"-out", filepath.Join(dir, "m1.csv"), "-drift-capture", "-report", run1},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("capture run: %v\nstderr: %s", err, stderr.String())
-	}
-	if _, err := os.Stat(baseline); err != nil {
-		t.Fatalf("baseline not persisted: %v", err)
 	}
 
 	stdout.Reset()
 	stderr.Reset()
 	err = run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-out", filepath.Join(dir, "m2.csv"), "-drift-baseline", baseline, "-report", run2},
+		"-out", filepath.Join(dir, "m2.csv"), "-drift-baseline", run1, "-report", run2},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("check run: %v\nstderr: %s", err, stderr.String())
@@ -204,8 +200,42 @@ func TestRunDriftFlagsMutuallyExclusive(t *testing.T) {
 	right := writeFile(t, dir, "right.csv", rightCSV)
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-drift-capture", "a.json", "-drift-baseline", "b.json"}, &stdout, &stderr)
+		"-drift-capture", "-drift-baseline", "b.json", "-report", "run.json"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("err: %v", err)
+	}
+}
+
+// TestRunDriftCaptureNeedsReport: a capture's profile has one home, the
+// run report, so -drift-capture without -report is a wrong invocation.
+func TestRunDriftCaptureNeedsReport(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeFile(t, dir, "spec.json", tinySpec)
+	left := writeFile(t, dir, "left.csv", leftCSV)
+	right := writeFile(t, dir, "right.csv", rightCSV)
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
+		"-drift-capture"}, &stdout, &stderr)
+	if !errors.Is(err, flag.ErrHelp) || !strings.Contains(stderr.String(), "-drift-capture needs -report") {
+		t.Fatalf("err = %v, stderr = %q; want a usage error (exit 2) naming -report", err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("a refused run wrote output: %q", stdout.String())
+	}
+}
+
+// TestRunRefusesStrayArguments: flag parsing stops at the first
+// positional argument, so an old "-drift-capture baseline.json" line
+// would drop every flag after it; it is a usage error instead.
+func TestRunRefusesStrayArguments(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeFile(t, dir, "spec.json", tinySpec)
+	left := writeFile(t, dir, "left.csv", leftCSV)
+	right := writeFile(t, dir, "right.csv", rightCSV)
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
+		"-drift-capture", "baseline.json", "-report", filepath.Join(dir, "run.json")}, &stdout, &stderr)
+	if !errors.Is(err, flag.ErrHelp) || !strings.Contains(stderr.String(), `unexpected argument "baseline.json"`) {
+		t.Fatalf("err = %v, stderr = %q; want a usage error (exit 2) naming the argument", err, stderr.String())
 	}
 }

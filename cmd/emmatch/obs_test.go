@@ -19,8 +19,8 @@ import (
 
 // TestRunReportFlag is the acceptance test for -report: a run must
 // produce a machine-readable report whose JSON parses back into per-stage
-// spans (with durations and outcomes), hot-path counters, and the
-// provenance log.
+// spans (with durations, items and outcomes) and hot-path counters, and
+// stderr prints those stages.
 func TestRunReportFlag(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "spec.json", tinySpec)
@@ -85,15 +85,10 @@ func TestRunReportFlag(t *testing.T) {
 		t.Fatalf("block.pairs_blocked = %d; counters: %v",
 			rep.Metrics.Counters["block.pairs_blocked"], rep.Metrics.Counters)
 	}
-	// Provenance mirrors the workflow log.
-	steps := map[string]bool{}
-	for _, p := range rep.Provenance {
-		steps[p.Step] = true
-	}
-	for _, want := range []string{"sure_matches", "blocked", "candidates", "final"} {
-		if !steps[want] {
-			t.Fatalf("provenance missing step %s: %v", want, rep.Provenance)
-		}
+	// The stage table on stderr is the report's stage spans, rendered.
+	if table := workflow.Stages(rep); !strings.HasPrefix(table, "sure_matches") ||
+		!strings.Contains(stderr.String(), table) {
+		t.Fatalf("stderr does not carry the report's stages %q:\n%s", table, stderr.String())
 	}
 }
 

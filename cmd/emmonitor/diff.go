@@ -12,8 +12,8 @@ import (
 
 // DeltaRow is one changed value in a report diff.
 type DeltaRow struct {
-	// Name identifies the value ("stage.blocked duration_ms",
-	// "counter ml.predictions", "histogram workflow.stage_ms p99").
+	// Name identifies the value ("stage.blocked", "ml.predictions",
+	// "psi.feature.X").
 	Name string `json:"name"`
 	// A and B are the values in the two reports (NaN renders as "-"
 	// when the value is absent on one side).
@@ -45,8 +45,6 @@ type Diff struct {
 	Stages []DeltaRow `json:"stages,omitempty"`
 	// Counters are metric counter changes.
 	Counters []DeltaRow `json:"counters,omitempty"`
-	// Quantiles are histogram percentile changes (p50/p90/p99/p99.9/max).
-	Quantiles []DeltaRow `json:"quantiles,omitempty"`
 	// Signals are quality-signal value changes.
 	Signals []DeltaRow `json:"signals,omitempty"`
 }
@@ -64,7 +62,7 @@ func stagesOf(root *obs.SpanData) map[string]float64 {
 
 // deltas builds sorted DeltaRows from two name → value maps, keeping
 // rows where the value changed or exists on only one side.
-func deltas(prefix string, a, b map[string]float64) []DeltaRow {
+func deltas(a, b map[string]float64) []DeltaRow {
 	names := make(map[string]struct{}, len(a)+len(b))
 	for k := range a {
 		names[k] = struct{}{}
@@ -90,17 +88,17 @@ func deltas(prefix string, a, b map[string]float64) []DeltaRow {
 		if aok && bok && av == bv {
 			continue
 		}
-		out = append(out, DeltaRow{Name: prefix + k, A: av, B: bv})
+		out = append(out, DeltaRow{Name: k, A: av, B: bv})
 	}
 	return out
 }
 
-// DiffReports compares two run reports: stage wall times, counters,
-// histogram percentiles, and quality signals.
+// DiffReports compares two run reports: stage wall times, counters and
+// quality signals.
 func DiffReports(a, b *obs.Report) *Diff {
 	d := &Diff{NameA: a.Name, NameB: b.Name, OutcomeA: a.Outcome, OutcomeB: b.Outcome}
 
-	d.Stages = deltas("", stagesOf(a.Trace), stagesOf(b.Trace))
+	d.Stages = deltas(stagesOf(a.Trace), stagesOf(b.Trace))
 
 	ca := map[string]float64{}
 	cb := map[string]float64{}
@@ -114,28 +112,7 @@ func DiffReports(a, b *obs.Report) *Diff {
 			cb[k] = float64(v)
 		}
 	}
-	d.Counters = deltas("", ca, cb)
-
-	qa := map[string]float64{}
-	qb := map[string]float64{}
-	quantiles := func(m *obs.MetricsSnapshot, into map[string]float64) {
-		if m == nil {
-			return
-		}
-		for k, h := range m.Histograms {
-			if h.Count == 0 {
-				continue
-			}
-			into[k+" p50"] = h.P50
-			into[k+" p90"] = h.P90
-			into[k+" p99"] = h.P99
-			into[k+" p99.9"] = h.P999
-			into[k+" max"] = h.Max
-		}
-	}
-	quantiles(a.Metrics, qa)
-	quantiles(b.Metrics, qb)
-	d.Quantiles = deltas("", qa, qb)
+	d.Counters = deltas(ca, cb)
 
 	ga := map[string]float64{}
 	gb := map[string]float64{}
@@ -151,7 +128,7 @@ func DiffReports(a, b *obs.Report) *Diff {
 			gb[s.Name] = s.Value
 		}
 	}
-	d.Signals = deltas("", ga, gb)
+	d.Signals = deltas(ga, gb)
 	return d
 }
 
@@ -190,9 +167,8 @@ func (d *Diff) Render(w io.Writer) error {
 	}
 	section("stage wall time (ms)", d.Stages)
 	section("counters", d.Counters)
-	section("histogram percentiles", d.Quantiles)
 	section("quality signals", d.Signals)
-	if len(d.Stages)+len(d.Counters)+len(d.Quantiles)+len(d.Signals) == 0 {
+	if len(d.Stages)+len(d.Counters)+len(d.Signals) == 0 {
 		if _, err := fmt.Fprintln(w, "no differences"); err != nil {
 			return err
 		}

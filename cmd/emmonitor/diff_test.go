@@ -24,9 +24,6 @@ func TestDiffReports(t *testing.T) {
 		{Name: "stage.blocked", DurationMS: 40},
 		{Name: "stage.learned", DurationMS: 60},
 	}}
-	a.Metrics.Histograms = map[string]obs.HistogramSnapshot{
-		"workflow.stage_ms": {Count: 10, P50: 5, P90: 9, P99: 10},
-	}
 	a.Quality = &obs.QualityData{Verdict: "ok", Signals: []obs.QualitySignal{{Name: "psi.scores", Value: 0.01}}}
 
 	b := sampleReport("run-b", map[string]int64{"ml.predictions": 150, "only_b": 2})
@@ -34,9 +31,6 @@ func TestDiffReports(t *testing.T) {
 		{Name: "stage.blocked", DurationMS: 40}, // unchanged: not in diff
 		{Name: "stage.learned", DurationMS: 90},
 	}}
-	b.Metrics.Histograms = map[string]obs.HistogramSnapshot{
-		"workflow.stage_ms": {Count: 12, P50: 6, P90: 9, P99: 30},
-	}
 	b.Quality = &obs.QualityData{Verdict: "warn", Signals: []obs.QualitySignal{{Name: "psi.scores", Value: 0.15}}}
 
 	d := DiffReports(a, b)
@@ -63,12 +57,6 @@ func TestDiffReports(t *testing.T) {
 	if r := find(d.Counters, "only_a"); r == nil || !math.IsNaN(r.B) || r.Delta() != 0 {
 		t.Fatalf("one-sided counter: %+v", r)
 	}
-	if r := find(d.Quantiles, "workflow.stage_ms p99"); r == nil || r.Delta() != 20 {
-		t.Fatalf("p99 delta: %+v", r)
-	}
-	if r := find(d.Quantiles, "workflow.stage_ms p90"); r != nil {
-		t.Fatalf("unchanged percentile should not appear: %+v", r)
-	}
 	if r := find(d.Signals, "psi.scores"); r == nil || math.Abs(r.Delta()-0.14) > 1e-12 {
 		t.Fatalf("signal delta: %+v", r)
 	}
@@ -78,7 +66,7 @@ func TestDiffReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"run-a", "run-b", "quality warn", "stage.learned", "ml.predictions", "p99", "psi.scores", "-"} {
+	for _, want := range []string{"run-a", "run-b", "quality warn", "stage.learned", "ml.predictions", "psi.scores", "-"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -1,7 +1,8 @@
 // Command emmonitor is the quality-monitoring CLI for deployed matchers
-// — the operational companion to emmatch. It works on the
-// machine-readable artifacts the pipeline already emits (run reports,
-// drift baselines) and is designed to sit in cron/CI: "check" exits
+// — the operational companion to emmatch. It works on the one
+// machine-readable artifact the pipeline emits, the run report (a
+// baseline is the report of an emmatch -drift-capture run), and is
+// designed to sit in cron/CI: "check" exits
 // non-zero when a deployed run's quality drifted past the fail
 // thresholds, so a scheduled matching job can gate publication of its
 // matches on it. A run's record is its -report file; keep one per run
@@ -9,21 +10,23 @@
 //
 // Usage:
 //
-//	emmonitor check -baseline baseline.json -run run.json \
+//	emmonitor check -baseline run1.json -run run.json \
 //	        [-thresholds th.json] [-strict]
 //	emmonitor diff runA.json runB.json
 //	emmonitor perf OLD_BENCH.json NEW_BENCH.json
 //
 // check re-scores the live statistical profile embedded in a run report
-// against a training-time baseline (possibly under different thresholds
-// than the run used) and prints every signal. Exit status: 0 when
+// against the profile embedded in a baseline run's report (possibly
+// under thresholds other than the run used: a -thresholds file overrides
+// the bars it names, the rest keep their defaults) and prints every
+// signal. Exit status: 0 when
 // quality holds, 1 on a fail-threshold breach (or any warn under
 // -strict), 2 on usage or I/O errors, 130 when interrupted by
 // SIGINT/SIGTERM (so a breach verdict is never confused with an
 // operator abort).
 //
-// diff compares two run reports: per-stage wall time, counters,
-// histogram percentiles (p50/p90/p99), and quality signals (see diff.go).
+// diff compares two run reports: per-stage wall time, counters and
+// quality signals (see diff.go).
 //
 // perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at
 // fixed bars and exits 1 on a benchmark regression; `make perf-gate`
@@ -98,7 +101,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  emmonitor check -baseline baseline.json -run run.json [-thresholds th.json] [-strict]
+  emmonitor check -baseline run1.json -run run.json [-thresholds th.json] [-strict]
   emmonitor diff runA.json runB.json
   emmonitor perf OLD_BENCH.json NEW_BENCH.json
 
@@ -122,7 +125,7 @@ func loadReport(path string) (*obs.Report, error) {
 func runCheck(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("emmonitor check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	baselinePath := fs.String("baseline", "", "training-time baseline profile (JSON, from a drift-capture run)")
+	baselinePath := fs.String("baseline", "", "baseline run report (from an emmatch -drift-capture run)")
 	runPath := fs.String("run", "", "run report to check (must embed a quality profile)")
 	thresholdsPath := fs.String("thresholds", "", "JSON file overriding the warn/fail thresholds")
 	strict := fs.Bool("strict", false, "treat warn-level drift as a breach too")
@@ -134,7 +137,7 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 		return flag.ErrHelp
 	}
 
-	base, err := drift.LoadProfile(*baselinePath)
+	base, err := drift.LoadBaseline(*baselinePath)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
@@ -148,7 +151,9 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("run %q: %w (was it run with drift monitoring?)", rep.Name, err)
 	}
 
-	th := drift.Thresholds{}
+	// A thresholds file overrides the bars it names; the rest keep
+	// their defaults (a zero bar would turn its signal off).
+	th := drift.DefaultThresholds()
 	if *thresholdsPath != "" {
 		data, err := os.ReadFile(*thresholdsPath)
 		if err != nil {

@@ -39,15 +39,20 @@ func fixtureProfiles(t *testing.T, drifted bool) (*drift.Profile, *drift.Profile
 	return base, live
 }
 
-// writeRunReport persists a run report embedding the live profile.
-func writeRunReport(t *testing.T, dir string, live *drift.Profile) string {
+// writeRunReport persists, as dir/name, the report of a monitored run
+// embedding profile p — a baseline or a run to check.
+func writeRunReport(t *testing.T, dir, name string, p *drift.Profile) string {
 	t.Helper()
+	qd, err := drift.CaptureQuality(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := &obs.Report{
 		Name: "deploy-slice", Outcome: "ok",
 		StartedAt: time.Unix(10, 0), FinishedAt: time.Unix(12, 0),
-		Quality: drift.CaptureQuality(live),
+		Quality: qd,
 	}
-	path := filepath.Join(dir, "run.json")
+	path := filepath.Join(dir, name)
 	writeReport(t, rep, path)
 	return path
 }
@@ -55,11 +60,8 @@ func writeRunReport(t *testing.T, dir string, live *drift.Profile) string {
 func TestCheckPassesOnIdenticalProfile(t *testing.T) {
 	dir := t.TempDir()
 	base, live := fixtureProfiles(t, false)
-	basePath := filepath.Join(dir, "baseline.json")
-	if err := base.WriteFile(basePath); err != nil {
-		t.Fatal(err)
-	}
-	runPath := writeRunReport(t, dir, live)
+	basePath := writeRunReport(t, dir, "run1.json", base)
+	runPath := writeRunReport(t, dir, "run.json", live)
 
 	var out, errOut strings.Builder
 	if err := run([]string{"check", "-baseline", basePath, "-run", runPath}, &out, &errOut); err != nil {
@@ -73,11 +75,8 @@ func TestCheckPassesOnIdenticalProfile(t *testing.T) {
 func TestCheckBreachesOnDriftedProfile(t *testing.T) {
 	dir := t.TempDir()
 	base, live := fixtureProfiles(t, true)
-	basePath := filepath.Join(dir, "baseline.json")
-	if err := base.WriteFile(basePath); err != nil {
-		t.Fatal(err)
-	}
-	runPath := writeRunReport(t, dir, live)
+	basePath := writeRunReport(t, dir, "run1.json", base)
+	runPath := writeRunReport(t, dir, "run.json", live)
 
 	var out, errOut strings.Builder
 	err := run([]string{"check", "-baseline", basePath, "-run", runPath}, &out, &errOut)
@@ -92,35 +91,49 @@ func TestCheckBreachesOnDriftedProfile(t *testing.T) {
 func TestCheckCustomThresholdsAndStrict(t *testing.T) {
 	dir := t.TempDir()
 	base, live := fixtureProfiles(t, false)
-	basePath := filepath.Join(dir, "baseline.json")
-	if err := base.WriteFile(basePath); err != nil {
-		t.Fatal(err)
-	}
-	// The identical profiles differ only in row counts (none here), so
-	// with an absurdly tight warn threshold on nothing they still pass;
-	// instead verify a typoed threshold key, and a second object after
-	// the first, are rejected.
-	runPath := writeRunReport(t, dir, live)
-	for _, bad := range []string{`{"psi_wrn": 0.5}`, `{"psi_fail": 0.3} {"psi_wrn": 1}`} {
-		badTh := filepath.Join(dir, "th.json")
-		if err := writeFile(badTh, bad); err != nil {
-			t.Fatal(err)
-		}
-		var out, errOut strings.Builder
-		err := run([]string{"check", "-baseline", basePath, "-run", runPath, "-thresholds", badTh}, &out, &errOut)
-		if err == nil || errors.Is(err, errBreach) {
-			t.Fatalf("thresholds %s accepted: %v", bad, err)
-		}
+	basePath := writeRunReport(t, dir, "run1.json", base)
+	runPath := writeRunReport(t, dir, "run.json", live)
+	_, drifted := fixtureProfiles(t, true)
+	driftedPath := writeRunReport(t, dir, "drifted.json", drifted)
+	for _, tc := range []struct {
+		name, thresholds, run string
+		breach                bool
+		lines                 []string // fragments of the signal lines
+	}{
+		// A typoed threshold key, and a second object after the first,
+		// are rejected: the check could not run.
+		{name: "typoed key", thresholds: `{"psi_wrn": 0.5}`, run: runPath},
+		{name: "trailing object", thresholds: `{"psi_fail": 0.3} {"psi_wrn": 1}`, run: runPath},
+		// A partial file overrides the bar it names; every other signal
+		// keeps its default bars, so the drifted KS still fails.
+		{name: "partial file", thresholds: `{"psi_fail": 0.3}`, run: driftedPath, breach: true, lines: []string{
+			"X psi.feature.jaccard", "(warn 0.10 fail 0.30)",
+			"X ks.feature.jaccard", "1.0000 (warn 0.15 fail 0.30)",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			th := filepath.Join(dir, "th.json")
+			if err := writeFile(th, tc.thresholds); err != nil {
+				t.Fatal(err)
+			}
+			var out, errOut strings.Builder
+			err := run([]string{"check", "-baseline", basePath, "-run", tc.run, "-thresholds", th}, &out, &errOut)
+			if tc.breach != errors.Is(err, errBreach) || err == nil {
+				t.Fatalf("thresholds %s: err = %v, want breach %v\n%s", tc.thresholds, err, tc.breach, out.String())
+			}
+			for _, want := range tc.lines {
+				if !strings.Contains(out.String(), want) {
+					t.Fatalf("thresholds %s: output lacks %q:\n%s", tc.thresholds, want, out.String())
+				}
+			}
+		})
 	}
 }
 
 func TestCheckRejectsReportWithoutProfile(t *testing.T) {
 	dir := t.TempDir()
 	base, _ := fixtureProfiles(t, false)
-	basePath := filepath.Join(dir, "baseline.json")
-	if err := base.WriteFile(basePath); err != nil {
-		t.Fatal(err)
-	}
+	basePath := writeRunReport(t, dir, "run1.json", base)
 	rep := &obs.Report{Name: "plain", Outcome: "ok"}
 	runPath := filepath.Join(dir, "run.json")
 	writeReport(t, rep, runPath)
@@ -128,6 +141,22 @@ func TestCheckRejectsReportWithoutProfile(t *testing.T) {
 	err := run([]string{"check", "-baseline", basePath, "-run", runPath}, &out, &errOut)
 	if err == nil || errors.Is(err, errBreach) {
 		t.Fatalf("report without profile: %v", err)
+	}
+}
+
+// TestCheckRejectsBaselineWithoutProfile: a baseline is a monitored run's
+// report; one without a profile is an error (exit 2) that names it.
+func TestCheckRejectsBaselineWithoutProfile(t *testing.T) {
+	dir := t.TempDir()
+	_, live := fixtureProfiles(t, false)
+	runPath := writeRunReport(t, dir, "run.json", live)
+	basePath := filepath.Join(dir, "unmonitored.json")
+	writeReport(t, &obs.Report{Name: "plain", Outcome: "ok"}, basePath)
+	var out, errOut strings.Builder
+	err := run([]string{"check", "-baseline", basePath, "-run", runPath}, &out, &errOut)
+	if err == nil || errors.Is(err, errBreach) || errors.Is(err, flag.ErrHelp) ||
+		!strings.Contains(err.Error(), basePath) || !strings.Contains(err.Error(), "no quality profile") {
+		t.Fatalf("baseline without profile: err = %v, want an exit-2 error naming %s", err, basePath)
 	}
 }
 
@@ -150,18 +179,20 @@ func TestDiffSubcommand(t *testing.T) {
 	}
 }
 
-// pr25Report is a run report as PR 25's emmatch wrote it (trace and
-// provenance cut): its metrics carry the gauges and float_gauges kinds,
-// both gone since.
+// pr25Report is a run report as PR 25's emmatch wrote it (trace cut):
+// its metrics carry the gauges and float_gauges kinds, and it has a
+// provenance section, all gone since.
 const pr25Report = `{"name":"workflow.v","started_at":"2026-10-05T10:00:00Z","finished_at":"2026-10-05T10:00:01Z","outcome":"ok",` +
+	`"provenance":[{"step":"blocked","detail":"union of blockers","count":1},{"step":"final","detail":"sure matches plus surviving predictions","count":1}],` +
 	`"metrics":{"counters":{"block.candset.ops":2,"block.pairs_blocked":1},"gauges":{"block.candidates":1},` +
 	`"float_gauges":{"drift.coverage_drop":0,"drift.ks":0,"drift.match_rate_delta":0,"drift.null_rate":0,"drift.psi":0},` +
 	`"histograms":{"workflow.stage_ms":{"bounds":[1,5],"counts":[7,0,0],"count":7,"sum":0.048139,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.020494,"max":0.020494}}}}`
 
 // TestSnapshotHasTwoKinds pins the keys of a metrics snapshot — what a
 // report's "metrics" section and /debug/vars' em_metrics are — and that a
-// report written when there were four kinds still loads: diff compares
-// its counters and histograms, the unknown keys are ignored.
+// report written when there were four kinds and a provenance section
+// still loads: diff compares its counters, check reads it (and finds no
+// profile in it, or the one spliced in), the unknown keys are ignored.
 func TestSnapshotHasTwoKinds(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c").Inc()
@@ -191,8 +222,32 @@ func TestSnapshotHasTwoKinds(t *testing.T) {
 	if err := run([]string{"diff", old, cur}, &out, &errOut); err != nil {
 		t.Fatalf("diff against a PR 25 report: %v", err)
 	}
-	if !strings.Contains(out.String(), "block.pairs_blocked") || !strings.Contains(out.String(), "+3") || !strings.Contains(out.String(), "workflow.stage_ms") {
+	if !strings.Contains(out.String(), "block.pairs_blocked") || !strings.Contains(out.String(), "+3") {
 		t.Fatalf("diff output:\n%s", out.String())
+	}
+
+	_, live := fixtureProfiles(t, false)
+	runPath := writeRunReport(t, dir, "run.json", live)
+	err = run([]string{"check", "-baseline", old, "-run", runPath}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), old+": drift: run report carries no quality profile") {
+		t.Fatalf("check against a PR 25 report without a profile: %v", err)
+	}
+	qd, err := drift.CaptureQuality(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quality, err := json.Marshal(qd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitored := filepath.Join(dir, "old-monitored.json")
+	if err := writeFile(monitored, strings.Replace(pr25Report, `"outcome":"ok",`, `"outcome":"ok","quality":`+string(quality)+`,`, 1)); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"check", "-baseline", monitored, "-run", runPath}, &out, &errOut); err != nil ||
+		!strings.Contains(out.String(), "verdict ok") {
+		t.Fatalf("check against a monitored PR 25 report: %v\n%s", err, out.String())
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"emgo/internal/rules"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
+	"emgo/internal/workflow"
 )
 
 // catalogs builds two synthetic product catalogs with known matches. The
@@ -176,7 +177,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s", res.Log)
+	fmt.Printf("\n%s", workflow.Stages(res.Report))
 
 	tp, fp, fn := 0, 0, 0
 	for _, p := range res.Final.Pairs() {

@@ -21,6 +21,7 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/umetrics"
+	"emgo/internal/workflow"
 )
 
 func main() {
@@ -109,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nworkflow result:\n%s", res.Log)
+	fmt.Printf("\nworkflow result:\n%s", workflow.Stages(res.Report))
 
 	// Estimate accuracy from the labeled sample (Section 11) and check
 	// against the generator's ground truth.

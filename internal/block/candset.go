@@ -259,7 +259,7 @@ type Blocker interface {
 	// Block computes the candidate pairs of left × right that survive
 	// the blocker.
 	Block(left, right *table.Table) (*CandidateSet, error)
-	// Name identifies the blocker for provenance logs.
+	// Name identifies the blocker on its block.join span (attrs.blocker).
 	Name() string
 }
 

@@ -16,8 +16,9 @@ import (
 // RunRecord is the -report -debug-addr flag set: what an operator keeps
 // of a run. Start arms it, Finish writes it — on success and on failure
 // alike, an aborted run being exactly when it is needed. The report is
-// the run's one record: it carries the span tree, the metrics and, from
-// a workflow run, the provenance log and the quality section.
+// the run's one record: it carries the span tree (a workflow stage is its
+// stage.<step> span), the metrics and, from a monitored workflow run, the
+// quality section with its drift profile.
 type RunRecord struct {
 	report, debugAddr string
 
@@ -46,6 +47,9 @@ func (r *RunRecord) CheckStdout(taken bool, why string) error {
 	}
 	return nil
 }
+
+// Reporting reports whether -report names a destination.
+func (r *RunRecord) Reporting() bool { return r.report != "" }
 
 // Start arms what the flags ask for: the metrics registry when either is
 // set (so hot-path counters tick for this run), the debug server, and —

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 
 	"emgo/internal/estimate"
@@ -313,11 +314,9 @@ func meanAbove(values []float64, cut float64) float64 {
 
 // QualityData renders the assessment (plus the live profile) in the
 // neutral schema run reports embed, so obs has no dependency on this
-// package.
-func (a *Assessment) QualityData(live *Profile) *obs.QualityData {
-	if a == nil {
-		return nil
-	}
+// package. A profile JSON cannot encode (a ±Inf value) is an error: the
+// report is the profile's one copy.
+func (a *Assessment) QualityData(live *Profile) (*obs.QualityData, error) {
 	qd := &obs.QualityData{Verdict: a.Verdict}
 	for _, s := range a.Signals {
 		qd.Signals = append(qd.Signals, obs.QualitySignal{
@@ -329,12 +328,7 @@ func (a *Assessment) QualityData(live *Profile) *obs.QualityData {
 			a.EstimatedPrecision.Lo, a.EstimatedPrecision.Point, a.EstimatedPrecision.Hi,
 		}
 	}
-	if live != nil {
-		if data, err := json.Marshal(live); err == nil {
-			qd.Profile = data
-		}
-	}
-	return qd
+	return embed(qd, live)
 }
 
 // VerdictCaptured marks the quality section of a capture-mode run: the
@@ -344,17 +338,22 @@ const VerdictCaptured = "captured"
 
 // CaptureQuality renders a capture-mode profile as a report quality
 // section: no signals, the VerdictCaptured verdict, and the profile
-// embedded so emmonitor check can score the run later against any
-// baseline.
-func CaptureQuality(live *Profile) *obs.QualityData {
-	if live == nil {
-		return nil
-	}
-	qd := &obs.QualityData{Verdict: VerdictCaptured}
-	if data, err := json.Marshal(live); err == nil {
+// embedded, which makes the report a baseline (LoadBaseline) and lets
+// emmonitor check score the run later against any other.
+func CaptureQuality(live *Profile) (*obs.QualityData, error) {
+	return embed(&obs.QualityData{Verdict: VerdictCaptured}, live)
+}
+
+// embed returns qd with live's JSON as its profile.
+func embed(qd *obs.QualityData, live *Profile) (*obs.QualityData, error) {
+	if live != nil {
+		data, err := json.Marshal(live)
+		if err != nil {
+			return nil, fmt.Errorf("drift: encode profile: %w", err)
+		}
 		qd.Profile = data
 	}
-	return qd
+	return qd, nil
 }
 
 // ProfileFromQuality recovers the live profile a run report embedded in
@@ -365,4 +364,23 @@ func ProfileFromQuality(qd *obs.QualityData) (*Profile, error) {
 		return nil, fmt.Errorf("drift: run report carries no quality profile")
 	}
 	return ParseProfile(qd.Profile)
+}
+
+// LoadBaseline reads a baseline: the report of a monitored run (emmatch
+// -drift-capture -report), whose quality.profile is the profile. A
+// report without one is an error naming path.
+func LoadBaseline(path string) (*Profile, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	p, err := ProfileFromQuality(rep.Quality)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return p, nil
 }

@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -200,8 +201,8 @@ func TestQualityDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	qd := a.QualityData(live)
-	if qd == nil || qd.Verdict != a.Verdict || len(qd.Signals) != len(a.Signals) {
+	qd, err := a.QualityData(live)
+	if err != nil || qd == nil || qd.Verdict != a.Verdict || len(qd.Signals) != len(a.Signals) {
 		t.Fatalf("QualityData mismatch: %+v vs %+v", qd, a)
 	}
 	got, err := ProfileFromQuality(qd)
@@ -214,15 +215,21 @@ func TestQualityDataRoundTrip(t *testing.T) {
 }
 
 func TestCaptureQuality(t *testing.T) {
-	if CaptureQuality(nil) != nil {
-		t.Fatal("CaptureQuality(nil) should be nil")
-	}
-	qd := CaptureQuality(profileWith(nil, 0))
-	if qd.Verdict != VerdictCaptured || len(qd.Profile) == 0 {
-		t.Fatalf("capture quality section = %+v", qd)
+	qd, err := CaptureQuality(profileWith(nil, 0))
+	if err != nil || qd.Verdict != VerdictCaptured || len(qd.Profile) == 0 {
+		t.Fatalf("capture quality section = %+v, %v", qd, err)
 	}
 	if _, err := ProfileFromQuality(qd); err != nil {
 		t.Fatalf("capture section profile unreadable: %v", err)
+	}
+	// The report is the profile's one copy: one JSON cannot encode is an
+	// error, not a section without it.
+	inf := profileWith([]float64{0.5, math.Inf(1)}, 0)
+	if qd, err := CaptureQuality(inf); err == nil || qd != nil || !strings.Contains(err.Error(), "+Inf") {
+		t.Fatalf("CaptureQuality(+Inf) = %+v, %v; want an encoding error", qd, err)
+	}
+	if qd, err := (&Assessment{Verdict: StatusOK}).QualityData(inf); err == nil || qd != nil {
+		t.Fatalf("QualityData(+Inf) = %+v, %v; want an encoding error", qd, err)
 	}
 }
 

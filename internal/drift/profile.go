@@ -11,9 +11,9 @@
 //     the run's result: per-feature value reservoirs and null rates,
 //     token-count and length distributions over the input tables'
 //     string attributes, the prediction-score distribution, blocking
-//     coverage, and candidate-set size per input row. The profile is
-//     persisted with the internal/ckpt atomic-write machinery as the
-//     baseline the deployment is trusted against.
+//     coverage, and candidate-set size per input row. The profile rides
+//     in that run's report (quality.profile), and the report is the
+//     baseline the deployment is trusted against (LoadBaseline).
 //   - On every deployed run the same builder profiles the live slice,
 //     and Evaluate scores the live profile against the baseline:
 //     population stability index (PSI) and two-sample Kolmogorov-
@@ -26,11 +26,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
-	"emgo/internal/ckpt"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -105,7 +103,7 @@ type ColumnProfile struct {
 
 // Profile is the compact statistical fingerprint of one matching run —
 // the baseline snapshot at train time, the live profile on a deployed
-// run. It is JSON-serializable and persisted atomically (WriteFile).
+// run. It travels as JSON inside a run report's quality section.
 type Profile struct {
 	Version int `json:"version"`
 	// Name identifies the workflow that produced the profile.
@@ -152,12 +150,7 @@ func (p *Profile) MatchRate() float64 {
 	return float64(p.PredictedMatches) / float64(p.Predicted)
 }
 
-// Marshal renders the profile as indented JSON.
-func (p *Profile) Marshal() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}
-
-// ParseProfile parses a profile produced by Marshal.
+// ParseProfile parses a profile's JSON.
 func ParseProfile(data []byte) (*Profile, error) {
 	p := &Profile{}
 	if err := json.Unmarshal(data, p); err != nil {
@@ -167,26 +160,6 @@ func ParseProfile(data []byte) (*Profile, error) {
 		return nil, fmt.Errorf("drift: profile version %d, want %d", p.Version, profileVersion)
 	}
 	return p, nil
-}
-
-// WriteFile persists the profile with the repository's durability
-// protocol: temp file + fsync + atomic rename (internal/ckpt). A crash
-// mid-write leaves the previous baseline intact.
-func (p *Profile) WriteFile(path string) error {
-	data, err := p.Marshal()
-	if err != nil {
-		return err
-	}
-	return ckpt.AtomicWriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadProfile reads and parses a profile file.
-func LoadProfile(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseProfile(data)
 }
 
 // reservoir is a uniform sample of at most DefaultSampleCap values

@@ -3,9 +3,11 @@ package drift
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"emgo/internal/obs"
 	"emgo/internal/table"
 )
 
@@ -121,13 +123,22 @@ func TestProfileCoverageAndRoundTrip(t *testing.T) {
 		t.Fatalf("coverage = %g, want 0.75 (3 of 4 rows have candidates)", p.Coverage)
 	}
 
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := p.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	got, err := LoadProfile(path)
+	// The profile travels in a capture run's report, which is the baseline.
+	qd, err := CaptureQuality(p)
 	if err != nil {
-		t.Fatalf("LoadProfile: %v", err)
+		t.Fatal(err)
+	}
+	data, err := (&obs.Report{Name: "wf", Quality: qd}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run1.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadBaseline(path)
+	if err != nil {
+		t.Fatalf("LoadBaseline: %v", err)
 	}
 	if got.Version != profileVersion || got.Name != "wf" || got.Coverage != 0.75 {
 		t.Fatalf("round-trip mismatch: %+v", got)

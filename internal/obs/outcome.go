@@ -1,8 +1,8 @@
 package obs
 
 // The outcome vocabulary: how a unit of work ended. One list, and every
-// record draws from it — a span's outcome, a provenance entry's, a run
-// report's, a wide event's ("ok" being the only one sampling may drop).
+// record draws from it — a span's outcome, a run report's, a wide
+// event's ("ok" being the only one sampling may drop).
 const (
 	OutcomeOK = "ok"
 	// OutcomeDegraded: completed short of something — a request answered

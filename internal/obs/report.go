@@ -6,20 +6,10 @@ import (
 	"time"
 )
 
-// ProvEntry is one provenance record: what a workflow step did, to how
-// many items, and how it ended. A workflow.Log holds them while the run
-// goes; the run report carries the same values.
-type ProvEntry struct {
-	Step   string `json:"step"`
-	Detail string `json:"detail,omitempty"`
-	Count  int    `json:"count"`
-	// Outcome is how the step ended; empty means OutcomeOK.
-	Outcome string `json:"outcome,omitempty"`
-}
-
 // Report is the machine-readable record of one pipeline run: the span
-// tree, the metrics snapshot, the provenance log, and the overall
-// outcome, in one JSON document. It is what -report flags write and what
+// tree (a workflow stage is its stage.<step> span: wall time, items,
+// outcome), the metrics snapshot and the overall outcome, in one JSON
+// document. It is what -report flags write and what
 // future perf work diffs against.
 type Report struct {
 	// Name identifies the run (workflow name, binary name).
@@ -36,10 +26,9 @@ type Report struct {
 	// Metrics is the registry snapshot at the end of the run (nil when
 	// metrics were disabled).
 	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
-	// Provenance is the workflow log: step, detail, count, outcome.
-	Provenance []ProvEntry `json:"provenance,omitempty"`
-	// Quality is the drift assessment of a monitored run (nil when the
-	// run was not checked against a baseline). The schema is neutral —
+	// Quality is the quality section of a monitored run: the embedded
+	// drift profile, and the assessment when the run was checked against
+	// a baseline (nil on an unmonitored run). The schema is neutral —
 	// internal/drift fills it — so reports stay parseable without that
 	// package.
 	Quality *QualityData `json:"quality,omitempty"`
@@ -48,7 +37,7 @@ type Report struct {
 // NewReport is the record of a run that has just ended, as whoever ran it
 // saw it: ok, or aborted with err, over root's span tree and — when the
 // registry is on — the metrics as they stand. A pipeline that knows more
-// (provenance, quality) adds it to the result.
+// (the quality section) adds it to the result.
 func NewReport(name string, started time.Time, root *Span, err error) *Report {
 	rep := &Report{
 		Name: name, StartedAt: started, FinishedAt: time.Now(),

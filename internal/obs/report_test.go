@@ -15,12 +15,16 @@ func TestReportRoundTrip(t *testing.T) {
 	sp.SetItems(120)
 	sp.SetOutcome("ok")
 	sp.End()
+	_, q := StartSpan(ctx, "stage.quality")
+	q.SetItems(119)
+	q.SetOutcome(OutcomeDegradedQuality)
+	q.End()
 	root.SetOutcome("degraded")
 	root.End()
 
 	r := NewRegistry()
 	r.Counter("block.pairs_blocked").Add(120)
-	r.Histogram("workflow.stage_ms", []float64{1, 10}).Observe(4)
+	r.Histogram("serve.latency_ms", []float64{1, 10}).Observe(4)
 	snap := r.Snapshot()
 
 	rep := &Report{
@@ -30,10 +34,6 @@ func TestReportRoundTrip(t *testing.T) {
 		Outcome:    "degraded",
 		Trace:      root.Snapshot(),
 		Metrics:    &snap,
-		Provenance: []ProvEntry{
-			{Step: "blocked", Detail: "union of blockers", Count: 120},
-			{Step: "quality", Detail: "live profile drifted from the baseline", Count: 119, Outcome: OutcomeDegradedQuality},
-		},
 	}
 	data, err := rep.Marshal()
 	if err != nil {
@@ -46,14 +46,12 @@ func TestReportRoundTrip(t *testing.T) {
 	if got.Name != rep.Name || got.Outcome != "degraded" {
 		t.Fatalf("round trip header: %+v", got)
 	}
-	if got.Trace == nil || len(got.Trace.Children) != 1 || got.Trace.Children[0].Items != 120 {
+	if got.Trace == nil || len(got.Trace.Children) != 2 || got.Trace.Children[0].Items != 120 ||
+		got.Trace.Children[1].Outcome != OutcomeDegradedQuality {
 		t.Fatalf("round trip trace: %+v", got.Trace)
 	}
 	if got.Metrics == nil || got.Metrics.Counters["block.pairs_blocked"] != 120 {
 		t.Fatalf("round trip metrics: %+v", got.Metrics)
-	}
-	if len(got.Provenance) != 2 || got.Provenance[1].Outcome != OutcomeDegradedQuality {
-		t.Fatalf("round trip provenance: %+v", got.Provenance)
 	}
 }
 

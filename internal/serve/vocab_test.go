@@ -62,7 +62,7 @@ type vocabCheck struct {
 func (c *vocabCheck) outcome(where, outcome string) {
 	c.t.Helper()
 	if outcome == "" {
-		return // unset: a span nobody judged, an ok provenance entry
+		return // unset: a span nobody judged
 	}
 	c.seen[outcome] = true
 	if !c.vocab[outcome] {
@@ -85,9 +85,6 @@ func (c *vocabCheck) run(where string, res *workflow.Result) {
 	c.t.Helper()
 	c.outcome(where+" report", res.Report.Outcome)
 	c.tree(where, res.Report.Trace)
-	for _, e := range res.Report.Provenance {
-		c.outcome(where+" provenance "+e.Step, e.Outcome)
-	}
 }
 
 func (c *vocabCheck) want(outcomes ...string) {
@@ -100,8 +97,8 @@ func (c *vocabCheck) want(outcomes ...string) {
 }
 
 // TestOutcomeVocabulary: whatever a stage, a request or a job's batch
-// call writes as its outcome — on a span, a provenance entry, a run
-// report, a wide event — is a member of the one list in obs, for every way each can end; and
+// call writes as its outcome — on a span, a run report, a wide event —
+// is a member of the one list in obs, for every way each can end; and
 // no non-test source hands SetOutcome a string literal of its own.
 func TestOutcomeVocabulary(t *testing.T) {
 	leakcheck.Check(t)

@@ -55,14 +55,15 @@ func smokeLoad(t *testing.T) {
 }
 
 // smokeMonitor holds the quality-monitoring loop's exit codes: a
-// drift-capture run persists a baseline, the identical slice scores zero
-// drift (`emmonitor check` exit 0, verdict ok), a slice with AwardNumber
-// nulled on half its rows trips the gates (exit 1, verdict fail) without
-// failing the run itself, and diff compares the two checked runs' reports.
-// Each run's record is its -report file, runN.json beside runN.csv.
+// drift-capture run's report is the baseline, the identical slice scores
+// zero drift (`emmonitor check` exit 0, verdict ok), a slice with
+// AwardNumber nulled on half its rows trips the gates (exit 1, verdict
+// fail) without failing the run itself, and diff compares the two checked
+// runs' reports. Each run's record is its -report file, runN.json beside
+// runN.csv, and the loop writes nothing else.
 func smokeMonitor(t *testing.T) {
 	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
+	baseline := filepath.Join(dir, "run1.json")
 	emmatch := func(rightCSV, run string, drift ...string) string {
 		args := append([]string{"-spec", spec, "-left", left, "-right", rightCSV,
 			"-out", filepath.Join(dir, run+".csv"), "-report", filepath.Join(dir, run+".json")}, drift...)
@@ -74,10 +75,7 @@ func smokeMonitor(t *testing.T) {
 		return cli(t, "emmonitor", "check", "-baseline", baseline, "-run", filepath.Join(dir, run+".json"))
 	}
 
-	emmatch(right, "run1", "-drift-capture", baseline)
-	if readFile(t, baseline) == "" {
-		t.Fatal("the capture run persisted no baseline")
-	}
+	emmatch(right, "run1", "-drift-capture")
 	emmatch(right, "run2", "-drift-baseline", baseline)
 	if readFile(t, filepath.Join(dir, "run1.csv")) != readFile(t, filepath.Join(dir, "run2.csv")) {
 		t.Error("identical inputs produced different matches")
@@ -116,4 +114,16 @@ func smokeMonitor(t *testing.T) {
 
 	code, out = cli(t, "emmonitor", "diff", filepath.Join(dir, "run2.json"), filepath.Join(dir, "run3.json"))
 	wantCLI(t, "emmonitor diff", code, out, 0, "quality signals")
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "USDAPerturbed.csv run1.csv run1.json run2.csv run2.json run3.csv run3.json"; got != want {
+		t.Errorf("the monitoring loop left %s, want %s", got, want)
+	}
 }

@@ -58,7 +58,6 @@ var deploymentSettings = map[string]string{
 	"emserve -idle-timeout":        "timeout",
 
 	"emmatch -out":            "path",
-	"emmatch -drift-capture":  "path",
 	"emmatch -drift-baseline": "path",
 	"emmatch -left-id":        "id",
 	"emmatch -right-id":       "id",

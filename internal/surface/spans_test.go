@@ -25,8 +25,8 @@ when one of these holds:
       test file that also reads a span's attrs;
   T3  traceReaders (allowlist_test.go) gives the operator question it answers
       and the docs section whose recipe uses it.
-A name that has none restates what the wide event, the job status or the
-provenance log already says: delete it with the line that writes it.`
+A name that has none restates what the wide event or a stage span
+already says: delete it with the line that writes it.`
 
 // TestSpanAndEventNamesHaveReaders is TestMetricNamesHaveReaders for the
 // rest of the telemetry vocabulary: span names, span annotations, and

@@ -3,6 +3,7 @@ package umetrics
 import (
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -230,18 +231,26 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 	// monitoring half of the "matching for other data slices" story.
 	proj, spec := trainForDeploy(t)
 
-	path := filepath.Join(t.TempDir(), "baseline.json")
 	capRes, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA,
-		workflow.RunOptions{Drift: &workflow.DriftStage{BaselinePath: path}})
+		workflow.RunOptions{Drift: &workflow.DriftStage{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base := capRes.DriftProfile; base == nil || len(base.Features) == 0 {
 		t.Fatalf("baseline missing feature distributions: %+v", base)
 	}
-	loaded, err := drift.LoadProfile(path)
+	// The capture run's report is the baseline.
+	data, err := capRes.Report.Marshal()
 	if err != nil {
-		t.Fatalf("baseline not persisted: %v", err)
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run1.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := drift.LoadBaseline(path)
+	if err != nil {
+		t.Fatalf("the capture report is no baseline: %v", err)
 	}
 
 	// A new slice from the same world distribution should not breach.

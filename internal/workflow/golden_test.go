@@ -11,7 +11,8 @@ import (
 )
 
 // The run record's formats, pinned through what a reader sees — the
-// rendered log and the report's JSON — not through the types behind them.
+// rendered stages and the report's JSON — not through the types behind
+// them.
 
 // figure9 is the hardened fixture in the Figure 9 shape: a second,
 // discovered sure rule beside M1, blocking, the matcher, no veto.
@@ -43,19 +44,19 @@ func TestGoldenFigure9Log(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "" +
-		"sure_matches                  2  positive rules over input tables\n" +
-		"blocked                       3  union of blockers\n" +
-		"candidates                    1  blocked minus sure matches\n" +
-		"learned                       1  matcher predictions on candidates\n" +
-		"vetoed                        0  negative rules flipped\n" +
-		"final                         3  sure matches plus surviving predictions\n"
-	if got := res.Log.String(); got != want {
+		"sure_matches                  2\n" +
+		"blocked                       3\n" +
+		"candidates                    1\n" +
+		"learned                       1\n" +
+		"vetoed                        0\n" +
+		"final                         3\n"
+	if got := Stages(res.Report); got != want {
 		t.Fatalf("Figure 9 log:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 // TestGoldenRunReport pins the report's top-level keys and the shape of
-// each provenance entry as written: an ok stage carries no outcome key.
+// each stage span as written: a stage of no items carries no items key.
 func TestGoldenRunReport(t *testing.T) {
 	w, tp := figure9(t)
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
@@ -79,28 +80,31 @@ func TestGoldenRunReport(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	if got, want := strings.Join(keys, " "), "finished_at name outcome provenance started_at trace"; got != want {
+	if got, want := strings.Join(keys, " "), "finished_at name outcome started_at trace"; got != want {
 		t.Errorf("report keys = %q, want %q", got, want)
 	}
 	if got := string(doc["outcome"]); got != `"ok"` {
 		t.Errorf("report outcome = %s, want \"ok\"", got)
 	}
-	var prov []map[string]json.RawMessage
-	if err := json.Unmarshal(doc["provenance"], &prov); err != nil {
+	var trace struct {
+		Children []map[string]json.RawMessage `json:"children"`
+	}
+	if err := json.Unmarshal(doc["trace"], &trace); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, fields := range prov {
+	for _, fields := range trace.Children {
 		var names []string
 		for k := range fields {
 			names = append(names, k)
 		}
 		sort.Strings(names)
-		got = append(got, string(fields["step"])+"{"+strings.Join(names, ",")+"}")
+		got = append(got, string(fields["name"])+"{"+strings.Join(names, ",")+"}")
 	}
-	want := `"sure_matches"{count,detail,step} "blocked"{count,detail,step} "candidates"{count,detail,step} ` +
-		`"learned"{count,detail,step} "vetoed"{count,detail,step} "final"{count,detail,step}`
+	const span, parent = "{duration_ms,items,name,outcome,start}", "{children,duration_ms,items,name,outcome,start}"
+	want := `"stage.sure_matches"` + span + ` "stage.blocked"` + parent + ` "stage.candidates"` + span +
+		` "stage.learned"` + parent + ` "stage.vetoed"{duration_ms,name,outcome,start} "stage.final"` + span
 	if strings.Join(got, " ") != want {
-		t.Errorf("provenance:\n got %v\nwant %s", got, want)
+		t.Errorf("stage spans:\n got %v\nwant %s", got, want)
 	}
 }

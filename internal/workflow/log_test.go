@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"emgo/internal/block"
@@ -13,86 +12,21 @@ import (
 	"emgo/internal/obs"
 )
 
-func TestLogConcurrentAppends(t *testing.T) {
-	l := &Log{}
-	const workers, each = 8, 100
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if i%2 == 0 {
-					l.AddOutcome("step", "detail", i, "")
-				} else {
-					l.AddOutcome("step", "detail", i, obs.OutcomeDegraded)
-				}
-				// Readers race with the appends: Entries and String must
-				// stay safe while stage workers are still logging.
-				if i%25 == 0 {
-					_ = l.Entries()
-					_ = l.String()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := l.Entries()
-	if len(got) != workers*each {
-		t.Fatalf("entries = %d, want %d", len(got), workers*each)
-	}
-	// Every entry must be intact — no torn writes, no zero-value holes.
-	for i, e := range got {
-		if e.Step != "step" || e.Detail != "detail" {
-			t.Fatalf("entry %d corrupted: %+v", i, e)
-		}
-		if e.Outcome != "" && e.Outcome != obs.OutcomeDegraded {
-			t.Fatalf("entry %d unexpected outcome: %+v", i, e)
-		}
-	}
-}
-
-func TestLogEntriesCopySemantics(t *testing.T) {
-	l := &Log{}
-	l.AddOutcome("first", "a", 1, "")
-	l.AddOutcome("second", "b", 2, obs.OutcomeDegraded)
-
-	snap := l.Entries()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot = %d entries", len(snap))
-	}
-
-	// Later appends must not grow an earlier snapshot.
-	l.AddOutcome("third", "c", 3, "")
-	if len(snap) != 2 {
-		t.Fatalf("snapshot grew after append: %d entries", len(snap))
-	}
-
-	// Mutating the snapshot must not touch the log.
-	snap[0].Step = "hacked"
-	snap[1].Outcome = obs.OutcomeAborted
-	fresh := l.Entries()
-	if fresh[0].Step != "first" || fresh[1].Outcome != obs.OutcomeDegraded {
-		t.Fatalf("snapshot mutation leaked into log: %+v", fresh[:2])
-	}
-}
-
-// outcomeSequence renders a log as "step:outcome" tokens (empty outcome
-// normalized to ok) so tests can assert the exact stage trajectory.
-func outcomeSequence(l *Log) []string {
+// outcomeSequence renders a run report's stage spans as "step:outcome"
+// tokens so tests can assert the exact stage trajectory.
+func outcomeSequence(rep *obs.Report) []string {
 	var seq []string
-	for _, e := range l.Entries() {
-		o := e.Outcome
-		if o == "" {
-			o = obs.OutcomeOK
+	for _, c := range rep.Trace.Children {
+		if step, ok := strings.CutPrefix(c.Name, "stage."); ok {
+			seq = append(seq, step+":"+c.Outcome)
 		}
-		seq = append(seq, e.Step+":"+o)
 	}
 	return seq
 }
 
-// TestRunCtxRetriedRunOutcomeSequence: a clean run logs every stage ok,
-// and the monitoring check that follows it leaves the run's own log alone.
+// TestRunCtxRetriedRunOutcomeSequence: a clean run ends every stage ok,
+// and the monitoring check that follows it leaves the run's own record
+// alone.
 func TestRunCtxRetriedRunOutcomeSequence(t *testing.T) {
 	w, tp := hardenedFixture(t)
 	mon := &Monitor{SampleSize: 2, MinPrecision: 0.5, Rng: rand.New(rand.NewSource(7))}
@@ -104,15 +38,15 @@ func TestRunCtxRetriedRunOutcomeSequence(t *testing.T) {
 		"sure_matches:ok", "blocked:ok", "candidates:ok",
 		"learned:ok", "vetoed:ok", "final:ok",
 	}
-	got := outcomeSequence(res.Log)
+	got := outcomeSequence(res.Report)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("outcome sequence:\n got %v\nwant %v", got, want)
 	}
 	if _, err := mon.Check("seq-batch", res.Final, func(block.Pair) label.Label { return label.Yes }); err != nil {
 		t.Fatal(err)
 	}
-	if got := outcomeSequence(res.Log); strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("the check changed the run's log: %v", got)
+	if got := outcomeSequence(res.Report); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("the check changed the run's record: %v", got)
 	}
 }
 
@@ -123,11 +57,11 @@ func TestRunCtxAbortedRunOutcomeSequence(t *testing.T) {
 	if err == nil {
 		t.Fatal("blocking fault must abort the run")
 	}
-	if res == nil || res.Log == nil {
-		t.Fatal("aborted run must still return its provenance log")
+	if res == nil || res.Report == nil {
+		t.Fatal("aborted run must still return its report")
 	}
 	want := []string{"sure_matches:ok", "blocked:aborted"}
-	got := outcomeSequence(res.Log)
+	got := outcomeSequence(res.Report)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("outcome sequence:\n got %v\nwant %v", got, want)
 	}
@@ -141,10 +75,10 @@ func TestRunCtxCancelledRunReturnsLog(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
 	}
-	if res == nil || res.Log == nil {
-		t.Fatal("cancelled run must still return its provenance log")
+	if res == nil || res.Report == nil {
+		t.Fatal("cancelled run must still return its report")
 	}
-	got := outcomeSequence(res.Log)
+	got := outcomeSequence(res.Report)
 	if len(got) != 1 || got[0] != "sure_matches:aborted" {
 		t.Fatalf("outcome sequence: %v", got)
 	}
@@ -152,8 +86,8 @@ func TestRunCtxCancelledRunReturnsLog(t *testing.T) {
 
 // TestRunCtxReportRoundTrips is the acceptance test for the run report:
 // the Result always carries one, it survives a JSON round trip, and the
-// parsed document still holds per-stage spans with durations and
-// outcomes plus the provenance log.
+// parsed document still holds per-stage spans with durations, outcomes
+// and the items each stage produced.
 func TestRunCtxReportRoundTrips(t *testing.T) {
 	w, tp := hardenedFixture(t)
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
@@ -178,8 +112,10 @@ func TestRunCtxReportRoundTrips(t *testing.T) {
 		t.Fatal("report lost its span tree")
 	}
 	stages := map[string]bool{}
+	items := map[string]int64{}
 	for _, child := range rep.Trace.Children {
 		stages[child.Name] = true
+		items[child.Name] = child.Items
 		if child.Outcome != obs.OutcomeOK {
 			t.Fatalf("stage %s outcome = %q", child.Name, child.Outcome)
 		}
@@ -195,9 +131,8 @@ func TestRunCtxReportRoundTrips(t *testing.T) {
 			t.Fatalf("report missing span %s (have %v)", want, stages)
 		}
 	}
-	if len(rep.Provenance) != len(res.Log.Entries()) {
-		t.Fatalf("provenance = %d entries, log = %d",
-			len(rep.Provenance), len(res.Log.Entries()))
+	if got, want := items["stage.final"], int64(res.Final.Len()); got != want {
+		t.Fatalf("stage.final items = %d, want the %d final matches", got, want)
 	}
 }
 

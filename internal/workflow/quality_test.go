@@ -3,30 +3,33 @@ package workflow
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"emgo/internal/block"
 	"emgo/internal/drift"
+	"emgo/internal/feature"
 	"emgo/internal/obs"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
 
 // TestRunCtxDriftCaptureAndCleanCheck is the TestSmoke/monitor property at
-// unit scope: a capture run persists a baseline, and a second run over
-// the same tables checked against that baseline scores zero drift.
+// unit scope: a capture run's report is a baseline carrying its whole
+// profile, and a second run over the same tables checked against that
+// baseline scores zero drift.
 func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 	w, tp := hardenedFixture(t)
-	path := filepath.Join(t.TempDir(), "baseline.json")
+	path := filepath.Join(t.TempDir(), "run1.json")
 
-	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		Drift: &DriftStage{BaselinePath: path},
-	})
+	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: &DriftStage{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,21 +48,30 @@ func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 		capRes.Report.Quality.Verdict != drift.VerdictCaptured {
 		t.Fatalf("capture report quality section: %+v", capRes.Report.Quality)
 	}
-	found := false
-	for _, e := range capRes.Log.Entries() {
-		if e.Step == "quality" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no quality provenance entry on the capture run")
+	if got := outcomeSequence(capRes.Report); got[len(got)-1] != "quality:ok" {
+		t.Fatalf("capture run stages = %v, want a last quality:ok", got)
 	}
 
-	base, err := drift.LoadProfile(path)
+	data, err := capRes.Report.Marshal()
 	if err != nil {
-		t.Fatalf("baseline not persisted: %v", err)
+		t.Fatal(err)
 	}
-	// The labeled accuracy estimate (Section 11) a baseline file may carry.
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := drift.LoadBaseline(path)
+	if err != nil {
+		t.Fatalf("the capture report is no baseline: %v", err)
+	}
+	if !base.CreatedAt.Equal(capRes.DriftProfile.CreatedAt) {
+		t.Fatalf("baseline created_at %v, want %v", base.CreatedAt, capRes.DriftProfile.CreatedAt)
+	}
+	got := *base
+	got.CreatedAt = time.Time{}
+	if !reflect.DeepEqual(got, profileOf(t, capRes)) {
+		t.Fatal("the report's profile differs from the run's")
+	}
+	// The labeled accuracy estimate (Section 11) a baseline may carry.
 	base.EstimatedPrecision = []float64{0.9, 0.95, 1.0}
 
 	chkRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
@@ -83,16 +95,14 @@ func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 	if _, err := drift.ProfileFromQuality(chkRes.Report.Quality); err != nil {
 		t.Fatalf("report does not embed the live profile: %v", err)
 	}
-	for _, e := range chkRes.Log.Entries() {
-		if e.Step == "quality" && e.Outcome != "" && e.Outcome != obs.OutcomeOK {
-			t.Fatalf("clean check logged outcome %q", e.Outcome)
-		}
+	if got := outcomeSequence(chkRes.Report); got[len(got)-1] != "quality:ok" {
+		t.Fatalf("clean check stages = %v, want a last quality:ok", got)
 	}
 }
 
 // TestRunCtxDriftCheckDegradedQuality perturbs the baseline so the check
-// breaches, and asserts the degraded_quality outcome lands in provenance
-// and in the quality stage span without failing the run.
+// breaches, and asserts the degraded_quality outcome lands in the quality
+// stage span without failing the run.
 func TestRunCtxDriftCheckDegradedQuality(t *testing.T) {
 	w, tp := hardenedFixture(t)
 
@@ -114,17 +124,6 @@ func TestRunCtxDriftCheckDegradedQuality(t *testing.T) {
 	}
 	if res.Quality == nil || !res.Quality.Breached() {
 		t.Fatalf("expected a breach: %+v", res.Quality)
-	}
-
-	var prov *obs.ProvEntry
-	for _, e := range res.Log.Entries() {
-		if e.Step == "quality" {
-			cp := e
-			prov = &cp
-		}
-	}
-	if prov == nil || prov.Outcome != obs.OutcomeDegradedQuality {
-		t.Fatalf("quality provenance = %+v, want outcome %q", prov, obs.OutcomeDegradedQuality)
 	}
 
 	foundSpan := false
@@ -157,9 +156,37 @@ func TestRunCtxNoDriftMeansNoQualityStage(t *testing.T) {
 		t.Fatalf("quality artifacts on an unmonitored run: %+v %+v %+v",
 			res.DriftProfile, res.Quality, res.Report.Quality)
 	}
-	for _, e := range res.Log.Entries() {
-		if e.Step == "quality" {
+	for _, st := range outcomeSequence(res.Report) {
+		if strings.HasPrefix(st, "quality:") {
 			t.Fatal("quality stage ran without DriftStage")
+		}
+	}
+}
+
+// TestRunCtxUnencodableProfileAborts: the report is a profile's one copy,
+// so a profile JSON cannot encode — a feature that computes +Inf, as
+// AbsDiff of two ±1e308 cells does — aborts the quality stage, in
+// capture and check mode alike, instead of leaving a report without it.
+func TestRunCtxUnencodableProfileAborts(t *testing.T) {
+	w, tp := hardenedFixture(t)
+	clean, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: &DriftStage{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &feature.Set{Features: slices.Clone(w.Features.Features)}
+	f := &fs.Features[0]
+	f.Func, f.Compute = "", func(a, b table.Value) float64 { return math.Inf(1) }
+	w.Features = fs
+	for _, d := range []*DriftStage{{}, {Baseline: clean.DriftProfile}} {
+		res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: d})
+		if err == nil || !strings.Contains(err.Error(), "quality") || !strings.Contains(err.Error(), "+Inf") {
+			t.Fatalf("baseline %v: err = %v, want the quality stage to abort on +Inf", d.Baseline != nil, err)
+		}
+		if got := outcomeSequence(res.Report); got[len(got)-1] != "quality:aborted" {
+			t.Fatalf("baseline %v: stages = %v, want a last quality:aborted", d.Baseline != nil, got)
+		}
+		if res.Report.Quality != nil {
+			t.Fatalf("baseline %v: aborted run's report kept a quality section", d.Baseline != nil)
 		}
 	}
 }

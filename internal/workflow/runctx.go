@@ -19,32 +19,29 @@ import (
 // operational layer the paper's Section 12 production move demands:
 // stages that stop at the caller's context, failure isolation (a worker
 // panic surfaces as an error that aborts the run and names the failing
-// pair), and a provenance log that records how each stage ended (ok /
-// aborted) so an operator can reconstruct a bad run.
+// pair), and a span per stage that records how it ended (ok / aborted)
+// so an operator can reconstruct a bad run.
 //
 // RunCtx is also the observability anchor: every stage runs under an
 // obs span recording wall time, item count, and outcome, and every run
 // finishes with a machine-readable obs.Report on the Result (spans +
-// metrics snapshot + provenance log) — the document -report flags write
-// and perf work diffs against.
+// metrics snapshot + quality section) — the run's one record, the
+// document -report flags write and perf work diffs against.
 
 // DriftStage asks RunCtx to run the quality-observability layer
 // (internal/drift): a final "quality" stage profiles what the run
 // produced — the feature vectors and prediction scores of the pairs the
-// matcher decided, the input-table attributes, and blocking coverage. With a
+// matcher decided, the input-table attributes, and blocking coverage —
+// and embeds the profile in the report's quality section. With a
 // Baseline the stage is a drift check — the live profile is scored
 // against the baseline and a breach surfaces as the degraded_quality
-// stage outcome; without one the stage is a baseline capture, optionally
-// persisted to BaselinePath with the crash-safe write protocol.
+// stage outcome; without one the stage is a baseline capture, and the
+// run's report is the baseline later runs load (drift.LoadBaseline).
 type DriftStage struct {
 	// Baseline, when non-nil, switches the stage from capture to check:
 	// the live profile is evaluated against it under
 	// drift.DefaultThresholds.
 	Baseline *drift.Profile
-	// BaselinePath, in capture mode, is where the snapshot is persisted
-	// (temp file + fsync + atomic rename); empty keeps it in memory only
-	// (Result.DriftProfile).
-	BaselinePath string
 }
 
 // RunOptions configures the hardened runtime. The zero value — what
@@ -57,47 +54,32 @@ type RunOptions struct {
 	Drift *DriftStage
 }
 
-// stageMSBuckets are the upper bounds (milliseconds) of the per-stage
-// duration histogram "workflow.stage_ms".
-var stageMSBuckets = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
-
-// stage is one RunCtx stage being recorded: its span, its place in the
-// provenance log and its duration sample.
+// stage is one RunCtx stage being recorded: its "stage.<name>" span.
 type stage struct {
-	ctx   context.Context
-	name  string
-	span  *obs.Span
-	log   *Log
-	hist  *obs.Histogram
-	start time.Time
+	ctx  context.Context
+	name string
+	span *obs.Span
 }
 
-// finish is the stage's one record: it closes the "stage.<name>" span
-// with the outcome and item count, feeds "workflow.stage_ms" and appends
-// the provenance entry — an ok one, as ever, without an outcome of its own.
-func (s stage) finish(outcome, detail string, items int) {
+// finish is the stage's one record: it closes the span with the outcome
+// and item count.
+func (s stage) finish(outcome string, items int) {
 	s.span.SetItems(items)
 	s.span.SetOutcome(outcome)
 	s.span.End()
-	s.hist.Observe(float64(time.Since(s.start)) / float64(time.Millisecond))
-	if outcome == obs.OutcomeOK {
-		outcome = ""
-	}
-	s.log.AddOutcome(s.name, detail, items, outcome)
 }
 
 // RunCtx executes the workflow on one (left, right) table pair under the
 // hardened runtime — the one pipeline body; Run is this with the zero
-// options. The returned Result is non-nil even on failure: it carries the provenance log up to and including the aborted
-// stage, which is the record an operator needs, plus the run report
-// (Result.Report).
+// options. The returned Result is non-nil even on failure: its report
+// (Result.Report) holds the stage spans up to and including the aborted
+// one, which is the record an operator needs.
 //
 // When the caller's context already carries an obs trace (a CLI opened
 // one for the whole process), stage spans nest under it; otherwise
 // RunCtx roots its own trace so the report always has a span tree.
 func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts RunOptions) (res *Result, err error) {
-	log := &Log{}
-	res = &Result{Log: log}
+	res = &Result{}
 	started := time.Now()
 
 	root := obs.SpanFromContext(ctx)
@@ -105,7 +87,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	if ownRoot {
 		ctx, root = obs.NewTrace(ctx, "workflow."+w.Name)
 	}
-	stageMS := obs.H("workflow.stage_ms", stageMSBuckets)
+	var quality *obs.QualityData
 	defer func() {
 		if ownRoot {
 			outcome := obs.OutcomeOK
@@ -115,15 +97,16 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 			root.SetOutcome(outcome)
 			root.End()
 		}
-		res.Report = buildReport("workflow."+w.Name, started, root, res, err)
+		res.Report = obs.NewReport("workflow."+w.Name, started, root, err)
+		res.Report.Quality = quality
 	}()
 
 	startStage := func(name string) stage {
 		sctx, sp := obs.StartSpan(ctx, "stage."+name)
-		return stage{ctx: sctx, name: name, span: sp, log: log, hist: stageMS, start: time.Now()}
+		return stage{ctx: sctx, name: name, span: sp}
 	}
 	abort := func(st stage, aerr error) (*Result, error) {
-		st.finish(obs.OutcomeAborted, aerr.Error(), 0)
+		st.finish(obs.OutcomeAborted, 0)
 		return res, fmt.Errorf("workflow %s: %s: %w", w.Name, st.name, aerr)
 	}
 
@@ -144,7 +127,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 			res.Sure.Add(h.Pair)
 		}
 	}
-	st.finish(obs.OutcomeOK, "positive rules over input tables", res.Sure.Len())
+	st.finish(obs.OutcomeOK, res.Sure.Len())
 
 	// Step 2: blocking.
 	st = startStage("blocked")
@@ -152,7 +135,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	if err != nil {
 		return abort(st, err)
 	}
-	st.finish(obs.OutcomeOK, "union of blockers", blocked.Len())
+	st.finish(obs.OutcomeOK, blocked.Len())
 
 	// Step 3: remove sure matches from the candidate set.
 	st = startStage("candidates")
@@ -160,7 +143,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	if err != nil {
 		return abort(st, err)
 	}
-	st.finish(obs.OutcomeOK, "blocked minus sure matches", res.Candidates.Len())
+	st.finish(obs.OutcomeOK, res.Candidates.Len())
 
 	// Step 4: learned predictions. A pair whose vectorization or
 	// prediction fails (panic or error) aborts the run, named in the
@@ -169,7 +152,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	if err = w.learn(st.ctx, left, right, res); err != nil {
 		return abort(st, err)
 	}
-	st.finish(obs.OutcomeOK, "matcher predictions on candidates", res.Learned.Len())
+	st.finish(obs.OutcomeOK, res.Learned.Len())
 
 	// Step 5: negative rules veto learned matches.
 	st = startStage("vetoed")
@@ -177,7 +160,7 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	if w.NegativeRules != nil && w.NegativeRules.Len() > 0 {
 		kept, res.Vetoed = w.NegativeRules.FilterMatches(res.Learned)
 	}
-	st.finish(obs.OutcomeOK, "negative rules flipped", res.Vetoed)
+	st.finish(obs.OutcomeOK, res.Vetoed)
 
 	// Step 6: final = sure ∪ kept.
 	st = startStage("final")
@@ -185,58 +168,41 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	if err != nil {
 		return abort(st, err)
 	}
-	st.finish(obs.OutcomeOK, "sure matches plus surviving predictions", res.Final.Len())
+	st.finish(obs.OutcomeOK, res.Final.Len())
 
-	// Step 7 (optional): quality stage — profile the run's result and
-	// either snapshot the profile as the baseline or check it against
-	// one. A breach is not an error: the run completed; the
-	// degraded_quality outcome in spans and provenance (and the report's
-	// quality section) is the signal operators and emmonitor act on.
+	// Step 7 (optional): quality stage — profile the run's result into
+	// the report, and check it against a baseline when there is one. A
+	// breach is not an error: the run completed; the degraded_quality
+	// outcome of the stage span (and the report's quality section) is
+	// the signal operators and emmonitor act on. A profile the report
+	// cannot carry is: the report is its one copy.
 	if opts.Drift != nil {
 		st = startStage("quality")
 		if res.DriftProfile, err = w.profile(st.ctx, left, right, blocked, res); err != nil {
 			return abort(st, err)
 		}
-		if d := opts.Drift; d.Baseline == nil {
-			if d.BaselinePath != "" {
-				if werr := res.DriftProfile.WriteFile(d.BaselinePath); werr != nil {
-					return abort(st, werr)
-				}
+		if base := opts.Drift.Baseline; base == nil {
+			if quality, err = drift.CaptureQuality(res.DriftProfile); err != nil {
+				return abort(st, err)
 			}
-			st.finish(obs.OutcomeOK, "captured baseline quality profile", len(res.DriftProfile.Features))
+			st.finish(obs.OutcomeOK, len(res.DriftProfile.Features))
 		} else {
-			asmt, aerr := drift.Evaluate(d.Baseline, res.DriftProfile, drift.DefaultThresholds())
+			asmt, aerr := drift.Evaluate(base, res.DriftProfile, drift.DefaultThresholds())
 			if aerr != nil {
 				return abort(st, aerr)
 			}
-			res.Quality = asmt
-			detail := fmt.Sprintf("drift verdict %s vs baseline %q", asmt.Verdict, d.Baseline.Name)
-			if asmt.EstimatedPrecision != nil {
-				detail += " est precision " + asmt.EstimatedPrecision.String()
+			if quality, err = asmt.QualityData(res.DriftProfile); err != nil {
+				return abort(st, err)
 			}
+			res.Quality = asmt
 			outcome := obs.OutcomeOK
 			if asmt.Verdict != drift.StatusOK {
 				outcome = obs.OutcomeDegradedQuality
 			}
-			st.finish(outcome, detail, len(asmt.Signals))
+			st.finish(outcome, len(asmt.Signals))
 		}
 	}
 	return res, nil
-}
-
-// buildReport assembles the machine-readable run report: obs.NewReport's
-// record of the run plus what only the pipeline knows — the provenance
-// log (the stage records, in order) and the quality section.
-func buildReport(name string, started time.Time, root *obs.Span, res *Result, runErr error) *obs.Report {
-	rep := obs.NewReport(name, started, root, runErr)
-	rep.Provenance = res.Log.Entries()
-	switch {
-	case res.Quality != nil:
-		rep.Quality = res.Quality.QualityData(res.DriftProfile)
-	case res.DriftProfile != nil:
-		rep.Quality = drift.CaptureQuality(res.DriftProfile)
-	}
-	return rep
 }
 
 // PredictPairs is the vectorize → impute → predict chain over one list

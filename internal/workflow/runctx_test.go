@@ -118,8 +118,8 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	if res, err := bad.Run(tp.l, tp.r); err == nil || res != nil {
 		t.Fatalf("Run on a broken workflow = (%v, %v), want (nil, error)", res, err)
 	}
-	if res, err := bad.RunCtx(context.Background(), tp.l, tp.r, RunOptions{}); err == nil || res == nil || res.Log == nil {
-		t.Fatalf("RunCtx on a broken workflow must keep its partial result and log, got (%v, %v)", res, err)
+	if res, err := bad.RunCtx(context.Background(), tp.l, tp.r, RunOptions{}); err == nil || res == nil || res.Report == nil {
+		t.Fatalf("RunCtx on a broken workflow must keep its partial result and report, got (%v, %v)", res, err)
 	}
 }
 
@@ -167,7 +167,7 @@ func (failingBlocker) Name() string { return "failing" }
 
 // TestRunCtxFailingPairAborts: a pair whose vectorization or prediction
 // panics aborts the run, the error names the pair by its left and right
-// rows, and the result still carries the provenance log. The poison is
+// rows, and the result still carries the report. The poison is
 // the first candidate's left title, in every feature's closure, or a
 // matcher that panics on every vector.
 func TestRunCtxFailingPairAborts(t *testing.T) {
@@ -200,11 +200,11 @@ func TestRunCtxFailingPairAborts(t *testing.T) {
 			if err == nil {
 				t.Fatal("a failing pair must abort the run")
 			}
-			if res == nil || res.Log == nil {
-				t.Fatal("failed run must still return its provenance log")
+			if res == nil || res.Report == nil {
+				t.Fatal("failed run must still return its report")
 			}
-			if !strings.Contains(res.Log.String(), "[aborted]") {
-				t.Fatalf("abort not logged:\n%s", res.Log)
+			if stages := Stages(res.Report); !strings.Contains(stages, "learned                       0  [aborted]") {
+				t.Fatalf("abort not recorded:\n%s", stages)
 			}
 			if want := fmt.Sprintf("pair (%d,%d): ", p.A, p.B); !strings.Contains(err.Error(), want) {
 				t.Fatalf("err = %v, want it to name %q", err, want)
@@ -244,8 +244,8 @@ func TestRunCtxSureStageInsideHardenedRuntime(t *testing.T) {
 			if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
 				t.Fatalf("err = %v, want an abort (%v)", err, tc.is)
 			}
-			if got := outcomeSequence(res.Log); len(got) != 1 || got[0] != "sure_matches:aborted" {
-				t.Fatalf("outcome sequence %v, want [sure_matches:aborted]\n%s", got, res.Log)
+			if got := outcomeSequence(res.Report); len(got) != 1 || got[0] != "sure_matches:aborted" {
+				t.Fatalf("outcome sequence %v, want [sure_matches:aborted]", got)
 			}
 			if res.Report == nil || res.Report.Outcome != obs.OutcomeAborted {
 				t.Fatalf("aborted run's report: %+v", res.Report)
@@ -272,8 +272,8 @@ func TestRunCtxBlockJoinFaultAborts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "blocked") {
 		t.Fatalf("err: %v", err)
 	}
-	if !strings.Contains(res.Log.String(), "[aborted]") {
-		t.Fatalf("abort not logged:\n%s", res.Log)
+	if stages := Stages(res.Report); !strings.Contains(stages, "blocked                       0  [aborted]") {
+		t.Fatalf("abort not recorded:\n%s", stages)
 	}
 }
 

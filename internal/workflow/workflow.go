@@ -1,5 +1,6 @@
 // Package workflow composes the EM building blocks into executable
-// matching workflows with provenance logging. The central type models the
+// matching workflows, each run leaving one record: its report, where every
+// stage is a span. The central type models the
 // shape the case study converged on (Figures 8-10): positive "sure-match"
 // rules applied directly to the input tables, a blocking pipeline, a
 // trained learning-based matcher over the remaining candidates, and
@@ -12,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"emgo/internal/block"
 	"emgo/internal/drift"
@@ -23,44 +23,28 @@ import (
 	"emgo/internal/table"
 )
 
-// Log collects the steps a workflow executed, in order — the record the
-// two teams shared when discussing results. Appends and reads are safe
-// from concurrent goroutines: parallel stage workers may log while an
-// operator (or the debug endpoint) renders the log mid-run.
-type Log struct {
-	mu      sync.Mutex
-	entries []obs.ProvEntry
-}
-
-// AddOutcome appends an entry; outcome is one of obs.Outcome*, or empty
-// for ok — the hardened runtime's record of aborts and quality breaches.
-func (l *Log) AddOutcome(step, detail string, count int, outcome string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append(l.entries, obs.ProvEntry{Step: step, Detail: detail, Count: count, Outcome: outcome})
-}
-
-// Entries returns a copy of the log: later appends do not grow the
-// returned slice, and mutating the returned entries does not touch the
-// log.
-func (l *Log) Entries() []obs.ProvEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]obs.ProvEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
-}
-
-// String renders the log one step per line; non-ok outcomes are flagged
-// in brackets.
-func (l *Log) String() string {
+// Stages renders a run report's stage spans one per line, in run order:
+// the step, its item count and, when the stage did not end ok, its
+// outcome in brackets. It is how emmatch and the examples print a run.
+func Stages(rep *obs.Report) string {
 	var b strings.Builder
-	for _, e := range l.Entries() {
-		if e.Outcome != "" && e.Outcome != obs.OutcomeOK {
-			fmt.Fprintf(&b, "%-24s %6d  [%s] %s\n", e.Step, e.Count, e.Outcome, e.Detail)
-			continue
+	var walk func(*obs.SpanData)
+	walk = func(d *obs.SpanData) {
+		for _, c := range d.Children {
+			step, ok := strings.CutPrefix(c.Name, "stage.")
+			if !ok {
+				walk(c)
+				continue
+			}
+			fmt.Fprintf(&b, "%-24s %6d", step, c.Items)
+			if c.Outcome != "" && c.Outcome != obs.OutcomeOK {
+				fmt.Fprintf(&b, "  [%s]", c.Outcome)
+			}
+			b.WriteByte('\n')
 		}
-		fmt.Fprintf(&b, "%-24s %6d  %s\n", e.Step, e.Count, e.Detail)
+	}
+	if rep != nil && rep.Trace != nil {
+		walk(rep.Trace)
 	}
 	return b.String()
 }
@@ -142,10 +126,8 @@ type Result struct {
 	// Quality is the drift assessment of a checked run against its
 	// baseline (nil unless RunOptions.Drift supplied one).
 	Quality *drift.Assessment
-	// Log records each step.
-	Log *Log
-	// Report is the machine-readable run record (spans, metrics,
-	// provenance) built on every run, success or failure.
+	// Report is the run's one record (a span per stage, metrics, the
+	// quality section) built on every run, success or failure.
 	Report *obs.Report
 }
 
