@@ -37,7 +37,12 @@ race:
 # matchers' fits on views of one presorted root through pooled fit scratch
 # and generators (TestConcurrentFitsShareOneRoot): a
 # cold-build race only shows when callers really do arrive together, and
-# a wait that never ends only when they cannot. At two CPUs it also holds
+# a wait that never ends only when they cannot. The fits' generators copy
+# seed states a root fills on first use; TestConcurrentFitsShareOneRoot
+# fills a cold root's from several goroutines and
+# TestSeededStreamsMatchFreshSources draws copies of one state
+# interleaved, both ten times over, since a first fill races only once
+# per root. At two CPUs it also holds
 # a monitored run's quality profile to one answer above the sample cap,
 # whatever order the vectorize workers finish in
 # (TestMonitoredRunAboveCapIsDeterministic). The feature kernel and the
@@ -58,6 +63,7 @@ race:
 race-cpu:
 	$(GO) test -race -cpu 1,2 ./internal/block ./internal/rules ./internal/ml ./internal/workflow
 	$(GO) test -race -count=10 -run 'TestShardedJoin' ./internal/block
+	$(GO) test -race -count=10 -run 'TestSeeded|TestConcurrentFitsShareOneRoot' ./internal/ml
 	$(GO) test -race -cpu 1,2,4 ./internal/feature ./internal/serve
 
 # fuzz runs the oracle tests as fuzzers, ten seconds each — `go

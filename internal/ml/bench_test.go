@@ -45,6 +45,28 @@ func BenchmarkLogisticRegressionFit(b *testing.B) {
 	}
 }
 
+// BenchmarkLinearRegressionFit and BenchmarkSVMFit fit on the study's
+// shape, as Section 9's cross-validation does once per fold.
+func BenchmarkLinearRegressionFit(b *testing.B) {
+	ds := studyData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := (&LinearRegression{}).Fit(ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSVMFit(b *testing.B) {
+	ds := studyData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := (&SVM{Seed: 1}).Fit(ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTreePredict(b *testing.B) {
 	ds := benchData(b, 500)
 	tree := &DecisionTree{}

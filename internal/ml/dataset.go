@@ -42,6 +42,8 @@ type Dataset struct {
 	// sorted is a root's presorted matrix; nil on a Dataset built by hand,
 	// whose fits presort it per call.
 	sorted *presort
+	// seeds is a root's unread generator states, shared by its views.
+	seeds *seedStates
 }
 
 // presort is a root's matrix laid out for split scans: column-major
@@ -80,7 +82,7 @@ func NewDataset(features []string, x [][]float64, y []int) (*Dataset, error) {
 			return nil, fmt.Errorf("ml: label %d at example %d is not 0/1", label, i)
 		}
 	}
-	return &Dataset{Features: features, X: x, Y: y, sorted: presortRows(x, len(features))}, nil
+	return &Dataset{Features: features, X: x, Y: y, sorted: presortRows(x, len(features)), seeds: &seedStates{src: map[int64]rand.Source{}}}, nil
 }
 
 // presortRows lays the n×nf matrix x out column-major and numbers each

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 
 	"emgo/internal/obs"
@@ -56,7 +57,7 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	root, p := ds.presorted()
 	boots := make([]int32, n*p.n)
 	seeds := make([]int64, n)
-	rng := seededRand(f.Seed)
+	rng := seededRand(ds, f.Seed)
 	for k := 0; k < n; k++ {
 		boot := boots[k*p.n : (k+1)*p.n]
 		for i := 0; i < ds.Len(); i++ {
@@ -71,10 +72,11 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	trees := obs.C("ml.trees_fit")
 	f.trees = make([]*DecisionTree, n)
 	err := parallel.ForCtx(fctx, n, func(k int) error {
+		rng := seededRand(ds, seeds[k])
 		tree := &DecisionTree{
 			MaxDepth:      f.MaxDepth,
 			featureSubset: subset,
-			rng:           seededRand(seeds[k]),
+			rng:           rng.Rand,
 		}
 		g := getGrower(root, p)
 		for r, c := range boots[k*p.n : (k+1)*p.n] {
@@ -84,7 +86,7 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 		}
 		tree.grow(g, ds.Features)
 		g.release()
-		randPool.Put(tree.rng)
+		randPool.Put(rng)
 		tree.rng = nil
 		f.trees[k] = tree
 		trees.Inc()
@@ -99,16 +101,42 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	return nil
 }
 
-// randPool recycles the generators behind per-fit seeds: re-seeding a
-// *rand.Rand restarts exactly the stream rand.New(rand.NewSource(seed))
-// would give, without allocating a fresh ~5 KB source per tree.
-var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// seedStates is a root's source per seed its fits ask for, seeded once and
+// never drawn from: copying a 607-word state costs a fraction of seeding.
+type seedStates struct {
+	mu  sync.Mutex
+	src map[int64]rand.Source
+}
 
-// seededRand takes a pooled generator seeded with seed; hand it back with
-// randPool.Put once its stream is spent.
-func seededRand(seed int64) *rand.Rand {
-	r := randPool.Get().(*rand.Rand)
-	r.Seed(seed)
+// source returns seed's unread state (fresh on a root built by hand).
+func (s *seedStates) source(seed int64) rand.Source {
+	if s == nil {
+		return rand.NewSource(seed)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.src[seed] == nil {
+		s.src[seed] = rand.NewSource(seed)
+	}
+	return s.src[seed]
+}
+
+type pooledRand struct {
+	*rand.Rand
+	src rand.Source // the source under Rand, which seededRand overwrites
+}
+
+var randPool = sync.Pool{New: func() any {
+	src := rand.NewSource(0)
+	return &pooledRand{rand.New(src), src}
+}}
+
+// seededRand takes a pooled generator whose stream is exactly
+// rand.New(rand.NewSource(seed))'s: math/rand has no clone, so it copies
+// the state ds's root keeps for seed. Hand it back with randPool.Put.
+func seededRand(ds *Dataset, seed int64) *pooledRand {
+	r := randPool.Get().(*pooledRand)
+	reflect.ValueOf(r.src).Elem().Set(reflect.ValueOf(ds.root().seeds.source(seed)).Elem())
 	return r
 }
 

@@ -3,8 +3,10 @@ package ml
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -219,6 +221,101 @@ func TestLinearRegressionMatcher(t *testing.T) {
 	c := evalOnTrain(t, &LinearRegression{}, ds)
 	if c.F1() < 0.9 {
 		t.Fatalf("linreg train F1 = %v", c.F1())
+	}
+}
+
+// rowDescentLinear is LinearRegression's descent as it ran before the Gram
+// form: every epoch walks all n standardized rows. It is the reference
+// the Gram descent is held to.
+func rowDescentLinear(ds *Dataset, epochs int, lr float64) (w []float64, bias float64) {
+	x, nf := fitStandardizer(ds).matrix(ds)
+	w = make([]float64, nf)
+	n := float64(ds.Len())
+	gw := make([]float64, nf)
+	for e := 0; e < epochs; e++ {
+		for j := range gw {
+			gw[j] = 0
+		}
+		gb := 0.0
+		for i := 0; i < ds.Len(); i++ {
+			xi := x[i*nf : (i+1)*nf]
+			err := dot(w, xi) + bias - float64(ds.label(i))
+			for j := range gw {
+				gw[j] += err * xi[j]
+			}
+			gb += err
+		}
+		for j := range w {
+			w[j] -= lr * gw[j] / n
+		}
+		bias -= lr * gb / n
+	}
+	return w, bias
+}
+
+// TestLinearRegressionGramMatchesRowDescent holds the Gram descent to the
+// per-row one it replaced: the same 200 steps, equal up to rounding, and
+// the same prediction on every row — on the study's shape (two constant
+// columns, heavy ties) and on a continuous set.
+func TestLinearRegressionGramMatchesRowDescent(t *testing.T) {
+	for name, ds := range map[string]*Dataset{"study": studyData(), "synth": synthDataset(300, 7)} {
+		m := &LinearRegression{}
+		if err := m.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		w, bias := rowDescentLinear(ds, 200, 0.1)
+		got, want := append(slices.Clone(m.w), m.bias), append(slices.Clone(w), bias)
+		// Relative to the largest coefficient: a weight near 0 is a
+		// difference of large sums, and its own digits carry their rounding.
+		scale := 0.0
+		for _, v := range want {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 1e-12*scale {
+				t.Errorf("%s: coefficient %d (the last is the bias) = %v, row descent %v", name, j, got[j], want[j])
+			}
+		}
+		ref := &LinearRegression{w: w, bias: bias, scale: m.scale}
+		for i, x := range ds.X {
+			if got, want := m.Predict(x), ref.Predict(x); got != want {
+				t.Errorf("%s: row %d predicts %d, row descent %d (scores %v, %v)", name, i, got, want, m.Score(x), ref.Score(x))
+			}
+		}
+	}
+}
+
+// TestSeededStreamsMatchFreshSources takes generators of one seed from a
+// root, a view of it and a root built by hand, draws from them interleaved
+// through every method the fits call, and wants each to be the stream of
+// a fresh rand.NewSource(seed): the root's unread state is copied, never
+// shared or drawn from. 7 and 7+(1<<31−1) seed the same state.
+func TestSeededStreamsMatchFreshSources(t *testing.T) {
+	ds := synthDataset(20, 1)
+	byHand := &Dataset{Features: ds.Features, X: ds.X, Y: ds.Y}
+	draw := func(r *rand.Rand) string {
+		s := []int{0, 1, 2, 3, 4, 5}
+		r.Shuffle(len(s), func(a, b int) { s[a], s[b] = s[b], s[a] })
+		return fmt.Sprint(r.Int63(), r.Intn(97), r.Perm(5), s)
+	}
+	for _, seed := range []int64{0, -1, math.MinInt64, 1<<31 - 1, 7, 7 + (1<<31 - 1), 42} {
+		for round := 0; round < 2; round++ {
+			got := []*pooledRand{seededRand(ds, seed), seededRand(ds.view([]int{3, 1, 4}), seed), seededRand(byHand, seed)}
+			want := make([]*rand.Rand, len(got))
+			for k := range want {
+				want[k] = rand.New(rand.NewSource(seed))
+			}
+			for step := 0; step < 20; step++ {
+				for k := range got {
+					if g, w := draw(got[k].Rand), draw(want[k]); g != w {
+						t.Fatalf("seed %d round %d generator %d step %d: drew %s, fresh source %s", seed, round, k, step, g, w)
+					}
+				}
+			}
+			for _, r := range got {
+				randPool.Put(r)
+			}
+		}
 	}
 }
 

@@ -396,18 +396,28 @@ func TestTreeSplitTieBreak(t *testing.T) {
 
 // TestConcurrentFitsShareOneRoot fits trees and forests on views of one
 // root from many goroutines at once — through the pooled fit scratch and
-// generators — and wants every tree the serial fits gave.
+// generators — and wants every tree the serial fits gave. The concurrent
+// fits run on a second, cold root over the same rows, so they race to fill
+// its cached seed states.
 func TestConcurrentFitsShareOneRoot(t *testing.T) {
 	ds := oracleDataset(rand.New(rand.NewSource(9)), 160, 6, 1)
+	cold, err := NewDataset(ds.Features, ds.X, ds.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
 	folds, err := KFold(ds.Len(), 4, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := []*Dataset{ds}
-	for _, f := range folds {
-		views = append(views, ds.view(f))
+	views := func(root *Dataset) []*Dataset {
+		out := []*Dataset{root}
+		for _, f := range folds {
+			out = append(out, root.view(f))
+		}
+		return out
 	}
-	fit := func(i int) []*treeNode {
+	warmViews, coldViews := views(ds), views(cold)
+	fit := func(views []*Dataset, i int) []*treeNode {
 		v := views[i%len(views)]
 		if i%2 == 0 {
 			tree := &DecisionTree{}
@@ -429,7 +439,7 @@ func TestConcurrentFitsShareOneRoot(t *testing.T) {
 	const jobs = 24
 	want := make([][]*treeNode, jobs)
 	for i := range want {
-		want[i] = fit(i)
+		want[i] = fit(warmViews, i)
 	}
 	got := make([][]*treeNode, jobs)
 	var wg sync.WaitGroup
@@ -438,7 +448,7 @@ func TestConcurrentFitsShareOneRoot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < jobs; i += 4 {
-				got[(i*7)%jobs] = fit((i * 7) % jobs)
+				got[(i*7)%jobs] = fit(coldViews, (i*7)%jobs)
 			}
 		}(w)
 	}
