@@ -1,6 +1,7 @@
 package emgo
 
 import (
+	"context"
 	"testing"
 
 	"emgo/internal/block"
@@ -58,7 +59,7 @@ func BenchmarkBlock_JaccardJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := join.Block(w.proj.UMETRICS, w.proj.USDA); err != nil {
+		if _, err := join.Block(context.Background(), w.proj.UMETRICS, w.proj.USDA); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +72,7 @@ func BenchmarkBlock_SortedNeighborhood(b *testing.B) {
 	sn := block.SortedNeighborhood{LeftCol: "AwardNumber", RightCol: "AwardNumber", Window: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sn.Block(w.proj.UMETRICS, w.proj.USDA); err != nil {
+		if _, err := sn.Block(context.Background(), w.proj.UMETRICS, w.proj.USDA); err != nil {
 			b.Fatal(err)
 		}
 	}

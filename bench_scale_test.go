@@ -65,7 +65,7 @@ func BenchmarkScale_Blocking(b *testing.B) {
 			var cand *block.CandidateSet
 			for i := 0; i < b.N; i++ {
 				var err error
-				if cand, err = block.UnionBlock(f.proj.UMETRICS, f.proj.USDA, benchBlockers()...); err != nil {
+				if cand, err = block.UnionBlockCtx(context.Background(), f.proj.UMETRICS, f.proj.USDA, benchBlockers()...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,7 +169,7 @@ func mustBind(b *testing.B, fs *feature.Set, right *table.Table) *feature.Set {
 func BenchmarkVectorize(b *testing.B) {
 	f := fixtureAtScale(b, 1.0)
 	left, right := f.proj.UMETRICS, f.proj.USDA
-	cand, err := block.UnionBlock(left, right, benchBlockers()...)
+	cand, err := block.UnionBlockCtx(context.Background(), left, right, benchBlockers()...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func BenchmarkVectorize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x, err := fs.Vectorize(left, right, pairs)
+				x, err := fs.VectorizeCtx(context.Background(), left, right, pairs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,7 +266,7 @@ func BenchmarkBlockProbeBound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := block.UnionBlock(requests[i%len(requests)], right, bound...); err != nil {
+		if _, err := block.UnionBlockCtx(context.Background(), requests[i%len(requests)], right, bound...); err != nil {
 			b.Fatal(err)
 		}
 	}

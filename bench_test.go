@@ -97,7 +97,7 @@ func buildBenchWorld() (*benchWorldT, error) {
 	if err != nil {
 		return nil, err
 	}
-	cand, err := block.UnionBlock(proj.UMETRICS, proj.USDA, benchBlockers()...)
+	cand, err := block.UnionBlockCtx(context.Background(), proj.UMETRICS, proj.USDA, benchBlockers()...)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func buildBenchWorld() (*benchWorldT, error) {
 		return nil, err
 	}
 	pairs, y := w.labels.Decided()
-	x, err := w.fs.Vectorize(proj.UMETRICS, proj.USDA, pairs)
+	x, err := w.fs.VectorizeCtx(context.Background(), proj.UMETRICS, proj.USDA, pairs)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func BenchmarkE2_Blocking(b *testing.B) {
 	w := benchWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cand, err := block.UnionBlock(w.proj.UMETRICS, w.proj.USDA, benchBlockers()...)
+		cand, err := block.UnionBlockCtx(context.Background(), w.proj.UMETRICS, w.proj.USDA, benchBlockers()...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func BenchmarkE2_OverlapSweep(b *testing.B) {
 				_, err := (block.Overlap{
 					LeftCol: "AwardTitle", RightCol: "AwardTitle",
 					Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true,
-				}).Block(w.proj.UMETRICS, w.proj.USDA)
+				}).Block(context.Background(), w.proj.UMETRICS, w.proj.USDA)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,7 +460,7 @@ func BenchmarkA1_CaseFeatureAblation(b *testing.B) {
 	pairs, y := w.labels.Decided()
 	run := func(b *testing.B, fs *feature.Set) {
 		for i := 0; i < b.N; i++ {
-			x, err := fs.Vectorize(w.proj.UMETRICS, w.proj.USDA, pairs)
+			x, err := fs.VectorizeCtx(context.Background(), w.proj.UMETRICS, w.proj.USDA, pairs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -500,21 +500,21 @@ func BenchmarkA2_BlockerUnionAblation(b *testing.B) {
 		Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true}
 	b.Run("C2_only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c2.Block(w.proj.UMETRICS, w.proj.USDA); err != nil {
+			if _, err := c2.Block(context.Background(), w.proj.UMETRICS, w.proj.USDA); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("C3_only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c3.Block(w.proj.UMETRICS, w.proj.USDA); err != nil {
+			if _, err := c3.Block(context.Background(), w.proj.UMETRICS, w.proj.USDA); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("union", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := block.UnionBlock(w.proj.UMETRICS, w.proj.USDA, c2, c3); err != nil {
+			if _, err := block.UnionBlockCtx(context.Background(), w.proj.UMETRICS, w.proj.USDA, c2, c3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -543,7 +543,7 @@ func BenchmarkA3_UnsureHandling(b *testing.B) {
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			x, err := w.fs.Vectorize(w.proj.UMETRICS, w.proj.USDA, pairs)
+			x, err := w.fs.VectorizeCtx(context.Background(), w.proj.UMETRICS, w.proj.USDA, pairs)
 			if err != nil {
 				b.Fatal(err)
 			}

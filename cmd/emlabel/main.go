@@ -74,7 +74,7 @@ func runCtx(ctx context.Context, args []string, stdin io.Reader, stdout, stderr 
 	cand, err := (block.Overlap{
 		LeftCol: *on, RightCol: *on,
 		Tokenizer: tokenize.Word{}, Threshold: 2, Normalize: true,
-	}).Block(left, right)
+	}).Block(ctx, left, right)
 	if err != nil {
 		return err
 	}

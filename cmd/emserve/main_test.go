@@ -51,7 +51,7 @@ func writeFixture(t *testing.T, dir string) (specPath, leftPath, rightPath strin
 	}
 	pairs := []block.Pair{{A: 0, B: 0}, {A: 1, B: 1}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 2, B: 0}, {A: 2, B: 2}}
 	y := []int{1, 1, 0, 0, 0, 1}
-	x, err := fs.Vectorize(l, r, pairs)
+	x, err := fs.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

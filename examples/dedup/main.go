@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 	}
 
 	// Self-block: candidate pairs share a name token (case-insensitive).
-	cand, err := block.Dedup(roster, block.Overlap{
+	cand, err := block.Dedup(context.Background(), roster, block.Overlap{
 		LeftCol: "Name", RightCol: "Name",
 		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
 	})

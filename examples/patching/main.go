@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -133,7 +134,7 @@ func train(ds *umetrics.Dataset, proj *umetrics.Projected) (*core.Project, error
 		LeftCol: "AwardTitle", RightCol: "AwardTitle",
 		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true,
 	})
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func develop() *workflow.Spec {
 	}
 	p.AddBlocker(block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
 		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true})
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

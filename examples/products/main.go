@@ -118,7 +118,7 @@ func main() {
 		LeftCol: "Title", RightCol: "Title",
 		Tokenizer: tokenize.Word{}, Threshold: 2, Normalize: true,
 	})
-	cand, err := project.Block()
+	cand, err := project.Block(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

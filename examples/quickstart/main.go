@@ -49,7 +49,7 @@ func main() {
 
 	// Step 2: block. People in different states cannot match.
 	project.AddBlocker(block.AttrEquiv{LeftCol: "State", RightCol: "State"})
-	cand, err := project.Block()
+	cand, err := project.Block(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	if err := project.AddSpec(umetrics.FigureSpec(10), umetrics.DeployTransforms()); err != nil {
 		log.Fatal(err)
 	}
-	cand, err := project.Block()
+	cand, err := project.Block(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package emgo
 
 import (
+	"context"
 	"testing"
 
 	"emgo/internal/block"
@@ -58,7 +59,7 @@ func TestA5_RulesVsThreshold(t *testing.T) {
 			gold = append(gold, 0)
 		}
 	}
-	ex, err := fs.Vectorize(w.proj.UMETRICS, w.proj.USDA, evalPairs)
+	ex, err := fs.VectorizeCtx(context.Background(), w.proj.UMETRICS, w.proj.USDA, evalPairs)
 	if err != nil {
 		t.Fatal(err)
 	}

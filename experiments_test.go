@@ -6,6 +6,7 @@
 package emgo
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -449,7 +450,7 @@ func buildAblationWorld() (*ablationWorldT, error) {
 	if err != nil {
 		return nil, err
 	}
-	cand, err := block.UnionBlock(proj.UMETRICS, proj.USDA,
+	cand, err := block.UnionBlockCtx(context.Background(), proj.UMETRICS, proj.USDA,
 		block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
 			Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true},
 		block.OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle",
@@ -495,7 +496,7 @@ func ablationTraining(w *ablationWorldT, fs *feature.Set, unsureAs label.Label) 
 			return nil, nil, err
 		}
 	}
-	ds, _, im, err := core.TrainingData(w.proj.UMETRICS, w.proj.USDA, labels, rules.NewEngine(), fs)
+	ds, _, im, err := core.TrainingData(context.Background(), w.proj.UMETRICS, w.proj.USDA, labels, rules.NewEngine(), fs)
 	return ds, im, err
 }
 
@@ -549,12 +550,12 @@ func TestA1_CaseFeatureAblation(t *testing.T) {
 func TestA2_BlockerUnionAblation(t *testing.T) {
 	w := ablationWorld(t)
 	c2, err := (block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
-		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true}).Block(w.proj.UMETRICS, w.proj.USDA)
+		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true}).Block(context.Background(), w.proj.UMETRICS, w.proj.USDA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c3, err := (block.OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle",
-		Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true}).Block(w.proj.UMETRICS, w.proj.USDA)
+		Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true}).Block(context.Background(), w.proj.UMETRICS, w.proj.USDA)
 	if err != nil {
 		t.Fatal(err)
 	}

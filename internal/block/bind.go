@@ -138,16 +138,11 @@ func blockUnbound(ctx context.Context, b tokenBlocker, left, right *table.Table)
 	if err != nil {
 		return nil, err
 	}
-	return bt.BlockCtx(ctx, left, right)
+	return bt.Block(ctx, left, right)
 }
 
 // Block implements Blocker.
-func (b *boundTokens) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b *boundTokens) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b *boundTokens) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	var set [1]*CandidateSet
 	if err := joinTokens(ctx, left, right, []*boundTokens{b}, set[:]); err != nil {
 		return nil, err
@@ -162,7 +157,7 @@ func (b *boundTokens) BlockCtx(ctx context.Context, left, right *table.Table) (*
 func blockSharing(ctx context.Context, left, right *table.Table, blockers []Blocker, k int, ready []*CandidateSet) error {
 	lead, ok := blockers[k].(*boundTokens)
 	if !ok {
-		c, err := BlockWithContext(ctx, blockers[k], left, right)
+		c, err := blockers[k].Block(ctx, left, right)
 		ready[k] = c
 		return err
 	}
@@ -454,12 +449,7 @@ func bindKeys(ctx context.Context, b AttrEquiv, right *table.Table) (*boundKeys,
 func (b *boundKeys) Name() string { return b.name }
 
 // Block implements Blocker.
-func (b *boundKeys) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b *boundKeys) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b *boundKeys) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	if err := CheckBound(b.right, right); err != nil {
 		return nil, err
 	}

@@ -70,12 +70,12 @@ func figure10(tok tokenize.Tokenizer) []Blocker {
 func TestUnionTokenisesEachCellOnce(t *testing.T) {
 	l, r := figure10Tables(50, 120)
 	tok := &sideCounter{}
-	want, err := UnionBlock(l, r, figure10(tokenize.Word{})...)
+	want, err := UnionBlockCtx(context.Background(), l, r, figure10(tokenize.Word{})...)
 	if err != nil || want.Len() == 0 {
 		t.Fatalf("fixture: %d pairs, %v", want.Len(), err)
 	}
 
-	got, err := UnionBlock(l, r, figure10(tok)...)
+	got, err := UnionBlockCtx(context.Background(), l, r, figure10(tok)...)
 	if err != nil || !slices.Equal(got.Pairs(), want.Pairs()) {
 		t.Fatalf("counting union differs: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestUnionTokenisesEachCellOnce(t *testing.T) {
 		t.Fatalf("Bind tokenised %d right cells, want %d", right-int64(r.Len()), r.Len())
 	}
 	for n := 0; n < 3; n++ {
-		got, err = UnionBlock(l, r, bound...)
+		got, err = UnionBlockCtx(context.Background(), l, r, bound...)
 		if err != nil || !slices.Equal(got.Pairs(), want.Pairs()) {
 			t.Fatalf("bound union differs: %v", err)
 		}
@@ -110,14 +110,14 @@ func TestBoundBlockersAnswerAboutOneTable(t *testing.T) {
 	}
 	bound := mustBind(t, r, figure10(tokenize.Word{})...)
 	for _, b := range bound {
-		if _, err := b.Block(l, other); !namesBoth(err, r, other) {
+		if _, err := b.Block(context.Background(), l, other); !namesBoth(err, r, other) {
 			t.Errorf("%s bound to %s, asked about %s: %v, want an error naming both", b.Name(), r.Name(), other.Name(), err)
 		}
 	}
-	if _, err := UnionBlock(l, other, bound...); !namesBoth(err, r, other) {
+	if _, err := UnionBlockCtx(context.Background(), l, other, bound...); !namesBoth(err, r, other) {
 		t.Errorf("union of blockers bound to %s, asked about %s: %v, want an error naming both", r.Name(), other.Name(), err)
 	}
-	if c, err := UnionBlock(l, other, figure10(tokenize.Word{})...); err != nil {
+	if c, err := UnionBlockCtx(context.Background(), l, other, figure10(tokenize.Word{})...); err != nil {
 		t.Fatalf("the unbound union over %s: %v", other.Name(), err)
 	} else if c.Len() == 0 {
 		t.Fatalf("fixture: the unbound union blocks no pair of %s", other.Name())
@@ -211,7 +211,7 @@ func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
 		var before, after runtime.MemStats
 		for n := 0; n < 101; n++ {
 			runtime.ReadMemStats(&before)
-			c, err := UnionBlock(request, right, bound...)
+			c, err := UnionBlockCtx(context.Background(), request, right, bound...)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -242,13 +242,13 @@ func TestBoundProbeConcurrent(t *testing.T) {
 	for i := range requests {
 		requests[i] = table.New("request", l.Schema())
 		requests[i].MustAppend(l.Row(i))
-		c, err := UnionBlock(requests[i], r, bound...)
+		c, err := UnionBlockCtx(context.Background(), requests[i], r, bound...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = c.Pairs()
 	}
-	whole, err := UnionBlock(l, r, bound...)
+	whole, err := UnionBlockCtx(context.Background(), l, r, bound...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +259,13 @@ func TestBoundProbeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for n := range requests {
 				i := (n*7 + g) % len(requests)
-				c, err := UnionBlock(requests[i], r, bound...)
+				c, err := UnionBlockCtx(context.Background(), requests[i], r, bound...)
 				if err != nil || !slices.Equal(c.Pairs(), want[i]) {
 					t.Errorf("goroutine %d, request %d: %v, want %v (err %v)", g, i, c.Pairs(), want[i], err)
 					return
 				}
 			}
-			if c, err := UnionBlock(l, r, bound...); err != nil || !slices.Equal(c.Pairs(), whole.Pairs()) {
+			if c, err := UnionBlockCtx(context.Background(), l, r, bound...); err != nil || !slices.Equal(c.Pairs(), whole.Pairs()) {
 				t.Errorf("goroutine %d: the whole left table's pairs differ (err %v)", g, err)
 			}
 		}(g)
@@ -291,7 +291,7 @@ func TestBindLeavesTheRestAlone(t *testing.T) {
 	l, r := figure10Tables(5, 5)
 	all := Func{Label: "all", Keep: func(left, right table.Row) bool { return true }}
 	bound := mustBind(t, r, all)
-	if c, err := bound[0].Block(l, r); err != nil || c.Len() != 25 {
+	if c, err := bound[0].Block(context.Background(), l, r); err != nil || c.Len() != 25 {
 		t.Fatalf("func blocker through Bind: %v", err)
 	}
 	for _, b := range []Blocker{
@@ -305,7 +305,7 @@ func TestBindLeavesTheRestAlone(t *testing.T) {
 			t.Errorf("%s: Bind returned %v, want the blocker's error", b.Name(), err)
 			continue
 		}
-		_, blockErr := UnionBlock(l, r, b)
+		_, blockErr := UnionBlockCtx(context.Background(), l, r, b)
 		if blockErr == nil || blockErr.Error() != err.Error() {
 			t.Errorf("%s: Bind says %v, Block %v", b.Name(), err, blockErr)
 		}

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func TestAttrEquivWithTransform(t *testing.T) {
 		LeftCol: "AwardNumber", RightCol: "AwardNumber",
 		LeftTransform: suffix,
 	}
-	c, err := b.Block(l, r)
+	c, err := b.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestAttrEquivNullsDropped(t *testing.T) {
 	l, r := grantsTables(t)
 	// Without transforms, no left award number equals a right one, and
 	// nulls must not join with anything.
-	c, err := AttrEquiv{LeftCol: "AwardNumber", RightCol: "AwardNumber"}.Block(l, r)
+	c, err := AttrEquiv{LeftCol: "AwardNumber", RightCol: "AwardNumber"}.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +149,10 @@ func TestAttrEquivNullsDropped(t *testing.T) {
 
 func TestAttrEquivUnknownColumn(t *testing.T) {
 	l, r := grantsTables(t)
-	if _, err := (AttrEquiv{LeftCol: "Nope", RightCol: "AwardNumber"}).Block(l, r); err == nil {
+	if _, err := (AttrEquiv{LeftCol: "Nope", RightCol: "AwardNumber"}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("unknown left column should error")
 	}
-	if _, err := (AttrEquiv{LeftCol: "AwardNumber", RightCol: "Nope"}).Block(l, r); err == nil {
+	if _, err := (AttrEquiv{LeftCol: "AwardNumber", RightCol: "Nope"}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("unknown right column should error")
 	}
 }
@@ -162,7 +163,7 @@ func TestOverlapBlocker(t *testing.T) {
 		LeftCol: "AwardTitle", RightCol: "AwardTitle",
 		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true,
 	}
-	c, err := b.Block(l, r)
+	c, err := b.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestOverlapThresholdMonotone(t *testing.T) {
 		c, err := Overlap{
 			LeftCol: "AwardTitle", RightCol: "AwardTitle",
 			Tokenizer: tokenize.Word{}, Threshold: k, Normalize: true,
-		}.Block(l, r)
+		}.Block(context.Background(), l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +199,10 @@ func TestOverlapThresholdMonotone(t *testing.T) {
 
 func TestOverlapValidation(t *testing.T) {
 	l, r := grantsTables(t)
-	if _, err := (Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle", Threshold: 3}).Block(l, r); err == nil {
+	if _, err := (Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle", Threshold: 3}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("missing tokenizer should error")
 	}
-	if _, err := (Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 0}).Block(l, r); err == nil {
+	if _, err := (Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 0}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("threshold 0 should error")
 	}
 }
@@ -213,14 +214,14 @@ func TestOverlapCoefficientBlocker(t *testing.T) {
 	r := table.New("R", table.MustSchema(table.Field{Name: "T", Kind: table.String}))
 	r.MustAppend(table.Row{table.S("swamp dodder ecology")})
 
-	ov, err := Overlap{LeftCol: "T", RightCol: "T", Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true}.Block(l, r)
+	ov, err := Overlap{LeftCol: "T", RightCol: "T", Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true}.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ov.Len() != 0 {
 		t.Fatal("overlap K=3 should drop the short title")
 	}
-	oc, err := OverlapCoefficient{LeftCol: "T", RightCol: "T", Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true}.Block(l, r)
+	oc, err := OverlapCoefficient{LeftCol: "T", RightCol: "T", Tokenizer: tokenize.Word{}, Threshold: 0.7, Normalize: true}.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +232,13 @@ func TestOverlapCoefficientBlocker(t *testing.T) {
 
 func TestOverlapCoefficientValidation(t *testing.T) {
 	l, r := grantsTables(t)
-	if _, err := (OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Threshold: 0.7}).Block(l, r); err == nil {
+	if _, err := (OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Threshold: 0.7}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("missing tokenizer should error")
 	}
-	if _, err := (OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 0}).Block(l, r); err == nil {
+	if _, err := (OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 0}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("threshold 0 should error")
 	}
-	if _, err := (OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 1.5}).Block(l, r); err == nil {
+	if _, err := (OverlapCoefficient{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 1.5}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("threshold >1 should error")
 	}
 }
@@ -248,14 +249,14 @@ func TestFuncBlocker(t *testing.T) {
 		a, bb := lr[1].Str(), rr[1].Str()
 		return len(a) > 0 && len(bb) > 0 && strings.EqualFold(a[:1], bb[:1])
 	}}
-	c, err := b.Block(l, r)
+	c, err := b.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Contains(Pair{0, 0}) || !c.Contains(Pair{1, 1}) {
 		t.Fatalf("func blocker: %v", c.Pairs())
 	}
-	if _, err := (Func{}).Block(l, r); err == nil {
+	if _, err := (Func{}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("missing predicate should error")
 	}
 	if (Func{}).Name() != "func" || b.Name() != "func(same-first-char)" {
@@ -265,7 +266,7 @@ func TestFuncBlocker(t *testing.T) {
 
 func TestUnionBlock(t *testing.T) {
 	l, r := grantsTables(t)
-	c, err := UnionBlock(l, r,
+	c, err := UnionBlockCtx(context.Background(), l, r,
 		AttrEquiv{LeftCol: "AwardNumber", RightCol: "AwardNumber", LeftTransform: suffix},
 		Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true},
 	)
@@ -276,7 +277,7 @@ func TestUnionBlock(t *testing.T) {
 		t.Fatalf("union block: %v", c.Pairs())
 	}
 	// An erroring blocker propagates.
-	if _, err := UnionBlock(l, r, Overlap{LeftCol: "Nope", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 1}); err == nil {
+	if _, err := UnionBlockCtx(context.Background(), l, r, Overlap{LeftCol: "Nope", RightCol: "AwardTitle", Tokenizer: tokenize.Word{}, Threshold: 1}); err == nil {
 		t.Fatal("union should propagate blocker errors")
 	}
 }

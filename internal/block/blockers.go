@@ -45,17 +45,12 @@ func (b AttrEquiv) Name() string {
 }
 
 // Block implements Blocker with a hash join on the blocking key.
-func (b AttrEquiv) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b AttrEquiv) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b AttrEquiv) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	k, err := bindKeys(ctx, b, right)
 	if err != nil {
 		return nil, err
 	}
-	return k.BlockCtx(ctx, left, right)
+	return k.Block(ctx, left, right)
 }
 
 // Overlap is the overlap blocker of Section 7 step 2: a pair survives when
@@ -77,12 +72,7 @@ func (b Overlap) Name() string {
 }
 
 // Block implements Blocker.
-func (b Overlap) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b Overlap) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b Overlap) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	return blockUnbound(ctx, b, left, right)
 }
 
@@ -115,12 +105,7 @@ func (b OverlapCoefficient) Name() string {
 }
 
 // Block implements Blocker.
-func (b OverlapCoefficient) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b OverlapCoefficient) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b OverlapCoefficient) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	return blockUnbound(ctx, b, left, right)
 }
 
@@ -153,12 +138,15 @@ func (b Func) Name() string {
 }
 
 // Block implements Blocker.
-func (b Func) Block(left, right *table.Table) (*CandidateSet, error) {
+func (b Func) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	if b.Keep == nil {
 		return nil, fmt.Errorf("block: func blocker needs a predicate")
 	}
 	out := NewCandidateSet(left, right)
 	for i := 0; i < left.Len(); i++ {
+		if err := strideErr(ctx, i); err != nil {
+			return nil, err
+		}
 		for j := 0; j < right.Len(); j++ {
 			if b.Keep(left.Row(i), right.Row(j)) {
 				out.Add(Pair{A: i, B: j})
@@ -179,18 +167,14 @@ func needsBind(blockers []Blocker) bool {
 	return false
 }
 
-// UnionBlock runs each blocker and unions the results — the Section 7 step
-// 4 consolidation of C1 ∪ C2 ∪ C3.
-func UnionBlock(left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
-	return UnionBlockCtx(context.Background(), left, right, blockers...)
-}
-
-// UnionBlockCtx is UnionBlock under the hardened runtime: each blocker
-// run honours ctx (cancellation aborts mid-join for the blockers in this
-// package), and a blocker's error aborts the union naming it. Blockers
-// nobody bound are bound to right for the call (Bind), so those over one
-// column share one build. A union over up to four blockers, bound already,
-// keeps its bookkeeping on the stack: a request's allocates only its sets.
+// UnionBlockCtx runs each blocker and unions the results — the Section 7
+// step 4 consolidation of C1 ∪ C2 ∪ C3. It keeps its Ctx suffix only
+// because bench/embench (layers.go, online.go) calls it by that name.
+// Each blocker run honours ctx, and a blocker's error aborts the union
+// naming it. Blockers nobody bound are bound to right for the call
+// (Bind), so those over one column share one build. A union over up to
+// four blockers, bound already, keeps its bookkeeping on the stack: a
+// request's allocates only its sets.
 func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Blocker) (*CandidateSet, error) {
 	if needsBind(blockers) {
 		var err error

@@ -257,30 +257,9 @@ func (c *CandidateSet) AppendSorted(dst []Pair) []Pair {
 // Blocker produces a candidate set from two tables.
 type Blocker interface {
 	// Block computes the candidate pairs of left × right that survive
-	// the blocker.
-	Block(left, right *table.Table) (*CandidateSet, error)
+	// the blocker. It returns ctx.Err() promptly (without finishing the
+	// join) once ctx is done.
+	Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error)
 	// Name identifies the blocker on its block.join span (attrs.blocker).
 	Name() string
-}
-
-// ContextBlocker is a Blocker whose join can be cancelled or deadlined
-// mid-run. All blockers in this package implement it; third-party
-// blockers that don't are run to completion by BlockWithContext.
-type ContextBlocker interface {
-	Blocker
-	// BlockCtx is Block honouring ctx: it returns ctx.Err() promptly
-	// (without finishing the join) once ctx is done.
-	BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error)
-}
-
-// BlockWithContext runs b with cancellation when it supports it, falling
-// back to the plain Block after an upfront ctx check otherwise.
-func BlockWithContext(ctx context.Context, b Blocker, left, right *table.Table) (*CandidateSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cb, ok := b.(ContextBlocker); ok {
-		return cb.BlockCtx(ctx, left, right)
-	}
-	return b.Block(left, right)
 }

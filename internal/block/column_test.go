@@ -59,11 +59,11 @@ func TestFormSame(t *testing.T) {
 	if a, b := bound[1].(*boundTokens), bound[2].(*boundTokens); a.col == b.col {
 		t.Fatal("blockers over a tokenizer that cannot be compared share a column")
 	}
-	got, err := UnionBlock(l, r, bound...)
+	got, err := UnionBlockCtx(context.Background(), l, r, bound...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := UnionBlock(l, r, figure10(tokenize.Whitespace{})...)
+	want, err := UnionBlockCtx(context.Background(), l, r, figure10(tokenize.Whitespace{})...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestAttrEquivCancelledMidJoin(t *testing.T) {
 			return s
 		},
 	}
-	_, err := b.BlockCtx(ctx, l, r)
+	_, err := b.Block(ctx, l, r)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestJaccardJoinCancelledBeforeCompletion(t *testing.T) {
 		Tokenizer: countingTokenizer{calls: &calls, after: 10, cancel: cancel},
 		Threshold: 0.8,
 	}
-	_, err := b.BlockCtx(ctx, l, r)
+	_, err := b.Block(ctx, l, r)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
 	}
@@ -108,12 +108,23 @@ func TestOverlapBlockersCancelled(t *testing.T) {
 	l, r := bigPair(t, 300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, b := range []ContextBlocker{
+	bound, err := Bind(context.Background(), r,
+		Overlap{LeftCol: "Key", RightCol: "Key", Tokenizer: tokenize.Word{}, Threshold: 2},
+		AttrEquiv{LeftCol: "Key", RightCol: "Key"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Blocker{
+		AttrEquiv{LeftCol: "Key", RightCol: "Key"},
 		Overlap{LeftCol: "Key", RightCol: "Key", Tokenizer: tokenize.Word{}, Threshold: 2},
 		OverlapCoefficient{LeftCol: "Key", RightCol: "Key", Tokenizer: tokenize.Word{}, Threshold: 0.5},
+		JaccardJoin{LeftCol: "Key", RightCol: "Key", Tokenizer: tokenize.Word{}, Threshold: 0.5},
 		SortedNeighborhood{LeftCol: "Key", RightCol: "Key", Window: 3},
+		Func{Label: "all", Keep: func(left, right table.Row) bool { return true }},
+		bound[0],
+		bound[1],
 	} {
-		if _, err := b.BlockCtx(ctx, l, r); !errors.Is(err, context.Canceled) {
+		if _, err := b.Block(ctx, l, r); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v", b.Name(), err)
 		}
 	}
@@ -122,7 +133,7 @@ func TestOverlapBlockersCancelled(t *testing.T) {
 // failingBlocker is a blocker whose every run fails.
 type failingBlocker struct{}
 
-func (failingBlocker) Block(_, _ *table.Table) (*CandidateSet, error) {
+func (failingBlocker) Block(_ context.Context, _, _ *table.Table) (*CandidateSet, error) {
 	return nil, errors.New("blocker down")
 }
 func (failingBlocker) Name() string { return "failing" }
@@ -146,18 +157,35 @@ func TestUnionBlockCtxFaultInjection(t *testing.T) {
 	}
 }
 
-func TestBlockWithContextFallback(t *testing.T) {
+// TestFuncCancelled: Func, which calls its predicate over the whole
+// Cartesian product, stops once ctx is done — before it starts, or within
+// a stride of left rows mid-run.
+func TestFuncCancelled(t *testing.T) {
 	l, r := bigPair(t, 5)
-	// Func does not implement ContextBlocker; the helper still honours a
-	// pre-cancelled ctx and otherwise runs the plain join.
 	b := Func{Label: "all", Keep: func(left, right table.Row) bool { return true }}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BlockWithContext(ctx, b, l, r); !errors.Is(err, context.Canceled) {
+	if _, err := b.Block(ctx, l, r); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
 	}
-	cand, err := BlockWithContext(context.Background(), b, l, r)
+	cand, err := b.Block(context.Background(), l, r)
 	if err != nil || cand.Len() != 25 {
-		t.Fatalf("fallback run: %v, %d pairs", err, cand.Len())
+		t.Fatalf("run: %v, %d pairs", err, cand.Len())
+	}
+
+	l, r = bigPair(t, 300)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	visited := map[string]bool{}
+	b = Func{Label: "cancels", Keep: func(left, right table.Row) bool {
+		cancel()
+		visited[left[0].String()] = true
+		return true
+	}}
+	if _, err := b.Block(ctx, l, r); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err: %v", err)
+	}
+	if len(visited) >= l.Len() {
+		t.Fatalf("join ran to completion: %d of %d left rows visited", len(visited), l.Len())
 	}
 }

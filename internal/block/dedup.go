@@ -1,13 +1,17 @@
 package block
 
-import "emgo/internal/table"
+import (
+	"context"
+
+	"emgo/internal/table"
+)
 
 // Dedup supports the single-table EM scenario the paper lists among the
 // common cases ("matching tuples within a single table", Section 2): the
 // table is blocked against itself and self/symmetric pairs are removed,
 // leaving each unordered candidate pair once with A < B.
-func Dedup(t *table.Table, blockers ...Blocker) (*CandidateSet, error) {
-	cand, err := UnionBlock(t, t, blockers...)
+func Dedup(ctx context.Context, t *table.Table, blockers ...Blocker) (*CandidateSet, error) {
+	cand, err := UnionBlockCtx(ctx, t, t, blockers...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"context"
 	"testing"
 
 	"emgo/internal/table"
@@ -17,7 +18,7 @@ func TestDedup(t *testing.T) {
 	} {
 		tab.MustAppend(table.Row{table.S(n)})
 	}
-	cand, err := Dedup(tab, Overlap{
+	cand, err := Dedup(context.Background(), tab, Overlap{
 		LeftCol: "Name", RightCol: "Name",
 		Tokenizer: tokenize.Word{}, Threshold: 2, Normalize: true,
 	})
@@ -38,7 +39,7 @@ func TestDedup(t *testing.T) {
 func TestDedupErrorPropagates(t *testing.T) {
 	tab := table.New("x", table.MustSchema(table.Field{Name: "Name", Kind: table.String}))
 	tab.MustAppend(table.Row{table.S("a")})
-	if _, err := Dedup(tab, Overlap{LeftCol: "Nope", RightCol: "Nope", Tokenizer: tokenize.Word{}, Threshold: 1}); err == nil {
+	if _, err := Dedup(context.Background(), tab, Overlap{LeftCol: "Nope", RightCol: "Nope", Tokenizer: tokenize.Word{}, Threshold: 1}); err == nil {
 		t.Fatal("blocker error should propagate")
 	}
 }
@@ -47,7 +48,7 @@ func TestDedupSelfPairsExcluded(t *testing.T) {
 	tab := table.New("x", table.MustSchema(table.Field{Name: "Name", Kind: table.String}))
 	tab.MustAppend(table.Row{table.S("same words here")})
 	tab.MustAppend(table.Row{table.S("same words here")})
-	cand, err := Dedup(tab, AttrEquiv{LeftCol: "Name", RightCol: "Name"})
+	cand, err := Dedup(context.Background(), tab, AttrEquiv{LeftCol: "Name", RightCol: "Name"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,7 @@ func (b JaccardJoin) Name() string {
 }
 
 // Block implements Blocker.
-func (b JaccardJoin) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b JaccardJoin) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b JaccardJoin) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	return blockUnbound(ctx, b, left, right)
 }
 
@@ -74,12 +69,7 @@ func (b SortedNeighborhood) Name() string {
 }
 
 // Block implements Blocker.
-func (b SortedNeighborhood) Block(left, right *table.Table) (*CandidateSet, error) {
-	return b.BlockCtx(context.Background(), left, right)
-}
-
-// BlockCtx implements ContextBlocker.
-func (b SortedNeighborhood) BlockCtx(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
+func (b SortedNeighborhood) Block(ctx context.Context, left, right *table.Table) (*CandidateSet, error) {
 	window := b.Window
 	if window == 0 {
 		window = 3

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -35,7 +36,7 @@ func TestJaccardJoin(t *testing.T) {
 	)
 	b := JaccardJoin{LeftCol: "Title", RightCol: "Title",
 		Tokenizer: tokenize.Word{}, Threshold: 0.6, Normalize: true}
-	c, err := b.Block(l, r)
+	c, err := b.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func TestJaccardJoin(t *testing.T) {
 
 func TestJaccardJoinValidation(t *testing.T) {
 	l, r := titleTables(t, []string{"a"}, []string{"a"})
-	if _, err := (JaccardJoin{LeftCol: "Title", RightCol: "Title", Threshold: 0.5}).Block(l, r); err == nil {
+	if _, err := (JaccardJoin{LeftCol: "Title", RightCol: "Title", Threshold: 0.5}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("missing tokenizer should error")
 	}
-	if _, err := (JaccardJoin{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0}).Block(l, r); err == nil {
+	if _, err := (JaccardJoin{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("zero threshold should error")
 	}
-	if _, err := (JaccardJoin{LeftCol: "Nope", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0.5}).Block(l, r); err == nil {
+	if _, err := (JaccardJoin{LeftCol: "Nope", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0.5}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }
@@ -88,7 +89,7 @@ func TestJaccardJoinEquivalentToNaive(t *testing.T) {
 		threshold := 0.3 + rng.Float64()*0.6
 		join := JaccardJoin{LeftCol: "Title", RightCol: "Title",
 			Tokenizer: tokenize.Word{}, Threshold: threshold, Normalize: true}
-		got, err := join.Block(l, r)
+		got, err := join.Block(context.Background(), l, r)
 		if err != nil {
 			return false
 		}
@@ -139,7 +140,7 @@ func TestJaccardJoinEquivalentToNaive(t *testing.T) {
 				return simfunc.Jaccard(a, b) >= threshold
 			})
 		})
-		got, err := join.Block(l, r)
+		got, err := join.Block(context.Background(), l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestSortedNeighborhood(t *testing.T) {
 		[]string{"andersen", "meier", "zimmermann"},
 	)
 	b := SortedNeighborhood{LeftCol: "Title", RightCol: "Title", Window: 2}
-	c, err := b.Block(l, r)
+	c, err := b.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestSortedNeighborhoodWithKey(t *testing.T) {
 	l, r := titleTables(t, []string{"Meyer"}, []string{"MEIER"})
 	b := SortedNeighborhood{LeftCol: "Title", RightCol: "Title", Window: 2,
 		Key: simfunc.Soundex}
-	c, err := b.Block(l, r)
+	c, err := b.Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +187,14 @@ func TestSortedNeighborhoodWithKey(t *testing.T) {
 
 func TestSortedNeighborhoodValidation(t *testing.T) {
 	l, r := titleTables(t, []string{"a"}, []string{"a"})
-	if _, err := (SortedNeighborhood{LeftCol: "Title", RightCol: "Title", Window: 1}).Block(l, r); err == nil {
+	if _, err := (SortedNeighborhood{LeftCol: "Title", RightCol: "Title", Window: 1}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("window < 2 should error")
 	}
-	if _, err := (SortedNeighborhood{LeftCol: "Nope", RightCol: "Title"}).Block(l, r); err == nil {
+	if _, err := (SortedNeighborhood{LeftCol: "Nope", RightCol: "Title"}).Block(context.Background(), l, r); err == nil {
 		t.Fatal("unknown column should error")
 	}
 	// Default window pairs identical keys.
-	c, err := (SortedNeighborhood{LeftCol: "Title", RightCol: "Title"}).Block(l, r)
+	c, err := (SortedNeighborhood{LeftCol: "Title", RightCol: "Title"}).Block(context.Background(), l, r)
 	if err != nil || !c.Contains(Pair{A: 0, B: 0}) {
 		t.Fatalf("default window: %v %v", c, err)
 	}
@@ -202,7 +203,7 @@ func TestSortedNeighborhoodValidation(t *testing.T) {
 func TestFilterCandidates(t *testing.T) {
 	l, r := titleTables(t, []string{"corn alpha", "corn beta"}, []string{"corn alpha", "corn gamma"})
 	cheap, err := (Overlap{LeftCol: "Title", RightCol: "Title",
-		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true}).Block(l, r)
+		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true}).Block(context.Background(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}

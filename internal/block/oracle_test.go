@@ -188,12 +188,12 @@ func checkAgainstNaive(t *testing.T, b Blocker, l, r *table.Table, naive func(l,
 			t.Fatalf("%s %s:\n got %v\nwant %v", b.Name(), how, got.Pairs(), want)
 		}
 	}
-	got, err := b.Block(l, r)
+	got, err := b.Block(context.Background(), l, r)
 	same("unbound", got, err, r)
 
 	bound := mustBind(t, r, b)[0]
 	for n := 0; n < 2; n++ {
-		got, err = bound.Block(l, r)
+		got, err = bound.Block(context.Background(), l, r)
 		same("bound", got, err, r)
 	}
 
@@ -202,10 +202,10 @@ func checkAgainstNaive(t *testing.T, b Blocker, l, r *table.Table, naive func(l,
 	for i := 0; i < r.Len(); i++ {
 		other.MustAppend(r.Row(i))
 	}
-	if _, err = bound.Block(l, other); !namesBoth(err, r, other) {
+	if _, err = bound.Block(context.Background(), l, other); !namesBoth(err, r, other) {
 		t.Fatalf("%s bound to %s, asked about %s: %v, want an error naming both", b.Name(), r.Name(), other.Name(), err)
 	}
-	got, err = mustBind(t, other, b)[0].Block(l, other)
+	got, err = mustBind(t, other, b)[0].Block(context.Background(), l, other)
 	same("bound to the other table", got, err, other)
 }
 
@@ -273,7 +273,7 @@ func TestOverlapCoefficientEquivalentToNaive(t *testing.T) {
 	l.MustAppend(table.Row{oracleCells[8]})
 	r = table.New("R", l.Schema())
 	r.MustAppend(table.Row{oracleCells[9]})
-	got, err := OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0.7}.Block(l, r)
+	got, err := OverlapCoefficient{LeftCol: "Title", RightCol: "Title", Tokenizer: tokenize.Word{}, Threshold: 0.7}.Block(context.Background(), l, r)
 	if err != nil || got.Len() != 1 {
 		t.Fatalf("7 of 10 tokens at threshold 0.7: %v, %v", got.Pairs(), err)
 	}
@@ -347,7 +347,7 @@ func FuzzTokenJoin(f *testing.F) {
 			func(a, b []string) bool { return simfunc.OverlapCoefficient(a, b) >= oc },
 			func(a, b []string) bool { return simfunc.Jaccard(a, b) >= jac },
 		} {
-			got, err := bound[n].Block(l, r)
+			got, err := bound[n].Block(context.Background(), l, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -407,9 +407,9 @@ func TestDebuggerEquivalentToNaive(t *testing.T) {
 		grownBound := mustBind(t, grown, blocker)[0]
 		cands := map[string]*CandidateSet{}
 		for how, run := range map[string]func() (*CandidateSet, error){
-			"unbound":             func() (*CandidateSet, error) { return blocker.Block(l, r) },
-			"bound":               func() (*CandidateSet, error) { return bound.Block(l, r) },
-			"bound, larger table": func() (*CandidateSet, error) { return grownBound.Block(l, grown) },
+			"unbound":             func() (*CandidateSet, error) { return blocker.Block(context.Background(), l, r) },
+			"bound":               func() (*CandidateSet, error) { return bound.Block(context.Background(), l, r) },
+			"bound, larger table": func() (*CandidateSet, error) { return grownBound.Block(context.Background(), l, grown) },
 			"nothing blocked":     func() (*CandidateSet, error) { return NewCandidateSet(l, r), nil },
 		} {
 			c, err := run()
@@ -463,7 +463,7 @@ func TestUnionSharesOnePassInOrder(t *testing.T) {
 	}
 	want := NewCandidateSet(l, r)
 	for _, b := range blockers {
-		c, err := b.Block(l, r)
+		c, err := b.Block(context.Background(), l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func TestUnionSharesOnePassInOrder(t *testing.T) {
 		}
 	}
 	for how, bs := range map[string][]Blocker{"unbound": blockers, "bound": mustBind(t, r, blockers...)} {
-		got, err := UnionBlock(l, r, bs...)
+		got, err := UnionBlockCtx(context.Background(), l, r, bs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func ExampleBind() {
 	for _, title := range []string{"Corn Fungicide trial", "dodder ecology"} {
 		request := table.New("request", schema)
 		request.MustAppend(table.Row{table.S(title)})
-		c, _ := UnionBlock(request, usda, blockers...)
+		c, _ := UnionBlockCtx(context.Background(), request, usda, blockers...)
 		fmt.Println(title, "->", c.Pairs())
 	}
 	// Output:

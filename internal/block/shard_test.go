@@ -168,7 +168,7 @@ func TestOneRowUnionStaysOnTheCaller(t *testing.T) {
 	bound := mustBind(t, r, figure10(tokenize.Word{})...)
 	request := table.New("request", l.Schema())
 	request.MustAppend(l.Row(7))
-	c, err := UnionBlock(request, r, bound...)
+	c, err := UnionBlockCtx(context.Background(), request, r, bound...)
 	if err != nil || c.Len() == 0 {
 		t.Fatalf("fixture: the request blocks %d pairs (%v)", c.Len(), err)
 	}
@@ -182,7 +182,7 @@ func TestOneRowUnionStaysOnTheCaller(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for n := 0; n < runs; n++ {
-		if _, err := UnionBlock(request, r, bound...); err != nil {
+		if _, err := UnionBlockCtx(context.Background(), request, r, bound...); err != nil {
 			t.Fatal(err)
 		}
 	}

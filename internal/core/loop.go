@@ -30,7 +30,7 @@ func SampleUnlabelled(cand *block.CandidateSet, labels *label.Store, n int, rng 
 // removed the pairs labeled Unsure and sure matches"), vectorized over fs
 // and imputed. pairs[i] is the dataset's row i, and im is the imputer
 // fitted on the raw vectors: a matcher fitted on ds predicts with it.
-func TrainingData(left, right *table.Table, labels *label.Store, sure *rules.Engine, fs *feature.Set) (ds *ml.Dataset, pairs []block.Pair, im *feature.Imputer, err error) {
+func TrainingData(ctx context.Context, left, right *table.Table, labels *label.Store, sure *rules.Engine, fs *feature.Set) (ds *ml.Dataset, pairs []block.Pair, im *feature.Imputer, err error) {
 	if fs == nil {
 		return nil, nil, nil, fmt.Errorf("core: generate features before training")
 	}
@@ -46,7 +46,7 @@ func TrainingData(left, right *table.Table, labels *label.Store, sure *rules.Eng
 	if len(pairs) == 0 {
 		return nil, nil, nil, fmt.Errorf("core: no decided labels outside the sure matches to train on")
 	}
-	x, err := fs.Vectorize(left, right, pairs)
+	x, err := fs.VectorizeCtx(ctx, left, right, pairs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

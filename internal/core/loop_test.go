@@ -41,7 +41,7 @@ func labelledProject(t *testing.T, n int) *Project {
 		LeftCol: "Title", RightCol: "Title",
 		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
 	})
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,11 +118,11 @@ func (p *Project) AddSpec(spec *workflow.Spec, transforms workflow.Transforms) e
 
 // Block runs the blocking pipeline and stores (and returns) the candidate
 // set.
-func (p *Project) Block() (*block.CandidateSet, error) {
+func (p *Project) Block(ctx context.Context) (*block.CandidateSet, error) {
 	if len(p.wf.Blockers) == 0 {
 		return nil, fmt.Errorf("core: project %q has no blockers", p.wf.Name)
 	}
-	cand, err := block.UnionBlock(p.left, p.right, p.wf.Blockers...)
+	cand, err := block.UnionBlockCtx(ctx, p.left, p.right, p.wf.Blockers...)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +187,7 @@ func (p *Project) Features() *feature.Set { return p.wf.Features }
 // installed, fitted on the training set it was cross-validated on, with
 // that set's imputer — what Train(ranked[0].Name) would install.
 func (p *Project) SelectMatcher(ctx context.Context, folds int) ([]ml.CVResult, error) {
-	ds, _, im, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+	ds, _, im, err := TrainingData(ctx, p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func (p *Project) Train(matcherName string) error {
 	if _, err := ml.FactoryByName(matcherName, p.seed); err != nil {
 		return err
 	}
-	ds, _, im, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+	ds, _, im, err := TrainingData(context.TODO(), p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return err
 	}
@@ -245,7 +245,7 @@ func (p *Project) Spec(base *workflow.Spec) (*workflow.Spec, error) {
 // label-debugging step). Below two training rows there is nothing to
 // leave one out of, so it flags nothing.
 func (p *Project) DebugLabels(ctx context.Context) ([]block.Pair, error) {
-	ds, pairs, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+	ds, pairs, _, err := TrainingData(ctx, p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil || ds.Len() < 2 {
 		return nil, err
 	}
@@ -303,7 +303,7 @@ func (p *Project) PRCurve() ([]ml.PRPoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: the trained matcher does not expose probabilities")
 	}
-	ds, _, _, err := TrainingData(p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
+	ds, _, _, err := TrainingData(context.TODO(), p.left, p.right, p.labels, p.wf.SureRules, p.wf.Features)
 	if err != nil {
 		return nil, err
 	}

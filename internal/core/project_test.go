@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
@@ -123,7 +124,7 @@ func TestProjectProfile(t *testing.T) {
 func TestProjectGuardRails(t *testing.T) {
 	a, b := figure1Tables(t)
 	p, _ := NewProject("fig1", a, b, 1)
-	if _, err := p.Block(); err == nil {
+	if _, err := p.Block(context.Background()); err == nil {
 		t.Fatal("Block without blockers should error")
 	}
 	if _, err := p.SamplePairs(5); err == nil {
@@ -140,6 +141,20 @@ func TestProjectGuardRails(t *testing.T) {
 	}
 	if _, err := p.Match(context.Background()); err == nil {
 		t.Fatal("Match without blockers should error")
+	}
+}
+
+func TestProjectBlockCancelled(t *testing.T) {
+	a, b := figure1Tables(t)
+	p, _ := NewProject("fig1", a, b, 1)
+	p.AddBlocker(block.Overlap{LeftCol: "Name", RightCol: "Name", Tokenizer: tokenize.Word{}, Threshold: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Block(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if p.Candidates() != nil {
+		t.Fatal("a cancelled Block stored a candidate set")
 	}
 }
 
@@ -161,7 +176,7 @@ func TestProjectEndToEnd(t *testing.T) {
 		LeftCol: "Title", RightCol: "Title",
 		Tokenizer: tokenize.Word{}, Threshold: 2, Normalize: true,
 	})
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +280,7 @@ func TestProjectLabelDebugging(t *testing.T) {
 			LeftCol: "Title", RightCol: "Title",
 			Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
 		})
-		if _, err := p.Block(); err != nil {
+		if _, err := p.Block(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		pairs, _ := p.SamplePairs(p.Candidates().Len())
@@ -335,7 +350,7 @@ func TestProjectDebugViews(t *testing.T) {
 	if _, _, err := p.RuleCoverage(); err == nil {
 		t.Fatal("RuleCoverage before Block should error")
 	}
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +442,7 @@ func TestProjectReadOnlyStepsKeepTrainedImputer(t *testing.T) {
 		LeftCol: "Title", RightCol: "Title",
 		Tokenizer: tokenize.Word{}, Threshold: 1, Normalize: true,
 	})
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

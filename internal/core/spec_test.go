@@ -40,7 +40,7 @@ func figure10Project(t *testing.T, seed int64) *core.Project {
 	if err := p.AddSpec(umetrics.FigureSpec(10), umetrics.DeployTransforms()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Block(); err != nil {
+	if _, err := p.Block(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	oracle, err := umetrics.NewTruthOracle(gen.Truth, um, us)
@@ -80,7 +80,7 @@ func TestProjectFromSpecEqualsSpecWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	cand := p.Candidates()
-	want, err := block.UnionBlock(um, us, w.Blockers...)
+	want, err := block.UnionBlockCtx(context.Background(), um, us, w.Blockers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestProjectFromSpecEqualsSpecWorkflow(t *testing.T) {
 		t.Fatalf("the shipped spec matched %d pairs, the project %d", shippedRes.Final.Len(), got.Final.Len())
 	}
 
-	ds, _, im, err := core.TrainingData(um, us, p.Labels(), w.SureRules, p.Features())
+	ds, _, im, err := core.TrainingData(context.Background(), um, us, p.Labels(), w.SureRules, p.Features())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,14 +366,11 @@ func AddCaseInsensitive(set *Set, left *table.Table, corr map[string]string, col
 	return nil
 }
 
-// Vectorize converts each candidate pair into a feature vector (NaN marks
-// missing values). Rows align with pairs.
-func (s *Set) Vectorize(left, right *table.Table, pairs []block.Pair) ([][]float64, error) {
-	return s.VectorizeCtx(context.Background(), left, right, pairs)
-}
-
-// VectorizeCtx is Vectorize under the hardened runtime: the fan-out stops
-// on cancellation, and a panicking or failing feature computation surfaces
+// VectorizeCtx converts each candidate pair into a feature vector (NaN
+// marks missing values). Rows align with pairs. It is the set's one
+// vectorize; it keeps its Ctx suffix only because bench/embench
+// (layers.go, offline.go) calls it by that name. The fan-out stops on
+// cancellation, and a panicking or failing feature computation surfaces
 // as an error carrying the offending pair index (parallel.FailingIndex)
 // instead of crashing the process — which is what lets a workflow abort
 // naming the poison pair.

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"math"
 	"slices"
 	"strings"
@@ -144,7 +145,7 @@ func TestVectorize(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := []block.Pair{{A: 0, B: 0}, {A: 1, B: 1}}
-	x, err := set.Vectorize(l, r, pairs)
+	x, err := set.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestAddCaseInsensitive(t *testing.T) {
 	if set.Len() != before+3 {
 		t.Fatalf("case features added = %d", set.Len()-before)
 	}
-	x, err := set.Vectorize(l, r, []block.Pair{{A: 0, B: 0}})
+	x, err := set.VectorizeCtx(context.Background(), l, r, []block.Pair{{A: 0, B: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 	}
 
 	pairs := allPairs(l, r)
-	x, err := set.Vectorize(l, r, pairs)
+	x, err := set.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestVectorizeMatchesCompute(t *testing.T) {
 			if bound {
 				vs = boundSet
 			}
-			got, err := vs.Vectorize(l, r, pairs)
+			got, err := vs.VectorizeCtx(context.Background(), l, r, pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +249,7 @@ func TestVectorizeRowsDoNotAlias(t *testing.T) {
 	l, r := registryTables(t)
 	f, _ := New("S", "S", "jaccard_word")
 	set := &Set{Features: []Feature{f}}
-	x, err := set.Vectorize(l, r, []block.Pair{{A: 0, B: 0}, {A: 4, B: 1}})
+	x, err := set.VectorizeCtx(context.Background(), l, r, []block.Pair{{A: 0, B: 0}, {A: 4, B: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,11 +383,11 @@ func TestDictionaryFormsMatchCompute(t *testing.T) {
 		}
 	}
 	pairs := allPairs(l, r)
-	unbound, err := set.Vectorize(l, r, pairs)
+	unbound, err := set.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := mustBind(t, set, r).Vectorize(l, r, pairs)
+	bound, err := mustBind(t, set, r).VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 		return set
 	}
 	pairs := allPairs(l, r)
-	want, err := newSet(registryKeys()...).Vectorize(l, r, pairs)
+	want, err := newSet(registryKeys()...).VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 	}
 	for n := 0; n < 2; n++ {
 		counter.cells.Store(0)
-		got, err := bound.Vectorize(l, r, pairs)
+		got, err := bound.VectorizeCtx(context.Background(), l, r, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -570,7 +570,7 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 		}
 	}
 	counter.cells.Store(0)
-	if _, err := set.Vectorize(l, r, pairs); err != nil {
+	if _, err := set.VectorizeCtx(context.Background(), l, r, pairs); err != nil {
 		t.Fatal(err)
 	}
 	if n := counter.cells.Load(); n <= int64(l.Len())-1 {
@@ -586,11 +586,11 @@ func TestBoundVectorizeMatchesUnbound(t *testing.T) {
 	for i := 0; i < r.Len(); i++ {
 		other.MustAppend(r.Row(i))
 	}
-	_, err = bound.Vectorize(l, other, allPairs(l, other))
+	_, err = bound.VectorizeCtx(context.Background(), l, other, allPairs(l, other))
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", r.Name())) || !strings.Contains(err.Error(), `"other"`) {
 		t.Fatalf("bound to %s, asked about other: %v, want an error naming both", r.Name(), err)
 	}
-	got, err := mustBind(t, set, other).Vectorize(l, other, allPairs(l, other))
+	got, err := mustBind(t, set, other).VectorizeCtx(context.Background(), l, other, allPairs(l, other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestBindReadsBuiltColumns(t *testing.T) {
 		}
 	}
 	pairs := allPairs(l, r)
-	want, err := set.Vectorize(l, r, pairs)
+	want, err := set.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestBindReadsBuiltColumns(t *testing.T) {
 	case grams == built[1] || !grams.Packed():
 		t.Fatalf("the 3-gram column is the blocker's numbered one, or not packed (packed=%v)", grams.Packed())
 	}
-	got, err := bound.Vectorize(l, r, pairs)
+	got, err := bound.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +682,7 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := allPairs(l, r)
-	want, err := set.Vectorize(l, r, pairs)
+	want, err := set.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +698,7 @@ func TestConcurrentVectorizeSharesBoundCells(t *testing.T) {
 			left = moved
 		}
 		go func() {
-			x, err := bound.Vectorize(left, r, pairs)
+			x, err := bound.VectorizeCtx(context.Background(), left, r, pairs)
 			if err != nil {
 				t.Error(err)
 			}

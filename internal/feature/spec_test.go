@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,11 +64,11 @@ func TestDescriptorsRoundTrip(t *testing.T) {
 	}
 	// Vectors must be identical.
 	pairs := []block.Pair{{A: 0, B: 0}, {A: 1, B: 1}}
-	x1, err := fs.Vectorize(l, r, pairs)
+	x1, err := fs.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := back.Vectorize(l, r, pairs)
+	x2, err := back.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

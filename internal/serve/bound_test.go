@@ -90,7 +90,7 @@ func paperWorkflowAt(t testing.TB, tok tokenize.Tokenizer, scale float64) (*work
 		t.Fatal(err)
 	}
 	// Train on a slice of the blocked pairs: sure matches against the rest.
-	cand, err := block.UnionBlock(l, r, blockers[1])
+	cand, err := block.UnionBlockCtx(context.Background(), l, r, blockers[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func paperWorkflowAt(t testing.TB, tok tokenize.Tokenizer, scale float64) (*work
 			y[i] = 1
 		}
 	}
-	x, err := fs.Vectorize(l, r, pairs)
+	x, err := fs.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,11 +154,11 @@ func deploysReadSet(t testing.TB, s *Server, w *workflow.Workflow, m ml.Matcher,
 	if names := live.Names(); !slices.Equal(names, readNames(w, m)) {
 		t.Fatalf("the live deployment computes %v, where %s's read set is %v", names, m.Name(), readNames(w, m))
 	}
-	got, err := live.Vectorize(l, s.right, pairs)
+	got, err := live.VectorizeCtx(context.Background(), l, s.right, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := w.Features.Vectorize(l, s.right, pairs)
+	want, err := w.Features.VectorizeCtx(context.Background(), l, s.right, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func fixtureWorkflow(t testing.TB) (*workflow.Workflow, *table.Table, *table.Tab
 	}
 	pairs := []block.Pair{{A: 0, B: 0}, {A: 1, B: 1}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 2, B: 0}, {A: 2, B: 2}}
 	y := []int{1, 1, 0, 0, 0, 1}
-	x, err := fs.Vectorize(l, r, pairs)
+	x, err := fs.VectorizeCtx(context.Background(), l, r, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func wantStackOnlyInEvent(t *testing.T, log *syncBuffer, body []byte) {
 // failingBlocker is a blocker whose every run fails.
 type failingBlocker struct{}
 
-func (failingBlocker) Block(_, _ *table.Table) (*block.CandidateSet, error) {
+func (failingBlocker) Block(_ context.Context, _, _ *table.Table) (*block.CandidateSet, error) {
 	return nil, errors.New("blocker down")
 }
 func (failingBlocker) Name() string { return "failing" }

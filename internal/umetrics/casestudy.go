@@ -374,15 +374,15 @@ func (s *study) blocking(ctx context.Context) error {
 		return err
 	}
 	bs, sweep := all[:pipeline], all[pipeline:]
-	c1, err := bs[0].Block(um, us)
+	c1, err := bs[0].Block(ctx, um, us)
 	if err != nil {
 		return err
 	}
-	c2, err := bs[1].Block(um, us)
+	c2, err := bs[1].Block(ctx, um, us)
 	if err != nil {
 		return err
 	}
-	c3, err := bs[2].Block(um, us)
+	c3, err := bs[2].Block(ctx, um, us)
 	if err != nil {
 		return err
 	}
@@ -404,14 +404,14 @@ func (s *study) blocking(ctx context.Context) error {
 	for _, r := range w.SureRules.Rules() {
 		s.loop.AddSureRule(r)
 	}
-	cand, err := s.loop.Block()
+	cand, err := s.loop.Block(ctx)
 	if err != nil {
 		return err
 	}
 	s.report.ConsolidatedC = cand.Len()
 
 	for n, k := range sweepK {
-		ck, err := sweep[n].Block(um, us)
+		ck, err := sweep[n].Block(ctx, um, us)
 		if err != nil {
 			return err
 		}

@@ -46,7 +46,7 @@ func trainForDeploy(t *testing.T) (*Projected, *workflow.Spec) {
 	}
 	p.AddBlocker(block.Overlap{LeftCol: "AwardTitle", RightCol: "AwardTitle",
 		Tokenizer: tokenize.Word{}, Threshold: 3, Normalize: true})
-	cand, err := p.Block()
+	cand, err := p.Block(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

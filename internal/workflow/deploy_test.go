@@ -90,7 +90,7 @@ func deploySpec(t *testing.T, left, right *table.Table) *Spec {
 		pairs = append(pairs, block.Pair{A: j, B: i}, block.Pair{A: j, B: (i + 1) % right.Len()})
 		y = append(y, 1, 0)
 	}
-	x, err := fs.Vectorize(left, right, pairs)
+	x, err := fs.VectorizeCtx(context.Background(), left, right, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

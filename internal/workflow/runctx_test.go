@@ -160,7 +160,7 @@ func (panicMatcher) Name() string          { return "panic" }
 // failingBlocker is a blocker whose every run fails.
 type failingBlocker struct{}
 
-func (failingBlocker) Block(_, _ *table.Table) (*block.CandidateSet, error) {
+func (failingBlocker) Block(_ context.Context, _, _ *table.Table) (*block.CandidateSet, error) {
 	return nil, errors.New("blocker down")
 }
 func (failingBlocker) Name() string { return "failing" }

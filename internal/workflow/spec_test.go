@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func deployFixture(t *testing.T) (left, right *table.Table, spec *Spec, transfor
 	}
 	pairs := []block.Pair{{A: 0, B: 0}, {A: 1, B: 1}, {A: 0, B: 1}, {A: 1, B: 0}, {A: 2, B: 2}, {A: 2, B: 0}}
 	y := []int{1, 1, 0, 0, 1, 0}
-	x, err := fs.Vectorize(left, right, pairs)
+	x, err := fs.VectorizeCtx(context.Background(), left, right, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
