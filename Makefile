@@ -152,9 +152,9 @@ examples:
 
 # smoke is the end-to-end harness (internal/smoke): one tagged Go test
 # package builds the CLIs once (emserve and emcasestudy with -race),
-# generates one slice, spec and matcher artifact once, and runs five
-# scenarios against the real binaries — serve (degrade, shed, reload,
-# rollback), obs (wide events, slow requests kept, SLO gate), load (soak 0/1,
+# generates one slice and spec once, and runs five scenarios against
+# the real binaries — serve (degrade, shed, drain), obs (wide events,
+# slow requests kept, SLO gate), load (soak 0/1,
 # capacity), monitor (drift check 0/1) and chaos (the case study killed
 # before, mid and after each of its three outputs, every output absent
 # or intact, each rerun byte-identical) — with every server drained to

@@ -4,14 +4,15 @@
 // match requests over HTTP/JSON — the "matching as a service" end state of
 // Section 12, run under hostile-conditions machinery: bounded admission
 // with load shedding (429 + Retry-After), per-request deadlines whose ML
-// sub-budget degrades a slow learned matcher to the rule-only answer, and
-// atomic hot reload of the matcher artifact with checksum validation and
-// rollback. A matcher or blocker that fails answers 500.
+// sub-budget degrades a slow learned matcher to the rule-only answer. A
+// matcher or blocker that fails answers 500. The spec is the deployment:
+// the server serves the matcher it embeds for its whole life, and a new
+// matcher is a new spec and a restart.
 //
 // Usage:
 //
 //	emserve -spec workflow.json -left left.csv -right right.csv \
-//	        [-addr 127.0.0.1:8080] [-addr-file addr.txt] [-matcher matcher.json] \
+//	        [-addr 127.0.0.1:8080] [-addr-file addr.txt] \
 //	        [-max-inflight 8] [-max-queue 64] [-request-timeout 5s] [-max-body 1048576] \
 //	        [-read-header-timeout 5s] [-read-timeout 30s] [-write-timeout 0] [-idle-timeout 120s] \
 //	        [-transforms umetrics] [-date-cols ...] \
@@ -19,18 +20,15 @@
 //	        [-access-log events.jsonl] [-access-sample 10] \
 //	        [-inject site:spec ...]
 //
-//	emserve -spec workflow.json -left left.csv -right right.csv \
-//	        -export-matcher matcher.json
-//
 // Endpoints (see docs/SERVING.md): POST /v1/match answers one record;
 // POST /v1/match/batch answers a bounded batch (-max-batch records) in
 // one amortized pipeline pass. A table larger than that is matched
 // offline: emmatch over the same deployed spec. GET /healthz,
 // /readyz and /v1/status report liveness, readiness and the live
-// request/queue counters; POST /-/reload hot-swaps the matcher
-// artifact; /debug/ exposes expvar and pprof, the one profiling surface
-// (`go tool pprof http://ADDR/debug/pprof/profile?seconds=5`; see
-// docs/OBSERVABILITY.md "Profiling & perf gating"). Nothing
+// request/queue counters; /debug/ exposes expvar and pprof, the one
+// profiling surface (`go tool pprof
+// http://ADDR/debug/pprof/profile?seconds=5`; see docs/OBSERVABILITY.md
+// "Profiling & perf gating"). Nothing
 // authenticates a caller, so -addr is the boundary: bind it where only
 // operators reach.
 // Whether the matcher's quality still holds is checked offline
@@ -47,14 +45,7 @@
 //
 // Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
 // for in-flight requests up to the drain timeout, shut the listener
-// down, verify no goroutines leaked, exit 130. SIGHUP reloads the
-// matcher artifact from its current path (same protocol as POST
-// /-/reload).
-//
-// -export-matcher extracts the spec-embedded matcher to a standalone
-// artifact file and exits; serving with -matcher on such a file is what
-// makes the artifact hot-reloadable (a spec-embedded matcher has no path
-// to re-read).
+// down, verify no goroutines leaked, exit 130. SIGHUP is ignored.
 //
 // -inject arms a fault-injection plan at one of the two sites of
 // internal/fault (site[:key=value,...], repeatable): serve.match, before a
@@ -80,7 +71,6 @@ import (
 
 	"emgo/internal/cliutil"
 	"emgo/internal/fault"
-	"emgo/internal/ml"
 	"emgo/internal/obs"
 	"emgo/internal/serve"
 )
@@ -114,10 +104,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	dep := cliutil.DeploymentFlags(fs,
 		"left table CSV (request records use its schema)",
 		"right table CSV (the deployed corpus matched against)")
-	matcherPath := fs.String("matcher", "", "standalone matcher artifact to serve (hot-reloadable; default: the spec-embedded matcher)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file (for scripts binding port 0)")
-	exportMatcher := fs.String("export-matcher", "", "write the spec-embedded matcher to this artifact file and exit")
 	maxInflight := fs.Int("max-inflight", 0, "concurrent requests executing the pipeline (0 = default)")
 	maxQueue := fs.Int("max-queue", 0, "requests allowed to wait for a slot before shedding (0 = default, <0 = never wait)")
 	requestTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request deadline ceiling")
@@ -161,23 +149,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return err
 	}
 
-	if *exportMatcher != "" {
-		if wf.Matcher == nil {
-			return fmt.Errorf("-export-matcher: the spec embeds no fitted matcher")
-		}
-		if err := ml.SaveMatcherFile(*exportMatcher, wf.Matcher); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "emserve: wrote matcher artifact to %s\n", *exportMatcher)
-		return nil
-	}
-
 	cfg := serve.Config{
 		Admission:       serve.AdmissionConfig{MaxInFlight: *maxInflight, MaxQueue: *maxQueue},
 		RequestTimeout:  *requestTimeout,
 		MaxBodyBytes:    *maxBody,
 		DrainTimeout:    *drainTimeout,
-		MatcherPath:     *matcherPath,
 		RightIDCol:      *rightID,
 		MaxBatchRecords: *maxBatch,
 		AccessSampleN:   *accessSample,
@@ -205,14 +181,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return err
 	}
 
-	// SIGHUP re-reads the matcher artifact from its current path — the
-	// same validated swap-or-rollback protocol as POST /-/reload.
-	// Registered before the leak baseline: the first signal.Notify in a
-	// process starts the runtime's signal-delivery goroutine, which
-	// lives until exit and must not read as a leak.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
+	// SIGHUP, whose default action would end the process undrained, is
+	// ignored.
+	signal.Ignore(syscall.SIGHUP)
 
 	// Baseline for the post-drain leak self-check, taken before the
 	// listener spins up its accept loop.
@@ -241,28 +212,18 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	art := srv.Artifact()
-	switch {
-	case art == nil:
+	if wf.Matcher == nil {
 		fmt.Fprintf(stderr, "emserve: serving rule-only (no matcher) on http://%s/\n", bound)
-	default:
-		fmt.Fprintf(stderr, "emserve: serving matcher %s (%s) on http://%s/\n", art.Matcher.Name(), art.Checksum[:12], bound)
+	} else {
+		fmt.Fprintf(stderr, "emserve: serving matcher %s on http://%s/\n", wf.Matcher.Name(), bound)
 	}
 
-	for {
-		select {
-		case <-hup:
-			if art, rerr := srv.Reload(context.Background(), ""); rerr != nil {
-				fmt.Fprintf(stderr, "emserve: SIGHUP reload failed (previous matcher stays active): %v\n", rerr)
-			} else {
-				fmt.Fprintf(stderr, "emserve: SIGHUP reloaded matcher %s (%s)\n", art.Path, art.Checksum[:12])
-			}
-		case err := <-serveErr:
-			// The listener died on its own — a real serving failure.
-			return fmt.Errorf("serve: %w", err)
-		case <-ctx.Done():
-			return shutdown(ctx, srv, httpSrv, *drainTimeout, baseGoroutines, stderr)
-		}
+	select {
+	case err := <-serveErr:
+		// The listener died on its own — a real serving failure.
+		return fmt.Errorf("serve: %w", err)
+	case <-ctx.Done():
+		return shutdown(ctx, srv, httpSrv, *drainTimeout, baseGoroutines, stderr)
 	}
 }
 

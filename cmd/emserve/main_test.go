@@ -147,7 +147,8 @@ func TestRunBadInjectSpec(t *testing.T) {
 
 // TestRunBreakerFlagsAreGone: the flags of the matcher circuit breaker,
 // of the async job tier and its result streams, of the server-side SLO
-// tracker and of the tail capture are usage errors.
+// tracker, of the tail capture and of the standalone matcher artifact are
+// usage errors.
 func TestRunBreakerFlagsAreGone(t *testing.T) {
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
@@ -157,6 +158,7 @@ func TestRunBreakerFlagsAreGone(t *testing.T) {
 		{"-stream-chunk-timeout", "15s"}, {"-max-streams", "4"}, {"-stream-flush", "256"},
 		{"-slo", "availability=99"},
 		{"-tail-n", "4"}, {"-tail-dump", filepath.Join(dir, "tail.json")},
+		{"-matcher", filepath.Join(dir, "matcher.json")}, {"-export-matcher", filepath.Join(dir, "matcher.json")},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none"}, extra...)
@@ -174,28 +176,6 @@ func TestRunUnknownTransformSet(t *testing.T) {
 		"-transforms", "nope"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "unknown transform set") {
 		t.Fatalf("err: %v", err)
-	}
-}
-
-func TestExportMatcherWritesLoadableArtifact(t *testing.T) {
-	dir := t.TempDir()
-	spec, left, right := writeFixture(t, dir)
-	artifact := filepath.Join(dir, "matcher.json")
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-spec", spec, "-left", left, "-right", right,
-		"-transforms", "none", "-export-matcher", artifact}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("export: %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), artifact) {
-		t.Fatalf("stdout: %s", stdout.String())
-	}
-	art, err := serve.LoadArtifact(artifact, 0)
-	if err != nil {
-		t.Fatalf("exported artifact does not load: %v", err)
-	}
-	if art.Matcher.Name() == "" {
-		t.Fatal("loaded matcher has no name")
 	}
 }
 
@@ -305,57 +285,54 @@ func TestServeMatchAndGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestServeSIGHUPReloadsMatcherArtifact(t *testing.T) {
+// TestServeIgnoresSIGHUP: a SIGHUP neither reloads nor ends the server
+// (the signal's default action would, undrained): after it, /readyz and
+// POST /v1/match still answer 200, and the server drains as before.
+func TestServeIgnoresSIGHUP(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
 	spec, left, right := writeFixture(t, dir)
-	artifact := filepath.Join(dir, "matcher.json")
-	var stdout, stderr0 bytes.Buffer
-	if err := run([]string{"-spec", spec, "-left", left, "-right", right,
-		"-transforms", "none", "-export-matcher", artifact}, &stdout, &stderr0); err != nil {
-		t.Fatalf("export: %v", err)
-	}
 	base, cancel, done, stderr := startServer(t, []string{
-		"-spec", spec, "-left", left, "-right", right,
-		"-transforms", "none", "-matcher", artifact})
+		"-spec", spec, "-left", left, "-right", right, "-transforms", "none"})
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGHUP); err != nil {
 		cancel()
 		t.Fatal(err)
 	}
-	// The reload is observable via /v1/status: loaded_at moves forward
-	// while the checksum stays (same bytes). Poll the endpoint instead
-	// of racing the stderr buffer.
-	deadline := time.Now().Add(5 * time.Second)
-	reloaded := false
-	for time.Now().Before(deadline) && !reloaded {
-		resp, err := http.Get(base + "/v1/status")
-		if err == nil {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			var st struct {
-				Matcher struct {
-					Path     string `json:"path"`
-					Checksum string `json:"checksum"`
-				} `json:"matcher"`
-			}
-			if json.Unmarshal(body, &st) == nil && st.Matcher.Path == artifact && st.Matcher.Checksum != "" {
-				reloaded = true
-			}
+	time.Sleep(50 * time.Millisecond) // give the signal time to land
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodGet, "/readyz", ""},
+		{http.MethodPost, "/v1/match", `{"record":{"RecordId":"q1","Title":"swamp dodder ecology management carrot"}}`},
+	} {
+		req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
+		if err != nil {
+			cancel()
+			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatalf("%s %s after SIGHUP: %v", c.method, c.path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			cancel()
+			t.Fatalf("%s %s after SIGHUP = %d: %s", c.method, c.path, resp.StatusCode, body)
+		}
 	}
+	http.DefaultClient.CloseIdleConnections()
 	cancel()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("shutdown err: %v", err)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down")
 	}
-	if !reloaded {
-		t.Fatalf("status never showed the artifact matcher:\n%s", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "SIGHUP reloaded matcher") {
-		t.Fatalf("stderr missing the SIGHUP reload line:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), "drain complete") {
+		t.Fatalf("shutdown log missing the drain:\n%s", stderr.String())
 	}
 }
 

@@ -130,6 +130,17 @@ func (p *Project) Block(ctx context.Context) (*block.CandidateSet, error) {
 	return cand, nil
 }
 
+// SetCandidates installs c as the candidate set, in place of Block's: a
+// union the caller built from blocker sets it already holds. A set over
+// other tables is refused and the current set stays.
+func (p *Project) SetCandidates(c *block.CandidateSet) error {
+	if c == nil || c.Left != p.left || c.Right != p.right {
+		return fmt.Errorf("core: project %q: candidate set is not over its tables", p.wf.Name)
+	}
+	p.candidates = c
+	return nil
+}
+
 // Candidates returns the current candidate set (nil before Block).
 func (p *Project) Candidates() *block.CandidateSet { return p.candidates }
 

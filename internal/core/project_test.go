@@ -158,6 +158,36 @@ func TestProjectBlockCancelled(t *testing.T) {
 	}
 }
 
+// TestProjectSetCandidates: a set over the project's tables replaces the
+// candidates; one over other tables is refused and leaves them as they
+// were.
+func TestProjectSetCandidates(t *testing.T) {
+	a, b := figure1Tables(t)
+	p, _ := NewProject("fig1", a, b, 1)
+	p.AddBlocker(block.Overlap{LeftCol: "Name", RightCol: "Name", Tokenizer: tokenize.Word{}, Threshold: 1})
+	blocked, err := p.Block(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*block.CandidateSet{
+		"nil":             nil,
+		"swapped tables":  block.NewCandidateSet(b, a),
+		"other left side": block.NewCandidateSet(b, b),
+	} {
+		if err := p.SetCandidates(c); err == nil {
+			t.Errorf("%s: SetCandidates took a set over other tables", name)
+		}
+		if p.Candidates() != blocked {
+			t.Fatalf("%s: a refused set replaced the candidates", name)
+		}
+	}
+	mine := block.NewCandidateSet(a, b)
+	mine.Add(block.Pair{A: 0, B: 0})
+	if err := p.SetCandidates(mine); err != nil || p.Candidates() != mine {
+		t.Fatalf("SetCandidates over the project's tables: %v, candidates %p, want %p", err, p.Candidates(), mine)
+	}
+}
+
 func TestProjectEndToEnd(t *testing.T) {
 	l, r, truth := richTables(t)
 	p, err := NewProject("rich", l, r, 3)

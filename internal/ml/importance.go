@@ -20,10 +20,9 @@ type Importance struct {
 // the case-sensitive title features were useless.
 //
 // Importance is training statistics, and a serialized tree carries none
-// (NodeSpec holds what Predict needs; its bytes are the deployed
-// artifact's checksum): a tree that came through ImportTree refuses
-// instead of reporting all zeros. What it can still say is which features
-// it tests: ReadSet.
+// (NodeSpec holds what Predict needs): a tree that came through
+// ImportTree refuses instead of reporting all zeros. What it can still
+// say is which features it tests: ReadSet.
 func (t *DecisionTree) FeatureImportance() ([]Importance, error) {
 	if t.root == nil {
 		return nil, fmt.Errorf("ml: importance of an unfitted tree")

@@ -439,51 +439,3 @@ func TestConcurrentMixedRequestsKeepSerialAnswers(t *testing.T) {
 		t.Errorf("%d access-log lines for %d requests", len(evs), want)
 	}
 }
-
-// TestReloadIdenticalArtifactKeepsAnswers: reloading the artifact the
-// server already runs swaps the matcher and touches nothing bound to the
-// reference table — every answer stays byte-identical.
-func TestReloadIdenticalArtifactKeepsAnswers(t *testing.T) {
-	leakcheck.Check(t)
-	path := saveFixtureMatcher(t, t.TempDir(), "model.json")
-	w, l, r := fixtureWorkflow(t)
-	s, err := New(context.Background(), Config{MatcherPath: path}, w, l, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers := func() []byte {
-		var out []byte
-		for i := 0; i < l.Len(); i++ {
-			resp, err := s.matchOne(context.Background(), l.Row(i), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := json.Marshal(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, data...)
-		}
-		resps, _, _, err := s.matchSet(context.Background(), l, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(resps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out, data...)
-	}
-	before := answers()
-	first := s.Artifact()
-	art, err := s.Reload(context.Background(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art == first || art.Checksum != first.Checksum {
-		t.Fatalf("reload of identical bytes: artifact %p -> %p, checksum %s -> %s", first, art, first.Checksum, art.Checksum)
-	}
-	if after := answers(); !bytes.Equal(before, after) {
-		t.Fatalf("answers changed across a reload to the identical artifact:\nbefore %s\n after %s", before, after)
-	}
-}

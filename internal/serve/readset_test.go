@@ -5,13 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
-	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"emgo/internal/block"
 	"emgo/internal/leakcheck"
@@ -24,8 +20,9 @@ import (
 
 // A deployed feature set computes what its matcher's nodes test. The tests
 // below hold the server to the consequence: the set belongs to the matcher
-// that is asked — the artifact's, not the spec's — and what a pruned server
-// answers is what a server computing every feature answers.
+// that is asked — the served workflow's, whatever tree its spec packaged —
+// and what a pruned server answers is what a server computing every
+// feature answers.
 
 // stump is a one-split tree over names: match when feature is above
 // threshold.
@@ -67,29 +64,12 @@ func deployed(t testing.TB, w *workflow.Workflow, m ml.Matcher, l, r *table.Tabl
 // fullVectors is a server answering with m computing every feature of every
 // pair: deployed's workflow with the generated feature set put back, and m
 // behind the opaque wrapper, which by ml.ReadSet's rule reads everything —
-// so its deployment narrows nothing. The wrapper cannot be exported, so
-// it goes in the way a reload puts a matcher in: deployed, then stored.
+// so its deployment narrows nothing.
 func fullVectors(t testing.TB, cfg Config, w *workflow.Workflow, m *ml.DecisionTree, l, r *table.Table) *Server {
 	t.Helper()
 	dw := deployed(t, w, m, l, r)
-	dw.Features = w.Features
-	s := newServer(t, cfg, dw, l, r)
-	art := &Artifact{Matcher: opaqueTree{m}, Checksum: s.Artifact().Checksum, Path: specArtifactPath, LoadedAt: time.Now()}
-	var err error
-	if art.deployment, err = dw.Deploy(context.Background(), art.Matcher, r); err != nil {
-		t.Fatal(err)
-	}
-	s.live.Store(art)
-	return s
-}
-
-func saveMatcher(t testing.TB, m ml.Matcher) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), m.Name()+".json")
-	if err := ml.SaveMatcherFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	dw.Features, dw.Matcher = w.Features, opaqueTree{m}
+	return newServer(t, cfg, dw, l, r)
 }
 
 func newServer(t testing.TB, cfg Config, w *workflow.Workflow, l, r *table.Table) *Server {
@@ -140,7 +120,7 @@ func answersOf(t testing.TB, s *Server, l *table.Table) []string {
 	return out
 }
 
-// deploysReadSet fails unless s's live deployment computes what m reads
+// deploysReadSet fails unless s's deployment computes what m reads
 // by ml.ReadSet and nothing else: its vectors hold exactly those features,
 // in order, and over one pair per left row each column is, NaN for NaN,
 // the same-named feature of w's generated set.
@@ -150,9 +130,9 @@ func deploysReadSet(t testing.TB, s *Server, w *workflow.Workflow, m ml.Matcher,
 	for i := range pairs {
 		pairs[i] = block.Pair{A: i, B: i % s.right.Len()}
 	}
-	live := s.live.Load().deployment.Features
+	live := s.deployment.Features
 	if names := live.Names(); !slices.Equal(names, readNames(w, m)) {
-		t.Fatalf("the live deployment computes %v, where %s's read set is %v", names, m.Name(), readNames(w, m))
+		t.Fatalf("the deployment computes %v, where %s's read set is %v", names, m.Name(), readNames(w, m))
 	}
 	got, err := live.VectorizeCtx(context.Background(), l, s.right, pairs)
 	if err != nil {
@@ -166,7 +146,7 @@ func deploysReadSet(t testing.TB, s *Server, w *workflow.Workflow, m ml.Matcher,
 		k := slices.Index(w.Features.Names(), name)
 		for i := range want {
 			if g, v := got[i][c], want[i][k]; g != v && !(math.IsNaN(g) && math.IsNaN(v)) {
-				t.Fatalf("the live deployment computes %s = %v on pair %v, the generated set %v", name, g, pairs[i], v)
+				t.Fatalf("the deployment computes %s = %v on pair %v, the generated set %v", name, g, pairs[i], v)
 			}
 		}
 	}
@@ -191,20 +171,22 @@ func titleStumps(t testing.TB, w *workflow.Workflow) (a, b *ml.DecisionTree) {
 	return stump(t, names, "AwardTitle_jaccard_word_lower", 0.8), stump(t, names, "AwardTitle_jaccard_qgram3_lower", 0.45)
 }
 
-// TestArtifactReadSetFollowsLoadedMatcher: a server started with -matcher
-// serves a tree other than the one its spec embeds, and the spec's
-// workflow computes only what the spec's tree reads. Were the loaded tree
-// asked over that set, the feature it tests would be the imputer's mean on
+// TestArtifactReadSetFollowsLoadedMatcher: New is handed a workflow built
+// from a spec packaging one tree, with its matcher swapped for another that
+// reads other features. Were the loaded tree asked over the features the
+// spec's tree reads, the feature it tests would be the imputer's mean on
 // every pair. Each way round, every answer — scores included — is that of
-// a server computing all features for the loaded tree, and the live
-// deployment computes the loaded tree's features, not the spec's.
+// a server computing all features for the loaded tree, and the deployment
+// computes the loaded tree's features, not the spec's.
 func TestArtifactReadSetFollowsLoadedMatcher(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
 	a, b := titleStumps(t, w)
 	var seen []string
 	for _, c := range []struct{ spec, loaded *ml.DecisionTree }{{a, b}, {b, a}} {
-		s := newServer(t, Config{MatcherPath: saveMatcher(t, c.loaded)}, deployed(t, w, c.spec, l, r), l, r)
+		dw := deployed(t, w, c.spec, l, r)
+		dw.Matcher = c.loaded
+		s := newServer(t, Config{}, dw, l, r)
 		ref := fullVectors(t, Config{}, w, c.loaded, l, r)
 		got, want := answersOf(t, s, l), answersOf(t, ref, l)
 		learned := 0
@@ -225,104 +207,6 @@ func TestArtifactReadSetFollowsLoadedMatcher(t *testing.T) {
 	if seen[0] == seen[1] {
 		t.Fatal("fixture: the two trees answer alike; the comparison could not tell them apart")
 	}
-}
-
-// TestReloadRebindsForNewReadSet: a reload to a tree that reads other
-// features builds and binds that tree's set before the swap. Under
-// requests in flight (run with -race), every answer is one matcher's or
-// the other's whole — never one tree over the other's cells — and after
-// each reload it is the new one's; a reload whose bind fails (its context
-// cancelled) leaves the
-// old matcher, set and cells serving; and the cells of a replaced artifact
-// are garbage: the heap does not grow over twenty alternating reloads.
-func TestReloadRebindsForNewReadSet(t *testing.T) {
-	leakcheck.Check(t)
-	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
-	a, b := titleStumps(t, w)
-	pathA, pathB := saveMatcher(t, a), saveMatcher(t, b)
-	dw := deployed(t, w, a, l, r)
-	wantA := answersOf(t, newServer(t, Config{MatcherPath: pathA}, deployed(t, w, a, l, r), l, r), l)
-	wantB := answersOf(t, newServer(t, Config{MatcherPath: pathB}, deployed(t, w, a, l, r), l, r), l)
-	s := newServer(t, Config{MatcherPath: pathA}, dw, l, r)
-	same := func(what string, got, want []string) {
-		t.Helper()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: answer %d is %s, a fresh server's %s", what, i, got[i], want[i])
-			}
-		}
-	}
-	same("before any reload", answersOf(t, s, l), wantA)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; ; i = (i + 1) % l.Len() {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := s.matchOne(context.Background(), l.Row(i), false)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				data, _ := json.Marshal(resp.Matches)
-				if got := string(data); got != wantA[i] && got != wantB[i] {
-					t.Errorf("in flight: row %d answered %s; tree a answers %s, tree b %s", i, got, wantA[i], wantB[i])
-					return
-				}
-			}
-		}(g)
-	}
-	reload := func(path string) {
-		t.Helper()
-		if _, err := s.Reload(context.Background(), path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reload(pathB)
-	same("after the reload to b", answersOf(t, s, l), wantB)
-
-	live := s.Artifact()
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := s.Reload(cancelled, pathA)
-	if err == nil || !strings.Contains(err.Error(), "bind feature cells") {
-		t.Fatalf("reload with a failing bind: %v, want a bind failure", err)
-	}
-	if s.Artifact() != live {
-		t.Fatal("a failed bind swapped the artifact")
-	}
-	same("after the failed reload", answersOf(t, s, l), wantB)
-
-	reload(pathA)
-	same("after the reload back to a", answersOf(t, s, l), wantA)
-	close(stop)
-	wg.Wait()
-
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	for n := 0; n < 10; n++ {
-		reload(pathB)
-		reload(pathA)
-	}
-	// Twenty replaced artifacts kept reachable are about 1.7 MB on this
-	// slice; the race detector's shadow state moves HeapAlloc by more.
-	if after := heap(); !raceEnabled && after > before+256<<10 {
-		t.Fatalf("heap grew %d KB over 20 alternating reloads: replaced artifacts' cells are still reachable", (after-before)>>10)
-	}
-	same("after 20 more reloads", answersOf(t, s, l), wantA)
 }
 
 // opaqueTree hides a tree's kind from ml.ReadSet, by whose rule a matcher

@@ -15,8 +15,6 @@
 //     runs out of time degrades to the always-available rule-only answer
 //     (responses marked "degraded") while a learned stage that fails
 //     fails the request,
-//   - atomic hot reload of the matcher artifact with checksum
-//     verification and rollback on bad loads,
 //   - health/readiness/status endpoints, a SIGTERM-driven drain, and the
 //     standard obs debug surface (expvar, pprof).
 //
@@ -46,10 +44,6 @@ import (
 	"emgo/internal/table"
 	"emgo/internal/workflow"
 )
-
-// specArtifactPath marks a matcher that came embedded in the workflow
-// spec rather than from a standalone artifact file (not hot-reloadable).
-const specArtifactPath = "<spec>"
 
 // latencyMSBuckets are the upper bounds (milliseconds) of the request
 // latency histogram "serve.latency_ms".
@@ -84,9 +78,6 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight requests
 	// (default 10s).
 	DrainTimeout time.Duration
-	// MatcherPath is the standalone matcher artifact to load and serve
-	// (hot-reloadable). Empty uses the spec-embedded matcher, if any.
-	MatcherPath string
 	// RightIDCol names the right table's identifier column echoed in
 	// responses (default "RecordId"; missing column falls back to row
 	// indices).
@@ -107,17 +98,15 @@ type Server struct {
 	left     *table.Table // schema donor for request records
 	right    *table.Table
 	rightIDs []string
-	width    int // the feature-vector width (0 = rule-only)
 
-	// live is the artifact with its deployment, swapped whole by Reload; a
-	// rule-only server's has no Matcher.
-	live     atomic.Pointer[Artifact]
-	adm      *Admission
-	reloadMu sync.Mutex
+	// deployment is the workflow New deployed over right, for the server's
+	// whole life: every part a request runs. A rule-only server's has no
+	// Matcher.
+	deployment *workflow.Workflow
+	adm        *Admission
 
-	// sources is the Source of each sure rule's matches, by rule name,
-	// built once: a reload redeploys the live deployment, whose sure rules
-	// it keeps, and a hit names one of them.
+	// sources is the Source of each sure rule's matches, by rule name: a
+	// hit names one of the deployment's sure rules.
 	sources map[string]string
 	// scratch pools matchSet's per-pass state (matchScratch), and reqs
 	// each request's record (request).
@@ -138,10 +127,8 @@ type Server struct {
 
 // New builds the service around a deployed workflow. left donates the
 // request schema (its rows are ignored); right is the table requests
-// are matched against. When cfg.MatcherPath is set the matcher artifact
-// is loaded from it (and becomes hot-reloadable); otherwise the
-// spec-embedded matcher, if any, serves. With neither, the service runs
-// rule-only and every response is marked degraded.
+// are matched against. The workflow's matcher, if any, serves; without
+// one the service runs rule-only and every response is marked degraded.
 func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *table.Table) (*Server, error) {
 	if wf == nil {
 		return nil, fmt.Errorf("serve: nil workflow")
@@ -178,9 +165,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
-	if wf.Features != nil {
-		s.width = wf.Features.Len()
-	}
 	// Resolve right IDs up front; a missing ID column degrades to row
 	// indices rather than failing every request.
 	if j, err := right.Col(cfg.RightIDCol); err == nil {
@@ -189,41 +173,17 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 			s.rightIDs[i] = right.Row(i)[j].Str()
 		}
 	}
-	// Deploy the artifact's matcher, else the spec's, else none: rule keys,
-	// blocking indexes and feature cells are built here, once.
-	art := &Artifact{}
+	// Rule keys, blocking indexes and feature cells are built here, once.
 	var err error
-	switch {
-	case cfg.MatcherPath != "":
-		if art, err = LoadArtifact(cfg.MatcherPath, s.width); err != nil {
-			return nil, err
-		}
-	case wf.Matcher != nil:
-		spec, err := ml.ExportMatcher(wf.Matcher)
-		if err != nil {
-			return nil, fmt.Errorf("serve: fingerprint spec-embedded matcher: %w", err)
-		}
-		data, err := json.Marshal(spec)
-		if err != nil {
-			return nil, fmt.Errorf("serve: fingerprint spec-embedded matcher: %w", err)
-		}
-		art = &Artifact{
-			Matcher:  wf.Matcher,
-			Checksum: fingerprint(data),
-			Path:     specArtifactPath,
-			LoadedAt: time.Now(),
-		}
-	}
-	if art.deployment, err = wf.Deploy(ctx, art.Matcher, right); err != nil {
+	if s.deployment, err = wf.Deploy(ctx, wf.Matcher, right); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s.sources = map[string]string{}
-	if sr := art.deployment.SureRules; sr != nil {
+	if sr := s.deployment.SureRules; sr != nil {
 		for _, r := range sr.Rules() {
 			s.sources[r.Name()] = "rule:" + r.Name()
 		}
 	}
-	s.live.Store(art)
 	return s, nil
 }
 
@@ -231,14 +191,6 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 // background work of its own, so there is nothing to release; Close is
 // safe to call more than once and after StartDrain.
 func (s *Server) Close() {}
-
-// Artifact returns the live matcher artifact (nil = rule-only service).
-func (s *Server) Artifact() *Artifact {
-	if art := s.live.Load(); art.Matcher != nil {
-		return art
-	}
-	return nil
-}
 
 // Handler builds the service's HTTP routes, each wrapped in the
 // request-observability middleware (request IDs, wide events).
@@ -251,11 +203,9 @@ func (s *Server) Handler() http.Handler {
 	handle("POST /v1/match/batch", s.handleMatchBatch)
 	handle("GET /healthz", s.handleHealth)
 	handle("GET /readyz", s.handleReady)
-	handle("POST /-/reload", s.handleReload)
 	handle("GET /v1/status", s.handleStatus)
-	// The service has no authentication (a reload reads any path it is
-	// given), so its listen address is the boundary, for expvar and pprof
-	// too.
+	// The service has no authentication, so its listen address is the
+	// boundary, for expvar and pprof too.
 	mux.Handle("/debug/", obs.NewDebugMux())
 	return mux
 }
@@ -432,7 +382,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool
 	if err := fault.Inject("serve.match"); err != nil {
 		return nil, tally, nil, err
 	}
-	d := s.live.Load().deployment // every stage's parts, whatever a reload swaps in
+	d := s.deployment
 	sc := s.scratch.Get().(*matchScratch)
 	defer s.putScratch(sc)
 
@@ -706,48 +656,6 @@ func (s *Server) handleReady(q *request, _ *http.Request) {
 	q.writeJSON(http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// reloadRequest is the optional /-/reload body.
-type reloadRequest struct {
-	Path string `json:"path"`
-}
-
-// handleReload hot-swaps the matcher artifact; failures roll back.
-func (s *Server) handleReload(q *request, r *http.Request) {
-	var req reloadRequest
-	if r.Body != nil {
-		data, err := io.ReadAll(http.MaxBytesReader(&q.w, r.Body, 1<<16))
-		if err != nil {
-			q.writeError(http.StatusRequestEntityTooLarge, "reload request body too large", 0)
-			return
-		}
-		if len(data) > 0 {
-			if jerr := json.Unmarshal(data, &req); jerr != nil {
-				q.writeError(http.StatusBadRequest, "parse reload request: "+jerr.Error(), 0)
-				return
-			}
-		}
-	}
-	art, err := s.Reload(q.ctx, req.Path)
-	if err != nil {
-		prev := s.Artifact()
-		msg := "reload failed (previous matcher still serving): " + err.Error()
-		status := http.StatusUnprocessableEntity
-		resp := map[string]any{"error": msg, "status": status}
-		if prev != nil {
-			resp["active_checksum"] = prev.Checksum
-			resp["active_path"] = prev.Path
-		}
-		q.writeJSON(status, resp)
-		return
-	}
-	q.writeJSON(http.StatusOK, map[string]any{
-		"status":    "reloaded",
-		"path":      art.Path,
-		"checksum":  art.Checksum,
-		"loaded_at": art.LoadedAt,
-	})
-}
-
 // StatusData is the /v1/status document.
 type StatusData struct {
 	UptimeS   float64 `json:"uptime_s"`
@@ -757,7 +665,8 @@ type StatusData struct {
 	Queued    int64   `json:"queued"`
 	Draining  bool    `json:"draining"`
 	RightRows int     `json:"right_rows"`
-	Matcher   any     `json:"matcher,omitempty"`
+	// Matcher is the served matcher's name; a rule-only server has none.
+	Matcher string `json:"matcher,omitempty"`
 }
 
 // handleStatus reports the operational state in one JSON document.
@@ -771,13 +680,8 @@ func (s *Server) handleStatus(q *request, _ *http.Request) {
 		Draining:  s.draining.Load(),
 		RightRows: s.right.Len(),
 	}
-	if art := s.Artifact(); art != nil {
-		st.Matcher = map[string]any{
-			"name":      art.Matcher.Name(),
-			"path":      art.Path,
-			"checksum":  art.Checksum,
-			"loaded_at": art.LoadedAt,
-		}
+	if m := s.deployment.Matcher; m != nil {
+		st.Matcher = m.Name()
 	}
 	q.writeJSON(http.StatusOK, st)
 }

@@ -111,14 +111,12 @@ func (panicMatcher) Fit(*ml.Dataset) error { return nil }
 func (panicMatcher) Predict([]float64) int { panic("poisoned vector") }
 func (panicMatcher) Name() string          { return "panic" }
 
-// breakMatcher swaps panicMatcher into s's live deployment. serve.New
-// exports the matcher to checksum it, so a double cannot go in through New.
+// breakMatcher swaps panicMatcher into s's deployment, so a server that
+// answered with its fitted matcher fails from the next request on.
 func breakMatcher(s *Server) {
-	art := *s.live.Load()
-	d := *art.deployment
+	d := *s.deployment
 	d.Matcher = panicMatcher{}
-	art.deployment = &d
-	s.live.Store(&art)
+	s.deployment = &d
 }
 
 // wantStackOnlyInEvent holds a worker panic's 500 to where its stack
@@ -489,8 +487,8 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.Requests != 2 || st.RightRows != 3 {
 		t.Fatalf("status = %+v", st)
 	}
-	if st.Matcher == nil {
-		t.Fatal("status missing matcher provenance")
+	if st.Matcher != "decision_tree" {
+		t.Fatalf("status names matcher %q, want the served decision_tree", st.Matcher)
 	}
 }
 
@@ -531,5 +529,37 @@ func TestPerRequestDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline did not bound the request: took %v", elapsed)
+	}
+}
+
+// TestNewRejectsUnblockableDeployment: a spec whose blocker cannot run over
+// the reference table builds, but its deployment must not start — New
+// returns the blocker's error instead of a server that reports ready and
+// answers every request degraded.
+func TestNewRejectsUnblockableDeployment(t *testing.T) {
+	l, r := fixtureTables(t)
+	for _, tc := range []struct {
+		name    string
+		blocker workflow.BlockerSpec
+		want    string
+	}{
+		{"right column missing", workflow.BlockerSpec{Type: "overlap", LeftCol: "Title", RightCol: "Nope", Tokenizer: "word", Threshold: 3}, `"Nope"`},
+		{"no threshold", workflow.BlockerSpec{Type: "overlap", LeftCol: "Title", RightCol: "Title", Tokenizer: "word"}, "threshold must be >= 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := &workflow.Spec{Name: "unblockable", Blockers: []workflow.BlockerSpec{tc.blocker}}
+			wf, err := spec.Build(l, r, nil)
+			if err != nil {
+				t.Fatalf("fixture: the spec must build, it is its deployment that cannot block: %v", err)
+			}
+			s, err := New(context.Background(), Config{}, wf, l, r)
+			if err == nil {
+				resp, merr := s.matchOne(context.Background(), l.Row(0), false)
+				t.Fatalf("New started a deployment that cannot block; a request then answers %+v, %v", resp, merr)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: %v, want the blocker's error (%s)", err, tc.want)
+			}
+		})
 	}
 }

@@ -8,12 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"slices"
 	"testing"
 
 	"emgo/internal/leakcheck"
-	"emgo/internal/ml"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 	"emgo/internal/workflow"
@@ -24,8 +22,7 @@ import (
 // pairs are what POST /v1/match answers for that record and what its entry
 // in a POST /v1/match/batch answer says — the same right rows, in the same
 // order, and between the two online modes from the same source (run by
-// make race-cpu at one and two CPUs). And the verdict survives a hot
-// reload to a byte-identical matcher artifact.
+// make race-cpu at one and two CPUs).
 func TestOfflineEqualsOnlineModes(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)
@@ -52,11 +49,7 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 	}
 
 	t.Logf("%d left x %d right rows, %d sure + %d learned matches", l.Len(), r.Len(), res.Sure.Len(), learned)
-	matcherPath := filepath.Join(t.TempDir(), "model.json")
-	if err := ml.SaveMatcherFile(matcherPath, w.Matcher); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(context.Background(), Config{MatcherPath: matcherPath}, w, l, r)
+	s, err := New(context.Background(), Config{}, w, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,19 +65,15 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 		postJSON(t, ts.URL+path, body, into)
 	}
 
-	singles := func() [][]Match {
-		out := make([][]Match, l.Len())
-		for i, rec := range records {
-			var mr MatchResponse
-			post("/v1/match", map[string]any{"record": rec}, &mr)
-			if mr.Degraded {
-				t.Fatalf("record %d answered degraded (%s)", i, mr.DegradedReason)
-			}
-			out[i] = mr.Matches
+	single := make([][]Match, l.Len())
+	for i, rec := range records {
+		var mr MatchResponse
+		post("/v1/match", map[string]any{"record": rec}, &mr)
+		if mr.Degraded {
+			t.Fatalf("record %d answered degraded (%s)", i, mr.DegradedReason)
 		}
-		return out
+		single[i] = mr.Matches
 	}
-	single := singles()
 	var batch [][]Match
 	for lo := 0; lo < len(records); lo += DefaultMaxBatchRecords {
 		var br BatchResponse
@@ -107,17 +96,6 @@ func TestOfflineEqualsOnlineModes(t *testing.T) {
 		}
 		if !sameAnswer(single[i], batch[i]) {
 			t.Errorf("record %d: /v1/match %+v, in a batch %+v", i, single[i], batch[i])
-		}
-	}
-
-	before := s.Artifact()
-	after, err := s.Reload(context.Background(), "")
-	if err != nil || after == before || after.Checksum != before.Checksum {
-		t.Fatalf("reload of identical bytes: %v, artifact %p -> %p", err, before, after)
-	}
-	for i, reloaded := range singles() {
-		if !sameAnswer(single[i], reloaded) {
-			t.Errorf("record %d: /v1/match %+v before the reload, %+v after", i, single[i], reloaded)
 		}
 	}
 }

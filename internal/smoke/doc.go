@@ -1,6 +1,6 @@
 // Package smoke is the tier-2 end-to-end harness: one tagged test
 // package that builds the CLIs once (emserve and emcasestudy with
-// -race), generates one projected slice, spec and matcher artifact once,
+// -race), generates one projected slice and spec once,
 // and then runs five scenarios against the real binaries — serve, obs,
 // load, monitor and chaos: the serving, observability, load, monitoring
 // and kill/rerun contracts — every

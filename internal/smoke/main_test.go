@@ -25,14 +25,14 @@ const (
 )
 
 // Built once by TestMain: the binaries, the projected slice, the
-// packaged spec, the hot-reloadable matcher artifact, a record pool over
-// the right table, and one match request that takes the learned path.
+// packaged spec, a record pool over the right table, and one match
+// request that takes the learned path.
 var (
-	ctx                        = context.Background()
-	binDir                     string
-	left, right, spec, matcher string
-	pool                       *load.RecordPool
-	probe                      []byte
+	ctx               = context.Background()
+	binDir            string
+	left, right, spec string
+	pool              *load.RecordPool
+	probe             []byte
 )
 
 func TestMain(m *testing.M) {
@@ -57,7 +57,6 @@ func setup(work string) error {
 	left = filepath.Join(data, "UMETRICSProjected.csv")
 	right = filepath.Join(data, "USDAProjected.csv")
 	spec = filepath.Join(work, "spec.json")
-	matcher = filepath.Join(work, "matcher.json")
 	if err := os.Mkdir(binDir, 0o755); err != nil {
 		return err
 	}
@@ -66,7 +65,6 @@ func setup(work string) error {
 		{"go", "build", "-race", "-o", binDir + "/", "./cmd/emserve", "./cmd/emcasestudy"},
 		{bin("emgen"), "-scale", dataScale, "-seed", dataSeed, "-projected", "-out", data},
 		{bin("emcasestudy"), "-scale", dataScale, "-seed", dataSeed, "-spec", spec},
-		{bin("emserve"), "-spec", spec, "-left", left, "-right", right, "-export-matcher", matcher},
 	}
 	for _, argv := range steps {
 		cmd := exec.Command(argv[0], argv[1:]...)
@@ -130,14 +128,14 @@ type server struct {
 	c *load.Client
 }
 
-// start boots the race-built emserve over the shared spec, tables and
-// matcher and registers the cleanup: kill whatever is still running and,
+// start boots the race-built emserve over the shared spec and tables and
+// registers the cleanup: kill whatever is still running and,
 // if the scenario failed, show the tail of the server's log.
 func start(t *testing.T, dir, name string, env []string, args ...string) *server {
 	t.Helper()
 	cfg := load.ServerConfig{
 		Bin:     bin("emserve"),
-		Args:    []string{"-spec", spec, "-left", left, "-right", right, "-matcher", matcher},
+		Args:    []string{"-spec", spec, "-left", left, "-right", right},
 		WorkDir: dir,
 	}
 	p, err := load.StartServer(ctx, cfg, name+".err", args, env)

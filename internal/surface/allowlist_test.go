@@ -42,8 +42,6 @@ var deploymentSettings = map[string]string{
 
 	"emserve -addr":                "address",
 	"emserve -addr-file":           "path",
-	"emserve -matcher":             "path",
-	"emserve -export-matcher":      "path",
 	"emserve -access-log":          "path", // "-" is stderr
 	"emserve -right-id":            "id",
 	"emserve -max-inflight":        "size",

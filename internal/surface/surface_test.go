@@ -36,7 +36,7 @@ var library = map[string][]string{
 	"emgo/internal/cluster":  nil,
 	"emgo/internal/core":     nil,
 	"emgo/internal/label":    {"tool.go"},
-	"emgo/internal/ml":       {"persist.go", "persist_file.go"},
+	"emgo/internal/ml":       {"persist.go"},
 }
 
 // harness is the one package whose test files count as callers: the

@@ -404,8 +404,20 @@ func (s *study) blocking(ctx context.Context) error {
 	for _, r := range w.SureRules.Rules() {
 		s.loop.AddSureRule(r)
 	}
-	cand, err := s.loop.Block(ctx)
+	// The consolidated set is the union of the three already blocked, in
+	// the blocker-major order UnionBlockCtx grows: C1, then C2's pairs C1
+	// lacks, then C3's that neither holds. C1 ∪ (C2 ∪ C3) is that order,
+	// and asks only the ascending C1 and C2, never an unordered union
+	// that would need an index.
+	rest, err := c2.Union(c3)
 	if err != nil {
+		return err
+	}
+	cand, err := c1.Union(rest)
+	if err != nil {
+		return err
+	}
+	if err := s.loop.SetCandidates(cand); err != nil {
 		return err
 	}
 	s.report.ConsolidatedC = cand.Len()

@@ -167,8 +167,7 @@ func TestDeploymentPreparesRightTableOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A deployment's rules and blockers are bound already: deployed
-	// again, as a reload does, under a cancelled context, the feature
-	// bind is what fails.
+	// again under a cancelled context, the feature bind is what fails.
 	bound, err := plain.Deploy(ctx, plain.Matcher, right)
 	if err != nil {
 		t.Fatal(err)

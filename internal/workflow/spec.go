@@ -268,11 +268,41 @@ func (s *Spec) Build(left, right *table.Table, transforms Transforms) (*Workflow
 		if err != nil {
 			return nil, err
 		}
+		// A tree's own feature list bounds its splits on import; the spec's
+		// features are what a run computes, and a split past them would
+		// fail every Predict.
+		trees := []*ml.TreeSpec{s.Matcher.Tree}
+		if s.Matcher.Forest != nil {
+			trees = append(trees, s.Matcher.Forest.Trees...)
+		}
+		for _, t := range trees {
+			if t == nil {
+				continue
+			}
+			if err := splitsWithin(t.Root, len(s.Features)); err != nil {
+				return nil, err
+			}
+		}
 		w.Features = fs
 		w.Imputer = feature.ImputerFromMeans(s.ImputerMeans)
 		w.Matcher = m
 	}
 	return w, nil
+}
+
+// splitsWithin fails on the first split under n, in node order, that
+// tests a feature outside [0, width).
+func splitsWithin(n *ml.NodeSpec, width int) error {
+	if n == nil || n.Leaf {
+		return nil
+	}
+	if n.Feature < 0 || n.Feature >= width {
+		return fmt.Errorf("workflow: spec's matcher splits on feature %d, outside its %d features", n.Feature, width)
+	}
+	if err := splitsWithin(n.Left, width); err != nil {
+		return err
+	}
+	return splitsWithin(n.Right, width)
 }
 
 // Deploy returns a shallow copy of w serving matcher m (nil: rules only)
@@ -286,13 +316,12 @@ func (s *Spec) Build(left, right *table.Table, transforms Transforms) (*Workflow
 // The learned stage is narrowed to what m reads (ml.Narrow): the copy's
 // Features hold only those features, in order, its Imputer only their
 // means, and its Matcher is m renumbered onto them, so a vector is as wide
-// as the read count. m reads w's full feature set, as a spec's or an
-// artifact's matcher does. The narrowing is the deployment's own: the
-// quality profile still observes every feature, and a deployment
-// deployed again — a reload — narrows from the sets it was narrowed
-// from, not from its own. w is left as it is: Deploy binds copies. It
-// returns the first bind error: a deployment that cannot block does not
-// start.
+// as the read count. m reads w's full feature set, as a spec's matcher
+// does. The narrowing is the deployment's own: the quality profile still
+// observes every feature, and a deployment deployed again narrows from
+// the sets it was narrowed from, not from its own. w is left as it is:
+// Deploy binds copies. It returns the first bind error: a deployment that
+// cannot block does not start.
 func (w *Workflow) Deploy(ctx context.Context, m ml.Matcher, right *table.Table) (*Workflow, error) {
 	full := w.full()
 	full.matcher = m

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +192,24 @@ func TestSpecBuildErrors(t *testing.T) {
 	bad.NegativeRules = []RuleSpec{{Type: "comparable_mismatch", Name: "neg", LeftCol: "Num", RightCol: "Num"}}
 	if _, err := bad.Build(left, right, transforms); err == nil {
 		t.Fatal("comparable rule without patterns should error")
+	}
+
+	bad = *spec
+	bad.Matcher = &ml.MatcherSpec{Kind: "svm"}
+	if _, err := bad.Build(left, right, transforms); err == nil {
+		t.Fatal("unknown matcher kind should error")
+	}
+
+	// The tree's own feature list is one longer than the spec's, and a
+	// split tests the extra feature: a run computes no such feature.
+	bad = *spec
+	names := append(slices.Clone(spec.Matcher.Tree.Features), "extra")
+	bad.Matcher = &ml.MatcherSpec{Kind: "decision_tree", Tree: &ml.TreeSpec{Features: names, Root: &ml.NodeSpec{
+		Feature: len(spec.Features), Threshold: 0.5,
+		Left: &ml.NodeSpec{Leaf: true}, Right: &ml.NodeSpec{Leaf: true, Label: 1},
+	}}}
+	if _, err := bad.Build(left, right, transforms); err == nil || !strings.Contains(err.Error(), "splits on feature") {
+		t.Fatalf("a split past the spec's features: err = %v, want it refused", err)
 	}
 }
 
