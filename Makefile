@@ -30,9 +30,10 @@ race:
 
 # race-cpu reruns, at one and at two CPUs, the packages whose requests and
 # runs share state built once — the rules' keyed join, the blockers' bound
-# indexes and the probe scratch pooled on them (TestBoundProbeConcurrent,
-# TestBoundProbeAllocsIndependentOfRightTable), the feature set's bound
-# cells, the server over all three, one workflow deployment run over
+# indexes and the probe scratch their free lists hand from call to call
+# (TestBoundProbeConcurrent, TestBoundProbeAllocsIndependentOfRightTable),
+# the feature set's bound cells, the server over all three, one workflow
+# deployment run over
 # several left slices at once (TestDeploymentConcurrentRuns), and the
 # matchers' fits on views of one presorted root through pooled fit scratch
 # and generators (TestConcurrentFitsShareOneRoot): a
@@ -48,9 +49,13 @@ race:
 # (TestMonitoredRunAboveCapIsDeterministic). The feature kernel and the
 # server's cross-mode suite also run at four, where a batch's cells and
 # pairs fan out over more workers than a shard or a single record gets,
-# and so does the server's pooled match scratch, handed from pass to
-# pass while singles and batches arrive from eight goroutines at once
-# (TestConcurrentMixedRequestsKeepSerialAnswers).
+# and so does the server's match scratch and request record, handed from
+# pass to pass through free lists while singles and batches arrive from
+# eight goroutines at once (TestConcurrentMixedRequestsKeepSerialAnswers).
+# A free list is a channel hand-off shared by requests and join shards, and
+# a value used after it went back only races when a later taker really
+# does run at once, so that test and TestBoundProbeConcurrent run ten
+# times over.
 # A token join over a left table of 256 rows or more probes it in shards,
 # one a core; the sharded-join tests set the core count themselves (1, 2
 # and 4) and run ten times over, since what the shards write is only
@@ -62,9 +67,10 @@ race:
 # detector, so `make test` holds it.
 race-cpu:
 	$(GO) test -race -cpu 1,2 ./internal/block ./internal/rules ./internal/ml ./internal/workflow
-	$(GO) test -race -count=10 -run 'TestShardedJoin' ./internal/block
+	$(GO) test -race -count=10 -run 'TestShardedJoin|TestBoundProbeConcurrent' ./internal/block
 	$(GO) test -race -count=10 -run 'TestSeeded|TestConcurrentFitsShareOneRoot' ./internal/ml
 	$(GO) test -race -cpu 1,2,4 ./internal/feature ./internal/serve
+	$(GO) test -race -count=10 -run 'TestConcurrentMixedRequestsKeepSerialAnswers' ./internal/serve
 
 # fuzz runs the oracle tests as fuzzers, ten seconds each — `go
 # test` only replays their seeds: the word kernel against the string path

@@ -341,7 +341,7 @@ func (sh *joinShard) emit(col *tokenColumn, group []*boundTokens, sets []*Candid
 // admissions is one join's least admitting counts for its group, per left
 // cell size met: rows(la, group) is, over right sizes lb = 0…width−1, the
 // least count any of the group admits, then each blocker's in group
-// order. It lives in a column's pooled scratch, so a join works its rows
+// order. It lives in a column's probe scratch, so a join works its rows
 // out into memory an earlier join left; reset forgets them.
 type admissions struct {
 	width int

@@ -188,7 +188,7 @@ func TestAdmissionMatchesPredicate(t *testing.T) {
 
 // TestBoundProbeAllocsIndependentOfRightTable: what one bound single-row
 // request allocates does not grow with the right table — the probe's
-// per-row counts come from the column's pool. The doubled table adds rows
+// per-row counts come from the column's free list. The doubled table adds rows
 // the request shares no token with, so the answer is the same.
 func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
 	l, small := figure10Tables(8, 1915)
@@ -202,8 +202,7 @@ func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
 	request := table.New("request", l.Schema())
 	request.MustAppend(l.Row(7))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// bytes is the median of a single request's allocation over many: the
-	// race detector's pool drops a quarter of what is put back.
+	// bytes is the median of a single request's allocation over many.
 	bytes := func(right *table.Table) (uint64, []Pair) {
 		bound := mustBind(t, right, figure10(tokenize.Word{})...)
 		var per []uint64
@@ -231,8 +230,45 @@ func TestBoundProbeAllocsIndependentOfRightTable(t *testing.T) {
 	}
 }
 
+// TestBoundProbeSurvivesCollections: a bound single-row request after two
+// collections — enough to empty a sync.Pool, victim cache and all —
+// allocates no more than a warm one: the column's probe scratch waits in
+// its free list, which a collection leaves alone.
+func TestBoundProbeSurvivesCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	l, r := figure10Tables(8, 1915)
+	request := table.New("request", l.Schema())
+	request.MustAppend(l.Row(7))
+	bound := mustBind(t, r, figure10(tokenize.Word{})...)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(collect bool) uint64 {
+		if collect {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := UnionBlockCtx(context.Background(), request, r, bound...)
+		runtime.ReadMemStats(&after)
+		if err != nil || c.Len() == 0 {
+			t.Fatalf("fixture: the request blocks %v, %v", c, err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for range 3 {
+		mallocs(false)
+	}
+	warm := mallocs(false)
+	if after := mallocs(true); after > warm {
+		t.Fatalf("a bound probe after two collections allocates %d times, a warm one %d", after, warm)
+	}
+}
+
 // TestBoundProbeConcurrent: goroutines sharing one bound blocker set — its
-// column and its pool of probe scratch — each get the answers a serial
+// column and its free list of probe scratch — each get the answers a serial
 // caller gets, request by request (run under -race -cpu 1,2).
 func TestBoundProbeConcurrent(t *testing.T) {
 	l, r := figure10Tables(60, 300)

@@ -5,13 +5,14 @@ import (
 	"context"
 	"math/bits"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 
 	"emgo/internal/obs"
+	"emgo/internal/parallel"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -328,9 +329,9 @@ type tokenColumn struct {
 	words, nDense int
 	perm, pos     []int32
 	bySize        []int32
-	// scratch holds *scratch sized to the column, reset, for any number
-	// of concurrent probes to take and give back.
-	scratch sync.Pool
+	// scratch holds *scratch sized to the column, reset, for probes to
+	// take and give back: one a core, as a join holds one a shard.
+	scratch parallel.FreeList[scratch]
 }
 
 // buildTokenColumn tokenises the named column of right once.
@@ -343,13 +344,13 @@ func buildTokenColumn(ctx context.Context, right *table.Table, col string, form 
 	if err := c.Build(ctx, right, rj, nil); err != nil {
 		return nil, err
 	}
-	c.scratch.New = func() any {
+	c.scratch = parallel.NewFreeList(runtime.GOMAXPROCS(0), func() *scratch {
 		return &scratch{
 			counts: make([]int32, len(c.cells)),
 			planes: make([]uint64, c.words*max(4, bits.Len(uint(c.nDense)))),
 			dense:  make([]int, 0, c.nDense),
 		}
-	}
+	})
 	c.start = make([]int32, len(c.ids)+1)
 	c.lens = make([]int32, len(c.cells))
 	for r, cell := range c.cells {
@@ -454,11 +455,11 @@ type leftHits struct{ row, size, end int32 }
 
 // getScratch lends a call the column's probe state; putScratch takes it
 // back. Nothing a request allocates grows with the right table.
-func (c *tokenColumn) getScratch() *scratch { return c.scratch.Get().(*scratch) }
+func (c *tokenColumn) getScratch() *scratch { return c.scratch.Get() }
 
 func (c *tokenColumn) putScratch(s *scratch) {
 	s.reset()
-	s.hits, s.lefts = s.hits[:0], s.lefts[:0]
+	s.hits, s.lefts = parallel.Emptied(s.hits), parallel.Emptied(s.lefts)
 	s.adm.reset()
 	c.scratch.Put(s)
 }

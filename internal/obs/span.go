@@ -97,7 +97,7 @@ func NewTrace(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // Trace is a span tree's storage, for a caller that opens one tree after
-// another in it — a server's pooled request record — so that a tree's
+// another in it — a server's kept request record — so that a tree's
 // spans cost no allocation of their own. Open empties it: no span of the
 // tree before may be read after.
 type Trace struct{ t trace }

@@ -109,9 +109,7 @@ func ForWorkersCtx(ctx context.Context, n, workers int, fn func(i int) error) er
 	if n <= 0 {
 		return nil
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -209,4 +207,50 @@ func call(i int, fn func(i int) error) (err error) {
 		return &IndexError{Index: i, Err: ferr}
 	}
 	return nil
+}
+
+// Emptied returns s emptied for reuse, or nil once it has room past 64 Ki
+// elements, so that a free list keeps a request's lists but not, for
+// good, a large offline join's.
+func Emptied[S ~[]E, E any](s S) S {
+	if cap(s) > 1<<16 {
+		return nil
+	}
+	return s[:0]
+}
+
+// FreeList is a bounded free list of scratch values that concurrent calls
+// take and give back. Unlike a sync.Pool, a collection does not empty it,
+// so a warm path stays warm however often the collector runs. It keeps
+// as many idle values as its takers may hold at once: a burst past that
+// allocates, and its surplus is dropped.
+type FreeList[T any] struct {
+	free  chan *T
+	fresh func() *T
+}
+
+// NewFreeList returns an empty list that keeps up to n idle values, n
+// being how many its takers may hold at once, and whose Get makes a value
+// with fresh when none is idle.
+func NewFreeList[T any](n int, fresh func() *T) FreeList[T] {
+	return FreeList[T]{free: make(chan *T, n), fresh: fresh}
+}
+
+// Get takes an idle value, or makes one.
+func (l FreeList[T]) Get() *T {
+	select {
+	case v := <-l.free:
+		return v
+	default:
+		return l.fresh()
+	}
+}
+
+// Put gives v back, or drops it to the collector when the list is full.
+// The caller resets v first and uses it no more.
+func (l FreeList[T]) Put(v *T) {
+	select {
+	case l.free <- v:
+	default:
+	}
 }

@@ -56,12 +56,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if inflight <= 0 {
 		inflight = DefaultMaxInFlight
 	}
-	queue := int64(cfg.MaxQueue)
+	queue := max(int64(cfg.MaxQueue), 0)
 	if cfg.MaxQueue == 0 {
 		queue = DefaultMaxQueue
-	}
-	if cfg.MaxQueue < 0 {
-		queue = 0
 	}
 	return &Admission{
 		slots:    make(chan struct{}, inflight),
@@ -167,10 +164,7 @@ func (a *Admission) RetryAfter() time.Duration {
 		avg = 100 * time.Millisecond
 	}
 	waiting := a.queued.Load() + int64(len(a.slots))
-	per := int64(cap(a.slots))
-	if per < 1 {
-		per = 1
-	}
+	per := max(int64(cap(a.slots)), 1)
 	est := avg * time.Duration((waiting+per)/per)
 	if est < time.Second {
 		return time.Second

@@ -17,7 +17,8 @@ import (
 
 // allocsPerRequest is testing.AllocsPerRun over one POST through the
 // server's handler, the httptest request and recorder included. A
-// collection mid-count would empty the pools the pipeline draws from.
+// collection mid-count would empty the standard library's pools the
+// pipeline draws from, the JSON encoder's among them.
 func allocsPerRequest(t *testing.T, path, body string) float64 {
 	t.Helper()
 	if raceEnabled {
@@ -167,5 +168,50 @@ func TestMatchSingleLoopbackAllocCeiling(t *testing.T) {
 	got := float64(after.Mallocs-before.Mallocs) / requests
 	if got > ceiling {
 		t.Fatalf("a single-record request over loopback allocates %.1f times, client included, want at most %d", got, ceiling)
+	}
+}
+
+// TestWarmRequestSurvivesCollections: a request after two collections —
+// enough to empty a sync.Pool, victim cache and all — allocates no more
+// than a warm one. Its request record and match scratch wait in free
+// lists, and so does the bound column's probe scratch. The standard
+// library's pools empty too: the httptest request is made outside the
+// count, and the JSON encoder's pool is refilled with a state that has
+// already held an answer, on the one P the test runs on.
+func TestWarmRequestSurvivesCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are the race runtime's")
+	}
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	var answer []byte
+	mallocs := func(collect bool) uint64 {
+		rw := httptest.NewRecorder()
+		r := httptest.NewRequest("POST", "/v1/match", strings.NewReader(l1Request))
+		if collect {
+			runtime.GC()
+			runtime.GC()
+			if _, err := json.Marshal(json.RawMessage(answer)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rw, r)
+		runtime.ReadMemStats(&after)
+		if rw.Code != 200 {
+			t.Fatalf("status %d: %s", rw.Code, rw.Body.String())
+		}
+		answer = rw.Body.Bytes()
+		return after.Mallocs - before.Mallocs
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 3 {
+		mallocs(false)
+	}
+	warm := mallocs(false)
+	if after := mallocs(true); after > warm {
+		t.Fatalf("a request after two collections allocates %d times, a warm one %d", after, warm)
 	}
 }

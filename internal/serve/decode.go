@@ -208,9 +208,5 @@ type ErrorResponse struct {
 
 // waitHint converts a Retry-After duration to whole seconds (min 1).
 func waitHint(d time.Duration) int {
-	s := int(d / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(int(d/time.Second), 1)
 }

@@ -22,11 +22,11 @@ import (
 
 // request is one request's record: what every request pays whatever its
 // route — the wide event, the status writer, the root span's slab, the
-// body buffer and the deadline — in one value the server pools, so a
-// request allocates none of it. observe fills it and hands it to the
-// route's handler; once finish has logged the request it goes back to
-// the pool, so nothing may keep it, or a span or context of it, past the
-// handler.
+// body buffer and the deadline — in one value the server keeps in a free
+// list, so a request allocates none of it. observe fills it and hands it
+// to the route's handler; once finish has logged the request it goes back
+// to the list, so nothing may keep it, or a span or context of it, past
+// the handler.
 type request struct {
 	ev obs.WideEvent
 	w  statusWriter
@@ -41,7 +41,7 @@ type request struct {
 	slot Slot
 }
 
-// maxPooledBody is the largest body buffer a pooled record keeps; a
+// maxPooledBody is the largest body buffer a kept record holds on to; a
 // bigger one, a big batch's, is left to the collector.
 const maxPooledBody = 64 << 10
 
@@ -113,7 +113,7 @@ func (s *Server) observe(route string, h func(q *request, r *http.Request)) http
 		// sheds, timeouts — carries the client's join key.
 		w.Header().Set("X-Request-Id", id)
 
-		q := s.reqs.Get().(*request)
+		q := s.reqs.Get()
 		q.ev = obs.WideEvent{Time: time.Now(), RequestID: id, Route: route, Method: r.Method}
 		if r.ContentLength > 0 {
 			q.ev.BytesIn = r.ContentLength
@@ -134,8 +134,8 @@ func (s *Server) observe(route string, h func(q *request, r *http.Request)) http
 		}
 		s.finish(&q.ev, root)
 
-		// Pool the record, dropping what it refers to of this request; the
-		// next Open empties its trace.
+		// Give the record back, dropping what it refers to of this
+		// request; the next Open empties its trace.
 		q.w, q.ctx, q.deadline = statusWriter{}, nil, deadline{}
 		if q.body.buf.Cap() > maxPooledBody {
 			q.body.buf = bytes.Buffer{}

@@ -108,9 +108,11 @@ type Server struct {
 	// sources is the Source of each sure rule's matches, by rule name: a
 	// hit names one of the deployment's sure rules.
 	sources map[string]string
-	// scratch pools matchSet's per-pass state (matchScratch), and reqs
-	// each request's record (request).
-	scratch, reqs sync.Pool
+	// scratch keeps matchSet's per-pass state (matchScratch), one an
+	// admission slot, and reqs each request's record (request), one a
+	// slot or a place in the wait line, for the next to take.
+	scratch parallel.FreeList[matchScratch]
+	reqs    parallel.FreeList[request]
 
 	events *obs.EventLog
 
@@ -154,14 +156,15 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 	if cfg.RightIDCol == "" {
 		cfg.RightIDCol = "RecordId"
 	}
+	adm := NewAdmission(cfg.Admission)
 	s := &Server{
 		cfg:     cfg,
 		left:    left,
 		right:   right,
-		adm:     NewAdmission(cfg.Admission),
+		adm:     adm,
 		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
-		scratch: sync.Pool{New: func() any { return &matchScratch{} }},
-		reqs:    sync.Pool{New: func() any { return &request{} }},
+		scratch: parallel.NewFreeList(cap(adm.slots), func() *matchScratch { return &matchScratch{} }),
+		reqs:    parallel.NewFreeList(cap(adm.slots)+int(adm.maxQueue), func() *request { return &request{} }),
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
@@ -355,7 +358,7 @@ func (s *Server) writeRequestError(q *request, err error) {
 // pass, a single vectorize+impute+predict call over every surviving
 // candidate, then the veto layer — the amortization that makes the bulk
 // endpoint cheaper than len(left) one-record requests. The pass walks one
-// candidate list, in pooled scratch (matchScratch), and answers from one
+// candidate list, in kept scratch (matchScratch), and answers from one
 // slab of responses and one of matches. A stage that fails fails the
 // pass, and a matcher error names the failing record by its row in left;
 // only the learned stage's own sub-budget running out (or a spec without
@@ -383,7 +386,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool
 		return nil, tally, nil, err
 	}
 	d := s.deployment
-	sc := s.scratch.Get().(*matchScratch)
+	sc := s.scratch.Get()
 	defer s.putScratch(sc)
 
 	n := left.Len()
@@ -514,7 +517,7 @@ func (s *Server) matchSet(ctx context.Context, left *table.Table, wantTrace bool
 	return resps, tally, trace, nil
 }
 
-// matchScratch is one matchSet pass's working state, pooled on the server
+// matchScratch is one matchSet pass's working state, kept on the server
 // and only read by the pass that holds it.
 type matchScratch struct {
 	// cands is the pass's candidate list: the blocked pairs in (A, B)
@@ -529,9 +532,9 @@ type matchScratch struct {
 	budget deadline
 }
 
-// putScratch empties sc and pools it for the next pass.
+// putScratch empties sc and gives it back for the next pass.
 func (s *Server) putScratch(sc *matchScratch) {
-	sc.cands, sc.verdicts, sc.scores = sc.cands[:0], nil, sc.scores[:0]
+	sc.cands, sc.verdicts, sc.scores = parallel.Emptied(sc.cands), nil, parallel.Emptied(sc.scores)
 	sc.budget = deadline{}
 	s.scratch.Put(sc)
 }

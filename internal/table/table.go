@@ -560,10 +560,7 @@ func (t *Table) String() string {
 	fmt.Fprintf(&b, "%s [%d rows x %d cols]\n", t.name, t.Len(), t.schema.Len())
 	b.WriteString(strings.Join(t.schema.Names(), " | "))
 	b.WriteByte('\n')
-	n := t.Len()
-	if n > 5 {
-		n = 5
-	}
+	n := min(t.Len(), 5)
 	for i := 0; i < n; i++ {
 		cells := make([]string, t.schema.Len())
 		for j := range cells {

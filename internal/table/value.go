@@ -13,7 +13,7 @@ import (
 )
 
 // Kind identifies the logical type of a column.
-type Kind int
+type Kind uint8
 
 const (
 	// String is free text.
@@ -48,14 +48,13 @@ func (k Kind) String() string {
 
 // Value is a single cell. The zero Value is null. Values are immutable
 // once stored in a table; the setters return new values.
+// A cell is four words (32 bytes, one pointer): s holds a string, n an
+// int, a float's bits, a bool as 0 or 1 or a date's wall-clock second.
 type Value struct {
+	s     string
+	n     int64
 	kind  Kind
 	valid bool
-	s     string
-	i     int64
-	f     float64
-	t     time.Time
-	b     bool
 }
 
 // Null returns a null value of kind k.
@@ -66,27 +65,44 @@ func Null(k Kind) Value { return Value{kind: k} }
 func S(s string) Value { return Value{kind: String, valid: true, s: s} }
 
 // I returns an integer value.
-func I(i int64) Value { return Value{kind: Int, valid: true, i: i} }
+func I(i int64) Value { return Value{kind: Int, valid: true, n: i} }
 
 // F returns a float value. NaN is treated as null.
 func F(f float64) Value {
 	if math.IsNaN(f) {
 		return Null(Float)
 	}
-	return Value{kind: Float, valid: true, f: f}
+	return Value{kind: Float, valid: true, n: int64(math.Float64bits(f))}
 }
 
-// D returns a date value.
-func D(t time.Time) Value { return Value{kind: Date, valid: true, t: t} }
+// D returns a date value. It keeps t's wall clock to the second and
+// reads it back in UTC: a non-UTC t keeps its Str and year, but Date
+// returns that wall clock as a UTC time, so Equal, and Before over two
+// Dates, compare wall clocks, not instants. The dates the program makes
+// (ParseDate's layouts, the generator's midnights) are UTC to the second
+// already.
+func D(t time.Time) Value {
+	_, off := t.Zone()
+	return Value{kind: Date, valid: true, n: t.Unix() + int64(off)}
+}
 
 // B returns a boolean value.
-func B(b bool) Value { return Value{kind: Bool, valid: true, b: b} }
+func B(b bool) Value {
+	v := Value{kind: Bool, valid: true}
+	if b {
+		v.n = 1
+	}
+	return v
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 
 // IsNull reports whether the value is missing.
 func (v Value) IsNull() bool { return !v.valid }
+
+// f is a float value's content.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.n)) }
 
 // Str returns the string content. For non-string kinds it returns the
 // canonical textual rendering; for null it returns "".
@@ -98,13 +114,13 @@ func (v Value) Str() string {
 	case String:
 		return v.s
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case Date:
-		return v.t.Format("2006-01-02")
+		return v.Date().Format("2006-01-02")
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	}
 	return ""
 }
@@ -116,15 +132,10 @@ func (v Value) Int() int64 {
 		return 0
 	}
 	switch v.kind {
-	case Int:
-		return v.i
+	case Int, Bool:
+		return v.n
 	case Float:
-		return int64(v.f)
-	case Bool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return int64(v.f())
 	}
 	return 0
 }
@@ -137,14 +148,9 @@ func (v Value) Float() float64 {
 	}
 	switch v.kind {
 	case Float:
-		return v.f
-	case Int:
-		return float64(v.i)
-	case Bool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return v.f()
+	case Int, Bool:
+		return float64(v.n)
 	}
 	return math.NaN()
 }
@@ -154,11 +160,11 @@ func (v Value) Date() time.Time {
 	if !v.valid || v.kind != Date {
 		return time.Time{}
 	}
-	return v.t
+	return time.Unix(v.n, 0).UTC()
 }
 
 // Bool returns the boolean content; null and non-bool values yield false.
-func (v Value) Bool() bool { return v.valid && v.kind == Bool && v.b }
+func (v Value) Bool() bool { return v.valid && v.kind == Bool && v.n != 0 }
 
 // Equal reports whether two values are equal. Nulls are never equal to
 // anything, including other nulls (SQL semantics).
@@ -176,14 +182,10 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case String:
 		return v.s == o.s
-	case Int:
-		return v.i == o.i
 	case Float:
-		return v.f == o.f
-	case Date:
-		return v.t.Equal(o.t)
-	case Bool:
-		return v.b == o.b
+		return v.f() == o.f()
+	case Int, Date, Bool:
+		return v.n == o.n
 	}
 	return false
 }
