@@ -116,16 +116,12 @@ bench-check:
 # bench/embench, the smoke harness), or sit in the test's allowlist with
 # its reason. Its failure message names each orphan, where it is declared
 # and the three ways out (wire it in, unexport it, delete it). The same
-# scan holds telemetry to the same rule (TestMetricNamesHaveReaders):
-# every metric name the code writes has a reader — a run report
-# emmonitor diff compares, code that reads it back, a test that asserts
-# on it, or a docs recipe named in the allowlist — the "Metric names"
-# table of docs/OBSERVABILITY.md is exactly the set written, and every
-# fault site sits in internal/serve, is armed by a test and is one of
-# fault.Sites, the list emserve -inject checks names against. The rest of
-# the telemetry vocabulary is held the same way
+# scan holds fault injection to the same rule (TestFaultSitesAreArmed):
+# every fault site sits in internal/serve, is armed by a test and is one
+# of fault.Sites, the list emserve -inject checks names against. The
+# telemetry vocabulary is held the same way
 # (TestSpanAndEventNamesHaveReaders: span names, span annotations and
-# events, wide-event fields). The third rule is for entry points
+# events, wide-event fields, each with a reader). The third rule is for entry points
 # (TestEntryPointsHaveRunners): every emload mode, emmonitor subcommand,
 # policy flag of emload, emmonitor, emserve and emmatch, route the server
 # mounts, snapshot key `emmonitor perf` decodes and environment switch of

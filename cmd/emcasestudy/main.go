@@ -17,9 +17,9 @@
 // a rerun writes byte-identical files.
 //
 // Observability: -report writes a machine-readable run report, the run's
-// one record (section spans and hot-path counters), which emmonitor diff
-// compares with another run's; -debug-addr serves live expvar metrics
-// and pprof during the run. The human-readable report stays on stdout;
+// one record (section spans, each layer's spans counting its items),
+// which emmonitor diff compares with another run's; -debug-addr serves
+// pprof and the standard expvars during the run. The human-readable report stays on stdout;
 // diagnostics and progress go to stderr.
 package main
 

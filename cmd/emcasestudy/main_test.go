@@ -62,9 +62,22 @@ func TestRunSmallScaleWithObservability(t *testing.T) {
 			t.Fatalf("trace missing section span %s (have %v)", want, sections)
 		}
 	}
-	// The registry was armed, so the learning hot path must have ticked.
-	if rep.Metrics == nil || rep.Metrics.Counters["ml.predictions"] < 1 {
-		t.Fatalf("metrics missing or empty: %+v", rep.Metrics)
+	// The learning hot path ran under the trace: its predict spans
+	// count the vectors scored, and matcher selection and label
+	// debugging the predictions their folds scored.
+	items := map[string]int64{}
+	var walk func(*obs.SpanData)
+	walk = func(s *obs.SpanData) {
+		items[s.Name] += s.Items
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(rep.Trace)
+	for _, name := range []string{"ml.predict", "ml.cv", "ml.loocv"} {
+		if items[name] < 1 {
+			t.Errorf("%s spans carry %d items", name, items[name])
+		}
 	}
 }
 

@@ -22,11 +22,13 @@
 //
 // Observability: -report writes the machine-readable run report, the
 // run's one record (the span tree with per-stage durations, items and
-// outcomes, hot-path counters, the quality section); -debug-addr serves
-// live expvar metrics (/debug/vars) and pprof (/debug/pprof/) for the
-// duration of the run. Stream discipline: only data (the match CSV, or a report
-// directed at "-") goes to stdout; every diagnostic and progress line
-// goes to stderr, so reports can be piped.
+// outcomes — each blocker's block.join, the feature.vectorize and
+// ml.predict passes counting their pairs — and the quality section);
+// -debug-addr serves pprof (/debug/pprof/) and the standard expvars
+// (/debug/vars) for the duration of the run. Stream discipline: only
+// data (the match CSV, or a report directed at "-") goes to stdout;
+// every diagnostic and progress line goes to stderr, so reports can be
+// piped.
 //
 // Quality monitoring (see docs/OBSERVABILITY.md): -drift-capture
 // profiles this run's inputs, features, candidates, and scores into the
@@ -122,9 +124,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if ctx, err = rec.Start(ctx, "emmatch", stdout, stderr); err != nil {
 		return err
 	}
-	// The run proper: load what the flags name, build the workflow and
-	// deploy it over the right table (each reference column tokenised
-	// once for blockers and features both, as umetrics.RunDeployed does),
+	// The run proper: load what the flags name, deploy the workflow,
 	// run it under the deadline.
 	res, err := func() (*workflow.Result, error) {
 		if err := dep.Load(); err != nil {
@@ -135,11 +135,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		w, err := dep.Spec.Build(dep.Left, dep.Right, dep.Transforms)
+		w, err := deploy(ctx, dep)
 		if err != nil {
-			return nil, err
-		}
-		if w, err = w.Deploy(ctx, w.Matcher, dep.Right); err != nil {
 			return nil, err
 		}
 		return w.RunCtx(ctx, dep.Left, dep.Right, opts)
@@ -177,4 +174,15 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	}
 	fmt.Fprintf(stderr, "emmatch: %d matches\n", len(ids))
 	return nil
+}
+
+// deploy builds the workflow a loaded deployment's spec describes and
+// deploys it over the right table: each reference column tokenised once
+// for blockers and features both, as umetrics.RunDeployed does.
+func deploy(ctx context.Context, dep *cliutil.Deployment) (*workflow.Workflow, error) {
+	w, err := dep.Spec.Build(dep.Left, dep.Right, dep.Transforms)
+	if err != nil {
+		return nil, err
+	}
+	return w.Deploy(ctx, w.Matcher, dep.Right)
 }

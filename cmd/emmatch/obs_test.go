@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"emgo/internal/block"
+	"emgo/internal/cliutil"
 	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -19,8 +23,8 @@ import (
 
 // TestRunReportFlag is the acceptance test for -report: a run must
 // produce a machine-readable report whose JSON parses back into per-stage
-// spans (with durations, items and outcomes) and hot-path counters, and
-// stderr prints those stages.
+// spans (with durations, items and outcomes) with the pipeline layers'
+// spans under them, and stderr prints those stages.
 func TestRunReportFlag(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "spec.json", tinySpec)
@@ -57,8 +61,10 @@ func TestRunReportFlag(t *testing.T) {
 	if rep.Trace == nil || rep.Trace.Name != "emmatch" || rep.Trace.Outcome != obs.OutcomeOK {
 		t.Fatalf("trace root: %+v", rep.Trace)
 	}
-	// The workflow's stage spans nest under the binary's root span.
+	// The workflow's stage spans nest under the binary's root span, and
+	// each blocker's join under the blocked stage.
 	stages := map[string]string{}
+	var joined int64
 	var walk func(s *obs.SpanData)
 	walk = func(s *obs.SpanData) {
 		if strings.HasPrefix(s.Name, "stage.") {
@@ -66,6 +72,9 @@ func TestRunReportFlag(t *testing.T) {
 			if s.DurationMS < 0 {
 				t.Fatalf("span %s has negative duration", s.Name)
 			}
+		}
+		if s.Name == "block.join" {
+			joined += s.Items
 		}
 		for _, c := range s.Children {
 			walk(c)
@@ -77,13 +86,9 @@ func TestRunReportFlag(t *testing.T) {
 			t.Fatalf("span %s outcome = %q (have %v)", want, stages[want], stages)
 		}
 	}
-	// Hot-path counters: the registry was armed, so blocking ticked.
-	if rep.Metrics == nil {
-		t.Fatal("report has no metrics snapshot")
-	}
-	if rep.Metrics.Counters["block.pairs_blocked"] < 1 {
-		t.Fatalf("block.pairs_blocked = %d; counters: %v",
-			rep.Metrics.Counters["block.pairs_blocked"], rep.Metrics.Counters)
+	// The blockers' work is their join spans' items.
+	if joined < 1 {
+		t.Fatalf("block.join spans carry %d items; trace: %+v", joined, rep.Trace)
 	}
 	// The stage table on stderr is the report's stage spans, rendered.
 	if table := workflow.Stages(rep); !strings.HasPrefix(table, "sure_matches") ||
@@ -200,11 +205,11 @@ func TestRunDebugAddrServes(t *testing.T) {
 	}
 }
 
-// TestRunDeploysSharedTitleColumn: emmatch deploys the spec before it
-// runs, so normalising title blockers and the lower-case title feature
-// the tree reads share one reference column — the run report's
-// block.cells_tokenised is one column of right rows — and the matches
-// are those of the plain built workflow.
+// TestRunDeploysSharedTitleColumn: emmatch runs the workflow deploy
+// gives — normalising title blockers and the lower-case title feature
+// the tree reads sharing one reference column, held by identity, and the
+// feature set bound to the right table — and the matches are those of
+// the plain built workflow.
 func TestRunDeploysSharedTitleColumn(t *testing.T) {
 	words := []string{"corn", "soy", "dairy", "rust", "blight", "soil", "weed", "farm"}
 	title := func(i int) string {
@@ -250,11 +255,10 @@ func TestRunDeploysSharedTitleColumn(t *testing.T) {
 	rightPath := writeFile(t, dir, "right.csv", right.String())
 	reportPath := filepath.Join(dir, "run.json")
 
-	obs.Disable() // a fresh registry: the report counts this run alone
-	defer obs.Disable()
+	deployArgs := []string{"-spec", specPath, "-left", leftPath, "-right", rightPath, "-transforms", "none"}
+
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-spec", specPath, "-left", leftPath, "-right", rightPath,
-		"-transforms", "none", "-report", reportPath}, &stdout, &stderr); err != nil {
+	if err := run(append(deployArgs, "-report", reportPath), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	data, err := os.ReadFile(reportPath)
@@ -265,8 +269,38 @@ func TestRunDeploysSharedTitleColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Metrics.Counters["block.cells_tokenised"]; got != rightRows {
-		t.Fatalf("block.cells_tokenised = %d, want one column of %d right rows", got, rightRows)
+	if rep.Outcome != obs.OutcomeOK {
+		t.Fatalf("outcome = %q, error = %q", rep.Outcome, rep.Error)
+	}
+
+	// What run runs, under the same flags: one reference title column,
+	// the blockers' and the feature set's both. A bound set keeps its
+	// columns unexported, so they are read by reflection.
+	fs := flag.NewFlagSet("emmatch", flag.ContinueOnError)
+	dep := cliutil.DeploymentFlags(fs, "", "")
+	if err := fs.Parse(deployArgs); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Load(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := deploy(context.Background(), dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := block.Columns(d.Blockers)
+	if len(cols) != 1 {
+		t.Fatalf("the two title blockers hold %d reference columns, want one", len(cols))
+	}
+	cells := reflect.ValueOf(d.Features).Elem().FieldByName("cells")
+	if !cells.IsValid() || cells.IsNil() {
+		t.Fatal("the deployed feature set holds no bound cells")
+	}
+	if set := cells.Elem().FieldByName("cols"); set.Len() != 1 || set.Index(0).Pointer() != reflect.ValueOf(cols[0]).Pointer() {
+		t.Fatalf("the feature set holds %d reference columns, want the blockers' one", set.Len())
+	}
+	if _, err := d.Features.VectorizeCtx(context.Background(), dep.Left, dep.Left, nil); err == nil {
+		t.Fatal("the deployed feature set answers about a table it was not bound to")
 	}
 
 	// The plain path, Build then RunCtx, gives the same match CSV.

@@ -12,7 +12,7 @@ import (
 
 // DeltaRow is one changed value in a report diff.
 type DeltaRow struct {
-	// Name identifies the value ("stage.blocked", "ml.predictions",
+	// Name identifies the value ("stage.blocked", "block.join",
 	// "psi.feature.X").
 	Name string `json:"name"`
 	// A and B are the values in the two reports (NaN renders as "-"
@@ -43,8 +43,9 @@ type Diff struct {
 	VerdictB string `json:"verdict_b"`
 	// Stages are per-stage wall-time changes (from the span trees).
 	Stages []DeltaRow `json:"stages,omitempty"`
-	// Counters are metric counter changes.
-	Counters []DeltaRow `json:"counters,omitempty"`
+	// Items are changes in each span name's summed items (from the span
+	// trees): the work a layer did, such as block.join's pairs.
+	Items []DeltaRow `json:"items,omitempty"`
 	// Signals are quality-signal value changes.
 	Signals []DeltaRow `json:"signals,omitempty"`
 }
@@ -56,6 +57,26 @@ func stagesOf(root *obs.SpanData) map[string]float64 {
 	if root != nil {
 		maps.Copy(out, root.StageDurations())
 		out[root.Name] = root.DurationMS
+	}
+	return out
+}
+
+// itemsOf is a report's span tree as name → the items of every span of
+// that name summed, root included; a name whose spans carry no items is
+// left out.
+func itemsOf(root *obs.SpanData) map[string]float64 {
+	out := map[string]float64{}
+	var walk func(*obs.SpanData)
+	walk = func(n *obs.SpanData) {
+		if n.Items != 0 {
+			out[n.Name] += float64(n.Items)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	if root != nil {
+		walk(root)
 	}
 	return out
 }
@@ -93,26 +114,13 @@ func deltas(a, b map[string]float64) []DeltaRow {
 	return out
 }
 
-// DiffReports compares two run reports: stage wall times, counters and
+// DiffReports compares two run reports: stage wall times, span items and
 // quality signals.
 func DiffReports(a, b *obs.Report) *Diff {
 	d := &Diff{NameA: a.Name, NameB: b.Name, OutcomeA: a.Outcome, OutcomeB: b.Outcome}
 
 	d.Stages = deltas(stagesOf(a.Trace), stagesOf(b.Trace))
-
-	ca := map[string]float64{}
-	cb := map[string]float64{}
-	if a.Metrics != nil {
-		for k, v := range a.Metrics.Counters {
-			ca[k] = float64(v)
-		}
-	}
-	if b.Metrics != nil {
-		for k, v := range b.Metrics.Counters {
-			cb[k] = float64(v)
-		}
-	}
-	d.Counters = deltas(ca, cb)
+	d.Items = deltas(itemsOf(a.Trace), itemsOf(b.Trace))
 
 	ga := map[string]float64{}
 	gb := map[string]float64{}
@@ -166,9 +174,9 @@ func (d *Diff) Render(w io.Writer) error {
 		}
 	}
 	section("stage wall time (ms)", d.Stages)
-	section("counters", d.Counters)
+	section("span items", d.Items)
 	section("quality signals", d.Signals)
-	if len(d.Stages)+len(d.Counters)+len(d.Signals) == 0 {
+	if len(d.Stages)+len(d.Items)+len(d.Signals) == 0 {
 		if _, err := fmt.Fprintln(w, "no differences"); err != nil {
 			return err
 		}

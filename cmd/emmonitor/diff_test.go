@@ -9,27 +9,27 @@ import (
 	"emgo/internal/obs"
 )
 
-func sampleReport(name string, counters map[string]int64) *obs.Report {
-	snap := &obs.MetricsSnapshot{Counters: counters}
+func sampleReport(name string) *obs.Report {
 	return &obs.Report{
 		Name: name, Outcome: "ok",
 		StartedAt: time.Unix(100, 0), FinishedAt: time.Unix(101, 0),
-		Metrics: snap,
 	}
 }
 
 func TestDiffReports(t *testing.T) {
-	a := sampleReport("run-a", map[string]int64{"ml.predictions": 100, "only_a": 1})
+	a := sampleReport("run-a")
 	a.Trace = &obs.SpanData{Name: "workflow", DurationMS: 100, Children: []*obs.SpanData{
 		{Name: "stage.blocked", DurationMS: 40},
-		{Name: "stage.learned", DurationMS: 60},
+		{Name: "stage.learned", DurationMS: 60, Children: []*obs.SpanData{{Name: "ml.predict", Items: 100}}},
+		{Name: "only_a", Items: 1},
 	}}
 	a.Quality = &obs.QualityData{Verdict: "ok", Signals: []obs.QualitySignal{{Name: "psi.scores", Value: 0.01}}}
 
-	b := sampleReport("run-b", map[string]int64{"ml.predictions": 150, "only_b": 2})
+	b := sampleReport("run-b")
 	b.Trace = &obs.SpanData{Name: "workflow", DurationMS: 130, Children: []*obs.SpanData{
 		{Name: "stage.blocked", DurationMS: 40}, // unchanged: not in diff
-		{Name: "stage.learned", DurationMS: 90},
+		{Name: "stage.learned", DurationMS: 90, Children: []*obs.SpanData{{Name: "ml.predict", Items: 150}}},
+		{Name: "only_b", Items: 2},
 	}}
 	b.Quality = &obs.QualityData{Verdict: "warn", Signals: []obs.QualitySignal{{Name: "psi.scores", Value: 0.15}}}
 
@@ -51,11 +51,11 @@ func TestDiffReports(t *testing.T) {
 	if r := find(d.Stages, "stage.blocked"); r != nil {
 		t.Fatalf("unchanged stage should not appear: %+v", r)
 	}
-	if r := find(d.Counters, "ml.predictions"); r == nil || r.Delta() != 50 {
-		t.Fatalf("counter delta: %+v", r)
+	if r := find(d.Items, "ml.predict"); r == nil || r.Delta() != 50 {
+		t.Fatalf("items delta: %+v", r)
 	}
-	if r := find(d.Counters, "only_a"); r == nil || !math.IsNaN(r.B) || r.Delta() != 0 {
-		t.Fatalf("one-sided counter: %+v", r)
+	if r := find(d.Items, "only_a"); r == nil || !math.IsNaN(r.B) || r.Delta() != 0 {
+		t.Fatalf("one-sided items: %+v", r)
 	}
 	if r := find(d.Signals, "psi.scores"); r == nil || math.Abs(r.Delta()-0.14) > 1e-12 {
 		t.Fatalf("signal delta: %+v", r)
@@ -66,7 +66,7 @@ func TestDiffReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"run-a", "run-b", "quality warn", "stage.learned", "ml.predictions", "psi.scores", "-"} {
+	for _, want := range []string{"run-a", "run-b", "quality warn", "stage.learned", "ml.predict", "psi.scores", "-"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
@@ -74,7 +74,8 @@ func TestDiffReports(t *testing.T) {
 }
 
 func TestDiffIdenticalReportsRendersNoDifferences(t *testing.T) {
-	a := sampleReport("same", map[string]int64{"n": 1})
+	a := sampleReport("same")
+	a.Trace = &obs.SpanData{Name: "workflow", Children: []*obs.SpanData{{Name: "n", Items: 1}}}
 	d := DiffReports(a, a)
 	var sb strings.Builder
 	if err := d.Render(&sb); err != nil {
@@ -82,5 +83,27 @@ func TestDiffIdenticalReportsRendersNoDifferences(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "no differences") {
 		t.Fatalf("identical reports rendered:\n%s", sb.String())
+	}
+}
+
+// TestDiffSumsSpanItemsByName: a report's items row for a span name is
+// the sum over every span of that name wherever it sits in the tree, so
+// the three block.join spans of a three-blocker run read as one total.
+func TestDiffSumsSpanItemsByName(t *testing.T) {
+	joins := func(items ...int64) *obs.Report {
+		blocked := &obs.SpanData{Name: "stage.blocked", Items: 99}
+		for _, n := range items {
+			blocked.Children = append(blocked.Children, &obs.SpanData{Name: "block.join", Items: n})
+		}
+		rep := sampleReport("r")
+		rep.Trace = &obs.SpanData{Name: "emmatch", Children: []*obs.SpanData{blocked}}
+		return rep
+	}
+	d := DiffReports(joins(10, 20, 5), joins(10, 26, 12))
+	if len(d.Items) != 1 || d.Items[0].Name != "block.join" || d.Items[0].A != 35 || d.Items[0].B != 48 || d.Items[0].Delta() != 13 {
+		t.Fatalf("items rows %+v, want one block.join row 35 -> 48", d.Items)
+	}
+	if d := DiffReports(joins(10, 20, 5), joins(20, 5, 10)); len(d.Items) != 0 {
+		t.Fatalf("the same total spread differently across blockers: items rows %+v, want none", d.Items)
 	}
 }

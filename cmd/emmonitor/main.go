@@ -25,7 +25,8 @@
 // SIGINT/SIGTERM (so a breach verdict is never confused with an
 // operator abort).
 //
-// diff compares two run reports: per-stage wall time, counters and
+// diff compares two run reports: per-stage wall time, each span name's
+// summed items (block.join's pairs, ml.predict's vectors) and
 // quality signals (see diff.go).
 //
 // perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at

@@ -163,9 +163,9 @@ func TestCheckRejectsBaselineWithoutProfile(t *testing.T) {
 func TestDiffSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	a := &obs.Report{Name: "a", Outcome: "ok",
-		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"ml.predictions": 10}}}
+		Trace: &obs.SpanData{Name: "emmatch", Children: []*obs.SpanData{{Name: "ml.predict", Items: 10}}}}
 	b := &obs.Report{Name: "b", Outcome: "ok",
-		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"ml.predictions": 30}}}
+		Trace: &obs.SpanData{Name: "emmatch", Children: []*obs.SpanData{{Name: "ml.predict", Items: 30}}}}
 	pa := filepath.Join(dir, "a.json")
 	pb := filepath.Join(dir, "b.json")
 	writeReport(t, a, pa)
@@ -174,63 +174,62 @@ func TestDiffSubcommand(t *testing.T) {
 	if err := run([]string{"diff", pa, pb}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "ml.predictions") || !strings.Contains(out.String(), "+20") {
+	_, items, ok := strings.Cut(out.String(), "span items:")
+	if !ok || !strings.Contains(items, "ml.predict") || !strings.Contains(items, "+20") {
 		t.Fatalf("diff output:\n%s", out.String())
 	}
 }
 
-// pr25Report is a run report as PR 25's emmatch wrote it (trace cut):
-// its metrics carry the gauges and float_gauges kinds, and it has a
-// provenance section, all gone since.
-const pr25Report = `{"name":"workflow.v","started_at":"2026-10-05T10:00:00Z","finished_at":"2026-10-05T10:00:01Z","outcome":"ok",` +
+// metricsEraReport is a run report as emmatch wrote it while the process
+// kept a metrics registry (trace cut to one stage and one join): beside
+// the span tree it has a "metrics" section of counters and histograms,
+// with the gauges and float_gauges kinds of still older reports, and a
+// provenance section.
+const metricsEraReport = `{"name":"emmatch","started_at":"2026-10-05T10:00:00Z","finished_at":"2026-10-05T10:00:01Z","outcome":"ok",` +
+	`"trace":{"name":"emmatch","start":"2026-10-05T10:00:00Z","duration_ms":9,"outcome":"ok","children":[` +
+	`{"name":"stage.blocked","start":"2026-10-05T10:00:00Z","duration_ms":5,"items":1,"outcome":"ok","children":[` +
+	`{"name":"block.join","start":"2026-10-05T10:00:00Z","duration_ms":4,"items":1,"outcome":"ok"}]}]},` +
 	`"provenance":[{"step":"blocked","detail":"union of blockers","count":1},{"step":"final","detail":"sure matches plus surviving predictions","count":1}],` +
 	`"metrics":{"counters":{"block.candset.ops":2,"block.pairs_blocked":1},"gauges":{"block.candidates":1},` +
 	`"float_gauges":{"drift.coverage_drop":0,"drift.ks":0,"drift.match_rate_delta":0,"drift.null_rate":0,"drift.psi":0},` +
 	`"histograms":{"workflow.stage_ms":{"bounds":[1,5],"counts":[7,0,0],"count":7,"sum":0.048139,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.020494,"max":0.020494}}}}`
 
-// TestSnapshotHasTwoKinds pins the keys of a metrics snapshot — what a
-// report's "metrics" section and /debug/vars' em_metrics are — and that a
-// report written when there were four kinds and a provenance section
-// still loads: diff compares its counters, check reads it (and finds no
-// profile in it, or the one spliced in), the unknown keys are ignored.
-func TestSnapshotHasTwoKinds(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("c").Inc()
-	reg.Histogram("h", []float64{1}).Observe(1)
-	data, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds map[string]json.RawMessage
-	if err := json.Unmarshal(data, &kinds); err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) != 2 || kinds["counters"] == nil || kinds["histograms"] == nil {
-		t.Fatalf("snapshot keys = %s, want counters, histograms", data)
-	}
-
+// TestOldReportsStillLoad: a report written while there was a metrics
+// section still loads — a drift baseline is a run report, so one captured
+// then must keep working. Diff ignores the section and compares the stage
+// and items rows of its trace; check reads it as -run and as -baseline
+// (and finds no profile in it, or the one spliced in).
+func TestOldReportsStillLoad(t *testing.T) {
 	dir := t.TempDir()
 	old := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(old, []byte(pr25Report), 0o644); err != nil {
+	if err := os.WriteFile(old, []byte(metricsEraReport), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	now := &obs.Report{Name: "workflow.v", Outcome: "ok",
-		Metrics: &obs.MetricsSnapshot{Counters: map[string]int64{"block.pairs_blocked": 4}}}
+	now := &obs.Report{Name: "emmatch", Outcome: "ok",
+		Trace: &obs.SpanData{Name: "emmatch", DurationMS: 9, Children: []*obs.SpanData{
+			{Name: "stage.blocked", DurationMS: 7, Items: 4, Children: []*obs.SpanData{{Name: "block.join", DurationMS: 4, Items: 4}}}}}}
 	cur := filepath.Join(dir, "now.json")
 	writeReport(t, now, cur)
 	var out, errOut strings.Builder
 	if err := run([]string{"diff", old, cur}, &out, &errOut); err != nil {
-		t.Fatalf("diff against a PR 25 report: %v", err)
+		t.Fatalf("diff against a report with a metrics section: %v", err)
 	}
-	if !strings.Contains(out.String(), "block.pairs_blocked") || !strings.Contains(out.String(), "+3") {
-		t.Fatalf("diff output:\n%s", out.String())
+	for _, want := range []string{"stage wall time (ms):\n  stage.blocked", "span items:\n  block.join", "(+3)", "(+2)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("diff output lacks %q:\n%s", want, out.String())
+		}
+	}
+	for _, gone := range []string{"block.pairs_blocked", "block.candset.ops", "workflow.stage_ms", "counters"} {
+		if strings.Contains(out.String(), gone) {
+			t.Fatalf("diff output shows the old metrics section's %s:\n%s", gone, out.String())
+		}
 	}
 
 	_, live := fixtureProfiles(t, false)
 	runPath := writeRunReport(t, dir, "run.json", live)
-	err = run([]string{"check", "-baseline", old, "-run", runPath}, &out, &errOut)
+	err := run([]string{"check", "-baseline", old, "-run", runPath}, &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), old+": drift: run report carries no quality profile") {
-		t.Fatalf("check against a PR 25 report without a profile: %v", err)
+		t.Fatalf("check against an old report without a profile: %v", err)
 	}
 	qd, err := drift.CaptureQuality(live)
 	if err != nil {
@@ -241,13 +240,17 @@ func TestSnapshotHasTwoKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	monitored := filepath.Join(dir, "old-monitored.json")
-	if err := writeFile(monitored, strings.Replace(pr25Report, `"outcome":"ok",`, `"outcome":"ok","quality":`+string(quality)+`,`, 1)); err != nil {
+	if err := writeFile(monitored, strings.Replace(metricsEraReport, `"outcome":"ok",`, `"outcome":"ok","quality":`+string(quality)+`,`, 1)); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	if err := run([]string{"check", "-baseline", monitored, "-run", runPath}, &out, &errOut); err != nil ||
-		!strings.Contains(out.String(), "verdict ok") {
-		t.Fatalf("check against a monitored PR 25 report: %v\n%s", err, out.String())
+	for _, args := range [][]string{
+		{"check", "-baseline", monitored, "-run", runPath},
+		{"check", "-baseline", runPath, "-run", monitored},
+	} {
+		out.Reset()
+		if err := run(args, &out, &errOut); err != nil || !strings.Contains(out.String(), "verdict ok") {
+			t.Fatalf("%v with an old monitored report: %v\n%s", args, err, out.String())
+		}
 	}
 }
 

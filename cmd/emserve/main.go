@@ -25,8 +25,9 @@
 // one amortized pipeline pass. A table larger than that is matched
 // offline: emmatch over the same deployed spec. GET /healthz,
 // /readyz and /v1/status report liveness, readiness and the live
-// request/queue counters; /debug/ exposes expvar and pprof, the one
-// profiling surface (`go tool pprof
+// numbers: requests, queue, sheds by reason and the pipeline latency;
+// /debug/ exposes pprof, the one profiling surface, and the standard
+// expvars (`go tool pprof
 // http://ADDR/debug/pprof/profile?seconds=5`; see docs/OBSERVABILITY.md
 // "Profiling & perf gating"). Nothing
 // authenticates a caller, so -addr is the boundary: bind it where only
@@ -71,7 +72,6 @@ import (
 
 	"emgo/internal/cliutil"
 	"emgo/internal/fault"
-	"emgo/internal/obs"
 	"emgo/internal/serve"
 )
 
@@ -170,11 +170,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		defer f.Close()
 		cfg.AccessLog = f
 	}
-
-	// Serving always counts: the registry is what /debug/vars shows, the
-	// library counters under a live server included. (/v1/status reads
-	// Server fields, not the registry.)
-	obs.Enable()
 
 	srv, err := serve.New(ctx, cfg, wf, left, right)
 	if err != nil {

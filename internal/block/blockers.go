@@ -183,7 +183,6 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		}
 	}
 	out := NewCandidateSet(left, right)
-	pairsBlocked := obs.C("block.pairs_blocked")
 	// ready[k] is blockers[k]'s candidate set when the pass of an earlier
 	// blocker over the same column has already produced it. earlier holds
 	// a cursor on each earlier blocker's set.
@@ -204,7 +203,6 @@ func UnionBlockCtx(ctx context.Context, left, right *table.Table, blockers ...Bl
 		sp.SetItems(c.Len())
 		sp.SetOutcome(obs.OutcomeOK)
 		sp.End()
-		pairsBlocked.Add(int64(c.Len()))
 		// Grow the union in place, in Union's order (earlier pairs, then
 		// c's new ones), making room for all of c at once. A pair of c is
 		// new when no earlier blocker's set holds it, and the union is

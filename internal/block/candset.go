@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sync"
 
-	"emgo/internal/obs"
 	"emgo/internal/table"
 )
 
@@ -162,7 +161,6 @@ func (c *CandidateSet) Union(o *CandidateSet) (*CandidateSet, error) {
 	if err := c.sameTables(o); err != nil {
 		return nil, err
 	}
-	obs.C("block.candset.ops").Inc()
 	out := NewCandidateSet(c.Left, c.Right)
 	out.pairs = append(make([]Pair, 0, len(c.pairs)+len(o.pairs)), c.pairs...)
 	out.unordered = c.unordered
@@ -180,7 +178,6 @@ func (c *CandidateSet) Minus(o *CandidateSet) (*CandidateSet, error) {
 	if err := c.sameTables(o); err != nil {
 		return nil, err
 	}
-	obs.C("block.candset.ops").Inc()
 	in := cursor{set: o}
 	return c.Filter(func(p Pair) bool { return !in.contains(p) }), nil
 }
@@ -190,7 +187,6 @@ func (c *CandidateSet) Intersect(o *CandidateSet) (*CandidateSet, error) {
 	if err := c.sameTables(o); err != nil {
 		return nil, err
 	}
-	obs.C("block.candset.ops").Inc()
 	in := cursor{set: o}
 	return c.Filter(in.contains), nil
 }

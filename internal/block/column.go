@@ -11,7 +11,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"emgo/internal/obs"
 	"emgo/internal/parallel"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
@@ -299,7 +298,6 @@ func (c *Column) Build(ctx context.Context, right *table.Table, rj int, rows []i
 	if rows == nil {
 		c.right, c.rj = right, rj
 	}
-	obs.C("block.cells_tokenised").Add(int64(n))
 	return nil
 }
 

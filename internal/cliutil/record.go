@@ -17,8 +17,8 @@ import (
 // of a run. Start arms it, Finish writes it — on success and on failure
 // alike, an aborted run being exactly when it is needed. The report is
 // the run's one record: it carries the span tree (a workflow stage is its
-// stage.<step> span), the metrics and, from a monitored workflow run, the
-// quality section with its drift profile.
+// stage.<step> span, and each span's items count its work) and, from a
+// monitored workflow run, the quality section with its drift profile.
 type RunRecord struct {
 	report, debugAddr string
 
@@ -34,7 +34,7 @@ type RunRecord struct {
 func RunRecordFlags(fs *flag.FlagSet, reportUsage string) *RunRecord {
 	r := &RunRecord{}
 	fs.StringVar(&r.report, "report", "", reportUsage)
-	fs.StringVar(&r.debugAddr, "debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) at this address during the run, e.g. :6060")
+	fs.StringVar(&r.debugAddr, "debug-addr", "", "serve pprof (/debug/pprof/) and the standard expvars (/debug/vars) at this address during the run, e.g. :6060")
 	return r
 }
 
@@ -51,15 +51,11 @@ func (r *RunRecord) CheckStdout(taken bool, why string) error {
 // Reporting reports whether -report names a destination.
 func (r *RunRecord) Reporting() bool { return r.report != "" }
 
-// Start arms what the flags ask for: the metrics registry when either is
-// set (so hot-path counters tick for this run), the debug server, and —
-// for a report — a root span called name that the pipeline's stage spans
-// nest under. Finish ends what Start began.
+// Start arms what the flags ask for: the debug server, and — for a
+// report — a root span called name that the pipeline's stage spans nest
+// under. Finish ends what Start began.
 func (r *RunRecord) Start(ctx context.Context, name string, stdout, stderr io.Writer) (context.Context, error) {
 	r.name, r.stdout, r.stderr, r.started = name, stdout, stderr, time.Now()
-	if r.report != "" || r.debugAddr != "" {
-		obs.Enable()
-	}
 	if r.debugAddr != "" {
 		dbg, err := obs.StartDebugServer(ctx, r.debugAddr)
 		if err != nil {

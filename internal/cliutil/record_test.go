@@ -43,7 +43,6 @@ func TestRunRecordWritesReportAndTraceAtomically(t *testing.T) {
 		t.Fatalf("report.json after a kill mid-write holds %q (%v), want the previous document", got, err)
 	}
 
-	defer obs.Disable()
 	dir = t.TempDir()
 	report = filepath.Join(dir, "report.json")
 	if err := os.WriteFile(report, []byte(previous), 0o644); err != nil {

@@ -21,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"emgo/internal/obs"
 )
 
 // Sites is every site the code passes to Inject; ParsePlan refuses any
@@ -101,12 +99,6 @@ func Inject(name string) error {
 	if !fire {
 		return nil
 	}
-	// A fired trip is an operational event a degraded run must expose:
-	// count it globally and per site (the site list is fixed, so the
-	// label cardinality is bounded). Only firing calls pay the registry
-	// lookup; the unarmed hot path returned above.
-	obs.C("fault.trips").Inc()
-	obs.C("fault.trips." + name).Inc()
 	if s.plan.Mode == ModeSleep { // a site's plan is never written after Enable
 		time.Sleep(s.plan.Sleep)
 		return nil

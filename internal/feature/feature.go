@@ -392,7 +392,6 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 	vctx, sp := obs.StartSpan(ctx, "feature.vectorize")
 	defer sp.End()
 	sp.SetItems(len(pairs))
-	vectors := obs.C("feature.vectors_built")
 	out := make([][]float64, len(pairs))
 	cells, err := pl.prepare(vctx, s, left, right, pairs)
 	if err == nil {
@@ -403,7 +402,6 @@ func (s *Set) VectorizeCtx(ctx context.Context, left, right *table.Table, pairs 
 			row := flat[i*width : (i+1)*width : (i+1)*width]
 			pl.vector(row, s, cells, left, right, pairs[i])
 			out[i] = row
-			vectors.Inc()
 			return nil
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"emgo/internal/block"
-	"emgo/internal/obs"
 )
 
 // Tool simulates the cloud-based labeling tool built for the UMETRICS
@@ -110,12 +109,10 @@ func (t *Tool) LabelAll(user string, judge func(block.Pair) Label) error {
 	if judge == nil {
 		return fmt.Errorf("label: drain needs a judge")
 	}
-	labeled := obs.C("label.labeled")
 	for _, p := range t.Pending() {
 		if err := t.Submit(user, p, judge(p)); err != nil {
 			return fmt.Errorf("label: submitting pair (%d,%d): %w", p.A, p.B, err)
 		}
-		labeled.Inc()
 	}
 	return nil
 }

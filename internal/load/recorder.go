@@ -21,11 +21,9 @@ var latencyBuckets = []float64{
 
 // Recorder aggregates outcomes concurrently: per-class and per-kind
 // atomic counters plus an internal/obs histogram of
-// coordinated-omission-corrected latencies. It owns a private obs
-// registry so percentile math and snapshots ride the same code the
-// server's metrics use, without requiring the global registry.
+// coordinated-omission-corrected latencies, whose percentile math and
+// snapshots are the ones the server's /v1/status latency uses.
 type Recorder struct {
-	reg  *obs.Registry
 	hist *obs.Histogram
 
 	mu      sync.Mutex
@@ -41,10 +39,8 @@ type Recorder struct {
 
 // NewRecorder builds an empty recorder; the clock starts at Start.
 func NewRecorder() *Recorder {
-	reg := obs.NewRegistry()
 	return &Recorder{
-		reg:     reg,
-		hist:    reg.Histogram("load.latency_ms", latencyBuckets),
+		hist:    obs.NewHistogram(latencyBuckets),
 		classes: map[string]int64{},
 		kinds:   map[Kind]int64{},
 	}
@@ -103,9 +99,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		snap.Kinds[k] = n
 	}
 	r.mu.Unlock()
-	if hs, ok := r.reg.Snapshot().Histograms["load.latency_ms"]; ok {
-		snap.Hist = hs
-	}
+	snap.Hist = r.hist.Snapshot()
 	return snap
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"emgo/internal/obs"
@@ -153,16 +154,64 @@ func TestLeaveOneOutDebugCtxCancelled(t *testing.T) {
 // TestSelectMatcherCtxCancelled: a selection under a cancelled context
 // returns its error without fitting a single fold.
 func TestSelectMatcherCtxCancelled(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	folds := obs.C("ml.cv.folds")
-	before := folds.Value()
+	var fits atomic.Int64
+	factories := DefaultFactories(1)
+	for i := range factories {
+		newMatcher := factories[i].New
+		factories[i].New = func() Matcher { fits.Add(1); return newMatcher() }
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SelectMatcherCtx(ctx, DefaultFactories(1), forestDataset(t), 5, 7); !errors.Is(err, context.Canceled) {
+	if _, err := SelectMatcherCtx(ctx, factories, forestDataset(t), 5, 7); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err: %v", err)
 	}
-	if n := folds.Value() - before; n != 0 {
-		t.Fatalf("ml.cv.folds advanced by %d under a cancelled context", n)
+	if n := fits.Load(); n != 0 {
+		t.Fatalf("%d fold fits started under a cancelled context", n)
+	}
+	// The counting factories do fit when the context is live.
+	if _, err := SelectMatcherCtx(context.Background(), factories, forestDataset(t), 5, 7); err != nil || fits.Load() != int64(5*len(factories)) {
+		t.Fatalf("live selection: %d fits, want %d (%v)", fits.Load(), 5*len(factories), err)
+	}
+}
+
+// TestSelectionAndLabelDebuggingAreSpans: a matcher selection is one
+// ml.cv span and a leave-one-out pass one ml.loocv span, each counting
+// the predictions it scored — every example once per factory, and once —
+// so a study's report counts the work of its two costliest loops; a
+// pass its context stopped is aborted.
+func TestSelectionAndLabelDebuggingAreSpans(t *testing.T) {
+	ds := forestDataset(t)
+	factories := DefaultFactories(1)
+	dt := Factory{Name: "dt", New: func() Matcher { return &DecisionTree{} }}
+	ctx, root := obs.NewTrace(context.Background(), "study")
+	if _, err := SelectMatcherCtx(ctx, factories, ds, 5, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LeaveOneOutDebugCtx(ctx, dt, ds); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := LeaveOneOutDebugCtx(cancelled, dt, ds); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pass: %v", err)
+	}
+	root.End()
+	spans := root.Snapshot().Children
+	want := []struct {
+		name    string
+		items   int64
+		outcome string
+	}{
+		{"ml.cv", int64(len(factories) * ds.Len()), obs.OutcomeOK},
+		{"ml.loocv", int64(ds.Len()), obs.OutcomeOK},
+		{"ml.loocv", int64(ds.Len()), obs.OutcomeAborted},
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans under the root, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i, w := range want {
+		if s := spans[i]; s.Name != w.name || s.Items != w.items || s.Outcome != w.outcome {
+			t.Errorf("span %d: %s items %d %s, want %s items %d %s", i, s.Name, s.Items, s.Outcome, w.name, w.items, w.outcome)
+		}
 	}
 }

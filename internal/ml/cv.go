@@ -83,7 +83,9 @@ func CrossValidate(f Factory, ds *Dataset, k int, rng *rand.Rand) (CVResult, err
 // crossValidate fits every factory on every fold's training view in
 // parallel, scores each fit on its held-out view, and averages each
 // factory's folds in fold order, so the results do not depend on how the
-// fits were scheduled. The fits stop dispatching once ctx is done.
+// fits were scheduled. The fits stop dispatching once ctx is done. The
+// call is one ml.cv span, its items the predictions scored: every
+// example once per factory.
 func crossValidate(ctx context.Context, factories []Factory, ds *Dataset, folds [][]int) ([]CVResult, error) {
 	k := len(folds)
 	train, test := make([]*Dataset, k), make([]*Dataset, k)
@@ -96,11 +98,12 @@ func crossValidate(ctx context.Context, factories []Factory, ds *Dataset, folds 
 		}
 		train[fi], test[fi] = ds.view(idx), ds.view(folds[fi])
 	}
-	cvFolds := obs.C("ml.cv.folds")
+	cctx, sp := obs.StartSpan(ctx, "ml.cv")
+	defer sp.End()
+	sp.SetItems(len(factories) * ds.Len())
 	confs := make([]Confusion, len(factories)*k)
-	err := parallel.ForCtx(ctx, len(confs), func(i int) error {
+	err := parallel.ForCtx(cctx, len(confs), func(i int) error {
 		f, fi := factories[i/k], i%k
-		cvFolds.Inc()
 		m := f.New()
 		if err := fitView(m, train[fi]); err != nil {
 			return fmt.Errorf("ml: cv %s fold %d: %w", f.Name, fi, err)
@@ -109,6 +112,7 @@ func crossValidate(ctx context.Context, factories []Factory, ds *Dataset, folds 
 		return nil
 	})
 	if err != nil {
+		sp.SetOutcome(obs.OutcomeAborted)
 		// Name the failing fit, not the parallel work index.
 		var ie *parallel.IndexError
 		if errors.As(err, &ie) {
@@ -116,6 +120,7 @@ func crossValidate(ctx context.Context, factories []Factory, ds *Dataset, folds 
 		}
 		return nil, err
 	}
+	sp.SetOutcome(obs.OutcomeOK)
 	results := make([]CVResult, len(factories))
 	for i, f := range factories {
 		res := CVResult{Name: f.Name, Folds: k}
@@ -134,11 +139,9 @@ func crossValidate(ctx context.Context, factories []Factory, ds *Dataset, folds 
 
 // score tallies m's predictions on every example of ds.
 func score(m Matcher, ds *Dataset) Confusion {
-	predictions := obs.C("ml.predictions")
 	var c Confusion
 	for i := 0; i < ds.Len(); i++ {
 		c.add(ds.label(i), m.Predict(ds.row(i)))
-		predictions.Inc()
 	}
 	return c
 }
@@ -193,12 +196,17 @@ func LeaveOneOutDebug(f Factory, ds *Dataset) ([]Mismatch, error) {
 // LeaveOneOutDebugCtx is LeaveOneOutDebug honouring ctx: the n retrains
 // stop dispatching once ctx is done, and a panic inside one fold's fit
 // surfaces as an error naming the fold instead of killing the process.
+// The call is one ml.loocv span, its items the predictions scored: one
+// per example.
 func LeaveOneOutDebugCtx(ctx context.Context, f Factory, ds *Dataset) ([]Mismatch, error) {
 	if ds.Len() < 2 {
 		return nil, fmt.Errorf("ml: leave-one-out needs at least 2 examples")
 	}
+	lctx, sp := obs.StartSpan(ctx, "ml.loocv")
+	defer sp.End()
+	sp.SetItems(ds.Len())
 	preds := make([]int, ds.Len())
-	err := parallel.ForCtx(ctx, ds.Len(), func(leave int) error {
+	err := parallel.ForCtx(lctx, ds.Len(), func(leave int) error {
 		idx := make([]int, 0, ds.Len()-1)
 		for i := 0; i < ds.Len(); i++ {
 			if i != leave {
@@ -213,8 +221,10 @@ func LeaveOneOutDebugCtx(ctx context.Context, f Factory, ds *Dataset) ([]Mismatc
 		return nil
 	})
 	if err != nil {
+		sp.SetOutcome(obs.OutcomeAborted)
 		return nil, err
 	}
+	sp.SetOutcome(obs.OutcomeOK)
 	var out []Mismatch
 	for leave := 0; leave < ds.Len(); leave++ {
 		if gold := ds.label(leave); preds[leave] != gold {

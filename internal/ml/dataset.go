@@ -266,11 +266,9 @@ type ProbabilisticMatcher interface {
 
 // PredictAll applies a fitted matcher to every row of x.
 func PredictAll(m Matcher, x [][]float64) []int {
-	predictions := obs.C("ml.predictions")
 	out := make([]int, len(x))
 	for i, row := range x {
 		out[i] = m.Predict(row)
-		predictions.Inc()
 	}
 	return out
 }
@@ -289,7 +287,6 @@ func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error)
 	pctx, sp := obs.StartSpan(ctx, "ml.predict")
 	defer sp.End()
 	sp.SetItems(len(x))
-	predictions := obs.C("ml.predictions")
 	out := make([]int, len(x))
 	workers := runtime.GOMAXPROCS(0)
 	if parallel.LightWorkers(len(x)) == 1 {
@@ -297,7 +294,6 @@ func PredictAllCtx(ctx context.Context, m Matcher, x [][]float64) ([]int, error)
 	}
 	err := parallel.ForWorkersCtx(pctx, len(x), workers, func(i int) error {
 		out[i] = m.Predict(x[i])
-		predictions.Inc()
 		return nil
 	})
 	if err != nil {

@@ -69,7 +69,6 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 	fctx, sp := obs.StartSpan(ctx, "ml.fit")
 	defer sp.End()
 	sp.SetItems(n)
-	trees := obs.C("ml.trees_fit")
 	f.trees = make([]*DecisionTree, n)
 	err := parallel.ForCtx(fctx, n, func(k int) error {
 		rng := seededRand(ds, seeds[k])
@@ -89,7 +88,6 @@ func (f *RandomForest) FitCtx(ctx context.Context, ds *Dataset) error {
 		randPool.Put(rng)
 		tree.rng = nil
 		f.trees[k] = tree
-		trees.Inc()
 		return nil
 	})
 	if err != nil {

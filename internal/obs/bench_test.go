@@ -7,34 +7,10 @@ import (
 
 var untracedCtx = context.Background()
 
-// BenchmarkCounterDisabled guards the tentpole promise: with the
-// registry disabled the hot-path handle is nil and Add must cost a
-// single nil-check — well under 5ns/op. A regression here means some
-// change put work on the disabled path that every blocking/vectorize/
-// predict loop in the repository would pay for nothing.
-func BenchmarkCounterDisabled(b *testing.B) {
-	var c *Counter // what obs.C returns while disabled
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
-// BenchmarkCounterEnabled is the enabled cost: one atomic add.
-func BenchmarkCounterEnabled(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
-// BenchmarkHistogramObserve is the enabled histogram cost: a binary
+// BenchmarkHistogramObserve is the histogram cost: a binary
 // search over fixed bounds plus atomic adds.
 func BenchmarkHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("bench", []float64{1, 5, 10, 50, 100, 500, 1000})
+	h := NewHistogram([]float64{1, 5, 10, 50, 100, 500, 1000})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1200))

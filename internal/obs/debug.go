@@ -10,29 +10,12 @@ import (
 	"time"
 )
 
-// publishOnce guards the expvar registration: expvar.Publish panics on
-// duplicate names, and a process may start several debug servers over
-// its lifetime (tests do).
-var publishOnce sync.Once
-
-// publishMetrics exposes the global registry under the expvar name
-// "em_metrics"; it reads the registry at request time, so a server
-// started before Enable still reports live values afterwards.
-func publishMetrics() {
-	publishOnce.Do(func() {
-		expvar.Publish("em_metrics", expvar.Func(func() any {
-			return Default().Snapshot()
-		}))
-	})
-}
-
-// NewDebugMux builds the standard debug mux — expvar metrics at
-// /debug/vars, pprof under /debug/pprof/ — and registers the metrics
-// expvar. It is how a binary that already runs its own HTTP server (the
-// matching service) mounts the debug surface alongside its application
-// routes instead of opening a second port.
+// NewDebugMux builds the standard debug mux — the standard library's
+// expvars at /debug/vars, pprof under /debug/pprof/. It is how a binary
+// that already runs its own HTTP server (the matching service) mounts
+// the debug surface alongside its application routes instead of opening
+// a second port.
 func NewDebugMux() *http.ServeMux {
-	publishMetrics()
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -47,7 +30,7 @@ func NewDebugMux() *http.ServeMux {
 // waits for in-flight scrapes before closing their connections.
 const drainTimeout = 2 * time.Second
 
-// DebugServer is a live operational endpoint serving expvar metrics at
+// DebugServer is a live operational endpoint serving the expvars at
 // /debug/vars and the standard pprof handlers under /debug/pprof/.
 type DebugServer struct {
 	ln  net.Listener

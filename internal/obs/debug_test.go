@@ -15,11 +15,6 @@ import (
 
 func TestDebugServerServesExpvarAndPprof(t *testing.T) {
 	leakcheck.Check(t)
-	Disable()
-	reg := Enable()
-	defer Disable()
-	reg.Counter("block.pairs_blocked").Add(7)
-
 	srv, err := StartDebugServer(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,16 +43,9 @@ func TestDebugServerServesExpvarAndPprof(t *testing.T) {
 	if err := json.Unmarshal([]byte(vars), &doc); err != nil {
 		t.Fatalf("expvar output is not JSON: %v\n%s", err, vars)
 	}
-	raw, ok := doc["em_metrics"]
-	if !ok {
-		t.Fatalf("em_metrics missing from expvar:\n%s", vars)
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["block.pairs_blocked"] != 7 {
-		t.Fatalf("live counter missing: %+v", snap)
+	// The standard library's own expvars, and nothing of ours.
+	if doc["memstats"] == nil || doc["cmdline"] == nil || len(doc) != 2 {
+		t.Fatalf("expvar output is not the standard library's memstats and cmdline:\n%s", vars)
 	}
 
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {

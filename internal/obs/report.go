@@ -7,8 +7,9 @@ import (
 )
 
 // Report is the machine-readable record of one pipeline run: the span
-// tree (a workflow stage is its stage.<step> span: wall time, items,
-// outcome), the metrics snapshot and the overall outcome, in one JSON
+// tree (a workflow stage is its stage.<step> span, a pipeline layer's
+// pass its block.join, feature.vectorize, ml.predict or ml.fit span:
+// wall time, items, outcome) and the overall outcome, in one JSON
 // document. It is what -report flags write and what
 // future perf work diffs against.
 type Report struct {
@@ -23,9 +24,6 @@ type Report struct {
 	Error string `json:"error,omitempty"`
 	// Trace is the span tree (nil when no trace was active).
 	Trace *SpanData `json:"trace,omitempty"`
-	// Metrics is the registry snapshot at the end of the run (nil when
-	// metrics were disabled).
-	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
 	// Quality is the quality section of a monitored run: the embedded
 	// drift profile, and the assessment when the run was checked against
 	// a baseline (nil on an unmonitored run). The schema is neutral —
@@ -35,9 +33,8 @@ type Report struct {
 }
 
 // NewReport is the record of a run that has just ended, as whoever ran it
-// saw it: ok, or aborted with err, over root's span tree and — when the
-// registry is on — the metrics as they stand. A pipeline that knows more
-// (the quality section) adds it to the result.
+// saw it: ok, or aborted with err, over root's span tree. A pipeline that
+// knows more (the quality section) adds it to the result.
 func NewReport(name string, started time.Time, root *Span, err error) *Report {
 	rep := &Report{
 		Name: name, StartedAt: started, FinishedAt: time.Now(),
@@ -45,10 +42,6 @@ func NewReport(name string, started time.Time, root *Span, err error) *Report {
 	}
 	if err != nil {
 		rep.Outcome, rep.Error = OutcomeAborted, err.Error()
-	}
-	if Enabled() {
-		snap := Default().Snapshot()
-		rep.Metrics = &snap
 	}
 	return rep
 }

@@ -69,7 +69,7 @@ type WideEvent struct {
 const slowMS = 500
 
 // EventLog is the wide-event sink. The nil *EventLog is valid and every
-// method is a no-op, the same posture as the metrics handles, so the
+// method is a no-op, the same posture as the nil *Span, so the
 // serving tier logs unconditionally and pays one nil check when access
 // logging is off.
 type EventLog struct {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
-
-	"emgo/internal/obs"
 )
 
 // Admission errors. ErrShed maps to 429 with a Retry-After hint;
@@ -48,7 +46,32 @@ type Admission struct {
 
 	// avgNanos is an EWMA of recent service times, feeding Retry-After.
 	avgNanos atomic.Int64
+
+	// shed counts the requests refused, by reason, for /v1/status.
+	shed struct{ queueFull, deadlineInQueue, draining atomic.Int64 }
 }
+
+// ShedCounts is how many requests the gate refused since start, by
+// reason: the wait line was full (429), the deadline expired in it (429),
+// or the server was draining (503).
+type ShedCounts struct {
+	QueueFull       int64 `json:"queue_full"`
+	DeadlineInQueue int64 `json:"deadline_in_queue"`
+	Draining        int64 `json:"draining"`
+}
+
+// Shed reports the refusals so far.
+func (a *Admission) Shed() ShedCounts {
+	return ShedCounts{
+		QueueFull:       a.shed.queueFull.Load(),
+		DeadlineInQueue: a.shed.deadlineInQueue.Load(),
+		Draining:        a.shed.draining.Load(),
+	}
+}
+
+// shedDraining counts a request refused because the server is draining,
+// whether the gate refused it or the handler did before asking the gate.
+func (a *Admission) shedDraining() { a.shed.draining.Add(1) }
 
 // NewAdmission builds the gate with defaults applied.
 func NewAdmission(cfg AdmissionConfig) *Admission {
@@ -93,7 +116,7 @@ func (s *Slot) Release() {
 // Done never closes for its deadline (the server's) still ends it.
 func (a *Admission) Acquire(ctx context.Context) (_ Slot, err error) {
 	if a.draining.Load() {
-		obs.C("serve.shed.draining").Inc()
+		a.shedDraining()
 		return Slot{}, ErrDraining
 	}
 	select {
@@ -106,7 +129,7 @@ func (a *Admission) Acquire(ctx context.Context) (_ Slot, err error) {
 		// are shed immediately with a Retry-After hint.
 		if q := a.queued.Add(1); q > a.maxQueue {
 			a.queued.Add(-1)
-			obs.C("serve.shed.queue_full").Inc()
+			a.shed.queueFull.Add(1)
 			return Slot{}, ErrShed
 		}
 		var expired <-chan time.Time
@@ -124,7 +147,7 @@ func (a *Admission) Acquire(ctx context.Context) (_ Slot, err error) {
 		}
 		a.queued.Add(-1)
 		if err != nil {
-			obs.C("serve.shed.deadline_in_queue").Inc()
+			a.shed.deadlineInQueue.Add(1)
 			return Slot{}, err
 		}
 	}
@@ -132,7 +155,7 @@ func (a *Admission) Acquire(ctx context.Context) (_ Slot, err error) {
 		// Drain raced our admission: give the slot back so the drain
 		// waiter does not count us.
 		<-a.slots
-		obs.C("serve.shed.draining").Inc()
+		a.shedDraining()
 		return Slot{}, ErrDraining
 	}
 	return Slot{a: a, start: time.Now()}, nil

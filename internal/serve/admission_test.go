@@ -90,6 +90,9 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	if werr := <-done; werr != nil {
 		t.Fatalf("queued request should be admitted once the slot frees: %v", werr)
 	}
+	if got := a.Shed(); got != (ShedCounts{QueueFull: 1}) {
+		t.Fatalf("shed counts %+v, want the one queue_full", got)
+	}
 }
 
 func TestAdmissionNoQueueShedsImmediately(t *testing.T) {
@@ -119,6 +122,9 @@ func TestAdmissionDeadlineInQueue(t *testing.T) {
 	}
 	if got := a.Queued(); got != 0 {
 		t.Fatalf("Queued after deadline = %d, want 0 (waiter must leave the line)", got)
+	}
+	if got := a.Shed(); got != (ShedCounts{DeadlineInQueue: 1}) {
+		t.Fatalf("shed counts %+v, want the one deadline_in_queue", got)
 	}
 }
 

@@ -83,9 +83,8 @@ func BenchmarkMatchBatch32(b *testing.B) {
 // every wide event rendered (to a discarded sink, so the benchmark
 // measures the logging work, not the disk) and span trees built. The
 // *Observed benchmarks against their plain counterparts are the layer's
-// <5% overhead guard (BENCH_pr7.json). Metrics-registry enablement is a
-// separate, pre-existing cost priced by internal/obs's own benchmarks
-// (BenchmarkCounterEnabled et al).
+// <5% overhead guard (BENCH_pr7.json). The /v1/status numbers (shed
+// counts, the latency histogram) are counted in both.
 func observedConfig() Config {
 	return Config{AccessLog: io.Discard, AccessSampleN: 1}
 }

@@ -45,8 +45,8 @@ import (
 	"emgo/internal/workflow"
 )
 
-// latencyMSBuckets are the upper bounds (milliseconds) of the request
-// latency histogram "serve.latency_ms".
+// latencyMSBuckets are the upper bounds (milliseconds) of the /v1/match
+// pipeline latency histogram (/v1/status latency_ms).
 var latencyMSBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 // Degraded-response reasons.
@@ -120,6 +120,9 @@ type Server struct {
 	// the learned matcher, for /v1/status: a batch counts each of its
 	// records.
 	requests, degraded atomic.Int64
+	// latency is each /v1/match pipeline pass's wall time (ms), admission
+	// wait excluded, for /v1/status.
+	latency *obs.Histogram
 
 	started   time.Time
 	draining  atomic.Bool
@@ -165,6 +168,7 @@ func New(ctx context.Context, cfg Config, wf *workflow.Workflow, left, right *ta
 		events:  obs.NewEventLog(cfg.AccessLog, cfg.AccessSampleN),
 		scratch: parallel.NewFreeList(cap(adm.slots), func() *matchScratch { return &matchScratch{} }),
 		reqs:    parallel.NewFreeList(cap(adm.slots)+int(adm.maxQueue), func() *request { return &request{} }),
+		latency: obs.NewHistogram(latencyMSBuckets),
 		started: time.Now(),
 		drained: make(chan struct{}),
 	}
@@ -221,7 +225,7 @@ func (s *Server) refuseDraining(q *request) bool {
 	if !s.draining.Load() {
 		return false
 	}
-	obs.C("serve.shed.draining").Inc()
+	s.adm.shedDraining()
 	annotateAdmission(&q.ev, AdmissionShedDraining, 0)
 	q.writeError(http.StatusServiceUnavailable, "draining", s.adm.RetryAfter())
 	return true
@@ -306,7 +310,7 @@ func (s *Server) handleMatch(q *request, r *http.Request) {
 	start := time.Now()
 	resps, tally, trace, err := s.matchSet(ctx, left, req.Trace)
 	elapsed := time.Since(start)
-	obs.H("serve.latency_ms", latencyMSBuckets).Observe(float64(elapsed) / float64(time.Millisecond))
+	s.latency.Observe(float64(elapsed) / float64(time.Millisecond))
 	if err != nil {
 		s.writeRunError(ctx, q, err)
 		return
@@ -670,6 +674,12 @@ type StatusData struct {
 	RightRows int     `json:"right_rows"`
 	// Matcher is the served matcher's name; a rule-only server has none.
 	Matcher string `json:"matcher,omitempty"`
+	// Shed is the requests refused since start, by reason.
+	Shed ShedCounts `json:"shed"`
+	// LatencyMS is the /v1/match pipeline latency since start: matching
+	// only, so a p99 well under the client's says the time went to the
+	// queue or the network.
+	LatencyMS obs.HistogramSnapshot `json:"latency_ms"`
 }
 
 // handleStatus reports the operational state in one JSON document.
@@ -682,6 +692,8 @@ func (s *Server) handleStatus(q *request, _ *http.Request) {
 		Queued:    s.adm.Queued(),
 		Draining:  s.draining.Load(),
 		RightRows: s.right.Len(),
+		Shed:      s.adm.Shed(),
+		LatencyMS: s.latency.Snapshot(),
 	}
 	if m := s.deployment.Matcher; m != nil {
 		st.Matcher = m.Name()

@@ -467,28 +467,51 @@ func TestDrainFlow(t *testing.T) {
 	}
 }
 
+// TestStatusEndpoint: /v1/status counts the records answered, the
+// requests shed by reason and the /v1/match pipeline passes' latency.
 func TestStatusEndpoint(t *testing.T) {
 	leakcheck.Check(t)
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: -1}})
 	for i := 0; i < 2; i++ {
 		if st, _, body := postMatch(t, ts.URL, l0Request); st != http.StatusOK {
 			t.Fatalf("match = %d: %s", st, body)
 		}
 	}
+	// Shed: the test holds the only slot and nothing may wait.
+	slot, err := s.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, body := postMatch(t, ts.URL, l0Request)
+	slot.Release()
+	if st != http.StatusTooManyRequests {
+		t.Fatalf("match against a full gate = %d: %s", st, body)
+	}
+	s.StartDrain()
+	if st, _, body := postMatch(t, ts.URL, l0Request); st != http.StatusServiceUnavailable {
+		t.Fatalf("match while draining = %d: %s", st, body)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatusData
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var status StatusData
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 2 || st.RightRows != 3 {
-		t.Fatalf("status = %+v", st)
+	if status.Requests != 2 || status.RightRows != 3 {
+		t.Fatalf("status = %+v", status)
 	}
-	if st.Matcher != "decision_tree" {
-		t.Fatalf("status names matcher %q, want the served decision_tree", st.Matcher)
+	if status.Matcher != "decision_tree" {
+		t.Fatalf("status names matcher %q, want the served decision_tree", status.Matcher)
+	}
+	if status.Shed != (ShedCounts{QueueFull: 1, Draining: 1}) {
+		t.Fatalf("status shed = %+v, want one queue_full and one draining", status.Shed)
+	}
+	if h := status.LatencyMS; h.Count != 2 || len(h.Counts) != len(latencyMSBuckets)+1 || h.Max <= 0 || h.Max > h.Sum {
+		t.Fatalf("status latency_ms = %+v, want the two answered passes", h)
 	}
 }
 

@@ -73,16 +73,25 @@ func smokeServe(t *testing.T) {
 		t.Errorf("burst of %d at max-inflight 1: %d served, %d shed (%d without Retry-After), %d other — want some served, some shed, every shed hinted",
 			burst, served, shed, noHint, rest)
 	}
-	// The shedding and pipeline-or-queue recipes read these two off /debug/vars.
-	var vars struct {
-		Metrics struct {
-			Counters   map[string]json.RawMessage `json:"counters"`
-			Histograms map[string]json.RawMessage `json:"histograms"`
-		} `json:"em_metrics"`
+	// The shedding and pipeline-or-queue recipes read these two off
+	// /v1/status. With no wait line every 429 is a full one, and every
+	// request served — the burst's and the degraded one — ran a pass.
+	var status struct {
+		Shed struct {
+			QueueFull int `json:"queue_full"`
+		} `json:"shed"`
+		LatencyMS struct {
+			Count int `json:"count"`
+		} `json:"latency_ms"`
 	}
-	s.getJSON(t, "/debug/vars", &vars)
-	if vars.Metrics.Counters["serve.shed.queue_full"] == nil || vars.Metrics.Histograms["serve.latency_ms"] == nil {
-		t.Errorf("/debug/vars em_metrics lacks serve.shed.queue_full or serve.latency_ms after a shed burst: %+v", vars.Metrics)
+	s.getJSON(t, "/v1/status", &status)
+	if status.Shed.QueueFull != shed || status.LatencyMS.Count < served+1 {
+		t.Errorf("/v1/status after the burst: shed.queue_full %d, latency_ms.count %d; want the %d 429s and at least the %d passes served",
+			status.Shed.QueueFull, status.LatencyMS.Count, shed, served+1)
+	}
+	// Profiling is the standard pprof, on the service's own listener.
+	if code, _, _ := s.call(t, http.MethodGet, "/debug/pprof/", nil, nil); code != 200 {
+		t.Errorf("/debug/pprof/ = %d, want 200", code)
 	}
 
 	if code, _, _ := s.call(t, http.MethodGet, "/readyz", nil, nil); code != 200 {

@@ -5,7 +5,6 @@ package surface
 // gets its own line and its own reason.
 var allowlist = map[string]string{
 	"fault.Reset": "test seam: every test that arms a fault site defers it",
-	"obs.Disable": "test seam: undoes obs.Enable so one test's registry does not leak into the next",
 
 	"leakcheck.Check": "test seam: the goroutine-leak guard the concurrent packages' tests open with; the package exists for tests",
 
@@ -15,17 +14,10 @@ var allowlist = map[string]string{
 	"obs.Span.StageDurations": "reference oracle: the map-form flattening of a live tree, which the access log's sorted stages (TestLoggedStagesAreStageDurations) and the exported tree's (TestStageDurations) are held to",
 }
 
-// metricReader is why a metric no gate, report diff or test reads stays:
-// the question an operator asks of it, and the docs section whose recipe
+// docReader is why a name no gate, report diff or test reads stays: the
+// question an operator asks of it, and the docs section whose recipe
 // answers that question with it.
-type metricReader struct{ question, recipe string }
-
-// metricReaders names those metrics. No wildcard, at most twelve: a name
-// here is read by a person at /debug/vars and by nothing else.
-var metricReaders = map[string]metricReader{
-	"serve.shed.deadline_in_queue": {"are requests timing out in the admission queue before they run?", "docs/SERVING.md#is-the-service-shedding-and-why"},
-	"serve.shed.draining":          {"is the balancer still sending traffic to a draining instance?", "docs/SERVING.md#is-the-service-shedding-and-why"},
-}
+type docReader struct{ question, recipe string }
 
 // deploymentSettings classifies the flags and script switches that say
 // where or how large rather than what to do — an address, a path, an id,
@@ -76,8 +68,7 @@ var unrunEntryPoints = map[string]string{
 
 // traceReaders names the span annotations, request roots and
 // wide-event fields whose only reader is a person following a docs recipe
-// over a report's trace or the access log — the metricReaders
-// of the rest of the telemetry. No wildcard, at most eight.
-var traceReaders = map[string]metricReader{
+// over a report's trace or the access log. No wildcard, at most eight.
+var traceReaders = map[string]docReader{
 	"annotation blocker": {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
 }

@@ -51,7 +51,7 @@ var runnerPackages = []string{harness, "emgo/internal/load", "emgo/bench/embench
 var launchers = map[string]string{"emgo/internal/load.StartServer": "emserve"}
 
 // TestEntryPointsHaveRunners holds what can be invoked to the rule the
-// exports, config fields and metric names are held to: every value of an
+// exports and config fields are held to: every value of an
 // enumerated flag (emload -mode), every emmonitor subcommand, every policy
 // flag of the four commands, every route the server mounts, every snapshot
 // key `emmonitor perf` decodes and every environment switch of a script

@@ -28,9 +28,9 @@ when one of these holds:
 A name that has none restates what the wide event or a stage span
 already says: delete it with the line that writes it.`
 
-// TestSpanAndEventNamesHaveReaders is TestMetricNamesHaveReaders for the
-// rest of the telemetry vocabulary: span names, span annotations, and
-// the fields of the wide event.
+// TestSpanAndEventNamesHaveReaders holds the telemetry vocabulary to the
+// rule the exports are held to — span names, span annotations, and the
+// fields of the wide event each have a reader.
 func TestSpanAndEventNamesHaveReaders(t *testing.T) {
 	m := loadModule(t)
 	names := m.traceWrites(t)

@@ -12,9 +12,12 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -472,4 +475,85 @@ func viaInterface(named *types.Named, fn *types.Func, ifaces []*types.Interface)
 		}
 	}
 	return false
+}
+
+// callee resolves a call to the function of package obs or fault it
+// names (nil for any other call).
+func (p *pkg) callee(call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident: // inside the package itself
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, ok := p.info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "emgo/internal/obs" && fn.Pkg().Path() != "emgo/internal/fault" {
+		return nil
+	}
+	return fn
+}
+
+// literalHead returns the string an argument starts with: a constant's
+// value whole, or the leftmost literal of a concatenation.
+func (p *pkg) literalHead(e ast.Expr) (s string, whole, ok bool) {
+	if tv, found := p.info.Types[e]; found && tv.Value != nil {
+		s, err := strconv.Unquote(tv.Value.ExactString())
+		return s, true, err == nil
+	}
+	if b, isSum := e.(*ast.BinaryExpr); isSum && b.Op == token.ADD {
+		s, _, ok = p.literalHead(b.X)
+		return s, false, ok
+	}
+	return "", false, false
+}
+
+var (
+	mdHeading  = regexp.MustCompile(`(?m)^(#+) +(.*)$`)
+	mdSlugDrop = regexp.MustCompile(`[^a-z0-9 _-]`)
+)
+
+// docSection returns the text under the heading a "file.md#anchor"
+// reference names (GitHub's slug rule), up to the next heading of the
+// same or a higher level.
+func docSection(root, ref string) (string, error) {
+	file, anchor, ok := strings.Cut(ref, "#")
+	if !ok || !strings.HasPrefix(file, "docs/") {
+		return "", fmt.Errorf("%s is not a docs/FILE.md#anchor reference", ref)
+	}
+	data, err := os.ReadFile(filepath.Join(root, file))
+	if err != nil {
+		return "", err
+	}
+	doc := string(data)
+	// A "# comment" inside a fenced block is shell, not a heading: find
+	// the headings in a copy with those lines blanked, offsets unchanged.
+	outline, fenced, at := []byte(doc), false, 0
+	for _, line := range strings.SplitAfter(doc, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		} else if fenced && strings.HasPrefix(line, "#") {
+			outline[at] = ' '
+		}
+		at += len(line)
+	}
+	heads := mdHeading.FindAllStringSubmatchIndex(string(outline), -1)
+	for i, h := range heads {
+		level, title := h[3]-h[2], doc[h[4]:h[5]]
+		slug := strings.ReplaceAll(mdSlugDrop.ReplaceAllString(strings.ToLower(title), ""), " ", "-")
+		if slug != anchor {
+			continue
+		}
+		end := len(doc)
+		for _, next := range heads[i+1:] {
+			if next[3]-next[2] <= level {
+				end = next[0]
+				break
+			}
+		}
+		return doc[h[1]:end], nil
+	}
+	return "", fmt.Errorf("%s has no heading with the anchor #%s", file, anchor)
 }

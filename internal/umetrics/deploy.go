@@ -46,8 +46,8 @@ func DeployTransforms() workflow.Transforms {
 //
 // Every run emits a machine-readable report by default: RunCtx roots an
 // obs trace when the caller's context has none, so Result.Report always
-// carries per-stage spans and (when the obs registry is enabled) the
-// hot-path counters.
+// carries per-stage spans, with the blocking, vectorizing and predicting
+// spans under them counting their items.
 func RunDeployed(ctx context.Context, spec *workflow.Spec, left, right *table.Table, opts workflow.RunOptions) (*workflow.Result, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("umetrics: deployment needs a workflow spec")

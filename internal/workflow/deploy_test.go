@@ -3,6 +3,7 @@ package workflow
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -13,7 +14,6 @@ import (
 	"emgo/internal/feature"
 	"emgo/internal/leakcheck"
 	"emgo/internal/ml"
-	"emgo/internal/obs"
 	"emgo/internal/table"
 	"emgo/internal/tokenize"
 )
@@ -276,14 +276,36 @@ func TestDeploymentConcurrentRuns(t *testing.T) {
 	wg.Wait()
 }
 
+// deployedColumns is the set of reference token columns a deployment
+// holds — its blockers' (block.Columns) and its feature set's — by
+// identity: the columns Deploy tokenised. A bound feature set keeps its
+// columns unexported, so they are read by reflection.
+func deployedColumns(t *testing.T, d *Workflow) map[uintptr]bool {
+	t.Helper()
+	cols := map[uintptr]bool{}
+	for _, c := range block.Columns(d.Blockers) {
+		cols[reflect.ValueOf(c).Pointer()] = true
+	}
+	cells := reflect.ValueOf(d.Features).Elem().FieldByName("cells")
+	if !cells.IsValid() || cells.IsNil() {
+		t.Fatal("the deployed feature set holds no bound cells")
+	}
+	set := cells.Elem().FieldByName("cols")
+	for i := 0; i < set.Len(); i++ {
+		cols[set.Index(i).Pointer()] = true
+	}
+	return cols
+}
+
 // TestDeploymentSharesColumnsWithBlockers: Deploy tokenises each reference
 // title once for the normalising title blockers and the lower-case title
-// feature both — block.cells_tokenised counts the cells every column
-// build tokenises — while a feature under another form, the unfolded
-// jaccard_word, still gets a column of its own; a run of the deployment
-// tokenises no reference cell, and its final matches are those Build +
-// RunCtx give, run after run and from goroutines running at once (make
-// race-cpu runs this at 1 and 2 CPUs).
+// feature both — the feature set holds the blockers' column itself —
+// while a feature under another form, the unfolded jaccard_word, still
+// gets a column of its own. A run reads the reference titles only
+// through those columns — with every title overwritten after Deploy, its
+// final matches are unchanged — and they are those Build + RunCtx give,
+// run after run and from goroutines running at once (make race-cpu runs
+// this at 1 and 2 CPUs).
 func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
 	ctx := context.Background()
 	right, lefts := deployTables(240, 2, 30)
@@ -308,8 +330,6 @@ func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
 	both := &ml.NodeSpec{Feature: 0, Threshold: 0.7, Left: leaf(0),
 		Right: &ml.NodeSpec{Feature: 1, Threshold: 0.7, Left: leaf(0), Right: leaf(1)}}
 
-	cells := obs.Enable().Counter("block.cells_tokenised")
-	defer obs.Disable()
 	for _, c := range []struct {
 		name    string
 		root    *ml.NodeSpec
@@ -332,23 +352,21 @@ func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := cells.Value()
 		d, err := w.Deploy(ctx, w.Matcher, right)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := cells.Value()-before, int64(c.columns*right.Len()); got != want {
-			t.Fatalf("%s: Deploy tokenised %d reference cells, want %d: %d column(s) of %d rows", c.name, got, want, c.columns, right.Len())
+		if got := len(deployedColumns(t, d)); got != c.columns {
+			t.Fatalf("%s: the deployment holds %d reference columns, want %d", c.name, got, c.columns)
+		}
+		if len(block.Columns(d.Blockers)) != 1 {
+			t.Fatalf("%s: the two title blockers hold %d columns, want one", c.name, len(block.Columns(d.Blockers)))
 		}
 		learned, want := 0, make([][]block.Pair, len(lefts))
 		for k, left := range lefts {
-			before := cells.Value()
 			res, err := d.RunCtx(ctx, left, right, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if n := cells.Value() - before; n != 0 {
-				t.Fatalf("%s: a run over %s tokenised %d reference cells", c.name, left.Name(), n)
 			}
 			if want[k] = builtRun(t, spec, left, right); !slices.Equal(res.Final.Sorted(), want[k]) {
 				t.Fatalf("%s, %s: the deployment's final %v, Build + RunCtx's %v", c.name, left.Name(), res.Final.Sorted(), want[k])
@@ -372,5 +390,29 @@ func TestDeploymentSharesColumnsWithBlockers(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+
+		// A run that tokenised a reference title again, for a blocker
+		// or a feature, would read these instead of the columns.
+		tj, err := right.Col("Title")
+		if err != nil {
+			t.Fatal(err)
+		}
+		titles := make([]table.Value, right.Len())
+		for i := range titles {
+			titles[i] = right.Row(i)[tj]
+			right.Row(i)[tj] = table.S("overwritten")
+		}
+		for k, left := range lefts {
+			res, err := d.RunCtx(ctx, left, right, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Final.Sorted(); !slices.Equal(got, want[k]) {
+				t.Fatalf("%s, %s: with the reference titles overwritten, final %v, want %v", c.name, left.Name(), got, want[k])
+			}
+		}
+		for i, v := range titles {
+			right.Row(i)[tj] = v
+		}
 	}
 }
