@@ -12,7 +12,7 @@
 //	emmatch -spec workflow.json -left UMETRICSProjected.csv -right USDAProjected.csv \
 //	        [-left-id RecordId] [-right-id RecordId] [-out matches.csv] [-transforms umetrics] \
 //	        [-timeout 0] [-report run.json] [-debug-addr :6060] \
-//	        [-drift-capture | -drift-baseline baseline.json]
+//	        [-drift-capture]
 //
 // A run is one pass: a killed or failed run is rerun from the start.
 // With -out the match CSV is written atomically, so it is never torn.
@@ -23,21 +23,18 @@
 // Observability: -report writes the machine-readable run report, the
 // run's one record (the span tree with per-stage durations, items and
 // outcomes — each blocker's block.join, the feature.vectorize and
-// ml.predict passes counting their pairs — and the quality section);
+// ml.predict passes counting their pairs — and, with -drift-capture,
+// the quality section);
 // -debug-addr serves pprof (/debug/pprof/) and the standard expvars
 // (/debug/vars) for the duration of the run. Stream discipline: only
 // data (the match CSV, or a report directed at "-") goes to stdout;
 // every diagnostic and progress line goes to stderr, so reports can be
 // piped.
 //
-// Quality monitoring (see docs/OBSERVABILITY.md): -drift-capture
-// profiles this run's inputs, features, candidates, and scores into the
-// -report it needs, which makes that report a baseline; -drift-baseline
-// takes such a report, re-profiles the run and scores it against the
-// baseline's profile (PSI, KS, null-rate / coverage / match-rate
-// deltas), stamping the verdict into the run report — a breach marks the
-// quality stage degraded_quality but never fails the run. emmonitor
-// check and diff read the reports.
+// Quality monitoring (docs/OBSERVABILITY.md "Quality monitoring &
+// drift"): -drift-capture profiles this run's inputs, features,
+// candidates, and scores into the -report it needs. The run records its
+// quality; emmonitor check judges it against any other such report.
 package main
 
 import (
@@ -48,7 +45,6 @@ import (
 	"io"
 
 	"emgo/internal/cliutil"
-	"emgo/internal/drift"
 	"emgo/internal/obs"
 	"emgo/internal/workflow"
 )
@@ -82,7 +78,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 	rec := cliutil.RunRecordFlags(fs, "write the run report JSON to this path ('-' = stdout)")
 	driftCapture := fs.Bool("drift-capture", false, "profile this run into its -report, making the report a quality baseline")
-	driftBaseline := fs.String("drift-baseline", "", "score this run's quality profile against the baseline report at this path")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}
@@ -100,25 +95,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err := rec.CheckStdout(*out == "", "needs -out so the match CSV does not share stdout"); err != nil {
 		return err
 	}
-	if *driftCapture && *driftBaseline != "" {
-		return fmt.Errorf("-drift-capture and -drift-baseline are mutually exclusive")
-	}
-
-	var opts workflow.RunOptions
-	switch {
-	case *driftCapture:
-		// Capture mode: the profile's one copy is the report.
-		if !rec.Reporting() {
-			fmt.Fprintln(stderr, "emmatch: -drift-capture needs -report, where the baseline is written")
-			return flag.ErrHelp
-		}
-		opts.Drift = &workflow.DriftStage{}
-	case *driftBaseline != "":
-		base, err := drift.LoadBaseline(*driftBaseline)
-		if err != nil {
-			return fmt.Errorf("drift baseline: %w", err)
-		}
-		opts.Drift = &workflow.DriftStage{Baseline: base}
+	// The profile's one copy is the report.
+	if *driftCapture && !rec.Reporting() {
+		fmt.Fprintln(stderr, "emmatch: -drift-capture needs -report, where the profile is written")
+		return flag.ErrHelp
 	}
 
 	if ctx, err = rec.Start(ctx, "emmatch", stdout, stderr); err != nil {
@@ -139,7 +119,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		if err != nil {
 			return nil, err
 		}
-		return w.RunCtx(ctx, dep.Left, dep.Right, opts)
+		return w.RunCtx(ctx, dep.Left, dep.Right, workflow.RunOptions{Profile: *driftCapture})
 	}()
 	var rep *obs.Report
 	if res != nil {
@@ -150,9 +130,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	// build errors) still leaves the abort record.
 	if err := rec.Finish(rep, err); err != nil {
 		return err
-	}
-	if res.Quality != nil {
-		fmt.Fprintf(stderr, "emmatch: quality verdict %s (see emmonitor check for details)\n", res.Quality.Verdict)
 	}
 
 	ids, err := res.MatchIDs(*leftID, *rightID)

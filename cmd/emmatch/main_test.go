@@ -70,10 +70,12 @@ func TestRunTimeoutAborts(t *testing.T) {
 // TestRunCheckpointAndStageTimeoutFlagsAreGone: a deployed run is one
 // pass under one deadline, so the stage checkpoint and per-stage deadline
 // flags are usage errors; its one record is the -report file, so the
-// run-history and trace-file flags are too.
+// run-history and trace-file flags are too; and emmonitor check is the
+// one judge of its quality, so an old line that asked emmatch to check
+// against a baseline fails instead of silently skipping the check.
 func TestRunCheckpointAndStageTimeoutFlagsAreGone(t *testing.T) {
 	for _, extra := range [][]string{{"-checkpoint-dir", t.TempDir()}, {"-resume"}, {"-stage-timeout", "1s"},
-		{"-history", t.TempDir()}, {"-trace", "trace.json"}} {
+		{"-history", t.TempDir()}, {"-trace", "trace.json"}, {"-drift-baseline", "b.json"}} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-spec", "s.json", "-left", "l.csv", "-right", "r.csv"}, extra...)
 		if err := run(args, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
@@ -147,39 +149,29 @@ func TestRunSpecReferencingMissingTransform(t *testing.T) {
 	}
 }
 
-// TestRunDriftCaptureThenCheckAndHistory: a capture run's report is the
-// baseline, a run scored against it says so, and each run's -report is
-// its record: the capture run's carries the profile, the checked run's
-// the verdict.
+// TestRunDriftCaptureThenCheckAndHistory: each run's -report is its
+// record, and a captured one carries the profile; two captures of the
+// same slice, judged as emmonitor check judges them, are verdict ok.
 func TestRunDriftCaptureThenCheckAndHistory(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "spec.json", tinySpec)
 	left := writeFile(t, dir, "left.csv", leftCSV)
 	right := writeFile(t, dir, "right.csv", rightCSV)
-	run1, run2 := filepath.Join(dir, "run1.json"), filepath.Join(dir, "run2.json")
 
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-out", filepath.Join(dir, "m1.csv"), "-drift-capture", "-report", run1},
-		&stdout, &stderr)
-	if err != nil {
-		t.Fatalf("capture run: %v\nstderr: %s", err, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	err = run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-out", filepath.Join(dir, "m2.csv"), "-drift-baseline", run1, "-report", run2},
-		&stdout, &stderr)
-	if err != nil {
-		t.Fatalf("check run: %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "quality verdict ok") {
-		t.Fatalf("check run stderr:\n%s", stderr.String())
-	}
-
-	for _, c := range []struct{ path, verdict string }{{run1, drift.VerdictCaptured}, {run2, drift.StatusOK}} {
-		data, err := os.ReadFile(c.path)
+	var profiles []*drift.Profile
+	for _, name := range []string{"run1", "run2"} {
+		path := filepath.Join(dir, name+".json")
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
+			"-out", filepath.Join(dir, name+".csv"), "-drift-capture", "-report", path},
+			&stdout, &stderr)
+		if err != nil {
+			t.Fatalf("%s: %v\nstderr: %s", name, err, stderr.String())
+		}
+		if strings.Contains(stderr.String(), "verdict") {
+			t.Fatalf("%s: a run judged its own quality:\n%s", name, stderr.String())
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("report not written: %v", err)
 		}
@@ -187,22 +179,18 @@ func TestRunDriftCaptureThenCheckAndHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Quality == nil || rep.Quality.Profile == nil || rep.Quality.Verdict != c.verdict {
-			t.Fatalf("%s: want a quality section with a profile and verdict %q", c.path, c.verdict)
+		p, err := drift.ProfileFromQuality(rep.Quality)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		profiles = append(profiles, p)
 	}
-}
-
-func TestRunDriftFlagsMutuallyExclusive(t *testing.T) {
-	dir := t.TempDir()
-	spec := writeFile(t, dir, "spec.json", tinySpec)
-	left := writeFile(t, dir, "left.csv", leftCSV)
-	right := writeFile(t, dir, "right.csv", rightCSV)
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-spec", spec, "-left", left, "-right", right, "-transforms", "none",
-		"-drift-capture", "-drift-baseline", "b.json", "-report", "run.json"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err: %v", err)
+	asmt, err := drift.Evaluate(profiles[0], profiles[1], drift.DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asmt.Verdict != drift.StatusOK {
+		t.Fatalf("the same slice twice scored %q: %+v", asmt.Verdict, asmt.Signals)
 	}
 }
 

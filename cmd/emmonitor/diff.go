@@ -12,8 +12,7 @@ import (
 
 // DeltaRow is one changed value in a report diff.
 type DeltaRow struct {
-	// Name identifies the value ("stage.blocked", "block.join",
-	// "psi.feature.X").
+	// Name identifies the value ("stage.blocked", "block.join").
 	Name string `json:"name"`
 	// A and B are the values in the two reports (NaN renders as "-"
 	// when the value is absent on one side).
@@ -37,17 +36,11 @@ type Diff struct {
 	// OutcomeA/OutcomeB are the run outcomes.
 	OutcomeA string `json:"outcome_a"`
 	OutcomeB string `json:"outcome_b"`
-	// VerdictA/VerdictB are the quality verdicts ("" when a run had no
-	// quality section).
-	VerdictA string `json:"verdict_a"`
-	VerdictB string `json:"verdict_b"`
 	// Stages are per-stage wall-time changes (from the span trees).
 	Stages []DeltaRow `json:"stages,omitempty"`
 	// Items are changes in each span name's summed items (from the span
 	// trees): the work a layer did, such as block.join's pairs.
 	Items []DeltaRow `json:"items,omitempty"`
-	// Signals are quality-signal value changes.
-	Signals []DeltaRow `json:"signals,omitempty"`
 }
 
 // stagesOf is a report's span tree as name → duration, the root — the
@@ -114,30 +107,14 @@ func deltas(a, b map[string]float64) []DeltaRow {
 	return out
 }
 
-// DiffReports compares two run reports: stage wall times, span items and
-// quality signals.
+// DiffReports compares two run reports: stage wall times and span items.
+// Their quality is emmonitor check's to compare.
 func DiffReports(a, b *obs.Report) *Diff {
-	d := &Diff{NameA: a.Name, NameB: b.Name, OutcomeA: a.Outcome, OutcomeB: b.Outcome}
-
-	d.Stages = deltas(stagesOf(a.Trace), stagesOf(b.Trace))
-	d.Items = deltas(itemsOf(a.Trace), itemsOf(b.Trace))
-
-	ga := map[string]float64{}
-	gb := map[string]float64{}
-	if a.Quality != nil {
-		d.VerdictA = a.Quality.Verdict
-		for _, s := range a.Quality.Signals {
-			ga[s.Name] = s.Value
-		}
+	return &Diff{
+		NameA: a.Name, NameB: b.Name, OutcomeA: a.Outcome, OutcomeB: b.Outcome,
+		Stages: deltas(stagesOf(a.Trace), stagesOf(b.Trace)),
+		Items:  deltas(itemsOf(a.Trace), itemsOf(b.Trace)),
 	}
-	if b.Quality != nil {
-		d.VerdictB = b.Quality.Verdict
-		for _, s := range b.Quality.Signals {
-			gb[s.Name] = s.Value
-		}
-	}
-	d.Signals = deltas(ga, gb)
-	return d
 }
 
 // renderVal renders one side of a delta row ("-" for absent).
@@ -150,17 +127,8 @@ func renderVal(v float64) string {
 
 // Render writes the diff as an aligned human-readable table.
 func (d *Diff) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "run A: %s (outcome %s", d.NameA, d.OutcomeA); err != nil {
-		return err
-	}
-	if d.VerdictA != "" {
-		fmt.Fprintf(w, ", quality %s", d.VerdictA) //nolint:errcheck
-	}
-	fmt.Fprintf(w, ")\nrun B: %s (outcome %s", d.NameB, d.OutcomeB) //nolint:errcheck
-	if d.VerdictB != "" {
-		fmt.Fprintf(w, ", quality %s", d.VerdictB) //nolint:errcheck
-	}
-	if _, err := fmt.Fprintln(w, ")"); err != nil {
+	if _, err := fmt.Fprintf(w, "run A: %s (outcome %s)\nrun B: %s (outcome %s)\n",
+		d.NameA, d.OutcomeA, d.NameB, d.OutcomeB); err != nil {
 		return err
 	}
 	section := func(title string, rows []DeltaRow) {
@@ -175,8 +143,7 @@ func (d *Diff) Render(w io.Writer) error {
 	}
 	section("stage wall time (ms)", d.Stages)
 	section("span items", d.Items)
-	section("quality signals", d.Signals)
-	if len(d.Stages)+len(d.Items)+len(d.Signals) == 0 {
+	if len(d.Stages)+len(d.Items) == 0 {
 		if _, err := fmt.Fprintln(w, "no differences"); err != nil {
 			return err
 		}

@@ -23,7 +23,6 @@ func TestDiffReports(t *testing.T) {
 		{Name: "stage.learned", DurationMS: 60, Children: []*obs.SpanData{{Name: "ml.predict", Items: 100}}},
 		{Name: "only_a", Items: 1},
 	}}
-	a.Quality = &obs.QualityData{Verdict: "ok", Signals: []obs.QualitySignal{{Name: "psi.scores", Value: 0.01}}}
 
 	b := sampleReport("run-b")
 	b.Trace = &obs.SpanData{Name: "workflow", DurationMS: 130, Children: []*obs.SpanData{
@@ -31,12 +30,8 @@ func TestDiffReports(t *testing.T) {
 		{Name: "stage.learned", DurationMS: 90, Children: []*obs.SpanData{{Name: "ml.predict", Items: 150}}},
 		{Name: "only_b", Items: 2},
 	}}
-	b.Quality = &obs.QualityData{Verdict: "warn", Signals: []obs.QualitySignal{{Name: "psi.scores", Value: 0.15}}}
 
 	d := DiffReports(a, b)
-	if d.VerdictA != "ok" || d.VerdictB != "warn" {
-		t.Fatalf("verdicts: %q -> %q", d.VerdictA, d.VerdictB)
-	}
 	find := func(rows []DeltaRow, name string) *DeltaRow {
 		for i := range rows {
 			if rows[i].Name == name {
@@ -57,16 +52,13 @@ func TestDiffReports(t *testing.T) {
 	if r := find(d.Items, "only_a"); r == nil || !math.IsNaN(r.B) || r.Delta() != 0 {
 		t.Fatalf("one-sided items: %+v", r)
 	}
-	if r := find(d.Signals, "psi.scores"); r == nil || math.Abs(r.Delta()-0.14) > 1e-12 {
-		t.Fatalf("signal delta: %+v", r)
-	}
 
 	var sb strings.Builder
 	if err := d.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"run-a", "run-b", "quality warn", "stage.learned", "ml.predict", "psi.scores", "-"} {
+	for _, want := range []string{"run-a", "run-b", "stage.learned", "ml.predict", "-"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -1,12 +1,13 @@
 // Command emmonitor is the quality-monitoring CLI for deployed matchers
-// — the operational companion to emmatch. It works on the one
-// machine-readable artifact the pipeline emits, the run report (a
-// baseline is the report of an emmatch -drift-capture run), and is
-// designed to sit in cron/CI: "check" exits
-// non-zero when a deployed run's quality drifted past the fail
-// thresholds, so a scheduled matching job can gate publication of its
-// matches on it. A run's record is its -report file; keep one per run
-// (say runs/<date>.json) and point check and diff at them.
+// — the operational companion to emmatch, and the one judge of a run's
+// quality. It works on the one machine-readable artifact the pipeline
+// emits, the run report (an emmatch -drift-capture run's report carries
+// the run's profile, and any such report is a baseline or a run to
+// check), and is designed to sit in cron/CI: "check" exits non-zero when
+// a deployed run's quality drifted past the fail thresholds, so a
+// scheduled matching job can gate publication of its matches on it. A
+// run's record is its -report file; keep one per run (say
+// runs/<date>.json) and point check and diff at them.
 //
 // Usage:
 //
@@ -15,19 +16,18 @@
 //	emmonitor diff runA.json runB.json
 //	emmonitor perf OLD_BENCH.json NEW_BENCH.json
 //
-// check re-scores the live statistical profile embedded in a run report
-// against the profile embedded in a baseline run's report (possibly
-// under thresholds other than the run used: a -thresholds file overrides
-// the bars it names, the rest keep their defaults) and prints every
-// signal. Exit status: 0 when
+// check scores the statistical profile embedded in a run report against
+// the profile embedded in a baseline run's report (a -thresholds file
+// overrides the bars it names, the rest keep their defaults) and prints
+// every signal. Exit status: 0 when
 // quality holds, 1 on a fail-threshold breach (or any warn under
 // -strict), 2 on usage or I/O errors, 130 when interrupted by
 // SIGINT/SIGTERM (so a breach verdict is never confused with an
 // operator abort).
 //
-// diff compares two run reports: per-stage wall time, each span name's
-// summed items (block.join's pairs, ml.predict's vectors) and
-// quality signals (see diff.go).
+// diff compares two run reports: per-stage wall time and each span
+// name's summed items (block.join's pairs, ml.predict's vectors; see
+// diff.go). Two runs' quality is compared by check.
 //
 // perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at
 // fixed bars and exits 1 on a benchmark regression; `make perf-gate`
@@ -123,11 +123,27 @@ func loadReport(path string) (*obs.Report, error) {
 	return obs.ParseReport(data)
 }
 
+// loadProfile is the profile a run report at path embeds: check's
+// -baseline and -run are the same kind of file, an emmatch
+// -drift-capture run's report. A report without one is an error naming
+// path.
+func loadProfile(path string) (*drift.Profile, error) {
+	rep, err := loadReport(path)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	p, err := drift.ProfileFromQuality(rep.Quality)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return p, nil
+}
+
 func runCheck(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("emmonitor check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "", "baseline run report (from an emmatch -drift-capture run)")
-	runPath := fs.String("run", "", "run report to check (must embed a quality profile)")
+	runPath := fs.String("run", "", "run report to check (from an emmatch -drift-capture run)")
 	thresholdsPath := fs.String("thresholds", "", "JSON file overriding the warn/fail thresholds")
 	strict := fs.Bool("strict", false, "treat warn-level drift as a breach too")
 	if err := fs.Parse(args); err != nil {
@@ -138,18 +154,13 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 		return flag.ErrHelp
 	}
 
-	base, err := drift.LoadBaseline(*baselinePath)
+	base, err := loadProfile(*baselinePath)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-
-	rep, err := loadReport(*runPath)
+	live, err := loadProfile(*runPath)
 	if err != nil {
-		return fmt.Errorf("run report: %w", err)
-	}
-	live, err := drift.ProfileFromQuality(rep.Quality)
-	if err != nil {
-		return fmt.Errorf("run %q: %w (was it run with drift monitoring?)", rep.Name, err)
+		return fmt.Errorf("run: %w", err)
 	}
 
 	// A thresholds file overrides the bars it names; the rest keep
@@ -169,7 +180,7 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "run %s vs baseline %s: verdict %s\n", rep.Name, base.Name, asmt.Verdict)
+	fmt.Fprintf(stdout, "run %s vs baseline %s: verdict %s\n", live.Name, base.Name, asmt.Verdict)
 	for _, s := range asmt.Signals {
 		marker := " "
 		switch s.Status {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -194,11 +193,26 @@ const metricsEraReport = `{"name":"emmatch","started_at":"2026-10-05T10:00:00Z",
 	`"float_gauges":{"drift.coverage_drop":0,"drift.ks":0,"drift.match_rate_delta":0,"drift.null_rate":0,"drift.psi":0},` +
 	`"histograms":{"workflow.stage_ms":{"bounds":[1,5],"counts":[7,0,0],"count":7,"sum":0.048139,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.020494,"max":0.020494}}}}`
 
+// checkEraReport is a run report as emmatch wrote it while it could
+// judge a run against a baseline itself (trace cut to two stages): its
+// quality section carries the verdict, the scored signals and the
+// drift-discounted precision beside the profile, which the test splices
+// in for PROFILE.
+const checkEraReport = `{"name":"workflow.v","started_at":"2026-10-20T10:00:00Z","finished_at":"2026-10-20T10:00:01Z","outcome":"ok",` +
+	`"trace":{"name":"emmatch","start":"2026-10-20T10:00:00Z","duration_ms":9,"outcome":"ok","children":[` +
+	`{"name":"stage.blocked","start":"2026-10-20T10:00:00Z","duration_ms":5,"items":1,"outcome":"ok","children":[` +
+	`{"name":"block.join","start":"2026-10-20T10:00:00Z","duration_ms":4,"items":1,"outcome":"ok"}]},` +
+	`{"name":"stage.quality","start":"2026-10-20T10:00:00Z","duration_ms":2,"items":2,"outcome":"ok"}]},` +
+	`"quality":{"verdict":"ok","signals":[{"name":"coverage_drop","value":0.01,"warn":0.05,"fail":0.2,"status":"ok"},` +
+	`{"name":"match_rate_delta","value":0,"warn":0.1,"fail":0.25,"status":"ok"}],"estimated_precision":[0.8,0.9,1],"profile":PROFILE}}`
+
 // TestOldReportsStillLoad: a report written while there was a metrics
-// section still loads — a drift baseline is a run report, so one captured
-// then must keep working. Diff ignores the section and compares the stage
-// and items rows of its trace; check reads it as -run and as -baseline
-// (and finds no profile in it, or the one spliced in).
+// section, or while emmatch stamped a verdict into its quality section,
+// still loads — a drift baseline is a run report, so one captured or
+// checked then must keep working. Diff ignores those sections and
+// compares the stage and items rows of the trace; check reads an old
+// report as -run and as -baseline (and finds no profile in it, or the
+// one it carries).
 func TestOldReportsStillLoad(t *testing.T) {
 	dir := t.TempDir()
 	old := filepath.Join(dir, "old.json")
@@ -235,21 +249,40 @@ func TestOldReportsStillLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quality, err := json.Marshal(qd)
-	if err != nil {
+	captured := filepath.Join(dir, "old-captured.json")
+	if err := writeFile(captured, strings.Replace(metricsEraReport, `"outcome":"ok",`,
+		`"outcome":"ok","quality":{"verdict":"captured","profile":`+string(qd.Profile)+`},`, 1)); err != nil {
 		t.Fatal(err)
 	}
-	monitored := filepath.Join(dir, "old-monitored.json")
-	if err := writeFile(monitored, strings.Replace(metricsEraReport, `"outcome":"ok",`, `"outcome":"ok","quality":`+string(quality)+`,`, 1)); err != nil {
+	checked := filepath.Join(dir, "old-checked.json")
+	if err := writeFile(checked, strings.Replace(checkEraReport, "PROFILE", string(qd.Profile), 1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"check", "-baseline", monitored, "-run", runPath},
-		{"check", "-baseline", runPath, "-run", monitored},
-	} {
-		out.Reset()
-		if err := run(args, &out, &errOut); err != nil || !strings.Contains(out.String(), "verdict ok") {
-			t.Fatalf("%v with an old monitored report: %v\n%s", args, err, out.String())
+	for _, oldPath := range []string{captured, checked} {
+		for _, args := range [][]string{
+			{"check", "-baseline", oldPath, "-run", runPath},
+			{"check", "-baseline", runPath, "-run", oldPath},
+		} {
+			out.Reset()
+			if err := run(args, &out, &errOut); err != nil || !strings.Contains(out.String(), "verdict ok") {
+				t.Fatalf("%v with an old monitored report: %v\n%s", args, err, out.String())
+			}
+		}
+	}
+
+	// The old verdict and signals are no diff rows: check judges quality.
+	out.Reset()
+	if err := run([]string{"diff", checked, cur}, &out, &errOut); err != nil {
+		t.Fatalf("diff against a checked report: %v", err)
+	}
+	for _, want := range []string{"stage wall time (ms):\n  stage.blocked", "stage.quality", "span items:\n  block.join", "(+3)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("diff output lacks %q:\n%s", want, out.String())
+		}
+	}
+	for _, gone := range []string{"verdict", "quality ok", "quality signals", "coverage_drop", "estimated"} {
+		if strings.Contains(out.String(), gone) {
+			t.Fatalf("diff output shows the old quality section's %q:\n%s", gone, out.String())
 		}
 	}
 }

@@ -32,8 +32,8 @@
 // "Profiling & perf gating"). Nothing
 // authenticates a caller, so -addr is the boundary: bind it where only
 // operators reach.
-// Whether the matcher's quality still holds is checked offline
-// (emmatch -drift-baseline, emmonitor check), not per request.
+// Whether the matcher's quality still holds is checked offline, not per
+// request: docs/OBSERVABILITY.md "Quality monitoring & drift".
 //
 // Observability: every request carries a request ID (minted, or a
 // sanitized client X-Request-Id) echoed on the response and written on

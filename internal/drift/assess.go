@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 
 	"emgo/internal/estimate"
@@ -312,75 +311,24 @@ func meanAbove(values []float64, cut float64) float64 {
 	return sum / float64(n)
 }
 
-// QualityData renders the assessment (plus the live profile) in the
-// neutral schema run reports embed, so obs has no dependency on this
-// package. A profile JSON cannot encode (a ±Inf value) is an error: the
-// report is the profile's one copy.
-func (a *Assessment) QualityData(live *Profile) (*obs.QualityData, error) {
-	qd := &obs.QualityData{Verdict: a.Verdict}
-	for _, s := range a.Signals {
-		qd.Signals = append(qd.Signals, obs.QualitySignal{
-			Name: s.Name, Value: s.Value, Warn: s.Warn, Fail: s.Fail, Status: s.Status,
-		})
-	}
-	if a.EstimatedPrecision != nil {
-		qd.EstimatedPrecision = []float64{
-			a.EstimatedPrecision.Lo, a.EstimatedPrecision.Point, a.EstimatedPrecision.Hi,
-		}
-	}
-	return embed(qd, live)
-}
-
-// VerdictCaptured marks the quality section of a capture-mode run: the
-// report embeds a profile but no drift assessment (there was no baseline
-// to score against).
-const VerdictCaptured = "captured"
-
-// CaptureQuality renders a capture-mode profile as a report quality
-// section: no signals, the VerdictCaptured verdict, and the profile
-// embedded, which makes the report a baseline (LoadBaseline) and lets
-// emmonitor check score the run later against any other.
+// CaptureQuality renders a run's profile as its report's quality
+// section, the one writer of it: the profile embedded as JSON, which lets
+// emmonitor check take the report as a baseline or as the run it scores.
+// A profile JSON cannot encode (a ±Inf value) is an error: the report is
+// the profile's one copy.
 func CaptureQuality(live *Profile) (*obs.QualityData, error) {
-	return embed(&obs.QualityData{Verdict: VerdictCaptured}, live)
-}
-
-// embed returns qd with live's JSON as its profile.
-func embed(qd *obs.QualityData, live *Profile) (*obs.QualityData, error) {
-	if live != nil {
-		data, err := json.Marshal(live)
-		if err != nil {
-			return nil, fmt.Errorf("drift: encode profile: %w", err)
-		}
-		qd.Profile = data
+	data, err := json.Marshal(live)
+	if err != nil {
+		return nil, fmt.Errorf("drift: encode profile: %w", err)
 	}
-	return qd, nil
+	return &obs.QualityData{Profile: data}, nil
 }
 
-// ProfileFromQuality recovers the live profile a run report embedded in
-// its quality section (what emmonitor check re-evaluates against a
-// baseline, possibly under different thresholds).
+// ProfileFromQuality recovers the profile a run report embedded in its
+// quality section (what emmonitor check scores, as baseline or as run).
 func ProfileFromQuality(qd *obs.QualityData) (*Profile, error) {
 	if qd == nil || len(qd.Profile) == 0 {
 		return nil, fmt.Errorf("drift: run report carries no quality profile")
 	}
 	return ParseProfile(qd.Profile)
-}
-
-// LoadBaseline reads a baseline: the report of a monitored run (emmatch
-// -drift-capture -report), whose quality.profile is the profile. A
-// report without one is an error naming path.
-func LoadBaseline(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := obs.ParseReport(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	p, err := ProfileFromQuality(rep.Quality)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"emgo/internal/obs"
 )
 
 // profileWith builds a minimal profile whose single feature holds the
@@ -194,18 +196,26 @@ func TestEstimatedPrecisionSelfEstimateFromScores(t *testing.T) {
 	}
 }
 
+// TestQualityDataRoundTrip: the quality section a capture writes is its
+// profile alone, and it survives a report's JSON.
 func TestQualityDataRoundTrip(t *testing.T) {
-	base := profileWith(normals(200, 0.5, 0.05, 1), 0)
 	live := profileWith(normals(200, 0.52, 0.05, 2), 0)
-	a, err := Evaluate(base, live, Thresholds{})
+	qd, err := CaptureQuality(live)
 	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
+		t.Fatal(err)
 	}
-	qd, err := a.QualityData(live)
-	if err != nil || qd == nil || qd.Verdict != a.Verdict || len(qd.Signals) != len(a.Signals) {
-		t.Fatalf("QualityData mismatch: %+v vs %+v", qd, a)
+	data, err := (&obs.Report{Name: "wf", Quality: qd}).Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := ProfileFromQuality(qd)
+	if strings.Contains(string(data), "verdict") {
+		t.Fatalf("a capture's quality section carries a verdict:\n%s", data)
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ProfileFromQuality(rep.Quality)
 	if err != nil {
 		t.Fatalf("ProfileFromQuality: %v", err)
 	}
@@ -216,7 +226,7 @@ func TestQualityDataRoundTrip(t *testing.T) {
 
 func TestCaptureQuality(t *testing.T) {
 	qd, err := CaptureQuality(profileWith(nil, 0))
-	if err != nil || qd.Verdict != VerdictCaptured || len(qd.Profile) == 0 {
+	if err != nil || len(qd.Profile) == 0 {
 		t.Fatalf("capture quality section = %+v, %v", qd, err)
 	}
 	if _, err := ProfileFromQuality(qd); err != nil {
@@ -227,9 +237,6 @@ func TestCaptureQuality(t *testing.T) {
 	inf := profileWith([]float64{0.5, math.Inf(1)}, 0)
 	if qd, err := CaptureQuality(inf); err == nil || qd != nil || !strings.Contains(err.Error(), "+Inf") {
 		t.Fatalf("CaptureQuality(+Inf) = %+v, %v; want an encoding error", qd, err)
-	}
-	if qd, err := (&Assessment{Verdict: StatusOK}).QualityData(inf); err == nil || qd != nil {
-		t.Fatalf("QualityData(+Inf) = %+v, %v; want an encoding error", qd, err)
 	}
 }
 

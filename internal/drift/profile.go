@@ -13,9 +13,10 @@
 //     string attributes, the prediction-score distribution, blocking
 //     coverage, and candidate-set size per input row. The profile rides
 //     in that run's report (quality.profile), and the report is the
-//     baseline the deployment is trusted against (LoadBaseline).
-//   - On every deployed run the same builder profiles the live slice,
-//     and Evaluate scores the live profile against the baseline:
+//     baseline the deployment is trusted against.
+//   - On every deployed run the same builder profiles the live slice
+//     into that run's report, and Evaluate (which emmonitor check calls)
+//     scores the live profile against the baseline's:
 //     population stability index (PSI) and two-sample Kolmogorov-
 //     Smirnov statistics per distribution, null-rate, blocking-coverage
 //     and match-rate deltas, plus a Corleone-style estimated accuracy

@@ -3,8 +3,6 @@ package drift
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"emgo/internal/obs"
@@ -132,13 +130,13 @@ func TestProfileCoverageAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run1.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	rep, err := obs.ParseReport(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadBaseline(path)
+	got, err := ProfileFromQuality(rep.Quality)
 	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
+		t.Fatalf("ProfileFromQuality: %v", err)
 	}
 	if got.Version != profileVersion || got.Name != "wf" || got.Coverage != 0.75 {
 		t.Fatalf("round-trip mismatch: %+v", got)

@@ -67,11 +67,8 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// Observe records one sample. Safe on nil.
+// Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	idx := sort.SearchFloat64s(h.bounds, v)
 	h.counts[idx].Add(1)
 	h.count.Add(1)
@@ -80,11 +77,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Snapshot captures the histogram's current counts, with its quantile
-// estimates filled. Safe on nil (returns the empty snapshot).
+// estimates filled.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
 	hs := HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),

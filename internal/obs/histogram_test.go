@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-func TestNilHandlesAreNoOps(t *testing.T) {
-	var h *Histogram
-	h.Observe(1.5)
-	if snap := h.Snapshot(); snap.Count != 0 || len(snap.Counts) != 0 {
-		t.Fatalf("nil histogram snapshot must be empty: %+v", snap)
-	}
-}
-
 func TestHistogramCountsAndSum(t *testing.T) {
 	bounds := []float64{1, 10, 100}
 	h := NewHistogram(bounds)

@@ -9,10 +9,6 @@ const (
 	// without the learned matcher.
 	OutcomeDegraded = "degraded"
 	OutcomeAborted  = "aborted" // the stage, and so the run, a failure stopped at
-	// OutcomeDegradedQuality: the quality stage of a monitored run whose
-	// live profile drifted past the thresholds against its baseline; the
-	// run completed, its training-time accuracy claim needs another look.
-	OutcomeDegradedQuality = "degraded_quality"
 
 	OutcomeShed       = "shed"        // 429: admission queue full
 	OutcomeDraining   = "draining"    // 503 while the server drains

@@ -24,9 +24,8 @@ type Report struct {
 	Error string `json:"error,omitempty"`
 	// Trace is the span tree (nil when no trace was active).
 	Trace *SpanData `json:"trace,omitempty"`
-	// Quality is the quality section of a monitored run: the embedded
-	// drift profile, and the assessment when the run was checked against
-	// a baseline (nil on an unmonitored run). The schema is neutral —
+	// Quality is the quality section of a monitored run: its embedded
+	// drift profile (nil on an unmonitored run). The schema is neutral —
 	// internal/drift fills it — so reports stay parseable without that
 	// package.
 	Quality *QualityData `json:"quality,omitempty"`
@@ -46,32 +45,12 @@ func NewReport(name string, started time.Time, root *Span, err error) *Report {
 	return rep
 }
 
-// QualitySignal is one scored drift indicator in a run report.
-type QualitySignal struct {
-	// Name identifies the signal ("psi.feature.X", "coverage_drop", ...).
-	Name string `json:"name"`
-	// Value is the observed statistic; Warn and Fail are the thresholds
-	// it was judged against; Status is ok, warn, or fail.
-	Value  float64 `json:"value"`
-	Warn   float64 `json:"warn"`
-	Fail   float64 `json:"fail"`
-	Status string  `json:"status"`
-}
-
-// QualityData is the quality-observability section of a run report:
-// the drift verdict of a deployed run against its training baseline,
-// the signals behind it, the drift-discounted accuracy estimate, and
-// the live statistical profile (schema owned by internal/drift, embedded
-// raw so it round-trips untouched).
+// QualityData is the quality section of a monitored run's report: the
+// run's statistical profile (schema owned by internal/drift, embedded
+// raw so it round-trips untouched). Any report carrying one can be
+// emmonitor check's -baseline or its -run.
 type QualityData struct {
-	// Verdict is ok, warn, or fail — the worst signal status.
-	Verdict string `json:"verdict"`
-	// Signals are the scored drift indicators, headline entries first.
-	Signals []QualitySignal `json:"signals,omitempty"`
-	// EstimatedPrecision is [lo, point, hi] in [0,1] — the
-	// Corleone-style estimate widened by the observed drift.
-	EstimatedPrecision []float64 `json:"estimated_precision,omitempty"`
-	// Profile is the live drift profile (internal/drift schema).
+	// Profile is the run's drift profile (internal/drift schema).
 	Profile json.RawMessage `json:"profile,omitempty"`
 }
 

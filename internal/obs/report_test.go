@@ -17,7 +17,7 @@ func TestReportRoundTrip(t *testing.T) {
 	sp.End()
 	_, q := StartSpan(ctx, "stage.quality")
 	q.SetItems(119)
-	q.SetOutcome(OutcomeDegradedQuality)
+	q.SetOutcome(OutcomeDegraded)
 	q.End()
 	root.SetOutcome("degraded")
 	root.End()
@@ -41,7 +41,7 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatalf("round trip header: %+v", got)
 	}
 	if got.Trace == nil || len(got.Trace.Children) != 2 || got.Trace.Children[0].Items != 120 ||
-		got.Trace.Children[1].Outcome != OutcomeDegradedQuality {
+		got.Trace.Children[1].Outcome != OutcomeDegraded {
 		t.Fatalf("round trip trace: %+v", got.Trace)
 	}
 }

@@ -202,6 +202,10 @@ func (a *Admission) RetryAfter() time.Duration {
 // their slots; Drain waits for them.
 func (a *Admission) StartDrain() { a.draining.Store(true) }
 
+// Draining reports whether StartDrain was called: the server's one
+// draining flag, read by its refusals, readiness and status.
+func (a *Admission) Draining() bool { return a.draining.Load() }
+
 // Drain blocks until every admitted request has released its slot or
 // the timeout elapses; it reports whether the drain completed clean.
 // Call StartDrain first or new arrivals will keep the slots busy.

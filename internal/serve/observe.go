@@ -130,7 +130,7 @@ func (s *Server) observe(route string, h func(q *request, r *http.Request)) http
 		q.ev.Status = q.w.status
 		q.ev.BytesOut = q.w.bytes
 		if q.ev.Outcome == "" {
-			q.ev.Outcome = deriveOutcome(q.w.status, q.ev.Degraded, s.draining.Load())
+			q.ev.Outcome = deriveOutcome(q.w.status, q.ev.Degraded, s.adm.Draining())
 		}
 		s.finish(&q.ev, root)
 

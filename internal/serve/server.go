@@ -18,8 +18,9 @@
 //   - health/readiness/status endpoints, a SIGTERM-driven drain, and the
 //     standard obs debug surface (expvar, pprof).
 //
-// Whether a deployed matcher's quality still holds is the offline check's
-// question (emmatch -drift-baseline, emmonitor check), not a request's.
+// Whether a deployed matcher's quality still holds is an offline
+// question, not a request's: docs/OBSERVABILITY.md "Quality monitoring &
+// drift".
 package serve
 
 import (
@@ -125,7 +126,6 @@ type Server struct {
 	latency *obs.Histogram
 
 	started   time.Time
-	draining  atomic.Bool
 	drained   chan struct{}
 	drainOnce sync.Once
 }
@@ -222,7 +222,7 @@ func (s *Server) Handler() http.Handler {
 // 503 + Retry-After, and the wide event says why. It reports whether it
 // answered.
 func (s *Server) refuseDraining(q *request) bool {
-	if !s.draining.Load() {
+	if !s.adm.Draining() {
 		return false
 	}
 	s.adm.shedDraining()
@@ -656,7 +656,7 @@ func (s *Server) handleHealth(q *request, _ *http.Request) {
 // handleReady is readiness: 503 once draining so load balancers stop
 // routing here before the listener actually closes.
 func (s *Server) handleReady(q *request, _ *http.Request) {
-	if s.draining.Load() {
+	if s.adm.Draining() {
 		q.writeJSON(http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -690,7 +690,7 @@ func (s *Server) handleStatus(q *request, _ *http.Request) {
 		Degraded:  s.degraded.Load(),
 		InFlight:  s.adm.InFlight(),
 		Queued:    s.adm.Queued(),
-		Draining:  s.draining.Load(),
+		Draining:  s.adm.Draining(),
 		RightRows: s.right.Len(),
 		Shed:      s.adm.Shed(),
 		LatencyMS: s.latency.Snapshot(),
@@ -706,7 +706,6 @@ func (s *Server) handleStatus(q *request, _ *http.Request) {
 // closes when the pipeline is empty or DrainTimeout passes.
 func (s *Server) StartDrain() {
 	s.drainOnce.Do(func() {
-		s.draining.Store(true)
 		s.adm.StartDrain()
 		go func() {
 			s.adm.Drain(s.cfg.DrainTimeout)

@@ -45,7 +45,7 @@ func outcomeVocabulary(t *testing.T) map[string]bool {
 		}
 		return true
 	})
-	if !vocab[obs.OutcomeOK] || !vocab[obs.OutcomeBadRequest] || len(vocab) < 9 {
+	if !vocab[obs.OutcomeOK] || !vocab[obs.OutcomeBadRequest] || len(vocab) < 8 {
 		t.Fatalf("outcome list not read from obs/outcome.go: %v", vocab)
 	}
 	return vocab

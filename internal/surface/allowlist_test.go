@@ -47,11 +47,10 @@ var deploymentSettings = map[string]string{
 	"emserve -write-timeout":       "timeout",
 	"emserve -idle-timeout":        "timeout",
 
-	"emmatch -out":            "path",
-	"emmatch -drift-baseline": "path",
-	"emmatch -left-id":        "id",
-	"emmatch -right-id":       "id",
-	"emmatch -timeout":        "timeout",
+	"emmatch -out":      "path",
+	"emmatch -left-id":  "id",
+	"emmatch -right-id": "id",
+	"emmatch -timeout":  "timeout",
 
 	"scripts/bench_snapshot.sh GO":         "path",
 	"scripts/bench_snapshot.sh GOMAXPROCS": "size", // the Go runtime's own variable, read to record it

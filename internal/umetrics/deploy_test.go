@@ -3,18 +3,16 @@ package umetrics
 import (
 	"context"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"emgo/internal/drift"
-
 	"emgo/internal/block"
 	"emgo/internal/core"
+	"emgo/internal/drift"
 	"emgo/internal/feature"
 	"emgo/internal/label"
 	"emgo/internal/ml"
+	"emgo/internal/obs"
 	"emgo/internal/tokenize"
 	"emgo/internal/workflow"
 )
@@ -232,7 +230,7 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 	proj, spec := trainForDeploy(t)
 
 	capRes, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA,
-		workflow.RunOptions{Drift: &workflow.DriftStage{}})
+		workflow.RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +238,7 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 		t.Fatalf("baseline missing feature distributions: %+v", base)
 	}
 	// The capture run's report is the baseline.
-	data, err := capRes.Report.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run1.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := drift.LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("the capture report is no baseline: %v", err)
-	}
+	base := profileInReport(t, capRes)
 
 	// A new slice from the same world distribution should not breach.
 	params := TestParams(0.25)
@@ -268,19 +255,37 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunDeployed(context.Background(), spec, newProj.UMETRICS, newProj.USDA,
-		workflow.RunOptions{Drift: &workflow.DriftStage{Baseline: loaded}})
+		workflow.RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Quality == nil {
-		t.Fatal("monitored deployed run produced no assessment")
+	// Judged as emmonitor check judges the two reports.
+	asmt, err := drift.Evaluate(base, profileInReport(t, res), drift.DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Quality.Breached() {
-		t.Fatalf("same-distribution slice breached: %+v", res.Quality.Signals)
+	if asmt.Breached() {
+		t.Fatalf("same-distribution slice breached: %+v", asmt.Signals)
 	}
-	if res.Report == nil || res.Report.Quality == nil {
-		t.Fatal("monitored run report missing the quality section")
+}
+
+// profileInReport is the profile a monitored run's report carries, read
+// back from the report's JSON.
+func profileInReport(t *testing.T, res *workflow.Result) *drift.Profile {
+	t.Helper()
+	data, err := res.Report.Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := drift.ProfileFromQuality(rep.Quality)
+	if err != nil {
+		t.Fatalf("the monitored run's report carries no profile: %v", err)
+	}
+	return p
 }
 
 // TestMonitoredDeployedRunProfilesEveryFeature: a deployed workflow
@@ -309,7 +314,7 @@ func TestMonitoredDeployedRunProfilesEveryFeature(t *testing.T) {
 		t.Fatal(err)
 	}
 	monitored, err := RunDeployed(context.Background(), spec, proj.UMETRICS, proj.USDA,
-		workflow.RunOptions{Drift: &workflow.DriftStage{}})
+		workflow.RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -22,14 +20,13 @@ import (
 )
 
 // TestRunCtxDriftCaptureAndCleanCheck is the TestSmoke/monitor property at
-// unit scope: a capture run's report is a baseline carrying its whole
-// profile, and a second run over the same tables checked against that
-// baseline scores zero drift.
+// unit scope: a profiled run's report carries its whole profile, and two
+// runs over the same tables, judged as emmonitor check judges them, score
+// zero drift.
 func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 	w, tp := hardenedFixture(t)
-	path := filepath.Join(t.TempDir(), "run1.json")
 
-	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: &DriftStage{}})
+	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,25 +41,11 @@ func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 		t.Fatalf("profile missing distributions: %d features, %d columns",
 			len(capRes.DriftProfile.Features), len(capRes.DriftProfile.Columns))
 	}
-	if capRes.Report == nil || capRes.Report.Quality == nil ||
-		capRes.Report.Quality.Verdict != drift.VerdictCaptured {
-		t.Fatalf("capture report quality section: %+v", capRes.Report.Quality)
-	}
 	if got := outcomeSequence(capRes.Report); got[len(got)-1] != "quality:ok" {
 		t.Fatalf("capture run stages = %v, want a last quality:ok", got)
 	}
 
-	data, err := capRes.Report.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := drift.LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("the capture report is no baseline: %v", err)
-	}
+	base := reportProfile(t, capRes)
 	if !base.CreatedAt.Equal(capRes.DriftProfile.CreatedAt) {
 		t.Fatalf("baseline created_at %v, want %v", base.CreatedAt, capRes.DriftProfile.CreatedAt)
 	}
@@ -74,77 +57,61 @@ func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 	// The labeled accuracy estimate (Section 11) a baseline may carry.
 	base.EstimatedPrecision = []float64{0.9, 0.95, 1.0}
 
-	chkRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		Drift: &DriftStage{Baseline: base},
-	})
+	liveRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chkRes.Quality == nil {
-		t.Fatal("check run produced no assessment")
+	asmt, err := drift.Evaluate(base, reportProfile(t, liveRes), drift.DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if chkRes.Quality.Verdict != drift.StatusOK {
-		t.Fatalf("identical slice scored %q, want ok: %+v", chkRes.Quality.Verdict, chkRes.Quality.Signals)
+	if asmt.Verdict != drift.StatusOK {
+		t.Fatalf("identical slice scored %q, want ok: %+v", asmt.Verdict, asmt.Signals)
 	}
-	if chkRes.Quality.EstimatedPrecision == nil || chkRes.Quality.EstimatedPrecision.Lo != 0.9 {
-		t.Fatalf("drift-free check changed the accuracy estimate: %+v", chkRes.Quality.EstimatedPrecision)
+	for _, s := range asmt.Signals {
+		if s.Value != 0 {
+			t.Fatalf("identical slice scored signal %s = %g, want 0", s.Name, s.Value)
+		}
 	}
-	if chkRes.Report.Quality == nil || chkRes.Report.Quality.Verdict != drift.StatusOK {
-		t.Fatalf("check report quality section: %+v", chkRes.Report.Quality)
-	}
-	if _, err := drift.ProfileFromQuality(chkRes.Report.Quality); err != nil {
-		t.Fatalf("report does not embed the live profile: %v", err)
-	}
-	if got := outcomeSequence(chkRes.Report); got[len(got)-1] != "quality:ok" {
-		t.Fatalf("clean check stages = %v, want a last quality:ok", got)
+	if asmt.EstimatedPrecision == nil || asmt.EstimatedPrecision.Lo != 0.9 {
+		t.Fatalf("drift-free check changed the accuracy estimate: %+v", asmt.EstimatedPrecision)
 	}
 }
 
 // TestRunCtxDriftCheckDegradedQuality perturbs the baseline so the check
-// breaches, and asserts the degraded_quality outcome lands in the quality
-// stage span without failing the run.
+// breaches: the profiled run still completes with every stage ok, since a
+// run records its quality and emmonitor check's Evaluate judges it.
 func TestRunCtxDriftCheckDegradedQuality(t *testing.T) {
 	w, tp := hardenedFixture(t)
 
-	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: &DriftStage{}})
+	capRes, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := capRes.DriftProfile
+	base := reportProfile(t, capRes)
 	// Pretend the training slice had full blocking coverage, so the live
 	// run (whatever its real coverage) plus a feature rename breaches.
 	base.Coverage = 1.0
 	base.Features[0].Name = "gone_feature"
 
-	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{
-		Drift: &DriftStage{Baseline: base},
-	})
+	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Profile: true})
 	if err != nil {
-		t.Fatalf("a quality breach must not fail the run: %v", err)
+		t.Fatalf("a drifted run must not fail: %v", err)
 	}
-	if res.Quality == nil || !res.Quality.Breached() {
-		t.Fatalf("expected a breach: %+v", res.Quality)
+	if got := outcomeSequence(res.Report); got[len(got)-1] != "quality:ok" {
+		t.Fatalf("drifted run stages = %v, want a last quality:ok", got)
 	}
-
-	foundSpan := false
-	for _, c := range res.Report.Trace.Children {
-		if c.Name == "stage.quality" {
-			foundSpan = true
-			if c.Outcome != obs.OutcomeDegradedQuality {
-				t.Fatalf("quality span outcome = %q, want %q", c.Outcome, obs.OutcomeDegradedQuality)
-			}
-		}
+	asmt, err := drift.Evaluate(base, reportProfile(t, res), drift.DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !foundSpan {
-		t.Fatal("no stage.quality span in the report trace")
-	}
-	if res.Report.Quality.Verdict != drift.StatusFail {
-		t.Fatalf("report verdict = %q, want fail", res.Report.Quality.Verdict)
+	if !asmt.Breached() || asmt.Verdict != drift.StatusFail {
+		t.Fatalf("expected a breach: %+v", asmt)
 	}
 }
 
 // TestRunCtxNoDriftMeansNoQualityStage guards the disabled path: without
-// DriftStage the result has no profile, no assessment, and no quality
+// RunOptions.Profile the result has no profile, and the report no quality
 // section or stage.
 func TestRunCtxNoDriftMeansNoQualityStage(t *testing.T) {
 	w, tp := hardenedFixture(t)
@@ -152,43 +119,55 @@ func TestRunCtxNoDriftMeansNoQualityStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DriftProfile != nil || res.Quality != nil || res.Report.Quality != nil {
-		t.Fatalf("quality artifacts on an unmonitored run: %+v %+v %+v",
-			res.DriftProfile, res.Quality, res.Report.Quality)
+	if res.DriftProfile != nil || res.Report.Quality != nil {
+		t.Fatalf("quality artifacts on an unmonitored run: %+v %+v", res.DriftProfile, res.Report.Quality)
 	}
 	for _, st := range outcomeSequence(res.Report) {
 		if strings.HasPrefix(st, "quality:") {
-			t.Fatal("quality stage ran without DriftStage")
+			t.Fatal("quality stage ran without RunOptions.Profile")
 		}
 	}
 }
 
 // TestRunCtxUnencodableProfileAborts: the report is a profile's one copy,
 // so a profile JSON cannot encode — a feature that computes +Inf, as
-// AbsDiff of two ±1e308 cells does — aborts the quality stage, in
-// capture and check mode alike, instead of leaving a report without it.
+// AbsDiff of two ±1e308 cells does — aborts the quality stage instead of
+// leaving a report without it.
 func TestRunCtxUnencodableProfileAborts(t *testing.T) {
 	w, tp := hardenedFixture(t)
-	clean, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: &DriftStage{}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fs := &feature.Set{Features: slices.Clone(w.Features.Features)}
 	f := &fs.Features[0]
 	f.Func, f.Compute = "", func(a, b table.Value) float64 { return math.Inf(1) }
 	w.Features = fs
-	for _, d := range []*DriftStage{{}, {Baseline: clean.DriftProfile}} {
-		res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Drift: d})
-		if err == nil || !strings.Contains(err.Error(), "quality") || !strings.Contains(err.Error(), "+Inf") {
-			t.Fatalf("baseline %v: err = %v, want the quality stage to abort on +Inf", d.Baseline != nil, err)
-		}
-		if got := outcomeSequence(res.Report); got[len(got)-1] != "quality:aborted" {
-			t.Fatalf("baseline %v: stages = %v, want a last quality:aborted", d.Baseline != nil, got)
-		}
-		if res.Report.Quality != nil {
-			t.Fatalf("baseline %v: aborted run's report kept a quality section", d.Baseline != nil)
-		}
+	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{Profile: true})
+	if err == nil || !strings.Contains(err.Error(), "quality") || !strings.Contains(err.Error(), "+Inf") {
+		t.Fatalf("err = %v, want the quality stage to abort on +Inf", err)
 	}
+	if got := outcomeSequence(res.Report); got[len(got)-1] != "quality:aborted" {
+		t.Fatalf("stages = %v, want a last quality:aborted", got)
+	}
+	if res.Report.Quality != nil {
+		t.Fatal("aborted run's report kept a quality section")
+	}
+}
+
+// reportProfile is the profile a run's report carries, read back from
+// the report's JSON as emmonitor check reads a -baseline or a -run.
+func reportProfile(t *testing.T, res *Result) *drift.Profile {
+	t.Helper()
+	data, err := res.Report.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := drift.ProfileFromQuality(rep.Quality)
+	if err != nil {
+		t.Fatalf("the run's report carries no profile: %v", err)
+	}
+	return p
 }
 
 // profileOf is a run's profile without its build time, the one field
@@ -232,7 +211,7 @@ func TestMonitoredRunAboveCapIsDeterministic(t *testing.T) {
 
 	var first drift.Profile
 	for run := 0; run < 5; run++ {
-		res, err := w.RunCtx(context.Background(), l, r, RunOptions{Drift: &DriftStage{}})
+		res, err := w.RunCtx(context.Background(), l, r, RunOptions{Profile: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,34 +24,20 @@ import (
 //
 // RunCtx is also the observability anchor: every stage runs under an
 // obs span recording wall time, item count, and outcome, and every run
-// finishes with a machine-readable obs.Report on the Result (spans +
-// metrics snapshot + quality section) — the run's one record, the
+// finishes with a machine-readable obs.Report on the Result (spans and,
+// on a profiled run, the quality section) — the run's one record, the
 // document -report flags write and perf work diffs against.
-
-// DriftStage asks RunCtx to run the quality-observability layer
-// (internal/drift): a final "quality" stage profiles what the run
-// produced — the feature vectors and prediction scores of the pairs the
-// matcher decided, the input-table attributes, and blocking coverage —
-// and embeds the profile in the report's quality section. With a
-// Baseline the stage is a drift check — the live profile is scored
-// against the baseline and a breach surfaces as the degraded_quality
-// stage outcome; without one the stage is a baseline capture, and the
-// run's report is the baseline later runs load (drift.LoadBaseline).
-type DriftStage struct {
-	// Baseline, when non-nil, switches the stage from capture to check:
-	// the live profile is evaluated against it under
-	// drift.DefaultThresholds.
-	Baseline *drift.Profile
-}
 
 // RunOptions configures the hardened runtime. The zero value — what
 // Run passes — runs the pipeline without a quality stage.
 type RunOptions struct {
-	// Drift, when non-nil, arms quality observability: the run is
-	// profiled and finishes with a "quality" stage that captures a
-	// baseline snapshot or checks the live profile against one (see
-	// DriftStage).
-	Drift *DriftStage
+	// Profile arms quality observability (internal/drift): a final
+	// "quality" stage profiles what the run produced — the feature
+	// vectors and prediction scores of the pairs the matcher decided,
+	// the input-table attributes, and blocking coverage — into the
+	// report's quality section. The stage records; emmonitor check
+	// judges, taking any such report as its baseline or as its run.
+	Profile bool
 }
 
 // stage is one RunCtx stage being recorded: its "stage.<name>" span.
@@ -171,36 +157,17 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	st.finish(obs.OutcomeOK, res.Final.Len())
 
 	// Step 7 (optional): quality stage — profile the run's result into
-	// the report, and check it against a baseline when there is one. A
-	// breach is not an error: the run completed; the degraded_quality
-	// outcome of the stage span (and the report's quality section) is
-	// the signal operators and emmonitor act on. A profile the report
-	// cannot carry is: the report is its one copy.
-	if opts.Drift != nil {
+	// the report. A profile the report cannot carry is an error: the
+	// report is its one copy.
+	if opts.Profile {
 		st = startStage("quality")
 		if res.DriftProfile, err = w.profile(st.ctx, left, right, blocked, res); err != nil {
 			return abort(st, err)
 		}
-		if base := opts.Drift.Baseline; base == nil {
-			if quality, err = drift.CaptureQuality(res.DriftProfile); err != nil {
-				return abort(st, err)
-			}
-			st.finish(obs.OutcomeOK, len(res.DriftProfile.Features))
-		} else {
-			asmt, aerr := drift.Evaluate(base, res.DriftProfile, drift.DefaultThresholds())
-			if aerr != nil {
-				return abort(st, aerr)
-			}
-			if quality, err = asmt.QualityData(res.DriftProfile); err != nil {
-				return abort(st, err)
-			}
-			res.Quality = asmt
-			outcome := obs.OutcomeOK
-			if asmt.Verdict != drift.StatusOK {
-				outcome = obs.OutcomeDegradedQuality
-			}
-			st.finish(outcome, len(asmt.Signals))
+		if quality, err = drift.CaptureQuality(res.DriftProfile); err != nil {
+			return abort(st, err)
 		}
+		st.finish(obs.OutcomeOK, len(res.DriftProfile.Features))
 	}
 	return res, nil
 }

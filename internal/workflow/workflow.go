@@ -118,15 +118,10 @@ type Result struct {
 	// matches).
 	Final *block.CandidateSet
 	// DriftProfile is the statistical profile the quality stage built
-	// from the run's result when RunOptions.Drift asked for one (nil
-	// otherwise). In capture
-	// mode it is the baseline snapshot; in check mode it is the live
-	// profile that was scored against the baseline.
+	// from the run's result when RunOptions.Profile asked for one (nil
+	// otherwise); the report's quality section embeds it.
 	DriftProfile *drift.Profile
-	// Quality is the drift assessment of a checked run against its
-	// baseline (nil unless RunOptions.Drift supplied one).
-	Quality *drift.Assessment
-	// Report is the run's one record (a span per stage, metrics, the
+	// Report is the run's one record (a span per stage, and the
 	// quality section) built on every run, success or failure.
 	Report *obs.Report
 }
