@@ -1,26 +1,12 @@
-// Command emcasestudy runs the full UMETRICS/USDA entity-matching case
-// study end to end — data generation, exploration, pre-processing,
-// blocking, sampling and labeling, matcher selection, the three workflow
-// generations, and accuracy estimation — and prints every number next to
-// the value the paper reports.
+// Command emcasestudy runs the UMETRICS/USDA case study end to end and
+// prints every number next to the value the paper reports; diagnostics
+// go to stderr. -h lists the flags.
 //
-// Usage:
+//	emcasestudy [-scale 1.0] [-seed 7] [-out matches.csv] [-labels labels.csv] [-spec spec.json]
 //
-//	emcasestudy [-scale 1.0] [-seed 7] [-out matches.csv] \
-//	            [-labels labels.csv] [-spec spec.json] \
-//	            [-report run.json] [-debug-addr :6060]
-//
-// A study is one pass: at the paper's scale it takes well under a
-// second, so a killed run is rerun, not resumed. -out, -labels and -spec
-// are written atomically (temp file, fsync, rename): a run killed at any
-// point leaves each of them it had not finished absent or as it was, and
-// a rerun writes byte-identical files.
-//
-// Observability: -report writes a machine-readable run report, the run's
-// one record (section spans, each layer's spans counting its items),
-// which emmonitor diff compares with another run's; -debug-addr serves
-// pprof and the standard expvars during the run. The human-readable report stays on stdout;
-// diagnostics and progress go to stderr.
+// Exit status: 0 on success, 1 on a failure, 2 on a usage error, 130
+// when SIGINT or SIGTERM cut it short. A study is one pass: a killed run
+// is rerun, and its outputs are written atomically.
 package main
 
 import (
@@ -53,7 +39,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	out := fs.String("out", "", "optional CSV file for the final match ID pairs")
 	labelsOut := fs.String("labels", "", "optional CSV file for the released labeled pairs")
 	specOut := fs.String("spec", "", "optional JSON file for the packaged deployment workflow")
-	rec := cliutil.RunRecordFlags(fs, "write the observability run report JSON to this path")
+	rec := cliutil.RunRecordFlags(fs, "write the run report JSON, a span per study section, to this path ('-' is refused: stdout is the text report's)")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}

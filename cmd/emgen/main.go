@@ -1,14 +1,10 @@
 // Command emgen generates the synthetic UMETRICS/USDA dataset as CSV
-// files — the seven raw tables of Figure 2, the extra UMETRICS slice of
-// Section 10, and a ground-truth file for evaluation.
+// files: the seven raw tables of Figure 2, the extra UMETRICS slice of
+// Section 10, and a ground-truth file. -h lists the flags.
 //
-// Usage:
+//	emgen [-scale 1.0] [-seed 1] [-full] [-projected] [-out data/]
 //
-//	emgen [-scale 1.0] [-seed 1] [-full] [-out data/]
-//
-// With -full the auxiliary tables are generated at the exact Figure 2 row
-// counts (1.45M employee rows, 378K vendor rows, ...); the default keeps
-// them compact, which is all the matching pipeline needs.
+// Exit status: 0 on success, 1 on a failure, 2 on a usage error.
 package main
 
 import (
@@ -40,7 +36,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	fs.SetOutput(stderr)
 	scale := fs.Float64("scale", 1.0, "data scale relative to the paper (1.0 = Figure 2 sizes)")
 	seed := fs.Int64("seed", 1, "generator seed")
-	full := fs.Bool("full", false, "generate auxiliary tables at full Figure 2 size")
+	full := fs.Bool("full", false, "generate auxiliary tables at full Figure 2 size (1.45M employee rows, 378K vendor rows; the default keeps them compact, which is all matching needs)")
 	projected := fs.Bool("projected", false, "also run the Section 6 pre-processing and write the projected matching tables")
 	out := fs.String("out", "data", "output directory")
 	if err := fs.Parse(args); err != nil {

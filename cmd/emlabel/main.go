@@ -1,15 +1,12 @@
-// Command emlabel is the labeling tool of the EM process (the Section 8
-// "cloud-based labeling tool with a good UI", as a terminal program): it
-// blocks two CSV tables on a column, samples candidate pairs, shows each
-// pair side by side, and records Yes/No/Unsure judgments to a CSV the
-// pipeline can train on.
+// Command emlabel is the labeling tool of Section 8, as a terminal
+// program: it blocks two CSV tables on a column, samples candidate
+// pairs, shows each pair side by side, and records Yes/No/Unsure
+// judgments to a CSV the pipeline can train on. -h lists the flags.
 //
-// Usage:
+//	emlabel -left a.csv -right b.csv -on Title [-n 20] [-out labels.csv]
 //
-//	emlabel -left a.csv -right b.csv -on Title [-n 20] [-seed 1] \
-//	        [-left-id RecordId] [-right-id RecordId] [-out labels.csv]
-//
-// Keys: y = match, n = non-match, u = unsure, s = skip, q = quit.
+// Exit status: 0 on success, 1 on a failure, 2 on a usage error, 130
+// when SIGINT or SIGTERM cut it short.
 package main
 
 import (

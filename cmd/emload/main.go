@@ -1,41 +1,14 @@
-// Command emload is the open-loop load generator and soak harness for
-// emserve (see docs/SERVING.md, "Capacity & soak testing").
+// Command emload is the open-loop load generator and soak gate for
+// emserve: it replays a seeded arrival schedule against a running server
+// and judges each phase by load.Gate. -h lists the flags, and
+// docs/OPERATIONS.md#how-much-load-can-it-take reads the output.
 //
-//	emload -addr 127.0.0.1:8080 -right USDAProjected.csv \
-//	       [-mode soak|capacity] \
-//	       [-profile uniform|poisson] [-rate 50] [-duration 30s] \
-//	       [-seed 1] [-blend single=88,batch=5,malformed=2,oversized=1,status=4] \
-//	       [-timeout 10s] [-report-every 5s] [-summary out.json] \
-//	       [-slo "availability=99.5,latency=500ms@99"] \
-//	       [-max-qps 0] [-factor 2]
-//
-// Record indices are Zipf-distributed (s = 1.2), a batch carries 8
-// records, at most 4096 requests are in flight (an arrival past that is
-// dropped and counted, never delayed), and each arrival is sent once: a
-// shed (429/503) is an answer, never retried.
-//
-// Every mode runs phases — one open-loop schedule of -rate for
-// -duration against one server — and judges each by load.Gate:
-//
-//	soak      one phase judged by the gate: the -slo objectives, zero
-//	          unexpected answers, Retry-After on every shed, and at most
-//	          1% of arrivals dropped by the generator.
-//	capacity  soak at rising rates: phases from -rate, times -factor
-//	          (above 1) up to -max-qps (at least -rate), each judged by
-//	          the -slo objectives with at most 5% of answers shed, until
-//	          one fails; the last passing rate is the max sustainable
-//	          rate.
-//
-// The gate is the one judge of the service's objectives; it times
-// latency from the client.
+//	emload -addr 127.0.0.1:8080 -right USDAProjected.csv [-mode soak|capacity] [-summary out.json]
 //
 // Exit status: 0 when every judged phase passed (capacity: at least one
 // step), 1 when one failed, 2 on a usage error or a run that could not
-// execute, 130 when SIGINT/SIGTERM cut it short — a phase cut short is
+// execute, 130 when SIGINT or SIGTERM cut it short; a phase cut short is
 // never judged, and no summary is written for it.
-//
-// Everything is seeded and deterministic on the generator side: the
-// same flags replay the same arrival schedule bit for bit.
 package main
 
 import (
@@ -72,7 +45,7 @@ func runCtx(ctx context.Context, argv []string, stdout, stderr io.Writer) error 
 	fs := flag.NewFlagSet("emload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	mode := fs.String("mode", "soak", "soak | capacity")
+	mode := fs.String("mode", "soak", "soak (one phase judged by the gate) | capacity (phases from -rate, times -factor up to -max-qps, until one fails; the last passing rate is the sustainable one)")
 	addr := fs.String("addr", "", "server under test (host:port or http URL)")
 	right := fs.String("right", "", "right-table CSV the record pool is mined from")
 	summaryPath := fs.String("summary", "", "write the summary JSON here instead of stdout")

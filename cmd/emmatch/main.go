@@ -1,40 +1,14 @@
-// Command emmatch is the production matcher: it loads a packaged workflow
-// spec (JSON, as produced by the development process — see
-// examples/production), rebuilds the workflow against two CSV tables,
-// deploys it over the right one, and writes the predicted matches. It is
-// the "move it into the repository to do matching for other data slices"
-// binary of Section 12, run under the hardened runtime: one deadline for
-// the whole run (-timeout), an abort that names a failing pair, and the
-// run's stages (step, items, outcome) on stderr even when one aborts.
+// Command emmatch is the production matcher of Section 12: it deploys a
+// packaged workflow spec over two CSV tables and writes the predicted
+// matches, in one pass over the whole left table. Only data goes to
+// stdout; the stage table and every diagnostic go to stderr. -h lists
+// the flags, and docs/OPERATIONS.md#what-did-a-run-do reads the output.
 //
-// Usage:
+//	emmatch -spec workflow.json -left new.csv -right reference.csv [-out matches.csv] [-report run.json]
 //
-//	emmatch -spec workflow.json -left UMETRICSProjected.csv -right USDAProjected.csv \
-//	        [-left-id RecordId] [-right-id RecordId] [-out matches.csv] [-transforms umetrics] \
-//	        [-timeout 0] [-report run.json] [-debug-addr :6060] \
-//	        [-drift-capture]
-//
-// A run is one pass: a killed or failed run is rerun from the start.
-// With -out the match CSV is written atomically, so it is never torn.
-//
-// The -transforms flag selects the registered transform set the spec's
-// rules reference ("umetrics" or "none").
-//
-// Observability: -report writes the machine-readable run report, the
-// run's one record (the span tree with per-stage durations, items and
-// outcomes — each blocker's block.join, the feature.vectorize and
-// ml.predict passes counting their pairs — and, with -drift-capture,
-// the quality section);
-// -debug-addr serves pprof (/debug/pprof/) and the standard expvars
-// (/debug/vars) for the duration of the run. Stream discipline: only
-// data (the match CSV, or a report directed at "-") goes to stdout;
-// every diagnostic and progress line goes to stderr, so reports can be
-// piped.
-//
-// Quality monitoring (docs/OBSERVABILITY.md "Quality monitoring &
-// drift"): -drift-capture profiles this run's inputs, features,
-// candidates, and scores into the -report it needs. The run records its
-// quality; emmonitor check judges it against any other such report.
+// Exit status: 0 on success, 1 when the run fails, 2 on a usage error,
+// 130 when SIGINT or SIGTERM cut it short. A failed or killed run is
+// rerun from the start.
 package main
 
 import (
@@ -74,10 +48,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	dep := cliutil.DeploymentFlags(fs, "left table CSV", "right table CSV")
 	leftID := fs.String("left-id", "RecordId", "left record-ID column for the output")
 	rightID := fs.String("right-id", "RecordId", "right record-ID column for the output")
-	out := fs.String("out", "", "output CSV (default: stdout)")
-	timeout := fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
-	rec := cliutil.RunRecordFlags(fs, "write the run report JSON to this path ('-' = stdout)")
-	driftCapture := fs.Bool("drift-capture", false, "profile this run into its -report, making the report a quality baseline")
+	out := fs.String("out", "", "output CSV, written atomically (default: stdout)")
+	timeout := fs.Duration("timeout", 0, "deadline for the whole run, deployment included (0 = none)")
+	rec := cliutil.RunRecordFlags(fs, "write the run report JSON, the run's one record (span tree, each stage's items and outcome), to this path, when the run fails too ('-' = stdout, with -out)")
+	driftCapture := fs.Bool("drift-capture", false, "profile this run into its -report, making the report a quality baseline or a run for emmonitor check")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}

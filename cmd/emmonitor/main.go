@@ -1,37 +1,14 @@
-// Command emmonitor is the quality-monitoring CLI for deployed matchers
-// — the operational companion to emmatch, and the one judge of a run's
-// quality. It works on the one machine-readable artifact the pipeline
-// emits, the run report (an emmatch -drift-capture run's report carries
-// the run's profile, and any such report is a baseline or a run to
-// check), and is designed to sit in cron/CI: "check" exits non-zero when
-// a deployed run's quality drifted past the fail thresholds, so a
-// scheduled matching job can gate publication of its matches on it. A
-// run's record is its -report file; keep one per run (say
-// runs/<date>.json) and point check and diff at them.
+// Command emmonitor is the one judge of a deployed run's quality: check
+// scores the profile a run's report carries against a baseline run's,
+// diff compares two run reports, and perf gates two benchmark snapshots.
+// Run with no arguments it prints its usage; docs/OPERATIONS.md#did-quality-drift
+// reads check's output.
 //
-// Usage:
+//	emmonitor check -baseline run1.json -run run.json | diff runA.json runB.json | perf OLD.json NEW.json
 //
-//	emmonitor check -baseline run1.json -run run.json \
-//	        [-thresholds th.json] [-strict]
-//	emmonitor diff runA.json runB.json
-//	emmonitor perf OLD_BENCH.json NEW_BENCH.json
-//
-// check scores the statistical profile embedded in a run report against
-// the profile embedded in a baseline run's report (a -thresholds file
-// overrides the bars it names, the rest keep their defaults) and prints
-// every signal. Exit status: 0 when
-// quality holds, 1 on a fail-threshold breach (or any warn under
-// -strict), 2 on usage or I/O errors, 130 when interrupted by
-// SIGINT/SIGTERM (so a breach verdict is never confused with an
-// operator abort).
-//
-// diff compares two run reports: per-stage wall time and each span
-// name's summed items (block.join's pairs, ml.predict's vectors; see
-// diff.go). Two runs' quality is compared by check.
-//
-// perf diffs two BENCH_*.json snapshots (scripts/bench_snapshot.sh) at
-// fixed bars and exits 1 on a benchmark regression; `make perf-gate`
-// runs it over the two newest committed snapshots (see perf.go).
+// Exit status: 0 on success, 1 when check finds a breach or perf a
+// regression, 2 on a usage or I/O error, 130 when SIGINT or SIGTERM cut
+// it short, so a breach is never confused with an operator's abort.
 package main
 
 import (
@@ -144,8 +121,8 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "", "baseline run report (from an emmatch -drift-capture run)")
 	runPath := fs.String("run", "", "run report to check (from an emmatch -drift-capture run)")
-	thresholdsPath := fs.String("thresholds", "", "JSON file overriding the warn/fail thresholds")
-	strict := fs.Bool("strict", false, "treat warn-level drift as a breach too")
+	thresholdsPath := fs.String("thresholds", "", "JSON file replacing the warn/fail thresholds it names; the rest keep their defaults")
+	strict := fs.Bool("strict", false, "treat warn-level drift as a breach too (exit 1)")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp
 	}

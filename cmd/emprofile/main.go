@@ -1,14 +1,11 @@
-// Command emprofile prints per-column statistics of CSV tables — the
-// exploration step of Section 4 (the pandas-profiling role): missing and
-// unique counts, numeric statistics, and the most frequent values.
-//
-// Usage:
+// Command emprofile prints per-column statistics of CSV tables, the
+// exploration step of Section 4: missing and unique counts, numeric
+// statistics, and optionally frequent values and identifier shapes.
+// Only the report goes to stdout. -h lists the flags.
 //
 //	emprofile [-top] [-patterns] file.csv [file2.csv ...]
 //
-// Stream discipline: stdout carries only the profile report (the data),
-// so it can be piped or redirected; per-file progress and every
-// diagnostic go to stderr.
+// Exit status: 0 on success, 1 on a failure, 2 on a usage error.
 package main
 
 import (

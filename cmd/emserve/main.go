@@ -1,59 +1,15 @@
-// Command emserve is the online matching service: it loads a deployed
-// workflow spec (JSON, as produced by the development process), rebuilds
-// the workflow against the two deployment tables, and answers single-record
-// match requests over HTTP/JSON — the "matching as a service" end state of
-// Section 12, run under hostile-conditions machinery: bounded admission
-// with load shedding (429 + Retry-After), per-request deadlines whose ML
-// sub-budget degrades a slow learned matcher to the rule-only answer. A
-// matcher or blocker that fails answers 500. The spec is the deployment:
-// the server serves the matcher it embeds for its whole life, and a new
-// matcher is a new spec and a restart.
+// Command emserve is the online matching service of Section 12: it
+// deploys a packaged workflow spec over two tables and answers match
+// requests over HTTP/JSON under bounded admission, load shedding and
+// per-request deadlines. -h lists the flags, and docs/OPERATIONS.md is
+// the operator's guide.
 //
-// Usage:
+//	emserve -spec workflow.json -left left.csv -right right.csv [-addr 127.0.0.1:8080]
 //
-//	emserve -spec workflow.json -left left.csv -right right.csv \
-//	        [-addr 127.0.0.1:8080] [-addr-file addr.txt] \
-//	        [-max-inflight 8] [-max-queue 64] [-request-timeout 5s] [-max-body 1048576] \
-//	        [-read-header-timeout 5s] [-read-timeout 30s] [-write-timeout 0] [-idle-timeout 120s] \
-//	        [-transforms umetrics] [-date-cols ...] \
-//	        [-max-batch 256] \
-//	        [-access-log events.jsonl] [-access-sample 10] \
-//	        [-inject site:spec ...]
-//
-// Endpoints (see docs/SERVING.md): POST /v1/match answers one record;
-// POST /v1/match/batch answers a bounded batch (-max-batch records) in
-// one amortized pipeline pass. A table larger than that is matched
-// offline: emmatch over the same deployed spec. GET /healthz,
-// /readyz and /v1/status report liveness, readiness and the live
-// numbers: requests, queue, sheds by reason and the pipeline latency;
-// /debug/ exposes pprof, the one profiling surface, and the standard
-// expvars (`go tool pprof
-// http://ADDR/debug/pprof/profile?seconds=5`; see docs/OBSERVABILITY.md
-// "Profiling & perf gating"). Nothing
-// authenticates a caller, so -addr is the boundary: bind it where only
-// operators reach.
-// Whether the matcher's quality still holds is checked offline, not per
-// request: docs/OBSERVABILITY.md "Quality monitoring & drift".
-//
-// Observability: every request carries a request ID (minted, or a
-// sanitized client X-Request-Id) echoed on the response and written on
-// its wide event. -access-log emits one JSON wide event per request,
-// its stage timings included (sampled by -access-sample for successes;
-// errors, sheds, degraded answers and ok requests of 500 ms or more
-// always log). Whether the service meets its objectives is judged by
-// the client that drives it (emload's gate); the access log says which
-// requests failed or were slow.
-//
-// Signals: SIGTERM/SIGINT drain the server — stop admitting (503), wait
-// for in-flight requests up to the drain timeout, shut the listener
-// down, verify no goroutines leaked, exit 130. SIGHUP is ignored.
-//
-// -inject arms a fault-injection plan at one of the two sites of
-// internal/fault (site[:key=value,...], repeatable): serve.match, before a
-// request's pipeline pass, and serve.predict, inside the learned stage's
-// ML sub-budget. The smoke tests use them to slow the pass and the
-// matcher so shedding and degradation are exercised for real. A site or
-// key the plan syntax does not know fails the start (exit 1).
+// SIGTERM or SIGINT drains the server (readiness turns 503, in-flight
+// requests finish, the listener closes, a goroutine self-check runs) and
+// exits 130; SIGHUP is ignored. Exit 2 is a usage error and 1 any other
+// failure, such as a spec that cannot be deployed.
 package main
 
 import (
@@ -104,23 +60,23 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	dep := cliutil.DeploymentFlags(fs,
 		"left table CSV (request records use its schema)",
 		"right table CSV (the deployed corpus matched against)")
-	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address; no route authenticates its caller, so bind it where only the balancer and operators reach")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file (for scripts binding port 0)")
-	maxInflight := fs.Int("max-inflight", 0, "concurrent requests executing the pipeline (0 = default)")
-	maxQueue := fs.Int("max-queue", 0, "requests allowed to wait for a slot before shedding (0 = default, <0 = never wait)")
-	requestTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request deadline ceiling")
+	maxInflight := fs.Int("max-inflight", 0, fmt.Sprintf("concurrent requests executing the pipeline (0 = %d)", serve.DefaultMaxInFlight))
+	maxQueue := fs.Int("max-queue", 0, fmt.Sprintf("requests allowed to wait for a slot before shedding with 429 (0 = %d, <0 = never wait)", serve.DefaultMaxQueue))
+	requestTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request deadline ceiling; a request's timeout_ms may lower it, never raise it")
 	maxBody := fs.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size cap in bytes")
-	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a drain waits for in-flight requests")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a drain (SIGTERM, SIGINT) waits for in-flight requests")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "how long a connection may dawdle over its request headers (Slowloris guard; 0 = unlimited)")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "how long a connection may take to deliver a whole request (0 = unlimited)")
 	writeTimeout := fs.Duration("write-timeout", 0, "how long a response write may take (0 = unlimited; request work is already bounded by -request-timeout)")
 	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "how long a keep-alive connection may sit idle between requests (0 = unlimited)")
 	rightID := fs.String("right-id", "RecordId", "right-table ID column echoed in match responses")
-	maxBatch := fs.Int("max-batch", 0, "records per /v1/match/batch request (0 = default; match a larger table offline with emmatch over the deployed spec)")
-	accessLog := fs.String("access-log", "", "write one JSON wide event per request to this file (- = stderr; empty = off)")
+	maxBatch := fs.Int("max-batch", 0, fmt.Sprintf("records per /v1/match/batch request (0 = %d; match a larger table offline with emmatch over the deployed spec)", serve.DefaultMaxBatchRecords))
+	accessLog := fs.String("access-log", "", "write one JSON wide event per request, its stage timings included, to this file (- = stderr; empty = off)")
 	accessSample := fs.Int("access-sample", 1, "log 1 in N successful requests (errors/sheds/degraded and ok requests of 500ms or more always log)")
 	var injects multiFlag
-	fs.Var(&injects, "inject", "arm a fault-injection plan, site[:key=value,...] (repeatable; sites "+strings.Join(fault.Sites, ", ")+"; e.g. serve.predict:mode=sleep,sleep=4s,oncall=1)")
+	fs.Var(&injects, "inject", "arm a fault-injection plan, site[:key=value,...] (repeatable; sites "+strings.Join(fault.Sites, ", ")+": serve.match runs before a request's pipeline pass, serve.predict inside the learned stage's share of the deadline; an unknown site or key fails the start; e.g. serve.predict:mode=sleep,sleep=4s,oncall=1)")
 	if err := fs.Parse(args); err != nil {
 		return flag.ErrHelp // the FlagSet already printed the diagnostic
 	}

@@ -12,6 +12,6 @@
 //
 //   - internal/core: the public Project API (the how-to-guide stages)
 //   - docs/HOWTO.md: the guide itself
-//   - DESIGN.md / EXPERIMENTS.md: system inventory and paper-vs-measured
+//   - DESIGN.md / EXPERIMENTS.md: design decisions and paper-vs-measured
 //   - cmd/emcasestudy: the whole case study with paper references
 package emgo

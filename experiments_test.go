@@ -1,6 +1,6 @@
 // Package emgo's root tests are the experiment harness: each TestE* /
 // TestA* regenerates one of the paper's tables, figures, or reported
-// numbers (see the per-experiment index in DESIGN.md) and asserts that
+// numbers (DESIGN §4 indexes them) and asserts that
 // the qualitative shape the paper reports holds. Run with -v to see the
 // paper-vs-measured values; EXPERIMENTS.md records a reference run.
 package emgo

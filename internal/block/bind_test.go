@@ -269,7 +269,9 @@ func TestBoundProbeSurvivesCollections(t *testing.T) {
 
 // TestBoundProbeConcurrent: goroutines sharing one bound blocker set — its
 // column and its free list of probe scratch — each get the answers a serial
-// caller gets, request by request (run under -race -cpu 1,2).
+// caller gets, request by request (run under -race -cpu 1,2). A scratch
+// used after it went back to the free list races only when a later taker
+// really does run at once, so make race-cpu runs this ten times over.
 func TestBoundProbeConcurrent(t *testing.T) {
 	l, r := figure10Tables(60, 300)
 	bound := mustBind(t, r, figure10(tokenize.Word{})...)

@@ -57,7 +57,9 @@ func leftPrefix(l *table.Table, n int) *table.Table {
 // emits, blocker by blocker, the pair sequence the same join emits on one
 // shard — at every core count, and at left sizes either side of each step
 // of the shard rule — over a column whose tokens are all dense and over
-// one mixing dense and sparse tokens.
+// one mixing dense and sparse tokens. The test sets the core count
+// itself, and make race-cpu runs it ten times over, since what the shards
+// write is only checked when they really do run at once.
 func TestShardedJoinMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	l, r := oracleTables(rand.New(rand.NewSource(36)), 513, 300)
@@ -126,7 +128,7 @@ func (c *cancelAfter) Err() error {
 
 // TestShardedJoinCancelled: a join cancelled mid-run fails with the
 // context's error and the text a one-shard join gives, never an error
-// naming the shard it ended in.
+// naming the shard it ended in (make race-cpu runs it ten times over).
 func TestShardedJoinCancelled(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	l, r := oracleTables(rand.New(rand.NewSource(36)), 513, 300)
@@ -159,7 +161,8 @@ func TestShardedJoinCancelled(t *testing.T) {
 // union per later blocker — and nothing more. Fanning out to even
 // one goroutine (parallel's channels, closure and stop state) would cost
 // more than that, so the request path cannot take the sharded join
-// unnoticed.
+// unnoticed. It counts only outside the race detector, so make test
+// holds it and make race-cpu does not.
 func TestOneRowUnionStaysOnTheCaller(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race runtime's")

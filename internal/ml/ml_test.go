@@ -289,7 +289,9 @@ func TestLinearRegressionGramMatchesRowDescent(t *testing.T) {
 // root, a view of it and a root built by hand, draws from them interleaved
 // through every method the fits call, and wants each to be the stream of
 // a fresh rand.NewSource(seed): the root's unread state is copied, never
-// shared or drawn from. 7 and 7+(1<<31−1) seed the same state.
+// shared or drawn from. 7 and 7+(1<<31−1) seed the same state. make
+// race-cpu runs this ten times over, since interleaved copies of one
+// state race only when they really do run at once.
 func TestSeededStreamsMatchFreshSources(t *testing.T) {
 	ds := synthDataset(20, 1)
 	byHand := &Dataset{Features: ds.Features, X: ds.X, Y: ds.Y}

@@ -302,6 +302,9 @@ func TestPresortedFitMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzPresortedFit is checkPresortedFit over fuzzed datasets: the
+// counting fitter against the per-node sort it replaced, tree by tree on
+// roots, views, repeated rows and forest bootstraps.
 func FuzzPresortedFit(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3), uint8(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(2), uint8(2), uint8(0), uint8(0))
@@ -398,7 +401,8 @@ func TestTreeSplitTieBreak(t *testing.T) {
 // root from many goroutines at once — through the pooled fit scratch and
 // generators — and wants every tree the serial fits gave. The concurrent
 // fits run on a second, cold root over the same rows, so they race to fill
-// its cached seed states.
+// its cached seed states; a root fills them only once, so make race-cpu
+// runs this ten times over.
 func TestConcurrentFitsShareOneRoot(t *testing.T) {
 	ds := oracleDataset(rand.New(rand.NewSource(9)), 160, 6, 1)
 	cold, err := NewDataset(ds.Features, ds.X, ds.Y)

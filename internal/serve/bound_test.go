@@ -280,7 +280,9 @@ func TestConcurrentRequestsShareBlockIndex(t *testing.T) {
 // record got alone, asked serially; each trace is that request's own
 // serve.match tree (its record count, and its candidates on
 // serve.block); and the log has one line per request ID, with that
-// request's counts (make race-cpu runs this at 1, 2 and 4 CPUs).
+// request's counts (make race-cpu runs this at 1, 2 and 4 CPUs, and ten
+// times over: a record used after it went back to its free list races
+// only when a later taker really does run at once).
 func TestConcurrentMixedRequestsKeepSerialAnswers(t *testing.T) {
 	leakcheck.Check(t)
 	w, l, r := paperWorkflowAt(t, tokenize.Word{}, 0.15)

@@ -19,8 +19,7 @@
 //     standard obs debug surface (expvar, pprof).
 //
 // Whether a deployed matcher's quality still holds is an offline
-// question, not a request's: docs/OBSERVABILITY.md "Quality monitoring &
-// drift".
+// question, not a request's: docs/OPERATIONS.md#did-quality-drift.
 package serve
 
 import (

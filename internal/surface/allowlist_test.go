@@ -69,5 +69,5 @@ var unrunEntryPoints = map[string]string{
 // wide-event fields whose only reader is a person following a docs recipe
 // over a report's trace or the access log. No wildcard, at most eight.
 var traceReaders = map[string]docReader{
-	"annotation blocker": {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OBSERVABILITY.md#records"},
+	"annotation blocker": {"which blocker is this block.join span? (one per blocker, same span name)", "docs/OPERATIONS.md#what-did-a-run-do"},
 }

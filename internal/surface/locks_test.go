@@ -11,7 +11,7 @@ import (
 // probePackages are the packages every probe of a match runs through —
 // blocking, rules, features. What they prepare from a right table is
 // either built per call or bound once into immutable values (DESIGN
-// "Bind lifetime"), so none of them needs a lock.
+// §5a), so none of them needs a lock.
 var probePackages = []string{"emgo/internal/block", "emgo/internal/rules", "emgo/internal/feature"}
 
 // TestNoLockOnProbePaths fails when a non-test file of a probe package

@@ -234,8 +234,8 @@ func TestCaptureDeployBaselineAndMonitoredSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base := capRes.DriftProfile; base == nil || len(base.Features) == 0 {
-		t.Fatalf("baseline missing feature distributions: %+v", base)
+	if base, err := drift.ProfileFromQuality(capRes.Report.Quality); err != nil || len(base.Features) == 0 {
+		t.Fatalf("baseline missing feature distributions: %+v (%v)", base, err)
 	}
 	// The capture run's report is the baseline.
 	base := profileInReport(t, capRes)
@@ -318,10 +318,14 @@ func TestMonitoredDeployedRunProfilesEveryFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(monitored.DriftProfile.Features); got != len(features) {
+	profile, err := drift.ProfileFromQuality(monitored.Report.Quality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(profile.Features); got != len(features) {
 		t.Fatalf("the monitored run profiled %d features, want all %d", got, len(features))
 	}
-	for k, f := range monitored.DriftProfile.Features {
+	for k, f := range profile.Features {
 		if f.Name != features[k].Name {
 			t.Fatalf("profile feature %d is %q, want %q", k, f.Name, features[k].Name)
 		}

@@ -3,8 +3,8 @@ package umetrics
 import "testing"
 
 // TestCaseStudyDeterminism runs the whole pipeline twice at a small scale
-// and asserts every headline number agrees — the property DESIGN.md
-// promises ("the case study is fully reproducible run to run").
+// and asserts every headline number agrees — the property DESIGN §6
+// promises: the case study is fully reproducible run to run.
 func TestCaseStudyDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive; skipped with -short")

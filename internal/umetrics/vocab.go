@@ -8,7 +8,7 @@
 // an end-to-end CaseStudy runner that reproduces every number the paper
 // walks through.
 //
-// The real UMETRICS and USDA data are proprietary; see DESIGN.md for why
+// The real UMETRICS and USDA data are proprietary; see DESIGN §2 for why
 // this synthetic substitute preserves the behaviour that matters.
 package umetrics
 

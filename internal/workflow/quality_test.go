@@ -30,29 +30,27 @@ func TestRunCtxDriftCaptureAndCleanCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capRes.DriftProfile == nil {
-		t.Fatal("capture run produced no profile")
+	captured, err := drift.ProfileFromQuality(capRes.Report.Quality)
+	if err != nil {
+		t.Fatalf("capture run produced no profile: %v", err)
 	}
-	if capRes.DriftProfile.LeftRows != tp.l.Len() || capRes.DriftProfile.RightRows != tp.r.Len() {
+	if captured.LeftRows != tp.l.Len() || captured.RightRows != tp.r.Len() {
 		t.Fatalf("profile rows %d/%d, want %d/%d",
-			capRes.DriftProfile.LeftRows, capRes.DriftProfile.RightRows, tp.l.Len(), tp.r.Len())
+			captured.LeftRows, captured.RightRows, tp.l.Len(), tp.r.Len())
 	}
-	if len(capRes.DriftProfile.Features) == 0 || len(capRes.DriftProfile.Columns) == 0 {
+	if len(captured.Features) == 0 || len(captured.Columns) == 0 {
 		t.Fatalf("profile missing distributions: %d features, %d columns",
-			len(capRes.DriftProfile.Features), len(capRes.DriftProfile.Columns))
+			len(captured.Features), len(captured.Columns))
 	}
 	if got := outcomeSequence(capRes.Report); got[len(got)-1] != "quality:ok" {
 		t.Fatalf("capture run stages = %v, want a last quality:ok", got)
 	}
 
 	base := reportProfile(t, capRes)
-	if !base.CreatedAt.Equal(capRes.DriftProfile.CreatedAt) {
-		t.Fatalf("baseline created_at %v, want %v", base.CreatedAt, capRes.DriftProfile.CreatedAt)
-	}
 	got := *base
 	got.CreatedAt = time.Time{}
 	if !reflect.DeepEqual(got, profileOf(t, capRes)) {
-		t.Fatal("the report's profile differs from the run's")
+		t.Fatal("the report's profile changed in the report's JSON round trip")
 	}
 	// The labeled accuracy estimate (Section 11) a baseline may carry.
 	base.EstimatedPrecision = []float64{0.9, 0.95, 1.0}
@@ -111,16 +109,15 @@ func TestRunCtxDriftCheckDegradedQuality(t *testing.T) {
 }
 
 // TestRunCtxNoDriftMeansNoQualityStage guards the disabled path: without
-// RunOptions.Profile the result has no profile, and the report no quality
-// section or stage.
+// RunOptions.Profile the report has no quality section or stage.
 func TestRunCtxNoDriftMeansNoQualityStage(t *testing.T) {
 	w, tp := hardenedFixture(t)
 	res, err := w.RunCtx(context.Background(), tp.l, tp.r, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DriftProfile != nil || res.Report.Quality != nil {
-		t.Fatalf("quality artifacts on an unmonitored run: %+v %+v", res.DriftProfile, res.Report.Quality)
+	if res.Report.Quality != nil {
+		t.Fatalf("quality section on an unmonitored run: %+v", res.Report.Quality)
 	}
 	for _, st := range outcomeSequence(res.Report) {
 		if strings.HasPrefix(st, "quality:") {
@@ -170,14 +167,16 @@ func reportProfile(t *testing.T, res *Result) *drift.Profile {
 	return p
 }
 
-// profileOf is a run's profile without its build time, the one field
-// two runs over the same inputs may differ in.
+// profileOf is the profile in a run's report, as drift.ProfileFromQuality
+// reads it, without its build time, the one field two runs over the same
+// inputs may differ in.
 func profileOf(t *testing.T, res *Result) drift.Profile {
 	t.Helper()
-	if res.DriftProfile == nil {
-		t.Fatal("monitored run produced no profile")
+	q, err := drift.ProfileFromQuality(res.Report.Quality)
+	if err != nil {
+		t.Fatalf("monitored run produced no profile: %v", err)
 	}
-	p := *res.DriftProfile
+	p := *q
 	p.CreatedAt = time.Time{}
 	return p
 }

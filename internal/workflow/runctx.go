@@ -161,13 +161,14 @@ func (w *Workflow) RunCtx(ctx context.Context, left, right *table.Table, opts Ru
 	// report is its one copy.
 	if opts.Profile {
 		st = startStage("quality")
-		if res.DriftProfile, err = w.profile(st.ctx, left, right, blocked, res); err != nil {
+		var p *drift.Profile
+		if p, err = w.profile(st.ctx, left, right, blocked, res); err != nil {
 			return abort(st, err)
 		}
-		if quality, err = drift.CaptureQuality(res.DriftProfile); err != nil {
+		if quality, err = drift.CaptureQuality(p); err != nil {
 			return abort(st, err)
 		}
-		st.finish(obs.OutcomeOK, len(res.DriftProfile.Features))
+		st.finish(obs.OutcomeOK, len(p.Features))
 	}
 	return res, nil
 }

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"emgo/internal/block"
-	"emgo/internal/drift"
 	"emgo/internal/feature"
 	"emgo/internal/ml"
 	"emgo/internal/obs"
@@ -117,10 +116,6 @@ type Result struct {
 	// Final is Sure ∪ (Learned minus vetoed) (S1/S2 unioned with sure
 	// matches).
 	Final *block.CandidateSet
-	// DriftProfile is the statistical profile the quality stage built
-	// from the run's result when RunOptions.Profile asked for one (nil
-	// otherwise); the report's quality section embeds it.
-	DriftProfile *drift.Profile
 	// Report is the run's one record (a span per stage, and the
 	// quality section) built on every run, success or failure.
 	Report *obs.Report
